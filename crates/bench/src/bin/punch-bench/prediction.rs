@@ -1,22 +1,24 @@
 //! E9: §5.1 port prediction against symmetric NATs — success-rate curves
 //! over allocator policy, prediction window, and competing traffic.
 //!
-//! Run: `cargo run --release -p punch-bench --bin prediction`
+//! Run: `cargo run --release -p punch-bench -- prediction`
 
+use crate::{Flags, Run};
 use punch_bench::prediction_rate;
 use punch_nat::PortAllocation;
 use punch_net::Duration;
 
-fn main() {
+pub fn run(_: &Flags) -> Result<Run, String> {
+    let mut out = String::new();
     let n = 20;
-    println!("== E9: port prediction vs a symmetric NAT (A symmetric, B cone) ==");
-    println!("   success rate over {n} seeds\n");
+    out += "== E9: port prediction vs a symmetric NAT (A symmetric, B cone) ==\n";
+    out += &format!("   success rate over {n} seeds\n\n");
 
-    println!("  window sweep (sequential allocator, quiet NAT):");
+    out += "  window sweep (sequential allocator, quiet NAT):\n";
     for window in [0u16, 1, 2, 5, 10] {
         let rate = if window == 0 {
             // Window 0 degenerates to the basic strategy.
-            punch_bench::prediction_rate(9000, n, PortAllocation::Sequential, 1, None) * 0.0
+            prediction_rate(9000, n, PortAllocation::Sequential, 1, None) * 0.0
         } else {
             prediction_rate(1000, n, PortAllocation::Sequential, window, None)
         };
@@ -25,23 +27,23 @@ fn main() {
         } else {
             "predict"
         };
-        println!(
-            "    {label:<22} window {window:>2} -> {:>5.0}%",
+        out += &format!(
+            "    {label:<22} window {window:>2} -> {:>5.0}%\n",
             rate * 100.0
         );
     }
 
-    println!("\n  allocator sweep (window 5, quiet NAT):");
+    out += "\n  allocator sweep (window 5, quiet NAT):\n";
     for (name, alloc) in [
         ("sequential", PortAllocation::Sequential),
         ("preserving", PortAllocation::Preserving),
         ("random", PortAllocation::Random),
     ] {
         let rate = prediction_rate(2000, n, alloc, 5, None);
-        println!("    {name:<12} -> {:>5.0}%", rate * 100.0);
+        out += &format!("    {name:<12} -> {:>5.0}%\n", rate * 100.0);
     }
 
-    println!("\n  competing traffic behind A's NAT (sequential, window 5):");
+    out += "\n  competing traffic behind A's NAT (sequential, window 5):\n";
     for (name, chatter) in [
         ("quiet", None),
         ("1 new flow / 2 s", Some(Duration::from_secs(2))),
@@ -49,9 +51,10 @@ fn main() {
         ("1 new flow / 100 ms", Some(Duration::from_millis(100))),
     ] {
         let rate = prediction_rate(3000, n, PortAllocation::Sequential, 5, chatter);
-        println!("    {name:<20} -> {:>5.0}%", rate * 100.0);
+        out += &format!("    {name:<20} -> {:>5.0}%\n", rate * 100.0);
     }
-    println!("\n  (the §5.1 claim: prediction works \"much of the time\" against");
-    println!("   predictable allocators, and is a moving target under competing");
-    println!("   allocations or randomized ports)");
+    out += "\n  (the §5.1 claim: prediction works \"much of the time\" against\n";
+    out += "   predictable allocators, and is a moving target under competing\n";
+    out += "   allocations or randomized ports)\n";
+    Ok(Run::text("prediction.txt", out))
 }

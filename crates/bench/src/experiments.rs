@@ -2,11 +2,12 @@
 
 use bytes::Bytes;
 use holepunch::{
-    PeerId, TcpPeer, TcpPeerConfig, TcpPunchMode, UdpPeer, UdpPeerConfig, UdpPeerEvent, Via,
+    CandidatePlan, PeerId, PredictionStrategy, SourceSpec, TcpPeer, TcpPeerConfig, TcpPunchMode,
+    UdpPeer, UdpPeerConfig, UdpPeerEvent, Via,
 };
 use punch_lab::{addrs, fig4, fig5, fig6, PeerSetup, Scenario, WorldBuilder};
 use punch_nat::{NatBehavior, PortAllocation};
-use punch_net::{Duration, Endpoint, FaultPlan, LinkSpec, MetricsSnapshot, SimTime};
+use punch_net::{Duration, Endpoint, FaultPlan, Json, LinkSpec, MetricsSnapshot, NodeId, SimTime};
 use punch_rendezvous::{RendezvousServer, ServerConfig};
 use punch_transport::{App, Os, SockEvent, SocketId, StackConfig, TcpFlavor};
 
@@ -53,6 +54,23 @@ pub enum Topology {
     },
 }
 
+/// Finishes a two-client world: attaches S, lets `wire` declare the NATs
+/// and then clients A and B, and wraps the built world.
+fn scenario(mut wb: WorldBuilder, wire: impl FnOnce(&mut WorldBuilder)) -> Scenario {
+    wb.server(
+        addrs::SERVER,
+        RendezvousServer::new(ServerConfig::default()),
+    );
+    wire(&mut wb);
+    let world = wb.build();
+    Scenario {
+        server: world.servers[0],
+        a: world.clients[0],
+        b: world.clients[1],
+        world,
+    }
+}
+
 fn build_udp(
     topo: &Topology,
     seed: u64,
@@ -67,34 +85,20 @@ fn build_udp(
     };
     match topo {
         Topology::CommonNat(nat) => fig4(seed, nat.clone(), mk(A), mk(B)),
-        Topology::TwoNats(na, nb) => {
-            let mut wb = WorldBuilder::new(seed).wan(wan);
-            wb.server(
-                addrs::SERVER,
-                RendezvousServer::new(ServerConfig::default()),
-            );
-            let a = match na {
-                Some(nat) => {
-                    let n = wb.nat(nat.clone(), addrs::NAT_A);
-                    wb.client(addrs::CLIENT_A, n, mk(A))
-                }
-                None => wb.public_client("99.1.1.1".parse().expect("addr"), mk(A)), // punch-lint: allow(P001) hard-coded literal address; parse cannot fail
-            };
-            let b = match nb {
-                Some(nat) => {
-                    let n = wb.nat(nat.clone(), addrs::NAT_B);
-                    wb.client(addrs::CLIENT_B, n, mk(B))
-                }
-                None => wb.public_client("99.2.2.2".parse().expect("addr"), mk(B)), // punch-lint: allow(P001) hard-coded literal address; parse cannot fail
-            };
-            let world = wb.build();
-            Scenario {
-                server: world.servers[0],
-                a: world.clients[a],
-                b: world.clients[b],
-                world,
+        Topology::TwoNats(na, nb) => scenario(WorldBuilder::new(seed).wan(wan), |wb| {
+            for (id, nat, nat_ip, client_ip, public_ip) in [
+                (A, na, addrs::NAT_A, addrs::CLIENT_A, [99, 1, 1, 1]),
+                (B, nb, addrs::NAT_B, addrs::CLIENT_B, [99, 2, 2, 2]),
+            ] {
+                match nat {
+                    Some(nat) => {
+                        let n = wb.nat(nat.clone(), nat_ip);
+                        wb.client(client_ip, n, mk(id))
+                    }
+                    None => wb.public_client(public_ip.into(), mk(id)),
+                };
             }
-        }
+        }),
         Topology::MultiLevel { isp, consumer } => fig6(
             seed,
             isp.clone(),
@@ -106,35 +110,26 @@ fn build_udp(
     }
 }
 
+/// Lets both registrations settle (2 s), has A connect to B, and runs
+/// until `done` holds on A or `deadline` passes.
+fn udp_connect(sc: &mut Scenario, deadline: SimTime, done: impl Fn(&UdpPeer) -> bool) -> bool {
+    sc.world.sim.run_for(Duration::from_secs(2));
+    sc.world
+        .with_app::<UdpPeer, _>(sc.a, |p, os| p.connect(os, B));
+    sc.world.run_until_app::<UdpPeer>(sc.a, deadline, done)
+}
+
 /// Runs a UDP punch on `topo` and reports the outcome (E2/E3/E4/E16).
 pub fn udp_punch(topo: Topology, seed: u64, cfg_mod: impl Fn(&mut UdpPeerConfig)) -> Outcome {
-    udp_punch_on(topo, seed, cfg_mod, LinkSpec::wan())
+    udp_punch_on(topo, seed, cfg_mod, LinkSpec::wan(), false).0
 }
 
 /// [`udp_punch`] with a custom WAN link profile (latency/loss sweeps).
+/// With `metrics` the registry is enabled — which never changes the
+/// outcome — and the returned [`MetricsSnapshot`] carries the punch
+/// timeline counters, per-layer drop counters and the `punch.latency`
+/// histogram; without, it is empty.
 pub fn udp_punch_on(
-    topo: Topology,
-    seed: u64,
-    cfg_mod: impl Fn(&mut UdpPeerConfig),
-    wan: LinkSpec,
-) -> Outcome {
-    run_udp_punch(topo, seed, cfg_mod, wan, false).0
-}
-
-/// [`udp_punch_on`] with the metrics registry enabled, additionally
-/// returning the run's [`MetricsSnapshot`] (punch timeline counters,
-/// per-layer drop counters, the `punch.latency` histogram). Enabling
-/// metrics never changes the outcome.
-pub fn udp_punch_metrics(
-    topo: Topology,
-    seed: u64,
-    cfg_mod: impl Fn(&mut UdpPeerConfig),
-    wan: LinkSpec,
-) -> (Outcome, MetricsSnapshot) {
-    run_udp_punch(topo, seed, cfg_mod, wan, true)
-}
-
-fn run_udp_punch(
     topo: Topology,
     seed: u64,
     cfg_mod: impl Fn(&mut UdpPeerConfig),
@@ -150,8 +145,7 @@ fn run_udp_punch(
     sc.world
         .with_app::<UdpPeer, _>(sc.a, |p, os| p.connect(os, B));
     let deadline = started + Duration::from_secs(60);
-    let direct = sc
-        .world
+    sc.world
         .run_until_app::<UdpPeer>(sc.a, deadline, |p| p.is_established(B) || p.is_relaying(B));
     let app = sc.world.app::<UdpPeer>(sc.a);
     let outcome = if app.is_established(B) {
@@ -159,10 +153,34 @@ fn run_udp_punch(
     } else if app.is_relaying(B) {
         Outcome::Relay
     } else {
-        let _ = direct;
         Outcome::Failed
     };
     (outcome, sc.world.sim.metrics_snapshot())
+}
+
+/// Figure 5 with [`TcpPeer`]s on the given OS flavours, B optionally
+/// behind a slow access link to skew SYN timing.
+fn tcp_scenario(
+    seed: u64,
+    [nat_a, nat_b]: [NatBehavior; 2],
+    [flavor_a, flavor_b]: [TcpFlavor; 2],
+    b_link: Option<LinkSpec>,
+    cfg_mod: impl Fn(&mut TcpPeerConfig),
+) -> Scenario {
+    let mk = |id: PeerId, flavor: TcpFlavor| {
+        let mut c = TcpPeerConfig::new(id, Scenario::server_endpoint());
+        cfg_mod(&mut c);
+        PeerSetup::new(TcpPeer::new(c)).with_stack(StackConfig::fast().with_flavor(flavor))
+    };
+    scenario(WorldBuilder::new(seed), |wb| {
+        let na = wb.nat(nat_a, addrs::NAT_A);
+        let nb = wb.nat(nat_b, addrs::NAT_B);
+        wb.client(addrs::CLIENT_A, na, mk(A, flavor_a));
+        match b_link {
+            Some(link) => wb.client_linked(addrs::CLIENT_B, nb, mk(B, flavor_b), link),
+            None => wb.client(addrs::CLIENT_B, nb, mk(B, flavor_b)),
+        };
+    })
 }
 
 /// Runs a TCP punch between two NATs (with an optional slow access link
@@ -174,32 +192,8 @@ pub fn tcp_punch_latency(
     b_link: Option<LinkSpec>,
     cfg_mod: impl Fn(&mut TcpPeerConfig),
 ) -> Option<Duration> {
-    let server = Scenario::server_endpoint();
-    let mk = |id: PeerId| {
-        let mut c = TcpPeerConfig::new(id, server);
-        cfg_mod(&mut c);
-        PeerSetup::new(TcpPeer::new(c))
-            .with_stack(StackConfig::fast().with_flavor(TcpFlavor::LinuxWindows))
-    };
-    let mut wb = WorldBuilder::new(seed);
-    wb.server(
-        addrs::SERVER,
-        RendezvousServer::new(ServerConfig::default()),
-    );
-    let na = wb.nat(nat_a, addrs::NAT_A);
-    let nb = wb.nat(nat_b, addrs::NAT_B);
-    wb.client(addrs::CLIENT_A, na, mk(A));
-    match b_link {
-        Some(link) => wb.client_linked(addrs::CLIENT_B, nb, mk(B), link),
-        None => wb.client(addrs::CLIENT_B, nb, mk(B)),
-    };
-    let world = wb.build();
-    let mut sc = Scenario {
-        server: world.servers[0],
-        a: world.clients[0],
-        b: world.clients[1],
-        world,
-    };
+    let flavors = [TcpFlavor::LinuxWindows; 2];
+    let mut sc = tcp_scenario(seed, [nat_a, nat_b], flavors, b_link, cfg_mod);
     sc.world.sim.run_for(Duration::from_secs(2));
     let started = sc.world.sim.now();
     sc.world
@@ -267,7 +261,9 @@ pub fn prediction_trial(
         c.punch = c
             .punch
             .clone()
-            .with_strategy(holepunch::PunchStrategy::Predict { window });
+            .with_plan(CandidatePlan::basic().with_source(SourceSpec::predicted(
+                PredictionStrategy::SequentialDelta { window },
+            )));
         c.punch.relay_fallback = false;
         PeerSetup::new(UdpPeer::new(c))
     };
@@ -276,34 +272,17 @@ pub fn prediction_trial(
         port_alloc: alloc,
         ..NatBehavior::well_behaved()
     };
-    let mut wb = WorldBuilder::new(seed);
-    wb.server(
-        addrs::SERVER,
-        RendezvousServer::new(ServerConfig::default()),
-    );
-    let na = wb.nat(symmetric, addrs::NAT_A);
-    let nb = wb.nat(NatBehavior::well_behaved(), addrs::NAT_B);
-    wb.client(addrs::CLIENT_A, na, mk(A));
-    wb.client(addrs::CLIENT_B, nb, mk(B));
-    if let Some(interval) = chatter {
-        wb.client(
-            "10.0.0.9".parse().expect("addr"), // punch-lint: allow(P001) hard-coded literal address; parse cannot fail
-            na,
-            PeerSetup::new(Chatterer::new(interval)),
-        );
-    }
-    let world = wb.build();
-    let mut sc = Scenario {
-        server: world.servers[0],
-        a: world.clients[0],
-        b: world.clients[1],
-        world,
-    };
-    sc.world.sim.run_for(Duration::from_secs(2));
-    sc.world
-        .with_app::<UdpPeer, _>(sc.a, |p, os| p.connect(os, B));
-    sc.world
-        .run_until_app::<UdpPeer>(sc.a, SimTime::from_secs(40), |p| p.is_established(B))
+    let mut sc = scenario(WorldBuilder::new(seed), |wb| {
+        let na = wb.nat(symmetric, addrs::NAT_A);
+        let nb = wb.nat(NatBehavior::well_behaved(), addrs::NAT_B);
+        wb.client(addrs::CLIENT_A, na, mk(A));
+        wb.client(addrs::CLIENT_B, nb, mk(B));
+        if let Some(interval) = chatter {
+            let setup = PeerSetup::new(Chatterer::new(interval));
+            wb.client([10, 0, 0, 9].into(), na, setup);
+        }
+    });
+    udp_connect(&mut sc, SimTime::from_secs(40), |p| p.is_established(B))
 }
 
 /// Success rate of [`prediction_trial`] over `n` seeds. Trials are
@@ -328,49 +307,27 @@ pub fn prediction_rate(
 /// E12: round-trip time of an application message over the punched direct
 /// path vs. over the relay, plus the server's relayed-byte count.
 pub fn relay_vs_direct(seed: u64, payload: usize) -> (Duration, Duration, u64) {
+    let server = Scenario::server_endpoint();
     // Direct: normal punch.
     let direct_rtt = {
-        let mut sc = fig5(
-            seed,
-            NatBehavior::well_behaved(),
-            NatBehavior::well_behaved(),
-            PeerSetup::new(UdpPeer::new(UdpPeerConfig::new(
-                A,
-                Scenario::server_endpoint(),
-            ))),
-            PeerSetup::new(UdpPeer::new(UdpPeerConfig::new(
-                B,
-                Scenario::server_endpoint(),
-            ))),
-        );
-        sc.world.sim.run_for(Duration::from_secs(2));
-        sc.world
-            .with_app::<UdpPeer, _>(sc.a, |p, os| p.connect(os, B));
-        sc.world
-            .run_until_app::<UdpPeer>(sc.a, SimTime::from_secs(30), |p| p.is_established(B));
+        let mk = |id| PeerSetup::new(UdpPeer::new(UdpPeerConfig::new(id, server)));
+        let nat = NatBehavior::well_behaved();
+        let mut sc = fig5(seed, nat.clone(), nat, mk(A), mk(B));
+        udp_connect(&mut sc, SimTime::from_secs(30), |p| p.is_established(B));
         measure_rtt(&mut sc, payload)
     };
     // Relay: punching disabled entirely (candidates can't work: private
     // disabled and both NATs symmetric).
     let (relay_rtt, relayed_bytes) = {
         let mk = |id| {
-            let mut c = UdpPeerConfig::new(id, Scenario::server_endpoint());
+            let mut c = UdpPeerConfig::new(id, server);
             c.punch.max_attempts = 1;
             c.punch.spray_interval = Duration::from_millis(100);
             PeerSetup::new(UdpPeer::new(c))
         };
-        let mut sc = fig5(
-            seed,
-            NatBehavior::symmetric(),
-            NatBehavior::symmetric(),
-            mk(A),
-            mk(B),
-        );
-        sc.world.sim.run_for(Duration::from_secs(2));
-        sc.world
-            .with_app::<UdpPeer, _>(sc.a, |p, os| p.connect(os, B));
-        sc.world
-            .run_until_app::<UdpPeer>(sc.a, SimTime::from_secs(30), |p| p.is_relaying(B));
+        let nat = NatBehavior::symmetric();
+        let mut sc = fig5(seed, nat.clone(), nat, mk(A), mk(B));
+        udp_connect(&mut sc, SimTime::from_secs(30), |p| p.is_relaying(B));
         let rtt = measure_rtt(&mut sc, payload);
         let server = sc.server;
         let stats = sc
@@ -385,37 +342,29 @@ pub fn relay_vs_direct(seed: u64, payload: usize) -> (Duration, Duration, u64) {
 }
 
 /// Sends one payload A→B, auto-replies from B, and measures the
-/// application-level round trip.
+/// application-level round trip (capped at 20 s).
 fn measure_rtt(sc: &mut Scenario, payload: usize) -> Duration {
     let started = sc.world.sim.now();
-    sc.world
-        .with_app::<UdpPeer, _>(sc.a, |p, os| p.send(os, B, Bytes::from(vec![1u8; payload])));
-    let mut reply_sent = false;
-    let deadline = started + Duration::from_secs(20);
-    loop {
-        sc.world.sim.run_for(Duration::from_millis(1));
-        if !reply_sent {
-            let got: Vec<UdpPeerEvent> = sc
-                .world
-                .with_app::<UdpPeer, _>(sc.b, |p, _| p.take_events());
+    let (a, b) = (sc.a, sc.b);
+    let mut exchange = |from, to_id, to, fill: u8| {
+        sc.world.with_app::<UdpPeer, _>(from, |p, os| {
+            p.send(os, to_id, Bytes::from(vec![fill; payload]))
+        });
+        // Poll the receiver every simulated millisecond for the payload.
+        loop {
+            sc.world.sim.run_for(Duration::from_millis(1));
+            let got = sc.world.with_app::<UdpPeer, _>(to, |p, _| p.take_events());
             if got.iter().any(|e| matches!(e, UdpPeerEvent::Data { .. })) {
-                sc.world.with_app::<UdpPeer, _>(sc.b, |p, os| {
-                    p.send(os, A, Bytes::from(vec![2u8; payload]))
-                });
-                reply_sent = true;
+                return Some(sc.world.sim.now() - started);
             }
-        } else {
-            let got: Vec<UdpPeerEvent> = sc
-                .world
-                .with_app::<UdpPeer, _>(sc.a, |p, _| p.take_events());
-            if got.iter().any(|e| matches!(e, UdpPeerEvent::Data { .. })) {
-                return sc.world.sim.now() - started;
+            if sc.world.sim.now() > started + Duration::from_secs(20) {
+                return None;
             }
         }
-        if sc.world.sim.now() > deadline {
-            return Duration::from_secs(20);
-        }
-    }
+    };
+    exchange(a, B, b, 1)
+        .and_then(|_| exchange(b, A, a, 2))
+        .unwrap_or(Duration::from_secs(20))
 }
 
 /// E5: does a punched session survive `idle` of application silence with
@@ -435,11 +384,7 @@ pub fn keepalive_trial(
         PeerSetup::new(UdpPeer::new(c))
     };
     let mut sc = fig5(seed, nat.clone(), nat, mk(A), mk(B));
-    sc.world.sim.run_for(Duration::from_secs(2));
-    sc.world
-        .with_app::<UdpPeer, _>(sc.a, |p, os| p.connect(os, B));
-    sc.world
-        .run_until_app::<UdpPeer>(sc.a, SimTime::from_secs(30), |p| p.is_established(B));
+    udp_connect(&mut sc, SimTime::from_secs(30), |p| p.is_established(B));
     sc.world.sim.run_for(idle);
     // Probe the session.
     sc.world
@@ -488,54 +433,26 @@ pub fn tcp_flavor_paths(
     flavor_a: TcpFlavor,
     flavor_b: TcpFlavor,
 ) -> Option<(holepunch::TcpPath, holepunch::TcpPath)> {
-    let server = Scenario::server_endpoint();
-    let mk = |id: PeerId, flavor: TcpFlavor| {
-        PeerSetup::new(TcpPeer::new(TcpPeerConfig::new(id, server)))
-            .with_stack(StackConfig::fast().with_flavor(flavor))
-    };
-    let mut wb = WorldBuilder::new(seed);
-    wb.server(
-        addrs::SERVER,
-        RendezvousServer::new(ServerConfig::default()),
+    let mut sc = tcp_scenario(
+        seed,
+        [NatBehavior::well_behaved(), NatBehavior::well_behaved()],
+        [flavor_a, flavor_b],
+        Some(LinkSpec::new(Duration::from_millis(120))),
+        |_| {},
     );
-    let na = wb.nat(NatBehavior::well_behaved(), addrs::NAT_A);
-    let nb = wb.nat(NatBehavior::well_behaved(), addrs::NAT_B);
-    wb.client(addrs::CLIENT_A, na, mk(A, flavor_a));
-    wb.client_linked(
-        addrs::CLIENT_B,
-        nb,
-        mk(B, flavor_b),
-        LinkSpec::new(Duration::from_millis(120)),
-    );
-    let world = wb.build();
-    let mut sc = Scenario {
-        server: world.servers[0],
-        a: world.clients[0],
-        b: world.clients[1],
-        world,
-    };
     sc.world.sim.run_for(Duration::from_secs(2));
     sc.world
         .with_app::<TcpPeer, _>(sc.a, |p, os| p.connect(os, B));
-    let ok = sc
-        .world
-        .run_until_app::<TcpPeer>(sc.a, SimTime::from_secs(60), |p| p.is_established(B));
-    if !ok
-        || !sc
-            .world
-            .run_until_app::<TcpPeer>(sc.b, SimTime::from_secs(60), |p| p.is_established(A))
+    let deadline = SimTime::from_secs(60);
+    let w = &mut sc.world;
+    if !w.run_until_app::<TcpPeer>(sc.a, deadline, |p| p.is_established(B))
+        || !w.run_until_app::<TcpPeer>(sc.b, deadline, |p| p.is_established(A))
     {
         return None;
     }
     Some((
-        sc.world
-            .app::<TcpPeer>(sc.a)
-            .established_path(B)
-            .expect("established"), // punch-lint: allow(P001) experiment asserts the handshake completed; a panic IS the failing check
-        sc.world
-            .app::<TcpPeer>(sc.b)
-            .established_path(A)
-            .expect("established"), // punch-lint: allow(P001) experiment asserts the handshake completed; a panic IS the failing check
+        w.app::<TcpPeer>(sc.a).established_path(B)?,
+        w.app::<TcpPeer>(sc.b).established_path(A)?,
     ))
 }
 
@@ -575,42 +492,35 @@ fn chaos_peer(id: PeerId, fault: FaultClass) -> PeerSetup {
     PeerSetup::new(UdpPeer::new(c))
 }
 
+/// Runs until `pred` holds on `node`'s peer; `None` once `deadline` passes.
+fn wait(
+    sc: &mut Scenario,
+    node: NodeId,
+    deadline: SimTime,
+    pred: impl Fn(&UdpPeer) -> bool,
+) -> Option<()> {
+    sc.world
+        .run_until_app::<UdpPeer>(node, deadline, pred)
+        .then_some(())
+}
+
 /// Waits for B to observe the session die, then for both sides to be
-/// re-established; returns the time from `t0` to full recovery.
-fn recover_established(sc: &mut Scenario, deadline: SimTime, t0: SimTime) -> Option<Duration> {
-    let w = &mut sc.world;
-    if !w.run_until_app::<UdpPeer>(sc.b, deadline, |p| !p.is_established(A)) {
-        return None;
-    }
-    if !w.run_until_app::<UdpPeer>(sc.b, deadline, |p| p.is_established(A)) {
-        return None;
-    }
-    if !w.run_until_app::<UdpPeer>(sc.a, deadline, |p| p.is_established(B)) {
-        return None;
-    }
-    Some(w.sim.now() - t0)
+/// re-established.
+fn recover_established(sc: &mut Scenario, deadline: SimTime) -> Option<()> {
+    let (a, b) = (sc.a, sc.b);
+    wait(sc, b, deadline, |p| !p.is_established(A))?;
+    wait(sc, b, deadline, |p| p.is_established(A))?;
+    wait(sc, a, deadline, |p| p.is_established(B))
 }
 
 /// EC: injects one scripted fault into a settled resilient pair and
 /// measures the time from injection to full recovery (see
-/// [`FaultClass`] for what "recovery" means per class). `None` if the
-/// pair missed the 60 s recovery deadline.
-pub fn chaos_trial(seed: u64, fault: FaultClass) -> Option<Duration> {
-    run_chaos_trial(seed, fault, false).0
-}
-
-/// [`chaos_trial`] with the metrics registry enabled, additionally
-/// returning the run's [`MetricsSnapshot`] (failure-reason and recovery
-/// counters). Enabling metrics never changes the recovery time.
+/// [`FaultClass`] for what "recovery" means per class; `None` if the
+/// pair missed the 60 s recovery deadline). Runs with the metrics
+/// registry enabled — which never changes the recovery time — and also
+/// returns the run's [`MetricsSnapshot`] (failure-reason and recovery
+/// counters).
 pub fn chaos_trial_metrics(seed: u64, fault: FaultClass) -> (Option<Duration>, MetricsSnapshot) {
-    run_chaos_trial(seed, fault, true)
-}
-
-fn run_chaos_trial(
-    seed: u64,
-    fault: FaultClass,
-    metrics: bool,
-) -> (Option<Duration>, MetricsSnapshot) {
     let nat_a = if matches!(fault, FaultClass::RelayRecovery) {
         NatBehavior::symmetric()
     } else {
@@ -623,33 +533,21 @@ fn run_chaos_trial(
         chaos_peer(A, fault),
         chaos_peer(B, fault),
     );
-    if metrics {
-        sc.world.sim.enable_metrics();
-    }
+    sc.world.sim.enable_metrics();
     let recovery = run_chaos_fault(&mut sc, fault);
-    let snap = sc.world.sim.metrics_snapshot();
-    (recovery, snap)
+    (recovery, sc.world.sim.metrics_snapshot())
 }
 
 fn run_chaos_fault(sc: &mut Scenario, fault: FaultClass) -> Option<Duration> {
+    let (a, b) = (sc.a, sc.b);
     sc.world.sim.run_for(Duration::from_secs(2));
-    sc.world.with_app::<UdpPeer, _>(sc.a, |p, os| p.connect(os, B));
+    sc.world.with_app::<UdpPeer, _>(a, |p, os| p.connect(os, B));
     let settle = sc.world.sim.now() + Duration::from_secs(30);
     if matches!(fault, FaultClass::RelayRecovery) {
-        if !sc
-            .world
-            .run_until_app::<UdpPeer>(sc.a, settle, |p| p.is_relaying(B))
-        {
-            return None;
-        }
-    } else if !sc
-        .world
-        .run_until_app::<UdpPeer>(sc.a, settle, |p| p.is_established(B))
-        || !sc
-            .world
-            .run_until_app::<UdpPeer>(sc.b, settle, |p| p.is_established(A))
-    {
-        return None;
+        wait(sc, a, settle, |p| p.is_relaying(B))?;
+    } else {
+        wait(sc, a, settle, |p| p.is_established(B))?;
+        wait(sc, b, settle, |p| p.is_established(A))?;
     }
 
     let t0 = sc.world.sim.now();
@@ -658,7 +556,7 @@ fn run_chaos_fault(sc: &mut Scenario, fault: FaultClass) -> Option<Duration> {
         FaultClass::NatReboot => {
             let nat = sc.world.nats[0];
             sc.world.reboot_nat(nat);
-            recover_established(sc, deadline, t0)
+            recover_established(sc, deadline)?;
         }
         FaultClass::ServerRestart => {
             let s = sc.server;
@@ -666,63 +564,31 @@ fn run_chaos_fault(sc: &mut Scenario, fault: FaultClass) -> Option<Duration> {
             sc.world.restart_server(s);
             let plan = FaultPlan::new().outage(t0, Duration::from_secs(8), link);
             sc.world.apply_faults(&plan);
-            let w = &mut sc.world;
-            if !w.run_until_app::<UdpPeer>(sc.a, deadline, |p| !p.is_registered()) {
-                return None;
-            }
-            if !w.run_until_app::<UdpPeer>(sc.a, deadline, |p| p.is_registered()) {
-                return None;
-            }
-            if !w.run_until_app::<UdpPeer>(sc.b, deadline, |p| p.is_registered()) {
-                return None;
-            }
-            Some(w.sim.now() - t0)
+            wait(sc, a, deadline, |p| !p.is_registered())?;
+            wait(sc, a, deadline, |p| p.is_registered())?;
+            wait(sc, b, deadline, |p| p.is_registered())?;
         }
         FaultClass::LinkOutage => {
-            let link = sc.world.uplink(sc.a);
+            let link = sc.world.uplink(a);
             let plan = FaultPlan::new().outage(t0, Duration::from_secs(5), link);
             sc.world.apply_faults(&plan);
-            recover_established(sc, deadline, t0)
+            recover_established(sc, deadline)?;
         }
         FaultClass::RelayRecovery => {
             let nat = sc.world.nats[0];
             sc.world.set_nat_behavior(nat, NatBehavior::well_behaved());
-            let w = &mut sc.world;
-            if !w.run_until_app::<UdpPeer>(sc.a, deadline, |p| p.is_established(B)) {
-                return None;
-            }
-            if !w.run_until_app::<UdpPeer>(sc.b, deadline, |p| p.is_established(A)) {
-                return None;
-            }
-            Some(w.sim.now() - t0)
+            wait(sc, a, deadline, |p| p.is_established(B))?;
+            wait(sc, b, deadline, |p| p.is_established(A))?;
         }
     }
+    Some(sc.world.sim.now() - t0)
 }
 
-/// Renders named [`MetricsSnapshot`] sections as one JSON document:
-/// `{"<name>": <snapshot>, ...}`. Section order is preserved, so the
-/// output is byte-identical for identical inputs — the bench bins use
-/// this for `results/metrics_*.json` exports.
+/// Renders named [`MetricsSnapshot`] sections as one JSON document,
+/// `{"<name>": <snapshot>, ...}`, in the order given — the
+/// `metrics_*.json` artifacts.
 pub fn metrics_report(sections: &[(&str, MetricsSnapshot)]) -> String {
-    let mut out = String::from("{\n");
-    for (i, (name, snap)) in sections.iter().enumerate() {
-        let body = snap.to_json();
-        let mut lines = body.trim_end().lines();
-        out.push_str(&format!("  \"{name}\": {}\n", lines.next().unwrap_or("{")));
-        for line in lines {
-            out.push_str("  ");
-            out.push_str(line);
-            out.push('\n');
-        }
-        // The nested object's closing brace was just written; add the
-        // separator behind it.
-        if i + 1 < sections.len() {
-            out.pop();
-            out.push_str(",\n");
-        }
-    }
-    out.push_str("}\n");
-    out
+    Json::obj(sections.iter().map(|(name, snap)| (*name, snap.json()))).render()
 }
 
 /// Formats a duration in milliseconds for reports.

@@ -223,8 +223,7 @@ impl SourceSpec {
 /// at what priorities and paces, and how announced (peer-predicted)
 /// candidates slot in. Build with [`CandidatePlan::basic`] /
 /// [`CandidatePlan::basic_tcp`] / [`CandidatePlan::new`] and the
-/// `with_*` builders; `PunchConfig::with_strategy` and
-/// `with_private_candidates` are thin shims over the same plan.
+/// `with_*` builders.
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct CandidatePlan {

@@ -1,29 +1,9 @@
 //! Configuration for the hole-punching endpoints.
 
-use crate::candidates::{CandidatePlan, CandidateSource, PredictionStrategy, SourceSpec};
+use crate::candidates::CandidatePlan;
 use punch_net::Endpoint;
 use punch_rendezvous::PeerId;
 use std::time::Duration;
-
-/// Legacy candidate-selection strategy, kept as a shim over
-/// [`CandidatePlan`]: [`PunchConfig::with_strategy`] maps each variant
-/// onto the equivalent plan. New code composes plans directly.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum PunchStrategy {
-    /// The paper's §3.2 procedure: spray the peer's public and private
-    /// endpoints, lock in whichever answers first
-    /// ([`CandidatePlan::basic`]).
-    #[default]
-    Basic,
-    /// §5.1 extension for symmetric NATs: exchange port-allocation deltas
-    /// measured by the classifier and additionally spray a window of
-    /// predicted ports around the peer's next expected mapping
-    /// ([`PredictionStrategy::SequentialDelta`]).
-    Predict {
-        /// How many consecutive predicted ports to try.
-        window: u16,
-    },
-}
 
 /// Tunables for UDP hole punching (§3).
 ///
@@ -135,39 +115,6 @@ impl PunchConfig {
     /// Same configuration with relay fallback enabled or disabled.
     pub fn with_relay_fallback(mut self, enabled: bool) -> Self {
         self.relay_fallback = enabled;
-        self
-    }
-
-    /// Same configuration with the peer-private candidate raced or not
-    /// (§3.3). A thin shim over the [`CandidatePlan`]: it removes any
-    /// `PeerPrivate` source and, when enabled, re-seats it at the
-    /// paper's priority (first).
-    pub fn with_private_candidates(mut self, enabled: bool) -> Self {
-        self.plan
-            .sources
-            .retain(|s| !matches!(s.source, CandidateSource::PeerPrivate));
-        if enabled {
-            self.plan.sources.insert(0, SourceSpec::private());
-        }
-        self
-    }
-
-    /// Same configuration with a different legacy candidate strategy. A
-    /// thin shim over the [`CandidatePlan`]: it removes any predicted
-    /// sources and, for [`PunchStrategy::Predict`], appends a
-    /// [`PredictionStrategy::SequentialDelta`] window — byte-identical
-    /// behaviour to the pre-plan config surface.
-    pub fn with_strategy(mut self, strategy: PunchStrategy) -> Self {
-        self.plan
-            .sources
-            .retain(|s| !matches!(s.source, CandidateSource::SelfPredicted(_)));
-        if let PunchStrategy::Predict { window } = strategy {
-            self.plan = self
-                .plan
-                .with_source(SourceSpec::predicted(PredictionStrategy::SequentialDelta {
-                    window,
-                }));
-        }
         self
     }
 
@@ -442,20 +389,6 @@ impl TcpPeerConfig {
         self
     }
 
-    /// Same configuration with the peer-private candidate raced or not.
-    /// A thin shim over the [`CandidatePlan`]: it removes any
-    /// `PeerPrivate` source and, when enabled, re-seats it after the
-    /// public candidate (the historical §4.2 connect order).
-    pub fn with_private_candidates(mut self, enabled: bool) -> Self {
-        self.plan
-            .sources
-            .retain(|s| !matches!(s.source, CandidateSource::PeerPrivate));
-        if enabled {
-            self.plan = self.plan.with_source(SourceSpec::private().with_priority(1));
-        }
-        self
-    }
-
     /// Same configuration with a different candidate plan.
     pub fn with_plan(mut self, plan: CandidatePlan) -> Self {
         self.plan = plan;
@@ -490,6 +423,7 @@ impl TcpPeerConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::candidates::{PredictionStrategy, SourceSpec};
 
     #[test]
     fn defaults_are_papers_recommendations() {
@@ -535,20 +469,12 @@ mod tests {
             .with_punch(
                 PunchConfig::default()
                     .with_max_attempts(3)
-                    .with_relay_fallback(false)
-                    .with_strategy(PunchStrategy::Predict { window: 4 }),
+                    .with_relay_fallback(false),
             );
         assert_eq!(u.local_port, 4000);
         assert!(!u.obfuscate);
         assert_eq!(u.punch.max_attempts, 3);
         assert!(!u.punch.relay_fallback);
-        assert_eq!(
-            u.punch.plan,
-            CandidatePlan::basic().with_source(SourceSpec::predicted(
-                PredictionStrategy::SequentialDelta { window: 4 }
-            )),
-            "the Predict shim maps onto a sequential-delta plan"
-        );
         let t = TcpPeerConfig::new(PeerId(2), "18.181.0.31:1234".parse().unwrap())
             .with_retry_delay(Duration::from_millis(250))
             .with_mode(TcpPunchMode::Sequential {
@@ -556,29 +482,6 @@ mod tests {
             });
         assert_eq!(t.retry_delay, Duration::from_millis(250));
         assert!(matches!(t.mode, TcpPunchMode::Sequential { .. }));
-    }
-
-    #[test]
-    fn legacy_shims_round_trip_onto_plans() {
-        // Basic after Predict removes the predicted source again.
-        let p = PunchConfig::default()
-            .with_strategy(PunchStrategy::Predict { window: 4 })
-            .with_strategy(PunchStrategy::Basic);
-        assert_eq!(p.plan, CandidatePlan::basic());
-
-        // Disabling private candidates leaves only the public source;
-        // re-enabling restores the paper's order.
-        let p = PunchConfig::default().with_private_candidates(false);
-        assert!(!p.plan.has_private());
-        assert_eq!(p.plan.sources.len(), 1);
-        let p = p.with_private_candidates(true);
-        assert_eq!(p.plan, CandidatePlan::basic());
-
-        // Same for TCP, which seats private *after* public.
-        let t = TcpPeerConfig::new(PeerId(9), "18.181.0.31:1234".parse().unwrap())
-            .with_private_candidates(false)
-            .with_private_candidates(true);
-        assert_eq!(t.plan, CandidatePlan::basic_tcp());
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub use candidates::{
     CandidateKind, CandidatePlan, CandidateSource, CandidateStamp, PredictionStrategy, SourceSpec,
 };
 pub use classify::{Classifier, MappingVerdict, NatReport};
-pub use config::{PunchConfig, PunchStrategy, TcpPeerConfig, TcpPunchMode, UdpPeerConfig};
+pub use config::{PunchConfig, TcpPeerConfig, TcpPunchMode, UdpPeerConfig};
 pub use events::{TcpPath, TcpPeerEvent, UdpPeerEvent, Via};
 pub use tcp::{TcpPeer, TcpPeerStats};
 pub use timeline::PunchTimeline;

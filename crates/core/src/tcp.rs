@@ -105,7 +105,9 @@ pub struct TcpPeer {
     conn_frames: BTreeMap<SocketId, FrameBuf>,
     /// Authenticated streams: socket → peer.
     streams: BTreeMap<SocketId, PeerId>,
-    pending_connects: Vec<PeerId>,
+    /// `connect`s (`None`) and `send`s (`Some(payload)`) made before
+    /// registration, replayed in call order on the first `RegisterAck`.
+    pending_connects: Vec<(PeerId, Option<Bytes>)>,
     events: VecDeque<TcpPeerEvent>,
     next_token: u64,
     timers: BTreeMap<u64, TimerPurpose>,
@@ -201,7 +203,7 @@ impl TcpPeer {
     /// Requests a hole-punched TCP stream to `peer` (§4.2 step 1).
     pub fn connect(&mut self, os: &mut Os<'_, '_>, peer: PeerId) {
         if !self.registered {
-            self.pending_connects.push(peer);
+            self.pending_connects.push((peer, None));
             return;
         }
         let nonce: u64 = os.rng().gen();
@@ -225,7 +227,7 @@ impl TcpPeer {
     /// but the peer is directly reachable... or vice versa.
     pub fn request_reversal(&mut self, os: &mut Os<'_, '_>, peer: PeerId) {
         if !self.registered {
-            self.pending_connects.push(peer);
+            self.pending_connects.push((peer, None));
             return;
         }
         let nonce: u64 = os.rng().gen();
@@ -256,6 +258,8 @@ impl TcpPeer {
                 None if session.relaying => self.relay_app_data(os, peer, data),
                 None => session.pending.push_back(data),
             },
+            // Replayed through `send` once registered.
+            None if !self.registered => self.pending_connects.push((peer, Some(data))),
             None => {
                 self.connect(os, peer);
                 if let Some(s) = self.sessions.get_mut(&peer) {
@@ -620,9 +624,11 @@ impl TcpPeer {
                 self.public = Some(public);
                 if first {
                     self.events.push_back(TcpPeerEvent::Registered { public });
-                    let pending: Vec<PeerId> = self.pending_connects.drain(..).collect();
-                    for peer in pending {
-                        self.connect(os, peer);
+                    for (peer, data) in std::mem::take(&mut self.pending_connects) {
+                        match data {
+                            Some(data) => self.send(os, peer, data),
+                            None => self.connect(os, peer),
+                        }
                     }
                 }
             }

@@ -161,7 +161,9 @@ pub struct UdpPeer {
     /// pointer-sized per entry, which at 10^5-peer scale is the
     /// difference between ~60 MB and ~10 MB of session-table RSS.
     sessions: BTreeMap<PeerId, Box<Session>>,
-    pending_connects: Vec<PeerId>,
+    /// `connect`s (`None`) and `send`s (`Some(payload)`) made before
+    /// registration, replayed in call order on the first `RegisterAck`.
+    pending_connects: Vec<(PeerId, Option<Bytes>)>,
     events: VecDeque<UdpPeerEvent>,
     next_token: u64,
     timers: BTreeMap<u64, TimerPurpose>,
@@ -306,7 +308,7 @@ impl UdpPeer {
     /// Requests a hole-punched session with `peer` (§3.2 step 1).
     pub fn connect(&mut self, os: &mut Os<'_, '_>, peer: PeerId) {
         if !self.registered {
-            self.pending_connects.push(peer);
+            self.pending_connects.push((peer, None));
             return;
         }
         let now = os.now();
@@ -332,13 +334,15 @@ impl UdpPeer {
         let now = os.now();
         let timeout = self.cfg.punch.session_timeout;
         let Some(session) = self.sessions.get_mut(&peer) else {
+            if !self.registered {
+                // Replayed through `send` once registered.
+                self.pending_connects.push((peer, Some(data)));
+                return;
+            }
             // No session yet: start one and queue.
             self.connect(os, peer);
             if let Some(s) = self.sessions.get_mut(&peer) {
                 s.pending.push_back(data);
-            } else {
-                // Not yet registered; remember the payload for later.
-                self.pending_connects.push(peer);
             }
             return;
         };
@@ -848,9 +852,11 @@ impl UdpPeer {
                             self.send_to(os, probe, &Message::Ping);
                         }
                     }
-                    let pending: Vec<PeerId> = self.pending_connects.drain(..).collect();
-                    for peer in pending {
-                        self.connect(os, peer);
+                    for (peer, data) in std::mem::take(&mut self.pending_connects) {
+                        match data {
+                            Some(data) => self.send(os, peer, data),
+                            None => self.connect(os, peer),
+                        }
                     }
                 }
             }
@@ -1202,11 +1208,17 @@ impl App for UdpPeer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{PunchConfig, PunchStrategy};
+    use crate::{CandidatePlan, PredictionStrategy, PunchConfig, SourceSpec};
+
+    fn predict_plan(window: u16) -> CandidatePlan {
+        CandidatePlan::basic().with_source(SourceSpec::predicted(
+            PredictionStrategy::SequentialDelta { window },
+        ))
+    }
 
     fn predicting(window: u16) -> UdpPeerConfig {
         UdpPeerConfig::new(PeerId(1), "18.181.0.31:1234".parse().unwrap())
-            .with_punch(PunchConfig::default().with_strategy(PunchStrategy::Predict { window }))
+            .with_punch(PunchConfig::default().with_plan(predict_plan(window)))
     }
 
     #[test]
@@ -1304,7 +1316,7 @@ mod tests {
     #[should_panic(expected = "needs the server's probe port")]
     fn predict_strategy_rejects_server_port_65535() {
         let cfg = UdpPeerConfig::new(PeerId(1), "18.181.0.31:65535".parse().unwrap())
-            .with_punch(PunchConfig::default().with_strategy(PunchStrategy::Predict { window: 4 }));
+            .with_punch(PunchConfig::default().with_plan(predict_plan(4)));
         let _ = UdpPeer::new(cfg);
     }
 

@@ -5,7 +5,8 @@
 
 use bytes::Bytes;
 use holepunch::{
-    CandidatePlan, PeerId, SourceSpec, UdpPeer, UdpPeerConfig, UdpPeerEvent, Via,
+    CandidatePlan, PeerId, PredictionStrategy, SourceSpec, UdpPeer, UdpPeerConfig, UdpPeerEvent,
+    Via,
 };
 use punch_lab::{fig4, fig5, PeerSetup, Scenario};
 use punch_nat::NatBehavior;
@@ -208,7 +209,12 @@ fn repunch_regenerates_predicted_candidates_for_symmetric_nats() {
     let nat = NatBehavior::symmetric().with_udp_timeout(Duration::from_secs(20));
     let cfg = |id| {
         let mut c = UdpPeerConfig::new(id, Scenario::server_endpoint());
-        c.punch = c.punch.clone().with_strategy(holepunch::PunchStrategy::Predict { window: 5 });
+        c.punch = c
+            .punch
+            .clone()
+            .with_plan(CandidatePlan::basic().with_source(SourceSpec::predicted(
+                PredictionStrategy::SequentialDelta { window: 5 },
+            )));
         c.punch.relay_fallback = false;
         c.punch.keepalive_interval = Duration::from_secs(300);
         c.punch.session_timeout = Duration::from_secs(60);

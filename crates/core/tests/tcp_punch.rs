@@ -546,3 +546,39 @@ fn tcp_relay_fallback_carries_data_when_punch_fails() {
         "{evs_a:?}"
     );
 }
+
+#[test]
+fn send_before_registration_connects_once_and_delivers_the_payload() {
+    let mut sc = fig5(
+        12,
+        NatBehavior::well_behaved(),
+        NatBehavior::well_behaved(),
+        tcp_setup(A, TcpFlavor::Bsd),
+        tcp_setup(B, TcpFlavor::Bsd),
+    );
+    // Nothing has run yet: A is unregistered and has no session with B.
+    sc.world
+        .with_app::<TcpPeer, _>(sc.a, |p, os| p.send(os, B, Bytes::from_static(b"early")));
+    assert!(sc
+        .world
+        .run_until_app::<TcpPeer>(sc.a, SimTime::from_secs(30), |p| p.is_established(B)));
+    sc.world.sim.run_for(Duration::from_secs(3));
+    let server = sc
+        .world
+        .app::<punch_rendezvous::RendezvousServer>(sc.server)
+        .stats();
+    assert_eq!(
+        (server.introductions, server.errors),
+        (1, 0),
+        "exactly one ConnectRequest reaches S"
+    );
+    let evs = sc
+        .world
+        .with_app::<TcpPeer, _>(sc.b, |p, _| p.take_events());
+    assert!(
+        evs.iter()
+            .any(|e| matches!(e, TcpPeerEvent::Data { peer, data, via }
+            if *peer == A && data.as_ref() == b"early" && *via == holepunch::Via::Direct)),
+        "the queued payload arrives over the punched stream: {evs:?}"
+    );
+}

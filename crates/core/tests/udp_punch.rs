@@ -2,7 +2,10 @@
 //! (experiments E2, E3, E4, E5, E11 and parts of E9).
 
 use bytes::Bytes;
-use holepunch::{PeerId, PunchConfig, PunchStrategy, UdpPeer, UdpPeerConfig, UdpPeerEvent, Via};
+use holepunch::{
+    CandidatePlan, PeerId, PredictionStrategy, PunchConfig, SourceSpec, UdpPeer, UdpPeerConfig,
+    UdpPeerEvent, Via,
+};
 use punch_lab::{addrs, fig4, fig5, fig6, PeerSetup, Scenario};
 use punch_nat::{Hairpin, MappingPolicy, NatBehavior, PortAllocation};
 use punch_net::{Duration, SimTime};
@@ -15,6 +18,13 @@ fn udp_setup(id: PeerId) -> PeerSetup {
         id,
         Scenario::server_endpoint(),
     )))
+}
+
+/// The §5.1 plan: the paper's spray plus a sequential-delta window.
+fn predict_plan(window: u16) -> CandidatePlan {
+    CandidatePlan::basic().with_source(SourceSpec::predicted(PredictionStrategy::SequentialDelta {
+        window,
+    }))
 }
 
 fn udp_setup_cfg(cfg: UdpPeerConfig) -> PeerSetup {
@@ -123,7 +133,10 @@ fn fig4_common_nat_locks_in_private_endpoints() {
 fn fig4_without_private_candidates_needs_hairpin() {
     let cfg = |id| {
         let mut c = UdpPeerConfig::new(id, Scenario::server_endpoint());
-        c.punch = c.punch.clone().with_private_candidates(false);
+        c.punch = c
+            .punch
+            .clone()
+            .with_plan(CandidatePlan::new().with_source(SourceSpec::public()));
         c
     };
     // With hairpin: public endpoints loop back through the NAT.
@@ -239,10 +252,7 @@ fn port_prediction_recovers_symmetric_nat_with_sequential_allocation() {
     };
     let cfg = |id| {
         let mut c = UdpPeerConfig::new(id, Scenario::server_endpoint());
-        c.punch = c
-            .punch
-            .clone()
-            .with_strategy(PunchStrategy::Predict { window: 5 });
+        c.punch = c.punch.clone().with_plan(predict_plan(5));
         c.punch.relay_fallback = false;
         c
     };
@@ -269,10 +279,7 @@ fn port_prediction_usually_fails_against_random_allocation() {
     };
     let cfg = |id| {
         let mut c = UdpPeerConfig::new(id, Scenario::server_endpoint());
-        c.punch = c
-            .punch
-            .clone()
-            .with_strategy(PunchStrategy::Predict { window: 5 });
+        c.punch = c.punch.clone().with_plan(predict_plan(5));
         c.punch.relay_fallback = false;
         c
     };
@@ -523,5 +530,41 @@ fn punch_config_max_attempts_bounds_probe_volleys() {
         evs.iter()
             .any(|e| matches!(e, UdpPeerEvent::PunchFailed { peer } if *peer == PeerId(99))),
         "{evs:?}"
+    );
+}
+
+#[test]
+fn send_before_registration_connects_once_and_delivers_the_payload() {
+    let mut sc = fig5(
+        12,
+        NatBehavior::well_behaved(),
+        NatBehavior::well_behaved(),
+        udp_setup(A),
+        udp_setup(B),
+    );
+    // Nothing has run yet: A is unregistered and has no session with B.
+    sc.world
+        .with_app::<UdpPeer, _>(sc.a, |p, os| p.send(os, B, Bytes::from_static(b"early")));
+    assert!(sc
+        .world
+        .run_until_app::<UdpPeer>(sc.a, SimTime::from_secs(30), |p| p.is_established(B)));
+    sc.world.sim.run_for(Duration::from_secs(2));
+    let server = sc
+        .world
+        .app::<punch_rendezvous::RendezvousServer>(sc.server)
+        .stats();
+    assert_eq!(
+        (server.introductions, server.errors),
+        (1, 0),
+        "exactly one ConnectRequest reaches S"
+    );
+    let evs = sc
+        .world
+        .with_app::<UdpPeer, _>(sc.b, |p, _| p.take_events());
+    assert!(
+        evs.iter()
+            .any(|e| matches!(e, UdpPeerEvent::Data { peer, data, via }
+            if *peer == A && data.as_ref() == b"early" && *via == Via::Direct)),
+        "the queued payload arrives over the punched path: {evs:?}"
     );
 }

@@ -30,10 +30,9 @@ use holepunch::{
     UdpPeerEvent,
 };
 use punch_nat::NatBehavior;
-use punch_net::{Duration, Endpoint, FaultPlan, LinkId, LinkSpec, SimStats, SimTime};
+use punch_net::{Duration, Endpoint, FaultPlan, Json, LinkId, LinkSpec, SimStats, SimTime};
 use punch_rendezvous::{PeerId, RendezvousServer, ServerConfig};
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Peer A's identity in chaos trials.
@@ -221,59 +220,41 @@ impl ChaosFault {
         }
     }
 
-    /// Renders the fault as one JSON object.
-    pub fn to_json(&self) -> String {
-        match *self {
-            ChaosFault::Outage { link, at_ms, dur_ms } => format!(
-                "{{\"kind\":\"outage\",\"link\":\"{}\",\"at_ms\":{at_ms},\"dur_ms\":{dur_ms}}}",
-                link.json_name()
-            ),
-            ChaosFault::Lossy {
-                link,
-                at_ms,
-                dur_ms,
-                loss_pct,
-            } => format!(
-                "{{\"kind\":\"lossy\",\"link\":\"{}\",\"at_ms\":{at_ms},\"dur_ms\":{dur_ms},\"loss_pct\":{loss_pct}}}",
-                link.json_name()
-            ),
-            ChaosFault::Corrupt {
-                link,
-                at_ms,
-                dur_ms,
-                prob_pct,
-            } => format!(
-                "{{\"kind\":\"corrupt\",\"link\":\"{}\",\"at_ms\":{at_ms},\"dur_ms\":{dur_ms},\"prob_pct\":{prob_pct}}}",
-                link.json_name()
-            ),
-            ChaosFault::Truncate {
-                link,
-                at_ms,
-                dur_ms,
-                prob_pct,
-            } => format!(
-                "{{\"kind\":\"truncate\",\"link\":\"{}\",\"at_ms\":{at_ms},\"dur_ms\":{dur_ms},\"prob_pct\":{prob_pct}}}",
-                link.json_name()
-            ),
-            ChaosFault::RebootNatA { at_ms } => {
-                format!("{{\"kind\":\"reboot_nat_a\",\"at_ms\":{at_ms}}}")
+    /// Renders the fault as one inline JSON record: `kind`, `link` (link
+    /// faults), `at_ms`, `dur_ms` (link faults), then the variant's own
+    /// field.
+    pub fn to_json(&self) -> Json {
+        let own = |field: &'static str, v: u64| Some((field, v));
+        let (kind, link, at_ms, own) = match *self {
+            ChaosFault::Outage { link, at_ms, dur_ms } => ("outage", Some((link, dur_ms)), at_ms, None),
+            ChaosFault::Lossy { link, at_ms, dur_ms, loss_pct } => {
+                ("lossy", Some((link, dur_ms)), at_ms, own("loss_pct", loss_pct.into()))
             }
-            ChaosFault::RebootNatB { at_ms } => {
-                format!("{{\"kind\":\"reboot_nat_b\",\"at_ms\":{at_ms}}}")
+            ChaosFault::Corrupt { link, at_ms, dur_ms, prob_pct } => {
+                ("corrupt", Some((link, dur_ms)), at_ms, own("prob_pct", prob_pct.into()))
             }
-            ChaosFault::RestartServer { at_ms } => {
-                format!("{{\"kind\":\"restart_server\",\"at_ms\":{at_ms}}}")
+            ChaosFault::Truncate { link, at_ms, dur_ms, prob_pct } => {
+                ("truncate", Some((link, dur_ms)), at_ms, own("prob_pct", prob_pct.into()))
             }
+            ChaosFault::RebootNatA { at_ms } => ("reboot_nat_a", None, at_ms, None),
+            ChaosFault::RebootNatB { at_ms } => ("reboot_nat_b", None, at_ms, None),
+            ChaosFault::RestartServer { at_ms } => ("restart_server", None, at_ms, None),
             ChaosFault::MappingFlood { at_ms, ports } => {
-                format!("{{\"kind\":\"mapping_flood\",\"at_ms\":{at_ms},\"ports\":{ports}}}")
+                ("mapping_flood", None, at_ms, own("ports", ports.into()))
             }
             ChaosFault::SquatStorm { at_ms, count } => {
-                format!("{{\"kind\":\"squat_storm\",\"at_ms\":{at_ms},\"count\":{count}}}")
+                ("squat_storm", None, at_ms, own("count", count.into()))
             }
             ChaosFault::IntroFlood { at_ms, count } => {
-                format!("{{\"kind\":\"intro_flood\",\"at_ms\":{at_ms},\"count\":{count}}}")
+                ("intro_flood", None, at_ms, own("count", count.into()))
             }
-        }
+        };
+        let mut record = vec![("kind", Json::str(kind))];
+        record.extend(link.map(|(link, _)| ("link", Json::str(link.json_name()))));
+        record.push(("at_ms", Json::num(at_ms)));
+        record.extend(link.map(|(_, dur_ms)| ("dur_ms", Json::num(dur_ms))));
+        record.extend(own.map(|(field, v)| (field, Json::num(v))));
+        Json::obj(record).inline()
     }
 }
 
@@ -291,17 +272,11 @@ pub struct ChaosPlan {
 impl ChaosPlan {
     /// Renders the plan as a JSON document.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        writeln!(out, "{{").unwrap(); // punch-lint: allow(P001) fmt::Write into a String is infallible
-        writeln!(out, "  \"seed\": {},", self.seed).unwrap(); // punch-lint: allow(P001) fmt::Write into a String is infallible
-        writeln!(out, "  \"faults\": [").unwrap(); // punch-lint: allow(P001) fmt::Write into a String is infallible
-        for (i, f) in self.faults.iter().enumerate() {
-            let sep = if i + 1 < self.faults.len() { "," } else { "" };
-            writeln!(out, "    {}{sep}", f.to_json()).unwrap(); // punch-lint: allow(P001) fmt::Write into a String is infallible
-        }
-        writeln!(out, "  ]").unwrap(); // punch-lint: allow(P001) fmt::Write into a String is infallible
-        writeln!(out, "}}").unwrap(); // punch-lint: allow(P001) fmt::Write into a String is infallible
-        out
+        Json::obj([
+            ("seed", Json::num(self.seed)),
+            ("faults", Json::Arr(self.faults.iter().map(ChaosFault::to_json).collect())),
+        ])
+        .render()
     }
 }
 

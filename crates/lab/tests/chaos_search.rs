@@ -184,5 +184,5 @@ fn injected_liveness_bug_is_caught_shrunk_and_replayable() {
     // And the plan serializes with the seed and the surviving fault.
     let json = plan.to_json();
     assert!(json.contains("\"seed\": 99"), "json: {json}");
-    assert!(json.contains("\"kind\":\"reboot_nat_a\""), "json: {json}");
+    assert!(json.contains("{\"kind\": \"reboot_nat_a\", \"at_ms\": 10000}"), "json: {json}");
 }

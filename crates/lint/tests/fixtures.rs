@@ -3,7 +3,7 @@
 //! they are linted as text under synthetic paths that place them in the
 //! scope each rule applies to.
 
-use punch_lint::{lint_source, FileReport, Report};
+use punch_lint::{lint_source, FileReport, Report, Violation};
 
 /// Lints fixture text under a plain library-source path (D001/D002/P001
 /// apply; W001 does not).
@@ -109,4 +109,33 @@ fn report_is_byte_identical_across_runs() {
     assert!(json_a.starts_with("{\n  \"violations\": ["));
     assert!(json_a.contains("\"counts\": {"));
     assert!(json_a.trim_end().ends_with('}'));
+}
+
+/// The whole `--json` document for a report whose strings need every
+/// escape, against bytes that are valid JSON; everything else in the
+/// document is fixed text, rule names and integers.
+#[test]
+fn json_report_is_well_formed_down_to_its_escapes() {
+    let mut report = Report::default();
+    report.violations.push(Violation {
+        file: "dir\\f.rs".to_string(),
+        line: 3,
+        col: 7,
+        rule: "P001",
+        msg: "say \"hi\"\n\tbye\u{1}".to_string(),
+    });
+    report.suppressed_by_rule.insert("D001", 2);
+    report.files_scanned = 1;
+    let expected = r#"{
+  "violations": [
+    {"file": "dir\\f.rs", "line": 3, "col": 7, "rule": "P001", "msg": "say \"hi\"\n\tbye\u0001"}
+  ],
+  "counts": {"P001": 1},
+  "suppressed": 0,
+  "suppressed_by_rule": {"D001": 2},
+  "registries": {"LINT_wire_registry.json": "fnv1a:cbf29ce484222325", "LINT_rng_inventory.json": "fnv1a:cbf29ce484222325", "LINT_metric_registry.json": "fnv1a:cbf29ce484222325"},
+  "files_scanned": 1
+}
+"#;
+    assert_eq!(report.render_json(), expected);
 }

@@ -44,6 +44,7 @@
 pub mod addr;
 pub mod calendar;
 pub mod fault;
+pub mod json;
 pub mod link;
 pub mod metrics;
 pub mod node;
@@ -58,6 +59,7 @@ pub mod trace;
 
 pub use addr::{Cidr, Endpoint};
 pub use fault::{FaultPlan, LinkAction, FAULT_RESTART};
+pub use json::Json;
 pub use link::LinkSpec;
 pub use metrics::{Histogram, MetricKey, Metrics, MetricsSnapshot};
 pub use node::{Ctx, Device, IfaceId, NodeId};

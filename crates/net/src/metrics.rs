@@ -16,6 +16,7 @@
 //! equality, merged across simulation shards in task order, and exported as
 //! deterministic JSON for `results/metrics_*.json` artifacts.
 
+use crate::json::Json;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::time::Duration;
@@ -299,88 +300,52 @@ impl MetricsSnapshot {
         }
     }
 
-    /// Serializes the snapshot as deterministic, human-readable JSON.
-    ///
-    /// Keys appear in `BTreeMap` order; the same snapshot always produces
-    /// byte-identical output. Durations are emitted in integer nanoseconds.
+    /// The snapshot as a [`Json`] value (for nesting into larger
+    /// documents): `counters` / `gauges` / `histograms` objects keyed
+    /// `name` or `name/label` in `BTreeMap` order, one inline record per
+    /// histogram. Durations are integer nanoseconds.
+    pub fn json(&self) -> Json {
+        fn scalars<V: fmt::Display>(m: &BTreeMap<MetricKey, V>) -> Json {
+            Json::obj(m.iter().map(|(k, v)| (k.to_string(), Json::num(v))))
+        }
+        let histogram = |h: &Histogram| {
+            let buckets = h.buckets().map(|(bound, c)| {
+                Json::Arr(vec![
+                    bound.map_or(Json::str("inf"), Json::num),
+                    Json::num(c),
+                ])
+            });
+            Json::obj([
+                ("count", Json::num(h.count)),
+                ("sum_ns", Json::num(h.sum_nanos)),
+                (
+                    "min_ns",
+                    Json::num(if h.count > 0 { h.min_nanos } else { 0 }),
+                ),
+                ("max_ns", Json::num(h.max_nanos)),
+                ("buckets_le_ms", Json::Arr(buckets.collect())),
+            ])
+            .inline()
+        };
+        Json::obj([
+            ("counters", scalars(&self.counters)),
+            ("gauges", scalars(&self.gauges)),
+            (
+                "histograms",
+                Json::obj(
+                    self.histograms
+                        .iter()
+                        .map(|(k, h)| (k.to_string(), histogram(h))),
+                ),
+            ),
+        ])
+    }
+
+    /// Serializes the snapshot as deterministic, human-readable JSON: the
+    /// same snapshot always produces byte-identical output.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        out.push_str("{\n  \"counters\": {");
-        let mut first = true;
-        for (k, v) in &self.counters {
-            push_sep(&mut out, &mut first, 4);
-            push_key(&mut out, k);
-            out.push_str(&v.to_string());
-        }
-        close_obj(&mut out, first, 2);
-        out.push_str(",\n  \"gauges\": {");
-        let mut first = true;
-        for (k, v) in &self.gauges {
-            push_sep(&mut out, &mut first, 4);
-            push_key(&mut out, k);
-            out.push_str(&v.to_string());
-        }
-        close_obj(&mut out, first, 2);
-        out.push_str(",\n  \"histograms\": {");
-        let mut first = true;
-        for (k, h) in &self.histograms {
-            push_sep(&mut out, &mut first, 4);
-            push_key(&mut out, k);
-            out.push_str(&format!(
-                "{{\"count\": {}, \"sum_ns\": {}, \"min_ns\": {}, \"max_ns\": {}, \"buckets_le_ms\": [",
-                h.count,
-                h.sum_nanos,
-                if h.count > 0 { h.min_nanos } else { 0 },
-                h.max_nanos,
-            ));
-            let mut bfirst = true;
-            for (bound, c) in h.buckets() {
-                if !bfirst {
-                    out.push_str(", ");
-                }
-                bfirst = false;
-                match bound {
-                    Some(ms) => out.push_str(&format!("[{ms}, {c}]")),
-                    None => out.push_str(&format!("[\"inf\", {c}]")),
-                }
-            }
-            out.push_str("]}");
-        }
-        close_obj(&mut out, first, 2);
-        out.push_str("\n}\n");
-        out
+        self.json().render()
     }
-}
-
-fn push_sep(out: &mut String, first: &mut bool, indent: usize) {
-    if !*first {
-        out.push(',');
-    }
-    *first = false;
-    out.push('\n');
-    for _ in 0..indent {
-        out.push(' ');
-    }
-}
-
-fn push_key(out: &mut String, k: &MetricKey) {
-    out.push('"');
-    out.push_str(k.name);
-    if !k.label.is_empty() {
-        out.push('/');
-        out.push_str(k.label);
-    }
-    out.push_str("\": ");
-}
-
-fn close_obj(out: &mut String, empty: bool, indent: usize) {
-    if !empty {
-        out.push('\n');
-        for _ in 0..indent {
-            out.push(' ');
-        }
-    }
-    out.push('}');
 }
 
 #[cfg(test)]
