@@ -875,7 +875,11 @@ impl UdpPeer {
             } if self.is_home(from) => {
                 self.start_punch(os, peer, public, private, nonce);
             }
-            Message::RelayedData { from: peer, data } => {
+            // Like an introduction, relayed data and rejections are the
+            // server's word: a stranger who learns our public mapping
+            // must not be able to inject candidates, forge relayed app
+            // data under any peer id, or fail a waiting session.
+            Message::RelayedData { from: peer, data } if self.is_home(from) => {
                 if data.is_empty() {
                     return;
                 }
@@ -889,7 +893,7 @@ impl UdpPeer {
                     _ => {}
                 }
             }
-            Message::ErrorReply { .. } => {
+            Message::ErrorReply { .. } if self.is_home(from) => {
                 // S rejected a request (unknown peer): fail any sessions
                 // still waiting for an introduction.
                 let waiting: Vec<PeerId> = self

@@ -568,3 +568,157 @@ fn send_before_registration_connects_once_and_delivers_the_payload() {
         "the queued payload arrives over the punched path: {evs:?}"
     );
 }
+
+/// A raw host that sends scripted datagrams — the off-path attacker who
+/// knows a peer's public mapping, or a registered peer that never
+/// answers — and counts what comes back.
+struct RawSender {
+    /// `(milliseconds after start, destination, message)`.
+    sends: Vec<(u64, punch_net::Endpoint, punch_rendezvous::Message)>,
+    sock: Option<punch_transport::SocketId>,
+    received: u32,
+}
+
+impl punch_transport::App for RawSender {
+    fn on_start(&mut self, os: &mut punch_transport::Os<'_, '_>) {
+        self.sock = Some(os.udp_bind(RAW_PORT).expect("port free"));
+        for (i, (at, _, _)) in self.sends.iter().enumerate() {
+            os.set_timer(Duration::from_millis(*at), i as u64);
+        }
+    }
+
+    fn on_timer(&mut self, os: &mut punch_transport::Os<'_, '_>, token: u64) {
+        let (_, to, msg) = &self.sends[token as usize];
+        let sock = self.sock.expect("bound in on_start");
+        os.udp_send(sock, *to, msg.encode(true)).expect("datagram sent");
+    }
+
+    fn on_event(&mut self, _os: &mut punch_transport::Os<'_, '_>, ev: punch_transport::SockEvent) {
+        if matches!(ev, punch_transport::SockEvent::UdpReceived { .. }) {
+            self.received += 1;
+        }
+    }
+}
+
+const VICTIM_IP: std::net::Ipv4Addr = std::net::Ipv4Addr::new(99, 1, 1, 1);
+const FORGER_IP: std::net::Ipv4Addr = std::net::Ipv4Addr::new(99, 1, 1, 9);
+const VICTIM_PORT: u16 = 4321;
+const RAW_PORT: u16 = 4000;
+
+/// Public client A on a known port, `b` behind NAT B, and a third
+/// public host that fires each of `forged` at A's endpoint every 2 ms
+/// from just before A's `connect` (at 2 s) until 400 ms after it — across
+/// the introduction wait and the start of the race.
+fn world_with_forger(
+    seed: u64,
+    b: PeerSetup,
+    forged: Vec<punch_rendezvous::Message>,
+) -> (Scenario, punch_net::NodeId) {
+    let victim = punch_net::Endpoint::new(VICTIM_IP, VICTIM_PORT);
+    let sends = (0..200u64)
+        .flat_map(|i| forged.iter().map(move |m| (1996 + 2 * i, victim, m.clone())))
+        .collect();
+    let mut wb = punch_lab::WorldBuilder::new(seed);
+    wb.server(
+        addrs::SERVER,
+        punch_rendezvous::RendezvousServer::new(Default::default()),
+    );
+    let nb = wb.nat(NatBehavior::well_behaved(), addrs::NAT_B);
+    let cfg = UdpPeerConfig::new(A, Scenario::server_endpoint()).with_local_port(VICTIM_PORT);
+    wb.public_client(VICTIM_IP, udp_setup_cfg(cfg));
+    wb.client(addrs::CLIENT_B, nb, b);
+    wb.public_client(
+        FORGER_IP,
+        PeerSetup::new(RawSender {
+            sends,
+            sock: None,
+            received: 0,
+        }),
+    );
+    let world = wb.build();
+    let forger = world.clients[2];
+    let sc = Scenario {
+        server: world.servers[0],
+        a: world.clients[0],
+        b: world.clients[1],
+        world,
+    };
+    (sc, forger)
+}
+
+#[test]
+fn forged_error_reply_does_not_fail_a_waiting_session() {
+    // Only a home server's rejection counts: a 3-byte datagram from a
+    // stranger must not turn the introduction wait into "server-rejected".
+    let forged = punch_rendezvous::Message::ErrorReply {
+        code: punch_rendezvous::ERR_UNKNOWN_PEER,
+    };
+    let (mut sc, _) = world_with_forger(31, udp_setup(B), vec![forged]);
+    assert!(run_punch(&mut sc, SimTime::from_secs(30)));
+    let evs = sc.world.with_app::<UdpPeer, _>(sc.a, |p, _| p.take_events());
+    assert!(
+        !evs.iter().any(|e| matches!(
+            e,
+            UdpPeerEvent::PunchFailed { .. } | UdpPeerEvent::RelayActive { .. }
+        )),
+        "{evs:?}"
+    );
+    let tl = sc.world.app::<UdpPeer>(sc.a).timeline(B).unwrap();
+    assert_eq!((tl.failure, tl.relay_fallback), (None, None));
+    exchange_data(&mut sc, Via::Direct);
+}
+
+#[test]
+fn forged_relayed_data_adds_no_candidate_and_delivers_no_data() {
+    // B registers and then never answers, so A's race runs its full
+    // course with the forgeries arriving throughout: relayed "control"
+    // naming the forger's own endpoint as a candidate for B, and relayed
+    // "app" data under B's id.
+    let forger_ep = punch_net::Endpoint::new(FORGER_IP, RAW_PORT);
+    let mut control = vec![0u8]; // relay kind: control
+    control.extend_from_slice(&FORGER_IP.octets());
+    control.push(1);
+    control.extend_from_slice(&RAW_PORT.to_be_bytes());
+    let relayed = |data: Vec<u8>| punch_rendezvous::Message::RelayedData {
+        from: B,
+        data: Bytes::from(data),
+    };
+    let mute_b = PeerSetup::new(RawSender {
+        sends: vec![(
+            100,
+            Scenario::server_endpoint(),
+            punch_rendezvous::Message::Register {
+                peer_id: B,
+                private: punch_net::Endpoint::new(addrs::CLIENT_B, RAW_PORT),
+            },
+        )],
+        sock: None,
+        received: 0,
+    });
+    let (mut sc, forger) = world_with_forger(
+        32,
+        mute_b,
+        vec![relayed(control), relayed(b"\x01evil".to_vec())], // 1 = relay kind: app
+    );
+    sc.world.sim.run_for(Duration::from_secs(2));
+    sc.world.with_app::<UdpPeer, _>(sc.a, |p, os| p.connect(os, B));
+    sc.world.sim.run_for(Duration::from_secs(1));
+    let tl = sc.world.app::<UdpPeer>(sc.a).timeline(B).unwrap();
+    assert!(tl.introduced.is_some(), "the race is on: {tl:?}");
+    assert!(
+        tl.candidates.iter().all(|c| c.endpoint != forger_ep),
+        "{:?}",
+        tl.candidates
+    );
+    sc.world.sim.run_for(Duration::from_secs(20));
+    let evs = sc.world.with_app::<UdpPeer, _>(sc.a, |p, _| p.take_events());
+    assert!(
+        !evs.iter().any(|e| matches!(e, UdpPeerEvent::Data { .. })),
+        "{evs:?}"
+    );
+    assert_eq!(
+        sc.world.app::<RawSender>(forger).received,
+        0,
+        "no probe was steered at the forger"
+    );
+}

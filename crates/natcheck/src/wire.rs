@@ -7,6 +7,7 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use punch_net::Endpoint;
+use punch_rendezvous::wire::{get_u64, get_u8, FrameBuf, WireError};
 use std::net::Ipv4Addr;
 
 /// Which server an echo came from.
@@ -100,22 +101,16 @@ fn put_ep(buf: &mut BytesMut, ep: Endpoint) {
     buf.put_u16(ep.port);
 }
 
-fn get_ep(buf: &mut &[u8]) -> Option<Endpoint> {
+/// Reads a cleartext endpoint (no flag byte, unlike the rendezvous
+/// codec's — see the module docs).
+fn get_ep(buf: &mut &[u8]) -> Result<Endpoint, WireError> {
     if buf.len() < 6 {
-        return None;
+        return Err(WireError::Truncated);
     }
     let mut o = [0u8; 4];
     buf.copy_to_slice(&mut o);
     let port = buf.get_u16();
-    Some(Endpoint::new(Ipv4Addr::from(o), port))
-}
-
-fn get_u64(buf: &mut &[u8]) -> Option<u64> {
-    (buf.len() >= 8).then(|| buf.get_u64())
-}
-
-fn get_u8(buf: &mut &[u8]) -> Option<u8> {
-    (!buf.is_empty()).then(|| buf.get_u8())
+    Ok(Endpoint::new(Ipv4Addr::from(o), port))
 }
 
 impl CheckMsg {
@@ -182,9 +177,12 @@ impl CheckMsg {
     /// valid message followed by trailing bytes (strict framing — a
     /// padded datagram is treated as hostile, not trimmed).
     pub fn decode(data: &[u8]) -> Option<CheckMsg> {
+        Self::try_decode(data).ok()
+    }
+
+    fn try_decode(data: &[u8]) -> Result<CheckMsg, WireError> {
         let mut buf = data;
-        let tag = get_u8(&mut buf)?;
-        let msg = match tag {
+        let msg = match get_u8(&mut buf)? {
             T_UDP_PROBE => CheckMsg::UdpProbe {
                 token: get_u64(&mut buf)?,
             },
@@ -215,18 +213,18 @@ impl CheckMsg {
                     0 => InboundStatus::InProgress,
                     1 => InboundStatus::Connected,
                     2 => InboundStatus::Refused,
-                    _ => return None,
+                    other => return Err(WireError::BadTag(other)),
                 },
             },
             T_HAIRPIN_PROBE => CheckMsg::HairpinProbe {
                 token: get_u64(&mut buf)?,
             },
-            _ => return None,
+            other => return Err(WireError::BadTag(other)),
         };
         if !buf.is_empty() {
-            return None;
+            return Err(WireError::TrailingBytes(buf.len()));
         }
-        Some(msg)
+        Ok(msg)
     }
 
     /// Encodes as a 16-bit-length-prefixed TCP frame.
@@ -246,17 +244,21 @@ impl CheckMsg {
 /// discarded rather than buffered without bound.
 pub const MAX_CHECK_BUFFER: usize = 1024;
 
-/// Incremental reassembler for framed [`CheckMsg`]s on a TCP stream.
+/// Incremental reassembler for framed [`CheckMsg`]s on a TCP stream:
+/// the rendezvous codec's [`FrameBuf`] (same framing) with NAT Check's
+/// cap and decoder.
 ///
 /// Buffering is bounded by [`MAX_CHECK_BUFFER`]: overflowing input
 /// poisons the reassembler, which then drops everything (NAT Check
 /// probes are fire-and-forget, so the peer simply looks unresponsive —
 /// the same outcome §6.3 reports for misbehaving middleboxes).
-#[derive(Debug, Default)]
-pub struct CheckFrames {
-    buf: BytesMut,
-    /// Set when the cap was breached; all further input is discarded.
-    overflowed: bool,
+#[derive(Debug)]
+pub struct CheckFrames(FrameBuf);
+
+impl Default for CheckFrames {
+    fn default() -> Self {
+        CheckFrames(FrameBuf::with_cap(MAX_CHECK_BUFFER))
+    }
 }
 
 impl CheckFrames {
@@ -264,37 +266,15 @@ impl CheckFrames {
     /// reassembler: buffered bytes are dropped and further pushes are
     /// ignored.
     pub fn push(&mut self, chunk: &[u8]) {
-        if self.overflowed {
-            return;
-        }
-        if self.buf.len() + chunk.len() > MAX_CHECK_BUFFER {
-            self.overflowed = true;
-            self.buf = BytesMut::new();
-            return;
-        }
-        self.buf.extend_from_slice(chunk);
+        self.0.push(chunk);
     }
 
-    /// Returns true once the stream has overflowed its buffer cap (and
-    /// the reassembler has permanently shut); callers should close the
-    /// connection.
-    pub fn overflowed(&self) -> bool {
-        self.overflowed
-    }
-
-    /// Pops the next complete message (malformed frames decode to `None`
-    /// and are skipped; a poisoned reassembler yields nothing).
+    /// Pops the next complete message. Malformed frames are skipped; a
+    /// stream that lost framing (poisoned, or a length prefix no
+    /// reassembler accepts) yields nothing.
     pub fn next_message(&mut self) -> Option<CheckMsg> {
         loop {
-            if self.buf.len() < 2 {
-                return None;
-            }
-            let len = u16::from_be_bytes([self.buf[0], self.buf[1]]) as usize;
-            if self.buf.len() < 2 + len {
-                return None;
-            }
-            self.buf.advance(2);
-            let body = self.buf.split_to(len);
+            let body = self.0.next_frame()?.ok()?;
             if let Some(msg) = CheckMsg::decode(&body) {
                 return Some(msg);
             }
@@ -391,7 +371,6 @@ mod tests {
         for _ in 0..(MAX_CHECK_BUFFER / junk.len() + 2) {
             fr.push(&junk);
         }
-        assert!(fr.overflowed());
         assert_eq!(fr.next_message(), None);
         // Later valid frames are ignored: the stream is dead.
         fr.push(&CheckMsg::UdpProbe { token: 1 }.encode_frame());
@@ -405,10 +384,20 @@ mod tests {
         for _ in 0..20 {
             fr.push(&m.encode_frame());
         }
-        assert!(!fr.overflowed());
         for _ in 0..20 {
             assert_eq!(fr.next_message(), Some(m.clone()));
         }
+        assert_eq!(fr.next_message(), None);
+    }
+
+    #[test]
+    fn malformed_frames_are_skipped() {
+        let mut fr = CheckFrames::default();
+        let m = CheckMsg::TcpProbe { token: 3 };
+        fr.push(&[0, 1, 99]); // one-byte frame, unknown tag
+        fr.push(&[0, 0]); // empty frame
+        fr.push(&m.encode_frame());
+        assert_eq!(fr.next_message(), Some(m));
         assert_eq!(fr.next_message(), None);
     }
 

@@ -3,8 +3,15 @@
 //!
 //! One server app speaks the protocol over both transports at the same
 //! well-known port: a UDP socket for UDP hole punching, and a TCP listener
-//! for TCP hole punching. Registrations are kept per transport, because a
-//! client's UDP and TCP public endpoints are distinct NAT mappings.
+//! for TCP hole punching. The protocol does not depend on what carries
+//! it, so every client request runs through one handler; the transport
+//! only decides where a reply goes (a `Route`) and which of the two
+//! registration tables a request reads. Registrations are kept per
+//! transport because a client's UDP and TCP public endpoints are distinct
+//! NAT mappings, but both tables hold the same `Reg` record.
+//!
+//! Endpoints in everything the server sends are obfuscated (§3.1), and
+//! the §5.1 mapping-probe port at `port + 1` is always served.
 
 use crate::peer::PeerId;
 use crate::wire::{
@@ -22,17 +29,12 @@ use std::time::Duration;
 #[derive(Clone, Debug)]
 #[non_exhaustive]
 pub struct ServerConfig {
-    /// Well-known port for both UDP and TCP service.
+    /// Well-known port for both UDP and TCP service. `port + 1` serves
+    /// the mapping probe: it answers any datagram with a
+    /// [`Message::RegisterAck`] echoing the observed source, which
+    /// clients use to measure symmetric NATs' port-allocation delta for
+    /// §5.1 port prediction.
     pub port: u16,
-    /// Whether endpoints in message bodies are obfuscated (§3.1). On by
-    /// default; turning it off exposes the protocol to payload-mangling
-    /// NATs (§5.3) — which is exactly experiment E11.
-    pub obfuscate: bool,
-    /// Also serve a mapping-probe port at `port + 1`, which answers any
-    /// datagram with a [`Message::RegisterAck`] echoing the observed
-    /// source. Clients use it to measure symmetric NATs' port-allocation
-    /// delta for §5.1 port prediction.
-    pub probe_port: bool,
     /// Maximum registrations kept per transport. A registration flood
     /// past the cap evicts the least-recently-active registration
     /// (deterministically — by activity sequence number, not map
@@ -75,8 +77,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             port: 1234,
-            obfuscate: true,
-            probe_port: true,
             max_clients: 4096,
             fleet: Vec::new(),
             fleet_index: 0,
@@ -92,18 +92,6 @@ impl ServerConfig {
     /// Same configuration with a different well-known port.
     pub fn with_port(mut self, port: u16) -> Self {
         self.port = port;
-        self
-    }
-
-    /// Same configuration with endpoint obfuscation on or off.
-    pub fn with_obfuscate(mut self, on: bool) -> Self {
-        self.obfuscate = on;
-        self
-    }
-
-    /// Same configuration with the §5.1 mapping-probe port on or off.
-    pub fn with_probe_port(mut self, on: bool) -> Self {
-        self.probe_port = on;
         self
     }
 
@@ -232,8 +220,38 @@ impl ServerStats {
     }
 }
 
+
+/// Where a reply goes — and with it which registration table and metric
+/// label a request selects. Everything else about a request is the same
+/// on both transports.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Route {
+    /// A datagram from the main UDP socket to this endpoint.
+    Udp(Endpoint),
+    /// A frame on this accepted connection.
+    Tcp(SocketId),
+}
+
+impl Route {
+    fn tcp(self) -> bool {
+        matches!(self, Route::Tcp(_))
+    }
+
+    /// The transport label on per-transport metrics.
+    fn label(self) -> &'static str {
+        match self {
+            Route::Udp(_) => "udp",
+            Route::Tcp(_) => "tcp",
+        }
+    }
+}
+
+/// One registration, in either table.
 #[derive(Clone, Copy, Debug)]
-struct UdpReg {
+struct Reg {
+    /// How to reach the client: its public UDP endpoint, or the
+    /// connection it registered on.
+    route: Route,
     public: Endpoint,
     private: Endpoint,
     /// Activity stamp: refreshed on every registration, keepalive, or
@@ -245,19 +263,14 @@ struct UdpReg {
     last_active: SimTime,
 }
 
-#[derive(Clone, Copy, Debug)]
-struct TcpReg {
-    sock: SocketId,
-    public: Endpoint,
-    private: Endpoint,
-    /// Activity stamp: refreshed on every registration, keepalive, or
-    /// request from the client, so a full table evicts the
-    /// least-recently-active entry, never a chatty long-lived one.
-    seq: u64,
-    /// Wall time of the last activity, for the protect-active window
-    /// (the relative `seq` ordering cannot express "recent enough").
-    last_active: SimTime,
-}
+// A server holds up to `max_clients` of these per table (100 000 in the
+// benchmark's `server_storm`), so the record stays small and inline.
+const _: () = assert!(std::mem::size_of::<Reg>() <= 40);
+
+/// Endpoints in message bodies are always obfuscated (§3.1), so replies
+/// survive payload-mangling NATs (§5.3); the flag byte in front of each
+/// endpoint lets any client decode them.
+const OBFUSCATE: bool = true;
 
 /// Token-bucket state for one source IP, in micro-tokens (one datagram
 /// costs [`MICRO`]; integer arithmetic keeps refills deterministic).
@@ -273,12 +286,9 @@ const MICRO: u64 = 1_000_000;
 /// An introduction forwarded to the target's owning shard, awaiting
 /// its [`Message::SrvIntroduceReply`] / [`Message::SrvIntroduceErr`].
 struct PendingIntro {
-    /// True when the requester registered over TCP.
-    tcp: bool,
-    /// How to reach the requester once the owner answers.
-    requester_public: Endpoint,
-    requester_private: Endpoint,
-    requester_sock: Option<SocketId>,
+    /// The requester's registration when it asked: where the answer
+    /// goes, and the endpoints each forward carries.
+    requester: Reg,
     /// When the first forward left — the `rendezvous.introduce_forward` histogram
     /// observes reply minus this, across the whole retry chain.
     sent_at: punch_net::SimTime,
@@ -317,13 +327,16 @@ pub struct RendezvousServer {
     cfg: ServerConfig,
     udp_sock: Option<SocketId>,
     probe_sock: Option<SocketId>,
-    listener: Option<SocketId>,
-    udp_clients: BTreeMap<PeerId, UdpReg>,
+    /// Clients registered over UDP; every entry's route is a
+    /// `Route::Udp`.
+    udp_clients: BTreeMap<PeerId, Reg>,
     /// Reverse index public endpoint → peer, so a bare UDP keepalive
     /// (which carries no peer id) can refresh its sender's activity
     /// stamp in O(log n).
     udp_by_ep: BTreeMap<Endpoint, PeerId>,
-    tcp_clients: BTreeMap<PeerId, TcpReg>,
+    /// Clients registered over TCP; every entry's route is a
+    /// `Route::Tcp`.
+    tcp_clients: BTreeMap<PeerId, Reg>,
     conns: BTreeMap<SocketId, ConnState>,
     /// Cross-shard introductions in flight, keyed by
     /// `(requester, target, nonce)`.
@@ -342,21 +355,20 @@ impl RendezvousServer {
     ///
     /// # Panics
     ///
-    /// Panics if the probe port is enabled on well-known port 65535:
-    /// the probe listens on `port + 1`, which does not exist. Rejected
-    /// here, at configuration time, instead of wrapping to port 0 (or
-    /// panicking in debug) at bind time.
+    /// Panics on well-known port 65535: the mapping probe listens on
+    /// `port + 1`, which does not exist. Rejected here, at configuration
+    /// time, instead of wrapping to port 0 (or panicking in debug) at
+    /// bind time.
     pub fn new(cfg: ServerConfig) -> Self {
         assert!(
-            !(cfg.probe_port && cfg.port == u16::MAX),
-            "ServerConfig: probe_port requires port + 1, but port 65535 is the last u16; \
-             pick a lower port or disable the probe"
+            cfg.port != u16::MAX,
+            "ServerConfig: the mapping probe needs port + 1, but port 65535 is the last u16; \
+             pick a lower port"
         );
         RendezvousServer {
             cfg,
             udp_sock: None,
             probe_sock: None,
-            listener: None,
             udp_clients: BTreeMap::new(),
             udp_by_ep: BTreeMap::new(),
             tcp_clients: BTreeMap::new(),
@@ -383,6 +395,15 @@ impl RendezvousServer {
         self.tcp_clients.get(&peer).map(|r| (r.public, r.private))
     }
 
+    /// The registration table of one transport.
+    fn table(&mut self, tcp: bool) -> &mut BTreeMap<PeerId, Reg> {
+        if tcp {
+            &mut self.tcp_clients
+        } else {
+            &mut self.udp_clients
+        }
+    }
+
     /// Draws the next activity stamp.
     fn next_seq(&mut self) -> u64 {
         let seq = self.reg_seq;
@@ -390,36 +411,17 @@ impl RendezvousServer {
         seq
     }
 
-    /// Refreshes a UDP client's activity stamp (keepalive or request
-    /// traffic counts as life; see the eviction policy on [`UdpReg`]).
-    fn touch_udp(&mut self, peer: PeerId, now: SimTime) {
-        if self.udp_clients.contains_key(&peer) {
-            let seq = self.next_seq();
-            if let Some(r) = self.udp_clients.get_mut(&peer) {
-                r.seq = seq;
-                r.last_active = now;
-            }
-        }
-    }
-
-    /// TCP counterpart of [`Self::touch_udp`].
-    fn touch_tcp(&mut self, peer: PeerId, now: SimTime) {
-        if self.tcp_clients.contains_key(&peer) {
-            let seq = self.next_seq();
-            if let Some(r) = self.tcp_clients.get_mut(&peer) {
-                r.seq = seq;
-                r.last_active = now;
-            }
-        }
-    }
-
-    /// True when `last_active` is stale enough to evict: outside the
-    /// protect-active window, or the protection is off.
-    fn evictable(&self, last_active: SimTime, now: SimTime) -> bool {
-        match self.cfg.protect_active {
-            Some(window) => now.saturating_since(last_active) >= window,
-            None => true,
-        }
+    /// Refreshes a client's activity stamp (keepalive or request traffic
+    /// counts as life; see the eviction policy on [`Reg`]) and returns
+    /// its registration. An unknown peer draws no stamp.
+    fn touch(&mut self, tcp: bool, peer: PeerId, now: SimTime) -> Option<Reg> {
+        let seq = self.reg_seq;
+        let reg = self.table(tcp).get_mut(&peer)?;
+        reg.seq = seq;
+        reg.last_active = now;
+        let reg = *reg;
+        self.reg_seq += 1;
+        Some(reg)
     }
 
     /// Admits or refuses one datagram from `from` through the
@@ -512,191 +514,345 @@ impl RendezvousServer {
         }
     }
 
-    /// Makes room for a new UDP registration when the table is full by
+    /// Makes room for a new registration when its table is full by
     /// evicting the oldest *evictable* entry. The victim is the unique
     /// minimum `(seq, peer_id)`, so the choice never depends on
     /// `BTreeMap` iteration order. Returns `false` when every entry is
     /// protected-active ([`ServerConfig::protect_active`]) — the
     /// newcomer must be refused instead.
-    fn make_room_udp(&mut self, os: &mut Os<'_, '_>) -> bool {
-        if self.udp_clients.len() < self.cfg.max_clients {
+    fn make_room(&mut self, os: &mut Os<'_, '_>, tcp: bool) -> bool {
+        if self.table(tcp).len() < self.cfg.max_clients {
             return true;
         }
         let now = os.now();
+        let window = self.cfg.protect_active;
         let victim = self
-            .udp_clients
+            .table(tcp)
             .iter()
-            .filter(|(_, r)| self.evictable(r.last_active, now))
+            .filter(|(_, r)| window.is_none_or(|w| now.saturating_since(r.last_active) >= w))
             .min_by_key(|(id, r)| (r.seq, id.0))
-            .map(|(&id, _)| id);
-        if let Some(id) = victim {
-            if let Some(reg) = self.udp_clients.remove(&id) {
-                if self.udp_by_ep.get(&reg.public) == Some(&id) {
-                    self.udp_by_ep.remove(&reg.public);
-                }
-            }
-            self.stats.evictions += 1;
-            os.metric_inc_labeled("rendezvous.evict", "udp");
-            true
-        } else {
+            .map(|(&id, r)| (id, r.route));
+        let Some((id, route)) = victim else {
             self.stats.reg_refused += 1;
             os.metric_inc("defense.rendezvous.reg_refused");
-            false
-        }
-    }
-
-    /// TCP counterpart of [`Self::make_room_udp`]; the victim's
-    /// connection stays open (it may re-register), only its
-    /// registration slot is reclaimed.
-    fn make_room_tcp(&mut self, os: &mut Os<'_, '_>) -> bool {
-        if self.tcp_clients.len() < self.cfg.max_clients {
-            return true;
-        }
-        let now = os.now();
-        let victim = self
-            .tcp_clients
-            .iter()
-            .filter(|(_, r)| self.evictable(r.last_active, now))
-            .min_by_key(|(id, r)| (r.seq, id.0))
-            .map(|(&id, _)| id);
-        if let Some(id) = victim {
-            if let Some(reg) = self.tcp_clients.remove(&id) {
-                if let Some(conn) = self.conns.get_mut(&reg.sock) {
+            return false;
+        };
+        self.table(tcp).remove(&id);
+        match route {
+            Route::Udp(public) => {
+                if self.udp_by_ep.get(&public) == Some(&id) {
+                    self.udp_by_ep.remove(&public);
+                }
+            }
+            // The victim's connection stays open (it may re-register);
+            // only its registration slot is reclaimed.
+            Route::Tcp(sock) => {
+                if let Some(conn) = self.conns.get_mut(&sock) {
                     conn.peer = None;
                 }
             }
-            self.stats.evictions += 1;
-            os.metric_inc_labeled("rendezvous.evict", "tcp");
-            true
-        } else {
-            self.stats.reg_refused += 1;
-            os.metric_inc("defense.rendezvous.reg_refused");
-            false
         }
+        self.stats.evictions += 1;
+        os.metric_inc_labeled("rendezvous.evict", route.label());
+        true
     }
 
-    fn send_udp(&self, os: &mut Os<'_, '_>, to: Endpoint, msg: &Message) {
-        if let Some(sock) = self.udp_sock {
-            let _ = os.udp_send(sock, to, msg.encode(self.cfg.obfuscate));
+    fn send(&self, os: &mut Os<'_, '_>, to: Route, msg: &Message) {
+        match to {
+            Route::Udp(ep) => {
+                if let Some(sock) = self.udp_sock {
+                    let _ = os.udp_send(sock, ep, msg.encode(OBFUSCATE));
+                }
+            }
+            Route::Tcp(sock) => {
+                let _ = os.tcp_send(sock, &encode_frame(msg, OBFUSCATE));
+            }
         }
     }
 
     /// Sends a server-to-server message, signed when the fleet shares a
-    /// secret (wire bytes are identical to [`Self::send_udp`] otherwise).
+    /// secret (wire bytes are identical to [`Self::send`] otherwise).
     fn send_srv(&self, os: &mut Os<'_, '_>, to: Endpoint, msg: &Message) {
         match self.cfg.fleet_secret {
             Some(secret) => {
                 if let Some(sock) = self.udp_sock {
-                    let _ = os.udp_send(sock, to, encode_signed(msg, self.cfg.obfuscate, secret));
+                    let _ = os.udp_send(sock, to, encode_signed(msg, OBFUSCATE, secret));
                 }
             }
-            None => self.send_udp(os, to, msg),
+            None => self.send(os, Route::Udp(to), msg),
         }
     }
 
+    /// Counts a request that failed (unknown peer, unparsable, not for
+    /// a server).
+    fn error(&mut self, os: &mut Os<'_, '_>) {
+        self.stats.errors += 1;
+        os.metric_inc("rendezvous.error");
+    }
+
+    /// Fails a request that named a peer nobody here (or, in a fleet,
+    /// anywhere) knows, and tells `to` so.
+    fn refuse(&mut self, os: &mut Os<'_, '_>, to: Route) {
+        self.error(os);
+        self.send(
+            os,
+            to,
+            &Message::ErrorReply {
+                code: ERR_UNKNOWN_PEER,
+            },
+        );
+    }
+
     /// Gate for inbound `Srv*` messages: with a fleet secret configured,
-    /// only datagrams that carried a verified tag are honored.
-    fn srv_authorized(&mut self, os: &mut Os<'_, '_>, signed: bool) -> bool {
+    /// only datagrams that carried a verified tag are honored; and in
+    /// any case only those from another member of this server's fleet.
+    fn srv_admit(&mut self, os: &mut Os<'_, '_>, from: Endpoint, signed: bool) -> bool {
         if self.cfg.fleet_secret.is_some() && !signed {
             self.stats.auth_rejected += 1;
             os.metric_inc("defense.rendezvous.auth_rejected");
             return false;
         }
+        if !self.is_fleet_peer(from) {
+            self.error(os);
+            return false;
+        }
         true
     }
 
-    fn send_tcp(&self, os: &mut Os<'_, '_>, sock: SocketId, msg: &Message) {
-        let _ = os.tcp_send(sock, &encode_frame(msg, self.cfg.obfuscate));
-    }
-
+    /// A datagram on the main socket: the four server-to-server messages
+    /// are handled here, anything else is a client request.
     fn handle_udp(&mut self, os: &mut Os<'_, '_>, from: Endpoint, msg: Message, signed: bool) {
         match msg {
-            Message::Register { peer_id, private } => {
-                if !self.udp_clients.contains_key(&peer_id) && !self.make_room_udp(os) {
-                    // Every slot is held by a protected-active client;
-                    // the newcomer — not an active client — loses.
-                    self.send_udp(
+            Message::SrvIntroduce {
+                requester,
+                requester_public,
+                requester_private,
+                target,
+                nonce,
+                tcp,
+            } => {
+                if !self.srv_admit(os, from, signed) {
+                    return;
+                }
+                // Owner side of a forwarded introduction: if the target
+                // is registered here, introduce it to the requester
+                // directly and return its endpoints to the forwarding
+                // shard; otherwise report the miss so the forwarder can
+                // try the next owner.
+                let Some(tgt) = self.table(tcp).get(&target).copied() else {
+                    os.metric_inc_labeled("rendezvous.forward", "miss");
+                    self.send_srv(
                         os,
                         from,
+                        &Message::SrvIntroduceErr {
+                            requester,
+                            target,
+                            nonce,
+                            tcp,
+                        },
+                    );
+                    return;
+                };
+                self.send(
+                    os,
+                    tgt.route,
+                    &Message::Introduce {
+                        peer: requester,
+                        public: requester_public,
+                        private: requester_private,
+                        nonce,
+                        initiator: false,
+                    },
+                );
+                self.stats.forwards_served += 1;
+                os.metric_inc_labeled("rendezvous.forward", "served");
+                self.send_srv(
+                    os,
+                    from,
+                    &Message::SrvIntroduceReply {
+                        requester,
+                        target,
+                        target_public: tgt.public,
+                        target_private: tgt.private,
+                        nonce,
+                        tcp,
+                    },
+                );
+            }
+            Message::SrvIntroduceReply {
+                requester,
+                target,
+                target_public,
+                target_private,
+                nonce,
+                tcp: _,
+            } => {
+                if !self.srv_admit(os, from, signed) {
+                    return;
+                }
+                // Forwarder side, success path: the owner introduced the
+                // target; complete the requester's half of the pair.
+                let Some(p) = self.pending.remove(&(requester.0, target.0, nonce)) else {
+                    return; // duplicate or late reply; the pair already resolved
+                };
+                os.metric_observe("rendezvous.introduce_forward", os.now().saturating_since(p.sent_at));
+                // The pair counts once, at the shard that fielded the
+                // client's request (the owner counted forwards_served).
+                self.stats.introductions += 1;
+                os.metric_inc_labeled("rendezvous.introduce", p.requester.route.label());
+                self.send(
+                    os,
+                    p.requester.route,
+                    &Message::Introduce {
+                        peer: target,
+                        public: target_public,
+                        private: target_private,
+                        nonce,
+                        initiator: true,
+                    },
+                );
+            }
+            Message::SrvIntroduceErr {
+                requester,
+                target,
+                nonce,
+                tcp: _,
+            } => {
+                if !self.srv_admit(os, from, signed) {
+                    return;
+                }
+                // Forwarder side, miss path: try the target's next ring
+                // owner, or give the requester a definitive answer.
+                let key = (requester.0, target.0, nonce);
+                let Some(mut p) = self.pending.remove(&key) else {
+                    return;
+                };
+                p.tried += 1;
+                if let Some(&next) = p.owners.get(p.tried) {
+                    self.stats.forwards += 1;
+                    os.metric_inc_labeled("rendezvous.forward", "retry");
+                    let fwd = Message::SrvIntroduce {
+                        requester,
+                        requester_public: p.requester.public,
+                        requester_private: p.requester.private,
+                        target,
+                        nonce,
+                        tcp: p.requester.route.tcp(),
+                    };
+                    self.pending.insert(key, p);
+                    self.send_srv(os, next, &fwd);
+                } else {
+                    self.stats.forward_errors += 1;
+                    os.metric_inc_labeled("rendezvous.forward", "err");
+                    self.refuse(os, p.requester.route);
+                }
+            }
+            Message::SrvRelay {
+                from: sender,
+                target,
+                data,
+                tcp,
+            } => {
+                if !self.srv_admit(os, from, signed) {
+                    return;
+                }
+                // Owner side of a forwarded relay payload: deliver if the
+                // target is here, otherwise drop (relay is periodic; the
+                // sender's next payload retries the, possibly changed,
+                // ring).
+                match self.table(tcp).get(&target).copied() {
+                    Some(tgt) => self.relay(os, tgt.route, sender, data),
+                    None => os.metric_inc_labeled("rendezvous.forward", "relay-miss"),
+                }
+            }
+            request => self.handle_client(os, Route::Udp(from), request),
+        }
+    }
+
+    /// One client request, over either transport. `via` is where it
+    /// arrived: it selects the table, and it is where a requester the
+    /// server does not know is answered (a registered one is answered on
+    /// its registered route).
+    fn handle_client(&mut self, os: &mut Os<'_, '_>, via: Route, msg: Message) {
+        let tcp = via.tcp();
+        let now = os.now();
+        match msg {
+            Message::Register { peer_id, private } => {
+                let public = match via {
+                    Route::Udp(from) => from,
+                    Route::Tcp(sock) => match os.remote_endpoint(sock) {
+                        Ok(remote) => remote,
+                        Err(_) => return,
+                    },
+                };
+                if !self.table(tcp).contains_key(&peer_id) && !self.make_room(os, tcp) {
+                    // Every slot is held by a protected-active client;
+                    // the newcomer — not an active client — loses.
+                    self.send(
+                        os,
+                        via,
                         &Message::ErrorReply {
                             code: ERR_TABLE_FULL,
                         },
                     );
                     return;
                 }
-                let seq = self.next_seq();
-                if let Some(old) = self.udp_clients.insert(
-                    peer_id,
-                    UdpReg {
-                        public: from,
-                        private,
-                        seq,
-                        last_active: os.now(),
-                    },
-                ) {
-                    // Re-registration from a new mapping: retire the old
-                    // endpoint's reverse-index entry (unless another peer
-                    // has since claimed that endpoint).
-                    if old.public != from && self.udp_by_ep.get(&old.public) == Some(&peer_id) {
-                        self.udp_by_ep.remove(&old.public);
+                let reg = Reg {
+                    route: via,
+                    public,
+                    private,
+                    seq: self.next_seq(),
+                    last_active: now,
+                };
+                let old = self.table(tcp).insert(peer_id, reg);
+                // Point the route's reverse index at the peer, so a
+                // keepalive (which carries no id) finds it.
+                match via {
+                    Route::Udp(from) => {
+                        // Re-registration from a new mapping: retire the
+                        // old endpoint's entry (unless another peer has
+                        // since claimed that endpoint).
+                        if let Some(old) = old {
+                            if old.public != from && self.udp_by_ep.get(&old.public) == Some(&peer_id) {
+                                self.udp_by_ep.remove(&old.public);
+                            }
+                        }
+                        self.udp_by_ep.insert(from, peer_id);
+                    }
+                    Route::Tcp(sock) => {
+                        if let Some(conn) = self.conns.get_mut(&sock) {
+                            conn.peer = Some(peer_id);
+                        }
                     }
                 }
-                self.udp_by_ep.insert(from, peer_id);
                 self.stats.registrations += 1;
-                os.metric_inc_labeled("rendezvous.register", "udp");
-                self.send_udp(os, from, &Message::RegisterAck { public: from });
+                os.metric_inc_labeled("rendezvous.register", via.label());
+                self.send(os, via, &Message::RegisterAck { public });
             }
             Message::ConnectRequest {
                 peer_id,
                 target,
                 nonce,
             } => {
-                self.touch_udp(peer_id, os.now());
-                let Some(req) = self.udp_clients.get(&peer_id).copied() else {
-                    self.stats.errors += 1;
-                    os.metric_inc("rendezvous.error");
-                    self.send_udp(
-                        os,
-                        from,
-                        &Message::ErrorReply {
-                            code: ERR_UNKNOWN_PEER,
-                        },
-                    );
-                    return;
+                let Some(req) = self.touch(tcp, peer_id, now) else {
+                    return self.refuse(os, via);
                 };
-                let Some(tgt) = self.udp_clients.get(&target).copied() else {
+                let Some(tgt) = self.table(tcp).get(&target).copied() else {
                     // Not ours: in a fleet the target may be registered on
                     // its owning shard; standalone, it's simply unknown.
                     if self.fleet_routable() {
-                        self.forward_introduce(
-                            os,
-                            peer_id,
-                            req.public,
-                            req.private,
-                            None,
-                            target,
-                            nonce,
-                            false,
-                        );
+                        self.forward_introduce(os, peer_id, req, target, nonce);
                     } else {
-                        self.stats.errors += 1;
-                        os.metric_inc("rendezvous.error");
-                        self.send_udp(
-                            os,
-                            from,
-                            &Message::ErrorReply {
-                                code: ERR_UNKNOWN_PEER,
-                            },
-                        );
+                        self.refuse(os, via);
                     }
                     return;
                 };
                 self.stats.introductions += 1;
-                os.metric_inc_labeled("rendezvous.introduce", "udp");
+                os.metric_inc_labeled("rendezvous.introduce", via.label());
                 // §3.2 step 2: both sides learn each other's endpoints.
-                self.send_udp(
+                self.send(
                     os,
-                    req.public,
+                    req.route,
                     &Message::Introduce {
                         peer: target,
                         public: tgt.public,
@@ -705,9 +861,9 @@ impl RendezvousServer {
                         initiator: true,
                     },
                 );
-                self.send_udp(
+                self.send(
                     os,
-                    tgt.public,
+                    tgt.route,
                     &Message::Introduce {
                         peer: peer_id,
                         public: req.public,
@@ -722,74 +878,51 @@ impl RendezvousServer {
                 target,
                 data,
             } => {
-                self.touch_udp(sender, os.now());
-                let Some(tgt) = self.udp_clients.get(&target).copied() else {
-                    if self.fleet_routable() {
-                        // Best-effort: hand the payload to the target's
-                        // primary owner; no reply, no retry chain (relay
-                        // traffic is periodic, the next send retries).
-                        let chain = self.owner_chain(target);
-                        if let Some(owner) = chain.first() {
-                            os.metric_inc_labeled("rendezvous.forward", "relay");
-                            self.send_srv(
-                                os,
-                                *owner,
-                                &Message::SrvRelay {
-                                    from: sender,
-                                    target,
-                                    data,
-                                    tcp: false,
-                                },
-                            );
-                            return;
-                        }
-                    }
-                    self.stats.errors += 1;
-                    os.metric_inc("rendezvous.error");
-                    self.send_udp(
+                self.touch(tcp, sender, now);
+                let Some(tgt) = self.table(tcp).get(&target).copied() else {
+                    // Best-effort in a fleet: hand the payload to the
+                    // target's primary owner; no reply, no retry chain
+                    // (relay traffic is periodic, the next send retries).
+                    let owner = if self.fleet_routable() {
+                        self.owner_chain(target).first().copied()
+                    } else {
+                        None
+                    };
+                    let Some(owner) = owner else {
+                        return self.refuse(os, via);
+                    };
+                    os.metric_inc_labeled("rendezvous.forward", "relay");
+                    self.send_srv(
                         os,
-                        from,
-                        &Message::ErrorReply {
-                            code: ERR_UNKNOWN_PEER,
+                        owner,
+                        &Message::SrvRelay {
+                            from: sender,
+                            target,
+                            data,
+                            tcp,
                         },
                     );
                     return;
                 };
-                self.stats.relayed_msgs += 1;
-                self.stats.relayed_bytes += data.len() as u64;
-                os.metric_inc_labeled("rendezvous.relay.msgs", "udp");
-                os.metric_inc_by("rendezvous.relay.bytes", data.len() as u64);
-                self.send_udp(os, tgt.public, &Message::RelayedData { from: sender, data });
+                self.relay(os, tgt.route, sender, data);
             }
             Message::ReversalRequest {
                 peer_id,
                 target,
                 nonce,
             } => {
-                self.touch_udp(peer_id, os.now());
                 // Reversal stays shard-local by design: it only helps when
                 // the target is unNATed and reachable, and those targets
                 // register with every owner anyway (k-of-n).
-                let (Some(req), Some(tgt)) = (
-                    self.udp_clients.get(&peer_id).copied(),
-                    self.udp_clients.get(&target).copied(),
-                ) else {
-                    self.stats.errors += 1;
-                os.metric_inc("rendezvous.error");
-                    self.send_udp(
-                        os,
-                        from,
-                        &Message::ErrorReply {
-                            code: ERR_UNKNOWN_PEER,
-                        },
-                    );
-                    return;
+                let req = self.touch(tcp, peer_id, now);
+                let (Some(req), Some(tgt)) = (req, self.table(tcp).get(&target).copied()) else {
+                    return self.refuse(os, via);
                 };
                 self.stats.reversals += 1;
                 os.metric_inc("rendezvous.reversal");
-                self.send_udp(
+                self.send(
                     os,
-                    tgt.public,
+                    tgt.route,
                     &Message::ReversalRequested {
                         from: peer_id,
                         public: req.public,
@@ -801,100 +934,47 @@ impl RendezvousServer {
             Message::Ping => {
                 // A keepalive proves the client is alive: refresh its
                 // activity stamp so a flash crowd of one-shot strangers
-                // cannot evict it (the ping carries no id — the reverse
-                // index recovers it from the source mapping).
-                if let Some(&peer) = self.udp_by_ep.get(&from) {
-                    self.touch_udp(peer, os.now());
+                // cannot evict it. The ping carries no id — the route's
+                // reverse index (source mapping, or connection) recovers it.
+                let peer = match via {
+                    Route::Udp(from) => self.udp_by_ep.get(&from).copied(),
+                    Route::Tcp(sock) => self.conns.get(&sock).and_then(|c| c.peer),
+                };
+                if let Some(peer) = peer {
+                    self.touch(tcp, peer, now);
                 }
-                self.send_udp(os, from, &Message::Pong);
+                self.send(os, via, &Message::Pong);
             }
-            Message::SrvIntroduce {
-                requester,
-                requester_public,
-                requester_private,
-                target,
-                nonce,
-                tcp,
-            } => {
-                if !self.srv_authorized(os, signed) {
-                    return;
-                }
-                self.handle_srv_introduce(
-                    os,
-                    from,
-                    requester,
-                    requester_public,
-                    requester_private,
-                    target,
-                    nonce,
-                    tcp,
-                );
-            }
-            Message::SrvIntroduceReply {
-                requester,
-                target,
-                target_public,
-                target_private,
-                nonce,
-                tcp: _,
-            } => {
-                if !self.srv_authorized(os, signed) {
-                    return;
-                }
-                self.handle_srv_reply(os, from, requester, target, target_public, target_private, nonce);
-            }
-            Message::SrvIntroduceErr {
-                requester,
-                target,
-                nonce,
-                tcp: _,
-            } => {
-                if !self.srv_authorized(os, signed) {
-                    return;
-                }
-                self.handle_srv_err(os, from, requester, target, nonce);
-            }
-            Message::SrvRelay {
-                from: sender,
-                target,
-                data,
-                tcp,
-            } => {
-                if !self.srv_authorized(os, signed) {
-                    return;
-                }
-                self.handle_srv_relay(os, from, sender, target, data, tcp);
-            }
-            // Peer-to-peer and server-to-client messages are not for us.
-            _ => {
-                self.stats.errors += 1;
-                os.metric_inc("rendezvous.error");
-            }
+            // Peer-to-peer and server-to-client messages are not for us,
+            // nor is a server-to-server one on a client connection.
+            _ => self.error(os),
         }
     }
 
-    /// Sends (or re-sends, on owner-chain retry) a forward to the
-    /// owner currently indexed by `pending[key].tried`.
-    #[allow(clippy::too_many_arguments)]
+    /// Delivers a relayed payload (§2.2) to a registered target.
+    fn relay(&mut self, os: &mut Os<'_, '_>, to: Route, sender: PeerId, data: Bytes) {
+        self.stats.relayed_msgs += 1;
+        self.stats.relayed_bytes += data.len() as u64;
+        os.metric_inc_labeled("rendezvous.relay.msgs", to.label());
+        os.metric_inc_by("rendezvous.relay.bytes", data.len() as u64);
+        self.send(os, to, &Message::RelayedData { from: sender, data });
+    }
+
+    /// Forwards a registered requester's introduction to the first
+    /// owner of a target this shard does not hold.
     fn forward_introduce(
         &mut self,
         os: &mut Os<'_, '_>,
         requester: PeerId,
-        requester_public: Endpoint,
-        requester_private: Endpoint,
-        requester_sock: Option<SocketId>,
+        req: Reg,
         target: PeerId,
         nonce: u64,
-        tcp: bool,
     ) {
         let owners = self.owner_chain(target);
         let Some(&first) = owners.first() else {
             // Every owner of the target is this very server — the
             // registration genuinely does not exist anywhere.
-            self.stats.errors += 1;
-            os.metric_inc("rendezvous.error");
-            self.reply_unknown(os, requester_public, requester_sock, tcp);
-            return;
+            return self.refuse(os, req.route);
         };
         let key = (requester.0, target.0, nonce);
         if !self.pending.contains_key(&key) {
@@ -904,10 +984,7 @@ impl RendezvousServer {
         self.pending.insert(
             key,
             PendingIntro {
-                tcp,
-                requester_public,
-                requester_private,
-                requester_sock,
+                requester: req,
                 sent_at: os.now(),
                 owners,
                 tried: 0,
@@ -921,424 +998,13 @@ impl RendezvousServer {
             first,
             &Message::SrvIntroduce {
                 requester,
-                requester_public,
-                requester_private,
+                requester_public: req.public,
+                requester_private: req.private,
                 target,
                 nonce,
-                tcp,
+                tcp: req.route.tcp(),
             },
         );
-    }
-
-    /// ErrorReply to a requester over whichever transport it used.
-    fn reply_unknown(
-        &mut self,
-        os: &mut Os<'_, '_>,
-        public: Endpoint,
-        sock: Option<SocketId>,
-        tcp: bool,
-    ) {
-        let msg = Message::ErrorReply {
-            code: ERR_UNKNOWN_PEER,
-        };
-        if tcp {
-            if let Some(sock) = sock {
-                self.send_tcp(os, sock, &msg);
-            }
-        } else {
-            self.send_udp(os, public, &msg);
-        }
-    }
-
-    /// Owner side of a forwarded introduction: if the target is
-    /// registered here, introduce it to the requester directly and
-    /// return its endpoints to the forwarding shard; otherwise report
-    /// the miss so the forwarder can try the next owner.
-    #[allow(clippy::too_many_arguments)]
-    fn handle_srv_introduce(
-        &mut self,
-        os: &mut Os<'_, '_>,
-        from: Endpoint,
-        requester: PeerId,
-        requester_public: Endpoint,
-        requester_private: Endpoint,
-        target: PeerId,
-        nonce: u64,
-        tcp: bool,
-    ) {
-        if !self.is_fleet_peer(from) {
-            self.stats.errors += 1;
-            os.metric_inc("rendezvous.error");
-            return;
-        }
-        let intro = Message::Introduce {
-            peer: requester,
-            public: requester_public,
-            private: requester_private,
-            nonce,
-            initiator: false,
-        };
-        let found = if tcp {
-            self.tcp_clients.get(&target).copied().map(|tgt| {
-                self.send_tcp(os, tgt.sock, &intro);
-                (tgt.public, tgt.private)
-            })
-        } else {
-            self.udp_clients.get(&target).copied().map(|tgt| {
-                self.send_udp(os, tgt.public, &intro);
-                (tgt.public, tgt.private)
-            })
-        };
-        match found {
-            Some((target_public, target_private)) => {
-                self.stats.forwards_served += 1;
-                os.metric_inc_labeled("rendezvous.forward", "served");
-                self.send_srv(
-                    os,
-                    from,
-                    &Message::SrvIntroduceReply {
-                        requester,
-                        target,
-                        target_public,
-                        target_private,
-                        nonce,
-                        tcp,
-                    },
-                );
-            }
-            None => {
-                os.metric_inc_labeled("rendezvous.forward", "miss");
-                self.send_srv(
-                    os,
-                    from,
-                    &Message::SrvIntroduceErr {
-                        requester,
-                        target,
-                        nonce,
-                        tcp,
-                    },
-                );
-            }
-        }
-    }
-
-    /// Forwarder side, success path: the owner introduced the target;
-    /// complete the requester's half of the pair.
-    #[allow(clippy::too_many_arguments)]
-    fn handle_srv_reply(
-        &mut self,
-        os: &mut Os<'_, '_>,
-        from: Endpoint,
-        requester: PeerId,
-        target: PeerId,
-        target_public: Endpoint,
-        target_private: Endpoint,
-        nonce: u64,
-    ) {
-        if !self.is_fleet_peer(from) {
-            self.stats.errors += 1;
-            os.metric_inc("rendezvous.error");
-            return;
-        }
-        let Some(p) = self.pending.remove(&(requester.0, target.0, nonce)) else {
-            return; // duplicate or late reply; the pair already resolved
-        };
-        os.metric_observe("rendezvous.introduce_forward", os.now().saturating_since(p.sent_at));
-        // The pair counts once, at the shard that fielded the client's
-        // request (the owner counted forwards_served).
-        self.stats.introductions += 1;
-        os.metric_inc_labeled("rendezvous.introduce", if p.tcp { "tcp" } else { "udp" });
-        let intro = Message::Introduce {
-            peer: target,
-            public: target_public,
-            private: target_private,
-            nonce,
-            initiator: true,
-        };
-        if p.tcp {
-            if let Some(sock) = p.requester_sock {
-                self.send_tcp(os, sock, &intro);
-            }
-        } else {
-            self.send_udp(os, p.requester_public, &intro);
-        }
-    }
-
-    /// Forwarder side, miss path: try the target's next ring owner, or
-    /// give the requester a definitive unknown-peer answer.
-    fn handle_srv_err(
-        &mut self,
-        os: &mut Os<'_, '_>,
-        from: Endpoint,
-        requester: PeerId,
-        target: PeerId,
-        nonce: u64,
-    ) {
-        if !self.is_fleet_peer(from) {
-            self.stats.errors += 1;
-            os.metric_inc("rendezvous.error");
-            return;
-        }
-        let key = (requester.0, target.0, nonce);
-        let Some(mut p) = self.pending.remove(&key) else {
-            return;
-        };
-        p.tried += 1;
-        if let Some(&next) = p.owners.get(p.tried) {
-            self.stats.forwards += 1;
-            os.metric_inc_labeled("rendezvous.forward", "retry");
-            let fwd = Message::SrvIntroduce {
-                requester,
-                requester_public: p.requester_public,
-                requester_private: p.requester_private,
-                target,
-                nonce,
-                tcp: p.tcp,
-            };
-            self.pending.insert(key, p);
-            self.send_srv(os, next, &fwd);
-        } else {
-            self.stats.forward_errors += 1;
-            os.metric_inc_labeled("rendezvous.forward", "err");
-            self.stats.errors += 1;
-            os.metric_inc("rendezvous.error");
-            self.reply_unknown(os, p.requester_public, p.requester_sock, p.tcp);
-        }
-    }
-
-    /// Owner side of a forwarded relay payload: deliver if the target
-    /// is here, otherwise drop (relay is periodic; the sender's next
-    /// payload retries the, possibly changed, ring).
-    fn handle_srv_relay(
-        &mut self,
-        os: &mut Os<'_, '_>,
-        from: Endpoint,
-        sender: PeerId,
-        target: PeerId,
-        data: Bytes,
-        tcp: bool,
-    ) {
-        if !self.is_fleet_peer(from) {
-            self.stats.errors += 1;
-            os.metric_inc("rendezvous.error");
-            return;
-        }
-        let delivered = if tcp {
-            self.tcp_clients.get(&target).copied().map(|tgt| {
-                let n = data.len() as u64;
-                self.send_tcp(os, tgt.sock, &Message::RelayedData { from: sender, data });
-                ("tcp", n)
-            })
-        } else {
-            self.udp_clients.get(&target).copied().map(|tgt| {
-                let n = data.len() as u64;
-                self.send_udp(os, tgt.public, &Message::RelayedData { from: sender, data });
-                ("udp", n)
-            })
-        };
-        match delivered {
-            Some((transport, n)) => {
-                self.stats.relayed_msgs += 1;
-                self.stats.relayed_bytes += n;
-                os.metric_inc_labeled("rendezvous.relay.msgs", transport);
-                os.metric_inc_by("rendezvous.relay.bytes", n);
-            }
-            None => {
-                os.metric_inc_labeled("rendezvous.forward", "relay-miss");
-            }
-        }
-    }
-
-    fn handle_tcp(&mut self, os: &mut Os<'_, '_>, sock: SocketId, msg: Message) {
-        match msg {
-            Message::Register { peer_id, private } => {
-                let Ok(public) = os.remote_endpoint(sock) else {
-                    return;
-                };
-                if !self.tcp_clients.contains_key(&peer_id) && !self.make_room_tcp(os) {
-                    self.send_tcp(
-                        os,
-                        sock,
-                        &Message::ErrorReply {
-                            code: ERR_TABLE_FULL,
-                        },
-                    );
-                    return;
-                }
-                let seq = self.next_seq();
-                self.tcp_clients.insert(
-                    peer_id,
-                    TcpReg {
-                        sock,
-                        public,
-                        private,
-                        seq,
-                        last_active: os.now(),
-                    },
-                );
-                if let Some(conn) = self.conns.get_mut(&sock) {
-                    conn.peer = Some(peer_id);
-                }
-                self.stats.registrations += 1;
-                os.metric_inc_labeled("rendezvous.register", "tcp");
-                self.send_tcp(os, sock, &Message::RegisterAck { public });
-            }
-            Message::ConnectRequest {
-                peer_id,
-                target,
-                nonce,
-            } => {
-                self.touch_tcp(peer_id, os.now());
-                let Some(req) = self.tcp_clients.get(&peer_id).copied() else {
-                    self.stats.errors += 1;
-                    os.metric_inc("rendezvous.error");
-                    self.send_tcp(
-                        os,
-                        sock,
-                        &Message::ErrorReply {
-                            code: ERR_UNKNOWN_PEER,
-                        },
-                    );
-                    return;
-                };
-                let Some(tgt) = self.tcp_clients.get(&target).copied() else {
-                    if self.fleet_routable() {
-                        self.forward_introduce(
-                            os,
-                            peer_id,
-                            req.public,
-                            req.private,
-                            Some(req.sock),
-                            target,
-                            nonce,
-                            true,
-                        );
-                    } else {
-                        self.stats.errors += 1;
-                        os.metric_inc("rendezvous.error");
-                        self.send_tcp(
-                            os,
-                            sock,
-                            &Message::ErrorReply {
-                                code: ERR_UNKNOWN_PEER,
-                            },
-                        );
-                    }
-                    return;
-                };
-                self.stats.introductions += 1;
-                os.metric_inc_labeled("rendezvous.introduce", "tcp");
-                self.send_tcp(
-                    os,
-                    req.sock,
-                    &Message::Introduce {
-                        peer: target,
-                        public: tgt.public,
-                        private: tgt.private,
-                        nonce,
-                        initiator: true,
-                    },
-                );
-                self.send_tcp(
-                    os,
-                    tgt.sock,
-                    &Message::Introduce {
-                        peer: peer_id,
-                        public: req.public,
-                        private: req.private,
-                        nonce,
-                        initiator: false,
-                    },
-                );
-            }
-            Message::RelayData {
-                from: sender,
-                target,
-                data,
-            } => {
-                self.touch_tcp(sender, os.now());
-                let Some(tgt) = self.tcp_clients.get(&target).copied() else {
-                    if self.fleet_routable() {
-                        let chain = self.owner_chain(target);
-                        if let Some(owner) = chain.first() {
-                            os.metric_inc_labeled("rendezvous.forward", "relay");
-                            self.send_srv(
-                                os,
-                                *owner,
-                                &Message::SrvRelay {
-                                    from: sender,
-                                    target,
-                                    data,
-                                    tcp: true,
-                                },
-                            );
-                            return;
-                        }
-                    }
-                    self.stats.errors += 1;
-                    os.metric_inc("rendezvous.error");
-                    self.send_tcp(
-                        os,
-                        sock,
-                        &Message::ErrorReply {
-                            code: ERR_UNKNOWN_PEER,
-                        },
-                    );
-                    return;
-                };
-                self.stats.relayed_msgs += 1;
-                self.stats.relayed_bytes += data.len() as u64;
-                os.metric_inc_labeled("rendezvous.relay.msgs", "tcp");
-                os.metric_inc_by("rendezvous.relay.bytes", data.len() as u64);
-                self.send_tcp(os, tgt.sock, &Message::RelayedData { from: sender, data });
-            }
-            Message::ReversalRequest {
-                peer_id,
-                target,
-                nonce,
-            } => {
-                self.touch_tcp(peer_id, os.now());
-                let (Some(req), Some(tgt)) = (
-                    self.tcp_clients.get(&peer_id).copied(),
-                    self.tcp_clients.get(&target).copied(),
-                ) else {
-                    self.stats.errors += 1;
-                os.metric_inc("rendezvous.error");
-                    self.send_tcp(
-                        os,
-                        sock,
-                        &Message::ErrorReply {
-                            code: ERR_UNKNOWN_PEER,
-                        },
-                    );
-                    return;
-                };
-                self.stats.reversals += 1;
-                os.metric_inc("rendezvous.reversal");
-                self.send_tcp(
-                    os,
-                    tgt.sock,
-                    &Message::ReversalRequested {
-                        from: peer_id,
-                        public: req.public,
-                        private: req.private,
-                        nonce,
-                    },
-                );
-            }
-            Message::Ping => {
-                // Keepalive over an established connection: the socket
-                // identifies the peer; refresh its activity stamp.
-                if let Some(peer) = self.conns.get(&sock).and_then(|c| c.peer) {
-                    self.touch_tcp(peer, os.now());
-                }
-                self.send_tcp(os, sock, &Message::Pong);
-            }
-            _ => {
-                self.stats.errors += 1;
-                os.metric_inc("rendezvous.error");
-            }
-        }
     }
 
     /// Administratively aborts every client TCP connection and forgets
@@ -1361,7 +1027,7 @@ impl RendezvousServer {
             if let Some(peer) = conn.peer {
                 // Only drop the registration if it still points at this
                 // connection (the client may have re-registered).
-                if self.tcp_clients.get(&peer).map(|r| r.sock) == Some(sock) {
+                if self.tcp_clients.get(&peer).map(|r| r.route) == Some(Route::Tcp(sock)) {
                     self.tcp_clients.remove(&peer);
                 }
             }
@@ -1372,24 +1038,20 @@ impl RendezvousServer {
 impl App for RendezvousServer {
     fn on_start(&mut self, os: &mut Os<'_, '_>) {
         self.udp_sock = Some(os.udp_bind(self.cfg.port).expect("server UDP port free")); // punch-lint: allow(P001) configured server port on a fresh host; collision is a setup bug
-        if self.cfg.probe_port {
-            // checked_add, not `+ 1`: port 65535 would wrap to 0 in
-            // release builds. Unreachable here — `new` rejects that
-            // configuration — but the arithmetic must not rely on it.
-            let probe = self
-                .cfg
-                .port
-                .checked_add(1)
-                .expect("probe port overflows u16; rejected in RendezvousServer::new"); // punch-lint: allow(P001) validated at construction: probe_port with port 65535 cannot be built
-            self.probe_sock = Some(
-                os.udp_bind(probe)
-                    .expect("server probe port free"), // punch-lint: allow(P001) configured probe port on a fresh host; collision is a setup bug
-            );
-        }
-        self.listener = Some(
-            os.tcp_listen(self.cfg.port, false)
-                .expect("server TCP port free"), // punch-lint: allow(P001) configured server port on a fresh host; collision is a setup bug
+        // checked_add, not `+ 1`: port 65535 would wrap to 0 in release
+        // builds. Unreachable here — `new` rejects that configuration —
+        // but the arithmetic must not rely on it.
+        let probe = self
+            .cfg
+            .port
+            .checked_add(1)
+            .expect("probe port overflows u16; rejected in RendezvousServer::new"); // punch-lint: allow(P001) validated at construction: port 65535 cannot be built
+        self.probe_sock = Some(
+            os.udp_bind(probe)
+                .expect("server probe port free"), // punch-lint: allow(P001) configured probe port on a fresh host; collision is a setup bug
         );
+        os.tcp_listen(self.cfg.port, false)
+            .expect("server TCP port free"); // punch-lint: allow(P001) configured server port on a fresh host; collision is a setup bug
     }
 
     fn on_fault(&mut self, os: &mut Os<'_, '_>, fault: u64) {
@@ -1406,12 +1068,11 @@ impl App for RendezvousServer {
 
     fn on_event(&mut self, os: &mut Os<'_, '_>, ev: SockEvent) {
         match ev {
-            SockEvent::UdpReceived { sock, from, data } if Some(sock) == self.probe_sock => {
+            SockEvent::UdpReceived { sock, from, .. } if Some(sock) == self.probe_sock => {
                 // The probe port answers anything with the observed source,
                 // from its own (distinct) endpoint.
-                let _ = data;
                 let reply = Message::RegisterAck { public: from };
-                let _ = os.udp_send(sock, from, reply.encode(self.cfg.obfuscate));
+                let _ = os.udp_send(sock, from, reply.encode(OBFUSCATE));
             }
             SockEvent::UdpReceived { from, data, .. } => {
                 if !self.rate_allow(os, from) {
@@ -1430,16 +1091,10 @@ impl App for RendezvousServer {
                                 self.stats.auth_rejected += 1;
                                 os.metric_inc("defense.rendezvous.auth_rejected");
                             }
-                            None => {
-                                self.stats.errors += 1;
-                                os.metric_inc("rendezvous.error");
-                            }
+                            None => self.error(os),
                         }
                     }
-                    Err(_) => {
-                        self.stats.errors += 1;
-                        os.metric_inc("rendezvous.error");
-                    }
+                    Err(_) => self.error(os),
                 }
             }
             SockEvent::TcpIncoming { listener } => {
@@ -1458,10 +1113,9 @@ impl App for RendezvousServer {
                     .and_then(|c| c.frames.next_message())
                 {
                     match next {
-                        Ok(msg) => self.handle_tcp(os, sock, msg),
+                        Ok(msg) => self.handle_client(os, Route::Tcp(sock), msg),
                         Err(_) => {
-                            self.stats.errors += 1;
-                os.metric_inc("rendezvous.error");
+                            self.error(os);
                             let _ = os.tcp_abort(sock);
                             self.drop_conn(sock);
                             break;

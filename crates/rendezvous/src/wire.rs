@@ -41,8 +41,9 @@ pub enum WireError {
     /// hostile padding trick or framing desync; strict decoders reject
     /// it rather than silently ignoring the tail.
     TrailingBytes(usize),
-    /// A reassembly buffer exceeded its cap ([`MAX_BUFFER`]); the
-    /// stream is poisoned and the connection should be torn down.
+    /// A reassembly buffer exceeded its cap ([`MAX_BUFFER`] unless the
+    /// [`FrameBuf`] was built with another); the stream is poisoned and
+    /// the connection should be torn down.
     Oversize(usize),
     /// A signed message's authentication tag did not verify — the
     /// sender does not hold the fleet secret (or the body was altered
@@ -308,14 +309,17 @@ fn get_bytes(buf: &mut &[u8]) -> Result<Bytes, WireError> {
     Ok(out)
 }
 
-fn get_u64(buf: &mut &[u8]) -> Result<u64, WireError> {
+/// Reads a big-endian `u64`, or [`WireError::Truncated`] if fewer than
+/// eight bytes remain.
+pub fn get_u64(buf: &mut &[u8]) -> Result<u64, WireError> {
     if buf.len() < 8 {
         return Err(WireError::Truncated);
     }
     Ok(buf.get_u64())
 }
 
-fn get_u8(buf: &mut &[u8]) -> Result<u8, WireError> {
+/// Reads one byte, or [`WireError::Truncated`] if none remain.
+pub fn get_u8(buf: &mut &[u8]) -> Result<u8, WireError> {
     if buf.is_empty() {
         return Err(WireError::Truncated);
     }
@@ -635,34 +639,51 @@ pub fn encode_frame(msg: &Message, obfuscate: bool) -> Bytes {
 /// Incremental TCP frame reassembler.
 ///
 /// Feed stream chunks with [`FrameBuf::push`], then drain complete
-/// messages with [`FrameBuf::next_message`]. Buffering is bounded by
-/// [`MAX_BUFFER`]: a sender that streams bytes faster than frames
-/// complete poisons the reassembler instead of growing host memory,
-/// and every subsequent [`FrameBuf::next_message`] reports
-/// [`WireError::Oversize`] (framing sync is unrecoverable, so callers
-/// should drop the connection).
-#[derive(Debug, Default)]
+/// messages with [`FrameBuf::next_message`] (or, for another protocol
+/// in the same framing, raw frame bodies with [`FrameBuf::next_frame`]).
+/// Buffering is bounded by a cap fixed at construction: a sender that
+/// streams bytes faster than frames complete poisons the reassembler
+/// instead of growing host memory, and every subsequent
+/// [`FrameBuf::next_frame`] reports [`WireError::Oversize`] (framing
+/// sync is unrecoverable, so callers should drop the connection).
+#[derive(Debug)]
 pub struct FrameBuf {
     buf: BytesMut,
+    cap: usize,
     /// Set when the cap was breached; the buffered bytes are discarded
     /// and the stream permanently errors.
     overflowed: bool,
 }
 
+impl Default for FrameBuf {
+    fn default() -> Self {
+        FrameBuf::new()
+    }
+}
+
 impl FrameBuf {
-    /// Creates an empty reassembler.
+    /// Creates an empty reassembler holding at most [`MAX_BUFFER`] bytes.
     pub fn new() -> Self {
-        FrameBuf::default()
+        FrameBuf::with_cap(MAX_BUFFER)
     }
 
-    /// Appends stream bytes. Exceeding [`MAX_BUFFER`] poisons the
+    /// Creates an empty reassembler holding at most `cap` bytes.
+    pub fn with_cap(cap: usize) -> Self {
+        FrameBuf {
+            buf: BytesMut::new(),
+            cap,
+            overflowed: false,
+        }
+    }
+
+    /// Appends stream bytes. Exceeding the cap poisons the
     /// reassembler: buffered bytes are dropped and further pushes are
     /// ignored.
     pub fn push(&mut self, chunk: &[u8]) {
         if self.overflowed {
             return;
         }
-        if self.buf.len() + chunk.len() > MAX_BUFFER {
+        if self.buf.len() + chunk.len() > self.cap {
             self.overflowed = true;
             self.buf = BytesMut::new();
             return;
@@ -673,8 +694,16 @@ impl FrameBuf {
     /// Pops the next complete message, if any. A poisoned reassembler
     /// (see [`FrameBuf::push`]) yields [`WireError::Oversize`] forever.
     pub fn next_message(&mut self) -> Option<Result<Message, WireError>> {
+        self.next_frame()
+            .map(|frame| frame.and_then(|body| Message::decode(&body)))
+    }
+
+    /// Pops the body of the next complete frame, undecoded. Errors are
+    /// the stream's, not a message's, and persist: a poisoned
+    /// reassembler, or a length prefix above [`MAX_FRAME`].
+    pub fn next_frame(&mut self) -> Option<Result<BytesMut, WireError>> {
         if self.overflowed {
-            return Some(Err(WireError::Oversize(MAX_BUFFER)));
+            return Some(Err(WireError::Oversize(self.cap)));
         }
         if self.buf.len() < 2 {
             return None;
@@ -687,8 +716,7 @@ impl FrameBuf {
             return None;
         }
         self.buf.advance(2);
-        let body = self.buf.split_to(len);
-        Some(Message::decode(&body))
+        Some(Ok(self.buf.split_to(len)))
     }
 }
 

@@ -1,5 +1,6 @@
 //! Property tests for the wire codec: round-trips for arbitrary
-//! messages, and no panics on arbitrary byte soup.
+//! messages, no panics on arbitrary byte soup, and the frame reassembler
+//! at any cap — the one NAT Check's `CheckFrames` is built on too.
 
 use bytes::Bytes;
 use proptest::prelude::*;
@@ -78,6 +79,12 @@ fn arb_message() -> impl Strategy<Value = Message> {
     ]
 }
 
+/// The two caps in use (this codec's and NAT Check's 1 KiB), and small
+/// ones that overflow early.
+fn arb_cap() -> impl Strategy<Value = usize> {
+    prop_oneof![Just(MAX_BUFFER), Just(1024usize), 1usize..256]
+}
+
 proptest! {
     #[test]
     fn roundtrip_any_message(msg in arb_message(), obf in any::<bool>()) {
@@ -112,14 +119,44 @@ proptest! {
         prop_assert_eq!(out, msgs);
     }
 
+    /// The framing itself, under any decoder: whatever the bodies, the
+    /// chunking, and the cap (as long as it admits the stream), the same
+    /// bodies come out in order.
     #[test]
-    fn framebuf_survives_garbage_prefixes(bytes in proptest::collection::vec(any::<u8>(), 0..128)) {
+    fn raw_frames_are_chunking_invariant(
+        bodies in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..40), 1..8),
+        chunk in 1usize..16,
+        slack in 0usize..8,
+    ) {
+        let mut stream = Vec::new();
+        for b in &bodies {
+            stream.extend_from_slice(&(b.len() as u16).to_be_bytes());
+            stream.extend_from_slice(b);
+        }
+        let mut fb = FrameBuf::with_cap(stream.len() + slack);
+        let mut out = Vec::new();
+        for c in stream.chunks(chunk) {
+            fb.push(c);
+            while let Some(frame) = fb.next_frame() {
+                out.push(frame.expect("within the cap").to_vec());
+            }
+        }
+        prop_assert_eq!(out, bodies);
+    }
+
+    #[test]
+    fn framebuf_survives_garbage(
+        chunks in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..64), 0..8),
+        cap in arb_cap(),
+    ) {
         // Arbitrary bytes may produce errors but never panic or loop.
-        let mut fb = FrameBuf::new();
-        fb.push(&bytes);
-        for _ in 0..64 {
-            if fb.next_message().is_none() {
-                break;
+        let mut fb = FrameBuf::with_cap(cap);
+        for c in &chunks {
+            fb.push(c);
+            for _ in 0..64 {
+                if fb.next_message().is_none() {
+                    break;
+                }
             }
         }
     }
@@ -145,14 +182,17 @@ proptest! {
     /// the overflow, rather than buffering without bound.
     #[test]
     fn overflow_poisons_the_reassembler(
+        cap in arb_cap(),
         extra in 1usize..64,
+        later in proptest::collection::vec(any::<u8>(), 0..32),
         obf in any::<bool>(),
     ) {
-        let mut fb = FrameBuf::new();
-        fb.push(&vec![0u8; MAX_BUFFER + extra]);
-        prop_assert!(matches!(fb.next_message(), Some(Err(WireError::Oversize(_)))));
+        let mut fb = FrameBuf::with_cap(cap);
+        fb.push(&vec![0u8; cap + extra]);
+        prop_assert_eq!(fb.next_message(), Some(Err(WireError::Oversize(cap))));
+        fb.push(&later);
         fb.push(&encode_frame(&Message::Ping, obf));
-        prop_assert!(matches!(fb.next_message(), Some(Err(WireError::Oversize(_)))));
+        prop_assert_eq!(fb.next_frame(), Some(Err(WireError::Oversize(cap))));
     }
 
     #[test]

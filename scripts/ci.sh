@@ -88,4 +88,7 @@ lint --emit-registries "$tmp/pins" > /dev/null
 cp results/BENCH_million.json results/BENCH_fleet.json "$tmp/pins/"
 diff -r "$tmp/pins" results
 
+echo "== benchmark/ still builds and its replicas still match =="
+bash benchmark/smoke.sh
+
 echo "OK"
