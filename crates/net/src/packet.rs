@@ -8,6 +8,12 @@
 //! "payload mangling" NAT misbehaviour scans the byte stream for values
 //! that look like IP addresses, so payloads must be opaque bytes rather
 //! than structured Rust values.
+//!
+//! Every packet carries an RFC 1071 checksum of its transport body,
+//! filled in at construction and verified by host stacks before demux.
+//! It is computed word-wide — header fields as integers, the payload
+//! four bytes per step — and never covers the endpoints NATs rewrite;
+//! see [`Packet::compute_checksum`].
 
 use crate::addr::Endpoint;
 use bytes::Bytes;
@@ -231,50 +237,32 @@ pub struct Packet {
 /// Default initial TTL for packets originated by hosts.
 pub const DEFAULT_TTL: u8 = 64;
 
-/// RFC 1071 one's-complement accumulator: bytes are summed as big-endian
-/// 16-bit words (odd trailing byte padded with zero), carries folded back
-/// in, and the final sum complemented.
-#[derive(Default)]
-struct InetSum {
-    sum: u32,
-    /// Pending high byte when fed an odd number of bytes so far.
-    pending: Option<u8>,
+/// One's-complement sum of `bytes` read as big-endian 16-bit words (odd
+/// trailing byte padded with zero), not yet folded to 16 bits.
+///
+/// The slice is walked four bytes at a time: 2^16 ≡ 1 (mod 0xFFFF), so a
+/// big-endian `u32` is congruent to the sum of its two 16-bit halves and
+/// [`fold`] lands on the same `u16` as a pair-by-pair walk would. The
+/// `u64` accumulator has room for 2^32 such words — 16 GiB of payload.
+fn sum_words(bytes: &[u8]) -> u64 {
+    let mut words = bytes.chunks_exact(4);
+    let sum: u64 = words
+        .by_ref()
+        .map(|w| u64::from(u32::from_be_bytes([w[0], w[1], w[2], w[3]])))
+        .sum();
+    let rest = words.remainder();
+    let mut tail = [0u8; 4];
+    tail[..rest.len()].copy_from_slice(rest);
+    sum + u64::from(u32::from_be_bytes(tail))
 }
 
-impl InetSum {
-    fn push(&mut self, bytes: &[u8]) {
-        let mut iter = bytes.iter().copied();
-        if let Some(hi) = self.pending.take() {
-            match iter.next() {
-                Some(lo) => self.sum += u32::from(u16::from_be_bytes([hi, lo])),
-                None => {
-                    self.pending = Some(hi);
-                    return;
-                }
-            }
-        }
-        loop {
-            match (iter.next(), iter.next()) {
-                (Some(hi), Some(lo)) => self.sum += u32::from(u16::from_be_bytes([hi, lo])),
-                (Some(hi), None) => {
-                    self.pending = Some(hi);
-                    break;
-                }
-                _ => break,
-            }
-        }
+/// Folds the carries of a one's-complement sum back in and complements it.
+fn fold(mut sum: u64) -> u16 {
+    while sum > 0xFFFF {
+        sum = (sum & 0xFFFF) + (sum >> 16);
     }
-
-    fn finish(mut self) -> u16 {
-        if let Some(hi) = self.pending.take() {
-            self.sum += u32::from(u16::from_be_bytes([hi, 0]));
-        }
-        while self.sum > 0xFFFF {
-            self.sum = (self.sum & 0xFFFF) + (self.sum >> 16);
-        }
-        // punch-lint: allow(W001) the fold loop above leaves sum <= 0xFFFF, so the cast is lossless
-        !(self.sum as u16)
-    }
+    // punch-lint: allow(W001) the fold loop above leaves sum <= 0xFFFF, so the cast is lossless
+    !(sum as u16)
 }
 
 /// Size in bytes of the modelled IPv4 header.
@@ -330,6 +318,9 @@ impl Packet {
     /// the one's-complement of the one's-complement sum of 16-bit words
     /// over a protocol tag, the payload length, the TCP header fields
     /// (seq/ack/flags/window) where present, and the payload bytes.
+    /// Header fields are added as integers (each is a whole number of
+    /// 16-bit words) and the payload goes through `sum_words`, so the
+    /// result is bit-identical to a byte-pair walk over the same layout.
     ///
     /// The source and destination endpoints are deliberately *not*
     /// covered — address-translating middleboxes rewrite them in flight,
@@ -338,39 +329,32 @@ impl Packet {
     /// that rewrites *payload* bytes (§5.3 mangling) must call
     /// [`Packet::refresh_checksum`] like a real ALG does.
     pub fn compute_checksum(&self) -> u16 {
-        let mut sum = InetSum::default();
-        match &self.body {
-            Body::Udp(p) => {
-                sum.push(&[0x11, 0x00]); // protocol tag: UDP
-                // punch-lint: allow(W001) checksum covers length mod 2^16, mirroring the real 16-bit header field
-                sum.push(&(p.len() as u16).to_be_bytes());
-                sum.push(p);
-            }
-            Body::Tcp(seg) => {
-                sum.push(&[0x06, 0x00]); // protocol tag: TCP
-                // punch-lint: allow(W001) checksum covers length mod 2^16, mirroring the real 16-bit header field
-                sum.push(&(seg.payload.len() as u16).to_be_bytes());
-                sum.push(&seg.seq.to_be_bytes());
-                sum.push(&seg.ack.to_be_bytes());
-                sum.push(&[seg.flags.0, 0x00]);
-                sum.push(&seg.window.to_be_bytes());
-                sum.push(&seg.payload);
-            }
+        let (header, payload): (u64, &[u8]) = match &self.body {
+            Body::Udp(p) => (0x1100, p), // protocol tag: UDP
+            Body::Tcp(seg) => (
+                0x0600 // protocol tag: TCP
+                    + u64::from(seg.seq)
+                    + u64::from(seg.ack)
+                    + (u64::from(seg.flags.0) << 8)
+                    + u64::from(seg.window),
+                &seg.payload,
+            ),
             Body::Icmp(msg) => {
-                sum.push(&[0x01, 0x00]); // protocol tag: ICMP
-                let kind = match msg.kind {
-                    IcmpKind::DestinationUnreachable => 3u8,
-                    IcmpKind::TtlExceeded => 11u8,
+                let kind: u64 = match msg.kind {
+                    IcmpKind::DestinationUnreachable => 3,
+                    IcmpKind::TtlExceeded => 11,
                 };
-                let proto = match msg.original_proto {
-                    Proto::Udp => 0x11u8,
-                    Proto::Tcp => 0x06u8,
-                    Proto::Icmp => 0x01u8,
+                let proto: u64 = match msg.original_proto {
+                    Proto::Udp => 0x11,
+                    Proto::Tcp => 0x06,
+                    Proto::Icmp => 0x01,
                 };
-                sum.push(&[kind, proto]);
+                (0x0100 + (kind << 8) + proto, &[]) // protocol tag: ICMP
             }
-        }
-        sum.finish()
+        };
+        // The length is covered mod 2^16, mirroring the real 16-bit header field.
+        let len = payload.len() as u64 & 0xFFFF;
+        fold(header + len + sum_words(payload))
     }
 
     /// Recomputes and stores the body checksum. Anything that rewrites
@@ -496,6 +480,7 @@ impl Packet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn ep(s: &str) -> Endpoint {
         s.parse().unwrap()
@@ -668,6 +653,120 @@ mod tests {
             _ => unreachable!(),
         }
         assert!(!flags.checksum_ok());
+    }
+
+    /// RFC 1071 read literally, for the tests to compare against: the
+    /// covered bytes laid out in order, summed as big-endian byte pairs
+    /// (odd tail zero-padded), carries folded back in, complemented.
+    fn reference_checksum(header: &[u8], payload: &[u8]) -> u16 {
+        let bytes = [header, payload].concat();
+        let mut sum: u64 = 0;
+        for pair in bytes.chunks(2) {
+            sum += u64::from(pair[0]) << 8 | u64::from(*pair.get(1).unwrap_or(&0));
+        }
+        while sum > 0xFFFF {
+            sum = (sum & 0xFFFF) + (sum >> 16);
+        }
+        !(sum as u16)
+    }
+
+    fn udp_reference(payload: &[u8]) -> u16 {
+        let len = (payload.len() as u16).to_be_bytes();
+        reference_checksum(&[0x11, 0x00, len[0], len[1]], payload)
+    }
+
+    fn tcp_reference(seg: &TcpSegment) -> u16 {
+        let mut header = vec![0x06, 0x00];
+        header.extend_from_slice(&(seg.payload.len() as u16).to_be_bytes());
+        header.extend_from_slice(&seg.seq.to_be_bytes());
+        header.extend_from_slice(&seg.ack.to_be_bytes());
+        header.extend_from_slice(&[seg.flags.0, 0x00]);
+        header.extend_from_slice(&seg.window.to_be_bytes());
+        reference_checksum(&header, &seg.payload)
+    }
+
+    #[test]
+    fn icmp_checksum_matches_the_reference() {
+        for (kind, k) in [
+            (IcmpKind::DestinationUnreachable, 3u8),
+            (IcmpKind::TtlExceeded, 11u8),
+        ] {
+            for (original_proto, p) in [
+                (Proto::Udp, 0x11u8),
+                (Proto::Tcp, 0x06u8),
+                (Proto::Icmp, 0x01u8),
+            ] {
+                let msg = IcmpMessage {
+                    kind,
+                    original_proto,
+                    original_src: ep("2.2.2.2:2"),
+                    original_dst: ep("1.1.1.1:1"),
+                };
+                let i = Packet::icmp(ep("1.1.1.1:1"), ep("2.2.2.2:2"), msg);
+                assert_eq!(i.checksum, reference_checksum(&[0x01, 0x00, k, p], &[]));
+            }
+        }
+    }
+
+    #[test]
+    fn megabyte_of_ones_does_not_overflow_the_sum() {
+        // 2^19 words of 0xffff exceed a 32-bit accumulator.
+        let payload = vec![0xffu8; 1 << 20];
+        let p = Packet::udp(ep("1.1.1.1:1"), ep("2.2.2.2:2"), payload.clone());
+        assert!(p.checksum_ok());
+        assert_eq!(p.checksum, udp_reference(&payload));
+    }
+
+    /// Payloads of every length 0..=4096 (odd ones included), random or
+    /// a constant fill, all-ones and all-zero among them.
+    fn payloads() -> impl Strategy<Value = Vec<u8>> {
+        prop_oneof![
+            proptest::collection::vec(any::<u8>(), 0..4097),
+            (
+                0usize..4097,
+                prop_oneof![Just(0xffu8), Just(0u8), any::<u8>()]
+            )
+                .prop_map(|(n, fill)| vec![fill; n]),
+        ]
+    }
+
+    /// Link damage must still fail verification: any one-bit flip, and
+    /// any strictly shorter payload.
+    fn assert_damage_is_detected(p: &Packet, bit: u64) {
+        let mut flipped = p.clone();
+        flipped.corrupt_bit(bit);
+        assert!(!flipped.checksum_ok(), "bit {bit} flip went undetected");
+        if p.payload_len() > 0 {
+            let mut cut = p.clone();
+            cut.truncate_payload(bit as usize % p.payload_len());
+            assert!(!cut.checksum_ok(), "truncation went undetected");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn udp_checksum_matches_the_reference(payload in payloads(), bit in any::<u64>()) {
+            let p = Packet::udp(ep("1.1.1.1:1"), ep("2.2.2.2:2"), payload.clone());
+            prop_assert_eq!(p.checksum, udp_reference(&payload));
+            prop_assert!(p.checksum_ok());
+            assert_damage_is_detected(&p, bit);
+        }
+
+        #[test]
+        fn tcp_checksum_matches_the_reference(
+            payload in payloads(),
+            fields in (any::<u8>(), any::<u32>(), any::<u32>(), any::<u16>()),
+            bit in any::<u64>(),
+        ) {
+            let (flags, seq, ack, window) = fields;
+            let seg = TcpSegment { flags: TcpFlags(flags), seq, ack, window, payload: payload.clone().into() };
+            let p = Packet::tcp(ep("1.1.1.1:1"), ep("2.2.2.2:2"), seg.clone());
+            prop_assert_eq!(p.checksum, tcp_reference(&seg));
+            prop_assert!(p.checksum_ok());
+            assert_damage_is_detected(&p, bit);
+        }
     }
 
     #[test]

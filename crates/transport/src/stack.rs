@@ -186,22 +186,6 @@ impl HostStack {
         id
     }
 
-    fn io<'a>(
-        cfg: &'a StackConfig,
-        out: &'a mut Vec<Packet>,
-        events: &'a mut Vec<SockEvent>,
-        timers: &'a mut Vec<(Duration, u64)>,
-        stats: &'a mut StackStats,
-    ) -> TcpIo<'a> {
-        TcpIo {
-            cfg,
-            out,
-            events,
-            timers,
-            stats,
-        }
-    }
-
     // ------------------------------------------------------------------
     // Port allocation and binding rules
     // ------------------------------------------------------------------
@@ -346,13 +330,13 @@ impl HostStack {
         let iss = self.iss_for(local, remote);
         let mut tcb = Tcb::open_active(id, local, remote, iss, opts.reuse, &self.cfg);
         {
-            let mut io = Self::io(
-                &self.cfg,
-                &mut self.out,
-                &mut self.events,
-                &mut self.timers,
-                &mut self.stats,
-            );
+            let mut io = TcpIo {
+                cfg: &self.cfg,
+                out: &mut self.out,
+                events: &mut self.events,
+                timers: &mut self.timers,
+                stats: &mut self.stats,
+            };
             tcb.send_syn(&mut io);
         }
         self.conn_index.insert((local, remote), id);
@@ -578,23 +562,20 @@ impl HostStack {
             self.stats.checksum_drops += 1;
             return;
         }
-        match &pkt.body {
-            Body::Udp(payload) => {
+        match pkt.body {
+            Body::Udp(data) => {
                 if let Some(&sock) = self.udp_index.get(&pkt.dst.port) {
                     self.events.push(SockEvent::UdpReceived {
                         sock,
                         from: pkt.src,
-                        data: payload.clone(),
+                        data,
                     });
                 }
                 // No ICMP port-unreachable for UDP: hole-punching probes to
                 // stale endpoints should die silently, as on most consumer
                 // OS + firewall combinations.
             }
-            Body::Tcp(seg) => {
-                let seg = seg.clone();
-                self.handle_tcp(pkt.src, pkt.dst, seg);
-            }
+            Body::Tcp(seg) => self.handle_tcp(pkt.src, pkt.dst, seg),
             Body::Icmp(msg) => {
                 if msg.kind == IcmpKind::DestinationUnreachable && msg.original_proto == Proto::Tcp
                 {

@@ -89,6 +89,14 @@ cp results/BENCH_million.json results/BENCH_fleet.json "$tmp/pins/"
 diff -r "$tmp/pins" results
 
 echo "== benchmark/ still builds and its replicas still match =="
-bash benchmark/smoke.sh
+# smoke.sh reports a replica whose digest differs from the untraced run
+# (`trace.replica_matches` below 1) without failing on it; here it is fatal.
+bash benchmark/smoke.sh > "$tmp/smoke.txt" || { cat "$tmp/smoke.txt"; exit 1; }
+cat "$tmp/smoke.txt"
+grep -q '^ *trace\.replica_matches' "$tmp/smoke.txt"
+if grep '^ *trace\.replica_matches' "$tmp/smoke.txt" | grep -v ' 1\.000000 count '; then
+    echo "FAIL: a benchmark replica no longer matches the program it mirrors" >&2
+    exit 1
+fi
 
 echo "OK"
