@@ -478,11 +478,7 @@ pub enum FaultClass {
 /// jittered exponential backoff, 2 s server keepalives, and periodic
 /// relay-to-direct probing.
 fn chaos_peer(id: PeerId, fault: FaultClass) -> PeerSetup {
-    let mut c = UdpPeerConfig::new(id, Scenario::server_endpoint());
-    c.server_keepalive = Duration::from_secs(2);
-    c.register_retry = Duration::from_secs(1);
-    c.punch = holepunch::PunchConfig::resilient();
-    c.punch.keepalive_interval = Duration::from_secs(1);
+    let mut c = UdpPeerConfig::resilient(id, Scenario::server_endpoint());
     if matches!(fault, FaultClass::RelayRecovery) {
         // Reach the relay quickly: constant cadence, small volley budget.
         c.punch.backoff = 1.0;

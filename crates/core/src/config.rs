@@ -8,7 +8,7 @@ use std::time::Duration;
 /// Tunables for UDP hole punching (§3).
 ///
 /// Construct via [`PunchConfig::default`] or [`PunchConfig::resilient`]
-/// and customise with the chainable `with_*` builders.
+/// and set fields by assignment.
 #[derive(Clone, Debug)]
 #[non_exhaustive]
 pub struct PunchConfig {
@@ -88,27 +88,9 @@ impl PunchConfig {
         }
     }
 
-    /// Same configuration with a different volley interval.
-    pub fn with_spray_interval(mut self, interval: Duration) -> Self {
-        self.spray_interval = interval;
-        self
-    }
-
     /// Same configuration with a different volley budget.
     pub fn with_max_attempts(mut self, attempts: u32) -> Self {
         self.max_attempts = attempts;
-        self
-    }
-
-    /// Same configuration with a different keepalive interval.
-    pub fn with_keepalive_interval(mut self, interval: Duration) -> Self {
-        self.keepalive_interval = interval;
-        self
-    }
-
-    /// Same configuration with a different session timeout.
-    pub fn with_session_timeout(mut self, timeout: Duration) -> Self {
-        self.session_timeout = timeout;
         self
     }
 
@@ -123,49 +105,12 @@ impl PunchConfig {
         self.plan = plan;
         self
     }
-
-    /// Same configuration with a different keepalive miss limit.
-    pub fn with_keepalive_miss_limit(mut self, limit: u32) -> Self {
-        self.keepalive_miss_limit = limit;
-        self
-    }
-
-    /// Same configuration with automatic re-punching on or off.
-    pub fn with_auto_repunch(mut self, enabled: bool) -> Self {
-        self.auto_repunch = enabled;
-        self
-    }
-
-    /// Same configuration with a different backoff multiplier.
-    pub fn with_backoff(mut self, backoff: f64) -> Self {
-        self.backoff = backoff;
-        self
-    }
-
-    /// Same configuration with a different backoff ceiling.
-    pub fn with_backoff_max(mut self, max: Duration) -> Self {
-        self.backoff_max = max;
-        self
-    }
-
-    /// Same configuration with a different backoff jitter fraction.
-    pub fn with_backoff_jitter(mut self, jitter: f64) -> Self {
-        self.backoff_jitter = jitter;
-        self
-    }
-
-    /// Same configuration with a different relay-to-direct probe
-    /// interval (`None` never probes).
-    pub fn with_relay_probe_interval(mut self, interval: Option<Duration>) -> Self {
-        self.relay_probe_interval = interval;
-        self
-    }
 }
 
 /// Configuration for a UDP hole-punching client.
 ///
-/// Construct via [`UdpPeerConfig::new`] and customise with the
-/// chainable `with_*` builders.
+/// Construct via [`UdpPeerConfig::new`] or [`UdpPeerConfig::resilient`]
+/// and set fields by assignment.
 #[derive(Clone, Debug)]
 #[non_exhaustive]
 pub struct UdpPeerConfig {
@@ -212,6 +157,21 @@ impl UdpPeerConfig {
         }
     }
 
+    /// The chaos-hardened client the fault-injection tests and the chaos,
+    /// attack and fleet experiments run: [`PunchConfig::resilient`] with
+    /// 1 s peer keepalives, and a 2 s server keepalive with 1 s
+    /// registration retries so a lost registration is noticed quickly.
+    pub fn resilient(id: PeerId, server: Endpoint) -> Self {
+        let mut punch = PunchConfig::resilient();
+        punch.keepalive_interval = Duration::from_secs(1);
+        UdpPeerConfig {
+            register_retry: Duration::from_secs(1),
+            server_keepalive: Duration::from_secs(2),
+            punch,
+            ..UdpPeerConfig::new(id, server)
+        }
+    }
+
     /// Same configuration registering with `replication` ring owners
     /// of a server fleet instead of the single `server`.
     ///
@@ -228,24 +188,6 @@ impl UdpPeerConfig {
     /// Same configuration with a fixed local port (0 = ephemeral).
     pub fn with_local_port(mut self, port: u16) -> Self {
         self.local_port = port;
-        self
-    }
-
-    /// Same configuration with address obfuscation on or off (§3.1).
-    pub fn with_obfuscate(mut self, enabled: bool) -> Self {
-        self.obfuscate = enabled;
-        self
-    }
-
-    /// Same configuration with a different registration retry interval.
-    pub fn with_register_retry(mut self, interval: Duration) -> Self {
-        self.register_retry = interval;
-        self
-    }
-
-    /// Same configuration with a different server keepalive interval.
-    pub fn with_server_keepalive(mut self, interval: Duration) -> Self {
-        self.server_keepalive = interval;
         self
     }
 
@@ -277,8 +219,7 @@ pub enum TcpPunchMode {
 
 /// Configuration for a TCP hole-punching client.
 ///
-/// Construct via [`TcpPeerConfig::new`] and customise with the
-/// chainable `with_*` builders.
+/// Construct via [`TcpPeerConfig::new`] and set fields by assignment.
 #[derive(Clone, Debug)]
 #[non_exhaustive]
 pub struct TcpPeerConfig {
@@ -293,7 +234,8 @@ pub struct TcpPeerConfig {
     /// Obfuscate endpoint addresses in message bodies.
     pub obfuscate: bool,
     /// §4.2 step 4: delay before re-trying a connection attempt that
-    /// failed with a network error ("e.g., one second").
+    /// failed with a network error ("e.g., one second"); also the delay
+    /// before reconnecting a lost control connection to S.
     pub retry_delay: Duration,
     /// Maximum re-tries per candidate endpoint.
     pub max_retries: u32,
@@ -311,12 +253,6 @@ pub struct TcpPeerConfig {
     /// (§2.2: "a useful fall-back strategy if maximum robustness is
     /// desired").
     pub relay_fallback: bool,
-    /// Multiplier applied to `retry_delay` per consecutive failed
-    /// reconnection to S (exponential backoff). `1.0` keeps the fixed
-    /// cadence; the first retry is always after `retry_delay`.
-    pub reconnect_backoff: f64,
-    /// Upper bound for the backoff-inflated reconnect delay.
-    pub reconnect_max_delay: Duration,
     /// The rendezvous fleet (see [`UdpPeerConfig::fleet`]). A TCP
     /// client holds one control connection at a time and reconnects to
     /// the next ring owner when it fails.
@@ -339,84 +275,9 @@ impl TcpPeerConfig {
             plan: CandidatePlan::basic_tcp(),
             mode: TcpPunchMode::Parallel,
             relay_fallback: true,
-            reconnect_backoff: 1.0,
-            reconnect_max_delay: Duration::from_secs(30),
             fleet: Vec::new(),
             replication: 2,
         }
-    }
-
-    /// Same configuration reconnecting across `replication` ring
-    /// owners of a server fleet instead of the single `server`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `replication` is zero.
-    pub fn with_fleet(mut self, fleet: Vec<Endpoint>, replication: usize) -> Self {
-        assert!(replication > 0, "replication must be positive");
-        self.fleet = fleet;
-        self.replication = replication;
-        self
-    }
-
-    /// Same configuration with a fixed local port (0 = ephemeral).
-    pub fn with_local_port(mut self, port: u16) -> Self {
-        self.local_port = port;
-        self
-    }
-
-    /// Same configuration with address obfuscation on or off.
-    pub fn with_obfuscate(mut self, enabled: bool) -> Self {
-        self.obfuscate = enabled;
-        self
-    }
-
-    /// Same configuration with a different §4.2 step-4 retry delay.
-    pub fn with_retry_delay(mut self, delay: Duration) -> Self {
-        self.retry_delay = delay;
-        self
-    }
-
-    /// Same configuration with a different per-candidate retry budget.
-    pub fn with_max_retries(mut self, retries: u32) -> Self {
-        self.max_retries = retries;
-        self
-    }
-
-    /// Same configuration with a different punch deadline.
-    pub fn with_punch_deadline(mut self, deadline: Duration) -> Self {
-        self.punch_deadline = deadline;
-        self
-    }
-
-    /// Same configuration with a different candidate plan.
-    pub fn with_plan(mut self, plan: CandidatePlan) -> Self {
-        self.plan = plan;
-        self
-    }
-
-    /// Same configuration with a different punching mode (§4.2 / §4.5).
-    pub fn with_mode(mut self, mode: TcpPunchMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
-    /// Same configuration with relay fallback enabled or disabled.
-    pub fn with_relay_fallback(mut self, enabled: bool) -> Self {
-        self.relay_fallback = enabled;
-        self
-    }
-
-    /// Same configuration with a different reconnect backoff multiplier.
-    pub fn with_reconnect_backoff(mut self, backoff: f64) -> Self {
-        self.reconnect_backoff = backoff;
-        self
-    }
-
-    /// Same configuration with a different reconnect delay ceiling.
-    pub fn with_reconnect_max_delay(mut self, delay: Duration) -> Self {
-        self.reconnect_max_delay = delay;
-        self
     }
 }
 
@@ -465,23 +326,14 @@ mod tests {
     fn builders_chain_and_override() {
         let u = UdpPeerConfig::new(PeerId(1), "18.181.0.31:1234".parse().unwrap())
             .with_local_port(4000)
-            .with_obfuscate(false)
             .with_punch(
                 PunchConfig::default()
                     .with_max_attempts(3)
                     .with_relay_fallback(false),
             );
         assert_eq!(u.local_port, 4000);
-        assert!(!u.obfuscate);
         assert_eq!(u.punch.max_attempts, 3);
         assert!(!u.punch.relay_fallback);
-        let t = TcpPeerConfig::new(PeerId(2), "18.181.0.31:1234".parse().unwrap())
-            .with_retry_delay(Duration::from_millis(250))
-            .with_mode(TcpPunchMode::Sequential {
-                doomed_wait: Duration::from_millis(100),
-            });
-        assert_eq!(t.retry_delay, Duration::from_millis(250));
-        assert!(matches!(t.mode, TcpPunchMode::Sequential { .. }));
     }
 
     #[test]
@@ -510,5 +362,9 @@ mod tests {
         assert!(p.keepalive_miss_limit > 0);
         assert!(p.backoff > 1.0);
         assert!(p.relay_probe_interval.is_some());
+        let u = UdpPeerConfig::resilient(PeerId(1), "18.181.0.31:1234".parse().unwrap());
+        let d = UdpPeerConfig::new(u.id, u.server);
+        assert!(u.punch.auto_repunch && u.punch.keepalive_interval < d.punch.keepalive_interval);
+        assert!(u.server_keepalive < d.server_keepalive && u.register_retry < d.register_retry);
     }
 }

@@ -31,6 +31,7 @@ pub mod classify;
 pub mod config;
 pub mod events;
 pub(crate) mod relay;
+pub(crate) mod session;
 pub mod tcp;
 pub mod timeline;
 pub mod udp;

@@ -9,18 +9,26 @@
 //! (§5.2); the first *authenticated* stream wins (step 5), whether it
 //! surfaced via `connect()` or `accept()` (§4.3). Connection reversal
 //! (§2.3) rides the same machinery.
+//!
+//! The decisions this endpoint shares with [`crate::UdpPeer`] live in
+//! `session.rs` and `relay.rs`. What this file owns is the
+//! carrier — the sockets on the one shared port, the control connection
+//! to S and its reconnection across the fleet — and what only streams
+//! need: connect retry, the punch deadline, the §4.5 sequential mode,
+//! §2.3 reversal, fallback streams; plus its own metric names, events
+//! and RNG draws.
 
 use crate::candidates::{CandidateKind, CandidateSet};
 use crate::config::{TcpPeerConfig, TcpPunchMode};
 use crate::events::{TcpPath, TcpPeerEvent, Via};
-use crate::relay::{RELAY_KIND_APP, RELAY_KIND_CONTROL};
+use crate::relay::{self, RelayKind};
+use crate::session::{self, Asked, Backlog, Phase, Race, Timers};
 use bytes::Bytes;
-use bytes::{BufMut, BytesMut};
 use punch_net::{Endpoint, SimTime};
 use punch_rendezvous::{encode_frame, FrameBuf, Message, PeerId};
 use punch_transport::{App, ConnectOpts, Os, SockEvent, SocketError, SocketId};
 use rand::Rng;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 /// Counters exposed for experiments.
 #[derive(Clone, Copy, Debug, Default)]
@@ -37,37 +45,36 @@ pub struct TcpPeerStats {
 
 #[derive(Debug)]
 struct TcpSession {
-    nonce: u64,
-    /// The materialized candidate race for this punch (same engine as
-    /// the UDP path).
-    candidates: CandidateSet,
-    winner: Option<SocketId>,
+    /// Locked in on the winning stream's socket once established.
+    race: Race<SocketId>,
     retries: BTreeMap<Endpoint, u32>,
     started_at: SimTime,
-    pending: VecDeque<Bytes>,
-    failed: bool,
     deadline_armed: bool,
     /// §4.5: after the doomed connect, the responder only listens.
     passive: bool,
-    /// §2.2: punch failed, data flows through S.
-    relaying: bool,
 }
 
 impl TcpSession {
     fn new(nonce: u64, now: SimTime) -> Self {
         TcpSession {
-            nonce,
-            candidates: CandidateSet::default(),
-            winner: None,
+            race: Race::new(nonce),
             retries: BTreeMap::new(),
             started_at: now,
-            pending: VecDeque::new(),
-            failed: false,
             deadline_armed: false,
             passive: false,
-            relaying: false,
         }
     }
+}
+
+/// One TCP connection to or from a peer, from SYN to close.
+struct Conn {
+    /// Stream reassembly.
+    frames: FrameBuf,
+    /// Our own `connect()`: the session it races for and the candidate
+    /// it targets. `None` for a stream that arrived via `accept()`.
+    attempt: Option<(PeerId, Endpoint)>,
+    /// The peer this stream authenticated as (§4.2 step 5).
+    stream: Option<PeerId>,
 }
 
 enum TimerPurpose {
@@ -97,38 +104,22 @@ pub struct TcpPeer {
     registered: bool,
     public: Option<Endpoint>,
     sessions: BTreeMap<PeerId, TcpSession>,
-    /// Outstanding connect attempts: socket → (peer, candidate).
-    attempts: BTreeMap<SocketId, (PeerId, Endpoint)>,
-    /// Sockets that arrived via `accept()`.
-    accepted: BTreeSet<SocketId>,
-    /// Per-socket stream reassembly for peer connections.
-    conn_frames: BTreeMap<SocketId, FrameBuf>,
-    /// Authenticated streams: socket → peer.
-    streams: BTreeMap<SocketId, PeerId>,
-    /// `connect`s (`None`) and `send`s (`Some(payload)`) made before
-    /// registration, replayed in call order on the first `RegisterAck`.
-    pending_connects: Vec<(PeerId, Option<Bytes>)>,
+    /// Every peer connection: attempts in flight, accepted streams,
+    /// authenticated streams.
+    conns: BTreeMap<SocketId, Conn>,
+    backlog: Backlog,
     events: VecDeque<TcpPeerEvent>,
-    next_token: u64,
-    timers: BTreeMap<u64, TimerPurpose>,
+    timers: Timers<TimerPurpose>,
     stats: TcpPeerStats,
-    /// Consecutive failed reconnections to S; drives the reconnect
-    /// backoff and resets once S acknowledges a registration.
-    reconnect_fails: u32,
 }
 
 impl TcpPeer {
     /// Creates the endpoint; it connects and registers when the host
     /// starts.
     pub fn new(cfg: TcpPeerConfig) -> Self {
-        let homes = if cfg.fleet.is_empty() {
-            vec![cfg.server]
-        } else {
-            punch_rendezvous::ring::owners(&cfg.fleet, cfg.id, cfg.replication.max(1))
-        };
         TcpPeer {
+            homes: session::homes(cfg.server, &cfg.fleet, cfg.id, cfg.replication),
             cfg,
-            homes,
             server_cursor: 0,
             local_port: 0,
             listener: None,
@@ -137,16 +128,11 @@ impl TcpPeer {
             registered: false,
             public: None,
             sessions: BTreeMap::new(),
-            attempts: BTreeMap::new(),
-            accepted: BTreeSet::new(),
-            conn_frames: BTreeMap::new(),
-            streams: BTreeMap::new(),
-            pending_connects: Vec::new(),
+            conns: BTreeMap::new(),
+            backlog: Backlog::new(),
             events: VecDeque::new(),
-            next_token: 1,
-            timers: BTreeMap::new(),
+            timers: Timers::new(),
             stats: TcpPeerStats::default(),
-            reconnect_fails: 0,
         }
     }
 
@@ -167,33 +153,28 @@ impl TcpPeer {
 
     /// True once an authenticated stream to `peer` exists.
     pub fn is_established(&self, peer: PeerId) -> bool {
-        self.sessions
-            .get(&peer)
-            .map(|s| s.winner.is_some())
-            .unwrap_or(false)
+        self.winner(peer).is_some()
     }
 
     /// Whether the winning stream surfaced via `connect()` or `accept()`.
     pub fn established_path(&self, peer: PeerId) -> Option<TcpPath> {
-        let sock = self.sessions.get(&peer)?.winner?;
-        Some(if self.accepted.contains(&sock) {
-            TcpPath::Accept
-        } else {
-            TcpPath::Connect
-        })
+        Some(self.conns.get(&self.winner(peer)?)?.path())
     }
 
     /// True if traffic to `peer` flows through the relay.
     pub fn is_relaying(&self, peer: PeerId) -> bool {
         self.sessions
             .get(&peer)
-            .map(|s| s.relaying)
-            .unwrap_or(false)
+            .is_some_and(|s| matches!(s.race.phase, Phase::Relaying))
     }
 
     /// Counters.
     pub fn stats(&self) -> TcpPeerStats {
         self.stats
+    }
+
+    fn winner(&self, peer: PeerId) -> Option<SocketId> {
+        self.sessions.get(&peer)?.race.link().copied()
     }
 
     // ------------------------------------------------------------------
@@ -203,23 +184,16 @@ impl TcpPeer {
     /// Requests a hole-punched TCP stream to `peer` (§4.2 step 1).
     pub fn connect(&mut self, os: &mut Os<'_, '_>, peer: PeerId) {
         if !self.registered {
-            self.pending_connects.push((peer, None));
+            self.backlog.push((peer, Asked::Connect));
             return;
         }
         let nonce: u64 = os.rng().gen();
-        let now = os.now();
-        self.sessions
-            .entry(peer)
-            .or_insert_with(|| TcpSession::new(nonce, now));
-        self.send_server(
-            os,
-            &Message::ConnectRequest {
-                peer_id: self.cfg.id,
-                target: peer,
-                nonce,
-            },
-        );
-        self.arm_deadline(os, peer);
+        let request = Message::ConnectRequest {
+            peer_id: self.cfg.id,
+            target: peer,
+            nonce,
+        };
+        self.open_session(os, peer, nonce, &request);
     }
 
     /// Asks `peer` (via S) to open a connection back to us — §2.3
@@ -227,69 +201,77 @@ impl TcpPeer {
     /// but the peer is directly reachable... or vice versa.
     pub fn request_reversal(&mut self, os: &mut Os<'_, '_>, peer: PeerId) {
         if !self.registered {
-            self.pending_connects.push((peer, None));
+            self.backlog.push((peer, Asked::Reversal));
             return;
         }
         let nonce: u64 = os.rng().gen();
-        let now = os.now();
-        self.sessions
-            .entry(peer)
-            .or_insert_with(|| TcpSession::new(nonce, now));
-        self.send_server(
-            os,
-            &Message::ReversalRequest {
-                peer_id: self.cfg.id,
-                target: peer,
-                nonce,
-            },
-        );
-        self.arm_deadline(os, peer);
+        let request = self.reversal_request(peer, nonce);
+        self.open_session(os, peer, nonce, &request);
     }
 
-    /// Sends application data over the established stream (queued until
-    /// the punch completes).
+    /// Sends application data over the established stream, or through S
+    /// when relaying; queued until the punch settles. A payload for a
+    /// session whose punch failed with relaying off is dropped: nothing
+    /// will ever carry it, and the application was told `PunchFailed`.
     pub fn send(&mut self, os: &mut Os<'_, '_>, peer: PeerId, data: Bytes) {
-        let obf = self.cfg.obfuscate;
-        match self.sessions.get_mut(&peer) {
-            Some(session) => match session.winner {
-                Some(sock) => {
-                    let _ = os.tcp_send(sock, &encode_frame(&Message::PeerData { data }, obf));
-                }
-                None if session.relaying => self.relay_app_data(os, peer, data),
-                None => session.pending.push_back(data),
-            },
-            // Replayed through `send` once registered.
-            None if !self.registered => self.pending_connects.push((peer, Some(data))),
-            None => {
-                self.connect(os, peer);
-                if let Some(s) = self.sessions.get_mut(&peer) {
-                    s.pending.push_back(data);
-                }
+        let Some(session) = self.sessions.get_mut(&peer) else {
+            if !self.registered {
+                self.backlog.push((peer, Asked::Send(data)));
+                return;
             }
-        }
-    }
-
-    /// Forwards one application payload through S (§2.2).
-    fn relay_app_data(&mut self, os: &mut Os<'_, '_>, peer: PeerId, data: Bytes) {
-        let mut buf = BytesMut::with_capacity(data.len() + 1);
-        buf.put_u8(RELAY_KIND_APP);
-        buf.put_slice(&data);
-        let msg = Message::RelayData {
-            from: self.cfg.id,
-            target: peer,
-            data: buf.freeze(),
+            self.connect(os, peer);
+            if let Some(s) = self.sessions.get_mut(&peer) {
+                s.race.queue(data);
+            }
+            return;
         };
-        self.send_server(os, &msg);
+        match session.race.phase {
+            Phase::Established(sock) => self.send_data(os, sock, data),
+            Phase::Relaying => self.relay_app(os, peer, &data),
+            Phase::Punching => session.race.queue(data),
+            Phase::Failed => {}
+        }
     }
 
     // ------------------------------------------------------------------
     // Internals
     // ------------------------------------------------------------------
 
+    /// Sends `request` to S for a session with `peer` under `nonce`,
+    /// creating the session if this is its first punch cycle.
+    fn open_session(&mut self, os: &mut Os<'_, '_>, peer: PeerId, nonce: u64, request: &Message) {
+        let now = os.now();
+        self.sessions
+            .entry(peer)
+            .or_insert_with(|| TcpSession::new(nonce, now));
+        self.send_server(os, request);
+        self.arm_deadline(os, peer);
+    }
+
+    fn reversal_request(&self, peer: PeerId, nonce: u64) -> Message {
+        Message::ReversalRequest {
+            peer_id: self.cfg.id,
+            target: peer,
+            nonce,
+        }
+    }
+
+    fn send_frame(&self, os: &mut Os<'_, '_>, sock: SocketId, msg: &Message) {
+        let _ = os.tcp_send(sock, &encode_frame(msg, self.cfg.obfuscate));
+    }
+
+    fn send_data(&self, os: &mut Os<'_, '_>, sock: SocketId, data: Bytes) {
+        self.send_frame(os, sock, &Message::PeerData { data });
+    }
+
+    /// Forwards one application payload through S (§2.2).
+    fn relay_app(&mut self, os: &mut Os<'_, '_>, peer: PeerId, data: &[u8]) {
+        let msg = relay::wrap(RelayKind::App, self.cfg.id, peer, data);
+        self.send_server(os, &msg);
+    }
+
     fn arm(&mut self, os: &mut Os<'_, '_>, after: std::time::Duration, purpose: TimerPurpose) {
-        let token = self.next_token;
-        self.next_token += 1;
-        self.timers.insert(token, purpose);
+        let token = self.timers.arm(purpose);
         os.set_timer(after, token);
     }
 
@@ -305,50 +287,40 @@ impl TcpPeer {
 
     fn send_server(&mut self, os: &mut Os<'_, '_>, msg: &Message) {
         if let Some(sock) = self.server_sock {
-            let _ = os.tcp_send(sock, &encode_frame(msg, self.cfg.obfuscate));
+            self.send_frame(os, sock, msg);
         }
     }
 
-    /// The fleet member the control connection currently targets.
-    fn current_server(&self) -> Endpoint {
-        self.homes[self.server_cursor % self.homes.len()]
+    fn connect_opts(&self) -> ConnectOpts {
+        ConnectOpts {
+            local_port: Some(self.local_port),
+            reuse: true,
+        }
     }
 
-    /// Rotates the control connection to the next ring owner after a
-    /// server loss. A no-op with a single home, preserving the
-    /// single-server reconnect sequence byte for byte.
-    fn advance_server(&mut self, os: &mut Os<'_, '_>) {
+    /// (Re)connects the control connection to the fleet member the
+    /// cursor points at; retried after `retry_delay`, the paper's fixed
+    /// §4.2 cadence.
+    fn connect_server(&mut self, os: &mut Os<'_, '_>) {
+        let server = self.homes[self.server_cursor % self.homes.len()];
+        match os.tcp_connect(server, self.connect_opts()) {
+            Ok(sock) => self.server_sock = Some(sock),
+            Err(_) => self.arm(os, self.cfg.retry_delay, TimerPurpose::ServerReconnect),
+        }
+    }
+
+    /// The control connection failed or closed: forget the registration,
+    /// rotate to the next ring owner (a no-op with a single home,
+    /// preserving the single-server reconnect sequence byte for byte)
+    /// and reconnect after `retry_delay`.
+    fn server_lost(&mut self, os: &mut Os<'_, '_>) {
+        self.server_sock = None;
+        self.registered = false;
         if self.homes.len() > 1 {
             self.server_cursor = (self.server_cursor + 1) % self.homes.len();
             os.metric_inc("punch.server_failover");
         }
-    }
-
-    fn connect_server(&mut self, os: &mut Os<'_, '_>) {
-        let opts = ConnectOpts {
-            local_port: Some(self.local_port),
-            reuse: true,
-        };
-        match os.tcp_connect(self.current_server(), opts) {
-            Ok(sock) => self.server_sock = Some(sock),
-            Err(_) => self.arm_server_reconnect(os),
-        }
-    }
-
-    /// Arms the server-reconnect timer. Consecutive failures inflate the
-    /// delay by `reconnect_backoff` per failure (capped at
-    /// `reconnect_max_delay`); the default `1.0` multiplier keeps the
-    /// paper's fixed §4.2 cadence, and the first retry always waits
-    /// exactly `retry_delay`.
-    fn arm_server_reconnect(&mut self, os: &mut Os<'_, '_>) {
-        let mut delay = self.cfg.retry_delay;
-        if self.cfg.reconnect_backoff > 1.0 && self.reconnect_fails > 0 {
-            delay = delay
-                .mul_f64(self.cfg.reconnect_backoff.powi(self.reconnect_fails as i32))
-                .min(self.cfg.reconnect_max_delay);
-        }
-        self.reconnect_fails = self.reconnect_fails.saturating_add(1);
-        self.arm(os, delay, TimerPurpose::ServerReconnect);
+        self.arm(os, self.cfg.retry_delay, TimerPurpose::ServerReconnect);
     }
 
     /// Records the peer's candidates on the session without connecting:
@@ -369,8 +341,8 @@ impl TcpPeer {
             .sessions
             .entry(peer)
             .or_insert_with(|| TcpSession::new(nonce, now));
-        session.nonce = nonce;
-        session.candidates = candidates;
+        session.race.nonce = nonce;
+        session.race.candidates = candidates;
         self.arm_deadline(os, peer);
     }
 
@@ -390,7 +362,7 @@ impl TcpPeer {
         let due = self
             .sessions
             .get_mut(&peer)
-            .map(|s| s.candidates.next_volley(now))
+            .map(|s| s.race.candidates.next_volley(now))
             .unwrap_or_default();
         for cand in due {
             self.spawn_attempt(os, peer, cand);
@@ -398,29 +370,32 @@ impl TcpPeer {
     }
 
     fn spawn_attempt(&mut self, os: &mut Os<'_, '_>, peer: PeerId, remote: Endpoint) {
-        if self
-            .sessions
-            .get(&peer)
-            .map(|s| s.winner.is_some() || s.failed || s.passive)
-            .unwrap_or(true)
-        {
+        let racing = |s: &TcpSession| s.race.is_punching() && !s.passive;
+        if !self.sessions.get(&peer).is_some_and(racing) {
             return;
         }
-        let opts = ConnectOpts {
-            local_port: Some(self.local_port),
-            reuse: true,
-        };
-        match os.tcp_connect(remote, opts) {
-            Ok(sock) => {
-                self.stats.connects_started += 1;
-                self.attempts.insert(sock, (peer, remote));
-                self.conn_frames.insert(sock, FrameBuf::new());
-            }
-            // The 4-tuple is busy — either an attempt is already in
-            // flight or the listener owns an accepted stream to that
-            // endpoint; both mean we need not (and cannot) try again now.
-            Err(SocketError::AddrInUse) => {}
-            Err(_) => {}
+        // A refusal is final for now. The usual one is `AddrInUse`: the
+        // 4-tuple is busy — either an attempt is already in flight or
+        // the listener owns an accepted stream to that endpoint; both
+        // mean we need not (and cannot) try again now.
+        if let Ok(sock) = os.tcp_connect(remote, self.connect_opts()) {
+            self.stats.connects_started += 1;
+            self.conns.insert(sock, Conn::new(Some((peer, remote))));
+        }
+    }
+
+    /// Aborts `peer`'s connect attempts that have not authenticated;
+    /// they can no longer win.
+    fn abort_attempts(&mut self, os: &mut Os<'_, '_>, peer: PeerId) {
+        let doomed: Vec<SocketId> = self
+            .conns
+            .iter()
+            .filter(|(_, c)| c.stream.is_none() && c.attempt.is_some_and(|(p, _)| p == peer))
+            .map(|(s, _)| *s)
+            .collect();
+        for s in doomed {
+            self.conns.remove(&s);
+            let _ = os.tcp_abort(s);
         }
     }
 
@@ -430,9 +405,9 @@ impl TcpPeer {
         };
         let msg = Message::PeerHello {
             from: self.cfg.id,
-            nonce: session.nonce,
+            nonce: session.race.nonce,
         };
-        let _ = os.tcp_send(sock, &encode_frame(&msg, self.cfg.obfuscate));
+        self.send_frame(os, sock, &msg);
     }
 
     /// §4.2 step 5: the first authenticated stream becomes the session
@@ -441,27 +416,20 @@ impl TcpPeer {
     /// avoids the split-brain of both sides aborting each other's pick.
     fn authenticated(&mut self, os: &mut Os<'_, '_>, sock: SocketId, peer: PeerId) {
         self.stats.streams_authenticated += 1;
-        self.streams.insert(sock, peer);
-        let path = if self.accepted.contains(&sock) {
-            TcpPath::Accept
-        } else {
-            TcpPath::Connect
-        };
-        let remote = os.remote_endpoint(sock).unwrap_or(Endpoint::UNSPECIFIED);
-        let obf = self.cfg.obfuscate;
-        let now = os.now();
-        let Some(session) = self.sessions.get_mut(&peer) else {
+        let Some(conn) = self.conns.get_mut(&sock) else {
             return;
         };
-        session.candidates.mark_response(remote, now);
-        if session.winner.is_some() {
+        conn.stream = Some(peer);
+        let path = conn.path();
+        let remote = os.remote_endpoint(sock).unwrap_or(Endpoint::UNSPECIFIED);
+        let now = os.now();
+        let Some(won) = self
+            .sessions
+            .get_mut(&peer)
+            .and_then(|s| s.race.win(sock, remote, now))
+        else {
             return; // Keep as fallback stream.
-        }
-        session.winner = Some(sock);
-        // Settle the race: first authenticated stream wins (§4.2 step 5).
-        let winner_kind = session.candidates.mark_winner(remote);
-        let race = session.candidates.stamps();
-        let pending: Vec<Bytes> = session.pending.drain(..).collect();
+        };
         os.metric_inc_labeled(
             "punch.tcp.established",
             match path {
@@ -469,13 +437,12 @@ impl TcpPeer {
                 TcpPath::Accept => "accept",
             },
         );
-        os.metric_inc_by(
-            "punch.tcp.candidates_tried",
-            race.iter().filter(|s| s.first_probe.is_some()).count() as u64,
-        );
+        os.metric_inc_by("punch.tcp.candidates_tried", won.probed as u64);
         os.metric_inc_labeled(
             "punch.tcp.winner_kind",
-            winner_kind.map(CandidateKind::label).unwrap_or("observed"),
+            won.winner_kind
+                .map(CandidateKind::label)
+                .unwrap_or("observed"),
         );
         self.events.push_back(TcpPeerEvent::Established {
             peer,
@@ -486,86 +453,64 @@ impl TcpPeer {
         self.events.push_back(TcpPeerEvent::RaceSettled {
             peer,
             winner: Some(remote),
-            candidates: race,
+            candidates: won.stamps,
         });
-        for data in pending {
-            let _ = os.tcp_send(sock, &encode_frame(&Message::PeerData { data }, obf));
+        for data in won.queued {
+            self.send_data(os, sock, data);
         }
-        // Abort attempts that have not even connected yet; they can no
-        // longer win.
-        let losers: Vec<SocketId> = self
-            .attempts
-            .iter()
-            .filter(|(s, (p, _))| *p == peer && **s != sock && !self.streams.contains_key(s))
-            .map(|(s, _)| *s)
-            .collect();
-        for s in losers {
-            self.attempts.remove(&s);
-            self.conn_frames.remove(&s);
-            let _ = os.tcp_abort(s);
-        }
+        self.abort_attempts(os, peer);
     }
 
     fn handle_peer_frame(&mut self, os: &mut Os<'_, '_>, sock: SocketId, msg: Message) {
-        match msg {
-            Message::PeerHello { from, nonce } => {
-                let ok = self
-                    .sessions
-                    .get(&from)
-                    .map(|s| s.nonce == nonce)
-                    .unwrap_or(false);
-                if !ok {
-                    // Authentication failure: close and keep waiting
-                    // (§4.2 step 5).
-                    self.drop_sock(os, sock, true);
-                    return;
-                }
-                let reply = Message::PeerHelloAck {
-                    from: self.cfg.id,
-                    nonce,
-                };
-                let _ = os.tcp_send(sock, &encode_frame(&reply, self.cfg.obfuscate));
-                self.authenticated(os, sock, from);
-            }
-            Message::PeerHelloAck { from, nonce } => {
-                let ok = self
-                    .sessions
-                    .get(&from)
-                    .map(|s| s.nonce == nonce)
-                    .unwrap_or(false);
-                if !ok {
-                    self.drop_sock(os, sock, true);
-                    return;
-                }
-                self.authenticated(os, sock, from);
-            }
+        let (from, nonce, is_hello) = match msg {
+            Message::PeerHello { from, nonce } => (from, nonce, true),
+            Message::PeerHelloAck { from, nonce } => (from, nonce, false),
             Message::PeerData { data } => {
-                if let Some(&peer) = self.streams.get(&sock) {
+                if let Some(peer) = self.conns.get(&sock).and_then(|c| c.stream) {
                     self.events.push_back(TcpPeerEvent::Data {
                         peer,
                         data,
                         via: Via::Direct,
                     });
                 }
+                return;
             }
-            _ => {}
+            _ => return,
+        };
+        let authentic = |s: &TcpSession| s.race.authenticates(nonce);
+        if !self.sessions.get(&from).is_some_and(authentic) {
+            // Authentication failure: close and keep waiting (§4.2
+            // step 5).
+            self.drop_sock(os, sock, true);
+            return;
         }
+        if is_hello {
+            let reply = Message::PeerHelloAck {
+                from: self.cfg.id,
+                nonce,
+            };
+            self.send_frame(os, sock, &reply);
+        }
+        self.authenticated(os, sock, from);
     }
 
     fn drop_sock(&mut self, os: &mut Os<'_, '_>, sock: SocketId, abort: bool) {
-        self.attempts.remove(&sock);
-        self.accepted.remove(&sock);
-        self.conn_frames.remove(&sock);
-        if let Some(peer) = self.streams.remove(&sock) {
+        let conn = self.conns.remove(&sock);
+        if let Some(peer) = conn.and_then(|c| c.stream) {
             if let Some(session) = self.sessions.get_mut(&peer) {
-                if session.winner == Some(sock) {
-                    // Promote a fallback stream if one authenticated.
+                if session.race.link() == Some(&sock) {
+                    // Promote a fallback stream if one authenticated;
+                    // else the session waits for the application's next
+                    // `connect`.
                     let fallback = self
-                        .streams
+                        .conns
                         .iter()
-                        .find(|(_, p)| **p == peer)
+                        .find(|(_, c)| c.stream == Some(peer))
                         .map(|(s, _)| *s);
-                    session.winner = fallback;
+                    session.race.phase = match fallback {
+                        Some(s) => Phase::Established(s),
+                        None => Phase::Punching,
+                    };
                     if fallback.is_none() {
                         self.events.push_back(TcpPeerEvent::PeerClosed { peer });
                     }
@@ -578,10 +523,9 @@ impl TcpPeer {
     }
 
     fn handle_connect_failed(&mut self, os: &mut Os<'_, '_>, sock: SocketId, err: SocketError) {
-        let Some((peer, remote)) = self.attempts.remove(&sock) else {
+        let Some((peer, remote)) = self.conns.remove(&sock).and_then(|c| c.attempt) else {
             return;
         };
-        self.conn_frames.remove(&sock);
         let retry_delay = self.cfg.retry_delay;
         let max_retries = self.cfg.max_retries;
         let deadline = self.cfg.punch_deadline;
@@ -589,13 +533,10 @@ impl TcpPeer {
         let Some(session) = self.sessions.get_mut(&peer) else {
             return;
         };
-        if session.winner.is_some() || session.failed {
+        if !session.race.is_punching() {
             return;
         }
         match err {
-            // §4.3 second behaviour: the listener claimed our 4-tuple; a
-            // stream will surface via accept(). Nothing to do.
-            SocketError::AddrInUse => {}
             // §4.2 step 4: "connection reset" or "host unreachable" →
             // re-try after a short delay.
             SocketError::ConnectionRefused
@@ -608,9 +549,11 @@ impl TcpPeer {
                     self.arm(os, retry_delay, TimerPurpose::Retry { peer, remote });
                 }
             }
-            // The stack already spent its SYN retransmissions; the path
-            // is silently dropping us and only the peer's SYN can open it.
-            SocketError::TimedOut => {}
+            // `AddrInUse` is §4.3's second behaviour: the listener claimed
+            // our 4-tuple and a stream will surface via accept(). After
+            // `TimedOut` the stack already spent its SYN retransmissions;
+            // the path is silently dropping us and only the peer's SYN
+            // can open it. Nothing to do for either.
             _ => {}
         }
     }
@@ -620,14 +563,14 @@ impl TcpPeer {
             Message::RegisterAck { public } => {
                 let first = !self.registered;
                 self.registered = true;
-                self.reconnect_fails = 0;
                 self.public = Some(public);
                 if first {
                     self.events.push_back(TcpPeerEvent::Registered { public });
-                    for (peer, data) in std::mem::take(&mut self.pending_connects) {
-                        match data {
-                            Some(data) => self.send(os, peer, data),
-                            None => self.connect(os, peer),
+                    for (peer, asked) in std::mem::take(&mut self.backlog) {
+                        match asked {
+                            Asked::Connect => self.connect(os, peer),
+                            Asked::Reversal => self.request_reversal(os, peer),
+                            Asked::Send(data) => self.send(os, peer, data),
                         }
                     }
                 }
@@ -670,21 +613,22 @@ impl TcpPeer {
                 // the candidates unchanged.
                 self.start_punch(os, from, public, private, nonce);
             }
+            // TCP has no control payloads yet: anything but application
+            // data is ignored.
             Message::RelayedData { from, data } => {
-                if data.first() == Some(&RELAY_KIND_APP) {
+                if let Some((RelayKind::App, data)) = relay::unwrap(&data) {
                     self.events.push_back(TcpPeerEvent::Data {
                         peer: from,
-                        data: data.slice(1..),
+                        data,
                         via: Via::Relay,
                     });
                 }
-                let _ = RELAY_KIND_CONTROL; // no TCP control payloads yet
             }
             Message::ErrorReply { .. } => {
                 let waiting: Vec<PeerId> = self
                     .sessions
                     .iter()
-                    .filter(|(_, s)| s.winner.is_none() && s.candidates.is_empty() && !s.failed)
+                    .filter(|(_, s)| s.race.awaits_introduction())
                     .map(|(id, _)| *id)
                     .collect();
                 for peer in waiting {
@@ -697,62 +641,58 @@ impl TcpPeer {
 
     fn fail_session(&mut self, os: &mut Os<'_, '_>, peer: PeerId) {
         let relay = self.cfg.relay_fallback;
-        let Some(session) = self.sessions.get_mut(&peer) else {
+        let Some(lost) = self
+            .sessions
+            .get_mut(&peer)
+            .and_then(|s| s.race.lose(relay))
+        else {
             return;
         };
-        if session.winner.is_some() || session.failed {
-            return;
-        }
-        session.failed = true;
-        let race = session.candidates.stamps();
         os.metric_inc("punch.tcp.failed");
-        os.metric_inc_by(
-            "punch.tcp.candidates_tried",
-            session.candidates.probed_count() as u64,
-        );
+        os.metric_inc_by("punch.tcp.candidates_tried", lost.probed as u64);
         os.metric_inc_labeled("punch.tcp.winner_kind", "none");
         self.events.push_back(TcpPeerEvent::PunchFailed { peer });
         self.events.push_back(TcpPeerEvent::RaceSettled {
             peer,
             winner: None,
-            candidates: race,
+            candidates: lost.stamps,
         });
         if relay {
-            session.relaying = true;
             os.metric_inc("punch.tcp.relay_fallback");
-            let pending: Vec<Bytes> = session.pending.drain(..).collect();
             self.events.push_back(TcpPeerEvent::RelayActive { peer });
-            for data in pending {
-                self.relay_app_data(os, peer, data);
+            for data in lost.queued {
+                self.relay_app(os, peer, &data);
             }
         }
-        let dead: Vec<SocketId> = self
-            .attempts
-            .iter()
-            .filter(|(_, (p, _))| *p == peer)
-            .map(|(s, _)| *s)
-            .collect();
-        for s in dead {
-            self.attempts.remove(&s);
-            self.conn_frames.remove(&s);
-            let _ = os.tcp_abort(s);
-        }
+        self.abort_attempts(os, peer);
     }
 
     /// Matches a freshly accepted connection to a punching session by its
     /// remote endpoint (exact candidate match first, then candidate IP).
     fn match_accept(&self, remote: Endpoint) -> Option<PeerId> {
-        for (id, s) in &self.sessions {
-            if s.winner.is_none() && !s.failed && s.candidates.contains(remote) {
-                return Some(*id);
-            }
+        let punching = || self.sessions.iter().filter(|(_, s)| s.race.is_punching());
+        punching()
+            .find(|(_, s)| s.race.candidates.contains(remote))
+            .or_else(|| punching().find(|(_, s)| s.race.candidates.any_ip(remote.ip)))
+            .map(|(id, _)| *id)
+    }
+}
+
+impl Conn {
+    fn new(attempt: Option<(PeerId, Endpoint)>) -> Self {
+        Conn {
+            frames: FrameBuf::new(),
+            attempt,
+            stream: None,
         }
-        for (id, s) in &self.sessions {
-            if s.winner.is_none() && !s.failed && s.candidates.any_ip(remote.ip) {
-                return Some(*id);
-            }
+    }
+
+    /// How this stream surfaced in the socket API (§4.3).
+    fn path(&self) -> TcpPath {
+        match self.attempt {
+            Some(_) => TcpPath::Connect,
+            None => TcpPath::Accept,
         }
-        None
     }
 }
 
@@ -780,16 +720,14 @@ impl App for TcpPeer {
                             private,
                         },
                     );
-                } else if let Some(&(peer, _)) = self.attempts.get(&sock) {
+                } else if let Some((peer, _)) = self.conns.get(&sock).and_then(|c| c.attempt) {
                     // Our connect() won a path; authenticate (step 5).
                     self.send_hello(os, sock, peer);
                 }
             }
             SockEvent::TcpConnectFailed { sock, err } => {
                 if Some(sock) == self.server_sock {
-                    self.server_sock = None;
-                    self.advance_server(os);
-                    self.arm_server_reconnect(os);
+                    self.server_lost(os);
                 } else {
                     self.handle_connect_failed(os, sock, err);
                 }
@@ -797,8 +735,7 @@ impl App for TcpPeer {
             SockEvent::TcpIncoming { listener } => {
                 while let Ok(Some((sock, remote))) = os.tcp_accept(listener) {
                     self.stats.accepts += 1;
-                    self.accepted.insert(sock);
-                    self.conn_frames.insert(sock, FrameBuf::new());
+                    self.conns.insert(sock, Conn::new(None));
                     // If we can tell which session this belongs to, speak
                     // first — this resolves the both-sides-accept case of
                     // §4.4 without waiting games.
@@ -817,16 +754,15 @@ impl App for TcpPeer {
                             None => break,
                         }
                     }
-                } else if self.conn_frames.contains_key(&sock) {
-                    self.conn_frames
-                        .get_mut(&sock)
-                        .expect("checked") // punch-lint: allow(P001) membership checked by the else-if guard above
-                        .push(&data);
+                } else if let Some(conn) = self.conns.get_mut(&sock) {
+                    conn.frames.push(&data);
                     loop {
+                        // Looked up each time: handling a frame may drop
+                        // the connection.
                         let next = self
-                            .conn_frames
+                            .conns
                             .get_mut(&sock)
-                            .and_then(|f| f.next_message());
+                            .and_then(|c| c.frames.next_message());
                         match next {
                             Some(Ok(msg)) => self.handle_peer_frame(os, sock, msg),
                             Some(Err(_)) => {
@@ -841,10 +777,7 @@ impl App for TcpPeer {
             SockEvent::TcpPeerClosed { sock } => {
                 if Some(sock) == self.server_sock {
                     let _ = os.close(sock);
-                    self.server_sock = None;
-                    self.registered = false;
-                    self.advance_server(os);
-                    self.arm_server_reconnect(os);
+                    self.server_lost(os);
                 } else {
                     let _ = os.close(sock);
                     self.drop_sock(os, sock, false);
@@ -852,10 +785,7 @@ impl App for TcpPeer {
             }
             SockEvent::TcpAborted { sock, .. } => {
                 if Some(sock) == self.server_sock {
-                    self.server_sock = None;
-                    self.registered = false;
-                    self.advance_server(os);
-                    self.arm_server_reconnect(os);
+                    self.server_lost(os);
                 } else {
                     self.drop_sock(os, sock, false);
                 }
@@ -865,7 +795,7 @@ impl App for TcpPeer {
     }
 
     fn on_timer(&mut self, os: &mut Os<'_, '_>, token: u64) {
-        let Some(purpose) = self.timers.remove(&token) else {
+        let Some(purpose) = self.timers.fired(token) else {
             return;
         };
         match purpose {
@@ -874,56 +804,22 @@ impl App for TcpPeer {
                     self.connect_server(os);
                 }
             }
-            TimerPurpose::Retry { peer, remote } => {
-                let live = self
-                    .sessions
-                    .get(&peer)
-                    .map(|s| s.winner.is_none() && !s.failed)
-                    .unwrap_or(false);
-                if live {
-                    self.spawn_attempt(os, peer, remote);
-                }
-            }
-            TimerPurpose::Deadline(peer) => {
-                let still_punching = self
-                    .sessions
-                    .get(&peer)
-                    .map(|s| s.winner.is_none() && !s.failed)
-                    .unwrap_or(false);
-                if still_punching {
-                    self.fail_session(os, peer);
-                }
-            }
+            TimerPurpose::Retry { peer, remote } => self.spawn_attempt(os, peer, remote),
+            TimerPurpose::Deadline(peer) => self.fail_session(os, peer),
             TimerPurpose::DoomedDone(peer) => {
                 // §4.5 steps 3-4: abort the doomed attempt, go passive,
                 // and signal the initiator (through S) to connect now.
                 let Some(session) = self.sessions.get_mut(&peer) else {
                     return;
                 };
-                if session.winner.is_some() || session.failed {
+                if !session.race.is_punching() {
                     return; // The "doomed" connect actually worked.
                 }
                 session.passive = true;
-                let nonce = session.nonce;
-                let doomed: Vec<SocketId> = self
-                    .attempts
-                    .iter()
-                    .filter(|(_, (p, _))| *p == peer)
-                    .map(|(s, _)| *s)
-                    .collect();
-                for s in doomed {
-                    self.attempts.remove(&s);
-                    self.conn_frames.remove(&s);
-                    let _ = os.tcp_abort(s);
-                }
-                self.send_server(
-                    os,
-                    &Message::ReversalRequest {
-                        peer_id: self.cfg.id,
-                        target: peer,
-                        nonce,
-                    },
-                );
+                let nonce = session.race.nonce;
+                let go = self.reversal_request(peer, nonce);
+                self.abort_attempts(os, peer);
+                self.send_server(os, &go);
             }
         }
     }

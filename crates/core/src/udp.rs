@@ -11,54 +11,46 @@
 //! One UDP socket carries everything — the session with S and every peer
 //! session — exactly as the paper notes ("each client only needs one
 //! socket").
+//!
+//! The decisions this endpoint shares with [`crate::TcpPeer`] live in
+//! `session.rs` and `relay.rs`. What this file owns is the
+//! carrier — the one socket, the spray, k-of-n registration — and what
+//! only datagrams need: keepalives, on-demand and automatic re-punching
+//! with backoff and jitter, the relay-to-direct probe, §5.1 port
+//! prediction; plus its own metric names, events and RNG draws.
 
-use crate::candidates::{CandidateKind, CandidateSet, CandidateStamp};
+use crate::candidates::{CandidateKind, CandidateSet};
 use crate::config::UdpPeerConfig;
 use crate::events::{UdpPeerEvent, Via};
+use crate::relay::{self, RelayKind};
+use crate::session::{self, Asked, Backlog, Phase, Race, Timers};
 use crate::timeline::PunchTimeline;
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 use punch_net::{Endpoint, SimTime};
 use punch_rendezvous::{Message, PeerId};
 use punch_transport::{App, Os, SockEvent, SocketId};
 use rand::Rng;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use crate::relay::{RELAY_KIND_APP, RELAY_KIND_CONTROL};
-
-/// Session state machine.
-#[derive(Debug)]
-enum SessionState {
-    /// Waiting for S's introduction (and/or spraying candidates).
-    Punching,
-    /// Locked in on `remote` (§3.2 step 3).
-    Established {
-        remote: Endpoint,
-        last_recv: SimTime,
-    },
-    /// Punch failed; traffic flows through S.
-    Relaying,
-    /// Punch failed and relaying is disabled.
-    Failed,
-}
-
 #[derive(Debug)]
 struct Session {
-    nonce: u64,
+    /// Locked in on the remote endpoint once established (§3.2 step 3).
+    race: Race<Endpoint>,
+    /// When the locked-in remote was last heard from. A field of its own
+    /// rather than part of the link: inside the enum it would cost every
+    /// boxed session 8 bytes of padding.
+    last_recv: SimTime,
     /// Nonce of the punch cycle whose first authenticated answer locked
     /// in the current `Established` remote. When a *later* cycle (a
     /// re-punch after the peer's NAT mapping changed) authenticates from
     /// a different address, the remote is re-locked to it; duplicate
     /// answers within one cycle still keep the first winner (§3.3).
     established_nonce: Option<u64>,
-    state: SessionState,
-    /// The materialized candidate race for the current punch cycle.
-    candidates: CandidateSet,
     /// The last introduction's (public, private) endpoints, kept so a
     /// re-punch can regenerate the race from the plan before a fresh
     /// introduction arrives.
     intro: Option<(Endpoint, Endpoint)>,
     attempts: u32,
-    pending: VecDeque<Bytes>,
     keepalive_armed: bool,
     tick_armed: bool,
     /// When we last sent anything on the direct path; keepalives are
@@ -72,13 +64,11 @@ struct Session {
 impl Session {
     fn new(nonce: u64) -> Self {
         Session {
-            nonce,
+            race: Race::new(nonce),
+            last_recv: SimTime::ZERO,
             established_nonce: None,
-            state: SessionState::Punching,
-            candidates: CandidateSet::default(),
             intro: None,
             attempts: 0,
-            pending: VecDeque::new(),
             keepalive_armed: false,
             tick_armed: false,
             last_sent: SimTime::ZERO,
@@ -87,6 +77,10 @@ impl Session {
         }
     }
 }
+
+// One boxed `Session` per peer session (40 000 live in the benchmark's
+// `crowd_udp`): sharing `Race` with `TcpPeer` must not make it fatter.
+const _: () = assert!(std::mem::size_of::<Session>() <= 320);
 
 /// One of the client's k-of-n home rendezvous servers (the ring
 /// owners of its own id), with per-server registration liveness.
@@ -161,12 +155,9 @@ pub struct UdpPeer {
     /// pointer-sized per entry, which at 10^5-peer scale is the
     /// difference between ~60 MB and ~10 MB of session-table RSS.
     sessions: BTreeMap<PeerId, Box<Session>>,
-    /// `connect`s (`None`) and `send`s (`Some(payload)`) made before
-    /// registration, replayed in call order on the first `RegisterAck`.
-    pending_connects: Vec<(PeerId, Option<Bytes>)>,
+    backlog: Backlog,
     events: VecDeque<UdpPeerEvent>,
-    next_token: u64,
-    timers: BTreeMap<u64, TimerPurpose>,
+    timers: Timers<TimerPurpose>,
     stats: UdpPeerStats,
     server_ka_armed: bool,
     /// When the current registration with S was first acknowledged;
@@ -187,18 +178,15 @@ impl UdpPeer {
     /// configuration time, instead of wrapping to port 0 (or panicking
     /// in debug) when the probe runs.
     pub fn new(cfg: UdpPeerConfig) -> Self {
-        let homes: Vec<ServerSlot> = if cfg.fleet.is_empty() {
-            vec![cfg.server]
-        } else {
-            punch_rendezvous::ring::owners(&cfg.fleet, cfg.id, cfg.replication.max(1))
-        }
-        .into_iter()
-        .map(|ep| ServerSlot {
-            ep,
-            registered: false,
-            last_ack: SimTime::ZERO,
-        })
-        .collect();
+        let homes: Vec<ServerSlot> =
+            session::homes(cfg.server, &cfg.fleet, cfg.id, cfg.replication)
+                .into_iter()
+                .map(|ep| ServerSlot {
+                    ep,
+                    registered: false,
+                    last_ack: SimTime::ZERO,
+                })
+                .collect();
         assert!(
             !(cfg.punch.plan.needs_probe() && homes.first().map(|s| s.ep.port) == Some(u16::MAX)),
             "UdpPeerConfig: the plan's prediction strategy needs the server's probe port at \
@@ -217,10 +205,9 @@ impl UdpPeer {
             dests_seen: BTreeSet::new(),
             expired_allocs: 0,
             sessions: BTreeMap::new(),
-            pending_connects: Vec::new(),
+            backlog: Backlog::new(),
             events: VecDeque::new(),
-            next_token: 1,
-            timers: BTreeMap::new(),
+            timers: Timers::new(),
             stats: UdpPeerStats::default(),
             server_ka_armed: false,
             registered_at: None,
@@ -242,25 +229,14 @@ impl UdpPeer {
         self.registered
     }
 
-    /// The measured port-allocation delta (predict strategy only).
-    pub fn measured_delta(&self) -> Option<i32> {
-        self.delta
-    }
-
     /// True once a direct session with `peer` is established.
     pub fn is_established(&self, peer: PeerId) -> bool {
-        matches!(
-            self.sessions.get(&peer).map(|s| &s.state),
-            Some(SessionState::Established { .. })
-        )
+        matches!(self.phase(peer), Some(Phase::Established(_)))
     }
 
     /// True if traffic to `peer` flows through the relay.
     pub fn is_relaying(&self, peer: PeerId) -> bool {
-        matches!(
-            self.sessions.get(&peer).map(|s| &s.state),
-            Some(SessionState::Relaying)
-        )
+        matches!(self.phase(peer), Some(Phase::Relaying))
     }
 
     /// True if the session with `peer` has terminally failed (every
@@ -268,18 +244,16 @@ impl UdpPeer {
     /// legitimate terminal outcome for liveness checks: the peer is not
     /// stuck, it has given up and reported why.
     pub fn is_failed(&self, peer: PeerId) -> bool {
-        matches!(
-            self.sessions.get(&peer).map(|s| &s.state),
-            Some(SessionState::Failed)
-        )
+        matches!(self.phase(peer), Some(Phase::Failed))
     }
 
     /// The locked-in remote endpoint for `peer`, if established.
     pub fn session_remote(&self, peer: PeerId) -> Option<Endpoint> {
-        match self.sessions.get(&peer).map(|s| &s.state) {
-            Some(SessionState::Established { remote, .. }) => Some(*remote),
-            _ => None,
-        }
+        self.sessions.get(&peer)?.race.link().copied()
+    }
+
+    fn phase(&self, peer: PeerId) -> Option<&Phase<Endpoint>> {
+        self.sessions.get(&peer).map(|s| &s.race.phase)
     }
 
     /// Counters.
@@ -295,7 +269,7 @@ impl UdpPeer {
         self.sessions.get(&peer).map(|s| {
             let mut tl = s.timeline.clone();
             if !tl.is_settled() {
-                tl.candidates = s.candidates.stamps();
+                tl.candidates = s.race.candidates.stamps();
             }
             tl
         })
@@ -308,7 +282,7 @@ impl UdpPeer {
     /// Requests a hole-punched session with `peer` (§3.2 step 1).
     pub fn connect(&mut self, os: &mut Os<'_, '_>, peer: PeerId) {
         if !self.registered {
-            self.pending_connects.push((peer, None));
+            self.backlog.push((peer, Asked::Connect));
             return;
         }
         let now = os.now();
@@ -316,66 +290,48 @@ impl UdpPeer {
         let session = self.sessions.entry(peer).or_insert_with(|| Box::new(Session::new(nonce)));
         session.timeline.registered = self.registered_at;
         session.timeline.requested.get_or_insert(now);
-        self.send_server(
-            os,
-            &Message::ConnectRequest {
-                peer_id: self.cfg.id,
-                target: peer,
-                nonce,
-            },
-        );
+        self.request_introduction(os, peer, nonce);
         self.arm_punch_tick(os, peer);
     }
 
     /// Sends application data to `peer`: directly when punched, via the
     /// relay otherwise; queued while punching. A send on a session whose
-    /// inbound traffic went stale triggers an on-demand re-punch (§3.6).
+    /// inbound traffic went stale triggers an on-demand re-punch (§3.6),
+    /// and so does a send on a failed one — whose earlier queue was
+    /// dropped when it failed with nowhere to go (relaying off).
     pub fn send(&mut self, os: &mut Os<'_, '_>, peer: PeerId, data: Bytes) {
         let now = os.now();
         let timeout = self.cfg.punch.session_timeout;
         let Some(session) = self.sessions.get_mut(&peer) else {
             if !self.registered {
-                // Replayed through `send` once registered.
-                self.pending_connects.push((peer, Some(data)));
+                self.backlog.push((peer, Asked::Send(data)));
                 return;
             }
             // No session yet: start one and queue.
             self.connect(os, peer);
             if let Some(s) = self.sessions.get_mut(&peer) {
-                s.pending.push_back(data);
+                s.race.queue(data);
             }
             return;
         };
-        match &session.state {
-            SessionState::Established { remote, last_recv } => {
-                if now.saturating_since(*last_recv) > timeout {
+        match session.race.phase {
+            Phase::Established(remote) => {
+                if now.saturating_since(session.last_recv) > timeout {
                     // The hole evidently closed; re-run the procedure.
-                    session.pending.push_back(data);
+                    session.race.queue(data);
                     os.metric_inc_labeled("punch.session_died", "stale-on-send");
                     self.events.push_back(UdpPeerEvent::SessionDied { peer });
                     self.start_repunch(os, peer);
                     return;
                 }
-                let remote = *remote;
                 session.last_sent = now;
                 self.stats.direct_msgs += 1;
                 self.send_to(os, remote, &Message::PeerData { data });
             }
-            SessionState::Relaying => {
-                self.stats.relay_msgs += 1;
-                let mut buf = BytesMut::with_capacity(data.len() + 1);
-                buf.put_u8(RELAY_KIND_APP);
-                buf.put_slice(&data);
-                let msg = Message::RelayData {
-                    from: self.cfg.id,
-                    target: peer,
-                    data: buf.freeze(),
-                };
-                self.send_server(os, &msg);
-            }
-            SessionState::Punching => session.pending.push_back(data),
-            SessionState::Failed => {
-                session.pending.push_back(data);
+            Phase::Relaying => self.relay_app(os, peer, &data),
+            Phase::Punching => session.race.queue(data),
+            Phase::Failed => {
+                session.race.queue(data);
                 self.start_repunch(os, peer);
             }
         }
@@ -408,7 +364,8 @@ impl UdpPeer {
             .sessions
             .get(&peer)
             .map(|s| {
-                s.candidates
+                s.race
+                    .candidates
                     .stamps()
                     .into_iter()
                     .filter(|st| st.first_probe.is_some())
@@ -424,9 +381,9 @@ impl UdpPeer {
         let Some(session) = self.sessions.get_mut(&peer) else {
             return;
         };
-        session.state = SessionState::Punching;
+        session.race.phase = Phase::Punching;
         session.attempts = 0;
-        session.nonce = nonce;
+        session.race.nonce = nonce;
         // Regenerate the race from the plan and the last introduction —
         // do not merely clear it. When *our* NAT rebooted, the peer's
         // endpoints are often still valid, so the ticks keep racing them
@@ -435,7 +392,7 @@ impl UdpPeer {
         // the set with current endpoints. Nothing is sprayed here: if
         // S's introduction arrives before the first tick (the clean-path
         // case), the regenerated set is replaced before it is ever used.
-        session.candidates = match session.intro {
+        session.race.candidates = match session.intro {
             Some((public, private)) => {
                 let mut set = CandidateSet::from_plan(&plan, public, private);
                 set.mark_stale();
@@ -449,15 +406,27 @@ impl UdpPeer {
         session.timeline.registered = registered_at;
         os.metric_inc("punch.repunch");
         self.stats.repunches += 1;
-        self.send_server(
-            os,
-            &Message::ConnectRequest {
-                peer_id: self.cfg.id,
-                target: peer,
-                nonce,
-            },
-        );
+        self.request_introduction(os, peer, nonce);
         self.arm_punch_tick(os, peer);
+    }
+
+    /// Asks S to introduce us to `peer` under `nonce` (§3.2 step 1). The
+    /// request or the introduction may be lost (UDP), so punch ticks and
+    /// relay probes ask again.
+    fn request_introduction(&mut self, os: &mut Os<'_, '_>, peer: PeerId, nonce: u64) {
+        let request = Message::ConnectRequest {
+            peer_id: self.cfg.id,
+            target: peer,
+            nonce,
+        };
+        self.send_server(os, &request);
+    }
+
+    /// Forwards one application payload through S (§2.2).
+    fn relay_app(&mut self, os: &mut Os<'_, '_>, peer: PeerId, data: &[u8]) {
+        self.stats.relay_msgs += 1;
+        let msg = relay::wrap(RelayKind::App, self.cfg.id, peer, data);
+        self.send_server(os, &msg);
     }
 
     /// Arms the per-session punch tick unless one is already pending.
@@ -492,18 +461,15 @@ impl UdpPeer {
     }
 
     fn arm(&mut self, os: &mut Os<'_, '_>, after: std::time::Duration, purpose: TimerPurpose) {
-        let token = self.next_token;
-        self.next_token += 1;
-        self.timers.insert(token, purpose);
+        let token = self.timers.arm(purpose);
         os.set_timer(after, token);
     }
 
     fn send_to(&mut self, os: &mut Os<'_, '_>, to: Endpoint, msg: &Message) {
         if let Some(sock) = self.sock {
-            if self.dests_seen.insert(to) {
-                // A new destination consumes one allocation on a
-                // symmetric NAT; prediction accounts for these.
-            }
+            // A new destination consumes one allocation on a symmetric
+            // NAT; prediction accounts for these.
+            self.dests_seen.insert(to);
             let _ = os.udp_send(sock, to, msg.encode(self.cfg.obfuscate));
         }
     }
@@ -604,8 +570,8 @@ impl UdpPeer {
         let now = os.now();
         let registered_at = self.registered_at;
         let session = self.sessions.entry(peer).or_insert_with(|| Box::new(Session::new(nonce)));
-        session.nonce = nonce;
-        session.candidates = candidates;
+        session.race.nonce = nonce;
+        session.race.candidates = candidates;
         session.intro = Some((public, private));
         if session.timeline.registered.is_none() {
             session.timeline.registered = registered_at;
@@ -613,20 +579,14 @@ impl UdpPeer {
         session.timeline.introduced.get_or_insert(now);
         // A re-introduction (our periodic re-request under loss) must not
         // reset the volley budget, or a failing punch would retry forever.
-        if !matches!(
-            session.state,
-            SessionState::Punching | SessionState::Established { .. }
-        ) {
+        if !matches!(session.race.phase, Phase::Punching | Phase::Established(_)) {
             session.attempts = 0;
         }
         // A relayed session keeps flowing through S while we probe for a
         // direct upgrade; demoting it to `Punching` here would black-hole
         // traffic until the probe succeeds.
-        if !matches!(
-            session.state,
-            SessionState::Established { .. } | SessionState::Relaying
-        ) {
-            session.state = SessionState::Punching;
+        if !matches!(session.race.phase, Phase::Established(_) | Phase::Relaying) {
+            session.race.phase = Phase::Punching;
         }
         // §5.1 prediction, generalized: tell the peer which ports our
         // NAT is predicted to allocate next, via the relay (it cannot
@@ -635,18 +595,10 @@ impl UdpPeer {
             let ports = self.predicted_own_ports();
             if !ports.is_empty() {
                 let public_ip = self.public.map(|p| p.ip).unwrap_or(public.ip);
-                let mut buf = BytesMut::with_capacity(2 + ports.len() * 2);
-                buf.put_u8(RELAY_KIND_CONTROL);
-                buf.put_slice(&public_ip.octets());
-                buf.put_u8(ports.len() as u8);
-                for p in &ports {
-                    buf.put_u16(*p);
-                }
-                let msg = Message::RelayData {
-                    from: self.cfg.id,
-                    target: peer,
-                    data: buf.freeze(),
-                };
+                let mut body = public_ip.octets().to_vec();
+                body.push(ports.len() as u8);
+                body.extend(ports.iter().flat_map(|p| p.to_be_bytes()));
+                let msg = relay::wrap(RelayKind::Control, self.cfg.id, peer, &body);
                 self.send_server(os, &msg);
             }
         }
@@ -659,11 +611,11 @@ impl UdpPeer {
         let Some(session) = self.sessions.get_mut(&peer) else {
             return;
         };
-        let nonce = session.nonce;
+        let nonce = session.race.nonce;
         // One volley of the race: every candidate due at this volley's
         // pace, in priority order (the default plan paces everything at
         // 1, reproducing the paper's full spray each volley).
-        let due = session.candidates.next_volley(now);
+        let due = session.race.candidates.next_volley(now);
         if !due.is_empty() {
             session.timeline.first_probe.get_or_insert(now);
             os.metric_inc_by("punch.probes", due.len() as u64);
@@ -700,7 +652,10 @@ impl UdpPeer {
         let ports: Vec<u16> = (0..n)
             .map(|i| u16::from_be_bytes([payload[5 + 2 * i], payload[6 + 2 * i]]))
             .collect();
-        session.candidates.merge_announced(ip, &ports, priority, pace);
+        session
+            .race
+            .candidates
+            .merge_announced(ip, &ports, priority, pace);
     }
 
     fn establish(&mut self, os: &mut Os<'_, '_>, peer: PeerId, remote: Endpoint) {
@@ -710,114 +665,90 @@ impl UdpPeer {
         let Some(session) = self.sessions.get_mut(&peer) else {
             return;
         };
-        session.candidates.mark_response(remote, now);
-        let mut settled: Option<Vec<CandidateStamp>> = None;
-        match &mut session.state {
-            SessionState::Established {
-                remote: current,
-                last_recv,
-            } => {
-                *last_recv = now;
-                if session.established_nonce == Some(session.nonce) || *current == remote {
-                    // Same punch cycle (a duplicate answer from another
-                    // candidate — first winner keeps the lock, §3.3), or
-                    // the current path re-confirmed itself under a new
-                    // cycle's nonce.
-                    session.established_nonce = Some(session.nonce);
-                    return;
-                }
-                // A *new* punch cycle authenticated from a different
-                // address: the peer re-punched because the old path died
-                // on its side (its NAT rebooted, §3.6). Keeping the stale
-                // lock would black-hole every datagram it now sends from
-                // the new mapping, so re-lock to the observed source.
-                *current = remote;
-                session.established_nonce = Some(session.nonce);
-                session.last_sent = now;
-                os.metric_inc("punch.relocked");
+        let cycle = session.race.nonce;
+        let same_cycle = session.established_nonce.replace(cycle) == Some(cycle);
+        // The first authenticated responder wins and the per-candidate
+        // record freezes (§3.3 first-response lock-in, generalized over
+        // the plan).
+        let won = session.race.win(remote, remote, now);
+        session.last_recv = now;
+        if let Some(won) = &won {
+            // The hello/ack volley that produced this establishment
+            // just refreshed the mapping. (A pending relay-probe
+            // timer clears its own flag when it finds us upgraded.)
+            session.last_sent = now;
+            session.timeline.hole_punched.get_or_insert(now);
+            session.timeline.established = Some(now);
+            session.timeline.attempts = session.attempts;
+            session.timeline.winner = Some(remote);
+            session.timeline.candidates = won.stamps.clone();
+            os.metric_inc("punch.established");
+            if race_metrics {
+                os.metric_inc_by("punch.candidates_tried", won.probed as u64);
+                let label = won
+                    .winner_kind
+                    .map(CandidateKind::label)
+                    .unwrap_or("observed");
+                os.metric_inc_labeled("punch.winner_kind", label);
             }
-            _ => {
-                session.state = SessionState::Established {
-                    remote,
-                    last_recv: now,
-                };
-                session.established_nonce = Some(session.nonce);
-                // The hello/ack volley that produced this establishment
-                // just refreshed the mapping. (A pending relay-probe
-                // timer clears its own flag when it finds us upgraded.)
-                session.last_sent = now;
-                session.timeline.hole_punched.get_or_insert(now);
-                session.timeline.established = Some(now);
-                session.timeline.attempts = session.attempts;
-                // Settle the race: the first authenticated responder
-                // wins and the per-candidate record freezes (§3.3
-                // first-response lock-in, generalized over the plan).
-                let winner_kind = session.candidates.mark_winner(remote);
-                session.timeline.winner = Some(remote);
-                session.timeline.candidates = session.candidates.stamps();
-                settled = Some(session.timeline.candidates.clone());
-                os.metric_inc("punch.established");
-                if race_metrics {
-                    os.metric_inc_by(
-                        "punch.candidates_tried",
-                        session.candidates.probed_count() as u64,
-                    );
-                    let label = winner_kind.map(CandidateKind::label).unwrap_or("observed");
-                    os.metric_inc_labeled("punch.winner_kind", label);
-                }
-                if let Some(latency) = session.timeline.punch_latency() {
-                    os.metric_observe("punch.latency", latency);
-                }
+            if let Some(latency) = session.timeline.punch_latency() {
+                os.metric_observe("punch.latency", latency);
             }
+        } else if let Phase::Established(current) = &mut session.race.phase {
+            if same_cycle || *current == remote {
+                // Same punch cycle (a duplicate answer from another
+                // candidate — first winner keeps the lock, §3.3), or
+                // the current path re-confirmed itself under a new
+                // cycle's nonce.
+                return;
+            }
+            // A *new* punch cycle authenticated from a different
+            // address: the peer re-punched because the old path died
+            // on its side (its NAT rebooted, §3.6). Keeping the stale
+            // lock would black-hole every datagram it now sends from
+            // the new mapping, so re-lock to the observed source.
+            *current = remote;
+            session.last_sent = now;
+            os.metric_inc("punch.relocked");
         }
+        let arm_keepalive = !std::mem::replace(&mut session.keepalive_armed, true);
         self.events
             .push_back(UdpPeerEvent::Established { peer, remote });
-        if let Some(candidates) = settled {
+        if let Some(won) = won {
             self.events.push_back(UdpPeerEvent::RaceSettled {
                 peer,
                 winner: Some(remote),
-                candidates,
+                candidates: won.stamps,
             });
-        }
-        // Flush anything queued while punching.
-        let pending: Vec<Bytes> = self
-            .sessions
-            .get_mut(&peer)
-            .map(|s| s.pending.drain(..).collect())
-            .unwrap_or_default();
-        for data in pending {
-            self.stats.direct_msgs += 1;
-            self.send_to(os, remote, &Message::PeerData { data });
-        }
-        let arm_keepalive = {
-            let s = self.sessions.get_mut(&peer).expect("session exists"); // punch-lint: allow(P001) caller inserts the session before invoking this helper
-            if s.keepalive_armed {
-                false
-            } else {
-                s.keepalive_armed = true;
-                true
+            // Flush anything queued while punching.
+            for data in won.queued {
+                self.stats.direct_msgs += 1;
+                self.send_to(os, remote, &Message::PeerData { data });
             }
-        };
+        }
         if arm_keepalive {
             self.arm(os, keepalive, TimerPurpose::Keepalive(peer));
         }
     }
 
+    /// Whether `nonce` is the one S introduced `peer` under.
+    fn authentic(&self, peer: PeerId, nonce: u64) -> bool {
+        self.sessions
+            .get(&peer)
+            .is_some_and(|s| s.race.authenticates(nonce))
+    }
+
     /// Finds the established session owning remote endpoint `from`.
     fn session_by_remote(&self, from: Endpoint) -> Option<PeerId> {
-        self.sessions.iter().find_map(|(id, s)| match &s.state {
-            SessionState::Established { remote, .. } if *remote == from => Some(*id),
-            _ => None,
-        })
+        self.sessions
+            .iter()
+            .find(|(_, s)| s.race.link() == Some(&from))
+            .map(|(id, _)| *id)
     }
 
     fn touch(&mut self, peer: PeerId, now: SimTime) {
-        if let Some(Session {
-            state: SessionState::Established { last_recv, .. },
-            ..
-        }) = self.sessions.get_mut(&peer).map(Box::as_mut)
-        {
-            *last_recv = now;
+        if let Some(session) = self.sessions.get_mut(&peer) {
+            session.last_recv = now;
         }
     }
 
@@ -852,10 +783,11 @@ impl UdpPeer {
                             self.send_to(os, probe, &Message::Ping);
                         }
                     }
-                    for (peer, data) in std::mem::take(&mut self.pending_connects) {
-                        match data {
-                            Some(data) => self.send(os, peer, data),
-                            None => self.connect(os, peer),
+                    for (peer, asked) in std::mem::take(&mut self.backlog) {
+                        match asked {
+                            Asked::Connect => self.connect(os, peer),
+                            Asked::Send(data) => self.send(os, peer, data),
+                            Asked::Reversal => {} // §2.3 needs a listener: never asked of us
                         }
                     }
                 }
@@ -880,17 +812,14 @@ impl UdpPeer {
             // must not be able to inject candidates, forge relayed app
             // data under any peer id, or fail a waiting session.
             Message::RelayedData { from: peer, data } if self.is_home(from) => {
-                if data.is_empty() {
-                    return;
-                }
-                match data[0] {
-                    RELAY_KIND_CONTROL => self.handle_control(peer, &data[1..]),
-                    RELAY_KIND_APP => self.events.push_back(UdpPeerEvent::Data {
+                match relay::unwrap(&data) {
+                    Some((RelayKind::Control, body)) => self.handle_control(peer, &body),
+                    Some((RelayKind::App, data)) => self.events.push_back(UdpPeerEvent::Data {
                         peer,
-                        data: data.slice(1..),
+                        data,
                         via: Via::Relay,
                     }),
-                    _ => {}
+                    None => {}
                 }
             }
             Message::ErrorReply { .. } if self.is_home(from) => {
@@ -899,23 +828,16 @@ impl UdpPeer {
                 let waiting: Vec<PeerId> = self
                     .sessions
                     .iter()
-                    .filter(|(_, s)| {
-                        matches!(s.state, SessionState::Punching)
-                            && (s.candidates.is_empty() || s.candidates.is_stale())
-                    })
+                    .filter(|(_, s)| s.race.awaits_introduction())
                     .map(|(id, _)| *id)
                     .collect();
                 for peer in waiting {
                     self.fail_punch(os, peer, "server-rejected");
                 }
             }
-            Message::PeerHello { from: peer, nonce } => {
-                let Some(session) = self.sessions.get(&peer) else {
-                    return; // Stray traffic (§3.4): not authenticated.
-                };
-                if session.nonce != nonce {
-                    return; // Wrong nonce: possibly a same-address stranger.
-                }
+            // Stray traffic (§3.4): no session with that peer, or the
+            // wrong nonce — possibly a same-address stranger.
+            Message::PeerHello { from: peer, nonce } if self.authentic(peer, nonce) => {
                 // Answer to the *observed* source, and lock in: an
                 // authenticated hello proves this path works inbound, and
                 // our ack will traverse the hole our own sprays opened.
@@ -929,13 +851,7 @@ impl UdpPeer {
                 );
                 self.establish(os, peer, from);
             }
-            Message::PeerHelloAck { from: peer, nonce } => {
-                let Some(session) = self.sessions.get(&peer) else {
-                    return;
-                };
-                if session.nonce != nonce {
-                    return;
-                }
+            Message::PeerHelloAck { from: peer, nonce } if self.authentic(peer, nonce) => {
                 self.establish(os, peer, from);
             }
             Message::PeerData { data } => {
@@ -966,53 +882,30 @@ impl UdpPeer {
         let Some(session) = self.sessions.get_mut(&peer) else {
             return;
         };
+        let Some(lost) = session.race.lose(relay) else {
+            return;
+        };
         session.timeline.failure = Some(reason);
         session.timeline.attempts = session.attempts;
-        session.timeline.candidates = session.candidates.stamps();
+        session.timeline.candidates = lost.stamps.clone();
         session.timeline.winner = None;
-        let race_record = session.timeline.candidates.clone();
         if race_metrics {
-            os.metric_inc_by(
-                "punch.candidates_tried",
-                session.candidates.probed_count() as u64,
-            );
+            os.metric_inc_by("punch.candidates_tried", lost.probed as u64);
             os.metric_inc_labeled("punch.winner_kind", "none");
         }
         if relay {
-            session.state = SessionState::Relaying;
             session.timeline.relay_fallback = Some(now);
             os.metric_inc_labeled("punch.relay_fallback", reason);
-            let arm_probe = match probe_interval {
-                Some(_) if !session.relay_probe_armed => {
-                    session.relay_probe_armed = true;
-                    true
-                }
-                _ => false,
-            };
+            let arm_probe =
+                probe_interval.filter(|_| !std::mem::replace(&mut session.relay_probe_armed, true));
             self.events.push_back(UdpPeerEvent::RelayActive { peer });
-            if arm_probe {
-                let interval = probe_interval.expect("checked above"); // punch-lint: allow(P001) arm_probe is only true when probe_interval is Some (checked above)
+            if let Some(interval) = arm_probe {
                 self.arm(os, interval, TimerPurpose::RelayProbe(peer));
             }
-            let pending: Vec<Bytes> = self
-                .sessions
-                .get_mut(&peer)
-                .map(|s| s.pending.drain(..).collect())
-                .unwrap_or_default();
-            for data in pending {
-                self.stats.relay_msgs += 1;
-                let mut buf = BytesMut::with_capacity(data.len() + 1);
-                buf.put_u8(RELAY_KIND_APP);
-                buf.put_slice(&data);
-                let msg = Message::RelayData {
-                    from: self.cfg.id,
-                    target: peer,
-                    data: buf.freeze(),
-                };
-                self.send_server(os, &msg);
+            for data in lost.queued {
+                self.relay_app(os, peer, &data);
             }
         } else {
-            session.state = SessionState::Failed;
             session.timeline.failed = Some(now);
             os.metric_inc_labeled("punch.failed", reason);
             self.events.push_back(UdpPeerEvent::PunchFailed { peer });
@@ -1020,7 +913,7 @@ impl UdpPeer {
         self.events.push_back(UdpPeerEvent::RaceSettled {
             peer,
             winner: None,
-            candidates: race_record,
+            candidates: lost.stamps,
         });
     }
 }
@@ -1050,7 +943,7 @@ impl App for UdpPeer {
     }
 
     fn on_timer(&mut self, os: &mut Os<'_, '_>, token: u64) {
-        let Some(purpose) = self.timers.remove(&token) else {
+        let Some(purpose) = self.timers.fired(token) else {
             return;
         };
         match purpose {
@@ -1105,7 +998,7 @@ impl App for UdpPeer {
                     return;
                 };
                 session.tick_armed = false;
-                if !matches!(session.state, SessionState::Punching) {
+                if !session.race.is_punching() {
                     return; // Established or relaying; volley no longer needed.
                 }
                 session.attempts += 1;
@@ -1114,21 +1007,9 @@ impl App for UdpPeer {
                     self.fail_punch(os, peer, "max-attempts");
                     return;
                 }
-                let nonce = session.nonce;
-                let need_intro = session.candidates.is_empty()
-                    || session.candidates.is_stale()
-                    || session.attempts % 4 == 0;
-                if need_intro {
-                    // The request or the introduction may have been lost
-                    // (UDP): ask S again.
-                    self.send_server(
-                        os,
-                        &Message::ConnectRequest {
-                            peer_id: self.cfg.id,
-                            target: peer,
-                            nonce,
-                        },
-                    );
+                let nonce = session.race.nonce;
+                if session.race.awaits_introduction() || session.attempts % 4 == 0 {
+                    self.request_introduction(os, peer, nonce);
                 }
                 self.spray(os, peer);
                 self.arm_punch_tick(os, peer);
@@ -1142,14 +1023,14 @@ impl App for UdpPeer {
                 let Some(session) = self.sessions.get_mut(&peer) else {
                     return;
                 };
-                if let SessionState::Established { remote, last_recv } = session.state {
-                    let quiet = now.saturating_since(last_recv);
+                if let Phase::Established(remote) = session.race.phase {
+                    let quiet = now.saturating_since(session.last_recv);
                     // Miss-based liveness: several silent keepalive
                     // intervals condemn the session without waiting for
                     // the full timeout (opt-in; 0 disables).
                     let missed = miss_limit > 0 && quiet > interval * miss_limit;
                     if quiet > timeout || missed {
-                        session.state = SessionState::Failed;
+                        session.race.phase = Phase::Failed;
                         session.keepalive_armed = false;
                         session.timeline.failed = Some(now);
                         session.timeline.failure = Some("session-timeout");
@@ -1188,20 +1069,13 @@ impl App for UdpPeer {
                 let Some(session) = self.sessions.get_mut(&peer) else {
                     return;
                 };
-                if !matches!(session.state, SessionState::Relaying) {
+                if !matches!(session.race.phase, Phase::Relaying) {
                     session.relay_probe_armed = false;
                     return;
                 }
                 session.attempts = 0;
-                let nonce = session.nonce;
-                self.send_server(
-                    os,
-                    &Message::ConnectRequest {
-                        peer_id: self.cfg.id,
-                        target: peer,
-                        nonce,
-                    },
-                );
+                let nonce = session.race.nonce;
+                self.request_introduction(os, peer, nonce);
                 self.spray(os, peer);
                 self.arm(os, interval, TimerPurpose::RelayProbe(peer));
             }
@@ -1268,20 +1142,26 @@ mod tests {
             "18.181.0.31:1234".parse().unwrap(),
         ));
         let mut session = Session::new(1);
-        session
-            .candidates
-            .insert("138.76.29.7:31000".parse().unwrap(), CandidateKind::Public, 1, 1);
+        session.race.candidates.insert(
+            "138.76.29.7:31000".parse().unwrap(),
+            CandidateKind::Public,
+            1,
+            1,
+        );
         peer.sessions.insert(PeerId(2), Box::new(session));
         let mut payload = vec![138, 76, 29, 7, 2];
         payload.extend_from_slice(&31001u16.to_be_bytes());
         payload.extend_from_slice(&31002u16.to_be_bytes());
         peer.handle_control(PeerId(2), &payload);
-        let cands = peer.sessions[&PeerId(2)].candidates.endpoints();
+        let cands = peer.sessions[&PeerId(2)].race.candidates.endpoints();
         assert_eq!(cands.len(), 3);
         assert!(cands.contains(&"138.76.29.7:31002".parse().unwrap()));
         // Duplicate announcements do not duplicate candidates.
         peer.handle_control(PeerId(2), &payload);
-        assert_eq!(peer.sessions[&PeerId(2)].candidates.endpoints().len(), 3);
+        assert_eq!(
+            peer.sessions[&PeerId(2)].race.candidates.endpoints().len(),
+            3
+        );
     }
 
     #[test]
@@ -1293,7 +1173,7 @@ mod tests {
         peer.sessions.insert(PeerId(2), Box::new(Session::new(1)));
         peer.handle_control(PeerId(2), &[1, 2, 3]); // too short
         peer.handle_control(PeerId(2), &[1, 2, 3, 4, 9, 0, 1]); // count says 9, data for 1
-        assert!(peer.sessions[&PeerId(2)].candidates.is_empty());
+        assert!(peer.sessions[&PeerId(2)].race.candidates.is_empty());
     }
 
     #[test]

@@ -1,0 +1,650 @@
+//! What an application may rely on from a punching endpoint whatever
+//! carries its probes: §3.2 and §4.2 are one procedure — register with
+//! S, be introduced, race the candidates, lock in the first
+//! *authenticated* answer, fall back to S (§2.2) — so every case here
+//! runs over [`UdpPeer`] and over [`TcpPeer`] through one small harness
+//! and expects the same outcome. Where the two differ on purpose (the
+//! order of a failed punch's events) the difference is written down in
+//! [`Peer::FAILED_THEN_RELAY`], not averaged away.
+
+use bytes::Bytes;
+use holepunch::{
+    PeerId, TcpPath, TcpPeer, TcpPeerConfig, TcpPeerEvent, UdpPeer, UdpPeerConfig, UdpPeerEvent,
+    Via,
+};
+use punch_lab::{addrs, fig4, fig5, PeerSetup, Scenario, World, WorldBuilder};
+use punch_nat::NatBehavior;
+use punch_net::{Duration, Endpoint, NodeId, SimTime};
+use punch_rendezvous::{encode_frame, ring, Message, RendezvousServer};
+use punch_transport::{App, ConnectOpts, Os, SockEvent, SocketId};
+use std::net::Ipv4Addr;
+
+const A: PeerId = PeerId(1);
+const B: PeerId = PeerId(2);
+const NOBODY: PeerId = PeerId(99);
+/// A public host with a known port: where forgeries are aimed.
+const VICTIM: Endpoint = Endpoint::new(Ipv4Addr::new(99, 1, 1, 1), 4321);
+const STRANGER_IP: Ipv4Addr = Ipv4Addr::new(99, 1, 1, 9);
+
+/// A peer event with the carrier-specific fields dropped.
+#[derive(Clone, Debug, PartialEq)]
+enum Ev {
+    Established(PeerId, Endpoint),
+    PunchFailed(PeerId),
+    RelayActive(PeerId),
+    RaceSettled(PeerId, Option<Endpoint>),
+    Data(PeerId, Bytes, Via),
+    Other,
+}
+
+/// What the cases vary in a peer's configuration.
+#[derive(Clone, Default)]
+struct Opts {
+    no_relay: bool,
+    local_port: u16,
+    fleet: Vec<Endpoint>,
+}
+
+/// The carrier-independent surface of a punching endpoint.
+trait Peer: App + Sized {
+    /// Whether raw hosts in the same world speak framed TCP or datagrams.
+    const TCP: bool;
+    /// The terminal events of a failed punch with relaying on, in the
+    /// order this carrier emits them today.
+    const FAILED_THEN_RELAY: &'static [fn(PeerId) -> Ev];
+    fn setup(id: PeerId, opts: Opts) -> PeerSetup;
+    fn connect(&mut self, os: &mut Os<'_, '_>, peer: PeerId);
+    fn send(&mut self, os: &mut Os<'_, '_>, peer: PeerId, data: Bytes);
+    fn events(&mut self) -> Vec<Ev>;
+    fn is_established(&self, peer: PeerId) -> bool;
+    fn is_relaying(&self, peer: PeerId) -> bool;
+    /// Whether server `s` holds a registration for `id` on this carrier.
+    fn registered_at(s: &RendezvousServer, id: PeerId) -> bool;
+}
+
+impl Peer for UdpPeer {
+    const TCP: bool = false;
+    const FAILED_THEN_RELAY: &'static [fn(PeerId) -> Ev] =
+        &[Ev::RelayActive, |p| Ev::RaceSettled(p, None)];
+    fn setup(id: PeerId, opts: Opts) -> PeerSetup {
+        let mut c = UdpPeerConfig::new(id, Scenario::server_endpoint());
+        c.punch.relay_fallback = !opts.no_relay;
+        c.local_port = opts.local_port;
+        c.fleet = opts.fleet;
+        PeerSetup::new(UdpPeer::new(c))
+    }
+    fn connect(&mut self, os: &mut Os<'_, '_>, peer: PeerId) {
+        UdpPeer::connect(self, os, peer)
+    }
+    fn send(&mut self, os: &mut Os<'_, '_>, peer: PeerId, data: Bytes) {
+        UdpPeer::send(self, os, peer, data)
+    }
+    fn events(&mut self) -> Vec<Ev> {
+        let ev = |e| match e {
+            UdpPeerEvent::Established { peer, remote } => Ev::Established(peer, remote),
+            UdpPeerEvent::PunchFailed { peer } => Ev::PunchFailed(peer),
+            UdpPeerEvent::RelayActive { peer } => Ev::RelayActive(peer),
+            UdpPeerEvent::RaceSettled { peer, winner, .. } => Ev::RaceSettled(peer, winner),
+            UdpPeerEvent::Data { peer, data, via } => Ev::Data(peer, data, via),
+            _ => Ev::Other,
+        };
+        self.take_events().into_iter().map(ev).collect()
+    }
+    fn is_established(&self, peer: PeerId) -> bool {
+        UdpPeer::is_established(self, peer)
+    }
+    fn is_relaying(&self, peer: PeerId) -> bool {
+        UdpPeer::is_relaying(self, peer)
+    }
+    fn registered_at(s: &RendezvousServer, id: PeerId) -> bool {
+        s.udp_registration(id).is_some()
+    }
+}
+
+impl Peer for TcpPeer {
+    const TCP: bool = true;
+    const FAILED_THEN_RELAY: &'static [fn(PeerId) -> Ev] = &[
+        Ev::PunchFailed,
+        |p| Ev::RaceSettled(p, None),
+        Ev::RelayActive,
+    ];
+    fn setup(id: PeerId, opts: Opts) -> PeerSetup {
+        let mut c = TcpPeerConfig::new(id, Scenario::server_endpoint());
+        c.relay_fallback = !opts.no_relay;
+        c.local_port = opts.local_port;
+        c.fleet = opts.fleet;
+        c.punch_deadline = Duration::from_secs(8);
+        PeerSetup::new(TcpPeer::new(c))
+    }
+    fn connect(&mut self, os: &mut Os<'_, '_>, peer: PeerId) {
+        TcpPeer::connect(self, os, peer)
+    }
+    fn send(&mut self, os: &mut Os<'_, '_>, peer: PeerId, data: Bytes) {
+        TcpPeer::send(self, os, peer, data)
+    }
+    fn events(&mut self) -> Vec<Ev> {
+        let ev = |e| match e {
+            TcpPeerEvent::Established { peer, remote, .. } => Ev::Established(peer, remote),
+            TcpPeerEvent::PunchFailed { peer } => Ev::PunchFailed(peer),
+            TcpPeerEvent::RelayActive { peer } => Ev::RelayActive(peer),
+            TcpPeerEvent::RaceSettled { peer, winner, .. } => Ev::RaceSettled(peer, winner),
+            TcpPeerEvent::Data { peer, data, via } => Ev::Data(peer, data, via),
+            _ => Ev::Other,
+        };
+        self.take_events().into_iter().map(ev).collect()
+    }
+    fn is_established(&self, peer: PeerId) -> bool {
+        TcpPeer::is_established(self, peer)
+    }
+    fn is_relaying(&self, peer: PeerId) -> bool {
+        TcpPeer::is_relaying(self, peer)
+    }
+    fn registered_at(s: &RendezvousServer, id: PeerId) -> bool {
+        s.tcp_registration(id).is_some()
+    }
+}
+
+/// A raw host: at each scripted time it delivers one message to one
+/// endpoint — a datagram, or a fresh TCP connection carrying one frame —
+/// and never answers anything. The off-path stranger of §3.4, or a
+/// registered peer that went silent.
+struct Raw {
+    tcp: bool,
+    /// `(milliseconds after start, destination, message)`.
+    script: Vec<(u64, Endpoint, Message)>,
+    udp: Option<SocketId>,
+    conns: Vec<(SocketId, usize)>,
+}
+
+fn raw<P: Peer>(script: Vec<(u64, Endpoint, Message)>) -> PeerSetup {
+    PeerSetup::new(Raw {
+        tcp: P::TCP,
+        script,
+        udp: None,
+        conns: Vec::new(),
+    })
+}
+
+impl App for Raw {
+    fn on_start(&mut self, os: &mut Os<'_, '_>) {
+        if !self.tcp {
+            self.udp = Some(os.udp_bind(4000).expect("port free"));
+        }
+        for (i, (at, _, _)) in self.script.iter().enumerate() {
+            os.set_timer(Duration::from_millis(*at), i as u64);
+        }
+    }
+
+    fn on_timer(&mut self, os: &mut Os<'_, '_>, token: u64) {
+        let (_, to, msg) = &self.script[token as usize];
+        match self.udp {
+            Some(sock) => os
+                .udp_send(sock, *to, msg.encode(true))
+                .expect("datagram sent"),
+            None => {
+                let sock = os
+                    .tcp_connect(*to, ConnectOpts::default())
+                    .expect("connect starts");
+                self.conns.push((sock, token as usize));
+            }
+        }
+    }
+
+    fn on_event(&mut self, os: &mut Os<'_, '_>, ev: SockEvent) {
+        if let SockEvent::TcpConnected { sock } = ev {
+            let (_, i) = self
+                .conns
+                .iter()
+                .find(|(s, _)| *s == sock)
+                .expect("our connect");
+            os.tcp_send(sock, &encode_frame(&self.script[*i].2, true))
+                .expect("frame sent");
+        }
+    }
+}
+
+/// Registers `id` with S at 100 ms and then never says another word.
+fn mute<P: Peer>(id: PeerId) -> PeerSetup {
+    let register = Message::Register {
+        peer_id: id,
+        private: Endpoint::new(addrs::CLIENT_B, 4000),
+    };
+    raw::<P>(vec![(100, Scenario::server_endpoint(), register)])
+}
+
+fn well_behaved_pair<P: Peer>(seed: u64, a: Opts, b: Opts) -> Scenario {
+    let nat = NatBehavior::well_behaved;
+    fig5(seed, nat(), nat(), P::setup(A, a), P::setup(B, b))
+}
+
+/// One server, the clients in order: `(ip, Some(nat behaviour) | public, app)`.
+fn world(seed: u64, clients: Vec<(Ipv4Addr, Option<NatBehavior>, PeerSetup)>) -> World {
+    let mut wb = WorldBuilder::new(seed);
+    wb.server(addrs::SERVER, RendezvousServer::new(Default::default()));
+    for (i, (ip, nat, app)) in clients.into_iter().enumerate() {
+        match nat {
+            Some(behavior) => {
+                let n = wb.nat(behavior, Ipv4Addr::new(138, 76, 29, 7 + i as u8));
+                wb.client(ip, n, app);
+            }
+            None => {
+                wb.public_client(ip, app);
+            }
+        }
+    }
+    wb.build()
+}
+
+fn events<P: Peer>(w: &mut World, node: NodeId) -> Vec<Ev> {
+    w.with_app::<P, _>(node, |p, _| p.events())
+}
+
+fn established<P: Peer>(w: &mut World, node: NodeId, peer: PeerId, by_secs: u64) -> bool {
+    w.run_until_app::<P>(node, SimTime::from_secs(by_secs), |p| {
+        p.is_established(peer)
+    })
+}
+
+/// The payloads `from` delivered, in arrival order, with their path.
+fn data_from(evs: &[Ev], from: PeerId) -> Vec<(&[u8], Via)> {
+    evs.iter()
+        .filter_map(|e| match e {
+            Ev::Data(peer, data, via) if *peer == from => Some((data.as_ref(), *via)),
+            _ => None,
+        })
+        .collect()
+}
+
+// (1) D1: what is asked before `RegisterAck` happens after it, once
+// each, in the order it was asked.
+fn early_calls_replay_once_each_in_call_order<P: Peer>() {
+    let mut sc = well_behaved_pair::<P>(12, Opts::default(), Opts::default());
+    sc.world.with_app::<P, _>(sc.a, |p, os| {
+        p.connect(os, B);
+        p.send(os, B, Bytes::from_static(b"early"));
+        p.connect(os, B);
+    });
+    assert!(established::<P>(&mut sc.world, sc.a, B, 30));
+    sc.world.sim.run_for(Duration::from_secs(3));
+    let s = sc.world.app::<RendezvousServer>(sc.server).stats();
+    assert_eq!(
+        (s.introductions, s.errors),
+        (2, 0),
+        "one ConnectRequest per connect, none for the send"
+    );
+    let evs = events::<P>(&mut sc.world, sc.b);
+    assert_eq!(
+        data_from(&evs, A),
+        [(&b"early"[..], Via::Direct)],
+        "{evs:?}"
+    );
+}
+
+#[test]
+fn early_calls_replay_once_each_in_call_order_over_both() {
+    early_calls_replay_once_each_in_call_order::<UdpPeer>();
+    early_calls_replay_once_each_in_call_order::<TcpPeer>();
+}
+
+// (2) D5: a hello or an ack under the peer's id but the wrong nonce is
+// a stranger's (§3.4).
+fn wrong_nonce_establishes_nothing<P: Peer>() {
+    let hello = Message::PeerHello {
+        from: B,
+        nonce: 0xBAD,
+    };
+    let ack = Message::PeerHelloAck {
+        from: B,
+        nonce: 0xBAD,
+    };
+    let victim = Opts {
+        local_port: VICTIM.port,
+        ..Opts::default()
+    };
+    let mut w = world(
+        21,
+        vec![
+            (VICTIM.ip, None, P::setup(A, victim)),
+            (
+                addrs::CLIENT_B,
+                Some(NatBehavior::well_behaved()),
+                mute::<P>(B),
+            ),
+            (
+                STRANGER_IP,
+                None,
+                raw::<P>(vec![(2500, VICTIM, hello), (2600, VICTIM, ack)]),
+            ),
+        ],
+    );
+    let a = w.clients[0];
+    w.sim.run_for(Duration::from_secs(2));
+    w.with_app::<P, _>(a, |p, os| p.connect(os, B));
+    assert!(
+        !established::<P>(&mut w, a, B, 5),
+        "the race is on and nobody authentic answered"
+    );
+    let evs = events::<P>(&mut w, a);
+    assert!(
+        !evs.iter()
+            .any(|e| matches!(e, Ev::Established(..) | Ev::RaceSettled(..))),
+        "{evs:?}"
+    );
+}
+
+#[test]
+fn wrong_nonce_establishes_nothing_over_both() {
+    wrong_nonce_establishes_nothing::<UdpPeer>();
+    wrong_nonce_establishes_nothing::<TcpPeer>();
+}
+
+// (3) D6: behind one hairpinning NAT both the private and the public
+// candidate answer; the first authenticated answer settles the race and
+// the second changes nothing.
+fn race_settles_exactly_once<P: Peer>() {
+    let mut sc = fig4(
+        23,
+        NatBehavior::well_behaved(),
+        P::setup(A, Opts::default()),
+        P::setup(B, Opts::default()),
+    );
+    sc.world.sim.run_for(Duration::from_secs(2));
+    sc.world.with_app::<P, _>(sc.a, |p, os| p.connect(os, B));
+    assert!(established::<P>(&mut sc.world, sc.a, B, 30));
+    assert!(established::<P>(&mut sc.world, sc.b, A, 30));
+    sc.world.sim.run_for(Duration::from_secs(10));
+    for (node, peer) in [(sc.a, B), (sc.b, A)] {
+        let evs = events::<P>(&mut sc.world, node);
+        let terminal: Vec<&Ev> = evs
+            .iter()
+            .filter(|e| matches!(e, Ev::Established(..) | Ev::RaceSettled(..)))
+            .collect();
+        let [Ev::Established(p1, remote), Ev::RaceSettled(p2, Some(winner))] = terminal[..] else {
+            panic!("one Established then one RaceSettled: {evs:?}");
+        };
+        assert_eq!((*p1, *p2, remote), (peer, peer, winner), "{evs:?}");
+    }
+}
+
+#[test]
+fn race_settles_exactly_once_over_both() {
+    race_settles_exactly_once::<UdpPeer>();
+    race_settles_exactly_once::<TcpPeer>();
+}
+
+// (4) D6/D2: what was queued while punching leaves in order — over the
+// hole when the punch wins, through S when it loses.
+fn queued_payloads_arrive_in_order<P: Peer>(nat_a: NatBehavior, via: Via) {
+    let mut sc = fig5(
+        24,
+        nat_a,
+        NatBehavior::well_behaved(),
+        P::setup(A, Opts::default()),
+        P::setup(B, Opts::default()),
+    );
+    sc.world.sim.run_for(Duration::from_secs(2));
+    sc.world.with_app::<P, _>(sc.a, |p, os| {
+        for payload in [&b"one"[..], b"two", b"three"] {
+            p.send(os, B, Bytes::from_static(payload));
+        }
+    });
+    let settled = |p: &P| p.is_established(B) || p.is_relaying(B);
+    assert!(sc
+        .world
+        .run_until_app::<P>(sc.a, SimTime::from_secs(40), settled));
+    assert_eq!(sc.world.app::<P>(sc.a).is_relaying(B), via == Via::Relay);
+    sc.world.sim.run_for(Duration::from_secs(3));
+    let evs = events::<P>(&mut sc.world, sc.b);
+    assert_eq!(
+        data_from(&evs, A),
+        [(&b"one"[..], via), (b"two", via), (b"three", via)],
+        "{evs:?}"
+    );
+}
+
+#[test]
+fn queued_payloads_arrive_in_order_over_both() {
+    for (nat_a, via) in [
+        (
+            NatBehavior::well_behaved as fn() -> NatBehavior,
+            Via::Direct,
+        ),
+        (NatBehavior::symmetric, Via::Relay),
+    ] {
+        queued_payloads_arrive_in_order::<UdpPeer>(nat_a(), via);
+        queued_payloads_arrive_in_order::<TcpPeer>(nat_a(), via);
+    }
+}
+
+// (5) D4/D6 on the losing side: a failed punch settles once with no
+// winner, then relays or gives up. Each carrier's event order is pinned
+// as it is, not harmonised.
+fn failed_punch_relays_or_gives_up<P: Peer>() {
+    for no_relay in [false, true] {
+        let opts = Opts {
+            no_relay,
+            ..Opts::default()
+        };
+        let mut sc = fig5(
+            25,
+            NatBehavior::symmetric(),
+            NatBehavior::well_behaved(),
+            P::setup(A, opts.clone()),
+            P::setup(B, opts),
+        );
+        sc.world.sim.run_for(Duration::from_secs(2));
+        sc.world.with_app::<P, _>(sc.a, |p, os| p.connect(os, B));
+        sc.world.sim.run_for(Duration::from_secs(20));
+        let evs: Vec<Ev> = events::<P>(&mut sc.world, sc.a)
+            .into_iter()
+            .filter(|e| *e != Ev::Other)
+            .collect();
+        let expected: Vec<Ev> = if no_relay {
+            vec![Ev::PunchFailed(B), Ev::RaceSettled(B, None)]
+        } else {
+            P::FAILED_THEN_RELAY.iter().map(|e| e(B)).collect()
+        };
+        assert_eq!(evs, expected);
+        let p = sc.world.app::<P>(sc.a);
+        assert_eq!((p.is_relaying(B), p.is_established(B)), (!no_relay, false));
+    }
+}
+
+#[test]
+fn failed_punch_relays_or_gives_up_over_both() {
+    failed_punch_relays_or_gives_up::<UdpPeer>();
+    failed_punch_relays_or_gives_up::<TcpPeer>();
+}
+
+// (6) S's refusal names no peer, so it can only be about a session
+// still waiting to be introduced; one that is already racing stays.
+fn error_reply_fails_only_sessions_awaiting_introduction<P: Peer>() {
+    let no_relay = Opts {
+        no_relay: true,
+        ..Opts::default()
+    };
+    let mut w = world(
+        26,
+        vec![
+            (
+                addrs::CLIENT_A,
+                Some(NatBehavior::well_behaved()),
+                P::setup(A, no_relay),
+            ),
+            (
+                addrs::CLIENT_B,
+                Some(NatBehavior::well_behaved()),
+                mute::<P>(B),
+            ),
+        ],
+    );
+    let a = w.clients[0];
+    w.sim.run_for(Duration::from_secs(2));
+    w.with_app::<P, _>(a, |p, os| p.connect(os, B));
+    w.sim.run_for(Duration::from_millis(500));
+    w.with_app::<P, _>(a, |p, os| p.connect(os, NOBODY));
+    w.sim.run_for(Duration::from_secs(1));
+    let s = w.app::<RendezvousServer>(w.servers[0]).stats();
+    assert_eq!((s.introductions, s.errors), (1, 1));
+    let evs: Vec<Ev> = events::<P>(&mut w, a)
+        .into_iter()
+        .filter(|e| *e != Ev::Other)
+        .collect();
+    assert_eq!(
+        evs,
+        [Ev::PunchFailed(NOBODY), Ev::RaceSettled(NOBODY, None)]
+    );
+}
+
+#[test]
+fn error_reply_fails_only_sessions_awaiting_introduction_over_both() {
+    error_reply_fails_only_sessions_awaiting_introduction::<UdpPeer>();
+    error_reply_fails_only_sessions_awaiting_introduction::<TcpPeer>();
+}
+
+// (7) D3: with a fleet, a client's servers are the ring owners of its
+// id — all of them at once over UDP, one at a time over TCP — and no
+// other member ever hears from it.
+fn fleet_homes_are_the_ring_owners<P: Peer>() {
+    let fleet: Vec<Endpoint> = (0..4u8)
+        .map(|j| Endpoint::new(Ipv4Addr::new(18, 181, 0, 31 + j), 1234))
+        .collect();
+    let owners = ring::owners(&fleet, A, 2);
+    let mut wb = WorldBuilder::new(27);
+    for ep in &fleet {
+        wb.server(ep.ip, RendezvousServer::new(Default::default()));
+    }
+    let opts = Opts {
+        fleet: fleet.clone(),
+        ..Opts::default()
+    };
+    wb.public_client(VICTIM.ip, P::setup(A, opts));
+    let mut w = wb.build();
+    let holders = |w: &World| -> Vec<Endpoint> {
+        let held = |j: &usize| P::registered_at(w.app::<RendezvousServer>(w.servers[*j]), A);
+        (0..4).filter(held).map(|j| fleet[j]).collect()
+    };
+    w.sim.run_for(Duration::from_secs(2));
+    let mut seen = holders(&w);
+    // The first owner restarts; a client holding one control connection
+    // (TCP) moves to the next owner, one registered everywhere stays.
+    let first = w.servers[fleet
+        .iter()
+        .position(|ep| *ep == owners[0])
+        .expect("owner is a member")];
+    w.with_app::<RendezvousServer, _>(first, |s, os| s.drop_all_clients(os));
+    w.sim.run_for(Duration::from_secs(5));
+    seen.extend(holders(&w));
+    seen.sort();
+    seen.dedup();
+    let mut expected = owners.clone();
+    expected.sort();
+    assert_eq!(seen, expected, "owners {owners:?}");
+}
+
+#[test]
+fn fleet_homes_are_the_ring_owners_over_both() {
+    fleet_homes_are_the_ring_owners::<UdpPeer>();
+    fleet_homes_are_the_ring_owners::<TcpPeer>();
+}
+
+// D7, regression: a punch that failed with relaying off is a dead end,
+// and what the application keeps sending into it goes nowhere — it is
+// not kept, to be delivered by the thousand should the peer turn up
+// later. B's access link is down from the start, so S refuses A's
+// request; when the link returns B registers and asks for A itself.
+fn sends_into_a_dead_end_session_are_not_kept<P: Peer>() {
+    let no_relay = Opts {
+        no_relay: true,
+        local_port: VICTIM.port,
+        ..Opts::default()
+    };
+    let mut wb = WorldBuilder::new(28);
+    wb.server(addrs::SERVER, RendezvousServer::new(Default::default()));
+    let nb = wb.nat(NatBehavior::well_behaved(), addrs::NAT_B);
+    wb.public_client(VICTIM.ip, P::setup(A, no_relay.clone()));
+    wb.client(
+        addrs::CLIENT_B,
+        nb,
+        P::setup(
+            B,
+            Opts {
+                local_port: 0,
+                ..no_relay
+            },
+        ),
+    );
+    let mut w = wb.build();
+    let (a, b) = (w.clients[0], w.clients[1]);
+    let b_uplink = w.uplink(b);
+    w.sim.set_link_up(b_uplink, false);
+    w.sim.run_for(Duration::from_secs(2));
+    w.with_app::<P, _>(a, |p, os| p.connect(os, B));
+    w.sim.run_for(Duration::from_secs(1));
+    assert!(
+        events::<P>(&mut w, a).contains(&Ev::PunchFailed(B)),
+        "S does not know B yet"
+    );
+    w.with_app::<P, _>(a, |p, os| {
+        for _ in 0..10_000 {
+            p.send(os, B, Bytes::from_static(b"into the void"));
+        }
+    });
+    w.sim.run_for(Duration::from_secs(7));
+    w.sim.set_link_up(b_uplink, true);
+    w.sim.run_for(Duration::from_secs(20));
+    w.with_app::<P, _>(b, |p, os| p.connect(os, A));
+    assert!(
+        established::<P>(&mut w, b, A, 60),
+        "B reaches the public A once it is back"
+    );
+    assert!(established::<P>(&mut w, a, B, 60));
+    w.with_app::<P, _>(a, |p, os| p.send(os, B, Bytes::from_static(b"hello again")));
+    w.sim.run_for(Duration::from_secs(3));
+    let evs = events::<P>(&mut w, b);
+    let got = data_from(&evs, A);
+    assert_eq!(
+        (got.len(), got.last()),
+        (1, Some(&(&b"hello again"[..], Via::Direct)))
+    );
+}
+
+#[test]
+fn sends_into_a_dead_end_session_are_not_kept_over_both() {
+    sends_into_a_dead_end_session_are_not_kept::<UdpPeer>();
+    sends_into_a_dead_end_session_are_not_kept::<TcpPeer>();
+}
+
+// D1, regression (TCP only: UDP has no reversal): a reversal asked for
+// before registration is still a reversal afterwards (§2.3) — S gets a
+// `ReversalRequest`, so only the NATted side connects. The world is
+// `tcp_punch.rs`'s `connection_reversal_when_requester_is_public`.
+#[test]
+fn reversal_requested_before_registration_stays_a_reversal() {
+    let mut w = world(
+        38,
+        vec![
+            (
+                addrs::CLIENT_A,
+                Some(NatBehavior::well_behaved()),
+                TcpPeer::setup(A, Opts::default()),
+            ),
+            (VICTIM.ip, None, TcpPeer::setup(B, Opts::default())),
+        ],
+    );
+    let (a, b) = (w.clients[0], w.clients[1]);
+    w.with_app::<TcpPeer, _>(b, |p, os| p.request_reversal(os, A));
+    assert!(established::<TcpPeer>(&mut w, b, A, 30));
+    assert!(established::<TcpPeer>(&mut w, a, B, 30));
+    let requester = w.app::<TcpPeer>(b);
+    assert_eq!(
+        requester.stats().connects_started,
+        0,
+        "the requester only listens"
+    );
+    assert_eq!(requester.established_path(A), Some(TcpPath::Accept));
+    assert_eq!(
+        w.app::<TcpPeer>(a).established_path(B),
+        Some(TcpPath::Connect)
+    );
+}

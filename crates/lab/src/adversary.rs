@@ -25,9 +25,7 @@
 //! CI's defense-flip gate.
 
 use crate::world::{addrs, PeerSetup, World, WorldBuilder};
-use holepunch::{
-    PunchConfig, TcpPeer, TcpPeerConfig, TcpPeerEvent, UdpPeer, UdpPeerConfig, UdpPeerEvent,
-};
+use holepunch::{TcpPeer, TcpPeerConfig, TcpPeerEvent, UdpPeer, UdpPeerConfig, UdpPeerEvent};
 use punch_nat::NatBehavior;
 use punch_net::{
     Ctx, Device, Duration, Endpoint, IfaceId, LinkSpec, NodeId, Packet, SimTime, TcpFlags,
@@ -325,13 +323,7 @@ pub struct AttackReport {
 
 fn resilient_udp_peer(id: PeerId) -> PeerSetup {
     let server = Endpoint::new(addrs::SERVER, 1234);
-    let mut c = UdpPeerConfig::new(id, server);
-    c.server_keepalive = Duration::from_secs(2);
-    c.register_retry = Duration::from_secs(1);
-    let mut p = PunchConfig::resilient();
-    p.keepalive_interval = Duration::from_secs(1);
-    c.punch = p;
-    PeerSetup::new(UdpPeer::new(c))
+    PeerSetup::new(UdpPeer::new(UdpPeerConfig::resilient(id, server)))
 }
 
 /// Drains victim A's UDP events, counting kills.

@@ -309,32 +309,23 @@ pub enum ChaosProfile {
 }
 
 fn chaos_peer(id: PeerId, profile: ChaosProfile) -> PeerSetup {
-    let mut c = UdpPeerConfig::new(id, Scenario::server_endpoint());
-    c.server_keepalive = Duration::from_secs(2);
-    c.register_retry = Duration::from_secs(1);
-    c.punch = match profile {
-        ChaosProfile::Resilient | ChaosProfile::Adversarial => {
-            let mut p = PunchConfig::resilient();
-            p.keepalive_interval = Duration::from_secs(1);
-            p
-        }
+    let mut c = UdpPeerConfig::resilient(id, Scenario::server_endpoint());
+    match profile {
+        ChaosProfile::Resilient | ChaosProfile::Adversarial => {}
         ChaosProfile::Fragile => {
-            let mut p = PunchConfig::default();
+            c.punch = PunchConfig::default();
             // The injected bug: a dead session is never noticed (no
             // keepalive misses, hour-long staleness horizon), so it can
             // neither recover nor reach terminal failure.
-            p.keepalive_interval = Duration::from_secs(3600);
-            p.session_timeout = Duration::from_secs(3600);
-            p
+            c.punch.keepalive_interval = Duration::from_secs(3600);
+            c.punch.session_timeout = Duration::from_secs(3600);
         }
         ChaosProfile::Racing => {
-            let mut p = PunchConfig::resilient();
-            p.keepalive_interval = Duration::from_secs(1);
-            p.with_plan(CandidatePlan::basic().with_source(SourceSpec::predicted(
+            c.punch.plan = CandidatePlan::basic().with_source(SourceSpec::predicted(
                 PredictionStrategy::WindowAroundObserved { radius: 4 },
-            )))
+            ));
         }
-    };
+    }
     PeerSetup::new(UdpPeer::new(c))
 }
 

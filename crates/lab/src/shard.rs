@@ -298,23 +298,19 @@ impl ShardedWorld {
                     // NAT iface 0 must face the WAN, so connect it first.
                     let (_, r_iface) = sim.connect(nat, internet, nat_wan);
                     routes.push((Cidr::host(nat_ip), r_iface));
-                    let mut ucfg = UdpPeerConfig::new(id, server_ep);
+                    let mut ucfg = if cfg.resilient_clients {
+                        UdpPeerConfig::resilient(id, server_ep)
+                    } else {
+                        UdpPeerConfig::new(id, server_ep)
+                    };
                     if !fleet.is_empty() {
                         ucfg = ucfg.with_fleet(fleet.clone(), replication);
                     }
-                    if cfg.resilient_clients {
-                        ucfg.server_keepalive = Duration::from_secs(2);
-                        ucfg.register_retry = Duration::from_secs(1);
-                        let mut p = holepunch::PunchConfig::resilient();
-                        p.keepalive_interval = Duration::from_secs(1);
-                        ucfg.punch = p;
-                    }
                     if cfg.predict_symmetric && symmetric {
-                        ucfg.punch = ucfg.punch.clone().with_plan(
+                        ucfg.punch.plan =
                             CandidatePlan::basic().with_source(SourceSpec::predicted(
                                 PredictionStrategy::SequentialDelta { window: 8 },
-                            )),
-                        );
+                            ));
                     }
                     let client = sim.add_node(
                         format!("m{i}.{tag}"),

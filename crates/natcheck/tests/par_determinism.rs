@@ -3,7 +3,7 @@
 //! worker count must never show up in the output. These tests are the
 //! regression fence for `punch_lab::par` + the survey refactor.
 
-use holepunch::{PeerId, PunchConfig, UdpPeer, UdpPeerConfig};
+use holepunch::{PeerId, UdpPeer, UdpPeerConfig};
 use proptest::prelude::*;
 use punch_lab::{fig5, par, PeerSetup, Scenario};
 use punch_nat::{NatBehavior, VENDORS};
@@ -45,11 +45,7 @@ fn survey_is_identical_across_repeated_runs_on_the_pool() {
 /// A chaos-hardened peer so the fault plan exercises the full recovery
 /// machinery (liveness timers, re-punch backoff, re-registration).
 fn resilient_peer(id: u64) -> PeerSetup {
-    let mut cfg = UdpPeerConfig::new(PeerId(id), Scenario::server_endpoint());
-    cfg.server_keepalive = Duration::from_secs(2);
-    cfg.register_retry = Duration::from_secs(1);
-    cfg.punch = PunchConfig::resilient();
-    cfg.punch.keepalive_interval = Duration::from_secs(1);
+    let cfg = UdpPeerConfig::resilient(PeerId(id), Scenario::server_endpoint());
     PeerSetup::new(UdpPeer::new(cfg))
 }
 

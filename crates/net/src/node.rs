@@ -99,11 +99,6 @@ impl Ctx<'_> {
         self.core.time
     }
 
-    /// Returns the id of the node this device is attached to.
-    pub fn node_id(&self) -> NodeId {
-        self.node
-    }
-
     /// Returns the number of interfaces currently attached to this node.
     pub fn iface_count(&self) -> usize {
         self.core.iface_count(self.node)

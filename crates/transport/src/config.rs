@@ -19,9 +19,9 @@ pub enum TcpFlavor {
 
 /// Tunables for a host protocol stack.
 ///
-/// Defaults model a contemporary general-purpose OS; tests override
-/// individual fields (or chain the `with_*` builders) to force specific
-/// orderings.
+/// Defaults model a contemporary general-purpose OS
+/// ([`StackConfig::fast`] shrinks the timers for short simulations);
+/// tests assign individual fields to force specific orderings.
 #[derive(Clone, Debug)]
 #[non_exhaustive]
 pub struct StackConfig {
@@ -92,64 +92,15 @@ impl StackConfig {
         self
     }
 
-    /// Same configuration with a different initial RTO.
-    pub fn with_rto_initial(mut self, rto: Duration) -> Self {
-        self.rto_initial = rto;
-        self
-    }
-
-    /// Same configuration with a different RTO upper bound.
-    pub fn with_rto_max(mut self, rto: Duration) -> Self {
-        self.rto_max = rto;
-        self
-    }
-
-    /// Same configuration with a different SYN retry budget.
-    pub fn with_syn_retries(mut self, retries: u32) -> Self {
-        self.syn_retries = retries;
-        self
-    }
-
     /// Same configuration with a different data retry budget.
     pub fn with_data_retries(mut self, retries: u32) -> Self {
         self.data_retries = retries;
         self
     }
 
-    /// Same configuration with a different maximum segment size.
-    pub fn with_mss(mut self, mss: usize) -> Self {
-        self.mss = mss;
-        self
-    }
-
-    /// Same configuration with a different send window.
-    pub fn with_send_window(mut self, window: usize) -> Self {
-        self.send_window = window;
-        self
-    }
-
-    /// Same configuration with a different TIME-WAIT duration.
-    pub fn with_time_wait(mut self, time_wait: Duration) -> Self {
-        self.time_wait = time_wait;
-        self
-    }
-
-    /// Same configuration with a different ephemeral-port range
-    /// (inclusive).
-    pub fn with_ephemeral_ports(mut self, lo: u16, hi: u16) -> Self {
-        self.ephemeral_ports = (lo, hi);
-        self
-    }
-
     /// Same configuration with RFC 5961 RST sequence validation enabled.
     pub fn with_rst_validation(mut self) -> Self {
         self.rst_validation = true;
-        self
-    }
-
-    /// Same configuration with strict (soft-error) ICMP handling enabled.
-    pub fn with_icmp_strict(mut self) -> Self {
-        self.icmp_strict = true;
         self
     }
 }

@@ -225,17 +225,6 @@ impl HostDevice {
             .unwrap_or_else(|| panic!("app is not a {}", std::any::type_name::<T>())) // punch-lint: allow(P001) typed-accessor contract: caller names the app type it installed
     }
 
-    /// Mutable access to the application, downcast to `T`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the application is not a `T`.
-    pub fn app_mut<T: App>(&mut self) -> &mut T {
-        self.app
-            .downcast_mut::<T>()
-            .unwrap_or_else(|| panic!("app is not a {}", std::any::type_name::<T>())) // punch-lint: allow(P001) typed-accessor contract: caller names the app type it installed
-    }
-
     /// Read-only access to the host stack.
     pub fn stack(&self) -> &HostStack {
         &self.stack

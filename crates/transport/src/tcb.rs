@@ -763,11 +763,6 @@ impl Tcb {
         }
         self.emit_ack(io);
     }
-
-    /// Returns the initial send sequence number (tests and diagnostics).
-    pub fn initial_seq(&self) -> u32 {
-        self.iss
-    }
 }
 
 #[cfg(test)]

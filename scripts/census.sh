@@ -1,0 +1,29 @@
+#!/usr/bin/env sh
+# The numbers a simplicity change reports, from the repo root: scripts/census.sh
+# Exits 1 when a `pub fn with_*` builder has no caller outside its own file.
+set -eu
+cd "$(dirname "$0")/.."
+# shellcheck disable=SC2046 # one word per source file is the point
+set -- $(find crates/*/src -name '*.rs' | sort)
+
+echo "== non-test lines per file (those before the first #[cfg(test)]) =="
+awk 'FNR == 1 { t = 0 } /^ *#\[cfg\(test\)\]/ { t = 1 } !t { n[FILENAME]++; all++ }
+    END { for (f in n) print n[f], f; print all, "~total" }' "$@" | sort -k2
+echo "== pub fields per *Config struct =="
+awk '/^pub struct [A-Za-z]*Config \{/ { s = $3 } s && /^    pub [a-z_]+:/ { n[s]++ } /^}/ { s = "" }
+    END { for (s in n) print n[s], s }' "$@" | sort -k2
+echo "== pub fn with_* per crate =="
+grep -c 'pub fn with_' "$@" | awk -F'[/:]' '{ n[$2] += $NF; all += $NF }
+    END { for (c in n) if (n[c]) print n[c], c; print all, "~total" }' | sort -k2
+echo "== calls of each builder outside its defining file (by name: .with_x( or ::with_x() =="
+callers=$(grep -n 'pub fn with_' "$@" | sed -E 's/^([^:]+):.*pub fn (with_[a-z_0-9]+).*/\1 \2/' |
+    while read -r file name; do
+        calls=$(grep -rn --include='*.rs' "[.:]$name[(:]" crates tests examples src benchmark/src |
+            grep -vc "^$file:" || true)
+        echo "$calls $name $file"
+    done | sort -n)
+echo "$callers"
+if echo "$callers" | grep -q '^0 '; then
+    echo "FAIL: the builders counted 0 have no caller; delete them (fields are set by assignment)" >&2
+    exit 1
+fi

@@ -49,6 +49,9 @@ echo "== rustdoc (-D warnings; vendor/* stand-ins excluded) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --quiet --no-deps --workspace \
     --exclude rand --exclude bytes --exclude proptest
 
+echo "== census: line and knob counts; every pub fn with_* has a caller outside its own file =="
+sh scripts/census.sh
+
 echo "== punch-lint (LINTS.md): clean tree, text and JSON reports identical across runs =="
 lint | tee "$tmp/lint.txt"
 lint | cmp - "$tmp/lint.txt"

@@ -14,12 +14,7 @@ const B: PeerId = PeerId(2);
 /// keepalive so registration loss is noticed quickly, and periodic
 /// relay-to-direct probing.
 fn resilient_cfg(id: PeerId) -> UdpPeerConfig {
-    let mut cfg = UdpPeerConfig::new(id, Scenario::server_endpoint());
-    cfg.server_keepalive = Duration::from_secs(2);
-    cfg.register_retry = Duration::from_secs(1);
-    cfg.punch = PunchConfig::resilient();
-    cfg.punch.keepalive_interval = Duration::from_secs(1);
-    cfg
+    UdpPeerConfig::resilient(id, Scenario::server_endpoint())
 }
 
 fn resilient_peer(id: PeerId) -> PeerSetup {
