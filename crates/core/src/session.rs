@@ -25,9 +25,9 @@
 
 use crate::candidates::{CandidateKind, CandidateSet, CandidateStamp};
 use bytes::Bytes;
+use punch_net::flat::FlatMap;
 use punch_net::{Endpoint, SimTime};
 use punch_rendezvous::PeerId;
-use std::collections::BTreeMap;
 
 /// An operation the application asked for before S acknowledged us.
 pub(crate) enum Asked {
@@ -174,14 +174,14 @@ impl<L> Race<L> {
 /// D8: what each armed timer token means.
 pub(crate) struct Timers<P> {
     next: u64,
-    armed: BTreeMap<u64, P>,
+    armed: FlatMap<u64, P>,
 }
 
 impl<P> Timers<P> {
     pub(crate) fn new() -> Self {
         Timers {
             next: 1,
-            armed: BTreeMap::new(),
+            armed: FlatMap::new(),
         }
     }
 

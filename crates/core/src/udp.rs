@@ -26,11 +26,12 @@ use crate::relay::{self, RelayKind};
 use crate::session::{self, Asked, Backlog, Phase, Race, Timers};
 use crate::timeline::PunchTimeline;
 use bytes::Bytes;
+use punch_net::flat::{FlatMap, FlatSet};
 use punch_net::{Endpoint, SimTime};
 use punch_rendezvous::{Message, PeerId};
 use punch_transport::{App, Os, SockEvent, SocketId};
 use rand::Rng;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 #[derive(Debug)]
 struct Session {
@@ -142,19 +143,17 @@ pub struct UdpPeer {
     delta: Option<i32>,
     /// Destinations with a presumed-live NAT mapping (each consumed one
     /// allocation on a symmetric NAT when first contacted).
-    dests_seen: BTreeSet<Endpoint>,
+    dests_seen: FlatSet<Endpoint>,
     /// Allocations consumed by mappings that have since expired: when a
     /// session dies and re-punches, its sprayed destinations are retired
     /// from [`Self::dests_seen`] into this monotonic counter, because
     /// re-contacting them consumes *fresh* allocations on a symmetric
     /// NAT — the allocator's cursor never moves backwards (§5.1).
     expired_allocs: u32,
-    /// Per-peer punch state, boxed: a `BTreeMap` node holds up to 11
-    /// entries inline, so an unboxed ~270-byte `Session` makes every
-    /// single-session peer allocate a ~3 KB node. Boxing keeps the node
-    /// pointer-sized per entry, which at 10^5-peer scale is the
-    /// difference between ~60 MB and ~10 MB of session-table RSS.
-    sessions: BTreeMap<PeerId, Box<Session>>,
+    /// Per-peer punch state. A client holds one to three sessions, so
+    /// the table is a sorted vector that costs what it holds; boxed so
+    /// that a second session moves a pointer, not the ~300-byte first.
+    sessions: FlatMap<PeerId, Box<Session>>,
     backlog: Backlog,
     events: VecDeque<UdpPeerEvent>,
     timers: Timers<TimerPurpose>,
@@ -164,6 +163,9 @@ pub struct UdpPeer {
     /// copied into each new session's [`PunchTimeline`].
     registered_at: Option<SimTime>,
 }
+
+// One per client, boxed behind its host's `dyn App`.
+const _: () = assert!(std::mem::size_of::<UdpPeer>() <= 504);
 
 impl UdpPeer {
     /// Creates the endpoint; it registers with S (every home server,
@@ -202,9 +204,9 @@ impl UdpPeer {
             homes,
             probe_public: None,
             delta: None,
-            dests_seen: BTreeSet::new(),
+            dests_seen: FlatSet::new(),
             expired_allocs: 0,
-            sessions: BTreeMap::new(),
+            sessions: FlatMap::new(),
             backlog: Backlog::new(),
             events: VecDeque::new(),
             timers: Timers::new(),
@@ -214,9 +216,10 @@ impl UdpPeer {
         }
     }
 
-    /// Drains accumulated events.
+    /// Drains accumulated events, buffer and all: a peer nobody has
+    /// polled since holds no event memory.
     pub fn take_events(&mut self) -> Vec<UdpPeerEvent> {
-        self.events.drain(..).collect()
+        std::mem::take(&mut self.events).into()
     }
 
     /// Our public endpoint as observed by S, once registered.
@@ -1153,13 +1156,13 @@ mod tests {
         payload.extend_from_slice(&31001u16.to_be_bytes());
         payload.extend_from_slice(&31002u16.to_be_bytes());
         peer.handle_control(PeerId(2), &payload);
-        let cands = peer.sessions[&PeerId(2)].race.candidates.endpoints();
+        let cands = peer.sessions.get(&PeerId(2)).unwrap().race.candidates.endpoints();
         assert_eq!(cands.len(), 3);
         assert!(cands.contains(&"138.76.29.7:31002".parse().unwrap()));
         // Duplicate announcements do not duplicate candidates.
         peer.handle_control(PeerId(2), &payload);
         assert_eq!(
-            peer.sessions[&PeerId(2)].race.candidates.endpoints().len(),
+            peer.sessions.get(&PeerId(2)).unwrap().race.candidates.endpoints().len(),
             3
         );
     }
@@ -1173,7 +1176,7 @@ mod tests {
         peer.sessions.insert(PeerId(2), Box::new(Session::new(1)));
         peer.handle_control(PeerId(2), &[1, 2, 3]); // too short
         peer.handle_control(PeerId(2), &[1, 2, 3, 4, 9, 0, 1]); // count says 9, data for 1
-        assert!(peer.sessions[&PeerId(2)].race.candidates.is_empty());
+        assert!(peer.sessions.get(&PeerId(2)).unwrap().race.candidates.is_empty());
     }
 
     #[test]

@@ -159,6 +159,8 @@ struct Session {
     global: usize,
     /// Client A's node in the shard sim.
     a: NodeId,
+    /// Client B's node.
+    b: NodeId,
     /// Peer id of client B (A connects to B).
     peer_b: PeerId,
     released: bool,
@@ -324,11 +326,12 @@ impl ShardedWorld {
                     client
                 };
                 let a = side("a", nat_a_ip, addrs::CLIENT_A, peer_a);
-                let _b = side("b", nat_b_ip, addrs::CLIENT_B, peer_b);
+                let b = side("b", nat_b_ip, addrs::CLIENT_B, peer_b);
 
                 sessions.push(Session {
                     global: i,
                     a,
+                    b,
                     peer_b,
                     released: false,
                     outcome: SessionOutcome::Pending,
@@ -410,6 +413,12 @@ impl ShardedWorld {
                     sess.resolved_at = Some(boundary);
                     if outcome == SessionOutcome::Direct {
                         sess.latency = app.timeline(sess.peer_b).and_then(|t| t.punch_latency());
+                    }
+                    // The world reads state accessors, never events: drop
+                    // what both peers queued on the way here instead of
+                    // carrying every session's history to the end.
+                    for node in [sess.a, sess.b] {
+                        with_peer(&mut shard.sim, node, |app, _| drop(app.take_events()));
                     }
                     newly += 1;
                 }

@@ -11,13 +11,13 @@ use crate::behavior::{
 };
 use crate::mangle::rewrite_addr;
 use crate::table::{MapId, NatTables};
+use punch_net::flat::FlatMap;
 use punch_net::{
     Body, Ctx, Device, Endpoint, IcmpKind, IcmpMessage, IfaceId, Packet, Proto, TcpFlags,
     FAULT_RESTART,
 };
 use rand::rngs::StdRng;
 use rand::Rng;
-use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 use std::time::Duration;
 
@@ -65,12 +65,17 @@ pub struct NatDevice {
     behavior: NatBehavior,
     public_ips: Vec<Ipv4Addr>,
     tables: NatTables,
-    private_iface: BTreeMap<Ipv4Addr, IfaceId>,
+    /// Learned private hosts; a home NAT has one to three.
+    private_iface: FlatMap<Ipv4Addr, IfaceId>,
     /// Basic NAT: private IP → pool IP assignment.
-    basic_assign: BTreeMap<Ipv4Addr, Ipv4Addr>,
+    basic_assign: FlatMap<Ipv4Addr, Ipv4Addr>,
     next_seq_port: u16,
     stats: NatStats,
 }
+
+// One per NAT, boxed into the sim's device table: 40 000 of them in
+// the benchmark's `crowd_udp`.
+const _: () = assert!(std::mem::size_of::<NatDevice>() <= 344);
 
 impl NatDevice {
     /// Creates a NAT owning the given public address(es). NAPT uses the
@@ -86,8 +91,8 @@ impl NatDevice {
             behavior,
             public_ips,
             tables: NatTables::new(),
-            private_iface: BTreeMap::new(),
-            basic_assign: BTreeMap::new(),
+            private_iface: FlatMap::new(),
+            basic_assign: FlatMap::new(),
             next_seq_port,
             stats: NatStats::default(),
         }
@@ -129,8 +134,8 @@ impl NatDevice {
     pub fn reboot(&mut self) {
         self.stats.reboots += 1;
         self.tables = NatTables::new();
-        self.private_iface.clear();
-        self.basic_assign.clear();
+        self.private_iface = FlatMap::new();
+        self.basic_assign = FlatMap::new();
         // Shift the pool per reboot; a reboot that handed out identical
         // ports again would heal sessions transparently and hide the
         // fault from recovery logic.
@@ -180,7 +185,7 @@ impl NatDevice {
     fn alloc_public(
         behavior: &NatBehavior,
         public_ips: &[Ipv4Addr],
-        basic_assign: &mut BTreeMap<Ipv4Addr, Ipv4Addr>,
+        basic_assign: &mut FlatMap<Ipv4Addr, Ipv4Addr>,
         next_seq_port: &mut u16,
         rng: &mut StdRng,
         tables: &NatTables,

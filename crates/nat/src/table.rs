@@ -4,9 +4,9 @@
 //! between behaviour policies and table outcomes is unit-testable.
 
 use crate::behavior::{FilteringPolicy, MappingPolicy};
+use punch_net::flat::FlatMap;
 use punch_net::{Endpoint, Proto, SimTime};
-// punch-lint: allow(D002) HashMap retained only for the per-packet lookup indexes below; every use is annotated order-insensitive
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 use std::time::Duration;
 
@@ -55,8 +55,7 @@ pub struct MapEntry {
     /// Remote endpoints this private endpoint has exchanged traffic with
     /// (the filter's "holes"), each with its own session expiry (§3.6:
     /// many NATs time out individual sessions, not whole mappings).
-    // punch-lint: allow(D002) hot-path membership filter; only iterated via order-insensitive any()
-    pub allowed: HashMap<Endpoint, SimTime>,
+    pub allowed: FlatMap<Endpoint, SimTime>,
     /// Absolute expiry time; refreshed by traffic.
     pub expires_at: SimTime,
     /// TCP signal tracking (TCP mappings only).
@@ -100,7 +99,7 @@ impl MapEntry {
 /// Key identifying the mapping an outbound packet should use, shaped by
 /// the mapping policy: endpoint-independent keys ignore the destination,
 /// symmetric keys include it.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 struct OutKey {
     proto: Proto,
     private: Endpoint,
@@ -137,15 +136,14 @@ pub struct NatTables {
     next_id: MapId,
     /// Ordered so [`NatTables::iter`], [`NatTables::sweep`] and
     /// [`NatTables::len`] walk entries in id (creation) order.
-    /// Boxed so the `BTreeMap`'s 11-entry nodes stay pointer-sized per
-    /// slot: an inline `MapEntry` (~90 bytes) makes every NAT with a
-    /// single mapping allocate a ~1 KB node, which dominates NAT-table
-    /// RSS in population-scale simulations.
-    entries: BTreeMap<MapId, Box<MapEntry>>,
-    // punch-lint: allow(D002) per-packet translation lookup; only iterated via retain(), an order-insensitive removal
-    out_index: HashMap<OutKey, MapId>,
-    // punch-lint: allow(D002) per-packet demux lookup; never iterated
-    pub_index: HashMap<(Proto, Endpoint), MapId>,
+    /// A home NAT holds one to three mappings, so all three tables are
+    /// sorted vectors that cost what they hold; a flooded or exhausted
+    /// NAT's thousands are still found by binary search, and new ids
+    /// append. Boxed so that growing the table, or removing a low id
+    /// from a large one, moves pointers and not entries.
+    entries: FlatMap<MapId, Box<MapEntry>>,
+    out_index: FlatMap<OutKey, MapId>,
+    pub_index: FlatMap<(Proto, Endpoint), MapId>,
 }
 
 impl NatTables {
@@ -229,8 +227,7 @@ impl NatTables {
             proto,
             private,
             public,
-            // punch-lint: allow(D002) see MapEntry::allowed — membership filter, order-insensitive
-            allowed: HashMap::new(),
+            allowed: FlatMap::new(),
             expires_at: now, // caller refreshes immediately
             tcp: TcpTrack::default(),
         };
@@ -293,17 +290,17 @@ impl NatTables {
     /// Drops every entry that expired at or before `now`; returns how
     /// many were removed.
     pub fn sweep(&mut self, now: SimTime) -> usize {
-        let dead: Vec<MapId> = self
-            .entries
-            .values()
-            .filter(|e| e.expires_at <= now)
-            .map(|e| e.id)
-            .collect();
-        let n = dead.len();
-        for id in dead {
-            self.remove(id);
+        let before = self.entries.len();
+        self.entries.retain(|_, e| e.expires_at > now);
+        let removed = before - self.entries.len();
+        if removed > 0 {
+            // One pass per index however many entries died (a flood's
+            // mappings expire together), not one pass per dead entry.
+            let entries = &self.entries;
+            self.pub_index.retain(|_, id| entries.contains_key(id));
+            self.out_index.retain(|_, id| entries.contains_key(id));
         }
-        n
+        removed
     }
 
     /// Extends an entry's lifetime to `now + ttl`.
@@ -495,7 +492,7 @@ mod tests {
             proto: Proto::Udp,
             private: ep("10.0.0.1:4321"),
             public: ep("155.99.25.11:62000"),
-            allowed: HashMap::new(),
+            allowed: FlatMap::new(),
             expires_at: SimTime::MAX,
             tcp: TcpTrack::default(),
         };
@@ -543,7 +540,7 @@ mod tests {
             proto: Proto::Udp,
             private: ep("10.0.0.1:4321"),
             public: ep("155.99.25.11:62000"),
-            allowed: HashMap::new(),
+            allowed: FlatMap::new(),
             expires_at: SimTime::MAX,
             tcp: TcpTrack::default(),
         };
@@ -572,7 +569,10 @@ mod tests {
         ));
         // touch_session never shortens an expiry.
         e.touch_session(ep("138.76.29.7:31000"), SimTime::from_secs(90));
-        assert_eq!(e.allowed[&ep("138.76.29.7:31000")], SimTime::from_secs(100));
+        assert_eq!(
+            e.allowed.get(&ep("138.76.29.7:31000")),
+            Some(&SimTime::from_secs(100))
+        );
     }
 
     #[test]
@@ -682,6 +682,43 @@ mod tests {
         assert_eq!(t.len(SimTime::from_secs(15)), 2);
         assert_eq!(t.sweep(SimTime::from_secs(100)), 2);
         assert!(t.is_empty());
+    }
+
+    #[test]
+    fn sweep_of_a_flood_leaves_the_three_tables_agreeing() {
+        // The ATK1 shape: thousands of mappings created together expire
+        // together, and the next allocation sweeps them all at once.
+        let policy = MappingPolicy::AddressAndPortDependent;
+        let private = ep("10.0.0.1:4321");
+        let remote = |i: u16| Endpoint::new([99, 0, (i >> 8) as u8, i as u8].into(), 80);
+        let public = |i: u16| Endpoint::new([155, 99, 25, 11].into(), 2000 + i);
+        let mut t = NatTables::new();
+        let t0 = SimTime::ZERO;
+        for i in 0..2_010u16 {
+            let (id, created) = t
+                .outbound(policy, Proto::Udp, private, remote(i), t0, |_| Some(public(i)))
+                .unwrap();
+            assert!(created);
+            // The last ten outlive the flood.
+            let ttl = if i < 2_000 { 30 } else { 300 };
+            t.refresh(id, t0, Duration::from_secs(ttl));
+        }
+        assert_eq!(t.total_len(), 2_010);
+        let later = SimTime::from_secs(60);
+        assert_eq!(t.sweep(later), 2_000);
+        assert_eq!(t.total_len(), 10);
+        assert_eq!(t.out_index.len(), 10);
+        assert_eq!(t.pub_index.len(), 10);
+        for i in 0..2_010u16 {
+            let live = i >= 2_000;
+            assert_eq!(t.public_in_use(Proto::Udp, public(i)), live, "public {i}");
+            assert_eq!(
+                t.lookup_outbound(policy, Proto::Udp, private, remote(i), later).is_some(),
+                live,
+                "outbound {i}"
+            );
+            assert_eq!(t.lookup_public(Proto::Udp, public(i), later).is_some(), live);
+        }
     }
 
     #[test]

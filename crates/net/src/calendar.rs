@@ -16,7 +16,10 @@
 //!   exactly once.
 //! - Popping drains the earliest occupied day into a working set sorted
 //!   descending by `(at, seq)` (unique keys, so unstable sorting is
-//!   deterministic) and serves from its tail.
+//!   deterministic) and serves from its tail. A drained bucket hands its
+//!   buffer to the working set and keeps no capacity: the wheel's memory
+//!   follows what is queued now, not the largest burst each bucket ever
+//!   held.
 //!
 //! The pop order is **exactly** the `(at, seq)` order a `BinaryHeap` with
 //! the same reversed comparator would produce — the property the pinned
@@ -412,9 +415,17 @@ impl<T> CalendarQueue<T> {
         let moved;
         if bucket.iter().all(|e| Self::day(e.at) == d) {
             // Overwhelmingly the common case: the bucket holds only this
-            // rotation, so the whole Vec moves and keeps its capacity.
+            // rotation. The bucket gives its buffer away and is left with
+            // no capacity, so a burst's high-water allocation lives only
+            // until the working set is next replaced, not once in every
+            // bucket a burst ever landed in.
             moved = bucket.len();
-            self.current.append(bucket);
+            if self.current.is_empty() {
+                self.current = std::mem::take(bucket);
+            } else {
+                self.current.append(bucket);
+                *bucket = Vec::new();
+            }
             self.mark_empty(idx);
         } else {
             let before = bucket.len();
@@ -430,6 +441,7 @@ impl<T> CalendarQueue<T> {
             if moved == 0 {
                 return 0;
             }
+            bucket.shrink_to_fit();
         }
         self.wheel_len -= moved;
         // Ascending under the reversed `Ord` = descending by `(at, seq)`;
@@ -443,10 +455,7 @@ impl<T> CalendarQueue<T> {
         if target <= self.buckets.len() {
             return;
         }
-        let mut moved: Vec<Entry<T>> = Vec::with_capacity(self.wheel_len);
-        for b in &mut self.buckets {
-            moved.append(b);
-        }
+        let moved: Vec<Entry<T>> = self.buckets.iter_mut().flat_map(std::mem::take).collect();
         self.buckets.resize_with(target, Vec::new);
         self.occupied = vec![0; target / 64];
         self.mask = target as u64 - 1;
@@ -589,6 +598,21 @@ mod tests {
         }
         assert!(q.bucket_count() > before, "wheel should have grown");
         assert_eq!(q.len(), MIN_BUCKETS * 4 + 3);
+    }
+
+    #[test]
+    fn drained_burst_leaves_no_capacity_in_the_wheel() {
+        // Jitter-free worlds schedule thousands of events at one instant.
+        // Once they are served, the bucket they shared must not go on
+        // holding a buffer sized for them.
+        let mut q = CalendarQueue::new();
+        for seq in 0..10_000u64 {
+            q.push(t(1_000_000), seq, 0u32);
+        }
+        q.push(t(2_000_000), 10_000, 0u32);
+        assert_eq!(drain(&mut q).len(), 10_001);
+        let spare: usize = q.buckets.iter().map(Vec::capacity).sum();
+        assert_eq!(spare, 0, "wheel retains capacity for {spare} entries");
     }
 
     #[test]

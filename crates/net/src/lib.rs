@@ -44,6 +44,7 @@
 pub mod addr;
 pub mod calendar;
 pub mod fault;
+pub mod flat;
 pub mod json;
 pub mod link;
 pub mod metrics;

@@ -20,7 +20,7 @@ use bytes::Bytes;
 use std::fmt;
 
 /// Transport protocol selector.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum Proto {
     /// User Datagram Protocol.
     Udp,
@@ -233,6 +233,10 @@ pub struct Packet {
     /// it, and host stacks verify it on ingest.
     pub checksum: u16,
 }
+
+// Every queued delivery, arena slot and host outbox entry is one of
+// these; a fatter `Packet` is paid for in every world's resident set.
+const _: () = assert!(std::mem::size_of::<Packet>() <= 104);
 
 /// Default initial TTL for packets originated by hosts.
 pub const DEFAULT_TTL: u8 = 64;

@@ -187,17 +187,11 @@ pub struct HostDevice {
     /// Stack counters already published to the metrics registry; the
     /// device reports deltas after each callback.
     published: StackStats,
-    /// Reusable drain buffers for [`Self::drive`]; retained across
-    /// callbacks so the per-packet dispatch loop never allocates.
-    scratch: DriveScratch,
 }
 
-#[derive(Default)]
-struct DriveScratch {
-    packets: Vec<Packet>,
-    events: Vec<SockEvent>,
-    timers: Vec<(Duration, u64)>,
-}
+// One per host, boxed into the sim's device table: 40 000 of them in
+// the benchmark's `crowd_udp`.
+const _: () = assert!(std::mem::size_of::<HostDevice>() <= 512);
 
 impl HostDevice {
     /// Creates a host with address `ip` running `app`.
@@ -210,7 +204,6 @@ impl HostDevice {
             app,
             started: false,
             published: StackStats::default(),
-            scratch: DriveScratch::default(),
         }
     }
 
@@ -248,7 +241,7 @@ impl HostDevice {
             ctx,
         };
         let r = f(app, &mut os);
-        Self::drive(&mut self.stack, self.app.as_mut(), &mut self.scratch, ctx);
+        Self::drive(&mut self.stack, self.app.as_mut(), ctx);
         self.flush_metrics(ctx);
         r
     }
@@ -287,39 +280,30 @@ impl HostDevice {
 
     /// Flushes stack side effects and dispatches pending events to the
     /// app, repeating until quiescent (app callbacks may generate more).
-    fn drive(
-        stack: &mut HostStack,
-        app: &mut dyn App,
-        scratch: &mut DriveScratch,
-        ctx: &mut Ctx<'_>,
-    ) {
+    /// The stack's outboxes are drained in place and keep their buffers,
+    /// so the per-packet dispatch loop never allocates and a host holds
+    /// one buffer per kind.
+    fn drive(stack: &mut HostStack, app: &mut dyn App, ctx: &mut Ctx<'_>) {
         loop {
-            stack.drain_packets_into(&mut scratch.packets);
-            for pkt in scratch.packets.drain(..) {
+            for pkt in stack.out.drain(..) {
                 ctx.send(0, pkt);
             }
-            stack.drain_timers_into(&mut scratch.timers);
-            for (after, token) in scratch.timers.drain(..) {
+            for (after, token) in stack.timers.drain(..) {
                 ctx.set_timer(after, token);
             }
-            stack.drain_events_into(&mut scratch.events);
-            if scratch.events.is_empty() {
-                // One more flush in case the last app callback queued
-                // packets but no events.
-                stack.drain_packets_into(&mut scratch.packets);
-                for pkt in scratch.packets.drain(..) {
-                    ctx.send(0, pkt);
-                }
-                stack.drain_timers_into(&mut scratch.timers);
-                for (after, token) in scratch.timers.drain(..) {
-                    ctx.set_timer(after, token);
-                }
+            if stack.events.is_empty() {
                 return;
             }
-            for ev in scratch.events.drain(..) {
+            // Callbacks push to `stack.events` while this batch is being
+            // delivered, so the batch moves out; its emptied buffer goes
+            // back underneath whatever they queued.
+            let mut batch = std::mem::take(&mut stack.events);
+            for ev in batch.drain(..) {
                 let mut os = Os { stack, ctx };
                 app.on_event(&mut os, ev);
             }
+            batch.append(&mut stack.events);
+            stack.events = batch;
         }
     }
 }
@@ -336,13 +320,13 @@ impl Device for HostDevice {
             ctx,
         };
         self.app.on_start(&mut os);
-        Self::drive(&mut self.stack, self.app.as_mut(), &mut self.scratch, ctx);
+        Self::drive(&mut self.stack, self.app.as_mut(), ctx);
         self.flush_metrics(ctx);
     }
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, _iface: IfaceId, pkt: Packet) {
         self.stack.handle_packet(pkt);
-        Self::drive(&mut self.stack, self.app.as_mut(), &mut self.scratch, ctx);
+        Self::drive(&mut self.stack, self.app.as_mut(), ctx);
         self.flush_metrics(ctx);
     }
 
@@ -354,7 +338,7 @@ impl Device for HostDevice {
             };
             self.app.on_timer(&mut os, token);
         }
-        Self::drive(&mut self.stack, self.app.as_mut(), &mut self.scratch, ctx);
+        Self::drive(&mut self.stack, self.app.as_mut(), ctx);
         self.flush_metrics(ctx);
     }
 
@@ -364,7 +348,7 @@ impl Device for HostDevice {
             ctx,
         };
         self.app.on_fault(&mut os, fault);
-        Self::drive(&mut self.stack, self.app.as_mut(), &mut self.scratch, ctx);
+        Self::drive(&mut self.stack, self.app.as_mut(), ctx);
         self.flush_metrics(ctx);
     }
 }

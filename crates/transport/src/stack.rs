@@ -13,10 +13,11 @@ use crate::event::SockEvent;
 use crate::socket::{decode_timer, SocketId, TimerKind};
 use crate::tcb::{StackStats, Tcb, TcbOutcome, TcpIo, TcpState};
 use bytes::Bytes;
+use punch_net::flat::FlatMap;
 use punch_net::{Body, Endpoint, IcmpKind, Packet, Proto, TcpFlags, TcpSegment};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::net::Ipv4Addr;
 use std::time::Duration;
 
@@ -56,10 +57,12 @@ enum Socket {
 /// A host's transport stack.
 ///
 /// The stack is synchronous and side-effect-buffered: API calls and packet
-/// handling append to internal outboxes ([`HostStack::take_packets`],
-/// [`HostStack::take_events`], [`HostStack::take_timers`]) which the
-/// embedding [`crate::HostDevice`] drains into the simulator and the
-/// application. This keeps the stack directly unit-testable.
+/// handling append to internal outboxes, which the embedding
+/// [`crate::HostDevice`] drains in place into the simulator and the
+/// application. A caller driving a bare stack empties them with
+/// [`HostStack::take_packets`], [`HostStack::take_events`] and
+/// [`HostStack::take_timers`], which keeps the stack directly
+/// unit-testable.
 #[derive(Debug)]
 pub struct HostStack {
     ip: Ipv4Addr,
@@ -68,16 +71,20 @@ pub struct HostStack {
     /// Secret for RFC 6528-style ISS generation.
     iss_secret: u64,
     next_sock: u32,
-    socks: BTreeMap<SocketId, Socket>,
+    /// A client holds one to three sockets; only a busy server's table
+    /// grows, and its ids arrive in ascending order (appends).
+    socks: FlatMap<SocketId, Socket>,
     /// TCP connections by (local, remote).
-    conn_index: BTreeMap<(Endpoint, Endpoint), SocketId>,
+    conn_index: FlatMap<(Endpoint, Endpoint), SocketId>,
     /// TCP listeners by local port.
-    listeners: BTreeMap<u16, SocketId>,
+    listeners: FlatMap<u16, SocketId>,
     /// UDP sockets by local port.
-    udp_index: BTreeMap<u16, SocketId>,
-    out: Vec<Packet>,
-    events: Vec<SockEvent>,
-    timers: Vec<(Duration, u64)>,
+    udp_index: FlatMap<u16, SocketId>,
+    /// The outboxes. [`crate::HostDevice`] drains them in place after
+    /// every callback, so each host holds one buffer per kind.
+    pub(crate) out: Vec<Packet>,
+    pub(crate) events: Vec<SockEvent>,
+    pub(crate) timers: Vec<(Duration, u64)>,
     stats: StackStats,
 }
 
@@ -90,10 +97,10 @@ impl HostStack {
             rng: StdRng::seed_from_u64(seed),
             iss_secret: seed ^ 0x1505_1505_1505_1505,
             next_sock: 1,
-            socks: BTreeMap::new(),
-            conn_index: BTreeMap::new(),
-            listeners: BTreeMap::new(),
-            udp_index: BTreeMap::new(),
+            socks: FlatMap::new(),
+            conn_index: FlatMap::new(),
+            listeners: FlatMap::new(),
+            udp_index: FlatMap::new(),
             out: Vec::new(),
             events: Vec::new(),
             timers: Vec::new(),
@@ -146,28 +153,6 @@ impl HostStack {
     /// Drains pending timer requests (`(delay, token)`).
     pub fn take_timers(&mut self) -> Vec<(Duration, u64)> {
         std::mem::take(&mut self.timers)
-    }
-
-    /// Appends queued transmissions to `buf`, leaving the internal
-    /// queue empty but with its capacity intact. The `take_*` variants
-    /// surrender the backing allocation, so a stack driven once per
-    /// packet pays a malloc/free per delivery; the `drain_*_into`
-    /// family exists so a long-lived driver can recycle one scratch
-    /// buffer instead.
-    pub fn drain_packets_into(&mut self, buf: &mut Vec<Packet>) {
-        buf.append(&mut self.out);
-    }
-
-    /// Appends pending application events to `buf`; see
-    /// [`Self::drain_packets_into`] for why this exists.
-    pub fn drain_events_into(&mut self, buf: &mut Vec<SockEvent>) {
-        buf.append(&mut self.events);
-    }
-
-    /// Appends pending timer requests to `buf`; see
-    /// [`Self::drain_packets_into`] for why this exists.
-    pub fn drain_timers_into(&mut self, buf: &mut Vec<(Duration, u64)>) {
-        buf.append(&mut self.timers);
     }
 
     /// Returns the number of live sockets (tests/diagnostics).

@@ -102,4 +102,16 @@ if grep '^ *trace\.replica_matches' "$tmp/smoke.txt" | grep -v ' 1\.000000 count
     exit 1
 fi
 
+echo "== memory gate: a full-size fleet_churn rep peaks under 60 MiB =="
+# Needs no timing: peak RSS repeats to +-0.1 MiB. This world is 10 MiB
+# once built and ran to 143 MiB while drained event-queue buckets kept
+# their buffers (29 MiB without); retention coming back is a red build.
+bash benchmark/run.sh --workload fleet_churn --seed 2005 --seconds 1 --trace 0 > "$tmp/mem.txt"
+rss=$(tail -n 1 "$tmp/mem.txt" | sed -n 's/.*"peak_rss_mib":{"value":\([0-9.]*\).*/\1/p')
+echo "peak_rss_mib ${rss:-missing}"
+if ! awk -v rss="$rss" 'BEGIN { exit !(rss > 0 && rss <= 60) }'; then
+    echo "FAIL: fleet_churn peak_rss_mib missing or over 60" >&2
+    exit 1
+fi
+
 echo "OK"
