@@ -26,12 +26,11 @@ use crate::relay::{self, RelayKind};
 use crate::session::{self, Asked, Backlog, Phase, Race, Timers};
 use crate::timeline::PunchTimeline;
 use bytes::Bytes;
-use punch_net::flat::{FlatMap, FlatSet};
+use punch_net::flat::{self, FlatMap, FlatSet};
 use punch_net::{Endpoint, SimTime};
 use punch_rendezvous::{Message, PeerId};
 use punch_transport::{App, Os, SockEvent, SocketId};
 use rand::Rng;
-use std::collections::VecDeque;
 
 #[derive(Debug)]
 struct Session {
@@ -155,7 +154,7 @@ pub struct UdpPeer {
     /// that a second session moves a pointer, not the ~300-byte first.
     sessions: FlatMap<PeerId, Box<Session>>,
     backlog: Backlog,
-    events: VecDeque<UdpPeerEvent>,
+    events: Vec<UdpPeerEvent>,
     timers: Timers<TimerPurpose>,
     stats: UdpPeerStats,
     server_ka_armed: bool,
@@ -208,7 +207,7 @@ impl UdpPeer {
             expired_allocs: 0,
             sessions: FlatMap::new(),
             backlog: Backlog::new(),
-            events: VecDeque::new(),
+            events: Vec::new(),
             timers: Timers::new(),
             stats: UdpPeerStats::default(),
             server_ka_armed: false,
@@ -219,7 +218,7 @@ impl UdpPeer {
     /// Drains accumulated events, buffer and all: a peer nobody has
     /// polled since holds no event memory.
     pub fn take_events(&mut self) -> Vec<UdpPeerEvent> {
-        std::mem::take(&mut self.events).into()
+        std::mem::take(&mut self.events)
     }
 
     /// Our public endpoint as observed by S, once registered.
@@ -323,7 +322,7 @@ impl UdpPeer {
                     // The hole evidently closed; re-run the procedure.
                     session.race.queue(data);
                     os.metric_inc_labeled("punch.session_died", "stale-on-send");
-                    self.events.push_back(UdpPeerEvent::SessionDied { peer });
+                    flat::push(&mut self.events, UdpPeerEvent::SessionDied { peer });
                     self.start_repunch(os, peer);
                     return;
                 }
@@ -715,14 +714,16 @@ impl UdpPeer {
             os.metric_inc("punch.relocked");
         }
         let arm_keepalive = !std::mem::replace(&mut session.keepalive_armed, true);
-        self.events
-            .push_back(UdpPeerEvent::Established { peer, remote });
+        flat::push(&mut self.events, UdpPeerEvent::Established { peer, remote });
         if let Some(won) = won {
-            self.events.push_back(UdpPeerEvent::RaceSettled {
-                peer,
-                winner: Some(remote),
-                candidates: won.stamps,
-            });
+            flat::push(
+                &mut self.events,
+                UdpPeerEvent::RaceSettled {
+                    peer,
+                    winner: Some(remote),
+                    candidates: won.stamps,
+                },
+            );
             // Flush anything queued while punching.
             for data in won.queued {
                 self.stats.direct_msgs += 1;
@@ -774,7 +775,7 @@ impl UdpPeer {
                 if first {
                     self.registered_at = Some(now);
                     os.metric_inc("punch.registered");
-                    self.events.push_back(UdpPeerEvent::Registered { public });
+                    flat::push(&mut self.events, UdpPeerEvent::Registered { public });
                     if !self.server_ka_armed {
                         self.server_ka_armed = true;
                         let ka = self.cfg.server_keepalive;
@@ -817,11 +818,14 @@ impl UdpPeer {
             Message::RelayedData { from: peer, data } if self.is_home(from) => {
                 match relay::unwrap(&data) {
                     Some((RelayKind::Control, body)) => self.handle_control(peer, &body),
-                    Some((RelayKind::App, data)) => self.events.push_back(UdpPeerEvent::Data {
-                        peer,
-                        data,
-                        via: Via::Relay,
-                    }),
+                    Some((RelayKind::App, data)) => flat::push(
+                        &mut self.events,
+                        UdpPeerEvent::Data {
+                            peer,
+                            data,
+                            via: Via::Relay,
+                        },
+                    ),
                     None => {}
                 }
             }
@@ -860,11 +864,14 @@ impl UdpPeer {
             Message::PeerData { data } => {
                 if let Some(peer) = self.session_by_remote(from) {
                     self.touch(peer, now);
-                    self.events.push_back(UdpPeerEvent::Data {
-                        peer,
-                        data,
-                        via: Via::Direct,
-                    });
+                    flat::push(
+                        &mut self.events,
+                        UdpPeerEvent::Data {
+                            peer,
+                            data,
+                            via: Via::Direct,
+                        },
+                    );
                 }
                 // Unknown source: stray traffic, dropped (§3.4).
             }
@@ -901,7 +908,7 @@ impl UdpPeer {
             os.metric_inc_labeled("punch.relay_fallback", reason);
             let arm_probe =
                 probe_interval.filter(|_| !std::mem::replace(&mut session.relay_probe_armed, true));
-            self.events.push_back(UdpPeerEvent::RelayActive { peer });
+            flat::push(&mut self.events, UdpPeerEvent::RelayActive { peer });
             if let Some(interval) = arm_probe {
                 self.arm(os, interval, TimerPurpose::RelayProbe(peer));
             }
@@ -911,13 +918,16 @@ impl UdpPeer {
         } else {
             session.timeline.failed = Some(now);
             os.metric_inc_labeled("punch.failed", reason);
-            self.events.push_back(UdpPeerEvent::PunchFailed { peer });
+            flat::push(&mut self.events, UdpPeerEvent::PunchFailed { peer });
         }
-        self.events.push_back(UdpPeerEvent::RaceSettled {
-            peer,
-            winner: None,
-            candidates: lost.stamps,
-        });
+        flat::push(
+            &mut self.events,
+            UdpPeerEvent::RaceSettled {
+                peer,
+                winner: None,
+                candidates: lost.stamps,
+            },
+        );
     }
 }
 
@@ -978,7 +988,7 @@ impl App for UdpPeer {
                     self.registered = false;
                     self.server_ka_armed = false;
                     os.metric_inc("punch.server_lost");
-                    self.events.push_back(UdpPeerEvent::ServerLost);
+                    flat::push(&mut self.events, UdpPeerEvent::ServerLost);
                     self.register_all(os, private);
                     self.arm(os, self.cfg.register_retry, TimerPurpose::RegisterRetry);
                     return;
@@ -1038,7 +1048,7 @@ impl App for UdpPeer {
                         session.timeline.failed = Some(now);
                         session.timeline.failure = Some("session-timeout");
                         os.metric_inc_labeled("punch.session_died", "keepalive-timeout");
-                        self.events.push_back(UdpPeerEvent::SessionDied { peer });
+                        flat::push(&mut self.events, UdpPeerEvent::SessionDied { peer });
                         if auto_repunch {
                             self.start_repunch(os, peer);
                         }

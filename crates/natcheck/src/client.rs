@@ -3,10 +3,10 @@
 
 use crate::servers::{CHECK_PORT, S3_PROBE_PORT};
 use crate::wire::{CheckFrames, CheckMsg};
+use punch_net::flat::FlatMap;
 use punch_net::{Endpoint, SimTime};
 use punch_transport::{App, ConnectOpts, Os, SockEvent, SocketId};
 use rand::Rng;
-use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 use std::time::Duration;
 
@@ -103,7 +103,7 @@ pub struct NatCheckClient {
     local_tcp_port: u16,
     conn1: Option<SocketId>,
     conn2: Option<SocketId>,
-    frames: BTreeMap<SocketId, CheckFrames>,
+    frames: FlatMap<SocketId, CheckFrames>,
     tcp_obs1: Option<Endpoint>,
     tcp_obs2: Option<Endpoint>,
     inbound_from_s3: bool,
@@ -138,7 +138,7 @@ impl NatCheckClient {
             local_tcp_port: 0,
             conn1: None,
             conn2: None,
-            frames: BTreeMap::new(),
+            frames: FlatMap::new(),
             tcp_obs1: None,
             tcp_obs2: None,
             inbound_from_s3: false,

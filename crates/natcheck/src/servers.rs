@@ -8,9 +8,9 @@
 //! via simultaneous open with a still-pending attempt).
 
 use crate::wire::{CheckFrames, CheckMsg, InboundStatus};
+use punch_net::flat::FlatMap;
 use punch_net::Endpoint;
 use punch_transport::{App, ConnectOpts, Os, SockEvent, SocketError, SocketId};
-use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 use std::time::Duration;
 
@@ -51,13 +51,13 @@ pub struct CheckServer {
     role: ServerRole,
     udp: Option<SocketId>,
     listener: Option<SocketId>,
-    conns: BTreeMap<SocketId, CheckFrames>,
+    conns: FlatMap<SocketId, CheckFrames>,
     /// Server 2: replies deferred until server 3's go-ahead, by token.
-    pending: BTreeMap<u64, PendingReply>,
+    pending: FlatMap<u64, PendingReply>,
     /// Server 3: inbound attempts by token.
-    attempts: BTreeMap<u64, InboundAttempt>,
+    attempts: FlatMap<u64, InboundAttempt>,
     next_timer: u64,
-    timer_tokens: BTreeMap<u64, u64>,
+    timer_tokens: FlatMap<u64, u64>,
 }
 
 impl CheckServer {
@@ -67,11 +67,11 @@ impl CheckServer {
             role,
             udp: None,
             listener: None,
-            conns: BTreeMap::new(),
-            pending: BTreeMap::new(),
-            attempts: BTreeMap::new(),
+            conns: FlatMap::new(),
+            pending: FlatMap::new(),
+            attempts: FlatMap::new(),
             next_timer: 1,
-            timer_tokens: BTreeMap::new(),
+            timer_tokens: FlatMap::new(),
         }
     }
 

@@ -15,11 +15,18 @@
 //!   migrate into the wheel as the horizon advances past them, each
 //!   exactly once.
 //! - Popping drains the earliest occupied day into a working set sorted
-//!   descending by `(at, seq)` (unique keys, so unstable sorting is
-//!   deterministic) and serves from its tail. A drained bucket hands its
-//!   buffer to the working set and keeps no capacity: the wheel's memory
-//!   follows what is queued now, not the largest burst each bucket ever
-//!   held.
+//!   descending by `(at, seq)` and serves from its tail. Ordering a day
+//!   costs what is new in it: the sort is a run-adaptive stable merge, so
+//!   the already ordered working set is one run, a bucket filled in push
+//!   order is a few more, and same-day arrivals are merged in rather than
+//!   the whole set quick-sorted again (keys are unique, so stability
+//!   changes nothing observable).
+//! - A drained bucket keeps no capacity: of its buffer and the working
+//!   set's, one carries the merged day and the other is retired, so the
+//!   wheel's memory follows what is queued now, not the largest burst each
+//!   bucket ever held. A retired buffer of the minimal size goes to a
+//!   short spare list that the next empty bucket takes from, so a run of
+//!   one-event days allocates nothing; anything larger is freed.
 //!
 //! The pop order is **exactly** the `(at, seq)` order a `BinaryHeap` with
 //! the same reversed comparator would produce — the property the pinned
@@ -56,6 +63,15 @@ const MAX_BUCKETS: usize = 1 << 16;
 /// bucket allocations across a huge ring. Sustained overflow pressure
 /// still grows the wheel adaptively up to [`MAX_BUCKETS`].
 const PRESIZE_MAX_BUCKETS: usize = 1 << 13;
+
+/// Capacity of the buffer a bucket's first push allocates (`Vec`'s first
+/// growth). Only retired buffers of exactly this size are kept as spares:
+/// anything larger would sit under the one-entry days that reuse it.
+const SPARE_CAPACITY: usize = 4;
+
+/// Most spare buffers kept. Days are drained one at a time, so the list
+/// only has to bridge the gap between a drain and the next push.
+const MAX_SPARES: usize = 16;
 
 /// One queued item, keyed by `(at, seq)`.
 ///
@@ -124,6 +140,9 @@ pub struct CalendarQueue<T> {
     ready: bool,
     /// Events beyond the wheel horizon, earliest on top.
     overflow: BinaryHeap<Entry<T>>,
+    /// Empty retired buffers of [`SPARE_CAPACITY`], at most
+    /// [`MAX_SPARES`], for buckets to start from instead of allocating.
+    spares: Vec<Vec<Entry<T>>>,
     /// Total entries across wheel, overflow, and working set.
     len: usize,
 }
@@ -147,6 +166,7 @@ impl<T> CalendarQueue<T> {
             current: Vec::new(),
             ready: false,
             overflow: BinaryHeap::new(),
+            spares: Vec::new(),
             len: 0,
         }
     }
@@ -184,6 +204,21 @@ impl<T> CalendarQueue<T> {
     #[inline]
     fn is_occupied(&self, idx: usize) -> bool {
         self.occupied[idx >> 6] & (1u64 << (idx & 63)) != 0
+    }
+
+    /// Files an entry whose day is inside the horizon in its bucket.
+    #[inline]
+    fn store(&mut self, e: Entry<T>) {
+        let idx = (Self::day(e.at) & self.mask) as usize;
+        let bucket = &mut self.buckets[idx];
+        if bucket.capacity() == 0 {
+            if let Some(spare) = self.spares.pop() {
+                *bucket = spare;
+            }
+        }
+        bucket.push(e);
+        self.mark_occupied(idx);
+        self.wheel_len += 1;
     }
 
     /// Ring distance (in buckets, `1..=len`) from `idx` to the next
@@ -250,10 +285,7 @@ impl<T> CalendarQueue<T> {
             self.cursor = d;
         }
         if d < self.migrated_until {
-            let idx = (d & self.mask) as usize;
-            self.buckets[idx].push(Entry { at, seq, item });
-            self.mark_occupied(idx);
-            self.wheel_len += 1;
+            self.store(Entry { at, seq, item });
         } else {
             self.overflow.push(Entry { at, seq, item });
             // Sustained far-future load means the horizon is too short
@@ -394,18 +426,14 @@ impl<T> CalendarQueue<T> {
                 break;
             }
             if let Some(e) = self.overflow.pop() {
-                let d = Self::day(e.at);
-                let idx = (d & self.mask) as usize;
-                self.buckets[idx].push(e);
-                self.mark_occupied(idx);
-                self.wheel_len += 1;
+                self.store(e);
             }
         }
     }
 
     /// Moves the entries of day `d` from its bucket into the working set
-    /// and re-sorts; entries aliased from other rotations stay behind.
-    /// Returns how many entries moved.
+    /// and merges them in; entries aliased from other rotations stay
+    /// behind. Returns how many entries moved.
     fn drain_bucket_day(&mut self, d: u64) -> usize {
         let idx = (d & self.mask) as usize;
         let bucket = &mut self.buckets[idx];
@@ -415,16 +443,19 @@ impl<T> CalendarQueue<T> {
         let moved;
         if bucket.iter().all(|e| Self::day(e.at) == d) {
             // Overwhelmingly the common case: the bucket holds only this
-            // rotation. The bucket gives its buffer away and is left with
-            // no capacity, so a burst's high-water allocation lives only
-            // until the working set is next replaced, not once in every
-            // bucket a burst ever landed in.
+            // rotation. One of the two buffers carries the day and the
+            // other, now empty, leaves the wheel, so a burst's high-water
+            // allocation lives only until the working set is next
+            // replaced, not once in every bucket a burst ever landed in.
             moved = bucket.len();
             if self.current.is_empty() {
-                self.current = std::mem::take(bucket);
+                std::mem::swap(&mut self.current, bucket);
             } else {
                 self.current.append(bucket);
-                *bucket = Vec::new();
+            }
+            let retired = std::mem::take(bucket);
+            if retired.capacity() == SPARE_CAPACITY && self.spares.len() < MAX_SPARES {
+                self.spares.push(retired);
             }
             self.mark_empty(idx);
         } else {
@@ -444,9 +475,12 @@ impl<T> CalendarQueue<T> {
             bucket.shrink_to_fit();
         }
         self.wheel_len -= moved;
-        // Ascending under the reversed `Ord` = descending by `(at, seq)`;
-        // keys are unique, so the unstable sort is deterministic.
-        self.current.sort_unstable();
+        // Ascending under the reversed `Ord` = descending by `(at, seq)`.
+        // The stable sort finds what is already ordered (the old working
+        // set; a push-order bucket's strictly descending runs, which it
+        // reverses) and merges, where an unstable one would quick-sort
+        // all of it again for a handful of same-day arrivals.
+        self.current.sort();
         moved
     }
 
@@ -468,11 +502,7 @@ impl<T> CalendarQueue<T> {
         }
         self.wheel_len = 0;
         for e in moved {
-            let d = Self::day(e.at);
-            let idx = (d & self.mask) as usize;
-            self.buckets[idx].push(e);
-            self.mark_occupied(idx);
-            self.wheel_len += 1;
+            self.store(e);
         }
         self.migrate();
     }
@@ -613,6 +643,34 @@ mod tests {
         assert_eq!(drain(&mut q).len(), 10_001);
         let spare: usize = q.buckets.iter().map(Vec::capacity).sum();
         assert_eq!(spare, 0, "wheel retains capacity for {spare} entries");
+    }
+
+    #[test]
+    fn one_entry_days_recycle_a_bounded_set_of_minimal_buffers() {
+        // A burst, then the steady state of a quiet world: one event per
+        // day, each scheduling the next. Neither may leave capacity in
+        // the wheel, and what the spare list keeps is a constant.
+        let mut q = CalendarQueue::new();
+        for seq in 0..10_000u64 {
+            q.push(t(1_000_000), seq, 0u32);
+        }
+        q.push(t(2_000_000), 10_000, 0u32);
+        for _ in 0..10_000 {
+            assert!(q.pop_front().is_some());
+        }
+        for seq in 10_001..110_001u64 {
+            let e = q.pop_front().expect("one entry is always pending");
+            q.push(e.at + Duration::from_micros(200), seq, 0u32);
+        }
+        assert_eq!(drain(&mut q).len(), 1);
+        let held: usize = q.buckets.iter().map(Vec::capacity).sum();
+        assert_eq!(held, 0, "wheel retains capacity for {held} entries");
+        assert!((1..=MAX_SPARES).contains(&q.spares.len()));
+        assert!(q.spares.iter().all(|b| b.capacity() == SPARE_CAPACITY));
+        assert!(
+            q.current.capacity() <= SPARE_CAPACITY,
+            "burst buffer outlived the burst"
+        );
     }
 
     #[test]

@@ -35,6 +35,13 @@ fn insert_at<T>(entries: &mut Vec<T>, i: usize, item: T) {
     entries.insert(i, item);
 }
 
+/// Appends `item` by the same growth rule, for per-node buffers that are
+/// not tables but are as numerous and as short: a host's outboxes, a
+/// peer's undelivered events.
+pub fn push<T>(entries: &mut Vec<T>, item: T) {
+    insert_at(entries, entries.len(), item);
+}
+
 /// A map kept as a `Vec<(K, V)>` sorted by key; see the
 /// [module docs](self).
 #[derive(Clone, Debug)]

@@ -7,7 +7,9 @@
 //! reversed comparator; the calendar queue must reproduce it bit for
 //! bit over arbitrary schedules, including the awkward cases: same-day
 //! ties, far-future overflow entries, pushes below an already-scanned
-//! day, interleaved pops, and wheel growth mid-stream.
+//! day, interleaved pops, wheel growth mid-stream, same-instant bursts
+//! far larger than a bucket's first buffer, and pushes into the day whose
+//! sorted working set is being served (the merge path).
 
 use proptest::prelude::*;
 use punch_net::calendar::CalendarQueue;
@@ -28,6 +30,27 @@ enum Op {
     PopBurst,
     /// Grow the wheel, as `add_node` does while a world is built.
     Grow { actors: usize },
+    /// `n` pushes at one instant, as a jitter-free crowd schedules them:
+    /// one bucket grows far past the buffer size the queue recycles.
+    Burst { offset_ns: u64, n: usize },
+    /// Push into the day the queue's front is in — the day whose sorted
+    /// working set is being served — at or after the clock, possibly
+    /// ahead of the front itself.
+    PushIntoFrontDay { pick: u64 },
+}
+
+/// The queue's day width (`calendar::DAY_SHIFT`, private to it).
+const DAY_NS: u64 = 1 << 16;
+
+/// The reference model: min-order on `(at, seq)` via `Reverse`, exactly
+/// the order the old `BinaryHeap<Scheduled>` produced.
+type Model = BinaryHeap<Reverse<(SimTime, u64)>>;
+
+/// Pushes one entry at `at` into both queues under the next sequence number.
+fn push_both(cal: &mut CalendarQueue<u32>, heap: &mut Model, seq: &mut u64, at: SimTime) {
+    cal.push(at, *seq, *seq as u32);
+    heap.push(Reverse((at, *seq)));
+    *seq += 1;
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
@@ -42,6 +65,12 @@ fn arb_op() -> impl Strategy<Value = Op> {
         Just(Op::Pop),
         Just(Op::PopBurst),
         (1usize..200_000).prop_map(|actors| Op::Grow { actors }),
+        // 5000, 2500, ... 1: every size class of the sort, few of them huge.
+        (0u64..20_000_000, 0u32..13).prop_map(|(offset_ns, halvings)| Op::Burst {
+            offset_ns,
+            n: 5000 >> halvings,
+        }),
+        any::<u64>().prop_map(|pick| Op::PushIntoFrontDay { pick }),
     ]
 }
 
@@ -51,9 +80,7 @@ proptest! {
     #[test]
     fn calendar_pops_in_exact_heap_order(ops in proptest::collection::vec(arb_op(), 1..400)) {
         let mut cal: CalendarQueue<u32> = CalendarQueue::new();
-        // Reference model: min-order on (at, seq) via Reverse, exactly
-        // the order the old `BinaryHeap<Scheduled>` produced.
-        let mut heap: BinaryHeap<Reverse<(SimTime, u64)>> = BinaryHeap::new();
+        let mut heap = Model::new();
         let mut seq = 0u64;
         let mut now = SimTime::ZERO;
 
@@ -61,9 +88,7 @@ proptest! {
             match op {
                 Op::Push { offset_ns } => {
                     let at = now + Duration::from_nanos(*offset_ns);
-                    cal.push(at, seq, seq as u32);
-                    heap.push(Reverse((at, seq)));
-                    seq += 1;
+                    push_both(&mut cal, &mut heap, &mut seq, at);
                 }
                 Op::Pop => {
                     // Peek first, as the run loops do, so the cursor
@@ -91,6 +116,21 @@ proptest! {
                 }
                 Op::Grow { actors } => {
                     cal.ensure_capacity_for(*actors);
+                }
+                Op::Burst { offset_ns, n } => {
+                    let at = now + Duration::from_nanos(*offset_ns);
+                    for _ in 0..*n {
+                        push_both(&mut cal, &mut heap, &mut seq, at);
+                    }
+                }
+                Op::PushIntoFrontDay { pick } => {
+                    // Peek as the run loops do, so the front's day is
+                    // drained and sorted before the push lands in it.
+                    let front = cal.next_at().unwrap_or(now).as_nanos();
+                    let day_start = front - front % DAY_NS;
+                    let lo = day_start.max(now.as_nanos());
+                    let at = SimTime::from_nanos(lo + pick % (day_start + DAY_NS - lo));
+                    push_both(&mut cal, &mut heap, &mut seq, at);
                 }
             }
             prop_assert_eq!(cal.len(), heap.len());

@@ -785,26 +785,35 @@ impl RendezvousServer {
                         Err(_) => return,
                     },
                 };
-                if !self.table(tcp).contains_key(&peer_id) && !self.make_room(os, tcp) {
-                    // Every slot is held by a protected-active client;
-                    // the newcomer — not an active client — loses.
-                    self.send(
-                        os,
-                        via,
-                        &Message::ErrorReply {
-                            code: ERR_TABLE_FULL,
-                        },
-                    );
-                    return;
-                }
                 let reg = Reg {
                     route: via,
                     public,
                     private,
-                    seq: self.next_seq(),
+                    seq: self.reg_seq,
                     last_active: now,
                 };
-                let old = self.table(tcp).insert(peer_id, reg);
+                // A refresh overwrites its record where the one search
+                // finds it; only a newcomer needs room made.
+                let old = match self.table(tcp).get_mut(&peer_id) {
+                    Some(known) => Some(std::mem::replace(known, reg)),
+                    None => {
+                        if !self.make_room(os, tcp) {
+                            // Every slot is held by a protected-active
+                            // client; the newcomer — not an active
+                            // client — loses, and draws no stamp.
+                            self.send(
+                                os,
+                                via,
+                                &Message::ErrorReply {
+                                    code: ERR_TABLE_FULL,
+                                },
+                            );
+                            return;
+                        }
+                        self.table(tcp).insert(peer_id, reg)
+                    }
+                };
+                self.reg_seq += 1;
                 // Point the route's reverse index at the peer, so a
                 // keepalive (which carries no id) finds it.
                 match via {

@@ -13,7 +13,7 @@ use crate::event::SockEvent;
 use crate::socket::{decode_timer, SocketId, TimerKind};
 use crate::tcb::{StackStats, Tcb, TcbOutcome, TcpIo, TcpState};
 use bytes::Bytes;
-use punch_net::flat::FlatMap;
+use punch_net::flat::{self, FlatMap};
 use punch_net::{Body, Endpoint, IcmpKind, Packet, Proto, TcpFlags, TcpSegment};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -81,7 +81,9 @@ pub struct HostStack {
     /// UDP sockets by local port.
     udp_index: FlatMap<u16, SocketId>,
     /// The outboxes. [`crate::HostDevice`] drains them in place after
-    /// every callback, so each host holds one buffer per kind.
+    /// every callback, so each host holds one buffer per kind; `out` and
+    /// `events` rarely hold more than an entry or two at once and first
+    /// grow a slot at a time ([`flat::push`]).
     pub(crate) out: Vec<Packet>,
     pub(crate) events: Vec<SockEvent>,
     pub(crate) timers: Vec<(Duration, u64)>,
@@ -237,7 +239,7 @@ impl HostStack {
             Some(_) => return Err(SocketError::InvalidState),
             None => return Err(SocketError::BadSocket),
         };
-        self.out.push(Packet::udp(local, to, data));
+        flat::push(&mut self.out, Packet::udp(local, to, data));
         Ok(())
     }
 
@@ -522,7 +524,7 @@ impl HostStack {
                     _ => false,
                 };
                 if surfaced {
-                    self.events.push(SockEvent::TcpConnectFailed { sock, err });
+                    flat::push(&mut self.events, SockEvent::TcpConnectFailed { sock, err });
                 }
             }
             self.remove_conn(sock);
@@ -550,11 +552,12 @@ impl HostStack {
         match pkt.body {
             Body::Udp(data) => {
                 if let Some(&sock) = self.udp_index.get(&pkt.dst.port) {
-                    self.events.push(SockEvent::UdpReceived {
+                    let received = SockEvent::UdpReceived {
                         sock,
                         from: pkt.src,
                         data,
-                    });
+                    };
+                    flat::push(&mut self.events, received);
                 }
                 // No ICMP port-unreachable for UDP: hole-punching probes to
                 // stale endpoints should die silently, as on most consumer
@@ -635,7 +638,7 @@ impl HostStack {
                 )
             };
             self.stats.rsts_sent += 1;
-            self.out.push(Packet::tcp(dst, src, rst));
+            flat::push(&mut self.out, Packet::tcp(dst, src, rst));
         }
     }
 
@@ -685,10 +688,11 @@ impl HostStack {
         }
         // The old connect fails; remove it first so the index slot frees.
         self.remove_conn(old);
-        self.events.push(SockEvent::TcpConnectFailed {
+        let failed = SockEvent::TcpConnectFailed {
             sock: old,
             err: SocketError::AddrInUse,
-        });
+        };
+        flat::push(&mut self.events, failed);
         self.passive_open(listener, src, dst, seg);
     }
 
