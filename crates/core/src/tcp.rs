@@ -24,11 +24,12 @@ use crate::events::{TcpPath, TcpPeerEvent, Via};
 use crate::relay::{self, RelayKind};
 use crate::session::{self, Asked, Backlog, Phase, Race, Timers};
 use bytes::Bytes;
+use punch_net::flat::FlatMap;
 use punch_net::{Endpoint, SimTime};
 use punch_rendezvous::{encode_frame, FrameBuf, Message, PeerId};
 use punch_transport::{App, ConnectOpts, Os, SockEvent, SocketError, SocketId};
 use rand::Rng;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Counters exposed for experiments.
 #[derive(Clone, Copy, Debug, Default)]
@@ -47,7 +48,7 @@ pub struct TcpPeerStats {
 struct TcpSession {
     /// Locked in on the winning stream's socket once established.
     race: Race<SocketId>,
-    retries: BTreeMap<Endpoint, u32>,
+    retries: FlatMap<Endpoint, u32>,
     started_at: SimTime,
     deadline_armed: bool,
     /// §4.5: after the doomed connect, the responder only listens.
@@ -58,7 +59,7 @@ impl TcpSession {
     fn new(nonce: u64, now: SimTime) -> Self {
         TcpSession {
             race: Race::new(nonce),
-            retries: BTreeMap::new(),
+            retries: FlatMap::new(),
             started_at: now,
             deadline_armed: false,
             passive: false,
@@ -103,10 +104,10 @@ pub struct TcpPeer {
     server_frames: FrameBuf,
     registered: bool,
     public: Option<Endpoint>,
-    sessions: BTreeMap<PeerId, TcpSession>,
+    sessions: FlatMap<PeerId, TcpSession>,
     /// Every peer connection: attempts in flight, accepted streams,
     /// authenticated streams.
-    conns: BTreeMap<SocketId, Conn>,
+    conns: FlatMap<SocketId, Conn>,
     backlog: Backlog,
     events: VecDeque<TcpPeerEvent>,
     timers: Timers<TimerPurpose>,
@@ -127,8 +128,8 @@ impl TcpPeer {
             server_frames: FrameBuf::new(),
             registered: false,
             public: None,
-            sessions: BTreeMap::new(),
-            conns: BTreeMap::new(),
+            sessions: FlatMap::new(),
+            conns: FlatMap::new(),
             backlog: Backlog::new(),
             events: VecDeque::new(),
             timers: Timers::new(),

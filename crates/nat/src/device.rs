@@ -5,15 +5,24 @@
 //! the NAT to its upstream first); every later interface is a private-side
 //! link. The device learns which private host lives behind which interface
 //! from outbound traffic, like a switch learning MAC addresses.
+//!
+//! Each packet is translated with its mapping in hand: one search of
+//! [`NatTables`] yields the entry, every verdict that can drop the packet
+//! (filter, unknown host, TTL) is reached before the entry is written
+//! to, and only a packet that is going to be forwarded refreshes a timer,
+//! opens a filter hole, advances TCP tracking or pins a reverse binding.
+//! Nothing holds a mapping across a call that can evict it; the one path
+//! where that can happen (a hairpin whose sender needs room) looks its
+//! target up again afterwards.
 
 use crate::behavior::{
     Hairpin, MappingPolicy, NatBehavior, NatKind, PortAllocation, TcpUnsolicited,
 };
 use crate::mangle::rewrite_addr;
-use crate::table::{MapId, NatTables};
+use crate::table::{MapEntry, MapId, NatTables};
 use punch_net::flat::FlatMap;
 use punch_net::{
-    Body, Ctx, Device, Endpoint, IcmpKind, IcmpMessage, IfaceId, Packet, Proto, TcpFlags,
+    Body, Ctx, Device, Endpoint, IcmpKind, IcmpMessage, IfaceId, Packet, Proto, SimTime, TcpFlags,
     FAULT_RESTART,
 };
 use rand::rngs::StdRng;
@@ -75,7 +84,7 @@ pub struct NatDevice {
 
 // One per NAT, boxed into the sim's device table: 40 000 of them in
 // the benchmark's `crowd_udp`.
-const _: () = assert!(std::mem::size_of::<NatDevice>() <= 344);
+const _: () = assert!(std::mem::size_of::<NatDevice>() <= 320);
 
 impl NatDevice {
     /// Creates a NAT owning the given public address(es). NAPT uses the
@@ -153,59 +162,29 @@ impl NatDevice {
         self.behavior = behavior;
     }
 
-    fn is_public_ip(&self, ip: Ipv4Addr) -> bool {
-        self.public_ips.contains(&ip)
-    }
-
-    /// Time-to-live for a mapping in its current protocol/TCP state.
-    fn ttl_for(&self, id: MapId) -> Duration {
-        match self.tables.get(id) {
-            Some(e) if e.proto == Proto::Tcp => {
-                if e.tcp.closing() {
-                    // Closing connections linger briefly.
-                    self.behavior
-                        .tcp_transitory_timeout
-                        .min(Duration::from_secs(10))
-                } else if e.tcp.established() {
-                    self.behavior.tcp_established_timeout
-                } else {
-                    self.behavior.tcp_transitory_timeout
-                }
-            }
-            _ => self.behavior.udp_timeout,
-        }
-    }
-
     /// Allocates a public endpoint per the configured policy, or assigns
-    /// a Basic-NAT pool address.
-    ///
-    /// Free function over split-off fields (rather than `&mut self`)
-    /// because it runs inside the tables' `outbound` closure.
-    #[allow(clippy::too_many_arguments)]
+    /// a Basic-NAT pool address. `None` when the pool is exhausted.
     fn alloc_public(
-        behavior: &NatBehavior,
-        public_ips: &[Ipv4Addr],
-        basic_assign: &mut FlatMap<Ipv4Addr, Ipv4Addr>,
-        next_seq_port: &mut u16,
+        &mut self,
         rng: &mut StdRng,
-        tables: &NatTables,
         proto: Proto,
         private: Endpoint,
     ) -> Option<Endpoint> {
+        let (behavior, tables) = (&self.behavior, &self.tables);
         if behavior.kind == NatKind::Basic {
-            let used: Vec<Ipv4Addr> = basic_assign.values().copied().collect();
-            let ip = match basic_assign.get(&private.ip) {
+            let ip = match self.basic_assign.get(&private.ip) {
                 Some(ip) => *ip,
                 None => {
-                    let ip = *public_ips.iter().find(|ip| !used.contains(ip))?;
-                    basic_assign.insert(private.ip, ip);
+                    let used = |ip: &&Ipv4Addr| self.basic_assign.values().any(|u| u == *ip);
+                    let ip = *self.public_ips.iter().find(|ip| !used(ip))?;
+                    self.basic_assign.insert(private.ip, ip);
                     ip
                 }
             };
             let ep = Endpoint::new(ip, private.port);
             return (!tables.public_in_use(proto, ep)).then_some(ep);
         }
-        let ip = public_ips[0];
+        let ip = self.public_ips[0];
         let free = |p: u16| !tables.public_in_use(proto, Endpoint::new(ip, p));
         let scan_from = |start: u16| -> Option<u16> {
             let mut p = start;
@@ -220,8 +199,8 @@ impl NatDevice {
         let port = match behavior.port_alloc {
             PortAllocation::Preserving => scan_from(private.port.max(1024))?,
             PortAllocation::Sequential => {
-                let p = scan_from(*next_seq_port)?;
-                *next_seq_port = if p == u16::MAX {
+                let p = scan_from(self.next_seq_port)?;
+                self.next_seq_port = if p == u16::MAX {
                     behavior.port_base
                 } else {
                     p + 1
@@ -247,9 +226,10 @@ impl NatDevice {
     }
 
     /// Finds or creates the outbound mapping for (`private` → `remote`),
-    /// updating filters, TCP tracking and the idle timer. `Err` carries
-    /// the drop reason when no mapping can be made.
-    fn outbound_mapping(&mut self, ctx: &mut Ctx<'_>, pkt: &Packet) -> Result<MapId, &'static str> {
+    /// updating filters, TCP tracking and the idle timer, and returns its
+    /// public endpoint. When no mapping can be made the packet is noted
+    /// as dropped, with the reason, and `None` returned.
+    fn outbound_mapping(&mut self, ctx: &mut Ctx<'_>, pkt: &Packet) -> Option<Endpoint> {
         let now = ctx.now();
         let proto = pkt.proto();
         let private = pkt.src;
@@ -264,80 +244,53 @@ impl NatDevice {
             // translation to symmetric.
             policy = MappingPolicy::AddressAndPortDependent;
         }
-        // Capacity enforcement, only on the path that would create a
-        // fresh mapping: the per-source quota refuses over-quota sources
-        // outright, and a full capped table evicts per the configured
-        // policy before the allocator runs.
-        if (self.behavior.max_mappings.is_some() || self.behavior.per_source_quota.is_some())
-            && self
-                .tables
-                .lookup_outbound(policy, proto, private, pkt.dst, now)
-                .is_none()
-        {
-            self.tables.sweep(now);
-            if let Some(quota) = self.behavior.per_source_quota {
-                if self.tables.live_count_for_source(private.ip, now) >= quota {
-                    self.stats.quota_refused += 1;
-                    ctx.metric_inc("defense.nat.quota_refused");
-                    return Err("nat-quota-refused");
-                }
-            }
-            if let Some(cap) = self.behavior.max_mappings {
-                let fair = self.behavior.fair_eviction;
-                while self.tables.len(now) >= cap {
-                    let Some(victim) = self.tables.eviction_victim(now, fair) else {
-                        break;
-                    };
-                    self.tables.remove(victim);
-                    self.stats.mappings_evicted += 1;
-                    ctx.metric_inc_labeled(
-                        "nat.mapping.evicted",
-                        if fair { "fair" } else { "oldest" },
-                    );
-                }
-            }
-        }
-        let behavior = &self.behavior;
-        let public_ips = &self.public_ips;
-        let basic_assign = &mut self.basic_assign;
-        let next_seq_port = &mut self.next_seq_port;
-        let rng = ctx.rng();
-        let (id, created) = self
+        if let Some(entry) = self
             .tables
-            .outbound(policy, proto, private, pkt.dst, now, |tables| {
-                Self::alloc_public(
-                    behavior,
-                    public_ips,
-                    basic_assign,
-                    next_seq_port,
-                    rng,
-                    tables,
-                    proto,
-                    private,
-                )
-            })
-            .ok_or("nat-ports-exhausted")?;
-        if created {
-            self.stats.mappings_created += 1;
-            ctx.metric_inc("nat.mapping.created");
-        }
+            .lookup_outbound(policy, proto, private, pkt.dst, now)
         {
-            let entry = self.tables.get_mut(id).expect("just created or found"); // punch-lint: allow(P001) id was inserted or found by the lookup just above
-            if let Body::Tcp(seg) = &pkt.body {
-                entry.tcp.out_syn |= seg.flags.contains(TcpFlags::SYN);
-                entry.tcp.out_fin |= seg.flags.contains(TcpFlags::FIN);
-                entry.tcp.rst |= seg.flags.contains(TcpFlags::RST);
+            carry(&self.behavior, entry, pkt, true, now);
+            return Some(entry.public);
+        }
+        // A fresh mapping is needed. Purge every expired one first, then
+        // enforce capacity: the per-source quota refuses over-quota
+        // sources outright, and a full capped table evicts per the
+        // configured policy before the allocator runs.
+        self.tables.sweep(now);
+        if let Some(quota) = self.behavior.per_source_quota {
+            if self.tables.live_count_for_source(private.ip, now) >= quota {
+                self.stats.quota_refused += 1;
+                ctx.metric_inc("defense.nat.quota_refused");
+                ctx.note_drop("nat-quota-refused", pkt);
+                return None;
             }
         }
-        let ttl = self.ttl_for(id);
-        if let Some(entry) = self.tables.get_mut(id) {
-            entry.touch_session(pkt.dst, now + ttl);
+        if let Some(cap) = self.behavior.max_mappings {
+            let fair = self.behavior.fair_eviction;
+            while self.tables.len(now) >= cap {
+                let Some(victim) = self.tables.eviction_victim(now, fair) else {
+                    break;
+                };
+                self.tables.remove(victim);
+                self.stats.mappings_evicted += 1;
+                ctx.metric_inc_labeled("nat.mapping.evicted", if fair { "fair" } else { "oldest" });
+            }
         }
-        self.tables.refresh(id, now, ttl);
+        let Some(public) = self.alloc_public(ctx.rng(), proto, private) else {
+            ctx.note_drop("nat-ports-exhausted", pkt);
+            return None;
+        };
+        let entry = self
+            .tables
+            .insert(policy, proto, private, pkt.dst, public, now);
+        carry(&self.behavior, entry, pkt, true, now);
+        self.stats.mappings_created += 1;
+        ctx.metric_inc("nat.mapping.created");
+        // The live count rises nowhere but here, so its maximum is
+        // reached here.
         if ctx.metrics_enabled() {
             ctx.metric_gauge_max("nat.mapping.live.max", self.tables.len(now) as i64);
         }
-        Ok(id)
+        Some(public)
     }
 
     fn mangle(&mut self, pkt: &mut Packet, from: Ipv4Addr, to: Ipv4Addr) {
@@ -372,15 +325,10 @@ impl NatDevice {
             ctx.note_drop("ttl-exceeded", &pkt);
             return;
         }
-        let id = match self.outbound_mapping(ctx, &pkt) {
-            Ok(id) => id,
-            Err(reason) => {
-                ctx.note_drop(reason, &pkt);
-                return;
-            }
+        let Some(public) = self.outbound_mapping(ctx, &pkt) else {
+            return;
         };
-        let entry = self.tables.get(id).expect("live mapping"); // punch-lint: allow(P001) id comes from the live-mapping lookup just above; sweeps run between packets
-        let (private_ip, public) = (entry.private.ip, entry.public);
+        let private_ip = pkt.src.ip;
         pkt.ttl -= 1;
         pkt.src = public;
         self.mangle(&mut pkt, private_ip, public.ip);
@@ -392,59 +340,47 @@ impl NatDevice {
             self.handle_inbound_icmp(ctx, pkt.src, msg.clone());
             return;
         }
-        let now = ctx.now();
-        let Some(id) = self.tables.lookup_public(pkt.proto(), pkt.dst, now) else {
-            self.reject_unsolicited(ctx, PUBLIC_IFACE, pkt);
-            return;
-        };
-        let allowed = {
-            let entry = self.tables.get(id).expect("live mapping"); // punch-lint: allow(P001) id comes from the live-mapping lookup just above; sweeps run between packets
-            entry.filter_allows(
-                self.behavior.filtering,
-                pkt.src,
-                now,
-                self.behavior.per_session_timers,
-            )
-        };
-        if !allowed {
-            self.reject_unsolicited(ctx, PUBLIC_IFACE, pkt);
-            return;
-        }
-        self.deliver_inbound(ctx, id, pkt);
+        self.deliver_inbound(ctx, PUBLIC_IFACE, pkt, None);
     }
 
-    /// Translates and delivers a filtered-in packet to the private host
-    /// behind mapping `id`.
-    fn deliver_inbound(&mut self, ctx: &mut Ctx<'_>, id: MapId, mut pkt: Packet) {
+    /// Filters, translates and delivers a packet addressed to one of the
+    /// NAT's public endpoints, from the public side or, with `hairpin`
+    /// set, from private interface `from`. `hairpin` is the target
+    /// mapping's creation stamp (the packet is for that mapping, not for
+    /// one that has since taken over its endpoint) and the source as the
+    /// target will see it. Anything without a live mapping that admits it
+    /// is refused back out of `from`.
+    fn deliver_inbound(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        from: IfaceId,
+        mut pkt: Packet,
+        hairpin: Option<(MapId, Endpoint)>,
+    ) {
         let now = ctx.now();
-        {
-            let entry = self.tables.get_mut(id).expect("live mapping"); // punch-lint: allow(P001) id comes from the live-mapping lookup just above; sweeps run between packets
-            if let Body::Tcp(seg) = &pkt.body {
-                entry.tcp.in_syn |= seg.flags.contains(TcpFlags::SYN);
-                entry.tcp.in_fin |= seg.flags.contains(TcpFlags::FIN);
-                entry.tcp.rst |= seg.flags.contains(TcpFlags::RST);
-            }
+        let proto = pkt.proto();
+        let b = &self.behavior;
+        let src = hairpin.map_or(pkt.src, |(_, src)| src);
+        let admitted = self.tables.lookup_public(proto, pkt.dst, now).filter(|e| {
+            let (is_target, filtered) = match hairpin {
+                None => (true, true),
+                // The §6.3 caveat: treat hairpinned traffic as untrusted.
+                Some((stamp, _)) => (e.id == stamp, b.hairpin_filters),
+            };
+            is_target && (!filtered || e.filter_allows(b.filtering, src, now, b.per_session_timers))
+        });
+        let Some(entry) = admitted else {
+            self.reject_unsolicited(ctx, from, pkt);
+            return;
+        };
+        if hairpin.is_some() {
+            self.stats.hairpinned += 1;
+            ctx.metric_inc("nat.hairpinned");
         }
-        // Conntrack-style flow pinning: the private host's replies to
-        // this packet's source must reuse this mapping (see
-        // `NatTables::bind_reverse`).
-        {
-            let proto = pkt.proto();
-            let policy = self.behavior.mapping_for_tcp(proto == Proto::Tcp);
-            let entry_private = self.tables.get(id).expect("live mapping").private; // punch-lint: allow(P001) id comes from the live-mapping lookup just above; sweeps run between packets
-            self.tables
-                .bind_reverse(policy, proto, entry_private, pkt.src, id);
-        }
-        if self.behavior.inbound_refreshes {
-            let ttl = self.ttl_for(id);
-            if let Some(entry) = self.tables.get_mut(id) {
-                entry.touch_session(pkt.src, now + ttl);
-            }
-            self.tables.refresh(id, now, ttl);
-        }
-        let entry = self.tables.get(id).expect("live mapping"); // punch-lint: allow(P001) id comes from the live-mapping lookup just above; sweeps run between packets
-        let (private, public_ip) = (entry.private, entry.public.ip);
-        let Some(&iface) = self.private_iface.get(&private.ip) else {
+        pkt.src = src;
+        // Every verdict before any touch: a packet the NAT drops leaves
+        // the mapping exactly as it found it.
+        let Some(&iface) = self.private_iface.get(&entry.private.ip) else {
             ctx.note_drop("nat-unknown-private-host", &pkt);
             return;
         };
@@ -452,9 +388,17 @@ impl NatDevice {
             ctx.note_drop("ttl-exceeded", &pkt);
             return;
         }
+        carry(b, entry, &pkt, false, now);
+        let (private, public) = (entry.private, entry.public);
+        // Conntrack-style flow pinning: the private host's replies to
+        // this packet's source must reuse this mapping (see
+        // `NatTables::bind_reverse`).
+        let policy = b.mapping_for_tcp(proto == Proto::Tcp);
+        self.tables
+            .bind_reverse(policy, proto, private, src, public);
         pkt.ttl -= 1;
         pkt.dst = private;
-        self.mangle(&mut pkt, public_ip, private.ip);
+        self.mangle(&mut pkt, public.ip, private.ip);
         self.stats.inbound_passed += 1;
         ctx.metric_inc("nat.inbound.passed");
         ctx.send(iface, pkt);
@@ -512,7 +456,7 @@ impl NatDevice {
         mut msg: IcmpMessage,
     ) {
         let now = ctx.now();
-        let Some(id) = self
+        let Some(entry) = self
             .tables
             .lookup_public(msg.original_proto, msg.original_src, now)
         else {
@@ -522,7 +466,6 @@ impl NatDevice {
             );
             return;
         };
-        let entry = self.tables.get(id).expect("live mapping"); // punch-lint: allow(P001) id comes from the live-mapping lookup just above; sweeps run between packets
         let private = entry.private;
         let Some(&iface) = self.private_iface.get(&private.ip) else {
             return;
@@ -536,54 +479,61 @@ impl NatDevice {
 
     /// Handles a private-side packet addressed to one of the NAT's own
     /// public IPs (§3.5 hairpin).
-    fn handle_hairpin(&mut self, ctx: &mut Ctx<'_>, in_iface: IfaceId, mut pkt: Packet) {
+    fn handle_hairpin(&mut self, ctx: &mut Ctx<'_>, in_iface: IfaceId, pkt: Packet) {
         let mode = match pkt.proto() {
             Proto::Udp => self.behavior.hairpin_udp,
             Proto::Tcp => self.behavior.hairpin_tcp,
             Proto::Icmp => Hairpin::None,
         };
-        if mode == Hairpin::None {
-            self.reject_unsolicited(ctx, in_iface, pkt);
-            return;
-        }
-        let now = ctx.now();
-        let Some(target) = self.tables.lookup_public(pkt.proto(), pkt.dst, now) else {
+        let target = match mode {
+            Hairpin::None => None,
+            _ => self.tables.lookup_public(pkt.proto(), pkt.dst, ctx.now()),
+        };
+        let Some(target) = target.map(|e| e.id) else {
             self.reject_unsolicited(ctx, in_iface, pkt);
             return;
         };
         let hairpin_src = match mode {
-            Hairpin::Full => {
-                // Translate the source exactly as if the packet had left
-                // for the public Internet.
-                let sender = match self.outbound_mapping(ctx, &pkt) {
-                    Ok(id) => id,
-                    Err(reason) => {
-                        ctx.note_drop(reason, &pkt);
-                        return;
-                    }
-                };
-                self.tables.get(sender).expect("live mapping").public // punch-lint: allow(P001) sender id comes from the live-mapping lookup just above
-            }
-            Hairpin::NoSourceRewrite => pkt.src,
-            Hairpin::None => unreachable!("handled above"),
+            // Translate the source exactly as if the packet had left for
+            // the public Internet. Making room for the sender's mapping
+            // may evict the target's: `deliver_inbound` looks it up again
+            // and refuses the packet if it is gone.
+            Hairpin::Full => match self.outbound_mapping(ctx, &pkt) {
+                Some(public) => public,
+                None => return,
+            },
+            _ => pkt.src,
         };
-        if self.behavior.hairpin_filters {
-            // The §6.3 caveat: treat hairpinned traffic as untrusted.
-            let entry = self.tables.get(target).expect("live mapping"); // punch-lint: allow(P001) target id comes from the live-mapping lookup just above
-            if !entry.filter_allows(
-                self.behavior.filtering,
-                hairpin_src,
-                now,
-                self.behavior.per_session_timers,
-            ) {
-                self.reject_unsolicited(ctx, in_iface, pkt);
-                return;
-            }
-        }
-        pkt.src = hairpin_src;
-        self.stats.hairpinned += 1;
-        ctx.metric_inc("nat.hairpinned");
-        self.deliver_inbound(ctx, target, pkt);
+        self.deliver_inbound(ctx, in_iface, pkt, Some((target, hairpin_src)));
+    }
+}
+
+/// Time-to-live for a mapping in its current protocol/TCP state.
+fn ttl_for(behavior: &NatBehavior, entry: &MapEntry) -> Duration {
+    if entry.proto != Proto::Tcp {
+        behavior.udp_timeout
+    } else if entry.tcp.closing() {
+        // Closing connections linger briefly.
+        behavior.tcp_transitory_timeout.min(Duration::from_secs(10))
+    } else if entry.tcp.established() {
+        behavior.tcp_established_timeout
+    } else {
+        behavior.tcp_transitory_timeout
+    }
+}
+
+/// What a packet the NAT forwards does to the mapping that carries it:
+/// TCP flags are tracked by direction, then (always outbound, inbound
+/// only if the NAT refreshes on inbound traffic) the hole toward the far
+/// end and the idle timer are extended by the TTL of the state the
+/// mapping is now in.
+fn carry(behavior: &NatBehavior, entry: &mut MapEntry, pkt: &Packet, outbound: bool, now: SimTime) {
+    if let Body::Tcp(seg) = &pkt.body {
+        entry.tcp.note(seg.flags, outbound);
+    }
+    if outbound || behavior.inbound_refreshes {
+        let remote = if outbound { pkt.dst } else { pkt.src };
+        entry.touch(remote, now, ttl_for(behavior, entry));
     }
 }
 
@@ -595,7 +545,7 @@ impl Device for NatDevice {
         }
         // Learn which private host lives behind this interface.
         self.private_iface.insert(pkt.src.ip, iface);
-        if self.is_public_ip(pkt.dst.ip) {
+        if self.public_ips.contains(&pkt.dst.ip) {
             self.handle_hairpin(ctx, iface, pkt);
         } else if let Some(&out) = self.private_iface.get(&pkt.dst.ip) {
             // Same-realm traffic: switch locally without translation
@@ -616,5 +566,124 @@ impl Device for NatDevice {
             ctx.metric_inc_by("nat.mapping.flushed", self.tables.total_len() as u64);
             self.reboot();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use punch_net::{LinkSpec, NodeId, Router, Sim, TcpSegment};
+
+    fn ep(s: &str) -> Endpoint {
+        s.parse().unwrap()
+    }
+
+    /// A symmetric NAT (so a reverse binding would be a new index slot)
+    /// on which 10.0.0.1:4321 has sent one SYN to `18.181.0.31:9000`
+    /// half a second ago.
+    fn nat_with_one_tcp_mapping() -> (Sim, NodeId) {
+        let mut behavior = NatBehavior::well_behaved();
+        behavior.mapping = MappingPolicy::AddressAndPortDependent;
+        let mut sim = Sim::new(22);
+        let nat = sim.add_node(
+            "nat",
+            Box::new(NatDevice::new(behavior, vec![[155, 99, 25, 11].into()])),
+        );
+        // Interface 0 and 1: route-less routers, so every packet the NAT
+        // emits has a wire to die on.
+        for (name, link) in [("internet", LinkSpec::wan()), ("lan", LinkSpec::lan())] {
+            let hop = sim.add_node(name, Box::new(Router::new()));
+            sim.connect(nat, hop, link);
+        }
+        let syn = TcpSegment::control(TcpFlags::SYN, 1, 0);
+        sim.inject(
+            nat,
+            1,
+            Packet::tcp(ep("10.0.0.1:4321"), ep("18.181.0.31:9000"), syn),
+        );
+        sim.run_for(Duration::from_millis(500));
+        (sim, nat)
+    }
+
+    /// Everything the NAT remembers about its mappings, entry by entry.
+    fn mappings(sim: &Sim, nat: NodeId) -> String {
+        format!("{:?}", sim.device::<NatDevice>(nat).tables())
+    }
+
+    /// The peer's SYN+FIN from a port the mapping has no hole for yet
+    /// (the NAT filters by address only): delivered, it would mark the
+    /// mapping established and closing, open a hole, pin a reverse
+    /// binding and move the expiry. Dropped, it must do none of that.
+    fn inbound_that_would_touch_everything(sim: &mut Sim, nat: NodeId, ttl: u8) {
+        let public = sim
+            .device::<NatDevice>(nat)
+            .tables()
+            .iter()
+            .next()
+            .expect("mapping")
+            .public;
+        let seg = TcpSegment::control(TcpFlags::SYN | TcpFlags::FIN, 7, 0);
+        let mut pkt = Packet::tcp(ep("18.181.0.31:9001"), public, seg);
+        pkt.ttl = ttl;
+        sim.inject(nat, PUBLIC_IFACE, pkt);
+        sim.run_for(Duration::from_millis(500));
+    }
+
+    #[test]
+    fn inbound_dropped_for_ttl_leaves_the_mapping_as_it_was() {
+        let (mut sim, nat) = nat_with_one_tcp_mapping();
+        sim.device_mut::<NatDevice>(nat).behavior.filtering =
+            crate::behavior::FilteringPolicy::AddressDependent;
+        let before = mappings(&sim, nat);
+        inbound_that_would_touch_everything(&mut sim, nat, 1);
+        assert_eq!(sim.device::<NatDevice>(nat).stats().inbound_passed, 0);
+        assert_eq!(mappings(&sim, nat), before);
+        // The same packet with hops to spare is delivered and does touch.
+        inbound_that_would_touch_everything(&mut sim, nat, 64);
+        assert_eq!(sim.device::<NatDevice>(nat).stats().inbound_passed, 1);
+        assert_ne!(mappings(&sim, nat), before);
+    }
+
+    #[test]
+    fn inbound_dropped_for_unknown_private_host_leaves_the_mapping_as_it_was() {
+        let (mut sim, nat) = nat_with_one_tcp_mapping();
+        let dev = sim.device_mut::<NatDevice>(nat);
+        dev.behavior.filtering = crate::behavior::FilteringPolicy::AddressDependent;
+        // The NAT forgot which interface the host is behind, not the mapping.
+        dev.private_iface = FlatMap::new();
+        let before = mappings(&sim, nat);
+        inbound_that_would_touch_everything(&mut sim, nat, 64);
+        assert_eq!(sim.device::<NatDevice>(nat).stats().inbound_passed, 0);
+        assert_eq!(mappings(&sim, nat), before);
+    }
+
+    /// A Basic NAT with a one-address pool: the second host finds no
+    /// address left, its packet is dropped and nothing is stored for it.
+    #[test]
+    fn alloc_failure_propagates() {
+        let mut behavior = NatBehavior::well_behaved();
+        behavior.kind = NatKind::Basic;
+        let mut sim = Sim::new(22);
+        let nat = sim.add_node(
+            "nat",
+            Box::new(NatDevice::new(behavior, vec![[155, 99, 25, 11].into()])),
+        );
+        let internet = sim.add_node("internet", Box::new(Router::new()));
+        sim.connect(nat, internet, LinkSpec::wan());
+        for src in ["10.0.0.1:4321", "10.0.0.2:4321"] {
+            sim.inject(
+                nat,
+                1,
+                Packet::udp(ep(src), ep("18.181.0.31:9000"), b"x".as_ref()),
+            );
+        }
+        sim.run_for(Duration::from_millis(500));
+        let nat = sim.device::<NatDevice>(nat);
+        assert_eq!(nat.stats().mappings_created, 1);
+        assert_eq!(nat.tables().total_len(), 1);
+        assert!(nat
+            .tables()
+            .iter()
+            .all(|e| e.private == ep("10.0.0.1:4321")));
     }
 }

@@ -32,5 +32,5 @@ pub use behavior::{
 };
 pub use device::{NatDevice, NatStats, PUBLIC_IFACE};
 pub use mangle::{obfuscate_addr, rewrite_addr};
-pub use table::{MapEntry, MapId, NatTables, TcpTrack};
+pub use table::{MapEntry, MapId, MapKey, NatTables, TcpTrack};
 pub use vendors::{SampledNat, VendorProfile, VendorSpec, VENDORS};

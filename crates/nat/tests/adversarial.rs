@@ -5,7 +5,7 @@
 //! fair eviction, the defenses).
 
 use punch_nat::{NatBehavior, NatDevice};
-use punch_net::{Duration, Endpoint, LinkSpec, Packet, Proto, Sim, SimTime};
+use punch_net::{Duration, Endpoint, LinkSpec, Packet, Sim, SimTime};
 use punch_transport::{App, HostDevice, Os, SockEvent, StackConfig};
 
 fn ep(s: &str) -> Endpoint {
@@ -165,11 +165,15 @@ fn fair_eviction_makes_the_flood_cannibalise_itself() {
     );
     let stats = sim.device::<NatDevice>(nat).stats();
     assert!(stats.mappings_evicted >= 4, "flood evicts its own entries");
-    let tables = sim.device::<NatDevice>(nat).tables();
-    assert!(
-        tables
-            .lookup_public(Proto::Udp, ep("155.99.25.11:62000"), now)
-            .is_some(),
+    sim.inject(
+        nat,
+        0,
+        Packet::udp(ep("18.181.0.31:9000"), ep("155.99.25.11:62000"), b"r".as_ref()),
+    );
+    sim.run_for(Duration::from_millis(100));
+    assert_eq!(
+        sim.device::<NatDevice>(nat).stats().inbound_passed,
+        stats.inbound_passed + 1,
         "victim's public endpoint still routes"
     );
 }

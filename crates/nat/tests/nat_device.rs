@@ -3,7 +3,7 @@
 //! rejection policies, ICMP handling, and Basic NAT.
 
 use bytes::Bytes;
-use punch_nat::{Hairpin, NatBehavior, NatDevice, NatKind, TcpUnsolicited};
+use punch_nat::{Hairpin, NatBehavior, NatDevice, NatKind, PortAllocation, TcpUnsolicited};
 use punch_net::{Duration, Endpoint, LinkSpec, Router, Sim, SimTime};
 use punch_transport::{
     App, ConnectOpts, HostDevice, Os, SockEvent, SocketError, SocketId, StackConfig,
@@ -716,5 +716,94 @@ fn ttl_decrements_through_nat() {
             .replies
             .len(),
         1
+    );
+}
+
+/// A one-mapping NAT in front of a sink: Y (10.0.0.2) opens the only
+/// mapping, then X's (10.0.0.1) *first* packet is a hairpin to Y's public
+/// endpoint, so making room for X's own mapping evicts the hairpin's
+/// target mid-packet. Returns the NAT's counters afterwards.
+fn hairpin_that_evicts_its_own_target(behavior: NatBehavior, x: &str) -> punch_nat::NatStats {
+    use punch_net::Packet;
+    let mut sim = Sim::new(22);
+    let nat = sim.add_node(
+        "nat",
+        Box::new(NatDevice::new(
+            behavior.with_max_mappings(1),
+            vec!["155.99.25.11".parse().unwrap()],
+        )),
+    );
+    let sink = sim.add_node(
+        "sink",
+        Box::new(HostDevice::new(
+            [18, 181, 0, 31].into(),
+            StackConfig::default(),
+            Box::new(UdpProbe::new(9000, vec![])),
+        )),
+    );
+    sim.connect(nat, sink, LinkSpec::wan());
+    sim.inject(
+        nat,
+        1,
+        Packet::udp(ep("10.0.0.2:4321"), ep("18.181.0.31:9000"), b"y".as_ref()),
+    );
+    sim.run_for(Duration::from_millis(100));
+    let y_public = sim
+        .device::<NatDevice>(nat)
+        .tables()
+        .iter()
+        .next()
+        .expect("Y's mapping")
+        .public;
+    sim.inject(nat, 2, Packet::udp(ep(x), y_public, b"x".as_ref()));
+    sim.run_for(Duration::from_millis(100));
+    let nat = sim.device::<NatDevice>(nat);
+    assert_eq!(nat.tables().len(sim.now()), 1, "the cap holds");
+    assert!(
+        nat.tables().iter().all(|e| e.private == ep(x)),
+        "the survivor is the sender's mapping"
+    );
+    nat.stats()
+}
+
+/// The packet is then one to an unmapped public endpoint: refused like
+/// any other, never a panic on a mapping the NAT no longer holds.
+#[test]
+fn hairpin_whose_sender_evicts_the_target_is_unsolicited() {
+    let st = hairpin_that_evicts_its_own_target(NatBehavior::well_behaved(), "10.0.0.1:5555");
+    assert_eq!(
+        (st.mappings_created, st.mappings_evicted),
+        (2, 1),
+        "X's mapping replaced Y's"
+    );
+    assert_eq!(
+        (st.hairpinned, st.inbound_passed, st.inbound_blocked),
+        (0, 0, 1)
+    );
+}
+
+/// Same two packets when hairpinned traffic is filtered (§6.3): the
+/// filter check is the first thing that wants the evicted target.
+#[test]
+fn filtered_hairpin_whose_sender_evicts_the_target_is_unsolicited() {
+    let mut behavior = NatBehavior::well_behaved();
+    behavior.hairpin_filters = true;
+    let st = hairpin_that_evicts_its_own_target(behavior, "10.0.0.1:5555");
+    assert_eq!(
+        (st.hairpinned, st.inbound_passed, st.inbound_blocked),
+        (0, 0, 1)
+    );
+}
+
+/// A port-preserving NAT hands the evicted target's public endpoint
+/// straight to the sender (same private port): the packet must not come
+/// back to its own sender through the sender's new mapping.
+#[test]
+fn hairpin_is_not_delivered_through_the_mapping_that_replaced_its_target() {
+    let behavior = NatBehavior::well_behaved().with_port_alloc(PortAllocation::Preserving);
+    let st = hairpin_that_evicts_its_own_target(behavior, "10.0.0.1:4321");
+    assert_eq!(
+        (st.hairpinned, st.inbound_passed, st.inbound_blocked),
+        (0, 0, 1)
     );
 }

@@ -54,6 +54,12 @@ enum Socket {
     Tcp(Box<Tcb>),
 }
 
+/// True for a connection `listener` spawned that has yet to finish its
+/// handshake.
+fn half_open_child(s: &Socket, listener: SocketId) -> bool {
+    matches!(s, Socket::Tcp(t) if t.from_listener == Some(listener) && t.state == TcpState::SynReceived)
+}
+
 /// A host's transport stack.
 ///
 /// The stack is synchronous and side-effect-buffered: API calls and packet
@@ -171,6 +177,45 @@ impl HostStack {
         let id = SocketId(self.next_sock);
         self.next_sock += 1;
         id
+    }
+
+    /// The outboxes as a TCB writes to them, and the socket table beside
+    /// them: the one place that splits the stack's borrow this way.
+    fn io(&mut self) -> (TcpIo<'_>, &mut FlatMap<SocketId, Socket>) {
+        let io = TcpIo {
+            cfg: &self.cfg,
+            out: &mut self.out,
+            events: &mut self.events,
+            timers: &mut self.timers,
+            stats: &mut self.stats,
+        };
+        (io, &mut self.socks)
+    }
+
+    /// The connection behind `sock` with the outboxes for it to write to;
+    /// `None` if `sock` is not a TCP connection.
+    fn tcb_io(&mut self, sock: SocketId) -> Option<(&mut Tcb, TcpIo<'_>)> {
+        let (io, socks) = self.io();
+        match socks.get_mut(&sock)? {
+            Socket::Tcp(tcb) => Some((tcb, io)),
+            _ => None,
+        }
+    }
+
+    /// Runs `f` on the connection behind `sock`, if there is one, and
+    /// applies its outcome. An establishment notification goes before
+    /// whatever events `f` itself produced: establishment logically
+    /// precedes what the establishing segment also carried (e.g.
+    /// piggybacked data), so `TcpIncoming` must reach the application
+    /// before that data's `TcpReceived`.
+    fn drive(&mut self, sock: SocketId, f: impl FnOnce(&mut Tcb, &mut TcpIo<'_>) -> TcbOutcome) {
+        let at = self.events.len();
+        let Some((tcb, mut io)) = self.tcb_io(sock) else {
+            return;
+        };
+        let outcome = f(tcb, &mut io);
+        let from_listener = tcb.from_listener;
+        self.apply_outcome(sock, from_listener, outcome, at);
     }
 
     // ------------------------------------------------------------------
@@ -316,16 +361,7 @@ impl HostStack {
         let id = self.alloc_id();
         let iss = self.iss_for(local, remote);
         let mut tcb = Tcb::open_active(id, local, remote, iss, opts.reuse, &self.cfg);
-        {
-            let mut io = TcpIo {
-                cfg: &self.cfg,
-                out: &mut self.out,
-                events: &mut self.events,
-                timers: &mut self.timers,
-                stats: &mut self.stats,
-            };
-            tcb.send_syn(&mut io);
-        }
+        tcb.send_syn(&mut self.io().0);
         self.conn_index.insert((local, remote), id);
         self.socks.insert(id, Socket::Tcp(Box::new(tcb)));
         Ok(id)
@@ -350,20 +386,14 @@ impl HostStack {
 
     /// Queues stream data on an established connection.
     pub fn tcp_send(&mut self, sock: SocketId, data: &[u8]) -> SockResult<()> {
-        let Some(entry) = self.socks.get_mut(&sock) else {
-            return Err(SocketError::BadSocket);
-        };
-        let Socket::Tcp(tcb) = entry else {
-            return Err(SocketError::InvalidState);
-        };
-        let mut io = TcpIo {
-            cfg: &self.cfg,
-            out: &mut self.out,
-            events: &mut self.events,
-            timers: &mut self.timers,
-            stats: &mut self.stats,
-        };
-        tcb.send(data, &mut io)
+        if let Some((tcb, mut io)) = self.tcb_io(sock) {
+            return tcb.send(data, &mut io);
+        }
+        Err(if self.socks.contains_key(&sock) {
+            SocketError::InvalidState
+        } else {
+            SocketError::BadSocket
+        })
     }
 
     /// Returns the local endpoint of any socket.
@@ -396,69 +426,38 @@ impl HostStack {
     /// Closes any socket. TCP connections close gracefully (FIN);
     /// listeners abort queued un-accepted connections.
     pub fn close(&mut self, sock: SocketId) -> SockResult<()> {
-        match self.socks.get_mut(&sock) {
-            None => Err(SocketError::BadSocket),
+        if let Some((tcb, mut io)) = self.tcb_io(sock) {
+            if tcb.close(&mut io) {
+                self.remove_conn(sock);
+            }
+            return Ok(());
+        }
+        match self.socks.remove(&sock) {
+            None => return Err(SocketError::BadSocket),
             Some(Socket::Udp(u)) => {
-                let port = u.local.port;
-                self.udp_index.remove(&port);
-                self.socks.remove(&sock);
-                Ok(())
+                self.udp_index.remove(&u.local.port);
             }
             Some(Socket::Listener(l)) => {
-                let port = l.local.port;
-                let queued: Vec<SocketId> = l.queue.drain(..).collect();
-                self.listeners.remove(&port);
-                self.socks.remove(&sock);
-                for conn in queued {
-                    let _ = self.tcp_abort(conn);
-                }
-                // Also abort half-open children of this listener.
-                let pending: Vec<SocketId> = self
+                self.listeners.remove(&l.local.port);
+                // Abort its un-accepted connections, queued and half-open.
+                let half_open = self
                     .socks
                     .iter()
-                    .filter_map(|(id, s)| match s {
-                        Socket::Tcp(t)
-                            if t.from_listener == Some(sock)
-                                && t.state == TcpState::SynReceived =>
-                        {
-                            Some(*id)
-                        }
-                        _ => None,
-                    })
-                    .collect();
-                for conn in pending {
+                    .filter_map(|(id, s)| half_open_child(s, sock).then_some(*id));
+                let orphans: Vec<SocketId> = l.queue.into_iter().chain(half_open).collect();
+                for conn in orphans {
                     let _ = self.tcp_abort(conn);
                 }
-                Ok(())
             }
-            Some(Socket::Tcp(tcb)) => {
-                let mut io = TcpIo {
-                    cfg: &self.cfg,
-                    out: &mut self.out,
-                    events: &mut self.events,
-                    timers: &mut self.timers,
-                    stats: &mut self.stats,
-                };
-                let delete = tcb.close(&mut io);
-                if delete {
-                    self.remove_conn(sock);
-                }
-                Ok(())
-            }
+            Some(Socket::Tcp(_)) => {} // taken above
         }
+        Ok(())
     }
 
     /// Aborts a TCP connection with a RST.
     pub fn tcp_abort(&mut self, sock: SocketId) -> SockResult<()> {
-        let Some(Socket::Tcp(tcb)) = self.socks.get_mut(&sock) else {
+        let Some((tcb, mut io)) = self.tcb_io(sock) else {
             return Err(SocketError::BadSocket);
-        };
-        let mut io = TcpIo {
-            cfg: &self.cfg,
-            out: &mut self.out,
-            events: &mut self.events,
-            timers: &mut self.timers,
-            stats: &mut self.stats,
         };
         tcb.abort(&mut io);
         self.remove_conn(sock);
@@ -481,30 +480,23 @@ impl HostStack {
         }
     }
 
-    fn apply_outcome(&mut self, sock: SocketId, outcome: TcbOutcome) {
-        let at = self.events.len();
-        self.apply_outcome_at(sock, outcome, at);
-    }
-
-    /// Applies a TCB outcome, inserting any establishment notification at
-    /// event position `at` — establishment logically precedes whatever
-    /// the establishing segment also carried (e.g. piggybacked data), so
-    /// `TcpIncoming` must reach the application before that data's
-    /// `TcpReceived`.
-    fn apply_outcome_at(&mut self, sock: SocketId, outcome: TcbOutcome, at: usize) {
+    /// Applies the outcome of a callback on connection `sock` (accepted
+    /// from `from_listener`, if any), inserting an establishment
+    /// notification at event position `at`.
+    fn apply_outcome(
+        &mut self,
+        sock: SocketId,
+        from_listener: Option<SocketId>,
+        outcome: TcbOutcome,
+        at: usize,
+    ) {
         if outcome.became_established {
-            let from_listener = match self.socks.get(&sock) {
-                Some(Socket::Tcp(t)) => t.from_listener,
-                _ => None,
-            };
             match from_listener {
                 Some(listener) => match self.socks.get_mut(&listener) {
                     Some(Socket::Listener(l)) => {
                         l.queue.push_back(sock);
-                        self.events.insert(
-                            at.min(self.events.len()),
-                            SockEvent::TcpIncoming { listener },
-                        );
+                        let at = at.min(self.events.len());
+                        self.events.insert(at, SockEvent::TcpIncoming { listener });
                     }
                     // Listener vanished while we were completing: abort.
                     _ => {
@@ -518,14 +510,8 @@ impl HostStack {
             }
         }
         if outcome.delete {
-            if let Some(err) = outcome.failed {
-                let surfaced = match self.socks.get(&sock) {
-                    Some(Socket::Tcp(t)) => t.from_listener.is_none(),
-                    _ => false,
-                };
-                if surfaced {
-                    flat::push(&mut self.events, SockEvent::TcpConnectFailed { sock, err });
-                }
+            if let (Some(err), None) = (outcome.failed, from_listener) {
+                flat::push(&mut self.events, SockEvent::TcpConnectFailed { sock, err });
             }
             self.remove_conn(sock);
         }
@@ -569,18 +555,7 @@ impl HostStack {
                 {
                     if let Some(&sock) = self.conn_index.get(&(msg.original_src, msg.original_dst))
                     {
-                        let Some(Socket::Tcp(tcb)) = self.socks.get_mut(&sock) else {
-                            return;
-                        };
-                        let mut io = TcpIo {
-                            cfg: &self.cfg,
-                            out: &mut self.out,
-                            events: &mut self.events,
-                            timers: &mut self.timers,
-                            stats: &mut self.stats,
-                        };
-                        let outcome = tcb.on_icmp_unreachable(&mut io);
-                        self.apply_outcome(sock, outcome);
+                        self.drive(sock, |tcb, io| tcb.on_icmp_unreachable(io));
                     }
                 }
             }
@@ -602,19 +577,7 @@ impl HostStack {
                 self.steal_to_listener(sock, src, dst, &seg);
                 return;
             }
-            let Some(Socket::Tcp(tcb)) = self.socks.get_mut(&sock) else {
-                return;
-            };
-            let at = self.events.len();
-            let mut io = TcpIo {
-                cfg: &self.cfg,
-                out: &mut self.out,
-                events: &mut self.events,
-                timers: &mut self.timers,
-                stats: &mut self.stats,
-            };
-            let outcome = tcb.on_segment(&seg, &mut io);
-            self.apply_outcome_at(sock, outcome, at);
+            self.drive(sock, |tcb, io| tcb.on_segment(&seg, io));
             return;
         }
         // No connection: maybe a listener.
@@ -650,7 +613,7 @@ impl HostStack {
         let half_open = self
             .socks
             .values()
-            .filter(|s| matches!(s, Socket::Tcp(t) if t.from_listener == Some(listener) && t.state == TcpState::SynReceived))
+            .filter(|s| half_open_child(s, listener))
             .count();
         queued + half_open >= LISTEN_BACKLOG
     }
@@ -661,16 +624,7 @@ impl HostStack {
         }
         let id = self.alloc_id();
         let iss = self.iss_for(dst, src);
-        let tcb = {
-            let mut io = TcpIo {
-                cfg: &self.cfg,
-                out: &mut self.out,
-                events: &mut self.events,
-                timers: &mut self.timers,
-                stats: &mut self.stats,
-            };
-            Tcb::open_passive(id, dst, src, listener, iss, seg, &mut io)
-        };
+        let tcb = Tcb::open_passive(id, dst, src, listener, iss, seg, &mut self.io().0);
         self.conn_index.insert((dst, src), id);
         self.socks.insert(id, Socket::Tcp(Box::new(tcb)));
     }
@@ -707,24 +661,13 @@ impl HostStack {
         let Some((kind, sock, gen)) = decode_timer(token) else {
             return false;
         };
-        let Some(Socket::Tcp(tcb)) = self.socks.get_mut(&sock) else {
-            return true; // Stale: socket is gone.
-        };
-        if tcb.timer_gen != gen {
-            return true; // Stale generation.
-        }
-        let mut io = TcpIo {
-            cfg: &self.cfg,
-            out: &mut self.out,
-            events: &mut self.events,
-            timers: &mut self.timers,
-            stats: &mut self.stats,
-        };
-        let outcome = match kind {
-            TimerKind::Rto => tcb.on_rto(&mut io),
+        // A token whose socket is gone, or from an earlier generation of
+        // its timer, is stale: consumed, and nothing happens.
+        self.drive(sock, |tcb, io| match kind {
+            _ if tcb.timer_gen != gen => TcbOutcome::default(), // stale
+            TimerKind::Rto => tcb.on_rto(io),
             TimerKind::TimeWait => tcb.on_time_wait(),
-        };
-        self.apply_outcome(sock, outcome);
+        });
         true
     }
 }
