@@ -68,6 +68,15 @@ pub enum UdpPeerEvent {
         /// The peer.
         peer: PeerId,
     },
+    /// A `send` to `peer` was refused and its payload dropped: `len`
+    /// exceeds [`punch_rendezvous::MAX_PAYLOAD`], the most one message
+    /// carries. The session is untouched.
+    PayloadTooLarge {
+        /// The peer the payload was for.
+        peer: PeerId,
+        /// The refused payload's length.
+        len: usize,
+    },
     /// The rendezvous server stopped acknowledging our periodic
     /// registrations (e.g. it restarted and lost its tables); the peer
     /// is re-registering. A fresh [`UdpPeerEvent::Registered`] follows
@@ -127,6 +136,16 @@ pub enum TcpPeerEvent {
         data: Bytes,
         /// Whether it arrived directly or via the relay.
         via: Via,
+    },
+    /// A `send` to `peer` was refused and its payload dropped: `len`
+    /// exceeds [`punch_rendezvous::MAX_PAYLOAD`], the most one frame
+    /// carries (a longer one would make the receiver abort the stream).
+    /// The session is untouched.
+    PayloadTooLarge {
+        /// The peer the payload was for.
+        peer: PeerId,
+        /// The refused payload's length.
+        len: usize,
     },
     /// The established stream to `peer` closed or reset.
     PeerClosed {

@@ -26,7 +26,7 @@ use crate::session::{self, Asked, Backlog, Phase, Race, Timers};
 use bytes::Bytes;
 use punch_net::flat::FlatMap;
 use punch_net::{Endpoint, SimTime};
-use punch_rendezvous::{encode_frame, FrameBuf, Message, PeerId};
+use punch_rendezvous::{encode_frame, FrameBuf, Message, PeerId, MAX_PAYLOAD};
 use punch_transport::{App, ConnectOpts, Os, SockEvent, SocketError, SocketId};
 use rand::Rng;
 use std::collections::VecDeque;
@@ -214,7 +214,15 @@ impl TcpPeer {
     /// when relaying; queued until the punch settles. A payload for a
     /// session whose punch failed with relaying off is dropped: nothing
     /// will ever carry it, and the application was told `PunchFailed`.
+    /// A payload over [`MAX_PAYLOAD`] is dropped too, and reported as
+    /// [`TcpPeerEvent::PayloadTooLarge`].
     pub fn send(&mut self, os: &mut Os<'_, '_>, peer: PeerId, data: Bytes) {
+        if data.len() > MAX_PAYLOAD {
+            let len = data.len();
+            self.events
+                .push_back(TcpPeerEvent::PayloadTooLarge { peer, len });
+            return;
+        }
         let Some(session) = self.sessions.get_mut(&peer) else {
             if !self.registered {
                 self.backlog.push((peer, Asked::Send(data)));

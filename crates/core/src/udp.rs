@@ -28,7 +28,7 @@ use crate::timeline::PunchTimeline;
 use bytes::Bytes;
 use punch_net::flat::{self, FlatMap, FlatSet};
 use punch_net::{Endpoint, SimTime};
-use punch_rendezvous::{Message, PeerId};
+use punch_rendezvous::{Message, PeerId, MAX_PAYLOAD};
 use punch_transport::{App, Os, SockEvent, SocketId};
 use rand::Rng;
 
@@ -301,7 +301,15 @@ impl UdpPeer {
     /// inbound traffic went stale triggers an on-demand re-punch (§3.6),
     /// and so does a send on a failed one — whose earlier queue was
     /// dropped when it failed with nowhere to go (relaying off).
+    ///
+    /// A payload over [`MAX_PAYLOAD`] is dropped and reported as
+    /// [`UdpPeerEvent::PayloadTooLarge`].
     pub fn send(&mut self, os: &mut Os<'_, '_>, peer: PeerId, data: Bytes) {
+        if data.len() > MAX_PAYLOAD {
+            let len = data.len();
+            flat::push(&mut self.events, UdpPeerEvent::PayloadTooLarge { peer, len });
+            return;
+        }
         let now = os.now();
         let timeout = self.cfg.punch.session_timeout;
         let Some(session) = self.sessions.get_mut(&peer) else {

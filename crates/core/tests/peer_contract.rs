@@ -15,7 +15,7 @@ use holepunch::{
 use punch_lab::{addrs, fig4, fig5, PeerSetup, Scenario, World, WorldBuilder};
 use punch_nat::NatBehavior;
 use punch_net::{Duration, Endpoint, NodeId, SimTime};
-use punch_rendezvous::{encode_frame, ring, Message, RendezvousServer};
+use punch_rendezvous::{encode_frame, ring, Message, RendezvousServer, MAX_PAYLOAD};
 use punch_transport::{App, ConnectOpts, Os, SockEvent, SocketId};
 use std::net::Ipv4Addr;
 
@@ -34,6 +34,7 @@ enum Ev {
     RelayActive(PeerId),
     RaceSettled(PeerId, Option<Endpoint>),
     Data(PeerId, Bytes, Via),
+    TooLarge(PeerId, usize),
     Other,
 }
 
@@ -86,6 +87,7 @@ impl Peer for UdpPeer {
             UdpPeerEvent::RelayActive { peer } => Ev::RelayActive(peer),
             UdpPeerEvent::RaceSettled { peer, winner, .. } => Ev::RaceSettled(peer, winner),
             UdpPeerEvent::Data { peer, data, via } => Ev::Data(peer, data, via),
+            UdpPeerEvent::PayloadTooLarge { peer, len } => Ev::TooLarge(peer, len),
             _ => Ev::Other,
         };
         self.take_events().into_iter().map(ev).collect()
@@ -129,6 +131,7 @@ impl Peer for TcpPeer {
             TcpPeerEvent::RelayActive { peer } => Ev::RelayActive(peer),
             TcpPeerEvent::RaceSettled { peer, winner, .. } => Ev::RaceSettled(peer, winner),
             TcpPeerEvent::Data { peer, data, via } => Ev::Data(peer, data, via),
+            TcpPeerEvent::PayloadTooLarge { peer, len } => Ev::TooLarge(peer, len),
             _ => Ev::Other,
         };
         self.take_events().into_iter().map(ev).collect()
@@ -613,6 +616,67 @@ fn sends_into_a_dead_end_session_are_not_kept<P: Peer>() {
 fn sends_into_a_dead_end_session_are_not_kept_over_both() {
     sends_into_a_dead_end_session_are_not_kept::<UdpPeer>();
     sends_into_a_dead_end_session_are_not_kept::<TcpPeer>();
+}
+
+// Regression: the application chooses a payload's length, so no length
+// may panic the encoder (70 000 does not fit the wire's `u16`) or make
+// the receiver abort the stream (`MAX_PAYLOAD + 1` is a frame too large).
+// A payload over `MAX_PAYLOAD` is refused at `send` and the session —
+// punched or relayed — carries on; `MAX_PAYLOAD` itself is delivered.
+fn oversize_payloads_are_refused_and_the_session_carries_on<P: Peer>(nat_a: NatBehavior, via: Via) {
+    let mut sc = fig5(
+        29,
+        nat_a,
+        NatBehavior::well_behaved(),
+        P::setup(A, Opts::default()),
+        P::setup(B, Opts::default()),
+    );
+    sc.world.sim.run_for(Duration::from_secs(2));
+    sc.world.with_app::<P, _>(sc.a, |p, os| p.connect(os, B));
+    let settled = |p: &P| p.is_established(B) || p.is_relaying(B);
+    assert!(sc
+        .world
+        .run_until_app::<P>(sc.a, SimTime::from_secs(40), settled));
+    assert_eq!(sc.world.app::<P>(sc.a).is_relaying(B), via == Via::Relay);
+    events::<P>(&mut sc.world, sc.a);
+    let full = Bytes::from(vec![0x5A; MAX_PAYLOAD]);
+    sc.world.with_app::<P, _>(sc.a, |p, os| {
+        for len in [MAX_PAYLOAD + 1, 70_000] {
+            p.send(os, B, Bytes::from(vec![0xA5; len]));
+        }
+        p.send(os, B, full.clone());
+        p.send(os, B, Bytes::from_static(b"small"));
+    });
+    assert_eq!(
+        events::<P>(&mut sc.world, sc.a),
+        [Ev::TooLarge(B, MAX_PAYLOAD + 1), Ev::TooLarge(B, 70_000)]
+    );
+    sc.world.sim.run_for(Duration::from_secs(5));
+    let evs = events::<P>(&mut sc.world, sc.b);
+    let got = data_from(&evs, A);
+    let lens: Vec<(usize, Via)> = got.iter().map(|(d, v)| (d.len(), *v)).collect();
+    assert_eq!(lens, [(MAX_PAYLOAD, via), (5, via)]);
+    assert!(got[0].0 == &full[..] && got[1].0 == b"small");
+    assert!(settled(sc.world.app::<P>(sc.a)), "the session survived");
+    assert_eq!(
+        events::<P>(&mut sc.world, sc.a),
+        [],
+        "and nothing else happened to it"
+    );
+}
+
+#[test]
+fn oversize_payloads_are_refused_and_the_session_carries_on_over_both() {
+    for (nat_a, via) in [
+        (
+            NatBehavior::well_behaved as fn() -> NatBehavior,
+            Via::Direct,
+        ),
+        (NatBehavior::symmetric, Via::Relay),
+    ] {
+        oversize_payloads_are_refused_and_the_session_carries_on::<UdpPeer>(nat_a(), via);
+        oversize_payloads_are_refused_and_the_session_carries_on::<TcpPeer>(nat_a(), via);
+    }
 }
 
 // D1, regression (TCP only: UDP has no reversal): a reversal asked for

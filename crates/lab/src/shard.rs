@@ -495,19 +495,7 @@ impl ShardedWorld {
     pub fn merged_stats(&self) -> SimStats {
         let mut total = SimStats::default();
         for m in &self.shards {
-            let s = lock(m).sim.stats();
-            total.events += s.events;
-            total.packets_sent += s.packets_sent;
-            total.packets_delivered += s.packets_delivered;
-            total.packets_lost += s.packets_lost;
-            total.device_drops += s.device_drops;
-            total.link_down_drops += s.link_down_drops;
-            total.packets_duplicated += s.packets_duplicated;
-            total.packets_reordered += s.packets_reordered;
-            total.packets_corrupted += s.packets_corrupted;
-            total.packets_truncated += s.packets_truncated;
-            total.faults_injected += s.faults_injected;
-            total.busy_nanos += s.busy_nanos;
+            total += lock(m).sim.stats();
         }
         total
     }

@@ -6,7 +6,7 @@
 //! [`Device::on_timer`] when a previously armed timer fires. All
 //! interaction with the world goes through the [`Ctx`] handle.
 
-use crate::metrics::MetricKey;
+use crate::metrics::{MetricKey, Metrics};
 use crate::packet::Packet;
 use crate::sim::SimCore;
 use crate::time::SimTime;
@@ -138,40 +138,49 @@ impl Ctx<'_> {
 
     /// Returns true if the simulation's metrics registry is enabled.
     pub fn metrics_enabled(&self) -> bool {
-        self.core.metrics_enabled()
+        self.core.metrics.is_some()
+    }
+
+    /// Runs `write` on the metrics registry if it is enabled; otherwise
+    /// one branch and nothing else.
+    #[inline]
+    fn metric(&mut self, write: impl FnOnce(&mut Metrics)) {
+        if let Some(m) = &mut self.core.metrics {
+            write(m);
+        }
     }
 
     /// Increments an unlabelled metrics counter by one. No-op when
     /// metrics are disabled (see [`crate::Sim::enable_metrics`]).
     pub fn metric_inc(&mut self, name: &'static str) {
-        self.core.metric_inc_by(MetricKey::plain(name), 1);
+        self.metric(|m| m.inc_by(MetricKey::plain(name), 1));
     }
 
     /// Adds `by` to an unlabelled metrics counter. No-op when disabled.
     pub fn metric_inc_by(&mut self, name: &'static str, by: u64) {
-        self.core.metric_inc_by(MetricKey::plain(name), by);
+        self.metric(|m| m.inc_by(MetricKey::plain(name), by));
     }
 
     /// Increments a labelled metrics counter (e.g. a reason sub-series)
     /// by one. No-op when disabled.
     pub fn metric_inc_labeled(&mut self, name: &'static str, label: &'static str) {
-        self.core.metric_inc_by(MetricKey::labeled(name, label), 1);
+        self.metric(|m| m.inc_by(MetricKey::labeled(name, label), 1));
     }
 
     /// Sets a metrics gauge. No-op when disabled.
     pub fn metric_gauge_set(&mut self, name: &'static str, value: i64) {
-        self.core.metric_gauge_set(MetricKey::plain(name), value);
+        self.metric(|m| m.gauge_set(MetricKey::plain(name), value));
     }
 
     /// Raises a high-water-mark gauge to `value` if it is below it.
     /// No-op when disabled.
     pub fn metric_gauge_max(&mut self, name: &'static str, value: i64) {
-        self.core.metric_gauge_max(MetricKey::plain(name), value);
+        self.metric(|m| m.gauge_max(MetricKey::plain(name), value));
     }
 
     /// Records a sim-time observation into a metrics histogram. No-op
     /// when disabled.
     pub fn metric_observe(&mut self, name: &'static str, d: Duration) {
-        self.core.metric_observe(MetricKey::plain(name), d);
+        self.metric(|m| m.observe(MetricKey::plain(name), d));
     }
 }

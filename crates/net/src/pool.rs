@@ -1,16 +1,15 @@
 //! Buffer pools for the simulation hot path.
 //!
-//! Every delivered packet used to travel inside its `EventKind` through
-//! the event heap, which meant a fresh `Packet` (with its payload `Bytes`
-//! and option list) was moved — and eventually dropped — per event, and
-//! made the event struct as large as its largest payload. The engine now
-//! stores in-flight packets in a [`PacketArena`] and queues 4-byte
-//! handles instead; slots are recycled through a free list, so steady-
-//! state delivery performs no allocator traffic at all.
+//! A packet in flight lives in the [`PacketArena`], not in its queued
+//! event: the event queue moves 4-byte handles, an event is no larger
+//! than its largest non-packet kind, and slots are recycled through a
+//! free list, so steady-state delivery performs no allocator traffic at
+//! all.
 //!
-//! [`BatchPool`] plays the same role for delivery batches: a burst of
-//! packets entering one link in one instant is queued as a single event
-//! holding a pooled `Vec` of arena handles (see `SimCore::transmit`).
+//! [`BatchPool`] does the same for the handles: every delivery is queued
+//! as a [`Batch`], a pooled `Vec` of arena handles for the packets that
+//! enter one interface in one instant — usually one, a whole burst when
+//! nothing else was scheduled in between (see `SimCore::deliver_packet`).
 
 use crate::packet::Packet;
 
@@ -72,6 +71,13 @@ impl PacketArena {
 pub(crate) struct Batch {
     pub(crate) items: Vec<u32>,
     pub(crate) pos: usize,
+}
+
+impl Batch {
+    /// Packets not yet served.
+    pub(crate) fn left(&self) -> usize {
+        self.items.len() - self.pos
+    }
 }
 
 /// Pool of [`Batch`] objects, recycled with their `Vec` capacity intact.

@@ -4,8 +4,13 @@
 //! single-threaded: events are processed in `(time, insertion sequence)`
 //! order, so any two runs with the same seed and same setup calls are
 //! identical — the property the whole test and survey methodology rests on.
+//!
+//! A packet reaches a device one way: `SimCore::deliver_packet` queues
+//! it (from a link, a duplication fault or [`Sim::inject`]) and
+//! [`Sim::step`] hands it to `on_packet`; every run loop is a caller of
+//! `step`.
 
-use crate::calendar::CalendarQueue;
+use crate::calendar::{CalendarQueue, Entry};
 use crate::fault::LinkAction;
 use crate::link::LinkSpec;
 use crate::metrics::{MetricKey, Metrics, MetricsSnapshot};
@@ -58,49 +63,45 @@ pub struct SimStats {
     pub busy_nanos: u64,
 }
 
+impl SimStats {
+    /// The deterministic counters — every field but `busy_nanos` — named
+    /// once, for `==` and `+=`.
+    fn counters(&mut self) -> [&mut u64; 11] {
+        [
+            &mut self.events,
+            &mut self.packets_sent,
+            &mut self.packets_delivered,
+            &mut self.packets_lost,
+            &mut self.device_drops,
+            &mut self.link_down_drops,
+            &mut self.packets_duplicated,
+            &mut self.packets_reordered,
+            &mut self.packets_corrupted,
+            &mut self.packets_truncated,
+            &mut self.faults_injected,
+        ]
+    }
+}
+
 impl PartialEq for SimStats {
     fn eq(&self, other: &Self) -> bool {
         // busy_nanos is wall-clock measurement metadata, not simulation
         // state — see the struct docs.
-        (
-            self.events,
-            self.packets_sent,
-            self.packets_delivered,
-            self.packets_lost,
-            self.device_drops,
-            self.link_down_drops,
-            self.packets_duplicated,
-            self.packets_reordered,
-            self.packets_corrupted,
-            self.packets_truncated,
-            self.faults_injected,
-        ) == (
-            other.events,
-            other.packets_sent,
-            other.packets_delivered,
-            other.packets_lost,
-            other.device_drops,
-            other.link_down_drops,
-            other.packets_duplicated,
-            other.packets_reordered,
-            other.packets_corrupted,
-            other.packets_truncated,
-            other.faults_injected,
-        )
+        let (mut a, mut b) = (*self, *other);
+        a.counters() == b.counters()
     }
 }
 
 impl Eq for SimStats {}
 
-impl SimStats {
-    /// Events dispatched per wall-clock second of run-loop time, the
-    /// engine's throughput figure of merit. Returns `None` until some
-    /// busy time has been recorded.
-    pub fn events_per_sec(&self) -> Option<f64> {
-        if self.busy_nanos == 0 {
-            return None;
+/// Sums every counter, `busy_nanos` included: how the shards of a world
+/// add up to one set of engine counters.
+impl std::ops::AddAssign for SimStats {
+    fn add_assign(&mut self, mut other: Self) {
+        for (mine, theirs) in self.counters().into_iter().zip(other.counters()) {
+            *mine += *theirs;
         }
-        Some(self.events as f64 * 1e9 / self.busy_nanos as f64)
+        self.busy_nanos += other.busy_nanos;
     }
 }
 
@@ -128,16 +129,11 @@ pub struct QueueStats {
 
 enum EventKind {
     Start(NodeId),
-    /// A single packet delivery; the payload lives in the packet arena.
+    /// Packet delivery, the only kind: a burst of same-instant deliveries
+    /// into one interface (usually a burst of one) is one queue entry
+    /// carrying a pooled list of arena handles, consumed one packet per
+    /// [`Sim::step`].
     Deliver {
-        node: NodeId,
-        iface: IfaceId,
-        pkt: u32,
-    },
-    /// A burst of same-instant deliveries into one interface: one queue
-    /// entry carrying a pooled list of arena handles, consumed one
-    /// packet per [`Sim::step`].
-    DeliverBatch {
         node: NodeId,
         iface: IfaceId,
         batch: u32,
@@ -208,7 +204,10 @@ pub(crate) struct SimCore {
     links: Vec<LinkState>,
     nodes: Vec<NodeMeta>,
     tracer: Option<Tracer>,
-    metrics: Option<Metrics>,
+    /// The metrics registry, when enabled; [`Ctx`]'s `metric_*` methods
+    /// write through it. `None` costs a caller one branch — no
+    /// allocation, no RNG draw.
+    pub(crate) metrics: Option<Metrics>,
     stats: SimStats,
 }
 
@@ -236,58 +235,37 @@ impl SimCore {
         }
     }
 
-    /// Metrics bookkeeping for a packet-arena insert.
-    #[inline]
-    fn note_pool_insert(&mut self, reused: bool) {
-        let slots = self.arena.slot_count() as i64;
+    /// Schedules one packet delivery — the only way a packet is queued —
+    /// coalescing into the open batch when this delivery lands on the same
+    /// `(instant, node, iface)` with no intervening event. Either way the
+    /// delivery consumes exactly one engine sequence number, so the
+    /// `(time, seq)` dispatch order — and therefore every trace and pinned
+    /// artifact — is identical to per-packet queue entries.
+    fn deliver_packet(&mut self, at: SimTime, node: NodeId, iface: IfaceId, pkt: Packet) {
+        let (h, reused) = self.arena.insert(pkt);
         if let Some(m) = &mut self.metrics {
             if reused {
                 m.inc_by(MetricKey::plain("net.pool.recycled"), 1);
             }
+            let slots = self.arena.slot_count() as i64;
             m.gauge_max(MetricKey::plain("net.pool.slots.max"), slots);
         }
-    }
-
-    /// Schedules one packet delivery, coalescing into the open batch when
-    /// this delivery lands on the same `(instant, node, iface)` with no
-    /// intervening event. Either way the delivery consumes exactly one
-    /// engine sequence number, so the `(time, seq)` dispatch order — and
-    /// therefore every trace and pinned artifact — is identical to
-    /// per-packet queue entries.
-    fn deliver_packet(&mut self, at: SimTime, node: NodeId, iface: IfaceId, pkt: Packet) {
-        let (h, reused) = self.arena.insert(pkt);
-        self.note_pool_insert(reused);
-        let extend = match &self.open_batch {
-            Some(ob)
-                if ob.at == at
-                    && ob.node == node
-                    && ob.iface == iface
-                    && ob.next_seq == self.seq =>
-            {
-                Some(ob.batch)
-            }
-            _ => None,
-        };
-        if let Some(bid) = extend {
-            self.batches.get_mut(bid).items.push(h);
-            self.seq += 1;
-            if let Some(ob) = &mut self.open_batch {
+        match &mut self.open_batch {
+            Some(ob) if (ob.at, ob.node, ob.iface, ob.next_seq) == (at, node, iface, self.seq) => {
+                self.batches.get_mut(ob.batch).items.push(h);
+                self.seq += 1;
                 ob.next_seq = self.seq;
+                self.pending += 1;
+                self.coalesced += 1;
+                self.note_queue_depth();
             }
-            self.pending += 1;
-            self.coalesced += 1;
-            self.note_queue_depth();
-        } else {
-            let bid = self.batches.alloc();
-            self.batches.get_mut(bid).items.push(h);
-            self.push(at, EventKind::DeliverBatch { node, iface, batch: bid });
-            self.open_batch = Some(OpenBatch {
-                at,
-                node,
-                iface,
-                batch: bid,
-                next_seq: self.seq,
-            });
+            _ => {
+                let batch = self.batches.alloc();
+                self.batches.get_mut(batch).items.push(h);
+                self.push(at, EventKind::Deliver { node, iface, batch });
+                let next_seq = self.seq;
+                self.open_batch = Some(OpenBatch { at, node, iface, batch, next_seq });
+            }
         }
     }
 
@@ -326,50 +304,19 @@ impl SimCore {
         });
     }
 
-    /// Increments a metrics counter by `by`. No-op (one branch, no
-    /// allocation, no RNG) when metrics are disabled.
+    /// Counts one engine event under `key` when metrics are enabled.
     #[inline]
-    pub(crate) fn metric_inc_by(&mut self, key: MetricKey, by: u64) {
+    fn inc(&mut self, key: MetricKey) {
         if let Some(m) = &mut self.metrics {
-            m.inc_by(key, by);
+            m.inc_by(key, 1);
         }
-    }
-
-    /// Sets a metrics gauge. No-op when metrics are disabled.
-    #[inline]
-    pub(crate) fn metric_gauge_set(&mut self, key: MetricKey, value: i64) {
-        if let Some(m) = &mut self.metrics {
-            m.gauge_set(key, value);
-        }
-    }
-
-    /// Raises a high-water-mark gauge. No-op when metrics are disabled.
-    #[inline]
-    pub(crate) fn metric_gauge_max(&mut self, key: MetricKey, value: i64) {
-        if let Some(m) = &mut self.metrics {
-            m.gauge_max(key, value);
-        }
-    }
-
-    /// Records a sim-time histogram observation. No-op when metrics are
-    /// disabled.
-    #[inline]
-    pub(crate) fn metric_observe(&mut self, key: MetricKey, d: Duration) {
-        if let Some(m) = &mut self.metrics {
-            m.observe(key, d);
-        }
-    }
-
-    #[inline]
-    pub(crate) fn metrics_enabled(&self) -> bool {
-        self.metrics.is_some()
     }
 
     pub(crate) fn note_device_drop(&mut self, node: NodeId, reason: &'static str, pkt: &Packet) {
         self.stats.device_drops += 1;
         // Every device drop reason is a `&'static str`, so per-reason
         // counters come for free whenever metrics are on.
-        self.metric_inc_by(MetricKey::labeled("net.drop.device", reason), 1);
+        self.inc(MetricKey::labeled("net.drop.device", reason));
         self.trace(node, 0, TraceDir::DeviceDrop(reason), pkt);
     }
 
@@ -388,17 +335,18 @@ impl SimCore {
         let spec = self.links[link_idx].spec;
         if !self.links[link_idx].up {
             self.stats.link_down_drops += 1;
-            self.metric_inc_by(MetricKey::plain("net.drop.link_down"), 1);
+            self.inc(MetricKey::plain("net.drop.link_down"));
             self.trace(node, iface, TraceDir::LinkDown, &pkt);
             return;
         }
-        // Loss is drawn from the sender's RNG stream so each node's draws
-        // are independent of unrelated traffic elsewhere.
+        // Every draw comes from the sender's RNG stream so each node's
+        // draws are independent of unrelated traffic elsewhere.
+        let rng = &mut self.nodes[node.index()].rng;
         if spec.loss > 0.0 {
-            let roll: f64 = self.nodes[node.index()].rng.gen();
+            let roll: f64 = rng.gen();
             if roll < spec.loss {
                 self.stats.packets_lost += 1;
-                self.metric_inc_by(MetricKey::plain("net.drop.loss"), 1);
+                self.inc(MetricKey::plain("net.drop.loss"));
                 self.trace(node, iface, TraceDir::LossDrop, &pkt);
                 return;
             }
@@ -407,37 +355,30 @@ impl SimCore {
             Duration::ZERO
         } else {
             let bound = spec.jitter.as_nanos() as u64;
-            Duration::from_nanos(self.nodes[node.index()].rng.gen_range(0..=bound))
+            Duration::from_nanos(rng.gen_range(0..=bound))
         };
         // Fault knobs draw only when enabled, in a fixed order (reorder,
         // duplicate, corrupt, truncate), so links without them keep
         // byte-identical RNG streams and traces.
-        let hold = if spec.reorder > 0.0
-            && self.nodes[node.index()].rng.gen::<f64>() < spec.reorder
-        {
+        let hold = if spec.reorder > 0.0 && rng.gen::<f64>() < spec.reorder {
             let bound = spec.reorder_window().as_nanos() as u64;
-            Some(Duration::from_nanos(
-                self.nodes[node.index()].rng.gen_range(1..=bound.max(1)),
-            ))
+            Some(Duration::from_nanos(rng.gen_range(1..=bound.max(1))))
         } else {
             None
         };
-        let duplicated =
-            spec.duplicate > 0.0 && self.nodes[node.index()].rng.gen::<f64>() < spec.duplicate;
+        let duplicated = spec.duplicate > 0.0 && rng.gen::<f64>() < spec.duplicate;
         // Damage draws: the bit/length choice is a second raw draw so the
         // stream shape is independent of the payload size.
-        let corrupt_bit = (spec.corrupt > 0.0
-            && self.nodes[node.index()].rng.gen::<f64>() < spec.corrupt)
-            .then(|| self.nodes[node.index()].rng.gen::<u64>());
-        let truncate_raw = (spec.truncate > 0.0
-            && self.nodes[node.index()].rng.gen::<f64>() < spec.truncate)
-            .then(|| self.nodes[node.index()].rng.gen::<u64>());
+        let corrupt_bit =
+            (spec.corrupt > 0.0 && rng.gen::<f64>() < spec.corrupt).then(|| rng.gen::<u64>());
+        let truncate_raw =
+            (spec.truncate > 0.0 && rng.gen::<f64>() < spec.truncate).then(|| rng.gen::<u64>());
 
         let mut pkt = pkt;
         if let Some(bit) = corrupt_bit {
             pkt.corrupt_bit(bit);
             self.stats.packets_corrupted += 1;
-            self.metric_inc_by(MetricKey::plain("net.corrupt"), 1);
+            self.inc(MetricKey::plain("net.corrupt"));
             self.trace(node, iface, TraceDir::Corrupted, &pkt);
         }
         if let Some(raw) = truncate_raw {
@@ -448,7 +389,7 @@ impl SimCore {
                 // detectable.
                 pkt.truncate_payload((raw % len as u64) as usize);
                 self.stats.packets_truncated += 1;
-                self.metric_inc_by(MetricKey::plain("net.truncate"), 1);
+                self.inc(MetricKey::plain("net.truncate"));
                 self.trace(node, iface, TraceDir::Truncated, &pkt);
             }
         }
@@ -485,16 +426,7 @@ impl SimCore {
         self.deliver_packet(arrive, peer, peer_iface, pkt);
         if let Some((dup_at, dup_pkt)) = dup {
             self.stats.packets_duplicated += 1;
-            let (h, reused) = self.arena.insert(dup_pkt);
-            self.note_pool_insert(reused);
-            self.push(
-                dup_at,
-                EventKind::Deliver {
-                    node: peer,
-                    iface: peer_iface,
-                    pkt: h,
-                },
-            );
+            self.deliver_packet(dup_at, peer, peer_iface, dup_pkt);
         }
     }
 }
@@ -504,7 +436,7 @@ impl SimCore {
 /// See the [crate docs](crate) for an end-to-end example.
 pub struct Sim {
     core: SimCore,
-    devices: Vec<Option<Box<dyn Device>>>,
+    devices: Vec<Box<dyn Device>>,
     seed: u64,
     named_rng: bool,
 }
@@ -541,11 +473,6 @@ impl Sim {
             seed,
             named_rng: false,
         }
-    }
-
-    /// Returns the seed this simulation was created with.
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// Returns the current simulated time.
@@ -605,7 +532,7 @@ impl Sim {
             ifaces: Vec::new(),
             rng,
         });
-        self.devices.push(Some(device));
+        self.devices.push(device);
         self.core.queue.ensure_capacity_for(self.devices.len());
         self.core.push(self.core.time, EventKind::Start(id));
         id
@@ -647,11 +574,6 @@ impl Sim {
         (ia, ib)
     }
 
-    /// Returns the number of links created so far.
-    pub fn link_count(&self) -> usize {
-        self.core.links.len()
-    }
-
     /// Returns the link attached to `node`'s interface `iface`.
     ///
     /// # Panics
@@ -665,14 +587,6 @@ impl Sim {
             .link
     }
 
-    /// Returns the first link directly connecting `a` and `b`, if any.
-    pub fn link_between(&self, a: NodeId, b: NodeId) -> Option<LinkId> {
-        self.core.links.iter().position(|l| {
-            let ends = [l.ends[0].0, l.ends[1].0];
-            ends == [a, b] || ends == [b, a]
-        })
-    }
-
     /// Returns a link's current transmission properties.
     pub fn link_spec(&self, link: LinkId) -> LinkSpec {
         self.core.links[link].spec
@@ -683,11 +597,6 @@ impl Sim {
     /// after the call; packets already in flight are unaffected.
     pub fn link_mut(&mut self, link: LinkId) -> &mut LinkSpec {
         &mut self.core.links[link].spec
-    }
-
-    /// Returns whether a link is administratively up.
-    pub fn link_is_up(&self, link: LinkId) -> bool {
-        self.core.links[link].up
     }
 
     /// Takes a link down (every packet offered to it is dropped) or
@@ -721,10 +630,7 @@ impl Sim {
     /// Delivers `pkt` to `node` on `iface` at the current time, as if it
     /// had arrived from the wire. Intended for harness code and tests.
     pub fn inject(&mut self, node: NodeId, iface: IfaceId, pkt: Packet) {
-        let at = self.core.time;
-        let (h, reused) = self.core.arena.insert(pkt);
-        self.core.note_pool_insert(reused);
-        self.core.push(at, EventKind::Deliver { node, iface, pkt: h });
+        self.core.deliver_packet(self.core.time, node, iface, pkt);
     }
 
     /// Arms a timer on `node` from outside the simulation.
@@ -740,13 +646,6 @@ impl Sim {
     /// Returns the trace, if tracing is enabled.
     pub fn trace(&self) -> Option<&Tracer> {
         self.core.tracer.as_ref()
-    }
-
-    /// Clears the recorded trace (tracing stays enabled).
-    pub fn clear_trace(&mut self) {
-        if let Some(tr) = &mut self.core.tracer {
-            tr.clear();
-        }
     }
 
     /// Enables the typed metrics registry (see [`crate::metrics`]).
@@ -786,8 +685,6 @@ impl Sim {
     /// Panics if the device is not a `T`.
     pub fn device<T: Device>(&self, node: NodeId) -> &T {
         self.devices[node.index()]
-            .as_deref()
-            .expect("device re-entered") // punch-lint: allow(P001) re-entrancy guard: with_node never nests on the same node
             .downcast_ref::<T>()
             .unwrap_or_else(|| panic!("node {node} is not a {}", std::any::type_name::<T>())) // punch-lint: allow(P001) typed-accessor contract: caller names the device type it installed
     }
@@ -802,149 +699,123 @@ impl Sim {
     /// Panics if the device is not a `T`.
     pub fn device_mut<T: Device>(&mut self, node: NodeId) -> &mut T {
         self.devices[node.index()]
-            .as_deref_mut()
-            .expect("device re-entered") // punch-lint: allow(P001) re-entrancy guard: with_node never nests on the same node
             .downcast_mut::<T>()
             .unwrap_or_else(|| panic!("node {node} is not a {}", std::any::type_name::<T>())) // punch-lint: allow(P001) typed-accessor contract: caller names the device type it installed
     }
 
     /// Runs `f` with the device on `node` and a live [`Ctx`], so harness
     /// code can invoke device operations that send packets or arm timers
-    /// between engine steps.
+    /// between engine steps. [`Sim::step`] runs every callback through it.
+    ///
+    /// The device and the engine core are disjoint fields and a [`Ctx`]
+    /// reaches only the core, so a callback cannot re-enter its own or
+    /// any other device.
     pub fn with_node<R>(
         &mut self,
         node: NodeId,
         f: impl FnOnce(&mut dyn Device, &mut Ctx<'_>) -> R,
     ) -> R {
-        let mut dev = self.devices[node.index()]
-            .take()
-            .expect("device re-entered"); // punch-lint: allow(P001) re-entrancy guard: with_node never nests on the same node
         let mut ctx = Ctx {
             core: &mut self.core,
             node,
         };
-        let r = f(dev.as_mut(), &mut ctx);
-        self.devices[node.index()] = Some(dev);
-        r
+        f(self.devices[node.index()].as_mut(), &mut ctx)
     }
 
     /// Processes the next event, if any. Returns `false` when the queue is
     /// empty.
     ///
-    /// A delivery batch counts as one event *per packet*: each `step`
-    /// consumes a single packet from the batch at the queue front, so
+    /// A delivery burst counts as one event *per packet*: each `step`
+    /// consumes a single packet from the burst at the queue front, so
     /// event counts, [`Sim::run_while`] predicate granularity, and trace
     /// order are identical to per-packet scheduling — only the queue
     /// traffic is batched.
     pub fn step(&mut self) -> bool {
-        let mut batch_front = None;
-        match self.core.queue.front() {
+        let core = &mut self.core;
+        let (at, kind) = match core.queue.front() {
             None => return false,
-            Some(e) => {
-                if let EventKind::DeliverBatch { node, iface, batch } = &e.item {
-                    batch_front = Some((e.at, *node, *iface, *batch));
-                }
+            // A burst with packets to spare keeps its queue entry: this
+            // step takes one of them and leaves the rest at the front.
+            Some(&Entry { at, item: EventKind::Deliver { node, iface, batch }, .. })
+                if core.batches.get_mut(batch).left() > 1 =>
+            {
+                (at, EventKind::Deliver { node, iface, batch })
             }
-        }
-        if let Some((at, node, iface, batch)) = batch_front {
-            debug_assert!(at >= self.core.time, "event in the past");
-            self.core.time = at;
-            self.core.stats.events += 1;
-            self.core.pending -= 1;
-            let b = self.core.batches.get_mut(batch);
-            let h = b.items[b.pos];
-            b.pos += 1;
-            if b.pos == b.items.len() {
-                let _ = self.core.queue.pop_front();
-                self.core.batches.release(batch);
-                // The open batch can never be extended once consumed (a
-                // released id may be re-allocated for a different burst).
-                if self
-                    .core
-                    .open_batch
-                    .as_ref()
-                    .is_some_and(|ob| ob.batch == batch)
-                {
-                    self.core.open_batch = None;
-                }
-            }
-            let pkt = self.core.arena.take(h);
-            self.core.stats.packets_delivered += 1;
-            self.core.trace(node, iface, TraceDir::Rx, &pkt);
-            self.dispatch(node, |dev, ctx| dev.on_packet(ctx, iface, pkt));
-            return true;
-        }
-        let Some(entry) = self.core.queue.pop_front() else {
-            return false;
+            Some(_) => match core.queue.pop_front() {
+                Some(entry) => (entry.at, entry.item),
+                None => return false,
+            },
         };
-        debug_assert!(entry.at >= self.core.time, "event in the past");
-        self.core.time = entry.at;
-        self.core.stats.events += 1;
-        self.core.pending -= 1;
-        match entry.item {
-            EventKind::Start(node) => {
-                self.dispatch(node, |dev, ctx| dev.on_start(ctx));
+        debug_assert!(at >= core.time, "event in the past");
+        core.time = at;
+        core.stats.events += 1;
+        core.pending -= 1;
+        match kind {
+            EventKind::Start(node) => self.with_node(node, |dev, ctx| dev.on_start(ctx)),
+            // The one place a packet leaves the arena for a device.
+            EventKind::Deliver { node, iface, batch } => {
+                let b = core.batches.get_mut(batch);
+                let h = b.items[b.pos];
+                b.pos += 1;
+                if b.left() == 0 {
+                    core.batches.release(batch);
+                    // A consumed batch can never be extended (a released
+                    // id may be re-allocated for a different burst).
+                    if core.open_batch.as_ref().is_some_and(|ob| ob.batch == batch) {
+                        core.open_batch = None;
+                    }
+                }
+                let pkt = core.arena.take(h);
+                core.stats.packets_delivered += 1;
+                core.trace(node, iface, TraceDir::Rx, &pkt);
+                self.with_node(node, |dev, ctx| dev.on_packet(ctx, iface, pkt));
             }
-            EventKind::Deliver { node, iface, pkt } => {
-                let pkt = self.core.arena.take(pkt);
-                self.core.stats.packets_delivered += 1;
-                self.core.trace(node, iface, TraceDir::Rx, &pkt);
-                self.dispatch(node, |dev, ctx| dev.on_packet(ctx, iface, pkt));
-            }
-            EventKind::DeliverBatch { .. } => unreachable!("batch front handled above"), // punch-lint: allow(P001) the batch arm is consumed by the peek path; reaching it is an engine bug
             EventKind::Timer { node, token } => {
-                self.dispatch(node, |dev, ctx| dev.on_timer(ctx, token));
+                self.with_node(node, |dev, ctx| dev.on_timer(ctx, token));
             }
             EventKind::LinkFault { link, action } => {
-                self.core.stats.faults_injected += 1;
+                core.stats.faults_injected += 1;
                 match *action {
-                    LinkAction::Up => self.core.links[link].up = true,
-                    LinkAction::Down => self.core.links[link].up = false,
-                    LinkAction::Set(spec) => self.core.links[link].spec = spec,
+                    LinkAction::Up => core.links[link].up = true,
+                    LinkAction::Down => core.links[link].up = false,
+                    LinkAction::Set(spec) => core.links[link].spec = spec,
                 }
             }
             EventKind::DeviceFault { node, fault } => {
-                self.core.stats.faults_injected += 1;
-                self.dispatch(node, |dev, ctx| dev.on_fault(ctx, fault));
+                core.stats.faults_injected += 1;
+                self.with_node(node, |dev, ctx| dev.on_fault(ctx, fault));
             }
         }
         true
     }
 
-    fn dispatch(&mut self, node: NodeId, f: impl FnOnce(&mut Box<dyn Device>, &mut Ctx<'_>)) {
-        let mut dev = self.devices[node.index()]
-            .take()
-            .expect("device re-entered"); // punch-lint: allow(P001) re-entrancy guard: with_node never nests on the same node
-        let mut ctx = Ctx {
-            core: &mut self.core,
-            node,
-        };
-        f(&mut dev, &mut ctx);
-        self.devices[node.index()] = Some(dev);
+    /// The one run loop: [`Sim::step`]s through every event due by
+    /// `deadline`, asking `stop` after each, and returns whether `stop`
+    /// ended the run. Host time is sampled once per call (not per event)
+    /// so the hot loop pays nothing for [`SimStats::busy_nanos`].
+    fn run_loop(&mut self, deadline: SimTime, mut stop: impl FnMut(&Sim) -> bool) -> bool {
+        // punch-lint: allow(D001) wall-clock perf counter (SimStats::busy_nanos); never feeds sim behavior or pinned output
+        let started = Instant::now();
+        let mut stopped = false;
+        while !stopped && self.core.queue.next_at().is_some_and(|at| at <= deadline) {
+            self.step();
+            stopped = stop(self);
+        }
+        let busy = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        self.core.stats.busy_nanos += busy;
+        stopped
     }
 
     /// Runs until the clock reaches `deadline`; events at exactly
     /// `deadline` are processed. The clock ends at `deadline` even if the
     /// queue drains early.
     pub fn run_until(&mut self, deadline: SimTime) {
-        // punch-lint: allow(D001) wall-clock perf counter (SimStats::busy_nanos); never feeds sim behavior or pinned output
-        let started = Instant::now();
-        while let Some(next_at) = self.core.queue.next_at() {
-            if next_at > deadline {
-                break;
-            }
-            self.step();
-        }
-        if self.core.time < deadline {
-            self.core.time = deadline;
-        }
-        self.note_busy(started);
+        self.run_while(deadline, |_| false);
     }
 
     /// Runs for `d` of simulated time from now.
     pub fn run_for(&mut self, d: Duration) {
-        let deadline = self.core.time + d;
-        self.run_until(deadline);
+        self.run_until(self.core.time + d);
     }
 
     /// Runs until no events remain. Returns the number of events
@@ -955,50 +826,26 @@ impl Sim {
     /// Panics after 50 million events, which indicates a device re-arming
     /// timers unboundedly; use [`Sim::run_until`] for such workloads.
     pub fn run_until_idle(&mut self) -> u64 {
-        // punch-lint: allow(D001) wall-clock perf counter (SimStats::busy_nanos); never feeds sim behavior or pinned output
-        let started = Instant::now();
         let mut n = 0u64;
-        while self.step() {
+        self.run_loop(SimTime::MAX, |_| {
             n += 1;
             assert!(
                 n < IDLE_EVENT_CAP,
                 "run_until_idle exceeded {IDLE_EVENT_CAP} events"
             );
-        }
-        self.note_busy(started);
+            false
+        });
         n
     }
 
     /// Runs until `pred` returns true (checked after every event) or the
     /// clock passes `deadline`. Returns whether `pred` was satisfied.
     pub fn run_while(&mut self, deadline: SimTime, mut pred: impl FnMut(&Sim) -> bool) -> bool {
-        if pred(self) {
-            return true;
+        let hit = pred(self) || self.run_loop(deadline, pred);
+        if !hit {
+            self.core.time = self.core.time.max(deadline);
         }
-        // punch-lint: allow(D001) wall-clock perf counter (SimStats::busy_nanos); never feeds sim behavior or pinned output
-        let started = Instant::now();
-        while let Some(next_at) = self.core.queue.next_at() {
-            if next_at > deadline {
-                break;
-            }
-            self.step();
-            if pred(self) {
-                self.note_busy(started);
-                return true;
-            }
-        }
-        if self.core.time < deadline {
-            self.core.time = deadline;
-        }
-        self.note_busy(started);
-        false
-    }
-
-    /// Accumulates wall-clock run-loop time into [`SimStats::busy_nanos`].
-    /// Sampled once per run-loop call (not per event) so the hot loop
-    /// pays nothing for the measurement.
-    fn note_busy(&mut self, started: Instant) {
-        self.core.stats.busy_nanos += u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        hit
     }
 }
 
@@ -1170,8 +1017,6 @@ mod tests {
         assert_eq!(tr.events()[0].dir, TraceDir::Tx);
         assert_eq!(tr.events()[1].dir, TraceDir::Rx);
         assert!(tr.dump().contains("alice"));
-        sim.clear_trace();
-        assert!(sim.trace().unwrap().events().is_empty());
     }
 
     #[test]
@@ -1232,10 +1077,16 @@ mod tests {
         let s1 = run();
         let s2 = run();
         assert!(s1.busy_nanos > 0, "run loop must record wall time");
-        assert!(s1.events_per_sec().unwrap() > 0.0);
         // Deterministic counters match even though wall time differs.
         assert_eq!(s1, s2);
-        assert_eq!(SimStats::default().events_per_sec(), None);
+        assert_eq!(SimStats { busy_nanos: s1.busy_nanos + 1, ..s1 }, s1);
+        assert_ne!(SimStats { faults_injected: 1, ..s1 }, s1);
+        // Shards add up field by field, wall time included.
+        let mut sum = s1;
+        sum += s2;
+        assert_eq!(sum.events, 2 * s1.events);
+        assert_eq!(sum.packets_delivered, 2 * s1.packets_delivered);
+        assert_eq!(sum.busy_nanos, s1.busy_nanos + s2.busy_nanos);
     }
 
     #[test]
@@ -1245,7 +1096,6 @@ mod tests {
         let b = sim.add_node("b", Box::new(SinkDevice::default()));
         sim.connect(a, b, LinkSpec::lan());
         let link = sim.link_of(a, 0);
-        assert!(sim.link_is_up(link));
         sim.set_link_up(link, false);
         for _ in 0..5 {
             sim.with_node(a, |_, ctx| ctx.send(0, udp()));
@@ -1405,22 +1255,6 @@ mod tests {
             .collect();
         assert_eq!(sim.stats().packets_reordered, 1);
         assert_eq!(got, vec![1, 0], "held packet must arrive second");
-    }
-
-    #[test]
-    fn link_lookup_helpers() {
-        let mut sim = Sim::new(1);
-        let a = sim.add_node("a", Box::new(SinkDevice::default()));
-        let b = sim.add_node("b", Box::new(SinkDevice::default()));
-        let c = sim.add_node("c", Box::new(SinkDevice::default()));
-        sim.connect(a, b, LinkSpec::lan());
-        sim.connect(b, c, LinkSpec::wan());
-        assert_eq!(sim.link_count(), 2);
-        assert_eq!(sim.link_of(a, 0), 0);
-        assert_eq!(sim.link_of(c, 0), 1);
-        assert_eq!(sim.link_between(b, a), Some(0));
-        assert_eq!(sim.link_between(c, b), Some(1));
-        assert_eq!(sim.link_between(a, c), None);
     }
 
     #[test]

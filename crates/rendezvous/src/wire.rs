@@ -70,6 +70,14 @@ impl std::error::Error for WireError {}
 /// Maximum frame body accepted from a TCP stream.
 pub const MAX_FRAME: usize = 16 * 1024;
 
+/// Largest application payload a peer will send: a [`MAX_FRAME`] frame
+/// less the longest header a data-carrying message puts before its
+/// payload ([`Message::SrvRelay`]: version, tag, two peer ids, the
+/// transport flag, the payload's length prefix). A payload this size fits
+/// one frame — and its `u16` length field — on every hop, direct or
+/// relayed; the peers refuse a longer one at `send`.
+pub const MAX_PAYLOAD: usize = MAX_FRAME - (1 + 1 + 8 + 8 + 1 + 2);
+
 /// Maximum bytes a [`FrameBuf`] will hold before declaring the stream
 /// hostile: four maximal frames (with their length prefixes) of
 /// lawfully bursty traffic, but never unbounded growth.
@@ -292,7 +300,7 @@ fn get_endpoint(buf: &mut &[u8]) -> Result<Endpoint, WireError> {
 }
 
 fn put_bytes(buf: &mut BytesMut, data: &Bytes) {
-    buf.put_u16(u16::try_from(data.len()).expect("payload too large for wire format")); // punch-lint: allow(P001) encoder-controlled payloads stay under the u16 frame cap; checked so oversize can never truncate
+    buf.put_u16(u16::try_from(data.len()).expect("payload too large for wire format")); // punch-lint: allow(P001) peers cap what they send at MAX_PAYLOAD and a forwarded payload was decoded from a u16 length; checked so oversize can never truncate
     buf.put_slice(data);
 }
 
@@ -969,6 +977,26 @@ mod tests {
             assert_eq!(fb.next_message(), Some(Ok(big.clone())));
         }
         assert_eq!(fb.next_message(), None);
+    }
+
+    #[test]
+    fn a_max_payload_fits_one_frame_under_every_data_message() {
+        let (from, target) = (PeerId(1), PeerId(2));
+        let data = Bytes::from(vec![0x42u8; MAX_PAYLOAD]);
+        let carriers = [
+            Message::PeerData { data: data.clone() },
+            Message::RelayData { from, target, data: data.clone() },
+            Message::RelayedData { from, data: data.clone() },
+            Message::SrvRelay { from, target, data, tcp: true },
+        ];
+        let mut longest = 0;
+        for msg in carriers {
+            let mut fb = FrameBuf::new();
+            fb.push(&encode_frame(&msg, true));
+            longest = longest.max(msg.encode(true).len());
+            assert_eq!(fb.next_message(), Some(Ok(msg)));
+        }
+        assert_eq!(longest, MAX_FRAME, "MAX_PAYLOAD is the most the longest header leaves");
     }
 
     #[test]

@@ -1,12 +1,13 @@
 #!/usr/bin/env sh
-# Quick survey benchmark + determinism check.
+# Quick survey determinism check.
 #
 # Runs the capped Table 1 survey twice — once forced sequential
 # (PUNCH_JOBS=1), once on the default worker pool — and diffs the two
 # outputs. Exits non-zero if they differ, i.e. if parallel execution
-# ever changes a result. The full-survey timing artifact
-# (results/BENCH_survey.json) is produced by the table1 bin itself;
-# this script is the cheap regression guard.
+# ever changes a result. The full survey's pinned artifacts
+# (results/table1.txt, results/BENCH_survey.json — no host time in
+# either; host time is measured only in benchmark/) come from
+# `punch-bench table1`; this script is the cheap regression guard.
 #
 # Usage: scripts/bench-survey.sh  (from the repo root)
 set -eu

@@ -13,6 +13,9 @@ echo "== punch-lint: allow(P001) per crate (suppressed panic paths, same non-tes
 awk 'FNR == 1 { t = 0 } /^ *#\[cfg\(test\)\]/ { t = 1 }
     !t && /punch-lint: allow\([^)]*P001/ { split(FILENAME, p, "/"); n[p[2]]++; all++ }
     END { for (c in n) print n[c], c; print all + 0, "~total" }' "$@" | sort -k2
+echo "== punch-lint: allow(D001) per crate (suppressed host-clock reads, whole files: D001 covers tests too) =="
+grep -c '// punch-lint: allow([^)]*D001' "$@" | awk -F'[/:]' '{ n[$2] += $NF; all += $NF }
+    END { for (c in n) if (n[c]) print n[c], c; print all + 0, "~total" }' | sort -k2
 echo "== pub fields per *Config struct =="
 awk '/^pub struct [A-Za-z]*Config \{/ { s = $3 } s && /^    pub [a-z_]+:/ { n[s]++ } /^}/ { s = "" }
     END { for (s in n) print n[s], s }' "$@" | sort -k2

@@ -50,8 +50,8 @@ cargo build --release --quiet
 echo "== test (tier-1: root package) =="
 cargo test -q
 
-echo "== test (workspace: every crate's suites, incl. decoder fuzzing and the punch-lint clean-tree gate) =="
-cargo test --workspace -q
+echo "== test (every other crate's suites, incl. decoder fuzzing and the punch-lint clean-tree gate) =="
+cargo test --workspace --exclude p2p-punch -q
 
 echo "== clippy (-D warnings; vendor/* stand-ins excluded) =="
 cargo clippy --workspace --exclude rand --exclude bytes --exclude proptest \
@@ -114,14 +114,15 @@ if grep '^ *trace\.replica_matches' "$tmp/smoke.txt" | grep -v ' 1\.000000 count
     exit 1
 fi
 
-echo "== memory gates: full-size fleet_churn and server_storm reps each peak under 60 MiB =="
+echo "== memory gates: full-size fleet_churn peaks under 60 MiB, server_storm under 55 =="
 # fleet_churn is 10 MiB once built and ran to 143 MiB while drained
 # event-queue buckets kept their buffers (25 MiB without); retention
 # coming back is a red build.
 peak_rss_under fleet_churn 60
-# server_storm (57 MiB) queues 200 000 datagrams at one instant: a queue
-# that holds such a day twice (an entry slab beside the working set read
-# 64 MiB) doubles exactly this, and no test sees it.
-peak_rss_under server_storm 60
+# server_storm (52 MiB) injects 150 000 datagrams at one instant: as one
+# burst they are one queue entry of 4-byte handles. A queue entry per
+# datagram again reads 57 MiB, a queue that holds such a day twice 64,
+# and no test sees either.
+peak_rss_under server_storm 55
 
 echo "OK"
