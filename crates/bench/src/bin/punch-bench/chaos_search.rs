@@ -18,7 +18,7 @@
 
 use crate::{Flags, Run};
 use punch_lab::chaos::{
-    generate_profile_faults, run_schedule, ChaosFault, ChaosProfile, ScheduleReport,
+    generate_profile_faults, run_schedule, ChaosProfile, ScheduleReport,
 };
 use punch_lab::par;
 
@@ -68,24 +68,12 @@ pub fn gate(r: &Report) -> Result<(), String> {
 fn narrate(r: &Report) -> String {
     // The schedule generator is deterministic, so the fault mix can be
     // recomputed here without re-running any simulation.
-    let mut mix = [0u64; 10];
-    for s in &r.schedules {
-        for f in generate_profile_faults(s.seed, r.max_faults, r.profile) {
-            mix[match f {
-                ChaosFault::Outage { .. } => 0,
-                ChaosFault::Lossy { .. } => 1,
-                ChaosFault::Corrupt { .. } => 2,
-                ChaosFault::Truncate { .. } => 3,
-                ChaosFault::RebootNatA { .. } => 4,
-                ChaosFault::RebootNatB { .. } => 5,
-                ChaosFault::RestartServer { .. } => 6,
-                ChaosFault::MappingFlood { .. } => 7,
-                ChaosFault::SquatStorm { .. } => 8,
-                ChaosFault::IntroFlood { .. } => 9,
-            }] += 1;
-        }
-    }
-    let sampled: u64 = mix.iter().sum();
+    let kinds: Vec<&str> = (r.schedules.iter())
+        .flat_map(|s| generate_profile_faults(s.seed, r.max_faults, r.profile))
+        .map(|f| f.kind())
+        .collect();
+    let mix = |kind: &str| kinds.iter().filter(|&&k| k == kind).count();
+    let sampled = kinds.len();
     let violations: Vec<_> = r
         .schedules
         .iter()
@@ -112,16 +100,23 @@ fn narrate(r: &Report) -> String {
     );
     out += &format!(
         "   fault mix: outage {}, lossy {}, corrupt {}, truncate {}, NAT-A reboot {},\n",
-        mix[0], mix[1], mix[2], mix[3], mix[4]
+        mix("outage"),
+        mix("lossy"),
+        mix("corrupt"),
+        mix("truncate"),
+        mix("reboot_nat_a")
     );
     out += &format!(
         "              NAT-B reboot {}, server restart {}\n",
-        mix[5], mix[6]
+        mix("reboot_nat_b"),
+        mix("restart_server")
     );
     if r.profile == ChaosProfile::Adversarial {
         out += &format!(
             "   attack mix: mapping flood {}, squat storm {}, intro flood {}\n",
-            mix[7], mix[8], mix[9]
+            mix("mapping_flood"),
+            mix("squat_storm"),
+            mix("intro_flood")
         );
     }
     for s in &violations {
@@ -167,7 +162,7 @@ pub fn run(flags: &Flags) -> Result<Run, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use punch_lab::chaos::{ChaosPlan, ShrunkViolation};
+    use punch_lab::chaos::{ChaosFault, ChaosPlan, ShrunkViolation};
 
     #[test]
     fn gate_passes_a_real_run_and_fails_on_one_violation() {

@@ -62,13 +62,7 @@ fn scenario(mut wb: WorldBuilder, wire: impl FnOnce(&mut WorldBuilder)) -> Scena
         RendezvousServer::new(ServerConfig::default()),
     );
     wire(&mut wb);
-    let world = wb.build();
-    Scenario {
-        server: world.servers[0],
-        a: world.clients[0],
-        b: world.clients[1],
-        world,
-    }
+    Scenario::new(wb.build())
 }
 
 fn build_udp(
@@ -329,13 +323,7 @@ pub fn relay_vs_direct(seed: u64, payload: usize) -> (Duration, Duration, u64) {
         let mut sc = fig5(seed, nat.clone(), nat, mk(A), mk(B));
         udp_connect(&mut sc, SimTime::from_secs(30), |p| p.is_relaying(B));
         let rtt = measure_rtt(&mut sc, payload);
-        let server = sc.server;
-        let stats = sc
-            .world
-            .sim
-            .device::<punch_transport::HostDevice>(server)
-            .app::<RendezvousServer>()
-            .stats();
+        let stats = sc.world.app::<RendezvousServer>(sc.server).stats();
         (rtt, stats.relayed_bytes)
     };
     (direct_rtt, relay_rtt, relayed_bytes)

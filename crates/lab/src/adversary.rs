@@ -24,7 +24,7 @@
 //! — with the defense off and on, and feed the `attacks` bench bin and
 //! CI's defense-flip gate.
 
-use crate::world::{addrs, PeerSetup, World, WorldBuilder};
+use crate::world::{addrs, fig5_builder, PeerSetup, Scenario, World, WorldBuilder};
 use holepunch::{TcpPeer, TcpPeerConfig, TcpPeerEvent, UdpPeer, UdpPeerConfig, UdpPeerEvent};
 use punch_nat::NatBehavior;
 use punch_net::{
@@ -41,9 +41,9 @@ const A: PeerId = PeerId(1);
 /// Victim peer B in attack scenarios.
 const B: PeerId = PeerId(2);
 /// The flooding host's private address (same realm as client A).
-const FLOOD_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 66);
+pub(crate) const FLOOD_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 66);
 /// The public abuse/attacker host's address.
-const ABUSE_IP: Ipv4Addr = Ipv4Addr::new(99, 9, 9, 9);
+pub(crate) const ABUSE_IP: Ipv4Addr = Ipv4Addr::new(99, 9, 9, 9);
 /// The port the abuse host listens (and is impersonated) on.
 const ABUSE_PORT: u16 = 4321;
 /// The second fleet server's address in the forgery scenario.
@@ -53,18 +53,56 @@ const SERVER2_IP: Ipv4Addr = Ipv4Addr::new(18, 181, 0, 32);
 // Attacker nodes
 // ---------------------------------------------------------------------
 
+/// A bot's script: `(at, burst)` entries at absolute sim times and the
+/// cursor over them. One timer is armed at a time, for the next entry
+/// not yet run.
+struct Script<T> {
+    bursts: Vec<(Duration, T)>,
+    next: usize,
+}
+
+impl<T: Copy> Script<T> {
+    /// Sorts the script by time, same-instant bursts by `key`, and arms
+    /// the first timer. Call from `on_start`.
+    fn start<K: Ord>(&mut self, os: &mut Os<'_, '_>, key: impl Fn(T) -> K) {
+        self.bursts.sort_by_key(|&(at, burst)| (at, key(burst)));
+        self.arm_next(os);
+    }
+
+    /// Runs every burst due by now, in order, then arms the timer for
+    /// the one after. Call from `on_timer`.
+    fn run_due(&mut self, os: &mut Os<'_, '_>, mut run: impl FnMut(&mut Os<'_, '_>, T)) {
+        let elapsed = os.now().saturating_since(SimTime::ZERO);
+        while let Some(&(at, burst)) = self.bursts.get(self.next) {
+            if at > elapsed {
+                break;
+            }
+            self.next += 1;
+            run(os, burst);
+        }
+        self.arm_next(os);
+    }
+
+    fn arm_next(&self, os: &mut Os<'_, '_>) {
+        if let Some(&(at, _)) = self.bursts.get(self.next) {
+            let delta = at.saturating_sub(os.now().saturating_since(SimTime::ZERO));
+            os.set_timer(delta, 1);
+        }
+    }
+}
+
 /// A private-side host that opens NAT mappings from fresh source ports
 /// in scripted bursts — the mapping-exhaustion attacker.
 ///
 /// Each schedule entry `(at, ports)` binds `ports` new local UDP ports
 /// at absolute sim time `at` and sends one datagram from each to
-/// `sink`, so every port claims a fresh translation-table slot.
+/// `sink`, so every port claims a fresh translation-table slot. Ports
+/// count up from 30 000; a schedule that runs past 65 534 opens no more.
 pub struct FloodBot {
     /// Where the flood datagrams are aimed (any public endpoint).
     sink: Endpoint,
-    /// `(at, ports)` bursts, sorted by `at` in `on_start`.
-    schedule: Vec<(Duration, u16)>,
-    next: usize,
+    /// `(at, ports)` bursts.
+    script: Script<u16>,
     next_port: u16,
     socks: Vec<SocketId>,
 }
@@ -74,36 +112,24 @@ impl FloodBot {
     pub fn new(sink: Endpoint, schedule: Vec<(Duration, u16)>) -> Self {
         FloodBot {
             sink,
-            schedule,
-            next: 0,
+            script: Script { bursts: schedule, next: 0 },
             next_port: 30_000,
             socks: Vec::new(),
-        }
-    }
-
-    fn arm_next(&self, os: &mut Os<'_, '_>) {
-        if let Some(&(at, _)) = self.schedule.get(self.next) {
-            let delta = at.saturating_sub(os.now().saturating_since(SimTime::ZERO));
-            os.set_timer(delta, 1);
         }
     }
 }
 
 impl App for FloodBot {
     fn on_start(&mut self, os: &mut Os<'_, '_>) {
-        self.schedule.sort();
-        self.arm_next(os);
+        self.script.start(os, |ports| ports);
     }
 
     fn on_event(&mut self, _os: &mut Os<'_, '_>, _ev: SockEvent) {}
 
     fn on_timer(&mut self, os: &mut Os<'_, '_>, _token: u64) {
-        let elapsed = os.now().saturating_since(SimTime::ZERO);
-        while let Some(&(at, ports)) = self.schedule.get(self.next) {
-            if at > elapsed {
-                break;
-            }
-            self.next += 1;
+        self.script.run_due(os, |os, ports| {
+            // Ports run out below `u16::MAX`: a longer script opens what is left.
+            let ports = ports.min(u16::MAX - self.next_port);
             for _ in 0..ports {
                 let port = self.next_port;
                 self.next_port += 1;
@@ -113,8 +139,7 @@ impl App for FloodBot {
                 }
             }
             os.metric_inc_by("attack.flood.ports_opened", u64::from(ports));
-        }
-        self.arm_next(os);
+        });
     }
 }
 
@@ -144,9 +169,8 @@ pub enum AbuseAction {
 /// introduction hijack delivers the victim's punch probes here).
 pub struct AbuseBot {
     server: Endpoint,
-    /// `(at, action)` bursts, sorted by `at` in `on_start`.
-    schedule: Vec<(Duration, AbuseAction)>,
-    next: usize,
+    /// `(at, action)` bursts.
+    script: Script<AbuseAction>,
     sock: Option<SocketId>,
     /// Datagrams received from anyone — hijacked victims land here.
     received: u64,
@@ -157,8 +181,7 @@ impl AbuseBot {
     pub fn new(server: Endpoint, schedule: Vec<(Duration, AbuseAction)>) -> Self {
         AbuseBot {
             server,
-            schedule,
-            next: 0,
+            script: Script { bursts: schedule, next: 0 },
             sock: None,
             received: 0,
         }
@@ -168,25 +191,14 @@ impl AbuseBot {
     pub fn received(&self) -> u64 {
         self.received
     }
-
-    fn arm_next(&self, os: &mut Os<'_, '_>) {
-        if let Some(&(at, _)) = self.schedule.get(self.next) {
-            let delta = at.saturating_sub(os.now().saturating_since(SimTime::ZERO));
-            os.set_timer(delta, 1);
-        }
-    }
 }
 
 impl App for AbuseBot {
     fn on_start(&mut self, os: &mut Os<'_, '_>) {
-        self.schedule
-            .sort_by_key(|&(at, action)| match action {
-                AbuseAction::Squat { base_id, .. } | AbuseAction::IntroFlood { base_id, .. } => {
-                    (at, base_id)
-                }
-            });
         self.sock = Some(os.udp_bind(ABUSE_PORT).expect("abuse port free")); // punch-lint: allow(P001) fixed scenario port, bound once
-        self.arm_next(os);
+        self.script.start(os, |action| match action {
+            AbuseAction::Squat { base_id, .. } | AbuseAction::IntroFlood { base_id, .. } => base_id,
+        });
     }
 
     fn on_event(&mut self, _os: &mut Os<'_, '_>, ev: SockEvent) {
@@ -198,37 +210,29 @@ impl App for AbuseBot {
     fn on_timer(&mut self, os: &mut Os<'_, '_>, _token: u64) {
         let sock = self.sock.expect("bound in on_start"); // punch-lint: allow(P001) on_timer only fires after on_start
         let private = os.local_endpoint(sock).expect("socket bound"); // punch-lint: allow(P001) socket bound in on_start
-        let elapsed = os.now().saturating_since(SimTime::ZERO);
-        while let Some(&(at, action)) = self.schedule.get(self.next) {
-            if at > elapsed {
-                break;
-            }
-            self.next += 1;
-            match action {
-                AbuseAction::Squat { base_id, count } => {
-                    for i in 0..u64::from(count) {
-                        let msg = Message::Register {
-                            peer_id: PeerId(base_id + i),
-                            private,
-                        };
-                        let _ = os.udp_send(sock, self.server, msg.encode(false));
-                    }
-                    os.metric_inc_by("attack.abuse.squats", u64::from(count));
+        self.script.run_due(os, |os, action| match action {
+            AbuseAction::Squat { base_id, count } => {
+                for i in 0..u64::from(count) {
+                    let msg = Message::Register {
+                        peer_id: PeerId(base_id + i),
+                        private,
+                    };
+                    let _ = os.udp_send(sock, self.server, msg.encode(false));
                 }
-                AbuseAction::IntroFlood { base_id, count } => {
-                    for i in 0..u64::from(count) {
-                        let msg = Message::ConnectRequest {
-                            peer_id: PeerId(base_id),
-                            target: PeerId(base_id + 1 + i),
-                            nonce: 0xBEEF ^ i,
-                        };
-                        let _ = os.udp_send(sock, self.server, msg.encode(false));
-                    }
-                    os.metric_inc_by("attack.abuse.intro_floods", u64::from(count));
-                }
+                os.metric_inc_by("attack.abuse.squats", u64::from(count));
             }
-        }
-        self.arm_next(os);
+            AbuseAction::IntroFlood { base_id, count } => {
+                for i in 0..u64::from(count) {
+                    let msg = Message::ConnectRequest {
+                        peer_id: PeerId(base_id),
+                        target: PeerId(base_id + 1 + i),
+                        nonce: 0xBEEF ^ i,
+                    };
+                    let _ = os.udp_send(sock, self.server, msg.encode(false));
+                }
+                os.metric_inc_by("attack.abuse.intro_floods", u64::from(count));
+            }
+        });
     }
 }
 
@@ -321,6 +325,18 @@ pub struct AttackReport {
     pub defense_events: u64,
 }
 
+/// The victims' world, metrics on and not yet built: Figure 5 with
+/// peers A and B from `peer`, NAT B well-behaved. Legs add their bots.
+fn victim_pair(
+    seed: u64,
+    server: ServerConfig,
+    nat_a: NatBehavior,
+    peer: impl Fn(PeerId) -> PeerSetup,
+) -> WorldBuilder {
+    let nat_b = NatBehavior::well_behaved();
+    fig5_builder(seed, server, nat_a, nat_b, peer(A), peer(B)).metrics()
+}
+
 fn resilient_udp_peer(id: PeerId) -> PeerSetup {
     let server = Endpoint::new(addrs::SERVER, 1234);
     PeerSetup::new(UdpPeer::new(UdpPeerConfig::resilient(id, server)))
@@ -370,16 +386,11 @@ pub fn run_mapping_flood(seed: u64, defended: bool) -> AttackReport {
         .map(|k| (ATTACK_START + Duration::from_millis(400 * k), 64))
         .collect();
 
-    let mut wb = WorldBuilder::new(seed).metrics();
-    let server = Endpoint::new(addrs::SERVER, 1234);
-    wb.server(addrs::SERVER, RendezvousServer::new(ServerConfig::default()));
-    let na = wb.nat(nat_a, addrs::NAT_A);
-    let nb = wb.nat(NatBehavior::well_behaved(), addrs::NAT_B);
-    let a = wb.client(addrs::CLIENT_A, na, resilient_udp_peer(A));
-    let b = wb.client(addrs::CLIENT_B, nb, resilient_udp_peer(B));
-    wb.client(FLOOD_IP, na, PeerSetup::new(FloodBot::new(server, schedule)));
-    let mut world = wb.build();
-    let (a, b, nat_a_node) = (world.clients[a], world.clients[b], world.nats[0]);
+    let mut wb = victim_pair(seed, ServerConfig::default(), nat_a, resilient_udp_peer);
+    let sink = Scenario::server_endpoint();
+    wb.client(FLOOD_IP, 0, PeerSetup::new(FloodBot::new(sink, schedule)));
+    let Scenario { mut world, a, b, .. } = Scenario::new(wb.build());
+    let nat_a_node = world.nats[0];
 
     world.sim.run_for(Duration::from_secs(2));
     world.with_app::<UdpPeer, _>(a, |p, os| p.connect(os, B));
@@ -432,10 +443,11 @@ pub fn run_mapping_flood(seed: u64, defended: bool) -> AttackReport {
     }
 }
 
-fn tcp_peer_setup(id: PeerId, port: u16, defended: bool) -> PeerSetup {
+/// A TCP victim on local port 5001 (A) or 5002 (B).
+fn tcp_peer_setup(id: PeerId, defended: bool) -> PeerSetup {
     let server = Endpoint::new(addrs::SERVER, 1234);
     let mut c = TcpPeerConfig::new(id, server);
-    c.local_port = port;
+    c.local_port = 5000 + id.0 as u16;
     let mut stack = StackConfig::fast();
     if defended {
         stack = stack.with_rst_validation();
@@ -451,14 +463,9 @@ fn tcp_peer_setup(id: PeerId, port: u16, defended: bool) -> PeerSetup {
 /// ([`StackConfig::with_rst_validation`]) drops or challenges every
 /// blind guess.
 pub fn run_rst_inject(seed: u64, defended: bool) -> AttackReport {
-    let mut wb = WorldBuilder::new(seed).metrics();
-    wb.server(addrs::SERVER, RendezvousServer::new(ServerConfig::default()));
-    let na = wb.nat(NatBehavior::well_behaved(), addrs::NAT_A);
-    let nb = wb.nat(NatBehavior::well_behaved(), addrs::NAT_B);
-    let a = wb.client(addrs::CLIENT_A, na, tcp_peer_setup(A, 5001, defended));
-    let b = wb.client(addrs::CLIENT_B, nb, tcp_peer_setup(B, 5002, defended));
-    let mut world = wb.build();
-    let (a, b) = (world.clients[a], world.clients[b]);
+    let peer = |id| tcp_peer_setup(id, defended);
+    let wb = victim_pair(seed, ServerConfig::default(), NatBehavior::well_behaved(), peer);
+    let Scenario { mut world, a, b, .. } = Scenario::new(wb.build());
     let spoofer = add_spoofer(&mut world);
 
     world.sim.run_for(Duration::from_secs(2));
@@ -581,16 +588,10 @@ pub fn run_reg_squat(seed: u64, defended: bool) -> AttackReport {
         }
     }
 
-    let mut wb = WorldBuilder::new(seed).metrics();
-    let server_ep = Endpoint::new(addrs::SERVER, 1234);
-    let s = wb.server(addrs::SERVER, RendezvousServer::new(cfg));
-    let na = wb.nat(NatBehavior::well_behaved(), addrs::NAT_A);
-    let nb = wb.nat(NatBehavior::well_behaved(), addrs::NAT_B);
-    let a = wb.client(addrs::CLIENT_A, na, resilient_udp_peer(A));
-    let b = wb.client(addrs::CLIENT_B, nb, resilient_udp_peer(B));
-    wb.public_client(ABUSE_IP, PeerSetup::new(AbuseBot::new(server_ep, schedule)));
-    let mut world = wb.build();
-    let (s, a, b) = (world.servers[s], world.clients[a], world.clients[b]);
+    let mut wb = victim_pair(seed, cfg, NatBehavior::well_behaved(), resilient_udp_peer);
+    let bot = AbuseBot::new(Scenario::server_endpoint(), schedule);
+    wb.public_client(ABUSE_IP, PeerSetup::new(bot));
+    let Scenario { mut world, server: s, a, b } = Scenario::new(wb.build());
 
     world.sim.run_until(SimTime::ZERO + CONNECT_AT);
     world.with_app::<UdpPeer, _>(a, |p, os| p.connect(os, B));

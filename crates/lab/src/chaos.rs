@@ -22,16 +22,28 @@
 //! squatting, introduction floods — see [`crate::adversary`]) mix with
 //! classic faults on a capped-table topology, hunting schedules that
 //! wedge a resilient pair permanently.
+//!
+//! The module owns the fault vocabulary ([`ChaosFault`], [`ChaosLink`]),
+//! the two samplers, the trial and the shrinker. Everything after
+//! sampling — a fault's end, its JSON, its steps in the
+//! [`FaultPlan`], the bench's per-kind counts — reads a fault through
+//! one private table (`ChaosFault::parts`, one row per kind), and a
+//! link through another (`ChaosLink::row`). The samplers
+//! ([`generate_faults`], [`generate_adversarial_faults`]) stay two
+//! functions on purpose: `results/LINT_rng_inventory.json` pins each
+//! one's draw sites by file and `fn`.
 
-use crate::adversary::{AbuseAction, AbuseBot, FloodBot};
-use crate::world::{addrs, fig5, PeerSetup, Scenario, WorldBuilder};
+use crate::adversary::{AbuseAction, AbuseBot, FloodBot, ABUSE_IP, FLOOD_IP};
+use crate::world::{fig5, fig5_builder, PeerSetup, Scenario};
 use holepunch::{
     CandidatePlan, PredictionStrategy, PunchConfig, SourceSpec, UdpPeer, UdpPeerConfig,
     UdpPeerEvent,
 };
 use punch_nat::NatBehavior;
-use punch_net::{Duration, Endpoint, FaultPlan, Json, LinkId, LinkSpec, SimStats, SimTime};
-use punch_rendezvous::{PeerId, RendezvousServer, ServerConfig};
+use punch_net::{
+    Duration, FaultPlan, Json, LinkSpec, NodeId, SimStats, SimTime,
+};
+use punch_rendezvous::{PeerId, ServerConfig};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -77,37 +89,22 @@ const LINKS: [ChaosLink; 5] = [
 ];
 
 impl ChaosLink {
+    /// One row per link: its plan-JSON name, the healthy spec degradation
+    /// faults restore afterwards (what [`fig5`] wired the link with), and
+    /// the node whose uplink it is.
+    fn row(self) -> (&'static str, LinkSpec, fn(&Scenario) -> NodeId) {
+        match self {
+            ChaosLink::ServerUplink => ("server_uplink", LinkSpec::wan(), |sc| sc.server),
+            ChaosLink::NatAUplink => ("nat_a_uplink", LinkSpec::wan(), |sc| sc.world.nats[0]),
+            ChaosLink::NatBUplink => ("nat_b_uplink", LinkSpec::wan(), |sc| sc.world.nats[1]),
+            ChaosLink::ClientAAccess => ("client_a_access", LinkSpec::lan(), |sc| sc.a),
+            ChaosLink::ClientBAccess => ("client_b_access", LinkSpec::lan(), |sc| sc.b),
+        }
+    }
+
     /// Stable identifier used in plan JSON.
     pub fn json_name(self) -> &'static str {
-        match self {
-            ChaosLink::ServerUplink => "server_uplink",
-            ChaosLink::NatAUplink => "nat_a_uplink",
-            ChaosLink::NatBUplink => "nat_b_uplink",
-            ChaosLink::ClientAAccess => "client_a_access",
-            ChaosLink::ClientBAccess => "client_b_access",
-        }
-    }
-
-    /// The healthy spec degradation faults restore afterwards (matching
-    /// what [`fig5`] wired the link with).
-    fn normal_spec(self) -> LinkSpec {
-        match self {
-            ChaosLink::ServerUplink | ChaosLink::NatAUplink | ChaosLink::NatBUplink => {
-                LinkSpec::wan()
-            }
-            ChaosLink::ClientAAccess | ChaosLink::ClientBAccess => LinkSpec::lan(),
-        }
-    }
-
-    /// Resolves the link id inside a built scenario.
-    fn link_id(self, sc: &Scenario) -> LinkId {
-        match self {
-            ChaosLink::ServerUplink => sc.world.uplink(sc.server),
-            ChaosLink::NatAUplink => sc.world.uplink(sc.world.nats[0]),
-            ChaosLink::NatBUplink => sc.world.uplink(sc.world.nats[1]),
-            ChaosLink::ClientAAccess => sc.world.uplink(sc.a),
-            ChaosLink::ClientBAccess => sc.world.uplink(sc.b),
-        }
+        self.row().0
     }
 }
 
@@ -202,21 +199,78 @@ pub enum ChaosFault {
     },
 }
 
+/// What a fault does when its offset comes up.
+#[derive(Clone, Copy)]
+enum Effect {
+    /// The link is faulty for `dur_ms`: down (`None`), or degraded to
+    /// `with(its normal spec, the fault's own percentage / 100)`.
+    Link(ChaosLink, u64, Option<fn(LinkSpec, f64) -> LinkSpec>),
+    /// The device on the node this is the uplink of restarts.
+    Restart(ChaosLink),
+    /// Nothing in the fault plan: the burst is on an attacker bot's
+    /// script, written when the topology is built.
+    Scripted,
+}
+
+/// A fault read as data — `(kind, at_ms, own field, effect)`: its
+/// plan-JSON kind, its offset from the punch start, the variant's own
+/// field as `(JSON name, value)`, and what it does.
+type Parts = (&'static str, u64, Option<(&'static str, u64)>, Effect);
+
 impl ChaosFault {
+    /// The one decomposition everything downstream of sampling reads a
+    /// fault through, so a new kind is one row here.
+    fn parts(&self) -> Parts {
+        use Effect::{Link, Restart, Scripted};
+        let own = |field, v: u64| Some((field, v));
+        match *self {
+            ChaosFault::Outage { link, at_ms, dur_ms } => {
+                ("outage", at_ms, None, Link(link, dur_ms, None))
+            }
+            ChaosFault::Lossy { link, at_ms, dur_ms, loss_pct } => {
+                let effect = Link(link, dur_ms, Some(LinkSpec::with_loss));
+                ("lossy", at_ms, own("loss_pct", loss_pct.into()), effect)
+            }
+            ChaosFault::Corrupt { link, at_ms, dur_ms, prob_pct } => {
+                let effect = Link(link, dur_ms, Some(LinkSpec::with_corrupt));
+                ("corrupt", at_ms, own("prob_pct", prob_pct.into()), effect)
+            }
+            ChaosFault::Truncate { link, at_ms, dur_ms, prob_pct } => {
+                let effect = Link(link, dur_ms, Some(LinkSpec::with_truncate));
+                ("truncate", at_ms, own("prob_pct", prob_pct.into()), effect)
+            }
+            ChaosFault::RebootNatA { at_ms } => {
+                ("reboot_nat_a", at_ms, None, Restart(ChaosLink::NatAUplink))
+            }
+            ChaosFault::RebootNatB { at_ms } => {
+                ("reboot_nat_b", at_ms, None, Restart(ChaosLink::NatBUplink))
+            }
+            ChaosFault::RestartServer { at_ms } => {
+                ("restart_server", at_ms, None, Restart(ChaosLink::ServerUplink))
+            }
+            ChaosFault::MappingFlood { at_ms, ports } => {
+                ("mapping_flood", at_ms, own("ports", ports.into()), Scripted)
+            }
+            ChaosFault::SquatStorm { at_ms, count } => {
+                ("squat_storm", at_ms, own("count", count.into()), Scripted)
+            }
+            ChaosFault::IntroFlood { at_ms, count } => {
+                ("intro_flood", at_ms, own("count", count.into()), Scripted)
+            }
+        }
+    }
+
+    /// Stable identifier of the fault's kind, as in plan JSON.
+    pub fn kind(&self) -> &'static str {
+        self.parts().0
+    }
+
     /// Millisecond offset at which this fault's effects have ended
     /// (links restored; instantaneous device faults fired).
     pub fn end_ms(&self) -> u64 {
-        match *self {
-            ChaosFault::Outage { at_ms, dur_ms, .. }
-            | ChaosFault::Lossy { at_ms, dur_ms, .. }
-            | ChaosFault::Corrupt { at_ms, dur_ms, .. }
-            | ChaosFault::Truncate { at_ms, dur_ms, .. } => at_ms + dur_ms,
-            ChaosFault::RebootNatA { at_ms }
-            | ChaosFault::RebootNatB { at_ms }
-            | ChaosFault::RestartServer { at_ms }
-            | ChaosFault::MappingFlood { at_ms, .. }
-            | ChaosFault::SquatStorm { at_ms, .. }
-            | ChaosFault::IntroFlood { at_ms, .. } => at_ms,
+        match self.parts() {
+            (_, at_ms, _, Effect::Link(_, dur_ms, _)) => at_ms + dur_ms,
+            (_, at_ms, ..) => at_ms,
         }
     }
 
@@ -224,30 +278,10 @@ impl ChaosFault {
     /// faults), `at_ms`, `dur_ms` (link faults), then the variant's own
     /// field.
     pub fn to_json(&self) -> Json {
-        let own = |field: &'static str, v: u64| Some((field, v));
-        let (kind, link, at_ms, own) = match *self {
-            ChaosFault::Outage { link, at_ms, dur_ms } => ("outage", Some((link, dur_ms)), at_ms, None),
-            ChaosFault::Lossy { link, at_ms, dur_ms, loss_pct } => {
-                ("lossy", Some((link, dur_ms)), at_ms, own("loss_pct", loss_pct.into()))
-            }
-            ChaosFault::Corrupt { link, at_ms, dur_ms, prob_pct } => {
-                ("corrupt", Some((link, dur_ms)), at_ms, own("prob_pct", prob_pct.into()))
-            }
-            ChaosFault::Truncate { link, at_ms, dur_ms, prob_pct } => {
-                ("truncate", Some((link, dur_ms)), at_ms, own("prob_pct", prob_pct.into()))
-            }
-            ChaosFault::RebootNatA { at_ms } => ("reboot_nat_a", None, at_ms, None),
-            ChaosFault::RebootNatB { at_ms } => ("reboot_nat_b", None, at_ms, None),
-            ChaosFault::RestartServer { at_ms } => ("restart_server", None, at_ms, None),
-            ChaosFault::MappingFlood { at_ms, ports } => {
-                ("mapping_flood", None, at_ms, own("ports", ports.into()))
-            }
-            ChaosFault::SquatStorm { at_ms, count } => {
-                ("squat_storm", None, at_ms, own("count", count.into()))
-            }
-            ChaosFault::IntroFlood { at_ms, count } => {
-                ("intro_flood", None, at_ms, own("count", count.into()))
-            }
+        let (kind, at_ms, own, effect) = self.parts();
+        let link = match effect {
+            Effect::Link(link, dur_ms, _) => Some((link, dur_ms)),
+            Effect::Restart(_) | Effect::Scripted => None,
         };
         let mut record = vec![("kind", Json::str(kind))];
         record.extend(link.map(|(link, _)| ("link", Json::str(link.json_name()))));
@@ -440,8 +474,9 @@ pub fn generate_profile_faults(
 }
 
 /// Everything one chaos trial observed, for verdicts and replay
-/// comparison.
-#[derive(Clone, Debug)]
+/// comparison (`==` is the replay check: [`SimStats`] equality leaves
+/// out host time).
+#[derive(Clone, Debug, PartialEq)]
 pub struct TrialOutcome {
     /// `Some(reason)` if a liveness invariant was violated (or the
     /// trial panicked).
@@ -467,70 +502,30 @@ fn peer_state(p: &UdpPeer, peer: PeerId) -> &'static str {
 }
 
 fn build_fault_plan(sc: &Scenario, t0: SimTime, faults: &[ChaosFault]) -> FaultPlan {
-    let mut plan = FaultPlan::new();
-    for f in faults {
-        plan = match *f {
-            ChaosFault::Outage { link, at_ms, dur_ms } => plan.outage(
-                t0 + Duration::from_millis(at_ms),
-                Duration::from_millis(dur_ms),
-                link.link_id(sc),
-            ),
-            ChaosFault::Lossy {
-                link,
-                at_ms,
-                dur_ms,
-                loss_pct,
-            } => {
-                let normal = link.normal_spec();
-                plan.degrade(
-                    t0 + Duration::from_millis(at_ms),
-                    Duration::from_millis(dur_ms),
-                    link.link_id(sc),
-                    normal.with_loss(f64::from(loss_pct) / 100.0),
-                    normal,
-                )
+    let ms = Duration::from_millis;
+    faults.iter().fold(FaultPlan::new(), |plan, f| {
+        let (_, at_ms, own, effect) = f.parts();
+        let at = t0 + ms(at_ms);
+        match effect {
+            Effect::Link(link, dur_ms, degrade) => {
+                let (_, normal, node) = link.row();
+                let link = sc.world.uplink(node(sc));
+                match degrade {
+                    None => plan.outage(at, ms(dur_ms), link),
+                    Some(with) => {
+                        let pct = own.map_or(0, |(_, pct)| pct);
+                        let faulty = with(normal, pct as f64 / 100.0);
+                        plan.degrade(at, ms(dur_ms), link, faulty, normal)
+                    }
+                }
             }
-            ChaosFault::Corrupt {
-                link,
-                at_ms,
-                dur_ms,
-                prob_pct,
-            } => plan.corrupt(
-                t0 + Duration::from_millis(at_ms),
-                Duration::from_millis(dur_ms),
-                link.link_id(sc),
-                f64::from(prob_pct) / 100.0,
-                link.normal_spec(),
-            ),
-            ChaosFault::Truncate {
-                link,
-                at_ms,
-                dur_ms,
-                prob_pct,
-            } => plan.truncate(
-                t0 + Duration::from_millis(at_ms),
-                Duration::from_millis(dur_ms),
-                link.link_id(sc),
-                f64::from(prob_pct) / 100.0,
-                link.normal_spec(),
-            ),
-            ChaosFault::RebootNatA { at_ms } => {
-                plan.restart(t0 + Duration::from_millis(at_ms), sc.world.nats[0])
+            Effect::Restart(uplink) => {
+                let (_, _, node) = uplink.row();
+                plan.restart(at, node(sc))
             }
-            ChaosFault::RebootNatB { at_ms } => {
-                plan.restart(t0 + Duration::from_millis(at_ms), sc.world.nats[1])
-            }
-            ChaosFault::RestartServer { at_ms } => {
-                plan.restart(t0 + Duration::from_millis(at_ms), sc.server)
-            }
-            // Attack bursts are carried out by attacker nodes scripted
-            // at build time, not by the link-fault machinery.
-            ChaosFault::MappingFlood { .. }
-            | ChaosFault::SquatStorm { .. }
-            | ChaosFault::IntroFlood { .. } => plan,
-        };
-    }
-    plan
+            Effect::Scripted => plan,
+        }
+    })
 }
 
 /// The Figure-5 world with attacker nodes and capped victim tables:
@@ -543,66 +538,43 @@ fn build_fault_plan(sc: &Scenario, t0: SimTime, faults: &[ChaosFault]) -> FaultP
 fn adversarial_scenario(seed: u64, faults: &[ChaosFault], profile: ChaosProfile) -> Scenario {
     // The schedule goes live at t0 = 2 s after boot (the registration
     // warm-up run below is exact), so bot scripts are offset by it.
-    let t0 = Duration::from_secs(2);
-    let server_ep = Endpoint::new(addrs::SERVER, 1234);
-    let flood: Vec<(Duration, u16)> = faults
-        .iter()
-        .filter_map(|f| match *f {
-            ChaosFault::MappingFlood { at_ms, ports } => {
-                Some((t0 + Duration::from_millis(at_ms), ports))
+    let at = |at_ms: u64| Duration::from_secs(2) + Duration::from_millis(at_ms);
+    let mut flood: Vec<(Duration, u16)> = Vec::new();
+    let mut abuse: Vec<(Duration, AbuseAction)> = Vec::new();
+    for f in faults {
+        match *f {
+            ChaosFault::MappingFlood { at_ms, ports } => flood.push((at(at_ms), ports)),
+            ChaosFault::SquatStorm { at_ms, count } => {
+                let base_id = 50_000 + at_ms;
+                abuse.push((at(at_ms), AbuseAction::Squat { base_id, count }));
             }
-            _ => None,
-        })
-        .collect();
-    let abuse: Vec<(Duration, AbuseAction)> = faults
-        .iter()
-        .filter_map(|f| match *f {
-            ChaosFault::SquatStorm { at_ms, count } => Some((
-                t0 + Duration::from_millis(at_ms),
-                AbuseAction::Squat {
-                    base_id: 50_000 + at_ms,
-                    count,
-                },
-            )),
-            ChaosFault::IntroFlood { at_ms, count } => Some((
-                t0 + Duration::from_millis(at_ms),
-                AbuseAction::IntroFlood {
-                    base_id: 90_000,
-                    count,
-                },
-            )),
-            _ => None,
-        })
-        .collect();
+            ChaosFault::IntroFlood { at_ms, count } => {
+                let base_id = 90_000;
+                abuse.push((at(at_ms), AbuseAction::IntroFlood { base_id, count }));
+            }
+            _ => {}
+        }
+    }
 
-    let mut wb = WorldBuilder::new(seed);
-    let s = wb.server(
-        addrs::SERVER,
-        RendezvousServer::new(ServerConfig::default().with_max_clients(32)),
-    );
-    let na = wb.nat(
+    let server_ep = Scenario::server_endpoint();
+    let mut wb = fig5_builder(
+        seed,
+        ServerConfig::default().with_max_clients(32),
         NatBehavior::well_behaved().with_max_mappings(64),
-        addrs::NAT_A,
+        NatBehavior::well_behaved(),
+        chaos_peer(A, profile),
+        chaos_peer(B, profile),
     );
-    let nb = wb.nat(NatBehavior::well_behaved(), addrs::NAT_B);
-    let a = wb.client(addrs::CLIENT_A, na, chaos_peer(A, profile));
-    let b = wb.client(addrs::CLIENT_B, nb, chaos_peer(B, profile));
     wb.client(
-        std::net::Ipv4Addr::new(10, 0, 0, 66),
-        na,
+        FLOOD_IP,
+        0,
         PeerSetup::new(FloodBot::new(server_ep, flood)),
     );
     wb.public_client(
-        std::net::Ipv4Addr::new(99, 9, 9, 9),
+        ABUSE_IP,
         PeerSetup::new(AbuseBot::new(server_ep, abuse)),
     );
-    let world = wb.build();
-    Scenario {
-        server: world.servers[s],
-        a: world.clients[a],
-        b: world.clients[b],
-        world,
-    }
+    Scenario::new(wb.build())
 }
 
 fn run_trial_inner(seed: u64, faults: &[ChaosFault], profile: ChaosProfile) -> TrialOutcome {
@@ -712,13 +684,6 @@ pub fn run_plan(plan: &ChaosPlan, profile: ChaosProfile) -> TrialOutcome {
     run_trial(plan.seed, &plan.faults, profile)
 }
 
-fn outcomes_match(a: &TrialOutcome, b: &TrialOutcome) -> bool {
-    a.violation == b.violation
-        && a.stats == b.stats
-        && a.end == b.end
-        && a.metrics_json == b.metrics_json
-}
-
 /// Greedy delta debugging: drops any single fault whose removal keeps
 /// the trial failing until no single fault can go, then tries removing
 /// *pairs* — coupled faults (an attack burst plus the outage masking
@@ -809,7 +774,7 @@ pub fn run_schedule(seed: u64, profile: ChaosProfile, max_faults: usize) -> Sche
     let faults = generate_profile_faults(seed, max_faults, profile);
     let first = run_trial(seed, &faults, profile);
     let second = run_trial(seed, &faults, profile);
-    let verdict = if !outcomes_match(&first, &second) {
+    let verdict = if first != second {
         Some("replay divergence: two runs of the same seed and schedule differ".to_string())
     } else {
         first.violation

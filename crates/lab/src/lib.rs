@@ -12,7 +12,10 @@
 //!   outcome.
 //!
 //! All builders return a [`World`] wrapping the [`punch_net::Sim`], with helpers to
-//! reach into host applications.
+//! reach into host applications. One private helper in [`world`] wires
+//! every host and NAT — for [`WorldBuilder`] and for [`shard`] alike — so
+//! a session in a 10^5-session population is the same wiring the
+//! small Figure-5 experiments validate.
 //!
 //! The [`par`] module runs fan-outs of independent simulations on a
 //! worker pool while keeping results in task order, so experiment

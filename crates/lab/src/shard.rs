@@ -24,19 +24,26 @@
 //! the instant it arrives; all links are jitter-free, so arrival times
 //! never depend on unrelated traffic. That is what makes the per-session
 //! outcome stream independent of the shard layout.
+//!
+//! What this module owns is the population: which session lands in which
+//! shard, the node names, addresses and link profiles, the clients'
+//! configs, the epoch loop and the merged reports. How a server, a NAT
+//! or a client behind it is wired is `crate::world::Backbone`'s; `build`
+//! calls it per shard as server(s), then per session `m{i}.na`, `m{i}.a`,
+//! `m{i}.nb`, `m{i}.b`.
 
 use crate::par;
-use crate::world::addrs;
+use crate::world::{addrs, with_host_app, Backbone};
 use holepunch::{
     CandidatePlan, PeerId, PredictionStrategy, SourceSpec, UdpPeer, UdpPeerConfig,
 };
-use punch_nat::{NatBehavior, NatDevice};
+use punch_nat::NatBehavior;
 use punch_net::{
-    Cidr, Duration, Endpoint, FaultPlan, LinkSpec, MetricsSnapshot, NodeId, QueueStats, Router,
-    Sim, SimStats, SimTime,
+    Duration, Endpoint, FaultPlan, LinkSpec, MetricsSnapshot, NodeId, QueueStats, Sim, SimStats,
+    SimTime,
 };
 use punch_rendezvous::{RendezvousServer, ServerConfig, ServerStats};
-use punch_transport::{HostDevice, Os, StackConfig};
+use punch_transport::{HostDevice, StackConfig};
 use std::net::Ipv4Addr;
 use std::sync::Mutex;
 
@@ -207,7 +214,17 @@ pub struct ShardedWorld {
 impl ShardedWorld {
     /// Builds all shard sims and their resident sessions. Heavy for
     /// large populations (four nodes and three links per session).
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`ShardConfig::epoch`] is zero ([`ShardedWorld::run`]
+    /// would never reach its deadline) or [`ShardConfig::servers`]
+    /// exceeds the 128-address fleet plan.
     pub fn build(cfg: &ShardConfig) -> Self {
+        assert!(
+            cfg.epoch > Duration::ZERO,
+            "ShardConfig::epoch must be positive: `run` advances one epoch per round"
+        );
         let shard_count = cfg.shards.max(1);
         let per_shard = cfg.sessions.div_ceil(shard_count.max(1)).max(1);
         let server_ep = Endpoint::new(addrs::SERVER, 1234);
@@ -215,14 +232,15 @@ impl ShardedWorld {
         let nat_wan = LinkSpec::new(Duration::from_millis(10));
         let server_wan = LinkSpec::new(Duration::from_millis(5));
 
-        // Fleet endpoints: 18.181.0.31 (the classic single server) and
-        // upwards. `servers == 1` keeps `fleet` empty so the build below
-        // is byte-identical to the pre-fleet world.
+        // Server addresses: 18.181.0.31 (the classic single server) and
+        // upwards. A lone server is told of no fleet (`fleet` stays empty)
+        // and keeps the classic node name.
         assert!(cfg.servers <= 128, "fleet larger than the address plan");
+        let server_ips: Vec<Ipv4Addr> = (0..cfg.servers.max(1))
+            .map(|j| Ipv4Addr::new(18, 181, 0, 31 + j as u8))
+            .collect();
         let fleet: Vec<Endpoint> = if cfg.servers > 1 {
-            (0..cfg.servers)
-                .map(|j| Endpoint::new(Ipv4Addr::new(18, 181, 0, 31 + j as u8), 1234))
-                .collect()
+            server_ips.iter().map(|&ip| Endpoint::new(ip, 1234)).collect()
         } else {
             Vec::new()
         };
@@ -238,42 +256,18 @@ impl ShardedWorld {
             if cfg.metrics {
                 sim.enable_metrics();
             }
+            let mut net = Backbone::new(sim);
 
-            let internet = sim.add_node("internet", Box::new(Router::new()));
-            let server_cap = 2 * per_shard + 16;
-            let mut server_nodes = Vec::with_capacity(cfg.servers.max(1));
-            let mut routes: Vec<(Cidr, usize)> = Vec::new();
-            if fleet.is_empty() {
-                let server_cfg = ServerConfig::default().with_max_clients(server_cap);
-                let server = sim.add_node(
-                    "server",
-                    Box::new(HostDevice::new(
-                        addrs::SERVER,
-                        StackConfig::default(),
-                        Box::new(RendezvousServer::new(server_cfg)),
-                    )),
-                );
-                let (r_srv, _) = sim.connect(internet, server, server_wan);
-                routes.push((Cidr::host(addrs::SERVER), r_srv));
-                server_nodes.push(server);
-            } else {
-                for (j, ep) in fleet.iter().enumerate() {
-                    let server_cfg = ServerConfig::default()
-                        .with_max_clients(server_cap)
-                        .with_fleet(fleet.clone(), j)
-                        .with_replication(replication);
-                    let server = sim.add_node(
-                        format!("server{j}"),
-                        Box::new(HostDevice::new(
-                            ep.ip,
-                            StackConfig::default(),
-                            Box::new(RendezvousServer::new(server_cfg)),
-                        )),
-                    );
-                    let (r_srv, _) = sim.connect(internet, server, server_wan);
-                    routes.push((Cidr::host(ep.ip), r_srv));
-                    server_nodes.push(server);
+            let mut server_nodes = Vec::with_capacity(server_ips.len());
+            for (j, &ip) in server_ips.iter().enumerate() {
+                let mut server_cfg = ServerConfig::default().with_max_clients(2 * per_shard + 16);
+                let mut name = "server".to_string();
+                if !fleet.is_empty() {
+                    server_cfg = server_cfg.with_fleet(fleet.clone(), j).with_replication(replication);
+                    name = format!("server{j}");
                 }
+                let app = Box::new(RendezvousServer::new(server_cfg));
+                server_nodes.push(net.host(name, ip, StackConfig::default(), app, None, server_wan));
             }
 
             let mut sessions = Vec::with_capacity(per_shard);
@@ -292,14 +286,9 @@ impl ShardedWorld {
                 let peer_a = PeerId(2 * i as u64 + 1);
                 let peer_b = PeerId(2 * i as u64 + 2);
 
+                // One side of the session: its NAT, then its client.
                 let mut side = |tag: &str, nat_ip: Ipv4Addr, client_ip: Ipv4Addr, id: PeerId| {
-                    let nat = sim.add_node(
-                        format!("m{i}.n{tag}"),
-                        Box::new(NatDevice::new(behavior.clone(), vec![nat_ip])),
-                    );
-                    // NAT iface 0 must face the WAN, so connect it first.
-                    let (_, r_iface) = sim.connect(nat, internet, nat_wan);
-                    routes.push((Cidr::host(nat_ip), r_iface));
+                    let nat = net.nat(format!("m{i}.n{tag}"), behavior.clone(), nat_ip, None, nat_wan);
                     let mut ucfg = if cfg.resilient_clients {
                         UdpPeerConfig::resilient(id, server_ep)
                     } else {
@@ -314,16 +303,8 @@ impl ShardedWorld {
                                 PredictionStrategy::SequentialDelta { window: 8 },
                             ));
                     }
-                    let client = sim.add_node(
-                        format!("m{i}.{tag}"),
-                        Box::new(HostDevice::new(
-                            client_ip,
-                            StackConfig::fast(),
-                            Box::new(UdpPeer::new(ucfg)),
-                        )),
-                    );
-                    sim.connect(nat, client, lan);
-                    client
+                    let app = Box::new(UdpPeer::new(ucfg));
+                    net.host(format!("m{i}.{tag}"), client_ip, StackConfig::fast(), app, Some(nat), lan)
                 };
                 let a = side("a", nat_a_ip, addrs::CLIENT_A, peer_a);
                 let b = side("b", nat_b_ip, addrs::CLIENT_B, peer_b);
@@ -340,10 +321,7 @@ impl ShardedWorld {
                 });
             }
 
-            let router = sim.device_mut::<Router>(internet);
-            for (prefix, iface) in routes {
-                router.add_route(prefix, iface);
-            }
+            let (mut sim, _) = net.finish();
             if let Some((j, at)) = cfg.server_restart {
                 let node = server_nodes[j % server_nodes.len()];
                 FaultPlan::new().restart(SimTime::ZERO + at, node).apply(&mut sim);
@@ -418,7 +396,9 @@ impl ShardedWorld {
                     // what both peers queued on the way here instead of
                     // carrying every session's history to the end.
                     for node in [sess.a, sess.b] {
-                        with_peer(&mut shard.sim, node, |app, _| drop(app.take_events()));
+                        with_host_app::<UdpPeer, _>(&mut shard.sim, node, |app, _| {
+                            drop(app.take_events());
+                        });
                     }
                     newly += 1;
                 }
@@ -439,7 +419,7 @@ impl ShardedWorld {
                     let sess = &mut shard.sessions[i / self.shards.len()];
                     debug_assert_eq!(sess.global, i);
                     let (a, peer_b) = (sess.a, sess.peer_b);
-                    with_peer(&mut shard.sim, a, |app, os| app.connect(os, peer_b));
+                    with_host_app::<UdpPeer, _>(&mut shard.sim, a, |app, os| app.connect(os, peer_b));
                     sess.released = true;
                 }
                 self.released += hi - lo;
@@ -583,14 +563,6 @@ fn lock(m: &Mutex<Shard>) -> std::sync::MutexGuard<'_, Shard> {
     m.lock().expect("shard worker panicked") // punch-lint: allow(P001) poisoned lock only follows a worker panic, which is already fatal
 }
 
-/// Runs `f` against a client node's [`UdpPeer`] with a live [`Os`].
-fn with_peer<R>(sim: &mut Sim, node: NodeId, f: impl FnOnce(&mut UdpPeer, &mut Os<'_, '_>) -> R) -> R {
-    sim.with_node(node, |dev, ctx| {
-        let host = dev.downcast_mut::<HostDevice>().expect("node is a host"); // punch-lint: allow(P001) typed-accessor contract: shard builder created the node as a host
-        host.with_app::<UdpPeer, R>(ctx, f)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -620,6 +592,14 @@ mod tests {
         let four = run_world(12, 4);
         assert_eq!(one.report(), four.report());
         assert_eq!(one.outcome_counts(), four.outcome_counts());
+    }
+
+    #[test]
+    #[should_panic(expected = "ShardConfig::epoch must be positive")]
+    fn zero_epoch_is_rejected_at_build() {
+        let mut cfg = ShardConfig::new(7, 4);
+        cfg.epoch = Duration::ZERO;
+        ShardedWorld::build(&cfg);
     }
 
     #[test]

@@ -1,10 +1,19 @@
 //! Topology construction.
+//!
+//! This module owns how a node joins a topology and nothing else about
+//! an experiment: `Backbone` is the only code in the crate that creates
+//! a host or a NAT and links it in; [`WorldBuilder`] collects
+//! declarations and replays them through it (servers, then NATs, then
+//! clients); [`fig4`]/[`fig5`]/[`fig6`] are declarations of the paper's
+//! three figures; [`World`] and [`Scenario`] are what comes out, with
+//! typed access to the applications and the fault hooks.
 
 use punch_nat::{NatBehavior, NatDevice};
 use punch_net::{Cidr, Endpoint, FaultPlan, LinkId, LinkSpec, NodeId, Router, Sim, SimTime, FAULT_RESTART};
 use punch_rendezvous::{RendezvousServer, ServerConfig};
 use punch_transport::{App, HostDevice, Os, StackConfig};
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 /// The paper's example addresses (Figure 5 / Figure 6).
 pub mod addrs {
@@ -28,30 +37,110 @@ pub mod addrs {
     pub const ISP_NAT_B: Ipv4Addr = Ipv4Addr::new(10, 0, 1, 2);
 }
 
-/// Where a client attaches.
-enum Attach {
-    Nat(usize),
-    Public,
+/// The one place in this crate that wires a host or a NAT into a
+/// topology: a simulation, its backbone router, and the host routes the
+/// router gets once every node exists. [`WorldBuilder::build`] and
+/// [`crate::shard::ShardedWorld::build`] both drive it, each in its own
+/// order — node ids (and with them id-seeded RNG streams), interface
+/// numbers and link ids all follow call order, so the order of calls is
+/// part of what a builder promises.
+pub(crate) struct Backbone {
+    sim: Sim,
+    internet: NodeId,
+    /// Host routes for the backbone router, installed by [`Backbone::finish`].
+    routes: Vec<(Cidr, usize)>,
 }
 
-struct ClientSpec {
+impl Backbone {
+    /// Adds the backbone router (`internet`) to `sim`.
+    pub(crate) fn new(mut sim: Sim) -> Self {
+        let internet = sim.add_node("internet", Box::new(Router::new()));
+        Backbone {
+            sim,
+            internet,
+            routes: Vec::new(),
+        }
+    }
+
+    /// Adds a host on the private side of the NAT `behind`, or — `None` —
+    /// on the backbone with a route to `ip`.
+    pub(crate) fn host(
+        &mut self,
+        name: impl Into<Arc<str>>,
+        ip: Ipv4Addr,
+        stack: StackConfig,
+        app: Box<dyn App>,
+        behind: Option<NodeId>,
+        link: LinkSpec,
+    ) -> NodeId {
+        let node = self.sim.add_node(name, Box::new(HostDevice::new(ip, stack, app)));
+        let (up_iface, _) = self.sim.connect(behind.unwrap_or(self.internet), node, link);
+        if behind.is_none() {
+            self.routes.push((Cidr::host(ip), up_iface));
+        }
+        node
+    }
+
+    /// Adds a NAT whose public side is on the backbone with a route to
+    /// `public_ip`, or — `behind: Some(parent)` — inside `parent`'s
+    /// private realm (Figure 6), where the parent learns the child's
+    /// realm address from the child's outbound traffic.
+    pub(crate) fn nat(
+        &mut self,
+        name: impl Into<Arc<str>>,
+        behavior: NatBehavior,
+        public_ip: Ipv4Addr,
+        behind: Option<NodeId>,
+        link: LinkSpec,
+    ) -> NodeId {
+        let node = self.sim.add_node(name, Box::new(NatDevice::new(behavior, vec![public_ip])));
+        // A NAT's first link is its public side.
+        let (nat_iface, up_iface) = self.sim.connect(node, behind.unwrap_or(self.internet), link);
+        debug_assert_eq!(nat_iface, 0, "NAT public side must be iface 0");
+        if behind.is_none() {
+            self.routes.push((Cidr::host(public_ip), up_iface));
+        }
+        node
+    }
+
+    /// Installs the routes and hands back the simulation and its router.
+    pub(crate) fn finish(mut self) -> (Sim, NodeId) {
+        let router = self.sim.device_mut::<Router>(self.internet);
+        for (cidr, iface) in self.routes {
+            router.add_route(cidr, iface);
+        }
+        (self.sim, self.internet)
+    }
+}
+
+/// Runs `f` against the application of the host on `node` with a live
+/// [`Os`].
+pub(crate) fn with_host_app<T: App, R>(
+    sim: &mut Sim,
+    node: NodeId,
+    f: impl FnOnce(&mut T, &mut Os<'_, '_>) -> R,
+) -> R {
+    sim.with_node(node, |dev, ctx| {
+        let host = dev.downcast_mut::<HostDevice>().expect("node is a host"); // punch-lint: allow(P001) typed-accessor contract: caller names a node it created as a host
+        host.with_app::<T, R>(ctx, f)
+    })
+}
+
+/// A declared host: a server (always public) or a client.
+struct HostSpec {
     ip: Ipv4Addr,
-    attach: Attach,
+    /// Index of the NAT it sits behind; `None` attaches it to the backbone.
+    behind: Option<usize>,
     app: Box<dyn App>,
     stack: StackConfig,
+    /// Access link; `None` takes the builder's LAN or WAN profile.
     link: Option<LinkSpec>,
 }
 
 struct NatSpec {
     behavior: NatBehavior,
-    public_ips: Vec<Ipv4Addr>,
+    public_ip: Ipv4Addr,
     parent: Option<usize>,
-}
-
-struct ServerSpec {
-    ip: Ipv4Addr,
-    app: Box<dyn App>,
-    stack: StackConfig,
 }
 
 /// An application plus the stack configuration of its host.
@@ -104,10 +193,7 @@ impl World {
         node: NodeId,
         f: impl FnOnce(&mut T, &mut Os<'_, '_>) -> R,
     ) -> R {
-        self.sim.with_node(node, |dev, ctx| {
-            let host = dev.downcast_mut::<HostDevice>().expect("node is a host"); // punch-lint: allow(P001) typed-accessor contract: caller names a node it created as a host
-            host.with_app::<T, R>(ctx, f)
-        })
+        with_host_app(&mut self.sim, node, f)
     }
 
     /// Runs until `pred` over the app on `node` holds, or `deadline`
@@ -177,10 +263,9 @@ pub struct WorldBuilder {
     seed: u64,
     wan: LinkSpec,
     lan: LinkSpec,
-    servers: Vec<ServerSpec>,
+    servers: Vec<HostSpec>,
     nats: Vec<NatSpec>,
-    clients: Vec<ClientSpec>,
-    faults: Option<FaultPlan>,
+    clients: Vec<HostSpec>,
     metrics: bool,
 }
 
@@ -194,7 +279,6 @@ impl WorldBuilder {
             servers: Vec::new(),
             nats: Vec::new(),
             clients: Vec::new(),
-            faults: None,
             metrics: false,
         }
     }
@@ -204,15 +288,6 @@ impl WorldBuilder {
     /// never changes simulation behaviour, only records it.
     pub fn metrics(mut self) -> Self {
         self.metrics = true;
-        self
-    }
-
-    /// Schedules a fault plan to be applied as soon as the topology is
-    /// built. Link ids are assigned in connect order: server uplinks
-    /// first, then NAT uplinks, then client access links — or use
-    /// [`World::uplink`] after building for by-node lookup.
-    pub fn faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = Some(plan);
         self
     }
 
@@ -230,22 +305,19 @@ impl WorldBuilder {
 
     /// Adds a public server host; returns its index.
     pub fn server(&mut self, ip: Ipv4Addr, app: impl App + 'static) -> usize {
-        self.servers.push(ServerSpec {
+        self.servers.push(HostSpec {
             ip,
+            behind: None,
             app: Box::new(app),
             stack: StackConfig::default(),
+            link: None,
         });
         self.servers.len() - 1
     }
 
     /// Adds a top-level NAT; returns its index.
     pub fn nat(&mut self, behavior: NatBehavior, public_ip: Ipv4Addr) -> usize {
-        self.nats.push(NatSpec {
-            behavior,
-            public_ips: vec![public_ip],
-            parent: None,
-        });
-        self.nats.len() - 1
+        self.push_nat(behavior, public_ip, None)
     }
 
     /// Adds a NAT whose public side lives inside `parent`'s private realm
@@ -260,29 +332,25 @@ impl WorldBuilder {
         realm_ip: Ipv4Addr,
         parent: usize,
     ) -> usize {
+        self.push_nat(behavior, realm_ip, Some(parent))
+    }
+
+    fn push_nat(&mut self, behavior: NatBehavior, public_ip: Ipv4Addr, parent: Option<usize>) -> usize {
         assert!(
-            parent < self.nats.len(),
+            parent.is_none_or(|p| p < self.nats.len()),
             "parent NAT must be declared first"
         );
         self.nats.push(NatSpec {
             behavior,
-            public_ips: vec![realm_ip],
-            parent: Some(parent),
+            public_ip,
+            parent,
         });
         self.nats.len() - 1
     }
 
     /// Adds a client behind NAT `nat`; returns its index.
     pub fn client(&mut self, ip: Ipv4Addr, nat: usize, setup: PeerSetup) -> usize {
-        assert!(nat < self.nats.len(), "client's NAT must be declared first");
-        self.clients.push(ClientSpec {
-            ip,
-            attach: Attach::Nat(nat),
-            app: setup.app,
-            stack: setup.stack,
-            link: None,
-        });
-        self.clients.len() - 1
+        self.push_client(ip, Some(nat), setup, None)
     }
 
     /// Adds a client behind NAT `nat` with a specific access link
@@ -294,103 +362,66 @@ impl WorldBuilder {
         setup: PeerSetup,
         link: LinkSpec,
     ) -> usize {
-        assert!(nat < self.nats.len(), "client's NAT must be declared first");
-        self.clients.push(ClientSpec {
-            ip,
-            attach: Attach::Nat(nat),
-            app: setup.app,
-            stack: setup.stack,
-            link: Some(link),
-        });
-        self.clients.len() - 1
+        self.push_client(ip, Some(nat), setup, Some(link))
     }
 
     /// Adds a client attached directly to the public Internet.
     pub fn public_client(&mut self, ip: Ipv4Addr, setup: PeerSetup) -> usize {
-        self.clients.push(ClientSpec {
+        self.push_client(ip, None, setup, None)
+    }
+
+    fn push_client(
+        &mut self,
+        ip: Ipv4Addr,
+        behind: Option<usize>,
+        setup: PeerSetup,
+        link: Option<LinkSpec>,
+    ) -> usize {
+        assert!(
+            behind.is_none_or(|nat| nat < self.nats.len()),
+            "client's NAT must be declared first"
+        );
+        self.clients.push(HostSpec {
             ip,
-            attach: Attach::Public,
+            behind,
             app: setup.app,
             stack: setup.stack,
-            link: None,
+            link,
         });
         self.clients.len() - 1
     }
 
-    /// Materializes the topology.
+    /// Materializes the topology: servers, then NATs, then clients, each
+    /// in declaration order — however the declarations were interleaved —
+    /// so node ids and link ids depend only on the three lists.
     pub fn build(self) -> World {
         let mut sim = Sim::new(self.seed);
         if self.metrics {
             sim.enable_metrics();
         }
-        let internet = sim.add_node("internet", Box::new(Router::new()));
-        let mut routes: Vec<(Cidr, usize)> = Vec::new();
+        let mut net = Backbone::new(sim);
+        // Whatever hangs off a NAT's private side gets the LAN profile.
+        let link_behind = |nat: Option<NodeId>| if nat.is_some() { self.lan } else { self.wan };
+        let host = |net: &mut Backbone, nats: &[NodeId], name: String, h: HostSpec| {
+            let behind = h.behind.map(|n| nats[n]);
+            let link = h.link.unwrap_or(link_behind(behind));
+            net.host(name, h.ip, h.stack, h.app, behind, link)
+        };
 
-        let mut servers = Vec::new();
-        for (i, s) in self.servers.into_iter().enumerate() {
-            let node = sim.add_node(
-                format!("s{i}"),
-                Box::new(HostDevice::new(s.ip, s.stack, s.app)),
-            );
-            let (riface, _) = sim.connect(internet, node, self.wan);
-            routes.push((Cidr::host(s.ip), riface));
-            servers.push(node);
-        }
-
+        let servers = (self.servers.into_iter().enumerate())
+            .map(|(i, s)| host(&mut net, &[], format!("s{i}"), s))
+            .collect();
         let mut nats = Vec::new();
         for (i, n) in self.nats.into_iter().enumerate() {
-            let node = sim.add_node(
-                format!("nat{i}"),
-                Box::new(NatDevice::new(n.behavior, n.public_ips.clone())),
-            );
-            match n.parent {
-                None => {
-                    // NAT's first link is its public side (iface 0).
-                    let (nat_iface, riface) = sim.connect(node, internet, self.wan);
-                    debug_assert_eq!(nat_iface, 0, "NAT public side must be iface 0");
-                    for ip in &n.public_ips {
-                        routes.push((Cidr::host(*ip), riface));
-                    }
-                }
-                Some(p) => {
-                    // A nested NAT's public side hangs off its parent's
-                    // private realm; the parent learns the child's realm
-                    // address from the child's outbound traffic.
-                    let parent_node = nats[p];
-                    let (nat_iface, _) = sim.connect(node, parent_node, self.lan);
-                    debug_assert_eq!(nat_iface, 0, "child NAT public side must be iface 0");
-                }
-            }
-            nats.push(node);
+            let parent = n.parent.map(|p| nats[p]);
+            let link = link_behind(parent);
+            nats.push(net.nat(format!("nat{i}"), n.behavior, n.public_ip, parent, link));
         }
+        let clients = (self.clients.into_iter().enumerate())
+            .map(|(i, c)| host(&mut net, &nats, format!("c{i}"), c))
+            .collect();
 
-        let mut clients = Vec::new();
-        for (i, c) in self.clients.into_iter().enumerate() {
-            let node = sim.add_node(
-                format!("c{i}"),
-                Box::new(HostDevice::new(c.ip, c.stack, c.app)),
-            );
-            match c.attach {
-                Attach::Nat(n) => {
-                    sim.connect(nats[n], node, c.link.unwrap_or(self.lan));
-                }
-                Attach::Public => {
-                    let (riface, _) = sim.connect(internet, node, c.link.unwrap_or(self.wan));
-                    routes.push((Cidr::host(c.ip), riface));
-                }
-            }
-            clients.push(node);
-        }
-
-        {
-            let router = sim.device_mut::<Router>(internet);
-            for (cidr, iface) in routes {
-                router.add_route(cidr, iface);
-            }
-        }
-        if let Some(plan) = &self.faults {
-            plan.apply(&mut sim);
-        }
+        let (sim, internet) = net.finish();
         World {
             sim,
             internet,
@@ -414,6 +445,20 @@ pub struct Scenario {
 }
 
 impl Scenario {
+    /// Names the first server and the first two clients of `world`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `world` has no server or fewer than two clients.
+    pub fn new(world: World) -> Self {
+        Scenario {
+            server: world.servers[0],
+            a: world.clients[0],
+            b: world.clients[1],
+            world,
+        }
+    }
+
     /// The rendezvous server's well-known endpoint.
     pub fn server_endpoint() -> Endpoint {
         Endpoint::new(addrs::SERVER, 1234)
@@ -430,13 +475,27 @@ pub fn fig4(seed: u64, nat: NatBehavior, a: PeerSetup, b: PeerSetup) -> Scenario
     let n = wb.nat(nat, addrs::NAT_A);
     wb.client(addrs::CLIENT_A, n, a);
     wb.client(Ipv4Addr::new(10, 0, 0, 2), n, b);
-    let world = wb.build();
-    Scenario {
-        server: world.servers[0],
-        a: world.clients[0],
-        b: world.clients[1],
-        world,
-    }
+    Scenario::new(wb.build())
+}
+
+/// Figure 5 declared but not yet built: S running `server`, NAT A
+/// (index 0), NAT B (index 1) and clients A and B behind them. Attack
+/// scenarios add their bots as further clients, then build.
+pub(crate) fn fig5_builder(
+    seed: u64,
+    server: ServerConfig,
+    nat_a: NatBehavior,
+    nat_b: NatBehavior,
+    a: PeerSetup,
+    b: PeerSetup,
+) -> WorldBuilder {
+    let mut wb = WorldBuilder::new(seed);
+    wb.server(addrs::SERVER, RendezvousServer::new(server));
+    let na = wb.nat(nat_a, addrs::NAT_A);
+    let nb = wb.nat(nat_b, addrs::NAT_B);
+    wb.client(addrs::CLIENT_A, na, a);
+    wb.client(addrs::CLIENT_B, nb, b);
+    wb
 }
 
 /// Builds Figure 5 (§3.4): clients A and B behind **different NATs**,
@@ -448,22 +507,7 @@ pub fn fig5(
     a: PeerSetup,
     b: PeerSetup,
 ) -> Scenario {
-    let mut wb = WorldBuilder::new(seed);
-    wb.server(
-        addrs::SERVER,
-        RendezvousServer::new(ServerConfig::default()),
-    );
-    let na = wb.nat(nat_a, addrs::NAT_A);
-    let nb = wb.nat(nat_b, addrs::NAT_B);
-    wb.client(addrs::CLIENT_A, na, a);
-    wb.client(addrs::CLIENT_B, nb, b);
-    let world = wb.build();
-    Scenario {
-        server: world.servers[0],
-        a: world.clients[0],
-        b: world.clients[1],
-        world,
-    }
+    Scenario::new(fig5_builder(seed, ServerConfig::default(), nat_a, nat_b, a, b).build())
 }
 
 /// Builds Figure 6 (§3.5): consumer NATs A and B behind a common **ISP
@@ -487,11 +531,5 @@ pub fn fig6(
     let nb = wb.nat_behind(nat_b, addrs::ISP_NAT_B, nc);
     wb.client(addrs::CLIENT_A, na, a);
     wb.client(addrs::CLIENT_B, nb, b);
-    let world = wb.build();
-    Scenario {
-        server: world.servers[0],
-        a: world.clients[0],
-        b: world.clients[1],
-        world,
-    }
+    Scenario::new(wb.build())
 }

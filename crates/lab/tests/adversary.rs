@@ -2,7 +2,12 @@
 //! the attack must visibly bite, with it on the victim must ride
 //! through untouched and the defense counters must show it fired.
 
-use punch_lab::{run_intro_forgery, run_mapping_flood, run_reg_squat, run_rst_inject};
+use punch_lab::{
+    run_intro_forgery, run_mapping_flood, run_reg_squat, run_rst_inject, FloodBot, PeerSetup,
+    WorldBuilder,
+};
+use punch_net::{Duration, Endpoint};
+use std::net::Ipv4Addr;
 
 const SEED: u64 = 11;
 
@@ -67,4 +72,26 @@ fn forged_introductions_hijack_probes_until_fleet_auth_is_on() {
     assert!(!on.disrupted, "unauthenticated fleet frames must be dropped");
     assert!(on.recovered, "no probe may reach the attacker");
     assert!(on.defense_events > 0, "forgery must be counted auth_rejected");
+}
+
+/// A caller-supplied schedule can ask for more ports than lie between
+/// the bot's first (30 000) and `u16::MAX`: the bot opens the 35 535 it
+/// can reach — one datagram each — and no more, instead of overflowing
+/// its port counter (a debug panic, a wrap to `udp_bind(0)` in release).
+#[test]
+fn flood_schedule_past_the_last_port_stops_opening_ports() {
+    let nowhere = Endpoint::new(Ipv4Addr::new(203, 0, 113, 1), 9);
+    let schedule = vec![
+        (Duration::from_millis(10), 20_000),
+        (Duration::from_millis(20), 20_000),
+        (Duration::from_millis(30), 5),
+    ];
+    let mut wb = WorldBuilder::new(SEED);
+    wb.public_client(
+        Ipv4Addr::new(99, 9, 9, 9),
+        PeerSetup::new(FloodBot::new(nowhere, schedule)),
+    );
+    let mut world = wb.build();
+    world.sim.run_for(Duration::from_secs(1));
+    assert_eq!(world.sim.stats().packets_sent, u64::from(u16::MAX - 30_000));
 }

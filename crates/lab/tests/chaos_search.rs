@@ -3,8 +3,8 @@
 //! injected liveness bug is caught and shrunk to a minimal plan.
 
 use punch_lab::chaos::{
-    generate_faults, run_plan, run_schedule, run_trial, shrink, ChaosFault, ChaosLink, ChaosPlan,
-    ChaosProfile,
+    generate_adversarial_faults, generate_faults, run_plan, run_schedule, run_trial, shrink,
+    ChaosFault, ChaosLink, ChaosPlan, ChaosProfile,
 };
 
 #[test]
@@ -185,4 +185,97 @@ fn injected_liveness_bug_is_caught_shrunk_and_replayable() {
     let json = plan.to_json();
     assert!(json.contains("\"seed\": 99"), "json: {json}");
     assert!(json.contains("{\"kind\": \"reboot_nat_a\", \"at_ms\": 10000}"), "json: {json}");
+}
+
+/// FNV-1a, 64-bit.
+fn fnv(h: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
+const FNV_SEED: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Both samplers' draw order and every kind's JSON shape, pinned over
+/// 256 seeds each: a moved `gen_range`, a renamed field or a reordered
+/// record key changes the hash.
+#[test]
+fn sampled_plans_serialize_to_pinned_bytes() {
+    let hash = |sample: fn(u64, usize) -> Vec<ChaosFault>| {
+        (0..256u64).fold(FNV_SEED, |h, seed| {
+            let plan = ChaosPlan {
+                seed,
+                faults: sample(seed, 6),
+            };
+            fnv(h, plan.to_json().as_bytes())
+        })
+    };
+    assert_eq!(hash(generate_faults), 0x608f_7249_1caa_b624, "classic sampler");
+    assert_eq!(
+        hash(generate_adversarial_faults),
+        0x13e4_df4b_ffd9_7050,
+        "adversarial sampler"
+    );
+}
+
+/// Hand-written schedules that together contain all ten kinds, run
+/// end to end: pins what each kind does to the fault plan and to the
+/// attacker bots' scripts (same-instant bursts included, so the bots'
+/// sort keys count).
+#[test]
+fn every_fault_kind_keeps_its_trial_outcome() {
+    use ChaosLink::*;
+    let link_faults = vec![
+        ChaosFault::Outage { link: NatAUplink, at_ms: 300, dur_ms: 1_500 },
+        ChaosFault::Lossy { link: ServerUplink, at_ms: 0, dur_ms: 4_000, loss_pct: 40 },
+        ChaosFault::Corrupt { link: ClientBAccess, at_ms: 2_000, dur_ms: 3_000, prob_pct: 35 },
+        ChaosFault::Truncate { link: NatBUplink, at_ms: 2_500, dur_ms: 3_000, prob_pct: 30 },
+        ChaosFault::Truncate { link: ClientAAccess, at_ms: 6_000, dur_ms: 500, prob_pct: 25 },
+    ];
+    let device_faults = vec![
+        ChaosFault::RebootNatA { at_ms: 4_000 },
+        ChaosFault::RestartServer { at_ms: 4_100 },
+        ChaosFault::RebootNatB { at_ms: 9_000 },
+    ];
+    let attacks = vec![
+        ChaosFault::IntroFlood { at_ms: 700, count: 16 },
+        ChaosFault::SquatStorm { at_ms: 700, count: 48 },
+        ChaosFault::MappingFlood { at_ms: 1_200, ports: 80 },
+        ChaosFault::MappingFlood { at_ms: 1_200, ports: 40 },
+        ChaosFault::SquatStorm { at_ms: 100, count: 30 },
+        ChaosFault::Corrupt { link: ServerUplink, at_ms: 900, dur_ms: 2_000, prob_pct: 20 },
+        ChaosFault::RebootNatA { at_ms: 5_000 },
+    ];
+    let everything: Vec<ChaosFault> =
+        [&link_faults[..], &device_faults[..], &attacks[..]].concat();
+    let cases: [(&str, u64, &[ChaosFault], ChaosProfile, u64); 5] = [
+        ("link faults", 201, &link_faults, ChaosProfile::Resilient, 0x77aa_0e49_51cf_a7b1),
+        ("device faults", 202, &device_faults, ChaosProfile::Racing, 0x9f89_2e31_d22b_d630),
+        ("attacks", 203, &attacks, ChaosProfile::Adversarial, 0x3b4f_7e43_a310_c07a),
+        ("all ten kinds", 204, &everything, ChaosProfile::Adversarial, 0x4bba_b2d8_61ec_4328),
+        ("all ten kinds, no bots", 205, &everything, ChaosProfile::Resilient, 0x99d7_27c3_93ec_03ac),
+    ];
+    for (name, seed, faults, profile, pinned) in cases {
+        let out = run_trial(seed, faults, profile);
+        assert_eq!(out.violation, None, "{name}");
+        let s = out.stats;
+        let mut h = FNV_SEED;
+        for n in [
+            s.events,
+            s.packets_sent,
+            s.packets_delivered,
+            s.packets_lost,
+            s.device_drops,
+            s.link_down_drops,
+            s.packets_duplicated,
+            s.packets_reordered,
+            s.packets_corrupted,
+            s.packets_truncated,
+            s.faults_injected,
+            out.end.as_nanos(),
+        ] {
+            h = fnv(h, &n.to_le_bytes());
+        }
+        assert_eq!(fnv(h, out.metrics_json.as_bytes()), pinned, "{name}");
+    }
 }

@@ -12,10 +12,10 @@
 use crate::client::{NatCheckClient, NatCheckReport};
 use crate::servers::{CheckServer, ServerRole};
 use crate::survey::{S1, S2, S3};
-use punch_lab::{PeerSetup, WorldBuilder};
+use punch_lab::{addrs, PeerSetup, WorldBuilder};
 use punch_nat::NatBehavior;
 use punch_net::SimTime;
-use punch_transport::HostDevice;
+use std::net::Ipv4Addr;
 
 /// Result of a paired NAT Check run.
 #[derive(Clone, Copy, Debug)]
@@ -53,14 +53,14 @@ pub fn check_nat_pair(behavior: NatBehavior, seed: u64) -> PairReport {
     wb.server(S1, CheckServer::new(ServerRole::One));
     wb.server(S2, CheckServer::new(ServerRole::Two { s3: S3 }));
     wb.server(S3, CheckServer::new(ServerRole::Three));
-    let nat = wb.nat(behavior, "155.99.25.11".parse().expect("addr")); // punch-lint: allow(P001) hard-coded literal address; parse cannot fail
+    let nat = wb.nat(behavior, addrs::NAT_A);
     let c1 = wb.client(
-        "10.0.0.1".parse().expect("addr"), // punch-lint: allow(P001) hard-coded literal address; parse cannot fail
+        addrs::CLIENT_A,
         nat,
         PeerSetup::new(NatCheckClient::new(S1, S2, S3).with_udp_port(SHARED_PORT)),
     );
     let c2 = wb.client(
-        "10.0.0.2".parse().expect("addr"), // punch-lint: allow(P001) hard-coded literal address; parse cannot fail
+        Ipv4Addr::new(10, 0, 0, 2),
         nat,
         PeerSetup::new(NatCheckClient::new(S1, S2, S3).with_udp_port(SHARED_PORT)),
     );
@@ -69,15 +69,7 @@ pub fn check_nat_pair(behavior: NatBehavior, seed: u64) -> PairReport {
     world.run_until_app::<NatCheckClient>(c1, SimTime::from_secs(120), |c| c.done());
     world.run_until_app::<NatCheckClient>(c2, SimTime::from_secs(120), |c| c.done());
     PairReport {
-        first: world
-            .sim
-            .device::<HostDevice>(c1)
-            .app::<NatCheckClient>()
-            .report(),
-        second: world
-            .sim
-            .device::<HostDevice>(c2)
-            .app::<NatCheckClient>()
-            .report(),
+        first: world.app::<NatCheckClient>(c1).report(),
+        second: world.app::<NatCheckClient>(c2).report(),
     }
 }

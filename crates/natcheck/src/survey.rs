@@ -3,11 +3,10 @@
 
 use crate::client::{NatCheckClient, NatCheckReport};
 use crate::servers::{CheckServer, ServerRole};
-use punch_lab::{par, WorldBuilder};
+use punch_lab::{addrs, par, WorldBuilder};
 use punch_nat::{NatBehavior, SampledNat, VendorProfile, VENDORS};
 use punch_net::seed::{derive_seed, mix};
 use punch_net::{SimStats, SimTime};
-use punch_transport::HostDevice;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::net::Ipv4Addr;
@@ -32,20 +31,16 @@ pub fn check_nat_instrumented(behavior: NatBehavior, seed: u64) -> (NatCheckRepo
     wb.server(S1, CheckServer::new(ServerRole::One));
     wb.server(S2, CheckServer::new(ServerRole::Two { s3: S3 }));
     wb.server(S3, CheckServer::new(ServerRole::Three));
-    let nat = wb.nat(behavior, "155.99.25.11".parse().expect("addr")); // punch-lint: allow(P001) hard-coded literal address; parse cannot fail
+    let nat = wb.nat(behavior, addrs::NAT_A);
     wb.client(
-        "10.0.0.1".parse().expect("addr"), // punch-lint: allow(P001) hard-coded literal address; parse cannot fail
+        addrs::CLIENT_A,
         nat,
         punch_lab::PeerSetup::new(NatCheckClient::new(S1, S2, S3)),
     );
     let mut world = wb.build();
     let client = world.clients[0];
     world.run_until_app::<NatCheckClient>(client, SimTime::from_secs(120), |c| c.done());
-    let report = world
-        .sim
-        .device::<HostDevice>(client)
-        .app::<NatCheckClient>()
-        .report();
+    let report = world.app::<NatCheckClient>(client).report();
     (report, world.sim.stats())
 }
 

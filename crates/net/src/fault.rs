@@ -121,35 +121,6 @@ impl FaultPlan {
         self.link_set(at, link, faulty).link_set(at + dur, link, normal)
     }
 
-    /// Turns on payload corruption on `link` at `at`: the link spec is
-    /// replaced by `normal` with a per-packet bit-flip probability of
-    /// `prob`, and restored to plain `normal` after `dur`. Corrupted
-    /// packets are still delivered; hardened receivers drop them on
-    /// checksum mismatch.
-    pub fn corrupt(
-        self,
-        at: SimTime,
-        dur: Duration,
-        link: LinkId,
-        prob: f64,
-        normal: LinkSpec,
-    ) -> Self {
-        self.degrade(at, dur, link, normal.with_corrupt(prob), normal)
-    }
-
-    /// Turns on payload truncation on `link` at `at` with per-packet
-    /// probability `prob`, restoring `normal` after `dur`.
-    pub fn truncate(
-        self,
-        at: SimTime,
-        dur: Duration,
-        link: LinkId,
-        prob: f64,
-        normal: LinkSpec,
-    ) -> Self {
-        self.degrade(at, dur, link, normal.with_truncate(prob), normal)
-    }
-
     /// Restarts the device on `node` at `at` ([`FAULT_RESTART`]).
     pub fn restart(self, at: SimTime, node: NodeId) -> Self {
         self.device_fault(at, node, FAULT_RESTART)
@@ -242,27 +213,6 @@ mod tests {
             sim.device::<FaultRecorder>(n).faults,
             vec![(SimTime::from_secs(10), FAULT_RESTART)]
         );
-    }
-
-    #[test]
-    fn corrupt_and_truncate_builders_set_and_restore_knobs() {
-        let mut sim = Sim::new(1);
-        let a = sim.add_node("a", Box::new(SinkDevice::default()));
-        let b = sim.add_node("b", Box::new(SinkDevice::default()));
-        sim.connect(a, b, LinkSpec::lan());
-        let link = sim.link_of(a, 0);
-        FaultPlan::new()
-            .corrupt(SimTime::from_secs(1), Duration::from_secs(1), link, 0.5, LinkSpec::lan())
-            .truncate(SimTime::from_secs(3), Duration::from_secs(1), link, 0.25, LinkSpec::lan())
-            .apply(&mut sim);
-        sim.run_until(SimTime::from_millis(1500));
-        assert_eq!(sim.link_spec(link).corrupt, 0.5);
-        sim.run_until(SimTime::from_millis(2500));
-        assert_eq!(sim.link_spec(link), LinkSpec::lan());
-        sim.run_until(SimTime::from_millis(3500));
-        assert_eq!(sim.link_spec(link).truncate, 0.25);
-        sim.run_until(SimTime::from_millis(4500));
-        assert_eq!(sim.link_spec(link), LinkSpec::lan());
     }
 
     #[test]

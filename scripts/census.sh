@@ -6,9 +6,23 @@ cd "$(dirname "$0")/.."
 # shellcheck disable=SC2046 # one word per source file is the point
 set -- $(find crates/*/src -name '*.rs' | sort)
 
-echo "== non-test lines per file (those before the first #[cfg(test)]) =="
-awk 'FNR == 1 { t = 0 } /^ *#\[cfg\(test\)\]/ { t = 1 } !t { n[FILENAME]++; all++ }
-    END { for (f in n) print n[f], f; print all, "~total" }' "$@" | sort -k2
+# A file that is itself a `#[cfg(test)] mod x;` of its parent is test code
+# from its first line: leave it out of every count below.
+for f in "$@"; do
+    mod=$(basename "$f" .rs)
+    if grep -H -A1 '^#\[cfg(test)\]' "$(dirname "$f")"/*.rs | grep -q "^[^ ]*-mod $mod;"; then
+        echo "test-only module, not counted: $f ($(wc -l < "$f") lines)"
+    else
+        set -- "$@" "$f"
+    fi
+    shift
+done
+
+echo "== non-test lines per file (those before the first #[cfg(test)]), then per crate =="
+awk 'FNR == 1 { t = 0 } /^ *#\[cfg\(test\)\]/ { t = 1 }
+    !t { n[FILENAME]++; split(FILENAME, p, "/"); crate[p[2]]++; all++ }
+    END { for (f in n) print n[f], f; for (c in crate) print crate[c], "~crate", c; print all, "~total" }' "$@" |
+    sort -k2
 echo "== punch-lint: allow(P001) per crate (suppressed panic paths, same non-test lines) =="
 awk 'FNR == 1 { t = 0 } /^ *#\[cfg\(test\)\]/ { t = 1 }
     !t && /punch-lint: allow\([^)]*P001/ { split(FILENAME, p, "/"); n[p[2]]++; all++ }
