@@ -9,39 +9,43 @@
 //!
 //! - Time is divided into fixed-width *days* of `2^DAY_SHIFT` nanoseconds.
 //! - A power-of-two ring of buckets (the *wheel*) holds every event whose
-//!   day falls inside the current horizon; push is a `Vec::push` into
-//!   `bucket[day & mask]`.
-//! - Events beyond the horizon go to an *overflow* binary heap and
-//!   migrate into the wheel as the horizon advances past them, each
-//!   exactly once.
+//!   day falls inside the horizon. A bucket is the 4-byte head of a list
+//!   threaded through one entry *slab*. A drained entry's slot goes to a
+//!   free list and is reused before the slab grows, so a day allocates
+//!   nothing and the slab holds the most entries the wheel held at once.
+//! - The horizon rolls with the cursor: a push less than `buckets` days
+//!   past it lands in the wheel. The engine sizes the wheel from each
+//!   link's latency plus jitter ([`CalendarQueue::ensure_horizon`]), so
+//!   no delivery over a connected link leaves it.
+//! - Beyond the horizon — long timers (keepalives, give-up deadlines), a
+//!   link slowed through `Sim::link_mut` — entries wait in an *overflow*
+//!   binary heap and migrate into the wheel as the horizon reaches them,
+//!   each exactly once.
 //! - Popping drains the earliest occupied day into a working set sorted
-//!   descending by `(at, seq)` and serves from its tail. Ordering a day
-//!   costs what is new in it: the sort is a run-adaptive stable merge, so
-//!   the already ordered working set is one run, a bucket filled in push
-//!   order is a few more, and same-day arrivals are merged in rather than
-//!   the whole set quick-sorted again (keys are unique, so stability
-//!   changes nothing observable).
-//! - A drained bucket keeps no capacity: of its buffer and the working
-//!   set's, one carries the merged day and the other is retired, so the
-//!   wheel's memory follows what is queued now, not the largest burst each
-//!   bucket ever held. A retired buffer of the minimal size goes to a
-//!   short spare list that the next empty bucket takes from, so a run of
-//!   one-event days allocates nothing; anything larger is freed.
+//!   descending by `(at, seq)` and serves from its tail; entries are
+//!   copied out of the slab, so the sort compares them in place. It is a
+//!   run-adaptive stable merge: the ordered working set is one run, a
+//!   bucket's list (newest first) a few more, so same-day arrivals are
+//!   merged in rather than the whole set quick-sorted again (keys are
+//!   unique, so stability changes nothing observable). The working set
+//!   keeps the capacity of its largest day.
 //!
 //! The pop order is **exactly** the `(at, seq)` order a `BinaryHeap` with
 //! the same reversed comparator would produce — the property the pinned
 //! result artifacts rest on — verified against a heap model over
 //! arbitrary schedules in `tests/proptest_calendar.rs`.
 //!
-//! The wheel starts small and grows in two ways: explicitly via
-//! [`CalendarQueue::ensure_capacity_for`] (the engine derives a target
-//! from the node count as the world is built) and adaptively when the
-//! overflow tier comes under pressure, so a million-endpoint world and a
-//! three-node unit test both get a right-sized ring.
+//! The wheel starts small and grows to a horizon
+//! ([`CalendarQueue::ensure_horizon`]), to a population
+//! ([`CalendarQueue::ensure_capacity_for`], from the node count as the
+//! world is built) and when the overflow tier comes under pressure, so a
+//! million-endpoint world and a three-node unit test both get a
+//! right-sized ring.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::time::Duration;
 
 /// Width of one bucket ("day") as a power of two: `2^16` ns ≈ 65.5 µs,
 /// comfortably below the shortest stock link latency (200 µs LAN), so a
@@ -53,25 +57,20 @@ const MIN_BUCKETS: usize = 256;
 
 /// Largest wheel: 65 536 buckets ≈ a 4.3 s horizon, enough to keep punch
 /// round-trips and spray timers out of the overflow tier at million-node
-/// scale while costing ~1.5 MiB of bucket headers.
+/// scale while costing 256 KiB of bucket heads.
 const MAX_BUCKETS: usize = 1 << 16;
 
 /// Cap for the *derived* pre-size (536 ms horizon): large worlds keep
 /// their dense near-future traffic in the wheel, while long-period
 /// timers (keepalives, give-up deadlines) ride the overflow tier, which
-/// handles sparse far-future entries in `O(log n)` without paying cold
-/// bucket allocations across a huge ring. Sustained overflow pressure
-/// still grows the wheel adaptively up to [`MAX_BUCKETS`].
+/// handles sparse far-future entries in `O(log n)` without scanning a
+/// huge ring. Sustained overflow pressure still grows the wheel
+/// adaptively up to [`MAX_BUCKETS`].
 const PRESIZE_MAX_BUCKETS: usize = 1 << 13;
 
-/// Capacity of the buffer a bucket's first push allocates (`Vec`'s first
-/// growth). Only retired buffers of exactly this size are kept as spares:
-/// anything larger would sit under the one-entry days that reuse it.
-const SPARE_CAPACITY: usize = 4;
-
-/// Most spare buffers kept. Days are drained one at a time, so the list
-/// only has to bridge the gap between a drain and the next push.
-const MAX_SPARES: usize = 16;
+/// The end of a slot list: an empty bucket's head, a last slot's `next`,
+/// an empty free list. (No slab reaches `u32::MAX` slots: 192 GiB.)
+const NIL: u32 = u32::MAX;
 
 /// One queued item, keyed by `(at, seq)`.
 ///
@@ -110,24 +109,36 @@ impl<T> Ord for Entry<T> {
     }
 }
 
+/// One slab slot: a wheel entry on its bucket's list, or (`entry` is
+/// `None`) a free slot on the free list.
+struct Slot<T> {
+    entry: Option<Entry<T>>,
+    next: u32,
+}
+
 /// A monotone-time priority queue; see the [module docs](self).
 pub struct CalendarQueue<T> {
-    /// The wheel. `buckets.len()` is a power of two.
-    buckets: Vec<Vec<Entry<T>>>,
+    /// The wheel: each bucket's first slab slot, or [`NIL`].
+    /// `heads.len()` is a power of two.
+    heads: Vec<u32>,
+    /// Every wheel entry, each on its bucket's list.
+    slab: Vec<Slot<T>>,
+    /// First slot of the free list, or [`NIL`].
+    free: u32,
     /// One bit per bucket, set iff the bucket is non-empty, so a scan
     /// for the next occupied day is a word-at-a-time bit search instead
-    /// of probing empty `Vec`s one simulated day at a time.
+    /// of probing empty buckets one simulated day at a time.
     occupied: Vec<u64>,
-    /// `buckets.len() - 1`, for day-to-index masking.
+    /// `heads.len() - 1`, for day-to-index masking.
     mask: u64,
     /// Entries currently stored in the wheel.
     wheel_len: usize,
     /// Next day to scan; every wheel/overflow entry has `day >= cursor`.
     cursor: u64,
-    /// Wheel horizon: pushes at `day < migrated_until` go to the wheel,
-    /// later ones to the overflow heap. Advancing past it triggers a
-    /// migration. May exceed `cursor + buckets.len()` after a cursor
-    /// rewind; day-filtered draining makes the aliasing harmless.
+    /// Migration horizon: every overflow entry's day is at least this.
+    /// Pushes below it or below `cursor + heads.len()` go to the wheel.
+    /// May exceed `cursor + heads.len()` after a cursor rewind;
+    /// day-filtered draining makes the aliasing harmless.
     migrated_until: u64,
     /// Drained working set, sorted descending by `(at, seq)`; the front
     /// of the queue is its tail.
@@ -140,9 +151,6 @@ pub struct CalendarQueue<T> {
     ready: bool,
     /// Events beyond the wheel horizon, earliest on top.
     overflow: BinaryHeap<Entry<T>>,
-    /// Empty retired buffers of [`SPARE_CAPACITY`], at most
-    /// [`MAX_SPARES`], for buckets to start from instead of allocating.
-    spares: Vec<Vec<Entry<T>>>,
     /// Total entries across wheel, overflow, and working set.
     len: usize,
 }
@@ -157,7 +165,9 @@ impl<T> CalendarQueue<T> {
     /// Creates an empty queue with the minimum wheel size.
     pub fn new() -> Self {
         CalendarQueue {
-            buckets: (0..MIN_BUCKETS).map(|_| Vec::new()).collect(),
+            heads: vec![NIL; MIN_BUCKETS],
+            slab: Vec::new(),
+            free: NIL,
             occupied: vec![0; MIN_BUCKETS / 64],
             mask: MIN_BUCKETS as u64 - 1,
             wheel_len: 0,
@@ -166,7 +176,6 @@ impl<T> CalendarQueue<T> {
             current: Vec::new(),
             ready: false,
             overflow: BinaryHeap::new(),
-            spares: Vec::new(),
             len: 0,
         }
     }
@@ -183,7 +192,7 @@ impl<T> CalendarQueue<T> {
 
     /// Current wheel size in buckets (a power of two).
     pub fn bucket_count(&self) -> usize {
-        self.buckets.len()
+        self.heads.len()
     }
 
     #[inline]
@@ -206,19 +215,32 @@ impl<T> CalendarQueue<T> {
         self.occupied[idx >> 6] & (1u64 << (idx & 63)) != 0
     }
 
-    /// Files an entry whose day is inside the horizon in its bucket.
+    /// Files an entry whose day is inside the horizon in its bucket, in
+    /// a free slot if there is one.
     #[inline]
     fn store(&mut self, e: Entry<T>) {
-        let idx = (Self::day(e.at) & self.mask) as usize;
-        let bucket = &mut self.buckets[idx];
-        if bucket.capacity() == 0 {
-            if let Some(spare) = self.spares.pop() {
-                *bucket = spare;
-            }
-        }
-        bucket.push(e);
-        self.mark_occupied(idx);
+        let (at, slot) = (e.at, Slot { entry: Some(e), next: NIL });
+        let s = if self.free == NIL {
+            // punch-lint: allow(P001) more than u32::MAX - 1 queued entries is
+            // unreachable (memory exhaustion comes first); a cast would alias slots.
+            let s = u32::try_from(self.slab.len()).expect("calendar slab overflow");
+            self.slab.push(slot);
+            s
+        } else {
+            let s = self.free;
+            self.free = std::mem::replace(&mut self.slab[s as usize], slot).next;
+            s
+        };
+        self.link(s, at);
         self.wheel_len += 1;
+    }
+
+    /// Puts slot `s`, holding an entry at `at`, at the head of its bucket.
+    #[inline]
+    fn link(&mut self, s: u32, at: SimTime) {
+        let idx = (Self::day(at) & self.mask) as usize;
+        self.slab[s as usize].next = std::mem::replace(&mut self.heads[idx], s);
+        self.mark_occupied(idx);
     }
 
     /// Ring distance (in buckets, `1..=len`) from `idx` to the next
@@ -227,7 +249,7 @@ impl<T> CalendarQueue<T> {
     /// (day aliasing), so callers treat the result as a skip distance
     /// over definitely-empty buckets, not a guarantee of a hit.
     fn next_occupied_distance(&self, idx: usize) -> Option<usize> {
-        let n = self.buckets.len();
+        let n = self.heads.len();
         let nwords = self.occupied.len();
         let start = (idx + 1) & (n - 1);
         let mut w = start >> 6;
@@ -259,6 +281,15 @@ impl<T> CalendarQueue<T> {
         self.grow_to(actors.saturating_mul(4).clamp(MIN_BUCKETS, PRESIZE_MAX_BUCKETS));
     }
 
+    /// Grows the wheel (it never shrinks; at most a 4.3 s horizon) so that
+    /// an entry pushed `span` after the front stays in it: the engine
+    /// passes each link's latency plus jitter. Such an entry is up to
+    /// `span / day + 1` days past the front's, so the wheel spans one more.
+    pub fn ensure_horizon(&mut self, span: Duration) {
+        let days = usize::try_from(span.as_nanos() >> DAY_SHIFT).unwrap_or(usize::MAX);
+        self.grow_to(days.saturating_add(2));
+    }
+
     /// Inserts an entry. `seq` must be unique among live entries.
     pub fn push(&mut self, at: SimTime, seq: u64, item: T) {
         self.len += 1;
@@ -276,7 +307,7 @@ impl<T> CalendarQueue<T> {
             // event for free; a long-idle queue then never scans the
             // empty days in between.
             self.cursor = d;
-            self.migrated_until = d + self.buckets.len() as u64;
+            self.migrated_until = d + self.heads.len() as u64;
         } else if d < self.cursor {
             // A push may land before a day an earlier scan already
             // passed (e.g. a timer armed right after `run_until` peeked
@@ -284,30 +315,45 @@ impl<T> CalendarQueue<T> {
             // days that were empty when scanned.
             self.cursor = d;
         }
-        if d < self.migrated_until {
+        // The wheel's horizon rolls with the cursor. A push inside it but
+        // past `migrated_until` needs no migration first: overflow entries
+        // all lie beyond `migrated_until`, and the scan migrates them on
+        // reaching it, before it can pass one.
+        if d < self.migrated_until.max(self.cursor + self.heads.len() as u64) {
             self.store(Entry { at, seq, item });
         } else {
             self.overflow.push(Entry { at, seq, item });
             // Sustained far-future load means the horizon is too short
             // for this workload; double the wheel rather than churning
             // entries through the heap.
-            if self.overflow.len() > self.buckets.len() * 4 && self.buckets.len() < MAX_BUCKETS {
-                let target = self.buckets.len() * 2;
+            if self.overflow.len() > self.heads.len() * 4 && self.heads.len() < MAX_BUCKETS {
+                let target = self.heads.len() * 2;
                 self.grow_to(target);
             }
         }
     }
 
-    /// The earliest entry, if any, without removing it.
-    pub fn front(&mut self) -> Option<&Entry<T>> {
-        if self.len == 0 {
-            return None;
-        }
-        if !self.ready || self.current.is_empty() {
+    /// Makes the working set's tail the earliest entry (the working set
+    /// is empty only when the queue is).
+    #[inline]
+    fn settle(&mut self) {
+        if self.len > 0 && (!self.ready || self.current.is_empty()) {
             self.prepare();
             self.ready = true;
         }
+    }
+
+    /// The earliest entry, if any, without removing it.
+    pub fn front(&mut self) -> Option<&Entry<T>> {
+        self.settle();
         self.current.last()
+    }
+
+    /// The earliest entry's item, for changing in place. Its `at` and
+    /// `seq` — its place in the order — are not reachable through it.
+    pub fn front_item_mut(&mut self) -> Option<&mut T> {
+        self.settle();
+        self.current.last_mut().map(|e| &mut e.item)
     }
 
     /// The earliest entry's scheduled time, if any.
@@ -317,26 +363,17 @@ impl<T> CalendarQueue<T> {
 
     /// Removes and returns the earliest entry.
     pub fn pop_front(&mut self) -> Option<Entry<T>> {
-        if self.len == 0 {
-            return None;
+        self.settle();
+        let popped = self.current.pop()?;
+        self.len -= 1;
+        // A new tail from a later day may be preceded by wheel or
+        // overflow entries in the gap; only a same-day tail is still
+        // known-minimal (its whole day was drained together).
+        match self.current.last() {
+            Some(tail) if Self::day(tail.at) == Self::day(popped.at) => {}
+            _ => self.ready = false,
         }
-        if !self.ready || self.current.is_empty() {
-            self.prepare();
-            self.ready = true;
-        }
-        let e = self.current.pop();
-        debug_assert!(e.is_some(), "prepare left an empty working set");
-        if let Some(popped) = &e {
-            self.len -= 1;
-            // A new tail from a later day may be preceded by wheel or
-            // overflow entries in the gap; only a same-day tail is still
-            // known-minimal (its whole day was drained together).
-            match self.current.last() {
-                Some(tail) if Self::day(tail.at) == Self::day(popped.at) => {}
-                _ => self.ready = false,
-            }
-        }
-        e
+        Some(popped)
     }
 
     /// Establishes: the working set's tail is the global minimum. Only
@@ -368,9 +405,6 @@ impl<T> CalendarQueue<T> {
                     // Jump the window to the overflow's first day.
                     (_, Some(o)) => {
                         self.cursor = o;
-                        if self.migrated_until < o {
-                            self.migrated_until = o;
-                        }
                         self.migrate();
                     }
                 }
@@ -388,7 +422,9 @@ impl<T> CalendarQueue<T> {
                 let idx = (self.cursor & self.mask) as usize;
                 if self.is_occupied(idx) {
                     if self.drain_bucket_day(self.cursor) > 0 {
-                        break;
+                        // Everything else is on a later day: the wheel,
+                        // the overflow, the rest of the working set.
+                        return;
                     }
                     // The bucket held only later-rotation entries; step
                     // past it.
@@ -414,10 +450,11 @@ impl<T> CalendarQueue<T> {
         }
     }
 
-    /// Extends the horizon to at least `cursor + buckets.len()` and moves
-    /// every overflow entry now inside it into the wheel.
+    /// Extends the horizon to at least `cursor + heads.len()` (never
+    /// shrinking it: a rewind can leave it further ahead) and moves every
+    /// overflow entry now inside it into the wheel.
     fn migrate(&mut self) {
-        let horizon = self.cursor + self.buckets.len() as u64;
+        let horizon = self.cursor + self.heads.len() as u64;
         if self.migrated_until < horizon {
             self.migrated_until = horizon;
         }
@@ -432,86 +469,67 @@ impl<T> CalendarQueue<T> {
     }
 
     /// Moves the entries of day `d` from its bucket into the working set
-    /// and merges them in; entries aliased from other rotations stay
-    /// behind. Returns how many entries moved.
+    /// and merges them in, freeing their slots; entries aliased from
+    /// other rotations go back on the list. Returns how many entries moved.
     fn drain_bucket_day(&mut self, d: u64) -> usize {
         let idx = (d & self.mask) as usize;
-        let bucket = &mut self.buckets[idx];
-        if bucket.is_empty() {
-            return 0;
-        }
-        let moved;
-        if bucket.iter().all(|e| Self::day(e.at) == d) {
-            // Overwhelmingly the common case: the bucket holds only this
-            // rotation. One of the two buffers carries the day and the
-            // other, now empty, leaves the wheel, so a burst's high-water
-            // allocation lives only until the working set is next
-            // replaced, not once in every bucket a burst ever landed in.
-            moved = bucket.len();
-            if self.current.is_empty() {
-                std::mem::swap(&mut self.current, bucket);
+        let before = self.current.len();
+        let mut s = std::mem::replace(&mut self.heads[idx], NIL);
+        while s != NIL {
+            let slot = &mut self.slab[s as usize];
+            let next = slot.next;
+            if let Some(e) = slot.entry.take_if(|e| Self::day(e.at) == d) {
+                self.current.push(e);
+                slot.next = std::mem::replace(&mut self.free, s);
             } else {
-                self.current.append(bucket);
+                slot.next = std::mem::replace(&mut self.heads[idx], s);
             }
-            let retired = std::mem::take(bucket);
-            if retired.capacity() == SPARE_CAPACITY && self.spares.len() < MAX_SPARES {
-                self.spares.push(retired);
-            }
+            s = next;
+        }
+        let moved = self.current.len() - before;
+        if self.heads[idx] == NIL {
             self.mark_empty(idx);
-        } else {
-            let before = bucket.len();
-            let mut i = 0;
-            while i < bucket.len() {
-                if Self::day(bucket[i].at) == d {
-                    self.current.push(bucket.swap_remove(i));
-                } else {
-                    i += 1;
-                }
-            }
-            moved = before - bucket.len();
-            if moved == 0 {
-                return 0;
-            }
-            bucket.shrink_to_fit();
+        }
+        if moved == 0 {
+            return 0;
         }
         self.wheel_len -= moved;
         // Ascending under the reversed `Ord` = descending by `(at, seq)`.
         // The stable sort finds what is already ordered (the old working
-        // set; a push-order bucket's strictly descending runs, which it
-        // reverses) and merges, where an unstable one would quick-sort
-        // all of it again for a handful of same-day arrivals.
+        // set; a list walked newest first) and merges, where an unstable
+        // one would quick-sort all of it again for a handful of same-day
+        // arrivals.
         self.current.sort();
         moved
     }
 
+    /// Re-files every wheel entry for a larger ring by relinking its
+    /// slot; no entry moves.
     fn grow_to(&mut self, target: usize) {
-        let target = target.next_power_of_two().min(MAX_BUCKETS);
-        if target <= self.buckets.len() {
+        let target = target.min(MAX_BUCKETS).next_power_of_two();
+        if target <= self.heads.len() {
             return;
         }
-        let moved: Vec<Entry<T>> = self.buckets.iter_mut().flat_map(std::mem::take).collect();
-        self.buckets.resize_with(target, Vec::new);
+        let old = std::mem::replace(&mut self.heads, vec![NIL; target]);
         self.occupied = vec![0; target / 64];
         self.mask = target as u64 - 1;
-        // Keep any horizon already promised (a rewind can leave
-        // `migrated_until` far ahead of the cursor); never shrink it, or
-        // wheel entries would violate the overflow invariant.
-        let horizon = self.cursor + target as u64;
-        if self.migrated_until < horizon {
-            self.migrated_until = horizon;
-        }
-        self.wheel_len = 0;
-        for e in moved {
-            self.store(e);
+        for mut s in old {
+            while s != NIL {
+                let Slot { entry, next } = &self.slab[s as usize];
+                let (at, next) = (entry.as_ref().map(|e| e.at), *next);
+                if let Some(at) = at {
+                    self.link(s, at);
+                }
+                s = next;
+            }
         }
         self.migrate();
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use std::time::Duration;
 
     fn t(nanos: u64) -> SimTime {
         SimTime::ZERO + Duration::from_nanos(nanos)
@@ -523,6 +541,11 @@ mod tests {
             out.push((e.at.as_nanos(), e.seq, e.item));
         }
         out
+    }
+
+    /// Entries in the overflow heap, for the engine's tests.
+    pub(crate) fn overflow_len<T>(q: &CalendarQueue<T>) -> usize {
+        q.overflow.len()
     }
 
     #[test]
@@ -631,46 +654,44 @@ mod tests {
     }
 
     #[test]
-    fn drained_burst_leaves_no_capacity_in_the_wheel() {
-        // Jitter-free worlds schedule thousands of events at one instant.
-        // Once they are served, the bucket they shared must not go on
-        // holding a buffer sized for them.
+    fn drained_slots_are_reused_before_the_slab_grows() {
+        // A jitter-free burst of thousands of events at one instant, then
+        // the steady state of a quiet world: one event per day, each
+        // scheduling the next. The burst's slots serve every later day.
         let mut q = CalendarQueue::new();
         for seq in 0..10_000u64 {
             q.push(t(1_000_000), seq, 0u32);
         }
         q.push(t(2_000_000), 10_000, 0u32);
-        assert_eq!(drain(&mut q).len(), 10_001);
-        let spare: usize = q.buckets.iter().map(Vec::capacity).sum();
-        assert_eq!(spare, 0, "wheel retains capacity for {spare} entries");
-    }
-
-    #[test]
-    fn one_entry_days_recycle_a_bounded_set_of_minimal_buffers() {
-        // A burst, then the steady state of a quiet world: one event per
-        // day, each scheduling the next. Neither may leave capacity in
-        // the wheel, and what the spare list keeps is a constant.
-        let mut q = CalendarQueue::new();
-        for seq in 0..10_000u64 {
-            q.push(t(1_000_000), seq, 0u32);
-        }
-        q.push(t(2_000_000), 10_000, 0u32);
+        let high_water = q.slab.len();
+        assert!(high_water <= 10_001, "slab holds {high_water} slots");
         for _ in 0..10_000 {
             assert!(q.pop_front().is_some());
         }
         for seq in 10_001..110_001u64 {
             let e = q.pop_front().expect("one entry is always pending");
             q.push(e.at + Duration::from_micros(200), seq, 0u32);
+            assert_eq!(q.slab.len(), high_water, "a one-entry day grew the slab");
         }
         assert_eq!(drain(&mut q).len(), 1);
-        let held: usize = q.buckets.iter().map(Vec::capacity).sum();
-        assert_eq!(held, 0, "wheel retains capacity for {held} entries");
-        assert!((1..=MAX_SPARES).contains(&q.spares.len()));
-        assert!(q.spares.iter().all(|b| b.capacity() == SPARE_CAPACITY));
-        assert!(
-            q.current.capacity() <= SPARE_CAPACITY,
-            "burst buffer outlived the burst"
-        );
+    }
+
+    #[test]
+    fn wan_deliveries_stay_in_the_wheel() {
+        // A window of packets in flight over `LinkSpec::wan()`, 30 ms +
+        // 3 ms of jitter: each delivery sends the next one a hop ahead.
+        let hop = Duration::from_millis(33);
+        let mut q = CalendarQueue::new();
+        q.ensure_horizon(hop);
+        assert_eq!(q.bucket_count(), 512);
+        for seq in 0..64u64 {
+            q.push(t(seq * 515_625), seq, 0u32);
+        }
+        for seq in 64..10_064u64 {
+            let e = q.pop_front().expect("the window never drains");
+            q.push(e.at + hop, seq, 0u32);
+            assert!(q.overflow.is_empty(), "a WAN hop took the overflow heap");
+        }
     }
 
     #[test]

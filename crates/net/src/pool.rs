@@ -1,4 +1,4 @@
-//! Buffer pools for the simulation hot path.
+//! The packet arena of the simulation hot path.
 //!
 //! A packet in flight lives in the [`PacketArena`], not in its queued
 //! event: the event queue moves 4-byte handles, an event is no larger
@@ -6,16 +6,28 @@
 //! free list, so steady-state delivery performs no allocator traffic at
 //! all.
 //!
-//! [`BatchPool`] does the same for the handles: every delivery is queued
-//! as a [`Batch`], a pooled `Vec` of arena handles for the packets that
-//! enter one interface in one instant — usually one, a whole burst when
-//! nothing else was scheduled in between (see `SimCore::deliver_packet`).
+//! Bursts chain through the arena too. The packets that enter one
+//! interface in one instant — usually one, a whole burst when nothing
+//! else was scheduled in between (see `SimCore::deliver_packet`) — are
+//! one queued event holding the first packet's handle, and each slot
+//! links to the next packet of its burst. A delivery reads and frees one
+//! slot; a slot starts with no link every time it is filled, so a
+//! recycled slot never carries its last burst into a new one.
 
 use crate::packet::Packet;
 
+/// The end of a burst: the last packet's `next`.
+const NIL: u32 = u32::MAX;
+
+struct Slot {
+    pkt: Option<Packet>,
+    /// The next packet of the same burst, or [`NIL`].
+    next: u32,
+}
+
 /// Slab of in-flight packets addressed by dense `u32` handles.
 pub(crate) struct PacketArena {
-    slots: Vec<Option<Packet>>,
+    slots: Vec<Slot>,
     free: Vec<u32>,
     recycled: u64,
 }
@@ -29,28 +41,40 @@ impl PacketArena {
         }
     }
 
-    /// Stores a packet, returning its handle and whether a previously
-    /// used slot was recycled (as opposed to growing the slab).
+    /// Stores a packet with no successor, returning its handle and
+    /// whether a previously used slot was recycled (as opposed to growing
+    /// the slab).
     pub(crate) fn insert(&mut self, pkt: Packet) -> (u32, bool) {
+        let slot = Slot { pkt: Some(pkt), next: NIL };
         if let Some(h) = self.free.pop() {
             self.recycled += 1;
-            self.slots[h as usize] = Some(pkt);
+            self.slots[h as usize] = slot;
             (h, true)
         } else {
-            // punch-lint: allow(P001) arena capacity exceeding u32::MAX in-flight
+            // punch-lint: allow(P001) arena capacity exceeding u32::MAX - 1 in-flight
             // packets is unreachable (memory exhaustion comes first); a cast
             // would silently alias slots.
             let h = u32::try_from(self.slots.len()).expect("packet arena overflow");
-            self.slots.push(Some(pkt));
+            self.slots.push(slot);
             (h, false)
         }
+    }
+
+    /// Makes `h` the packet after `tail` in its burst.
+    pub(crate) fn link(&mut self, tail: u32, h: u32) {
+        self.slots[tail as usize].next = h;
+    }
+
+    /// The packet after `h` in its burst, if any.
+    pub(crate) fn next(&self, h: u32) -> Option<u32> {
+        Some(self.slots[h as usize].next).filter(|&n| n != NIL)
     }
 
     /// Removes and returns the packet behind `h`, freeing the slot.
     pub(crate) fn take(&mut self, h: u32) -> Packet {
         // punch-lint: allow(P001) a handle is taken exactly once, by the event
         // that queued it; a double-take is an engine bug worth crashing on.
-        let pkt = self.slots[h as usize].take().expect("packet handle taken twice");
+        let pkt = self.slots[h as usize].pkt.take().expect("packet handle taken twice");
         self.free.push(h);
         pkt
     }
@@ -63,63 +87,6 @@ impl PacketArena {
     /// How many inserts reused a freed slot instead of allocating.
     pub(crate) fn recycled(&self) -> u64 {
         self.recycled
-    }
-}
-
-/// One queued delivery batch: arena handles for packets that entered the
-/// same link in the same instant, served in push order via `pos`.
-pub(crate) struct Batch {
-    pub(crate) items: Vec<u32>,
-    pub(crate) pos: usize,
-}
-
-impl Batch {
-    /// Packets not yet served.
-    pub(crate) fn left(&self) -> usize {
-        self.items.len() - self.pos
-    }
-}
-
-/// Pool of [`Batch`] objects, recycled with their `Vec` capacity intact.
-pub(crate) struct BatchPool {
-    batches: Vec<Batch>,
-    free: Vec<u32>,
-}
-
-impl BatchPool {
-    pub(crate) fn new() -> Self {
-        BatchPool {
-            batches: Vec::new(),
-            free: Vec::new(),
-        }
-    }
-
-    /// Returns an empty batch, reusing a released one when possible.
-    pub(crate) fn alloc(&mut self) -> u32 {
-        if let Some(id) = self.free.pop() {
-            let b = &mut self.batches[id as usize];
-            b.items.clear();
-            b.pos = 0;
-            id
-        } else {
-            // punch-lint: allow(P001) see PacketArena::insert — more than
-            // u32::MAX live batches is unreachable.
-            let id = u32::try_from(self.batches.len()).expect("batch pool overflow");
-            self.batches.push(Batch {
-                items: Vec::new(),
-                pos: 0,
-            });
-            id
-        }
-    }
-
-    pub(crate) fn get_mut(&mut self, id: u32) -> &mut Batch {
-        &mut self.batches[id as usize]
-    }
-
-    /// Returns a batch to the free list; its `items` capacity is kept.
-    pub(crate) fn release(&mut self, id: u32) {
-        self.free.push(id);
     }
 }
 
@@ -164,15 +131,19 @@ mod tests {
     }
 
     #[test]
-    fn batch_pool_reuses_released_batches() {
-        let mut p = BatchPool::new();
-        let b0 = p.alloc();
-        p.get_mut(b0).items.extend([1, 2, 3]);
-        p.get_mut(b0).pos = 2;
-        p.release(b0);
-        let b1 = p.alloc();
-        assert_eq!(b1, b0);
-        assert!(p.get_mut(b1).items.is_empty());
-        assert_eq!(p.get_mut(b1).pos, 0);
+    fn a_recycled_slot_starts_with_no_next_link() {
+        let mut a = PacketArena::new();
+        let (h0, _) = a.insert(pkt());
+        let (h1, _) = a.insert(pkt());
+        a.link(h0, h1);
+        assert_eq!(a.next(h0), Some(h1));
+        assert_eq!(a.next(h1), None);
+        // The burst's head is served first, with its link still set.
+        let _ = a.take(h0);
+        let (h2, reused) = a.insert(pkt());
+        assert_eq!((h2, reused), (h0, true));
+        assert_eq!(a.next(h2), None, "the recycled slot kept its old burst");
+        let _ = a.take(h1);
+        let _ = a.take(h2);
     }
 }

@@ -10,13 +10,13 @@
 //! [`Sim::step`] hands it to `on_packet`; every run loop is a caller of
 //! `step`.
 
-use crate::calendar::{CalendarQueue, Entry};
+use crate::calendar::CalendarQueue;
 use crate::fault::LinkAction;
 use crate::link::LinkSpec;
 use crate::metrics::{MetricKey, Metrics, MetricsSnapshot};
 use crate::node::{Ctx, Device, IfaceId, NodeId};
 use crate::packet::Packet;
-use crate::pool::{BatchPool, PacketArena};
+use crate::pool::PacketArena;
 use crate::seed::{derive_seed, mix};
 use crate::time::SimTime;
 use crate::trace::{TraceDir, TraceEvent, Tracer};
@@ -131,12 +131,12 @@ enum EventKind {
     Start(NodeId),
     /// Packet delivery, the only kind: a burst of same-instant deliveries
     /// into one interface (usually a burst of one) is one queue entry
-    /// carrying a pooled list of arena handles, consumed one packet per
-    /// [`Sim::step`].
+    /// carrying the arena handle of its first packet, whose slot links to
+    /// the next; consumed one packet per [`Sim::step`].
     Deliver {
         node: NodeId,
         iface: IfaceId,
-        batch: u32,
+        head: u32,
     },
     Timer {
         node: NodeId,
@@ -150,7 +150,8 @@ enum EventKind {
     DeviceFault { node: NodeId, fault: u64 },
 }
 
-/// The batch currently accepting same-instant deliveries.
+/// The burst currently accepting same-instant deliveries, by the arena
+/// handle of its last packet.
 ///
 /// `next_seq` is the engine sequence the next coalesced delivery must
 /// take; any unrelated event pushed in between advances `seq` past it,
@@ -160,7 +161,7 @@ struct OpenBatch {
     at: SimTime,
     node: NodeId,
     iface: IfaceId,
-    batch: u32,
+    tail: u32,
     next_seq: u64,
 }
 
@@ -193,7 +194,6 @@ pub(crate) struct SimCore {
     queue: CalendarQueue<EventKind>,
     seq: u64,
     arena: PacketArena,
-    batches: BatchPool,
     open_batch: Option<OpenBatch>,
     /// Logical events pending: every scheduled delivery counts, whether
     /// it occupies its own queue entry or rides a batch. Matches what
@@ -252,7 +252,8 @@ impl SimCore {
         }
         match &mut self.open_batch {
             Some(ob) if (ob.at, ob.node, ob.iface, ob.next_seq) == (at, node, iface, self.seq) => {
-                self.batches.get_mut(ob.batch).items.push(h);
+                self.arena.link(ob.tail, h);
+                ob.tail = h;
                 self.seq += 1;
                 ob.next_seq = self.seq;
                 self.pending += 1;
@@ -260,11 +261,9 @@ impl SimCore {
                 self.note_queue_depth();
             }
             _ => {
-                let batch = self.batches.alloc();
-                self.batches.get_mut(batch).items.push(h);
-                self.push(at, EventKind::Deliver { node, iface, batch });
+                self.push(at, EventKind::Deliver { node, iface, head: h });
                 let next_seq = self.seq;
-                self.open_batch = Some(OpenBatch { at, node, iface, batch, next_seq });
+                self.open_batch = Some(OpenBatch { at, node, iface, tail: h, next_seq });
             }
         }
     }
@@ -458,7 +457,6 @@ impl Sim {
                 queue: CalendarQueue::new(),
                 seq: 0,
                 arena: PacketArena::new(),
-                batches: BatchPool::new(),
                 open_batch: None,
                 pending: 0,
                 depth_high_water: 0,
@@ -564,6 +562,7 @@ impl Sim {
         self.core.nodes[b.index()]
             .ifaces
             .push(LinkRef { link, side: 1 });
+        self.core.queue.ensure_horizon(spec.latency + spec.jitter);
         self.core.links.push(LinkState {
             spec,
             ends: [(a, ia), (b, ib)],
@@ -595,6 +594,10 @@ impl Sim {
     /// Mutable access to a link's transmission properties, for changing
     /// conditions mid-run. Takes effect for every packet transmitted
     /// after the call; packets already in flight are unaffected.
+    ///
+    /// The event queue is not told: a latency raised past what the links
+    /// were connected with is served from its overflow tier — correct,
+    /// only slower (a scheduled [`LinkAction::Set`] does tell it).
     pub fn link_mut(&mut self, link: LinkId) -> &mut LinkSpec {
         &mut self.core.links[link].spec
     }
@@ -732,17 +735,22 @@ impl Sim {
     /// traffic is batched.
     pub fn step(&mut self) -> bool {
         let core = &mut self.core;
-        let (at, kind) = match core.queue.front() {
-            None => return false,
-            // A burst with packets to spare keeps its queue entry: this
-            // step takes one of them and leaves the rest at the front.
-            Some(&Entry { at, item: EventKind::Deliver { node, iface, batch }, .. })
-                if core.batches.get_mut(batch).left() > 1 =>
-            {
-                (at, EventKind::Deliver { node, iface, batch })
-            }
-            Some(_) => match core.queue.pop_front() {
-                Some(entry) => (entry.at, entry.item),
+        let Some(at) = core.queue.next_at() else {
+            return false;
+        };
+        // A burst with packets behind its head keeps its queue entry:
+        // this step takes the head and leaves the next packet at the front.
+        let burst = match core.queue.front_item_mut() {
+            Some(EventKind::Deliver { node, iface, head }) => core.arena.next(*head).map(|next| {
+                let head = std::mem::replace(head, next);
+                EventKind::Deliver { node: *node, iface: *iface, head }
+            }),
+            _ => None,
+        };
+        let kind = match burst {
+            Some(kind) => kind,
+            None => match core.queue.pop_front() {
+                Some(entry) => entry.item,
                 None => return false,
             },
         };
@@ -753,19 +761,13 @@ impl Sim {
         match kind {
             EventKind::Start(node) => self.with_node(node, |dev, ctx| dev.on_start(ctx)),
             // The one place a packet leaves the arena for a device.
-            EventKind::Deliver { node, iface, batch } => {
-                let b = core.batches.get_mut(batch);
-                let h = b.items[b.pos];
-                b.pos += 1;
-                if b.left() == 0 {
-                    core.batches.release(batch);
-                    // A consumed batch can never be extended (a released
-                    // id may be re-allocated for a different burst).
-                    if core.open_batch.as_ref().is_some_and(|ob| ob.batch == batch) {
-                        core.open_batch = None;
-                    }
+            EventKind::Deliver { node, iface, head } => {
+                // A burst whose last packet is taken can never be extended:
+                // its slot is free, and the next insert may reuse it.
+                if core.open_batch.as_ref().is_some_and(|ob| ob.tail == head) {
+                    core.open_batch = None;
                 }
-                let pkt = core.arena.take(h);
+                let pkt = core.arena.take(head);
                 core.stats.packets_delivered += 1;
                 core.trace(node, iface, TraceDir::Rx, &pkt);
                 self.with_node(node, |dev, ctx| dev.on_packet(ctx, iface, pkt));
@@ -778,7 +780,10 @@ impl Sim {
                 match *action {
                     LinkAction::Up => core.links[link].up = true,
                     LinkAction::Down => core.links[link].up = false,
-                    LinkAction::Set(spec) => core.links[link].spec = spec,
+                    LinkAction::Set(spec) => {
+                        core.queue.ensure_horizon(spec.latency + spec.jitter);
+                        core.links[link].spec = spec;
+                    }
                 }
             }
             EventKind::DeviceFault { node, fault } => {
@@ -1150,6 +1155,28 @@ mod tests {
         assert_eq!(sim.device::<SinkDevice>(b).packets.len(), 2);
         assert_eq!(sim.stats().link_down_drops, 1);
         assert_eq!(sim.stats().faults_injected, 2);
+    }
+
+    #[test]
+    fn a_link_set_mid_run_keeps_its_deliveries_in_the_wheel() {
+        use crate::calendar::tests::overflow_len;
+        use crate::fault::LinkAction;
+        let mut sim = Sim::new(1);
+        let a = sim.add_node("a", Box::new(SinkDevice::default()));
+        let b = sim.add_node("b", Box::new(SinkDevice::default()));
+        sim.connect(a, b, LinkSpec::lan());
+        let link = sim.link_of(a, 0);
+        let slow = LinkSpec::new(Duration::from_millis(200));
+        sim.schedule_link_fault(SimTime::from_millis(1), link, LinkAction::Set(slow));
+        sim.run_until(SimTime::from_millis(2));
+        for _ in 0..5 {
+            sim.with_node(a, |_, ctx| ctx.send(0, udp()));
+            assert_eq!(overflow_len(&sim.core.queue), 0, "a 200 ms delivery overflowed");
+            sim.run_for(Duration::from_millis(30));
+        }
+        sim.run_until_idle();
+        assert_eq!(sim.device::<SinkDevice>(b).packets.len(), 5);
+        assert_eq!(sim.now(), SimTime::from_millis(2 + 4 * 30 + 200));
     }
 
     #[test]

@@ -608,6 +608,46 @@ fn same_instant_cascade_by_hand() {
     ]);
 }
 
+/// A packet's slot is free the moment its callback runs, so a send from
+/// that callback that lands on the same `(instant, node, iface)` reuses
+/// it at once. Mid-burst, the new packet joins the burst behind its
+/// tail; after the burst's last packet, it starts a burst of its own. On
+/// a zero-latency self-link every forward lands where its packet came
+/// in, and the callbacks must follow plain FIFO order at one instant.
+#[test]
+fn a_packet_sent_into_its_own_burst_reuses_its_slot_in_order() {
+    let mut sim = Sim::new(1);
+    let shared = Arc::new(Mutex::new(Shared::default()));
+    let node = sim.add_node(
+        "n0",
+        Box::new(Recorder {
+            node: 0,
+            shared: Arc::clone(&shared),
+        }),
+    );
+    // Out of iface 0, into iface 1 of the same node, no delay.
+    assert_eq!(sim.connect(node, node, LinkSpec::new(Duration::ZERO)), (0, 1));
+    sim.run_until_idle();
+    // The first packet is forwarded mid-burst, the last one after the
+    // burst's other packets are gone.
+    let ttls = [1u8, 0, 0, 2];
+    for (id, &ttl) in (1u32..).zip(&ttls) {
+        sim.inject(node, 1, packet(id, ttl));
+    }
+    sim.run_until_idle();
+    let mut fifo: std::collections::VecDeque<(u32, u8)> = (1u32..).zip(ttls).collect();
+    let mut want = Vec::new();
+    while let Some((id, ttl)) = fifo.pop_front() {
+        want.push((SimTime::ZERO, Kind::Packet, 0, 1, id));
+        if ttl > 0 {
+            fifo.push_back((id, ttl - 1));
+        }
+    }
+    assert_eq!(shared.lock().unwrap().log[1..], want[..]);
+    assert_eq!(sim.stats().packets_delivered, want.len() as u64);
+    assert_eq!(sim.queue_stats().pool_slots, ttls.len() as u64);
+}
+
 /// An `inject` burst is a burst like any other: `n` packets into one
 /// `(node, iface)` in one instant occupy one queue entry.
 #[test]
