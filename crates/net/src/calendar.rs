@@ -2,10 +2,11 @@
 //!
 //! The engine dispatches events in strict `(time, sequence)` order. A
 //! binary heap gives that order in `O(log n)` per operation with poor
-//! cache behaviour: every push and pop shuffles entries across the whole
-//! array. A calendar queue exploits what a heap cannot — simulated time
-//! only moves forward, and most events are scheduled a short, bounded
-//! distance into the future — to make both operations amortized `O(1)`:
+//! cache behaviour once it is large: every push and pop shuffles entries
+//! across the whole array. A calendar queue exploits what a heap cannot —
+//! simulated time only moves forward, and most events are scheduled a
+//! short, bounded distance into the future — to make both operations
+//! amortized `O(1)`:
 //!
 //! - Time is divided into fixed-width *days* of `2^DAY_SHIFT` nanoseconds.
 //! - A power-of-two ring of buckets (the *wheel*) holds every event whose
@@ -30,17 +31,31 @@
 //!   unique, so stability changes nothing observable). The working set
 //!   keeps the capacity of its largest day.
 //!
+//! A small queue is better served by a heap. Its days are sparse, so the
+//! wheel pays a scan, a drain and a sort for nearly every event and gets
+//! nothing back: a six-node NAT Check world never holds more than 19
+//! entries. So a queue starts as a plain binary min-heap on
+//! `(at, seq)` and serves its front in place. The push that takes it past
+//! `WHEEL_AT` = 64 entries builds the wheel and files every entry in it;
+//! the wheel then serves the queue for good, even if it drains again.
+//! The switch is the queue's own depth, not a setting. The benchmark's
+//! worlds peak at 19 entries (NAT Check), 2 (a rendezvous server under a
+//! datagram storm), 451 (a TCP stream) and thousands (crowds, fleets),
+//! so any bound from 19 to 450 splits them the same way.
+//!
 //! The pop order is **exactly** the `(at, seq)` order a `BinaryHeap` with
-//! the same reversed comparator would produce — the property the pinned
-//! result artifacts rest on — verified against a heap model over
-//! arbitrary schedules in `tests/proptest_calendar.rs`.
+//! the same reversed comparator would produce in either tier — the
+//! property the pinned result artifacts rest on — verified against a
+//! heap model over arbitrary schedules, including queues that cross
+//! into their wheel, in `tests/proptest_calendar.rs`.
 //!
 //! The wheel starts small and grows to a horizon
 //! ([`CalendarQueue::ensure_horizon`]), to a population
 //! ([`CalendarQueue::ensure_capacity_for`], from the node count as the
 //! world is built) and when the overflow tier comes under pressure, so a
 //! million-endpoint world and a three-node unit test both get a
-//! right-sized ring.
+//! right-sized ring. Before the wheel exists those calls only record the
+//! size it will be built with.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -51,6 +66,12 @@ use std::time::Duration;
 /// comfortably below the shortest stock link latency (200 µs LAN), so a
 /// forwarding chain almost never lands in the bucket it is draining.
 const DAY_SHIFT: u32 = 16;
+
+/// Most entries the heap tier holds: the push past it builds the wheel.
+/// A heap of 64 is six levels deep. The worlds that stay small (NAT
+/// Check's, a lone rendezvous server) peak at 19 entries or fewer, the
+/// deep ones at hundreds to tens of thousands.
+const WHEEL_AT: usize = 64;
 
 /// Smallest wheel: 256 buckets ≈ a 16.8 ms horizon.
 const MIN_BUCKETS: usize = 256;
@@ -86,6 +107,14 @@ pub struct Entry<T> {
     pub item: T,
 }
 
+impl<T> Entry<T> {
+    /// Whether `self` pops before `other`.
+    #[inline]
+    fn precedes(&self, other: &Self) -> bool {
+        (self.at, self.seq) < (other.at, other.seq)
+    }
+}
+
 impl<T> PartialEq for Entry<T> {
     fn eq(&self, other: &Self) -> bool {
         self.at == other.at && self.seq == other.seq
@@ -109,6 +138,175 @@ impl<T> Ord for Entry<T> {
     }
 }
 
+/// A monotone-time priority queue; see the [module docs](self).
+pub struct CalendarQueue<T> {
+    /// The heap tier: every entry while no wheel exists, as a binary
+    /// min-heap on `(at, seq)` whose root is the front. Empty once the
+    /// wheel is built.
+    heap: Vec<Entry<T>>,
+    /// The wheel, once the queue has held more than [`WHEEL_AT`] entries.
+    /// Inline rather than boxed: a wheel-tier operation then costs one
+    /// branch over the wheel's own.
+    wheel: Option<Wheel<T>>,
+    /// The size the wheel will be built with: the largest any sizing call
+    /// has asked for, a power of two. Unused once the wheel exists.
+    buckets: usize,
+}
+
+impl<T> Default for CalendarQueue<T> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<T> CalendarQueue<T> {
+    /// Creates an empty queue; it allocates nothing until its first push.
+    pub fn new() -> Self {
+        CalendarQueue {
+            heap: Vec::new(),
+            wheel: None,
+            buckets: MIN_BUCKETS,
+        }
+    }
+
+    /// Number of queued entries.
+    pub fn len(&self) -> usize {
+        self.wheel.as_ref().map_or(self.heap.len(), |w| w.len)
+    }
+
+    /// Returns true if no entries are queued.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The wheel's size in buckets (a power of two): the size it was
+    /// built with and has grown to, or, while the queue has never held
+    /// more than 64 entries, the size it will be built with.
+    pub fn bucket_count(&self) -> usize {
+        self.wheel.as_ref().map_or(self.buckets, |w| w.heads.len())
+    }
+
+    /// Grows the wheel (it never shrinks) so that a population of
+    /// `actors` concurrently-scheduling entities keeps its working set
+    /// inside the horizon. The engine calls this as nodes are added,
+    /// replacing any fixed pre-size with one derived from world size.
+    pub fn ensure_capacity_for(&mut self, actors: usize) {
+        self.grow_to(actors.saturating_mul(4).clamp(MIN_BUCKETS, PRESIZE_MAX_BUCKETS));
+    }
+
+    /// Grows the wheel (it never shrinks; at most a 4.3 s horizon) so that
+    /// an entry pushed `span` after the front stays in it: the engine
+    /// passes each link's latency plus jitter. Such an entry is up to
+    /// `span / day + 1` days past the front's, so the wheel spans one more.
+    pub fn ensure_horizon(&mut self, span: Duration) {
+        let days = usize::try_from(span.as_nanos() >> DAY_SHIFT).unwrap_or(usize::MAX);
+        self.grow_to(days.saturating_add(2));
+    }
+
+    /// Grows the wheel to `target` buckets, rounded up to a power of two
+    /// and capped at [`MAX_BUCKETS`]; before the wheel exists, plans it.
+    fn grow_to(&mut self, target: usize) {
+        let target = target.min(MAX_BUCKETS).next_power_of_two();
+        match &mut self.wheel {
+            Some(wheel) => wheel.grow_to(target),
+            None => self.buckets = self.buckets.max(target),
+        }
+    }
+
+    /// Inserts an entry. `seq` must be unique among live entries.
+    pub fn push(&mut self, at: SimTime, seq: u64, item: T) {
+        let e = Entry { at, seq, item };
+        if let Some(wheel) = &mut self.wheel {
+            wheel.push(e);
+        } else if self.heap.len() < WHEEL_AT {
+            self.heap_push(e);
+        } else {
+            self.build_wheel().push(e);
+        }
+    }
+
+    /// Builds the wheel at its planned size and files every heap entry in
+    /// it. The heap's root goes first, so the wheel's window anchors on
+    /// the earliest day.
+    #[cold]
+    fn build_wheel(&mut self) -> &mut Wheel<T> {
+        let mut wheel = Wheel::new(self.buckets);
+        for e in std::mem::take(&mut self.heap) {
+            wheel.push(e);
+        }
+        self.wheel.insert(wheel)
+    }
+
+    /// The earliest entry, if any, without removing it.
+    pub fn front(&mut self) -> Option<&Entry<T>> {
+        match &mut self.wheel {
+            Some(wheel) => wheel.front(),
+            None => self.heap.first(),
+        }
+    }
+
+    /// The earliest entry's item, for changing in place. Its `at` and
+    /// `seq` — its place in the order — are not reachable through it.
+    pub fn front_item_mut(&mut self) -> Option<&mut T> {
+        match &mut self.wheel {
+            Some(wheel) => wheel.front_item_mut(),
+            None => self.heap.first_mut().map(|e| &mut e.item),
+        }
+    }
+
+    /// The earliest entry's scheduled time, if any.
+    pub fn next_at(&mut self) -> Option<SimTime> {
+        self.front().map(|e| e.at)
+    }
+
+    /// Removes and returns the earliest entry.
+    pub fn pop_front(&mut self) -> Option<Entry<T>> {
+        match &mut self.wheel {
+            Some(wheel) => wheel.pop_front(),
+            None => self.heap_pop(),
+        }
+    }
+
+    /// Adds `e` to the heap tier: appended as a leaf, it rises past every
+    /// ancestor it precedes.
+    fn heap_push(&mut self, e: Entry<T>) {
+        let h = &mut self.heap;
+        h.push(e);
+        let mut i = h.len() - 1;
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if !h[i].precedes(&h[parent]) {
+                break;
+            }
+            h.swap(i, parent);
+            i = parent;
+        }
+    }
+
+    /// Removes the heap tier's root: the last leaf takes its place and
+    /// sinks below every child that precedes it.
+    fn heap_pop(&mut self) -> Option<Entry<T>> {
+        let h = &mut self.heap;
+        if h.is_empty() {
+            return None;
+        }
+        let front = h.swap_remove(0);
+        let mut i = 0;
+        while let Some(left) = h.get(2 * i + 1) {
+            let child = match h.get(2 * i + 2) {
+                Some(right) if right.precedes(left) => 2 * i + 2,
+                _ => 2 * i + 1,
+            };
+            if !h[child].precedes(&h[i]) {
+                break;
+            }
+            h.swap(i, child);
+            i = child;
+        }
+        Some(front)
+    }
+}
+
 /// One slab slot: a wheel entry on its bucket's list, or (`entry` is
 /// `None`) a free slot on the free list.
 struct Slot<T> {
@@ -116,8 +314,8 @@ struct Slot<T> {
     next: u32,
 }
 
-/// A monotone-time priority queue; see the [module docs](self).
-pub struct CalendarQueue<T> {
+/// The wheel tier with its overflow heap; see the [module docs](self).
+struct Wheel<T> {
     /// The wheel: each bucket's first slab slot, or [`NIL`].
     /// `heads.len()` is a power of two.
     heads: Vec<u32>,
@@ -155,44 +353,23 @@ pub struct CalendarQueue<T> {
     len: usize,
 }
 
-impl<T> Default for CalendarQueue<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> CalendarQueue<T> {
-    /// Creates an empty queue with the minimum wheel size.
-    pub fn new() -> Self {
-        CalendarQueue {
-            heads: vec![NIL; MIN_BUCKETS],
+impl<T> Wheel<T> {
+    /// An empty wheel of `buckets` buckets, a power of two of at least 64.
+    fn new(buckets: usize) -> Self {
+        Wheel {
+            heads: vec![NIL; buckets],
             slab: Vec::new(),
             free: NIL,
-            occupied: vec![0; MIN_BUCKETS / 64],
-            mask: MIN_BUCKETS as u64 - 1,
+            occupied: vec![0; buckets / 64],
+            mask: buckets as u64 - 1,
             wheel_len: 0,
             cursor: 0,
-            migrated_until: MIN_BUCKETS as u64,
+            migrated_until: buckets as u64,
             current: Vec::new(),
             ready: false,
             overflow: BinaryHeap::new(),
             len: 0,
         }
-    }
-
-    /// Number of queued entries.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Returns true if no entries are queued.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Current wheel size in buckets (a power of two).
-    pub fn bucket_count(&self) -> usize {
-        self.heads.len()
     }
 
     #[inline]
@@ -273,27 +450,10 @@ impl<T> CalendarQueue<T> {
         }
     }
 
-    /// Grows the wheel (it never shrinks) so that a population of
-    /// `actors` concurrently-scheduling entities keeps its working set
-    /// inside the horizon. The engine calls this as nodes are added,
-    /// replacing any fixed pre-size with one derived from world size.
-    pub fn ensure_capacity_for(&mut self, actors: usize) {
-        self.grow_to(actors.saturating_mul(4).clamp(MIN_BUCKETS, PRESIZE_MAX_BUCKETS));
-    }
-
-    /// Grows the wheel (it never shrinks; at most a 4.3 s horizon) so that
-    /// an entry pushed `span` after the front stays in it: the engine
-    /// passes each link's latency plus jitter. Such an entry is up to
-    /// `span / day + 1` days past the front's, so the wheel spans one more.
-    pub fn ensure_horizon(&mut self, span: Duration) {
-        let days = usize::try_from(span.as_nanos() >> DAY_SHIFT).unwrap_or(usize::MAX);
-        self.grow_to(days.saturating_add(2));
-    }
-
     /// Inserts an entry. `seq` must be unique among live entries.
-    pub fn push(&mut self, at: SimTime, seq: u64, item: T) {
+    fn push(&mut self, e: Entry<T>) {
         self.len += 1;
-        let d = Self::day(at);
+        let d = Self::day(e.at);
         // An entry on or before the working set's front day may belong
         // ahead of it; drop the fast path and let `prepare` re-merge.
         // (Later days can never precede the tail, so the flag survives
@@ -320,9 +480,9 @@ impl<T> CalendarQueue<T> {
         // all lie beyond `migrated_until`, and the scan migrates them on
         // reaching it, before it can pass one.
         if d < self.migrated_until.max(self.cursor + self.heads.len() as u64) {
-            self.store(Entry { at, seq, item });
+            self.store(e);
         } else {
-            self.overflow.push(Entry { at, seq, item });
+            self.overflow.push(e);
             // Sustained far-future load means the horizon is too short
             // for this workload; double the wheel rather than churning
             // entries through the heap.
@@ -344,25 +504,19 @@ impl<T> CalendarQueue<T> {
     }
 
     /// The earliest entry, if any, without removing it.
-    pub fn front(&mut self) -> Option<&Entry<T>> {
+    fn front(&mut self) -> Option<&Entry<T>> {
         self.settle();
         self.current.last()
     }
 
-    /// The earliest entry's item, for changing in place. Its `at` and
-    /// `seq` — its place in the order — are not reachable through it.
-    pub fn front_item_mut(&mut self) -> Option<&mut T> {
+    /// The earliest entry's item, for changing in place.
+    fn front_item_mut(&mut self) -> Option<&mut T> {
         self.settle();
         self.current.last_mut().map(|e| &mut e.item)
     }
 
-    /// The earliest entry's scheduled time, if any.
-    pub fn next_at(&mut self) -> Option<SimTime> {
-        self.front().map(|e| e.at)
-    }
-
     /// Removes and returns the earliest entry.
-    pub fn pop_front(&mut self) -> Option<Entry<T>> {
+    fn pop_front(&mut self) -> Option<Entry<T>> {
         self.settle();
         let popped = self.current.pop()?;
         self.len -= 1;
@@ -503,10 +657,9 @@ impl<T> CalendarQueue<T> {
         moved
     }
 
-    /// Re-files every wheel entry for a larger ring by relinking its
-    /// slot; no entry moves.
+    /// Re-files every wheel entry for a larger ring of `target` buckets (a
+    /// power of two) by relinking its slot; no entry moves.
     fn grow_to(&mut self, target: usize) {
-        let target = target.min(MAX_BUCKETS).next_power_of_two();
         if target <= self.heads.len() {
             return;
         }
@@ -543,9 +696,14 @@ pub(crate) mod tests {
         out
     }
 
-    /// Entries in the overflow heap, for the engine's tests.
-    pub(crate) fn overflow_len<T>(q: &CalendarQueue<T>) -> usize {
-        q.overflow.len()
+    /// Entries in the overflow heap, for the engine's tests; `None` while
+    /// the queue has no wheel (and so no overflow tier).
+    pub(crate) fn overflow_len<T>(q: &CalendarQueue<T>) -> Option<usize> {
+        q.wheel.as_ref().map(|w| w.overflow.len())
+    }
+
+    fn wheel<T>(q: &CalendarQueue<T>) -> &Wheel<T> {
+        q.wheel.as_ref().expect("the queue has built its wheel")
     }
 
     #[test]
@@ -566,17 +724,20 @@ pub(crate) mod tests {
     #[test]
     fn far_future_entries_go_through_overflow_and_back() {
         let mut q = CalendarQueue::new();
-        // Far beyond the minimum wheel horizon (256 days ≈ 16.8 ms).
+        // A wheel, its window anchored at 10 ns, and far beyond the
+        // minimum wheel horizon (256 days ≈ 16.8 ms).
+        for seq in 0..WHEEL_AT as u64 {
+            q.push(t(10), 100 + seq, 0);
+        }
         q.push(t(3_600_000_000_000), 0, 1); // 1 hour
         q.push(t(10), 1, 2);
         q.push(t(60_000_000_000), 2, 3); // 1 minute
+        assert_eq!(overflow_len(&q), Some(2));
+        let got = drain(&mut q);
+        assert_eq!(got[0], (10, 1, 2));
         assert_eq!(
-            drain(&mut q),
-            vec![
-                (10, 1, 2),
-                (60_000_000_000, 2, 3),
-                (3_600_000_000_000, 0, 1)
-            ]
+            got[WHEEL_AT + 1..],
+            [(60_000_000_000, 2, 3), (3_600_000_000_000, 0, 1)]
         );
     }
 
@@ -597,13 +758,15 @@ pub(crate) mod tests {
 
     #[test]
     fn push_below_a_peeked_day_still_pops_first() {
-        // Peeking scans the cursor forward; a later push below that day
-        // (legal: the clock has not reached the peeked event) must still
-        // pop before it.
+        // Peeking scans the wheel's cursor forward; a later push below
+        // that day (legal: the clock has not reached the peeked event)
+        // must still pop before it.
         let mut q = CalendarQueue::new();
-        q.push(t(500_000_000), 0, 0); // day ≈ 7629
+        for seq in 0..=WHEEL_AT as u64 {
+            q.push(t(500_000_000), seq, 0); // day ≈ 7629
+        }
         assert_eq!(q.next_at(), Some(t(500_000_000)));
-        q.push(t(1_000_000), 1, 1); // well below the scanned day
+        q.push(t(1_000_000), 100, 1); // well below the scanned day
         assert_eq!(q.pop_front().map(|e| e.item), Some(1));
         assert_eq!(q.pop_front().map(|e| e.item), Some(0));
     }
@@ -630,7 +793,7 @@ pub(crate) mod tests {
             expect.push((at, seq));
         }
         q.ensure_capacity_for(100_000);
-        assert!(q.bucket_count() > MIN_BUCKETS);
+        assert!(wheel(&q).heads.len() > MIN_BUCKETS);
         expect.sort_unstable();
         let got: Vec<(u64, u64)> = drain(&mut q)
             .into_iter()
@@ -663,7 +826,7 @@ pub(crate) mod tests {
             q.push(t(1_000_000), seq, 0u32);
         }
         q.push(t(2_000_000), 10_000, 0u32);
-        let high_water = q.slab.len();
+        let high_water = wheel(&q).slab.len();
         assert!(high_water <= 10_001, "slab holds {high_water} slots");
         for _ in 0..10_000 {
             assert!(q.pop_front().is_some());
@@ -671,7 +834,11 @@ pub(crate) mod tests {
         for seq in 10_001..110_001u64 {
             let e = q.pop_front().expect("one entry is always pending");
             q.push(e.at + Duration::from_micros(200), seq, 0u32);
-            assert_eq!(q.slab.len(), high_water, "a one-entry day grew the slab");
+            assert_eq!(
+                wheel(&q).slab.len(),
+                high_water,
+                "a one-entry day grew the slab"
+            );
         }
         assert_eq!(drain(&mut q).len(), 1);
     }
@@ -680,18 +847,54 @@ pub(crate) mod tests {
     fn wan_deliveries_stay_in_the_wheel() {
         // A window of packets in flight over `LinkSpec::wan()`, 30 ms +
         // 3 ms of jitter: each delivery sends the next one a hop ahead.
+        // Twice `WHEEL_AT` of them, so the queue has built its wheel.
         let hop = Duration::from_millis(33);
+        let window = 2 * WHEEL_AT as u64;
         let mut q = CalendarQueue::new();
         q.ensure_horizon(hop);
         assert_eq!(q.bucket_count(), 512);
-        for seq in 0..64u64 {
-            q.push(t(seq * 515_625), seq, 0u32);
+        for seq in 0..window {
+            q.push(t(seq * 33_000_000 / window), seq, 0u32);
         }
-        for seq in 64..10_064u64 {
+        assert_eq!(wheel(&q).heads.len(), 512);
+        for seq in window..window + 10_000 {
             let e = q.pop_front().expect("the window never drains");
             q.push(e.at + hop, seq, 0u32);
-            assert!(q.overflow.is_empty(), "a WAN hop took the overflow heap");
+            assert_eq!(
+                overflow_len(&q),
+                Some(0),
+                "a WAN hop took the overflow heap"
+            );
         }
+    }
+
+    #[test]
+    fn a_queue_builds_its_wheel_on_its_65th_entry() {
+        let mut q = CalendarQueue::new();
+        q.ensure_horizon(Duration::from_millis(33));
+        q.ensure_capacity_for(200);
+        q.ensure_horizon(Duration::from_millis(1));
+        for seq in 0..WHEEL_AT as u64 {
+            q.push(t(seq * 1_000_000), seq, seq as u32);
+            assert!(q.wheel.is_none(), "a wheel at {} entries", q.len());
+        }
+        // The size the sizing calls asked for, not yet allocated.
+        assert_eq!(q.bucket_count(), 1024);
+        assert_eq!(q.pop_front().map(|e| e.seq), Some(0));
+        q.push(t(0), 1000, 0);
+        assert!(q.wheel.is_none());
+        q.push(t(500_000), 1001, 0);
+        let w = wheel(&q);
+        assert_eq!((w.heads.len(), w.occupied.len(), q.len()), (1024, 16, 65));
+        assert!(q.heap.is_empty());
+        let order: Vec<u64> = std::iter::from_fn(|| q.pop_front().map(|e| e.seq)).collect();
+        let mut want = vec![1000, 1001];
+        want.extend(1..WHEEL_AT as u64);
+        assert_eq!(order, want);
+        // Drained, the queue keeps its wheel.
+        q.push(t(100_000_000), 2000, 0);
+        assert_eq!(overflow_len(&q), Some(0));
+        assert_eq!(q.pop_front().map(|e| e.seq), Some(2000));
     }
 
     #[test]
@@ -699,13 +902,21 @@ pub(crate) mod tests {
         let mut q = CalendarQueue::new();
         assert!(q.is_empty());
         q.push(t(5), 0, 0);
-        q.push(t(50_000_000_000), 1, 0); // overflow
+        q.push(t(50_000_000_000), 1, 0);
         assert_eq!(q.len(), 2);
         let _ = q.front();
         assert_eq!(q.len(), 2, "peeking must not consume");
-        let _ = q.pop_front();
-        assert_eq!(q.len(), 1);
-        let _ = q.pop_front();
+        for seq in 2..=WHEEL_AT as u64 {
+            q.push(t(5), seq, 0);
+        }
+        assert_eq!(overflow_len(&q), Some(1));
+        assert_eq!(q.len(), WHEEL_AT + 1);
+        let _ = q.front();
+        assert_eq!(q.len(), WHEEL_AT + 1, "peeking must not consume");
+        for left in (0..=WHEEL_AT).rev() {
+            let _ = q.pop_front();
+            assert_eq!(q.len(), left);
+        }
         assert!(q.is_empty());
     }
 }

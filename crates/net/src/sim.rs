@@ -450,8 +450,8 @@ impl Sim {
         Sim {
             core: SimCore {
                 time: SimTime::ZERO,
-                // The calendar queue starts at its minimum wheel size and
-                // grows with the node population (see `add_node`), so a
+                // The calendar queue's wheel is sized from the node
+                // population (see `add_node`) and the links, so a
                 // three-node test and a million-endpoint shard both get a
                 // right-sized queue instead of one fixed pre-size.
                 queue: CalendarQueue::new(),
@@ -595,9 +595,10 @@ impl Sim {
     /// conditions mid-run. Takes effect for every packet transmitted
     /// after the call; packets already in flight are unaffected.
     ///
-    /// The event queue is not told: a latency raised past what the links
-    /// were connected with is served from its overflow tier — correct,
-    /// only slower (a scheduled [`LinkAction::Set`] does tell it).
+    /// The event queue is not told: once it has built its wheel, a
+    /// latency raised past what the links were connected with is served
+    /// from its overflow tier — correct, only slower (a scheduled
+    /// [`LinkAction::Set`] does tell it).
     pub fn link_mut(&mut self, link: LinkId) -> &mut LinkSpec {
         &mut self.core.links[link].spec
     }
@@ -1169,9 +1170,14 @@ mod tests {
         let slow = LinkSpec::new(Duration::from_millis(200));
         sim.schedule_link_fault(SimTime::from_millis(1), link, LinkAction::Set(slow));
         sim.run_until(SimTime::from_millis(2));
+        // 65 timers pending through the sends: the queue builds its wheel.
+        for token in 0..65 {
+            sim.wake(b, Duration::from_millis(250), token);
+        }
         for _ in 0..5 {
             sim.with_node(a, |_, ctx| ctx.send(0, udp()));
-            assert_eq!(overflow_len(&sim.core.queue), 0, "a 200 ms delivery overflowed");
+            let overflow = overflow_len(&sim.core.queue);
+            assert_eq!(overflow, Some(0), "a 200 ms delivery overflowed");
             sim.run_for(Duration::from_millis(30));
         }
         sim.run_until_idle();

@@ -9,8 +9,13 @@
 //! `run_for` / `run_while` / `step`. Whatever the engine batches
 //! internally, the callback sequence, the counters and the pending-event
 //! high-water mark must be exactly the reference's.
+//!
+//! Every case runs twice: as written, where the queue stays small, and
+//! with [`build_wheel`]'s idle node holding it above 64 entries from the
+//! start, so both of the event queue's tiers are held to the reference.
 
 use proptest::prelude::*;
+use punch_net::testutil::CounterDevice;
 use punch_net::{
     Ctx, Device, Duration, Endpoint, IfaceId, LinkAction, LinkSpec, NodeId, Packet, Sim, SimStats,
     SimTime,
@@ -47,6 +52,22 @@ const WIRING: [[(usize, usize, usize); 2]; 3] = [
     [(0, 0, 0), (1, 2, 0)],
     [(1, 1, 1), (2, 0, 1)],
 ];
+
+/// The idle node [`build_wheel`] adds after the ring: it has no links,
+/// records nothing, and its timers fire an hour out, after any script.
+const IDLE: usize = 3;
+const IDLE_TIMERS: u64 = 64;
+const IDLE_AFTER: Duration = Duration::from_secs(3600);
+
+/// Adds an idle node and arms [`IDLE_TIMERS`] timers for it, so the queue
+/// holds more than 64 entries before the first event runs and builds its
+/// calendar wheel.
+fn build_wheel(sim: &mut Sim) {
+    let idle = sim.add_node("idle", Box::new(CounterDevice::default()));
+    for token in 0..IDLE_TIMERS {
+        sim.wake(idle, IDLE_AFTER, token);
+    }
+}
 
 /// What a device may do from a callback; the engine and the reference
 /// each implement it, so both run the same [`react`].
@@ -212,7 +233,8 @@ struct Model {
 }
 
 impl Model {
-    fn new() -> Self {
+    /// The ring's three nodes, and with `wheel` [`build_wheel`]'s idle one.
+    fn new(wheel: bool) -> Self {
         let mut m = Model {
             now: SimTime::ZERO,
             seq: 0,
@@ -225,6 +247,12 @@ impl Model {
             depth_high_water: 0,
         };
         (0..3).for_each(|n| m.push(SimTime::ZERO, Ev::Start(n)));
+        if wheel {
+            m.push(SimTime::ZERO, Ev::Start(IDLE));
+            for token in 0..IDLE_TIMERS {
+                m.push(SimTime::ZERO + IDLE_AFTER, Ev::Timer { node: IDLE, token });
+            }
+        }
         m
     }
 
@@ -265,6 +293,9 @@ impl Model {
     }
 
     fn call(&mut self, node: usize, call: Call) {
+        if node == IDLE {
+            return;
+        }
         self.node = node;
         react(self, call);
     }
@@ -404,8 +435,15 @@ fn op() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// Runs `script` through the engine and the reference in lock step.
+/// Runs `script` through the engine and the reference in lock step, on a
+/// small queue and on one that has built its wheel.
 fn check(script: &[Op]) {
+    run(script, false);
+    run(script, true);
+}
+
+/// One [`check`] run; with `wheel`, [`build_wheel`] goes first.
+fn run(script: &[Op], wheel: bool) {
     let shared = Arc::new(Mutex::new(Shared::default()));
     let mut sim = Sim::new(7);
     let nodes: Vec<NodeId> = (0..3)
@@ -423,7 +461,10 @@ fn check(script: &[Op]) {
         let (near, far) = sim.connect(nodes[i], nodes[(i + 1) % 3], spec);
         assert_eq!(WIRING[i][near], (i, (i + 1) % 3, far), "ring wiring");
     }
-    let mut model = Model::new();
+    if wheel {
+        build_wheel(&mut sim);
+    }
+    let mut model = Model::new(wheel);
     let ms = Duration::from_millis;
 
     for op in script {
@@ -520,11 +561,11 @@ fn check(script: &[Op]) {
             }
             Op::Step => assert_eq!(sim.step(), model.step(), "step found an event"),
         }
-        assert_eq!(sim.now(), model.now, "clock after {op:?}");
+        assert_eq!(sim.now(), model.now, "clock after {op:?} (wheel {wheel})");
         assert_eq!(
             shared.lock().unwrap().log,
             model.log,
-            "callbacks after {op:?}"
+            "callbacks after {op:?} (wheel {wheel})"
         );
     }
 
@@ -532,11 +573,15 @@ fn check(script: &[Op]) {
     while model.step() {
         idle_events += 1;
     }
-    assert_eq!(sim.run_until_idle(), idle_events);
-    assert_eq!(sim.now(), model.now);
-    assert_eq!(shared.lock().unwrap().log, model.log);
-    assert_eq!(sim.stats(), model.stats);
-    assert_eq!(sim.queue_stats().depth_high_water, model.depth_high_water);
+    assert_eq!(sim.run_until_idle(), idle_events, "wheel {wheel}");
+    assert_eq!(sim.now(), model.now, "wheel {wheel}");
+    assert_eq!(shared.lock().unwrap().log, model.log, "wheel {wheel}");
+    assert_eq!(sim.stats(), model.stats, "wheel {wheel}");
+    assert_eq!(
+        sim.queue_stats().depth_high_water,
+        model.depth_high_water,
+        "wheel {wheel}"
+    );
 }
 
 proptest! {
@@ -616,36 +661,44 @@ fn same_instant_cascade_by_hand() {
 /// in, and the callbacks must follow plain FIFO order at one instant.
 #[test]
 fn a_packet_sent_into_its_own_burst_reuses_its_slot_in_order() {
-    let mut sim = Sim::new(1);
-    let shared = Arc::new(Mutex::new(Shared::default()));
-    let node = sim.add_node(
-        "n0",
-        Box::new(Recorder {
-            node: 0,
-            shared: Arc::clone(&shared),
-        }),
-    );
-    // Out of iface 0, into iface 1 of the same node, no delay.
-    assert_eq!(sim.connect(node, node, LinkSpec::new(Duration::ZERO)), (0, 1));
-    sim.run_until_idle();
-    // The first packet is forwarded mid-burst, the last one after the
-    // burst's other packets are gone.
-    let ttls = [1u8, 0, 0, 2];
-    for (id, &ttl) in (1u32..).zip(&ttls) {
-        sim.inject(node, 1, packet(id, ttl));
-    }
-    sim.run_until_idle();
-    let mut fifo: std::collections::VecDeque<(u32, u8)> = (1u32..).zip(ttls).collect();
-    let mut want = Vec::new();
-    while let Some((id, ttl)) = fifo.pop_front() {
-        want.push((SimTime::ZERO, Kind::Packet, 0, 1, id));
-        if ttl > 0 {
-            fifo.push_back((id, ttl - 1));
+    for wheel in [false, true] {
+        let mut sim = Sim::new(1);
+        let shared = Arc::new(Mutex::new(Shared::default()));
+        let node = sim.add_node(
+            "n0",
+            Box::new(Recorder {
+                node: 0,
+                shared: Arc::clone(&shared),
+            }),
+        );
+        // Out of iface 0, into iface 1 of the same node, no delay.
+        assert_eq!(
+            sim.connect(node, node, LinkSpec::new(Duration::ZERO)),
+            (0, 1)
+        );
+        if wheel {
+            build_wheel(&mut sim);
         }
+        sim.run_until(SimTime::ZERO);
+        // The first packet is forwarded mid-burst, the last one after the
+        // burst's other packets are gone.
+        let ttls = [1u8, 0, 0, 2];
+        for (id, &ttl) in (1u32..).zip(&ttls) {
+            sim.inject(node, 1, packet(id, ttl));
+        }
+        sim.run_until_idle();
+        let mut fifo: std::collections::VecDeque<(u32, u8)> = (1u32..).zip(ttls).collect();
+        let mut want = Vec::new();
+        while let Some((id, ttl)) = fifo.pop_front() {
+            want.push((SimTime::ZERO, Kind::Packet, 0, 1, id));
+            if ttl > 0 {
+                fifo.push_back((id, ttl - 1));
+            }
+        }
+        assert_eq!(shared.lock().unwrap().log[1..], want[..], "wheel {wheel}");
+        assert_eq!(sim.stats().packets_delivered, want.len() as u64);
+        assert_eq!(sim.queue_stats().pool_slots, ttls.len() as u64);
     }
-    assert_eq!(shared.lock().unwrap().log[1..], want[..]);
-    assert_eq!(sim.stats().packets_delivered, want.len() as u64);
-    assert_eq!(sim.queue_stats().pool_slots, ttls.len() as u64);
 }
 
 /// An `inject` burst is a burst like any other: `n` packets into one

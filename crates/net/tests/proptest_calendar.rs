@@ -11,8 +11,10 @@
 //! far larger than a bucket's first buffer, pushes into the day whose
 //! sorted working set is being served (the merge path), a WAN hop's
 //! 30–36 ms ahead on the default wheel, which is shorter than that, the
-//! wheel sized to a link's delay mid-stream, and the front's item
-//! rewritten in place (how the engine serves a burst).
+//! wheel sized to a link's delay mid-stream, the front's item
+//! rewritten in place (how the engine serves a burst), and a queue
+//! that starts small, is sized before its wheel exists, crosses 64
+//! entries with its front just rewritten, and drains back below 64.
 
 use proptest::prelude::*;
 use punch_net::calendar::CalendarQueue;
@@ -45,6 +47,11 @@ enum Op {
     /// Change the front's item through `front_item_mut`; it must still
     /// pop next, under the same `(at, seq)`.
     RewriteFront,
+    /// Push until the queue holds `n` entries, cycling through `offsets`
+    /// past the clock.
+    Fill { n: usize, offsets: Vec<u64> },
+    /// Pop until the queue holds at most `n` entries.
+    DrainTo { n: usize },
 }
 
 /// The queue's day width (`calendar::DAY_SHIFT`, private to it).
@@ -115,6 +122,66 @@ fn wan_op() -> impl Strategy<Value = Op> {
         Just(Op::RewriteFront),
         Just(Op::RewriteFront),
     ]
+}
+
+/// The queue's tier switch (`calendar::WHEEL_AT`, private to it): a push
+/// past this many entries builds the wheel.
+const WHEEL_AT: usize = 64;
+
+/// A push offset from any of `arb_op`'s ranges.
+fn offset() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        0u64..50_000_000,
+        0u64..200,
+        30_000_000u64..36_000_000,
+        0u64..120_000_000_000,
+    ]
+}
+
+/// An operation that adds at most one entry, sizing calls included.
+fn single_op() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        offset().prop_map(|offset_ns| Op::Push { offset_ns }),
+        offset().prop_map(|offset_ns| Op::Push { offset_ns }),
+        Just(Op::Pop),
+        Just(Op::PopBurst),
+        (1usize..200_000).prop_map(|actors| Op::Grow { actors }),
+        horizon(),
+        any::<u64>().prop_map(|pick| Op::PushIntoFrontDay { pick }),
+        Just(Op::RewriteFront),
+    ]
+}
+
+/// A queue that starts empty and crosses [`WHEEL_AT`] entries at an
+/// arbitrary step: fewer than 40 single-entry operations (sizing calls
+/// before any wheel exists among them), a fill to exactly `WHEEL_AT`, the
+/// front rewritten in place, the crossing push, arbitrary operations, a
+/// drain back below `WHEEL_AT`, and more operations on the drained queue.
+fn crossing() -> impl Strategy<Value = Vec<Op>> {
+    let ops = |n| proptest::collection::vec(single_op(), 0..n);
+    (
+        ops(40),
+        proptest::collection::vec(offset(), 1..8),
+        offset(),
+        proptest::collection::vec(arb_op(), 0..100),
+        0..WHEEL_AT,
+        ops(100),
+    )
+        .prop_map(|(before, offsets, crossing, after, low, tail)| {
+            let mut script = before;
+            script.push(Op::Fill {
+                n: WHEEL_AT,
+                offsets,
+            });
+            script.push(Op::RewriteFront);
+            script.push(Op::Push {
+                offset_ns: crossing,
+            });
+            script.extend(after);
+            script.push(Op::DrainTo { n: low });
+            script.extend(tail);
+            script
+        })
 }
 
 /// Runs `ops` against a default-sized queue and the heap model, then
@@ -189,6 +256,22 @@ fn check(ops: &[Op]) {
                     None => prop_assert!(rewritten.is_none()),
                 }
             }
+            Op::Fill { n, offsets } => {
+                for offset_ns in offsets.iter().cycle().take(n.saturating_sub(heap.len())) {
+                    let at = now + Duration::from_nanos(*offset_ns);
+                    push_both(&mut cal, &mut heap, &mut seq, at);
+                }
+            }
+            Op::DrainTo { n } => {
+                while heap.len() > *n {
+                    let got = cal.pop_front().map(|e| (e.at, e.seq, e.item));
+                    let want = heap.pop().map(|Reverse(k)| k);
+                    prop_assert_eq!(got, want);
+                    if let Some((at, _, _)) = got {
+                        now = at;
+                    }
+                }
+            }
         }
         prop_assert_eq!(cal.len(), heap.len());
     }
@@ -212,6 +295,11 @@ proptest! {
 
     #[test]
     fn wan_schedules_pop_in_exact_heap_order(ops in proptest::collection::vec(wan_op(), 1..600)) {
+        check(&ops);
+    }
+
+    #[test]
+    fn a_queue_crossing_into_its_wheel_pops_in_exact_heap_order(ops in crossing()) {
         check(&ops);
     }
 }

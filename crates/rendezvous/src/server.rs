@@ -343,6 +343,9 @@ pub struct RendezvousServer {
     pending: BTreeMap<(u64, u64, u64), PendingIntro>,
     /// Per-source-IP token buckets ([`ServerConfig::rate_limit`]).
     buckets: BTreeMap<Ipv4Addr, Bucket>,
+    /// `buckets.len()` past which an admitted datagram sweeps the map:
+    /// `max_clients`, or twice what the last sweep left if that is more.
+    sweep_above: usize,
     stats: ServerStats,
     /// Monotone activity counter shared by both transports; stamps
     /// make the eviction victim (unique minimum) independent of
@@ -366,6 +369,7 @@ impl RendezvousServer {
              pick a lower port"
         );
         RendezvousServer {
+            sweep_above: cfg.max_clients,
             cfg,
             udp_sock: None,
             probe_sock: None,
@@ -446,10 +450,12 @@ impl RendezvousServer {
         b.last = now;
         if b.tokens >= MICRO {
             b.tokens -= MICRO;
-            // Bound the bucket map: once it outgrows the client table,
-            // drop sources whose bucket has (or by now would have)
-            // refilled completely — forgetting them loses nothing.
-            if self.buckets.len() > self.cfg.max_clients {
+            // Bound the bucket map: once it outgrows the client table and
+            // has doubled since the last sweep, drop sources whose bucket
+            // has (or by now would have) refilled completely — forgetting
+            // them loses nothing. Sweeping only on doubling keeps a
+            // spoofed-source flood at O(1) amortised per datagram.
+            if self.buckets.len() > self.sweep_above {
                 let rate = u64::from(rate);
                 self.buckets.retain(|_, b| {
                     let refill = u64::try_from(now.saturating_since(b.last).as_nanos())
@@ -458,6 +464,7 @@ impl RendezvousServer {
                         / 1000;
                     b.tokens.saturating_add(refill) < cap
                 });
+                self.sweep_above = self.cfg.max_clients.max(2 * self.buckets.len());
             }
             true
         } else {
@@ -1139,5 +1146,59 @@ impl App for RendezvousServer {
             SockEvent::TcpAborted { sock, .. } => self.drop_conn(sock),
             _ => {}
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use punch_net::testutil::SinkDevice;
+    use punch_net::{LinkSpec, NodeId, Packet, Sim};
+    use punch_transport::{HostDevice, StackConfig};
+
+    /// A spoofed-source flood: `4 × max_clients` sources, one every 15 ms
+    /// over the first second, each registering once except every eighth,
+    /// which sends two datagrams past its bucket. The bucket map stays
+    /// within twice the client cap, and sweeping it never changes a
+    /// verdict.
+    #[test]
+    fn a_spoofed_source_flood_keeps_the_bucket_map_bounded() {
+        const MAX_CLIENTS: usize = 16;
+        const RATE: u32 = 20;
+        let mut sim = Sim::new(3);
+        let cfg = ServerConfig::default()
+            .with_max_clients(MAX_CLIENTS)
+            .with_rate_limit(RATE);
+        let server_ep = Endpoint::new(Ipv4Addr::new(18, 181, 0, 31), cfg.port);
+        let server = Box::new(RendezvousServer::new(cfg));
+        let host = HostDevice::new(server_ep.ip, StackConfig::default(), server);
+        let server = sim.add_node("server", Box::new(host));
+        let sink = sim.add_node("sink", Box::new(SinkDevice::default()));
+        sim.connect(server, sink, LinkSpec::new(Duration::from_millis(1)));
+        let mut most = 0;
+        for k in 0..4 * MAX_CLIENTS as u32 {
+            sim.run_until(SimTime::from_millis(u64::from(k) * 15));
+            let src = Endpoint::new(Ipv4Addr::from(0x0a00_0000 + k), 4000);
+            let msg = Message::Register {
+                peer_id: PeerId(u64::from(k) + 1),
+                private: src,
+            };
+            let sends = if k % 8 == 0 { RATE + 2 } else { 1 };
+            for _ in 0..sends {
+                sim.inject(server, 0, Packet::udp(src, server_ep, msg.encode(true)));
+            }
+            sim.run_for(Duration::from_micros(1));
+            most = most.max(app(&sim, server).buckets.len());
+        }
+        sim.run_for(Duration::from_secs(1));
+        assert!(most <= 2 * MAX_CLIENTS + 1, "{most} buckets");
+        // Every verdict as if no bucket were ever forgotten: 8 sources × 2
+        // refused, and an ack for each of the other 56 + 8 × 20 datagrams.
+        let replies = sim.device::<SinkDevice>(sink).packets.len();
+        assert_eq!((app(&sim, server).stats().rate_limited, replies), (16, 216));
+    }
+
+    fn app(sim: &Sim, node: NodeId) -> &RendezvousServer {
+        sim.device::<HostDevice>(node).app()
     }
 }

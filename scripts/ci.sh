@@ -120,9 +120,10 @@ echo "== memory gates: full-size fleet_churn peaks under 60 MiB, server_storm un
 # coming back is a red build.
 peak_rss_under fleet_churn 60
 # server_storm (52 MiB) injects 150 000 datagrams at one instant: one
-# queue entry per burst (its packets chained through the arena), so the
-# queue's slab and working set hold one entry, not the burst. A queue
-# entry per datagram again reads 57 MiB, and no test sees it.
+# queue entry per burst (its packets chained through the arena), so its
+# queue never holds more than 64 entries and never builds a wheel, slab
+# or working set. A queue entry per datagram again reads 57 MiB, and no
+# test sees it.
 peak_rss_under server_storm 55
 # crowd_udp (195 MiB, 80 008 nodes) is where the queue's retention would
 # show: its slab keeps the most entries the wheel ever held and its
