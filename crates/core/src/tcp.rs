@@ -266,7 +266,7 @@ impl TcpPeer {
     }
 
     fn send_frame(&self, os: &mut Os<'_, '_>, sock: SocketId, msg: &Message) {
-        let _ = os.tcp_send(sock, &encode_frame(msg, self.cfg.obfuscate));
+        let _ = os.tcp_send(sock, encode_frame(msg, self.cfg.obfuscate));
     }
 
     fn send_data(&self, os: &mut Os<'_, '_>, sock: SocketId, data: Bytes) {

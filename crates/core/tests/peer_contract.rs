@@ -200,7 +200,7 @@ impl App for Raw {
                 .iter()
                 .find(|(s, _)| *s == sock)
                 .expect("our connect");
-            os.tcp_send(sock, &encode_frame(&self.script[*i].2, true))
+            os.tcp_send(sock, encode_frame(&self.script[*i].2, true))
                 .expect("frame sent");
         }
     }

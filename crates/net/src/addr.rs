@@ -22,7 +22,9 @@ use std::str::FromStr;
 /// assert_eq!(ep.port, 62000);
 /// assert_eq!(format!("{ep}"), "155.99.25.11:62000");
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+///
+/// Endpoints order by address octets, then port.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Endpoint {
     /// IPv4 address.
     pub ip: Ipv4Addr,
@@ -51,6 +53,26 @@ impl Endpoint {
     /// "public" side), but diagnostics use this for labelling.
     pub fn is_private(self) -> bool {
         self.ip.is_private()
+    }
+
+    /// The address (big-endian, so compared as its octets) above the
+    /// port: one integer that orders like `(ip.octets(), port)`.
+    fn key(self) -> u64 {
+        (u64::from(u32::from(self.ip)) << 16) | u64::from(self.port)
+    }
+}
+
+// Every `FlatMap` / `BTreeMap` keyed by endpoints searches through this
+// compare, so it is one integer compare.
+impl Ord for Endpoint {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.key().cmp(&other.key())
+    }
+}
+
+impl PartialOrd for Endpoint {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
     }
 }
 
@@ -198,6 +220,7 @@ impl FromStr for Cidr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn endpoint_roundtrip() {
@@ -226,6 +249,31 @@ mod tests {
         assert!(Endpoint::from(([10, 1, 1, 3], 1)).is_private());
         assert!(Endpoint::from(([192, 168, 0, 9], 1)).is_private());
         assert!(!Endpoint::from(([155, 99, 25, 11], 1)).is_private());
+    }
+
+    proptest! {
+        /// Endpoints order as `(octets, port)`: every `FlatMap` and
+        /// `BTreeMap` keyed by them iterates in that order, and pinned
+        /// artifacts list their entries in it.
+        #[test]
+        fn endpoints_order_by_octets_then_port(
+            a in (any::<[u8; 4]>(), any::<u16>()),
+            b in (any::<[u8; 4]>(), any::<u16>()),
+            share in 0u8..3,
+        ) {
+            // A third of the pairs share the address and a third differ
+            // only in its last octet, so the port decides often.
+            let b_octets = match share {
+                0 => a.0,
+                1 => [a.0[0], a.0[1], a.0[2], b.0[3]],
+                _ => b.0,
+            };
+            let (x, y) = (Endpoint::from(a), Endpoint::from((b_octets, b.1)));
+            let expected = (a.0, a.1).cmp(&(b_octets, b.1));
+            prop_assert_eq!(x.cmp(&y), expected);
+            prop_assert_eq!(x.partial_cmp(&y), Some(expected));
+            prop_assert_eq!(x == y, expected.is_eq());
+        }
     }
 
     #[test]

@@ -11,9 +11,12 @@
 //!
 //! Every packet carries an RFC 1071 checksum of its transport body,
 //! filled in at construction and verified by host stacks before demux.
-//! It is computed word-wide — header fields as integers, the payload
-//! four bytes per step — and never covers the endpoints NATs rewrite;
-//! see [`Packet::compute_checksum`].
+//! It is computed word-wide — header fields as integers; a payload of at
+//! most 64 bytes four bytes per step, a longer one in 32-byte blocks of
+//! four 8-byte lanes with its tail four bytes per step — and never
+//! covers the endpoints NATs rewrite; see [`Packet::compute_checksum`].
+//! A payload is often a slice of a larger buffer (a TCP segment is one
+//! of the frame it was carved from), at any byte offset.
 
 use crate::addr::Endpoint;
 use bytes::Bytes;
@@ -241,14 +244,30 @@ const _: () = assert!(std::mem::size_of::<Packet>() <= 104);
 /// Default initial TTL for packets originated by hosts.
 pub const DEFAULT_TTL: u8 = 64;
 
-/// One's-complement sum of `bytes` read as big-endian 16-bit words (odd
-/// trailing byte padded with zero), not yet folded to 16 bits.
+/// Payloads up to this many bytes — every control message — are summed
+/// by the four-byte loop alone; longer ones go through [`sum_blocks`].
+const NARROW_MAX: usize = 64;
+
+/// Bytes per step of [`sum_blocks`]: four 8-byte lanes.
+const BLOCK: usize = 32;
+
+/// A value congruent (mod 0xFFFF) to the one's-complement sum of `bytes`
+/// read as big-endian 16-bit words (odd trailing byte padded with zero),
+/// not yet folded to 16 bits. It is positive whenever the sum is, so
+/// [`fold`] lands on the same `u16` as a pair-by-pair walk would.
 ///
-/// The slice is walked four bytes at a time: 2^16 ≡ 1 (mod 0xFFFF), so a
-/// big-endian `u32` is congruent to the sum of its two 16-bit halves and
-/// [`fold`] lands on the same `u16` as a pair-by-pair walk would. The
+/// A payload of more than [`NARROW_MAX`] bytes sends its whole 32-byte
+/// blocks to [`sum_blocks`] and only its tail through the loop below.
+/// That loop walks four bytes at a time: 2^16 ≡ 1 (mod 0xFFFF), so a
+/// big-endian `u32` is congruent to the sum of its two 16-bit halves. The
 /// `u64` accumulator has room for 2^32 such words — 16 GiB of payload.
 fn sum_words(bytes: &[u8]) -> u64 {
+    let wide = if bytes.len() > NARROW_MAX {
+        bytes.len() - bytes.len() % BLOCK
+    } else {
+        0
+    };
+    let (blocks, bytes) = bytes.split_at(wide);
     let mut words = bytes.chunks_exact(4);
     let sum: u64 = words
         .by_ref()
@@ -257,7 +276,36 @@ fn sum_words(bytes: &[u8]) -> u64 {
     let rest = words.remainder();
     let mut tail = [0u8; 4];
     tail[..rest.len()].copy_from_slice(rest);
-    sum + u64::from(u32::from_be_bytes(tail))
+    let sum = sum + u64::from(u32::from_be_bytes(tail));
+    if wide == 0 {
+        sum
+    } else {
+        sum + sum_blocks(blocks)
+    }
+}
+
+/// A [`sum_words`] value for `blocks`, a whole number of [`BLOCK`]s,
+/// read eight bytes per lane and four lanes per step; at most 0xFFFF.
+///
+/// Each lane adds both 32-bit halves of a little-endian 8-byte load —
+/// room for 2^31 loads, 16 GiB per lane. Little-endian loads sum the
+/// byte-swapped 16-bit words, and the one's-complement sum is byte-order
+/// independent up to one final swap (RFC 1071 §2(B)), so the lanes are
+/// folded to 16 bits and swapped back once.
+#[inline(never)]
+fn sum_blocks(blocks: &[u8]) -> u64 {
+    let mut lanes = [0u64; BLOCK / 8];
+    for block in blocks.as_chunks::<BLOCK>().0 {
+        for (lane, word) in lanes.iter_mut().zip(block.as_chunks::<8>().0) {
+            let w = u64::from_le_bytes(*word);
+            *lane += (w & 0xFFFF_FFFF) + (w >> 32);
+        }
+    }
+    let mut sum: u64 = lanes.iter().map(|l| (l & 0xFFFF_FFFF) + (l >> 32)).sum();
+    while sum > 0xFFFF {
+        sum = (sum & 0xFFFF) + (sum >> 16);
+    }
+    ((sum & 0xFF) << 8) | (sum >> 8)
 }
 
 /// Folds the carries of a one's-complement sum back in and complements it.
@@ -721,17 +769,69 @@ mod tests {
         assert_eq!(p.checksum, udp_reference(&payload));
     }
 
+    /// `len` bytes at byte offset `offset` of a larger shared buffer, the
+    /// way a TCP segment is a slice of the frame it was carved from.
+    fn slice_at(data: &[u8], offset: usize) -> Bytes {
+        let mut backing = vec![0x5au8; offset];
+        backing.extend_from_slice(data);
+        backing.extend_from_slice(&[0xa5; 7]);
+        Bytes::from(backing).slice(offset..offset + data.len())
+    }
+
     /// Payloads of every length 0..=4096 (odd ones included), random or
-    /// a constant fill, all-ones and all-zero among them.
-    fn payloads() -> impl Strategy<Value = Vec<u8>> {
-        prop_oneof![
+    /// a constant fill, all-ones and all-zero among them, with lengths
+    /// within 32 bytes of 0, 64, 1400 and 4096 drawn as often as the
+    /// rest; each starts at byte offset 0-7 of a larger buffer.
+    fn payloads() -> impl Strategy<Value = Bytes> {
+        let fill = prop_oneof![Just(0xffu8), Just(0u8), any::<u8>()];
+        let near_edge = (0usize..4, 0usize..64)
+            .prop_map(|(edge, delta)| ([0, 64, 1400, 4096][edge] + delta).saturating_sub(32));
+        let bytes = prop_oneof![
             proptest::collection::vec(any::<u8>(), 0..4097),
-            (
-                0usize..4097,
-                prop_oneof![Just(0xffu8), Just(0u8), any::<u8>()]
-            )
-                .prop_map(|(n, fill)| vec![fill; n]),
-        ]
+            (0usize..4097, fill).prop_map(|(n, fill)| vec![fill; n]),
+            near_edge.prop_flat_map(|n| proptest::collection::vec(any::<u8>(), n)),
+        ];
+        (bytes, 0usize..8).prop_map(|(data, offset): (Vec<u8>, _)| slice_at(&data, offset))
+    }
+
+    /// Every length within 32 bytes of 0, 64 (the inline limit), 1400
+    /// (an MSS) and 4096 — so every residue mod 32 on both sides of each
+    /// — at every byte offset 0-7, filled with a pattern, all-ones (the
+    /// carry-heaviest input) and all-zero.
+    #[test]
+    fn every_residue_mod_32_matches_the_reference() {
+        let pattern: Vec<u8> = (0..4096 + 32)
+            .map(|i: u32| (i.wrapping_mul(167) ^ (i >> 3)) as u8)
+            .collect();
+        let fills = [pattern, vec![0xff; 4096 + 32], vec![0; 4096 + 32]];
+        for base in [0usize, 64, 1400, 4096] {
+            for len in base.saturating_sub(32)..base + 32 {
+                for offset in 0..8 {
+                    for data in fills.iter().map(|fill| &fill[..len]) {
+                        let payload = slice_at(data, offset);
+                        let u = Packet::udp(ep("1.1.1.1:1"), ep("2.2.2.2:2"), payload.clone());
+                        assert_eq!(
+                            u.checksum,
+                            udp_reference(data),
+                            "udp len {len} offset {offset}"
+                        );
+                        let seg = TcpSegment {
+                            flags: TcpFlags::ACK,
+                            seq: 0xfedc_ba98,
+                            ack: 0x0123_4567,
+                            window: 0xffff,
+                            payload,
+                        };
+                        let t = Packet::tcp(ep("1.1.1.1:1"), ep("2.2.2.2:2"), seg.clone());
+                        assert_eq!(
+                            t.checksum,
+                            tcp_reference(&seg),
+                            "tcp len {len} offset {offset}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     /// Link damage must still fail verification: any one-bit flip, and
@@ -765,7 +865,7 @@ mod tests {
             bit in any::<u64>(),
         ) {
             let (flags, seq, ack, window) = fields;
-            let seg = TcpSegment { flags: TcpFlags(flags), seq, ack, window, payload: payload.clone().into() };
+            let seg = TcpSegment { flags: TcpFlags(flags), seq, ack, window, payload };
             let p = Packet::tcp(ep("1.1.1.1:1"), ep("2.2.2.2:2"), seg.clone());
             prop_assert_eq!(p.checksum, tcp_reference(&seg));
             prop_assert!(p.checksum_ok());

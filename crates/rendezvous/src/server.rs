@@ -572,7 +572,7 @@ impl RendezvousServer {
                 }
             }
             Route::Tcp(sock) => {
-                let _ = os.tcp_send(sock, &encode_frame(msg, OBFUSCATE));
+                let _ = os.tcp_send(sock, encode_frame(msg, OBFUSCATE));
             }
         }
     }

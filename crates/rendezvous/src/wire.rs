@@ -339,16 +339,22 @@ impl Message {
     /// the body are one's-complemented to survive payload-mangling NATs.
     pub fn encode(&self, obfuscate: bool) -> Bytes {
         let mut buf = BytesMut::with_capacity(32);
+        self.encode_into(&mut buf, obfuscate);
+        buf.freeze()
+    }
+
+    /// Appends the message's encoding to `buf` (see [`Message::encode`]).
+    fn encode_into(&self, buf: &mut BytesMut, obfuscate: bool) {
         buf.put_u8(VERSION);
         match self {
             Message::Register { peer_id, private } => {
                 buf.put_u8(TAG_REGISTER);
                 buf.put_u64(peer_id.0);
-                put_endpoint(&mut buf, *private, obfuscate);
+                put_endpoint(buf, *private, obfuscate);
             }
             Message::RegisterAck { public } => {
                 buf.put_u8(TAG_REGISTER_ACK);
-                put_endpoint(&mut buf, *public, obfuscate);
+                put_endpoint(buf, *public, obfuscate);
             }
             Message::ConnectRequest {
                 peer_id,
@@ -369,8 +375,8 @@ impl Message {
             } => {
                 buf.put_u8(TAG_INTRODUCE);
                 buf.put_u64(peer.0);
-                put_endpoint(&mut buf, *public, obfuscate);
-                put_endpoint(&mut buf, *private, obfuscate);
+                put_endpoint(buf, *public, obfuscate);
+                put_endpoint(buf, *private, obfuscate);
                 buf.put_u64(*nonce);
                 buf.put_u8(u8::from(*initiator));
             }
@@ -378,12 +384,12 @@ impl Message {
                 buf.put_u8(TAG_RELAY_DATA);
                 buf.put_u64(from.0);
                 buf.put_u64(target.0);
-                put_bytes(&mut buf, data);
+                put_bytes(buf, data);
             }
             Message::RelayedData { from, data } => {
                 buf.put_u8(TAG_RELAYED_DATA);
                 buf.put_u64(from.0);
-                put_bytes(&mut buf, data);
+                put_bytes(buf, data);
             }
             Message::ReversalRequest {
                 peer_id,
@@ -403,8 +409,8 @@ impl Message {
             } => {
                 buf.put_u8(TAG_REVERSAL_REQUESTED);
                 buf.put_u64(from.0);
-                put_endpoint(&mut buf, *public, obfuscate);
-                put_endpoint(&mut buf, *private, obfuscate);
+                put_endpoint(buf, *public, obfuscate);
+                put_endpoint(buf, *private, obfuscate);
                 buf.put_u64(*nonce);
             }
             Message::Ping => buf.put_u8(TAG_PING),
@@ -421,7 +427,7 @@ impl Message {
             }
             Message::PeerData { data } => {
                 buf.put_u8(TAG_PEER_DATA);
-                put_bytes(&mut buf, data);
+                put_bytes(buf, data);
             }
             Message::KeepAlive => buf.put_u8(TAG_KEEP_ALIVE),
             Message::ErrorReply { code } => {
@@ -438,8 +444,8 @@ impl Message {
             } => {
                 buf.put_u8(TAG_SRV_INTRODUCE);
                 buf.put_u64(requester.0);
-                put_endpoint(&mut buf, *requester_public, obfuscate);
-                put_endpoint(&mut buf, *requester_private, obfuscate);
+                put_endpoint(buf, *requester_public, obfuscate);
+                put_endpoint(buf, *requester_private, obfuscate);
                 buf.put_u64(target.0);
                 buf.put_u64(*nonce);
                 buf.put_u8(u8::from(*tcp));
@@ -455,8 +461,8 @@ impl Message {
                 buf.put_u8(TAG_SRV_INTRODUCE_REPLY);
                 buf.put_u64(requester.0);
                 buf.put_u64(target.0);
-                put_endpoint(&mut buf, *target_public, obfuscate);
-                put_endpoint(&mut buf, *target_private, obfuscate);
+                put_endpoint(buf, *target_public, obfuscate);
+                put_endpoint(buf, *target_private, obfuscate);
                 buf.put_u64(*nonce);
                 buf.put_u8(u8::from(*tcp));
             }
@@ -481,11 +487,10 @@ impl Message {
                 buf.put_u8(TAG_SRV_RELAY);
                 buf.put_u64(from.0);
                 buf.put_u64(target.0);
-                put_bytes(&mut buf, data);
+                put_bytes(buf, data);
                 buf.put_u8(u8::from(*tcp));
             }
         }
-        buf.freeze()
     }
 
     /// Decodes one message from `data`.
@@ -635,12 +640,14 @@ pub fn decode_signed(data: &[u8], secret: u64) -> Result<Message, WireError> {
     Message::decode(body)
 }
 
-/// Encodes a message as a length-prefixed TCP frame.
+/// Encodes a message as a length-prefixed TCP frame, the body written
+/// straight behind its prefix (a payload is copied once).
 pub fn encode_frame(msg: &Message, obfuscate: bool) -> Bytes {
-    let body = msg.encode(obfuscate);
-    let mut buf = BytesMut::with_capacity(body.len() + 2);
-    buf.put_u16(u16::try_from(body.len()).expect("frame too large")); // punch-lint: allow(P001) encoder-controlled bodies stay under the u16 frame cap; checked so oversize can never truncate
-    buf.put_slice(&body);
+    let mut buf = BytesMut::with_capacity(32);
+    buf.put_u16(0);
+    msg.encode_into(&mut buf, obfuscate);
+    let len = u16::try_from(buf.len() - 2).expect("frame too large"); // punch-lint: allow(P001) encoder-controlled bodies stay under the u16 frame cap; checked so oversize can never truncate
+    buf[..2].copy_from_slice(&len.to_be_bytes());
     buf.freeze()
 }
 
@@ -649,6 +656,8 @@ pub fn encode_frame(msg: &Message, obfuscate: bool) -> Bytes {
 /// Feed stream chunks with [`FrameBuf::push`], then drain complete
 /// messages with [`FrameBuf::next_message`] (or, for another protocol
 /// in the same framing, raw frame bodies with [`FrameBuf::next_frame`]).
+/// `push` copies a chunk in once; `next_message` decodes a frame where
+/// it lies in the buffer, then steps past it.
 /// Buffering is bounded by a cap fixed at construction: a sender that
 /// streams bytes faster than frames complete poisons the reassembler
 /// instead of growing host memory, and every subsequent
@@ -701,15 +710,30 @@ impl FrameBuf {
 
     /// Pops the next complete message, if any. A poisoned reassembler
     /// (see [`FrameBuf::push`]) yields [`WireError::Oversize`] forever.
+    /// The same result as [`FrameBuf::next_frame`] then
+    /// [`Message::decode`], without copying the body out first.
     pub fn next_message(&mut self) -> Option<Result<Message, WireError>> {
-        self.next_frame()
-            .map(|frame| frame.and_then(|body| Message::decode(&body)))
+        Some(self.front_frame()?.and_then(|len| {
+            let msg = Message::decode(&self.buf[2..2 + len]);
+            self.buf.advance(2 + len);
+            msg
+        }))
     }
 
     /// Pops the body of the next complete frame, undecoded. Errors are
     /// the stream's, not a message's, and persist: a poisoned
     /// reassembler, or a length prefix above [`MAX_FRAME`].
     pub fn next_frame(&mut self) -> Option<Result<BytesMut, WireError>> {
+        Some(self.front_frame()?.map(|len| {
+            self.buf.advance(2);
+            self.buf.split_to(len)
+        }))
+    }
+
+    /// The framing rules, for both pops: the body length of the complete
+    /// frame at the front of the buffer, `None` while it is incomplete, or
+    /// the stream's error.
+    fn front_frame(&self) -> Option<Result<usize, WireError>> {
         if self.overflowed {
             return Some(Err(WireError::Oversize(self.cap)));
         }
@@ -720,11 +744,7 @@ impl FrameBuf {
         if len > MAX_FRAME {
             return Some(Err(WireError::FrameTooLarge(len)));
         }
-        if self.buf.len() < 2 + len {
-            return None;
-        }
-        self.buf.advance(2);
-        Some(Ok(self.buf.split_to(len)))
+        (self.buf.len() >= 2 + len).then_some(Ok(len))
     }
 }
 

@@ -5,7 +5,9 @@
 use bytes::Bytes;
 use proptest::prelude::*;
 use punch_net::Endpoint;
-use punch_rendezvous::{encode_frame, FrameBuf, Message, PeerId, WireError, MAX_BUFFER};
+use punch_rendezvous::{
+    encode_frame, FrameBuf, Message, PeerId, WireError, MAX_BUFFER, MAX_FRAME, MAX_PAYLOAD,
+};
 
 fn arb_endpoint() -> impl Strategy<Value = Endpoint> {
     (any::<[u8; 4]>(), any::<u16>()).prop_map(|(o, p)| Endpoint::new(o.into(), p))
@@ -76,7 +78,107 @@ fn arb_message() -> impl Strategy<Value = Message> {
         arb_payload().prop_map(|d| Message::PeerData { data: d }),
         Just(Message::KeepAlive),
         any::<u8>().prop_map(|c| Message::ErrorReply { code: c }),
+        (
+            any::<[u64; 3]>(),
+            arb_endpoint(),
+            arb_endpoint(),
+            any::<bool>()
+        )
+            .prop_map(|([r, t, n], rp, rv, tcp)| Message::SrvIntroduce {
+                requester: PeerId(r),
+                requester_public: rp,
+                requester_private: rv,
+                target: PeerId(t),
+                nonce: n,
+                tcp,
+            }),
+        (
+            any::<[u64; 3]>(),
+            arb_endpoint(),
+            arb_endpoint(),
+            any::<bool>()
+        )
+            .prop_map(|([r, t, n], tp, tv, tcp)| Message::SrvIntroduceReply {
+                requester: PeerId(r),
+                target: PeerId(t),
+                target_public: tp,
+                target_private: tv,
+                nonce: n,
+                tcp,
+            }),
+        (any::<[u64; 3]>(), any::<bool>()).prop_map(|([r, t, n], tcp)| Message::SrvIntroduceErr {
+            requester: PeerId(r),
+            target: PeerId(t),
+            nonce: n,
+            tcp,
+        }),
+        (any::<u64>(), any::<u64>(), arb_payload(), any::<bool>()).prop_map(|(f, t, d, tcp)| {
+            Message::SrvRelay {
+                from: PeerId(f),
+                target: PeerId(t),
+                data: d,
+                tcp,
+            }
+        }),
     ]
+}
+
+/// What a TCP stream may carry: well-formed frames, frames whose bodies
+/// are byte soup (most fail to decode), and a length prefix above
+/// `MAX_FRAME`, which stalls the stream for good.
+fn arb_stream_piece() -> impl Strategy<Value = Vec<u8>> {
+    prop_oneof![
+        (arb_message(), any::<bool>()).prop_map(|(m, obf)| encode_frame(&m, obf).to_vec()),
+        (arb_message(), any::<bool>()).prop_map(|(m, obf)| encode_frame(&m, obf).to_vec()),
+        proptest::collection::vec(any::<u8>(), 0..40).prop_map(|body| {
+            let mut frame = (body.len() as u16).to_be_bytes().to_vec();
+            frame.extend_from_slice(&body);
+            frame
+        }),
+        (MAX_FRAME as u16 + 1..=u16::MAX).prop_map(|len| len.to_be_bytes().to_vec()),
+    ]
+}
+
+/// Up to eight results from `next`, stopping at the first `None` (a
+/// stream error repeats, so it fills all eight).
+fn drain<T>(mut next: impl FnMut() -> Option<T>) -> Vec<T> {
+    (0..8).map_while(|_| next()).collect()
+}
+
+/// The four messages that carry a payload, each at `MAX_PAYLOAD`.
+fn carriers_at_max_payload() -> Vec<Message> {
+    let (from, target) = (PeerId(1), PeerId(2));
+    let data = Bytes::from(vec![0x42u8; MAX_PAYLOAD]);
+    vec![
+        Message::PeerData { data: data.clone() },
+        Message::RelayData {
+            from,
+            target,
+            data: data.clone(),
+        },
+        Message::RelayedData {
+            from,
+            data: data.clone(),
+        },
+        Message::SrvRelay {
+            from,
+            target,
+            data,
+            tcp: true,
+        },
+    ]
+}
+
+#[test]
+fn a_frame_is_the_length_then_the_message_even_at_max_payload() {
+    for msg in carriers_at_max_payload() {
+        for obf in [false, true] {
+            let body = msg.encode(obf);
+            let frame = encode_frame(&msg, obf);
+            assert_eq!(frame[..2], (body.len() as u16).to_be_bytes());
+            assert_eq!(frame[2..], body[..]);
+        }
+    }
 }
 
 /// The two caps in use (this codec's and NAT Check's 1 KiB), and small
@@ -93,6 +195,41 @@ proptest! {
         prop_assert_eq!(dec, msg);
     }
 
+    /// A frame is the body's big-endian `u16` length, then the body.
+    #[test]
+    fn a_frame_is_the_length_then_the_message(msg in arb_message(), obf in any::<bool>()) {
+        let body = msg.encode(obf);
+        let frame = encode_frame(&msg, obf);
+        prop_assert_eq!(&frame[..2], &(body.len() as u16).to_be_bytes()[..]);
+        prop_assert_eq!(&frame[2..], &body[..]);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// `next_message` is `next_frame` then `Message::decode`, over any
+    /// chunking and cap: the same messages, the same decode errors, the
+    /// same `FrameTooLarge` and `Oversize`, in the same order.
+    #[test]
+    fn next_message_is_next_frame_then_decode(
+        pieces in proptest::collection::vec(arb_stream_piece(), 1..8),
+        chunk in 1usize..64,
+        cap in arb_cap(),
+    ) {
+        let stream = pieces.concat();
+        let (mut direct, mut raw) = (FrameBuf::with_cap(cap), FrameBuf::with_cap(cap));
+        for c in stream.chunks(chunk) {
+            direct.push(c);
+            raw.push(c);
+            let got = drain(|| direct.next_message());
+            let want = drain(|| raw.next_frame().map(|f| f.and_then(|body| Message::decode(&body))));
+            prop_assert_eq!(got, want);
+        }
+    }
+}
+
+proptest! {
     #[test]
     fn decode_never_panics_on_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
         let _ = Message::decode(&bytes);

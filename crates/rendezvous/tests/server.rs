@@ -98,7 +98,7 @@ impl App for Client {
         let sock = self.sock.expect("opened in on_start");
         match self.transport {
             Transport::Udp => os.udp_send(sock, self.server, msg.encode(true)),
-            Transport::Tcp => os.tcp_send(sock, &encode_frame(msg, true)),
+            Transport::Tcp => os.tcp_send(sock, encode_frame(msg, true)),
         }
         .expect("request sent");
     }

@@ -89,7 +89,7 @@ impl Os<'_, '_> {
     }
 
     /// Queues stream data. See [`HostStack::tcp_send`].
-    pub fn tcp_send(&mut self, sock: SocketId, data: &[u8]) -> SockResult<()> {
+    pub fn tcp_send(&mut self, sock: SocketId, data: impl Into<Bytes>) -> SockResult<()> {
         self.stack.tcp_send(sock, data)
     }
 

@@ -384,8 +384,9 @@ impl HostStack {
         }
     }
 
-    /// Queues stream data on an established connection.
-    pub fn tcp_send(&mut self, sock: SocketId, data: &[u8]) -> SockResult<()> {
+    /// Queues stream data on an established connection. A `Bytes` is
+    /// queued without a copy (see [`Tcb::send`]).
+    pub fn tcp_send(&mut self, sock: SocketId, data: impl Into<Bytes>) -> SockResult<()> {
         if let Some((tcb, mut io)) = self.tcb_io(sock) {
             return tcb.send(data, &mut io);
         }

@@ -9,9 +9,11 @@
 //! but a fixed-window reliable byte stream is implemented so relay and
 //! throughput experiments carry real data.
 //!
-//! Stream bytes move in slabs, never one at a time: the send queue is a
-//! byte ring that [`Tcb::send`] appends a whole slice to, and each
-//! segment's payload is carved out of it with one copy.
+//! Stream bytes are not copied on the way out: the send queue holds the
+//! caller's buffers as they were passed to [`Tcb::send`], and each
+//! segment's payload is a slice of the front buffer. Only a segment that
+//! straddles two buffers is copied, once, into a buffer of its own.
+//! Retransmission resends the `Bytes` the segment first went out with.
 
 use crate::config::StackConfig;
 use crate::error::SocketError;
@@ -158,8 +160,10 @@ pub struct Tcb {
     rcv_nxt: u32,
     peer_wnd: u32,
 
-    /// Unsent stream bytes, in order; appended and carved in slabs.
-    send_q: VecDeque<u8>,
+    /// Unsent stream bytes: the caller's buffers in order, none empty.
+    send_q: VecDeque<Bytes>,
+    /// Bytes in `send_q`.
+    queued: usize,
     inflight: VecDeque<Inflight>,
     fin_queued: bool,
     fin_sent: bool,
@@ -199,6 +203,7 @@ impl Tcb {
             rcv_nxt: 0,
             peer_wnd: u32::from(u16::MAX),
             send_q: VecDeque::new(),
+            queued: 0,
             inflight: VecDeque::new(),
             fin_queued: false,
             fin_sent: false,
@@ -282,8 +287,9 @@ impl Tcb {
         self.snd_nxt.wrapping_sub(self.snd_una)
     }
 
-    /// Queues application data for transmission.
-    pub fn send(&mut self, data: &[u8], io: &mut TcpIo<'_>) -> Result<(), SocketError> {
+    /// Queues application data for transmission. A `Bytes` is queued as
+    /// it is, without a copy; segments are sliced out of it.
+    pub fn send(&mut self, data: impl Into<Bytes>, io: &mut TcpIo<'_>) -> Result<(), SocketError> {
         match self.state {
             TcpState::SynSent
             | TcpState::SynReceived
@@ -294,7 +300,11 @@ impl Tcb {
         if self.fin_queued {
             return Err(SocketError::InvalidState);
         }
-        self.send_q.extend(data);
+        let data = data.into();
+        if !data.is_empty() {
+            self.queued += data.len();
+            self.send_q.push_back(data);
+        }
         self.drain_watch = true;
         self.try_send(io);
         Ok(())
@@ -315,18 +325,10 @@ impl Tcb {
         }
         let budget = seq_width(io.cfg.send_window).min(self.peer_wnd.max(1));
         let mut sent_any = false;
-        while !self.send_q.is_empty() && self.flight_size() < budget {
+        while self.queued > 0 && self.flight_size() < budget {
             let room = (budget - self.flight_size()) as usize;
-            let n = self.send_q.len().min(io.cfg.mss).min(room);
-            // Carve the segment out of the ring in one copy (two halves
-            // where the ring wraps under it).
-            let (head, tail) = self.send_q.as_slices();
-            let from_head = n.min(head.len());
-            let mut buf = BytesMut::with_capacity(n);
-            buf.extend_from_slice(&head[..from_head]);
-            buf.extend_from_slice(&tail[..n - from_head]);
-            self.send_q.drain(..n);
-            let data = buf.freeze();
+            let n = self.queued.min(io.cfg.mss).min(room);
+            let data = self.carve(n);
             let seg = TcpSegment {
                 flags: TcpFlags::ACK,
                 seq: self.snd_nxt,
@@ -343,7 +345,7 @@ impl Tcb {
             self.snd_nxt = self.snd_nxt.wrapping_add(seq_width(n));
             sent_any = true;
         }
-        if self.send_q.is_empty()
+        if self.queued == 0
             && self.fin_queued
             && !self.fin_sent
             && self.flight_size() < budget.max(1)
@@ -363,6 +365,31 @@ impl Tcb {
         if sent_any {
             self.arm_rto(io);
         }
+    }
+
+    /// Takes the next `n` queued bytes (`0 < n <= queued`): a slice of
+    /// the front buffer, or one copy where they straddle buffers.
+    fn carve(&mut self, n: usize) -> Bytes {
+        self.queued -= n;
+        if let Some(front) = self.send_q.front_mut() {
+            if front.len() > n {
+                return front.split_to(n);
+            }
+            if front.len() == n {
+                return self.send_q.pop_front().unwrap_or_default();
+            }
+        }
+        let mut buf = BytesMut::with_capacity(n);
+        while buf.len() < n {
+            let Some(front) = self.send_q.front_mut() else {
+                break;
+            };
+            buf.extend_from_slice(&front.split_to(front.len().min(n - buf.len())));
+            if front.is_empty() {
+                self.send_q.pop_front();
+            }
+        }
+        buf.freeze()
     }
 
     /// Initiates a graceful close. Returns `true` if the TCB should be
@@ -693,10 +720,7 @@ impl Tcb {
                     _ => {}
                 }
             }
-            if self.drain_watch
-                && self.send_q.is_empty()
-                && self.inflight.front().is_none_or(|s| s.fin)
-            {
+            if self.drain_watch && self.queued == 0 && self.inflight.front().is_none_or(|s| s.fin) {
                 self.drain_watch = false;
                 io.events.push(SockEvent::TcpSendDrained { sock: self.id });
             }
@@ -967,7 +991,7 @@ mod tests {
     fn mss_segmentation() {
         let (mut h, mut tcb) = established_pair();
         let data = vec![7u8; 3000];
-        tcb.send(&data, &mut h.io()).unwrap();
+        tcb.send(data, &mut h.io()).unwrap();
         let lens: Vec<usize> = h
             .out
             .iter()
@@ -981,7 +1005,7 @@ mod tests {
         let (mut h, mut tcb) = established_pair();
         h.cfg.send_window = 2800;
         let data = vec![7u8; 10_000];
-        tcb.send(&data, &mut h.io()).unwrap();
+        tcb.send(data, &mut h.io()).unwrap();
         assert_eq!(h.out.len(), 2, "only two MSS fit the window");
         // Ack the first segment; one more flows.
         let n_before = h.out.len();
@@ -990,78 +1014,185 @@ mod tests {
         assert_eq!(h.out.len(), n_before + 1);
     }
 
-    /// Segmentation golden: whatever the write sizes and however ACKs
-    /// open the window, the data segments on the wire are exactly what
-    /// "concatenate every write, cut at `min(queued, mss, window room)`"
-    /// produces over a flat copy of the stream.
-    #[test]
-    fn segmentation_matches_flat_stream_reference() {
-        const SIZES: [usize; 8] = [1, 63, 64, 65, 1399, 1400, 1401, 8194];
-        // Cumulative-ACK steps taken after each write: whole segments
-        // and partial ones (700 lands inside a 1400 B segment).
-        const ACKS: [usize; 5] = [700, 1400, 2100, 65, 4200];
+    /// The data segments `h` emitted since the last drain, as
+    /// `(seq, payload)`.
+    fn data_segments(h: &mut Harness) -> Vec<(u32, Vec<u8>)> {
+        h.out
+            .drain(..)
+            .filter_map(|p| {
+                let seg = p.tcp_segment()?;
+                (!seg.payload.is_empty()).then(|| (seg.seq, seg.payload.to_vec()))
+            })
+            .collect()
+    }
+
+    /// Does stream range `[start, end)` cross the end of a write?
+    fn straddles(write_ends: &[usize], start: usize, end: usize) -> bool {
+        write_ends.iter().any(|&b| start < b && b < end)
+    }
+
+    /// `n` stream bytes, continuing `byte`'s sequence.
+    fn write_of(n: usize, byte: &mut u8) -> Vec<u8> {
+        (0..n)
+            .map(|_| {
+                *byte = byte.wrapping_mul(31).wrapping_add(7);
+                *byte
+            })
+            .collect()
+    }
+
+    /// Queues `write` as a `Bytes` the TCB slices segments from
+    /// (`shared`), or as a `&[u8]` it copies first.
+    fn send_as(shared: bool, tcb: &mut Tcb, write: Vec<u8>, h: &mut Harness) {
+        let sent = if shared {
+            tcb.send(Bytes::from(write), &mut h.io())
+        } else {
+            tcb.send(&write[..], &mut h.io())
+        };
+        sent.unwrap();
+    }
+
+    /// Feeds `sizes` as separate writes, acking cumulatively `acks[i]`
+    /// more bytes after write `i`, and checks that the data segments on
+    /// the wire are exactly what "concatenate every write, cut at
+    /// `min(queued, mss, window room)`" produces over a flat copy of the
+    /// stream. Returns whether some segment straddled two writes.
+    fn segments_match_flat_reference(sizes: &[usize], acks: &[usize], window: usize) -> bool {
         let (mut h, mut tcb) = established_pair();
-        h.cfg.send_window = 4096;
-        let (mss, budget) = (h.cfg.mss, h.cfg.send_window);
+        h.cfg.send_window = window;
+        let mss = h.cfg.mss;
 
         // The reference: one flat stream and two cursors.
         let mut stream: Vec<u8> = Vec::new();
+        let mut write_ends: Vec<usize> = Vec::new();
         let (mut sent, mut acked) = (0usize, 0usize);
-        let mut wrapped = false;
+        let mut straddled = false;
         let mut check =
-            |h: &mut Harness, tcb: &Tcb, sent: &mut usize, acked: usize, stream: &[u8]| {
+            |h: &mut Harness, sent: &mut usize, acked: usize, stream: &[u8], ends: &[usize]| {
                 let mut expected = Vec::new();
-                while *sent < stream.len() && *sent - acked < budget {
+                while *sent < stream.len() && *sent - acked < window {
                     let n = (stream.len() - *sent)
                         .min(mss)
-                        .min(budget - (*sent - acked));
+                        .min(window - (*sent - acked));
                     expected.push((1001 + *sent as u32, stream[*sent..*sent + n].to_vec()));
+                    straddled |= straddles(ends, *sent, *sent + n);
                     *sent += n;
                 }
-                let got: Vec<(u32, Vec<u8>)> = h
-                    .out
-                    .drain(..)
-                    .filter_map(|p| {
-                        let seg = p.tcp_segment()?;
-                        (!seg.payload.is_empty()).then(|| (seg.seq, seg.payload.to_vec()))
-                    })
-                    .collect();
-                assert_eq!(got, expected);
-                wrapped |= !tcb.send_q.as_slices().1.is_empty();
+                assert_eq!(data_segments(h), expected, "writes {sizes:?}");
             };
 
         let mut byte = 0u8;
-        for (i, &size) in SIZES.iter().cycle().take(4 * SIZES.len()).enumerate() {
-            let write: Vec<u8> = (0..size)
-                .map(|_| {
-                    byte = byte.wrapping_mul(31).wrapping_add(7);
-                    byte
-                })
-                .collect();
+        for (i, &size) in sizes.iter().enumerate() {
+            let write = write_of(size, &mut byte);
             stream.extend_from_slice(&write);
-            tcb.send(&write, &mut h.io()).unwrap();
-            check(&mut h, &tcb, &mut sent, acked, &stream);
+            write_ends.push(stream.len());
+            send_as(i % 2 == 0, &mut tcb, write, &mut h);
+            check(&mut h, &mut sent, acked, &stream, &write_ends);
 
-            acked = (acked + ACKS[i % ACKS.len()]).min(sent);
-            let ack = TcpSegment::control(TcpFlags::ACK, 5001, 1001 + acked as u32);
-            tcb.on_segment(&ack, &mut h.io());
-            check(&mut h, &tcb, &mut sent, acked, &stream);
+            // A step of 0 sends no ACK: a repeated one is a duplicate.
+            if acks[i % acks.len()] > 0 {
+                acked = (acked + acks[i % acks.len()]).min(sent);
+                let ack = TcpSegment::control(TcpFlags::ACK, 5001, 1001 + acked as u32);
+                tcb.on_segment(&ack, &mut h.io());
+                check(&mut h, &mut sent, acked, &stream, &write_ends);
+            }
         }
         // Drain: ACK everything in flight until the whole stream is out.
         while acked < stream.len() {
             acked = sent;
             let ack = TcpSegment::control(TcpFlags::ACK, 5001, 1001 + acked as u32);
             tcb.on_segment(&ack, &mut h.io());
-            check(&mut h, &tcb, &mut sent, acked, &stream);
+            check(&mut h, &mut sent, acked, &stream, &write_ends);
         }
         assert_eq!(sent, stream.len());
-        assert!(
-            wrapped,
-            "the send ring never wrapped; the test lost its point"
-        );
         assert!(h
             .events
             .contains(&SockEvent::TcpSendDrained { sock: SocketId(1) }));
+        straddled
+    }
+
+    /// Segmentation golden: whatever the write sizes and however ACKs
+    /// open the window, the segments are the flat stream's.
+    #[test]
+    fn segmentation_matches_flat_stream_reference() {
+        const SIZES: [usize; 9] = [0, 1, 63, 64, 65, 1399, 1400, 1401, 8194];
+        // Cumulative-ACK steps taken after each write: whole segments
+        // and partial ones (700 lands inside a 1400 B segment).
+        const ACKS: [usize; 5] = [700, 1400, 2100, 65, 4200];
+        let sizes: Vec<usize> = SIZES
+            .iter()
+            .cycle()
+            .take(4 * SIZES.len())
+            .copied()
+            .collect();
+        assert!(
+            segments_match_flat_reference(&sizes, &ACKS, 4096),
+            "no segment straddled two writes; the test lost its point"
+        );
+        // Every three writes around one and two MSS, acked as they go or
+        // only once all three are queued behind a one-MSS window: segments
+        // that end one byte before, at, and one byte after a write's end.
+        const EDGES: [usize; 11] = [1, 2, 699, 700, 701, 1399, 1400, 1401, 2799, 2800, 2801];
+        for a in EDGES {
+            for b in EDGES {
+                for c in EDGES {
+                    segments_match_flat_reference(&[a, b, c], &[700, 1400, 65], 2800);
+                    segments_match_flat_reference(&[a, b, c], &[0], 1400);
+                }
+            }
+        }
+    }
+
+    /// Go-back-N over queued writes: whatever an RTO resends — a whole
+    /// segment, one that straddled two writes, or the unacked tail of a
+    /// partly acked one — is byte-identical to what first went out at
+    /// those sequence numbers.
+    #[test]
+    fn retransmissions_repeat_the_original_bytes() {
+        let (mut h, mut tcb) = established_pair();
+        h.cfg.send_window = 2000;
+        let mut byte = 0u8;
+        let (mut stream, mut write_ends) = (Vec::new(), Vec::new());
+        let mut originals = Vec::new();
+        for (i, size) in [700, 2000, 65, 1401].into_iter().enumerate() {
+            let write = write_of(size, &mut byte);
+            stream.extend_from_slice(&write);
+            write_ends.push(stream.len());
+            send_as(i % 2 == 0, &mut tcb, write, &mut h);
+            originals.extend(data_segments(&mut h));
+        }
+        let mut straddled = false;
+        for acked in [0usize, 300, 700, 1500, 2700, 3000, 4000] {
+            if acked > 0 {
+                let ack = TcpSegment::control(TcpFlags::ACK, 5001, 1001 + acked as u32);
+                tcb.on_segment(&ack, &mut h.io());
+                originals.extend(data_segments(&mut h));
+            }
+            tcb.on_rto(&mut h.io());
+            let resent = data_segments(&mut h);
+            let (seq, payload) = resent.last().expect("an RTO resends the front");
+            assert_eq!(resent.len(), 1);
+            assert_eq!(
+                *seq,
+                1001 + acked as u32,
+                "go-back-N resends the earliest unacked byte"
+            );
+            let (first_seq, first) = originals
+                .iter()
+                .find(|(s, p)| {
+                    (s - 1001) as usize <= acked && acked < (s - 1001) as usize + p.len()
+                })
+                .expect("the resent byte went out once before");
+            let skip = acked - (first_seq - 1001) as usize;
+            assert_eq!(
+                payload[..],
+                first[skip..],
+                "resent bytes differ from the original at {acked}"
+            );
+            assert_eq!(payload[..], stream[acked..acked + payload.len()]);
+            straddled |= straddles(&write_ends, acked, acked + payload.len());
+        }
+        assert!(straddled, "no retransmission straddled two writes");
     }
 
     #[test]
@@ -1375,7 +1506,7 @@ mod tests {
     #[test]
     fn go_back_n_retransmits_earliest_unacked() {
         let (mut h, mut tcb) = established_pair();
-        tcb.send(&vec![1u8; 2800], &mut h.io()).unwrap();
+        tcb.send(vec![1u8; 2800], &mut h.io()).unwrap();
         assert_eq!(h.out.len(), 2);
         h.out.clear();
         tcb.on_rto(&mut h.io());
@@ -1387,7 +1518,7 @@ mod tests {
     #[test]
     fn fast_retransmit_fires_on_third_dup_ack() {
         let (mut h, mut tcb) = established_pair();
-        tcb.send(&vec![1u8; 2800], &mut h.io()).unwrap();
+        tcb.send(vec![1u8; 2800], &mut h.io()).unwrap();
         h.out.clear();
         let dup = TcpSegment::control(TcpFlags::ACK, 5001, 1001);
         tcb.on_segment(&dup, &mut h.io());
@@ -1405,7 +1536,7 @@ mod tests {
         // three *further* dup acks must trigger another fast retransmit
         // rather than counting past 3 forever and stalling until RTO.
         let (mut h, mut tcb) = established_pair();
-        tcb.send(&vec![1u8; 2800], &mut h.io()).unwrap();
+        tcb.send(vec![1u8; 2800], &mut h.io()).unwrap();
         h.out.clear();
         let dup = TcpSegment::control(TcpFlags::ACK, 5001, 1001);
         for _ in 0..3 {

@@ -3,6 +3,7 @@
 //! The crown jewel is stream integrity: arbitrary application writes over
 //! a lossy path must arrive complete, in order, and unduplicated.
 
+use bytes::Bytes;
 use proptest::prelude::*;
 use punch_net::{Duration, LinkSpec, Sim};
 use punch_transport::{
@@ -36,9 +37,13 @@ impl App for Collector {
     }
 }
 
-/// Client app: connects, writes all chunks, then closes.
+/// Client app: connects, writes all chunks, then closes. Every other
+/// chunk, starting with the first when `shared_first`, goes in as a
+/// `Bytes` the stack slices segments from; the rest as a `&[u8]` it
+/// copies.
 struct Writer {
     chunks: Vec<Vec<u8>>,
+    shared_first: bool,
     conn: Option<SocketId>,
     done: bool,
 }
@@ -53,8 +58,13 @@ impl App for Writer {
     fn on_event(&mut self, os: &mut Os<'_, '_>, ev: SockEvent) {
         match ev {
             SockEvent::TcpConnected { sock } => {
-                for chunk in &self.chunks {
-                    os.tcp_send(sock, chunk).expect("send");
+                for (i, chunk) in self.chunks.iter().enumerate() {
+                    let sent = if (i % 2 == 0) == self.shared_first {
+                        os.tcp_send(sock, Bytes::from(chunk.clone()))
+                    } else {
+                        os.tcp_send(sock, chunk.as_slice())
+                    };
+                    sent.expect("send");
                 }
                 os.close(sock).expect("close");
                 self.done = true;
@@ -75,6 +85,7 @@ proptest! {
         chunks in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 1..20_000), 1..12),
         loss in 0.0f64..0.25,
         seed in any::<u64>(),
+        shared_first in any::<bool>(),
     ) {
         let expected: Vec<u8> = chunks.iter().flatten().copied().collect();
         // The property is integrity, not liveness: at 23 % loss a stream of
@@ -91,7 +102,7 @@ proptest! {
             Box::new(HostDevice::new(
                 [10, 0, 0, 1].into(),
                 cfg,
-                Box::new(Writer { chunks, conn: None, done: false }),
+                Box::new(Writer { chunks, shared_first, conn: None, done: false }),
             )),
         );
         sim.connect(client, server, LinkSpec::access().with_loss(loss));

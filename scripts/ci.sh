@@ -44,6 +44,20 @@ peak_rss_under() {
     fi
 }
 
+# example_says EXAMPLE LINE [ARGS]: the example runs and prints LINE (a
+# fixed string) in its stdout.
+example_says() {
+    example=$1
+    line=$2
+    shift 2
+    cargo run --release --quiet --example "$example" -- "$@" > "$tmp/example.txt"
+    if ! grep -qF -- "$line" "$tmp/example.txt"; then
+        cat "$tmp/example.txt"
+        echo "FAIL: example $example did not print: $line" >&2
+        exit 1
+    fi
+}
+
 echo "== build (release) =="
 cargo build --release --quiet
 
@@ -102,6 +116,15 @@ lint --emit-registries "$tmp/pins" > /dev/null
 # `punch-bench million` / `punch-bench fleet` when a change moves them.
 cp results/BENCH_million.json results/BENCH_fleet.json "$tmp/pins/"
 diff -r "$tmp/pins" results
+
+echo "== examples: each prints its documented outcome =="
+# file_transfer is the one end-to-end run of a punched TCP stream's data
+# path (TCB send queue, frame codec, checksum) outside benchmark/.
+example_says quickstart "hole punched in 190.9 ms (simulated)"
+example_says file_transfer "transferred 256 KiB in 1.70 s (simulated) = 150.6 KiB/s"
+example_says voice_call "session died and re-punched on demand: 1 re-punch, frame delivered = true"
+example_says classify_nat "symmetric NAT, port delta +1 — predictable, prediction viable"
+example_says nat_survey "All         55/65  ( 85%)   13/55  ( 24%)   32/49  ( 65%)   12/49  ( 24%)" --quick
 
 echo "== benchmark/ still builds and its replicas still match =="
 # smoke.sh reports a replica whose digest differs from the untraced run
