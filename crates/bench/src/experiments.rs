@@ -243,7 +243,7 @@ impl App for Chatterer {
 /// One E9 trial: symmetric NAT on A's side with the given allocator;
 /// port-prediction punch with `window`; optional competing traffic
 /// behind A's NAT. Returns whether a direct session formed.
-pub fn prediction_trial(
+fn prediction_trial(
     seed: u64,
     alloc: PortAllocation,
     window: u16,
@@ -279,7 +279,7 @@ pub fn prediction_trial(
     udp_connect(&mut sc, SimTime::from_secs(40), |p| p.is_established(B))
 }
 
-/// Success rate of [`prediction_trial`] over `n` seeds. Trials are
+/// Success rate of `prediction_trial` over `n` seeds. Trials are
 /// independent simulations, so they fan out on the [`punch_lab::par`]
 /// pool.
 pub fn prediction_rate(

@@ -207,16 +207,11 @@ impl SourceSpec {
     }
 
     /// Override the race priority (lower probes first).
-    pub fn with_priority(mut self, priority: u8) -> Self {
+    fn with_priority(mut self, priority: u8) -> Self {
         self.priority = priority;
         self
     }
 
-    /// Override the probe pace (probe every `pace`-th volley).
-    pub fn with_pace(mut self, pace: u32) -> Self {
-        self.pace = pace;
-        self
-    }
 }
 
 /// Declarative candidate plan: which sources seed a punch cycle's race,
@@ -276,14 +271,6 @@ impl CandidatePlan {
         self
     }
 
-    /// Set the priority and pace used for candidates the peer announces
-    /// (its predicted ports).
-    pub fn with_announced(mut self, priority: u8, pace: u32) -> Self {
-        self.announced_priority = priority;
-        self.announced_pace = pace;
-        self
-    }
-
     /// True when any source predicts ports (and so the race can go
     /// beyond the paper's private+public pair).
     pub fn has_predictions(&self) -> bool {
@@ -299,13 +286,6 @@ impl CandidatePlan {
             CandidateSource::SelfPredicted(p) => p.needs_probe(),
             _ => false,
         })
-    }
-
-    /// True when the peer's private endpoint is raced.
-    pub fn has_private(&self) -> bool {
-        self.sources
-            .iter()
-            .any(|s| matches!(s.source, CandidateSource::PeerPrivate))
     }
 
     /// The ports this endpoint predicts for itself and announces to the
@@ -497,11 +477,6 @@ impl CandidateSet {
     }
 
     /// All candidate endpoints in race order.
-    #[cfg(test)]
-    pub(crate) fn endpoints(&self) -> Vec<Endpoint> {
-        self.entries.iter().map(|e| e.stamp.endpoint).collect()
-    }
-
     /// Whether `endpoint` is a listed candidate.
     pub(crate) fn contains(&self, endpoint: Endpoint) -> bool {
         self.entries.iter().any(|e| e.stamp.endpoint == endpoint)
@@ -550,16 +525,20 @@ mod tests {
         s.parse().expect("endpoint literal")
     }
 
+    fn endpoints(set: &CandidateSet) -> Vec<Endpoint> {
+        set.stamps().iter().map(|s| s.endpoint).collect()
+    }
+
     #[test]
     fn basic_plan_reproduces_paper_order_and_collapses_unnatted_private() {
         let public = ep("155.99.25.11:62000");
         let private = ep("10.0.0.1:4321");
         let set = CandidateSet::from_plan(&CandidatePlan::basic(), public, private);
-        assert_eq!(set.endpoints(), vec![private, public]);
+        assert_eq!(endpoints(&set), vec![private, public]);
 
         // private == public (no NAT): a single candidate, no duplicate.
         let set = CandidateSet::from_plan(&CandidatePlan::basic(), public, public);
-        assert_eq!(set.endpoints(), vec![public]);
+        assert_eq!(endpoints(&set), vec![public]);
     }
 
     #[test]
@@ -567,7 +546,7 @@ mod tests {
         let public = ep("155.99.25.11:62000");
         let private = ep("10.0.0.1:4321");
         let set = CandidateSet::from_plan(&CandidatePlan::basic_tcp(), public, private);
-        assert_eq!(set.endpoints(), vec![public, private]);
+        assert_eq!(endpoints(&set), vec![public, private]);
     }
 
     #[test]
@@ -578,7 +557,7 @@ mod tests {
         set.insert(ep("3.3.3.3:3333"), CandidateKind::Predicted, 2, 1);
         set.insert(ep("4.4.4.4:4444"), CandidateKind::Private, 1, 1);
         assert_eq!(
-            set.endpoints(),
+            endpoints(&set),
             vec![
                 ep("2.2.2.2:2222"),
                 ep("4.4.4.4:4444"),
@@ -702,7 +681,7 @@ mod tests {
     fn plan_introspection_drives_probe_gating() {
         assert!(!CandidatePlan::basic().has_predictions());
         assert!(!CandidatePlan::basic().needs_probe());
-        assert!(CandidatePlan::basic().has_private());
+        assert!(CandidatePlan::basic().sources.contains(&SourceSpec::private()));
         let predictive = CandidatePlan::basic().with_source(SourceSpec::predicted(
             PredictionStrategy::SequentialDelta { window: 4 },
         ));

@@ -88,18 +88,6 @@ impl PunchConfig {
         }
     }
 
-    /// Same configuration with a different volley budget.
-    pub fn with_max_attempts(mut self, attempts: u32) -> Self {
-        self.max_attempts = attempts;
-        self
-    }
-
-    /// Same configuration with relay fallback enabled or disabled.
-    pub fn with_relay_fallback(mut self, enabled: bool) -> Self {
-        self.relay_fallback = enabled;
-        self
-    }
-
     /// Same configuration with a different candidate plan.
     pub fn with_plan(mut self, plan: CandidatePlan) -> Self {
         self.plan = plan;
@@ -182,18 +170,6 @@ impl UdpPeerConfig {
         assert!(replication > 0, "replication must be positive");
         self.fleet = fleet;
         self.replication = replication;
-        self
-    }
-
-    /// Same configuration with a fixed local port (0 = ephemeral).
-    pub fn with_local_port(mut self, port: u16) -> Self {
-        self.local_port = port;
-        self
-    }
-
-    /// Same configuration with different punching behaviour.
-    pub fn with_punch(mut self, punch: PunchConfig) -> Self {
-        self.punch = punch;
         self
     }
 }
@@ -296,7 +272,7 @@ mod tests {
         );
         let u = UdpPeerConfig::new(PeerId(1), "18.181.0.31:1234".parse().unwrap());
         assert!(
-            u.punch.plan.has_private(),
+            u.punch.plan.sources.contains(&SourceSpec::private()),
             "§3.3: try private endpoints too"
         );
         assert!(u.obfuscate, "§3.1: obfuscate addresses in bodies");
@@ -323,30 +299,16 @@ mod tests {
     }
 
     #[test]
-    fn builders_chain_and_override() {
-        let u = UdpPeerConfig::new(PeerId(1), "18.181.0.31:1234".parse().unwrap())
-            .with_local_port(4000)
-            .with_punch(
-                PunchConfig::default()
-                    .with_max_attempts(3)
-                    .with_relay_fallback(false),
-            );
-        assert_eq!(u.local_port, 4000);
-        assert_eq!(u.punch.max_attempts, 3);
-        assert!(!u.punch.relay_fallback);
-    }
-
-    #[test]
     fn plans_compose_sources_priorities_and_pacing() {
-        let plan = CandidatePlan::basic()
-            .with_source(
-                SourceSpec::predicted(PredictionStrategy::WindowAroundObserved { radius: 8 })
-                    .with_priority(3)
-                    .with_pace(2),
-            )
-            .with_announced(1, 2);
-        let u = UdpPeerConfig::new(PeerId(1), "18.181.0.31:1234".parse().unwrap())
-            .with_punch(PunchConfig::default().with_plan(plan.clone()));
+        let mut plan = CandidatePlan::basic().with_source(SourceSpec {
+            priority: 3,
+            pace: 2,
+            ..SourceSpec::predicted(PredictionStrategy::WindowAroundObserved { radius: 8 })
+        });
+        plan.announced_priority = 1;
+        plan.announced_pace = 2;
+        let mut u = UdpPeerConfig::new(PeerId(1), "18.181.0.31:1234".parse().unwrap());
+        u.punch = PunchConfig::default().with_plan(plan.clone());
         assert_eq!(u.punch.plan, plan);
         assert_eq!(u.punch.plan.sources[2].priority, 3);
         assert_eq!(u.punch.plan.sources[2].pace, 2);

@@ -200,6 +200,7 @@ impl TcpPeer {
     /// Asks `peer` (via S) to open a connection back to us — §2.3
     /// connection reversal, for when our own NAT admits nothing inbound
     /// but the peer is directly reachable... or vice versa.
+    // punch-lint: allow(S005) §2.3 connection reversal, exercised only by core/tests/tcp_punch.rs and core/tests/peer_contract.rs
     pub fn request_reversal(&mut self, os: &mut Os<'_, '_>, peer: PeerId) {
         if !self.registered {
             self.backlog.push((peer, Asked::Reversal));

@@ -1116,8 +1116,9 @@ mod tests {
     }
 
     fn predicting(window: u16) -> UdpPeerConfig {
-        UdpPeerConfig::new(PeerId(1), "18.181.0.31:1234".parse().unwrap())
-            .with_punch(PunchConfig::default().with_plan(predict_plan(window)))
+        let mut cfg = UdpPeerConfig::new(PeerId(1), "18.181.0.31:1234".parse().unwrap());
+        cfg.punch = PunchConfig::default().with_plan(predict_plan(window));
+        cfg
     }
 
     #[test]
@@ -1174,13 +1175,13 @@ mod tests {
         payload.extend_from_slice(&31001u16.to_be_bytes());
         payload.extend_from_slice(&31002u16.to_be_bytes());
         peer.handle_control(PeerId(2), &payload);
-        let cands = peer.sessions.get(&PeerId(2)).unwrap().race.candidates.endpoints();
+        let cands = peer.sessions.get(&PeerId(2)).unwrap().race.candidates.stamps();
         assert_eq!(cands.len(), 3);
-        assert!(cands.contains(&"138.76.29.7:31002".parse().unwrap()));
+        assert!(cands.iter().any(|c| c.endpoint == "138.76.29.7:31002".parse().unwrap()));
         // Duplicate announcements do not duplicate candidates.
         peer.handle_control(PeerId(2), &payload);
         assert_eq!(
-            peer.sessions.get(&PeerId(2)).unwrap().race.candidates.endpoints().len(),
+            peer.sessions.get(&PeerId(2)).unwrap().race.candidates.stamps().len(),
             3
         );
     }
@@ -1220,8 +1221,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "needs the server's probe port")]
     fn predict_strategy_rejects_server_port_65535() {
-        let cfg = UdpPeerConfig::new(PeerId(1), "18.181.0.31:65535".parse().unwrap())
-            .with_punch(PunchConfig::default().with_plan(predict_plan(4)));
+        let mut cfg = UdpPeerConfig::new(PeerId(1), "18.181.0.31:65535".parse().unwrap());
+        cfg.punch = PunchConfig::default().with_plan(predict_plan(4));
         let _ = UdpPeer::new(cfg);
     }
 

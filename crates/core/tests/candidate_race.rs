@@ -275,7 +275,7 @@ fn common_nat_race_winner_is_private() {
         .run_until_app::<UdpPeer>(a, SimTime::from_secs(30), |p| p.is_established(B)));
     let tl = sc.world.app::<UdpPeer>(a).timeline(B).unwrap();
     let winner = tl.winner.expect("race settled");
-    assert!(winner.is_private(), "{winner}");
+    assert!(winner.ip.is_private(), "{winner}");
     assert_eq!(
         winner,
         sc.world.app::<UdpPeer>(a).session_remote(B).unwrap(),

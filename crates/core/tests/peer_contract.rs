@@ -14,7 +14,7 @@ use holepunch::{
 };
 use punch_lab::{addrs, fig4, fig5, PeerSetup, Scenario, World, WorldBuilder};
 use punch_nat::NatBehavior;
-use punch_net::{Duration, Endpoint, NodeId, SimTime};
+use punch_net::{Duration, Endpoint, LinkAction, LinkSpec, NodeId, SimTime};
 use punch_rendezvous::{encode_frame, ring, Message, RendezvousServer, MAX_PAYLOAD};
 use punch_transport::{App, ConnectOpts, Os, SockEvent, SocketId};
 use std::net::Ipv4Addr;
@@ -554,8 +554,8 @@ fn fleet_homes_are_the_ring_owners_over_both() {
 // D7, regression: a punch that failed with relaying off is a dead end,
 // and what the application keeps sending into it goes nowhere — it is
 // not kept, to be delivered by the thousand should the peer turn up
-// later. B's access link is down from the start, so S refuses A's
-// request; when the link returns B registers and asks for A itself.
+// later. B's access link loses everything from the start, so S refuses
+// A's request; when the link heals B registers and asks for A itself.
 fn sends_into_a_dead_end_session_are_not_kept<P: Peer>() {
     let no_relay = Opts {
         no_relay: true,
@@ -566,7 +566,7 @@ fn sends_into_a_dead_end_session_are_not_kept<P: Peer>() {
     wb.server(addrs::SERVER, RendezvousServer::new(Default::default()));
     let nb = wb.nat(NatBehavior::well_behaved(), addrs::NAT_B);
     wb.public_client(VICTIM.ip, P::setup(A, no_relay.clone()));
-    wb.client(
+    wb.client_linked(
         addrs::CLIENT_B,
         nb,
         P::setup(
@@ -576,11 +576,12 @@ fn sends_into_a_dead_end_session_are_not_kept<P: Peer>() {
                 ..no_relay
             },
         ),
+        LinkSpec::lan().with_loss(1.0),
     );
     let mut w = wb.build();
     let (a, b) = (w.clients[0], w.clients[1]);
     let b_uplink = w.uplink(b);
-    w.sim.set_link_up(b_uplink, false);
+    w.sim.schedule_link_fault(SimTime::from_secs(10), b_uplink, LinkAction::Set(LinkSpec::lan()));
     w.sim.run_for(Duration::from_secs(2));
     w.with_app::<P, _>(a, |p, os| p.connect(os, B));
     w.sim.run_for(Duration::from_secs(1));
@@ -593,9 +594,7 @@ fn sends_into_a_dead_end_session_are_not_kept<P: Peer>() {
             p.send(os, B, Bytes::from_static(b"into the void"));
         }
     });
-    w.sim.run_for(Duration::from_secs(7));
-    w.sim.set_link_up(b_uplink, true);
-    w.sim.run_for(Duration::from_secs(20));
+    w.sim.run_for(Duration::from_secs(27));
     w.with_app::<P, _>(b, |p, os| p.connect(os, A));
     assert!(
         established::<P>(&mut w, b, A, 60),

@@ -3,8 +3,8 @@
 
 use bytes::Bytes;
 use holepunch::{
-    CandidatePlan, PeerId, PredictionStrategy, PunchConfig, SourceSpec, UdpPeer, UdpPeerConfig,
-    UdpPeerEvent, Via,
+    CandidatePlan, PeerId, PredictionStrategy, SourceSpec, UdpPeer, UdpPeerConfig, UdpPeerEvent,
+    Via,
 };
 use punch_lab::{addrs, fig4, fig5, fig6, PeerSetup, Scenario};
 use punch_nat::{Hairpin, MappingPolicy, NatBehavior, PortAllocation};
@@ -123,7 +123,7 @@ fn fig4_common_nat_locks_in_private_endpoints() {
     // §3.3: the direct private route is faster, so it wins the race.
     let remote_a = sc.world.app::<UdpPeer>(sc.a).session_remote(B).unwrap();
     assert!(
-        remote_a.is_private(),
+        remote_a.ip.is_private(),
         "expected private endpoint, got {remote_a}"
     );
     exchange_data(&mut sc, Via::Direct);
@@ -371,9 +371,8 @@ fn payload_mangling_nat_breaks_private_path_unless_obfuscated() {
     // E11. Common NAT, no hairpin: only the private path can work. A
     // mangling NAT corrupts the private endpoint in the registration
     // unless addresses are obfuscated (§3.1/§5.3).
-    let nat = NatBehavior::well_behaved()
-        .with_hairpin(Hairpin::None)
-        .with_payload_mangling();
+    let mut nat = NatBehavior::well_behaved().with_hairpin(Hairpin::None);
+    nat.mangle_payloads = true;
     let cfg = |id, obf| {
         let mut c = UdpPeerConfig::new(id, Scenario::server_endpoint());
         c.obfuscate = obf;
@@ -506,11 +505,10 @@ fn punch_config_max_attempts_bounds_probe_volleys() {
     // Unknown peer: the server can never introduce; the punch fails after
     // max_attempts volleys without relaying (relay also can't help).
     let cfg = |id| {
-        UdpPeerConfig::new(id, Scenario::server_endpoint()).with_punch(
-            PunchConfig::default()
-                .with_relay_fallback(false)
-                .with_max_attempts(3),
-        )
+        let mut cfg = UdpPeerConfig::new(id, Scenario::server_endpoint());
+        cfg.punch.relay_fallback = false;
+        cfg.punch.max_attempts = 3;
+        cfg
     };
     let mut sc = fig5(
         16,
@@ -624,7 +622,8 @@ fn world_with_forger(
         punch_rendezvous::RendezvousServer::new(Default::default()),
     );
     let nb = wb.nat(NatBehavior::well_behaved(), addrs::NAT_B);
-    let cfg = UdpPeerConfig::new(A, Scenario::server_endpoint()).with_local_port(VICTIM_PORT);
+    let mut cfg = UdpPeerConfig::new(A, Scenario::server_endpoint());
+    cfg.local_port = VICTIM_PORT;
     wb.public_client(VICTIM_IP, udp_setup_cfg(cfg));
     wb.client(addrs::CLIENT_B, nb, b);
     wb.public_client(

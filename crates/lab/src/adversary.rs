@@ -240,15 +240,16 @@ impl App for AbuseBot {
 /// scripted packets with forged headers (spoofed source addresses) and
 /// ignores everything it receives.
 ///
-/// Attach one with [`add_spoofer`], then load forged packets mid-run
-/// with [`spoof_at`] once the victim's endpoints are observable.
+/// The attack runners attach one with `add_spoofer`, then load forged
+/// packets mid-run with `spoof_at` once the victim's endpoints are
+/// observable.
 pub struct SpoofBot {
     queue: BTreeMap<u64, Packet>,
     next_token: u64,
 }
 
 impl SpoofBot {
-    /// An idle spoofer; packets are loaded via [`spoof_at`].
+    /// An idle spoofer; packets are loaded via `spoof_at`.
     pub fn new() -> Self {
         SpoofBot {
             queue: BTreeMap::new(),
@@ -257,7 +258,7 @@ impl SpoofBot {
     }
 
     /// Queues `pkt` for emission `after` from now.
-    pub fn schedule(&mut self, ctx: &mut Ctx<'_>, after: Duration, pkt: Packet) {
+    fn schedule(&mut self, ctx: &mut Ctx<'_>, after: Duration, pkt: Packet) {
         let token = self.next_token;
         self.next_token += 1;
         self.queue.insert(token, pkt);
@@ -284,14 +285,14 @@ impl Device for SpoofBot {
 
 /// Attaches a [`SpoofBot`] to the backbone router of a built world.
 /// Call before the first `run_*`, so the node starts with the sim.
-pub fn add_spoofer(world: &mut World) -> NodeId {
+fn add_spoofer(world: &mut World) -> NodeId {
     let node = world.sim.add_node("spoof", Box::new(SpoofBot::new()));
     world.sim.connect(node, world.internet, LinkSpec::wan());
     node
 }
 
 /// Queues a forged packet on `spoofer` for emission `after` from now.
-pub fn spoof_at(world: &mut World, spoofer: NodeId, after: Duration, pkt: Packet) {
+fn spoof_at(world: &mut World, spoofer: NodeId, after: Duration, pkt: Packet) {
     world.sim.with_node(spoofer, |dev, ctx| {
         dev.downcast_mut::<SpoofBot>()
             .expect("node is a SpoofBot") // punch-lint: allow(P001) typed-accessor contract: caller passes the node add_spoofer returned

@@ -103,7 +103,7 @@ impl ChaosLink {
     }
 
     /// Stable identifier used in plan JSON.
-    pub fn json_name(self) -> &'static str {
+    fn json_name(self) -> &'static str {
         self.row().0
     }
 }
@@ -267,7 +267,7 @@ impl ChaosFault {
 
     /// Millisecond offset at which this fault's effects have ended
     /// (links restored; instantaneous device faults fired).
-    pub fn end_ms(&self) -> u64 {
+    fn end_ms(&self) -> u64 {
         match self.parts() {
             (_, at_ms, _, Effect::Link(_, dur_ms, _)) => at_ms + dur_ms,
             (_, at_ms, ..) => at_ms,
@@ -294,7 +294,7 @@ impl ChaosFault {
 
 /// A replayable failing schedule: the topology seed plus the (possibly
 /// minimized) fault list. [`ChaosPlan::to_json`] emits everything
-/// needed to reproduce the run with [`run_plan`].
+/// needed to reproduce the run with [`run_trial`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ChaosPlan {
     /// The seed the topology and schedule were built from.
@@ -366,6 +366,7 @@ fn chaos_peer(id: PeerId, profile: ChaosProfile) -> PeerSetup {
 /// Samples a fault schedule for `seed`: 1..=`max_faults` faults with
 /// offsets in `[0, 15 s)` and durations in `[0.2 s, 8 s]`. Identical
 /// seeds always produce identical schedules.
+// punch-lint: allow(S005) lab/tests/chaos_search.rs pins the classic sampler's schedules over 256 seeds
 pub fn generate_faults(seed: u64, max_faults: usize) -> Vec<ChaosFault> {
     // Decorrelated from the topology seed so the schedule stream never
     // aliases the simulator's own per-node streams.
@@ -409,6 +410,7 @@ pub fn generate_faults(seed: u64, max_faults: usize) -> Vec<ChaosFault> {
 /// introduction floods). Identical seeds always produce identical
 /// schedules; the stream is distinct from [`generate_faults`]'s so the
 /// two profiles explore independent schedule spaces.
+// punch-lint: allow(S005) lab/tests/chaos_search.rs pins the adversarial sampler's schedules over 256 seeds
 pub fn generate_adversarial_faults(seed: u64, max_faults: usize) -> Vec<ChaosFault> {
     // A different decorrelation constant than generate_faults, so the
     // adversarial stream is not the classic stream plus a suffix.
@@ -657,6 +659,7 @@ fn run_trial_inner(seed: u64, faults: &[ChaosFault], profile: ChaosProfile) -> T
 /// Runs one chaos trial: topology seed `seed`, schedule `faults`,
 /// peers configured per `profile`. Panics inside the trial are caught
 /// and reported as violations.
+// punch-lint: allow(S005) lab/tests/chaos_search.rs pins trial outcomes for hand-written schedules of all ten fault kinds
 pub fn run_trial(seed: u64, faults: &[ChaosFault], profile: ChaosProfile) -> TrialOutcome {
     let faults = faults.to_vec();
     match catch_unwind(AssertUnwindSafe(move || {
@@ -679,11 +682,6 @@ pub fn run_trial(seed: u64, faults: &[ChaosFault], profile: ChaosProfile) -> Tri
     }
 }
 
-/// Replays a (typically minimized) plan against `profile`.
-pub fn run_plan(plan: &ChaosPlan, profile: ChaosProfile) -> TrialOutcome {
-    run_trial(plan.seed, &plan.faults, profile)
-}
-
 /// Greedy delta debugging: drops any single fault whose removal keeps
 /// the trial failing until no single fault can go, then tries removing
 /// *pairs* — coupled faults (an attack burst plus the outage masking
@@ -691,6 +689,7 @@ pub fn run_plan(plan: &ChaosPlan, profile: ChaosProfile) -> TrialOutcome {
 /// repro yet jointly removable — and returns to the single pass after
 /// any pair goes. Returns the schedule unchanged if it does not fail
 /// to begin with.
+// punch-lint: allow(S005) lab/tests/chaos_search.rs shrinks an injected liveness bug to its minimal plan
 pub fn shrink(seed: u64, faults: &[ChaosFault], profile: ChaosProfile) -> Vec<ChaosFault> {
     shrink_with(faults, |cand| {
         run_trial(seed, cand, profile).violation.is_some()

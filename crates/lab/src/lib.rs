@@ -46,8 +46,8 @@ pub mod world;
 mod tests;
 
 pub use adversary::{
-    add_spoofer, run_intro_forgery, run_mapping_flood, run_reg_squat, run_rst_inject, spoof_at,
-    AbuseAction, AbuseBot, AttackReport, FloodBot, SpoofBot,
+    run_intro_forgery, run_mapping_flood, run_reg_squat, run_rst_inject, AbuseAction, AbuseBot,
+    AttackReport, FloodBot, SpoofBot,
 };
 pub use shard::{OutcomeCounts, SessionOutcome, ShardConfig, ShardedWorld};
 pub use world::{addrs, fig4, fig5, fig6, PeerSetup, Scenario, World, WorldBuilder};

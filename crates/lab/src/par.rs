@@ -135,6 +135,7 @@ where
 }
 
 /// [`run_merge_metrics`] with an explicit worker count.
+// punch-lint: allow(S005) natcheck/tests/par_determinism.rs merges the same tasks at 1, 2 and 8 workers
 pub fn run_merge_metrics_with_workers<T, R, F>(
     tasks: &[T],
     workers: usize,

@@ -524,6 +524,7 @@ impl ShardedWorld {
 
     /// Metrics registries merged in shard order (empty when metrics were
     /// not enabled in the config).
+    // punch-lint: allow(S005) lab/tests/{shard_identity,wiring_contract,fleet_identity}.rs compare merged metrics across shard layouts
     pub fn merged_metrics(&self) -> MetricsSnapshot {
         let mut total = MetricsSnapshot::default();
         for m in &self.shards {

@@ -13,7 +13,6 @@ use punch_net::{Cidr, Endpoint, FaultPlan, LinkId, LinkSpec, NodeId, Router, Sim
 use punch_rendezvous::{RendezvousServer, ServerConfig};
 use punch_transport::{App, HostDevice, Os, StackConfig};
 use std::net::Ipv4Addr;
-use std::sync::Arc;
 
 /// The paper's example addresses (Figure 5 / Figure 6).
 pub mod addrs {
@@ -66,7 +65,7 @@ impl Backbone {
     /// on the backbone with a route to `ip`.
     pub(crate) fn host(
         &mut self,
-        name: impl Into<Arc<str>>,
+        name: impl AsRef<str>,
         ip: Ipv4Addr,
         stack: StackConfig,
         app: Box<dyn App>,
@@ -87,7 +86,7 @@ impl Backbone {
     /// realm address from the child's outbound traffic.
     pub(crate) fn nat(
         &mut self,
-        name: impl Into<Arc<str>>,
+        name: impl AsRef<str>,
         behavior: NatBehavior,
         public_ip: Ipv4Addr,
         behind: Option<NodeId>,
@@ -221,7 +220,7 @@ impl World {
     /// The link connecting `node` to the rest of the topology (its
     /// iface-0 uplink: a client's access link, a NAT's public link, a
     /// server's backbone link). Pass it to [`FaultPlan`] builders or
-    /// [`Sim::link_mut`].
+    /// [`Sim::schedule_link_fault`].
     pub fn uplink(&self, node: NodeId) -> LinkId {
         self.sim.link_of(node, 0)
     }
@@ -326,6 +325,7 @@ impl WorldBuilder {
     /// # Panics
     ///
     /// Panics if `parent` is not an earlier NAT index.
+    // punch-lint: allow(S005) §3.5 nested NATs outside Figure 6: lab/tests/wiring_contract.rs builds one into its every-method world
     pub fn nat_behind(
         &mut self,
         behavior: NatBehavior,

@@ -3,7 +3,7 @@
 //! injected liveness bug is caught and shrunk to a minimal plan.
 
 use punch_lab::chaos::{
-    generate_adversarial_faults, generate_faults, run_plan, run_schedule, run_trial, shrink,
+    generate_adversarial_faults, generate_faults, run_schedule, run_trial, shrink,
     ChaosFault, ChaosLink, ChaosPlan, ChaosProfile,
 };
 
@@ -173,8 +173,8 @@ fn injected_liveness_bug_is_caught_shrunk_and_replayable() {
         seed,
         faults: minimized,
     };
-    let r1 = run_plan(&plan, ChaosProfile::Fragile);
-    let r2 = run_plan(&plan, ChaosProfile::Fragile);
+    let r1 = run_trial(plan.seed, &plan.faults, ChaosProfile::Fragile);
+    let r2 = run_trial(plan.seed, &plan.faults, ChaosProfile::Fragile);
     assert!(r1.violation.is_some());
     assert_eq!(r1.violation, r2.violation);
     assert_eq!(r1.stats, r2.stats);

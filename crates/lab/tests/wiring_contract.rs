@@ -110,8 +110,8 @@ fn figure_worlds_keep_their_fingerprints() {
 fn builder_world_keeps_its_fingerprint() {
     let mut wb = WorldBuilder::new(44)
         .metrics()
-        .wan(LinkSpec::wan().with_jitter(Duration::from_millis(3)))
-        .lan(LinkSpec::lan().with_jitter(Duration::from_micros(150)));
+        .wan(LinkSpec { jitter: Duration::from_millis(3), ..LinkSpec::wan() })
+        .lan(LinkSpec { jitter: Duration::from_micros(150), ..LinkSpec::lan() });
     let s2_ip = Ipv4Addr::new(18, 181, 0, 32);
     let fleet = vec![Scenario::server_endpoint(), punch_net::Endpoint::new(s2_ip, 1234)];
     wb.server(
@@ -124,7 +124,7 @@ fn builder_world_keeps_its_fingerprint() {
         addrs::CLIENT_A,
         isp,
         peer(A),
-        LinkSpec::access().with_jitter(Duration::from_millis(1)),
+        LinkSpec { jitter: Duration::from_millis(1), ..LinkSpec::access() },
     );
     let home = wb.nat_behind(NatBehavior::full_cone(), addrs::ISP_NAT_B, isp);
     let b = wb.client(addrs::CLIENT_B, home, peer(B));

@@ -10,8 +10,9 @@
 //!    suppressions) over the hand-rolled lexer's token stream.
 //! 2. **Cross-file semantic rules** (S001 wire-tag registry, S002
 //!    seeded-RNG draw inventory, S003 suppression reachability, S004
-//!    metric-name registry) over item-level parses of the whole tree,
-//!    emitting registries pinned under `results/LINT_*.json`.
+//!    metric-name registry, S005 public functions have callers) over
+//!    item-level parses of the whole tree, emitting registries pinned
+//!    under `results/LINT_*.json`.
 //!
 //! The rule catalog with rationale, the suppression syntax, and the
 //! registry/ratchet workflow live in `LINTS.md` at the repo root.
@@ -40,7 +41,7 @@ mod semantic;
 
 pub use lexer::{lex, Comment, Lexed, Lit, TokKind, Token};
 pub use parser::{parse, ConstItem, FnItem, MatchArm, ParsedFile};
-pub use rules::{lint_source, scope_for, FileReport, Violation, RULES, W001_PATHS};
+pub use rules::{lint_source, FileReport, Violation, RULES, W001_PATHS};
 pub use semantic::{
     analyze, SemanticReport, SourceFile, DRAW_METHODS, EVENT_ROOTS, METRIC_LAYERS, WIRE_CODECS,
 };
@@ -90,7 +91,7 @@ impl Registries {
 
     /// FNV-1a 64-bit content digests, for drift detection in `--json`
     /// output without embedding whole registries in the report.
-    pub fn digests(&self) -> [(&'static str, u64); 3] {
+    fn digests(&self) -> [(&'static str, u64); 3] {
         [
             (REGISTRY_FILES[0], fnv1a(self.wire.as_bytes())),
             (REGISTRY_FILES[1], fnv1a(self.rng.as_bytes())),
@@ -110,7 +111,7 @@ impl Registries {
 
 /// FNV-1a 64-bit hash — the same dependency-free digest the rest of the
 /// workspace uses for content fingerprints.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
+fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= u64::from(b);
@@ -330,6 +331,16 @@ pub fn lint_tree(root: &Path) -> io::Result<Report> {
                 .filter(|v| v.rule == "D001")
                 .collect(),
         });
+    }
+
+    // A file that is a `#[cfg(test)] mod x;` of its parent is test code.
+    let test_modules: Vec<String> = (sources.iter())
+        .flat_map(|sf| rules::test_module_paths(&sf.path, &sf.lexed.tokens))
+        .collect();
+    for sf in &mut sources {
+        if test_modules.contains(&sf.path) {
+            sf.test_mask.fill(true);
+        }
     }
 
     let pinned_rng = fs::read_to_string(root.join("results/LINT_rng_inventory.json")).ok();

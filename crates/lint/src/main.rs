@@ -40,8 +40,8 @@ fn main() -> ExitCode {
             "-h" | "--help" => {
                 println!(
                     "punch-lint [--root DIR] [--json] [--emit-registries DIR]\n\n\
-                     Determinism & wire-safety static analysis for the p2p-punch\n\
-                     workspace. Rules: {} (catalog in LINTS.md).\n\
+                     Determinism, wire-safety and dead-surface static analysis for\n\
+                     the p2p-punch workspace. Rules: {} (catalog in LINTS.md).\n\
                      --emit-registries DIR regenerates the pinned semantic\n\
                      registries (usually DIR = results).\n\
                      Exit: 0 clean, 1 violations, 2 usage/IO error.",

@@ -1,13 +1,13 @@
 //! A lightweight item-level parser on top of [`crate::lexer`].
 //!
-//! The cross-file semantic rules (S001–S004, see `LINTS.md`) need more
+//! The cross-file semantic rules (S001–S005, see `LINTS.md`) need more
 //! shape than a flat token stream — which `fn` a token sits in, what a
 //! `const` is worth, which idents are match-arm *patterns* versus
 //! code — but far less than a real syntax tree. This pass extracts
-//! exactly that: `fn` items (with their impl owner and body span),
-//! `const` items (with integer values when the initializer is a single
-//! literal), and `match` arms (pattern token spans), all as index
-//! ranges into the token stream.
+//! exactly that: `fn` items (with their impl owner, visibility and body
+//! span), `const` items (with integer values when the initializer is a
+//! single literal), `match` arms (pattern token spans) and `use`
+//! declarations, all as index ranges into the token stream.
 //!
 //! Like the lexer it must never fail: malformed or adversarial input
 //! degrades to *fewer recognized items*, never to a panic or an
@@ -25,6 +25,10 @@ pub struct FnItem {
     pub owner: Option<String>,
     /// 1-based line of the `fn` keyword.
     pub line: u32,
+    /// 1-based column of the `fn` keyword.
+    pub col: u32,
+    /// Declared plain `pub` (not `pub(crate)` or narrower).
+    pub public: bool,
     /// Token-index range `[open brace, close brace]` of the body;
     /// `None` for bodyless declarations (trait methods).
     pub body: Option<(usize, usize)>,
@@ -82,6 +86,8 @@ pub struct ParsedFile {
     /// All `match` arms (from every `match`, nested ones included), in
     /// source order of their patterns.
     pub arms: Vec<MatchArm>,
+    /// Token-index ranges `[use, ;]` of every `use` declaration.
+    pub uses: Vec<(usize, usize)>,
 }
 
 impl ParsedFile {
@@ -96,6 +102,11 @@ impl ParsedFile {
     /// Whether token index `i` sits inside any match-arm pattern.
     pub fn in_arm_pattern(&self, i: usize) -> bool {
         self.arms.iter().any(|a| (a.pat.0..a.pat.1).contains(&i))
+    }
+
+    /// Whether token index `i` sits inside a `use` declaration.
+    pub fn in_use(&self, i: usize) -> bool {
+        self.uses.iter().any(|&(lo, hi)| (lo..=hi).contains(&i))
     }
 }
 
@@ -241,8 +252,36 @@ fn parse_fn(tokens: &[Token], i: usize, owner: Option<&str>) -> Option<FnItem> {
         name,
         owner: owner.map(str::to_string),
         line: tokens[i].line,
+        col: tokens[i].col,
+        public: is_plain_pub(tokens, i),
         body,
     })
+}
+
+/// Whether the `fn` at token `i` is declared plain `pub`: past any
+/// `const`/`unsafe` qualifiers, the token before it is `pub` itself,
+/// not the `)` of `pub(crate)`.
+fn is_plain_pub(tokens: &[Token], i: usize) -> bool {
+    let mut j = i;
+    while j > 0 && matches!(ident_at(tokens, j - 1), Some("const" | "unsafe")) {
+        j -= 1;
+    }
+    j > 0 && ident_at(tokens, j - 1) == Some("pub")
+}
+
+/// The index of the `;` ending the `use` declaration at token `i`
+/// (braces in `use a::{b, c};` balanced), or the last token.
+fn use_end(tokens: &[Token], i: usize) -> usize {
+    let mut depth = 0usize;
+    for (j, t) in tokens.iter().enumerate().skip(i) {
+        match t.kind {
+            TokKind::Punct('{') => depth += 1,
+            TokKind::Punct('}') => depth = depth.saturating_sub(1),
+            TokKind::Punct(';') if depth == 0 => return j,
+            _ => {}
+        }
+    }
+    tokens.len().saturating_sub(1)
 }
 
 /// Parses a `const`/`static` at token `i`. Recognizes only the item
@@ -437,6 +476,7 @@ pub fn parse(lexed: &Lexed) -> ParsedFile {
                     out.consts.push(c);
                 }
             }
+            "use" => out.uses.push((i, use_end(tokens, i))),
             "match" => {
                 // `Enum::match` / `.match` cannot occur (keyword), but a
                 // raw ident `r#match` lexes to `match`; the damage is a
@@ -502,6 +542,30 @@ mod tests {
             .position(|t| matches!(&t.kind, TokKind::Ident(s) if s == "work"))
             .unwrap();
         assert_eq!(p.enclosing_fn(work_idx).unwrap().name, "inner");
+    }
+
+    #[test]
+    fn visibility_and_use_declarations() {
+        let src = "
+            pub use a::{b, c};
+            pub fn open() {}
+            pub(crate) fn crate_only() {}
+            pub const unsafe fn qualified() {}
+            fn private() { use std::mem; }
+        ";
+        let p = parsed(src);
+        let public: Vec<(&str, bool)> = p.fns.iter().map(|f| (f.name.as_str(), f.public)).collect();
+        assert_eq!(
+            public,
+            [("open", true), ("crate_only", false), ("qualified", true), ("private", false)]
+        );
+        let lx = lex(src);
+        let in_use = |name: &str| {
+            let ident = |t: &Token| matches!(&t.kind, TokKind::Ident(s) if s == name);
+            p.in_use(lx.tokens.iter().position(ident).unwrap())
+        };
+        assert!(in_use("c") && in_use("mem"));
+        assert!(!in_use("open"));
     }
 
     #[test]

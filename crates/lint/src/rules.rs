@@ -28,7 +28,7 @@ use std::collections::BTreeMap;
 /// cross-file semantic pass (the `semantic` module); everything else
 /// is per-file token matching in this module.
 pub const RULES: &[&str] = &[
-    "A001", "D001", "D002", "P001", "S001", "S002", "S003", "S004", "W001",
+    "A001", "D001", "D002", "P001", "S001", "S002", "S003", "S004", "S005", "W001",
 ];
 
 /// Interns a rule name to its `&'static str` in [`RULES`].
@@ -89,7 +89,7 @@ pub(crate) fn is_library_src(path: &str) -> bool {
 }
 
 /// Computes the rule scope for a path (relative to the repo root).
-pub fn scope_for(path: &str) -> Scope {
+fn scope_for(path: &str) -> Scope {
     let lib = is_library_src(path);
     Scope {
         d001: !D001_ALLOW_PREFIXES.iter().any(|p| path.starts_with(p)),
@@ -286,6 +286,34 @@ pub fn test_token_mask(tokens: &[Token]) -> Vec<bool> {
     mask
 }
 
+/// The files that `path` declares as `#[cfg(test)] mod name;`: test
+/// code from their first line, though nothing inside them says so.
+pub(crate) fn test_module_paths(path: &str, tokens: &[Token]) -> Vec<String> {
+    let (dir, file) = path.rsplit_once('/').unwrap_or(("", path));
+    let stem = file.trim_end_matches(".rs");
+    let base = if matches!(stem, "lib" | "main" | "mod") {
+        dir.to_string()
+    } else {
+        format!("{dir}/{stem}")
+    };
+    let mut out = Vec::new();
+    for i in 0..tokens.len() {
+        let cfg_test = punct_at(tokens, i, '#')
+            && punct_at(tokens, i + 1, '[')
+            && ident_at(tokens, i + 2) == Some("cfg")
+            && punct_at(tokens, i + 3, '(')
+            && ident_at(tokens, i + 4) == Some("test")
+            && punct_at(tokens, i + 5, ')')
+            && punct_at(tokens, i + 6, ']');
+        if cfg_test && ident_at(tokens, i + 7) == Some("mod") && punct_at(tokens, i + 9, ';') {
+            if let Some(name) = ident_at(tokens, i + 8) {
+                out.push(format!("{base}/{name}.rs"));
+            }
+        }
+    }
+    out
+}
+
 fn ident_at(tokens: &[Token], i: usize) -> Option<&str> {
     match tokens.get(i).map(|t| &t.kind) {
         Some(TokKind::Ident(s)) => Some(s.as_str()),
@@ -315,7 +343,8 @@ pub struct FileReport {
 }
 
 /// Lints one file's source. `path` is relative to the repo root and
-/// selects which rules apply (see [`scope_for`]).
+/// selects which rules apply (see `scope_for`).
+// punch-lint: allow(S005) crates/lint/tests/fixtures.rs drives every per-file rule through it
 pub fn lint_source(path: &str, src: &str) -> FileReport {
     lint_lexed(path, &lex(src))
 }

@@ -1,5 +1,5 @@
 //! The cross-file semantic pass: project-wide registries and the rules
-//! that check them (S001–S004).
+//! that check them (S001–S005).
 //!
 //! Where `rules` matches token patterns one file at a time, this module
 //! sees the whole tree at once, via the item parser
@@ -23,6 +23,10 @@
 //!   histogram name literals, enforces the `layer.name` taxonomy,
 //!   flags near-duplicate and kind-conflicted names, and pins the
 //!   registry to `results/LINT_metric_registry.json`.
+//! * **S005 — public functions have callers.** A plain-`pub` fn in
+//!   library code fails unless its name appears in the non-test,
+//!   non-`use` code of another file: a `pub fn` only its own file or
+//!   the tests call is surface nobody uses.
 //!
 //! All three registries are emitted with fixed key order and sorted
 //! entries, so they are byte-identical run to run; `scripts/ci.sh`
@@ -161,6 +165,7 @@ pub fn analyze(files: &[SourceFile], pinned_rng_inventory: Option<&str>) -> Sema
     let rng_inventory = check_rng_sites(files, pinned_rng_inventory, &mut violations);
     check_reachability(files, &mut violations);
     let metric_registry = check_metric_names(files, &mut violations);
+    check_public_callers(files, &mut violations);
     SemanticReport {
         violations,
         wire_registry,
@@ -684,4 +689,46 @@ fn check_metric_names(files: &[SourceFile], out: &mut Vec<Violation>) -> String 
     }
     json.push_str("]\n}\n");
     json
+}
+
+// ---------------------------------------------------------------------
+// S005 — every public fn has a caller outside tests
+// ---------------------------------------------------------------------
+
+fn check_public_callers(files: &[SourceFile], out: &mut Vec<Violation>) {
+    // Which files name each identifier in code that runs outside tests:
+    // not a `tests/` tree, not a test region, not a `use` declaration.
+    let mut named_in: BTreeMap<&str, BTreeSet<usize>> = BTreeMap::new();
+    for (fi, sf) in files.iter().enumerate() {
+        if sf.path.starts_with("tests/") || sf.path.contains("/tests/") {
+            continue;
+        }
+        for (i, t) in sf.lexed.tokens.iter().enumerate() {
+            if let TokKind::Ident(id) = &t.kind {
+                if !sf.test_mask.get(i).copied().unwrap_or(false) && !sf.parsed.in_use(i) {
+                    named_in.entry(id.as_str()).or_default().insert(fi);
+                }
+            }
+        }
+    }
+    for (fi, sf) in files.iter().enumerate() {
+        if !is_semantic_scope(&sf.path) {
+            continue;
+        }
+        let in_test = |i: usize| sf.test_mask.get(i).copied().unwrap_or(false);
+        for f in &sf.parsed.fns {
+            if !f.public || f.body.is_some_and(|(lo, _)| in_test(lo)) {
+                continue;
+            }
+            let called = named_in
+                .get(f.name.as_str())
+                .is_some_and(|users| users.iter().any(|&u| u != fi));
+            if !called {
+                out.push(violation(&sf.path, f.line, f.col, "S005", format!(
+                    "`pub fn {}` has no caller outside its own file but tests; make it private, \
+                     delete it, or allow(S005) naming its outside consumer",
+                    f.qualified())));
+            }
+        }
+    }
 }

@@ -3,7 +3,7 @@
 pub const TAG_PING: u8 = 1;
 pub const TAG_PONG: u8 = 2;
 
-pub fn encode(buf: &mut Vec<u8>, pong: bool) {
+fn encode(buf: &mut Vec<u8>, pong: bool) {
     if pong {
         buf.push(TAG_PONG);
     } else {
@@ -11,7 +11,7 @@ pub fn encode(buf: &mut Vec<u8>, pong: bool) {
     }
 }
 
-pub fn decode(b: u8) -> u32 {
+fn decode(b: u8) -> u32 {
     match b {
         TAG_PING => 1,
         TAG_PONG => 2,

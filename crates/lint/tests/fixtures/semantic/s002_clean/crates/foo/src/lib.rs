@@ -5,7 +5,7 @@ pub struct Node {
 }
 
 impl Node {
-    pub fn nonce(&mut self) -> u64 {
+    fn nonce(&mut self) -> u64 {
         self.rng.gen()
     }
 }

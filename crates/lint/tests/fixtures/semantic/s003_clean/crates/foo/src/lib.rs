@@ -4,14 +4,14 @@
 pub struct Sim;
 
 impl Sim {
-    pub fn step(&mut self) {
+    fn step(&mut self) {
         advance();
     }
 }
 
 fn advance() {}
 
-pub fn host_main() {
+fn host_main() {
     profile_hook();
 }
 

@@ -1,6 +1,6 @@
 //! S004 fixture: taxonomy-conforming metric names, one per kind.
 
-pub fn record(m: &mut Metrics) {
+fn record(m: &mut Metrics) {
     m.inc("net.packets_sent");
     m.gauge_set("net.queue.depth", 3);
     m.observe("punch.latency", 40);

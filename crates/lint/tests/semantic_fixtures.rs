@@ -1,4 +1,4 @@
-//! Fixture trees for the cross-file semantic rules (S001–S004): each
+//! Fixture trees for the cross-file semantic rules (S001–S005): each
 //! rule has a violating tree and a clean one under
 //! `tests/fixtures/semantic/` (excluded from the workspace scan), and
 //! the registries the pass emits are checked for content and for
@@ -111,11 +111,47 @@ fn s004_clean_names_pass_and_pin_kinds() {
     assert!(m.contains(r#"{"name": "punch.latency", "kind": "histogram""#), "{m}");
 }
 
+#[test]
+fn s005_flags_fns_only_tests_or_their_own_file_call() {
+    let r = fixture("s005_bad");
+    assert_eq!(counts(&r).get("S005"), Some(&5), "{}", r.render_text());
+    let text = r.render_text();
+    for name in ["tested_only", "own_file_only", "test_module_file_only"] {
+        assert!(text.contains(&format!("`pub fn {name}`")), "{name}: {text}");
+    }
+}
+
+#[test]
+fn s005_a_pub_use_re_export_alone_is_no_caller() {
+    let r = fixture("s005_bad");
+    let text = r.render_text();
+    assert!(text.contains("crates/foo/src/util.rs:5:5: S005: `pub fn reexported_only`"), "{text}");
+}
+
+#[test]
+fn s005_a_cfg_test_caller_in_another_file_is_no_caller() {
+    let r = fixture("s005_bad");
+    let text = r.render_text();
+    assert!(text.contains("`pub fn cfg_test_caller_only`"), "{text}");
+}
+
+#[test]
+fn s005_examples_and_benchmark_bins_are_callers() {
+    let r = fixture("s005_clean");
+    assert!(r.violations.is_empty(), "{}", r.render_text());
+}
+
+#[test]
+fn s005_allow_suppresses_the_finding() {
+    let r = fixture("s005_clean");
+    assert_eq!(r.suppressed_by_rule.get("S005"), Some(&1), "{}", r.render_json());
+}
+
 /// Reports and registries are byte-identical across runs — the property
 /// `scripts/ci.sh` enforces with `cmp` on the whole workspace.
 #[test]
 fn semantic_reports_are_run_twice_identical() {
-    for tree in ["s001_bad", "s002_bad", "s003_bad", "s004_bad", "s004_clean"] {
+    for tree in ["s001_bad", "s002_bad", "s003_bad", "s004_bad", "s004_clean", "s005_bad"] {
         let a = fixture(tree);
         let b = fixture(tree);
         assert_eq!(a.render_text(), b.render_text(), "{tree}");

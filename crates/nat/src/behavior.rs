@@ -259,12 +259,6 @@ impl NatBehavior {
         self
     }
 
-    /// Enables the §5.3 payload-mangling misbehaviour.
-    pub fn with_payload_mangling(mut self) -> Self {
-        self.mangle_payloads = true;
-        self
-    }
-
     /// Caps the mapping table at `n` live entries (eviction on overflow).
     pub fn with_max_mappings(mut self, n: usize) -> Self {
         self.max_mappings = Some(n);
@@ -303,6 +297,7 @@ impl NatBehavior {
     /// consistent mapping and no active RST/ICMP rejection of unsolicited
     /// SYNs (§5.1 + §5.2; rejection is "not necessarily fatal" but NAT
     /// Check counts it as incompatible, and so do we).
+    // punch-lint: allow(S005) §5.1–5.2 TCP precondition: the nat vendors suite checks Table 1's TCP column (33 of 38) against it
     pub fn supports_tcp_hole_punching(&self) -> bool {
         self.mapping_for_tcp(true) == MappingPolicy::EndpointIndependent
             && self.tcp_unsolicited == TcpUnsolicited::Drop
@@ -348,12 +343,10 @@ mod tests {
         let b = NatBehavior::full_cone()
             .with_udp_timeout(Duration::from_secs(20))
             .with_port_alloc(PortAllocation::Random)
-            .with_hairpin(Hairpin::NoSourceRewrite)
-            .with_payload_mangling();
+            .with_hairpin(Hairpin::NoSourceRewrite);
         assert_eq!(b.udp_timeout, Duration::from_secs(20));
         assert_eq!(b.port_alloc, PortAllocation::Random);
         assert_eq!(b.hairpin_udp, Hairpin::NoSourceRewrite);
         assert_eq!(b.hairpin_tcp, Hairpin::NoSourceRewrite);
-        assert!(b.mangle_payloads);
     }
 }

@@ -123,12 +123,14 @@ impl NatDevice {
     }
 
     /// Returns the live translation tables (diagnostics/tests).
+    // punch-lint: allow(S005) nat/tests/{nat_device,adversarial}.rs inspect the live tables under caps and floods
     pub fn tables(&self) -> &NatTables {
         &self.tables
     }
 
     /// Pre-registers a private host on an interface (normally learned
     /// from outbound traffic; useful to stage §3.4 "wrong host" tests).
+    // punch-lint: allow(S005) nat/tests/nat_device.rs stages Figure 4's local switching before either host has sent
     pub fn add_private_host(&mut self, ip: Ipv4Addr, iface: IfaceId) {
         self.private_iface.insert(ip, iface);
     }
@@ -140,7 +142,7 @@ impl NatDevice {
     /// outbound traffic receives *different* public endpoints. This is
     /// the middlebox failure mode that forces peers to re-run hole
     /// punching (§3.5's rationale for keepalives and on-demand repair).
-    pub fn reboot(&mut self) {
+    fn reboot(&mut self) {
         self.stats.reboots += 1;
         self.tables = NatTables::new();
         self.private_iface = FlatMap::new();
@@ -260,7 +262,7 @@ impl NatDevice {
             if self.tables.live_count_for_source(private.ip, now) >= quota {
                 self.stats.quota_refused += 1;
                 ctx.metric_inc("defense.nat.quota_refused");
-                ctx.note_drop("nat-quota-refused", pkt);
+                ctx.note_drop("nat-quota-refused");
                 return None;
             }
         }
@@ -276,7 +278,7 @@ impl NatDevice {
             }
         }
         let Some(public) = self.alloc_public(ctx.rng(), proto, private) else {
-            ctx.note_drop("nat-ports-exhausted", pkt);
+            ctx.note_drop("nat-ports-exhausted");
             return None;
         };
         let entry = self
@@ -318,11 +320,11 @@ impl NatDevice {
 
     fn handle_outbound(&mut self, ctx: &mut Ctx<'_>, mut pkt: Packet) {
         if matches!(pkt.body, Body::Icmp(_)) {
-            ctx.note_drop("nat-outbound-icmp", &pkt);
+            ctx.note_drop("nat-outbound-icmp");
             return;
         }
         if pkt.ttl <= 1 {
-            ctx.note_drop("ttl-exceeded", &pkt);
+            ctx.note_drop("ttl-exceeded");
             return;
         }
         let Some(public) = self.outbound_mapping(ctx, &pkt) else {
@@ -381,11 +383,11 @@ impl NatDevice {
         // Every verdict before any touch: a packet the NAT drops leaves
         // the mapping exactly as it found it.
         let Some(&iface) = self.private_iface.get(&entry.private.ip) else {
-            ctx.note_drop("nat-unknown-private-host", &pkt);
+            ctx.note_drop("nat-unknown-private-host");
             return;
         };
         if pkt.ttl <= 1 {
-            ctx.note_drop("ttl-exceeded", &pkt);
+            ctx.note_drop("ttl-exceeded");
             return;
         }
         carry(b, entry, &pkt, false, now);
@@ -412,11 +414,11 @@ impl NatDevice {
         let is_tcp_syn = matches!(&pkt.body, Body::Tcp(seg)
             if seg.flags.contains(TcpFlags::SYN) && !seg.flags.contains(TcpFlags::RST));
         if !is_tcp_syn {
-            ctx.note_drop("nat-unsolicited", &pkt);
+            ctx.note_drop("nat-unsolicited");
             return;
         }
         match self.behavior.tcp_unsolicited {
-            TcpUnsolicited::Drop => ctx.note_drop("nat-unsolicited-syn", &pkt),
+            TcpUnsolicited::Drop => ctx.note_drop("nat-unsolicited-syn"),
             TcpUnsolicited::Rst => {
                 let seg = pkt.tcp_segment().expect("checked tcp"); // punch-lint: allow(P001) proto matched as TCP by the surrounding dispatch
                 let rst = punch_net::TcpSegment::control(
@@ -460,10 +462,7 @@ impl NatDevice {
             .tables
             .lookup_public(msg.original_proto, msg.original_src, now)
         else {
-            ctx.note_drop(
-                "nat-unsolicited-icmp",
-                &Packet::icmp(outer_src, Endpoint::new(self.public_ip(), 0), msg),
-            );
+            ctx.note_drop("nat-unsolicited-icmp");
             return;
         };
         let private = entry.private;

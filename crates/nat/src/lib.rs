@@ -31,6 +31,6 @@ pub use behavior::{
     FilteringPolicy, Hairpin, MappingPolicy, NatBehavior, NatKind, PortAllocation, TcpUnsolicited,
 };
 pub use device::{NatDevice, NatStats, PUBLIC_IFACE};
-pub use mangle::{obfuscate_addr, rewrite_addr};
+pub use mangle::rewrite_addr;
 pub use table::{MapEntry, MapId, MapKey, NatTables, TcpTrack};
 pub use vendors::{SampledNat, VendorProfile, VendorSpec, VENDORS};

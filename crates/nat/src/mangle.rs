@@ -31,13 +31,6 @@ pub fn rewrite_addr(payload: &[u8], from: Ipv4Addr, to: Ipv4Addr) -> Option<Byte
     out.map(Bytes::from)
 }
 
-/// One's-complement obfuscation of an IPv4 address (§3.1's suggested
-/// defence): applying it twice returns the original.
-pub fn obfuscate_addr(addr: Ipv4Addr) -> Ipv4Addr {
-    let o = addr.octets();
-    Ipv4Addr::new(!o[0], !o[1], !o[2], !o[3])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -84,15 +77,5 @@ mod tests {
         let payload = [1u8; 6];
         let out = rewrite_addr(&payload, from, to).unwrap();
         assert_eq!(out.as_ref(), &[2, 2, 2, 2, 1, 1]);
-    }
-
-    #[test]
-    fn obfuscation_is_involutive_and_defeats_matching() {
-        let addr = Ipv4Addr::new(10, 1, 1, 3);
-        let obf = obfuscate_addr(addr);
-        assert_ne!(addr, obf);
-        assert_eq!(obfuscate_addr(obf), addr);
-        // A mangler looking for `addr` finds nothing in the obfuscated bytes.
-        assert!(rewrite_addr(&obf.octets(), addr, Ipv4Addr::new(9, 9, 9, 9)).is_none());
     }
 }

@@ -114,7 +114,7 @@ impl MapEntry {
 
     /// Opens or refreshes the filter hole toward `remote` until
     /// `expires`.
-    pub fn touch_session(&mut self, remote: Endpoint, expires: SimTime) {
+    fn touch_session(&mut self, remote: Endpoint, expires: SimTime) {
         let slot = self.allowed.entry(remote).or_insert(expires);
         if expires > *slot {
             *slot = expires;
@@ -122,6 +122,7 @@ impl MapEntry {
     }
 
     /// Extends the mapping's lifetime to `now + ttl`; never shortens it.
+    // punch-lint: allow(S005) nat/tests/proptest_tables.rs refreshes the tables in step with its two-map model
     pub fn refresh(&mut self, now: SimTime, ttl: Duration) {
         self.expires_at = self.expires_at.max(now + ttl);
     }

@@ -489,7 +489,8 @@ fn hairpin_no_source_rewrite_exposes_private_endpoint() {
 
 #[test]
 fn payload_mangler_rewrites_private_address_and_obfuscation_defeats_it() {
-    let behavior = NatBehavior::well_behaved().with_payload_mangling();
+    let mut behavior = NatBehavior::well_behaved();
+    behavior.mangle_payloads = true;
     let mut sim = Sim::new(6);
     let nat = sim.add_node(
         "nat",
@@ -509,7 +510,8 @@ fn payload_mangler_rewrites_private_address_and_obfuscation_defeats_it() {
     sim.connect(nat, sink, LinkSpec::wan()); // iface 0 public
     let client_ip: std::net::Ipv4Addr = "10.0.0.1".parse().unwrap();
     let payload_plain = client_ip.octets().to_vec();
-    let payload_obf = punch_nat::obfuscate_addr(client_ip).octets().to_vec();
+    // §3.1's one's-complement obfuscation.
+    let payload_obf = (!u32::from(client_ip)).to_be_bytes().to_vec();
     let client = sim.add_node(
         "client",
         Box::new(HostDevice::new(
@@ -686,7 +688,6 @@ fn ttl_decrements_through_nat() {
         )),
     );
     sim.connect(nat, sink, LinkSpec::wan());
-    sim.enable_trace(64);
     sim.inject(nat, 1, {
         let mut p =
             punch_net::Packet::udp(ep("10.0.0.1:4321"), ep("18.181.0.31:9000"), b"x".as_ref());

@@ -25,7 +25,7 @@ pub use client::{NatCheckClient, NatCheckReport};
 pub use pair::{check_nat_pair, PairReport};
 pub use servers::{CheckServer, ServerRole, CHECK_PORT, S3_PROBE_PORT};
 pub use survey::{
-    check_nat, check_nat_instrumented, run_survey, run_survey_mutated,
-    run_survey_mutated_with_workers, SurveyResult, SurveyRow,
+    check_nat, run_survey, run_survey_mutated, run_survey_mutated_with_workers, SurveyResult,
+    SurveyRow,
 };
 pub use wire::{CheckFrames, CheckMsg, InboundStatus, MAX_CHECK_BUFFER};

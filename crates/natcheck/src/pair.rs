@@ -27,15 +27,6 @@ pub struct PairReport {
 }
 
 impl PairReport {
-    /// Both clients observed consistent translation: the NAT keeps its
-    /// cone behaviour even under private-port contention.
-    pub fn consistent_under_contention(&self) -> Option<bool> {
-        match (self.first.udp_consistent, self.second.udp_consistent) {
-            (Some(a), Some(b)) => Some(a && b),
-            _ => None,
-        }
-    }
-
     /// The §6.3 blind spot made visible: single-client testing would
     /// pass (the first client looks fine) while contention breaks the
     /// second client.

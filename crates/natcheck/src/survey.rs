@@ -26,7 +26,7 @@ pub fn check_nat(behavior: NatBehavior, seed: u64) -> NatCheckReport {
 
 /// [`check_nat`], also returning the engine counters of the underlying
 /// simulation — the survey aggregates these into its throughput figures.
-pub fn check_nat_instrumented(behavior: NatBehavior, seed: u64) -> (NatCheckReport, SimStats) {
+fn check_nat_instrumented(behavior: NatBehavior, seed: u64) -> (NatCheckReport, SimStats) {
     let mut wb = WorldBuilder::new(seed);
     wb.server(S1, CheckServer::new(ServerRole::One));
     wb.server(S2, CheckServer::new(ServerRole::Two { s3: S3 }));

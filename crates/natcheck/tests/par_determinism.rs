@@ -9,7 +9,7 @@ use punch_lab::{fig5, par, PeerSetup, Scenario};
 use punch_nat::{NatBehavior, VENDORS};
 use punch_natcheck::run_survey_mutated_with_workers;
 use punch_net::seed::derive_seed;
-use punch_net::{Duration, FaultPlan, LinkSpec, MetricsSnapshot, SimTime};
+use punch_net::{Duration, FaultPlan, LinkAction, LinkSpec, MetricsSnapshot, SimTime};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::HashSet;
 
@@ -52,8 +52,8 @@ fn resilient_peer(id: u64) -> PeerSetup {
 /// Builds a Figure-5 world, derives a random `FaultPlan` entirely from
 /// `seed` (link outages, loss/dup/reorder degradation, NAT and server
 /// restarts), runs a punch attempt through the carnage, and fingerprints
-/// the run: the packet-level trace plus both peers' event streams. The
-/// fingerprint must depend only on `seed`.
+/// the run: the engine's deterministic counters plus both peers' event
+/// streams and punch timelines. The fingerprint must depend only on `seed`.
 fn faulted_run_fingerprint(seed: u64) -> String {
     faulted_run(seed, false).0
 }
@@ -69,7 +69,6 @@ fn faulted_run(seed: u64, metrics: bool) -> (String, MetricsSnapshot) {
         resilient_peer(1),
         resilient_peer(2),
     );
-    sc.world.sim.enable_trace(200_000);
     if metrics {
         sc.world.sim.enable_metrics();
     }
@@ -96,19 +95,20 @@ fn faulted_run(seed: u64, metrics: bool) -> (String, MetricsSnapshot) {
                 plan = plan.outage(at, dur, link);
             }
             1 => {
-                let spec = LinkSpec::wan()
-                    .with_loss(0.3)
-                    .with_duplicate(0.2)
-                    .with_reorder(0.2);
-                plan = plan.link_set(at, link, spec);
+                let spec = LinkSpec {
+                    duplicate: 0.2,
+                    reorder: 0.2,
+                    ..LinkSpec::wan().with_loss(0.3)
+                };
+                sc.world.sim.schedule_link_fault(at, link, LinkAction::Set(spec));
             }
             2 => {
                 let node = nodes[rng.gen_range(0..nodes.len())];
                 plan = plan.restart(at, node);
             }
             _ => {
-                let up = at + Duration::from_millis(rng.gen_range(300..2_000));
-                plan = plan.link_down(at, link).link_up(up, link);
+                let dur = Duration::from_millis(rng.gen_range(300..2_000));
+                plan = plan.outage(at, dur, link);
             }
         }
     }
@@ -118,10 +118,13 @@ fn faulted_run(seed: u64, metrics: bool) -> (String, MetricsSnapshot) {
     sc.world.with_app::<UdpPeer, _>(sc.a, |p, os| p.connect(os, PeerId(2)));
     sc.world.sim.run_for(Duration::from_secs(14));
 
-    let mut fp = sc.world.sim.trace().expect("trace enabled").dump();
-    for node in [sc.a, sc.b] {
-        let evs = sc.world.with_app::<UdpPeer, _>(node, |p, _| p.take_events());
-        fp.push_str(&format!("{evs:?}\n"));
+    let mut stats = sc.world.sim.stats();
+    stats.busy_nanos = 0; // host time, which `Debug` would print
+    let mut fp = format!("{stats:?}\n");
+    for (node, peer) in [(sc.a, PeerId(2)), (sc.b, PeerId(1))] {
+        let (evs, timeline) =
+            sc.world.with_app::<UdpPeer, _>(node, |p, _| (p.take_events(), p.timeline(peer)));
+        fp.push_str(&format!("{evs:?}\n{timeline:?}\n"));
     }
     let snap = sc.world.sim.metrics_snapshot();
     (fp, snap)
@@ -180,15 +183,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Any seeded `FaultPlan` replays byte-identically: same seed, same
-    /// packet trace and peer events, run after run.
+    /// engine counters, peer events and timelines, run after run.
     #[test]
     fn fault_plans_replay_byte_identically(seed in any::<u64>()) {
         prop_assert_eq!(faulted_run_fingerprint(seed), faulted_run_fingerprint(seed));
     }
 
     /// Metrics snapshots (and their JSON export) replay byte-identically
-    /// for the same seed, and collecting them never perturbs the packet
-    /// trace or the peers' event streams.
+    /// for the same seed, and collecting them never perturbs the engine
+    /// counters or the peers' event streams.
     #[test]
     fn metrics_snapshots_replay_byte_identically(seed in any::<u64>()) {
         let (fp_a, snap_a) = faulted_run(seed, true);

@@ -127,7 +127,8 @@ fn mangling_nat_corrupts_nat_check_observations() {
     // way in. Consistency still measures correctly (both echoes are
     // rewritten identically) but the hairpin probe is aimed at a
     // corrupted address and the test under-reports.
-    let behavior = NatBehavior::well_behaved().with_payload_mangling();
+    let mut behavior = NatBehavior::well_behaved();
+    behavior.mangle_payloads = true;
     let report = check_nat(behavior, 8);
     assert_eq!(report.udp_hole_punching(), Some(true));
     let (o1, _) = report.udp_public.unwrap();

@@ -46,15 +46,6 @@ impl Endpoint {
         Endpoint { ip: self.ip, port }
     }
 
-    /// Returns true if the address falls in RFC 1918 private space.
-    ///
-    /// The simulator does not *enforce* RFC 1918 semantics (an ISP realm in
-    /// the Figure 6 multi-level scenario uses private space as its
-    /// "public" side), but diagnostics use this for labelling.
-    pub fn is_private(self) -> bool {
-        self.ip.is_private()
-    }
-
     /// The address (big-endian, so compared as its octets) above the
     /// port: one integer that orders like `(ip.octets(), port)`.
     fn key(self) -> u64 {
@@ -242,13 +233,6 @@ mod tests {
         let ep = Endpoint::from(([10, 0, 0, 1], 4321));
         assert_eq!(ep.with_port(9).port, 9);
         assert_eq!(ep.with_port(9).ip, ep.ip);
-    }
-
-    #[test]
-    fn endpoint_private_detection() {
-        assert!(Endpoint::from(([10, 1, 1, 3], 1)).is_private());
-        assert!(Endpoint::from(([192, 168, 0, 9], 1)).is_private());
-        assert!(!Endpoint::from(([155, 99, 25, 11], 1)).is_private());
     }
 
     proptest! {

@@ -18,10 +18,9 @@
 //!   past it lands in the wheel. The engine sizes the wheel from each
 //!   link's latency plus jitter ([`CalendarQueue::ensure_horizon`]), so
 //!   no delivery over a connected link leaves it.
-//! - Beyond the horizon — long timers (keepalives, give-up deadlines), a
-//!   link slowed through `Sim::link_mut` — entries wait in an *overflow*
-//!   binary heap and migrate into the wheel as the horizon reaches them,
-//!   each exactly once.
+//! - Beyond the horizon — long timers (keepalives, give-up deadlines) —
+//!   entries wait in an *overflow* binary heap and migrate into the
+//!   wheel as the horizon reaches them, each exactly once.
 //! - Popping drains the earliest occupied day into a working set sorted
 //!   descending by `(at, seq)` and serves from its tail; entries are
 //!   copied out of the slab, so the sort compares them in place. It is a
@@ -177,13 +176,6 @@ impl<T> CalendarQueue<T> {
     /// Returns true if no entries are queued.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// The wheel's size in buckets (a power of two): the size it was
-    /// built with and has grown to, or, while the queue has never held
-    /// more than 64 entries, the size it will be built with.
-    pub fn bucket_count(&self) -> usize {
-        self.wheel.as_ref().map_or(self.buckets, |w| w.heads.len())
     }
 
     /// Grows the wheel (it never shrinks) so that a population of
@@ -702,6 +694,13 @@ pub(crate) mod tests {
         q.wheel.as_ref().map(|w| w.overflow.len())
     }
 
+    /// The wheel's size in buckets (a power of two): the size it was
+    /// built with and has grown to, or, while the queue has never held
+    /// more than 64 entries, the size it will be built with.
+    fn bucket_count<T>(q: &CalendarQueue<T>) -> usize {
+        q.wheel.as_ref().map_or(q.buckets, |w| w.heads.len())
+    }
+
     fn wheel<T>(q: &CalendarQueue<T>) -> &Wheel<T> {
         q.wheel.as_ref().expect("the queue has built its wheel")
     }
@@ -805,14 +804,14 @@ pub(crate) mod tests {
     #[test]
     fn adaptive_growth_relieves_overflow_pressure() {
         let mut q = CalendarQueue::new();
-        let before = q.bucket_count();
+        let before = bucket_count(&q);
         // Anchor the window at time zero, then park many entries far
         // beyond its horizon.
         q.push(t(0), 0, 0u32);
         for seq in 1..(MIN_BUCKETS as u64 * 4 + 3) {
             q.push(t(1_000_000_000 + seq), seq, 0u32);
         }
-        assert!(q.bucket_count() > before, "wheel should have grown");
+        assert!(bucket_count(&q) > before, "wheel should have grown");
         assert_eq!(q.len(), MIN_BUCKETS * 4 + 3);
     }
 
@@ -852,7 +851,7 @@ pub(crate) mod tests {
         let window = 2 * WHEEL_AT as u64;
         let mut q = CalendarQueue::new();
         q.ensure_horizon(hop);
-        assert_eq!(q.bucket_count(), 512);
+        assert_eq!(bucket_count(&q), 512);
         for seq in 0..window {
             q.push(t(seq * 33_000_000 / window), seq, 0u32);
         }
@@ -879,7 +878,7 @@ pub(crate) mod tests {
             assert!(q.wheel.is_none(), "a wheel at {} entries", q.len());
         }
         // The size the sizing calls asked for, not yet allocated.
-        assert_eq!(q.bucket_count(), 1024);
+        assert_eq!(bucket_count(&q), 1024);
         assert_eq!(q.pop_front().map(|e| e.seq), Some(0));
         q.push(t(0), 1000, 0);
         assert!(q.wheel.is_none());

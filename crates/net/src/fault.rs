@@ -86,13 +86,13 @@ impl FaultPlan {
     }
 
     /// Takes `link` down at `at`.
-    pub fn link_down(mut self, at: SimTime, link: LinkId) -> Self {
+    fn link_down(mut self, at: SimTime, link: LinkId) -> Self {
         self.steps.push((at, Step::Link(link, LinkAction::Down)));
         self
     }
 
     /// Brings `link` back up at `at`.
-    pub fn link_up(mut self, at: SimTime, link: LinkId) -> Self {
+    fn link_up(mut self, at: SimTime, link: LinkId) -> Self {
         self.steps.push((at, Step::Link(link, LinkAction::Up)));
         self
     }
@@ -103,7 +103,7 @@ impl FaultPlan {
     }
 
     /// Rewrites `link`'s transmission properties at `at`.
-    pub fn link_set(mut self, at: SimTime, link: LinkId, spec: LinkSpec) -> Self {
+    fn link_set(mut self, at: SimTime, link: LinkId, spec: LinkSpec) -> Self {
         self.steps.push((at, Step::Link(link, LinkAction::Set(spec))));
         self
     }
@@ -127,7 +127,7 @@ impl FaultPlan {
     }
 
     /// Delivers an arbitrary fault code to the device on `node` at `at`.
-    pub fn device_fault(mut self, at: SimTime, node: NodeId, fault: u64) -> Self {
+    fn device_fault(mut self, at: SimTime, node: NodeId, fault: u64) -> Self {
         self.steps.push((at, Step::Device(node, fault)));
         self
     }
@@ -151,6 +151,7 @@ mod tests {
     use super::*;
     use crate::node::{Ctx, Device};
     use crate::packet::Packet;
+    use crate::sim::tests::link_spec;
     use crate::testutil::SinkDevice;
 
     /// Records every fault code it receives.
@@ -227,8 +228,8 @@ mod tests {
             .degrade(SimTime::from_secs(1), Duration::from_secs(1), link, bad, LinkSpec::lan())
             .apply(&mut sim);
         sim.run_until(SimTime::from_millis(1500));
-        assert_eq!(sim.link_spec(link), bad);
+        assert_eq!(link_spec(&sim, link), bad);
         sim.run_until(SimTime::from_millis(2500));
-        assert_eq!(sim.link_spec(link), LinkSpec::lan());
+        assert_eq!(link_spec(&sim, link), LinkSpec::lan());
     }
 }

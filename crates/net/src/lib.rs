@@ -17,7 +17,7 @@
 //!
 //! Determinism: every source of randomness derives from the single `u64`
 //! seed passed to [`Sim::new`]. Two runs with the same seed and the same
-//! sequence of API calls produce byte-identical traces.
+//! sequence of API calls produce byte-identical runs.
 //!
 //! # Examples
 //!
@@ -56,7 +56,6 @@ pub mod seed;
 pub mod sim;
 pub mod testutil;
 pub mod time;
-pub mod trace;
 
 pub use addr::{Cidr, Endpoint};
 pub use fault::{FaultPlan, LinkAction, FAULT_RESTART};
@@ -68,7 +67,6 @@ pub use packet::{Body, IcmpKind, IcmpMessage, Packet, Proto, TcpFlags, TcpSegmen
 pub use router::Router;
 pub use sim::{LinkId, QueueStats, Sim, SimStats};
 pub use time::SimTime;
-pub use trace::{TraceDir, TraceEvent, Tracer};
 
 /// Re-export of [`std::time::Duration`], used for all time intervals.
 pub use std::time::Duration;

@@ -32,10 +32,11 @@ use std::time::Duration;
 /// use punch_net::LinkSpec;
 /// use std::time::Duration;
 ///
-/// let dsl = LinkSpec::new(Duration::from_millis(15))
-///     .with_loss(0.01)
-///     .with_jitter(Duration::from_millis(2))
-///     .with_bandwidth(1_000_000); // 1 MB/s
+/// let dsl = LinkSpec {
+///     jitter: Duration::from_millis(2),
+///     bandwidth: Some(1_000_000), // 1 MB/s
+///     ..LinkSpec::new(Duration::from_millis(15)).with_loss(0.01)
+/// };
 /// assert_eq!(dsl.latency, Duration::from_millis(15));
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -89,6 +90,7 @@ impl LinkSpec {
     }
 
     /// A typical residential access link: 10 ms, 2 ms jitter.
+    // punch-lint: allow(S005) the access link of transport/tests/proptest_tcp.rs, lab/tests/{chaos_search,wiring_contract}.rs and core/tests/{peer_contract,tcp_punch}.rs
     pub fn access() -> Self {
         LinkSpec::new(Duration::from_millis(10)).with_jitter(Duration::from_millis(2))
     }
@@ -99,7 +101,7 @@ impl LinkSpec {
     }
 
     /// Sets the random jitter bound.
-    pub fn with_jitter(mut self, jitter: Duration) -> Self {
+    fn with_jitter(mut self, jitter: Duration) -> Self {
         self.jitter = jitter;
         self
     }
@@ -115,34 +117,6 @@ impl LinkSpec {
             "loss probability {loss} outside [0,1]"
         );
         self.loss = loss;
-        self
-    }
-
-    /// Sets the per-packet duplication probability.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `duplicate` is not within `[0, 1]`.
-    pub fn with_duplicate(mut self, duplicate: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&duplicate),
-            "duplicate probability {duplicate} outside [0,1]"
-        );
-        self.duplicate = duplicate;
-        self
-    }
-
-    /// Sets the per-packet reordering probability.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `reorder` is not within `[0, 1]`.
-    pub fn with_reorder(mut self, reorder: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&reorder),
-            "reorder probability {reorder} outside [0,1]"
-        );
-        self.reorder = reorder;
         self
     }
 
@@ -182,17 +156,6 @@ impl LinkSpec {
             .max(Duration::from_millis(1))
     }
 
-    /// Sets a finite bandwidth in bytes per second.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bytes_per_sec` is zero.
-    pub fn with_bandwidth(mut self, bytes_per_sec: u64) -> Self {
-        assert!(bytes_per_sec > 0, "bandwidth must be positive");
-        self.bandwidth = Some(bytes_per_sec);
-        self
-    }
-
     /// Serialization delay for a packet of `bytes` bytes, zero when the
     /// link has infinite bandwidth.
     pub fn serialization_delay(&self, bytes: usize) -> Duration {
@@ -222,19 +185,13 @@ mod tests {
         let l = LinkSpec::new(Duration::from_millis(5))
             .with_jitter(Duration::from_millis(1))
             .with_loss(0.5)
-            .with_duplicate(0.25)
-            .with_reorder(0.125)
             .with_corrupt(0.0625)
-            .with_truncate(0.03125)
-            .with_bandwidth(100);
+            .with_truncate(0.03125);
         assert_eq!(l.latency, Duration::from_millis(5));
         assert_eq!(l.jitter, Duration::from_millis(1));
         assert_eq!(l.loss, 0.5);
-        assert_eq!(l.duplicate, 0.25);
-        assert_eq!(l.reorder, 0.125);
         assert_eq!(l.corrupt, 0.0625);
         assert_eq!(l.truncate, 0.03125);
-        assert_eq!(l.bandwidth, Some(100));
     }
 
     #[test]
@@ -259,18 +216,6 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "outside [0,1]")]
-    fn duplicate_out_of_range_panics() {
-        let _ = LinkSpec::lan().with_duplicate(-0.1);
-    }
-
-    #[test]
-    #[should_panic(expected = "outside [0,1]")]
-    fn reorder_out_of_range_panics() {
-        let _ = LinkSpec::lan().with_reorder(2.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "outside [0,1]")]
     fn corrupt_out_of_range_panics() {
         let _ = LinkSpec::lan().with_corrupt(1.01);
     }
@@ -291,7 +236,7 @@ mod tests {
 
     #[test]
     fn serialization_delay_finite_bw() {
-        let l = LinkSpec::lan().with_bandwidth(1000); // 1000 B/s
+        let l = LinkSpec { bandwidth: Some(1000), ..LinkSpec::lan() }; // 1000 B/s
         assert_eq!(l.serialization_delay(500), Duration::from_millis(500));
         assert_eq!(l.serialization_delay(0), Duration::ZERO);
     }
@@ -300,11 +245,5 @@ mod tests {
     #[should_panic(expected = "outside [0,1]")]
     fn loss_out_of_range_panics() {
         let _ = LinkSpec::lan().with_loss(1.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_bandwidth_panics() {
-        let _ = LinkSpec::lan().with_bandwidth(0);
     }
 }

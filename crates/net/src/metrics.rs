@@ -131,14 +131,6 @@ impl Histogram {
         (self.count > 0).then(|| Duration::from_nanos(self.max_nanos))
     }
 
-    /// Mean observation, if any.
-    pub fn mean(&self) -> Option<Duration> {
-        (self.count > 0).then(|| {
-            let nanos = (self.sum_nanos / self.count as u128).min(u64::MAX as u128) as u64;
-            Duration::from_nanos(nanos)
-        })
-    }
-
     /// Per-bucket counts, paired with each bucket's upper bound in
     /// milliseconds (`None` for the final overflow bucket).
     pub fn buckets(&self) -> impl Iterator<Item = (Option<u64>, u64)> + '_ {
@@ -187,11 +179,6 @@ impl Metrics {
         self.inc_by(key, 1);
     }
 
-    /// Sets the gauge `key` to `value`.
-    pub fn gauge_set(&mut self, key: MetricKey, value: i64) {
-        self.gauges.insert(key, value);
-    }
-
     /// Raises the gauge `key` to `value` if it is below it (high-water mark).
     pub fn gauge_max(&mut self, key: MetricKey, value: i64) {
         let g = self.gauges.entry(key).or_insert(i64::MIN);
@@ -203,16 +190,6 @@ impl Metrics {
     /// Records one observation into the histogram `key`.
     pub fn observe(&mut self, key: MetricKey, d: Duration) {
         self.histograms.entry(key).or_default().observe(d);
-    }
-
-    /// Current value of a counter (0 if never incremented). `label: ""`
-    /// for unlabelled counters.
-    pub fn counter(&self, name: &str, label: &str) -> u64 {
-        self.counters
-            .iter()
-            .find(|(k, _)| k.name == name && k.label == label)
-            .map(|(_, &v)| v)
-            .unwrap_or(0)
     }
 
     /// Takes an immutable snapshot of every series.
@@ -240,6 +217,7 @@ pub struct MetricsSnapshot {
 impl MetricsSnapshot {
     /// Current value of a counter (0 if absent). `label: ""` for
     /// unlabelled counters.
+    // punch-lint: allow(S005) how tests/chaos.rs and rendezvous/tests/server.rs read a counter
     pub fn counter(&self, name: &str, label: &str) -> u64 {
         self.counters
             .iter()
@@ -257,15 +235,8 @@ impl MetricsSnapshot {
             .sum()
     }
 
-    /// Looks up a gauge by name (unlabelled).
-    pub fn gauge(&self, name: &str) -> Option<i64> {
-        self.gauges
-            .iter()
-            .find(|(k, _)| k.name == name && k.label.is_empty())
-            .map(|(_, &v)| v)
-    }
-
     /// Looks up a histogram by name (unlabelled).
+    // punch-lint: allow(S005) how tests/chaos.rs and lab/tests/fleet_identity.rs read a latency histogram
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
         self.histograms
             .iter()
@@ -393,7 +364,7 @@ mod tests {
         s.merge(&b.snapshot());
         assert_eq!(s.counter("c", ""), 3);
         assert_eq!(s.histogram("h").unwrap().count(), 2);
-        assert_eq!(s.gauge("g"), Some(5));
+        assert_eq!(s.gauges.get(&MetricKey::plain("g")), Some(&5));
     }
 
     #[test]

@@ -131,9 +131,9 @@ impl Ctx<'_> {
     }
 
     /// Records a device-level drop (e.g. a NAT filtering an unsolicited
-    /// packet) in the trace and statistics.
-    pub fn note_drop(&mut self, reason: &'static str, pkt: &Packet) {
-        self.core.note_device_drop(self.node, reason, pkt);
+    /// packet) in the statistics.
+    pub fn note_drop(&mut self, reason: &'static str) {
+        self.core.note_device_drop(reason);
     }
 
     /// Returns true if the simulation's metrics registry is enabled.
@@ -165,11 +165,6 @@ impl Ctx<'_> {
     /// by one. No-op when disabled.
     pub fn metric_inc_labeled(&mut self, name: &'static str, label: &'static str) {
         self.metric(|m| m.inc_by(MetricKey::labeled(name, label), 1));
-    }
-
-    /// Sets a metrics gauge. No-op when disabled.
-    pub fn metric_gauge_set(&mut self, name: &'static str, value: i64) {
-        self.metric(|m| m.gauge_set(MetricKey::plain(name), value));
     }
 
     /// Raises a high-water-mark gauge to `value` if it is below it.

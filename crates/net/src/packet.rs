@@ -14,7 +14,7 @@
 //! It is computed word-wide — header fields as integers; a payload of at
 //! most 64 bytes four bytes per step, a longer one in 32-byte blocks of
 //! four 8-byte lanes with its tail four bytes per step — and never
-//! covers the endpoints NATs rewrite; see [`Packet::compute_checksum`].
+//! covers the endpoints NATs rewrite; see [`Packet::checksum`].
 //! A payload is often a slice of a larger buffer (a TCP segment is one
 //! of the frame it was carved from), at any byte offset.
 
@@ -231,7 +231,7 @@ pub struct Packet {
     /// Transport body.
     pub body: Body,
     /// RFC 1071 Internet checksum over the transport body (see
-    /// [`Packet::compute_checksum`]). The constructors fill it in;
+    /// `Packet::compute_checksum`). The constructors fill it in;
     /// link-level corruption faults damage the body without refreshing
     /// it, and host stacks verify it on ingest.
     pub checksum: u16,
@@ -380,7 +380,7 @@ impl Packet {
     /// this model folds into "addresses are outside the sum". A NAT
     /// that rewrites *payload* bytes (§5.3 mangling) must call
     /// [`Packet::refresh_checksum`] like a real ALG does.
-    pub fn compute_checksum(&self) -> u16 {
+    fn compute_checksum(&self) -> u16 {
         let (header, payload): (u64, &[u8]) = match &self.body {
             Body::Udp(p) => (0x1100, p), // protocol tag: UDP
             Body::Tcp(seg) => (
@@ -477,14 +477,6 @@ impl Packet {
         }
     }
 
-    /// Returns the UDP payload, if this is a UDP packet.
-    pub fn udp_payload(&self) -> Option<&Bytes> {
-        match &self.body {
-            Body::Udp(p) => Some(p),
-            _ => None,
-        }
-    }
-
     /// Returns the transport payload length in bytes (zero for ICMP,
     /// whose body carries no mutable payload).
     pub fn payload_len(&self) -> usize {
@@ -504,28 +496,6 @@ impl Packet {
                 Body::Tcp(seg) => TCP_HEADER + seg.payload.len(),
                 Body::Icmp(_) => ICMP_SIZE,
             }
-    }
-
-    /// Returns a one-line human-readable summary for traces.
-    pub fn summary(&self) -> String {
-        match &self.body {
-            Body::Udp(p) => format!("{} > {} udp len={}", self.src, self.dst, p.len()),
-            Body::Tcp(seg) => format!(
-                "{} > {} tcp {} seq={} ack={} len={}",
-                self.src,
-                self.dst,
-                seg.flags,
-                seg.seq,
-                seg.ack,
-                seg.payload.len()
-            ),
-            Body::Icmp(msg) => {
-                format!(
-                    "{} > {} icmp {:?} (for {} > {})",
-                    self.src, self.dst, msg.kind, msg.original_src, msg.original_dst
-                )
-            }
-        }
     }
 }
 
@@ -589,7 +559,7 @@ mod tests {
     fn accessors() {
         let u = Packet::udp(ep("1.1.1.1:1"), ep("2.2.2.2:2"), b"xyz".as_ref());
         assert_eq!(u.proto(), Proto::Udp);
-        assert_eq!(u.udp_payload().unwrap().as_ref(), b"xyz");
+        assert!(matches!(&u.body, Body::Udp(p) if p.as_ref() == b"xyz"));
         assert!(u.tcp_segment().is_none());
 
         let t = Packet::tcp(
@@ -599,7 +569,7 @@ mod tests {
         );
         assert_eq!(t.proto(), Proto::Tcp);
         assert_eq!(t.tcp_segment().unwrap().seq, 7);
-        assert!(t.udp_payload().is_none());
+        assert!(!matches!(t.body, Body::Udp(_)));
     }
 
     #[test]
@@ -668,7 +638,7 @@ mod tests {
         // invisible to a pure byte sum — still fails verification.
         let mut p = Packet::udp(ep("1.1.1.1:1"), ep("2.2.2.2:2"), vec![0u8; 8]);
         p.truncate_payload(3);
-        assert_eq!(p.udp_payload().unwrap().len(), 3);
+        assert_eq!(p.payload_len(), 3);
         assert!(!p.checksum_ok());
         // Truncating to the current length or longer is a no-op.
         let mut q = Packet::udp(ep("1.1.1.1:1"), ep("2.2.2.2:2"), vec![7u8; 4]);
@@ -871,17 +841,5 @@ mod tests {
             prop_assert!(p.checksum_ok());
             assert_damage_is_detected(&p, bit);
         }
-    }
-
-    #[test]
-    fn summary_is_one_line() {
-        let t = Packet::tcp(
-            ep("1.1.1.1:1"),
-            ep("2.2.2.2:2"),
-            TcpSegment::control(TcpFlags::SYN, 7, 0),
-        );
-        let s = t.summary();
-        assert!(s.contains("SYN"), "{s}");
-        assert!(!s.contains('\n'));
     }
 }

@@ -76,7 +76,7 @@ impl Router {
     }
 
     /// Looks up the output interface for `dst` (longest prefix wins).
-    pub fn lookup(&self, dst: Ipv4Addr) -> Option<IfaceId> {
+    fn lookup(&self, dst: Ipv4Addr) -> Option<IfaceId> {
         // A `/32` is the longest possible match, and only one host route
         // can cover `dst`, so a hit here is always the answer.
         if let Some(&iface) = self.host.get(&dst) {
@@ -93,7 +93,7 @@ impl Router {
 impl Device for Router {
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, _iface: IfaceId, mut pkt: Packet) {
         if pkt.ttl <= 1 {
-            ctx.note_drop("ttl-exceeded", &pkt);
+            ctx.note_drop("ttl-exceeded");
             if self.icmp_ttl_exceeded {
                 let err = Packet::icmp(
                     crate::addr::Endpoint::new(self.router_addr, 0),
@@ -114,7 +114,7 @@ impl Device for Router {
         pkt.ttl -= 1;
         match self.lookup(pkt.dst.ip) {
             Some(out) => ctx.send(out, pkt),
-            None => ctx.note_drop("no-route", &pkt),
+            None => ctx.note_drop("no-route"),
         }
     }
 }

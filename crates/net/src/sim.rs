@@ -19,10 +19,8 @@ use crate::packet::Packet;
 use crate::pool::PacketArena;
 use crate::seed::{derive_seed, mix};
 use crate::time::SimTime;
-use crate::trace::{TraceDir, TraceEvent, Tracer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Counters maintained by the engine.
@@ -171,9 +169,6 @@ struct LinkRef {
 }
 
 struct NodeMeta {
-    /// Interned once at `add_node`; trace events share it by refcount
-    /// instead of cloning a `String` per recorded event.
-    name: Arc<str>,
     ifaces: Vec<LinkRef>,
     rng: StdRng,
 }
@@ -203,7 +198,6 @@ pub(crate) struct SimCore {
     coalesced: u64,
     links: Vec<LinkState>,
     nodes: Vec<NodeMeta>,
-    tracer: Option<Tracer>,
     /// The metrics registry, when enabled; [`Ctx`]'s `metric_*` methods
     /// write through it. `None` costs a caller one branch — no
     /// allocation, no RNG draw.
@@ -239,7 +233,7 @@ impl SimCore {
     /// coalescing into the open batch when this delivery lands on the same
     /// `(instant, node, iface)` with no intervening event. Either way the
     /// delivery consumes exactly one engine sequence number, so the
-    /// `(time, seq)` dispatch order — and therefore every trace and pinned
+    /// `(time, seq)` dispatch order — and therefore every callback and pinned
     /// artifact — is identical to per-packet queue entries.
     fn deliver_packet(&mut self, at: SimTime, node: NodeId, iface: IfaceId, pkt: Packet) {
         let (h, reused) = self.arena.insert(pkt);
@@ -281,28 +275,6 @@ impl SimCore {
         &mut self.nodes[node.index()].rng
     }
 
-    /// Records a trace event. The disabled case is the hot path — one
-    /// branch, no allocation, nothing constructed — since `transmit` and
-    /// `step` call this for every packet.
-    #[inline]
-    fn trace(&mut self, node: NodeId, iface: IfaceId, dir: TraceDir, pkt: &Packet) {
-        let Some(tr) = &mut self.tracer else {
-            return;
-        };
-        let time = self.time;
-        let name = &self.nodes[node.index()].name;
-        // The packet summary `String` is only built if the tracer still
-        // has room; full traces stop paying for formatting.
-        tr.record_with(|| TraceEvent {
-            time,
-            node,
-            node_name: Arc::clone(name),
-            iface,
-            dir,
-            packet: pkt.summary(),
-        });
-    }
-
     /// Counts one engine event under `key` when metrics are enabled.
     #[inline]
     fn inc(&mut self, key: MetricKey) {
@@ -311,31 +283,24 @@ impl SimCore {
         }
     }
 
-    pub(crate) fn note_device_drop(&mut self, node: NodeId, reason: &'static str, pkt: &Packet) {
+    pub(crate) fn note_device_drop(&mut self, reason: &'static str) {
         self.stats.device_drops += 1;
         // Every device drop reason is a `&'static str`, so per-reason
         // counters come for free whenever metrics are on.
         self.inc(MetricKey::labeled("net.drop.device", reason));
-        self.trace(node, 0, TraceDir::DeviceDrop(reason), pkt);
     }
 
     pub(crate) fn transmit(&mut self, node: NodeId, iface: IfaceId, pkt: Packet) {
-        let meta = &self.nodes[node.index()];
-        let lref = meta.ifaces.get(iface).unwrap_or_else(|| {
-            panic!( // punch-lint: allow(P001) sim API contract: naming a missing iface is a harness bug, reported loudly
-                "node {} ({}) sent on unconnected iface {iface}",
-                node, meta.name
-            )
+        let lref = self.nodes[node.index()].ifaces.get(iface).unwrap_or_else(|| {
+            panic!("node {node} sent on unconnected iface {iface}") // punch-lint: allow(P001) sim API contract: naming a missing iface is a harness bug, reported loudly
         });
         let (link_idx, side) = (lref.link, lref.side);
         self.stats.packets_sent += 1;
-        self.trace(node, iface, TraceDir::Tx, &pkt);
 
         let spec = self.links[link_idx].spec;
         if !self.links[link_idx].up {
             self.stats.link_down_drops += 1;
             self.inc(MetricKey::plain("net.drop.link_down"));
-            self.trace(node, iface, TraceDir::LinkDown, &pkt);
             return;
         }
         // Every draw comes from the sender's RNG stream so each node's
@@ -346,7 +311,6 @@ impl SimCore {
             if roll < spec.loss {
                 self.stats.packets_lost += 1;
                 self.inc(MetricKey::plain("net.drop.loss"));
-                self.trace(node, iface, TraceDir::LossDrop, &pkt);
                 return;
             }
         }
@@ -358,7 +322,7 @@ impl SimCore {
         };
         // Fault knobs draw only when enabled, in a fixed order (reorder,
         // duplicate, corrupt, truncate), so links without them keep
-        // byte-identical RNG streams and traces.
+        // byte-identical RNG streams.
         let hold = if spec.reorder > 0.0 && rng.gen::<f64>() < spec.reorder {
             let bound = spec.reorder_window().as_nanos() as u64;
             Some(Duration::from_nanos(rng.gen_range(1..=bound.max(1))))
@@ -378,7 +342,6 @@ impl SimCore {
             pkt.corrupt_bit(bit);
             self.stats.packets_corrupted += 1;
             self.inc(MetricKey::plain("net.corrupt"));
-            self.trace(node, iface, TraceDir::Corrupted, &pkt);
         }
         if let Some(raw) = truncate_raw {
             let len = pkt.payload_len();
@@ -389,7 +352,6 @@ impl SimCore {
                 pkt.truncate_payload((raw % len as u64) as usize);
                 self.stats.packets_truncated += 1;
                 self.inc(MetricKey::plain("net.truncate"));
-                self.trace(node, iface, TraceDir::Truncated, &pkt);
             }
         }
 
@@ -463,7 +425,6 @@ impl Sim {
                 coalesced: 0,
                 links: Vec::new(),
                 nodes: Vec::new(),
-                tracer: None,
                 metrics: None,
                 stats: SimStats::default(),
             },
@@ -516,17 +477,16 @@ impl Sim {
     }
 
     /// Adds a node running `device`; its `on_start` runs when the
-    /// simulation next executes.
-    pub fn add_node(&mut self, name: impl Into<Arc<str>>, device: Box<dyn Device>) -> NodeId {
+    /// simulation next executes. The name matters only under [`Sim::use_named_rng_streams`], where
+    /// it seeds the node's RNG stream.
+    pub fn add_node(&mut self, name: impl AsRef<str>, device: Box<dyn Device>) -> NodeId {
         let id = NodeId(u32::try_from(self.devices.len()).expect("too many nodes")); // punch-lint: allow(P001) node count is harness-bounded, nowhere near 2^32
-        let name: Arc<str> = name.into();
         let rng = if self.named_rng {
-            StdRng::seed_from_u64(derive_seed(self.seed, &name, 0))
+            StdRng::seed_from_u64(derive_seed(self.seed, name.as_ref(), 0))
         } else {
             StdRng::seed_from_u64(mix(self.seed ^ mix(id.0 as u64 + 1)))
         };
         self.core.nodes.push(NodeMeta {
-            name,
             ifaces: Vec::new(),
             rng,
         });
@@ -534,11 +494,6 @@ impl Sim {
         self.core.queue.ensure_capacity_for(self.devices.len());
         self.core.push(self.core.time, EventKind::Start(id));
         id
-    }
-
-    /// Returns a node's name.
-    pub fn node_name(&self, id: NodeId) -> &str {
-        &self.core.nodes[id.index()].name
     }
 
     /// Returns the number of nodes.
@@ -586,29 +541,6 @@ impl Sim {
             .link
     }
 
-    /// Returns a link's current transmission properties.
-    pub fn link_spec(&self, link: LinkId) -> LinkSpec {
-        self.core.links[link].spec
-    }
-
-    /// Mutable access to a link's transmission properties, for changing
-    /// conditions mid-run. Takes effect for every packet transmitted
-    /// after the call; packets already in flight are unaffected.
-    ///
-    /// The event queue is not told: once it has built its wheel, a
-    /// latency raised past what the links were connected with is served
-    /// from its overflow tier — correct, only slower (a scheduled
-    /// [`LinkAction::Set`] does tell it).
-    pub fn link_mut(&mut self, link: LinkId) -> &mut LinkSpec {
-        &mut self.core.links[link].spec
-    }
-
-    /// Takes a link down (every packet offered to it is dropped) or
-    /// brings it back up. Packets already in flight still arrive.
-    pub fn set_link_up(&mut self, link: LinkId, up: bool) {
-        self.core.links[link].up = up;
-    }
-
     /// Schedules a scripted link fault to fire at `at` (absolute
     /// simulated time). Usually driven through
     /// [`crate::fault::FaultPlan`] rather than directly.
@@ -637,25 +569,10 @@ impl Sim {
         self.core.deliver_packet(self.core.time, node, iface, pkt);
     }
 
-    /// Arms a timer on `node` from outside the simulation.
-    pub fn wake(&mut self, node: NodeId, after: Duration, token: u64) {
-        self.core.schedule_timer(node, after, token);
-    }
-
-    /// Enables packet tracing, retaining at most `cap` events.
-    pub fn enable_trace(&mut self, cap: usize) {
-        self.core.tracer = Some(Tracer::new(cap));
-    }
-
-    /// Returns the trace, if tracing is enabled.
-    pub fn trace(&self) -> Option<&Tracer> {
-        self.core.tracer.as_ref()
-    }
-
     /// Enables the typed metrics registry (see [`crate::metrics`]).
     ///
     /// Off by default. Enabling metrics never changes simulated behaviour:
-    /// instrumentation draws no randomness and schedules nothing, so traces
+    /// instrumentation draws no randomness and schedules nothing, so events
     /// and stats are byte-identical with metrics on or off.
     pub fn enable_metrics(&mut self) {
         if self.core.metrics.is_none() {
@@ -731,7 +648,7 @@ impl Sim {
     ///
     /// A delivery burst counts as one event *per packet*: each `step`
     /// consumes a single packet from the burst at the queue front, so
-    /// event counts, [`Sim::run_while`] predicate granularity, and trace
+    /// event counts, [`Sim::run_while`] predicate granularity, and callback
     /// order are identical to per-packet scheduling — only the queue
     /// traffic is batched.
     pub fn step(&mut self) -> bool {
@@ -770,7 +687,6 @@ impl Sim {
                 }
                 let pkt = core.arena.take(head);
                 core.stats.packets_delivered += 1;
-                core.trace(node, iface, TraceDir::Rx, &pkt);
                 self.with_node(node, |dev, ctx| dev.on_packet(ctx, iface, pkt));
             }
             EventKind::Timer { node, token } => {
@@ -831,6 +747,7 @@ impl Sim {
     ///
     /// Panics after 50 million events, which indicates a device re-arming
     /// timers unboundedly; use [`Sim::run_until`] for such workloads.
+    // punch-lint: allow(S005) harness seam: how the net and lab suites (engine_order, proptest_sim, server_eviction, proptest_eviction) drain a world
     pub fn run_until_idle(&mut self) -> u64 {
         let mut n = 0u64;
         self.run_loop(SimTime::MAX, |_| {
@@ -856,10 +773,21 @@ impl Sim {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::addr::Endpoint;
+    use crate::packet::Body;
     use crate::testutil::{CounterDevice, EchoDevice, SinkDevice};
+
+    /// Arms a timer on `node` from outside any device callback.
+    fn wake(sim: &mut Sim, node: NodeId, after: Duration, token: u64) {
+        sim.with_node(node, |_, ctx| ctx.set_timer(after, token));
+    }
+
+    /// A link's current transmission properties.
+    pub(crate) fn link_spec(sim: &Sim, link: LinkId) -> LinkSpec {
+        sim.core.links[link].spec
+    }
 
     fn ep(s: &str) -> Endpoint {
         s.parse().unwrap()
@@ -934,7 +862,8 @@ mod tests {
         let b = sim.add_node("b", Box::new(SinkDevice::default()));
         // A 29-byte UDP packet (20 IP + 8 UDP + 1 payload) at 29 KB/s
         // takes 1 ms to serialize.
-        sim.connect(a, b, LinkSpec::new(Duration::ZERO).with_bandwidth(29_000));
+        let spec = LinkSpec { bandwidth: Some(29_000), ..LinkSpec::new(Duration::ZERO) };
+        sim.connect(a, b, spec);
         for _ in 0..3 {
             sim.with_node(a, |_, ctx| ctx.send(0, udp()));
         }
@@ -947,9 +876,9 @@ mod tests {
     fn timers_fire_in_order() {
         let mut sim = Sim::new(1);
         let a = sim.add_node("a", Box::new(CounterDevice::default()));
-        sim.wake(a, Duration::from_millis(5), 2);
-        sim.wake(a, Duration::from_millis(1), 1);
-        sim.wake(a, Duration::from_millis(9), 3);
+        wake(&mut sim, a, Duration::from_millis(5), 2);
+        wake(&mut sim, a, Duration::from_millis(1), 1);
+        wake(&mut sim, a, Duration::from_millis(9), 3);
         sim.run_until_idle();
         assert_eq!(sim.device::<CounterDevice>(a).tokens, vec![1, 2, 3]);
     }
@@ -959,7 +888,7 @@ mod tests {
         let mut sim = Sim::new(1);
         let a = sim.add_node("a", Box::new(CounterDevice::default()));
         for t in 0..20 {
-            sim.wake(a, Duration::from_millis(5), t);
+            wake(&mut sim, a, Duration::from_millis(5), t);
         }
         sim.run_until_idle();
         assert_eq!(
@@ -979,8 +908,8 @@ mod tests {
     fn run_until_does_not_process_later_events() {
         let mut sim = Sim::new(1);
         let a = sim.add_node("a", Box::new(CounterDevice::default()));
-        sim.wake(a, Duration::from_millis(10), 1);
-        sim.wake(a, Duration::from_millis(20), 2);
+        wake(&mut sim, a, Duration::from_millis(10), 1);
+        wake(&mut sim, a, Duration::from_millis(20), 2);
         sim.run_until(SimTime::from_millis(15));
         assert_eq!(sim.device::<CounterDevice>(a).tokens, vec![1]);
         assert_eq!(sim.now(), SimTime::from_millis(15));
@@ -991,7 +920,7 @@ mod tests {
         let mut sim = Sim::new(1);
         let a = sim.add_node("a", Box::new(CounterDevice::default()));
         for i in 0..10 {
-            sim.wake(a, Duration::from_millis(i), i);
+            wake(&mut sim, a, Duration::from_millis(i), i);
         }
         let hit = sim.run_while(SimTime::from_secs(1), |s| {
             s.device::<CounterDevice>(a).tokens.len() >= 3
@@ -1007,22 +936,6 @@ mod tests {
         let hit = sim.run_while(SimTime::from_millis(50), |_| false);
         assert!(!hit);
         assert_eq!(sim.now(), SimTime::from_millis(50));
-    }
-
-    #[test]
-    fn trace_records_tx_and_rx() {
-        let mut sim = Sim::new(1);
-        sim.enable_trace(100);
-        let a = sim.add_node("alice", Box::new(SinkDevice::default()));
-        let b = sim.add_node("bob", Box::new(SinkDevice::default()));
-        sim.connect(a, b, LinkSpec::lan());
-        sim.with_node(a, |_, ctx| ctx.send(0, udp()));
-        sim.run_until_idle();
-        let tr = sim.trace().unwrap();
-        assert_eq!(tr.events().len(), 2);
-        assert_eq!(tr.events()[0].dir, TraceDir::Tx);
-        assert_eq!(tr.events()[1].dir, TraceDir::Rx);
-        assert!(tr.dump().contains("alice"));
     }
 
     #[test]
@@ -1102,21 +1015,23 @@ mod tests {
         let b = sim.add_node("b", Box::new(SinkDevice::default()));
         sim.connect(a, b, LinkSpec::lan());
         let link = sim.link_of(a, 0);
-        sim.set_link_up(link, false);
+        sim.schedule_link_fault(sim.now(), link, LinkAction::Down);
+        sim.run_until_idle();
         for _ in 0..5 {
             sim.with_node(a, |_, ctx| ctx.send(0, udp()));
         }
         sim.run_until_idle();
         assert_eq!(sim.device::<SinkDevice>(b).packets.len(), 0);
         assert_eq!(sim.stats().link_down_drops, 5);
-        sim.set_link_up(link, true);
+        sim.schedule_link_fault(sim.now(), link, LinkAction::Up);
+        sim.run_until_idle();
         sim.with_node(a, |_, ctx| ctx.send(0, udp()));
         sim.run_until_idle();
         assert_eq!(sim.device::<SinkDevice>(b).packets.len(), 1);
     }
 
     #[test]
-    fn link_mut_changes_conditions_mid_run() {
+    fn link_set_changes_conditions_mid_run() {
         let mut sim = Sim::new(1);
         let a = sim.add_node("a", Box::new(SinkDevice::default()));
         let b = sim.add_node("b", Box::new(SinkDevice::default()));
@@ -1124,7 +1039,10 @@ mod tests {
         let link = sim.link_of(a, 0);
         sim.with_node(a, |_, ctx| ctx.send(0, udp()));
         sim.run_until_idle();
-        link_assert_latency(&mut sim, link, Duration::from_millis(50));
+        let slow = LinkSpec::new(Duration::from_millis(50));
+        sim.schedule_link_fault(sim.now(), link, LinkAction::Set(slow));
+        sim.run_until_idle();
+        assert_eq!(link_spec(&sim, link), slow);
         sim.with_node(a, |_, ctx| ctx.send(0, udp()));
         let before = sim.now();
         sim.run_until_idle();
@@ -1132,14 +1050,8 @@ mod tests {
         assert_eq!(sim.device::<SinkDevice>(b).packets.len(), 2);
     }
 
-    fn link_assert_latency(sim: &mut Sim, link: LinkId, lat: Duration) {
-        sim.link_mut(link).latency = lat;
-        assert_eq!(sim.link_spec(link).latency, lat);
-    }
-
     #[test]
     fn scheduled_outage_fires_at_its_time() {
-        use crate::fault::LinkAction;
         let mut sim = Sim::new(1);
         let a = sim.add_node("a", Box::new(SinkDevice::default()));
         let b = sim.add_node("b", Box::new(SinkDevice::default()));
@@ -1161,7 +1073,6 @@ mod tests {
     #[test]
     fn a_link_set_mid_run_keeps_its_deliveries_in_the_wheel() {
         use crate::calendar::tests::overflow_len;
-        use crate::fault::LinkAction;
         let mut sim = Sim::new(1);
         let a = sim.add_node("a", Box::new(SinkDevice::default()));
         let b = sim.add_node("b", Box::new(SinkDevice::default()));
@@ -1172,7 +1083,7 @@ mod tests {
         sim.run_until(SimTime::from_millis(2));
         // 65 timers pending through the sends: the queue builds its wheel.
         for token in 0..65 {
-            sim.wake(b, Duration::from_millis(250), token);
+            wake(&mut sim, b, Duration::from_millis(250), token);
         }
         for _ in 0..5 {
             sim.with_node(a, |_, ctx| ctx.send(0, udp()));
@@ -1190,7 +1101,7 @@ mod tests {
         let mut sim = Sim::new(11);
         let a = sim.add_node("a", Box::new(SinkDevice::default()));
         let b = sim.add_node("b", Box::new(SinkDevice::default()));
-        sim.connect(a, b, LinkSpec::lan().with_duplicate(1.0));
+        sim.connect(a, b, LinkSpec { duplicate: 1.0, ..LinkSpec::lan() });
         for _ in 0..10 {
             sim.with_node(a, |_, ctx| ctx.send(0, udp()));
         }
@@ -1232,7 +1143,7 @@ mod tests {
         let sink = sim.device::<SinkDevice>(b);
         assert_eq!(sink.packets.len(), 10);
         for (_, p) in &sink.packets {
-            assert!(p.udp_payload().unwrap().len() < 64);
+            assert!(p.payload_len() < 64);
             assert!(!p.checksum_ok());
         }
         assert_eq!(sim.stats().packets_truncated, 10);
@@ -1256,7 +1167,10 @@ mod tests {
                 sim.device::<SinkDevice>(b).packets.iter().map(|(_, p)| p.clone()).collect();
             (sim.stats(), sim.now(), delivered)
         };
-        let spec = LinkSpec::access().with_loss(0.3).with_jitter(Duration::from_millis(5));
+        let spec = LinkSpec {
+            jitter: Duration::from_millis(5),
+            ..LinkSpec::access().with_loss(0.3)
+        };
         let baseline = run(spec);
         assert_eq!(run(spec.with_corrupt(0.0).with_truncate(0.0)), baseline);
     }
@@ -1269,13 +1183,15 @@ mod tests {
         let mut sim = Sim::new(5);
         let a = sim.add_node("a", Box::new(SinkDevice::default()));
         let b = sim.add_node("b", Box::new(SinkDevice::default()));
-        sim.connect(a, b, LinkSpec::new(Duration::from_millis(10)).with_reorder(1.0));
+        let spec = LinkSpec::new(Duration::from_millis(10));
+        sim.connect(a, b, LinkSpec { reorder: 1.0, ..spec });
         let link = sim.link_of(a, 0);
         let tagged = |tag: u8| {
             Packet::udp(ep("10.0.0.1:1"), ep("10.0.0.2:2"), vec![tag])
         };
         sim.with_node(a, |_, ctx| ctx.send(0, tagged(0)));
-        sim.link_mut(link).reorder = 0.0;
+        sim.schedule_link_fault(sim.now(), link, LinkAction::Set(spec));
+        sim.run_until(sim.now());
         // The reorder window is max(4*jitter, latency, 1ms) = 10 ms, so a
         // packet sent 11 ms later would always lose the race; one sent
         // immediately can win it whenever the held delay exceeds 0.
@@ -1284,7 +1200,10 @@ mod tests {
         let got: Vec<u8> = sim.device::<SinkDevice>(b)
             .packets
             .iter()
-            .map(|(_, p)| p.udp_payload().unwrap()[0])
+            .map(|(_, p)| match &p.body {
+                Body::Udp(payload) => payload[0],
+                _ => unreachable!("the test sends UDP"),
+            })
             .collect();
         assert_eq!(sim.stats().packets_reordered, 1);
         assert_eq!(got, vec![1, 0], "held packet must arrive second");
@@ -1426,6 +1345,6 @@ mod tests {
         // All 20 deliveries ride one batch, but the depth gauge counts
         // pending logical events exactly as the pre-batching engine did.
         let snap = sim.metrics_snapshot();
-        assert_eq!(snap.gauge("net.queue.depth.max"), Some(20));
+        assert_eq!(snap.gauges.get(&MetricKey::plain("net.queue.depth.max")), Some(&20));
     }
 }

@@ -17,8 +17,8 @@
 use proptest::prelude::*;
 use punch_net::testutil::CounterDevice;
 use punch_net::{
-    Ctx, Device, Duration, Endpoint, IfaceId, LinkAction, LinkSpec, NodeId, Packet, Sim, SimStats,
-    SimTime,
+    Body, Ctx, Device, Duration, Endpoint, IfaceId, LinkAction, LinkSpec, NodeId, Packet, Sim,
+    SimStats, SimTime,
 };
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -40,7 +40,7 @@ type Rec = (SimTime, Kind, usize, u64, u32);
 fn links() -> [LinkSpec; 3] {
     [
         LinkSpec::new(Duration::from_millis(5)),
-        LinkSpec::new(Duration::from_millis(2)).with_duplicate(1.0),
+        LinkSpec { duplicate: 1.0, ..LinkSpec::new(Duration::from_millis(2)) },
         LinkSpec::new(Duration::ZERO),
     ]
 }
@@ -65,7 +65,7 @@ const IDLE_AFTER: Duration = Duration::from_secs(3600);
 fn build_wheel(sim: &mut Sim) {
     let idle = sim.add_node("idle", Box::new(CounterDevice::default()));
     for token in 0..IDLE_TIMERS {
-        sim.wake(idle, IDLE_AFTER, token);
+        sim.with_node(idle, |_, ctx| ctx.set_timer(IDLE_AFTER, token));
     }
 }
 
@@ -176,7 +176,7 @@ impl Device for Recorder {
         self.call(ctx, Call::Start);
     }
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, pkt: Packet) {
-        let p = pkt.udp_payload().unwrap();
+        let Body::Udp(p) = &pkt.body else { unreachable!("scripts send UDP") };
         let id = u32::from_be_bytes([p[0], p[1], p[2], p[3]]);
         self.call(
             ctx,
@@ -509,7 +509,7 @@ fn run(script: &[Op], wheel: bool) {
                 after_ms,
                 token,
             } => {
-                sim.wake(nodes[node], ms(after_ms), token);
+                sim.with_node(nodes[node], |_, ctx| ctx.set_timer(ms(after_ms), token));
                 model.push(model.now + ms(after_ms), Ev::Timer { node, token });
             }
             Op::LinkFault { after_ms, link, up } => {

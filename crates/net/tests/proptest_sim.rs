@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use punch_net::testutil::SinkDevice;
-use punch_net::{Duration, Endpoint, LinkSpec, Packet, Sim, SimStats, TraceDir};
+use punch_net::{Duration, Endpoint, LinkSpec, Packet, Sim, SimStats};
 
 fn ep(ip: [u8; 4], port: u16) -> Endpoint {
     Endpoint::new(ip.into(), port)
@@ -81,14 +81,13 @@ proptest! {
         jitter_ms in 0u64..20,
     ) {
         let mut sim = Sim::new(seed);
-        sim.enable_trace(4 * n + 8);
         let a = sim.add_node("a", Box::new(SinkDevice::default()));
         let b = sim.add_node("b", Box::new(SinkDevice::default()));
-        sim.connect(
-            a,
-            b,
-            LinkSpec::new(Duration::from_millis(5)).with_jitter(Duration::from_millis(jitter_ms)),
-        );
+        let spec = LinkSpec {
+            jitter: Duration::from_millis(jitter_ms),
+            ..LinkSpec::new(Duration::from_millis(5))
+        };
+        sim.connect(a, b, spec);
         for i in 0..n {
             sim.with_node(a, |_, ctx| {
                 ctx.send(0, Packet::udp(ep([1, 1, 1, 1], i as u16), ep([2, 2, 2, 2], 9), b"x".as_ref()));
@@ -103,12 +102,10 @@ proptest! {
             .collect();
         let expected: Vec<u16> = (0..n as u16).collect();
         prop_assert_eq!(got, expected);
-        // And the trace recorded matching Tx before Rx events.
-        let trace = sim.trace().expect("enabled");
-        let tx = trace.events().iter().filter(|e| e.dir == TraceDir::Tx).count();
-        let rx = trace.events().iter().filter(|e| e.dir == TraceDir::Rx).count();
-        prop_assert_eq!(tx, n);
-        prop_assert_eq!(rx, n);
+        // And the engine counted each packet sent and delivered once.
+        let stats = sim.stats();
+        prop_assert_eq!(stats.packets_sent, n as u64);
+        prop_assert_eq!(stats.packets_delivered, n as u64);
     }
 
     /// The clock never goes backwards across arbitrary stepping patterns.

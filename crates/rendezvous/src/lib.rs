@@ -23,6 +23,6 @@ pub mod wire;
 pub use peer::PeerId;
 pub use server::{RendezvousServer, ServerConfig, ServerStats};
 pub use wire::{
-    auth_tag, decode_signed, encode_frame, encode_signed, FrameBuf, Message, WireError,
+    decode_signed, encode_frame, encode_signed, FrameBuf, Message, WireError,
     AUTH_TAG_LEN, ERR_TABLE_FULL, ERR_UNKNOWN_PEER, MAX_BUFFER, MAX_FRAME, MAX_PAYLOAD, VERSION,
 };

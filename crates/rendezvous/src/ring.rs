@@ -20,7 +20,7 @@ use crate::peer::PeerId;
 /// may share an ip) with the peer id through two rounds of the
 /// SplitMix64 finalizer. Pure and allocation-free.
 #[must_use]
-pub fn weight(server: Endpoint, peer: PeerId) -> u64 {
+fn weight(server: Endpoint, peer: PeerId) -> u64 {
     let ep = (u64::from(u32::from(server.ip)) << 16) | u64::from(server.port);
     seed::mix(seed::mix(ep) ^ seed::mix(peer.0))
 }
@@ -43,12 +43,6 @@ pub fn owners(fleet: &[Endpoint], peer: PeerId, k: usize) -> Vec<Endpoint> {
     });
     ranked.truncate(k.max(1));
     ranked
-}
-
-/// True when `server` is one of the `k` owners of `peer`.
-#[must_use]
-pub fn owns(fleet: &[Endpoint], server: Endpoint, peer: PeerId, k: usize) -> bool {
-    owners(fleet, peer, k).contains(&server)
 }
 
 #[cfg(test)]
@@ -91,7 +85,7 @@ mod tests {
         let f = fleet(1);
         for id in 0..50u64 {
             assert_eq!(owners(&f, PeerId(id), 2), f);
-            assert!(owns(&f, f[0], PeerId(id), 2));
+            assert!(owners(&f, PeerId(id), 2).contains(&f[0]));
         }
     }
 

@@ -390,11 +390,13 @@ impl RendezvousServer {
     }
 
     /// Returns a UDP-registered client's endpoints (tests).
+    // punch-lint: allow(S005) §3.1 registration state, read by rendezvous/tests/server.rs, core/tests/peer_contract.rs and lab's eviction suites
     pub fn udp_registration(&self, peer: PeerId) -> Option<(Endpoint, Endpoint)> {
         self.udp_clients.get(&peer).map(|r| (r.public, r.private))
     }
 
     /// Returns a TCP-registered client's endpoints (tests).
+    // punch-lint: allow(S005) §4.1 registration state, read by rendezvous/tests/server.rs and core/tests/peer_contract.rs
     pub fn tcp_registration(&self, peer: PeerId) -> Option<(Endpoint, Endpoint)> {
         self.tcp_clients.get(&peer).map(|r| (r.public, r.private))
     }
@@ -1026,6 +1028,7 @@ impl RendezvousServer {
     /// Administratively aborts every client TCP connection and forgets
     /// the registrations — what clients observe when the server restarts.
     /// Failure-injection tests drive this; clients must re-register.
+    // punch-lint: allow(S005) failure injection driven by tests/resilience.rs and core/tests/peer_contract.rs
     pub fn drop_all_clients(&mut self, os: &mut Os<'_, '_>) {
         let socks: Vec<SocketId> = self.conns.keys().copied().collect();
         for sock in socks {

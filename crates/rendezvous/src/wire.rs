@@ -605,7 +605,7 @@ pub const AUTH_TAG_LEN: usize = 8;
 /// shared secret. Not cryptography — the simulation models *possession
 /// of a shared secret*, and an off-path forger without it cannot produce
 /// a verifying tag; collision resistance beyond that is out of scope.
-pub fn auth_tag(body: &[u8], secret: u64) -> u64 {
+fn auth_tag(body: &[u8], secret: u64) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ secret;
     for &b in body {
         h ^= u64::from(b);

@@ -503,7 +503,7 @@ fn fleet(n: u8, replication: usize) -> (Vec<Endpoint>, Vec<ServerConfig>) {
 /// The smallest peer id ≥ 2 whose `k` ring owners do not include server 0.
 fn id_not_owned_by_server_0(members: &[Endpoint], k: usize) -> u64 {
     (2..)
-        .find(|&id| !ring::owns(members, members[0], PeerId(id), k))
+        .find(|&id| !ring::owners(members, PeerId(id), k).contains(&members[0]))
         .expect("some id hashes elsewhere")
 }
 

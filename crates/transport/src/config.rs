@@ -92,12 +92,6 @@ impl StackConfig {
         self
     }
 
-    /// Same configuration with a different data retry budget.
-    pub fn with_data_retries(mut self, retries: u32) -> Self {
-        self.data_retries = retries;
-        self
-    }
-
     /// Same configuration with RFC 5961 RST sequence validation enabled.
     pub fn with_rst_validation(mut self) -> Self {
         self.rst_validation = true;

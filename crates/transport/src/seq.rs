@@ -19,20 +19,6 @@ pub fn gt(a: u32, b: u32) -> bool {
     lt(b, a)
 }
 
-/// Returns true if `a` is later than or equal to `b`.
-pub fn ge(a: u32, b: u32) -> bool {
-    le(b, a)
-}
-
-/// Returns true if `x` lies in the half-open interval `[lo, hi)` on the
-/// circle.
-pub fn in_range(x: u32, lo: u32, hi: u32) -> bool {
-    if lo == hi {
-        return false;
-    }
-    hi.wrapping_sub(lo) > x.wrapping_sub(lo)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -44,7 +30,6 @@ mod tests {
         assert!(!lt(5, 5));
         assert!(le(5, 5));
         assert!(gt(7, 3));
-        assert!(ge(7, 7));
     }
 
     #[test]
@@ -53,19 +38,5 @@ mod tests {
         assert!(lt(u32::MAX - 10, 5));
         assert!(gt(5, u32::MAX - 10));
         assert!(le(u32::MAX, 0));
-    }
-
-    #[test]
-    fn range_membership() {
-        assert!(in_range(5, 5, 10));
-        assert!(in_range(9, 5, 10));
-        assert!(!in_range(10, 5, 10));
-        assert!(!in_range(4, 5, 10));
-        // Wrapping interval.
-        assert!(in_range(u32::MAX, u32::MAX - 2, 3));
-        assert!(in_range(1, u32::MAX - 2, 3));
-        assert!(!in_range(3, u32::MAX - 2, 3));
-        // Empty interval contains nothing.
-        assert!(!in_range(7, 7, 7));
     }
 }

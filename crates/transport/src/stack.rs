@@ -149,6 +149,7 @@ impl HostStack {
     }
 
     /// Drains packets queued for transmission.
+    // punch-lint: allow(S005) harness seam: transport/tests/proptest_tcp.rs drives a bare stack
     pub fn take_packets(&mut self) -> Vec<Packet> {
         std::mem::take(&mut self.out)
     }
@@ -159,13 +160,9 @@ impl HostStack {
     }
 
     /// Drains pending timer requests (`(delay, token)`).
+    // punch-lint: allow(S005) harness seam: transport/tests/proptest_tcp.rs drives a bare stack
     pub fn take_timers(&mut self) -> Vec<(Duration, u64)> {
         std::mem::take(&mut self.timers)
-    }
-
-    /// Returns the number of live sockets (tests/diagnostics).
-    pub fn socket_count(&self) -> usize {
-        self.socks.len()
     }
 
     /// Returns the transport counters (retransmits, RTO fires, RSTs).
@@ -858,7 +855,7 @@ mod tests {
             sock: conn,
             err: SocketError::ConnectionRefused
         }));
-        assert_eq!(c.socket_count(), 0);
+        assert_eq!(c.socks.len(), 0);
     }
 
     #[test]
@@ -1231,7 +1228,7 @@ mod tests {
         srv.take_events();
         srv.close(l).unwrap();
         assert_eq!(
-            srv.socket_count(),
+            srv.socks.len(),
             0,
             "queued child aborted with the listener"
         );

@@ -91,7 +91,8 @@ proptest! {
         // The property is integrity, not liveness: at 23 % loss a stream of
         // ~75 segments can lose one segment 9 times running, and a sender
         // on the default budget of 8 retries then (correctly) gives up.
-        let cfg = StackConfig::fast().with_data_retries(30);
+        let mut cfg = StackConfig::fast();
+        cfg.data_retries = 30;
         let mut sim = Sim::new(seed);
         let server = sim.add_node(
             "srv",

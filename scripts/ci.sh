@@ -75,7 +75,7 @@ echo "== rustdoc (-D warnings; vendor/* stand-ins excluded) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --quiet --no-deps --workspace \
     --exclude rand --exclude bytes --exclude proptest
 
-echo "== census: line and knob counts; every pub fn with_* has a caller outside its own file =="
+echo "== census: line, knob and pub fn counts =="
 sh scripts/census.sh
 
 echo "== punch-lint (LINTS.md): clean tree, text and JSON reports identical across runs =="
@@ -84,11 +84,11 @@ lint | cmp - "$tmp/lint.txt"
 lint --json > "$tmp/lint.json"
 lint --json | cmp - "$tmp/lint.json"
 
-echo "== punch-lint: a seeded violation per rule family (P001, S001-S004) fails the gate =="
+echo "== punch-lint: a seeded violation per rule family (P001, S001-S005) fails the gate =="
 mkdir -p "$tmp/seeded/src"
 cp crates/lint/tests/fixtures/p001_panic.rs "$tmp/seeded/src/lib.rs"
 lint_must_flag P001 "$tmp/seeded"
-for rule in 1 2 3 4; do
+for rule in 1 2 3 4 5; do
     lint_must_flag "S00$rule" "crates/lint/tests/fixtures/semantic/s00${rule}_bad"
 done
 
