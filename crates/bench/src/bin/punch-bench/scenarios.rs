@@ -3,7 +3,7 @@
 //! Run: `cargo run --release -p punch-bench -- scenarios`
 
 use crate::{Flags, Run};
-use holepunch::{CandidatePlan, SourceSpec};
+use holepunch::{CandidatePlan, CandidateSource};
 use punch_bench::{median, ms, tcp_flavor_paths, tcp_punch_latency, udp_punch, Outcome, Topology};
 use punch_lab::par;
 use punch_nat::{Hairpin, NatBehavior, TcpUnsolicited};
@@ -24,7 +24,7 @@ pub fn run(_: &Flags) -> Result<Run, String> {
             ("private candidates", CandidatePlan::basic()),
             (
                 "public only",
-                CandidatePlan::new().with_source(SourceSpec::public()),
+                CandidatePlan::new().with_source(CandidateSource::PeerPublic),
             ),
         ] {
             let outcome = udp_punch(Topology::CommonNat(nat.clone()), 1, |c| {

@@ -24,7 +24,7 @@
 //! sharpest cell: `predict_seq` must beat `basic` on `sym_seq×sym_seq`.
 
 use crate::{Flags, Run};
-use holepunch::{CandidatePlan, PredictionStrategy, SourceSpec};
+use holepunch::{CandidatePlan, CandidateSource, PredictionStrategy};
 use punch_bench::{udp_punch, Outcome, Topology};
 use punch_lab::par;
 use punch_nat::{MappingPolicy, NatBehavior, PortAllocation, VendorProfile, VENDORS};
@@ -54,7 +54,7 @@ fn class_of(b: &NatBehavior) -> usize {
 }
 
 fn predicting(strategy: PredictionStrategy) -> CandidatePlan {
-    CandidatePlan::basic().with_source(SourceSpec::predicted(strategy))
+    CandidatePlan::basic().with_source(CandidateSource::SelfPredicted(strategy))
 }
 
 fn strategies() -> [(&'static str, CandidatePlan); 4] {

@@ -2,8 +2,8 @@
 
 use bytes::Bytes;
 use holepunch::{
-    CandidatePlan, PeerId, PredictionStrategy, SourceSpec, TcpPeer, TcpPeerConfig, TcpPunchMode,
-    UdpPeer, UdpPeerConfig, UdpPeerEvent, Via,
+    CandidatePlan, CandidateSource, PeerId, PredictionStrategy, TcpPeer, TcpPeerConfig,
+    TcpPunchMode, UdpPeer, UdpPeerConfig, UdpPeerEvent, Via,
 };
 use punch_lab::{addrs, fig4, fig5, fig6, PeerSetup, Scenario, WorldBuilder};
 use punch_nat::{NatBehavior, PortAllocation};
@@ -255,9 +255,11 @@ fn prediction_trial(
         c.punch = c
             .punch
             .clone()
-            .with_plan(CandidatePlan::basic().with_source(SourceSpec::predicted(
-                PredictionStrategy::SequentialDelta { window },
-            )));
+            .with_plan(
+                CandidatePlan::basic().with_source(CandidateSource::SelfPredicted(
+                    PredictionStrategy::SequentialDelta { window },
+                )),
+            );
         c.punch.relay_fallback = false;
         PeerSetup::new(UdpPeer::new(c))
     };

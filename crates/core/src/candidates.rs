@@ -1,27 +1,28 @@
 //! Candidate-set racing: the plan that decides *which* endpoints a punch
-//! cycle probes, in what order, and how often.
+//! cycle probes, and in what order.
 //!
 //! The paper's §3.2 procedure sprays exactly two candidates — the peer's
 //! private endpoint and its server-observed public endpoint — and §5.1
 //! sketches predicting a symmetric NAT's next sequential allocation.
 //! Modern traversal (ICE, libp2p's DCUtR) generalizes both ideas into a
-//! *candidate set*: a prioritized, deduplicated list of endpoints raced
+//! *candidate set*: an ordered, deduplicated list of endpoints raced
 //! concurrently, locked in by the first authenticated response.
 //!
 //! A [`CandidatePlan`] is the declarative half: an ordered list of
-//! [`SourceSpec`]s (peer-private, peer-public, self-predicted windows),
-//! each with a priority and a per-source probe pace. `CandidateSet` is
-//! the per-session runtime half: the materialized, priority-ordered,
-//! endpoint-deduplicated list with per-candidate first-probe /
-//! first-response stamps and the winner flag. Both the UDP and TCP punch
-//! paths race the same structure.
+//! [`CandidateSource`]s (peer-private, peer-public, self-predicted
+//! windows). `CandidateSet` is the per-session runtime half: the
+//! materialized, endpoint-deduplicated list — the plan's candidates in
+//! plan order, then the ports the peer announced — with per-candidate
+//! first-probe / first-response stamps and the winner flag. Every volley
+//! probes every candidate. Both the UDP and TCP punch paths race the same
+//! structure.
 //!
-//! The default plan ([`CandidatePlan::basic`], private before public at
-//! pace 1) reproduces the paper's spray byte-for-byte; the TCP default
-//! ([`CandidatePlan::basic_tcp`], public before private) reproduces the
-//! §4.2 simultaneous-open connect order. Determinism: building, merging,
-//! and pacing a candidate set draws no randomness and performs no
-//! wall-clock reads, so outcomes are byte-identical at any worker count.
+//! The default plan ([`CandidatePlan::basic`], private before public)
+//! reproduces the paper's spray byte-for-byte; TCP races its peer's
+//! public endpoint before the private one, the §4.2 simultaneous-open
+//! connect order. Determinism: building and merging a candidate set
+//! draws no randomness and performs no wall-clock reads, so outcomes are
+//! byte-identical at any worker count.
 
 use punch_net::{Endpoint, SimTime};
 
@@ -164,72 +165,15 @@ pub enum CandidateSource {
     SelfPredicted(PredictionStrategy),
 }
 
-/// A [`CandidateSource`] plus its race priority and probe pace.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[non_exhaustive]
-pub struct SourceSpec {
-    /// Where the endpoints come from.
-    pub source: CandidateSource,
-    /// Race priority: lower probes first within a volley. Ties keep
-    /// plan order.
-    pub priority: u8,
-    /// Probe every `pace`-th volley (0 and 1 mean every volley). The
-    /// first volley always probes everything.
-    pub pace: u32,
-}
-
-impl SourceSpec {
-    /// The peer's private endpoint at the paper's priority (first).
-    pub fn private() -> Self {
-        SourceSpec {
-            source: CandidateSource::PeerPrivate,
-            priority: 0,
-            pace: 1,
-        }
-    }
-
-    /// The peer's public endpoint at the paper's priority (second).
-    pub fn public() -> Self {
-        SourceSpec {
-            source: CandidateSource::PeerPublic,
-            priority: 1,
-            pace: 1,
-        }
-    }
-
-    /// A self-predicted port window announced to the peer.
-    pub fn predicted(strategy: PredictionStrategy) -> Self {
-        SourceSpec {
-            source: CandidateSource::SelfPredicted(strategy),
-            priority: 2,
-            pace: 1,
-        }
-    }
-
-    /// Override the race priority (lower probes first).
-    fn with_priority(mut self, priority: u8) -> Self {
-        self.priority = priority;
-        self
-    }
-
-}
-
 /// Declarative candidate plan: which sources seed a punch cycle's race,
-/// at what priorities and paces, and how announced (peer-predicted)
-/// candidates slot in. Build with [`CandidatePlan::basic`] /
-/// [`CandidatePlan::basic_tcp`] / [`CandidatePlan::new`] and the
-/// `with_*` builders.
+/// in race order. Candidates the peer announces (its predicted ports)
+/// race after every planned one. Build with [`CandidatePlan::basic`] or
+/// [`CandidatePlan::new`] and [`CandidatePlan::with_source`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct CandidatePlan {
-    /// Candidate sources in plan order (ties in priority keep this
-    /// order).
-    pub sources: Vec<SourceSpec>,
-    /// Priority given to candidates the *peer* announces over the relay
-    /// control channel (its predicted ports).
-    pub announced_priority: u8,
-    /// Probe pace for announced candidates.
-    pub announced_pace: u32,
+    /// Candidate sources in race order.
+    pub sources: Vec<CandidateSource>,
 }
 
 impl Default for CandidatePlan {
@@ -243,31 +187,21 @@ impl CandidatePlan {
     pub fn new() -> Self {
         CandidatePlan {
             sources: Vec::new(),
-            announced_priority: 2,
-            announced_pace: 1,
         }
     }
 
-    /// The paper's §3.2 UDP plan: peer private then peer public, every
-    /// volley. The default for `PunchConfig`.
+    /// The paper's §3.2 UDP plan: peer private then peer public. The
+    /// default for `PunchConfig`.
     pub fn basic() -> Self {
         CandidatePlan::new()
-            .with_source(SourceSpec::private())
-            .with_source(SourceSpec::public())
+            .with_source(CandidateSource::PeerPrivate)
+            .with_source(CandidateSource::PeerPublic)
     }
 
-    /// The §4.2 TCP plan: peer public then peer private (the historical
-    /// simultaneous-open connect order). The default for
-    /// `TcpPeerConfig`.
-    pub fn basic_tcp() -> Self {
-        CandidatePlan::new()
-            .with_source(SourceSpec::public().with_priority(0))
-            .with_source(SourceSpec::private().with_priority(1))
-    }
-
-    /// Append a candidate source.
-    pub fn with_source(mut self, spec: SourceSpec) -> Self {
-        self.sources.push(spec);
+    /// Append a candidate source; it races after every source already
+    /// in the plan.
+    pub fn with_source(mut self, source: CandidateSource) -> Self {
+        self.sources.push(source);
         self
     }
 
@@ -276,13 +210,13 @@ impl CandidatePlan {
     pub fn has_predictions(&self) -> bool {
         self.sources
             .iter()
-            .any(|s| matches!(s.source, CandidateSource::SelfPredicted(_)))
+            .any(|s| matches!(s, CandidateSource::SelfPredicted(_)))
     }
 
     /// True when any prediction strategy needs the probe-port stride
     /// measurement (a second registration at server port + 1, §5.1).
     pub fn needs_probe(&self) -> bool {
-        self.sources.iter().any(|s| match s.source {
+        self.sources.iter().any(|s| match s {
             CandidateSource::SelfPredicted(p) => p.needs_probe(),
             _ => false,
         })
@@ -300,8 +234,8 @@ impl CandidatePlan {
         consumed: u32,
     ) -> Vec<u16> {
         let mut out = Vec::new();
-        for spec in &self.sources {
-            if let CandidateSource::SelfPredicted(strategy) = spec.source {
+        for source in &self.sources {
+            if let CandidateSource::SelfPredicted(strategy) = *source {
                 strategy.ports(probe_port, delta, public_port, consumed, &mut out);
             }
         }
@@ -332,8 +266,6 @@ pub struct CandidateStamp {
     pub endpoint: Endpoint,
     /// Which source seated it.
     pub kind: CandidateKind,
-    /// Its race priority (lower probes first).
-    pub priority: u8,
     /// When the first probe left for this endpoint.
     pub first_probe: Option<SimTime>,
     /// When the first authenticated response from it arrived.
@@ -342,123 +274,86 @@ pub struct CandidateStamp {
     pub won: bool,
 }
 
-/// One live entry in a [`CandidateSet`]: a stamp plus its probe pace.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct CandidateEntry {
-    stamp: CandidateStamp,
-    pace: u32,
-}
-
-/// The materialized, per-session race state: a priority-ordered,
-/// endpoint-deduplicated candidate list with volley pacing and
-/// per-candidate stamps. Shared by the UDP and TCP punch paths.
+/// The materialized, per-session race state: the plan's candidates in
+/// plan order, then the peer's announced ones, deduplicated by endpoint,
+/// with per-candidate stamps. Shared by the UDP and TCP punch paths.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub(crate) struct CandidateSet {
-    entries: Vec<CandidateEntry>,
-    /// Volleys sprayed from this set so far (drives pacing).
-    volleys: u32,
+    stamps: Vec<CandidateStamp>,
     /// True when the set was regenerated from a stale introduction
     /// (re-punch, §3.6) and a fresh introduction is still wanted.
     stale: bool,
 }
 
 impl CandidateSet {
-    /// Materialize a plan against an introduction's endpoints. The
-    /// private candidate is seated only when it differs from the public
-    /// one (private==public means the peer is not behind a NAT);
+    /// Materialize a plan's sources against an introduction's endpoints.
+    /// The private candidate is seated only when it differs from the
+    /// public one (private==public means the peer is not behind a NAT);
     /// `SelfPredicted` sources seat nothing locally — they govern the
     /// ports we announce (see [`CandidatePlan::predicted_ports`]).
-    pub(crate) fn from_plan(plan: &CandidatePlan, public: Endpoint, private: Endpoint) -> Self {
+    pub(crate) fn from_sources(
+        sources: &[CandidateSource],
+        public: Endpoint,
+        private: Endpoint,
+    ) -> Self {
         let mut set = CandidateSet::default();
-        for spec in &plan.sources {
-            match spec.source {
+        for source in sources {
+            match source {
                 CandidateSource::PeerPrivate => {
                     if private != public {
-                        set.insert(private, CandidateKind::Private, spec.priority, spec.pace);
+                        set.insert(private, CandidateKind::Private);
                     }
                 }
-                CandidateSource::PeerPublic => {
-                    set.insert(public, CandidateKind::Public, spec.priority, spec.pace);
-                }
+                CandidateSource::PeerPublic => set.insert(public, CandidateKind::Public),
                 CandidateSource::SelfPredicted(_) => {}
             }
         }
         set
     }
 
-    /// Insert one candidate, keeping entries sorted by priority (stable
-    /// within a priority class) and deduplicated by endpoint
-    /// (keep-first: the earlier, higher-priority seat wins).
-    pub(crate) fn insert(
-        &mut self,
-        endpoint: Endpoint,
-        kind: CandidateKind,
-        priority: u8,
-        pace: u32,
-    ) {
+    /// Append one candidate unless its endpoint is already seated
+    /// (keep-first: the earlier seat wins).
+    pub(crate) fn insert(&mut self, endpoint: Endpoint, kind: CandidateKind) {
         if self.contains(endpoint) {
             return;
         }
-        let at = self
-            .entries
-            .partition_point(|e| e.stamp.priority <= priority);
-        self.entries.insert(
-            at,
-            CandidateEntry {
-                stamp: CandidateStamp {
-                    endpoint,
-                    kind,
-                    priority,
-                    first_probe: None,
-                    first_response: None,
-                    won: false,
-                },
-                pace,
-            },
-        );
+        self.stamps.push(CandidateStamp {
+            endpoint,
+            kind,
+            first_probe: None,
+            first_response: None,
+            won: false,
+        });
     }
 
-    /// Merge candidates the peer announced (its predicted ports for one
-    /// IP) at the plan's announced priority/pace. Duplicates of already
-    /// seated endpoints — including a predicted window overlapping the
-    /// peer's observed public port — collapse away.
-    pub(crate) fn merge_announced(
-        &mut self,
-        ip: std::net::Ipv4Addr,
-        ports: &[u16],
-        priority: u8,
-        pace: u32,
-    ) {
+    /// Append the candidates the peer announced (its predicted ports for
+    /// one IP). Duplicates of already seated endpoints — including a
+    /// predicted window overlapping the peer's observed public port —
+    /// collapse away.
+    pub(crate) fn merge_announced(&mut self, ip: std::net::Ipv4Addr, ports: &[u16]) {
         for &port in ports {
-            self.insert(Endpoint::new(ip, port), CandidateKind::Predicted, priority, pace);
+            self.insert(Endpoint::new(ip, port), CandidateKind::Predicted);
         }
     }
 
-    /// The endpoints due in the next volley, in race order, stamping
-    /// first-probe times. Volley 0 probes everything; after that an
-    /// entry with pace `p > 1` is probed every `p`-th volley.
+    /// Every candidate, in race order, stamping first-probe times: each
+    /// volley probes them all (§3.2's spray).
     pub(crate) fn next_volley(&mut self, now: SimTime) -> Vec<Endpoint> {
-        let volley = self.volleys;
-        self.volleys = self.volleys.wrapping_add(1);
-        let mut due = Vec::new();
-        for e in &mut self.entries {
-            if e.pace <= 1 || volley.is_multiple_of(e.pace) {
-                e.stamp.first_probe.get_or_insert(now);
-                due.push(e.stamp.endpoint);
-            }
-        }
-        due
+        self.stamps
+            .iter_mut()
+            .map(|s| {
+                s.first_probe.get_or_insert(now);
+                s.endpoint
+            })
+            .collect()
     }
 
     /// Record an authenticated response from `endpoint` (no-op for
     /// endpoints not in the set — e.g. a response from an address the
     /// NAT rewrote past every candidate).
     pub(crate) fn mark_response(&mut self, endpoint: Endpoint, now: SimTime) {
-        for e in &mut self.entries {
-            if e.stamp.endpoint == endpoint {
-                e.stamp.first_response.get_or_insert(now);
-                return;
-            }
+        if let Some(s) = self.stamps.iter_mut().find(|s| s.endpoint == endpoint) {
+            s.first_response.get_or_insert(now);
         }
     }
 
@@ -467,41 +362,40 @@ impl CandidateSet {
     /// or `None` when the winning address was never a listed candidate.
     pub(crate) fn mark_winner(&mut self, endpoint: Endpoint) -> Option<CandidateKind> {
         let mut kind = None;
-        for e in &mut self.entries {
-            e.stamp.won = e.stamp.endpoint == endpoint;
-            if e.stamp.won {
-                kind = Some(e.stamp.kind);
+        for s in &mut self.stamps {
+            s.won = s.endpoint == endpoint;
+            if s.won {
+                kind = Some(s.kind);
             }
         }
         kind
     }
 
-    /// All candidate endpoints in race order.
     /// Whether `endpoint` is a listed candidate.
     pub(crate) fn contains(&self, endpoint: Endpoint) -> bool {
-        self.entries.iter().any(|e| e.stamp.endpoint == endpoint)
+        self.stamps.iter().any(|s| s.endpoint == endpoint)
     }
 
     /// Whether any candidate shares `ip` (TCP accept matching).
     pub(crate) fn any_ip(&self, ip: std::net::Ipv4Addr) -> bool {
-        self.entries.iter().any(|e| e.stamp.endpoint.ip == ip)
+        self.stamps.iter().any(|s| s.endpoint.ip == ip)
     }
 
     /// Snapshot of every candidate's stamp, in race order.
     pub(crate) fn stamps(&self) -> Vec<CandidateStamp> {
-        self.entries.iter().map(|e| e.stamp).collect()
+        self.stamps.clone()
     }
 
     /// How many candidates have been probed at least once.
     pub(crate) fn probed_count(&self) -> usize {
-        self.entries
+        self.stamps
             .iter()
-            .filter(|e| e.stamp.first_probe.is_some())
+            .filter(|s| s.first_probe.is_some())
             .count()
     }
 
     pub(crate) fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.stamps.is_empty()
     }
 
     /// Mark the set as regenerated from a stale introduction: the punch
@@ -529,50 +423,37 @@ mod tests {
         set.stamps().iter().map(|s| s.endpoint).collect()
     }
 
+    fn from_plan(plan: &CandidatePlan, public: Endpoint, private: Endpoint) -> CandidateSet {
+        CandidateSet::from_sources(&plan.sources, public, private)
+    }
+
     #[test]
     fn basic_plan_reproduces_paper_order_and_collapses_unnatted_private() {
         let public = ep("155.99.25.11:62000");
         let private = ep("10.0.0.1:4321");
-        let set = CandidateSet::from_plan(&CandidatePlan::basic(), public, private);
+        let set = from_plan(&CandidatePlan::basic(), public, private);
         assert_eq!(endpoints(&set), vec![private, public]);
 
         // private == public (no NAT): a single candidate, no duplicate.
-        let set = CandidateSet::from_plan(&CandidatePlan::basic(), public, public);
+        let set = from_plan(&CandidatePlan::basic(), public, public);
         assert_eq!(endpoints(&set), vec![public]);
     }
 
     #[test]
-    fn basic_tcp_plan_connects_public_first() {
+    fn sources_race_in_plan_order() {
         let public = ep("155.99.25.11:62000");
         let private = ep("10.0.0.1:4321");
-        let set = CandidateSet::from_plan(&CandidatePlan::basic_tcp(), public, private);
+        let order = [CandidateSource::PeerPublic, CandidateSource::PeerPrivate];
+        let set = CandidateSet::from_sources(&order, public, private);
         assert_eq!(endpoints(&set), vec![public, private]);
-    }
-
-    #[test]
-    fn priorities_order_the_race_and_ties_keep_plan_order() {
-        let mut set = CandidateSet::default();
-        set.insert(ep("1.1.1.1:1111"), CandidateKind::Predicted, 2, 1);
-        set.insert(ep("2.2.2.2:2222"), CandidateKind::Public, 0, 1);
-        set.insert(ep("3.3.3.3:3333"), CandidateKind::Predicted, 2, 1);
-        set.insert(ep("4.4.4.4:4444"), CandidateKind::Private, 1, 1);
-        assert_eq!(
-            endpoints(&set),
-            vec![
-                ep("2.2.2.2:2222"),
-                ep("4.4.4.4:4444"),
-                ep("1.1.1.1:1111"),
-                ep("3.3.3.3:3333"),
-            ]
-        );
     }
 
     #[test]
     fn dedup_keeps_the_first_seat() {
         let mut set = CandidateSet::default();
-        set.insert(ep("9.9.9.9:9000"), CandidateKind::Public, 1, 1);
+        set.insert(ep("9.9.9.9:9000"), CandidateKind::Public);
         // The same endpoint announced later as a prediction collapses.
-        set.merge_announced("9.9.9.9".parse().unwrap(), &[9000, 9001], 2, 1);
+        set.merge_announced("9.9.9.9".parse().unwrap(), &[9000, 9001]);
         let stamps = set.stamps();
         assert_eq!(stamps.len(), 2);
         assert_eq!(stamps[0].kind, CandidateKind::Public);
@@ -580,23 +461,10 @@ mod tests {
     }
 
     #[test]
-    fn pacing_skips_volleys_but_first_volley_probes_everything() {
-        let mut set = CandidateSet::default();
-        set.insert(ep("1.1.1.1:1000"), CandidateKind::Public, 0, 1);
-        set.insert(ep("2.2.2.2:2000"), CandidateKind::Predicted, 1, 3);
-        let t = SimTime::default();
-        assert_eq!(set.next_volley(t).len(), 2); // volley 0: everything
-        assert_eq!(set.next_volley(t).len(), 1); // volley 1: paced out
-        assert_eq!(set.next_volley(t).len(), 1); // volley 2: paced out
-        assert_eq!(set.next_volley(t).len(), 2); // volley 3: due again
-    }
-
-    #[test]
     fn sequential_delta_accounts_for_consumed_allocations() {
-        let plan =
-            CandidatePlan::new().with_source(SourceSpec::predicted(
-                PredictionStrategy::SequentialDelta { window: 3 },
-            ));
+        let plan = CandidatePlan::new().with_source(CandidateSource::SelfPredicted(
+            PredictionStrategy::SequentialDelta { window: 3 },
+        ));
         assert_eq!(
             plan.predicted_ports(Some(62001), Some(1), Some(62000), 0),
             vec![62002, 62003, 62004]
@@ -613,7 +481,7 @@ mod tests {
 
     #[test]
     fn stride_multiple_ignores_consumed_allocations() {
-        let plan = CandidatePlan::new().with_source(SourceSpec::predicted(
+        let plan = CandidatePlan::new().with_source(CandidateSource::SelfPredicted(
             PredictionStrategy::StrideMultiple { window: 3 },
         ));
         let ports = plan.predicted_ports(Some(61000), Some(5), None, 7);
@@ -622,7 +490,7 @@ mod tests {
 
     #[test]
     fn window_around_observed_alternates_and_skips_the_center() {
-        let plan = CandidatePlan::new().with_source(SourceSpec::predicted(
+        let plan = CandidatePlan::new().with_source(CandidateSource::SelfPredicted(
             PredictionStrategy::WindowAroundObserved { radius: 2 },
         ));
         assert_eq!(
@@ -635,12 +503,12 @@ mod tests {
     #[test]
     fn overlapping_windows_deduplicate_keep_first() {
         let plan = CandidatePlan::new()
-            .with_source(SourceSpec::predicted(PredictionStrategy::SequentialDelta {
-                window: 2,
-            }))
-            .with_source(SourceSpec::predicted(PredictionStrategy::WindowAroundObserved {
-                radius: 2,
-            }));
+            .with_source(CandidateSource::SelfPredicted(
+                PredictionStrategy::SequentialDelta { window: 2 },
+            ))
+            .with_source(CandidateSource::SelfPredicted(
+                PredictionStrategy::WindowAroundObserved { radius: 2 },
+            ));
         // Sequential predicts 62002, 62003; the window around 62001
         // predicts 62002, 62000, 62003, 61999 — overlaps collapse.
         assert_eq!(
@@ -651,7 +519,7 @@ mod tests {
 
     #[test]
     fn predictions_skip_the_privileged_range() {
-        let plan = CandidatePlan::new().with_source(SourceSpec::predicted(
+        let plan = CandidatePlan::new().with_source(CandidateSource::SelfPredicted(
             PredictionStrategy::SequentialDelta { window: 4 },
         ));
         for p in plan.predicted_ports(Some(65535), Some(1), None, 0) {
@@ -663,7 +531,7 @@ mod tests {
     fn stamps_record_probe_response_and_winner() {
         let public = ep("155.99.25.11:62000");
         let private = ep("10.1.1.3:9000");
-        let mut set = CandidateSet::from_plan(&CandidatePlan::basic(), public, private);
+        let mut set = from_plan(&CandidatePlan::basic(), public, private);
         let t0 = SimTime::default();
         set.next_volley(t0);
         set.mark_response(public, t0);
@@ -681,12 +549,14 @@ mod tests {
     fn plan_introspection_drives_probe_gating() {
         assert!(!CandidatePlan::basic().has_predictions());
         assert!(!CandidatePlan::basic().needs_probe());
-        assert!(CandidatePlan::basic().sources.contains(&SourceSpec::private()));
-        let predictive = CandidatePlan::basic().with_source(SourceSpec::predicted(
+        assert!(CandidatePlan::basic()
+            .sources
+            .contains(&CandidateSource::PeerPrivate));
+        let predictive = CandidatePlan::basic().with_source(CandidateSource::SelfPredicted(
             PredictionStrategy::SequentialDelta { window: 4 },
         ));
         assert!(predictive.has_predictions() && predictive.needs_probe());
-        let observed_only = CandidatePlan::basic().with_source(SourceSpec::predicted(
+        let observed_only = CandidatePlan::basic().with_source(CandidateSource::SelfPredicted(
             PredictionStrategy::WindowAroundObserved { radius: 4 },
         ));
         assert!(observed_only.has_predictions() && !observed_only.needs_probe());

@@ -1,4 +1,8 @@
 //! Configuration for the hole-punching endpoints.
+//!
+//! A field here is a value some experiment, example or test sets to a
+//! second value. What the paper fixes and nothing varies is a constant
+//! of the endpoint that reads it (see [`TcpPeerConfig`]).
 
 use crate::candidates::CandidatePlan;
 use punch_net::Endpoint;
@@ -24,10 +28,9 @@ pub struct PunchConfig {
     /// Fall back to relaying through S when punching fails (§2.2).
     pub relay_fallback: bool,
     /// The candidate race: which endpoints each punch cycle probes, in
-    /// what priority order, at what pace, and which port-prediction
-    /// windows this endpoint announces. The default
-    /// ([`CandidatePlan::basic`]) is the paper's §3.2 private+public
-    /// pair.
+    /// what order, and which port-prediction windows this endpoint
+    /// announces. The default ([`CandidatePlan::basic`]) is the paper's
+    /// §3.2 private+public pair.
     pub plan: CandidatePlan,
     /// Liveness detection: declare an established session dead after
     /// this many keepalive intervals with no inbound traffic, without
@@ -196,6 +199,11 @@ pub enum TcpPunchMode {
 /// Configuration for a TCP hole-punching client.
 ///
 /// Construct via [`TcpPeerConfig::new`] and set fields by assignment.
+/// What the paper fixes is not configurable: endpoint addresses in
+/// message bodies are always obfuscated (§3.1), a failed connect is
+/// re-tried after one second (§4.2 step 4) up to eight times per
+/// candidate, candidates are connected to public endpoint first (§4.2),
+/// and a fleet client's failover chain is its two ring owners.
 #[derive(Clone, Debug)]
 #[non_exhaustive]
 pub struct TcpPeerConfig {
@@ -207,21 +215,8 @@ pub struct TcpPeerConfig {
     /// used for the connection to S, the listen socket, and all outgoing
     /// punch attempts (requires `SO_REUSEADDR`/`SO_REUSEPORT`).
     pub local_port: u16,
-    /// Obfuscate endpoint addresses in message bodies.
-    pub obfuscate: bool,
-    /// §4.2 step 4: delay before re-trying a connection attempt that
-    /// failed with a network error ("e.g., one second"); also the delay
-    /// before reconnecting a lost control connection to S.
-    pub retry_delay: Duration,
-    /// Maximum re-tries per candidate endpoint.
-    pub max_retries: u32,
     /// Overall deadline for one punch attempt.
     pub punch_deadline: Duration,
-    /// The candidate race: which endpoints each punch attempt connects
-    /// to and in what order. The default ([`CandidatePlan::basic_tcp`])
-    /// is the §4.2 public-then-private connect order. TCP has no relay
-    /// control channel yet, so predicted sources seat no candidates.
-    pub plan: CandidatePlan,
     /// Parallel (§4.2) or sequential (§4.5) procedure. Both sides of a
     /// punch must agree on the mode.
     pub mode: TcpPunchMode,
@@ -233,8 +228,6 @@ pub struct TcpPeerConfig {
     /// client holds one control connection at a time and reconnects to
     /// the next ring owner when it fails.
     pub fleet: Vec<Endpoint>,
-    /// How many ring owners form the failover chain (k of n).
-    pub replication: usize,
 }
 
 impl TcpPeerConfig {
@@ -244,15 +237,10 @@ impl TcpPeerConfig {
             id,
             server,
             local_port: 0,
-            obfuscate: true,
-            retry_delay: Duration::from_secs(1),
-            max_retries: 8,
             punch_deadline: Duration::from_secs(30),
-            plan: CandidatePlan::basic_tcp(),
             mode: TcpPunchMode::Parallel,
             relay_fallback: true,
             fleet: Vec::new(),
-            replication: 2,
         }
     }
 }
@@ -260,19 +248,13 @@ impl TcpPeerConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::candidates::{PredictionStrategy, SourceSpec};
+    use crate::candidates::CandidateSource;
 
     #[test]
     fn defaults_are_papers_recommendations() {
-        let c = TcpPeerConfig::new(PeerId(1), "18.181.0.31:1234".parse().unwrap());
-        assert_eq!(
-            c.retry_delay,
-            Duration::from_secs(1),
-            "§4.2 step 4 short delay"
-        );
         let u = UdpPeerConfig::new(PeerId(1), "18.181.0.31:1234".parse().unwrap());
         assert!(
-            u.punch.plan.sources.contains(&SourceSpec::private()),
+            u.punch.plan.sources.contains(&CandidateSource::PeerPrivate),
             "§3.3: try private endpoints too"
         );
         assert!(u.obfuscate, "§3.1: obfuscate addresses in bodies");
@@ -280,11 +262,6 @@ mod tests {
             u.punch.plan,
             CandidatePlan::basic(),
             "default plan is the paper's §3.2 pair"
-        );
-        assert_eq!(
-            c.plan,
-            CandidatePlan::basic_tcp(),
-            "default TCP plan is the §4.2 connect order"
         );
     }
 
@@ -296,25 +273,6 @@ mod tests {
         assert_eq!(p.backoff, 1.0, "constant cadence by default");
         assert_eq!(p.backoff_jitter, 0.0, "no extra RNG draws by default");
         assert_eq!(p.relay_probe_interval, None);
-    }
-
-    #[test]
-    fn plans_compose_sources_priorities_and_pacing() {
-        let mut plan = CandidatePlan::basic().with_source(SourceSpec {
-            priority: 3,
-            pace: 2,
-            ..SourceSpec::predicted(PredictionStrategy::WindowAroundObserved { radius: 8 })
-        });
-        plan.announced_priority = 1;
-        plan.announced_pace = 2;
-        let mut u = UdpPeerConfig::new(PeerId(1), "18.181.0.31:1234".parse().unwrap());
-        u.punch = PunchConfig::default().with_plan(plan.clone());
-        assert_eq!(u.punch.plan, plan);
-        assert_eq!(u.punch.plan.sources[2].priority, 3);
-        assert_eq!(u.punch.plan.sources[2].pace, 2);
-        assert_eq!(u.punch.plan.announced_priority, 1);
-        assert!(u.punch.plan.has_predictions());
-        assert!(!u.punch.plan.needs_probe(), "window-around-observed needs no probe");
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! - [`CandidatePlan`] — the composable candidate-set racing engine both
 //!   endpoints share: which endpoints to race (private, public,
 //!   predicted-port windows from pluggable [`PredictionStrategy`]
-//!   choices), in what priority order, at what per-source pace.
+//!   choices), in plan order.
 //!
 //! See the repository examples for complete programs.
 
@@ -37,7 +37,7 @@ pub mod timeline;
 pub mod udp;
 
 pub use candidates::{
-    CandidateKind, CandidatePlan, CandidateSource, CandidateStamp, PredictionStrategy, SourceSpec,
+    CandidateKind, CandidatePlan, CandidateSource, CandidateStamp, PredictionStrategy,
 };
 pub use classify::{Classifier, MappingVerdict, NatReport};
 pub use config::{PunchConfig, TcpPeerConfig, TcpPunchMode, UdpPeerConfig};

@@ -210,9 +210,9 @@ mod tests {
     fn racing() -> Race<u8> {
         let mut race = Race::new(7);
         race.candidates
-            .insert(ep("138.76.29.7:31000"), CandidateKind::Public, 1, 1);
+            .insert(ep("10.1.1.3:4321"), CandidateKind::Private);
         race.candidates
-            .insert(ep("10.1.1.3:4321"), CandidateKind::Private, 0, 1);
+            .insert(ep("138.76.29.7:31000"), CandidateKind::Public);
         race.candidates.next_volley(SimTime::ZERO);
         race.queue(Bytes::from_static(b"one"));
         race.queue(Bytes::from_static(b"two"));
@@ -259,7 +259,7 @@ mod tests {
         let mut race = Race::<u8>::new(7);
         assert!(race.awaits_introduction());
         race.candidates
-            .insert(ep("138.76.29.7:31000"), CandidateKind::Public, 1, 1);
+            .insert(ep("138.76.29.7:31000"), CandidateKind::Public);
         assert!(!race.awaits_introduction());
         race.candidates.mark_stale();
         assert!(race.awaits_introduction());

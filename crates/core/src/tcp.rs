@@ -3,8 +3,8 @@
 //! [`TcpPeer`] implements the §4.2 procedure: one local TCP port is shared
 //! (via the `SO_REUSEADDR`/`SO_REUSEPORT` semantics of §4.1) by the control
 //! connection to *S*, a listen socket, and simultaneous outgoing connects
-//! to every candidate the session's [`crate::CandidatePlan`] generates
-//! (the same racing engine the UDP path uses). Failed connects are
+//! to the peer's public, then private endpoint (the same racing engine
+//! the UDP path uses). Failed connects are
 //! re-tried after a short delay (step 4), surviving RST-happy NATs
 //! (§5.2); the first *authenticated* stream wins (step 5), whether it
 //! surfaced via `connect()` or `accept()` (§4.3). Connection reversal
@@ -18,7 +18,7 @@
 //! §2.3 reversal, fallback streams; plus its own metric names, events
 //! and RNG draws.
 
-use crate::candidates::{CandidateKind, CandidateSet};
+use crate::candidates::{CandidateKind, CandidateSet, CandidateSource};
 use crate::config::{TcpPeerConfig, TcpPunchMode};
 use crate::events::{TcpPath, TcpPeerEvent, Via};
 use crate::relay::{self, RelayKind};
@@ -30,6 +30,20 @@ use punch_rendezvous::{encode_frame, FrameBuf, Message, PeerId, MAX_PAYLOAD};
 use punch_transport::{App, ConnectOpts, Os, SockEvent, SocketError, SocketId};
 use rand::Rng;
 use std::collections::VecDeque;
+use std::time::Duration;
+
+/// §4.2 step 4: the delay before re-trying a connect that failed with a
+/// network error ("e.g., one second"); also the delay before
+/// reconnecting a lost control connection to S.
+const RETRY_DELAY: Duration = Duration::from_secs(1);
+/// Re-tries per candidate endpoint.
+const MAX_RETRIES: u32 = 8;
+/// How many of the fleet's ring owners form the failover chain (k of n).
+const REPLICATION: usize = 2;
+/// The §4.2 connect order: peer public, then peer private. TCP has no
+/// relay control channel, so it predicts and announces nothing.
+const CONNECT_ORDER: [CandidateSource; 2] =
+    [CandidateSource::PeerPublic, CandidateSource::PeerPrivate];
 
 /// Counters exposed for experiments.
 #[derive(Clone, Copy, Debug, Default)]
@@ -119,7 +133,7 @@ impl TcpPeer {
     /// starts.
     pub fn new(cfg: TcpPeerConfig) -> Self {
         TcpPeer {
-            homes: session::homes(cfg.server, &cfg.fleet, cfg.id, cfg.replication),
+            homes: session::homes(cfg.server, &cfg.fleet, cfg.id, REPLICATION),
             cfg,
             server_cursor: 0,
             local_port: 0,
@@ -267,7 +281,8 @@ impl TcpPeer {
     }
 
     fn send_frame(&self, os: &mut Os<'_, '_>, sock: SocketId, msg: &Message) {
-        let _ = os.tcp_send(sock, encode_frame(msg, self.cfg.obfuscate));
+        // §3.1: endpoint addresses in message bodies are obfuscated.
+        let _ = os.tcp_send(sock, encode_frame(msg, true));
     }
 
     fn send_data(&self, os: &mut Os<'_, '_>, sock: SocketId, data: Bytes) {
@@ -280,7 +295,7 @@ impl TcpPeer {
         self.send_server(os, &msg);
     }
 
-    fn arm(&mut self, os: &mut Os<'_, '_>, after: std::time::Duration, purpose: TimerPurpose) {
+    fn arm(&mut self, os: &mut Os<'_, '_>, after: Duration, purpose: TimerPurpose) {
         let token = self.timers.arm(purpose);
         os.set_timer(after, token);
     }
@@ -309,20 +324,20 @@ impl TcpPeer {
     }
 
     /// (Re)connects the control connection to the fleet member the
-    /// cursor points at; retried after `retry_delay`, the paper's fixed
+    /// cursor points at; retried after `RETRY_DELAY`, the paper's fixed
     /// §4.2 cadence.
     fn connect_server(&mut self, os: &mut Os<'_, '_>) {
         let server = self.homes[self.server_cursor % self.homes.len()];
         match os.tcp_connect(server, self.connect_opts()) {
             Ok(sock) => self.server_sock = Some(sock),
-            Err(_) => self.arm(os, self.cfg.retry_delay, TimerPurpose::ServerReconnect),
+            Err(_) => self.arm(os, RETRY_DELAY, TimerPurpose::ServerReconnect),
         }
     }
 
     /// The control connection failed or closed: forget the registration,
     /// rotate to the next ring owner (a no-op with a single home,
     /// preserving the single-server reconnect sequence byte for byte)
-    /// and reconnect after `retry_delay`.
+    /// and reconnect after `RETRY_DELAY`.
     fn server_lost(&mut self, os: &mut Os<'_, '_>) {
         self.server_sock = None;
         self.registered = false;
@@ -330,13 +345,11 @@ impl TcpPeer {
             self.server_cursor = (self.server_cursor + 1) % self.homes.len();
             os.metric_inc("punch.server_failover");
         }
-        self.arm(os, self.cfg.retry_delay, TimerPurpose::ServerReconnect);
+        self.arm(os, RETRY_DELAY, TimerPurpose::ServerReconnect);
     }
 
     /// Records the peer's candidates on the session without connecting:
-    /// the configured [`crate::CandidatePlan`] is materialized against
-    /// this introduction (the default TCP plan races the public endpoint
-    /// first, then the private — §4.2's order).
+    /// its public endpoint first, then its private one (§4.2's order).
     fn prepare_session(
         &mut self,
         os: &mut Os<'_, '_>,
@@ -345,7 +358,7 @@ impl TcpPeer {
         private: Endpoint,
         nonce: u64,
     ) {
-        let candidates = CandidateSet::from_plan(&self.cfg.plan, public, private);
+        let candidates = CandidateSet::from_sources(&CONNECT_ORDER, public, private);
         let now = os.now();
         let session = self
             .sessions
@@ -357,8 +370,8 @@ impl TcpPeer {
     }
 
     /// Starts simultaneous outgoing connection attempts to every
-    /// candidate (§4.2 step 3) — one volley of the race, in the plan's
-    /// priority order.
+    /// candidate (§4.2 step 3) — one volley of the race, in connect
+    /// order.
     fn start_punch(
         &mut self,
         os: &mut Os<'_, '_>,
@@ -536,8 +549,6 @@ impl TcpPeer {
         let Some((peer, remote)) = self.conns.remove(&sock).and_then(|c| c.attempt) else {
             return;
         };
-        let retry_delay = self.cfg.retry_delay;
-        let max_retries = self.cfg.max_retries;
         let deadline = self.cfg.punch_deadline;
         let now = os.now();
         let Some(session) = self.sessions.get_mut(&peer) else {
@@ -554,9 +565,9 @@ impl TcpPeer {
             | SocketError::HostUnreachable => {
                 let tries = session.retries.entry(remote).or_insert(0);
                 *tries += 1;
-                if *tries <= max_retries && now.saturating_since(session.started_at) < deadline {
+                if *tries <= MAX_RETRIES && now.saturating_since(session.started_at) < deadline {
                     self.stats.retries += 1;
-                    self.arm(os, retry_delay, TimerPurpose::Retry { peer, remote });
+                    self.arm(os, RETRY_DELAY, TimerPurpose::Retry { peer, remote });
                 }
             }
             // `AddrInUse` is §4.3's second behaviour: the listener claimed

@@ -404,7 +404,7 @@ impl UdpPeer {
         // case), the regenerated set is replaced before it is ever used.
         session.race.candidates = match session.intro {
             Some((public, private)) => {
-                let mut set = CandidateSet::from_plan(&plan, public, private);
+                let mut set = CandidateSet::from_sources(&plan.sources, public, private);
                 set.mark_stale();
                 set
             }
@@ -576,7 +576,7 @@ impl UdpPeer {
         // plan the private (host) candidate races first — the direct
         // route inside a shared private network is preferred when it
         // answers (§3.3), as in ICE's candidate prioritization.
-        let candidates = CandidateSet::from_plan(&self.cfg.punch.plan, public, private);
+        let candidates = CandidateSet::from_sources(&self.cfg.punch.plan.sources, public, private);
         let now = os.now();
         let registered_at = self.registered_at;
         let session = self.sessions.entry(peer).or_insert_with(|| Box::new(Session::new(nonce)));
@@ -622,9 +622,8 @@ impl UdpPeer {
             return;
         };
         let nonce = session.race.nonce;
-        // One volley of the race: every candidate due at this volley's
-        // pace, in priority order (the default plan paces everything at
-        // 1, reproducing the paper's full spray each volley).
+        // One volley of the race: every candidate, in race order (the
+        // paper's full spray each volley).
         let due = session.race.candidates.next_volley(now);
         if !due.is_empty() {
             session.timeline.first_probe.get_or_insert(now);
@@ -654,18 +653,13 @@ impl UdpPeer {
         if payload.len() < 5 + 2 * n {
             return;
         }
-        let priority = self.cfg.punch.plan.announced_priority;
-        let pace = self.cfg.punch.plan.announced_pace;
         let Some(session) = self.sessions.get_mut(&peer) else {
             return;
         };
         let ports: Vec<u16> = (0..n)
             .map(|i| u16::from_be_bytes([payload[5 + 2 * i], payload[6 + 2 * i]]))
             .collect();
-        session
-            .race
-            .candidates
-            .merge_announced(ip, &ports, priority, pace);
+        session.race.candidates.merge_announced(ip, &ports);
     }
 
     fn establish(&mut self, os: &mut Os<'_, '_>, peer: PeerId, remote: Endpoint) {
@@ -1107,10 +1101,10 @@ impl App for UdpPeer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CandidatePlan, PredictionStrategy, PunchConfig, SourceSpec};
+    use crate::{CandidatePlan, CandidateSource, PredictionStrategy, PunchConfig};
 
     fn predict_plan(window: u16) -> CandidatePlan {
-        CandidatePlan::basic().with_source(SourceSpec::predicted(
+        CandidatePlan::basic().with_source(CandidateSource::SelfPredicted(
             PredictionStrategy::SequentialDelta { window },
         ))
     }
@@ -1164,12 +1158,10 @@ mod tests {
             "18.181.0.31:1234".parse().unwrap(),
         ));
         let mut session = Session::new(1);
-        session.race.candidates.insert(
-            "138.76.29.7:31000".parse().unwrap(),
-            CandidateKind::Public,
-            1,
-            1,
-        );
+        session
+            .race
+            .candidates
+            .insert("138.76.29.7:31000".parse().unwrap(), CandidateKind::Public);
         peer.sessions.insert(PeerId(2), Box::new(session));
         let mut payload = vec![138, 76, 29, 7, 2];
         payload.extend_from_slice(&31001u16.to_be_bytes());

@@ -1,19 +1,187 @@
-//! The candidate racing engine's end-to-end contracts: the explicit
-//! {private, public} plan replays the legacy `Basic` transcript
-//! byte-for-byte, races report per-candidate outcomes, and a re-punch
-//! regenerates its candidate set instead of clearing it.
+//! The candidate racing engine's end-to-end contracts: every plan the
+//! tree builds races in a pinned order, the explicit {private, public}
+//! plan replays the legacy `Basic` transcript byte-for-byte, races report
+//! per-candidate outcomes, and a re-punch regenerates its candidate set
+//! instead of clearing it.
 
 use bytes::Bytes;
 use holepunch::{
-    CandidatePlan, PeerId, PredictionStrategy, SourceSpec, UdpPeer, UdpPeerConfig, UdpPeerEvent,
-    Via,
+    CandidatePlan, CandidateSource, CandidateStamp, PeerId, PredictionStrategy, TcpPeer,
+    TcpPeerConfig, TcpPeerEvent, UdpPeer, UdpPeerConfig, UdpPeerEvent, Via,
 };
 use punch_lab::{fig4, fig5, PeerSetup, Scenario};
 use punch_nat::NatBehavior;
 use punch_net::{Duration, SimTime};
+use punch_transport::StackConfig;
+use std::fmt::Write;
 
 const A: PeerId = PeerId(1);
 const B: PeerId = PeerId(2);
+
+/// The paper's pair plus one self-predicted window.
+fn predicting(strategy: PredictionStrategy) -> CandidatePlan {
+    CandidatePlan::basic().with_source(CandidateSource::SelfPredicted(strategy))
+}
+
+/// The peer's public endpoint alone.
+fn public_only() -> CandidatePlan {
+    CandidatePlan::new().with_source(CandidateSource::PeerPublic)
+}
+
+/// One settled race as the order contract pins it: every stamp's
+/// `(endpoint, kind, first_probe, first_response, won)`, in race order.
+fn race_line(
+    out: &mut String,
+    who: &str,
+    winner: Option<punch_net::Endpoint>,
+    stamps: &[CandidateStamp],
+) {
+    let _ = write!(out, "{who} winner={winner:?}:");
+    for s in stamps {
+        let _ = write!(
+            out,
+            " ({}, {:?}, {:?}, {:?}, {})",
+            s.endpoint, s.kind, s.first_probe, s.first_response, s.won
+        );
+    }
+    out.push('\n');
+}
+
+/// Every race a UDP peer settled since the last drain, as `race_line`s.
+fn udp_races(sc: &mut Scenario, out: &mut String) {
+    for (who, node, peer) in [("A", sc.a, B), ("B", sc.b, A)] {
+        for e in sc
+            .world
+            .with_app::<UdpPeer, _>(node, |p, _| p.take_events())
+        {
+            if let UdpPeerEvent::RaceSettled {
+                peer: p,
+                winner,
+                candidates,
+            } = e
+            {
+                if p == peer {
+                    race_line(out, who, winner, &candidates);
+                }
+            }
+        }
+    }
+}
+
+/// Punches A → B under `plan` on fig5 behind `nat_a` and `nat_b`, then
+/// lets both holes expire and sends from both ends so each peer
+/// re-punches from its stored introduction. Returns every settled race.
+fn udp_plan_races(
+    seed: u64,
+    nat_a: NatBehavior,
+    nat_b: NatBehavior,
+    plan: CandidatePlan,
+) -> String {
+    let expiring = |nat: NatBehavior| nat.with_udp_timeout(Duration::from_secs(20));
+    let cfg = |id| {
+        let mut c = UdpPeerConfig::new(id, Scenario::server_endpoint());
+        c.punch = c.punch.clone().with_plan(plan.clone());
+        c.punch.keepalive_interval = Duration::from_secs(300);
+        c.punch.session_timeout = Duration::from_secs(60);
+        PeerSetup::new(UdpPeer::new(c))
+    };
+    let mut sc = fig5(seed, expiring(nat_a), expiring(nat_b), cfg(A), cfg(B));
+    let mut out = String::new();
+    sc.world.sim.run_for(Duration::from_secs(2));
+    sc.world
+        .with_app::<UdpPeer, _>(sc.a, |p, os| p.connect(os, B));
+    sc.world.sim.run_for(Duration::from_secs(40));
+    udp_races(&mut sc, &mut out);
+    sc.world.sim.run_for(Duration::from_secs(200));
+    sc.world
+        .with_app::<UdpPeer, _>(sc.a, |p, os| p.send(os, B, Bytes::from_static(b"wake")));
+    sc.world
+        .with_app::<UdpPeer, _>(sc.b, |p, os| p.send(os, A, Bytes::from_static(b"wake-b")));
+    sc.world.sim.run_for(Duration::from_secs(60));
+    out.push_str("-- re-punch\n");
+    udp_races(&mut sc, &mut out);
+    out
+}
+
+/// The race-order contract: every plan the tree builds races its
+/// candidates in plan order, appends the peer's announced ports after
+/// them, and probes every candidate on every volley. Pinned per stamp,
+/// for the paper's pair, the public endpoint alone, the pair plus each
+/// of the three prediction strategies against a symmetric pair (with a
+/// re-punch that regenerates the set), and TCP's public-then-private
+/// connect order.
+#[test]
+fn every_plan_races_in_plan_order() {
+    let (cone, symmetric) = (NatBehavior::well_behaved, NatBehavior::symmetric);
+    let mut got = String::new();
+    let udp_cases = [
+        ("basic", cone(), cone(), CandidatePlan::basic()),
+        ("public_only", cone(), cone(), public_only()),
+        (
+            "sequential_delta",
+            symmetric(),
+            symmetric(),
+            predicting(PredictionStrategy::SequentialDelta { window: 8 }),
+        ),
+        (
+            "stride_multiple",
+            symmetric(),
+            cone(),
+            predicting(PredictionStrategy::StrideMultiple { window: 8 }),
+        ),
+        (
+            "window_around_observed",
+            symmetric(),
+            cone(),
+            predicting(PredictionStrategy::WindowAroundObserved { radius: 8 }),
+        ),
+    ];
+    for (name, nat_a, nat_b, plan) in udp_cases {
+        let _ = writeln!(got, "== udp {name}");
+        got.push_str(&udp_plan_races(41, nat_a, nat_b, plan));
+    }
+
+    let tcp = |id| {
+        PeerSetup::new(TcpPeer::new(TcpPeerConfig::new(
+            id,
+            Scenario::server_endpoint(),
+        )))
+        .with_stack(StackConfig::fast())
+    };
+    let mut sc = fig5(
+        43,
+        NatBehavior::well_behaved(),
+        NatBehavior::well_behaved(),
+        tcp(A),
+        tcp(B),
+    );
+    sc.world.sim.run_for(Duration::from_secs(2));
+    sc.world
+        .with_app::<TcpPeer, _>(sc.a, |p, os| p.connect(os, B));
+    sc.world.sim.run_for(Duration::from_secs(40));
+    got.push_str("== tcp basic\n");
+    for (who, node, peer) in [("A", sc.a, B), ("B", sc.b, A)] {
+        for e in sc
+            .world
+            .with_app::<TcpPeer, _>(node, |p, _| p.take_events())
+        {
+            if let TcpPeerEvent::RaceSettled {
+                peer: p,
+                winner,
+                candidates,
+            } = e
+            {
+                if p == peer {
+                    race_line(&mut got, who, winner, &candidates);
+                }
+            }
+        }
+    }
+    assert_eq!(got, RACES, "race order moved; got:\n{got}");
+}
+
+/// The pinned races, one `race_line` per settled race.
+const RACES: &str = include_str!("candidate_race_order.txt");
 
 /// Runs one fig5 punch + data exchange with `cfg_mod` applied to both
 /// peers and returns every observable the transcript comparison cares
@@ -73,8 +241,8 @@ fn explicit_private_public_plan_replays_the_legacy_transcript() {
         let explicit = transcript(seed, common_nat, |c| {
             c.punch = c.punch.clone().with_plan(
                 CandidatePlan::new()
-                    .with_source(SourceSpec::private())
-                    .with_source(SourceSpec::public()),
+                    .with_source(CandidateSource::PeerPrivate)
+                    .with_source(CandidateSource::PeerPublic),
             );
         });
         assert_eq!(
@@ -212,9 +380,11 @@ fn repunch_regenerates_predicted_candidates_for_symmetric_nats() {
         c.punch = c
             .punch
             .clone()
-            .with_plan(CandidatePlan::basic().with_source(SourceSpec::predicted(
-                PredictionStrategy::SequentialDelta { window: 5 },
-            )));
+            .with_plan(
+                CandidatePlan::basic().with_source(CandidateSource::SelfPredicted(
+                    PredictionStrategy::SequentialDelta { window: 5 },
+                )),
+            );
         c.punch.relay_fallback = false;
         c.punch.keepalive_interval = Duration::from_secs(300);
         c.punch.session_timeout = Duration::from_secs(60);

@@ -3,8 +3,8 @@
 
 use bytes::Bytes;
 use holepunch::{
-    CandidatePlan, PeerId, PredictionStrategy, SourceSpec, UdpPeer, UdpPeerConfig, UdpPeerEvent,
-    Via,
+    CandidatePlan, CandidateSource, PeerId, PredictionStrategy, UdpPeer, UdpPeerConfig,
+    UdpPeerEvent, Via,
 };
 use punch_lab::{addrs, fig4, fig5, fig6, PeerSetup, Scenario};
 use punch_nat::{Hairpin, MappingPolicy, NatBehavior, PortAllocation};
@@ -22,9 +22,9 @@ fn udp_setup(id: PeerId) -> PeerSetup {
 
 /// The §5.1 plan: the paper's spray plus a sequential-delta window.
 fn predict_plan(window: u16) -> CandidatePlan {
-    CandidatePlan::basic().with_source(SourceSpec::predicted(PredictionStrategy::SequentialDelta {
-        window,
-    }))
+    CandidatePlan::basic().with_source(CandidateSource::SelfPredicted(
+        PredictionStrategy::SequentialDelta { window },
+    ))
 }
 
 fn udp_setup_cfg(cfg: UdpPeerConfig) -> PeerSetup {
@@ -136,7 +136,7 @@ fn fig4_without_private_candidates_needs_hairpin() {
         c.punch = c
             .punch
             .clone()
-            .with_plan(CandidatePlan::new().with_source(SourceSpec::public()));
+            .with_plan(CandidatePlan::new().with_source(CandidateSource::PeerPublic));
         c
     };
     // With hairpin: public endpoints loop back through the NAT.

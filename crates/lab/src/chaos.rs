@@ -36,7 +36,7 @@
 use crate::adversary::{AbuseAction, AbuseBot, FloodBot, ABUSE_IP, FLOOD_IP};
 use crate::world::{fig5, fig5_builder, PeerSetup, Scenario};
 use holepunch::{
-    CandidatePlan, PredictionStrategy, PunchConfig, SourceSpec, UdpPeer, UdpPeerConfig,
+    CandidatePlan, CandidateSource, PredictionStrategy, PunchConfig, UdpPeer, UdpPeerConfig,
     UdpPeerEvent,
 };
 use punch_nat::NatBehavior;
@@ -355,7 +355,7 @@ fn chaos_peer(id: PeerId, profile: ChaosProfile) -> PeerSetup {
             c.punch.session_timeout = Duration::from_secs(3600);
         }
         ChaosProfile::Racing => {
-            c.punch.plan = CandidatePlan::basic().with_source(SourceSpec::predicted(
+            c.punch.plan = CandidatePlan::basic().with_source(CandidateSource::SelfPredicted(
                 PredictionStrategy::WindowAroundObserved { radius: 4 },
             ));
         }

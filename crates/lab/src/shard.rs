@@ -35,7 +35,7 @@
 use crate::par;
 use crate::world::{addrs, with_host_app, Backbone};
 use holepunch::{
-    CandidatePlan, PeerId, PredictionStrategy, SourceSpec, UdpPeer, UdpPeerConfig,
+    CandidatePlan, CandidateSource, PeerId, PredictionStrategy, UdpPeer, UdpPeerConfig,
 };
 use punch_nat::NatBehavior;
 use punch_net::{
@@ -299,7 +299,7 @@ impl ShardedWorld {
                     }
                     if cfg.predict_symmetric && symmetric {
                         ucfg.punch.plan =
-                            CandidatePlan::basic().with_source(SourceSpec::predicted(
+                            CandidatePlan::basic().with_source(CandidateSource::SelfPredicted(
                                 PredictionStrategy::SequentialDelta { window: 8 },
                             ));
                     }

@@ -21,6 +21,19 @@ pub struct Token {
     pub kind: TokKind,
 }
 
+/// The identifier text of `tokens[i]`, if it is an identifier.
+pub(crate) fn ident_at(tokens: &[Token], i: usize) -> Option<&str> {
+    match tokens.get(i).map(|t| &t.kind) {
+        Some(TokKind::Ident(s)) => Some(s.as_str()),
+        _ => None,
+    }
+}
+
+/// Whether `tokens[i]` is the punctuation character `c`.
+pub(crate) fn punct_at(tokens: &[Token], i: usize, c: char) -> bool {
+    matches!(tokens.get(i), Some(t) if t.kind == TokKind::Punct(c))
+}
+
 /// Token kinds. Literal contents are **kept**: the semantic passes need
 /// wire-tag const values (numeric literals) and metric-name strings, so
 /// a literal token carries its text and whether it is string-like.

@@ -13,7 +13,7 @@
 //! degrades to *fewer recognized items*, never to a panic or an
 //! out-of-bounds span (property-tested in `tests/proptest_parser.rs`).
 
-use crate::lexer::{Lexed, TokKind, Token};
+use crate::lexer::{ident_at, punct_at, Lexed, TokKind, Token};
 
 /// A `fn` item.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -108,17 +108,6 @@ impl ParsedFile {
     pub fn in_use(&self, i: usize) -> bool {
         self.uses.iter().any(|&(lo, hi)| (lo..=hi).contains(&i))
     }
-}
-
-fn ident_at(tokens: &[Token], i: usize) -> Option<&str> {
-    match tokens.get(i).map(|t| &t.kind) {
-        Some(TokKind::Ident(s)) => Some(s.as_str()),
-        _ => None,
-    }
-}
-
-fn punct_at(tokens: &[Token], i: usize, c: char) -> bool {
-    matches!(tokens.get(i), Some(t) if t.kind == TokKind::Punct(c))
 }
 
 /// Finds the index of the `}` matching the `{` at `open`, or the last

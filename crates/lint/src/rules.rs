@@ -21,7 +21,7 @@
 //! * **A001** — a malformed suppression: `punch-lint: allow(...)`
 //!   without a reason, or naming an unknown rule. Never suppressible.
 
-use crate::lexer::{lex, Comment, Lexed, TokKind, Token};
+use crate::lexer::{ident_at, lex, punct_at, Comment, Lexed, TokKind, Token};
 use std::collections::BTreeMap;
 
 /// All rule identifiers, in report order. The `S` family is the
@@ -312,17 +312,6 @@ pub(crate) fn test_module_paths(path: &str, tokens: &[Token]) -> Vec<String> {
         }
     }
     out
-}
-
-fn ident_at(tokens: &[Token], i: usize) -> Option<&str> {
-    match tokens.get(i).map(|t| &t.kind) {
-        Some(TokKind::Ident(s)) => Some(s.as_str()),
-        _ => None,
-    }
-}
-
-fn punct_at(tokens: &[Token], i: usize, c: char) -> bool {
-    matches!(tokens.get(i), Some(t) if t.kind == TokKind::Punct(c))
 }
 
 /// Result of linting one file.

@@ -34,7 +34,7 @@
 //! unexplained drift.
 
 use crate::json_str;
-use crate::lexer::{Lexed, TokKind, Token};
+use crate::lexer::{ident_at, punct_at, Lexed, TokKind, Token};
 use crate::parser::ParsedFile;
 use crate::rules::{is_library_src, Violation};
 use std::collections::{BTreeMap, BTreeSet};
@@ -110,17 +110,6 @@ const METRIC_WRITES: &[(&str, &str)] = &[
     ("metric_observe", "histogram"),
     ("observe", "histogram"),
 ];
-
-fn ident_at(tokens: &[Token], i: usize) -> Option<&str> {
-    match tokens.get(i).map(|t| &t.kind) {
-        Some(TokKind::Ident(s)) => Some(s.as_str()),
-        _ => None,
-    }
-}
-
-fn punct_at(tokens: &[Token], i: usize, c: char) -> bool {
-    matches!(tokens.get(i), Some(t) if t.kind == TokKind::Punct(c))
-}
 
 fn str_at(tokens: &[Token], i: usize) -> Option<&str> {
     match tokens.get(i).map(|t| &t.kind) {

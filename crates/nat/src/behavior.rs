@@ -3,7 +3,9 @@
 //! Every NAT property the paper identifies as relevant to hole punching
 //! (§5.1–§5.4) is an explicit, orthogonal configuration axis here, using
 //! the BEHAVE/RFC 4787 vocabulary. The RFC 3489 "cone"/"symmetric" names
-//! the paper uses are provided as presets.
+//! the paper uses are provided as presets. The TCP idle timers and
+//! refresh on traffic in both directions are fixed (see
+//! [`NatBehavior::udp_timeout`]): no experiment varies them.
 
 use std::time::Duration;
 
@@ -128,13 +130,10 @@ pub struct NatBehavior {
     /// if they had arrived at the public side (the §6.3 caveat).
     pub hairpin_filters: bool,
     /// Idle timeout for UDP mappings (§3.6: as short as 20 s in the wild).
+    /// TCP mappings idle out after an hour once established, after 60 s
+    /// while half-open and after 10 s while closing. Traffic in either
+    /// direction refreshes a mapping's idle timer.
     pub udp_timeout: Duration,
-    /// Idle timeout for TCP mappings observed in the established state.
-    pub tcp_established_timeout: Duration,
-    /// Idle timeout for half-open / closing TCP mappings.
-    pub tcp_transitory_timeout: Duration,
-    /// Whether inbound traffic refreshes a mapping's idle timer.
-    pub inbound_refreshes: bool,
     /// Whether idle timers apply to individual sessions (endpoint pairs)
     /// rather than whole mappings. §3.6: "many NATs associate UDP idle
     /// timers with individual UDP sessions..., so sending keep-alives on
@@ -185,9 +184,6 @@ impl NatBehavior {
             hairpin_tcp: Hairpin::Full,
             hairpin_filters: false,
             udp_timeout: Duration::from_secs(120),
-            tcp_established_timeout: Duration::from_secs(3600),
-            tcp_transitory_timeout: Duration::from_secs(60),
-            inbound_refreshes: true,
             per_session_timers: true,
             mangle_payloads: false,
             contention_breaks_consistency: false,

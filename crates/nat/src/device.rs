@@ -507,33 +507,36 @@ impl NatDevice {
     }
 }
 
+/// Idle timeout for a TCP mapping observed in the established state.
+const TCP_ESTABLISHED_TIMEOUT: Duration = Duration::from_secs(3600);
+/// Idle timeout for a half-open TCP mapping.
+const TCP_TRANSITORY_TIMEOUT: Duration = Duration::from_secs(60);
+/// Closing TCP connections linger briefly.
+const TCP_CLOSING_TIMEOUT: Duration = Duration::from_secs(10);
+
 /// Time-to-live for a mapping in its current protocol/TCP state.
 fn ttl_for(behavior: &NatBehavior, entry: &MapEntry) -> Duration {
     if entry.proto != Proto::Tcp {
         behavior.udp_timeout
     } else if entry.tcp.closing() {
-        // Closing connections linger briefly.
-        behavior.tcp_transitory_timeout.min(Duration::from_secs(10))
+        TCP_CLOSING_TIMEOUT
     } else if entry.tcp.established() {
-        behavior.tcp_established_timeout
+        TCP_ESTABLISHED_TIMEOUT
     } else {
-        behavior.tcp_transitory_timeout
+        TCP_TRANSITORY_TIMEOUT
     }
 }
 
-/// What a packet the NAT forwards does to the mapping that carries it:
-/// TCP flags are tracked by direction, then (always outbound, inbound
-/// only if the NAT refreshes on inbound traffic) the hole toward the far
-/// end and the idle timer are extended by the TTL of the state the
-/// mapping is now in.
+/// What a packet the NAT forwards, in either direction, does to the
+/// mapping that carries it: TCP flags are tracked by direction, then the
+/// hole toward the far end and the idle timer are extended by the TTL of
+/// the state the mapping is now in.
 fn carry(behavior: &NatBehavior, entry: &mut MapEntry, pkt: &Packet, outbound: bool, now: SimTime) {
     if let Body::Tcp(seg) = &pkt.body {
         entry.tcp.note(seg.flags, outbound);
     }
-    if outbound || behavior.inbound_refreshes {
-        let remote = if outbound { pkt.dst } else { pkt.src };
-        entry.touch(remote, now, ttl_for(behavior, entry));
-    }
+    let remote = if outbound { pkt.dst } else { pkt.src };
+    entry.touch(remote, now, ttl_for(behavior, entry));
 }
 
 impl Device for NatDevice {

@@ -9,7 +9,7 @@
 //! single-threaded, seeded, discrete-event simulation:
 //!
 //! - [`Sim`] owns a set of nodes connected by point-to-point [`LinkSpec`]
-//!   links with latency, jitter, loss, and optional bandwidth.
+//!   links with latency, jitter and loss (bandwidth is infinite).
 //! - Each node hosts a [`Device`]: a router, a NAT (in `punch-nat`), or a
 //!   host protocol stack (in `punch-transport`).
 //! - Devices receive [`Packet`]s and timer callbacks through a [`Ctx`]

@@ -5,16 +5,16 @@ use std::time::Duration;
 /// Transmission properties of a point-to-point link.
 ///
 /// A link connects exactly two node interfaces, in both directions with
-/// the same parameters. Delivery time for a packet sent at time `t` is
+/// the same parameters. Bandwidth is infinite: delivery time for a packet
+/// sent at time `t` is
 ///
 /// ```text
-/// depart = max(t, link_busy_until)            (if bandwidth is finite)
-/// arrive = depart + serialization + latency + jitter
+/// arrive = max(t + latency + jitter, previous arrival in this direction)
 /// ```
 ///
 /// where `jitter` is drawn uniformly from `[0, jitter]` using the
-/// simulation's seeded RNG, and the packet is dropped with probability
-/// `loss` instead of being delivered.
+/// simulation's seeded RNG (the max keeps each direction FIFO), and the
+/// packet is dropped with probability `loss` instead of being delivered.
 ///
 /// Four fault knobs model misbehaving paths: with probability
 /// `duplicate` a second copy of the packet is delivered shortly after
@@ -34,7 +34,6 @@ use std::time::Duration;
 ///
 /// let dsl = LinkSpec {
 ///     jitter: Duration::from_millis(2),
-///     bandwidth: Some(1_000_000), // 1 MB/s
 ///     ..LinkSpec::new(Duration::from_millis(15)).with_loss(0.01)
 /// };
 /// assert_eq!(dsl.latency, Duration::from_millis(15));
@@ -63,14 +62,11 @@ pub struct LinkSpec {
     /// truncated packet has its payload cut short at a random offset
     /// without the checksum being recomputed.
     pub truncate: f64,
-    /// Bytes per second, or `None` for infinite bandwidth (no
-    /// serialization delay or queueing).
-    pub bandwidth: Option<u64>,
 }
 
 impl LinkSpec {
-    /// Creates a lossless, jitter-free, infinite-bandwidth link with the
-    /// given one-way latency.
+    /// Creates a lossless, jitter-free link with the given one-way
+    /// latency.
     pub fn new(latency: Duration) -> Self {
         LinkSpec {
             latency,
@@ -80,7 +76,6 @@ impl LinkSpec {
             reorder: 0.0,
             corrupt: 0.0,
             truncate: 0.0,
-            bandwidth: None,
         }
     }
 
@@ -155,18 +150,6 @@ impl LinkSpec {
             .max(self.latency)
             .max(Duration::from_millis(1))
     }
-
-    /// Serialization delay for a packet of `bytes` bytes, zero when the
-    /// link has infinite bandwidth.
-    pub fn serialization_delay(&self, bytes: usize) -> Duration {
-        match self.bandwidth {
-            None => Duration::ZERO,
-            Some(bw) => {
-                let nanos = (bytes as u128).saturating_mul(1_000_000_000) / bw as u128;
-                Duration::from_nanos(u64::try_from(nanos).unwrap_or(u64::MAX))
-            }
-        }
-    }
 }
 
 impl Default for LinkSpec {
@@ -224,21 +207,6 @@ mod tests {
     #[should_panic(expected = "outside [0,1]")]
     fn truncate_out_of_range_panics() {
         let _ = LinkSpec::lan().with_truncate(-0.5);
-    }
-
-    #[test]
-    fn serialization_delay_infinite_bw() {
-        assert_eq!(
-            LinkSpec::lan().serialization_delay(1_000_000),
-            Duration::ZERO
-        );
-    }
-
-    #[test]
-    fn serialization_delay_finite_bw() {
-        let l = LinkSpec { bandwidth: Some(1000), ..LinkSpec::lan() }; // 1000 B/s
-        assert_eq!(l.serialization_delay(500), Duration::from_millis(500));
-        assert_eq!(l.serialization_delay(0), Duration::ZERO);
     }
 
     #[test]

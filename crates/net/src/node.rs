@@ -106,8 +106,8 @@ impl Ctx<'_> {
 
     /// Sends a packet out of interface `iface`.
     ///
-    /// The packet is subject to the link's loss, latency, jitter and
-    /// bandwidth. Sending on an unconnected interface is a device bug.
+    /// The packet is subject to the link's loss, latency and jitter.
+    /// Sending on an unconnected interface is a device bug.
     ///
     /// # Panics
     ///

@@ -217,7 +217,6 @@ pub enum Body {
 ///     b"register".as_ref(),
 /// );
 /// assert_eq!(pkt.proto(), Proto::Udp);
-/// assert_eq!(pkt.wire_size(), 28 + 8);
 /// assert!(pkt.checksum_ok());
 /// ```
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -316,15 +315,6 @@ fn fold(mut sum: u64) -> u16 {
     // punch-lint: allow(W001) the fold loop above leaves sum <= 0xFFFF, so the cast is lossless
     !(sum as u16)
 }
-
-/// Size in bytes of the modelled IPv4 header.
-const IPV4_HEADER: usize = 20;
-/// Size in bytes of the modelled UDP header.
-const UDP_HEADER: usize = 8;
-/// Size in bytes of the modelled TCP header (no options).
-const TCP_HEADER: usize = 20;
-/// Modelled size of an ICMP error (header + embedded original header).
-const ICMP_SIZE: usize = 36;
 
 impl Packet {
     /// Creates a UDP packet with the default TTL.
@@ -486,17 +476,6 @@ impl Packet {
             Body::Icmp(_) => 0,
         }
     }
-
-    /// Returns the modelled on-the-wire size in bytes, used by links with
-    /// finite bandwidth to compute serialization delay.
-    pub fn wire_size(&self) -> usize {
-        IPV4_HEADER
-            + match &self.body {
-                Body::Udp(p) => UDP_HEADER + p.len(),
-                Body::Tcp(seg) => TCP_HEADER + seg.payload.len(),
-                Body::Icmp(_) => ICMP_SIZE,
-            }
-    }
 }
 
 #[cfg(test)]
@@ -530,29 +509,6 @@ mod tests {
         seg.flags = TcpFlags::ACK;
         seg.payload = Bytes::from_static(b"abc");
         assert_eq!(seg.seq_len(), 3);
-    }
-
-    #[test]
-    fn wire_sizes() {
-        let u = Packet::udp(ep("1.1.1.1:1"), ep("2.2.2.2:2"), vec![0u8; 100]);
-        assert_eq!(u.wire_size(), 20 + 8 + 100);
-        let t = Packet::tcp(
-            ep("1.1.1.1:1"),
-            ep("2.2.2.2:2"),
-            TcpSegment::control(TcpFlags::SYN, 0, 0),
-        );
-        assert_eq!(t.wire_size(), 20 + 20);
-        let i = Packet::icmp(
-            ep("1.1.1.1:1"),
-            ep("2.2.2.2:2"),
-            IcmpMessage {
-                kind: IcmpKind::DestinationUnreachable,
-                original_proto: Proto::Tcp,
-                original_src: ep("2.2.2.2:2"),
-                original_dst: ep("1.1.1.1:1"),
-            },
-        );
-        assert_eq!(i.wire_size(), 20 + 36);
     }
 
     #[test]

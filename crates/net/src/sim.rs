@@ -176,7 +176,6 @@ struct NodeMeta {
 struct LinkState {
     spec: LinkSpec,
     ends: [(NodeId, IfaceId); 2],
-    busy_until: [SimTime; 2],
     /// Links are FIFO per direction: jitter may not reorder packets.
     last_arrival: [SimTime; 2],
     /// Administrative state: a down link drops everything offered to it.
@@ -356,14 +355,7 @@ impl SimCore {
         }
 
         let link = &mut self.links[link_idx];
-        let base = if spec.bandwidth.is_some() {
-            let depart = link.busy_until[side].max(self.time);
-            let tx = spec.serialization_delay(pkt.wire_size());
-            link.busy_until[side] = depart + tx;
-            depart + tx + spec.latency + jitter
-        } else {
-            self.time + spec.latency + jitter
-        };
+        let base = self.time + spec.latency + jitter;
         let arrive = match hold {
             // A reordered packet is held past the FIFO clamp and does not
             // advance it, so in-order traffic behind it overtakes.
@@ -521,7 +513,6 @@ impl Sim {
         self.core.links.push(LinkState {
             spec,
             ends: [(a, ia), (b, ib)],
-            busy_until: [SimTime::ZERO; 2],
             last_arrival: [SimTime::ZERO; 2],
             up: true,
         });
@@ -853,23 +844,6 @@ pub(crate) mod tests {
         let c1 = count(42);
         assert_eq!(c1, count(42), "same seed, same outcome");
         assert!(c1 > 20 && c1 < 80, "loss=0.5 delivered {c1}/100");
-    }
-
-    #[test]
-    fn bandwidth_serializes_back_to_back_packets() {
-        let mut sim = Sim::new(1);
-        let a = sim.add_node("a", Box::new(SinkDevice::default()));
-        let b = sim.add_node("b", Box::new(SinkDevice::default()));
-        // A 29-byte UDP packet (20 IP + 8 UDP + 1 payload) at 29 KB/s
-        // takes 1 ms to serialize.
-        let spec = LinkSpec { bandwidth: Some(29_000), ..LinkSpec::new(Duration::ZERO) };
-        sim.connect(a, b, spec);
-        for _ in 0..3 {
-            sim.with_node(a, |_, ctx| ctx.send(0, udp()));
-        }
-        sim.run_until_idle();
-        // Third packet departs after 3 serialization delays.
-        assert_eq!(sim.now(), SimTime::from_millis(3));
     }
 
     #[test]

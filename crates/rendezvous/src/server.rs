@@ -89,12 +89,6 @@ impl Default for ServerConfig {
 }
 
 impl ServerConfig {
-    /// Same configuration with a different well-known port.
-    pub fn with_port(mut self, port: u16) -> Self {
-        self.port = port;
-        self
-    }
-
     /// Same configuration with a different per-transport registration
     /// cap.
     ///

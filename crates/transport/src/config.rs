@@ -1,4 +1,5 @@
-//! Host stack configuration.
+//! Host stack configuration: the tunables a run may change, and the
+//! constants (MSS, SYN retries, ephemeral port range) none does.
 
 use std::time::Duration;
 
@@ -17,11 +18,21 @@ pub enum TcpFlavor {
     LinuxWindows,
 }
 
+/// Maximum segment size for stream data.
+pub(crate) const MSS: usize = 1400;
+/// SYN retransmissions before a connect fails with `TimedOut`.
+pub(crate) const SYN_RETRIES: u32 = 5;
+/// Inclusive range from which ephemeral ports are drawn (IANA's dynamic
+/// range).
+pub(crate) const EPHEMERAL_PORTS: (u16, u16) = (49152, 65535);
+
 /// Tunables for a host protocol stack.
 ///
 /// Defaults model a contemporary general-purpose OS
 /// ([`StackConfig::fast`] shrinks the timers for short simulations);
-/// tests assign individual fields to force specific orderings.
+/// tests assign individual fields to force specific orderings. The MSS
+/// (1400 bytes), SYN retries (5) and ephemeral port range (49152–65535)
+/// are fixed.
 #[derive(Clone, Debug)]
 #[non_exhaustive]
 pub struct StackConfig {
@@ -31,18 +42,12 @@ pub struct StackConfig {
     pub rto_initial: Duration,
     /// Upper bound on the backed-off retransmission timeout.
     pub rto_max: Duration,
-    /// SYN retransmissions before a connect fails with `TimedOut`.
-    pub syn_retries: u32,
     /// Data/FIN retransmissions before the connection aborts.
     pub data_retries: u32,
-    /// Maximum segment size for stream data.
-    pub mss: usize,
     /// Cap on unacknowledged in-flight bytes (simple fixed window).
     pub send_window: usize,
     /// How long a closed connection lingers in TIME-WAIT (2×MSL).
     pub time_wait: Duration,
-    /// Inclusive range from which ephemeral ports are drawn.
-    pub ephemeral_ports: (u16, u16),
     /// RFC 5961-style RST validation: only a RST whose sequence number
     /// exactly matches `rcv_nxt` tears the connection down; an in-window
     /// RST elicits a challenge ACK and is otherwise ignored. Off by
@@ -63,12 +68,9 @@ impl Default for StackConfig {
             tcp_flavor: TcpFlavor::default(),
             rto_initial: Duration::from_secs(1),
             rto_max: Duration::from_secs(60),
-            syn_retries: 5,
             data_retries: 8,
-            mss: 1400,
             send_window: 64 * 1024,
             time_wait: Duration::from_secs(30),
-            ephemeral_ports: (49152, 65535),
             rst_validation: false,
             icmp_strict: false,
         }

@@ -7,7 +7,7 @@
 //! socket on the same port (resolved according to the configured
 //! [`TcpFlavor`]).
 
-use crate::config::{StackConfig, TcpFlavor};
+use crate::config::{StackConfig, TcpFlavor, EPHEMERAL_PORTS};
 use crate::error::{SockResult, SocketError};
 use crate::event::SockEvent;
 use crate::socket::{decode_timer, SocketId, TimerKind};
@@ -232,7 +232,7 @@ impl HostStack {
     }
 
     fn alloc_ephemeral(&mut self, proto: Proto) -> SockResult<u16> {
-        let (lo, hi) = self.cfg.ephemeral_ports;
+        let (lo, hi) = EPHEMERAL_PORTS;
         let span = u32::from(hi - lo) + 1;
         for _ in 0..span.min(4096) {
             // punch-lint: allow(W001) the draw is < span <= 0x1_0000, so it fits u16 by construction
@@ -1283,6 +1283,6 @@ mod tests {
             fired += 1;
             assert!(fired < 20);
         }
-        assert_eq!(fired as u32, c.config().syn_retries + 1);
+        assert_eq!(fired as u32, crate::config::SYN_RETRIES + 1);
     }
 }

@@ -15,7 +15,7 @@
 //! straddles two buffers is copied, once, into a buffer of its own.
 //! Retransmission resends the `Bytes` the segment first went out with.
 
-use crate::config::StackConfig;
+use crate::config::{StackConfig, MSS, SYN_RETRIES};
 use crate::error::SocketError;
 use crate::event::SockEvent;
 use crate::seq;
@@ -327,7 +327,7 @@ impl Tcb {
         let mut sent_any = false;
         while self.queued > 0 && self.flight_size() < budget {
             let room = (budget - self.flight_size()) as usize;
-            let n = self.queued.min(io.cfg.mss).min(room);
+            let n = self.queued.min(MSS).min(room);
             let data = self.carve(n);
             let seg = TcpSegment {
                 flags: TcpFlags::ACK,
@@ -427,7 +427,7 @@ impl Tcb {
         io.stats.rto_fires += 1;
         self.retries += 1;
         let max = match self.state {
-            TcpState::SynSent | TcpState::SynReceived => io.cfg.syn_retries,
+            TcpState::SynSent | TcpState::SynReceived => SYN_RETRIES,
             _ => io.cfg.data_retries,
         };
         if self.retries > max {
@@ -931,7 +931,7 @@ mod tests {
     #[test]
     fn syn_retransmission_and_timeout() {
         let (mut h, mut tcb) = active();
-        for i in 0..h.cfg.syn_retries {
+        for i in 0..SYN_RETRIES {
             let outcome = tcb.on_rto(&mut h.io());
             assert!(!outcome.delete, "retry {i} should not delete");
             assert_eq!(h.last_seg().flags, TcpFlags::SYN);
@@ -1060,7 +1060,7 @@ mod tests {
     fn segments_match_flat_reference(sizes: &[usize], acks: &[usize], window: usize) -> bool {
         let (mut h, mut tcb) = established_pair();
         h.cfg.send_window = window;
-        let mss = h.cfg.mss;
+        let mss = MSS;
 
         // The reference: one flat stream and two cursors.
         let mut stream: Vec<u8> = Vec::new();

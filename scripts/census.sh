@@ -31,9 +31,10 @@ awk 'FNR == 1 { t = 0 } /^#\[cfg\(test\)\]/ { t = 1 }
 echo "== punch-lint: allow(D001) per crate (suppressed host-clock reads, whole files: D001 covers tests too) =="
 grep -c '// punch-lint: allow([^)]*D001' "$@" | awk -F'[/:]' '{ n[$2] += $NF; all += $NF }
     END { for (c in n) if (n[c]) print n[c], c; print all + 0, "~total" }' | sort -k2
-echo "== pub fields per *Config struct =="
-awk '/^pub struct [A-Za-z]*Config \{/ { s = $3 } s && /^    pub [a-z_]+:/ { n[s]++ } /^}/ { s = "" }
-    END { for (s in n) print n[s], s }' "$@" | sort -k2
+echo "== settable values: pub fields per *Config struct and per knob struct, then ~total =="
+awk '/^pub struct ([A-Za-z]*Config|NatBehavior|LinkSpec|CandidatePlan|SourceSpec) \{/ { s = $3 }
+    s && /^    pub [a-z_]+:/ { n[s]++; all++ } /^}/ { s = "" }
+    END { for (s in n) print n[s], s; print all + 0, "~total" }' "$@" | sort -k2
 echo "== pub fn with_* per crate =="
 grep -c 'pub fn with_' "$@" | awk -F'[/:]' '{ n[$2] += $NF; all += $NF }
     END { for (c in n) if (n[c]) print n[c], c; print all, "~total" }' | sort -k2

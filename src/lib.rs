@@ -82,8 +82,8 @@ pub use punch_lab as lab;
 pub mod prelude {
     pub use holepunch::{
         CandidateKind, CandidatePlan, CandidateSource, CandidateStamp, PeerId, PredictionStrategy,
-        PunchConfig, PunchTimeline, SourceSpec, TcpPath, TcpPeer, TcpPeerConfig,
-        TcpPeerEvent, TcpPunchMode, UdpPeer, UdpPeerConfig, UdpPeerEvent, Via,
+        PunchConfig, PunchTimeline, TcpPath, TcpPeer, TcpPeerConfig, TcpPeerEvent, TcpPunchMode,
+        UdpPeer, UdpPeerConfig, UdpPeerEvent, Via,
     };
     pub use punch_lab::{addrs, fig4, fig5, fig6, PeerSetup, Scenario, World, WorldBuilder};
     pub use punch_nat::{
