@@ -136,7 +136,7 @@ pub fn run(flags: &Flags) -> Result<Run, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use punch_net::{MetricKey, Metrics};
+    use punch_net::{MetricKey, MetricsSnapshot};
 
     #[test]
     fn gate_passes_a_real_run_and_fails_on_one_unrecovered_trial() {
@@ -151,7 +151,7 @@ mod tests {
     /// histogram. (`scripts/ci.sh` diffs the full default run's bytes.)
     #[test]
     fn metrics_report_lays_sections_out_as_pinned() {
-        let mut m = Metrics::new();
+        let mut m = MetricsSnapshot::default();
         m.inc_by(MetricKey::labeled("net.drop.device", "no-route"), 120);
         m.gauge_max(MetricKey::plain("net.queue.depth.max"), 12);
         m.observe(MetricKey::plain("punch.latency"), Duration::from_millis(3));
@@ -169,6 +169,6 @@ mod tests {
   }
 }
 "#;
-        assert_eq!(metrics_report(&[("nat-reboot", m.snapshot())]), expected);
+        assert_eq!(metrics_report(&[("nat-reboot", m)]), expected);
     }
 }

@@ -541,13 +541,13 @@ fn run_chaos_fault(sc: &mut Scenario, fault: FaultClass) -> Option<Duration> {
     match fault {
         FaultClass::NatReboot => {
             let nat = sc.world.nats[0];
-            sc.world.reboot_nat(nat);
+            sc.world.restart(nat);
             recover_established(sc, deadline)?;
         }
         FaultClass::ServerRestart => {
             let s = sc.server;
             let link = sc.world.uplink(s);
-            sc.world.restart_server(s);
+            sc.world.restart(s);
             let plan = FaultPlan::new().outage(t0, Duration::from_secs(8), link);
             sc.world.apply_faults(&plan);
             wait(sc, a, deadline, |p| !p.is_registered())?;

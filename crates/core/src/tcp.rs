@@ -52,8 +52,6 @@ pub struct TcpPeerStats {
     pub connects_started: u64,
     /// Attempts that failed with a network error and were re-tried.
     pub retries: u64,
-    /// Streams that arrived via the listen socket.
-    pub accepts: u64,
     /// Streams that authenticated successfully.
     pub streams_authenticated: u64,
 }
@@ -79,6 +77,19 @@ impl TcpSession {
             passive: false,
         }
     }
+
+    /// Joins the punch cycle under `nonce`. A new nonce starts a fresh
+    /// cycle: a reconnect after a lost stream must not inherit the last
+    /// one's start time, retry counts, deadline or §4.5 passive flag.
+    fn join_cycle(&mut self, nonce: u64, now: SimTime) {
+        if self.race.nonce != nonce {
+            self.race.nonce = nonce;
+            self.retries = FlatMap::new();
+            self.started_at = now;
+            self.deadline_armed = false;
+            self.passive = false;
+        }
+    }
 }
 
 /// One TCP connection to or from a peer, from SYN to close.
@@ -98,7 +109,8 @@ enum TimerPurpose {
         peer: PeerId,
         remote: Endpoint,
     },
-    Deadline(PeerId),
+    /// The punch deadline of the cycle with this nonce.
+    Deadline(PeerId, u64),
     /// §4.5: the responder's doomed connect has had time to punch its
     /// hole; signal the initiator to go.
     DoomedDone(PeerId),
@@ -117,7 +129,6 @@ pub struct TcpPeer {
     server_sock: Option<SocketId>,
     server_frames: FrameBuf,
     registered: bool,
-    public: Option<Endpoint>,
     sessions: FlatMap<PeerId, TcpSession>,
     /// Every peer connection: attempts in flight, accepted streams,
     /// authenticated streams.
@@ -141,7 +152,6 @@ impl TcpPeer {
             server_sock: None,
             server_frames: FrameBuf::new(),
             registered: false,
-            public: None,
             sessions: FlatMap::new(),
             conns: FlatMap::new(),
             backlog: Backlog::new(),
@@ -154,16 +164,6 @@ impl TcpPeer {
     /// Drains accumulated events.
     pub fn take_events(&mut self) -> Vec<TcpPeerEvent> {
         self.events.drain(..).collect()
-    }
-
-    /// Our public endpoint as observed by S over the control connection.
-    pub fn public_endpoint(&self) -> Option<Endpoint> {
-        self.public
-    }
-
-    /// The local port shared by all of this endpoint's sockets (§4.2).
-    pub fn local_port(&self) -> u16 {
-        self.local_port
     }
 
     /// True once an authenticated stream to `peer` exists.
@@ -267,7 +267,8 @@ impl TcpPeer {
         let now = os.now();
         self.sessions
             .entry(peer)
-            .or_insert_with(|| TcpSession::new(nonce, now));
+            .or_insert_with(|| TcpSession::new(nonce, now))
+            .join_cycle(nonce, now);
         self.send_server(os, request);
         self.arm_deadline(os, peer);
     }
@@ -305,7 +306,8 @@ impl TcpPeer {
         if let Some(s) = self.sessions.get_mut(&peer) {
             if !s.deadline_armed {
                 s.deadline_armed = true;
-                self.arm(os, deadline, TimerPurpose::Deadline(peer));
+                let nonce = s.race.nonce;
+                self.arm(os, deadline, TimerPurpose::Deadline(peer, nonce));
             }
         }
     }
@@ -364,7 +366,7 @@ impl TcpPeer {
             .sessions
             .entry(peer)
             .or_insert_with(|| TcpSession::new(nonce, now));
-        session.race.nonce = nonce;
+        session.join_cycle(nonce, now);
         session.race.candidates = candidates;
         self.arm_deadline(os, peer);
     }
@@ -584,7 +586,6 @@ impl TcpPeer {
             Message::RegisterAck { public } => {
                 let first = !self.registered;
                 self.registered = true;
-                self.public = Some(public);
                 if first {
                     self.events.push_back(TcpPeerEvent::Registered { public });
                     for (peer, asked) in std::mem::take(&mut self.backlog) {
@@ -755,7 +756,6 @@ impl App for TcpPeer {
             }
             SockEvent::TcpIncoming { listener } => {
                 while let Ok(Some((sock, remote))) = os.tcp_accept(listener) {
-                    self.stats.accepts += 1;
                     self.conns.insert(sock, Conn::new(None));
                     // If we can tell which session this belongs to, speak
                     // first — this resolves the both-sides-accept case of
@@ -826,7 +826,12 @@ impl App for TcpPeer {
                 }
             }
             TimerPurpose::Retry { peer, remote } => self.spawn_attempt(os, peer, remote),
-            TimerPurpose::Deadline(peer) => self.fail_session(os, peer),
+            // A deadline an earlier cycle armed does not end this one.
+            TimerPurpose::Deadline(peer, nonce) => {
+                if self.sessions.get(&peer).is_some_and(|s| s.race.nonce == nonce) {
+                    self.fail_session(os, peer);
+                }
+            }
             TimerPurpose::DoomedDone(peer) => {
                 // §4.5 steps 3-4: abort the doomed attempt, go passive,
                 // and signal the initiator (through S) to connect now.

@@ -27,7 +27,7 @@ use crate::session::{self, Asked, Backlog, Phase, Race, Timers};
 use crate::timeline::PunchTimeline;
 use bytes::Bytes;
 use punch_net::flat::{self, FlatMap, FlatSet};
-use punch_net::{Endpoint, SimTime};
+use punch_net::{Counters, Endpoint, MetricKey, SimTime};
 use punch_rendezvous::{Message, PeerId, MAX_PAYLOAD};
 use punch_transport::{App, Os, SockEvent, SocketId};
 use rand::Rng;
@@ -414,7 +414,6 @@ impl UdpPeer {
         // not the original punch.
         session.timeline = PunchTimeline::start(now);
         session.timeline.registered = registered_at;
-        os.metric_inc("punch.repunch");
         self.stats.repunches += 1;
         self.request_introduction(os, peer, nonce);
         self.arm_punch_tick(os, peer);
@@ -627,7 +626,6 @@ impl UdpPeer {
         let due = session.race.candidates.next_volley(now);
         if !due.is_empty() {
             session.timeline.first_probe.get_or_insert(now);
-            os.metric_inc_by("punch.probes", due.len() as u64);
         }
         for cand in due {
             self.stats.probes_sent += 1;
@@ -943,6 +941,11 @@ impl App for UdpPeer {
         let private = self.local.expect("socket bound"); // punch-lint: allow(P001) socket bound two lines above
         self.register_all(os, private);
         self.arm(os, self.cfg.register_retry, TimerPurpose::RegisterRetry);
+    }
+
+    fn counters(&self, c: &mut Counters<'_>) {
+        c.inc_by(MetricKey::plain("punch.probes"), self.stats.probes_sent);
+        c.inc_by(MetricKey::plain("punch.repunch"), self.stats.repunches);
     }
 
     fn on_event(&mut self, os: &mut Os<'_, '_>, ev: SockEvent) {

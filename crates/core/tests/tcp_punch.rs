@@ -459,21 +459,18 @@ fn registration_reports_tcp_public_endpoint() {
         tcp_setup(B, TcpFlavor::LinuxWindows),
     );
     sc.world.sim.run_for(Duration::from_secs(2));
-    let pub_a = sc
-        .world
-        .app::<TcpPeer>(sc.a)
-        .public_endpoint()
-        .expect("registered");
-    assert_eq!(pub_a.ip, addrs::NAT_A);
-    assert_eq!(pub_a.port, 62000);
     let evs = sc
         .world
         .with_app::<TcpPeer, _>(sc.a, |p, _| p.take_events());
-    assert!(
-        evs.iter()
-            .any(|e| matches!(e, TcpPeerEvent::Registered { .. })),
-        "{evs:?}"
-    );
+    let pub_a = evs
+        .iter()
+        .find_map(|e| match e {
+            TcpPeerEvent::Registered { public } => Some(*public),
+            _ => None,
+        })
+        .unwrap_or_else(|| panic!("not registered: {evs:?}"));
+    assert_eq!(pub_a.ip, addrs::NAT_A);
+    assert_eq!(pub_a.port, 62000);
 }
 
 #[test]
@@ -580,5 +577,57 @@ fn send_before_registration_connects_once_and_delivers_the_payload() {
             .any(|e| matches!(e, TcpPeerEvent::Data { peer, data, via }
             if *peer == A && data.as_ref() == b"early" && *via == holepunch::Via::Direct)),
         "the queued payload arrives over the punched stream: {evs:?}"
+    );
+}
+
+#[test]
+fn reconnect_after_a_lost_stream_is_a_fresh_punch_cycle() {
+    // Regression: after the stream is lost the session is back to
+    // punching, and the application's next `connect` runs a new §4.2
+    // cycle. That cycle used to inherit the first one's start time,
+    // retry counts and already-armed deadline, so a reconnect that
+    // cannot punch neither failed nor fell back to the relay.
+    let mut stack = StackConfig::fast();
+    // A write to a vanished peer gives up after 0.5 + 1 + 2 s.
+    stack.data_retries = 2;
+    let setup = |id| {
+        PeerSetup::new(TcpPeer::new(TcpPeerConfig::new(id, Scenario::server_endpoint())))
+            .with_stack(stack.clone())
+    };
+    let mut sc = fig5(
+        62,
+        NatBehavior::well_behaved(),
+        NatBehavior::well_behaved(),
+        setup(A),
+        setup(B),
+    );
+    assert!(run_punch(&mut sc, SimTime::from_secs(30)));
+    let first_connect = SimTime::from_secs(2);
+    let deadline = TcpPeerConfig::new(A, Scenario::server_endpoint()).punch_deadline;
+
+    // Past the first cycle's deadline, B drops off the network for good
+    // and A's next write loses the stream.
+    sc.world.sim.run_until(first_connect + deadline + Duration::from_secs(5));
+    let b_nat = sc.world.nats[1];
+    let link = sc.world.uplink(b_nat);
+    let now = sc.world.sim.now();
+    sc.world.sim.schedule_link_fault(now, link, punch_net::LinkAction::Down);
+    sc.world
+        .with_app::<TcpPeer, _>(sc.a, |p, os| p.send(os, B, Bytes::from_static(b"lost")));
+    assert!(sc
+        .world
+        .run_until_app::<TcpPeer>(sc.a, now + Duration::from_secs(10), |p| !p.is_established(B)));
+    sc.world.with_app::<TcpPeer, _>(sc.a, |p, _| p.take_events());
+
+    // The reconnect cannot punch, so its own deadline sends it to the relay.
+    let reconnect = sc.world.sim.now();
+    assert!(reconnect.saturating_since(first_connect) > deadline);
+    sc.world.with_app::<TcpPeer, _>(sc.a, |p, os| p.connect(os, B));
+    sc.world.sim.run_until(reconnect + deadline + Duration::from_secs(5));
+    let evs = sc.world.with_app::<TcpPeer, _>(sc.a, |p, _| p.take_events());
+    assert!(
+        evs.iter()
+            .any(|e| matches!(e, TcpPeerEvent::RelayActive { peer } if *peer == B)),
+        "{evs:?}"
     );
 }

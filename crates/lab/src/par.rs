@@ -222,15 +222,15 @@ mod tests {
 
     #[test]
     fn merged_metrics_identical_for_any_worker_count() {
-        use punch_net::{MetricKey, Metrics};
+        use punch_net::{MetricKey, MetricsSnapshot};
         use std::time::Duration;
         let tasks: Vec<u64> = (0..37).collect();
         let shard = |_i: usize, &t: &u64| {
-            let mut m = Metrics::new();
+            let mut m = MetricsSnapshot::default();
             m.inc_by(MetricKey::plain("task.count"), 1);
             m.inc_by(MetricKey::labeled("task.value", "sum"), t);
             m.observe(MetricKey::plain("task.work"), Duration::from_millis(t));
-            (t, m.snapshot())
+            (t, m)
         };
         let (seq_results, seq_merged) = run_merge_metrics_with_workers(&tasks, 1, shard);
         assert_eq!(seq_merged.counter("task.count", ""), 37);

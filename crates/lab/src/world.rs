@@ -230,10 +230,12 @@ impl World {
         plan.apply(&mut self.sim);
     }
 
-    /// Reboots the NAT on `node` at the current instant: its tables
-    /// flush and its port pool moves, so every mapping through it dies.
-    /// Takes effect when the simulation next runs.
-    pub fn reboot_nat(&mut self, node: NodeId) {
+    /// Restarts the device on `node` at the current instant, losing its
+    /// volatile state: a NAT flushes its tables and moves its port pool,
+    /// so every mapping through it dies; a rendezvous server forgets
+    /// every registration and relay. Takes effect when the simulation
+    /// next runs.
+    pub fn restart(&mut self, node: NodeId) {
         let now = self.sim.now();
         self.sim.schedule_device_fault(now, node, FAULT_RESTART);
     }
@@ -243,14 +245,6 @@ impl World {
     /// mappings survive; only new allocations see the new behavior.
     pub fn set_nat_behavior(&mut self, node: NodeId, behavior: NatBehavior) {
         self.sim.device_mut::<NatDevice>(node).set_behavior(behavior);
-    }
-
-    /// Restarts the rendezvous server on `node` at the current instant:
-    /// all registrations and relay state are lost. Takes effect when
-    /// the simulation next runs.
-    pub fn restart_server(&mut self, node: NodeId) {
-        let now = self.sim.now();
-        self.sim.schedule_device_fault(now, node, FAULT_RESTART);
     }
 }
 

@@ -22,8 +22,8 @@ use crate::mangle::rewrite_addr;
 use crate::table::{MapEntry, MapId, NatTables};
 use punch_net::flat::FlatMap;
 use punch_net::{
-    Body, Ctx, Device, Endpoint, IcmpKind, IcmpMessage, IfaceId, Packet, Proto, SimTime, TcpFlags,
-    FAULT_RESTART,
+    Body, Counters, Ctx, Device, Endpoint, IcmpKind, IcmpMessage, IfaceId, MetricKey, Packet,
+    Proto, SimTime, TcpFlags, FAULT_RESTART,
 };
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -33,7 +33,8 @@ use std::time::Duration;
 /// The public-facing interface index.
 pub const PUBLIC_IFACE: IfaceId = 0;
 
-/// Counters for assertions and reports.
+/// The NAT's counters: read by assertions and reports, and copied into
+/// metrics snapshots by `Device::counters`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NatStats {
     /// New mappings created.
@@ -261,7 +262,6 @@ impl NatDevice {
         if let Some(quota) = self.behavior.per_source_quota {
             if self.tables.live_count_for_source(private.ip, now) >= quota {
                 self.stats.quota_refused += 1;
-                ctx.metric_inc("defense.nat.quota_refused");
                 ctx.note_drop("nat-quota-refused");
                 return None;
             }
@@ -286,7 +286,6 @@ impl NatDevice {
             .insert(policy, proto, private, pkt.dst, public, now);
         carry(&self.behavior, entry, pkt, true, now);
         self.stats.mappings_created += 1;
-        ctx.metric_inc("nat.mapping.created");
         // The live count rises nowhere but here, so its maximum is
         // reached here.
         if ctx.metrics_enabled() {
@@ -377,7 +376,6 @@ impl NatDevice {
         };
         if hairpin.is_some() {
             self.stats.hairpinned += 1;
-            ctx.metric_inc("nat.hairpinned");
         }
         pkt.src = src;
         // Every verdict before any touch: a packet the NAT drops leaves
@@ -402,7 +400,6 @@ impl NatDevice {
         pkt.dst = private;
         self.mangle(&mut pkt, public.ip, private.ip);
         self.stats.inbound_passed += 1;
-        ctx.metric_inc("nat.inbound.passed");
         ctx.send(iface, pkt);
     }
 
@@ -410,7 +407,6 @@ impl NatDevice {
     /// packet; `reply_iface` is where any active rejection goes back.
     fn reject_unsolicited(&mut self, ctx: &mut Ctx<'_>, reply_iface: IfaceId, pkt: Packet) {
         self.stats.inbound_blocked += 1;
-        ctx.metric_inc("nat.inbound.blocked");
         let is_tcp_syn = matches!(&pkt.body, Body::Tcp(seg)
             if seg.flags.contains(TcpFlags::SYN) && !seg.flags.contains(TcpFlags::RST));
         if !is_tcp_syn {
@@ -427,7 +423,6 @@ impl NatDevice {
                     seg.seq.wrapping_add(seg.seq_len()),
                 );
                 self.stats.rst_sent += 1;
-                ctx.metric_inc("nat.rst_sent");
                 ctx.send(reply_iface, Packet::tcp(pkt.dst, pkt.src, rst));
             }
             TcpUnsolicited::IcmpError => {
@@ -438,7 +433,6 @@ impl NatDevice {
                     original_dst: pkt.dst,
                 };
                 self.stats.icmp_sent += 1;
-                ctx.metric_inc("nat.icmp_sent");
                 ctx.send(
                     reply_iface,
                     Packet::icmp(Endpoint::new(self.public_ip(), 0), pkt.src, msg),
@@ -472,7 +466,6 @@ impl NatDevice {
         msg.original_src = private;
         let pkt = Packet::icmp(outer_src, Endpoint::new(private.ip, 0), msg);
         self.stats.inbound_passed += 1;
-        ctx.metric_inc("nat.inbound.passed");
         ctx.send(iface, pkt);
     }
 
@@ -554,7 +547,6 @@ impl Device for NatDevice {
             // (Figure 4's private-endpoint path, and §3.4's stray traffic
             // to a coincidentally-shared private address).
             self.stats.switched_local += 1;
-            ctx.metric_inc("nat.switched_local");
             ctx.send(out, pkt);
         } else {
             self.handle_outbound(ctx, pkt);
@@ -564,10 +556,22 @@ impl Device for NatDevice {
     fn on_fault(&mut self, ctx: &mut Ctx<'_>, fault: u64) {
         if fault == FAULT_RESTART {
             // Mapping-lifecycle accounting: everything live is lost.
-            ctx.metric_inc("nat.reboot");
             ctx.metric_inc_by("nat.mapping.flushed", self.tables.total_len() as u64);
             self.reboot();
         }
+    }
+
+    fn counters(&self, c: &mut Counters<'_>) {
+        let s = &self.stats;
+        c.inc_by(MetricKey::plain("defense.nat.quota_refused"), s.quota_refused);
+        c.inc_by(MetricKey::plain("nat.mapping.created"), s.mappings_created);
+        c.inc_by(MetricKey::plain("nat.hairpinned"), s.hairpinned);
+        c.inc_by(MetricKey::plain("nat.inbound.passed"), s.inbound_passed);
+        c.inc_by(MetricKey::plain("nat.inbound.blocked"), s.inbound_blocked);
+        c.inc_by(MetricKey::plain("nat.rst_sent"), s.rst_sent);
+        c.inc_by(MetricKey::plain("nat.icmp_sent"), s.icmp_sent);
+        c.inc_by(MetricKey::plain("nat.switched_local"), s.switched_local);
+        c.inc_by(MetricKey::plain("nat.reboot"), s.reboots);
     }
 }
 

@@ -153,8 +153,8 @@ fn metrics_collection_never_changes_the_simulation() {
             plain, observed,
             "enabling metrics perturbed the run at seed {seed}"
         );
-        assert!(empty.is_empty(), "metrics recorded while disabled");
-        assert!(!snap.is_empty(), "metrics missing while enabled");
+        assert_eq!(empty, MetricsSnapshot::default(), "metrics recorded while disabled");
+        assert_ne!(snap, MetricsSnapshot::default(), "metrics missing while enabled");
     }
 }
 
@@ -176,7 +176,7 @@ fn merged_metrics_exports_identical_across_worker_counts() {
     // Same-seed rerun on the same pool: byte-identical export.
     let (_, merged_again) = run(1);
     assert_eq!(merged1.to_json(), merged_again.to_json());
-    assert!(!merged1.is_empty());
+    assert_ne!(merged1, MetricsSnapshot::default());
 }
 
 proptest! {

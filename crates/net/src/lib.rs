@@ -61,7 +61,7 @@ pub use addr::{Cidr, Endpoint};
 pub use fault::{FaultPlan, LinkAction, FAULT_RESTART};
 pub use json::Json;
 pub use link::LinkSpec;
-pub use metrics::{Histogram, MetricKey, Metrics, MetricsSnapshot};
+pub use metrics::{Counters, Histogram, MetricKey, MetricsSnapshot};
 pub use node::{Ctx, Device, IfaceId, NodeId};
 pub use packet::{Body, IcmpKind, IcmpMessage, Packet, Proto, TcpFlags, TcpSegment};
 pub use router::Router;

@@ -1,5 +1,13 @@
 //! Deterministic, typed metrics: counters, gauges, and sim-time histograms.
 //!
+//! A counted event is written once. Each layer counts its events in an
+//! always-on `*Stats` struct (`SimStats`, `NatStats`, `StackStats`,
+//! `ServerStats`, `UdpPeerStats`), and [`crate::Sim::metrics_snapshot`]
+//! copies those counts in through [`Counters`] (see
+//! [`crate::Device::counters`]). The live registry records only what no
+//! stats field carries, such as labelled series (drop reasons, routes,
+//! eviction policies), gauges and histograms.
+//!
 //! The registry is designed so that enabling it can never perturb a run and
 //! reading it can never depend on scheduling:
 //!
@@ -12,8 +20,8 @@
 //!   [`crate::Sim::enable_metrics`]); when disabled, instrumentation is a
 //!   single branch per call site and allocates nothing.
 //!
-//! Snapshots ([`MetricsSnapshot`]) are plain data: they can be compared for
-//! equality, merged across simulation shards in task order, and exported as
+//! A [`MetricsSnapshot`] is plain data: it can be compared for equality,
+//! merged across simulation shards in task order, and exported as
 //! deterministic JSON for `results/metrics_*.json` artifacts.
 
 use crate::json::Json;
@@ -152,31 +160,26 @@ impl Histogram {
     }
 }
 
-/// The live metrics registry, owned by the simulation engine.
-///
-/// All mutation goes through the engine (`Ctx` / `Sim`); harness code reads
-/// it via [`crate::Sim::metrics`] or takes a [`MetricsSnapshot`].
-#[derive(Clone, Default, Debug)]
-pub struct Metrics {
-    counters: BTreeMap<MetricKey, u64>,
-    gauges: BTreeMap<MetricKey, i64>,
-    histograms: BTreeMap<MetricKey, Histogram>,
+/// The metrics registry: counters, gauges and histograms keyed by
+/// [`MetricKey`]. The engine owns the live one (see
+/// [`crate::Sim::enable_metrics`]); [`crate::Sim::metrics_snapshot`]
+/// hands out a copy with every layer's always-on counts added. A copy
+/// is plain data: it compares, merges across shards and exports as
+/// deterministic JSON.
+#[derive(Clone, Default, PartialEq, Eq, Debug)]
+pub struct MetricsSnapshot {
+    /// Monotonic counters, e.g. drops by reason.
+    pub counters: BTreeMap<MetricKey, u64>,
+    /// Last-write or high-water gauges, e.g. peak event-queue depth.
+    pub gauges: BTreeMap<MetricKey, i64>,
+    /// Sim-time histograms, e.g. punch latency.
+    pub histograms: BTreeMap<MetricKey, Histogram>,
 }
 
-impl Metrics {
-    /// Creates an empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
+impl MetricsSnapshot {
     /// Adds `by` to the counter `key`.
     pub fn inc_by(&mut self, key: MetricKey, by: u64) {
         *self.counters.entry(key).or_insert(0) += by;
-    }
-
-    /// Increments the counter `key` by one.
-    pub fn inc(&mut self, key: MetricKey) {
-        self.inc_by(key, 1);
     }
 
     /// Raises the gauge `key` to `value` if it is below it (high-water mark).
@@ -192,29 +195,6 @@ impl Metrics {
         self.histograms.entry(key).or_default().observe(d);
     }
 
-    /// Takes an immutable snapshot of every series.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            counters: self.counters.clone(),
-            gauges: self.gauges.clone(),
-            histograms: self.histograms.clone(),
-        }
-    }
-}
-
-/// A point-in-time copy of a [`Metrics`] registry: plain data that can be
-/// compared, merged across shards, and serialized to deterministic JSON.
-#[derive(Clone, Default, PartialEq, Eq, Debug)]
-pub struct MetricsSnapshot {
-    /// Monotonic counters, e.g. drops by reason.
-    pub counters: BTreeMap<MetricKey, u64>,
-    /// Last-write or high-water gauges, e.g. peak event-queue depth.
-    pub gauges: BTreeMap<MetricKey, i64>,
-    /// Sim-time histograms, e.g. punch latency.
-    pub histograms: BTreeMap<MetricKey, Histogram>,
-}
-
-impl MetricsSnapshot {
     /// Current value of a counter (0 if absent). `label: ""` for
     /// unlabelled counters.
     // punch-lint: allow(S005) how tests/chaos.rs and rendezvous/tests/server.rs read a counter
@@ -244,11 +224,6 @@ impl MetricsSnapshot {
             .map(|(_, v)| v)
     }
 
-    /// Returns true if no series were ever touched.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
-    }
-
     /// Merges another snapshot into this one: counters and histograms add,
     /// gauges take the maximum (they are high-water marks across shards).
     ///
@@ -258,13 +233,10 @@ impl MetricsSnapshot {
     /// non-commutative series stays deterministic.
     pub fn merge(&mut self, other: &MetricsSnapshot) {
         for (k, v) in &other.counters {
-            *self.counters.entry(*k).or_insert(0) += v;
+            self.inc_by(*k, *v);
         }
         for (k, v) in &other.gauges {
-            let g = self.gauges.entry(*k).or_insert(i64::MIN);
-            if *g < *v {
-                *g = *v;
-            }
+            self.gauge_max(*k, *v);
         }
         for (k, h) in &other.histograms {
             self.histograms.entry(*k).or_default().merge(h);
@@ -319,16 +291,29 @@ impl MetricsSnapshot {
     }
 }
 
+/// Where a layer writes the counts its `*Stats` keep, when a snapshot is
+/// taken (see [`crate::Device::counters`]). A zero count writes no key:
+/// the registry holds a counter only once its event has happened.
+pub struct Counters<'a>(pub(crate) &'a mut MetricsSnapshot);
+
+impl Counters<'_> {
+    /// Adds `n` to the counter `key`, unless `n` is zero.
+    pub fn inc_by(&mut self, key: MetricKey, n: u64) {
+        if n > 0 {
+            self.0.inc_by(key, n);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn counters_and_labels_are_independent_series() {
-        let mut m = Metrics::new();
-        m.inc(MetricKey::plain("a"));
-        m.inc_by(MetricKey::labeled("a", "x"), 3);
-        let s = m.snapshot();
+        let mut s = MetricsSnapshot::default();
+        s.inc_by(MetricKey::plain("a"), 1);
+        s.inc_by(MetricKey::labeled("a", "x"), 3);
         assert_eq!(s.counter("a", ""), 1);
         assert_eq!(s.counter("a", "x"), 3);
         assert_eq!(s.counter_family("a"), 4);
@@ -351,17 +336,16 @@ mod tests {
 
     #[test]
     fn merge_adds_counters_and_histograms() {
-        let mut a = Metrics::new();
-        a.inc(MetricKey::plain("c"));
-        a.observe(MetricKey::plain("h"), Duration::from_millis(10));
-        a.gauge_max(MetricKey::plain("g"), 5);
-        let mut b = Metrics::new();
+        let mut s = MetricsSnapshot::default();
+        s.inc_by(MetricKey::plain("c"), 1);
+        s.observe(MetricKey::plain("h"), Duration::from_millis(10));
+        s.gauge_max(MetricKey::plain("g"), 5);
+        let mut b = MetricsSnapshot::default();
         b.inc_by(MetricKey::plain("c"), 2);
         b.observe(MetricKey::plain("h"), Duration::from_millis(20));
         b.gauge_max(MetricKey::plain("g"), 3);
 
-        let mut s = a.snapshot();
-        s.merge(&b.snapshot());
+        s.merge(&b);
         assert_eq!(s.counter("c", ""), 3);
         assert_eq!(s.histogram("h").unwrap().count(), 2);
         assert_eq!(s.gauges.get(&MetricKey::plain("g")), Some(&5));
@@ -369,11 +353,10 @@ mod tests {
 
     #[test]
     fn json_is_deterministic_and_ordered() {
-        let mut m = Metrics::new();
-        m.inc(MetricKey::plain("z.last"));
-        m.inc(MetricKey::plain("a.first"));
-        m.observe(MetricKey::plain("lat"), Duration::from_millis(42));
-        let s = m.snapshot();
+        let mut s = MetricsSnapshot::default();
+        s.inc_by(MetricKey::plain("z.last"), 1);
+        s.inc_by(MetricKey::plain("a.first"), 1);
+        s.observe(MetricKey::plain("lat"), Duration::from_millis(42));
         let j1 = s.to_json();
         let j2 = s.clone().to_json();
         assert_eq!(j1, j2);
@@ -384,9 +367,18 @@ mod tests {
     }
 
     #[test]
+    fn counters_skip_zero_counts() {
+        let mut s = MetricsSnapshot::default();
+        let mut c = Counters(&mut s);
+        c.inc_by(MetricKey::plain("a.none"), 0);
+        c.inc_by(MetricKey::plain("a.some"), 2);
+        assert_eq!(s.counters.len(), 1);
+        assert_eq!(s.counter("a.some", ""), 2);
+    }
+
+    #[test]
     fn empty_snapshot_exports_cleanly() {
         let s = MetricsSnapshot::default();
-        assert!(s.is_empty());
         assert_eq!(
             s.to_json(),
             "{\n  \"counters\": {},\n  \"gauges\": {},\n  \"histograms\": {}\n}\n"

@@ -6,7 +6,7 @@
 //! [`Device::on_timer`] when a previously armed timer fires. All
 //! interaction with the world goes through the [`Ctx`] handle.
 
-use crate::metrics::{MetricKey, Metrics};
+use crate::metrics::{Counters, MetricKey, MetricsSnapshot};
 use crate::packet::Packet;
 use crate::sim::SimCore;
 use crate::time::SimTime;
@@ -69,6 +69,10 @@ pub trait Device: Any + Send {
     /// is the conventional "restart, losing volatile state" code. The
     /// default ignores faults.
     fn on_fault(&mut self, _ctx: &mut Ctx<'_>, _fault: u64) {}
+
+    /// Writes the counts this device keeps in its always-on stats into a
+    /// snapshot ([`crate::Sim::metrics_snapshot`]); the default writes none.
+    fn counters(&self, _c: &mut Counters<'_>) {}
 }
 
 impl dyn Device {
@@ -144,7 +148,7 @@ impl Ctx<'_> {
     /// Runs `write` on the metrics registry if it is enabled; otherwise
     /// one branch and nothing else.
     #[inline]
-    fn metric(&mut self, write: impl FnOnce(&mut Metrics)) {
+    fn metric(&mut self, write: impl FnOnce(&mut MetricsSnapshot)) {
         if let Some(m) = &mut self.core.metrics {
             write(m);
         }

@@ -13,7 +13,7 @@
 use crate::calendar::CalendarQueue;
 use crate::fault::LinkAction;
 use crate::link::LinkSpec;
-use crate::metrics::{MetricKey, Metrics, MetricsSnapshot};
+use crate::metrics::{Counters, MetricKey, MetricsSnapshot};
 use crate::node::{Ctx, Device, IfaceId, NodeId};
 use crate::packet::Packet;
 use crate::pool::PacketArena;
@@ -200,7 +200,7 @@ pub(crate) struct SimCore {
     /// The metrics registry, when enabled; [`Ctx`]'s `metric_*` methods
     /// write through it. `None` costs a caller one branch — no
     /// allocation, no RNG draw.
-    pub(crate) metrics: Option<Metrics>,
+    pub(crate) metrics: Option<MetricsSnapshot>,
     stats: SimStats,
 }
 
@@ -274,19 +274,12 @@ impl SimCore {
         &mut self.nodes[node.index()].rng
     }
 
-    /// Counts one engine event under `key` when metrics are enabled.
-    #[inline]
-    fn inc(&mut self, key: MetricKey) {
-        if let Some(m) = &mut self.metrics {
-            m.inc_by(key, 1);
-        }
-    }
-
     pub(crate) fn note_device_drop(&mut self, reason: &'static str) {
         self.stats.device_drops += 1;
-        // Every device drop reason is a `&'static str`, so per-reason
-        // counters come for free whenever metrics are on.
-        self.inc(MetricKey::labeled("net.drop.device", reason));
+        // `SimStats` has one total; the registry keeps it per reason.
+        if let Some(m) = &mut self.metrics {
+            m.inc_by(MetricKey::labeled("net.drop.device", reason), 1);
+        }
     }
 
     pub(crate) fn transmit(&mut self, node: NodeId, iface: IfaceId, pkt: Packet) {
@@ -299,7 +292,6 @@ impl SimCore {
         let spec = self.links[link_idx].spec;
         if !self.links[link_idx].up {
             self.stats.link_down_drops += 1;
-            self.inc(MetricKey::plain("net.drop.link_down"));
             return;
         }
         // Every draw comes from the sender's RNG stream so each node's
@@ -309,7 +301,6 @@ impl SimCore {
             let roll: f64 = rng.gen();
             if roll < spec.loss {
                 self.stats.packets_lost += 1;
-                self.inc(MetricKey::plain("net.drop.loss"));
                 return;
             }
         }
@@ -340,7 +331,6 @@ impl SimCore {
         if let Some(bit) = corrupt_bit {
             pkt.corrupt_bit(bit);
             self.stats.packets_corrupted += 1;
-            self.inc(MetricKey::plain("net.corrupt"));
         }
         if let Some(raw) = truncate_raw {
             let len = pkt.payload_len();
@@ -350,7 +340,6 @@ impl SimCore {
                 // detectable.
                 pkt.truncate_payload((raw % len as u64) as usize);
                 self.stats.packets_truncated += 1;
-                self.inc(MetricKey::plain("net.truncate"));
             }
         }
 
@@ -565,29 +554,37 @@ impl Sim {
     /// Off by default. Enabling metrics never changes simulated behaviour:
     /// instrumentation draws no randomness and schedules nothing, so events
     /// and stats are byte-identical with metrics on or off.
+    ///
+    /// Call it before the first event: the counts a snapshot copies from
+    /// the engine's and the devices' stats run from the start of the
+    /// simulation, while labelled counters, gauges and histograms record
+    /// only what happens once the registry exists. Every caller in this
+    /// workspace enables metrics before the simulation first runs.
     pub fn enable_metrics(&mut self) {
         if self.core.metrics.is_none() {
-            self.core.metrics = Some(Metrics::new());
+            self.core.metrics = Some(MetricsSnapshot::default());
         }
     }
 
-    /// Returns true if [`Sim::enable_metrics`] was called.
-    pub fn metrics_enabled(&self) -> bool {
-        self.core.metrics.is_some()
-    }
-
-    /// Returns the live metrics registry, if enabled.
-    pub fn metrics(&self) -> Option<&Metrics> {
-        self.core.metrics.as_ref()
-    }
-
-    /// Takes a snapshot of the metrics registry (empty if disabled).
+    /// Takes a snapshot of the metrics registry (empty if disabled): the
+    /// live registry plus every nonzero count the engine and the devices
+    /// keep in their always-on stats (see [`Device::counters`]). Taken
+    /// between engine steps, so every device's counts are final.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.core
-            .metrics
-            .as_ref()
-            .map(Metrics::snapshot)
-            .unwrap_or_default()
+        let Some(live) = &self.core.metrics else {
+            return MetricsSnapshot::default();
+        };
+        let mut snap = live.clone();
+        let mut c = Counters(&mut snap);
+        let s = &self.core.stats;
+        c.inc_by(MetricKey::plain("net.drop.link_down"), s.link_down_drops);
+        c.inc_by(MetricKey::plain("net.drop.loss"), s.packets_lost);
+        c.inc_by(MetricKey::plain("net.corrupt"), s.packets_corrupted);
+        c.inc_by(MetricKey::plain("net.truncate"), s.packets_truncated);
+        for device in &self.devices {
+            device.counters(&mut c);
+        }
+        snap
     }
 
     /// Returns a shared reference to the device on `node`, downcast to `T`.

@@ -19,7 +19,7 @@ use crate::wire::{
     ERR_TABLE_FULL, ERR_UNKNOWN_PEER,
 };
 use bytes::Bytes;
-use punch_net::{Endpoint, SimTime};
+use punch_net::{Counters, Endpoint, MetricKey, SimTime};
 use punch_transport::{App, Os, SockEvent, SocketId};
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
@@ -465,7 +465,6 @@ impl RendezvousServer {
             true
         } else {
             self.stats.rate_limited += 1;
-            os.metric_inc("defense.rendezvous.rate_limited");
             false
         }
     }
@@ -537,7 +536,6 @@ impl RendezvousServer {
             .map(|(&id, r)| (id, r.route));
         let Some((id, route)) = victim else {
             self.stats.reg_refused += 1;
-            os.metric_inc("defense.rendezvous.reg_refused");
             return false;
         };
         self.table(tcp).remove(&id);
@@ -586,17 +584,10 @@ impl RendezvousServer {
         }
     }
 
-    /// Counts a request that failed (unknown peer, unparsable, not for
-    /// a server).
-    fn error(&mut self, os: &mut Os<'_, '_>) {
-        self.stats.errors += 1;
-        os.metric_inc("rendezvous.error");
-    }
-
     /// Fails a request that named a peer nobody here (or, in a fleet,
     /// anywhere) knows, and tells `to` so.
     fn refuse(&mut self, os: &mut Os<'_, '_>, to: Route) {
-        self.error(os);
+        self.stats.errors += 1;
         self.send(
             os,
             to,
@@ -609,14 +600,13 @@ impl RendezvousServer {
     /// Gate for inbound `Srv*` messages: with a fleet secret configured,
     /// only datagrams that carried a verified tag are honored; and in
     /// any case only those from another member of this server's fleet.
-    fn srv_admit(&mut self, os: &mut Os<'_, '_>, from: Endpoint, signed: bool) -> bool {
+    fn srv_admit(&mut self, from: Endpoint, signed: bool) -> bool {
         if self.cfg.fleet_secret.is_some() && !signed {
             self.stats.auth_rejected += 1;
-            os.metric_inc("defense.rendezvous.auth_rejected");
             return false;
         }
         if !self.is_fleet_peer(from) {
-            self.error(os);
+            self.stats.errors += 1;
             return false;
         }
         true
@@ -634,7 +624,7 @@ impl RendezvousServer {
                 nonce,
                 tcp,
             } => {
-                if !self.srv_admit(os, from, signed) {
+                if !self.srv_admit(from, signed) {
                     return;
                 }
                 // Owner side of a forwarded introduction: if the target
@@ -668,7 +658,6 @@ impl RendezvousServer {
                     },
                 );
                 self.stats.forwards_served += 1;
-                os.metric_inc_labeled("rendezvous.forward", "served");
                 self.send_srv(
                     os,
                     from,
@@ -690,7 +679,7 @@ impl RendezvousServer {
                 nonce,
                 tcp: _,
             } => {
-                if !self.srv_admit(os, from, signed) {
+                if !self.srv_admit(from, signed) {
                     return;
                 }
                 // Forwarder side, success path: the owner introduced the
@@ -721,7 +710,7 @@ impl RendezvousServer {
                 nonce,
                 tcp: _,
             } => {
-                if !self.srv_admit(os, from, signed) {
+                if !self.srv_admit(from, signed) {
                     return;
                 }
                 // Forwarder side, miss path: try the target's next ring
@@ -756,7 +745,7 @@ impl RendezvousServer {
                 data,
                 tcp,
             } => {
-                if !self.srv_admit(os, from, signed) {
+                if !self.srv_admit(from, signed) {
                     return;
                 }
                 // Owner side of a forwarded relay payload: deliver if the
@@ -931,7 +920,6 @@ impl RendezvousServer {
                     return self.refuse(os, via);
                 };
                 self.stats.reversals += 1;
-                os.metric_inc("rendezvous.reversal");
                 self.send(
                     os,
                     tgt.route,
@@ -959,7 +947,7 @@ impl RendezvousServer {
             }
             // Peer-to-peer and server-to-client messages are not for us,
             // nor is a server-to-server one on a client connection.
-            _ => self.error(os),
+            _ => self.stats.errors += 1,
         }
     }
 
@@ -1067,6 +1055,17 @@ impl App for RendezvousServer {
             .expect("server TCP port free"); // punch-lint: allow(P001) configured server port on a fresh host; collision is a setup bug
     }
 
+    fn counters(&self, c: &mut Counters<'_>) {
+        let s = &self.stats;
+        c.inc_by(MetricKey::plain("defense.rendezvous.rate_limited"), s.rate_limited);
+        c.inc_by(MetricKey::plain("defense.rendezvous.reg_refused"), s.reg_refused);
+        c.inc_by(MetricKey::plain("defense.rendezvous.auth_rejected"), s.auth_rejected);
+        c.inc_by(MetricKey::plain("rendezvous.error"), s.errors);
+        c.inc_by(MetricKey::labeled("rendezvous.forward", "served"), s.forwards_served);
+        c.inc_by(MetricKey::plain("rendezvous.reversal"), s.reversals);
+        c.inc_by(MetricKey::plain("rendezvous.restart"), s.restarts);
+    }
+
     fn on_fault(&mut self, os: &mut Os<'_, '_>, fault: u64) {
         if fault == punch_net::FAULT_RESTART {
             // A restarted server keeps its ports (same bind on boot) but
@@ -1074,7 +1073,6 @@ impl App for RendezvousServer {
             // when their next request goes unanswered or their connection
             // aborts.
             self.stats.restarts += 1;
-            os.metric_inc("rendezvous.restart");
             self.drop_all_clients(os);
         }
     }
@@ -1102,12 +1100,11 @@ impl App for RendezvousServer {
                             Some(Ok(msg)) => self.handle_udp(os, from, msg, true),
                             Some(Err(_)) => {
                                 self.stats.auth_rejected += 1;
-                                os.metric_inc("defense.rendezvous.auth_rejected");
                             }
-                            None => self.error(os),
+                            None => self.stats.errors += 1,
                         }
                     }
-                    Err(_) => self.error(os),
+                    Err(_) => self.stats.errors += 1,
                 }
             }
             SockEvent::TcpIncoming { listener } => {
@@ -1128,7 +1125,7 @@ impl App for RendezvousServer {
                     match next {
                         Ok(msg) => self.handle_client(os, Route::Tcp(sock), msg),
                         Err(_) => {
-                            self.error(os);
+                            self.stats.errors += 1;
                             let _ = os.tcp_abort(sock);
                             self.drop_conn(sock);
                             break;

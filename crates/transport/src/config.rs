@@ -54,12 +54,6 @@ pub struct StackConfig {
     /// default (classic RFC 793 behaviour, which accepts any RST and is
     /// what an off-path injector exploits).
     pub rst_validation: bool,
-    /// RFC 5927-style ICMP hardening: treat destination-unreachable
-    /// errors as soft even during connection establishment, so spoofed
-    /// ICMP cannot abort an in-progress connect. Off by default (a
-    /// genuine unreachable then fails the connect fast, as real stacks
-    /// do).
-    pub icmp_strict: bool,
 }
 
 impl Default for StackConfig {
@@ -72,7 +66,6 @@ impl Default for StackConfig {
             send_window: 64 * 1024,
             time_wait: Duration::from_secs(30),
             rst_validation: false,
-            icmp_strict: false,
         }
     }
 }

@@ -4,15 +4,18 @@
 //! [`App`]. Applications are event-driven state machines, the same shape
 //! as epoll/kqueue code: they react to [`SockEvent`]s and timers, and call
 //! into the socket API through the [`Os`] handle.
+//!
+//! The stack counts its transport events in [`crate::StackStats`] only; a
+//! metrics snapshot gets them as `transport.*` counters from the host,
+//! which then lets its app write its own ([`App::counters`]).
 
 use crate::config::StackConfig;
 use crate::error::SockResult;
 use crate::event::SockEvent;
 use crate::socket::{SocketId, INTERNAL_TIMER_BIT};
 use crate::stack::{ConnectOpts, HostStack};
-use crate::tcb::{StackStats, TcpState};
 use bytes::Bytes;
-use punch_net::{Ctx, Device, Endpoint, IfaceId, Packet, SimTime};
+use punch_net::{Counters, Ctx, Device, Endpoint, IfaceId, MetricKey, Packet, SimTime};
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::any::Any;
@@ -113,16 +116,6 @@ impl Os<'_, '_> {
         self.stack.remote_endpoint(sock)
     }
 
-    /// TCP state of a connection, if it exists.
-    pub fn tcp_state(&self, sock: SocketId) -> Option<TcpState> {
-        self.stack.tcp_state(sock)
-    }
-
-    /// Returns true if the simulation's metrics registry is enabled.
-    pub fn metrics_enabled(&self) -> bool {
-        self.ctx.metrics_enabled()
-    }
-
     /// Increments an unlabelled metrics counter. See [`Ctx::metric_inc`].
     pub fn metric_inc(&mut self, name: &'static str) {
         self.ctx.metric_inc(name);
@@ -162,6 +155,11 @@ pub trait App: Any + Send {
     /// hits this host. `punch_net::FAULT_RESTART` means "restart the
     /// process, losing volatile state". The default ignores faults.
     fn on_fault(&mut self, _os: &mut Os<'_, '_>, _fault: u64) {}
+
+    /// Writes the counts this application keeps in its always-on stats
+    /// into a metrics snapshot, as [`Device::counters`] does for a
+    /// device. The default writes nothing.
+    fn counters(&self, _c: &mut Counters<'_>) {}
 }
 
 impl dyn App {
@@ -184,14 +182,11 @@ pub struct HostDevice {
     stack: HostStack,
     app: Box<dyn App>,
     started: bool,
-    /// Stack counters already published to the metrics registry; the
-    /// device reports deltas after each callback.
-    published: StackStats,
 }
 
 // One per host, boxed into the sim's device table: 40 000 of them in
 // the benchmark's `crowd_udp`.
-const _: () = assert!(std::mem::size_of::<HostDevice>() <= 512);
+const _: () = assert!(std::mem::size_of::<HostDevice>() <= 432);
 
 impl HostDevice {
     /// Creates a host with address `ip` running `app`.
@@ -203,7 +198,6 @@ impl HostDevice {
             stack: HostStack::new(ip, cfg, 0),
             app,
             started: false,
-            published: StackStats::default(),
         }
     }
 
@@ -242,40 +236,7 @@ impl HostDevice {
         };
         let r = f(app, &mut os);
         Self::drive(&mut self.stack, self.app.as_mut(), ctx);
-        self.flush_metrics(ctx);
         r
-    }
-
-    /// Publishes the delta of the stack's transport counters into the
-    /// simulation's metrics registry. No-op when metrics are disabled.
-    fn flush_metrics(&mut self, ctx: &mut Ctx<'_>) {
-        if !ctx.metrics_enabled() {
-            return;
-        }
-        let s = self.stack.stats();
-        let p = self.published;
-        if s.retransmits > p.retransmits {
-            ctx.metric_inc_by("transport.retransmit", s.retransmits - p.retransmits);
-        }
-        if s.rto_fires > p.rto_fires {
-            ctx.metric_inc_by("transport.rto", s.rto_fires - p.rto_fires);
-        }
-        if s.rsts_sent > p.rsts_sent {
-            ctx.metric_inc_by("transport.rst_sent", s.rsts_sent - p.rsts_sent);
-        }
-        if s.checksum_drops > p.checksum_drops {
-            ctx.metric_inc_by("transport.checksum_drop", s.checksum_drops - p.checksum_drops);
-        }
-        if s.rsts_accepted > p.rsts_accepted {
-            ctx.metric_inc_by("transport.rst_accepted", s.rsts_accepted - p.rsts_accepted);
-        }
-        if s.rsts_rejected > p.rsts_rejected {
-            ctx.metric_inc_by("transport.rst_rejected", s.rsts_rejected - p.rsts_rejected);
-        }
-        if s.icmp_ignored > p.icmp_ignored {
-            ctx.metric_inc_by("defense.transport.icmp_ignored", s.icmp_ignored - p.icmp_ignored);
-        }
-        self.published = s;
     }
 
     /// Flushes stack side effects and dispatches pending events to the
@@ -321,13 +282,11 @@ impl Device for HostDevice {
         };
         self.app.on_start(&mut os);
         Self::drive(&mut self.stack, self.app.as_mut(), ctx);
-        self.flush_metrics(ctx);
     }
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, _iface: IfaceId, pkt: Packet) {
         self.stack.handle_packet(pkt);
         Self::drive(&mut self.stack, self.app.as_mut(), ctx);
-        self.flush_metrics(ctx);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
@@ -339,7 +298,6 @@ impl Device for HostDevice {
             self.app.on_timer(&mut os, token);
         }
         Self::drive(&mut self.stack, self.app.as_mut(), ctx);
-        self.flush_metrics(ctx);
     }
 
     fn on_fault(&mut self, ctx: &mut Ctx<'_>, fault: u64) {
@@ -349,6 +307,17 @@ impl Device for HostDevice {
         };
         self.app.on_fault(&mut os, fault);
         Self::drive(&mut self.stack, self.app.as_mut(), ctx);
-        self.flush_metrics(ctx);
+    }
+
+    /// The stack's transport counters, then the application's.
+    fn counters(&self, c: &mut Counters<'_>) {
+        let s = self.stack.stats();
+        c.inc_by(MetricKey::plain("transport.retransmit"), s.retransmits);
+        c.inc_by(MetricKey::plain("transport.rto"), s.rto_fires);
+        c.inc_by(MetricKey::plain("transport.rst_sent"), s.rsts_sent);
+        c.inc_by(MetricKey::plain("transport.checksum_drop"), s.checksum_drops);
+        c.inc_by(MetricKey::plain("transport.rst_accepted"), s.rsts_accepted);
+        c.inc_by(MetricKey::plain("transport.rst_rejected"), s.rsts_rejected);
+        self.app.counters(c);
     }
 }

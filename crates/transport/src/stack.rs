@@ -413,14 +413,6 @@ impl HostStack {
         }
     }
 
-    /// Returns the TCP state of a connection (tests/diagnostics).
-    pub fn tcp_state(&self, sock: SocketId) -> Option<TcpState> {
-        match self.socks.get(&sock) {
-            Some(Socket::Tcp(t)) => Some(t.state),
-            _ => None,
-        }
-    }
-
     /// Closes any socket. TCP connections close gracefully (FIN);
     /// listeners abort queued un-accepted connections.
     pub fn close(&mut self, sock: SocketId) -> SockResult<()> {
@@ -553,7 +545,7 @@ impl HostStack {
                 {
                     if let Some(&sock) = self.conn_index.get(&(msg.original_src, msg.original_dst))
                     {
-                        self.drive(sock, |tcb, io| tcb.on_icmp_unreachable(io));
+                        self.drive(sock, |tcb, _| tcb.on_icmp_unreachable());
                     }
                 }
             }
@@ -673,6 +665,14 @@ impl HostStack {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The TCP state of a connection, if it exists.
+    fn tcp_state(stack: &HostStack, sock: SocketId) -> Option<TcpState> {
+        match stack.socks.get(&sock) {
+            Some(Socket::Tcp(t)) => Some(t.state),
+            _ => None,
+        }
+    }
 
     fn ep(s: &str) -> Endpoint {
         s.parse().unwrap()
@@ -960,8 +960,8 @@ mod tests {
             .take_events()
             .contains(&SockEvent::TcpPeerClosed { sock: conn }));
         // Client TCB lingers in TIME-WAIT; server child is gone.
-        assert_eq!(srv.tcp_state(child), None);
-        assert_eq!(c.tcp_state(conn), Some(TcpState::TimeWait));
+        assert_eq!(tcp_state(&srv, child), None);
+        assert_eq!(tcp_state(&c, conn), Some(TcpState::TimeWait));
     }
 
     #[test]
@@ -978,12 +978,12 @@ mod tests {
         pump(&mut c, &mut srv);
         srv.close(child).unwrap();
         pump(&mut c, &mut srv);
-        assert_eq!(c.tcp_state(conn), Some(TcpState::TimeWait));
+        assert_eq!(tcp_state(&c, conn), Some(TcpState::TimeWait));
         // Fire the TIME-WAIT timer.
         let timers = c.take_timers();
         let (_, token) = timers.into_iter().last().expect("time-wait timer armed");
         assert!(c.handle_timer(token));
-        assert_eq!(c.tcp_state(conn), None);
+        assert_eq!(tcp_state(&c, conn), None);
     }
 
     #[test]
@@ -1045,8 +1045,8 @@ mod tests {
         assert!(b
             .take_events()
             .contains(&SockEvent::TcpConnected { sock: cb }));
-        assert_eq!(a.tcp_state(ca), Some(TcpState::Established));
-        assert_eq!(b.tcp_state(cb), Some(TcpState::Established));
+        assert_eq!(tcp_state(&a, ca), Some(TcpState::Established));
+        assert_eq!(tcp_state(&b, cb), Some(TcpState::Established));
     }
 
     #[test]
@@ -1133,7 +1133,7 @@ mod tests {
         assert!(evs.contains(&SockEvent::TcpIncoming { listener: l }));
         let (child, peer) = a.tcp_accept(l).unwrap().unwrap();
         assert_eq!(peer, ep("2.2.2.2:4000"));
-        assert_eq!(a.tcp_state(child), Some(TcpState::Established));
+        assert_eq!(tcp_state(&a, child), Some(TcpState::Established));
         assert!(b
             .take_events()
             .contains(&SockEvent::TcpConnected { sock: cb }));

@@ -89,9 +89,8 @@ pub struct TcpIo<'a> {
 
 /// Transport-layer counters kept by the stack itself.
 ///
-/// These are plain integers (always on, no allocation); when the
-/// simulation's metrics registry is enabled, `HostDevice` publishes the
-/// deltas after each callback.
+/// These are plain integers (always on, no allocation); a metrics
+/// snapshot copies them in through `HostDevice`'s `Device::counters`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StackStats {
     /// Segments retransmitted (RTO-driven and fast retransmits).
@@ -111,9 +110,6 @@ pub struct StackStats {
     /// Inbound RSTs discarded by RFC 5961 sequence validation (a
     /// challenge ACK answers the in-window ones).
     pub rsts_rejected: u64,
-    /// ICMP unreachable errors ignored as soft by the strict-ICMP
-    /// defense during connection establishment.
-    pub icmp_ignored: u64,
 }
 
 /// What the stack should do with the TCB after a callback.
@@ -471,17 +467,11 @@ impl Tcb {
 
     /// Handles an inbound ICMP destination-unreachable for this
     /// connection.
-    pub fn on_icmp_unreachable(&mut self, io: &mut TcpIo<'_>) -> TcbOutcome {
+    pub fn on_icmp_unreachable(&mut self) -> TcbOutcome {
         match self.state {
             // A connect in progress fails hard (§4.2 step 4 retries at the
-            // application level) — unless the RFC 5927-style defense
-            // treats the error as soft, so off-path spoofed ICMP cannot
-            // abort the handshake.
+            // application level).
             TcpState::SynSent | TcpState::SynReceived => {
-                if io.cfg.icmp_strict {
-                    io.stats.icmp_ignored += 1;
-                    return TcbOutcome::default();
-                }
                 self.cancel_timer();
                 TcbOutcome::deleted(Some(SocketError::HostUnreachable))
             }
@@ -1407,15 +1397,6 @@ mod tests {
     }
 
     #[test]
-    fn icmp_strict_keeps_connect_alive() {
-        let (mut h, mut tcb) = active();
-        h.cfg.icmp_strict = true;
-        let outcome = tcb.on_icmp_unreachable(&mut h.io());
-        assert!(!outcome.delete, "spoofed ICMP must not abort the connect");
-        assert_eq!(h.stats.icmp_ignored, 1);
-    }
-
-    #[test]
     fn passive_open_sends_synack() {
         let mut h = Harness::new();
         let syn = TcpSegment::control(TcpFlags::SYN, 9000, 0);
@@ -1475,13 +1456,13 @@ mod tests {
 
     #[test]
     fn icmp_unreachable_kills_connect_only() {
-        let (mut h, mut tcb) = active();
-        let outcome = tcb.on_icmp_unreachable(&mut h.io());
+        let (_, mut tcb) = active();
+        let outcome = tcb.on_icmp_unreachable();
         assert!(outcome.delete);
         assert_eq!(outcome.failed, Some(SocketError::HostUnreachable));
 
-        let (mut h2, mut tcb2) = established_pair();
-        let outcome2 = tcb2.on_icmp_unreachable(&mut h2.io());
+        let (_, mut tcb2) = established_pair();
+        let outcome2 = tcb2.on_icmp_unreachable();
         assert!(!outcome2.delete, "soft error once established");
     }
 

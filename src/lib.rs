@@ -91,7 +91,7 @@ pub mod prelude {
         TcpUnsolicited,
     };
     pub use punch_net::{
-        Duration, Endpoint, FaultPlan, LinkAction, LinkId, LinkSpec, Metrics, MetricsSnapshot,
+        Duration, Endpoint, FaultPlan, LinkAction, LinkId, LinkSpec, MetricsSnapshot,
         Sim, SimTime, FAULT_RESTART,
     };
     pub use punch_rendezvous::{RendezvousServer, ServerConfig};

@@ -83,7 +83,7 @@ fn udp_session_survives_nat_reboot() {
     sc.world.with_app::<UdpPeer, _>(sc.b, |p, _| p.take_events());
 
     let nat_a = sc.world.nats[0];
-    sc.world.reboot_nat(nat_a);
+    sc.world.restart(nat_a);
 
     // The session dies (miss-based liveness) and then recovers.
     let deadline = sc.world.sim.now() + Duration::from_secs(30);
@@ -132,7 +132,7 @@ fn udp_session_survives_nat_reboot() {
 fn fault_runs_record_failure_reason_counters() {
     let mut sc = established_pair_opts(7, true);
     let nat_a = sc.world.nats[0];
-    sc.world.reboot_nat(nat_a);
+    sc.world.restart(nat_a);
 
     let deadline = sc.world.sim.now() + Duration::from_secs(30);
     assert!(
@@ -196,7 +196,7 @@ fn peers_reregister_and_reconnect_after_server_restart() {
     // S restarts (tables flushed) and stays unreachable for 8 s.
     let link = sc.world.uplink(s);
     let now = sc.world.sim.now();
-    sc.world.restart_server(s);
+    sc.world.restart(s);
     let plan = FaultPlan::new().outage(now, Duration::from_secs(8), link);
     sc.world.apply_faults(&plan);
 
@@ -241,8 +241,8 @@ fn peers_reregister_and_reconnect_after_server_restart() {
     // The restarted S must serve introductions from its fresh tables:
     // kill the session outright by rebooting both NATs and recover.
     let (nat_a, nat_b) = (sc.world.nats[0], sc.world.nats[1]);
-    sc.world.reboot_nat(nat_a);
-    sc.world.reboot_nat(nat_b);
+    sc.world.restart(nat_a);
+    sc.world.restart(nat_b);
     let deadline = sc.world.sim.now() + Duration::from_secs(30);
     assert!(
         sc.world
@@ -365,7 +365,7 @@ fn chaos_recovery_is_deterministic() {
     let fingerprint = |seed: u64| {
         let mut sc = established_pair(seed);
         let nat_a = sc.world.nats[0];
-        sc.world.reboot_nat(nat_a);
+        sc.world.restart(nat_a);
         let deadline = sc.world.sim.now() + Duration::from_secs(30);
         sc.world
             .run_until_app::<UdpPeer>(sc.b, deadline, |p| !p.is_established(A));
