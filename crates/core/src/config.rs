@@ -1,8 +1,10 @@
 //! Configuration for the hole-punching endpoints.
 //!
-//! A field here is a value some experiment, example or test sets to a
-//! second value. What the paper fixes and nothing varies is a constant
-//! of the endpoint that reads it (see [`TcpPeerConfig`]).
+//! A public field here is a value some caller other than a test sets
+//! to a second value. What only a named profile changes is a private
+//! field the profile sets (see [`PunchConfig::resilient`]), and what
+//! nothing varies is a constant of the endpoint that reads it (see
+//! [`TcpPeerConfig`]).
 
 use crate::candidates::CandidatePlan;
 use punch_net::Endpoint;
@@ -12,7 +14,10 @@ use std::time::Duration;
 /// Tunables for UDP hole punching (§3).
 ///
 /// Construct via [`PunchConfig::default`] or [`PunchConfig::resilient`]
-/// and set fields by assignment.
+/// and set the public fields by assignment. The recovery settings only
+/// the resilient profile changes (miss-based liveness, automatic
+/// re-punching, the backoff cap and the relay probe) are private: the
+/// profile is the knob.
 #[derive(Clone, Debug)]
 #[non_exhaustive]
 pub struct PunchConfig {
@@ -36,23 +41,23 @@ pub struct PunchConfig {
     /// this many keepalive intervals with no inbound traffic, without
     /// waiting for the full `session_timeout`. `0` disables miss-based
     /// detection (the default, and the paper's baseline behaviour).
-    pub keepalive_miss_limit: u32,
+    pub(crate) keepalive_miss_limit: u32,
     /// Re-punch immediately when an established session dies, instead
     /// of waiting for the application's next send (§3.6's on-demand
     /// repair is the default).
-    pub auto_repunch: bool,
+    pub(crate) auto_repunch: bool,
     /// Multiplier applied to `spray_interval` per failed volley
     /// (exponential backoff). `1.0` keeps the paper's constant cadence.
     pub backoff: f64,
     /// Upper bound for the backoff-inflated volley interval.
-    pub backoff_max: Duration,
+    pub(crate) backoff_max: Duration,
     /// Fraction of the volley interval added as seeded random jitter
     /// (`0.0` = none), de-synchronising retry storms after an outage.
     pub backoff_jitter: f64,
     /// While relaying, retry a direct punch this often and upgrade the
     /// session if it succeeds. `None` (the default) never probes: once
     /// relaying, the session stays relayed.
-    pub relay_probe_interval: Option<Duration>,
+    pub(crate) relay_probe_interval: Option<Duration>,
 }
 
 impl Default for PunchConfig {
@@ -109,9 +114,6 @@ pub struct UdpPeerConfig {
     pub id: PeerId,
     /// The well-known rendezvous server.
     pub server: Endpoint,
-    /// Local UDP port (0 = ephemeral). The same socket talks to S and to
-    /// every peer.
-    pub local_port: u16,
     /// Obfuscate endpoint addresses in message bodies (§3.1).
     pub obfuscate: bool,
     /// Registration retry interval until S acknowledges.
@@ -138,7 +140,6 @@ impl UdpPeerConfig {
         UdpPeerConfig {
             id,
             server,
-            local_port: 0,
             obfuscate: true,
             register_retry: Duration::from_secs(2),
             server_keepalive: Duration::from_secs(15),
@@ -203,7 +204,8 @@ pub enum TcpPunchMode {
 /// message bodies are always obfuscated (§3.1), a failed connect is
 /// re-tried after one second (§4.2 step 4) up to eight times per
 /// candidate, candidates are connected to public endpoint first (§4.2),
-/// and a fleet client's failover chain is its two ring owners.
+/// a punch that has not won within 30 s falls back to relaying through
+/// S (§2.2), and the client talks to the one server `server`.
 #[derive(Clone, Debug)]
 #[non_exhaustive]
 pub struct TcpPeerConfig {
@@ -215,19 +217,9 @@ pub struct TcpPeerConfig {
     /// used for the connection to S, the listen socket, and all outgoing
     /// punch attempts (requires `SO_REUSEADDR`/`SO_REUSEPORT`).
     pub local_port: u16,
-    /// Overall deadline for one punch attempt.
-    pub punch_deadline: Duration,
     /// Parallel (§4.2) or sequential (§4.5) procedure. Both sides of a
     /// punch must agree on the mode.
     pub mode: TcpPunchMode,
-    /// Fall back to relaying data frames through S when the punch fails
-    /// (§2.2: "a useful fall-back strategy if maximum robustness is
-    /// desired").
-    pub relay_fallback: bool,
-    /// The rendezvous fleet (see [`UdpPeerConfig::fleet`]). A TCP
-    /// client holds one control connection at a time and reconnects to
-    /// the next ring owner when it fails.
-    pub fleet: Vec<Endpoint>,
 }
 
 impl TcpPeerConfig {
@@ -237,10 +229,7 @@ impl TcpPeerConfig {
             id,
             server,
             local_port: 0,
-            punch_deadline: Duration::from_secs(30),
             mode: TcpPunchMode::Parallel,
-            relay_fallback: true,
-            fleet: Vec::new(),
         }
     }
 }

@@ -10,13 +10,15 @@
 //!
 //! - D1 [`Backlog`]: what is asked before `RegisterAck` is done after it,
 //!   as what it was, in the order it was asked.
-//! - D3 [`homes`]: which servers are a client's.
+//! - D3 [`homes`]: which servers are a UDP client's (a TCP client has
+//!   the one `server`).
 //! - D4 [`Phase`]: `Punching → Established(link) | Relaying | Failed`.
 //! - D5 [`Race::authenticates`]: only the introduced nonce speaks for a peer.
 //! - D6 [`Race::win`] / [`Race::lose`]: a race settles exactly once, and
 //!   what was queued meanwhile is handed back in order.
-//! - D7 [`Race::lose`]: a punch that failed with relaying off has nobody
-//!   to hand its queue to; the queue is dropped, not kept.
+//! - D7 [`Race::lose`]: a UDP punch that failed with relaying off has
+//!   nobody to hand its queue to; the queue is dropped, not kept (a TCP
+//!   punch always relays).
 //! - D8 [`Timers`]: one token per armed timer, forgotten when it fires.
 //!
 //! The module is pure — no `Os`, no metric, no RNG draw — because the
@@ -65,7 +67,7 @@ pub(crate) enum Phase<L> {
     Established(L),
     /// Punch failed; traffic flows through S (§2.2).
     Relaying,
-    /// Punch failed and relaying is disabled.
+    /// Punch failed and relaying is disabled (UDP only).
     Failed,
 }
 

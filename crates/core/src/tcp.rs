@@ -13,7 +13,7 @@
 //! The decisions this endpoint shares with [`crate::UdpPeer`] live in
 //! `session.rs` and `relay.rs`. What this file owns is the
 //! carrier — the sockets on the one shared port, the control connection
-//! to S and its reconnection across the fleet — and what only streams
+//! to S and its reconnection — and what only streams
 //! need: connect retry, the punch deadline, the §4.5 sequential mode,
 //! §2.3 reversal, fallback streams; plus its own metric names, events
 //! and RNG draws.
@@ -22,7 +22,7 @@ use crate::candidates::{CandidateKind, CandidateSet, CandidateSource};
 use crate::config::{TcpPeerConfig, TcpPunchMode};
 use crate::events::{TcpPath, TcpPeerEvent, Via};
 use crate::relay::{self, RelayKind};
-use crate::session::{self, Asked, Backlog, Phase, Race, Timers};
+use crate::session::{Asked, Backlog, Phase, Race, Timers};
 use bytes::Bytes;
 use punch_net::flat::FlatMap;
 use punch_net::{Endpoint, SimTime};
@@ -38,8 +38,9 @@ use std::time::Duration;
 const RETRY_DELAY: Duration = Duration::from_secs(1);
 /// Re-tries per candidate endpoint.
 const MAX_RETRIES: u32 = 8;
-/// How many of the fleet's ring owners form the failover chain (k of n).
-const REPLICATION: usize = 2;
+/// How long a punch may run before it falls back to relaying through S
+/// (§2.2).
+const PUNCH_DEADLINE: Duration = Duration::from_secs(30);
 /// The §4.2 connect order: peer public, then peer private. TCP has no
 /// relay control channel, so it predicts and announces nothing.
 const CONNECT_ORDER: [CandidateSource; 2] =
@@ -119,11 +120,6 @@ enum TimerPurpose {
 /// A TCP hole-punching client endpoint (an [`App`]).
 pub struct TcpPeer {
     cfg: TcpPeerConfig,
-    /// The failover chain of rendezvous servers: this peer's k ring
-    /// owners when `cfg.fleet` is set, else just `cfg.server`.
-    homes: Vec<Endpoint>,
-    /// Which entry of `homes` the control connection currently targets.
-    server_cursor: usize,
     local_port: u16,
     listener: Option<SocketId>,
     server_sock: Option<SocketId>,
@@ -144,9 +140,7 @@ impl TcpPeer {
     /// starts.
     pub fn new(cfg: TcpPeerConfig) -> Self {
         TcpPeer {
-            homes: session::homes(cfg.server, &cfg.fleet, cfg.id, REPLICATION),
             cfg,
-            server_cursor: 0,
             local_port: 0,
             listener: None,
             server_sock: None,
@@ -226,10 +220,8 @@ impl TcpPeer {
     }
 
     /// Sends application data over the established stream, or through S
-    /// when relaying; queued until the punch settles. A payload for a
-    /// session whose punch failed with relaying off is dropped: nothing
-    /// will ever carry it, and the application was told `PunchFailed`.
-    /// A payload over [`MAX_PAYLOAD`] is dropped too, and reported as
+    /// when relaying; queued until the punch settles. A payload over
+    /// [`MAX_PAYLOAD`] is dropped, and reported as
     /// [`TcpPeerEvent::PayloadTooLarge`].
     pub fn send(&mut self, os: &mut Os<'_, '_>, peer: PeerId, data: Bytes) {
         if data.len() > MAX_PAYLOAD {
@@ -302,12 +294,11 @@ impl TcpPeer {
     }
 
     fn arm_deadline(&mut self, os: &mut Os<'_, '_>, peer: PeerId) {
-        let deadline = self.cfg.punch_deadline;
         if let Some(s) = self.sessions.get_mut(&peer) {
             if !s.deadline_armed {
                 s.deadline_armed = true;
                 let nonce = s.race.nonce;
-                self.arm(os, deadline, TimerPurpose::Deadline(peer, nonce));
+                self.arm(os, PUNCH_DEADLINE, TimerPurpose::Deadline(peer, nonce));
             }
         }
     }
@@ -325,28 +316,20 @@ impl TcpPeer {
         }
     }
 
-    /// (Re)connects the control connection to the fleet member the
-    /// cursor points at; retried after `RETRY_DELAY`, the paper's fixed
-    /// §4.2 cadence.
+    /// (Re)connects the control connection to S; retried after
+    /// `RETRY_DELAY`, the paper's fixed §4.2 cadence.
     fn connect_server(&mut self, os: &mut Os<'_, '_>) {
-        let server = self.homes[self.server_cursor % self.homes.len()];
-        match os.tcp_connect(server, self.connect_opts()) {
+        match os.tcp_connect(self.cfg.server, self.connect_opts()) {
             Ok(sock) => self.server_sock = Some(sock),
             Err(_) => self.arm(os, RETRY_DELAY, TimerPurpose::ServerReconnect),
         }
     }
 
-    /// The control connection failed or closed: forget the registration,
-    /// rotate to the next ring owner (a no-op with a single home,
-    /// preserving the single-server reconnect sequence byte for byte)
+    /// The control connection failed or closed: forget the registration
     /// and reconnect after `RETRY_DELAY`.
     fn server_lost(&mut self, os: &mut Os<'_, '_>) {
         self.server_sock = None;
         self.registered = false;
-        if self.homes.len() > 1 {
-            self.server_cursor = (self.server_cursor + 1) % self.homes.len();
-            os.metric_inc("punch.server_failover");
-        }
         self.arm(os, RETRY_DELAY, TimerPurpose::ServerReconnect);
     }
 
@@ -551,7 +534,6 @@ impl TcpPeer {
         let Some((peer, remote)) = self.conns.remove(&sock).and_then(|c| c.attempt) else {
             return;
         };
-        let deadline = self.cfg.punch_deadline;
         let now = os.now();
         let Some(session) = self.sessions.get_mut(&peer) else {
             return;
@@ -567,7 +549,9 @@ impl TcpPeer {
             | SocketError::HostUnreachable => {
                 let tries = session.retries.entry(remote).or_insert(0);
                 *tries += 1;
-                if *tries <= MAX_RETRIES && now.saturating_since(session.started_at) < deadline {
+                if *tries <= MAX_RETRIES
+                    && now.saturating_since(session.started_at) < PUNCH_DEADLINE
+                {
                     self.stats.retries += 1;
                     self.arm(os, RETRY_DELAY, TimerPurpose::Retry { peer, remote });
                 }
@@ -661,13 +645,10 @@ impl TcpPeer {
         }
     }
 
+    /// The punch failed: tell the application, then carry the session
+    /// through S (§2.2).
     fn fail_session(&mut self, os: &mut Os<'_, '_>, peer: PeerId) {
-        let relay = self.cfg.relay_fallback;
-        let Some(lost) = self
-            .sessions
-            .get_mut(&peer)
-            .and_then(|s| s.race.lose(relay))
-        else {
+        let Some(lost) = self.sessions.get_mut(&peer).and_then(|s| s.race.lose(true)) else {
             return;
         };
         os.metric_inc("punch.tcp.failed");
@@ -679,12 +660,10 @@ impl TcpPeer {
             winner: None,
             candidates: lost.stamps,
         });
-        if relay {
-            os.metric_inc("punch.tcp.relay_fallback");
-            self.events.push_back(TcpPeerEvent::RelayActive { peer });
-            for data in lost.queued {
-                self.relay_app(os, peer, &data);
-            }
+        os.metric_inc("punch.tcp.relay_fallback");
+        self.events.push_back(TcpPeerEvent::RelayActive { peer });
+        for data in lost.queued {
+            self.relay_app(os, peer, &data);
         }
         self.abort_attempts(os, peer);
     }

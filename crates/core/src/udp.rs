@@ -933,9 +933,7 @@ impl UdpPeer {
 
 impl App for UdpPeer {
     fn on_start(&mut self, os: &mut Os<'_, '_>) {
-        let sock = os
-            .udp_bind(self.cfg.local_port)
-            .expect("local UDP port free"); // punch-lint: allow(P001) harness-chosen local port on a fresh host; collision is a setup bug
+        let sock = os.udp_bind(0).expect("ephemeral UDP port free"); // punch-lint: allow(P001) the first ephemeral port of a fresh host is free
         self.sock = Some(sock);
         self.local = os.local_endpoint(sock).ok();
         let private = self.local.expect("socket bound"); // punch-lint: allow(P001) socket bound two lines above

@@ -5,7 +5,9 @@
 //! runs over [`UdpPeer`] and over [`TcpPeer`] through one small harness
 //! and expects the same outcome. Where the two differ on purpose (the
 //! order of a failed punch's events) the difference is written down in
-//! [`Peer::FAILED_THEN_RELAY`], not averaged away.
+//! [`Peer::FAILED_THEN_RELAY`], not averaged away. What only a UDP peer
+//! can be configured to do — punch with relaying off, register with a
+//! server fleet — is run over UDP alone.
 
 use bytes::Bytes;
 use holepunch::{
@@ -22,8 +24,8 @@ use std::net::Ipv4Addr;
 const A: PeerId = PeerId(1);
 const B: PeerId = PeerId(2);
 const NOBODY: PeerId = PeerId(99);
-/// A public host with a known port: where forgeries are aimed.
-const VICTIM: Endpoint = Endpoint::new(Ipv4Addr::new(99, 1, 1, 1), 4321);
+/// A public host: where forgeries are aimed.
+const VICTIM_IP: Ipv4Addr = Ipv4Addr::new(99, 1, 1, 1);
 const STRANGER_IP: Ipv4Addr = Ipv4Addr::new(99, 1, 1, 9);
 
 /// A peer event with the carrier-specific fields dropped.
@@ -38,14 +40,6 @@ enum Ev {
     Other,
 }
 
-/// What the cases vary in a peer's configuration.
-#[derive(Clone, Default)]
-struct Opts {
-    no_relay: bool,
-    local_port: u16,
-    fleet: Vec<Endpoint>,
-}
-
 /// The carrier-independent surface of a punching endpoint.
 trait Peer: App + Sized {
     /// Whether raw hosts in the same world speak framed TCP or datagrams.
@@ -53,26 +47,22 @@ trait Peer: App + Sized {
     /// The terminal events of a failed punch with relaying on, in the
     /// order this carrier emits them today.
     const FAILED_THEN_RELAY: &'static [fn(PeerId) -> Ev];
-    fn setup(id: PeerId, opts: Opts) -> PeerSetup;
+    fn setup(id: PeerId) -> PeerSetup;
     fn connect(&mut self, os: &mut Os<'_, '_>, peer: PeerId);
     fn send(&mut self, os: &mut Os<'_, '_>, peer: PeerId, data: Bytes);
     fn events(&mut self) -> Vec<Ev>;
     fn is_established(&self, peer: PeerId) -> bool;
     fn is_relaying(&self, peer: PeerId) -> bool;
-    /// Whether server `s` holds a registration for `id` on this carrier.
-    fn registered_at(s: &RendezvousServer, id: PeerId) -> bool;
+    /// The public endpoint server `s` registered for `id` on this carrier.
+    fn registration(s: &RendezvousServer, id: PeerId) -> Option<Endpoint>;
 }
 
 impl Peer for UdpPeer {
     const TCP: bool = false;
     const FAILED_THEN_RELAY: &'static [fn(PeerId) -> Ev] =
         &[Ev::RelayActive, |p| Ev::RaceSettled(p, None)];
-    fn setup(id: PeerId, opts: Opts) -> PeerSetup {
-        let mut c = UdpPeerConfig::new(id, Scenario::server_endpoint());
-        c.punch.relay_fallback = !opts.no_relay;
-        c.local_port = opts.local_port;
-        c.fleet = opts.fleet;
-        PeerSetup::new(UdpPeer::new(c))
+    fn setup(id: PeerId) -> PeerSetup {
+        udp(id, |_| {})
     }
     fn connect(&mut self, os: &mut Os<'_, '_>, peer: PeerId) {
         UdpPeer::connect(self, os, peer)
@@ -98,8 +88,8 @@ impl Peer for UdpPeer {
     fn is_relaying(&self, peer: PeerId) -> bool {
         UdpPeer::is_relaying(self, peer)
     }
-    fn registered_at(s: &RendezvousServer, id: PeerId) -> bool {
-        s.udp_registration(id).is_some()
+    fn registration(s: &RendezvousServer, id: PeerId) -> Option<Endpoint> {
+        s.udp_registration(id).map(|(public, _)| public)
     }
 }
 
@@ -110,13 +100,8 @@ impl Peer for TcpPeer {
         |p| Ev::RaceSettled(p, None),
         Ev::RelayActive,
     ];
-    fn setup(id: PeerId, opts: Opts) -> PeerSetup {
-        let mut c = TcpPeerConfig::new(id, Scenario::server_endpoint());
-        c.relay_fallback = !opts.no_relay;
-        c.local_port = opts.local_port;
-        c.fleet = opts.fleet;
-        c.punch_deadline = Duration::from_secs(8);
-        PeerSetup::new(TcpPeer::new(c))
+    fn setup(id: PeerId) -> PeerSetup {
+        PeerSetup::new(TcpPeer::new(TcpPeerConfig::new(id, Scenario::server_endpoint())))
     }
     fn connect(&mut self, os: &mut Os<'_, '_>, peer: PeerId) {
         TcpPeer::connect(self, os, peer)
@@ -142,9 +127,21 @@ impl Peer for TcpPeer {
     fn is_relaying(&self, peer: PeerId) -> bool {
         TcpPeer::is_relaying(self, peer)
     }
-    fn registered_at(s: &RendezvousServer, id: PeerId) -> bool {
-        s.tcp_registration(id).is_some()
+    fn registration(s: &RendezvousServer, id: PeerId) -> Option<Endpoint> {
+        s.tcp_registration(id).map(|(public, _)| public)
     }
+}
+
+/// A UDP peer with `edit` applied to its default configuration.
+fn udp(id: PeerId, edit: impl FnOnce(&mut UdpPeerConfig)) -> PeerSetup {
+    let mut c = UdpPeerConfig::new(id, Scenario::server_endpoint());
+    edit(&mut c);
+    PeerSetup::new(UdpPeer::new(c))
+}
+
+/// A UDP peer that gives up instead of relaying when its punch fails.
+fn udp_no_relay(id: PeerId) -> PeerSetup {
+    udp(id, |c| c.punch.relay_fallback = false)
 }
 
 /// A raw host: at each scripted time it delivers one message to one
@@ -215,9 +212,9 @@ fn mute<P: Peer>(id: PeerId) -> PeerSetup {
     raw::<P>(vec![(100, Scenario::server_endpoint(), register)])
 }
 
-fn well_behaved_pair<P: Peer>(seed: u64, a: Opts, b: Opts) -> Scenario {
+fn well_behaved_pair<P: Peer>(seed: u64) -> Scenario {
     let nat = NatBehavior::well_behaved;
-    fig5(seed, nat(), nat(), P::setup(A, a), P::setup(B, b))
+    fig5(seed, nat(), nat(), P::setup(A), P::setup(B))
 }
 
 /// One server, the clients in order: `(ip, Some(nat behaviour) | public, app)`.
@@ -261,7 +258,7 @@ fn data_from(evs: &[Ev], from: PeerId) -> Vec<(&[u8], Via)> {
 // (1) D1: what is asked before `RegisterAck` happens after it, once
 // each, in the order it was asked.
 fn early_calls_replay_once_each_in_call_order<P: Peer>() {
-    let mut sc = well_behaved_pair::<P>(12, Opts::default(), Opts::default());
+    let mut sc = well_behaved_pair::<P>(12);
     sc.world.with_app::<P, _>(sc.a, |p, os| {
         p.connect(os, B);
         p.send(os, B, Bytes::from_static(b"early"));
@@ -300,14 +297,11 @@ fn wrong_nonce_establishes_nothing<P: Peer>() {
         from: B,
         nonce: 0xBAD,
     };
-    let victim = Opts {
-        local_port: VICTIM.port,
-        ..Opts::default()
-    };
+    let to = Endpoint::UNSPECIFIED; // A's endpoint, once S has it
     let mut w = world(
         21,
         vec![
-            (VICTIM.ip, None, P::setup(A, victim)),
+            (VICTIM_IP, None, P::setup(A)),
             (
                 addrs::CLIENT_B,
                 Some(NatBehavior::well_behaved()),
@@ -316,12 +310,18 @@ fn wrong_nonce_establishes_nothing<P: Peer>() {
             (
                 STRANGER_IP,
                 None,
-                raw::<P>(vec![(2500, VICTIM, hello), (2600, VICTIM, ack)]),
+                raw::<P>(vec![(2500, to, hello), (2600, to, ack)]),
             ),
         ],
     );
-    let a = w.clients[0];
+    let (a, stranger) = (w.clients[0], w.clients[2]);
     w.sim.run_for(Duration::from_secs(2));
+    let victim = P::registration(w.app::<RendezvousServer>(w.servers[0]), A).expect("A registered");
+    w.with_app::<Raw, _>(stranger, |r, _| {
+        for step in &mut r.script {
+            step.1 = victim;
+        }
+    });
     w.with_app::<P, _>(a, |p, os| p.connect(os, B));
     assert!(
         !established::<P>(&mut w, a, B, 5),
@@ -348,8 +348,8 @@ fn race_settles_exactly_once<P: Peer>() {
     let mut sc = fig4(
         23,
         NatBehavior::well_behaved(),
-        P::setup(A, Opts::default()),
-        P::setup(B, Opts::default()),
+        P::setup(A),
+        P::setup(B),
     );
     sc.world.sim.run_for(Duration::from_secs(2));
     sc.world.with_app::<P, _>(sc.a, |p, os| p.connect(os, B));
@@ -382,8 +382,8 @@ fn queued_payloads_arrive_in_order<P: Peer>(nat_a: NatBehavior, via: Via) {
         24,
         nat_a,
         NatBehavior::well_behaved(),
-        P::setup(A, Opts::default()),
-        P::setup(B, Opts::default()),
+        P::setup(A),
+        P::setup(B),
     );
     sc.world.sim.run_for(Duration::from_secs(2));
     sc.world.with_app::<P, _>(sc.a, |p, os| {
@@ -420,59 +420,43 @@ fn queued_payloads_arrive_in_order_over_both() {
 }
 
 // (5) D4/D6 on the losing side: a failed punch settles once with no
-// winner, then relays or gives up. Each carrier's event order is pinned
-// as it is, not harmonised.
-fn failed_punch_relays_or_gives_up<P: Peer>() {
-    for no_relay in [false, true] {
-        let opts = Opts {
-            no_relay,
-            ..Opts::default()
-        };
-        let mut sc = fig5(
-            25,
-            NatBehavior::symmetric(),
-            NatBehavior::well_behaved(),
-            P::setup(A, opts.clone()),
-            P::setup(B, opts),
-        );
-        sc.world.sim.run_for(Duration::from_secs(2));
-        sc.world.with_app::<P, _>(sc.a, |p, os| p.connect(os, B));
-        sc.world.sim.run_for(Duration::from_secs(20));
-        let evs: Vec<Ev> = events::<P>(&mut sc.world, sc.a)
-            .into_iter()
-            .filter(|e| *e != Ev::Other)
-            .collect();
-        let expected: Vec<Ev> = if no_relay {
-            vec![Ev::PunchFailed(B), Ev::RaceSettled(B, None)]
-        } else {
-            P::FAILED_THEN_RELAY.iter().map(|e| e(B)).collect()
-        };
-        assert_eq!(evs, expected);
-        let p = sc.world.app::<P>(sc.a);
-        assert_eq!((p.is_relaying(B), p.is_established(B)), (!no_relay, false));
-    }
+// winner, then relays or, with relaying off, gives up. Each carrier's
+// event order is pinned as it is, not harmonised.
+fn failed_punch_settles<P: Peer>(a: PeerSetup, b: PeerSetup, expected: &[fn(PeerId) -> Ev]) {
+    let mut sc = fig5(25, NatBehavior::symmetric(), NatBehavior::well_behaved(), a, b);
+    sc.world.sim.run_for(Duration::from_secs(2));
+    sc.world.with_app::<P, _>(sc.a, |p, os| p.connect(os, B));
+    sc.world.sim.run_for(Duration::from_secs(40));
+    let evs: Vec<Ev> = events::<P>(&mut sc.world, sc.a)
+        .into_iter()
+        .filter(|e| *e != Ev::Other)
+        .collect();
+    let expected: Vec<Ev> = expected.iter().map(|e| e(B)).collect();
+    assert_eq!(evs, expected);
+    let relays = expected.contains(&Ev::RelayActive(B));
+    let p = sc.world.app::<P>(sc.a);
+    assert_eq!((p.is_relaying(B), p.is_established(B)), (relays, false));
 }
 
 #[test]
 fn failed_punch_relays_or_gives_up_over_both() {
-    failed_punch_relays_or_gives_up::<UdpPeer>();
-    failed_punch_relays_or_gives_up::<TcpPeer>();
+    failed_punch_settles::<UdpPeer>(UdpPeer::setup(A), UdpPeer::setup(B), UdpPeer::FAILED_THEN_RELAY);
+    failed_punch_settles::<TcpPeer>(TcpPeer::setup(A), TcpPeer::setup(B), TcpPeer::FAILED_THEN_RELAY);
+    // Only a UDP punch can give up: a TCP punch always relays.
+    let gave_up: &[fn(PeerId) -> Ev] = &[Ev::PunchFailed, |p| Ev::RaceSettled(p, None)];
+    failed_punch_settles::<UdpPeer>(udp_no_relay(A), udp_no_relay(B), gave_up);
 }
 
 // (6) S's refusal names no peer, so it can only be about a session
 // still waiting to be introduced; one that is already racing stays.
 fn error_reply_fails_only_sessions_awaiting_introduction<P: Peer>() {
-    let no_relay = Opts {
-        no_relay: true,
-        ..Opts::default()
-    };
     let mut w = world(
         26,
         vec![
             (
                 addrs::CLIENT_A,
                 Some(NatBehavior::well_behaved()),
-                P::setup(A, no_relay),
+                P::setup(A),
             ),
             (
                 addrs::CLIENT_B,
@@ -493,10 +477,8 @@ fn error_reply_fails_only_sessions_awaiting_introduction<P: Peer>() {
         .into_iter()
         .filter(|e| *e != Ev::Other)
         .collect();
-    assert_eq!(
-        evs,
-        [Ev::PunchFailed(NOBODY), Ev::RaceSettled(NOBODY, None)]
-    );
+    let expected: Vec<Ev> = P::FAILED_THEN_RELAY.iter().map(|e| e(NOBODY)).collect();
+    assert_eq!(evs, expected);
 }
 
 #[test]
@@ -505,10 +487,12 @@ fn error_reply_fails_only_sessions_awaiting_introduction_over_both() {
     error_reply_fails_only_sessions_awaiting_introduction::<TcpPeer>();
 }
 
-// (7) D3: with a fleet, a client's servers are the ring owners of its
-// id — all of them at once over UDP, one at a time over TCP — and no
-// other member ever hears from it.
-fn fleet_homes_are_the_ring_owners<P: Peer>() {
+// (7) D3, over UDP (a TCP peer has the one server): with a fleet, a
+// client's servers are the ring owners of its id, all of them at once,
+// and no other member ever hears from it, not even while an owner
+// restarts.
+#[test]
+fn fleet_homes_are_the_ring_owners_over_udp() {
     let fleet: Vec<Endpoint> = (0..4u8)
         .map(|j| Endpoint::new(Ipv4Addr::new(18, 181, 0, 31 + j), 1234))
         .collect();
@@ -517,25 +501,19 @@ fn fleet_homes_are_the_ring_owners<P: Peer>() {
     for ep in &fleet {
         wb.server(ep.ip, RendezvousServer::new(Default::default()));
     }
-    let opts = Opts {
-        fleet: fleet.clone(),
-        ..Opts::default()
-    };
-    wb.public_client(VICTIM.ip, P::setup(A, opts));
+    wb.public_client(VICTIM_IP, udp(A, |c| c.fleet = fleet.clone()));
     let mut w = wb.build();
     let holders = |w: &World| -> Vec<Endpoint> {
-        let held = |j: &usize| P::registered_at(w.app::<RendezvousServer>(w.servers[*j]), A);
-        (0..4).filter(held).map(|j| fleet[j]).collect()
+        let held = |j: &usize| UdpPeer::registration(w.app::<RendezvousServer>(w.servers[*j]), A);
+        (0..4).filter(|j| held(j).is_some()).map(|j| fleet[j]).collect()
     };
     w.sim.run_for(Duration::from_secs(2));
     let mut seen = holders(&w);
-    // The first owner restarts; a client holding one control connection
-    // (TCP) moves to the next owner, one registered everywhere stays.
     let first = w.servers[fleet
         .iter()
         .position(|ep| *ep == owners[0])
         .expect("owner is a member")];
-    w.with_app::<RendezvousServer, _>(first, |s, os| s.drop_all_clients(os));
+    w.restart(first);
     w.sim.run_for(Duration::from_secs(5));
     seen.extend(holders(&w));
     seen.sort();
@@ -545,76 +523,50 @@ fn fleet_homes_are_the_ring_owners<P: Peer>() {
     assert_eq!(seen, expected, "owners {owners:?}");
 }
 
-#[test]
-fn fleet_homes_are_the_ring_owners_over_both() {
-    fleet_homes_are_the_ring_owners::<UdpPeer>();
-    fleet_homes_are_the_ring_owners::<TcpPeer>();
-}
-
-// D7, regression: a punch that failed with relaying off is a dead end,
+// D7, regression, over UDP (a TCP punch always relays): a punch that
+// failed with relaying off is a dead end,
 // and what the application keeps sending into it goes nowhere — it is
 // not kept, to be delivered by the thousand should the peer turn up
 // later. B's access link loses everything from the start, so S refuses
 // A's request; when the link heals B registers and asks for A itself.
-fn sends_into_a_dead_end_session_are_not_kept<P: Peer>() {
-    let no_relay = Opts {
-        no_relay: true,
-        local_port: VICTIM.port,
-        ..Opts::default()
-    };
+#[test]
+fn sends_into_a_dead_end_session_are_not_kept_over_udp() {
     let mut wb = WorldBuilder::new(28);
     wb.server(addrs::SERVER, RendezvousServer::new(Default::default()));
     let nb = wb.nat(NatBehavior::well_behaved(), addrs::NAT_B);
-    wb.public_client(VICTIM.ip, P::setup(A, no_relay.clone()));
-    wb.client_linked(
-        addrs::CLIENT_B,
-        nb,
-        P::setup(
-            B,
-            Opts {
-                local_port: 0,
-                ..no_relay
-            },
-        ),
-        LinkSpec::lan().with_loss(1.0),
-    );
+    wb.public_client(VICTIM_IP, udp_no_relay(A));
+    wb.client_linked(addrs::CLIENT_B, nb, udp_no_relay(B), LinkSpec::lan().with_loss(1.0));
     let mut w = wb.build();
     let (a, b) = (w.clients[0], w.clients[1]);
     let b_uplink = w.uplink(b);
     w.sim.schedule_link_fault(SimTime::from_secs(10), b_uplink, LinkAction::Set(LinkSpec::lan()));
     w.sim.run_for(Duration::from_secs(2));
-    w.with_app::<P, _>(a, |p, os| p.connect(os, B));
+    w.with_app::<UdpPeer, _>(a, |p, os| p.connect(os, B));
     w.sim.run_for(Duration::from_secs(1));
     assert!(
-        events::<P>(&mut w, a).contains(&Ev::PunchFailed(B)),
+        events::<UdpPeer>(&mut w, a).contains(&Ev::PunchFailed(B)),
         "S does not know B yet"
     );
-    w.with_app::<P, _>(a, |p, os| {
+    w.with_app::<UdpPeer, _>(a, |p, os| {
         for _ in 0..10_000 {
             p.send(os, B, Bytes::from_static(b"into the void"));
         }
     });
     w.sim.run_for(Duration::from_secs(27));
-    w.with_app::<P, _>(b, |p, os| p.connect(os, A));
+    w.with_app::<UdpPeer, _>(b, |p, os| p.connect(os, A));
     assert!(
-        established::<P>(&mut w, b, A, 60),
+        established::<UdpPeer>(&mut w, b, A, 60),
         "B reaches the public A once it is back"
     );
-    assert!(established::<P>(&mut w, a, B, 60));
-    w.with_app::<P, _>(a, |p, os| p.send(os, B, Bytes::from_static(b"hello again")));
+    assert!(established::<UdpPeer>(&mut w, a, B, 60));
+    w.with_app::<UdpPeer, _>(a, |p, os| p.send(os, B, Bytes::from_static(b"hello again")));
     w.sim.run_for(Duration::from_secs(3));
-    let evs = events::<P>(&mut w, b);
+    let evs = events::<UdpPeer>(&mut w, b);
     let got = data_from(&evs, A);
     assert_eq!(
         (got.len(), got.last()),
         (1, Some(&(&b"hello again"[..], Via::Direct)))
     );
-}
-
-#[test]
-fn sends_into_a_dead_end_session_are_not_kept_over_both() {
-    sends_into_a_dead_end_session_are_not_kept::<UdpPeer>();
-    sends_into_a_dead_end_session_are_not_kept::<TcpPeer>();
 }
 
 // Regression: the application chooses a payload's length, so no length
@@ -627,8 +579,8 @@ fn oversize_payloads_are_refused_and_the_session_carries_on<P: Peer>(nat_a: NatB
         29,
         nat_a,
         NatBehavior::well_behaved(),
-        P::setup(A, Opts::default()),
-        P::setup(B, Opts::default()),
+        P::setup(A),
+        P::setup(B),
     );
     sc.world.sim.run_for(Duration::from_secs(2));
     sc.world.with_app::<P, _>(sc.a, |p, os| p.connect(os, B));
@@ -690,9 +642,9 @@ fn reversal_requested_before_registration_stays_a_reversal() {
             (
                 addrs::CLIENT_A,
                 Some(NatBehavior::well_behaved()),
-                TcpPeer::setup(A, Opts::default()),
+                TcpPeer::setup(A),
             ),
-            (VICTIM.ip, None, TcpPeer::setup(B, Opts::default())),
+            (VICTIM_IP, None, TcpPeer::setup(B)),
         ],
     );
     let (a, b) = (w.clients[0], w.clients[1]);

@@ -9,6 +9,8 @@ use punch_transport::{StackConfig, TcpFlavor};
 
 const A: PeerId = PeerId(1);
 const B: PeerId = PeerId(2);
+/// How long a TCP punch runs before it relays (see [`TcpPeerConfig`]).
+const PUNCH_DEADLINE: Duration = Duration::from_secs(30);
 
 fn tcp_setup(id: PeerId, flavor: TcpFlavor) -> PeerSetup {
     PeerSetup::new(TcpPeer::new(TcpPeerConfig::new(
@@ -218,22 +220,17 @@ fn symmetric_nat_tcp_punch_fails_cleanly() {
         tcp_mapping: Some(MappingPolicy::AddressAndPortDependent),
         ..NatBehavior::well_behaved()
     };
-    let cfg = |id| {
-        let mut c = TcpPeerConfig::new(id, Scenario::server_endpoint());
-        c.punch_deadline = Duration::from_secs(15);
-        c
-    };
     let mut sc = fig5(
         34,
         symmetric,
         NatBehavior::well_behaved(),
-        tcp_setup_cfg(cfg(A), TcpFlavor::LinuxWindows),
-        tcp_setup_cfg(cfg(B), TcpFlavor::LinuxWindows),
+        tcp_setup(A, TcpFlavor::LinuxWindows),
+        tcp_setup(B, TcpFlavor::LinuxWindows),
     );
     sc.world.sim.run_for(Duration::from_secs(2));
     sc.world
         .with_app::<TcpPeer, _>(sc.a, |p, os| p.connect(os, B));
-    sc.world.sim.run_for(Duration::from_secs(30));
+    sc.world.sim.run_for(PUNCH_DEADLINE + Duration::from_secs(1));
     let evs = sc
         .world
         .with_app::<TcpPeer, _>(sc.a, |p, _| p.take_events());
@@ -482,24 +479,19 @@ fn tcp_relay_fallback_carries_data_when_punch_fails() {
         tcp_mapping: Some(MappingPolicy::AddressAndPortDependent),
         ..NatBehavior::well_behaved()
     };
-    let cfg = |id| {
-        let mut c = TcpPeerConfig::new(id, Scenario::server_endpoint());
-        c.punch_deadline = Duration::from_secs(10);
-        c
-    };
     let mut sc = fig5(
         60,
         symmetric,
         NatBehavior::well_behaved(),
-        tcp_setup_cfg(cfg(A), TcpFlavor::LinuxWindows),
-        tcp_setup_cfg(cfg(B), TcpFlavor::LinuxWindows),
+        tcp_setup(A, TcpFlavor::LinuxWindows),
+        tcp_setup(B, TcpFlavor::LinuxWindows),
     );
     sc.world.sim.run_for(Duration::from_secs(2));
     sc.world
         .with_app::<TcpPeer, _>(sc.a, |p, os| p.connect(os, B));
     assert!(
         sc.world
-            .run_until_app::<TcpPeer>(sc.a, SimTime::from_secs(30), |p| p.is_relaying(B)),
+            .run_until_app::<TcpPeer>(sc.a, SimTime::from_secs(40), |p| p.is_relaying(B)),
         "relay fallback must engage after the deadline"
     );
     let evs = sc
@@ -603,7 +595,7 @@ fn reconnect_after_a_lost_stream_is_a_fresh_punch_cycle() {
     );
     assert!(run_punch(&mut sc, SimTime::from_secs(30)));
     let first_connect = SimTime::from_secs(2);
-    let deadline = TcpPeerConfig::new(A, Scenario::server_endpoint()).punch_deadline;
+    let deadline = PUNCH_DEADLINE;
 
     // Past the first cycle's deadline, B drops off the network for good
     // and A's next write loses the stream.

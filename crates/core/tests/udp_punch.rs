@@ -600,21 +600,25 @@ impl punch_transport::App for RawSender {
 
 const VICTIM_IP: std::net::Ipv4Addr = std::net::Ipv4Addr::new(99, 1, 1, 1);
 const FORGER_IP: std::net::Ipv4Addr = std::net::Ipv4Addr::new(99, 1, 1, 9);
-const VICTIM_PORT: u16 = 4321;
 const RAW_PORT: u16 = 4000;
+/// How far into the run [`world_with_forger`] hands the world over: A
+/// has registered, so S knows the endpoint the forgeries are aimed at.
+const REGISTERED_MS: u64 = 500;
 
-/// Public client A on a known port, `b` behind NAT B, and a third
-/// public host that fires each of `forged` at A's endpoint every 2 ms
-/// from just before A's `connect` (at 2 s) until 400 ms after it — across
-/// the introduction wait and the start of the race.
+/// Public client A, `b` behind NAT B, and a third public host that
+/// fires each of `forged` at A's endpoint every 2 ms from just before
+/// A's `connect` (2 s after the world is handed over) until 400 ms after
+/// it — across the introduction wait and the start of the race.
 fn world_with_forger(
     seed: u64,
     b: PeerSetup,
     forged: Vec<punch_rendezvous::Message>,
 ) -> (Scenario, punch_net::NodeId) {
-    let victim = punch_net::Endpoint::new(VICTIM_IP, VICTIM_PORT);
     let sends = (0..200u64)
-        .flat_map(|i| forged.iter().map(move |m| (1996 + 2 * i, victim, m.clone())))
+        .flat_map(|i| {
+            let at = REGISTERED_MS + 1996 + 2 * i;
+            forged.iter().map(move |m| (at, punch_net::Endpoint::UNSPECIFIED, m.clone()))
+        })
         .collect();
     let mut wb = punch_lab::WorldBuilder::new(seed);
     wb.server(
@@ -622,9 +626,7 @@ fn world_with_forger(
         punch_rendezvous::RendezvousServer::new(Default::default()),
     );
     let nb = wb.nat(NatBehavior::well_behaved(), addrs::NAT_B);
-    let mut cfg = UdpPeerConfig::new(A, Scenario::server_endpoint());
-    cfg.local_port = VICTIM_PORT;
-    wb.public_client(VICTIM_IP, udp_setup_cfg(cfg));
+    wb.public_client(VICTIM_IP, udp_setup(A));
     wb.client(addrs::CLIENT_B, nb, b);
     wb.public_client(
         FORGER_IP,
@@ -634,8 +636,16 @@ fn world_with_forger(
             received: 0,
         }),
     );
-    let world = wb.build();
+    let mut world = wb.build();
     let forger = world.clients[2];
+    world.sim.run_for(Duration::from_millis(REGISTERED_MS));
+    let server = world.app::<punch_rendezvous::RendezvousServer>(world.servers[0]);
+    let (victim, _) = server.udp_registration(A).expect("A registered");
+    world.with_app::<RawSender, _>(forger, |r, _| {
+        for send in &mut r.sends {
+            send.1 = victim;
+        }
+    });
     let sc = Scenario {
         server: world.servers[0],
         a: world.clients[0],

@@ -7,9 +7,18 @@
 //! also names the counters it exists to reach, so a world that stops
 //! reaching one fails by name rather than by hash.
 //!
-//! The constants were captured while every such event was still written
-//! to the registry inline, next to its `*Stats` field; they must hold
-//! however the snapshot comes to read those counts.
+//! Four more worlds run the recovery timers at their default values and
+//! assert when they fire: a TCP punch that runs out its 30 s deadline
+//! and relays, a data retransmission whose RTO backs off to its 60 s
+//! cap, a resilient UDP session that dies after three missed keepalives
+//! and re-punches without being asked, and a relayed session that the
+//! resilient profile's 5 s relay probe upgrades.
+//!
+//! The first six constants were captured while every such event was
+//! still written to the registry inline, next to its `*Stats` field; the
+//! last four while each of those timers was still a settable field. They
+//! must hold however the snapshot comes to read those counts and however
+//! the timers come to be configured.
 
 use bytes::Bytes;
 use holepunch::{PeerId, TcpPeer, TcpPeerConfig, UdpPeer, UdpPeerConfig};
@@ -17,8 +26,8 @@ use punch_lab::adversary::FloodBot;
 use punch_lab::{addrs, fig5, PeerSetup, Scenario, ShardConfig, ShardedWorld, WorldBuilder};
 use punch_nat::{NatBehavior, TcpUnsolicited};
 use punch_net::{
-    Duration, Endpoint, FaultPlan, LinkSpec, MetricsSnapshot, Packet, TcpFlags, TcpSegment,
-    FAULT_RESTART,
+    Duration, Endpoint, FaultPlan, LinkAction, LinkSpec, MetricsSnapshot, Packet, SimTime,
+    TcpFlags, TcpSegment, FAULT_RESTART,
 };
 use punch_rendezvous::{Message, RendezvousServer, ServerConfig};
 use punch_transport::{App, ConnectOpts, Os, SockEvent, SocketId, StackConfig};
@@ -31,7 +40,7 @@ const C: PeerId = PeerId(3);
 
 /// Every counter the worlds below must reach between them, as
 /// `name` or `name/label`.
-const REACHED: [&str; 29] = [
+const REACHED: [&str; 33] = [
     "net.drop.link_down",
     "net.drop.loss",
     "net.corrupt",
@@ -61,6 +70,10 @@ const REACHED: [&str; 29] = [
     "transport.rst_accepted",
     "transport.rst_rejected",
     "nat.mapping.flushed",
+    "punch.tcp.failed",
+    "punch.tcp.relay_fallback",
+    "punch.session_died/keepalive-timeout",
+    "punch.relay_fallback/max-attempts",
 ];
 
 /// FNV-1a, 64-bit, over the snapshot's JSON.
@@ -104,6 +117,8 @@ enum Act {
     Dial(Endpoint, u16, usize),
     /// Aborts every connection this host dialed.
     AbortAll,
+    /// Sends this many bytes on every connection this host dialed.
+    Send(usize),
 }
 
 /// A host that runs a socket script: one action at each scripted
@@ -112,10 +127,12 @@ struct Raw {
     script: Vec<(u64, Act)>,
     udp: Option<SocketId>,
     dialed: Vec<(SocketId, usize)>,
+    /// When each of this host's connections aborted.
+    aborted: Vec<SimTime>,
 }
 
 fn raw(script: Vec<(u64, Act)>) -> PeerSetup {
-    PeerSetup::new(Raw { script, udp: None, dialed: Vec::new() })
+    PeerSetup::new(Raw { script, udp: None, dialed: Vec::new(), aborted: Vec::new() })
 }
 
 impl App for Raw {
@@ -145,6 +162,11 @@ impl App for Raw {
                     let _ = os.tcp_abort(sock);
                 }
             }
+            Act::Send(len) => {
+                for &(sock, _) in &self.dialed {
+                    let _ = os.tcp_send(sock, vec![7u8; len]);
+                }
+            }
         }
     }
 
@@ -158,6 +180,7 @@ impl App for Raw {
             SockEvent::TcpIncoming { listener } => {
                 while let Ok(Some(_)) = os.tcp_accept(listener) {}
             }
+            SockEvent::TcpAborted { .. } => self.aborted.push(os.now()),
             _ => {}
         }
     }
@@ -383,6 +406,108 @@ fn transport() -> MetricsSnapshot {
     snap
 }
 
+/// TCP peers with the default configuration behind a symmetric NAT A
+/// and a well-behaved NAT B: no SYN gets through, none is refused, and
+/// the punch runs out its 30 s deadline, then relays (§2.2).
+fn tcp_deadline() -> MetricsSnapshot {
+    let nat = NatBehavior::well_behaved();
+    let mut sc = fig5(57, NatBehavior::symmetric(), nat, tcp_peer(A), tcp_peer(B));
+    sc.world.sim.enable_metrics();
+    sc.world.sim.run_for(Duration::from_secs(2));
+    sc.world.with_app::<TcpPeer, _>(sc.a, |p, os| p.connect(os, B));
+    let relaying = |p: &TcpPeer| p.is_relaying(B);
+    assert!(sc.world.run_until_app::<TcpPeer>(sc.a, SimTime::from_secs(60), relaying));
+    assert_eq!(sc.world.sim.now(), SimTime::from_secs(32), "2 s + the 30 s deadline");
+    sc.world.with_app::<TcpPeer, _>(sc.a, |p, os| p.send(os, B, Bytes::from_static(b"relayed")));
+    sc.world.sim.run_for(Duration::from_secs(2));
+    let snap = sc.world.sim.metrics_snapshot();
+    assert_reached("tcp_deadline", &snap, &["punch.tcp.failed", "punch.tcp.relay_fallback"]);
+    snap
+}
+
+/// Raw TCP with a host's usual stack ([`StackConfig::fast`]): Y's
+/// stream to X is up when X's link dies, and Y's next segment is
+/// retransmitted until the connection aborts. The RTO starts at 0.5 s
+/// and doubles to its 60 s cap; the ninth expiry exceeds the eight data
+/// retries.
+fn rto_cap() -> MetricsSnapshot {
+    let x = Endpoint::new(Ipv4Addr::new(99, 2, 2, 1), 80);
+    let mut wb = WorldBuilder::new(58).metrics();
+    wb.public_client(x.ip, raw(vec![(0, Act::Listen(80))]));
+    wb.public_client(
+        Ipv4Addr::new(99, 2, 2, 3),
+        raw(vec![(100, Act::Dial(x, 5001, 0)), (2000, Act::Send(1000))]),
+    );
+    let mut world = wb.build();
+    let (x_node, y_node) = (world.clients[0], world.clients[1]);
+    let x_link = world.uplink(x_node);
+    world.sim.schedule_link_fault(SimTime::from_secs(1), x_link, LinkAction::Down);
+    world.sim.run_for(Duration::from_secs(300));
+    let backoff: u64 = [500, 1000, 2000, 4000, 8000, 16_000, 32_000, 60_000, 60_000].iter().sum();
+    assert_eq!(
+        world.app::<Raw>(y_node).aborted,
+        [SimTime::from_millis(2000 + backoff)],
+        "the RTO doubles from 0.5 s and stops at 60 s"
+    );
+    let snap = world.sim.metrics_snapshot();
+    assert_reached("rto_cap", &snap, &["transport.retransmit", "transport.rto"]);
+    snap
+}
+
+/// Resilient UDP peers punch, then NAT B's uplink goes down for 25 s
+/// while nobody sends. A's session dies after three silent 1 s
+/// keepalive intervals and A re-punches on its own, its volley interval
+/// backing off to the 8 s cap, until the outage ends and the session is
+/// direct again.
+fn repunch() -> MetricsSnapshot {
+    let nat = NatBehavior::well_behaved;
+    let mut sc = fig5(59, nat(), nat(), udp_peer(A), udp_peer(B));
+    sc.world.sim.enable_metrics();
+    sc.world.sim.run_for(Duration::from_secs(2));
+    sc.world.with_app::<UdpPeer, _>(sc.a, |p, os| p.connect(os, B));
+    sc.world.sim.run_for(Duration::from_secs(3));
+    assert!(sc.world.app::<UdpPeer>(sc.a).is_established(B));
+    let b_nat_link = sc.world.uplink(sc.world.nats[1]);
+    let plan = FaultPlan::new().outage(SimTime::from_secs(5), Duration::from_secs(25), b_nat_link);
+    sc.world.apply_faults(&plan);
+    sc.world.sim.run_for(Duration::from_secs(5));
+    let died = |p: &UdpPeer| !p.is_established(B);
+    assert!(sc.world.app::<UdpPeer>(sc.a).stats().repunches > 0, "re-punching within 5 s");
+    assert!(died(sc.world.app::<UdpPeer>(sc.a)));
+    let established = |p: &UdpPeer| p.is_established(B);
+    assert!(sc.world.run_until_app::<UdpPeer>(sc.a, SimTime::from_secs(70), established));
+    sc.world.sim.run_for(Duration::from_secs(2));
+    let snap = sc.world.sim.metrics_snapshot();
+    assert_reached(
+        "repunch",
+        &snap,
+        &["punch.session_died/keepalive-timeout", "punch.repunch", "punch.probes"],
+    );
+    snap
+}
+
+/// Resilient UDP peers with A behind a symmetric NAT: the punch fails
+/// and the pair relays. A's NAT is then fixed, and the next 5 s relay
+/// probe punches and upgrades the session to direct.
+fn relay_probe() -> MetricsSnapshot {
+    let nat = NatBehavior::well_behaved;
+    let mut sc = fig5(60, NatBehavior::symmetric(), nat(), udp_peer(A), udp_peer(B));
+    sc.world.sim.enable_metrics();
+    sc.world.sim.run_for(Duration::from_secs(2));
+    sc.world.with_app::<UdpPeer, _>(sc.a, |p, os| p.connect(os, B));
+    let relaying = |p: &UdpPeer| p.is_relaying(B);
+    assert!(sc.world.run_until_app::<UdpPeer>(sc.a, SimTime::from_secs(120), relaying));
+    let relayed_at = sc.world.sim.now();
+    sc.world.set_nat_behavior(sc.world.nats[0], nat());
+    let established = |p: &UdpPeer| p.is_established(B);
+    assert!(sc.world.run_until_app::<UdpPeer>(sc.a, relayed_at + Duration::from_secs(6), established));
+    assert!(sc.world.sim.now() > relayed_at + Duration::from_secs(5), "not before the first probe");
+    sc.world.sim.run_for(Duration::from_secs(2));
+    let snap = sc.world.sim.metrics_snapshot();
+    assert_reached("relay_probe", &snap, &["punch.relay_fallback/max-attempts", "punch.established"]);
+    snap
+}
+
 #[test]
 fn metrics_snapshots_keep_their_fingerprints() {
     let worlds = [
@@ -392,6 +517,10 @@ fn metrics_snapshots_keep_their_fingerprints() {
         ("server_defenses", server_defenses, SERVER_DEFENSES),
         ("fleet", fleet, FLEET),
         ("transport", transport, TRANSPORT),
+        ("tcp_deadline", tcp_deadline, TCP_DEADLINE),
+        ("rto_cap", rto_cap, RTO_CAP),
+        ("repunch", repunch, REPUNCH),
+        ("relay_probe", relay_probe, RELAY_PROBE),
     ];
     let mut reached = BTreeSet::new();
     let mut moved = Vec::new();
@@ -416,3 +545,9 @@ const TCP_REJECTIONS: u64 = 0xd803_ce06_102d_827a;
 const SERVER_DEFENSES: u64 = 0x843a_3ad4_4948_da86;
 const FLEET: u64 = 0x3c57_c3fc_1f6b_f395;
 const TRANSPORT: u64 = 0x32d9_0e84_955b_bc0d;
+// Captured at commit b57f62f, where each default these worlds run was
+// still a settable configuration field.
+const TCP_DEADLINE: u64 = 0x5673_9fbc_0cf1_6414;
+const RTO_CAP: u64 = 0x524b_f471_176f_8964;
+const REPUNCH: u64 = 0x03a3_555a_edc9_5b10;
+const RELAY_PROBE: u64 = 0x54db_600e_fe37_86ac;

@@ -310,7 +310,8 @@ pub fn lint_tree(root: &Path) -> io::Result<Report> {
         let src = fs::read_to_string(&path)?;
         let rel = rel_str(root, &path);
         let lexed = lex(&src);
-        let fr = rules::lint_lexed(&rel, &lexed);
+        let test_mask = rules::test_token_mask(&lexed.tokens);
+        let fr = rules::lint_lexed(&rel, &lexed, &test_mask);
         report.violations.extend(fr.violations);
         report.suppressed += fr.suppressed;
         for (rule, n) in &fr.suppressed_by_rule {
@@ -318,7 +319,6 @@ pub fn lint_tree(root: &Path) -> io::Result<Report> {
         }
         report.files_scanned += 1;
         allow_by_file.insert(rel.clone(), fr.allow_lines);
-        let test_mask = rules::test_token_mask(&lexed.tokens);
         let parsed = parser::parse(&lexed);
         sources.push(SourceFile {
             path: rel,

@@ -335,15 +335,16 @@ pub struct FileReport {
 /// selects which rules apply (see `scope_for`).
 // punch-lint: allow(S005) crates/lint/tests/fixtures.rs drives every per-file rule through it
 pub fn lint_source(path: &str, src: &str) -> FileReport {
-    lint_lexed(path, &lex(src))
+    let lexed = lex(src);
+    lint_lexed(path, &lexed, &test_token_mask(&lexed.tokens))
 }
 
-/// Lints an already-lexed file (the tree pass lexes once and shares the
-/// tokens with the item parser and the semantic rules).
-pub fn lint_lexed(path: &str, lexed: &Lexed) -> FileReport {
+/// Lints an already-lexed file whose per-token `#[cfg(test)]` mask is
+/// `test_mask` (the tree pass lexes and masks once and shares both with
+/// the item parser and the semantic rules).
+pub fn lint_lexed(path: &str, lexed: &Lexed, test_mask: &[bool]) -> FileReport {
     let scope = scope_for(path);
     let tokens = &lexed.tokens;
-    let test_mask = test_token_mask(tokens);
 
     let mut token_lines: Vec<u32> = tokens.iter().map(|t| t.line).collect();
     token_lines.dedup();

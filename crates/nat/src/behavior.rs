@@ -79,18 +79,6 @@ pub enum Hairpin {
     Full,
 }
 
-/// Whether the device translates ports (NAPT) or only addresses
-/// (Basic NAT) — paper §2.1.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum NatKind {
-    /// Network Address/Port Translation: many private hosts share one
-    /// public IP; session endpoints are rewritten.
-    Napt,
-    /// Basic NAT: one public IP per private host from a pool; port
-    /// numbers pass through unchanged.
-    Basic,
-}
-
 /// Full behavioural configuration of a NAT device.
 ///
 /// # Examples
@@ -105,8 +93,6 @@ pub enum NatKind {
 /// ```
 #[derive(Clone, Debug, PartialEq)]
 pub struct NatBehavior {
-    /// NAPT or Basic NAT.
-    pub kind: NatKind,
     /// Mapping (endpoint translation) policy.
     pub mapping: MappingPolicy,
     /// Optional distinct mapping policy for TCP sessions; `None` means TCP
@@ -173,7 +159,6 @@ impl NatBehavior {
     /// unsolicited SYNs, full hairpin, sane timers.
     pub fn well_behaved() -> Self {
         NatBehavior {
-            kind: NatKind::Napt,
             mapping: MappingPolicy::EndpointIndependent,
             tcp_mapping: None,
             filtering: FilteringPolicy::AddressAndPortDependent,

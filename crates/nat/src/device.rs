@@ -15,9 +15,7 @@
 //! where that can happen (a hairpin whose sender needs room) looks its
 //! target up again afterwards.
 
-use crate::behavior::{
-    Hairpin, MappingPolicy, NatBehavior, NatKind, PortAllocation, TcpUnsolicited,
-};
+use crate::behavior::{Hairpin, MappingPolicy, NatBehavior, PortAllocation, TcpUnsolicited};
 use crate::mangle::rewrite_addr;
 use crate::table::{MapEntry, MapId, NatTables};
 use punch_net::flat::FlatMap;
@@ -61,7 +59,8 @@ pub struct NatStats {
     pub quota_refused: u64,
 }
 
-/// A configurable NAT/NAPT middlebox.
+/// A configurable NAPT middlebox: every private host shares its one
+/// public address (§2.1).
 ///
 /// # Examples
 ///
@@ -73,36 +72,33 @@ pub struct NatStats {
 /// ```
 pub struct NatDevice {
     behavior: NatBehavior,
-    public_ips: Vec<Ipv4Addr>,
+    public_ip: Ipv4Addr,
     tables: NatTables,
     /// Learned private hosts; a home NAT has one to three.
     private_iface: FlatMap<Ipv4Addr, IfaceId>,
-    /// Basic NAT: private IP → pool IP assignment.
-    basic_assign: FlatMap<Ipv4Addr, Ipv4Addr>,
     next_seq_port: u16,
     stats: NatStats,
 }
 
 // One per NAT, boxed into the sim's device table: 40 000 of them in
 // the benchmark's `crowd_udp`.
-const _: () = assert!(std::mem::size_of::<NatDevice>() <= 320);
+const _: () = assert!(std::mem::size_of::<NatDevice>() <= 240);
 
 impl NatDevice {
-    /// Creates a NAT owning the given public address(es). NAPT uses the
-    /// first address; Basic NAT assigns one pool address per private host.
+    /// Creates a NAT owning the one public address in `public_ips`.
     ///
     /// # Panics
     ///
-    /// Panics if `public_ips` is empty.
+    /// Panics unless `public_ips` holds exactly one address.
     pub fn new(behavior: NatBehavior, public_ips: Vec<Ipv4Addr>) -> Self {
-        assert!(!public_ips.is_empty(), "a NAT needs at least one public IP");
+        assert!(public_ips.len() == 1, "a NAT needs exactly one public IP");
+        let public_ip = public_ips[0];
         let next_seq_port = behavior.port_base;
         NatDevice {
             behavior,
-            public_ips,
+            public_ip,
             tables: NatTables::new(),
             private_iface: FlatMap::new(),
-            basic_assign: FlatMap::new(),
             next_seq_port,
             stats: NatStats::default(),
         }
@@ -113,9 +109,9 @@ impl NatDevice {
         &self.behavior
     }
 
-    /// Returns the primary public IP.
+    /// Returns the public IP.
     pub fn public_ip(&self) -> Ipv4Addr {
-        self.public_ips[0]
+        self.public_ip
     }
 
     /// Returns the device counters.
@@ -136,9 +132,9 @@ impl NatDevice {
         self.private_iface.insert(ip, iface);
     }
 
-    /// Reboots the device: every translation, learned host, and pool
-    /// assignment is lost, and the sequential port allocator resumes
-    /// from a shifted base — so sessions that survived in the endpoints'
+    /// Reboots the device: every translation and learned host is lost,
+    /// and the sequential port allocator resumes from a shifted base —
+    /// so sessions that survived in the endpoints'
     /// memory now point at mappings that no longer exist, and fresh
     /// outbound traffic receives *different* public endpoints. This is
     /// the middlebox failure mode that forces peers to re-run hole
@@ -147,7 +143,6 @@ impl NatDevice {
         self.stats.reboots += 1;
         self.tables = NatTables::new();
         self.private_iface = FlatMap::new();
-        self.basic_assign = FlatMap::new();
         // Shift the pool per reboot; a reboot that handed out identical
         // ports again would heal sessions transparently and hide the
         // fault from recovery logic.
@@ -165,8 +160,8 @@ impl NatDevice {
         self.behavior = behavior;
     }
 
-    /// Allocates a public endpoint per the configured policy, or assigns
-    /// a Basic-NAT pool address. `None` when the pool is exhausted.
+    /// Allocates a public port per the configured policy. `None` when
+    /// every port of the public address is in use.
     fn alloc_public(
         &mut self,
         rng: &mut StdRng,
@@ -174,20 +169,7 @@ impl NatDevice {
         private: Endpoint,
     ) -> Option<Endpoint> {
         let (behavior, tables) = (&self.behavior, &self.tables);
-        if behavior.kind == NatKind::Basic {
-            let ip = match self.basic_assign.get(&private.ip) {
-                Some(ip) => *ip,
-                None => {
-                    let used = |ip: &&Ipv4Addr| self.basic_assign.values().any(|u| u == *ip);
-                    let ip = *self.public_ips.iter().find(|ip| !used(ip))?;
-                    self.basic_assign.insert(private.ip, ip);
-                    ip
-                }
-            };
-            let ep = Endpoint::new(ip, private.port);
-            return (!tables.public_in_use(proto, ep)).then_some(ep);
-        }
-        let ip = self.public_ips[0];
+        let ip = self.public_ip;
         let free = |p: u16| !tables.public_in_use(proto, Endpoint::new(ip, p));
         let scan_from = |start: u16| -> Option<u16> {
             let mut p = start;
@@ -469,8 +451,8 @@ impl NatDevice {
         ctx.send(iface, pkt);
     }
 
-    /// Handles a private-side packet addressed to one of the NAT's own
-    /// public IPs (§3.5 hairpin).
+    /// Handles a private-side packet addressed to the NAT's own public
+    /// IP (§3.5 hairpin).
     fn handle_hairpin(&mut self, ctx: &mut Ctx<'_>, in_iface: IfaceId, pkt: Packet) {
         let mode = match pkt.proto() {
             Proto::Udp => self.behavior.hairpin_udp,
@@ -540,7 +522,7 @@ impl Device for NatDevice {
         }
         // Learn which private host lives behind this interface.
         self.private_iface.insert(pkt.src.ip, iface);
-        if self.public_ips.contains(&pkt.dst.ip) {
+        if pkt.dst.ip == self.public_ip {
             self.handle_hairpin(ctx, iface, pkt);
         } else if let Some(&out) = self.private_iface.get(&pkt.dst.ip) {
             // Same-realm traffic: switch locally without translation
@@ -663,33 +645,41 @@ mod tests {
         assert_eq!(mappings(&sim, nat), before);
     }
 
-    /// A Basic NAT with a one-address pool: the second host finds no
-    /// address left, its packet is dropped and nothing is stored for it.
+    #[test]
+    #[should_panic(expected = "exactly one public IP")]
+    fn a_pool_of_addresses_is_refused() {
+        let pool = vec![Ipv4Addr::new(155, 99, 25, 11), Ipv4Addr::new(155, 99, 25, 12)];
+        let _ = NatDevice::new(NatBehavior::well_behaved(), pool);
+    }
+
+    /// A NAPT whose one public address has every port mapped already:
+    /// a new host's packet is dropped with a reason and nothing is
+    /// stored for it.
     #[test]
     fn alloc_failure_propagates() {
-        let mut behavior = NatBehavior::well_behaved();
-        behavior.kind = NatKind::Basic;
         let mut sim = Sim::new(22);
-        let nat = sim.add_node(
-            "nat",
-            Box::new(NatDevice::new(behavior, vec![[155, 99, 25, 11].into()])),
-        );
+        sim.enable_metrics();
+        let public_ip = Ipv4Addr::new(155, 99, 25, 11);
+        let mut dev = NatDevice::new(NatBehavior::well_behaved(), vec![public_ip]);
+        let remote = ep("18.181.0.31:9000");
+        for port in 1024..=u16::MAX {
+            let private = Endpoint::new(Ipv4Addr::new(10, 0, 1, 1), port);
+            let public = Endpoint::new(public_ip, port);
+            let policy = MappingPolicy::EndpointIndependent;
+            let entry = dev.tables.insert(policy, Proto::Udp, private, remote, public, SimTime::ZERO);
+            entry.refresh(SimTime::ZERO, Duration::from_secs(3600));
+        }
+        let full = dev.tables.total_len();
+        let nat = sim.add_node("nat", Box::new(dev));
         let internet = sim.add_node("internet", Box::new(Router::new()));
         sim.connect(nat, internet, LinkSpec::wan());
-        for src in ["10.0.0.1:4321", "10.0.0.2:4321"] {
-            sim.inject(
-                nat,
-                1,
-                Packet::udp(ep(src), ep("18.181.0.31:9000"), b"x".as_ref()),
-            );
-        }
+        sim.inject(nat, 1, Packet::udp(ep("10.0.0.1:4321"), remote, b"x".as_ref()));
         sim.run_for(Duration::from_millis(500));
+        let snap = sim.metrics_snapshot();
+        assert_eq!(snap.counter("net.drop.device", "nat-ports-exhausted"), 1);
         let nat = sim.device::<NatDevice>(nat);
-        assert_eq!(nat.stats().mappings_created, 1);
-        assert_eq!(nat.tables().total_len(), 1);
-        assert!(nat
-            .tables()
-            .iter()
-            .all(|e| e.private == ep("10.0.0.1:4321")));
+        assert_eq!(nat.stats().mappings_created, 0);
+        assert_eq!(nat.tables().total_len(), full);
+        assert!(nat.tables().iter().all(|e| e.private.ip != Ipv4Addr::new(10, 0, 0, 1)));
     }
 }

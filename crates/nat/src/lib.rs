@@ -14,10 +14,11 @@
 //! - **Timers** (§3.6): UDP idle timeouts, TCP state-aware lifetimes.
 //! - **Port allocation**: preserving / sequential / random (the substrate
 //!   for §5.1 port-prediction experiments).
-//! - **NAPT vs Basic NAT** (§2.1).
 //!
-//! [`NatDevice`] plugs into a [`punch_net::Sim`] node: interface 0 is the
-//! public side, later interfaces are private links. [`vendors`] provides
+//! Every device is a NAPT (§2.1): its private hosts share its one public
+//! address, and session endpoints are rewritten. [`NatDevice`] plugs
+//! into a [`punch_net::Sim`] node: interface 0 is the public side, later
+//! interfaces are private links. [`vendors`] provides
 //! per-vendor behaviour distributions calibrated against the paper's
 //! Table 1 for the survey reproduction.
 
@@ -28,7 +29,7 @@ pub mod table;
 pub mod vendors;
 
 pub use behavior::{
-    FilteringPolicy, Hairpin, MappingPolicy, NatBehavior, NatKind, PortAllocation, TcpUnsolicited,
+    FilteringPolicy, Hairpin, MappingPolicy, NatBehavior, PortAllocation, TcpUnsolicited,
 };
 pub use device::{NatDevice, NatStats, PUBLIC_IFACE};
 pub use mangle::rewrite_addr;

@@ -1,9 +1,9 @@
 //! End-to-end NAT device tests: hosts with real stacks on both sides of a
 //! [`NatDevice`], verifying translation, filtering, hairpin, timers,
-//! rejection policies, ICMP handling, and Basic NAT.
+//! rejection policies and ICMP handling.
 
 use bytes::Bytes;
-use punch_nat::{Hairpin, NatBehavior, NatDevice, NatKind, PortAllocation, TcpUnsolicited};
+use punch_nat::{Hairpin, NatBehavior, NatDevice, PortAllocation, TcpUnsolicited};
 use punch_net::{Duration, Endpoint, LinkSpec, Router, Sim, SimTime};
 use punch_transport::{
     App, ConnectOpts, HostDevice, Os, SockEvent, SocketError, SocketId, StackConfig,
@@ -546,67 +546,6 @@ fn payload_mangler_rewrites_private_address_and_obfuscation_defeats_it() {
     // Obfuscated payload passed through untouched.
     assert_eq!(got[1].1.as_ref(), payload_obf.as_slice());
     assert_eq!(sim.device::<NatDevice>(nat).stats().payloads_mangled, 1);
-}
-
-#[test]
-fn basic_nat_assigns_pool_ips_and_preserves_ports() {
-    let behavior = NatBehavior {
-        kind: NatKind::Basic,
-        ..NatBehavior::well_behaved()
-    };
-    let mut sim = Sim::new(7);
-    let pool: Vec<std::net::Ipv4Addr> = vec![
-        "155.99.25.11".parse().unwrap(),
-        "155.99.25.12".parse().unwrap(),
-    ];
-    let nat = sim.add_node("nat", Box::new(NatDevice::new(behavior, pool)));
-    let reflector = sim.add_node(
-        "s",
-        Box::new(HostDevice::new(
-            [18, 181, 0, 31].into(),
-            StackConfig::default(),
-            Box::new(Reflector { port: 9000 }),
-        )),
-    );
-    sim.connect(nat, reflector, LinkSpec::wan());
-    let c1 = sim.add_node(
-        "c1",
-        Box::new(HostDevice::new(
-            [10, 0, 0, 1].into(),
-            StackConfig::default(),
-            Box::new(UdpProbe::new(4321, vec![ep("18.181.0.31:9000")])),
-        )),
-    );
-    let c2 = sim.add_node(
-        "c2",
-        Box::new(HostDevice::new(
-            [10, 0, 0, 2].into(),
-            StackConfig::default(),
-            Box::new(UdpProbe::new(4321, vec![ep("18.181.0.31:9000")])),
-        )),
-    );
-    sim.connect(nat, c1, LinkSpec::lan());
-    sim.connect(nat, c2, LinkSpec::lan());
-    sim.run_for(Duration::from_secs(2));
-    let seen1: Endpoint = String::from_utf8(
-        sim.device::<HostDevice>(c1).app::<UdpProbe>().replies[0]
-            .1
-            .to_vec(),
-    )
-    .unwrap()
-    .parse()
-    .unwrap();
-    let seen2: Endpoint = String::from_utf8(
-        sim.device::<HostDevice>(c2).app::<UdpProbe>().replies[0]
-            .1
-            .to_vec(),
-    )
-    .unwrap()
-    .parse()
-    .unwrap();
-    assert_eq!(seen1.port, 4321, "Basic NAT leaves ports alone");
-    assert_eq!(seen2.port, 4321);
-    assert_ne!(seen1.ip, seen2.ip, "each host gets its own pool address");
 }
 
 #[test]

@@ -1007,22 +1007,6 @@ impl RendezvousServer {
         );
     }
 
-    /// Administratively aborts every client TCP connection and forgets
-    /// the registrations — what clients observe when the server restarts.
-    /// Failure-injection tests drive this; clients must re-register.
-    // punch-lint: allow(S005) failure injection driven by tests/resilience.rs and core/tests/peer_contract.rs
-    pub fn drop_all_clients(&mut self, os: &mut Os<'_, '_>) {
-        let socks: Vec<SocketId> = self.conns.keys().copied().collect();
-        for sock in socks {
-            let _ = os.tcp_abort(sock);
-        }
-        self.conns.clear();
-        self.tcp_clients.clear();
-        self.udp_clients.clear();
-        self.udp_by_ep.clear();
-        self.pending.clear();
-    }
-
     fn drop_conn(&mut self, sock: SocketId) {
         if let Some(conn) = self.conns.remove(&sock) {
             if let Some(peer) = conn.peer {
@@ -1069,11 +1053,17 @@ impl App for RendezvousServer {
     fn on_fault(&mut self, os: &mut Os<'_, '_>, fault: u64) {
         if fault == punch_net::FAULT_RESTART {
             // A restarted server keeps its ports (same bind on boot) but
-            // has an empty registration table; clients discover this only
-            // when their next request goes unanswered or their connection
-            // aborts.
+            // has an empty registration table and no connections; clients
+            // discover this only when their next request goes unanswered
+            // or their connection aborts.
             self.stats.restarts += 1;
-            self.drop_all_clients(os);
+            for sock in std::mem::take(&mut self.conns).into_keys() {
+                let _ = os.tcp_abort(sock);
+            }
+            self.tcp_clients.clear();
+            self.udp_clients.clear();
+            self.udp_by_ep.clear();
+            self.pending.clear();
         }
     }
 

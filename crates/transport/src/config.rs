@@ -1,5 +1,5 @@
 //! Host stack configuration: the tunables a run may change, and the
-//! constants (MSS, SYN retries, ephemeral port range) none does.
+//! constants (MSS, SYN retries, RTO cap, ephemeral port range) none does.
 
 use std::time::Duration;
 
@@ -22,6 +22,8 @@ pub enum TcpFlavor {
 pub(crate) const MSS: usize = 1400;
 /// SYN retransmissions before a connect fails with `TimedOut`.
 pub(crate) const SYN_RETRIES: u32 = 5;
+/// Upper bound on the backed-off retransmission timeout.
+pub(crate) const RTO_MAX: Duration = Duration::from_secs(60);
 /// Inclusive range from which ephemeral ports are drawn (IANA's dynamic
 /// range).
 pub(crate) const EPHEMERAL_PORTS: (u16, u16) = (49152, 65535);
@@ -29,25 +31,24 @@ pub(crate) const EPHEMERAL_PORTS: (u16, u16) = (49152, 65535);
 /// Tunables for a host protocol stack.
 ///
 /// Defaults model a contemporary general-purpose OS
-/// ([`StackConfig::fast`] shrinks the timers for short simulations);
-/// tests assign individual fields to force specific orderings. The MSS
-/// (1400 bytes), SYN retries (5) and ephemeral port range (49152–65535)
-/// are fixed.
+/// ([`StackConfig::fast`] shrinks the initial RTO and TIME-WAIT for
+/// short simulations: the profile is the knob for those two); tests
+/// assign the public fields to force specific orderings. The MSS (1400
+/// bytes), SYN retries (5), RTO cap (60 s) and ephemeral port range
+/// (49152–65535) are fixed.
 #[derive(Clone, Debug)]
 #[non_exhaustive]
 pub struct StackConfig {
     /// OS flavour for the §4.3 SYN-demux ambiguity.
     pub tcp_flavor: TcpFlavor,
     /// Initial retransmission timeout for both SYNs and data.
-    pub rto_initial: Duration,
-    /// Upper bound on the backed-off retransmission timeout.
-    pub rto_max: Duration,
+    pub(crate) rto_initial: Duration,
     /// Data/FIN retransmissions before the connection aborts.
     pub data_retries: u32,
     /// Cap on unacknowledged in-flight bytes (simple fixed window).
     pub send_window: usize,
     /// How long a closed connection lingers in TIME-WAIT (2×MSL).
-    pub time_wait: Duration,
+    pub(crate) time_wait: Duration,
     /// RFC 5961-style RST validation: only a RST whose sequence number
     /// exactly matches `rcv_nxt` tears the connection down; an in-window
     /// RST elicits a challenge ACK and is otherwise ignored. Off by
@@ -61,7 +62,6 @@ impl Default for StackConfig {
         StackConfig {
             tcp_flavor: TcpFlavor::default(),
             rto_initial: Duration::from_secs(1),
-            rto_max: Duration::from_secs(60),
             data_retries: 8,
             send_window: 64 * 1024,
             time_wait: Duration::from_secs(30),

@@ -186,7 +186,7 @@ pub struct HostDevice {
 
 // One per host, boxed into the sim's device table: 40 000 of them in
 // the benchmark's `crowd_udp`.
-const _: () = assert!(std::mem::size_of::<HostDevice>() <= 432);
+const _: () = assert!(std::mem::size_of::<HostDevice>() <= 416);
 
 impl HostDevice {
     /// Creates a host with address `ip` running `app`.

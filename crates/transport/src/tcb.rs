@@ -15,7 +15,7 @@
 //! straddles two buffers is copied, once, into a buffer of its own.
 //! Retransmission resends the `Bytes` the segment first went out with.
 
-use crate::config::{StackConfig, MSS, SYN_RETRIES};
+use crate::config::{StackConfig, MSS, RTO_MAX, SYN_RETRIES};
 use crate::error::SocketError;
 use crate::event::SockEvent;
 use crate::seq;
@@ -454,7 +454,7 @@ impl Tcb {
             // Go-back-N: resend the earliest unacknowledged segment.
             _ => self.retransmit_front(io),
         }
-        self.rto_cur = (self.rto_cur * 2).min(io.cfg.rto_max);
+        self.rto_cur = (self.rto_cur * 2).min(RTO_MAX);
         self.arm_rto(io);
         TcbOutcome::default()
     }
@@ -933,23 +933,18 @@ mod tests {
 
     #[test]
     fn rto_backoff_doubles_and_caps() {
-        let (mut h, mut tcb) = active();
-        h.cfg.rto_max = Duration::from_secs(3);
+        let mut h = Harness::new();
+        h.cfg.rto_initial = Duration::from_secs(16);
+        let (local, remote) = (ep("10.0.0.1:4321"), ep("9.9.9.9:80"));
+        let mut tcb = Tcb::open_active(SocketId(1), local, remote, 1000, false, &h.cfg);
+        tcb.send_syn(&mut h.io());
         let mut delays = Vec::new();
         for _ in 0..4 {
             h.timers.clear();
             tcb.on_rto(&mut h.io());
-            delays.push(h.timers[0].0);
+            delays.push(h.timers[0].0.as_secs());
         }
-        assert_eq!(
-            delays,
-            vec![
-                Duration::from_secs(2),
-                Duration::from_secs(3),
-                Duration::from_secs(3),
-                Duration::from_secs(3)
-            ]
-        );
+        assert_eq!(delays, [32, 60, 60, 60]);
     }
 
     fn established_pair() -> (Harness, Tcb) {

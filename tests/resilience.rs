@@ -113,7 +113,7 @@ fn tcp_peers_survive_rendezvous_restart() {
     assert!(registered(&mut world), "registered before restart");
 
     // Server "restarts".
-    world.with_app::<RendezvousServer, _>(s, |srv, os| srv.drop_all_clients(os));
+    world.restart(s);
     world.sim.run_for(Duration::from_secs(5));
     assert!(registered(&mut world), "client re-registered after the restart");
 
