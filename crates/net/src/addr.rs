@@ -24,7 +24,7 @@ use std::str::FromStr;
 /// ```
 ///
 /// Endpoints order by address octets, then port.
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, PartialEq, Eq)]
 pub struct Endpoint {
     /// IPv4 address.
     pub ip: Ipv4Addr,
@@ -64,6 +64,13 @@ impl Ord for Endpoint {
 impl PartialOrd for Endpoint {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
+    }
+}
+
+// Every `KeyMap` keyed by endpoints hashes the same one integer.
+impl std::hash::Hash for Endpoint {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        state.write_u64(self.key());
     }
 }
 
@@ -212,6 +219,7 @@ impl FromStr for Cidr {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::hash::{BuildHasher, BuildHasherDefault};
 
     #[test]
     fn endpoint_roundtrip() {
@@ -257,6 +265,28 @@ mod tests {
             prop_assert_eq!(x.cmp(&y), expected);
             prop_assert_eq!(x.partial_cmp(&y), Some(expected));
             prop_assert_eq!(x == y, expected.is_eq());
+        }
+
+        /// A `KeyMap` keyed by endpoints finds a key exactly where `==`
+        /// would: two endpoints hash equal when, and only when, they
+        /// compare equal.
+        #[test]
+        fn endpoints_hash_equal_exactly_when_equal(
+            a in (any::<[u8; 4]>(), any::<u16>()),
+            b in (any::<[u8; 4]>(), any::<u16>()),
+            share in 0u8..4,
+        ) {
+            // Equal endpoints, the same address on another port, the
+            // same port on another address, and two unrelated ones.
+            let (b_octets, b_port) = match share {
+                0 => a,
+                1 => (a.0, b.1),
+                2 => (b.0, a.1),
+                _ => b,
+            };
+            let (x, y) = (Endpoint::from(a), Endpoint::from((b_octets, b_port)));
+            let hasher = BuildHasherDefault::<crate::flat::MixHasher>::default();
+            prop_assert_eq!(hasher.hash_one(x) == hasher.hash_one(y), x == y);
         }
     }
 

@@ -1,5 +1,5 @@
 //! Sorted-`Vec` map and set for tables that usually hold a handful of
-//! entries.
+//! entries, and a fixed-hash map for the few that hold a population.
 //!
 //! A population-scale world is made of tens of thousands of nodes that
 //! each own several tables of one to three entries: a host's sockets, a
@@ -20,9 +20,19 @@
 //! the same signatures and return values; `tests/proptest_flat.rs` checks
 //! both against the standard collections over arbitrary op sequences.
 //!
-//! Tables that are genuinely large (the rendezvous server's
-//! registrations, the router's host table, the metrics registry) stay
-//! `BTreeMap`.
+//! A table that holds a whole population and is only ever looked up is
+//! a [`KeyMap`]: the rendezvous server's registrations, 100 000 entries
+//! each in the benchmark's `server_storm`, where a `BTreeMap` search is
+//! a cache miss per level and a hash probe is one. Its hasher is fixed,
+//! so its iteration order depends only on what was inserted and removed,
+//! never on the process; what the server emits never depends on that
+//! order anyway. Other large tables stay `BTreeMap`: the router's host
+//! table (sequential addresses keep its search paths cache-hot), the
+//! metrics registry and the server's connections (both iterated in key
+//! order).
+
+use crate::seed::mix;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Inserts `item` at `i`. The first four entries each grow the buffer by
 /// exactly one slot: `Vec`'s own first growth is to four, which a table
@@ -224,6 +234,35 @@ impl<K: Ord> FlatSet<K> {
             }
             Err(_) => false,
         }
+    }
+}
+
+/// A hash map with a fixed hasher, for large tables that are looked up
+/// and never iterated on an output path; see the [module docs](self).
+/// A fixed hasher lets whoever picks the keys pick ones that share a
+/// probe sequence, so a `KeyMap` holding client-chosen keys needs a cap
+/// on its size (the server's is `max_clients`).
+// punch-lint: allow(D002) fixed `MixHasher`, no `RandomState`: iteration order is a function of the insert/remove history, and the tables are only looked up or reduced to a unique-key minimum
+pub type KeyMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<MixHasher>>;
+
+/// The [`KeyMap`] hasher: folds each integer written into it through
+/// [`mix`]. Every key type in a `KeyMap` writes one `u64`.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct MixHasher(u64);
+
+impl Hasher for MixHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = mix(self.0 ^ n);
     }
 }
 

@@ -19,6 +19,7 @@ use crate::wire::{
     ERR_TABLE_FULL, ERR_UNKNOWN_PEER,
 };
 use bytes::Bytes;
+use punch_net::flat::KeyMap;
 use punch_net::{Counters, Endpoint, MetricKey, SimTime};
 use punch_transport::{App, Os, SockEvent, SocketId};
 use std::collections::BTreeMap;
@@ -255,6 +256,10 @@ struct Reg {
     /// Wall time of the last activity, for the protect-active window
     /// (the relative `seq` ordering cannot express "recent enough").
     last_active: SimTime,
+    /// Whether the UDP reverse index maps `public` to this registration:
+    /// false for TCP, and once another peer registers from `public`. A
+    /// refresh from an indexed endpoint leaves the index alone.
+    indexed: bool,
 }
 
 // A server holds up to `max_clients` of these per table (100 000 in the
@@ -322,15 +327,17 @@ pub struct RendezvousServer {
     udp_sock: Option<SocketId>,
     probe_sock: Option<SocketId>,
     /// Clients registered over UDP; every entry's route is a
-    /// `Route::Udp`.
-    udp_clients: BTreeMap<PeerId, Reg>,
+    /// `Route::Udp`. The three registration tables are only looked up,
+    /// or reduced to a unique minimum, so they are `KeyMap`s.
+    udp_clients: KeyMap<PeerId, Reg>,
     /// Reverse index public endpoint → peer, so a bare UDP keepalive
     /// (which carries no peer id) can refresh its sender's activity
-    /// stamp in O(log n).
-    udp_by_ep: BTreeMap<Endpoint, PeerId>,
+    /// stamp in one probe.
+    udp_by_ep: KeyMap<Endpoint, PeerId>,
     /// Clients registered over TCP; every entry's route is a
     /// `Route::Tcp`.
-    tcp_clients: BTreeMap<PeerId, Reg>,
+    tcp_clients: KeyMap<PeerId, Reg>,
+    /// Ordered: a restart aborts the connections in socket order.
     conns: BTreeMap<SocketId, ConnState>,
     /// Cross-shard introductions in flight, keyed by
     /// `(requester, target, nonce)`.
@@ -342,8 +349,8 @@ pub struct RendezvousServer {
     sweep_above: usize,
     stats: ServerStats,
     /// Monotone activity counter shared by both transports; stamps
-    /// make the eviction victim (unique minimum) independent of
-    /// `BTreeMap` iteration order.
+    /// make the eviction victim (unique minimum) independent of the
+    /// tables' iteration order.
     reg_seq: u64,
 }
 
@@ -367,9 +374,9 @@ impl RendezvousServer {
             cfg,
             udp_sock: None,
             probe_sock: None,
-            udp_clients: BTreeMap::new(),
-            udp_by_ep: BTreeMap::new(),
-            tcp_clients: BTreeMap::new(),
+            udp_clients: KeyMap::default(),
+            udp_by_ep: KeyMap::default(),
+            tcp_clients: KeyMap::default(),
             conns: BTreeMap::new(),
             pending: BTreeMap::new(),
             buckets: BTreeMap::new(),
@@ -396,7 +403,7 @@ impl RendezvousServer {
     }
 
     /// The registration table of one transport.
-    fn table(&mut self, tcp: bool) -> &mut BTreeMap<PeerId, Reg> {
+    fn table(&mut self, tcp: bool) -> &mut KeyMap<PeerId, Reg> {
         if tcp {
             &mut self.tcp_clients
         } else {
@@ -518,8 +525,8 @@ impl RendezvousServer {
 
     /// Makes room for a new registration when its table is full by
     /// evicting the oldest *evictable* entry. The victim is the unique
-    /// minimum `(seq, peer_id)`, so the choice never depends on
-    /// `BTreeMap` iteration order. Returns `false` when every entry is
+    /// minimum `(seq, peer_id)`, so the choice never depends on the
+    /// table's iteration order. Returns `false` when every entry is
     /// protected-active ([`ServerConfig::protect_active`]) — the
     /// newcomer must be refused instead.
     fn make_room(&mut self, os: &mut Os<'_, '_>, tcp: bool) -> bool {
@@ -533,15 +540,15 @@ impl RendezvousServer {
             .iter()
             .filter(|(_, r)| window.is_none_or(|w| now.saturating_since(r.last_active) >= w))
             .min_by_key(|(id, r)| (r.seq, id.0))
-            .map(|(&id, r)| (id, r.route));
-        let Some((id, route)) = victim else {
+            .map(|(&id, r)| (id, r.route, r.indexed));
+        let Some((id, route, indexed)) = victim else {
             self.stats.reg_refused += 1;
             return false;
         };
         self.table(tcp).remove(&id);
         match route {
             Route::Udp(public) => {
-                if self.udp_by_ep.get(&public) == Some(&id) {
+                if indexed {
                     self.udp_by_ep.remove(&public);
                 }
             }
@@ -783,6 +790,7 @@ impl RendezvousServer {
                     private,
                     seq: self.reg_seq,
                     last_active: now,
+                    indexed: !tcp,
                 };
                 // A refresh overwrites its record where the one search
                 // finds it; only a newcomer needs room made.
@@ -809,16 +817,23 @@ impl RendezvousServer {
                 // Point the route's reverse index at the peer, so a
                 // keepalive (which carries no id) finds it.
                 match via {
+                    // A refresh from the endpoint the index holds for it
+                    // leaves the index alone.
+                    Route::Udp(from) if old.is_some_and(|o| o.public == from && o.indexed) => {}
                     Route::Udp(from) => {
                         // Re-registration from a new mapping: retire the
                         // old endpoint's entry (unless another peer has
                         // since claimed that endpoint).
-                        if let Some(old) = old {
-                            if old.public != from && self.udp_by_ep.get(&old.public) == Some(&peer_id) {
-                                self.udp_by_ep.remove(&old.public);
+                        if let Some(old) = old.filter(|o| o.indexed) {
+                            self.udp_by_ep.remove(&old.public);
+                        }
+                        // A peer that held `from` until now is no longer
+                        // indexed.
+                        if let Some(prev) = self.udp_by_ep.insert(from, peer_id) {
+                            if let Some(reg) = self.udp_clients.get_mut(&prev) {
+                                reg.indexed = false;
                             }
                         }
-                        self.udp_by_ep.insert(from, peer_id);
                     }
                     Route::Tcp(sock) => {
                         if let Some(conn) = self.conns.get_mut(&sock) {

@@ -6,14 +6,24 @@
 //! Every client sits on its own public host and uses local port
 //! [`PORT`] on either transport, so the endpoints the server observes —
 //! and therefore the expected messages — do not depend on the transport.
+//!
+//! The last case holds the registration tables to a reference model:
+//! seeded datagram sequences injected into one capped server, every
+//! reply, counter and table slot compared after each.
 
 use bytes::Bytes;
-use punch_net::{Cidr, Duration, Endpoint, LinkSpec, NodeId, Router, Sim};
+use punch_net::testutil::SinkDevice;
+use punch_net::{
+    Body, Cidr, Duration, Endpoint, LinkSpec, NodeId, Packet, Router, Sim, SimTime, FAULT_RESTART,
+};
 use punch_rendezvous::{
     encode_frame, ring, FrameBuf, Message, PeerId, RendezvousServer, ServerConfig, ServerStats,
     ERR_TABLE_FULL, ERR_UNKNOWN_PEER,
 };
 use punch_transport::{App, ConnectOpts, HostDevice, Os, SockEvent, SocketId, StackConfig};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 const PORT: u16 = 4000;
@@ -571,4 +581,233 @@ fn fleet_forwards_relay_to_the_owner() {
         assert_eq!(lab.metric("rendezvous.forward", "relay"), 1, "{t:?}");
         assert_eq!(lab.metric("rendezvous.relay.msgs", t.label()), 1, "{t:?}");
     }
+}
+
+/// The registration rules of one capped, standalone server, restated
+/// over plain `BTreeMap`s: what every reply, every counter and every
+/// table slot must be after each datagram, whatever the server keeps
+/// its tables in.
+struct Model {
+    max: usize,
+    window: Option<Duration>,
+    /// Peer id → (public, private, activity stamp, last activity).
+    regs: BTreeMap<u64, (Endpoint, Endpoint, u64, SimTime)>,
+    by_ep: BTreeMap<Endpoint, u64>,
+    seq: u64,
+    stats: ServerStats,
+    /// How often each of [`CASES`] was reached.
+    seen: BTreeMap<&'static str, u64>,
+}
+
+/// What the seeded sequences must reach between them.
+const CASES: [&str; 8] = [
+    "refresh",
+    "move off an endpoint another peer holds",
+    "ping through the reverse index",
+    "connect to a known target",
+    "connect to an unknown target",
+    "eviction",
+    "refusal",
+    "restart",
+];
+
+impl Model {
+    fn new(max: usize, window: Option<Duration>) -> Self {
+        Model {
+            max,
+            window,
+            regs: BTreeMap::new(),
+            by_ep: BTreeMap::new(),
+            seq: 0,
+            stats: ServerStats::default(),
+            seen: BTreeMap::new(),
+        }
+    }
+
+    fn saw(&mut self, case: &'static str) {
+        *self.seen.entry(case).or_default() += 1;
+    }
+
+    fn touch(&mut self, id: u64, now: SimTime) -> Option<(Endpoint, Endpoint)> {
+        let reg = self.regs.get_mut(&id)?;
+        (reg.2, reg.3) = (self.seq, now);
+        self.seq += 1;
+        Some((reg.0, reg.1))
+    }
+
+    /// The replies to one request from `from` at `now`, in send order.
+    fn serve(&mut self, now: SimTime, from: Endpoint, msg: &Message) -> Vec<(Endpoint, Message)> {
+        let unknown = (from, UNKNOWN);
+        match *msg {
+            Message::Register { peer_id, private } => {
+                let id = peer_id.0;
+                let old = self.regs.get(&id).map(|r| r.0);
+                if old.is_none() && self.regs.len() >= self.max {
+                    let window = self.window;
+                    let victim = self
+                        .regs
+                        .iter()
+                        .filter(|(_, r)| window.is_none_or(|w| now.saturating_since(r.3) >= w))
+                        .min_by_key(|(id, r)| (r.2, **id))
+                        .map(|(&id, r)| (id, r.0));
+                    let Some((victim, public)) = victim else {
+                        self.stats.reg_refused += 1;
+                        self.saw("refusal");
+                        return vec![(from, Message::ErrorReply { code: ERR_TABLE_FULL })];
+                    };
+                    self.regs.remove(&victim);
+                    if self.by_ep.get(&public) == Some(&victim) {
+                        self.by_ep.remove(&public);
+                    }
+                    self.stats.evictions += 1;
+                    self.saw("eviction");
+                }
+                self.regs.insert(id, (from, private, self.seq, now));
+                self.seq += 1;
+                match old {
+                    Some(old) if old != from => {
+                        if self.by_ep.get(&old) == Some(&id) {
+                            self.by_ep.remove(&old);
+                        } else {
+                            self.saw("move off an endpoint another peer holds");
+                        }
+                    }
+                    Some(_) => self.saw("refresh"),
+                    None => {}
+                }
+                self.by_ep.insert(from, id);
+                self.stats.registrations += 1;
+                vec![(from, Message::RegisterAck { public: from })]
+            }
+            Message::ConnectRequest { peer_id, target, nonce } => {
+                let Some((req_public, req_private)) = self.touch(peer_id.0, now) else {
+                    self.stats.errors += 1;
+                    return vec![unknown];
+                };
+                let Some(&(tgt_public, tgt_private, ..)) = self.regs.get(&target.0) else {
+                    self.stats.errors += 1;
+                    self.saw("connect to an unknown target");
+                    return vec![unknown];
+                };
+                self.stats.introductions += 1;
+                self.saw("connect to a known target");
+                let half = |peer, public, private, initiator| Message::Introduce {
+                    peer,
+                    public,
+                    private,
+                    nonce,
+                    initiator,
+                };
+                vec![
+                    (req_public, half(target, tgt_public, tgt_private, true)),
+                    (tgt_public, half(peer_id, req_public, req_private, false)),
+                ]
+            }
+            Message::Ping => {
+                if let Some(id) = self.by_ep.get(&from).copied() {
+                    self.touch(id, now);
+                    self.saw("ping through the reverse index");
+                }
+                vec![(from, Message::Pong)]
+            }
+            _ => unreachable!("the sequences send only these three requests"),
+        }
+    }
+
+    fn restart(&mut self) {
+        self.regs.clear();
+        self.by_ep.clear();
+        self.stats.restarts += 1;
+        self.saw("restart");
+    }
+}
+
+/// Drives one server capped at `max` registrations through `steps`
+/// seeded UDP requests (and the odd `FAULT_RESTART`), injected straight
+/// into its host, and checks every reply, every `ServerStats` field and
+/// every table slot against [`Model`] after each one.
+fn run_against_model(seed: u64, max: usize, window: Option<Duration>, steps: u64) -> Model {
+    const IDS: u64 = 8;
+    let mut rng = StdRng::seed_from_u64(seed);
+    // Three addresses with two ports each: endpoints that share an
+    // address but not a port must stay distinct keys.
+    let pool: Vec<Endpoint> = (0..6u8)
+        .map(|i| Endpoint::new(Ipv4Addr::new(99, 1, 1, 1 + i / 2), 4000 + u16::from(i % 2)))
+        .collect();
+    let mut cfg = ServerConfig::default().with_max_clients(max);
+    if let Some(w) = window {
+        cfg = cfg.with_protect_active(w);
+    }
+    let s = server_ep(0);
+    let mut sim = Sim::new(seed);
+    let host = HostDevice::new(s.ip, StackConfig::default(), Box::new(RendezvousServer::new(cfg)));
+    let server = sim.add_node("server", Box::new(host));
+    let sink = sim.add_node("sink", Box::new(SinkDevice::default()));
+    let (iface, _) = sim.connect(server, sink, LinkSpec::new(Duration::from_millis(1)));
+    sim.run_for(Duration::from_millis(1));
+    let mut model = Model::new(max, window);
+    let mut replies = 0;
+    for step in 0..steps {
+        let now = sim.now();
+        let from = pool[rng.gen_range(0..pool.len())];
+        let peer_id = PeerId(rng.gen_range(1..=IDS));
+        let roll = rng.gen_range(0..100u32);
+        let expected = if roll < 2 {
+            sim.schedule_device_fault(now, server, FAULT_RESTART);
+            model.restart();
+            Vec::new()
+        } else {
+            let msg = match roll {
+                2..=44 => Message::Register {
+                    peer_id,
+                    private: Endpoint::new(Ipv4Addr::new(10, 0, 0, rng.gen_range(1..=3)), 4321),
+                },
+                45..=79 => Message::ConnectRequest {
+                    peer_id,
+                    // Ids past IDS are never registered.
+                    target: PeerId(rng.gen_range(1..=IDS + 2)),
+                    nonce: step,
+                },
+                _ => Message::Ping,
+            };
+            sim.inject(server, iface, Packet::udp(from, s, msg.encode(true)));
+            model.serve(now, from, &msg)
+        };
+        sim.run_for(Duration::from_millis(rng.gen_range(2..=20)));
+        let got: Vec<(Endpoint, Message)> = sim.device::<SinkDevice>(sink).packets[replies..]
+            .iter()
+            .map(|(_, pkt)| {
+                let Body::Udp(data) = &pkt.body else {
+                    panic!("seed {seed} step {step}: a reply that is not a datagram");
+                };
+                (pkt.dst, Message::decode(data).expect("server reply decodes"))
+            })
+            .collect();
+        replies += got.len();
+        assert_eq!(got, expected, "seed {seed} step {step}");
+        let app: &RendezvousServer = sim.device::<HostDevice>(server).app();
+        assert_eq!(
+            format!("{:?}", app.stats()),
+            format!("{:?}", model.stats),
+            "seed {seed} step {step}"
+        );
+        for id in 1..=IDS + 2 {
+            let slot = model.regs.get(&id).map(|r| (r.0, r.1));
+            assert_eq!(app.udp_registration(PeerId(id)), slot, "seed {seed} step {step} peer{id}");
+            assert_eq!(app.tcp_registration(PeerId(id)), None);
+        }
+    }
+    model
+}
+
+#[test]
+fn a_capped_server_answers_seeded_requests_as_the_reference_model_does() {
+    let mut seen = BTreeMap::new();
+    for seed in 0..24 {
+        for window in [None, Some(Duration::from_millis(50))] {
+            seen.extend(run_against_model(seed, 4, window, 240).seen);
+        }
+    }
+    let unreached: Vec<&str> = CASES.into_iter().filter(|c| !seen.contains_key(c)).collect();
+    assert!(unreached.is_empty(), "unreached: {unreached:?}");
 }

@@ -145,17 +145,17 @@ if grep '^ *trace\.replica_matches' "$tmp/smoke.txt" | grep -v ' 1\.000000 count
     exit 1
 fi
 
-echo "== memory gates: full-size fleet_churn peaks under 60 MiB, server_storm under 55, crowd_udp under 205 =="
+echo "== memory gates: full-size fleet_churn peaks under 60 MiB, server_storm under 52, crowd_udp under 205 =="
 # fleet_churn is 10 MiB once built and ran to 143 MiB while drained
 # event-queue buckets kept their buffers (24 MiB without); retention
 # coming back is a red build.
 peak_rss_under fleet_churn 60
-# server_storm (52 MiB) injects 150 000 datagrams at one instant: one
+# server_storm (49 MiB) injects 150 000 datagrams at one instant: one
 # queue entry per burst (its packets chained through the arena), so its
 # queue never holds more than 64 entries and never builds a wheel, slab
-# or working set. A queue entry per datagram again reads 57 MiB, and no
-# test sees it.
-peak_rss_under server_storm 55
+# or working set. A queue entry per datagram again adds about 5 MiB, and
+# no test sees it.
+peak_rss_under server_storm 52
 # crowd_udp (180 MiB, 80 008 nodes) is where the queue's retention would
 # show: its slab keeps the most entries the wheel ever held and its
 # working set the capacity of its largest day.
