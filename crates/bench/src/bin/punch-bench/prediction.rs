@@ -16,17 +16,13 @@ pub fn run(_: &Flags) -> Result<Run, String> {
 
     out += "  window sweep (sequential allocator, quiet NAT):\n";
     for window in [0u16, 1, 2, 5, 10] {
-        let rate = if window == 0 {
-            // Window 0 degenerates to the basic strategy.
-            prediction_rate(9000, n, PortAllocation::Sequential, 1, None) * 0.0
+        // Window 0 is the basic plan, measured on seeds of its own.
+        let (label, base_seed) = if window == 0 {
+            ("basic (no prediction)", 9000)
         } else {
-            prediction_rate(1000, n, PortAllocation::Sequential, window, None)
+            ("predict", 1000)
         };
-        let label = if window == 0 {
-            "basic (no prediction)"
-        } else {
-            "predict"
-        };
+        let rate = prediction_rate(base_seed, n, PortAllocation::Sequential, window, None);
         out += &format!(
             "    {label:<22} window {window:>2} -> {:>5.0}%\n",
             rate * 100.0

@@ -241,8 +241,9 @@ impl App for Chatterer {
 }
 
 /// One E9 trial: symmetric NAT on A's side with the given allocator;
-/// port-prediction punch with `window`; optional competing traffic
-/// behind A's NAT. Returns whether a direct session formed.
+/// port-prediction punch with `window` (0: the basic plan, no
+/// prediction); optional competing traffic behind A's NAT. Returns
+/// whether a direct session formed.
 fn prediction_trial(
     seed: u64,
     alloc: PortAllocation,
@@ -250,16 +251,16 @@ fn prediction_trial(
     chatter: Option<Duration>,
 ) -> bool {
     let server = Scenario::server_endpoint();
+    let plan = if window == 0 {
+        CandidatePlan::basic()
+    } else {
+        CandidatePlan::basic().with_source(CandidateSource::SelfPredicted(
+            PredictionStrategy::SequentialDelta { window },
+        ))
+    };
     let mk = |id: PeerId| {
         let mut c = UdpPeerConfig::new(id, server);
-        c.punch = c
-            .punch
-            .clone()
-            .with_plan(
-                CandidatePlan::basic().with_source(CandidateSource::SelfPredicted(
-                    PredictionStrategy::SequentialDelta { window },
-                )),
-            );
+        c.punch = c.punch.clone().with_plan(plan.clone());
         c.punch.relay_fallback = false;
         PeerSetup::new(UdpPeer::new(c))
     };

@@ -50,8 +50,8 @@ impl CandidateKind {
     }
 }
 
-/// How predicted-port candidates are generated from the classifier's
-/// measurements (probe-port observation and allocation stride, §5.1).
+/// How predicted-port candidates are generated from the peer's
+/// probe-port measurements (observed port and allocation stride, §5.1).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PredictionStrategy {
     /// The paper's §5.1 trick, generalized: the next `window` ports at
@@ -90,7 +90,7 @@ impl PredictionStrategy {
     }
 
     /// Append this strategy's predicted ports to `out`, given the
-    /// classifier's measurements. Ports below 1024 are skipped — NATs
+    /// peer's probe-port measurements. Ports below 1024 are skipped — NATs
     /// do not allocate in the privileged range.
     fn ports(
         self,

@@ -17,8 +17,6 @@
 //!   (§4.3); simultaneous-open handling (§4.4); the §4.5 sequential
 //!   variant ([`TcpPunchMode::Sequential`]); and connection reversal
 //!   (§2.3).
-//! - [`Classifier`] — STUN-style mapping classification, the substrate
-//!   for port prediction.
 //! - [`CandidatePlan`] — the composable candidate-set racing engine both
 //!   endpoints share: which endpoints to race (private, public,
 //!   predicted-port windows from pluggable [`PredictionStrategy`]
@@ -27,7 +25,6 @@
 //! See the repository examples for complete programs.
 
 pub mod candidates;
-pub mod classify;
 pub mod config;
 pub mod events;
 pub(crate) mod relay;
@@ -39,7 +36,6 @@ pub mod udp;
 pub use candidates::{
     CandidateKind, CandidatePlan, CandidateSource, CandidateStamp, PredictionStrategy,
 };
-pub use classify::{Classifier, MappingVerdict, NatReport};
 pub use config::{PunchConfig, TcpPeerConfig, TcpPunchMode, UdpPeerConfig};
 pub use events::{TcpPath, TcpPeerEvent, UdpPeerEvent, Via};
 pub use tcp::{TcpPeer, TcpPeerStats};

@@ -552,7 +552,7 @@ impl UdpPeer {
     }
 
     /// Ports this NAT is predicted to allocate next, from the plan's
-    /// prediction strategies and the classifier's measurements (§5.1,
+    /// prediction strategies and the probe-port measurements (§5.1,
     /// generalized).
     fn predicted_own_ports(&self) -> Vec<u16> {
         self.cfg.punch.plan.predicted_ports(

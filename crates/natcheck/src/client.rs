@@ -99,7 +99,6 @@ pub struct NatCheckClient {
     udp_hairpin_echoed: bool,
     hairpin_probe_sent: bool,
     // TCP state.
-    listener: Option<SocketId>,
     local_tcp_port: u16,
     conn1: Option<SocketId>,
     conn2: Option<SocketId>,
@@ -134,7 +133,6 @@ impl NatCheckClient {
             udp_from3: false,
             udp_hairpin_echoed: false,
             hairpin_probe_sent: false,
-            listener: None,
             local_tcp_port: 0,
             conn1: None,
             conn2: None,
@@ -214,7 +212,6 @@ impl NatCheckClient {
     fn start_tcp(&mut self, os: &mut Os<'_, '_>) {
         let listener = os.tcp_listen(0, true).expect("ephemeral tcp port"); // punch-lint: allow(P001) fresh sim host always has a free ephemeral port
         self.local_tcp_port = os.local_endpoint(listener).expect("bound").port; // punch-lint: allow(P001) listener bound on the previous line
-        self.listener = Some(listener);
         let opts = ConnectOpts {
             local_port: Some(self.local_tcp_port),
             reuse: true,

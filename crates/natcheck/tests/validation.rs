@@ -2,11 +2,33 @@
 //! *known* configurations and confirm its verdicts; E15: the §6.3
 //! hairpin-pessimism caveat.
 
-use punch_nat::{FilteringPolicy, Hairpin, NatBehavior, TcpUnsolicited};
+use punch_nat::{
+    FilteringPolicy, Hairpin, MappingPolicy, NatBehavior, PortAllocation, TcpUnsolicited,
+};
 use punch_natcheck::check_nat;
+
+/// Seeds the mapping and stride cases are measured at.
+const SEEDS: [u64; 5] = [2, 3, 4, 5, 9];
 
 #[test]
 fn well_behaved_nat_passes_everything() {
+    // Every cone NAT maps one private endpoint to one public endpoint,
+    // whatever the seed: consistent, with a zero stride.
+    for behavior in [
+        NatBehavior::well_behaved(),
+        NatBehavior::full_cone(),
+        NatBehavior::restricted_cone(),
+    ] {
+        for seed in SEEDS {
+            let report = check_nat(behavior.clone(), seed);
+            assert_eq!(
+                report.udp_consistent,
+                Some(true),
+                "{behavior:?} seed {seed}"
+            );
+            assert_eq!(report.udp_alloc_delta, Some(0), "{behavior:?} seed {seed}");
+        }
+    }
     let report = check_nat(NatBehavior::well_behaved(), 1);
     assert_eq!(report.udp_hole_punching(), Some(true));
     assert_eq!(
@@ -43,6 +65,47 @@ fn symmetric_nat_fails_consistency_checks() {
         Some(o2.port as i32 - o1.port as i32)
     );
     assert_ne!(report.udp_alloc_delta, Some(0), "symmetric stride is nonzero");
+
+    // A new mapping per server IP or per server endpoint: both are
+    // inconsistent, and a sequential allocator shows the §5.1 stride +1
+    // at every seed.
+    let address_dependent = NatBehavior {
+        mapping: MappingPolicy::AddressDependent,
+        ..NatBehavior::well_behaved()
+    };
+    let sequential = NatBehavior::symmetric().with_port_alloc(PortAllocation::Sequential);
+    for behavior in [sequential, address_dependent] {
+        for seed in SEEDS {
+            let report = check_nat(behavior.clone(), seed);
+            assert_eq!(
+                report.udp_consistent,
+                Some(false),
+                "{behavior:?} seed {seed}"
+            );
+            assert_eq!(report.udp_alloc_delta, Some(1), "{behavior:?} seed {seed}");
+        }
+    }
+
+    // A random allocator is just as inconsistent, but its stride is a
+    // different nonzero number at each seed: nothing to predict from.
+    let random = NatBehavior::symmetric().with_port_alloc(PortAllocation::Random);
+    let mut strides: Vec<i32> = SEEDS
+        .iter()
+        .map(|&seed| {
+            let report = check_nat(random.clone(), seed);
+            assert_eq!(report.udp_consistent, Some(false), "random seed {seed}");
+            let stride = report.udp_alloc_delta.expect("both servers answered");
+            assert_ne!(stride, 0, "random seed {seed}");
+            stride
+        })
+        .collect();
+    strides.sort_unstable();
+    strides.dedup();
+    assert_eq!(
+        strides.len(),
+        SEEDS.len(),
+        "one stride per seed: {strides:?}"
+    );
 }
 
 #[test]

@@ -1,70 +1,45 @@
-//! Classify a NAT's mapping behaviour from behind it (the §5.1 probing
-//! prerequisite for port prediction), STUN-style, against two rendezvous
-//! servers.
+//! Classify a NAT's mapping behaviour from behind it with NAT Check
+//! (§6.1), and decide whether §5.1 port prediction is viable against it.
+//! A stride is predictable only when two runs at different seeds measure
+//! the same nonzero stride.
 //!
 //! Run with: `cargo run --example classify_nat`
 
-use p2p_punch::lab::{PeerSetup, WorldBuilder};
+use p2p_punch::natcheck::check_nat;
 use p2p_punch::prelude::*;
-use p2p_punch::punch::{Classifier, MappingVerdict};
-use std::net::Ipv4Addr;
 
-const S1: Ipv4Addr = Ipv4Addr::new(18, 181, 0, 31);
-const S2: Ipv4Addr = Ipv4Addr::new(64, 15, 12, 2);
+/// The two NAT Check runs whose strides must agree.
+const SEEDS: [u64; 2] = [9, 10];
 
-fn classify(label: &str, nat: Option<NatBehavior>) {
-    let servers: Vec<Endpoint> = vec![Endpoint::new(S1, 1234), Endpoint::new(S2, 1234)];
-    let mut wb = WorldBuilder::new(9);
-    wb.server(S1, RendezvousServer::new(ServerConfig::default()));
-    wb.server(S2, RendezvousServer::new(ServerConfig::default()));
-    let idx = match nat {
-        Some(behavior) => {
-            let n = wb.nat(behavior, "155.99.25.11".parse().unwrap());
-            wb.client(
-                "10.0.0.1".parse().unwrap(),
-                n,
-                PeerSetup::new(Classifier::new(servers)),
-            )
+fn classify(label: &str, nat: NatBehavior) {
+    let reports = SEEDS.map(|seed| check_nat(nat.clone(), seed));
+    let [a, b] = reports;
+    let verdict = match (a.udp_consistent, a.udp_alloc_delta, b.udp_alloc_delta) {
+        (Some(true), ..) => "cone NAT — hole punching will work (§5.1)".to_string(),
+        (Some(false), Some(d), Some(e)) if d == e && d != 0 => {
+            format!("symmetric NAT, port delta {d:+} — predictable, prediction viable")
         }
-        None => wb.public_client(
-            "99.1.1.1".parse().unwrap(),
-            PeerSetup::new(Classifier::new(servers)),
-        ),
-    };
-    let mut world = wb.build();
-    let node = world.clients[idx];
-    world.run_until_app::<Classifier>(node, SimTime::from_secs(30), |c| c.report().is_some());
-    let report = world
-        .app::<Classifier>(node)
-        .report()
-        .expect("finished")
-        .clone();
-    let verdict = match report.mapping {
-        MappingVerdict::NoNat => "no NAT (publicly reachable)".to_string(),
-        MappingVerdict::EndpointIndependent => "cone NAT — hole punching will work (§5.1)".into(),
-        MappingVerdict::AddressDependent => "address-dependent mapping".into(),
-        MappingVerdict::AddressAndPortDependent => match report.delta {
-            Some(d) => format!("symmetric NAT, port delta {d:+} — predictable, prediction viable"),
-            None => "symmetric NAT, no stable delta — prediction hopeless".into(),
-        },
-        MappingVerdict::Unknown => "unknown (probes lost)".into(),
+        (Some(false), ..) => "symmetric NAT, no stable delta — prediction hopeless".into(),
+        (None, ..) => "unknown (NAT Check did not finish)".into(),
     };
     println!("{label:<42} -> {verdict}");
-    for (via, seen) in &report.observations {
-        println!("    probe via {via:<18} observed {seen}");
+    for (seed, report) in SEEDS.iter().zip(reports) {
+        if let Some((s1, s2)) = report.udp_public {
+            println!("    seed {seed:<2}  server 1 observed {s1:<20} server 2 observed {s2}");
+        }
     }
 }
 
 fn main() {
-    println!("STUN-style classification against two servers (2 ports each):\n");
-    classify("no NAT", None);
-    classify("well-behaved cone NAT", Some(NatBehavior::well_behaved()));
+    println!("NAT Check's UDP consistency test, twice per NAT:\n");
+    classify("well-behaved cone NAT", NatBehavior::well_behaved());
+    classify("full-cone NAT", NatBehavior::full_cone());
     classify(
         "symmetric NAT, sequential ports",
-        Some(NatBehavior::symmetric().with_port_alloc(PortAllocation::Sequential)),
+        NatBehavior::symmetric().with_port_alloc(PortAllocation::Sequential),
     );
     classify(
         "symmetric NAT, random ports",
-        Some(NatBehavior::symmetric().with_port_alloc(PortAllocation::Random)),
+        NatBehavior::symmetric().with_port_alloc(PortAllocation::Random),
     );
 }
