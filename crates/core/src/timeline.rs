@@ -15,8 +15,6 @@
 //!   endpoints (§3.2 step 2).
 //! - `first_probe` — the first authentication probe of the first volley
 //!   left this endpoint.
-//! - `hole_punched` — the first authenticated probe or ack *arrived*,
-//!   proving the inbound path through both NATs works (§3.2 step 3).
 //! - `established` — the session locked in on a direct endpoint.
 //! - `relay_fallback` — the punch gave up and traffic switched to the
 //!   relay (§2.2).
@@ -47,8 +45,6 @@ pub struct PunchTimeline {
     pub introduced: Option<SimTime>,
     /// First probe of the punch sprayed at the peer's candidates.
     pub first_probe: Option<SimTime>,
-    /// First authenticated probe or ack received from the peer.
-    pub hole_punched: Option<SimTime>,
     /// Session established on a direct path.
     pub established: Option<SimTime>,
     /// Punch failed; session fell back to relaying through S.

@@ -679,7 +679,6 @@ impl UdpPeer {
             // just refreshed the mapping. (A pending relay-probe
             // timer clears its own flag when it finds us upgraded.)
             session.last_sent = now;
-            session.timeline.hole_punched.get_or_insert(now);
             session.timeline.established = Some(now);
             session.timeline.attempts = session.attempts;
             session.timeline.winner = Some(remote);

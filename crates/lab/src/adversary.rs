@@ -672,7 +672,6 @@ pub fn run_intro_forgery(seed: u64, defended: bool) -> AttackReport {
         requester_private: attacker_ep,
         target: A,
         nonce: 0xABCD,
-        tcp: false,
     };
     spoof_at(
         &mut world,

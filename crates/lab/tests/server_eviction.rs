@@ -94,42 +94,43 @@ fn table_below_the_cap_never_evicts() {
     assert_eq!(survivors, vec![1, 2, 3, 4, 5]);
 }
 
-/// Registers once, then keeps its slot alive with `Ping`s only — it
-/// never re-registers, so survival depends on non-register traffic
-/// refreshing the eviction stamp.
-struct ActivePinger {
+/// Registers, then keeps its slot alive by re-registering every
+/// `interval`, as a live `UdpPeer` does (§3.6).
+struct ActiveClient {
     id: u64,
     interval: Duration,
-    pings: u32,
+    refreshes: u32,
     sent: u32,
     sock: Option<SocketId>,
 }
 
-impl App for ActivePinger {
-    fn on_start(&mut self, os: &mut Os<'_, '_>) {
-        let sock = os.udp_bind(4001).expect("local UDP port free");
+impl ActiveClient {
+    fn register(&self, os: &mut Os<'_, '_>) {
+        let sock = self.sock.expect("bound in on_start");
         let private = os.local_endpoint(sock).expect("socket bound");
-        let server = Endpoint::new(SERVER_IP, 1234);
         let msg = Message::Register {
             peer_id: PeerId(self.id),
             private,
         };
-        os.udp_send(sock, server, msg.encode(false))
-            .expect("datagram sent");
-        self.sock = Some(sock);
+        let _ = os.udp_send(sock, Endpoint::new(SERVER_IP, 1234), msg.encode(false));
+    }
+}
+
+impl App for ActiveClient {
+    fn on_start(&mut self, os: &mut Os<'_, '_>) {
+        self.sock = Some(os.udp_bind(4001).expect("local UDP port free"));
+        self.register(os);
         os.set_timer(self.interval, 1);
     }
 
     fn on_event(&mut self, _os: &mut Os<'_, '_>, _ev: SockEvent) {}
 
     fn on_timer(&mut self, os: &mut Os<'_, '_>, _token: u64) {
-        if self.sent >= self.pings {
+        if self.sent >= self.refreshes {
             return;
         }
         self.sent += 1;
-        let sock = self.sock.expect("bound in on_start");
-        let server = Endpoint::new(SERVER_IP, 1234);
-        let _ = os.udp_send(sock, server, Message::Ping.encode(false));
+        self.register(os);
         os.set_timer(self.interval, 1);
     }
 }
@@ -171,10 +172,10 @@ impl App for SlowFlood {
 
 #[test]
 fn active_client_survives_a_storm_of_one_shot_registrations() {
-    // Regression: eviction once ranked by *registration* order, so a
-    // client that registered first and then stayed active with pings
-    // (never re-registering) was always the next victim. Activity now
-    // refreshes the stamp, so the churn evicts only stale one-shots.
+    // Regression: eviction once ranked by *first* registration order, so
+    // a client that registered first and then stayed active was always
+    // the next victim. Every refresh restamps it, so the churn evicts
+    // only stale one-shots.
     let mut wb = WorldBuilder::new(7);
     let s = wb.server(
         SERVER_IP,
@@ -182,10 +183,10 @@ fn active_client_survives_a_storm_of_one_shot_registrations() {
     );
     wb.public_client(
         CLIENT_IP,
-        PeerSetup::new(ActivePinger {
+        PeerSetup::new(ActiveClient {
             id: 100,
             interval: Duration::from_millis(73),
-            pings: 20,
+            refreshes: 20,
             sent: 0,
             sock: None,
         }),
@@ -204,9 +205,11 @@ fn active_client_survives_a_storm_of_one_shot_registrations() {
     let server = world.app::<RendezvousServer>(world.servers[s]);
     assert!(
         server.udp_registration(PeerId(100)).is_some(),
-        "the pinging client must never be the eviction victim"
+        "the refreshing client must never be the eviction victim"
     );
     // 13 inserts into 3 slots: every overflow evicted a stale one-shot.
+    // Had the client lost its slot, its next refresh would have been a
+    // 14th insert and an 11th eviction.
     assert_eq!(server.stats().evictions, 10);
     assert!(server.udp_registration(PeerId(12)).is_some());
 }

@@ -389,20 +389,24 @@ impl NatDevice {
     /// packet; `reply_iface` is where any active rejection goes back.
     fn reject_unsolicited(&mut self, ctx: &mut Ctx<'_>, reply_iface: IfaceId, pkt: Packet) {
         self.stats.inbound_blocked += 1;
-        let is_tcp_syn = matches!(&pkt.body, Body::Tcp(seg)
-            if seg.flags.contains(TcpFlags::SYN) && !seg.flags.contains(TcpFlags::RST));
-        if !is_tcp_syn {
-            ctx.note_drop("nat-unsolicited");
-            return;
-        }
+        let syn = match &pkt.body {
+            Body::Tcp(seg)
+                if seg.flags.contains(TcpFlags::SYN) && !seg.flags.contains(TcpFlags::RST) =>
+            {
+                seg
+            }
+            _ => {
+                ctx.note_drop("nat-unsolicited");
+                return;
+            }
+        };
         match self.behavior.tcp_unsolicited {
             TcpUnsolicited::Drop => ctx.note_drop("nat-unsolicited-syn"),
             TcpUnsolicited::Rst => {
-                let seg = pkt.tcp_segment().expect("checked tcp"); // punch-lint: allow(P001) proto matched as TCP by the surrounding dispatch
                 let rst = punch_net::TcpSegment::control(
                     TcpFlags::RST | TcpFlags::ACK,
                     0,
-                    seg.seq.wrapping_add(seg.seq_len()),
+                    syn.seq.wrapping_add(syn.seq_len()),
                 );
                 self.stats.rst_sent += 1;
                 ctx.send(reply_iface, Packet::tcp(pkt.dst, pkt.src, rst));

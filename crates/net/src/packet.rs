@@ -459,14 +459,6 @@ impl Packet {
         }
     }
 
-    /// Returns the TCP segment, if this is a TCP packet.
-    pub fn tcp_segment(&self) -> Option<&TcpSegment> {
-        match &self.body {
-            Body::Tcp(seg) => Some(seg),
-            _ => None,
-        }
-    }
-
     /// Returns the transport payload length in bytes (zero for ICMP,
     /// whose body carries no mutable payload).
     pub fn payload_len(&self) -> usize {
@@ -516,7 +508,6 @@ mod tests {
         let u = Packet::udp(ep("1.1.1.1:1"), ep("2.2.2.2:2"), b"xyz".as_ref());
         assert_eq!(u.proto(), Proto::Udp);
         assert!(matches!(&u.body, Body::Udp(p) if p.as_ref() == b"xyz"));
-        assert!(u.tcp_segment().is_none());
 
         let t = Packet::tcp(
             ep("1.1.1.1:1"),
@@ -524,8 +515,7 @@ mod tests {
             TcpSegment::control(TcpFlags::SYN, 7, 0),
         );
         assert_eq!(t.proto(), Proto::Tcp);
-        assert_eq!(t.tcp_segment().unwrap().seq, 7);
-        assert!(!matches!(t.body, Body::Udp(_)));
+        assert!(matches!(&t.body, Body::Tcp(seg) if seg.seq == 7));
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! only decides where a reply goes (a `Route`) and which of the two
 //! registration tables a request reads. Registrations are kept per
 //! transport because a client's UDP and TCP public endpoints are distinct
-//! NAT mappings, but both tables hold the same `Reg` record.
+//! NAT mappings, but both tables hold the same `Reg` record. A fleet
+//! member forwards a UDP request for a peer it does not hold to that
+//! peer's ring owners; a TCP request is answered from its own table.
 //!
 //! Endpoints in everything the server sends are obfuscated (§3.1), and
 //! the §5.1 mapping-probe port at `port + 1` is always served.
@@ -249,17 +251,13 @@ struct Reg {
     route: Route,
     public: Endpoint,
     private: Endpoint,
-    /// Activity stamp: refreshed on every registration, keepalive, or
-    /// request from the client, so a full table evicts the
-    /// least-recently-active entry, never a chatty long-lived one.
+    /// Activity stamp: refreshed on every registration or request from
+    /// the client, so a full table evicts the least-recently-active
+    /// entry, never a chatty long-lived one.
     seq: u64,
     /// Wall time of the last activity, for the protect-active window
     /// (the relative `seq` ordering cannot express "recent enough").
     last_active: SimTime,
-    /// Whether the UDP reverse index maps `public` to this registration:
-    /// false for TCP, and once another peer registers from `public`. A
-    /// refresh from an indexed endpoint leaves the index alone.
-    indexed: bool,
 }
 
 // A server holds up to `max_clients` of these per table (100 000 in the
@@ -327,13 +325,9 @@ pub struct RendezvousServer {
     udp_sock: Option<SocketId>,
     probe_sock: Option<SocketId>,
     /// Clients registered over UDP; every entry's route is a
-    /// `Route::Udp`. The three registration tables are only looked up,
+    /// `Route::Udp`. The two registration tables are only looked up,
     /// or reduced to a unique minimum, so they are `KeyMap`s.
     udp_clients: KeyMap<PeerId, Reg>,
-    /// Reverse index public endpoint → peer, so a bare UDP keepalive
-    /// (which carries no peer id) can refresh its sender's activity
-    /// stamp in one probe.
-    udp_by_ep: KeyMap<Endpoint, PeerId>,
     /// Clients registered over TCP; every entry's route is a
     /// `Route::Tcp`.
     tcp_clients: KeyMap<PeerId, Reg>,
@@ -375,7 +369,6 @@ impl RendezvousServer {
             udp_sock: None,
             probe_sock: None,
             udp_clients: KeyMap::default(),
-            udp_by_ep: KeyMap::default(),
             tcp_clients: KeyMap::default(),
             conns: BTreeMap::new(),
             pending: BTreeMap::new(),
@@ -418,9 +411,9 @@ impl RendezvousServer {
         seq
     }
 
-    /// Refreshes a client's activity stamp (keepalive or request traffic
-    /// counts as life; see the eviction policy on [`Reg`]) and returns
-    /// its registration. An unknown peer draws no stamp.
+    /// Refreshes a client's activity stamp (request traffic counts as
+    /// life; see the eviction policy on [`Reg`]) and returns its
+    /// registration. An unknown peer draws no stamp.
     fn touch(&mut self, tcp: bool, peer: PeerId, now: SimTime) -> Option<Reg> {
         let seq = self.reg_seq;
         let reg = self.table(tcp).get_mut(&peer)?;
@@ -540,24 +533,17 @@ impl RendezvousServer {
             .iter()
             .filter(|(_, r)| window.is_none_or(|w| now.saturating_since(r.last_active) >= w))
             .min_by_key(|(id, r)| (r.seq, id.0))
-            .map(|(&id, r)| (id, r.route, r.indexed));
-        let Some((id, route, indexed)) = victim else {
+            .map(|(&id, r)| (id, r.route));
+        let Some((id, route)) = victim else {
             self.stats.reg_refused += 1;
             return false;
         };
         self.table(tcp).remove(&id);
-        match route {
-            Route::Udp(public) => {
-                if indexed {
-                    self.udp_by_ep.remove(&public);
-                }
-            }
-            // The victim's connection stays open (it may re-register);
-            // only its registration slot is reclaimed.
-            Route::Tcp(sock) => {
-                if let Some(conn) = self.conns.get_mut(&sock) {
-                    conn.peer = None;
-                }
+        // A TCP victim's connection stays open (it may re-register);
+        // only its registration slot is reclaimed.
+        if let Route::Tcp(sock) = route {
+            if let Some(conn) = self.conns.get_mut(&sock) {
+                conn.peer = None;
             }
         }
         self.stats.evictions += 1;
@@ -629,7 +615,6 @@ impl RendezvousServer {
                 requester_private,
                 target,
                 nonce,
-                tcp,
             } => {
                 if !self.srv_admit(from, signed) {
                     return;
@@ -639,7 +624,7 @@ impl RendezvousServer {
                 // directly and return its endpoints to the forwarding
                 // shard; otherwise report the miss so the forwarder can
                 // try the next owner.
-                let Some(tgt) = self.table(tcp).get(&target).copied() else {
+                let Some(tgt) = self.udp_clients.get(&target).copied() else {
                     os.metric_inc_labeled("rendezvous.forward", "miss");
                     self.send_srv(
                         os,
@@ -648,7 +633,6 @@ impl RendezvousServer {
                             requester,
                             target,
                             nonce,
-                            tcp,
                         },
                     );
                     return;
@@ -674,7 +658,6 @@ impl RendezvousServer {
                         target_public: tgt.public,
                         target_private: tgt.private,
                         nonce,
-                        tcp,
                     },
                 );
             }
@@ -684,7 +667,6 @@ impl RendezvousServer {
                 target_public,
                 target_private,
                 nonce,
-                tcp: _,
             } => {
                 if !self.srv_admit(from, signed) {
                     return;
@@ -715,7 +697,6 @@ impl RendezvousServer {
                 requester,
                 target,
                 nonce,
-                tcp: _,
             } => {
                 if !self.srv_admit(from, signed) {
                     return;
@@ -736,7 +717,6 @@ impl RendezvousServer {
                         requester_private: p.requester.private,
                         target,
                         nonce,
-                        tcp: p.requester.route.tcp(),
                     };
                     self.pending.insert(key, p);
                     self.send_srv(os, next, &fwd);
@@ -750,7 +730,6 @@ impl RendezvousServer {
                 from: sender,
                 target,
                 data,
-                tcp,
             } => {
                 if !self.srv_admit(from, signed) {
                     return;
@@ -759,7 +738,7 @@ impl RendezvousServer {
                 // target is here, otherwise drop (relay is periodic; the
                 // sender's next payload retries the, possibly changed,
                 // ring).
-                match self.table(tcp).get(&target).copied() {
+                match self.udp_clients.get(&target).copied() {
                     Some(tgt) => self.relay(os, tgt.route, sender, data),
                     None => os.metric_inc_labeled("rendezvous.forward", "relay-miss"),
                 }
@@ -790,12 +769,11 @@ impl RendezvousServer {
                     private,
                     seq: self.reg_seq,
                     last_active: now,
-                    indexed: !tcp,
                 };
                 // A refresh overwrites its record where the one search
                 // finds it; only a newcomer needs room made.
-                let old = match self.table(tcp).get_mut(&peer_id) {
-                    Some(known) => Some(std::mem::replace(known, reg)),
+                match self.table(tcp).get_mut(&peer_id) {
+                    Some(known) => *known = reg,
                     None => {
                         if !self.make_room(os, tcp) {
                             // Every slot is held by a protected-active
@@ -810,35 +788,13 @@ impl RendezvousServer {
                             );
                             return;
                         }
-                        self.table(tcp).insert(peer_id, reg)
+                        self.table(tcp).insert(peer_id, reg);
                     }
-                };
+                }
                 self.reg_seq += 1;
-                // Point the route's reverse index at the peer, so a
-                // keepalive (which carries no id) finds it.
-                match via {
-                    // A refresh from the endpoint the index holds for it
-                    // leaves the index alone.
-                    Route::Udp(from) if old.is_some_and(|o| o.public == from && o.indexed) => {}
-                    Route::Udp(from) => {
-                        // Re-registration from a new mapping: retire the
-                        // old endpoint's entry (unless another peer has
-                        // since claimed that endpoint).
-                        if let Some(old) = old.filter(|o| o.indexed) {
-                            self.udp_by_ep.remove(&old.public);
-                        }
-                        // A peer that held `from` until now is no longer
-                        // indexed.
-                        if let Some(prev) = self.udp_by_ep.insert(from, peer_id) {
-                            if let Some(reg) = self.udp_clients.get_mut(&prev) {
-                                reg.indexed = false;
-                            }
-                        }
-                    }
-                    Route::Tcp(sock) => {
-                        if let Some(conn) = self.conns.get_mut(&sock) {
-                            conn.peer = Some(peer_id);
-                        }
+                if let Route::Tcp(sock) = via {
+                    if let Some(conn) = self.conns.get_mut(&sock) {
+                        conn.peer = Some(peer_id);
                     }
                 }
                 self.stats.registrations += 1;
@@ -854,9 +810,9 @@ impl RendezvousServer {
                     return self.refuse(os, via);
                 };
                 let Some(tgt) = self.table(tcp).get(&target).copied() else {
-                    // Not ours: in a fleet the target may be registered on
-                    // its owning shard; standalone, it's simply unknown.
-                    if self.fleet_routable() {
+                    // Not ours: in a fleet a UDP target may be registered
+                    // on its owning shard; otherwise it's simply unknown.
+                    if self.fleet_routable() && !tcp {
                         self.forward_introduce(os, peer_id, req, target, nonce);
                     } else {
                         self.refuse(os, via);
@@ -896,10 +852,10 @@ impl RendezvousServer {
             } => {
                 self.touch(tcp, sender, now);
                 let Some(tgt) = self.table(tcp).get(&target).copied() else {
-                    // Best-effort in a fleet: hand the payload to the
+                    // Best-effort in a fleet: hand a UDP payload to the
                     // target's primary owner; no reply, no retry chain
                     // (relay traffic is periodic, the next send retries).
-                    let owner = if self.fleet_routable() {
+                    let owner = if self.fleet_routable() && !tcp {
                         self.owner_chain(target).first().copied()
                     } else {
                         None
@@ -915,7 +871,6 @@ impl RendezvousServer {
                             from: sender,
                             target,
                             data,
-                            tcp,
                         },
                     );
                     return;
@@ -946,20 +901,9 @@ impl RendezvousServer {
                     },
                 );
             }
-            Message::Ping => {
-                // A keepalive proves the client is alive: refresh its
-                // activity stamp so a flash crowd of one-shot strangers
-                // cannot evict it. The ping carries no id — the route's
-                // reverse index (source mapping, or connection) recovers it.
-                let peer = match via {
-                    Route::Udp(from) => self.udp_by_ep.get(&from).copied(),
-                    Route::Tcp(sock) => self.conns.get(&sock).and_then(|c| c.peer),
-                };
-                if let Some(peer) = peer {
-                    self.touch(tcp, peer, now);
-                }
-                self.send(os, via, &Message::Pong);
-            }
+            // A liveness echo: S keeps no state for it. A client stays
+            // live by re-registering (§3.6).
+            Message::Ping => self.send(os, via, &Message::Pong),
             // Peer-to-peer and server-to-client messages are not for us,
             // nor is a server-to-server one on a client connection.
             _ => self.stats.errors += 1,
@@ -975,7 +919,7 @@ impl RendezvousServer {
         self.send(os, to, &Message::RelayedData { from: sender, data });
     }
 
-    /// Forwards a registered requester's introduction to the first
+    /// Forwards a registered UDP requester's introduction to the first
     /// owner of a target this shard does not hold.
     fn forward_introduce(
         &mut self,
@@ -1017,7 +961,6 @@ impl RendezvousServer {
                 requester_private: req.private,
                 target,
                 nonce,
-                tcp: req.route.tcp(),
             },
         );
     }
@@ -1077,7 +1020,6 @@ impl App for RendezvousServer {
             }
             self.tcp_clients.clear();
             self.udp_clients.clear();
-            self.udp_by_ep.clear();
             self.pending.clear();
         }
     }

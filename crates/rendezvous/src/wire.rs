@@ -71,12 +71,13 @@ impl std::error::Error for WireError {}
 pub const MAX_FRAME: usize = 16 * 1024;
 
 /// Largest application payload a peer will send: a [`MAX_FRAME`] frame
-/// less the longest header a data-carrying message puts before its
-/// payload ([`Message::SrvRelay`]: version, tag, two peer ids, the
-/// transport flag, the payload's length prefix). A payload this size fits
-/// one frame — and its `u16` length field — on every hop, direct or
+/// less the longest header a data-carrying message puts before it
+/// ([`Message::RelayData`] and [`Message::SrvRelay`]: version, tag, two
+/// peer ids, the payload's length prefix, and the one-byte relay kind the
+/// punching peers put in front of a relayed payload). A payload this size
+/// fits one frame — and its `u16` length field — on every hop, direct or
 /// relayed; the peers refuse a longer one at `send`.
-pub const MAX_PAYLOAD: usize = MAX_FRAME - (1 + 1 + 8 + 8 + 1 + 2);
+pub const MAX_PAYLOAD: usize = MAX_FRAME - (1 + 1 + 8 + 8 + 2 + 1);
 
 /// Maximum bytes a [`FrameBuf`] will hold before declaring the stream
 /// hostile: four maximal frames (with their length prefixes) of
@@ -159,9 +160,11 @@ pub enum Message {
         /// Nonce for authenticating the reversed connection.
         nonce: u64,
     },
-    /// Client → S keepalive.
+    /// Client → S liveness echo. S answers [`Message::Pong`] and keeps
+    /// no state for it: a client stays registered by re-sending
+    /// [`Message::Register`].
     Ping,
-    /// S → client keepalive answer.
+    /// S → client: the answer to [`Message::Ping`].
     Pong,
     /// Peer → peer: authentication probe (§3.2 step 3 / §4.2 step 5).
     PeerHello {
@@ -205,9 +208,6 @@ pub enum Message {
         target: PeerId,
         /// Session nonce (same on both sides of the introduction).
         nonce: u64,
-        /// True when the requester registered over TCP (the owner must
-        /// introduce the target on its TCP table).
-        tcp: bool,
     },
     /// Server → server (fleet routing): the owning shard found the
     /// target, introduced it to the requester directly, and returns
@@ -224,8 +224,6 @@ pub enum Message {
         target_private: Endpoint,
         /// Session nonce echoed from the forward.
         nonce: u64,
-        /// Echo of the forward's transport flag.
-        tcp: bool,
     },
     /// Server → server (fleet routing): the forwarded target is not
     /// registered on the queried shard either; the forwarding shard
@@ -237,8 +235,6 @@ pub enum Message {
         target: PeerId,
         /// Session nonce echoed from the forward.
         nonce: u64,
-        /// Echo of the forward's transport flag.
-        tcp: bool,
     },
     /// Server → server (fleet routing): best-effort forward of a relay
     /// payload to the shard owning `target`'s registration.
@@ -249,8 +245,6 @@ pub enum Message {
         target: PeerId,
         /// Opaque payload.
         data: Bytes,
-        /// True when the payload must be delivered on the TCP table.
-        tcp: bool,
     },
 }
 
@@ -440,7 +434,6 @@ impl Message {
                 requester_private,
                 target,
                 nonce,
-                tcp,
             } => {
                 buf.put_u8(TAG_SRV_INTRODUCE);
                 buf.put_u64(requester.0);
@@ -448,7 +441,6 @@ impl Message {
                 put_endpoint(buf, *requester_private, obfuscate);
                 buf.put_u64(target.0);
                 buf.put_u64(*nonce);
-                buf.put_u8(u8::from(*tcp));
             }
             Message::SrvIntroduceReply {
                 requester,
@@ -456,7 +448,6 @@ impl Message {
                 target_public,
                 target_private,
                 nonce,
-                tcp,
             } => {
                 buf.put_u8(TAG_SRV_INTRODUCE_REPLY);
                 buf.put_u64(requester.0);
@@ -464,31 +455,26 @@ impl Message {
                 put_endpoint(buf, *target_public, obfuscate);
                 put_endpoint(buf, *target_private, obfuscate);
                 buf.put_u64(*nonce);
-                buf.put_u8(u8::from(*tcp));
             }
             Message::SrvIntroduceErr {
                 requester,
                 target,
                 nonce,
-                tcp,
             } => {
                 buf.put_u8(TAG_SRV_INTRODUCE_ERR);
                 buf.put_u64(requester.0);
                 buf.put_u64(target.0);
                 buf.put_u64(*nonce);
-                buf.put_u8(u8::from(*tcp));
             }
             Message::SrvRelay {
                 from,
                 target,
                 data,
-                tcp,
             } => {
                 buf.put_u8(TAG_SRV_RELAY);
                 buf.put_u64(from.0);
                 buf.put_u64(target.0);
                 put_bytes(buf, data);
-                buf.put_u8(u8::from(*tcp));
             }
         }
     }
@@ -564,7 +550,6 @@ impl Message {
                 requester_private: get_endpoint(&mut buf)?,
                 target: PeerId(get_u64(&mut buf)?),
                 nonce: get_u64(&mut buf)?,
-                tcp: get_u8(&mut buf)? != 0,
             },
             TAG_SRV_INTRODUCE_REPLY => Message::SrvIntroduceReply {
                 requester: PeerId(get_u64(&mut buf)?),
@@ -572,19 +557,16 @@ impl Message {
                 target_public: get_endpoint(&mut buf)?,
                 target_private: get_endpoint(&mut buf)?,
                 nonce: get_u64(&mut buf)?,
-                tcp: get_u8(&mut buf)? != 0,
             },
             TAG_SRV_INTRODUCE_ERR => Message::SrvIntroduceErr {
                 requester: PeerId(get_u64(&mut buf)?),
                 target: PeerId(get_u64(&mut buf)?),
                 nonce: get_u64(&mut buf)?,
-                tcp: get_u8(&mut buf)? != 0,
             },
             TAG_SRV_RELAY => Message::SrvRelay {
                 from: PeerId(get_u64(&mut buf)?),
                 target: PeerId(get_u64(&mut buf)?),
                 data: get_bytes(&mut buf)?,
-                tcp: get_u8(&mut buf)? != 0,
             },
             other => return Err(WireError::BadTag(other)),
         };
@@ -820,7 +802,6 @@ mod tests {
                 requester_private: ep("10.0.0.1:4321"),
                 target: PeerId(9),
                 nonce: 0xdead,
-                tcp: false,
             },
             Message::SrvIntroduceReply {
                 requester: PeerId(7),
@@ -828,19 +809,16 @@ mod tests {
                 target_public: ep("138.76.29.7:31000"),
                 target_private: ep("10.1.1.3:4321"),
                 nonce: 0xdead,
-                tcp: true,
             },
             Message::SrvIntroduceErr {
                 requester: PeerId(7),
                 target: PeerId(9),
                 nonce: 0xdead,
-                tcp: false,
             },
             Message::SrvRelay {
                 from: PeerId(7),
                 target: PeerId(9),
                 data: Bytes::from_static(b"hi"),
-                tcp: true,
             },
         ]
     }
@@ -952,7 +930,6 @@ mod tests {
             requester: PeerId(7),
             target: PeerId(9),
             nonce: 0xdead,
-            tcp: false,
         };
         let enc = encode_signed(&msg, false, secret);
         for i in 0..enc.len() - AUTH_TAG_LEN {
@@ -1003,11 +980,13 @@ mod tests {
     fn a_max_payload_fits_one_frame_under_every_data_message() {
         let (from, target) = (PeerId(1), PeerId(2));
         let data = Bytes::from(vec![0x42u8; MAX_PAYLOAD]);
+        // A relayed payload travels behind its one-byte relay kind.
+        let relayed = Bytes::from(vec![0x42u8; MAX_PAYLOAD + 1]);
         let carriers = [
-            Message::PeerData { data: data.clone() },
-            Message::RelayData { from, target, data: data.clone() },
-            Message::RelayedData { from, data: data.clone() },
-            Message::SrvRelay { from, target, data, tcp: true },
+            Message::PeerData { data },
+            Message::RelayData { from, target, data: relayed.clone() },
+            Message::RelayedData { from, data: relayed.clone() },
+            Message::SrvRelay { from, target, data: relayed },
         ];
         let mut longest = 0;
         for msg in carriers {

@@ -78,47 +78,33 @@ fn arb_message() -> impl Strategy<Value = Message> {
         arb_payload().prop_map(|d| Message::PeerData { data: d }),
         Just(Message::KeepAlive),
         any::<u8>().prop_map(|c| Message::ErrorReply { code: c }),
-        (
-            any::<[u64; 3]>(),
-            arb_endpoint(),
-            arb_endpoint(),
-            any::<bool>()
-        )
-            .prop_map(|([r, t, n], rp, rv, tcp)| Message::SrvIntroduce {
+        (any::<[u64; 3]>(), arb_endpoint(), arb_endpoint()).prop_map(|([r, t, n], rp, rv)| {
+            Message::SrvIntroduce {
                 requester: PeerId(r),
                 requester_public: rp,
                 requester_private: rv,
                 target: PeerId(t),
                 nonce: n,
-                tcp,
-            }),
-        (
-            any::<[u64; 3]>(),
-            arb_endpoint(),
-            arb_endpoint(),
-            any::<bool>()
-        )
-            .prop_map(|([r, t, n], tp, tv, tcp)| Message::SrvIntroduceReply {
+            }
+        }),
+        (any::<[u64; 3]>(), arb_endpoint(), arb_endpoint()).prop_map(|([r, t, n], tp, tv)| {
+            Message::SrvIntroduceReply {
                 requester: PeerId(r),
                 target: PeerId(t),
                 target_public: tp,
                 target_private: tv,
                 nonce: n,
-                tcp,
-            }),
-        (any::<[u64; 3]>(), any::<bool>()).prop_map(|([r, t, n], tcp)| Message::SrvIntroduceErr {
+            }
+        }),
+        any::<[u64; 3]>().prop_map(|[r, t, n]| Message::SrvIntroduceErr {
             requester: PeerId(r),
             target: PeerId(t),
             nonce: n,
-            tcp,
         }),
-        (any::<u64>(), any::<u64>(), arb_payload(), any::<bool>()).prop_map(|(f, t, d, tcp)| {
-            Message::SrvRelay {
-                from: PeerId(f),
-                target: PeerId(t),
-                data: d,
-                tcp,
-            }
+        (any::<u64>(), any::<u64>(), arb_payload()).prop_map(|(f, t, d)| Message::SrvRelay {
+            from: PeerId(f),
+            target: PeerId(t),
+            data: d,
         }),
     ]
 }
@@ -160,12 +146,7 @@ fn carriers_at_max_payload() -> Vec<Message> {
             from,
             data: data.clone(),
         },
-        Message::SrvRelay {
-            from,
-            target,
-            data,
-            tcp: true,
-        },
+        Message::SrvRelay { from, target, data },
     ]
 }
 

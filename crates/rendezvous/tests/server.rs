@@ -395,7 +395,6 @@ fn server_to_server_messages_from_clients_are_errors() {
             from: PeerId(1),
             target: PeerId(2),
             data: Bytes::from_static(b"x"),
-            tcp: t == Transport::Tcp,
         };
         let lab = Lab::run(
             vec![ServerConfig::default()],
@@ -411,14 +410,14 @@ fn server_to_server_messages_from_clients_are_errors() {
 }
 
 #[test]
-fn ping_refreshes_the_stamp_and_the_victim_keeps_its_route() {
+fn re_registration_refreshes_the_stamp_and_the_victim_keeps_its_route() {
     for t in BOTH {
         let lab = Lab::run(
             vec![ServerConfig::default().with_max_clients(2)],
             vec![
-                // Oldest registration, but its ping makes peer 2 the
-                // least recently active when peer 3 needs a slot.
-                client(t, vec![(100, register(1, 0)), (300, Message::Ping)]),
+                // Oldest registration, but re-registering makes peer 2
+                // the least recently active when peer 3 needs a slot.
+                client(t, vec![(100, register(1, 0)), (300, register(1, 0))]),
                 // Evicted at 400; still served at 500 (a TCP victim's
                 // connection stays open) and free to re-register, which
                 // now costs peer 1 (stamped 300) its slot, not peer 3.
@@ -429,14 +428,35 @@ fn ping_refreshes_the_stamp_and_the_victim_keeps_its_route() {
                 client(t, vec![(400, register(3, 2))]),
             ],
         );
-        assert_eq!(lab.got(0), [ack(0), Message::Pong], "{t:?}");
+        assert_eq!(lab.got(0), [ack(0), ack(0)], "{t:?}");
         assert_eq!(lab.got(1), [ack(1), Message::Pong, ack(1)], "{t:?}");
         assert_eq!(lab.got(2), [ack(2)], "{t:?}");
         let held: Vec<bool> = (1..=3).map(|id| lab.registered(t, id)).collect();
         assert_eq!(held, [false, true, true], "{t:?}");
         let s = lab.stats(0);
-        assert_eq!((s.registrations, s.evictions, s.errors), (4, 2, 0), "{t:?}");
+        assert_eq!((s.registrations, s.evictions, s.errors), (5, 2, 0), "{t:?}");
         assert_eq!(lab.metric("rendezvous.evict", t.label()), 2, "{t:?}");
+    }
+}
+
+#[test]
+fn a_ping_is_answered_and_refreshes_nothing() {
+    // S keeps no state for a ping: peer 1 pinged at 300, but its stamp
+    // is still its registration at 100, so it is the victim at 400.
+    for t in BOTH {
+        let lab = Lab::run(
+            vec![ServerConfig::default().with_max_clients(2)],
+            vec![
+                client(t, vec![(100, register(1, 0)), (300, Message::Ping)]),
+                client(t, vec![(200, register(2, 1))]),
+                client(t, vec![(400, register(3, 2))]),
+            ],
+        );
+        assert_eq!(lab.got(0), [ack(0), Message::Pong], "{t:?}");
+        let held: Vec<bool> = (1..=3).map(|id| lab.registered(t, id)).collect();
+        assert_eq!(held, [false, true, true], "{t:?}");
+        let s = lab.stats(0);
+        assert_eq!((s.registrations, s.evictions, s.errors), (3, 1, 0), "{t:?}");
     }
 }
 
@@ -450,7 +470,7 @@ fn full_table_of_active_clients_refuses_the_newcomer() {
             vec![cfg],
             vec![
                 client(t, vec![(100, register(1, 0))]),
-                client(t, vec![(200, register(2, 1)), (1000, Message::Ping)]),
+                client(t, vec![(200, register(2, 1)), (1000, register(2, 1))]),
                 // Refused while both holders are inside the window;
                 // admitted once peer 1 (silent since 100) falls out of it.
                 client(t, vec![(300, register(3, 2)), (1500, register(3, 2))]),
@@ -465,7 +485,7 @@ fn full_table_of_active_clients_refuses_the_newcomer() {
         let s = lab.stats(0);
         assert_eq!(
             (s.registrations, s.reg_refused, s.evictions, s.errors),
-            (3, 1, 1, 0),
+            (4, 1, 1, 0),
             "{t:?}"
         );
     }
@@ -480,7 +500,7 @@ fn each_table_evicts_its_own_oldest_under_interleaved_transports() {
         vec![ServerConfig::default().with_max_clients(2)],
         vec![
             client(u, vec![(100, register(1, 0))]),
-            client(t, vec![(150, register(11, 1)), (300, Message::Ping)]),
+            client(t, vec![(150, register(11, 1)), (300, register(11, 1))]),
             client(t, vec![(200, register(12, 2))]),
             client(u, vec![(250, register(2, 3))]),
             client(u, vec![(350, register(3, 4))]),
@@ -490,9 +510,9 @@ fn each_table_evicts_its_own_oldest_under_interleaved_transports() {
     let udp: Vec<bool> = (1..=3).map(|id| lab.registered(u, id)).collect();
     let tcp: Vec<bool> = (11..=13).map(|id| lab.registered(t, id)).collect();
     assert_eq!(udp, [false, true, true]);
-    assert_eq!(tcp, [true, false, true], "the pinged TCP peer outlives the silent one");
+    assert_eq!(tcp, [true, false, true], "the re-registered TCP peer outlives the silent one");
     assert!(!lab.registered(t, 1) && !lab.registered(u, 11));
-    assert_eq!((lab.stats(0).registrations, lab.stats(0).evictions), (6, 2));
+    assert_eq!((lab.stats(0).registrations, lab.stats(0).evictions), (7, 2));
     assert_eq!(lab.metric("rendezvous.evict", "udp"), 1);
     assert_eq!(lab.metric("rendezvous.evict", "tcp"), 1);
 }
@@ -517,70 +537,96 @@ fn id_not_owned_by_server_0(members: &[Endpoint], k: usize) -> u64 {
         .expect("some id hashes elsewhere")
 }
 
+// The fleet forwards UDP requests only: the cases below run over UDP,
+// and the last one holds a TCP request to the standalone answer.
+
 #[test]
 fn fleet_introduces_across_shards() {
-    for t in BOTH {
-        let (members, cfgs) = fleet(2, 1);
-        let b = id_not_owned_by_server_0(&members, 1);
-        let lab = Lab::run(
-            cfgs,
-            vec![
-                client_of(0, t, vec![(100, register(1, 0)), (300, connect(1, b, 7))]),
-                client_of(1, t, vec![(200, register(b, 1))]),
-            ],
-        );
-        assert_eq!(lab.got(0), [ack(0), introduce(b, 1, 7, true)], "{t:?}");
-        assert_eq!(lab.got(1), [ack(1), introduce(1, 0, 7, false)], "{t:?}");
-        let (s0, s1) = (lab.stats(0), lab.stats(1));
-        assert_eq!((s0.forwards, s0.introductions, s0.errors), (1, 1, 0), "{t:?}");
-        assert_eq!((s1.forwards_served, s1.introductions, s1.errors), (1, 0, 0), "{t:?}");
-        assert_eq!(lab.metric("rendezvous.introduce", t.label()), 1, "{t:?}");
-        assert_eq!(lab.metric("rendezvous.forward", "served"), 1, "{t:?}");
-    }
+    let t = Transport::Udp;
+    let (members, cfgs) = fleet(2, 1);
+    let b = id_not_owned_by_server_0(&members, 1);
+    let lab = Lab::run(
+        cfgs,
+        vec![
+            client_of(0, t, vec![(100, register(1, 0)), (300, connect(1, b, 7))]),
+            client_of(1, t, vec![(200, register(b, 1))]),
+        ],
+    );
+    assert_eq!(lab.got(0), [ack(0), introduce(b, 1, 7, true)]);
+    assert_eq!(lab.got(1), [ack(1), introduce(1, 0, 7, false)]);
+    let (s0, s1) = (lab.stats(0), lab.stats(1));
+    assert_eq!((s0.forwards, s0.introductions, s0.errors), (1, 1, 0));
+    assert_eq!((s1.forwards_served, s1.introductions, s1.errors), (1, 0, 0));
+    assert_eq!(lab.metric("rendezvous.introduce", "udp"), 1);
+    assert_eq!(lab.metric("rendezvous.forward", "served"), 1);
 }
 
 #[test]
 fn fleet_retries_the_owner_chain_then_refuses() {
-    for t in BOTH {
-        let (members, cfgs) = fleet(3, 2);
-        // Registered nowhere; both of its owners are other shards.
-        let x = id_not_owned_by_server_0(&members, 2);
-        let lab = Lab::run(
-            cfgs,
-            vec![client(t, vec![(100, register(1, 0)), (300, connect(1, x, 7))])],
-        );
-        assert_eq!(lab.got(0), [ack(0), UNKNOWN], "{t:?}");
-        let s0 = lab.stats(0);
-        assert_eq!(
-            (s0.forwards, s0.forward_errors, s0.errors, s0.introductions),
-            (2, 1, 1, 0),
-            "{t:?}"
-        );
-        assert_eq!(lab.metric("rendezvous.forward", "retry"), 1, "{t:?}");
-        assert_eq!(lab.metric("rendezvous.forward", "miss"), 2, "{t:?}");
-    }
+    let (members, cfgs) = fleet(3, 2);
+    // Registered nowhere; both of its owners are other shards.
+    let x = id_not_owned_by_server_0(&members, 2);
+    let lab = Lab::run(
+        cfgs,
+        vec![client(Transport::Udp, vec![(100, register(1, 0)), (300, connect(1, x, 7))])],
+    );
+    assert_eq!(lab.got(0), [ack(0), UNKNOWN]);
+    let s0 = lab.stats(0);
+    assert_eq!(
+        (s0.forwards, s0.forward_errors, s0.errors, s0.introductions),
+        (2, 1, 1, 0)
+    );
+    assert_eq!(lab.metric("rendezvous.forward", "retry"), 1);
+    assert_eq!(lab.metric("rendezvous.forward", "miss"), 2);
 }
 
 #[test]
 fn fleet_forwards_relay_to_the_owner() {
-    for t in BOTH {
-        let (members, cfgs) = fleet(2, 1);
-        let b = id_not_owned_by_server_0(&members, 1);
-        let lab = Lab::run(
-            cfgs,
-            vec![
-                client_of(0, t, vec![(100, register(1, 0)), (300, relay(1, b, b"hello"))]),
-                client_of(1, t, vec![(200, register(b, 1))]),
-            ],
-        );
-        assert_eq!(lab.got(0), [ack(0)], "{t:?}");
-        assert_eq!(lab.got(1), [ack(1), relayed(1, b"hello")], "{t:?}");
-        let (s0, s1) = (lab.stats(0), lab.stats(1));
-        assert_eq!((s0.relayed_msgs, s0.errors), (0, 0), "{t:?}");
-        assert_eq!((s1.relayed_msgs, s1.relayed_bytes, s1.errors), (1, 5, 0), "{t:?}");
-        assert_eq!(lab.metric("rendezvous.forward", "relay"), 1, "{t:?}");
-        assert_eq!(lab.metric("rendezvous.relay.msgs", t.label()), 1, "{t:?}");
-    }
+    let t = Transport::Udp;
+    let (members, cfgs) = fleet(2, 1);
+    let b = id_not_owned_by_server_0(&members, 1);
+    let lab = Lab::run(
+        cfgs,
+        vec![
+            client_of(0, t, vec![(100, register(1, 0)), (300, relay(1, b, b"hello"))]),
+            client_of(1, t, vec![(200, register(b, 1))]),
+        ],
+    );
+    assert_eq!(lab.got(0), [ack(0)]);
+    assert_eq!(lab.got(1), [ack(1), relayed(1, b"hello")]);
+    let (s0, s1) = (lab.stats(0), lab.stats(1));
+    assert_eq!((s0.relayed_msgs, s0.errors), (0, 0));
+    assert_eq!((s1.relayed_msgs, s1.relayed_bytes, s1.errors), (1, 5, 0));
+    assert_eq!(lab.metric("rendezvous.forward", "relay"), 1);
+    assert_eq!(lab.metric("rendezvous.relay.msgs", "udp"), 1);
+}
+
+#[test]
+fn a_fleet_member_refuses_tcp_requests_for_a_peer_another_member_holds() {
+    // Peer b registered over TCP with its owner, server 1. Server 0
+    // answers a TCP connect or relay for b as a standalone server would,
+    // and sends server 1 nothing.
+    let t = Transport::Tcp;
+    let (members, cfgs) = fleet(2, 1);
+    let b = id_not_owned_by_server_0(&members, 1);
+    let lab = Lab::run(
+        cfgs,
+        vec![
+            client_of(
+                0,
+                t,
+                vec![(100, register(1, 0)), (300, connect(1, b, 7)), (400, relay(1, b, b"hello"))],
+            ),
+            client_of(1, t, vec![(200, register(b, 1))]),
+        ],
+    );
+    assert_eq!(lab.got(0), [ack(0), UNKNOWN, UNKNOWN]);
+    assert_eq!(lab.got(1), [ack(1)]);
+    let (s0, s1) = (lab.stats(0), lab.stats(1));
+    assert_eq!((s0.forwards, s0.introductions, s0.errors), (0, 0, 2));
+    assert_eq!((s1.forwards_served, s1.relayed_msgs, s1.errors), (0, 0, 0));
+    assert_eq!(lab.metric("rendezvous.forward", "sent"), 0);
+    assert_eq!(lab.metric("rendezvous.forward", "relay"), 0);
 }
 
 /// The registration rules of one capped, standalone server, restated
@@ -592,7 +638,6 @@ struct Model {
     window: Option<Duration>,
     /// Peer id → (public, private, activity stamp, last activity).
     regs: BTreeMap<u64, (Endpoint, Endpoint, u64, SimTime)>,
-    by_ep: BTreeMap<Endpoint, u64>,
     seq: u64,
     stats: ServerStats,
     /// How often each of [`CASES`] was reached.
@@ -600,10 +645,9 @@ struct Model {
 }
 
 /// What the seeded sequences must reach between them.
-const CASES: [&str; 8] = [
+const CASES: [&str; 7] = [
     "refresh",
-    "move off an endpoint another peer holds",
-    "ping through the reverse index",
+    "move to a new endpoint",
     "connect to a known target",
     "connect to an unknown target",
     "eviction",
@@ -617,7 +661,6 @@ impl Model {
             max,
             window,
             regs: BTreeMap::new(),
-            by_ep: BTreeMap::new(),
             seq: 0,
             stats: ServerStats::default(),
             seen: BTreeMap::new(),
@@ -649,33 +692,23 @@ impl Model {
                         .iter()
                         .filter(|(_, r)| window.is_none_or(|w| now.saturating_since(r.3) >= w))
                         .min_by_key(|(id, r)| (r.2, **id))
-                        .map(|(&id, r)| (id, r.0));
-                    let Some((victim, public)) = victim else {
+                        .map(|(&id, _)| id);
+                    let Some(victim) = victim else {
                         self.stats.reg_refused += 1;
                         self.saw("refusal");
                         return vec![(from, Message::ErrorReply { code: ERR_TABLE_FULL })];
                     };
                     self.regs.remove(&victim);
-                    if self.by_ep.get(&public) == Some(&victim) {
-                        self.by_ep.remove(&public);
-                    }
                     self.stats.evictions += 1;
                     self.saw("eviction");
                 }
                 self.regs.insert(id, (from, private, self.seq, now));
                 self.seq += 1;
                 match old {
-                    Some(old) if old != from => {
-                        if self.by_ep.get(&old) == Some(&id) {
-                            self.by_ep.remove(&old);
-                        } else {
-                            self.saw("move off an endpoint another peer holds");
-                        }
-                    }
+                    Some(old) if old != from => self.saw("move to a new endpoint"),
                     Some(_) => self.saw("refresh"),
                     None => {}
                 }
-                self.by_ep.insert(from, id);
                 self.stats.registrations += 1;
                 vec![(from, Message::RegisterAck { public: from })]
             }
@@ -703,20 +736,13 @@ impl Model {
                     (tgt_public, half(peer_id, req_public, req_private, false)),
                 ]
             }
-            Message::Ping => {
-                if let Some(id) = self.by_ep.get(&from).copied() {
-                    self.touch(id, now);
-                    self.saw("ping through the reverse index");
-                }
-                vec![(from, Message::Pong)]
-            }
+            Message::Ping => vec![(from, Message::Pong)],
             _ => unreachable!("the sequences send only these three requests"),
         }
     }
 
     fn restart(&mut self) {
         self.regs.clear();
-        self.by_ep.clear();
         self.stats.restarts += 1;
         self.saw("restart");
     }

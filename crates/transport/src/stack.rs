@@ -561,10 +561,9 @@ impl HostStack {
                 && !seg.flags.intersects(TcpFlags::ACK | TcpFlags::RST);
             let steal = self.cfg.tcp_flavor == TcpFlavor::LinuxWindows
                 && is_pure_syn
-                && matches!(self.socks.get(&sock), Some(Socket::Tcp(t)) if t.state == TcpState::SynSent)
-                && self.listeners.contains_key(&dst.port);
-            if steal {
-                self.steal_to_listener(sock, src, dst, &seg);
+                && matches!(self.socks.get(&sock), Some(Socket::Tcp(t)) if t.state == TcpState::SynSent);
+            if let Some(listener) = steal.then(|| self.listeners.get(&dst.port).copied()).flatten() {
+                self.steal_to_listener(sock, listener, src, dst, &seg);
                 return;
             }
             self.drive(sock, |tcb, io| tcb.on_segment(&seg, io));
@@ -622,11 +621,14 @@ impl HostStack {
     /// Implements the LinuxWindows half of §4.3: the listener claims the
     /// incoming SYN's 4-tuple; the outstanding `connect()` on the same
     /// tuple fails with "address in use".
-    fn steal_to_listener(&mut self, old: SocketId, src: Endpoint, dst: Endpoint, seg: &TcpSegment) {
-        let listener = *self
-            .listeners
-            .get(&dst.port)
-            .expect("caller checked listener"); // punch-lint: allow(P001) caller verified the listener exists before dispatching here
+    fn steal_to_listener(
+        &mut self,
+        old: SocketId,
+        listener: SocketId,
+        src: Endpoint,
+        dst: Endpoint,
+        seg: &TcpSegment,
+    ) {
         if self.backlog_full(listener) {
             return;
         }
@@ -1203,7 +1205,9 @@ mod tests {
         s.handle_packet(Packet::tcp(ep("9.9.9.9:1000"), ep("10.0.0.1:80"), syn));
         let out = s.take_packets();
         assert_eq!(out.len(), 1);
-        let rst = out[0].tcp_segment().unwrap();
+        let Body::Tcp(rst) = &out[0].body else {
+            panic!("not tcp: {:?}", out[0]);
+        };
         assert!(rst.flags.contains(TcpFlags::RST));
         assert_eq!(rst.ack, 101);
     }

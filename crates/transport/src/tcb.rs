@@ -782,6 +782,15 @@ impl Tcb {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use punch_net::Body;
+
+    /// The segment a packet carries, if it is TCP.
+    fn tcp_of(p: &Packet) -> Option<&TcpSegment> {
+        match &p.body {
+            Body::Tcp(seg) => Some(seg),
+            _ => None,
+        }
+    }
 
     fn cfg() -> StackConfig {
         StackConfig::default()
@@ -817,11 +826,7 @@ mod tests {
         }
 
         fn last_seg(&self) -> &TcpSegment {
-            self.out
-                .last()
-                .expect("no packet emitted")
-                .tcp_segment()
-                .expect("not tcp")
+            tcp_of(self.out.last().expect("no packet emitted")).expect("not tcp")
         }
     }
 
@@ -913,7 +918,7 @@ mod tests {
         let before = h.out.len();
         tcb.on_segment(&bad, &mut h.io());
         assert_eq!(tcb.state, TcpState::SynSent);
-        let rst = h.out[before].tcp_segment().unwrap();
+        let rst = tcp_of(&h.out[before]).unwrap();
         assert!(rst.flags.contains(TcpFlags::RST));
         assert_eq!(rst.seq, 999);
     }
@@ -980,7 +985,7 @@ mod tests {
         let lens: Vec<usize> = h
             .out
             .iter()
-            .map(|p| p.tcp_segment().unwrap().payload.len())
+            .map(|p| tcp_of(p).unwrap().payload.len())
             .collect();
         assert_eq!(lens, vec![1400, 1400, 200]);
     }
@@ -1005,7 +1010,7 @@ mod tests {
         h.out
             .drain(..)
             .filter_map(|p| {
-                let seg = p.tcp_segment()?;
+                let seg = tcp_of(&p)?;
                 (!seg.payload.is_empty()).then(|| (seg.seq, seg.payload.to_vec()))
             })
             .collect()
@@ -1475,7 +1480,7 @@ mod tests {
         assert_eq!(h.out.len(), 1, "only the SYN so far");
         let synack = TcpSegment::control(TcpFlags::SYN | TcpFlags::ACK, 5000, 1001);
         tcb.on_segment(&synack, &mut h.io());
-        let data_seg = h.out.last().unwrap().tcp_segment().unwrap();
+        let data_seg = tcp_of(h.out.last().unwrap()).unwrap();
         assert_eq!(data_seg.payload.as_ref(), b"early");
     }
 
