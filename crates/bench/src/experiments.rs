@@ -120,9 +120,9 @@ pub fn udp_punch(topo: Topology, seed: u64, cfg_mod: impl Fn(&mut UdpPeerConfig)
 
 /// [`udp_punch`] with a custom WAN link profile (latency/loss sweeps).
 /// With `metrics` the registry is enabled — which never changes the
-/// outcome — and the returned [`MetricsSnapshot`] carries the punch
-/// timeline counters, per-layer drop counters and the `punch.latency`
-/// histogram; without, it is empty.
+/// outcome — and the returned [`MetricsSnapshot`] carries the `punch.*`
+/// counters, per-layer drop counters and the `punch.latency` histogram;
+/// without, it is empty.
 pub fn udp_punch_on(
     topo: Topology,
     seed: u64,

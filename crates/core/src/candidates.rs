@@ -257,8 +257,7 @@ impl CandidatePlan {
 
 /// Per-candidate race outcome: where the endpoint came from, when it was
 /// first probed, when it first answered with an authenticated response,
-/// and whether it won the race. Snapshots land in
-/// `PunchTimeline::candidates` and in `RaceSettled` events.
+/// and whether it won the race. Snapshots land in `RaceSettled` events.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct CandidateStamp {

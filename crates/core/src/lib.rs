@@ -30,7 +30,6 @@ pub mod events;
 pub(crate) mod relay;
 pub(crate) mod session;
 pub mod tcp;
-pub mod timeline;
 pub mod udp;
 
 pub use candidates::{
@@ -39,7 +38,6 @@ pub use candidates::{
 pub use config::{PunchConfig, TcpPeerConfig, TcpPunchMode, UdpPeerConfig};
 pub use events::{TcpPath, TcpPeerEvent, UdpPeerEvent, Via};
 pub use tcp::{TcpPeer, TcpPeerStats};
-pub use timeline::PunchTimeline;
 pub use udp::{UdpPeer, UdpPeerStats};
 
 /// Re-export: peer identity used across the rendezvous protocol.

@@ -121,7 +121,6 @@ enum TimerPurpose {
 pub struct TcpPeer {
     cfg: TcpPeerConfig,
     local_port: u16,
-    listener: Option<SocketId>,
     server_sock: Option<SocketId>,
     server_frames: FrameBuf,
     registered: bool,
@@ -142,7 +141,6 @@ impl TcpPeer {
         TcpPeer {
             cfg,
             local_port: 0,
-            listener: None,
             server_sock: None,
             server_frames: FrameBuf::new(),
             registered: false,
@@ -705,7 +703,6 @@ impl App for TcpPeer {
             .tcp_listen(self.cfg.local_port, true)
             .expect("local TCP port free"); // punch-lint: allow(P001) harness-chosen local port on a fresh host; collision is a setup bug
         self.local_port = os.local_endpoint(listener).expect("listener bound").port; // punch-lint: allow(P001) listener bound on the previous line
-        self.listener = Some(listener);
         self.connect_server(os);
     }
 

@@ -24,7 +24,6 @@ use crate::config::UdpPeerConfig;
 use crate::events::{UdpPeerEvent, Via};
 use crate::relay::{self, RelayKind};
 use crate::session::{self, Asked, Backlog, Phase, Race, Timers};
-use crate::timeline::PunchTimeline;
 use bytes::Bytes;
 use punch_net::flat::{self, FlatMap, FlatSet};
 use punch_net::{Counters, Endpoint, MetricKey, SimTime};
@@ -57,8 +56,14 @@ struct Session {
     /// suppressed while application traffic keeps the mapping fresh.
     last_sent: SimTime,
     relay_probe_armed: bool,
-    /// Phase stamps for the current punch cycle (reset on re-punch).
-    timeline: PunchTimeline,
+    /// When this cycle was requested of S (§3.2 step 1) and when S
+    /// first introduced it (step 2): the punch latency runs from the
+    /// request, or from the introduction on a responder that never
+    /// called `connect`. A re-punch resets both.
+    requested: Option<SimTime>,
+    introduced: Option<SimTime>,
+    /// When this cycle's race was won.
+    established: Option<SimTime>,
 }
 
 impl Session {
@@ -73,14 +78,23 @@ impl Session {
             tick_armed: false,
             last_sent: SimTime::ZERO,
             relay_probe_armed: false,
-            timeline: PunchTimeline::default(),
+            requested: None,
+            introduced: None,
+            established: None,
         }
+    }
+
+    /// Time from the start of this cycle to its winning answer, once
+    /// the race is won.
+    fn latency(&self) -> Option<std::time::Duration> {
+        let start = self.requested.or(self.introduced)?;
+        Some(self.established?.saturating_since(start))
     }
 }
 
 // One boxed `Session` per peer session (40 000 live in the benchmark's
 // `crowd_udp`): sharing `Race` with `TcpPeer` must not make it fatter.
-const _: () = assert!(std::mem::size_of::<Session>() <= 320);
+const _: () = assert!(std::mem::size_of::<Session>() <= 176);
 
 /// One of the client's k-of-n home rendezvous servers (the ring
 /// owners of its own id), with per-server registration liveness.
@@ -151,20 +165,17 @@ pub struct UdpPeer {
     expired_allocs: u32,
     /// Per-peer punch state. A client holds one to three sessions, so
     /// the table is a sorted vector that costs what it holds; boxed so
-    /// that a second session moves a pointer, not the ~300-byte first.
+    /// that a second session moves a pointer, not the ~180-byte first.
     sessions: FlatMap<PeerId, Box<Session>>,
     backlog: Backlog,
     events: Vec<UdpPeerEvent>,
     timers: Timers<TimerPurpose>,
     stats: UdpPeerStats,
     server_ka_armed: bool,
-    /// When the current registration with S was first acknowledged;
-    /// copied into each new session's [`PunchTimeline`].
-    registered_at: Option<SimTime>,
 }
 
 // One per client, boxed behind its host's `dyn App`.
-const _: () = assert!(std::mem::size_of::<UdpPeer>() <= 504);
+const _: () = assert!(std::mem::size_of::<UdpPeer>() <= 464);
 
 impl UdpPeer {
     /// Creates the endpoint; it registers with S (every home server,
@@ -211,7 +222,6 @@ impl UdpPeer {
             timers: Timers::new(),
             stats: UdpPeerStats::default(),
             server_ka_armed: false,
-            registered_at: None,
         }
     }
 
@@ -263,18 +273,13 @@ impl UdpPeer {
         self.stats
     }
 
-    /// Phase stamps for the current punch cycle with `peer` (§3.2 steps
-    /// as sim times), if a session exists. While the race is still
-    /// live, the per-candidate stamps reflect its current state; once
-    /// settled they are the final snapshot. See [`PunchTimeline`].
-    pub fn timeline(&self, peer: PeerId) -> Option<PunchTimeline> {
-        self.sessions.get(&peer).map(|s| {
-            let mut tl = s.timeline.clone();
-            if !tl.is_settled() {
-                tl.candidates = s.race.candidates.stamps();
-            }
-            tl
-        })
+    /// How long the current punch cycle with `peer` took: from our
+    /// connect request (or, on a responder that never asked, from S's
+    /// introduction) to the winning answer. `None` until the race is
+    /// won; a re-punch starts a new cycle. The race itself is reported
+    /// by [`UdpPeerEvent::RaceSettled`].
+    pub fn punch_latency(&self, peer: PeerId) -> Option<std::time::Duration> {
+        self.sessions.get(&peer)?.latency()
     }
 
     // ------------------------------------------------------------------
@@ -290,8 +295,7 @@ impl UdpPeer {
         let now = os.now();
         let nonce: u64 = os.rng().gen();
         let session = self.sessions.entry(peer).or_insert_with(|| Box::new(Session::new(nonce)));
-        session.timeline.registered = self.registered_at;
-        session.timeline.requested.get_or_insert(now);
+        session.requested.get_or_insert(now);
         self.request_introduction(os, peer, nonce);
         self.arm_punch_tick(os, peer);
     }
@@ -357,7 +361,6 @@ impl UdpPeer {
     /// reboot), and resume spraying.
     fn start_repunch(&mut self, os: &mut Os<'_, '_>, peer: PeerId) {
         let now = os.now();
-        let registered_at = self.registered_at;
         let plan = self.cfg.punch.plan.clone();
         // A fresh cycle gets a fresh nonce. Reusing the old one would let
         // the peer mistake this cycle's hellos for duplicates of the old
@@ -410,10 +413,11 @@ impl UdpPeer {
             }
             None => CandidateSet::default(),
         };
-        // A re-punch is a fresh §3.2 cycle; the timeline describes it,
+        // A re-punch is a fresh §3.2 cycle; the latency measures it,
         // not the original punch.
-        session.timeline = PunchTimeline::start(now);
-        session.timeline.registered = registered_at;
+        session.requested = Some(now);
+        session.introduced = None;
+        session.established = None;
         self.stats.repunches += 1;
         self.request_introduction(os, peer, nonce);
         self.arm_punch_tick(os, peer);
@@ -511,9 +515,12 @@ impl UdpPeer {
         self.send_to(os, server, msg);
     }
 
-    /// Registers with every home server (k-of-n with a fleet; exactly
-    /// one Register standalone).
-    fn register_all(&mut self, os: &mut Os<'_, '_>, private: Endpoint) {
+    /// Registers our socket's endpoint with every home server (k-of-n
+    /// with a fleet; exactly one Register standalone).
+    fn register_all(&mut self, os: &mut Os<'_, '_>) {
+        let Some(private) = self.local else {
+            return;
+        };
         let eps: Vec<Endpoint> = self.homes.iter().map(|s| s.ep).collect();
         for ep in eps {
             self.send_to(
@@ -577,15 +584,11 @@ impl UdpPeer {
         // answers (§3.3), as in ICE's candidate prioritization.
         let candidates = CandidateSet::from_sources(&self.cfg.punch.plan.sources, public, private);
         let now = os.now();
-        let registered_at = self.registered_at;
         let session = self.sessions.entry(peer).or_insert_with(|| Box::new(Session::new(nonce)));
         session.race.nonce = nonce;
         session.race.candidates = candidates;
         session.intro = Some((public, private));
-        if session.timeline.registered.is_none() {
-            session.timeline.registered = registered_at;
-        }
-        session.timeline.introduced.get_or_insert(now);
+        session.introduced.get_or_insert(now);
         // A re-introduction (our periodic re-request under loss) must not
         // reset the volley budget, or a failing punch would retry forever.
         if !matches!(session.race.phase, Phase::Punching | Phase::Established(_)) {
@@ -623,11 +626,7 @@ impl UdpPeer {
         let nonce = session.race.nonce;
         // One volley of the race: every candidate, in race order (the
         // paper's full spray each volley).
-        let due = session.race.candidates.next_volley(now);
-        if !due.is_empty() {
-            session.timeline.first_probe.get_or_insert(now);
-        }
-        for cand in due {
+        for cand in session.race.candidates.next_volley(now) {
             self.stats.probes_sent += 1;
             self.send_to(
                 os,
@@ -679,10 +678,7 @@ impl UdpPeer {
             // just refreshed the mapping. (A pending relay-probe
             // timer clears its own flag when it finds us upgraded.)
             session.last_sent = now;
-            session.timeline.established = Some(now);
-            session.timeline.attempts = session.attempts;
-            session.timeline.winner = Some(remote);
-            session.timeline.candidates = won.stamps.clone();
+            session.established = Some(now);
             os.metric_inc("punch.established");
             if race_metrics {
                 os.metric_inc_by("punch.candidates_tried", won.probed as u64);
@@ -692,7 +688,7 @@ impl UdpPeer {
                     .unwrap_or("observed");
                 os.metric_inc_labeled("punch.winner_kind", label);
             }
-            if let Some(latency) = session.timeline.punch_latency() {
+            if let Some(latency) = session.latency() {
                 os.metric_observe("punch.latency", latency);
             }
         } else if let Phase::Established(current) = &mut session.race.phase {
@@ -772,7 +768,6 @@ impl UdpPeer {
                     self.public = Some(public);
                 }
                 if first {
-                    self.registered_at = Some(now);
                     os.metric_inc("punch.registered");
                     flat::push(&mut self.events, UdpPeerEvent::Registered { public });
                     if !self.server_ka_armed {
@@ -884,7 +879,6 @@ impl UdpPeer {
     }
 
     fn fail_punch(&mut self, os: &mut Os<'_, '_>, peer: PeerId, reason: &'static str) {
-        let now = os.now();
         let relay = self.cfg.punch.relay_fallback;
         let probe_interval = self.cfg.punch.relay_probe_interval;
         let race_metrics = self.cfg.punch.plan.has_predictions();
@@ -894,16 +888,11 @@ impl UdpPeer {
         let Some(lost) = session.race.lose(relay) else {
             return;
         };
-        session.timeline.failure = Some(reason);
-        session.timeline.attempts = session.attempts;
-        session.timeline.candidates = lost.stamps.clone();
-        session.timeline.winner = None;
         if race_metrics {
             os.metric_inc_by("punch.candidates_tried", lost.probed as u64);
             os.metric_inc_labeled("punch.winner_kind", "none");
         }
         if relay {
-            session.timeline.relay_fallback = Some(now);
             os.metric_inc_labeled("punch.relay_fallback", reason);
             let arm_probe =
                 probe_interval.filter(|_| !std::mem::replace(&mut session.relay_probe_armed, true));
@@ -915,7 +904,6 @@ impl UdpPeer {
                 self.relay_app(os, peer, &data);
             }
         } else {
-            session.timeline.failed = Some(now);
             os.metric_inc_labeled("punch.failed", reason);
             flat::push(&mut self.events, UdpPeerEvent::PunchFailed { peer });
         }
@@ -935,8 +923,7 @@ impl App for UdpPeer {
         let sock = os.udp_bind(0).expect("ephemeral UDP port free"); // punch-lint: allow(P001) the first ephemeral port of a fresh host is free
         self.sock = Some(sock);
         self.local = os.local_endpoint(sock).ok();
-        let private = self.local.expect("socket bound"); // punch-lint: allow(P001) socket bound two lines above
-        self.register_all(os, private);
+        self.register_all(os);
         self.arm(os, self.cfg.register_retry, TimerPurpose::RegisterRetry);
     }
 
@@ -964,15 +951,13 @@ impl App for UdpPeer {
         match purpose {
             TimerPurpose::RegisterRetry => {
                 if !self.registered {
-                    let private = self.local.expect("socket bound"); // punch-lint: allow(P001) local is set in on_start before any timer fires
-                    self.register_all(os, private);
+                    self.register_all(os);
                     self.arm(os, self.cfg.register_retry, TimerPurpose::RegisterRetry);
                 }
             }
             TimerPurpose::ServerKeepalive => {
                 let now = os.now();
                 let ka = self.cfg.server_keepalive;
-                let private = self.local.expect("socket bound"); // punch-lint: allow(P001) local is set in on_start before any timer fires
                 // Two missed keepalive acks (plus a retry's grace) mean a
                 // server is gone — most likely restarted with empty
                 // tables. Each home slot is judged on its own acks.
@@ -991,7 +976,7 @@ impl App for UdpPeer {
                     self.server_ka_armed = false;
                     os.metric_inc("punch.server_lost");
                     flat::push(&mut self.events, UdpPeerEvent::ServerLost);
-                    self.register_all(os, private);
+                    self.register_all(os);
                     self.arm(os, self.cfg.register_retry, TimerPurpose::RegisterRetry);
                     return;
                 }
@@ -1004,7 +989,7 @@ impl App for UdpPeer {
                 // Refresh every home's registration record and the NAT
                 // mappings toward them (§3.6 applies to the rendezvous
                 // sessions as much as to peer sessions).
-                self.register_all(os, private);
+                self.register_all(os);
                 self.arm(os, ka, TimerPurpose::ServerKeepalive);
             }
             TimerPurpose::PunchTick(peer) => {
@@ -1017,7 +1002,6 @@ impl App for UdpPeer {
                     return; // Established or relaying; volley no longer needed.
                 }
                 session.attempts += 1;
-                session.timeline.attempts = session.attempts;
                 if session.attempts > max {
                     self.fail_punch(os, peer, "max-attempts");
                     return;
@@ -1047,8 +1031,6 @@ impl App for UdpPeer {
                     if quiet > timeout || missed {
                         session.race.phase = Phase::Failed;
                         session.keepalive_armed = false;
-                        session.timeline.failed = Some(now);
-                        session.timeline.failure = Some("session-timeout");
                         os.metric_inc_labeled("punch.session_died", "keepalive-timeout");
                         flat::push(&mut self.events, UdpPeerEvent::SessionDied { peer });
                         if auto_repunch {

@@ -185,8 +185,8 @@ const RACES: &str = include_str!("candidate_race_order.txt");
 
 /// Runs one fig5 punch + data exchange with `cfg_mod` applied to both
 /// peers and returns every observable the transcript comparison cares
-/// about: both peers' full event streams, both timelines, and both
-/// locked-in remotes, Debug-rendered.
+/// about: both peers' full event streams (`RaceSettled` included), both
+/// punch latencies, and both locked-in remotes, Debug-rendered.
 fn transcript(seed: u64, common_nat: bool, cfg_mod: impl Fn(&mut UdpPeerConfig)) -> String {
     let setup = |id| {
         let mut c = UdpPeerConfig::new(id, Scenario::server_endpoint());
@@ -221,10 +221,10 @@ fn transcript(seed: u64, common_nat: bool, cfg_mod: impl Fn(&mut UdpPeerConfig))
     let evs_a = sc.world.with_app::<UdpPeer, _>(a, |p, _| p.take_events());
     let evs_b = sc.world.with_app::<UdpPeer, _>(b, |p, _| p.take_events());
     format!(
-        "clock={:?}\nA events: {evs_a:?}\nB events: {evs_b:?}\nA timeline: {:?}\nB timeline: {:?}\nA remote: {:?}\nB remote: {:?}\n",
+        "clock={:?}\nA events: {evs_a:?}\nB events: {evs_b:?}\nA latency: {:?}\nB latency: {:?}\nA remote: {:?}\nB remote: {:?}\n",
         sc.world.sim.now(),
-        sc.world.app::<UdpPeer>(a).timeline(B),
-        sc.world.app::<UdpPeer>(b).timeline(A),
+        sc.world.app::<UdpPeer>(a).punch_latency(B),
+        sc.world.app::<UdpPeer>(b).punch_latency(A),
         sc.world.app::<UdpPeer>(a).session_remote(B),
         sc.world.app::<UdpPeer>(b).session_remote(A),
     )
@@ -233,7 +233,7 @@ fn transcript(seed: u64, common_nat: bool, cfg_mod: impl Fn(&mut UdpPeerConfig))
 /// The api_redesign degeneracy contract: a hand-built plan of exactly
 /// {private, public} is the legacy `Basic` strategy, and the default
 /// config (whose plan is that same pair) replays its transcript
-/// byte-for-byte — events, timelines, remotes, and the final clock.
+/// byte-for-byte — events, latencies, remotes, and the final clock.
 #[test]
 fn explicit_private_public_plan_replays_the_legacy_transcript() {
     for (seed, common_nat) in [(1, false), (2, true), (7, false)] {
@@ -297,10 +297,6 @@ fn race_settled_reports_per_candidate_outcomes() {
         "the winner was probed and answered: {:?}",
         won[0]
     );
-    // The timeline mirrors the event.
-    let tl = sc.world.app::<UdpPeer>(a).timeline(B).unwrap();
-    assert_eq!(tl.winner, Some(remote));
-    assert_eq!(tl.candidates, candidates);
 }
 
 /// Satellite: re-punch regenerates the candidate set from the stored
@@ -443,12 +439,18 @@ fn common_nat_race_winner_is_private() {
     assert!(sc
         .world
         .run_until_app::<UdpPeer>(a, SimTime::from_secs(30), |p| p.is_established(B)));
-    let tl = sc.world.app::<UdpPeer>(a).timeline(B).unwrap();
-    let winner = tl.winner.expect("race settled");
+    let evs = sc.world.with_app::<UdpPeer, _>(a, |p, _| p.take_events());
+    let winner = evs
+        .iter()
+        .find_map(|e| match e {
+            UdpPeerEvent::RaceSettled { peer, winner, .. } if *peer == B => *winner,
+            _ => None,
+        })
+        .expect("race settled");
     assert!(winner.ip.is_private(), "{winner}");
     assert_eq!(
         winner,
         sc.world.app::<UdpPeer>(a).session_remote(B).unwrap(),
-        "timeline winner is the locked-in remote"
+        "RaceSettled winner is the locked-in remote"
     );
 }

@@ -672,8 +672,6 @@ fn forged_error_reply_does_not_fail_a_waiting_session() {
         )),
         "{evs:?}"
     );
-    let tl = sc.world.app::<UdpPeer>(sc.a).timeline(B).unwrap();
-    assert_eq!((tl.failure, tl.relay_fallback), (None, None));
     exchange_data(&mut sc, Via::Direct);
 }
 
@@ -711,16 +709,20 @@ fn forged_relayed_data_adds_no_candidate_and_delivers_no_data() {
     );
     sc.world.sim.run_for(Duration::from_secs(2));
     sc.world.with_app::<UdpPeer, _>(sc.a, |p, os| p.connect(os, B));
-    sc.world.sim.run_for(Duration::from_secs(1));
-    let tl = sc.world.app::<UdpPeer>(sc.a).timeline(B).unwrap();
-    assert!(tl.introduced.is_some(), "the race is on: {tl:?}");
-    assert!(
-        tl.candidates.iter().all(|c| c.endpoint != forger_ep),
-        "{:?}",
-        tl.candidates
-    );
-    sc.world.sim.run_for(Duration::from_secs(20));
+    sc.world.sim.run_for(Duration::from_secs(21));
     let evs = sc.world.with_app::<UdpPeer, _>(sc.a, |p, _| p.take_events());
+    let raced: Vec<_> = evs
+        .iter()
+        .filter_map(|e| match e {
+            UdpPeerEvent::RaceSettled {
+                peer, candidates, ..
+            } if *peer == B => Some(candidates),
+            _ => None,
+        })
+        .flatten()
+        .collect();
+    assert!(!raced.is_empty(), "the race ran and settled: {evs:?}");
+    assert!(raced.iter().all(|c| c.endpoint != forger_ep), "{raced:?}");
     assert!(
         !evs.iter().any(|e| matches!(e, UdpPeerEvent::Data { .. })),
         "{evs:?}"
@@ -729,5 +731,129 @@ fn forged_relayed_data_adds_no_candidate_and_delivers_no_data() {
         sc.world.app::<RawSender>(forger).received,
         0,
         "no probe was steered at the forger"
+    );
+}
+
+/// The punch latency a session reports: from the connect request (or,
+/// on the responder, S's introduction) to the winning answer.
+fn latency(sc: &Scenario, node: punch_net::NodeId, peer: PeerId) -> Option<Duration> {
+    sc.world.app::<UdpPeer>(node).punch_latency(peer)
+}
+
+/// Every way a UDP session arrives at its latency, pinned to the
+/// simulated nanosecond: both sides of a punch, a re-punch (which
+/// restarts the clock), a relay → direct upgrade (which does not), and
+/// a responder whose own `connect` lands mid-race (which restarts it).
+#[test]
+fn punch_latency_is_pinned_on_every_path() {
+    let ns = |n: u64| Some(Duration::from_nanos(n));
+
+    // Initiator and responder of one Figure 5 punch.
+    let mut sc = fig5(
+        1,
+        NatBehavior::well_behaved(),
+        NatBehavior::well_behaved(),
+        udp_setup(A),
+        udp_setup(B),
+    );
+    assert_eq!(latency(&sc, sc.a, B), None, "no session yet");
+    assert!(run_punch(&mut sc, SimTime::from_secs(30)));
+    assert_eq!(
+        latency(&sc, sc.a, B),
+        ns(189_993_678),
+        "initiator: from the request"
+    );
+    assert_eq!(
+        latency(&sc, sc.b, A),
+        ns(61_921_611),
+        "responder: from the introduction"
+    );
+
+    // A re-punch after both NAT holes expired measures the new cycle.
+    let nat = NatBehavior::well_behaved().with_udp_timeout(Duration::from_secs(20));
+    let cfg = |id| {
+        let mut c = UdpPeerConfig::new(id, Scenario::server_endpoint());
+        c.punch.keepalive_interval = Duration::from_secs(300);
+        c.punch.session_timeout = Duration::from_secs(60);
+        c
+    };
+    let mut sc = fig5(
+        9,
+        nat.clone(),
+        nat,
+        udp_setup_cfg(cfg(A)),
+        udp_setup_cfg(cfg(B)),
+    );
+    assert!(run_punch(&mut sc, SimTime::from_secs(30)));
+    assert_eq!(latency(&sc, sc.a, B), ns(188_898_089), "first cycle");
+    sc.world.sim.run_for(Duration::from_secs(200));
+    sc.world
+        .with_app::<UdpPeer, _>(sc.a, |p, os| p.send(os, B, Bytes::from_static(b"wake")));
+    let deadline = sc.world.sim.now() + Duration::from_secs(30);
+    assert!(sc
+        .world
+        .run_until_app::<UdpPeer>(sc.a, deadline, |p| p.is_established(B)));
+    assert_eq!(latency(&sc, sc.a, B), ns(188_929_438), "re-punch cycle");
+
+    // Relay → direct: A's symmetric NAT forces the relay, then is fixed
+    // and the resilient profile's relay probe punches through. The
+    // latency runs from the original request.
+    let resilient = |id| {
+        PeerSetup::new(UdpPeer::new(UdpPeerConfig::resilient(
+            id,
+            Scenario::server_endpoint(),
+        )))
+    };
+    let mut sc = fig5(
+        60,
+        NatBehavior::symmetric(),
+        NatBehavior::well_behaved(),
+        resilient(A),
+        resilient(B),
+    );
+    sc.world.sim.run_for(Duration::from_secs(2));
+    sc.world
+        .with_app::<UdpPeer, _>(sc.a, |p, os| p.connect(os, B));
+    let relaying = |p: &UdpPeer| p.is_relaying(B);
+    assert!(sc
+        .world
+        .run_until_app::<UdpPeer>(sc.a, SimTime::from_secs(120), relaying));
+    assert_eq!(latency(&sc, sc.a, B), None, "relaying has no latency");
+    sc.world
+        .set_nat_behavior(sc.world.nats[0], NatBehavior::well_behaved());
+    let deadline = sc.world.sim.now() + Duration::from_secs(6);
+    assert!(sc
+        .world
+        .run_until_app::<UdpPeer>(sc.a, deadline, |p| p.is_established(B)));
+    assert_eq!(latency(&sc, sc.a, B), ns(70_962_863_648), "upgrade");
+
+    // The responder connects 10 ms after S's introduction set it
+    // spraying: its latency runs from its own request.
+    let mut sc = fig5(
+        1,
+        NatBehavior::well_behaved(),
+        NatBehavior::well_behaved(),
+        udp_setup(A),
+        udp_setup(B),
+    );
+    sc.world.sim.run_for(Duration::from_secs(2));
+    sc.world
+        .with_app::<UdpPeer, _>(sc.a, |p, os| p.connect(os, B));
+    let introduced = |p: &UdpPeer| p.stats().probes_sent > 0;
+    assert!(sc
+        .world
+        .run_until_app::<UdpPeer>(sc.b, SimTime::from_secs(30), introduced));
+    sc.world.sim.run_for(Duration::from_millis(10));
+    assert!(!sc.world.app::<UdpPeer>(sc.b).is_established(A));
+    sc.world
+        .with_app::<UdpPeer, _>(sc.b, |p, os| p.connect(os, A));
+    let established = |p: &UdpPeer| p.is_established(A);
+    assert!(sc
+        .world
+        .run_until_app::<UdpPeer>(sc.b, SimTime::from_secs(30), established));
+    assert_eq!(
+        latency(&sc, sc.b, A),
+        ns(51_921_611),
+        "responder that connects"
     );
 }

@@ -390,7 +390,7 @@ impl ShardedWorld {
                     sess.outcome = outcome;
                     sess.resolved_at = Some(boundary);
                     if outcome == SessionOutcome::Direct {
-                        sess.latency = app.timeline(sess.peer_b).and_then(|t| t.punch_latency());
+                        sess.latency = app.punch_latency(sess.peer_b);
                     }
                     // The world reads state accessors, never events: drop
                     // what both peers queued on the way here instead of
@@ -495,7 +495,7 @@ impl ShardedWorld {
     }
 
     /// Direct-punch latencies in global session order (sessions that
-    /// resolved [`SessionOutcome::Direct`] and recorded a timeline).
+    /// resolved [`SessionOutcome::Direct`] and recorded a latency).
     pub fn latencies(&self) -> Vec<Duration> {
         let mut v: Vec<(usize, Duration)> = Vec::new();
         for m in &self.shards {

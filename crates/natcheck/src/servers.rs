@@ -50,7 +50,6 @@ struct InboundAttempt {
 pub struct CheckServer {
     role: ServerRole,
     udp: Option<SocketId>,
-    listener: Option<SocketId>,
     conns: FlatMap<SocketId, CheckFrames>,
     /// Server 2: replies deferred until server 3's go-ahead, by token.
     pending: FlatMap<u64, PendingReply>,
@@ -66,7 +65,6 @@ impl CheckServer {
         CheckServer {
             role,
             udp: None,
-            listener: None,
             conns: FlatMap::new(),
             pending: FlatMap::new(),
             attempts: FlatMap::new(),
@@ -207,7 +205,7 @@ impl CheckServer {
 impl App for CheckServer {
     fn on_start(&mut self, os: &mut Os<'_, '_>) {
         self.udp = Some(os.udp_bind(CHECK_PORT).expect("check port free")); // punch-lint: allow(P001) well-known check port on a fresh server host
-        self.listener = Some(os.tcp_listen(CHECK_PORT, false).expect("check port free")); // punch-lint: allow(P001) well-known check port on a fresh server host
+        os.tcp_listen(CHECK_PORT, false).expect("check port free"); // punch-lint: allow(P001) well-known check port on a fresh server host
     }
 
     fn on_event(&mut self, os: &mut Os<'_, '_>, ev: SockEvent) {

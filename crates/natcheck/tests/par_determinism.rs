@@ -53,7 +53,7 @@ fn resilient_peer(id: u64) -> PeerSetup {
 /// `seed` (link outages, loss/dup/reorder degradation, NAT and server
 /// restarts), runs a punch attempt through the carnage, and fingerprints
 /// the run: the engine's deterministic counters plus both peers' event
-/// streams and punch timelines. The fingerprint must depend only on `seed`.
+/// streams and punch latencies. The fingerprint must depend only on `seed`.
 fn faulted_run_fingerprint(seed: u64) -> String {
     faulted_run(seed, false).0
 }
@@ -122,9 +122,10 @@ fn faulted_run(seed: u64, metrics: bool) -> (String, MetricsSnapshot) {
     stats.busy_nanos = 0; // host time, which `Debug` would print
     let mut fp = format!("{stats:?}\n");
     for (node, peer) in [(sc.a, PeerId(2)), (sc.b, PeerId(1))] {
-        let (evs, timeline) =
-            sc.world.with_app::<UdpPeer, _>(node, |p, _| (p.take_events(), p.timeline(peer)));
-        fp.push_str(&format!("{evs:?}\n{timeline:?}\n"));
+        let (evs, latency) = sc
+            .world
+            .with_app::<UdpPeer, _>(node, |p, _| (p.take_events(), p.punch_latency(peer)));
+        fp.push_str(&format!("{evs:?}\n{latency:?}\n"));
     }
     let snap = sc.world.sim.metrics_snapshot();
     (fp, snap)
@@ -183,7 +184,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Any seeded `FaultPlan` replays byte-identically: same seed, same
-    /// engine counters, peer events and timelines, run after run.
+    /// engine counters, peer events and latencies, run after run.
     #[test]
     fn fault_plans_replay_byte_identically(seed in any::<u64>()) {
         prop_assert_eq!(faulted_run_fingerprint(seed), faulted_run_fingerprint(seed));

@@ -46,12 +46,10 @@
 //! });
 //! assert!(ok, "punched through both NATs");
 //!
-//! // Every session records a punch timeline — sim-time stamps for each
-//! // §3.2 phase (recorded whether or not metrics are enabled).
-//! let tl = sc.world.app::<UdpPeer>(sc.a).timeline(b_id).unwrap();
-//! assert!(tl.requested < tl.introduced);
-//! assert!(tl.introduced < tl.established);
-//! println!("punch took {:?}", tl.punch_latency().unwrap());
+//! // Every session keeps its punch latency: from the connect request to
+//! // the winning answer (kept whether or not metrics are enabled).
+//! let latency = sc.world.app::<UdpPeer>(sc.a).punch_latency(b_id).unwrap();
+//! println!("punch took {latency:?}");
 //! ```
 //!
 //! See `examples/` for full programs and `DESIGN.md`/`EXPERIMENTS.md` for
@@ -82,8 +80,8 @@ pub use punch_lab as lab;
 pub mod prelude {
     pub use holepunch::{
         CandidateKind, CandidatePlan, CandidateSource, CandidateStamp, PeerId, PredictionStrategy,
-        PunchConfig, PunchTimeline, TcpPath, TcpPeer, TcpPeerConfig, TcpPeerEvent, TcpPunchMode,
-        UdpPeer, UdpPeerConfig, UdpPeerEvent, Via,
+        PunchConfig, TcpPath, TcpPeer, TcpPeerConfig, TcpPeerEvent, TcpPunchMode, UdpPeer,
+        UdpPeerConfig, UdpPeerEvent, Via,
     };
     pub use punch_lab::{addrs, fig4, fig5, fig6, PeerSetup, Scenario, World, WorldBuilder};
     pub use punch_nat::{
