@@ -37,7 +37,7 @@ struct Session {
     race: Race<Endpoint>,
     /// When the locked-in remote was last heard from. A field of its own
     /// rather than part of the link: inside the enum it would cost every
-    /// boxed session 8 bytes of padding.
+    /// session 8 bytes of padding.
     last_recv: SimTime,
     /// Nonce of the punch cycle whose first authenticated answer locked
     /// in the current `Established` remote. When a *later* cycle (a
@@ -92,8 +92,9 @@ impl Session {
     }
 }
 
-// One boxed `Session` per peer session (40 000 live in the benchmark's
-// `crowd_udp`): sharing `Race` with `TcpPeer` must not make it fatter.
+// One `Session` per peer session, inline in its client's table (40 000
+// live in the benchmark's `crowd_udp`): sharing `Race` with `TcpPeer`
+// must not make it fatter.
 const _: () = assert!(std::mem::size_of::<Session>() <= 176);
 
 /// One of the client's k-of-n home rendezvous servers (the ring
@@ -164,9 +165,10 @@ pub struct UdpPeer {
     /// NAT — the allocator's cursor never moves backwards (§5.1).
     expired_allocs: u32,
     /// Per-peer punch state. A client holds one to three sessions, so
-    /// the table is a sorted vector that costs what it holds; boxed so
-    /// that a second session moves a pointer, not the ~180-byte first.
-    sessions: FlatMap<PeerId, Box<Session>>,
+    /// the table is a sorted vector that costs what it holds, with each
+    /// session inline: the rare second session moves the first, and no
+    /// session costs an allocation and a pointer chase of its own.
+    sessions: FlatMap<PeerId, Session>,
     backlog: Backlog,
     events: Vec<UdpPeerEvent>,
     timers: Timers<TimerPurpose>,
@@ -174,8 +176,10 @@ pub struct UdpPeer {
     server_ka_armed: bool,
 }
 
-// One per client, boxed behind its host's `dyn App`.
+// One per client, inline in its host: a `ShardedWorld` client is one
+// `HostDevice<UdpPeer>` allocation (40 000 of them in `crowd_udp`).
 const _: () = assert!(std::mem::size_of::<UdpPeer>() <= 464);
+const _: () = assert!(std::mem::size_of::<punch_transport::HostDevice<UdpPeer>>() <= 864);
 
 impl UdpPeer {
     /// Creates the endpoint; it registers with S (every home server,
@@ -294,7 +298,7 @@ impl UdpPeer {
         }
         let now = os.now();
         let nonce: u64 = os.rng().gen();
-        let session = self.sessions.entry(peer).or_insert_with(|| Box::new(Session::new(nonce)));
+        let session = self.sessions.entry(peer).or_insert_with(|| Session::new(nonce));
         session.requested.get_or_insert(now);
         self.request_introduction(os, peer, nonce);
         self.arm_punch_tick(os, peer);
@@ -584,7 +588,7 @@ impl UdpPeer {
         // answers (§3.3), as in ICE's candidate prioritization.
         let candidates = CandidateSet::from_sources(&self.cfg.punch.plan.sources, public, private);
         let now = os.now();
-        let session = self.sessions.entry(peer).or_insert_with(|| Box::new(Session::new(nonce)));
+        let session = self.sessions.entry(peer).or_insert_with(|| Session::new(nonce));
         session.race.nonce = nonce;
         session.race.candidates = candidates;
         session.intro = Some((public, private));
@@ -1144,7 +1148,7 @@ mod tests {
             .race
             .candidates
             .insert("138.76.29.7:31000".parse().unwrap(), CandidateKind::Public);
-        peer.sessions.insert(PeerId(2), Box::new(session));
+        peer.sessions.insert(PeerId(2), session);
         let mut payload = vec![138, 76, 29, 7, 2];
         payload.extend_from_slice(&31001u16.to_be_bytes());
         payload.extend_from_slice(&31002u16.to_be_bytes());
@@ -1166,7 +1170,7 @@ mod tests {
             PeerId(1),
             "18.181.0.31:1234".parse().unwrap(),
         ));
-        peer.sessions.insert(PeerId(2), Box::new(Session::new(1)));
+        peer.sessions.insert(PeerId(2), Session::new(1));
         peer.handle_control(PeerId(2), &[1, 2, 3]); // too short
         peer.handle_control(PeerId(2), &[1, 2, 3, 4, 9, 0, 1]); // count says 9, data for 1
         assert!(peer.sessions.get(&PeerId(2)).unwrap().race.candidates.is_empty());

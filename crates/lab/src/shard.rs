@@ -266,7 +266,7 @@ impl ShardedWorld {
                     server_cfg = server_cfg.with_fleet(fleet.clone(), j).with_replication(replication);
                     name = format!("server{j}");
                 }
-                let app = Box::new(RendezvousServer::new(server_cfg));
+                let app = RendezvousServer::new(server_cfg);
                 server_nodes.push(net.host(name, ip, StackConfig::default(), app, None, server_wan));
             }
 
@@ -303,7 +303,7 @@ impl ShardedWorld {
                                 PredictionStrategy::SequentialDelta { window: 8 },
                             ));
                     }
-                    let app = Box::new(UdpPeer::new(ucfg));
+                    let app = UdpPeer::new(ucfg);
                     net.host(format!("m{i}.{tag}"), client_ip, StackConfig::fast(), app, Some(nat), lan)
                 };
                 let a = side("a", nat_a_ip, addrs::CLIENT_A, peer_a);
@@ -377,7 +377,10 @@ impl ShardedWorld {
                     if !sess.released || sess.outcome != SessionOutcome::Pending {
                         continue;
                     }
-                    let app = shard.sim.device::<HostDevice>(sess.a).app::<UdpPeer>();
+                    let app = shard
+                        .sim
+                        .device::<HostDevice<UdpPeer>>(sess.a)
+                        .app::<UdpPeer>();
                     let outcome = if app.is_established(sess.peer_b) {
                         SessionOutcome::Direct
                     } else if app.is_relaying(sess.peer_b) {
@@ -396,7 +399,7 @@ impl ShardedWorld {
                     // what both peers queued on the way here instead of
                     // carrying every session's history to the end.
                     for node in [sess.a, sess.b] {
-                        with_host_app::<UdpPeer, _>(&mut shard.sim, node, |app, _| {
+                        with_host_app::<UdpPeer, UdpPeer, _>(&mut shard.sim, node, |app, _| {
                             drop(app.take_events());
                         });
                     }
@@ -419,7 +422,9 @@ impl ShardedWorld {
                     let sess = &mut shard.sessions[i / self.shards.len()];
                     debug_assert_eq!(sess.global, i);
                     let (a, peer_b) = (sess.a, sess.peer_b);
-                    with_host_app::<UdpPeer, _>(&mut shard.sim, a, |app, os| app.connect(os, peer_b));
+                    with_host_app::<UdpPeer, UdpPeer, _>(&mut shard.sim, a, |app, os| {
+                        app.connect(os, peer_b)
+                    });
                     sess.released = true;
                 }
                 self.released += hi - lo;
@@ -515,7 +520,11 @@ impl ShardedWorld {
         for m in &self.shards {
             let shard = lock(m);
             for &node in &shard.servers {
-                let s = shard.sim.device::<HostDevice>(node).app::<RendezvousServer>().stats();
+                let s = shard
+                    .sim
+                    .device::<HostDevice<RendezvousServer>>(node)
+                    .app::<RendezvousServer>()
+                    .stats();
                 total.add(&s);
             }
         }

@@ -61,14 +61,16 @@ impl Backbone {
         }
     }
 
-    /// Adds a host on the private side of the NAT `behind`, or — `None` —
-    /// on the backbone with a route to `ip`.
-    pub(crate) fn host(
+    /// Adds a host running `app` on the private side of the NAT
+    /// `behind`, or — `None` — on the backbone with a route to `ip`. A
+    /// builder whose hosts all run one app type passes it by value and
+    /// gets a `HostDevice<A>`; [`WorldBuilder`] passes `Box<dyn App>`.
+    pub(crate) fn host<A: App>(
         &mut self,
         name: impl AsRef<str>,
         ip: Ipv4Addr,
         stack: StackConfig,
-        app: Box<dyn App>,
+        app: A,
         behind: Option<NodeId>,
         link: LinkSpec,
     ) -> NodeId {
@@ -112,15 +114,15 @@ impl Backbone {
     }
 }
 
-/// Runs `f` against the application of the host on `node` with a live
-/// [`Os`].
-pub(crate) fn with_host_app<T: App, R>(
+/// Runs `f` against the application of the `HostDevice<A>` on `node`
+/// with a live [`Os`].
+pub(crate) fn with_host_app<A: App, T: App, R>(
     sim: &mut Sim,
     node: NodeId,
     f: impl FnOnce(&mut T, &mut Os<'_, '_>) -> R,
 ) -> R {
     sim.with_node(node, |dev, ctx| {
-        let host = dev.downcast_mut::<HostDevice>().expect("node is a host"); // punch-lint: allow(P001) typed-accessor contract: caller names a node it created as a host
+        let host = dev.downcast_mut::<HostDevice<A>>().expect("node is a host"); // punch-lint: allow(P001) typed-accessor contract: caller names a node it created as a host
         host.with_app::<T, R>(ctx, f)
     })
 }
@@ -192,7 +194,7 @@ impl World {
         node: NodeId,
         f: impl FnOnce(&mut T, &mut Os<'_, '_>) -> R,
     ) -> R {
-        with_host_app(&mut self.sim, node, f)
+        with_host_app::<Box<dyn App>, T, R>(&mut self.sim, node, f)
     }
 
     /// Runs until `pred` over the app on `node` holds, or `deadline`

@@ -38,7 +38,7 @@ fn capped_topology(behavior: NatBehavior) -> (Sim, punch_net::NodeId) {
         Box::new(HostDevice::new(
             [18, 181, 0, 31].into(),
             StackConfig::default(),
-            Box::new(Sink),
+            Sink,
         )),
     );
     sim.connect(nat, sink, LinkSpec::wan()); // NAT iface 0 = public
@@ -47,7 +47,7 @@ fn capped_topology(behavior: NatBehavior) -> (Sim, punch_net::NodeId) {
         Box::new(HostDevice::new(
             [10, 0, 0, 1].into(),
             StackConfig::default(),
-            Box::new(Sink),
+            Sink,
         )),
     );
     sim.connect(nat, victim_host, LinkSpec::lan()); // NAT iface 1 = private

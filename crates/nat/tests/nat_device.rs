@@ -100,7 +100,7 @@ fn reflector_topology(
         Box::new(HostDevice::new(
             [18, 181, 0, 31].into(),
             StackConfig::default(),
-            Box::new(Reflector { port: 9000 }),
+            Reflector { port: 9000 },
         )),
     );
     let s2 = sim.add_node(
@@ -108,7 +108,7 @@ fn reflector_topology(
         Box::new(HostDevice::new(
             [18, 181, 0, 32].into(),
             StackConfig::default(),
-            Box::new(Reflector { port: 9000 }),
+            Reflector { port: 9000 },
         )),
     );
     let internet = sim.add_node("internet", Box::new(Router::new()));
@@ -124,10 +124,7 @@ fn reflector_topology(
         Box::new(HostDevice::new(
             [10, 0, 0, 1].into(),
             StackConfig::default(),
-            Box::new(UdpProbe::new(
-                4321,
-                vec![ep("18.181.0.31:9000"), ep("18.181.0.32:9000")],
-            )),
+            UdpProbe::new(4321, vec![ep("18.181.0.31:9000"), ep("18.181.0.32:9000")]),
         )),
     );
     let (r_nat, _) = sim.connect(internet, nat, LinkSpec::wan()); // NAT iface 0 = public
@@ -147,7 +144,7 @@ fn reflector_topology(
 fn cone_nat_presents_consistent_public_endpoint() {
     let (mut sim, client, nat) = reflector_topology(NatBehavior::well_behaved(), 1);
     sim.run_for(Duration::from_secs(2));
-    let probe = sim.device::<HostDevice>(client).app::<UdpProbe>();
+    let probe = sim.device::<HostDevice<UdpProbe>>(client).app::<UdpProbe>();
     assert_eq!(probe.replies.len(), 2);
     let seen1 = String::from_utf8(probe.replies[0].1.to_vec()).unwrap();
     let seen2 = String::from_utf8(probe.replies[1].1.to_vec()).unwrap();
@@ -172,7 +169,7 @@ fn cone_nat_presents_consistent_public_endpoint() {
 fn symmetric_nat_presents_different_endpoints_per_destination() {
     let (mut sim, client, nat) = reflector_topology(NatBehavior::symmetric(), 1);
     sim.run_for(Duration::from_secs(2));
-    let probe = sim.device::<HostDevice>(client).app::<UdpProbe>();
+    let probe = sim.device::<HostDevice<UdpProbe>>(client).app::<UdpProbe>();
     assert_eq!(probe.replies.len(), 2);
     assert_ne!(
         probe.replies[0].1, probe.replies[1].1,
@@ -187,7 +184,7 @@ fn preserving_allocation_keeps_private_port() {
         NatBehavior::well_behaved().with_port_alloc(punch_nat::PortAllocation::Preserving);
     let (mut sim, client, _nat) = reflector_topology(behavior, 1);
     sim.run_for(Duration::from_secs(2));
-    let probe = sim.device::<HostDevice>(client).app::<UdpProbe>();
+    let probe = sim.device::<HostDevice<UdpProbe>>(client).app::<UdpProbe>();
     let seen: Endpoint = String::from_utf8(probe.replies[0].1.to_vec())
         .unwrap()
         .parse()
@@ -206,7 +203,7 @@ fn filtering_topology(
         Box::new(HostDevice::new(
             [18, 181, 0, 31].into(),
             StackConfig::default(),
-            Box::new(Reflector { port: 9000 }),
+            Reflector { port: 9000 },
         )),
     );
     let s3 = sim.add_node(
@@ -214,7 +211,7 @@ fn filtering_topology(
         Box::new(HostDevice::new(
             [18, 181, 0, 33].into(),
             StackConfig::default(),
-            Box::new(UdpProbe::new(7000, vec![])),
+            UdpProbe::new(7000, vec![]),
         )),
     );
     let internet = sim.add_node("internet", Box::new(Router::new()));
@@ -230,7 +227,7 @@ fn filtering_topology(
         Box::new(HostDevice::new(
             [10, 0, 0, 1].into(),
             StackConfig::default(),
-            Box::new(UdpProbe::new(4321, vec![ep("18.181.0.31:9000")])),
+            UdpProbe::new(4321, vec![ep("18.181.0.31:9000")]),
         )),
     );
     let (r_nat, _) = sim.connect(internet, nat, LinkSpec::wan());
@@ -251,7 +248,7 @@ fn run_filtering(behavior: NatBehavior) -> usize {
     sim.run_for(Duration::from_secs(1));
     // s3 sends unsolicited traffic at the client's public endpoint.
     sim.with_node(s3, |dev, ctx| {
-        let host = dev.downcast_mut::<HostDevice>().unwrap();
+        let host = dev.downcast_mut::<HostDevice<UdpProbe>>().unwrap();
         host.with_app::<UdpProbe, _>(ctx, |app, os| {
             let sock = app.sock.unwrap();
             os.udp_send(sock, ep("155.99.25.11:62000"), b"unsolicited".as_ref())
@@ -259,7 +256,7 @@ fn run_filtering(behavior: NatBehavior) -> usize {
         });
     });
     sim.run_for(Duration::from_secs(1));
-    let probe = sim.device::<HostDevice>(client).app::<UdpProbe>();
+    let probe = sim.device::<HostDevice<UdpProbe>>(client).app::<UdpProbe>();
     probe
         .replies
         .iter()
@@ -296,7 +293,7 @@ fn restricted_cone_blocks_other_ips_but_not_other_ports() {
         ),
     );
     sim.run_for(Duration::from_secs(1));
-    let probe = sim.device::<HostDevice>(client).app::<UdpProbe>();
+    let probe = sim.device::<HostDevice<UdpProbe>>(client).app::<UdpProbe>();
     assert!(probe
         .replies
         .iter()
@@ -320,15 +317,17 @@ fn tcp_unsolicited_outcome(policy: TcpUnsolicited) -> Option<Result<(), SocketEr
         Box::new(HostDevice::new(
             [18, 181, 0, 33].into(),
             StackConfig::fast(),
-            Box::new(TcpProbe {
+            TcpProbe {
                 remote: ep("155.99.25.11:62000"),
                 result: None,
-            }),
+            },
         )),
     );
     sim.connect(nat, prober, LinkSpec::wan()); // NAT iface 0 = public side
     sim.run_for(Duration::from_secs(60));
-    sim.device::<HostDevice>(prober).app::<TcpProbe>().result
+    sim.device::<HostDevice<TcpProbe>>(prober)
+        .app::<TcpProbe>()
+        .result
 }
 
 #[test]
@@ -364,7 +363,7 @@ fn udp_mapping_expires_and_reallocates() {
     // Stay idle past the timeout, then probe again from the same socket.
     sim.run_until(SimTime::from_secs(60));
     sim.with_node(client, |dev, ctx| {
-        let host = dev.downcast_mut::<HostDevice>().unwrap();
+        let host = dev.downcast_mut::<HostDevice<UdpProbe>>().unwrap();
         host.with_app::<UdpProbe, _>(ctx, |app, os| {
             let sock = app.sock.unwrap();
             os.udp_send(sock, ep("18.181.0.31:9000"), b"probe".as_ref())
@@ -378,7 +377,7 @@ fn udp_mapping_expires_and_reallocates() {
         2,
         "expired mapping must be re-created"
     );
-    let probe = sim.device::<HostDevice>(client).app::<UdpProbe>();
+    let probe = sim.device::<HostDevice<UdpProbe>>(client).app::<UdpProbe>();
     let last = String::from_utf8(probe.replies.last().unwrap().1.to_vec()).unwrap();
     let first = String::from_utf8(probe.replies[0].1.to_vec()).unwrap();
     assert_ne!(
@@ -396,7 +395,7 @@ fn keepalives_hold_the_mapping_open() {
     for _ in 0..4 {
         sim.run_for(Duration::from_secs(15));
         sim.with_node(client, |dev, ctx| {
-            let host = dev.downcast_mut::<HostDevice>().unwrap();
+            let host = dev.downcast_mut::<HostDevice<UdpProbe>>().unwrap();
             host.with_app::<UdpProbe, _>(ctx, |app, os| {
                 let sock = app.sock.unwrap();
                 os.udp_send(sock, ep("18.181.0.31:9000"), b"probe".as_ref())
@@ -419,7 +418,7 @@ fn hairpin_full_loops_with_translated_source() {
     let (mut sim, client, nat) = reflector_topology(NatBehavior::well_behaved(), 5);
     sim.run_for(Duration::from_secs(2));
     sim.with_node(client, |dev, ctx| {
-        let host = dev.downcast_mut::<HostDevice>().unwrap();
+        let host = dev.downcast_mut::<HostDevice<UdpProbe>>().unwrap();
         host.with_app::<UdpProbe, _>(ctx, |_, os| {
             let second = os.udp_bind(5555).unwrap();
             os.udp_send(second, ep("155.99.25.11:62000"), b"hairpin".as_ref())
@@ -427,7 +426,7 @@ fn hairpin_full_loops_with_translated_source() {
         });
     });
     sim.run_for(Duration::from_secs(2));
-    let probe = sim.device::<HostDevice>(client).app::<UdpProbe>();
+    let probe = sim.device::<HostDevice<UdpProbe>>(client).app::<UdpProbe>();
     let hp = probe
         .replies
         .iter()
@@ -447,7 +446,7 @@ fn hairpin_none_drops() {
     let (mut sim, client, nat) = reflector_topology(behavior, 5);
     sim.run_for(Duration::from_secs(2));
     sim.with_node(client, |dev, ctx| {
-        let host = dev.downcast_mut::<HostDevice>().unwrap();
+        let host = dev.downcast_mut::<HostDevice<UdpProbe>>().unwrap();
         host.with_app::<UdpProbe, _>(ctx, |_, os| {
             let second = os.udp_bind(5555).unwrap();
             os.udp_send(second, ep("155.99.25.11:62000"), b"hairpin".as_ref())
@@ -455,7 +454,7 @@ fn hairpin_none_drops() {
         });
     });
     sim.run_for(Duration::from_secs(2));
-    let probe = sim.device::<HostDevice>(client).app::<UdpProbe>();
+    let probe = sim.device::<HostDevice<UdpProbe>>(client).app::<UdpProbe>();
     assert!(!probe.replies.iter().any(|(_, d)| d.as_ref() == b"hairpin"));
     assert_eq!(sim.device::<NatDevice>(nat).stats().hairpinned, 0);
 }
@@ -466,7 +465,7 @@ fn hairpin_no_source_rewrite_exposes_private_endpoint() {
     let (mut sim, client, _nat) = reflector_topology(behavior, 5);
     sim.run_for(Duration::from_secs(2));
     sim.with_node(client, |dev, ctx| {
-        let host = dev.downcast_mut::<HostDevice>().unwrap();
+        let host = dev.downcast_mut::<HostDevice<UdpProbe>>().unwrap();
         host.with_app::<UdpProbe, _>(ctx, |_, os| {
             let second = os.udp_bind(5555).unwrap();
             os.udp_send(second, ep("155.99.25.11:62000"), b"hairpin".as_ref())
@@ -474,7 +473,7 @@ fn hairpin_no_source_rewrite_exposes_private_endpoint() {
         });
     });
     sim.run_for(Duration::from_secs(2));
-    let probe = sim.device::<HostDevice>(client).app::<UdpProbe>();
+    let probe = sim.device::<HostDevice<UdpProbe>>(client).app::<UdpProbe>();
     let hp = probe
         .replies
         .iter()
@@ -504,7 +503,7 @@ fn payload_mangler_rewrites_private_address_and_obfuscation_defeats_it() {
         Box::new(HostDevice::new(
             [18, 181, 0, 31].into(),
             StackConfig::default(),
-            Box::new(UdpProbe::new(9000, vec![])),
+            UdpProbe::new(9000, vec![]),
         )),
     );
     sim.connect(nat, sink, LinkSpec::wan()); // iface 0 public
@@ -517,13 +516,13 @@ fn payload_mangler_rewrites_private_address_and_obfuscation_defeats_it() {
         Box::new(HostDevice::new(
             client_ip,
             StackConfig::default(),
-            Box::new(UdpProbe::new(4321, vec![])),
+            UdpProbe::new(4321, vec![]),
         )),
     );
     sim.connect(nat, client, LinkSpec::lan());
     sim.run_for(Duration::from_millis(10));
     sim.with_node(client, |dev, ctx| {
-        let host = dev.downcast_mut::<HostDevice>().unwrap();
+        let host = dev.downcast_mut::<HostDevice<UdpProbe>>().unwrap();
         host.with_app::<UdpProbe, _>(ctx, |app, os| {
             let sock = app.sock.unwrap();
             os.udp_send(sock, ep("18.181.0.31:9000"), payload_plain.clone())
@@ -533,7 +532,10 @@ fn payload_mangler_rewrites_private_address_and_obfuscation_defeats_it() {
         });
     });
     sim.run_for(Duration::from_secs(1));
-    let got = &sim.device::<HostDevice>(sink).app::<UdpProbe>().replies;
+    let got = &sim
+        .device::<HostDevice<UdpProbe>>(sink)
+        .app::<UdpProbe>()
+        .replies;
     assert_eq!(got.len(), 2);
     // First payload was mangled to the public IP.
     assert_eq!(
@@ -565,7 +567,7 @@ fn local_switching_between_private_hosts() {
         Box::new(HostDevice::new(
             [18, 181, 0, 31].into(),
             StackConfig::default(),
-            Box::new(UdpProbe::new(1, vec![])),
+            UdpProbe::new(1, vec![]),
         )),
     );
     sim.connect(nat, up, LinkSpec::wan());
@@ -574,7 +576,7 @@ fn local_switching_between_private_hosts() {
         Box::new(HostDevice::new(
             [10, 0, 0, 1].into(),
             StackConfig::default(),
-            Box::new(UdpProbe::new(4321, vec![ep("10.0.0.2:4321")])),
+            UdpProbe::new(4321, vec![ep("10.0.0.2:4321")]),
         )),
     );
     let b = sim.add_node(
@@ -582,7 +584,7 @@ fn local_switching_between_private_hosts() {
         Box::new(HostDevice::new(
             [10, 0, 0, 2].into(),
             StackConfig::default(),
-            Box::new(UdpProbe::new(4321, vec![ep("10.0.0.1:4321")])),
+            UdpProbe::new(4321, vec![ep("10.0.0.1:4321")]),
         )),
     );
     let (_, _) = sim.connect(nat, a, LinkSpec::lan());
@@ -593,11 +595,17 @@ fn local_switching_between_private_hosts() {
         .add_private_host([10, 0, 0, 2].into(), nat_if_b);
     sim.run_for(Duration::from_secs(1));
     assert_eq!(
-        sim.device::<HostDevice>(a).app::<UdpProbe>().replies.len(),
+        sim.device::<HostDevice<UdpProbe>>(a)
+            .app::<UdpProbe>()
+            .replies
+            .len(),
         1
     );
     assert_eq!(
-        sim.device::<HostDevice>(b).app::<UdpProbe>().replies.len(),
+        sim.device::<HostDevice<UdpProbe>>(b)
+            .app::<UdpProbe>()
+            .replies
+            .len(),
         1
     );
     let st = sim.device::<NatDevice>(nat).stats();
@@ -623,7 +631,7 @@ fn ttl_decrements_through_nat() {
         Box::new(HostDevice::new(
             [18, 181, 0, 31].into(),
             StackConfig::default(),
-            Box::new(UdpProbe::new(9000, vec![])),
+            UdpProbe::new(9000, vec![]),
         )),
     );
     sim.connect(nat, sink, LinkSpec::wan());
@@ -636,7 +644,7 @@ fn ttl_decrements_through_nat() {
     sim.run_for(Duration::from_secs(1));
     // Delivered with ttl 1.
     assert_eq!(
-        sim.device::<HostDevice>(sink)
+        sim.device::<HostDevice<UdpProbe>>(sink)
             .app::<UdpProbe>()
             .replies
             .len(),
@@ -651,7 +659,7 @@ fn ttl_decrements_through_nat() {
     });
     sim.run_for(Duration::from_secs(1));
     assert_eq!(
-        sim.device::<HostDevice>(sink)
+        sim.device::<HostDevice<UdpProbe>>(sink)
             .app::<UdpProbe>()
             .replies
             .len(),
@@ -678,7 +686,7 @@ fn hairpin_that_evicts_its_own_target(behavior: NatBehavior, x: &str) -> punch_n
         Box::new(HostDevice::new(
             [18, 181, 0, 31].into(),
             StackConfig::default(),
-            Box::new(UdpProbe::new(9000, vec![])),
+            UdpProbe::new(9000, vec![]),
         )),
     );
     sim.connect(nat, sink, LinkSpec::wan());

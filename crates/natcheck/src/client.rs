@@ -167,7 +167,11 @@ impl NatCheckClient {
     }
 
     fn send_udp_probes(&mut self, os: &mut Os<'_, '_>) {
-        let sock = self.sock1.expect("bound"); // punch-lint: allow(P001) sock1 is bound in on_start before any probe timer fires
+        // `on_start` binds `sock1` before its first probe and before it
+        // arms the tick that repeats them.
+        let Some(sock) = self.sock1 else {
+            return;
+        };
         if self.udp_obs1.is_none() {
             let _ = os.udp_send(
                 sock,

@@ -316,9 +316,11 @@ struct ConnState {
 ///     Box::new(HostDevice::new(
 ///         [18, 181, 0, 31].into(),
 ///         StackConfig::default(),
-///         Box::new(RendezvousServer::new(ServerConfig::default())),
+///         RendezvousServer::new(ServerConfig::default()),
 ///     )),
 /// );
+/// let stats = sim.device::<HostDevice<RendezvousServer>>(s).app::<RendezvousServer>().stats();
+/// assert_eq!(stats.registrations, 0);
 /// ```
 pub struct RendezvousServer {
     cfg: ServerConfig,
@@ -1111,8 +1113,11 @@ mod tests {
             .with_max_clients(MAX_CLIENTS)
             .with_rate_limit(RATE);
         let server_ep = Endpoint::new(Ipv4Addr::new(18, 181, 0, 31), cfg.port);
-        let server = Box::new(RendezvousServer::new(cfg));
-        let host = HostDevice::new(server_ep.ip, StackConfig::default(), server);
+        let host = HostDevice::new(
+            server_ep.ip,
+            StackConfig::default(),
+            RendezvousServer::new(cfg),
+        );
         let server = sim.add_node("server", Box::new(host));
         let sink = sim.add_node("sink", Box::new(SinkDevice::default()));
         sim.connect(server, sink, LinkSpec::new(Duration::from_millis(1)));
@@ -1140,6 +1145,6 @@ mod tests {
     }
 
     fn app(sim: &Sim, node: NodeId) -> &RendezvousServer {
-        sim.device::<HostDevice>(node).app()
+        sim.device::<HostDevice<RendezvousServer>>(node).app()
     }
 }

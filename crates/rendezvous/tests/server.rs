@@ -766,7 +766,7 @@ fn run_against_model(seed: u64, max: usize, window: Option<Duration>, steps: u64
     }
     let s = server_ep(0);
     let mut sim = Sim::new(seed);
-    let host = HostDevice::new(s.ip, StackConfig::default(), Box::new(RendezvousServer::new(cfg)));
+    let host = HostDevice::new(s.ip, StackConfig::default(), RendezvousServer::new(cfg));
     let server = sim.add_node("server", Box::new(host));
     let sink = sim.add_node("sink", Box::new(SinkDevice::default()));
     let (iface, _) = sim.connect(server, sink, LinkSpec::new(Duration::from_millis(1)));
@@ -811,7 +811,7 @@ fn run_against_model(seed: u64, max: usize, window: Option<Duration>, steps: u64
             .collect();
         replies += got.len();
         assert_eq!(got, expected, "seed {seed} step {step}");
-        let app: &RendezvousServer = sim.device::<HostDevice>(server).app();
+        let app: &RendezvousServer = sim.device::<HostDevice<RendezvousServer>>(server).app();
         assert_eq!(
             format!("{:?}", app.stats()),
             format!("{:?}", model.stats),

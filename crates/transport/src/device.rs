@@ -13,12 +13,13 @@ use crate::config::StackConfig;
 use crate::error::SockResult;
 use crate::event::SockEvent;
 use crate::socket::{SocketId, INTERNAL_TIMER_BIT};
-use crate::stack::{ConnectOpts, HostStack};
+use crate::stack::{ConnectOpts, HostStack, Outboxes};
 use bytes::Bytes;
 use punch_net::{Counters, Ctx, Device, Endpoint, IfaceId, MetricKey, Packet, SimTime};
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::any::Any;
+use std::cell::RefCell;
 use std::net::Ipv4Addr;
 use std::time::Duration;
 
@@ -174,23 +175,92 @@ impl dyn App {
     }
 }
 
+/// A boxed application is an application: this is what a host of the
+/// default type, `HostDevice<Box<dyn App>>`, runs.
+impl App for Box<dyn App> {
+    fn on_start(&mut self, os: &mut Os<'_, '_>) {
+        (**self).on_start(os);
+    }
+
+    fn on_event(&mut self, os: &mut Os<'_, '_>, ev: SockEvent) {
+        (**self).on_event(os, ev);
+    }
+
+    fn on_timer(&mut self, os: &mut Os<'_, '_>, token: u64) {
+        (**self).on_timer(os, token);
+    }
+
+    fn on_fault(&mut self, os: &mut Os<'_, '_>, fault: u64) {
+        (**self).on_fault(os, fault);
+    }
+
+    fn counters(&self, c: &mut Counters<'_>) {
+        (**self).counters(c);
+    }
+}
+
+/// `app` as a `T`: a typed host's own field, or what a boxed host's
+/// box holds.
+fn downcast_ref<A: App, T: App>(app: &A) -> Option<&T> {
+    let any: &dyn Any = app;
+    match any.downcast_ref::<Box<dyn App>>() {
+        Some(boxed) => boxed.downcast_ref::<T>(),
+        None => any.downcast_ref::<T>(),
+    }
+}
+
+/// [`downcast_ref`], mutably.
+fn downcast_mut<A: App, T: App>(app: &mut A) -> Option<&mut T> {
+    let any: &mut dyn Any = app;
+    if any.is::<Box<dyn App>>() {
+        any.downcast_mut::<Box<dyn App>>()?.downcast_mut::<T>()
+    } else {
+        any.downcast_mut::<T>()
+    }
+}
+
+thread_local! {
+    /// The outboxes this thread lends to the host running a callback.
+    /// A host's own are empty whenever no callback runs (`drive` drains
+    /// them before returning), so one set per thread serves every host
+    /// the thread runs and a host holds no buffer between callbacks.
+    static SPARE: RefCell<Outboxes> = const {
+        RefCell::new(Outboxes {
+            out: Vec::new(),
+            events: Vec::new(),
+            timers: Vec::new(),
+        })
+    };
+}
+
+/// Swaps this thread's spare outboxes with `stack`'s: every callback
+/// begins by borrowing the set and ends, once `drive` has drained it, by
+/// handing it back ([`HostDevice::finish`]).
+fn swap_spare(stack: &mut HostStack) {
+    SPARE.with_borrow_mut(|spare| stack.swap_outboxes(spare));
+}
+
 /// A simulator node hosting a protocol stack and an application.
 ///
 /// The host has exactly one network interface (iface 0) and one IP
 /// address; routing beyond the first hop is the network's concern.
-pub struct HostDevice {
+///
+/// `A` is the application type. A builder whose hosts all run one app
+/// names it, so the app sits inline and is called statically; the
+/// default, `Box<dyn App>`, is for worlds that mix applications.
+/// [`HostDevice::app`] and [`HostDevice::with_app`] work on either.
+pub struct HostDevice<A: App = Box<dyn App>> {
     stack: HostStack,
-    app: Box<dyn App>,
+    app: A,
     started: bool,
 }
 
-// One per host, boxed into the sim's device table: 40 000 of them in
-// the benchmark's `crowd_udp`.
+// One per host, boxed into the sim's device table.
 const _: () = assert!(std::mem::size_of::<HostDevice>() <= 416);
 
-impl HostDevice {
+impl<A: App> HostDevice<A> {
     /// Creates a host with address `ip` running `app`.
-    pub fn new(ip: Ipv4Addr, cfg: StackConfig, app: Box<dyn App>) -> Self {
+    pub fn new(ip: Ipv4Addr, cfg: StackConfig, app: A) -> Self {
         // The stack RNG is reseeded from the node's deterministic stream
         // in `on_start`; the placeholder seed only covers direct
         // stack manipulation before the simulation first runs.
@@ -207,8 +277,7 @@ impl HostDevice {
     ///
     /// Panics if the application is not a `T`.
     pub fn app<T: App>(&self) -> &T {
-        self.app
-            .downcast_ref::<T>()
+        downcast_ref::<A, T>(&self.app)
             .unwrap_or_else(|| panic!("app is not a {}", std::any::type_name::<T>())) // punch-lint: allow(P001) typed-accessor contract: caller names the app type it installed
     }
 
@@ -226,25 +295,31 @@ impl HostDevice {
         ctx: &mut Ctx<'_>,
         f: impl FnOnce(&mut T, &mut Os<'_, '_>) -> R,
     ) -> R {
-        let app = self
-            .app
-            .downcast_mut::<T>()
+        let app = downcast_mut::<A, T>(&mut self.app)
             .unwrap_or_else(|| panic!("app is not a {}", std::any::type_name::<T>())); // punch-lint: allow(P001) typed-accessor contract: caller names the app type it installed
+        swap_spare(&mut self.stack);
         let mut os = Os {
             stack: &mut self.stack,
             ctx,
         };
         let r = f(app, &mut os);
-        Self::drive(&mut self.stack, self.app.as_mut(), ctx);
+        self.finish(ctx);
         r
+    }
+
+    /// Ends a callback that began with [`swap_spare`]: drives what it
+    /// queued, then hands the emptied outboxes back to the thread.
+    fn finish(&mut self, ctx: &mut Ctx<'_>) {
+        Self::drive(&mut self.stack, &mut self.app, ctx);
+        swap_spare(&mut self.stack);
     }
 
     /// Flushes stack side effects and dispatches pending events to the
     /// app, repeating until quiescent (app callbacks may generate more).
-    /// The stack's outboxes are drained in place and keep their buffers,
-    /// so the per-packet dispatch loop never allocates and a host holds
-    /// one buffer per kind.
-    fn drive(stack: &mut HostStack, app: &mut dyn App, ctx: &mut Ctx<'_>) {
+    /// The outboxes are drained in place and keep their buffers, so the
+    /// per-packet dispatch loop never allocates once the thread's spare
+    /// set has grown.
+    fn drive(stack: &mut HostStack, app: &mut A, ctx: &mut Ctx<'_>) {
         loop {
             for pkt in stack.out.drain(..) {
                 ctx.send(0, pkt);
@@ -269,27 +344,30 @@ impl HostDevice {
     }
 }
 
-impl Device for HostDevice {
+impl<A: App> Device for HostDevice<A> {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         if !self.started {
             self.started = true;
             let seed = ctx.rng().gen();
             self.stack.reseed(seed);
         }
+        swap_spare(&mut self.stack);
         let mut os = Os {
             stack: &mut self.stack,
             ctx,
         };
         self.app.on_start(&mut os);
-        Self::drive(&mut self.stack, self.app.as_mut(), ctx);
+        self.finish(ctx);
     }
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, _iface: IfaceId, pkt: Packet) {
+        swap_spare(&mut self.stack);
         self.stack.handle_packet(pkt);
-        Self::drive(&mut self.stack, self.app.as_mut(), ctx);
+        self.finish(ctx);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+        swap_spare(&mut self.stack);
         if !self.stack.handle_timer(token) {
             let mut os = Os {
                 stack: &mut self.stack,
@@ -297,16 +375,17 @@ impl Device for HostDevice {
             };
             self.app.on_timer(&mut os, token);
         }
-        Self::drive(&mut self.stack, self.app.as_mut(), ctx);
+        self.finish(ctx);
     }
 
     fn on_fault(&mut self, ctx: &mut Ctx<'_>, fault: u64) {
+        swap_spare(&mut self.stack);
         let mut os = Os {
             stack: &mut self.stack,
             ctx,
         };
         self.app.on_fault(&mut os, fault);
-        Self::drive(&mut self.stack, self.app.as_mut(), ctx);
+        self.finish(ctx);
     }
 
     /// The stack's transport counters, then the application's.
@@ -319,5 +398,87 @@ impl Device for HostDevice {
         c.inc_by(MetricKey::plain("transport.rst_accepted"), s.rsts_accepted);
         c.inc_by(MetricKey::plain("transport.rst_rejected"), s.rsts_rejected);
         self.app.counters(c);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use punch_net::{LinkSpec, NodeId, Sim};
+
+    const SERVER: Endpoint = Endpoint::new(Ipv4Addr::new(18, 181, 0, 31), 80);
+
+    /// Echoes datagrams and accepts streams on port 80.
+    struct Server;
+
+    impl App for Server {
+        fn on_start(&mut self, os: &mut Os<'_, '_>) {
+            os.udp_bind(SERVER.port).expect("bind");
+            os.tcp_listen(SERVER.port, false).expect("listen");
+        }
+
+        fn on_event(&mut self, os: &mut Os<'_, '_>, ev: SockEvent) {
+            match ev {
+                SockEvent::UdpReceived { sock, from, data } => {
+                    os.udp_send(sock, from, data).expect("echo");
+                }
+                SockEvent::TcpIncoming { listener } => {
+                    while let Ok(Some(_)) = os.tcp_accept(listener) {}
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// Sends a datagram and opens a stream at start (a packet out and a
+    /// SYN retransmission timer armed by the stack), then counts the
+    /// events the stack dispatches back.
+    #[derive(Default)]
+    struct Client {
+        events: usize,
+    }
+
+    impl App for Client {
+        fn on_start(&mut self, os: &mut Os<'_, '_>) {
+            let sock = os.udp_bind(0).expect("bind");
+            os.udp_send(sock, SERVER, b"ping".as_ref()).expect("send");
+            os.tcp_connect(SERVER, ConnectOpts::default())
+                .expect("connect");
+        }
+
+        fn on_event(&mut self, _os: &mut Os<'_, '_>, _ev: SockEvent) {
+            self.events += 1;
+        }
+    }
+
+    fn capacities<A: App>(sim: &Sim, node: NodeId) -> [usize; 3] {
+        let stack = &sim.device::<HostDevice<A>>(node).stack;
+        [
+            stack.out.capacity(),
+            stack.events.capacity(),
+            stack.timers.capacity(),
+        ]
+    }
+
+    #[test]
+    fn outboxes_hold_no_buffer_between_callbacks() {
+        let mut sim = Sim::new(1);
+        let server = sim.add_node(
+            "s",
+            Box::new(HostDevice::new(SERVER.ip, StackConfig::default(), Server)),
+        );
+        let client = HostDevice::new(
+            [10, 0, 0, 1].into(),
+            StackConfig::default(),
+            Client::default(),
+        );
+        let client = sim.add_node("c", Box::new(client));
+        sim.connect(client, server, LinkSpec::wan());
+        sim.run_until_idle();
+        // The echo and `TcpConnected` reached the app.
+        let app = sim.device::<HostDevice<Client>>(client).app::<Client>();
+        assert_eq!(app.events, 2);
+        assert_eq!(capacities::<Client>(&sim, client), [0; 3]);
+        assert_eq!(capacities::<Server>(&sim, server), [0; 3]);
     }
 }

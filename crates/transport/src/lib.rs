@@ -14,7 +14,10 @@
 //!   (`accept()` delivers; the `connect()` fails with "address in use").
 //!
 //! Applications implement [`App`] and run on a [`HostDevice`] node inside
-//! a [`punch_net::Sim`]; see the crate-level example below.
+//! a [`punch_net::Sim`]: `HostDevice<A>` holds its app inline, and the
+//! default `HostDevice` (`HostDevice<Box<dyn App>>`) holds a boxed one,
+//! for a world whose hosts run different apps. See the crate-level
+//! example below.
 //!
 //! # Examples
 //!
@@ -53,15 +56,15 @@
 //! let mut sim = Sim::new(1);
 //! let server = sim.add_node(
 //!     "s",
-//!     Box::new(HostDevice::new([18, 181, 0, 31].into(), StackConfig::default(), Box::new(PongServer))),
+//!     Box::new(HostDevice::new([18, 181, 0, 31].into(), StackConfig::default(), PongServer)),
 //! );
 //! let client = sim.add_node(
 //!     "c",
-//!     Box::new(HostDevice::new([10, 0, 0, 1].into(), StackConfig::default(), Box::new(Pinger::default()))),
+//!     Box::new(HostDevice::new([10, 0, 0, 1].into(), StackConfig::default(), Pinger::default())),
 //! );
 //! sim.connect(client, server, LinkSpec::wan());
 //! sim.run_until_idle();
-//! assert!(sim.device::<HostDevice>(client).app::<Pinger>().got_pong);
+//! assert!(sim.device::<HostDevice<Pinger>>(client).app::<Pinger>().got_pong);
 //! ```
 
 pub mod config;

@@ -60,6 +60,20 @@ fn half_open_child(s: &Socket, listener: SocketId) -> bool {
     matches!(s, Socket::Tcp(t) if t.from_listener == Some(listener) && t.state == TcpState::SynReceived)
 }
 
+/// A set of the stack's three outboxes, as a thread keeps one spare
+/// between callbacks for [`crate::HostDevice`] to lend.
+pub(crate) struct Outboxes {
+    pub(crate) out: Vec<Packet>,
+    pub(crate) events: Vec<SockEvent>,
+    pub(crate) timers: Vec<(Duration, u64)>,
+}
+
+impl Outboxes {
+    fn is_empty(&self) -> bool {
+        self.out.is_empty() && self.events.is_empty() && self.timers.is_empty()
+    }
+}
+
 /// A host's transport stack.
 ///
 /// The stack is synchronous and side-effect-buffered: API calls and packet
@@ -86,10 +100,12 @@ pub struct HostStack {
     listeners: FlatMap<u16, SocketId>,
     /// UDP sockets by local port.
     udp_index: FlatMap<u16, SocketId>,
-    /// The outboxes. [`crate::HostDevice`] drains them in place after
-    /// every callback, so each host holds one buffer per kind; `out` and
-    /// `events` rarely hold more than an entry or two at once and first
-    /// grow a slot at a time ([`flat::push`]).
+    /// The outboxes. [`crate::HostDevice`] lends them its thread's spare
+    /// set for each callback and drains them in place before taking the
+    /// set back ([`HostStack::swap_outboxes`]), so between callbacks a
+    /// host's are empty and hold no buffer. `out` and `events` rarely
+    /// hold more than an entry or two at once and first grow a slot at a
+    /// time ([`flat::push`]).
     pub(crate) out: Vec<Packet>,
     pub(crate) events: Vec<SockEvent>,
     pub(crate) timers: Vec<(Duration, u64)>,
@@ -163,6 +179,22 @@ impl HostStack {
     // punch-lint: allow(S005) harness seam: transport/tests/proptest_tcp.rs drives a bare stack
     pub fn take_timers(&mut self) -> Vec<(Duration, u64)> {
         std::mem::take(&mut self.timers)
+    }
+
+    /// Exchanges the stack's outboxes with `spare`. Both sets must be
+    /// empty: a set changes hands only between callbacks, once `drive`
+    /// has drained what the last one queued.
+    pub(crate) fn swap_outboxes(&mut self, spare: &mut Outboxes) {
+        debug_assert!(
+            spare.is_empty()
+                && self.out.is_empty()
+                && self.events.is_empty()
+                && self.timers.is_empty(),
+            "outboxes change hands only while empty"
+        );
+        std::mem::swap(&mut self.out, &mut spare.out);
+        std::mem::swap(&mut self.events, &mut spare.events);
+        std::mem::swap(&mut self.timers, &mut spare.timers);
     }
 
     /// Returns the transport counters (retransmits, RTO fires, RSTs).

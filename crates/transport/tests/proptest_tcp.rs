@@ -96,21 +96,21 @@ proptest! {
         let mut sim = Sim::new(seed);
         let server = sim.add_node(
             "srv",
-            Box::new(HostDevice::new([5, 5, 5, 5].into(), cfg.clone(), Box::new(Collector::default()))),
+            Box::new(HostDevice::new([5, 5, 5, 5].into(), cfg.clone(), Collector::default())),
         );
         let client = sim.add_node(
             "cli",
             Box::new(HostDevice::new(
                 [10, 0, 0, 1].into(),
                 cfg,
-                Box::new(Writer { chunks, shared_first, conn: None, done: false }),
+                Writer { chunks, shared_first, conn: None, done: false },
             )),
         );
         sim.connect(client, server, LinkSpec::access().with_loss(loss));
         sim.run_for(Duration::from_secs(3600));
-        let got = &sim.device::<HostDevice>(server).app::<Collector>().got;
-        prop_assert_eq!(got, &expected, "stream corrupted under loss={}", loss);
-        prop_assert!(sim.device::<HostDevice>(server).app::<Collector>().peer_closed);
+        let collector = sim.device::<HostDevice<Collector>>(server).app::<Collector>();
+        prop_assert_eq!(&collector.got, &expected, "stream corrupted under loss={}", loss);
+        prop_assert!(collector.peer_closed);
     }
 
     /// Arbitrary TCP segment storms against a listening stack never
