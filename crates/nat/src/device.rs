@@ -23,7 +23,6 @@ use punch_net::{
     Body, Counters, Ctx, Device, Endpoint, IcmpKind, IcmpMessage, IfaceId, MetricKey, Packet,
     Proto, SimTime, TcpFlags, FAULT_RESTART,
 };
-use rand::rngs::StdRng;
 use rand::Rng;
 use std::net::Ipv4Addr;
 use std::time::Duration;
@@ -161,10 +160,11 @@ impl NatDevice {
     }
 
     /// Allocates a public port per the configured policy. `None` when
-    /// every port of the public address is in use.
+    /// every port of the public address is in use. Only `Random` draws,
+    /// and only it asks for the node's generator, since asking makes one.
     fn alloc_public(
         &mut self,
-        rng: &mut StdRng,
+        ctx: &mut Ctx<'_>,
         proto: Proto,
         private: Endpoint,
     ) -> Option<Endpoint> {
@@ -195,7 +195,7 @@ impl NatDevice {
             PortAllocation::Random => {
                 let mut found = None;
                 for _ in 0..64 {
-                    let p: u16 = rng.gen_range(49152..=65535);
+                    let p: u16 = ctx.rng().gen_range(49152..=65535);
                     if free(p) {
                         found = Some(p);
                         break;
@@ -259,7 +259,7 @@ impl NatDevice {
                 ctx.metric_inc_labeled("nat.mapping.evicted", if fair { "fair" } else { "oldest" });
             }
         }
-        let Some(public) = self.alloc_public(ctx.rng(), proto, private) else {
+        let Some(public) = self.alloc_public(ctx, proto, private) else {
             ctx.note_drop("nat-ports-exhausted");
             return None;
         };

@@ -129,7 +129,9 @@ impl Ctx<'_> {
     /// Returns this node's private deterministic RNG.
     ///
     /// Each node's RNG stream is derived from the simulation seed and the
-    /// node index, so one node's draws do not perturb another's.
+    /// node index (or name, see [`crate::Sim::use_named_rng_streams`]),
+    /// so one node's draws do not perturb another's. The generator is
+    /// made at the node's first call, from the start of its stream.
     pub fn rng(&mut self) -> &mut StdRng {
         self.core.node_rng(self.node)
     }

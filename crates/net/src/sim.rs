@@ -163,23 +163,93 @@ struct OpenBatch {
     next_seq: u64,
 }
 
-struct LinkRef {
-    link: usize,
-    side: usize,
+/// A node's interfaces in `connect` order, each packed as
+/// `link << 1 | side`. A host or a NAT has one or two and keeps them
+/// inline; a third (in practice, a router's) moves the list to the heap.
+enum Ifaces {
+    Inline(u8, [u32; 2]),
+    Spilled(Vec<u32>),
 }
 
+impl Ifaces {
+    fn as_slice(&self) -> &[u32] {
+        match self {
+            Ifaces::Inline(n, refs) => &refs[..usize::from(*n)],
+            Ifaces::Spilled(refs) => refs,
+        }
+    }
+
+    /// The `(link, side)` behind interface `iface`.
+    fn get(&self, iface: IfaceId) -> Option<(LinkId, usize)> {
+        let packed = *self.as_slice().get(iface)?;
+        Some(((packed >> 1) as LinkId, (packed & 1) as usize))
+    }
+
+    fn push(&mut self, link: LinkId, side: usize) {
+        assert!(link < 1 << 31, "too many links");
+        let packed = (link as u32) << 1 | side as u32;
+        match self {
+            Ifaces::Inline(n @ 0..=1, refs) => {
+                refs[usize::from(*n)] = packed;
+                *n += 1;
+            }
+            Ifaces::Inline(_, [first, second]) => {
+                *self = Ifaces::Spilled(vec![*first, *second, packed]);
+            }
+            Ifaces::Spilled(refs) => refs.push(packed),
+        }
+    }
+}
+
+/// What the engine keeps for every node: its interfaces and where its
+/// RNG stream comes from. The stream itself is made at the node's first
+/// draw (`SimCore::node_rng`), so a node that never draws (in a sharded
+/// world, every NAT and router) costs no generator.
 struct NodeMeta {
-    ifaces: Vec<LinkRef>,
-    rng: StdRng,
+    ifaces: Ifaces,
+    /// The seed of the node's stream, derived at `add_node`.
+    seed: u64,
+    /// The node's generator in `SimCore::rngs`, once it has drawn.
+    rng: Option<u32>,
 }
 
+/// What the engine keeps for every link. Its transmission properties
+/// are an index into `SimCore::specs`, which nearly every link shares.
 struct LinkState {
-    spec: LinkSpec,
-    ends: [(NodeId, IfaceId); 2],
+    spec: u32,
+    ends: [(NodeId, u32); 2],
     /// Links are FIFO per direction: jitter may not reorder packets.
     last_arrival: [SimTime; 2],
     /// Administrative state: a down link drops everything offered to it.
     up: bool,
+}
+
+// One per node and one per link: 80 008 of each in the benchmark's
+// `crowd_udp`.
+const _: () = assert!(std::mem::size_of::<NodeMeta>() <= 40);
+const _: () = assert!(std::mem::size_of::<LinkState>() <= 40);
+
+/// The generator of `meta`'s node, made from its seed on first use. It
+/// takes only the two fields so a caller keeps the rest of `SimCore`.
+fn lazy_rng<'a>(rngs: &'a mut Vec<StdRng>, meta: &mut NodeMeta) -> &'a mut StdRng {
+    let slot = *meta.rng.get_or_insert_with(|| {
+        rngs.push(StdRng::seed_from_u64(meta.seed));
+        (rngs.len() - 1) as u32
+    });
+    &mut rngs[slot as usize]
+}
+
+/// Whether sending over `spec` draws from the sender's RNG: any nonzero
+/// loss, jitter or fault knob.
+fn draws(spec: &LinkSpec) -> bool {
+    let knobs = [
+        spec.loss,
+        spec.reorder,
+        spec.duplicate,
+        spec.corrupt,
+        spec.truncate,
+    ];
+    !spec.jitter.is_zero() || knobs.iter().any(|&p| p > 0.0)
 }
 
 /// Engine internals shared with device callbacks through [`Ctx`].
@@ -196,7 +266,11 @@ pub(crate) struct SimCore {
     depth_high_water: u64,
     coalesced: u64,
     links: Vec<LinkState>,
+    /// Every distinct `LinkSpec` a link has used; a world has a handful.
+    specs: Vec<LinkSpec>,
     nodes: Vec<NodeMeta>,
+    /// The generators of the nodes that have drawn, in first-draw order.
+    rngs: Vec<StdRng>,
     /// The metrics registry, when enabled; [`Ctx`]'s `metric_*` methods
     /// write through it. `None` costs a caller one branch — no
     /// allocation, no RNG draw.
@@ -267,11 +341,27 @@ impl SimCore {
     }
 
     pub(crate) fn iface_count(&self, node: NodeId) -> usize {
-        self.nodes[node.index()].ifaces.len()
+        self.nodes[node.index()].ifaces.as_slice().len()
     }
 
+    /// The node's generator, made at its first draw: nothing drew from
+    /// the stream before, so it is the stream an eagerly made one gives.
     pub(crate) fn node_rng(&mut self, node: NodeId) -> &mut StdRng {
-        &mut self.nodes[node.index()].rng
+        lazy_rng(&mut self.rngs, &mut self.nodes[node.index()])
+    }
+
+    /// The index of `spec` in `specs`, added if no equal spec is there.
+    /// A linear scan: worlds have a handful of distinct specs.
+    fn intern(&mut self, spec: LinkSpec) -> u32 {
+        let at = self
+            .specs
+            .iter()
+            .position(|s| *s == spec)
+            .unwrap_or_else(|| {
+                self.specs.push(spec);
+                self.specs.len() - 1
+            });
+        at as u32
     }
 
     pub(crate) fn note_device_drop(&mut self, reason: &'static str) {
@@ -283,49 +373,59 @@ impl SimCore {
     }
 
     pub(crate) fn transmit(&mut self, node: NodeId, iface: IfaceId, pkt: Packet) {
-        let lref = self.nodes[node.index()].ifaces.get(iface).unwrap_or_else(|| {
-            panic!("node {node} sent on unconnected iface {iface}") // punch-lint: allow(P001) sim API contract: naming a missing iface is a harness bug, reported loudly
-        });
-        let (link_idx, side) = (lref.link, lref.side);
+        let (link_idx, side) = self.nodes[node.index()]
+            .ifaces
+            .get(iface)
+            .unwrap_or_else(|| {
+                panic!("node {node} sent on unconnected iface {iface}") // punch-lint: allow(P001) sim API contract: naming a missing iface is a harness bug, reported loudly
+            });
         self.stats.packets_sent += 1;
 
-        let spec = self.links[link_idx].spec;
-        if !self.links[link_idx].up {
+        let link = &self.links[link_idx];
+        if !link.up {
             self.stats.link_down_drops += 1;
             return;
         }
+        let spec = self.specs[link.spec as usize];
         // Every draw comes from the sender's RNG stream so each node's
-        // draws are independent of unrelated traffic elsewhere.
-        let rng = &mut self.nodes[node.index()].rng;
-        if spec.loss > 0.0 {
-            let roll: f64 = rng.gen();
-            if roll < spec.loss {
-                self.stats.packets_lost += 1;
-                return;
+        // draws are independent of unrelated traffic elsewhere. A link
+        // with nothing random asks for no generator, so a node that only
+        // sends over such links never has one made.
+        let (jitter, hold, duplicated, corrupt_bit, truncate_raw) = if !draws(&spec) {
+            (Duration::ZERO, None, false, None, None)
+        } else {
+            let rng = lazy_rng(&mut self.rngs, &mut self.nodes[node.index()]);
+            if spec.loss > 0.0 {
+                let roll: f64 = rng.gen();
+                if roll < spec.loss {
+                    self.stats.packets_lost += 1;
+                    return;
+                }
             }
-        }
-        let jitter = if spec.jitter.is_zero() {
-            Duration::ZERO
-        } else {
-            let bound = spec.jitter.as_nanos() as u64;
-            Duration::from_nanos(rng.gen_range(0..=bound))
+            let jitter = if spec.jitter.is_zero() {
+                Duration::ZERO
+            } else {
+                let bound = spec.jitter.as_nanos() as u64;
+                Duration::from_nanos(rng.gen_range(0..=bound))
+            };
+            // Fault knobs draw only when enabled, in a fixed order
+            // (reorder, duplicate, corrupt, truncate), so links without
+            // them keep byte-identical RNG streams.
+            let hold = if spec.reorder > 0.0 && rng.gen::<f64>() < spec.reorder {
+                let bound = spec.reorder_window().as_nanos() as u64;
+                Some(Duration::from_nanos(rng.gen_range(1..=bound.max(1))))
+            } else {
+                None
+            };
+            let duplicated = spec.duplicate > 0.0 && rng.gen::<f64>() < spec.duplicate;
+            // Damage draws: the bit/length choice is a second raw draw so
+            // the stream shape is independent of the payload size.
+            let corrupt_bit =
+                (spec.corrupt > 0.0 && rng.gen::<f64>() < spec.corrupt).then(|| rng.gen::<u64>());
+            let truncate_raw =
+                (spec.truncate > 0.0 && rng.gen::<f64>() < spec.truncate).then(|| rng.gen::<u64>());
+            (jitter, hold, duplicated, corrupt_bit, truncate_raw)
         };
-        // Fault knobs draw only when enabled, in a fixed order (reorder,
-        // duplicate, corrupt, truncate), so links without them keep
-        // byte-identical RNG streams.
-        let hold = if spec.reorder > 0.0 && rng.gen::<f64>() < spec.reorder {
-            let bound = spec.reorder_window().as_nanos() as u64;
-            Some(Duration::from_nanos(rng.gen_range(1..=bound.max(1))))
-        } else {
-            None
-        };
-        let duplicated = spec.duplicate > 0.0 && rng.gen::<f64>() < spec.duplicate;
-        // Damage draws: the bit/length choice is a second raw draw so the
-        // stream shape is independent of the payload size.
-        let corrupt_bit =
-            (spec.corrupt > 0.0 && rng.gen::<f64>() < spec.corrupt).then(|| rng.gen::<u64>());
-        let truncate_raw =
-            (spec.truncate > 0.0 && rng.gen::<f64>() < spec.truncate).then(|| rng.gen::<u64>());
 
         let mut pkt = pkt;
         if let Some(bit) = corrupt_bit {
@@ -359,6 +459,7 @@ impl SimCore {
             }
         };
         let (peer, peer_iface) = link.ends[1 - side];
+        let peer_iface = peer_iface as IfaceId;
         if hold.is_some() {
             self.stats.packets_reordered += 1;
         }
@@ -405,7 +506,9 @@ impl Sim {
                 depth_high_water: 0,
                 coalesced: 0,
                 links: Vec::new(),
+                specs: Vec::new(),
                 nodes: Vec::new(),
+                rngs: Vec::new(),
                 metrics: None,
                 stats: SimStats::default(),
             },
@@ -445,10 +548,14 @@ impl Sim {
     /// across shards. Nodes sharing a name share a stream; give nodes
     /// globally unique names under this mode.
     ///
+    /// Either way the seed is fixed at [`Sim::add_node`] and the stream
+    /// is made at the node's first draw, starting from its first value
+    /// however late that draw comes.
+    ///
     /// # Panics
     ///
-    /// Panics if any node has already been added (its stream was already
-    /// drawn from the id-based scheme).
+    /// Panics if any node has already been added (its seed was already
+    /// derived from the id-based scheme).
     pub fn use_named_rng_streams(&mut self) {
         assert!( // punch-lint: allow(P001) setup-order contract: seeding mode must be chosen before streams are drawn
             self.devices.is_empty(),
@@ -462,14 +569,15 @@ impl Sim {
     /// it seeds the node's RNG stream.
     pub fn add_node(&mut self, name: impl AsRef<str>, device: Box<dyn Device>) -> NodeId {
         let id = NodeId(u32::try_from(self.devices.len()).expect("too many nodes")); // punch-lint: allow(P001) node count is harness-bounded, nowhere near 2^32
-        let rng = if self.named_rng {
-            StdRng::seed_from_u64(derive_seed(self.seed, name.as_ref(), 0))
+        let seed = if self.named_rng {
+            derive_seed(self.seed, name.as_ref(), 0)
         } else {
-            StdRng::seed_from_u64(mix(self.seed ^ mix(id.0 as u64 + 1)))
+            mix(self.seed ^ mix(id.0 as u64 + 1))
         };
         self.core.nodes.push(NodeMeta {
-            ifaces: Vec::new(),
-            rng,
+            ifaces: Ifaces::Inline(0, [0; 2]),
+            seed,
+            rng: None,
         });
         self.devices.push(device);
         self.core.queue.ensure_capacity_for(self.devices.len());
@@ -486,22 +594,19 @@ impl Sim {
     /// interface number on each; returns `(iface_on_a, iface_on_b)`.
     pub fn connect(&mut self, a: NodeId, b: NodeId, spec: LinkSpec) -> (IfaceId, IfaceId) {
         let link = self.core.links.len();
-        let ia = self.core.nodes[a.index()].ifaces.len();
+        let ia = self.core.iface_count(a);
         let ib = if a == b {
             ia + 1
         } else {
-            self.core.nodes[b.index()].ifaces.len()
+            self.core.iface_count(b)
         };
-        self.core.nodes[a.index()]
-            .ifaces
-            .push(LinkRef { link, side: 0 });
-        self.core.nodes[b.index()]
-            .ifaces
-            .push(LinkRef { link, side: 1 });
+        self.core.nodes[a.index()].ifaces.push(link, 0);
+        self.core.nodes[b.index()].ifaces.push(link, 1);
         self.core.queue.ensure_horizon(spec.latency + spec.jitter);
+        let spec = self.core.intern(spec);
         self.core.links.push(LinkState {
             spec,
-            ends: [(a, ia), (b, ib)],
+            ends: [(a, ia as u32), (b, ib as u32)],
             last_arrival: [SimTime::ZERO; 2],
             up: true,
         });
@@ -518,7 +623,7 @@ impl Sim {
             .ifaces
             .get(iface)
             .unwrap_or_else(|| panic!("node {node} has no iface {iface}")) // punch-lint: allow(P001) sim API contract: naming a missing iface is a harness bug, reported loudly
-            .link
+            .0
     }
 
     /// Schedules a scripted link fault to fire at `at` (absolute
@@ -687,7 +792,7 @@ impl Sim {
                     LinkAction::Down => core.links[link].up = false,
                     LinkAction::Set(spec) => {
                         core.queue.ensure_horizon(spec.latency + spec.jitter);
-                        core.links[link].spec = spec;
+                        core.links[link].spec = core.intern(spec);
                     }
                 }
             }
@@ -774,7 +879,7 @@ pub(crate) mod tests {
 
     /// A link's current transmission properties.
     pub(crate) fn link_spec(sim: &Sim, link: LinkId) -> LinkSpec {
-        sim.core.links[link].spec
+        sim.core.specs[sim.core.links[link].spec as usize]
     }
 
     fn ep(s: &str) -> Endpoint {
@@ -1019,6 +1124,118 @@ pub(crate) mod tests {
         sim.run_until_idle();
         assert_eq!(sim.now(), before + Duration::from_millis(50));
         assert_eq!(sim.device::<SinkDevice>(b).packets.len(), 2);
+    }
+
+    #[test]
+    fn link_set_changes_only_its_own_link() {
+        // Two links built from one spec: re-setting one leaves the other's
+        // spec and delivery time as they were.
+        let mut sim = Sim::new(1);
+        let a = sim.add_node("a", Box::new(SinkDevice::default()));
+        let b = sim.add_node("b", Box::new(SinkDevice::default()));
+        let c = sim.add_node("c", Box::new(SinkDevice::default()));
+        let fast = LinkSpec::new(Duration::from_millis(1));
+        sim.connect(a, b, fast);
+        sim.connect(a, c, fast);
+        let (ab, ac) = (sim.link_of(a, 0), sim.link_of(a, 1));
+        let slow = LinkSpec::new(Duration::from_millis(50));
+        sim.schedule_link_fault(sim.now(), ab, LinkAction::Set(slow));
+        sim.run_until_idle();
+        assert_eq!(link_spec(&sim, ab), slow);
+        assert_eq!(link_spec(&sim, ac), fast);
+        let sent = sim.now();
+        sim.with_node(a, |_, ctx| ctx.send(1, udp()));
+        sim.run_until_idle();
+        assert_eq!(sim.now(), sent + Duration::from_millis(1));
+        assert_eq!(sim.device::<SinkDevice>(c).packets.len(), 1);
+        assert_eq!(sim.device::<SinkDevice>(b).packets.len(), 0);
+    }
+
+    #[test]
+    fn self_loop_delivers_on_the_other_side() {
+        let mut sim = Sim::new(1);
+        let a = sim.add_node("a", Box::new(SinkDevice::default()));
+        assert_eq!(sim.connect(a, a, LinkSpec::lan()), (0, 1));
+        assert_eq!(sim.link_of(a, 0), sim.link_of(a, 1));
+        sim.with_node(a, |_, ctx| ctx.send(0, udp()));
+        sim.run_until_idle();
+        sim.with_node(a, |_, ctx| ctx.send(1, udp()));
+        sim.run_until_idle();
+        let ifaces: Vec<IfaceId> = sim
+            .device::<SinkDevice>(a)
+            .packets
+            .iter()
+            .map(|(i, _)| *i)
+            .collect();
+        assert_eq!(ifaces, vec![1, 0]);
+    }
+
+    #[test]
+    fn a_node_with_many_ifaces_reaches_every_link() {
+        let mut sim = Sim::new(1);
+        let hub = sim.add_node("hub", Box::new(SinkDevice::default()));
+        let spokes: Vec<NodeId> = (0..5)
+            .map(|i| sim.add_node(format!("s{i}"), Box::new(SinkDevice::default())))
+            .collect();
+        for (i, &s) in spokes.iter().enumerate() {
+            assert_eq!(sim.connect(hub, s, LinkSpec::lan()), (i, 0));
+            assert_eq!(sim.link_of(hub, i), i);
+        }
+        assert_eq!(sim.with_node(hub, |_, ctx| ctx.iface_count()), 5);
+        sim.with_node(hub, |_, ctx| (0..5).for_each(|i| ctx.send(i, udp())));
+        for &s in &spokes {
+            sim.with_node(s, |_, ctx| ctx.send(0, udp()));
+        }
+        sim.run_until_idle();
+        for &s in &spokes {
+            assert_eq!(sim.device::<SinkDevice>(s).packets.len(), 1);
+        }
+        let mut got: Vec<IfaceId> = sim
+            .device::<SinkDevice>(hub)
+            .packets
+            .iter()
+            .map(|(i, _)| *i)
+            .collect();
+        got.sort_unstable();
+        assert_eq!(got, vec![0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn a_late_first_draw_sees_the_named_stream_from_its_start() {
+        // "a" sends over a lossless, jitter-free link and "b" draws before
+        // "a" ever does: a's first draws are still its stream's first.
+        let mut sim = Sim::new(31);
+        sim.use_named_rng_streams();
+        let a = sim.add_node("a", Box::new(SinkDevice::default()));
+        let b = sim.add_node("b", Box::new(SinkDevice::default()));
+        sim.connect(a, b, LinkSpec::new(Duration::from_millis(3)));
+        for _ in 0..4 {
+            sim.with_node(a, |_, ctx| ctx.send(0, udp()));
+        }
+        sim.run_until_idle();
+        sim.with_node(b, |_, ctx| ctx.rng().gen::<u64>());
+        let got: Vec<u64> = sim.with_node(a, |_, ctx| (0..40).map(|_| ctx.rng().gen()).collect());
+        let mut want = StdRng::seed_from_u64(derive_seed(31, "a", 0));
+        assert_eq!(got, (0..40).map(|_| want.gen::<u64>()).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_node_that_never_draws_holds_no_rng() {
+        // "a" sends over an exact link, "b" only receives, "c" sends over
+        // a jittered one: only "c" has a generator made.
+        let mut sim = Sim::new(3);
+        let a = sim.add_node("a", Box::new(SinkDevice::default()));
+        let b = sim.add_node("b", Box::new(SinkDevice::default()));
+        let c = sim.add_node("c", Box::new(SinkDevice::default()));
+        sim.connect(a, b, LinkSpec::lan());
+        sim.connect(c, b, LinkSpec::access());
+        sim.with_node(a, |_, ctx| ctx.send(0, udp()));
+        sim.with_node(c, |_, ctx| ctx.send(0, udp()));
+        sim.run_until_idle();
+        assert_eq!(sim.device::<SinkDevice>(b).packets.len(), 2);
+        let slots: Vec<Option<u32>> = sim.core.nodes.iter().map(|n| n.rng).collect();
+        assert_eq!(slots, vec![None, None, Some(0)]);
+        assert_eq!(sim.core.rngs.len(), 1);
     }
 
     #[test]
