@@ -2,8 +2,8 @@
 
 use bytes::Bytes;
 use holepunch::{
-    CandidatePlan, CandidateSource, PeerId, PredictionStrategy, TcpPeer, TcpPeerConfig,
-    TcpPunchMode, UdpPeer, UdpPeerConfig, UdpPeerEvent, Via,
+    CandidatePlan, CandidateSource, PeerEvent, PeerId, PredictionStrategy, TcpPeer,
+    TcpPeerConfig, TcpPunchMode, UdpPeer, UdpPeerConfig, Via,
 };
 use punch_lab::{addrs, fig4, fig5, fig6, PeerSetup, Scenario, WorldBuilder};
 use punch_nat::{NatBehavior, PortAllocation};
@@ -345,7 +345,7 @@ fn measure_rtt(sc: &mut Scenario, payload: usize) -> Duration {
         loop {
             sc.world.sim.run_for(Duration::from_millis(1));
             let got = sc.world.with_app::<UdpPeer, _>(to, |p, _| p.take_events());
-            if got.iter().any(|e| matches!(e, UdpPeerEvent::Data { .. })) {
+            if got.iter().any(|e| matches!(e, PeerEvent::Data { .. })) {
                 return Some(sc.world.sim.now() - started);
             }
             if sc.world.sim.now() > started + Duration::from_secs(20) {
@@ -381,13 +381,13 @@ pub fn keepalive_trial(
     sc.world
         .with_app::<UdpPeer, _>(sc.a, |p, os| p.send(os, B, Bytes::from_static(b"probe")));
     sc.world.sim.run_for(Duration::from_secs(2));
-    let got: Vec<UdpPeerEvent> = sc
+    let got: Vec<PeerEvent> = sc
         .world
         .with_app::<UdpPeer, _>(sc.b, |p, _| p.take_events());
     let survived = got.iter().any(|e| {
         matches!(
             e,
-            UdpPeerEvent::Data {
+            PeerEvent::Data {
                 via: Via::Direct,
                 ..
             }

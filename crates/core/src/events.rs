@@ -5,7 +5,6 @@ use crate::candidates::CandidateStamp;
 use bytes::Bytes;
 use punch_net::Endpoint;
 use punch_rendezvous::PeerId;
-use punch_transport::SocketId;
 
 /// How peer traffic travels.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -26,29 +25,36 @@ pub enum TcpPath {
     Accept,
 }
 
-/// Events from a [`crate::UdpPeer`].
+/// What a punching endpoint tells its application. Both carriers
+/// speak it: §3.2 and §4.2 are one procedure, so an outcome is the same
+/// event whichever of [`crate::UdpPeer`] and [`crate::TcpPeer`] carried
+/// it. A variant only one of them emits says so.
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
-pub enum UdpPeerEvent {
-    /// Registration with S completed; this is our public endpoint.
+pub enum PeerEvent {
+    /// Registration with S completed (for a TCP peer, over its control
+    /// connection).
     Registered {
         /// Public endpoint as observed by S.
         public: Endpoint,
     },
-    /// A hole-punched session with `peer` is up.
+    /// A hole-punched session with `peer` is up and authenticated. A
+    /// TCP peer tells whether the stream surfaced via `connect()` or
+    /// `accept()` through [`crate::TcpPeer::established_path`] (§4.3).
     Established {
         /// The peer.
         peer: PeerId,
-        /// The remote endpoint the session locked in (§3.2 step 3) —
-        /// private behind a common NAT, public across NATs.
+        /// The remote endpoint the session locked in (§3.2 step 3, §4.2
+        /// step 5) — private behind a common NAT, public across NATs.
         remote: Endpoint,
     },
-    /// Punching `peer` failed (all volleys exhausted).
+    /// Punching `peer` failed: every volley exhausted (UDP) or the
+    /// deadline passed (TCP).
     PunchFailed {
         /// The peer.
         peer: PeerId,
     },
-    /// Traffic to `peer` now flows through the relay.
+    /// Traffic to `peer` now flows through the relay (§2.2 fallback).
     RelayActive {
         /// The peer.
         peer: PeerId,
@@ -62,32 +68,22 @@ pub enum UdpPeerEvent {
         /// Path it arrived by.
         via: Via,
     },
-    /// An established session stopped answering and was torn down; a
-    /// subsequent send will re-punch on demand (§3.6).
-    SessionDied {
-        /// The peer.
-        peer: PeerId,
-    },
     /// A `send` to `peer` was refused and its payload dropped: `len`
     /// exceeds [`punch_rendezvous::MAX_PAYLOAD`], the most one message
-    /// carries. The session is untouched.
+    /// carries (over TCP a longer frame would make the receiver abort
+    /// the stream). The session is untouched.
     PayloadTooLarge {
         /// The peer the payload was for.
         peer: PeerId,
         /// The refused payload's length.
         len: usize,
     },
-    /// The rendezvous server stopped acknowledging our periodic
-    /// registrations (e.g. it restarted and lost its tables); the peer
-    /// is re-registering. A fresh [`UdpPeerEvent::Registered`] follows
-    /// once S answers again.
-    ServerLost,
     /// The candidate race for `peer` settled: the per-candidate stamps
     /// record which endpoints were raced, when each was first probed and
     /// first answered, and which one won (`None` when the punch failed
     /// or fell back to the relay). Emitted alongside the terminal
-    /// [`UdpPeerEvent::Established`] / [`UdpPeerEvent::RelayActive`] /
-    /// [`UdpPeerEvent::PunchFailed`] event of the cycle.
+    /// [`PeerEvent::Established`] / [`PeerEvent::RelayActive`] /
+    /// [`PeerEvent::PunchFailed`] event of the cycle.
     RaceSettled {
         /// The peer.
         peer: PeerId,
@@ -96,73 +92,25 @@ pub enum UdpPeerEvent {
         /// Final per-candidate stamps, in race order.
         candidates: Vec<CandidateStamp>,
     },
-}
-
-/// Events from a [`crate::TcpPeer`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum TcpPeerEvent {
-    /// Registration with S completed (over the TCP control connection).
-    Registered {
-        /// Public endpoint of the control connection as observed by S.
-        public: Endpoint,
-    },
-    /// A peer-to-peer TCP stream is up and authenticated.
-    Established {
-        /// The peer.
-        peer: PeerId,
-        /// The stream socket.
-        sock: SocketId,
-        /// Whether it surfaced via `connect()` or `accept()` (§4.3).
-        path: TcpPath,
-        /// The remote endpoint of the winning stream.
-        remote: Endpoint,
-    },
-    /// Punching `peer` failed before the deadline.
-    PunchFailed {
+    /// UDP only: an established session stopped answering and was torn
+    /// down; a subsequent send will re-punch on demand (§3.6).
+    SessionDied {
         /// The peer.
         peer: PeerId,
     },
-    /// Traffic to `peer` now flows through the relay (§2.2 fallback).
-    RelayActive {
-        /// The peer.
-        peer: PeerId,
-    },
-    /// Stream data from a peer session.
-    Data {
-        /// The peer.
-        peer: PeerId,
-        /// Payload bytes.
-        data: Bytes,
-        /// Whether it arrived directly or via the relay.
-        via: Via,
-    },
-    /// A `send` to `peer` was refused and its payload dropped: `len`
-    /// exceeds [`punch_rendezvous::MAX_PAYLOAD`], the most one frame
-    /// carries (a longer one would make the receiver abort the stream).
-    /// The session is untouched.
-    PayloadTooLarge {
-        /// The peer the payload was for.
-        peer: PeerId,
-        /// The refused payload's length.
-        len: usize,
-    },
-    /// The established stream to `peer` closed or reset.
+    /// UDP only: the rendezvous server stopped acknowledging our
+    /// periodic registrations (e.g. it restarted and lost its tables);
+    /// the peer is re-registering. A fresh [`PeerEvent::Registered`]
+    /// follows once S answers again.
+    ServerLost,
+    /// TCP only: the established stream to `peer` closed or reset.
     PeerClosed {
         /// The peer.
         peer: PeerId,
     },
-    /// The candidate race for `peer` settled: per-candidate stamps for
-    /// every raced endpoint and the winner (`None` when every connect
-    /// and accept failed). Emitted alongside the terminal
-    /// [`TcpPeerEvent::Established`] / [`TcpPeerEvent::RelayActive`] /
-    /// [`TcpPeerEvent::PunchFailed`] event of the cycle.
-    RaceSettled {
-        /// The peer.
-        peer: PeerId,
-        /// The remote endpoint of the winning stream, if any.
-        winner: Option<Endpoint>,
-        /// Final per-candidate stamps, in race order.
-        candidates: Vec<CandidateStamp>,
-    },
 }
+
+/// [`PeerEvent`] under a second name, kept only because the benchmark's
+/// stream workload names it; it goes with ROADMAP item 1, as
+/// `NatDevice::new`'s `Vec` does.
+pub type TcpPeerEvent = PeerEvent;

@@ -36,7 +36,7 @@ pub use candidates::{
     CandidateKind, CandidatePlan, CandidateSource, CandidateStamp, PredictionStrategy,
 };
 pub use config::{PunchConfig, TcpPeerConfig, TcpPunchMode, UdpPeerConfig};
-pub use events::{TcpPath, TcpPeerEvent, UdpPeerEvent, Via};
+pub use events::{PeerEvent, TcpPath, TcpPeerEvent, Via};
 pub use tcp::{TcpPeer, TcpPeerStats};
 pub use udp::{UdpPeer, UdpPeerStats};
 

@@ -5,8 +5,9 @@
 //! answer, fall back to S (§2.2). What differs is the carrier — one
 //! datagram socket, or a listener plus a `connect()` per candidate — and
 //! that stays in `udp.rs` / `tcp.rs` together with each peer's metric
-//! names, events and RNG draws. What does not differ is decided here,
-//! once (the relay payload format, D2, is [`crate::relay`]):
+//! names, event emissions and RNG draws. What does not differ is decided
+//! here, once (the relay payload format, D2, is [`crate::relay`]; the
+//! event vocabulary, D9, is [`crate::PeerEvent`]):
 //!
 //! - D1 [`Backlog`]: what is asked before `RegisterAck` is done after it,
 //!   as what it was, in the order it was asked.
@@ -19,7 +20,10 @@
 //! - D7 [`Race::lose`]: a UDP punch that failed with relaying off has
 //!   nobody to hand its queue to; the queue is dropped, not kept (a TCP
 //!   punch always relays).
-//! - D8 [`Timers`]: one token per armed timer, forgotten when it fires.
+//! - D8 [`Timers`]: one token per armed timer, forgotten when it fires;
+//!   the one record of what is pending ([`Timers::is_armed`]).
+//!   `TcpSession::deadline_armed` is no copy of it: it also remembers a
+//!   deadline that already fired, so a late `Introduce` arms no second.
 //!
 //! The module is pure — no `Os`, no metric, no RNG draw — because the
 //! pinned `results/LINT_*` registries name every emission and every draw
@@ -199,6 +203,15 @@ impl<P> Timers<P> {
     pub(crate) fn fired(&mut self, token: u64) -> Option<P> {
         self.armed.remove(&token)
     }
+
+    /// Whether a token armed for `purpose` is still pending. A peer
+    /// holds a handful, so this is a scan.
+    pub(crate) fn is_armed(&self, purpose: &P) -> bool
+    where
+        P: PartialEq,
+    {
+        self.armed.values().any(|p| p == purpose)
+    }
 }
 
 #[cfg(test)]
@@ -292,5 +305,20 @@ mod tests {
         assert_eq!(timers.fired(a), Some("a"));
         assert_eq!(timers.fired(a), None);
         assert_eq!(timers.fired(b), Some("b"));
+    }
+
+    #[test]
+    fn a_purpose_is_armed_from_arm_until_its_token_fires() {
+        let mut timers = Timers::new();
+        assert!(!timers.is_armed(&"a"));
+        let a = timers.arm("a");
+        assert!(timers.is_armed(&"a"));
+        assert!(!timers.is_armed(&"b"), "purposes are told apart");
+        let b = timers.arm("b");
+        assert_eq!(timers.fired(a), Some("a"));
+        assert!(!timers.is_armed(&"a"));
+        assert!(timers.is_armed(&"b"), "another purpose's firing leaves it pending");
+        timers.fired(b);
+        assert!(!timers.is_armed(&"b"));
     }
 }

@@ -20,16 +20,15 @@
 
 use crate::candidates::{CandidateKind, CandidateSet, CandidateSource};
 use crate::config::{TcpPeerConfig, TcpPunchMode};
-use crate::events::{TcpPath, TcpPeerEvent, Via};
+use crate::events::{PeerEvent, TcpPath, Via};
 use crate::relay::{self, RelayKind};
 use crate::session::{Asked, Backlog, Phase, Race, Timers};
 use bytes::Bytes;
-use punch_net::flat::FlatMap;
+use punch_net::flat::{self, FlatMap};
 use punch_net::{Endpoint, SimTime};
 use punch_rendezvous::{encode_frame, FrameBuf, Message, PeerId, MAX_PAYLOAD};
 use punch_transport::{App, ConnectOpts, Os, SockEvent, SocketError, SocketId};
 use rand::Rng;
-use std::collections::VecDeque;
 use std::time::Duration;
 
 /// §4.2 step 4: the delay before re-trying a connect that failed with a
@@ -63,6 +62,8 @@ struct TcpSession {
     race: Race<SocketId>,
     retries: FlatMap<Endpoint, u32>,
     started_at: SimTime,
+    /// This cycle's deadline was armed, and may already have fired: not
+    /// a restatement of the timer table (D8), which forgets a fired one.
     deadline_armed: bool,
     /// §4.5: after the doomed connect, the responder only listens.
     passive: bool,
@@ -129,7 +130,7 @@ pub struct TcpPeer {
     /// authenticated streams.
     conns: FlatMap<SocketId, Conn>,
     backlog: Backlog,
-    events: VecDeque<TcpPeerEvent>,
+    events: Vec<PeerEvent>,
     timers: Timers<TimerPurpose>,
     stats: TcpPeerStats,
 }
@@ -147,15 +148,16 @@ impl TcpPeer {
             sessions: FlatMap::new(),
             conns: FlatMap::new(),
             backlog: Backlog::new(),
-            events: VecDeque::new(),
+            events: Vec::new(),
             timers: Timers::new(),
             stats: TcpPeerStats::default(),
         }
     }
 
-    /// Drains accumulated events.
-    pub fn take_events(&mut self) -> Vec<TcpPeerEvent> {
-        self.events.drain(..).collect()
+    /// Drains accumulated events, buffer and all, as
+    /// [`crate::UdpPeer::take_events`] does.
+    pub fn take_events(&mut self) -> Vec<PeerEvent> {
+        std::mem::take(&mut self.events)
     }
 
     /// True once an authenticated stream to `peer` exists.
@@ -220,12 +222,11 @@ impl TcpPeer {
     /// Sends application data over the established stream, or through S
     /// when relaying; queued until the punch settles. A payload over
     /// [`MAX_PAYLOAD`] is dropped, and reported as
-    /// [`TcpPeerEvent::PayloadTooLarge`].
+    /// [`PeerEvent::PayloadTooLarge`].
     pub fn send(&mut self, os: &mut Os<'_, '_>, peer: PeerId, data: Bytes) {
         if data.len() > MAX_PAYLOAD {
             let len = data.len();
-            self.events
-                .push_back(TcpPeerEvent::PayloadTooLarge { peer, len });
+            flat::push(&mut self.events, PeerEvent::PayloadTooLarge { peer, len });
             return;
         }
         let Some(session) = self.sessions.get_mut(&peer) else {
@@ -450,17 +451,15 @@ impl TcpPeer {
                 .map(CandidateKind::label)
                 .unwrap_or("observed"),
         );
-        self.events.push_back(TcpPeerEvent::Established {
-            peer,
-            sock,
-            path,
-            remote,
-        });
-        self.events.push_back(TcpPeerEvent::RaceSettled {
-            peer,
-            winner: Some(remote),
-            candidates: won.stamps,
-        });
+        flat::push(&mut self.events, PeerEvent::Established { peer, remote });
+        flat::push(
+            &mut self.events,
+            PeerEvent::RaceSettled {
+                peer,
+                winner: Some(remote),
+                candidates: won.stamps,
+            },
+        );
         for data in won.queued {
             self.send_data(os, sock, data);
         }
@@ -473,11 +472,14 @@ impl TcpPeer {
             Message::PeerHelloAck { from, nonce } => (from, nonce, false),
             Message::PeerData { data } => {
                 if let Some(peer) = self.conns.get(&sock).and_then(|c| c.stream) {
-                    self.events.push_back(TcpPeerEvent::Data {
-                        peer,
-                        data,
-                        via: Via::Direct,
-                    });
+                    flat::push(
+                        &mut self.events,
+                        PeerEvent::Data {
+                            peer,
+                            data,
+                            via: Via::Direct,
+                        },
+                    );
                 }
                 return;
             }
@@ -518,7 +520,7 @@ impl TcpPeer {
                         None => Phase::Punching,
                     };
                     if fallback.is_none() {
-                        self.events.push_back(TcpPeerEvent::PeerClosed { peer });
+                        flat::push(&mut self.events, PeerEvent::PeerClosed { peer });
                     }
                 }
             }
@@ -569,7 +571,7 @@ impl TcpPeer {
                 let first = !self.registered;
                 self.registered = true;
                 if first {
-                    self.events.push_back(TcpPeerEvent::Registered { public });
+                    flat::push(&mut self.events, PeerEvent::Registered { public });
                     for (peer, asked) in std::mem::take(&mut self.backlog) {
                         match asked {
                             Asked::Connect => self.connect(os, peer),
@@ -621,11 +623,14 @@ impl TcpPeer {
             // data is ignored.
             Message::RelayedData { from, data } => {
                 if let Some((RelayKind::App, data)) = relay::unwrap(&data) {
-                    self.events.push_back(TcpPeerEvent::Data {
-                        peer: from,
-                        data,
-                        via: Via::Relay,
-                    });
+                    flat::push(
+                        &mut self.events,
+                        PeerEvent::Data {
+                            peer: from,
+                            data,
+                            via: Via::Relay,
+                        },
+                    );
                 }
             }
             Message::ErrorReply { .. } => {
@@ -652,14 +657,17 @@ impl TcpPeer {
         os.metric_inc("punch.tcp.failed");
         os.metric_inc_by("punch.tcp.candidates_tried", lost.probed as u64);
         os.metric_inc_labeled("punch.tcp.winner_kind", "none");
-        self.events.push_back(TcpPeerEvent::PunchFailed { peer });
-        self.events.push_back(TcpPeerEvent::RaceSettled {
-            peer,
-            winner: None,
-            candidates: lost.stamps,
-        });
+        flat::push(&mut self.events, PeerEvent::PunchFailed { peer });
+        flat::push(
+            &mut self.events,
+            PeerEvent::RaceSettled {
+                peer,
+                winner: None,
+                candidates: lost.stamps,
+            },
+        );
         os.metric_inc("punch.tcp.relay_fallback");
-        self.events.push_back(TcpPeerEvent::RelayActive { peer });
+        flat::push(&mut self.events, PeerEvent::RelayActive { peer });
         for data in lost.queued {
             self.relay_app(os, peer, &data);
         }

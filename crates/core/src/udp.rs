@@ -21,7 +21,7 @@
 
 use crate::candidates::{CandidateKind, CandidateSet};
 use crate::config::UdpPeerConfig;
-use crate::events::{UdpPeerEvent, Via};
+use crate::events::{PeerEvent, Via};
 use crate::relay::{self, RelayKind};
 use crate::session::{self, Asked, Backlog, Phase, Race, Timers};
 use bytes::Bytes;
@@ -50,12 +50,9 @@ struct Session {
     /// introduction arrives.
     intro: Option<(Endpoint, Endpoint)>,
     attempts: u32,
-    keepalive_armed: bool,
-    tick_armed: bool,
     /// When we last sent anything on the direct path; keepalives are
     /// suppressed while application traffic keeps the mapping fresh.
     last_sent: SimTime,
-    relay_probe_armed: bool,
     /// When this cycle was requested of S (§3.2 step 1) and when S
     /// first introduced it (step 2): the punch latency runs from the
     /// request, or from the introduction on a responder that never
@@ -74,10 +71,7 @@ impl Session {
             established_nonce: None,
             intro: None,
             attempts: 0,
-            keepalive_armed: false,
-            tick_armed: false,
             last_sent: SimTime::ZERO,
-            relay_probe_armed: false,
             requested: None,
             introduced: None,
             established: None,
@@ -107,7 +101,9 @@ struct ServerSlot {
     last_ack: SimTime,
 }
 
-/// What a timer token means.
+/// What a timer token means. Which purposes are pending is asked of
+/// [`Timers::is_armed`], the one record of it (D8).
+#[derive(PartialEq)]
 enum TimerPurpose {
     RegisterRetry,
     ServerKeepalive,
@@ -144,10 +140,6 @@ pub struct UdpPeer {
     sock: Option<SocketId>,
     local: Option<Endpoint>,
     public: Option<Endpoint>,
-    /// Aggregate registration state: true while at least one home
-    /// server is acknowledging us. Standalone (no fleet) this is
-    /// exactly the single server's slot.
-    registered: bool,
     /// The k-of-n home servers this client registers with: the ring
     /// owners of its own id, or just `cfg.server` without a fleet.
     homes: Vec<ServerSlot>,
@@ -170,10 +162,9 @@ pub struct UdpPeer {
     /// session costs an allocation and a pointer chase of its own.
     sessions: FlatMap<PeerId, Session>,
     backlog: Backlog,
-    events: Vec<UdpPeerEvent>,
+    events: Vec<PeerEvent>,
     timers: Timers<TimerPurpose>,
     stats: UdpPeerStats,
-    server_ka_armed: bool,
 }
 
 // One per client, inline in its host: a `ShardedWorld` client is one
@@ -214,7 +205,6 @@ impl UdpPeer {
             sock: None,
             local: None,
             public: None,
-            registered: false,
             homes,
             probe_public: None,
             delta: None,
@@ -225,13 +215,12 @@ impl UdpPeer {
             events: Vec::new(),
             timers: Timers::new(),
             stats: UdpPeerStats::default(),
-            server_ka_armed: false,
         }
     }
 
     /// Drains accumulated events, buffer and all: a peer nobody has
     /// polled since holds no event memory.
-    pub fn take_events(&mut self) -> Vec<UdpPeerEvent> {
+    pub fn take_events(&mut self) -> Vec<PeerEvent> {
         std::mem::take(&mut self.events)
     }
 
@@ -240,9 +229,10 @@ impl UdpPeer {
         self.public
     }
 
-    /// True while S is acknowledging our registrations.
+    /// True while S is acknowledging our registrations: with a fleet,
+    /// while at least one home server is.
     pub fn is_registered(&self) -> bool {
-        self.registered
+        self.homes.iter().any(|s| s.registered)
     }
 
     /// True once a direct session with `peer` is established.
@@ -281,7 +271,7 @@ impl UdpPeer {
     /// connect request (or, on a responder that never asked, from S's
     /// introduction) to the winning answer. `None` until the race is
     /// won; a re-punch starts a new cycle. The race itself is reported
-    /// by [`UdpPeerEvent::RaceSettled`].
+    /// by [`PeerEvent::RaceSettled`].
     pub fn punch_latency(&self, peer: PeerId) -> Option<std::time::Duration> {
         self.sessions.get(&peer)?.latency()
     }
@@ -292,7 +282,7 @@ impl UdpPeer {
 
     /// Requests a hole-punched session with `peer` (§3.2 step 1).
     pub fn connect(&mut self, os: &mut Os<'_, '_>, peer: PeerId) {
-        if !self.registered {
+        if !self.is_registered() {
             self.backlog.push((peer, Asked::Connect));
             return;
         }
@@ -311,17 +301,17 @@ impl UdpPeer {
     /// dropped when it failed with nowhere to go (relaying off).
     ///
     /// A payload over [`MAX_PAYLOAD`] is dropped and reported as
-    /// [`UdpPeerEvent::PayloadTooLarge`].
+    /// [`PeerEvent::PayloadTooLarge`].
     pub fn send(&mut self, os: &mut Os<'_, '_>, peer: PeerId, data: Bytes) {
         if data.len() > MAX_PAYLOAD {
             let len = data.len();
-            flat::push(&mut self.events, UdpPeerEvent::PayloadTooLarge { peer, len });
+            flat::push(&mut self.events, PeerEvent::PayloadTooLarge { peer, len });
             return;
         }
         let now = os.now();
         let timeout = self.cfg.punch.session_timeout;
         let Some(session) = self.sessions.get_mut(&peer) else {
-            if !self.registered {
+            if !self.is_registered() {
                 self.backlog.push((peer, Asked::Send(data)));
                 return;
             }
@@ -338,7 +328,7 @@ impl UdpPeer {
                     // The hole evidently closed; re-run the procedure.
                     session.race.queue(data);
                     os.metric_inc_labeled("punch.session_died", "stale-on-send");
-                    flat::push(&mut self.events, UdpPeerEvent::SessionDied { peer });
+                    flat::push(&mut self.events, PeerEvent::SessionDied { peer });
                     self.start_repunch(os, peer);
                     return;
                 }
@@ -454,15 +444,12 @@ impl UdpPeer {
     /// after an outage. The defaults (1.0 / 0.0) reproduce the paper's
     /// constant cadence exactly, with no extra RNG draws.
     fn arm_punch_tick(&mut self, os: &mut Os<'_, '_>, peer: PeerId) {
-        let attempts = if let Some(s) = self.sessions.get_mut(&peer) {
-            if s.tick_armed {
-                return;
-            }
-            s.tick_armed = true;
-            s.attempts
-        } else {
+        let Some(attempts) = self.sessions.get(&peer).map(|s| s.attempts) else {
             return;
         };
+        if self.timers.is_armed(&TimerPurpose::PunchTick(peer)) {
+            return;
+        }
         let cfg = &self.cfg.punch;
         let mut interval = cfg.spray_interval;
         if cfg.backoff > 1.0 {
@@ -680,7 +667,7 @@ impl UdpPeer {
         if let Some(won) = &won {
             // The hello/ack volley that produced this establishment
             // just refreshed the mapping. (A pending relay-probe
-            // timer clears its own flag when it finds us upgraded.)
+            // timer finds us upgraded and is not re-armed.)
             session.last_sent = now;
             session.established = Some(now);
             os.metric_inc("punch.established");
@@ -712,12 +699,11 @@ impl UdpPeer {
             session.last_sent = now;
             os.metric_inc("punch.relocked");
         }
-        let arm_keepalive = !std::mem::replace(&mut session.keepalive_armed, true);
-        flat::push(&mut self.events, UdpPeerEvent::Established { peer, remote });
+        flat::push(&mut self.events, PeerEvent::Established { peer, remote });
         if let Some(won) = won {
             flat::push(
                 &mut self.events,
-                UdpPeerEvent::RaceSettled {
+                PeerEvent::RaceSettled {
                     peer,
                     winner: Some(remote),
                     candidates: won.stamps,
@@ -729,7 +715,7 @@ impl UdpPeer {
                 self.send_to(os, remote, &Message::PeerData { data });
             }
         }
-        if arm_keepalive {
+        if !self.timers.is_armed(&TimerPurpose::Keepalive(peer)) {
             self.arm(os, keepalive, TimerPurpose::Keepalive(peer));
         }
     }
@@ -759,8 +745,7 @@ impl UdpPeer {
         let now = os.now();
         match msg {
             Message::RegisterAck { public } if self.is_home(from) => {
-                let first = !self.registered;
-                self.registered = true;
+                let first = !self.is_registered();
                 if let Some(idx) = self.home_index(from) {
                     self.homes[idx].registered = true;
                     self.homes[idx].last_ack = now;
@@ -773,9 +758,8 @@ impl UdpPeer {
                 }
                 if first {
                     os.metric_inc("punch.registered");
-                    flat::push(&mut self.events, UdpPeerEvent::Registered { public });
-                    if !self.server_ka_armed {
-                        self.server_ka_armed = true;
+                    flat::push(&mut self.events, PeerEvent::Registered { public });
+                    if !self.timers.is_armed(&TimerPurpose::ServerKeepalive) {
                         let ka = self.cfg.server_keepalive;
                         self.arm(os, ka, TimerPurpose::ServerKeepalive);
                     }
@@ -818,7 +802,7 @@ impl UdpPeer {
                     Some((RelayKind::Control, body)) => self.handle_control(peer, &body),
                     Some((RelayKind::App, data)) => flat::push(
                         &mut self.events,
-                        UdpPeerEvent::Data {
+                        PeerEvent::Data {
                             peer,
                             data,
                             via: Via::Relay,
@@ -864,7 +848,7 @@ impl UdpPeer {
                     self.touch(peer, now);
                     flat::push(
                         &mut self.events,
-                        UdpPeerEvent::Data {
+                        PeerEvent::Data {
                             peer,
                             data,
                             via: Via::Direct,
@@ -898,22 +882,21 @@ impl UdpPeer {
         }
         if relay {
             os.metric_inc_labeled("punch.relay_fallback", reason);
-            let arm_probe =
-                probe_interval.filter(|_| !std::mem::replace(&mut session.relay_probe_armed, true));
-            flat::push(&mut self.events, UdpPeerEvent::RelayActive { peer });
-            if let Some(interval) = arm_probe {
-                self.arm(os, interval, TimerPurpose::RelayProbe(peer));
+            flat::push(&mut self.events, PeerEvent::RelayActive { peer });
+            let probe = TimerPurpose::RelayProbe(peer);
+            if let Some(interval) = probe_interval.filter(|_| !self.timers.is_armed(&probe)) {
+                self.arm(os, interval, probe);
             }
             for data in lost.queued {
                 self.relay_app(os, peer, &data);
             }
         } else {
             os.metric_inc_labeled("punch.failed", reason);
-            flat::push(&mut self.events, UdpPeerEvent::PunchFailed { peer });
+            flat::push(&mut self.events, PeerEvent::PunchFailed { peer });
         }
         flat::push(
             &mut self.events,
-            UdpPeerEvent::RaceSettled {
+            PeerEvent::RaceSettled {
                 peer,
                 winner: None,
                 candidates: lost.stamps,
@@ -954,7 +937,7 @@ impl App for UdpPeer {
         };
         match purpose {
             TimerPurpose::RegisterRetry => {
-                if !self.registered {
+                if !self.is_registered() {
                     self.register_all(os);
                     self.arm(os, self.cfg.register_retry, TimerPurpose::RegisterRetry);
                 }
@@ -966,6 +949,7 @@ impl App for UdpPeer {
                 // server is gone — most likely restarted with empty
                 // tables. Each home slot is judged on its own acks.
                 let lost_after = ka * 2 + self.cfg.register_retry;
+                let was_registered = self.is_registered();
                 let mut lost = 0u64;
                 for slot in &mut self.homes {
                     if slot.registered && now.saturating_since(slot.last_ack) > lost_after {
@@ -973,13 +957,11 @@ impl App for UdpPeer {
                         lost += 1;
                     }
                 }
-                if self.registered && !self.homes.iter().any(|s| s.registered) {
+                if was_registered && !self.is_registered() {
                     // Every home went silent: drop to the registration
                     // loop so peers can find us again once one returns.
-                    self.registered = false;
-                    self.server_ka_armed = false;
                     os.metric_inc("punch.server_lost");
-                    flat::push(&mut self.events, UdpPeerEvent::ServerLost);
+                    flat::push(&mut self.events, PeerEvent::ServerLost);
                     self.register_all(os);
                     self.arm(os, self.cfg.register_retry, TimerPurpose::RegisterRetry);
                     return;
@@ -1001,7 +983,6 @@ impl App for UdpPeer {
                 let Some(session) = self.sessions.get_mut(&peer) else {
                     return;
                 };
-                session.tick_armed = false;
                 if !session.race.is_punching() {
                     return; // Established or relaying; volley no longer needed.
                 }
@@ -1034,9 +1015,8 @@ impl App for UdpPeer {
                     let missed = miss_limit > 0 && quiet > interval * miss_limit;
                     if quiet > timeout || missed {
                         session.race.phase = Phase::Failed;
-                        session.keepalive_armed = false;
                         os.metric_inc_labeled("punch.session_died", "keepalive-timeout");
-                        flat::push(&mut self.events, UdpPeerEvent::SessionDied { peer });
+                        flat::push(&mut self.events, PeerEvent::SessionDied { peer });
                         if auto_repunch {
                             self.start_repunch(os, peer);
                         }
@@ -1055,8 +1035,6 @@ impl App for UdpPeer {
                     self.stats.keepalives_sent += 1;
                     self.send_to(os, remote, &Message::KeepAlive);
                     self.arm(os, interval, TimerPurpose::Keepalive(peer));
-                } else {
-                    session.keepalive_armed = false;
                 }
             }
             TimerPurpose::RelayProbe(peer) => {
@@ -1071,7 +1049,6 @@ impl App for UdpPeer {
                     return;
                 };
                 if !matches!(session.race.phase, Phase::Relaying) {
-                    session.relay_probe_armed = false;
                     return;
                 }
                 session.attempts = 0;

@@ -6,8 +6,8 @@
 
 use bytes::Bytes;
 use holepunch::{
-    CandidatePlan, CandidateSource, CandidateStamp, PeerId, PredictionStrategy, TcpPeer,
-    TcpPeerConfig, TcpPeerEvent, UdpPeer, UdpPeerConfig, UdpPeerEvent, Via,
+    CandidatePlan, CandidateSource, CandidateStamp, PeerEvent, PeerId, PredictionStrategy,
+    TcpPeer, TcpPeerConfig, UdpPeer, UdpPeerConfig, Via,
 };
 use punch_lab::{fig4, fig5, PeerSetup, Scenario};
 use punch_nat::NatBehavior;
@@ -54,7 +54,7 @@ fn udp_races(sc: &mut Scenario, out: &mut String) {
             .world
             .with_app::<UdpPeer, _>(node, |p, _| p.take_events())
         {
-            if let UdpPeerEvent::RaceSettled {
+            if let PeerEvent::RaceSettled {
                 peer: p,
                 winner,
                 candidates,
@@ -165,7 +165,7 @@ fn every_plan_races_in_plan_order() {
             .world
             .with_app::<TcpPeer, _>(node, |p, _| p.take_events())
         {
-            if let TcpPeerEvent::RaceSettled {
+            if let PeerEvent::RaceSettled {
                 peer: p,
                 winner,
                 candidates,
@@ -276,7 +276,7 @@ fn race_settled_reports_per_candidate_outcomes() {
     let (winner, candidates) = evs
         .iter()
         .find_map(|e| match e {
-            UdpPeerEvent::RaceSettled {
+            PeerEvent::RaceSettled {
                 peer,
                 winner,
                 candidates,
@@ -335,7 +335,7 @@ fn repunch_regenerates_candidates_instead_of_clearing() {
     let settled: Vec<_> = evs
         .iter()
         .filter_map(|e| match e {
-            UdpPeerEvent::RaceSettled {
+            PeerEvent::RaceSettled {
                 peer,
                 winner,
                 candidates,
@@ -360,7 +360,7 @@ fn repunch_regenerates_candidates_instead_of_clearing() {
     assert!(
         evs_b
             .iter()
-            .any(|e| matches!(e, UdpPeerEvent::Data { peer, data, via } if *peer == A && data.as_ref() == b"wake" && *via == Via::Direct)),
+            .any(|e| matches!(e, PeerEvent::Data { peer, data, via } if *peer == A && data.as_ref() == b"wake" && *via == Via::Direct)),
         "B events: {evs_b:?}"
     );
 }
@@ -416,7 +416,7 @@ fn repunch_regenerates_predicted_candidates_for_symmetric_nats() {
     let has_predicted_winner = evs.iter().any(|e| {
         matches!(
             e,
-            UdpPeerEvent::RaceSettled { peer, winner: Some(_), candidates }
+            PeerEvent::RaceSettled { peer, winner: Some(_), candidates }
                 if *peer == B && !candidates.is_empty()
         )
     });
@@ -443,7 +443,7 @@ fn common_nat_race_winner_is_private() {
     let winner = evs
         .iter()
         .find_map(|e| match e {
-            UdpPeerEvent::RaceSettled { peer, winner, .. } if *peer == B => *winner,
+            PeerEvent::RaceSettled { peer, winner, .. } if *peer == B => *winner,
             _ => None,
         })
         .expect("race settled");

@@ -11,8 +11,7 @@
 
 use bytes::Bytes;
 use holepunch::{
-    PeerId, TcpPath, TcpPeer, TcpPeerConfig, TcpPeerEvent, UdpPeer, UdpPeerConfig, UdpPeerEvent,
-    Via,
+    PeerEvent, PeerId, TcpPath, TcpPeer, TcpPeerConfig, UdpPeer, UdpPeerConfig, Via,
 };
 use punch_lab::{addrs, fig4, fig5, PeerSetup, Scenario, World, WorldBuilder};
 use punch_nat::NatBehavior;
@@ -28,7 +27,8 @@ const NOBODY: PeerId = PeerId(99);
 const VICTIM_IP: Ipv4Addr = Ipv4Addr::new(99, 1, 1, 1);
 const STRANGER_IP: Ipv4Addr = Ipv4Addr::new(99, 1, 1, 9);
 
-/// A peer event with the carrier-specific fields dropped.
+/// A peer event with a race's stamps dropped; what no case compares
+/// is `Other`.
 #[derive(Clone, Debug, PartialEq)]
 enum Ev {
     Established(PeerId, Endpoint),
@@ -50,7 +50,20 @@ trait Peer: App + Sized {
     fn setup(id: PeerId) -> PeerSetup;
     fn connect(&mut self, os: &mut Os<'_, '_>, peer: PeerId);
     fn send(&mut self, os: &mut Os<'_, '_>, peer: PeerId, data: Bytes);
-    fn events(&mut self) -> Vec<Ev>;
+    fn take_events(&mut self) -> Vec<PeerEvent>;
+    /// The drained events, read the same way whichever carrier made them.
+    fn events(&mut self) -> Vec<Ev> {
+        let ev = |e| match e {
+            PeerEvent::Established { peer, remote } => Ev::Established(peer, remote),
+            PeerEvent::PunchFailed { peer } => Ev::PunchFailed(peer),
+            PeerEvent::RelayActive { peer } => Ev::RelayActive(peer),
+            PeerEvent::RaceSettled { peer, winner, .. } => Ev::RaceSettled(peer, winner),
+            PeerEvent::Data { peer, data, via } => Ev::Data(peer, data, via),
+            PeerEvent::PayloadTooLarge { peer, len } => Ev::TooLarge(peer, len),
+            _ => Ev::Other,
+        };
+        self.take_events().into_iter().map(ev).collect()
+    }
     fn is_established(&self, peer: PeerId) -> bool;
     fn is_relaying(&self, peer: PeerId) -> bool;
     /// The public endpoint server `s` registered for `id` on this carrier.
@@ -70,17 +83,8 @@ impl Peer for UdpPeer {
     fn send(&mut self, os: &mut Os<'_, '_>, peer: PeerId, data: Bytes) {
         UdpPeer::send(self, os, peer, data)
     }
-    fn events(&mut self) -> Vec<Ev> {
-        let ev = |e| match e {
-            UdpPeerEvent::Established { peer, remote } => Ev::Established(peer, remote),
-            UdpPeerEvent::PunchFailed { peer } => Ev::PunchFailed(peer),
-            UdpPeerEvent::RelayActive { peer } => Ev::RelayActive(peer),
-            UdpPeerEvent::RaceSettled { peer, winner, .. } => Ev::RaceSettled(peer, winner),
-            UdpPeerEvent::Data { peer, data, via } => Ev::Data(peer, data, via),
-            UdpPeerEvent::PayloadTooLarge { peer, len } => Ev::TooLarge(peer, len),
-            _ => Ev::Other,
-        };
-        self.take_events().into_iter().map(ev).collect()
+    fn take_events(&mut self) -> Vec<PeerEvent> {
+        UdpPeer::take_events(self)
     }
     fn is_established(&self, peer: PeerId) -> bool {
         UdpPeer::is_established(self, peer)
@@ -109,17 +113,8 @@ impl Peer for TcpPeer {
     fn send(&mut self, os: &mut Os<'_, '_>, peer: PeerId, data: Bytes) {
         TcpPeer::send(self, os, peer, data)
     }
-    fn events(&mut self) -> Vec<Ev> {
-        let ev = |e| match e {
-            TcpPeerEvent::Established { peer, remote, .. } => Ev::Established(peer, remote),
-            TcpPeerEvent::PunchFailed { peer } => Ev::PunchFailed(peer),
-            TcpPeerEvent::RelayActive { peer } => Ev::RelayActive(peer),
-            TcpPeerEvent::RaceSettled { peer, winner, .. } => Ev::RaceSettled(peer, winner),
-            TcpPeerEvent::Data { peer, data, via } => Ev::Data(peer, data, via),
-            TcpPeerEvent::PayloadTooLarge { peer, len } => Ev::TooLarge(peer, len),
-            _ => Ev::Other,
-        };
-        self.take_events().into_iter().map(ev).collect()
+    fn take_events(&mut self) -> Vec<PeerEvent> {
+        TcpPeer::take_events(self)
     }
     fn is_established(&self, peer: PeerId) -> bool {
         TcpPeer::is_established(self, peer)
@@ -662,4 +657,70 @@ fn reversal_requested_before_registration_stays_a_reversal() {
         w.app::<TcpPeer>(a).established_path(B),
         Some(TcpPath::Connect)
     );
+}
+
+// The whole event stream an application sees on fig5's three common
+// paths, pinned per carrier: a direct punch and a message each way, a
+// punch that falls back to the relay (NAT A symmetric) and a message
+// each way, and an oversize payload on a punched session. Both carriers
+// are read through `Ev`, so where they differ the expected streams say
+// so (`FAILED_THEN_RELAY`).
+fn event_sequences<P: Peer>(nat_a: NatBehavior, oversize: bool) -> (Vec<Ev>, Vec<Ev>) {
+    let mut sc = fig5(
+        30,
+        nat_a,
+        NatBehavior::well_behaved(),
+        P::setup(A),
+        P::setup(B),
+    );
+    sc.world.sim.run_for(Duration::from_secs(2));
+    sc.world.with_app::<P, _>(sc.a, |p, os| p.connect(os, B));
+    sc.world.sim.run_for(Duration::from_secs(40));
+    sc.world.with_app::<P, _>(sc.a, |p, os| {
+        if oversize {
+            p.send(os, B, Bytes::from(vec![0xA5; MAX_PAYLOAD + 1]));
+        }
+        p.send(os, B, Bytes::from_static(b"ping"));
+    });
+    sc.world
+        .with_app::<P, _>(sc.b, |p, os| p.send(os, A, Bytes::from_static(b"pong")));
+    sc.world.sim.run_for(Duration::from_secs(3));
+    (events::<P>(&mut sc.world, sc.a), events::<P>(&mut sc.world, sc.b))
+}
+
+fn full_event_sequences_are_pinned<P: Peer>() {
+    let (b_pub, a_pub): (Endpoint, Endpoint) = (
+        "138.76.29.7:62000".parse().unwrap(),
+        "155.99.25.11:62000".parse().unwrap(),
+    );
+    let direct = |peer, remote, data: &'static [u8]| {
+        vec![
+            Ev::Other,
+            Ev::Established(peer, remote),
+            Ev::RaceSettled(peer, Some(remote)),
+            Ev::Data(peer, Bytes::from_static(data), Via::Direct),
+        ]
+    };
+    let (a, b) = event_sequences::<P>(NatBehavior::well_behaved(), false);
+    assert_eq!((a, b), (direct(B, b_pub, b"pong"), direct(A, a_pub, b"ping")));
+
+    let relayed = |peer, data: &'static [u8]| {
+        let mut evs = vec![Ev::Other];
+        evs.extend(P::FAILED_THEN_RELAY.iter().map(|e| e(peer)));
+        evs.push(Ev::Data(peer, Bytes::from_static(data), Via::Relay));
+        evs
+    };
+    let (a, b) = event_sequences::<P>(NatBehavior::symmetric(), false);
+    assert_eq!((a, b), (relayed(B, b"pong"), relayed(A, b"ping")));
+
+    let mut refused = direct(B, b_pub, b"pong");
+    refused.insert(3, Ev::TooLarge(B, MAX_PAYLOAD + 1));
+    let (a, b) = event_sequences::<P>(NatBehavior::well_behaved(), true);
+    assert_eq!((a, b), (refused, direct(A, a_pub, b"ping")));
+}
+
+#[test]
+fn full_event_sequences_are_pinned_over_both() {
+    full_event_sequences_are_pinned::<UdpPeer>();
+    full_event_sequences_are_pinned::<TcpPeer>();
 }

@@ -1,7 +1,7 @@
 //! End-to-end TCP hole punching (experiments E6, E7, E8, E10, E13).
 
 use bytes::Bytes;
-use holepunch::{PeerId, TcpPath, TcpPeer, TcpPeerConfig, TcpPeerEvent, TcpPunchMode};
+use holepunch::{PeerEvent, PeerId, TcpPath, TcpPeer, TcpPeerConfig, TcpPunchMode};
 use punch_lab::{addrs, fig4, fig5, fig6, PeerSetup, Scenario};
 use punch_nat::{MappingPolicy, NatBehavior, TcpUnsolicited};
 use punch_net::{Duration, SimTime};
@@ -48,11 +48,11 @@ fn exchange_data(sc: &mut Scenario) {
     let evs_a = sc.world.with_app::<TcpPeer, _>(a, |p, _| p.take_events());
     let evs_b = sc.world.with_app::<TcpPeer, _>(b, |p, _| p.take_events());
     assert!(
-        evs_a.iter().any(|e| matches!(e, TcpPeerEvent::Data { peer, data, .. } if *peer == B && data.as_ref() == b"stream-from-b")),
+        evs_a.iter().any(|e| matches!(e, PeerEvent::Data { peer, data, .. } if *peer == B && data.as_ref() == b"stream-from-b")),
         "A events: {evs_a:?}"
     );
     assert!(
-        evs_b.iter().any(|e| matches!(e, TcpPeerEvent::Data { peer, data, .. } if *peer == A && data.as_ref() == b"stream-from-a")),
+        evs_b.iter().any(|e| matches!(e, PeerEvent::Data { peer, data, .. } if *peer == A && data.as_ref() == b"stream-from-a")),
         "B events: {evs_b:?}"
     );
 }
@@ -236,7 +236,7 @@ fn symmetric_nat_tcp_punch_fails_cleanly() {
         .with_app::<TcpPeer, _>(sc.a, |p, _| p.take_events());
     assert!(
         evs.iter()
-            .any(|e| matches!(e, TcpPeerEvent::PunchFailed { peer } if *peer == B)),
+            .any(|e| matches!(e, PeerEvent::PunchFailed { peer } if *peer == B)),
         "§5.1: symmetric translation must fail the TCP punch: {evs:?}"
     );
 }
@@ -462,7 +462,7 @@ fn registration_reports_tcp_public_endpoint() {
     let pub_a = evs
         .iter()
         .find_map(|e| match e {
-            TcpPeerEvent::Registered { public } => Some(*public),
+            PeerEvent::Registered { public } => Some(*public),
             _ => None,
         })
         .unwrap_or_else(|| panic!("not registered: {evs:?}"));
@@ -499,10 +499,10 @@ fn tcp_relay_fallback_carries_data_when_punch_fails() {
         .with_app::<TcpPeer, _>(sc.a, |p, _| p.take_events());
     assert!(evs
         .iter()
-        .any(|e| matches!(e, TcpPeerEvent::PunchFailed { peer } if *peer == B)));
+        .any(|e| matches!(e, PeerEvent::PunchFailed { peer } if *peer == B)));
     assert!(evs
         .iter()
-        .any(|e| matches!(e, TcpPeerEvent::RelayActive { peer } if *peer == B)));
+        .any(|e| matches!(e, PeerEvent::RelayActive { peer } if *peer == B)));
 
     // Data A -> B over the relay.
     sc.world.with_app::<TcpPeer, _>(sc.a, |p, os| {
@@ -514,7 +514,7 @@ fn tcp_relay_fallback_carries_data_when_punch_fails() {
         .with_app::<TcpPeer, _>(sc.b, |p, _| p.take_events());
     assert!(
         evs_b.iter().any(|e| matches!(e,
-            TcpPeerEvent::Data { peer, data, via } if *peer == A && data.as_ref() == b"via-relay" && *via == holepunch::Via::Relay)),
+            PeerEvent::Data { peer, data, via } if *peer == A && data.as_ref() == b"via-relay" && *via == holepunch::Via::Relay)),
         "{evs_b:?}"
     );
     // And the reply B -> A: B's own punch also failed by now (it shares
@@ -531,7 +531,7 @@ fn tcp_relay_fallback_carries_data_when_punch_fails() {
         .with_app::<TcpPeer, _>(sc.a, |p, _| p.take_events());
     assert!(
         evs_a.iter().any(|e| matches!(e,
-            TcpPeerEvent::Data { peer, data, via } if *peer == B && data.as_ref() == b"relay-back" && *via == holepunch::Via::Relay)),
+            PeerEvent::Data { peer, data, via } if *peer == B && data.as_ref() == b"relay-back" && *via == holepunch::Via::Relay)),
         "{evs_a:?}"
     );
 }
@@ -566,7 +566,7 @@ fn send_before_registration_connects_once_and_delivers_the_payload() {
         .with_app::<TcpPeer, _>(sc.b, |p, _| p.take_events());
     assert!(
         evs.iter()
-            .any(|e| matches!(e, TcpPeerEvent::Data { peer, data, via }
+            .any(|e| matches!(e, PeerEvent::Data { peer, data, via }
             if *peer == A && data.as_ref() == b"early" && *via == holepunch::Via::Direct)),
         "the queued payload arrives over the punched stream: {evs:?}"
     );
@@ -619,7 +619,7 @@ fn reconnect_after_a_lost_stream_is_a_fresh_punch_cycle() {
     let evs = sc.world.with_app::<TcpPeer, _>(sc.a, |p, _| p.take_events());
     assert!(
         evs.iter()
-            .any(|e| matches!(e, TcpPeerEvent::RelayActive { peer } if *peer == B)),
+            .any(|e| matches!(e, PeerEvent::RelayActive { peer } if *peer == B)),
         "{evs:?}"
     );
 }

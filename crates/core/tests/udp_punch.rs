@@ -3,8 +3,8 @@
 
 use bytes::Bytes;
 use holepunch::{
-    CandidatePlan, CandidateSource, PeerId, PredictionStrategy, UdpPeer, UdpPeerConfig,
-    UdpPeerEvent, Via,
+    CandidatePlan, CandidateSource, PeerEvent, PeerId, PredictionStrategy, UdpPeer,
+    UdpPeerConfig, Via,
 };
 use punch_lab::{addrs, fig4, fig5, fig6, PeerSetup, Scenario};
 use punch_nat::{Hairpin, MappingPolicy, NatBehavior, PortAllocation};
@@ -55,11 +55,11 @@ fn exchange_data(sc: &mut Scenario, expect_via: Via) {
     let evs_a = sc.world.with_app::<UdpPeer, _>(a, |p, _| p.take_events());
     let evs_b = sc.world.with_app::<UdpPeer, _>(b, |p, _| p.take_events());
     assert!(
-        evs_a.iter().any(|e| matches!(e, UdpPeerEvent::Data { peer, data, via } if *peer == B && data.as_ref() == b"from-b" && *via == expect_via)),
+        evs_a.iter().any(|e| matches!(e, PeerEvent::Data { peer, data, via } if *peer == B && data.as_ref() == b"from-b" && *via == expect_via)),
         "A events: {evs_a:?}"
     );
     assert!(
-        evs_b.iter().any(|e| matches!(e, UdpPeerEvent::Data { peer, data, via } if *peer == A && data.as_ref() == b"from-a" && *via == expect_via)),
+        evs_b.iter().any(|e| matches!(e, PeerEvent::Data { peer, data, via } if *peer == A && data.as_ref() == b"from-a" && *via == expect_via)),
         "B events: {evs_b:?}"
     );
 }
@@ -349,7 +349,7 @@ fn dead_session_repunches_on_demand() {
         .with_app::<UdpPeer, _>(sc.a, |p, _| p.take_events());
     assert!(
         evs.iter()
-            .any(|e| matches!(e, UdpPeerEvent::SessionDied { peer } if *peer == B)),
+            .any(|e| matches!(e, PeerEvent::SessionDied { peer } if *peer == B)),
         "{evs:?}"
     );
     assert!(sc.world.app::<UdpPeer>(sc.a).stats().repunches >= 1);
@@ -361,7 +361,7 @@ fn dead_session_repunches_on_demand() {
     assert!(
         evs_b
             .iter()
-            .any(|e| matches!(e, UdpPeerEvent::Data { data, .. } if data.as_ref() == b"wake")),
+            .any(|e| matches!(e, PeerEvent::Data { data, .. } if data.as_ref() == b"wake")),
         "{evs_b:?}"
     );
 }
@@ -462,7 +462,7 @@ fn registered_event_reports_nat_mapping() {
         .world
         .with_app::<UdpPeer, _>(sc.a, |p, _| p.take_events());
     let reg = evs.iter().find_map(|e| match e {
-        UdpPeerEvent::Registered { public } => Some(*public),
+        PeerEvent::Registered { public } => Some(*public),
         _ => None,
     });
     let public = reg.expect("registered");
@@ -526,7 +526,7 @@ fn punch_config_max_attempts_bounds_probe_volleys() {
         .with_app::<UdpPeer, _>(sc.a, |p, _| p.take_events());
     assert!(
         evs.iter()
-            .any(|e| matches!(e, UdpPeerEvent::PunchFailed { peer } if *peer == PeerId(99))),
+            .any(|e| matches!(e, PeerEvent::PunchFailed { peer } if *peer == PeerId(99))),
         "{evs:?}"
     );
 }
@@ -561,7 +561,7 @@ fn send_before_registration_connects_once_and_delivers_the_payload() {
         .with_app::<UdpPeer, _>(sc.b, |p, _| p.take_events());
     assert!(
         evs.iter()
-            .any(|e| matches!(e, UdpPeerEvent::Data { peer, data, via }
+            .any(|e| matches!(e, PeerEvent::Data { peer, data, via }
             if *peer == A && data.as_ref() == b"early" && *via == Via::Direct)),
         "the queued payload arrives over the punched path: {evs:?}"
     );
@@ -668,7 +668,7 @@ fn forged_error_reply_does_not_fail_a_waiting_session() {
     assert!(
         !evs.iter().any(|e| matches!(
             e,
-            UdpPeerEvent::PunchFailed { .. } | UdpPeerEvent::RelayActive { .. }
+            PeerEvent::PunchFailed { .. } | PeerEvent::RelayActive { .. }
         )),
         "{evs:?}"
     );
@@ -714,7 +714,7 @@ fn forged_relayed_data_adds_no_candidate_and_delivers_no_data() {
     let raced: Vec<_> = evs
         .iter()
         .filter_map(|e| match e {
-            UdpPeerEvent::RaceSettled {
+            PeerEvent::RaceSettled {
                 peer, candidates, ..
             } if *peer == B => Some(candidates),
             _ => None,
@@ -724,7 +724,7 @@ fn forged_relayed_data_adds_no_candidate_and_delivers_no_data() {
     assert!(!raced.is_empty(), "the race ran and settled: {evs:?}");
     assert!(raced.iter().all(|c| c.endpoint != forger_ep), "{raced:?}");
     assert!(
-        !evs.iter().any(|e| matches!(e, UdpPeerEvent::Data { .. })),
+        !evs.iter().any(|e| matches!(e, PeerEvent::Data { .. })),
         "{evs:?}"
     );
     assert_eq!(

@@ -25,7 +25,7 @@
 //! CI's defense-flip gate.
 
 use crate::world::{addrs, fig5_builder, PeerSetup, Scenario, World, WorldBuilder};
-use holepunch::{TcpPeer, TcpPeerConfig, TcpPeerEvent, UdpPeer, UdpPeerConfig, UdpPeerEvent};
+use holepunch::{PeerEvent, TcpPeer, TcpPeerConfig, UdpPeer, UdpPeerConfig};
 use punch_nat::NatBehavior;
 use punch_net::{
     Ctx, Device, Duration, Endpoint, IfaceId, LinkSpec, NodeId, Packet, SimTime, TcpFlags,
@@ -171,7 +171,8 @@ pub struct AbuseBot {
     server: Endpoint,
     /// `(at, action)` bursts.
     script: Script<AbuseAction>,
-    sock: Option<SocketId>,
+    /// The socket bound in `on_start` and the endpoint it bound.
+    bound: Option<(SocketId, Endpoint)>,
     /// Datagrams received from anyone — hijacked victims land here.
     received: u64,
 }
@@ -182,7 +183,7 @@ impl AbuseBot {
         AbuseBot {
             server,
             script: Script { bursts: schedule, next: 0 },
-            sock: None,
+            bound: None,
             received: 0,
         }
     }
@@ -195,7 +196,8 @@ impl AbuseBot {
 
 impl App for AbuseBot {
     fn on_start(&mut self, os: &mut Os<'_, '_>) {
-        self.sock = Some(os.udp_bind(ABUSE_PORT).expect("abuse port free")); // punch-lint: allow(P001) fixed scenario port, bound once
+        let sock = os.udp_bind(ABUSE_PORT).expect("abuse port free"); // punch-lint: allow(P001) fixed scenario port, bound once
+        self.bound = os.local_endpoint(sock).ok().map(|ep| (sock, ep));
         self.script.start(os, |action| match action {
             AbuseAction::Squat { base_id, .. } | AbuseAction::IntroFlood { base_id, .. } => base_id,
         });
@@ -208,8 +210,9 @@ impl App for AbuseBot {
     }
 
     fn on_timer(&mut self, os: &mut Os<'_, '_>, _token: u64) {
-        let sock = self.sock.expect("bound in on_start"); // punch-lint: allow(P001) on_timer only fires after on_start
-        let private = os.local_endpoint(sock).expect("socket bound"); // punch-lint: allow(P001) socket bound in on_start
+        let Some((sock, private)) = self.bound else {
+            return;
+        };
         self.script.run_due(os, |os, action| match action {
             AbuseAction::Squat { base_id, count } => {
                 for i in 0..u64::from(count) {
@@ -351,7 +354,7 @@ fn drain_udp_deaths(world: &mut World, node: NodeId) -> u64 {
             .filter(|e| {
                 matches!(
                     e,
-                    UdpPeerEvent::SessionDied { .. } | UdpPeerEvent::PunchFailed { .. }
+                    PeerEvent::SessionDied { .. } | PeerEvent::PunchFailed { .. }
                 )
             })
             .count() as u64
@@ -363,7 +366,7 @@ fn b_heard(world: &mut World, node: NodeId) -> bool {
     world.with_app::<UdpPeer, _>(node, |p, _| {
         p.take_events()
             .iter()
-            .any(|e| matches!(e, UdpPeerEvent::Data { peer, .. } if *peer == A))
+            .any(|e| matches!(e, PeerEvent::Data { peer, .. } if *peer == A))
     })
 }
 
@@ -482,7 +485,7 @@ pub fn run_rst_inject(seed: u64, defended: bool) -> AttackReport {
     let remote_of = |world: &mut World, node| {
         world.with_app::<TcpPeer, _>(node, |p, _| {
             p.take_events().iter().find_map(|e| match e {
-                TcpPeerEvent::Established { remote, .. } => Some(*remote),
+                PeerEvent::Established { remote, .. } => Some(*remote),
                 _ => None,
             })
         })
@@ -508,7 +511,7 @@ pub fn run_rst_inject(seed: u64, defended: bool) -> AttackReport {
     let deaths = world.with_app::<TcpPeer, _>(a, |p, _| {
         p.take_events()
             .iter()
-            .filter(|e| matches!(e, TcpPeerEvent::PeerClosed { peer } if *peer == B))
+            .filter(|e| matches!(e, PeerEvent::PeerClosed { peer } if *peer == B))
             .count() as u64
     });
 
@@ -532,7 +535,7 @@ pub fn run_rst_inject(seed: u64, defended: bool) -> AttackReport {
         recovered = world.with_app::<TcpPeer, _>(b, |p, _| {
             p.take_events()
                 .iter()
-                .any(|e| matches!(e, TcpPeerEvent::Data { peer, .. } if *peer == A))
+                .any(|e| matches!(e, PeerEvent::Data { peer, .. } if *peer == A))
         });
     }
 

@@ -36,8 +36,8 @@
 use crate::adversary::{AbuseAction, AbuseBot, FloodBot, ABUSE_IP, FLOOD_IP};
 use crate::world::{fig5, fig5_builder, PeerSetup, Scenario};
 use holepunch::{
-    CandidatePlan, CandidateSource, PredictionStrategy, PunchConfig, UdpPeer, UdpPeerConfig,
-    UdpPeerEvent,
+    CandidatePlan, CandidateSource, PeerEvent, PredictionStrategy, PunchConfig, UdpPeer,
+    UdpPeerConfig,
 };
 use punch_nat::NatBehavior;
 use punch_net::{
@@ -632,7 +632,7 @@ fn run_trial_inner(seed: u64, faults: &[ChaosFault], profile: ChaosProfile) -> T
         let heard = sc.world.with_app::<UdpPeer, _>(sc.b, |p, _| {
             p.take_events()
                 .iter()
-                .any(|e| matches!(e, UdpPeerEvent::Data { peer, .. } if *peer == A))
+                .any(|e| matches!(e, PeerEvent::Data { peer, .. } if *peer == A))
         });
         if heard {
             break;

@@ -111,7 +111,6 @@ pub struct NatCheckClient {
     hairpin_conn: Option<SocketId>,
     tcp_hairpin_ok: bool,
     report: NatCheckReport,
-    done: bool,
 }
 
 impl NatCheckClient {
@@ -145,7 +144,6 @@ impl NatCheckClient {
             hairpin_conn: None,
             tcp_hairpin_ok: false,
             report: NatCheckReport::default(),
-            done: false,
         }
     }
 
@@ -163,7 +161,7 @@ impl NatCheckClient {
 
     /// True once all tests finished.
     pub fn done(&self) -> bool {
-        self.done
+        self.phase == Phase::Done
     }
 
     fn send_udp_probes(&mut self, os: &mut Os<'_, '_>) {
@@ -281,7 +279,6 @@ impl NatCheckClient {
             self.report.tcp_hairpin = Some(self.tcp_hairpin_ok);
         }
         self.phase = Phase::Done;
-        self.done = true;
     }
 }
 
@@ -380,7 +377,7 @@ impl App for NatCheckClient {
     }
 
     fn on_timer(&mut self, os: &mut Os<'_, '_>, token: u64) {
-        if token != TICK || self.done {
+        if token != TICK {
             return;
         }
         let now = os.now();
@@ -417,7 +414,7 @@ impl App for NatCheckClient {
             }
             Phase::Done => {}
         }
-        if !self.done {
+        if !self.done() {
             os.set_timer(TICK_EVERY, TICK);
         }
     }

@@ -557,7 +557,7 @@ impl Sim {
     /// Panics if any node has already been added (its seed was already
     /// derived from the id-based scheme).
     pub fn use_named_rng_streams(&mut self) {
-        assert!( // punch-lint: allow(P001) setup-order contract: seeding mode must be chosen before streams are drawn
+        assert!(
             self.devices.is_empty(),
             "use_named_rng_streams must be called before add_node"
         );

@@ -99,7 +99,7 @@ fn main() {
             .world
             .with_app::<TcpPeer, _>(sc.b, |p, _| p.take_events());
         for ev in events {
-            if let TcpPeerEvent::Data { data, .. } = ev {
+            if let PeerEvent::Data { data, .. } = ev {
                 received += data.len();
             }
         }

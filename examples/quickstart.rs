@@ -80,7 +80,7 @@ fn main() {
             .world
             .with_app::<UdpPeer, _>(node, |p, _| p.take_events());
         for ev in events {
-            if let UdpPeerEvent::Data { peer, data, via } = ev {
+            if let PeerEvent::Data { peer, data, via } = ev {
                 println!(
                     "{name} received {:?} from {peer} via {via:?}",
                     String::from_utf8_lossy(&data)

@@ -55,7 +55,7 @@ fn main() {
             .filter(|e| {
                 matches!(
                     e,
-                    UdpPeerEvent::Data {
+                    PeerEvent::Data {
                         via: Via::Direct,
                         ..
                     }
@@ -78,7 +78,7 @@ fn main() {
     let direct = events.iter().any(|e| {
         matches!(
             e,
-            UdpPeerEvent::Data {
+            PeerEvent::Data {
                 via: Via::Direct,
                 ..
             }
@@ -131,7 +131,7 @@ fn main() {
         .with_app::<UdpPeer, _>(sc2.b, |p, _| p.take_events());
     let woke = events
         .iter()
-        .any(|e| matches!(e, UdpPeerEvent::Data { data, .. } if data.as_ref() == b"wake up"));
+        .any(|e| matches!(e, PeerEvent::Data { data, .. } if data.as_ref() == b"wake up"));
     let repunches = sc2.world.app::<UdpPeer>(sc2.a).stats().repunches;
     println!(
         "session died and re-punched on demand: {repunches} re-punch, frame delivered = {woke}"

@@ -79,9 +79,9 @@ pub use punch_lab as lab;
 /// Frequently used items, for `use p2p_punch::prelude::*`.
 pub mod prelude {
     pub use holepunch::{
-        CandidateKind, CandidatePlan, CandidateSource, CandidateStamp, PeerId, PredictionStrategy,
-        PunchConfig, TcpPath, TcpPeer, TcpPeerConfig, TcpPeerEvent, TcpPunchMode, UdpPeer,
-        UdpPeerConfig, UdpPeerEvent, Via,
+        CandidateKind, CandidatePlan, CandidateSource, CandidateStamp, PeerEvent, PeerId,
+        PredictionStrategy, PunchConfig, TcpPath, TcpPeer, TcpPeerConfig, TcpPunchMode, UdpPeer,
+        UdpPeerConfig, Via,
     };
     pub use punch_lab::{addrs, fig4, fig5, fig6, PeerSetup, Scenario, World, WorldBuilder};
     pub use punch_nat::{

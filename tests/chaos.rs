@@ -65,7 +65,7 @@ fn assert_direct_data(sc: &mut Scenario, payload: &'static [u8]) {
     assert!(
         evs.iter().any(|e| matches!(
             e,
-            UdpPeerEvent::Data { via: Via::Direct, data, .. } if data.as_ref() == payload
+            PeerEvent::Data { via: Via::Direct, data, .. } if data.as_ref() == payload
         )),
         "direct data should arrive, got {evs:?}"
     );
@@ -107,7 +107,7 @@ fn udp_session_survives_nat_reboot() {
     assert!(
         evs_b
             .iter()
-            .any(|e| matches!(e, UdpPeerEvent::SessionDied { peer } if *peer == A)),
+            .any(|e| matches!(e, PeerEvent::SessionDied { peer } if *peer == A)),
         "B should report the death, got {evs_b:?}"
     );
     let new_remote_of_a = sc.world.app::<UdpPeer>(sc.b).session_remote(A).unwrap();
@@ -211,7 +211,7 @@ fn peers_reregister_and_reconnect_after_server_restart() {
     );
     let evs_a = sc.world.with_app::<UdpPeer, _>(sc.a, |p, _| p.take_events());
     assert!(
-        evs_a.iter().any(|e| matches!(e, UdpPeerEvent::ServerLost)),
+        evs_a.iter().any(|e| matches!(e, PeerEvent::ServerLost)),
         "A should surface the lost server, got {evs_a:?}"
     );
 
@@ -228,7 +228,7 @@ fn peers_reregister_and_reconnect_after_server_restart() {
     assert!(
         evs_a
             .iter()
-            .any(|e| matches!(e, UdpPeerEvent::Registered { .. })),
+            .any(|e| matches!(e, PeerEvent::Registered { .. })),
         "re-registration surfaces a fresh Registered event, got {evs_a:?}"
     );
     assert!(
@@ -295,7 +295,7 @@ fn relayed_pair_upgrades_to_direct_once_fault_clears() {
     assert!(
         evs_b.iter().any(|e| matches!(
             e,
-            UdpPeerEvent::Data { via: Via::Relay, data, .. } if data.as_ref() == b"via-relay"
+            PeerEvent::Data { via: Via::Relay, data, .. } if data.as_ref() == b"via-relay"
         )),
         "relay carries traffic while blocked, got {evs_b:?}"
     );

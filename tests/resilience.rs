@@ -74,7 +74,7 @@ fn four_way_udp_mesh() {
             .filter(|e| {
                 matches!(
                     e,
-                    UdpPeerEvent::Data {
+                    PeerEvent::Data {
                         via: Via::Direct,
                         ..
                     }
@@ -107,7 +107,7 @@ fn tcp_peers_survive_rendezvous_restart() {
     let registered = |world: &mut World| {
         world.with_app::<TcpPeer, _>(a, |p, _| p.take_events())
             .iter()
-            .any(|e| matches!(e, TcpPeerEvent::Registered { .. }))
+            .any(|e| matches!(e, PeerEvent::Registered { .. }))
     };
     world.sim.run_for(Duration::from_secs(2));
     assert!(registered(&mut world), "registered before restart");
@@ -174,8 +174,8 @@ fn one_socket_many_sessions() {
     let evs_c = world.with_app::<UdpPeer, _>(c, |p, _| p.take_events());
     assert!(evs_b
         .iter()
-        .any(|e| matches!(e, UdpPeerEvent::Data { data, via: Via::Direct, .. } if data.as_ref() == b"to-b")));
+        .any(|e| matches!(e, PeerEvent::Data { data, via: Via::Direct, .. } if data.as_ref() == b"to-b")));
     assert!(evs_c
         .iter()
-        .any(|e| matches!(e, UdpPeerEvent::Data { data, via: Via::Relay, .. } if data.as_ref() == b"to-c")));
+        .any(|e| matches!(e, PeerEvent::Data { data, via: Via::Relay, .. } if data.as_ref() == b"to-c")));
 }
