@@ -15,6 +15,8 @@
 //! status: 0 passed, 1 gate failed (or an artifact could not be
 //! written), 2 usage error.
 
+#![deny(clippy::disallowed_types)]
+
 mod ablations;
 mod attacks;
 mod chaos;

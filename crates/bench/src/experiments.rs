@@ -224,7 +224,9 @@ impl Chatterer {
 
 impl App for Chatterer {
     fn on_start(&mut self, os: &mut Os<'_, '_>) {
-        self.sock = Some(os.udp_bind(0).expect("port")); // punch-lint: allow(P001) fresh sim host always has a free ephemeral port
+        #[expect(clippy::expect_used, reason = "fresh sim host always has a free ephemeral port")]
+        let sock = os.udp_bind(0).expect("port");
+        self.sock = Some(sock);
         os.set_timer(self.interval, 1);
     }
 

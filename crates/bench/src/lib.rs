@@ -7,6 +7,8 @@
 //! simulated time; the implementation's host-time performance is
 //! `benchmark/`'s business.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::disallowed_types)]
+
 pub mod experiments;
 
 pub use experiments::*;

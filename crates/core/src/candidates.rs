@@ -414,7 +414,6 @@ mod tests {
     use super::*;
 
     fn ep(s: &str) -> Endpoint {
-        // punch-lint: allow(P001) test-only literal parse
         s.parse().expect("endpoint literal")
     }
 

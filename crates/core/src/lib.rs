@@ -24,6 +24,8 @@
 //!
 //! See the repository examples for complete programs.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::disallowed_types)]
+
 pub mod candidates;
 pub mod config;
 pub mod events;

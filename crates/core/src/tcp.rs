@@ -707,10 +707,12 @@ impl App for TcpPeer {
     fn on_start(&mut self, os: &mut Os<'_, '_>) {
         // §4.2: one local port for everything. Bind the listener first
         // (possibly ephemeral), then connect to S from the same port.
-        let listener = os
+        #[expect(clippy::expect_used, reason = "harness-chosen local port on a fresh host; collision is a setup bug, and a listener has its endpoint")]
+        let local = os
             .tcp_listen(self.cfg.local_port, true)
-            .expect("local TCP port free"); // punch-lint: allow(P001) harness-chosen local port on a fresh host; collision is a setup bug
-        self.local_port = os.local_endpoint(listener).expect("listener bound").port; // punch-lint: allow(P001) listener bound on the previous line
+            .and_then(|l| os.local_endpoint(l))
+            .expect("local TCP port free");
+        self.local_port = local.port;
         self.connect_server(os);
     }
 

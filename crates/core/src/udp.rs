@@ -907,7 +907,8 @@ impl UdpPeer {
 
 impl App for UdpPeer {
     fn on_start(&mut self, os: &mut Os<'_, '_>) {
-        let sock = os.udp_bind(0).expect("ephemeral UDP port free"); // punch-lint: allow(P001) the first ephemeral port of a fresh host is free
+        #[expect(clippy::expect_used, reason = "the first ephemeral port of a fresh host is free")]
+        let sock = os.udp_bind(0).expect("ephemeral UDP port free");
         self.sock = Some(sock);
         self.local = os.local_endpoint(sock).ok();
         self.register_all(os);

@@ -196,7 +196,8 @@ impl AbuseBot {
 
 impl App for AbuseBot {
     fn on_start(&mut self, os: &mut Os<'_, '_>) {
-        let sock = os.udp_bind(ABUSE_PORT).expect("abuse port free"); // punch-lint: allow(P001) fixed scenario port, bound once
+        #[expect(clippy::expect_used, reason = "fixed scenario port, bound once")]
+        let sock = os.udp_bind(ABUSE_PORT).expect("abuse port free");
         self.bound = os.local_endpoint(sock).ok().map(|ep| (sock, ep));
         self.script.start(os, |action| match action {
             AbuseAction::Squat { base_id, .. } | AbuseAction::IntroFlood { base_id, .. } => base_id,
@@ -297,8 +298,9 @@ fn add_spoofer(world: &mut World) -> NodeId {
 /// Queues a forged packet on `spoofer` for emission `after` from now.
 fn spoof_at(world: &mut World, spoofer: NodeId, after: Duration, pkt: Packet) {
     world.sim.with_node(spoofer, |dev, ctx| {
+        #[expect(clippy::expect_used, reason = "typed-accessor contract: caller passes the node add_spoofer returned")]
         dev.downcast_mut::<SpoofBot>()
-            .expect("node is a SpoofBot") // punch-lint: allow(P001) typed-accessor contract: caller passes the node add_spoofer returned
+            .expect("node is a SpoofBot")
             .schedule(ctx, after, pkt);
     });
 }

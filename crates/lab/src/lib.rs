@@ -36,6 +36,8 @@
 //! 10^5–10^6 endpoints by partitioning sessions across per-shard sims
 //! advanced in parallel, with deterministic epoch-boundary handoff.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::disallowed_types)]
+
 pub mod adversary;
 pub mod chaos;
 pub mod par;

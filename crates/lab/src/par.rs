@@ -103,7 +103,9 @@ where
                     break;
                 }
                 let result = f(i, &tasks[i]);
-                *slots[i].lock().unwrap() = Some(result); // punch-lint: allow(P001) lock is poisoned only if another worker already panicked; propagate it
+                #[expect(clippy::unwrap_used, reason = "lock is poisoned only if another worker already panicked; propagate it")]
+                let mut slot = slots[i].lock().unwrap();
+                *slot = Some(result);
             });
         }
         // Scope joins every worker here and re-raises the first panic.
@@ -111,9 +113,11 @@ where
     slots
         .into_iter()
         .map(|slot| {
-            slot.into_inner()
-                .expect("worker panicked while storing a result") // punch-lint: allow(P001) lock is poisoned only if a worker already panicked; propagate it
-                .expect("every claimed task stores exactly one result") // punch-lint: allow(P001) the claim counter guarantees every slot was filled exactly once
+            #[expect(clippy::expect_used, reason = "lock is poisoned only if a worker already panicked; propagate it")]
+            let stored = slot.into_inner().expect("worker panicked while storing a result");
+            #[expect(clippy::expect_used, reason = "the claim counter guarantees every slot was filled exactly once")]
+            let result = stored.expect("every claimed task stores exactly one result");
+            result
         })
         .collect()
 }

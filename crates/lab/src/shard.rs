@@ -570,7 +570,9 @@ impl ShardedWorld {
 
 /// Locks a shard, treating poisoning (a prior worker panic) as fatal.
 fn lock(m: &Mutex<Shard>) -> std::sync::MutexGuard<'_, Shard> {
-    m.lock().expect("shard worker panicked") // punch-lint: allow(P001) poisoned lock only follows a worker panic, which is already fatal
+    #[expect(clippy::expect_used, reason = "poisoned lock only follows a worker panic, which is already fatal")]
+    let guard = m.lock().expect("shard worker panicked");
+    guard
 }
 
 #[cfg(test)]

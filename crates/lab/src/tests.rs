@@ -12,10 +12,10 @@ struct Pinger;
 
 impl App for Pinger {
     fn on_start(&mut self, os: &mut Os<'_, '_>) {
-        let sock = os.udp_bind(4321).expect("bind"); // punch-lint: allow(P001) test-only module, compiled under cfg(test) in lib.rs
+        let sock = os.udp_bind(4321).expect("bind");
         let msg = punch_rendezvous::Message::Ping.encode(true);
         os.udp_send(sock, Endpoint::new(addrs::SERVER, 1234), msg)
-            .expect("send"); // punch-lint: allow(P001) test-only module, compiled under cfg(test) in lib.rs
+            .expect("send");
     }
 
     fn on_event(&mut self, _os: &mut Os<'_, '_>, _ev: SockEvent) {}

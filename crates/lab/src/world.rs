@@ -122,7 +122,8 @@ pub(crate) fn with_host_app<A: App, T: App, R>(
     f: impl FnOnce(&mut T, &mut Os<'_, '_>) -> R,
 ) -> R {
     sim.with_node(node, |dev, ctx| {
-        let host = dev.downcast_mut::<HostDevice<A>>().expect("node is a host"); // punch-lint: allow(P001) typed-accessor contract: caller names a node it created as a host
+        #[expect(clippy::expect_used, reason = "typed-accessor contract: caller names a node it created as a host")]
+        let host = dev.downcast_mut::<HostDevice<A>>().expect("node is a host");
         host.with_app::<T, R>(ctx, f)
     })
 }

@@ -5,8 +5,7 @@
 //! deterministic replay; this crate machine-checks the source-level
 //! hazards that silently break it. Analysis runs in two stages:
 //!
-//! 1. **Per-file token rules** (D001 wall clocks, D002 unordered maps,
-//!    W001 truncating wire casts, P001 library panics, A001 malformed
+//! 1. **Per-file token rules** (D001 wall clocks, A001 malformed
 //!    suppressions) over the hand-rolled lexer's token stream.
 //! 2. **Cross-file semantic rules** (S001 wire-tag registry, S002
 //!    seeded-RNG draw inventory, S003 suppression reachability, S004
@@ -29,10 +28,17 @@
 //! Suppress a finding only with an inline annotation carrying a reason:
 //!
 //! ```text
-//! // punch-lint: allow(D002) membership-only set, never iterated
+//! // punch-lint: allow(S005) harness seam: how the net and lab suites drain a world
 //! ```
 //!
 //! A bare `allow` without a reason is itself a violation (**A001**).
+//!
+//! Library panics, `HashMap`/`HashSet` and truncating casts in the wire
+//! codecs are clippy's lints, not this crate's: `clippy.toml` and the
+//! `#![deny]` at each library root and codec module (LINTS.md,
+//! "Relationship to the clippy gate").
+
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::disallowed_types)]
 
 mod lexer;
 mod parser;
@@ -41,7 +47,7 @@ mod semantic;
 
 pub use lexer::{lex, Comment, Lexed, Lit, TokKind, Token};
 pub use parser::{parse, ConstItem, FnItem, MatchArm, ParsedFile};
-pub use rules::{lint_source, FileReport, Violation, RULES, W001_PATHS};
+pub use rules::{lint_source, FileReport, Violation, RULES};
 pub use semantic::{
     analyze, SemanticReport, SourceFile, DRAW_METHODS, EVENT_ROOTS, METRIC_LAYERS, WIRE_CODECS,
 };
@@ -310,8 +316,7 @@ pub fn lint_tree(root: &Path) -> io::Result<Report> {
         let src = fs::read_to_string(&path)?;
         let rel = rel_str(root, &path);
         let lexed = lex(&src);
-        let test_mask = rules::test_token_mask(&lexed.tokens);
-        let fr = rules::lint_lexed(&rel, &lexed, &test_mask);
+        let fr = rules::lint_lexed(&rel, &lexed);
         report.violations.extend(fr.violations);
         report.suppressed += fr.suppressed;
         for (rule, n) in &fr.suppressed_by_rule {
@@ -320,16 +325,13 @@ pub fn lint_tree(root: &Path) -> io::Result<Report> {
         report.files_scanned += 1;
         allow_by_file.insert(rel.clone(), fr.allow_lines);
         let parsed = parser::parse(&lexed);
+        let test_mask = rules::test_token_mask(&lexed.tokens);
         sources.push(SourceFile {
             path: rel,
             lexed,
             parsed,
             test_mask,
-            d001_suppressed: fr
-                .suppressed_sites
-                .into_iter()
-                .filter(|v| v.rule == "D001")
-                .collect(),
+            d001_suppressed: fr.suppressed_sites,
         });
     }
 

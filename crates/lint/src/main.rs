@@ -12,6 +12,8 @@
 //!
 //! Exit status: 0 clean, 1 unsuppressed violations, 2 usage/IO error.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::disallowed_types)]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 

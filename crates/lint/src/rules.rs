@@ -4,22 +4,14 @@
 //!
 //! * **D001** — wall-clock / ambient-entropy reads (`Instant::now`,
 //!   `SystemTime`, `thread_rng`, `OsRng`). Applies everywhere,
-//!   including tests: replay determinism is the repo's tier-1
-//!   invariant.
-//! * **D002** — `std::collections::HashMap`/`HashSet` in library code.
-//!   Iteration order is seeded per-process, so any map that is ever
-//!   iterated on an output/metrics/scheduling path silently breaks
-//!   byte-identical replay. Use `BTreeMap`/`BTreeSet`, or annotate a
-//!   provably order-insensitive use.
-//! * **W001** — `as u8`/`as u16`/`as u32` casts in wire/codec modules.
-//!   `as` silently truncates; codecs must use `From` for widening and
-//!   `try_from` (surfacing `WireError` or an invariant comment) for
-//!   narrowing.
-//! * **P001** — `.unwrap()` / `.expect(…)` / `panic!` in non-test
-//!   library code without a justification. A peer sending bytes must
-//!   never be able to take the process down.
+//!   including tests and the separate `benchmark/` workspace: replay
+//!   determinism is the repo's tier-1 invariant.
 //! * **A001** — a malformed suppression: `punch-lint: allow(...)`
 //!   without a reason, or naming an unknown rule. Never suppressible.
+//!
+//! Library panics, `HashMap`/`HashSet` and truncating casts in the wire
+//! codecs are clippy's (`clippy.toml` and the `#![deny]` at each library
+//! root and codec module); LINTS.md says which rule lives where.
 
 use crate::lexer::{ident_at, lex, punct_at, Comment, Lexed, TokKind, Token};
 use std::collections::BTreeMap;
@@ -27,9 +19,7 @@ use std::collections::BTreeMap;
 /// All rule identifiers, in report order. The `S` family is the
 /// cross-file semantic pass (the `semantic` module); everything else
 /// is per-file token matching in this module.
-pub const RULES: &[&str] = &[
-    "A001", "D001", "D002", "P001", "S001", "S002", "S003", "S004", "S005", "W001",
-];
+pub const RULES: &[&str] = &["A001", "D001", "S001", "S002", "S003", "S004", "S005"];
 
 /// Interns a rule name to its `&'static str` in [`RULES`].
 pub(crate) fn rule_id(name: &str) -> Option<&'static str> {
@@ -49,54 +39,6 @@ pub struct Violation {
     pub rule: &'static str,
     /// Human-readable description of the problem.
     pub msg: String,
-}
-
-/// Which rules apply to a file, derived from its path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Scope {
-    d001: bool,
-    d002: bool,
-    w001: bool,
-    p001: bool,
-}
-
-/// Wire/codec modules subject to **W001**. Every file that encodes or
-/// decodes attacker-reachable bytes belongs here.
-pub const W001_PATHS: &[&str] = &[
-    "crates/natcheck/src/wire.rs",
-    "crates/net/src/packet.rs",
-    "crates/rendezvous/src/wire.rs",
-    "crates/transport/src/socket.rs",
-    "crates/transport/src/stack.rs",
-    "crates/transport/src/tcb.rs",
-];
-
-/// Paths (prefix match) exempt from **D001**. Empty by design: wall
-/// clocks are allowed only via inline `punch-lint: allow(D001)`
-/// annotations so every exemption carries its reason in the source.
-pub const D001_ALLOW_PREFIXES: &[&str] = &[];
-
-fn is_test_path(path: &str) -> bool {
-    path.starts_with("tests/")
-        || path.starts_with("examples/")
-        || path.contains("/tests/")
-        || path.contains("/benches/")
-        || path.contains("/examples/")
-}
-
-pub(crate) fn is_library_src(path: &str) -> bool {
-    !is_test_path(path) && (path.starts_with("src/") || path.contains("/src/"))
-}
-
-/// Computes the rule scope for a path (relative to the repo root).
-fn scope_for(path: &str) -> Scope {
-    let lib = is_library_src(path);
-    Scope {
-        d001: !D001_ALLOW_PREFIXES.iter().any(|p| path.starts_with(p)),
-        d002: lib,
-        w001: W001_PATHS.contains(&path),
-        p001: lib && !path.contains("/src/bin/"),
-    }
 }
 
 /// A parsed `punch-lint: allow(RULE) reason` annotation.
@@ -323,8 +265,8 @@ pub struct FileReport {
     pub suppressed: usize,
     /// Suppressions broken down by rule.
     pub suppressed_by_rule: BTreeMap<&'static str, usize>,
-    /// The violations that were silenced (the semantic pass inspects
-    /// suppressed D001 sites for reachability — rule S003).
+    /// The violations that were silenced: D001 sites, whose
+    /// reachability the semantic pass checks (rule S003).
     pub suppressed_sites: Vec<Violation>,
     /// Every `(line, rule)` a well-formed allow annotation covers, so
     /// tree-level passes can honor inline suppressions too.
@@ -332,18 +274,15 @@ pub struct FileReport {
 }
 
 /// Lints one file's source. `path` is relative to the repo root and
-/// selects which rules apply (see `scope_for`).
+/// names the file in each violation.
 // punch-lint: allow(S005) crates/lint/tests/fixtures.rs drives every per-file rule through it
 pub fn lint_source(path: &str, src: &str) -> FileReport {
-    let lexed = lex(src);
-    lint_lexed(path, &lexed, &test_token_mask(&lexed.tokens))
+    lint_lexed(path, &lex(src))
 }
 
-/// Lints an already-lexed file whose per-token `#[cfg(test)]` mask is
-/// `test_mask` (the tree pass lexes and masks once and shares both with
-/// the item parser and the semantic rules).
-pub fn lint_lexed(path: &str, lexed: &Lexed, test_mask: &[bool]) -> FileReport {
-    let scope = scope_for(path);
+/// Lints an already-lexed file (the tree pass lexes once and shares the
+/// tokens with the item parser and the semantic rules).
+pub fn lint_lexed(path: &str, lexed: &Lexed) -> FileReport {
     let tokens = &lexed.tokens;
 
     let mut token_lines: Vec<u32> = tokens.iter().map(|t| t.line).collect();
@@ -353,70 +292,29 @@ pub fn lint_lexed(path: &str, lexed: &Lexed, test_mask: &[bool]) -> FileReport {
     let mut annots: Vec<Violation> = Vec::new();
     let allows = parse_allows(&lexed.comments, &token_lines, &mut annots, path);
 
-    let push = |raw: &mut Vec<Violation>, t: &Token, rule: &'static str, msg: String| {
+    // D001: wall clock & ambient entropy. Applies in tests too —
+    // replay determinism is tier-1 everywhere.
+    for (i, t) in tokens.iter().enumerate() {
+        let msg = match ident_at(tokens, i) {
+            Some("Instant")
+                if punct_at(tokens, i + 1, ':')
+                    && punct_at(tokens, i + 2, ':')
+                    && ident_at(tokens, i + 3) == Some("now") =>
+            {
+                "wall-clock read `Instant::now()` breaks deterministic replay; use sim time (`SimTime`/`Ctx::now`)"
+            }
+            Some("SystemTime") => "`SystemTime` is a wall-clock source; sim code must derive time from the engine",
+            Some("thread_rng") => "`thread_rng()` draws ambient entropy; use the node's seeded `StdRng` (see punch-net `seed`)",
+            Some("OsRng") => "`OsRng` draws OS entropy; use a seeded RNG derived via punch-net `seed`",
+            _ => continue,
+        };
         raw.push(Violation {
             file: path.to_string(),
             line: t.line,
             col: t.col,
-            rule,
-            msg,
+            rule: "D001",
+            msg: msg.to_string(),
         });
-    };
-
-    for i in 0..tokens.len() {
-        let t = &tokens[i];
-        let in_test = test_mask[i];
-        let Some(id) = ident_at(tokens, i) else {
-            continue;
-        };
-        // D001: wall clock & ambient entropy. Applies in tests too —
-        // replay determinism is tier-1 everywhere.
-        if scope.d001 {
-            match id {
-                "Instant"
-                    if punct_at(tokens, i + 1, ':')
-                        && punct_at(tokens, i + 2, ':')
-                        && ident_at(tokens, i + 3) == Some("now") =>
-                {
-                    push(&mut raw, t, "D001",
-                        "wall-clock read `Instant::now()` breaks deterministic replay; use sim time (`SimTime`/`Ctx::now`)".to_string());
-                }
-                "SystemTime" => push(&mut raw, t, "D001",
-                    "`SystemTime` is a wall-clock source; sim code must derive time from the engine".to_string()),
-                "thread_rng" => push(&mut raw, t, "D001",
-                    "`thread_rng()` draws ambient entropy; use the node's seeded `StdRng` (see punch-net `seed`)".to_string()),
-                "OsRng" => push(&mut raw, t, "D001",
-                    "`OsRng` draws OS entropy; use a seeded RNG derived via punch-net `seed`".to_string()),
-                _ => {}
-            }
-        }
-        if in_test {
-            continue;
-        }
-        // D002: unordered collections in library code.
-        if scope.d002 && (id == "HashMap" || id == "HashSet") {
-            push(&mut raw, t, "D002", format!(
-                "`{id}` iteration order is nondeterministic across processes; use `BTree{}` or annotate an order-insensitive use",
-                if id == "HashMap" { "Map" } else { "Set" }));
-        }
-        // W001: truncating casts in codec modules.
-        if scope.w001 && id == "as" {
-            if let Some(ty @ ("u8" | "u16" | "u32")) = ident_at(tokens, i + 1) {
-                push(&mut raw, t, "W001", format!(
-                    "`as {ty}` silently truncates in a wire/codec path; use `{ty}::from` (widening) or `{ty}::try_from` surfacing `WireError` (narrowing)"));
-            }
-        }
-        // P001: panics in library code.
-        if scope.p001 {
-            let method = punct_at(tokens, i.wrapping_sub(1), '.') && punct_at(tokens, i + 1, '(');
-            if (id == "unwrap" || id == "expect") && method && i > 0 {
-                push(&mut raw, t, "P001", format!(
-                    "`.{id}()` in library code can take the process down on attacker-reachable input; handle the error or annotate the invariant"));
-            } else if id == "panic" && punct_at(tokens, i + 1, '!') {
-                push(&mut raw, t, "P001",
-                    "`panic!` in library code; return an error or annotate why this is unreachable".to_string());
-            }
-        }
     }
 
     // Suppression: a violation is silenced when a well-formed allow for

@@ -36,7 +36,7 @@
 use crate::json_str;
 use crate::lexer::{ident_at, punct_at, Lexed, TokKind, Token};
 use crate::parser::ParsedFile;
-use crate::rules::{is_library_src, Violation};
+use crate::rules::Violation;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One analyzed file, as assembled by [`crate::lint_tree`].
@@ -129,9 +129,13 @@ fn violation(file: &str, line: u32, col: u32, rule: &'static str, msg: String) -
 }
 
 /// Library-source files that can sit on a sim event path: `src/` trees
-/// minus `src/bin/` entry points.
+/// minus `src/bin/` entry points, outside any `tests/`, `benches/` or
+/// `examples/` directory.
 fn is_semantic_scope(path: &str) -> bool {
-    is_library_src(path) && !path.contains("/src/bin/")
+    let test_path = path.starts_with("tests/")
+        || path.starts_with("examples/")
+        || ["/tests/", "/benches/", "/examples/"].iter().any(|d| path.contains(d));
+    !test_path && (path.starts_with("src/") || path.contains("/src/")) && !path.contains("/src/bin/")
 }
 
 /// The crate a path belongs to (`crates/net/src/…` → `net`, the root

@@ -22,6 +22,8 @@
 //! per-vendor behaviour distributions calibrated against the paper's
 //! Table 1 for the survey reproduction.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::disallowed_types)]
+
 pub mod behavior;
 pub mod device;
 pub mod mangle;

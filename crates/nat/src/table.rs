@@ -367,7 +367,7 @@ mod tests {
     /// mapping if it has one, else a sweep and a new one on `port`; either
     /// way its timer is armed for `secs` from `now`. Returns the
     /// mapping's creation stamp and public endpoint.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "one argument per input the device hands the tables for one outbound packet")]
     fn send(
         t: &mut NatTables,
         policy: MappingPolicy,

@@ -331,8 +331,9 @@ impl VendorProfile {
             _ => PortAllocation::Random,
         };
         b.port_base = 61000 + rng.gen_range(0..4000);
-        b.udp_timeout =
-            Duration::from_secs(*[20u64, 30, 60, 120, 180].choose(rng).expect("non-empty")); // punch-lint: allow(P001) choosing from a non-empty literal array
+        #[expect(clippy::expect_used, reason = "choosing from a non-empty literal array")]
+        let secs = *[20u64, 30, 60, 120, 180].choose(rng).expect("non-empty");
+        b.udp_timeout = Duration::from_secs(secs);
         b
     }
 }

@@ -212,8 +212,12 @@ impl NatCheckClient {
     }
 
     fn start_tcp(&mut self, os: &mut Os<'_, '_>) {
-        let listener = os.tcp_listen(0, true).expect("ephemeral tcp port"); // punch-lint: allow(P001) fresh sim host always has a free ephemeral port
-        self.local_tcp_port = os.local_endpoint(listener).expect("bound").port; // punch-lint: allow(P001) listener bound on the previous line
+        #[expect(clippy::expect_used, reason = "fresh sim host always has a free ephemeral port, and a listener has its endpoint")]
+        let local = os
+            .tcp_listen(0, true)
+            .and_then(|l| os.local_endpoint(l))
+            .expect("ephemeral tcp port");
+        self.local_tcp_port = local.port;
         let opts = ConnectOpts {
             local_port: Some(self.local_tcp_port),
             reuse: true,
@@ -285,8 +289,12 @@ impl NatCheckClient {
 impl App for NatCheckClient {
     fn on_start(&mut self, os: &mut Os<'_, '_>) {
         self.token = os.rng().gen();
-        self.sock1 = Some(os.udp_bind(self.udp_port).expect("udp port")); // punch-lint: allow(P001) harness-chosen port on a fresh host; collision is a setup bug
-        self.sock2 = Some(os.udp_bind(0).expect("udp port")); // punch-lint: allow(P001) fresh sim host always has a free ephemeral port
+        #[expect(clippy::expect_used, reason = "harness-chosen port on a fresh host; collision is a setup bug")]
+        let sock1 = os.udp_bind(self.udp_port).expect("udp port");
+        #[expect(clippy::expect_used, reason = "fresh sim host always has a free ephemeral port")]
+        let sock2 = os.udp_bind(0).expect("udp port");
+        self.sock1 = Some(sock1);
+        self.sock2 = Some(sock2);
         self.phase = Phase::UdpProbing { started: os.now() };
         self.send_udp_probes(os);
         os.set_timer(TICK_EVERY, TICK);

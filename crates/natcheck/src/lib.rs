@@ -15,6 +15,8 @@
 //! Deliberately reproduced limitation (§6.3): payload endpoints are not
 //! obfuscated, so payload-mangling NATs corrupt NAT Check's view.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::disallowed_types)]
+
 pub mod client;
 pub mod pair;
 pub mod servers;

@@ -204,8 +204,11 @@ impl CheckServer {
 
 impl App for CheckServer {
     fn on_start(&mut self, os: &mut Os<'_, '_>) {
-        self.udp = Some(os.udp_bind(CHECK_PORT).expect("check port free")); // punch-lint: allow(P001) well-known check port on a fresh server host
-        os.tcp_listen(CHECK_PORT, false).expect("check port free"); // punch-lint: allow(P001) well-known check port on a fresh server host
+        #[expect(clippy::expect_used, reason = "well-known check port on a fresh server host")]
+        let udp = os.udp_bind(CHECK_PORT).expect("check port free");
+        self.udp = Some(udp);
+        #[expect(clippy::expect_used, reason = "well-known check port on a fresh server host")]
+        os.tcp_listen(CHECK_PORT, false).expect("check port free");
     }
 
     fn on_event(&mut self, os: &mut Os<'_, '_>, ev: SockEvent) {

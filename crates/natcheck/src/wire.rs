@@ -5,6 +5,8 @@
 //! "currently does not protect itself" against payload-mangling NATs, and
 //! reproducing that limitation lets E11/E15 demonstrate its effect.
 
+#![deny(clippy::cast_possible_truncation, clippy::cast_sign_loss, clippy::cast_lossless)]
+
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use punch_net::Endpoint;
 use punch_rendezvous::wire::{get_u64, get_u8, FrameBuf, WireError};
@@ -231,7 +233,7 @@ impl CheckMsg {
     pub fn encode_frame(&self) -> Bytes {
         let body = self.encode();
         let mut buf = BytesMut::with_capacity(body.len() + 2);
-        // punch-lint: allow(P001) encoder-controlled bodies are <= 24 bytes; checked so oversize can never truncate on the wire
+        #[expect(clippy::expect_used, reason = "encoder-controlled bodies are <= 24 bytes; checked so oversize can never truncate on the wire")]
         buf.put_u16(u16::try_from(body.len()).expect("CheckMsg body exceeds u16 frame length"));
         buf.put_slice(&body);
         buf.freeze()

@@ -390,8 +390,7 @@ impl<T> Wheel<T> {
     fn store(&mut self, e: Entry<T>) {
         let (at, slot) = (e.at, Slot { entry: Some(e), next: NIL });
         let s = if self.free == NIL {
-            // punch-lint: allow(P001) more than u32::MAX - 1 queued entries is
-            // unreachable (memory exhaustion comes first); a cast would alias slots.
+            #[expect(clippy::expect_used, reason = "more than u32::MAX - 1 queued entries is unreachable (memory exhaustion comes first); a cast would alias slots")]
             let s = u32::try_from(self.slab.len()).expect("calendar slab overflow");
             self.slab.push(slot);
             s

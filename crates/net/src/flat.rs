@@ -242,7 +242,7 @@ impl<K: Ord> FlatSet<K> {
 /// A fixed hasher lets whoever picks the keys pick ones that share a
 /// probe sequence, so a `KeyMap` holding client-chosen keys needs a cap
 /// on its size (the server's is `max_clients`).
-// punch-lint: allow(D002) fixed `MixHasher`, no `RandomState`: iteration order is a function of the insert/remove history, and the tables are only looked up or reduced to a unique-key minimum
+#[expect(clippy::disallowed_types, reason = "fixed `MixHasher`, no `RandomState`: iteration order is a function of the insert/remove history, and the tables are only looked up or reduced to a unique-key minimum")]
 pub type KeyMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<MixHasher>>;
 
 /// The [`KeyMap`] hasher: folds each integer written into it through

@@ -41,6 +41,8 @@
 //! assert_eq!(sim.device::<SinkDevice>(a).packets.len(), 1);
 //! ```
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::disallowed_types)]
+
 pub mod addr;
 pub mod calendar;
 pub mod fault;

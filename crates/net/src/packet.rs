@@ -18,6 +18,8 @@
 //! A payload is often a slice of a larger buffer (a TCP segment is one
 //! of the frame it was carved from), at any byte offset.
 
+#![deny(clippy::cast_possible_truncation, clippy::cast_sign_loss, clippy::cast_lossless)]
+
 use crate::addr::Endpoint;
 use bytes::Bytes;
 use std::fmt;
@@ -155,7 +157,7 @@ impl TcpSegment {
     /// Returns the sequence-number space this segment occupies: payload
     /// length plus one for SYN and one for FIN.
     pub fn seq_len(&self) -> u32 {
-        // punch-lint: allow(P001) simulated payloads are MTU-bounded, far below 2^32
+        #[expect(clippy::expect_used, reason = "simulated payloads are MTU-bounded, far below 2^32")]
         let mut len = u32::try_from(self.payload.len()).expect("payload exceeds sequence space");
         if self.flags.contains(TcpFlags::SYN) {
             len += 1;
@@ -312,8 +314,9 @@ fn fold(mut sum: u64) -> u16 {
     while sum > 0xFFFF {
         sum = (sum & 0xFFFF) + (sum >> 16);
     }
-    // punch-lint: allow(W001) the fold loop above leaves sum <= 0xFFFF, so the cast is lossless
-    !(sum as u16)
+    #[expect(clippy::cast_possible_truncation, reason = "the fold loop above leaves sum <= 0xFFFF, so the cast is lossless")]
+    let folded = sum as u16;
+    !folded
 }
 
 impl Packet {
@@ -471,6 +474,7 @@ impl Packet {
 }
 
 #[cfg(test)]
+#[expect(clippy::cast_possible_truncation, reason = "the reference checksum and the hand-built headers truncate on purpose; the deny above is for the codec")]
 mod tests {
     use super::*;
     use proptest::prelude::*;

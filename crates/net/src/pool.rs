@@ -51,9 +51,7 @@ impl PacketArena {
             self.slots[h as usize] = slot;
             (h, true)
         } else {
-            // punch-lint: allow(P001) arena capacity exceeding u32::MAX - 1 in-flight
-            // packets is unreachable (memory exhaustion comes first); a cast
-            // would silently alias slots.
+            #[expect(clippy::expect_used, reason = "arena capacity exceeding u32::MAX - 1 in-flight packets is unreachable (memory exhaustion comes first); a cast would silently alias slots")]
             let h = u32::try_from(self.slots.len()).expect("packet arena overflow");
             self.slots.push(slot);
             (h, false)
@@ -72,8 +70,7 @@ impl PacketArena {
 
     /// Removes and returns the packet behind `h`, freeing the slot.
     pub(crate) fn take(&mut self, h: u32) -> Packet {
-        // punch-lint: allow(P001) a handle is taken exactly once, by the event
-        // that queued it; a double-take is an engine bug worth crashing on.
+        #[expect(clippy::expect_used, reason = "a handle is taken exactly once, by the event that queued it; a double-take is an engine bug worth crashing on")]
         let pkt = self.slots[h as usize].pkt.take().expect("packet handle taken twice");
         self.free.push(h);
         pkt

@@ -45,6 +45,7 @@ pub fn derive_seed(base: u64, label: &str, index: u64) -> u64 {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_types, reason = "the tests only count distinct values; no order is read")]
 mod tests {
     use super::*;
     use std::collections::HashSet;

@@ -373,12 +373,11 @@ impl SimCore {
     }
 
     pub(crate) fn transmit(&mut self, node: NodeId, iface: IfaceId, pkt: Packet) {
+        #[expect(clippy::panic, reason = "sim API contract: naming a missing iface is a harness bug, reported loudly")]
         let (link_idx, side) = self.nodes[node.index()]
             .ifaces
             .get(iface)
-            .unwrap_or_else(|| {
-                panic!("node {node} sent on unconnected iface {iface}") // punch-lint: allow(P001) sim API contract: naming a missing iface is a harness bug, reported loudly
-            });
+            .unwrap_or_else(|| panic!("node {node} sent on unconnected iface {iface}"));
         self.stats.packets_sent += 1;
 
         let link = &self.links[link_idx];
@@ -568,7 +567,8 @@ impl Sim {
     /// simulation next executes. The name matters only under [`Sim::use_named_rng_streams`], where
     /// it seeds the node's RNG stream.
     pub fn add_node(&mut self, name: impl AsRef<str>, device: Box<dyn Device>) -> NodeId {
-        let id = NodeId(u32::try_from(self.devices.len()).expect("too many nodes")); // punch-lint: allow(P001) node count is harness-bounded, nowhere near 2^32
+        #[expect(clippy::expect_used, reason = "node count is harness-bounded, nowhere near 2^32")]
+        let id = NodeId(u32::try_from(self.devices.len()).expect("too many nodes"));
         let seed = if self.named_rng {
             derive_seed(self.seed, name.as_ref(), 0)
         } else {
@@ -619,11 +619,12 @@ impl Sim {
     ///
     /// Panics if the interface is not connected.
     pub fn link_of(&self, node: NodeId, iface: IfaceId) -> LinkId {
-        self.core.nodes[node.index()]
+        #[expect(clippy::panic, reason = "sim API contract: naming a missing iface is a harness bug, reported loudly")]
+        let (link, _) = self.core.nodes[node.index()]
             .ifaces
             .get(iface)
-            .unwrap_or_else(|| panic!("node {node} has no iface {iface}")) // punch-lint: allow(P001) sim API contract: naming a missing iface is a harness bug, reported loudly
-            .0
+            .unwrap_or_else(|| panic!("node {node} has no iface {iface}"));
+        link
     }
 
     /// Schedules a scripted link fault to fire at `at` (absolute
@@ -698,9 +699,11 @@ impl Sim {
     ///
     /// Panics if the device is not a `T`.
     pub fn device<T: Device>(&self, node: NodeId) -> &T {
-        self.devices[node.index()]
+        #[expect(clippy::panic, reason = "typed-accessor contract: caller names the device type it installed")]
+        let dev = self.devices[node.index()]
             .downcast_ref::<T>()
-            .unwrap_or_else(|| panic!("node {node} is not a {}", std::any::type_name::<T>())) // punch-lint: allow(P001) typed-accessor contract: caller names the device type it installed
+            .unwrap_or_else(|| panic!("node {node} is not a {}", std::any::type_name::<T>()));
+        dev
     }
 
     /// Returns a mutable reference to the device on `node`, downcast to `T`.
@@ -712,9 +715,11 @@ impl Sim {
     ///
     /// Panics if the device is not a `T`.
     pub fn device_mut<T: Device>(&mut self, node: NodeId) -> &mut T {
-        self.devices[node.index()]
+        #[expect(clippy::panic, reason = "typed-accessor contract: caller names the device type it installed")]
+        let dev = self.devices[node.index()]
             .downcast_mut::<T>()
-            .unwrap_or_else(|| panic!("node {node} is not a {}", std::any::type_name::<T>())) // punch-lint: allow(P001) typed-accessor contract: caller names the device type it installed
+            .unwrap_or_else(|| panic!("node {node} is not a {}", std::any::type_name::<T>()));
+        dev
     }
 
     /// Runs `f` with the device on `node` and a live [`Ctx`], so harness

@@ -15,6 +15,8 @@
 //!   clients (where to register) and servers (where to forward an
 //!   introduction whose target is registered elsewhere).
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::disallowed_types)]
+
 pub mod peer;
 pub mod ring;
 pub mod server;

@@ -982,21 +982,23 @@ impl RendezvousServer {
 
 impl App for RendezvousServer {
     fn on_start(&mut self, os: &mut Os<'_, '_>) {
-        self.udp_sock = Some(os.udp_bind(self.cfg.port).expect("server UDP port free")); // punch-lint: allow(P001) configured server port on a fresh host; collision is a setup bug
+        #[expect(clippy::expect_used, reason = "configured server port on a fresh host; collision is a setup bug")]
+        let udp_sock = os.udp_bind(self.cfg.port).expect("server UDP port free");
+        self.udp_sock = Some(udp_sock);
         // checked_add, not `+ 1`: port 65535 would wrap to 0 in release
         // builds. Unreachable here — `new` rejects that configuration —
         // but the arithmetic must not rely on it.
+        #[expect(clippy::expect_used, reason = "validated at construction: port 65535 cannot be built")]
         let probe = self
             .cfg
             .port
             .checked_add(1)
-            .expect("probe port overflows u16; rejected in RendezvousServer::new"); // punch-lint: allow(P001) validated at construction: port 65535 cannot be built
-        self.probe_sock = Some(
-            os.udp_bind(probe)
-                .expect("server probe port free"), // punch-lint: allow(P001) configured probe port on a fresh host; collision is a setup bug
-        );
-        os.tcp_listen(self.cfg.port, false)
-            .expect("server TCP port free"); // punch-lint: allow(P001) configured server port on a fresh host; collision is a setup bug
+            .expect("probe port overflows u16; rejected in RendezvousServer::new");
+        #[expect(clippy::expect_used, reason = "configured probe port on a fresh host; collision is a setup bug")]
+        let probe_sock = os.udp_bind(probe).expect("server probe port free");
+        self.probe_sock = Some(probe_sock);
+        #[expect(clippy::expect_used, reason = "configured server port on a fresh host; collision is a setup bug")]
+        os.tcp_listen(self.cfg.port, false).expect("server TCP port free");
     }
 
     fn counters(&self, c: &mut Counters<'_>) {

@@ -10,6 +10,8 @@
 //! Over TCP the same messages are carried in 16-bit length-prefixed
 //! frames ([`encode_frame`] / [`FrameBuf`]).
 
+#![deny(clippy::cast_possible_truncation, clippy::cast_sign_loss, clippy::cast_lossless)]
+
 use crate::peer::PeerId;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use punch_net::Endpoint;
@@ -294,7 +296,8 @@ fn get_endpoint(buf: &mut &[u8]) -> Result<Endpoint, WireError> {
 }
 
 fn put_bytes(buf: &mut BytesMut, data: &Bytes) {
-    buf.put_u16(u16::try_from(data.len()).expect("payload too large for wire format")); // punch-lint: allow(P001) peers cap what they send at MAX_PAYLOAD and a forwarded payload was decoded from a u16 length; checked so oversize can never truncate
+    #[expect(clippy::expect_used, reason = "peers cap what they send at MAX_PAYLOAD and a forwarded payload was decoded from a u16 length; checked so oversize can never truncate")]
+    buf.put_u16(u16::try_from(data.len()).expect("payload too large for wire format"));
     buf.put_slice(data);
 }
 
@@ -628,7 +631,8 @@ pub fn encode_frame(msg: &Message, obfuscate: bool) -> Bytes {
     let mut buf = BytesMut::with_capacity(32);
     buf.put_u16(0);
     msg.encode_into(&mut buf, obfuscate);
-    let len = u16::try_from(buf.len() - 2).expect("frame too large"); // punch-lint: allow(P001) encoder-controlled bodies stay under the u16 frame cap; checked so oversize can never truncate
+    #[expect(clippy::expect_used, reason = "encoder-controlled bodies stay under the u16 frame cap; checked so oversize can never truncate")]
+    let len = u16::try_from(buf.len() - 2).expect("frame too large");
     buf[..2].copy_from_slice(&len.to_be_bytes());
     buf.freeze()
 }
@@ -947,7 +951,7 @@ mod tests {
         let mut fb = FrameBuf::new();
         // Declare a lawful MAX_FRAME frame so the reassembler must
         // buffer, then keep streaming bytes past the cap.
-        fb.push(&(MAX_FRAME as u16).to_be_bytes());
+        fb.push(&u16::try_from(MAX_FRAME).unwrap().to_be_bytes());
         let chunk = vec![0u8; 4096];
         for _ in 0..(MAX_BUFFER / chunk.len() + 2) {
             fb.push(&chunk);

@@ -277,8 +277,10 @@ impl<A: App> HostDevice<A> {
     ///
     /// Panics if the application is not a `T`.
     pub fn app<T: App>(&self) -> &T {
-        downcast_ref::<A, T>(&self.app)
-            .unwrap_or_else(|| panic!("app is not a {}", std::any::type_name::<T>())) // punch-lint: allow(P001) typed-accessor contract: caller names the app type it installed
+        #[expect(clippy::panic, reason = "typed-accessor contract: caller names the app type it installed")]
+        let app = downcast_ref::<A, T>(&self.app)
+            .unwrap_or_else(|| panic!("app is not a {}", std::any::type_name::<T>()));
+        app
     }
 
     /// Read-only access to the host stack.
@@ -295,8 +297,9 @@ impl<A: App> HostDevice<A> {
         ctx: &mut Ctx<'_>,
         f: impl FnOnce(&mut T, &mut Os<'_, '_>) -> R,
     ) -> R {
+        #[expect(clippy::panic, reason = "typed-accessor contract: caller names the app type it installed")]
         let app = downcast_mut::<A, T>(&mut self.app)
-            .unwrap_or_else(|| panic!("app is not a {}", std::any::type_name::<T>())); // punch-lint: allow(P001) typed-accessor contract: caller names the app type it installed
+            .unwrap_or_else(|| panic!("app is not a {}", std::any::type_name::<T>()));
         swap_spare(&mut self.stack);
         let mut os = Os {
             stack: &mut self.stack,

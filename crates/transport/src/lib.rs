@@ -67,6 +67,8 @@
 //! assert!(sim.device::<HostDevice<Pinger>>(client).app::<Pinger>().got_pong);
 //! ```
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::disallowed_types)]
+
 pub mod config;
 pub mod device;
 pub mod error;

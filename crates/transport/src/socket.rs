@@ -1,5 +1,7 @@
 //! Socket identifiers and internal timer-token encoding.
 
+#![deny(clippy::cast_possible_truncation, clippy::cast_sign_loss, clippy::cast_lossless)]
+
 use std::fmt;
 
 /// Handle to a socket on one host, analogous to a file descriptor.
@@ -51,7 +53,7 @@ pub(crate) fn encode_timer(kind: TimerKind, sock: SocketId, gen: u32) -> u64 {
         TimerKind::Rto => 1u64,
         TimerKind::TimeWait => 2u64,
     };
-    INTERNAL_TIMER_BIT | (kind_bits << 56) | ((sock.0 as u64) << 24) | (gen as u64 & 0xff_ffff)
+    INTERNAL_TIMER_BIT | (kind_bits << 56) | (u64::from(sock.0) << 24) | (u64::from(gen) & 0xff_ffff)
 }
 
 /// Decodes a stack-internal timer token; returns `None` for application
@@ -65,9 +67,7 @@ pub(crate) fn decode_timer(token: u64) -> Option<(TimerKind, SocketId, u32)> {
         2 => TimerKind::TimeWait,
         _ => return None,
     };
-    // punch-lint: allow(W001) masked to 32 bits on this line; lossless unpack of the packed token
     let sock = SocketId(((token >> 24) & 0xffff_ffff) as u32);
-    // punch-lint: allow(W001) masked to 24 bits on this line; lossless unpack of the packed token
     let gen = (token & 0xff_ffff) as u32;
     Some((kind, sock, gen))
 }

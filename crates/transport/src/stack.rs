@@ -7,6 +7,8 @@
 //! socket on the same port (resolved according to the configured
 //! [`TcpFlavor`]).
 
+#![deny(clippy::cast_possible_truncation, clippy::cast_sign_loss, clippy::cast_lossless)]
+
 use crate::config::{StackConfig, TcpFlavor, EPHEMERAL_PORTS};
 use crate::error::{SockResult, SocketError};
 use crate::event::SockEvent;
@@ -151,12 +153,13 @@ impl HostStack {
     /// listener-steals converge into one wire connection (§4.4).
     fn iss_for(&self, local: Endpoint, remote: Endpoint) -> u32 {
         let mut z = self.iss_secret
-            ^ ((u32::from(local.ip) as u64) << 32 | u32::from(remote.ip) as u64)
-            ^ ((local.port as u64) << 16 | remote.port as u64).wrapping_mul(0x9e37_79b9);
+            ^ (u64::from(u32::from(local.ip)) << 32 | u64::from(u32::from(remote.ip)))
+            ^ (u64::from(local.port) << 16 | u64::from(remote.port)).wrapping_mul(0x9e37_79b9);
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        // punch-lint: allow(W001) deliberate truncation of a 64-bit hash into the 32-bit ISS space
-        (z ^ (z >> 31)) as u32
+        #[expect(clippy::cast_possible_truncation, reason = "deliberate truncation of a 64-bit hash into the 32-bit ISS space")]
+        let iss = (z ^ (z >> 31)) as u32;
+        iss
     }
 
     /// Returns the stack configuration.
@@ -267,7 +270,7 @@ impl HostStack {
         let (lo, hi) = EPHEMERAL_PORTS;
         let span = u32::from(hi - lo) + 1;
         for _ in 0..span.min(4096) {
-            // punch-lint: allow(W001) the draw is < span <= 0x1_0000, so it fits u16 by construction
+            #[expect(clippy::cast_possible_truncation, reason = "the draw is < span <= 0x1_0000, so it fits u16 by construction")]
             let port = lo + (self.rng.gen::<u32>() % span) as u16;
             let busy = match proto {
                 Proto::Udp => self.udp_port_in_use(port),
@@ -697,6 +700,7 @@ impl HostStack {
 }
 
 #[cfg(test)]
+#[expect(clippy::cast_sign_loss, reason = "a count of fired timers is never negative")]
 mod tests {
     use super::*;
 

@@ -15,6 +15,8 @@
 //! straddles two buffers is copied, once, into a buffer of its own.
 //! Retransmission resends the `Bytes` the segment first went out with.
 
+#![deny(clippy::cast_possible_truncation, clippy::cast_sign_loss, clippy::cast_lossless)]
+
 use crate::config::{StackConfig, MSS, RTO_MAX, SYN_RETRIES};
 use crate::error::SocketError;
 use crate::event::SockEvent;
@@ -52,10 +54,11 @@ pub enum TcpState {
 ///
 /// Payload and window sizes are MTU/window-bounded, orders of magnitude
 /// below `u32::MAX`, so the conversion is checked rather than truncating
-/// (punch-lint W001).
+/// (`clippy::cast_possible_truncation` is denied in this module).
 fn seq_width(n: usize) -> u32 {
-    // punch-lint: allow(P001) byte counts are MTU/window-bounded, far below 2^32
-    u32::try_from(n).expect("byte count exceeds 32-bit sequence space")
+    #[expect(clippy::expect_used, reason = "byte counts are MTU/window-bounded, far below 2^32")]
+    let width = u32::try_from(n).expect("byte count exceeds 32-bit sequence space");
+    width
 }
 
 /// A retransmittable in-flight item: a data segment or the FIN.
@@ -780,6 +783,7 @@ impl Tcb {
 }
 
 #[cfg(test)]
+#[expect(clippy::cast_possible_truncation, reason = "test streams are a few KiB, so their byte offsets fit sequence space")]
 mod tests {
     use super::*;
     use punch_net::Body;

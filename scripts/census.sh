@@ -24,9 +24,9 @@ awk 'FNR == 1 { t = 0 } /^#\[cfg\(test\)\]/ { t = 1 }
     !t { n[FILENAME]++; split(FILENAME, p, "/"); crate[p[2]]++; all++ }
     END { for (f in n) print n[f], f; for (c in crate) print crate[c], "~crate", c; print all, "~total" }' "$@" |
     sort -k2
-echo "== punch-lint: allow(P001) per crate (suppressed panic paths, same non-test lines) =="
+echo "== expect(clippy::{unwrap_used,expect_used,panic}) per crate (suppressed panic paths, same non-test lines) =="
 awk 'FNR == 1 { t = 0 } /^#\[cfg\(test\)\]/ { t = 1 }
-    !t && /punch-lint: allow\([^)]*P001/ { split(FILENAME, p, "/"); n[p[2]]++; all++ }
+    !t && /#\[expect\(clippy::(unwrap_used|expect_used|panic)[,)]/ { split(FILENAME, p, "/"); n[p[2]]++; all++ }
     END { for (c in n) print n[c], c; print all + 0, "~total" }' "$@" | sort -k2
 echo "== punch-lint: allow(D001) per crate (suppressed host-clock reads, whole files: D001 covers tests too) =="
 grep -c '// punch-lint: allow([^)]*D001' "$@" | awk -F'[/:]' '{ n[$2] += $NF; all += $NF }

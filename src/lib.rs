@@ -55,6 +55,8 @@
 //! See `examples/` for full programs and `DESIGN.md`/`EXPERIMENTS.md` for
 //! the experiment index.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::disallowed_types)]
+
 /// The discrete-event network simulator (`punch-net`).
 pub use punch_net as net;
 
