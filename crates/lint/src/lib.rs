@@ -3,15 +3,14 @@
 //!
 //! Every pinned result in `results/` rests on byte-identical
 //! deterministic replay; this crate machine-checks the source-level
-//! hazards that silently break it. Analysis runs in two stages:
-//!
-//! 1. **Per-file token rules** (D001 wall clocks, A001 malformed
-//!    suppressions) over the hand-rolled lexer's token stream.
-//! 2. **Cross-file semantic rules** (S001 wire-tag registry, S002
-//!    seeded-RNG draw inventory, S003 suppression reachability, S004
-//!    metric-name registry, S005 public functions have callers) over
-//!    item-level parses of the whole tree, emitting registries pinned
-//!    under `results/LINT_*.json`.
+//! hazards that silently break it. [`lint_tree`] is one pass over the
+//! tree: it lexes and parses each file once with the hand-rolled lexer
+//! and item parser, reads its suppression annotations (A001 for a
+//! malformed one), then runs D001 (wall clocks and ambient entropy) and
+//! the cross-file rules S001–S005 (wire-tag registry, seeded-RNG draw
+//! inventory, suppression reachability, metric-name registry, public
+//! functions have callers) over the parsed files. The three registries
+//! are pinned under `results/LINT_*.json`.
 //!
 //! The rule catalog with rationale, the suppression syntax, and the
 //! registry/ratchet workflow live in `LINTS.md` at the repo root.
@@ -19,13 +18,14 @@
 //! Run it three ways:
 //!
 //! * `cargo run -p punch-lint` — CLI over the workspace tree
-//!   (`--json` for machine-readable output, `--emit-registries DIR` to
-//!   regenerate the pinned registries, exit 1 on violations);
+//!   (`--emit-registries DIR` to regenerate the pinned registries, exit
+//!   1 on violations);
 //! * `cargo test -p punch-lint` — the `clean_tree` integration test
 //!   fails the build if the tree (or a pinned registry) regresses;
-//! * [`lint_tree`] / [`lint_source`] — library API for harnesses.
+//! * [`lint_tree`] — library API for harnesses.
 //!
-//! Suppress a finding only with an inline annotation carrying a reason:
+//! Suppress a finding only with a plain comment (never a doc comment,
+//! like this one) that carries a reason:
 //!
 //! ```text
 //! // punch-lint: allow(S005) harness seam: how the net and lab suites drain a world
@@ -47,10 +47,7 @@ mod semantic;
 
 pub use lexer::{lex, Comment, Lexed, Lit, TokKind, Token};
 pub use parser::{parse, ConstItem, FnItem, MatchArm, ParsedFile};
-pub use rules::{lint_source, FileReport, Violation, RULES};
-pub use semantic::{
-    analyze, SemanticReport, SourceFile, DRAW_METHODS, EVENT_ROOTS, METRIC_LAYERS, WIRE_CODECS,
-};
+pub use rules::{Violation, RULES};
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -66,22 +63,30 @@ const EXCLUDED: &[&str] = &[
     "crates/lint/tests/fixtures",
 ];
 
-/// The registry files the semantic pass pins under `results/`.
-pub const REGISTRY_FILES: &[&str] = &[
-    "LINT_wire_registry.json",
-    "LINT_rng_inventory.json",
-    "LINT_metric_registry.json",
-];
+/// One file of the scanned tree: lexed, parsed and read for annotations
+/// once by [`lint_tree`], then shared by every rule.
+struct SourceFile {
+    /// Path relative to the scanned root, `/`-separated.
+    path: String,
+    lexed: Lexed,
+    parsed: ParsedFile,
+    /// Per-token `#[cfg(test)]` mask (see `rules::test_token_mask`).
+    test_mask: Vec<bool>,
+    /// Every `(line, rule)` a well-formed allow annotation covers
+    /// (see `rules::read_allows`).
+    allows: Vec<(u32, &'static str)>,
+}
 
-/// The three project-wide registries the semantic pass emits, in the
-/// order of [`REGISTRY_FILES`].
+/// The three project-wide registries S001, S002 and S004 emit, pinned
+/// under `results/` by these file names.
 #[derive(Debug, Default, Clone)]
 pub struct Registries {
-    /// S001 — wire-tag registry contents.
+    /// S001 — `LINT_wire_registry.json` contents.
     pub wire: String,
-    /// S002 — seeded-RNG draw-site inventory contents.
+    /// S002 — `LINT_rng_inventory.json` contents (pinned reasons
+    /// preserved, new sites marked `UNREVIEWED`).
     pub rng: String,
-    /// S004 — metric-name registry contents.
+    /// S004 — `LINT_metric_registry.json` contents.
     pub metric: String,
 }
 
@@ -89,19 +94,9 @@ impl Registries {
     /// `(file name, contents)` pairs in pinned order.
     pub fn entries(&self) -> [(&'static str, &str); 3] {
         [
-            (REGISTRY_FILES[0], self.wire.as_str()),
-            (REGISTRY_FILES[1], self.rng.as_str()),
-            (REGISTRY_FILES[2], self.metric.as_str()),
-        ]
-    }
-
-    /// FNV-1a 64-bit content digests, for drift detection in `--json`
-    /// output without embedding whole registries in the report.
-    fn digests(&self) -> [(&'static str, u64); 3] {
-        [
-            (REGISTRY_FILES[0], fnv1a(self.wire.as_bytes())),
-            (REGISTRY_FILES[1], fnv1a(self.rng.as_bytes())),
-            (REGISTRY_FILES[2], fnv1a(self.metric.as_bytes())),
+            ("LINT_wire_registry.json", self.wire.as_str()),
+            ("LINT_rng_inventory.json", self.rng.as_str()),
+            ("LINT_metric_registry.json", self.metric.as_str()),
         ]
     }
 
@@ -133,12 +128,10 @@ pub struct Report {
     pub violations: Vec<Violation>,
     /// Count of violations silenced by well-formed allow annotations.
     pub suppressed: usize,
-    /// Suppressions broken down by rule, in rule order.
-    pub suppressed_by_rule: BTreeMap<&'static str, usize>,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
-    /// The semantic pass's registries (wire tags, RNG draw sites,
-    /// metric names), ready to pin or diff against `results/`.
+    /// The registries (wire tags, RNG draw sites, metric names), ready
+    /// to pin or diff against `results/`.
     pub registries: Registries,
 }
 
@@ -153,8 +146,8 @@ impl Report {
     }
 
     /// Plain-text report: one `file:line:col: RULE: msg` line per
-    /// violation, a registry-digest line, and a summary line.
-    /// Byte-identical across runs for the same tree.
+    /// violation, a line of registry content digests (FNV-1a 64), and a
+    /// summary line. Byte-identical across runs for the same tree.
     pub fn render_text(&self) -> String {
         let mut out = String::new();
         for v in &self.violations {
@@ -163,11 +156,8 @@ impl Report {
                 v.file, v.line, v.col, v.rule, v.msg
             ));
         }
-        let digests: Vec<String> = self
-            .registries
-            .digests()
-            .iter()
-            .map(|(name, d)| format!("{name}=fnv1a:{d:016x}"))
+        let digests: Vec<String> = (self.registries.entries().iter())
+            .map(|(name, contents)| format!("{name}=fnv1a:{:016x}", fnv1a(contents.as_bytes())))
             .collect();
         out.push_str(&format!("punch-lint: registries {}\n", digests.join(" ")));
         if self.violations.is_empty() {
@@ -192,74 +182,18 @@ impl Report {
         out
     }
 
-    /// JSON report (hand-rolled, like the metrics exporter: stable key
-    /// order, no external dependencies). Keys, in order: `violations`,
-    /// `counts`, `suppressed`, `suppressed_by_rule`, `registries`
-    /// (content digests), `files_scanned`.
-    pub fn render_json(&self) -> String {
-        let mut out = String::from("{\n  \"violations\": [");
-        for (i, v) in self.violations.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\"file\": {}, \"line\": {}, \"col\": {}, \"rule\": {}, \"msg\": {}}}",
-                json_str(&v.file),
-                v.line,
-                v.col,
-                json_str(v.rule),
-                json_str(&v.msg)
-            ));
-        }
-        if !self.violations.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("],\n  \"counts\": {");
-        for (i, (r, n)) in self.counts().iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("{}: {}", json_str(r), n));
-        }
-        out.push_str(&format!("}},\n  \"suppressed\": {},", self.suppressed));
-        out.push_str("\n  \"suppressed_by_rule\": {");
-        for (i, (r, n)) in self.suppressed_by_rule.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("{}: {}", json_str(r), n));
-        }
-        out.push_str("},\n  \"registries\": {");
-        for (i, (name, d)) in self.registries.digests().iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("{}: {}", json_str(name), json_str(&format!("fnv1a:{d:016x}"))));
-        }
-        out.push_str(&format!(
-            "}},\n  \"files_scanned\": {}\n}}\n",
-            self.files_scanned
-        ));
-        out
+    /// The one suppression filter: keeps each of `raw` that no
+    /// well-formed allow in its file covers, counts the others as
+    /// suppressed and returns them.
+    fn suppress(&mut self, files: &[SourceFile], raw: Vec<Violation>) -> Vec<Violation> {
+        let (silenced, kept): (Vec<Violation>, Vec<Violation>) = raw.into_iter().partition(|v| {
+            (files.iter().find(|f| f.path == v.file))
+                .is_some_and(|f| f.allows.binary_search(&(v.line, v.rule)).is_ok())
+        });
+        self.suppressed += silenced.len();
+        self.violations.extend(kept);
+        silenced
     }
-}
-
-pub(crate) fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Collects `.rs` files under `root`, sorted by relative path so the
@@ -303,66 +237,43 @@ fn rel_str(root: &Path, path: &Path) -> String {
 }
 
 /// Lints every `.rs` file under `root` (excluding `vendor/`, `target/`
-/// and the linter's own fixtures): stage 1 per-file rules, then the
-/// cross-file semantic pass over the shared lex/parse results. The
-/// pinned RNG inventory is read from `root/results/LINT_rng_inventory.json`
-/// when present; inline `punch-lint: allow(...)` annotations suppress
-/// semantic findings the same way they suppress per-file ones.
+/// and the linter's own fixtures) in one pass. Each file is lexed,
+/// parsed and read for annotations once; D001 and then S001–S005 run
+/// over the parsed files, and their findings go through one filter,
+/// D001's first because S003 checks the sites it silenced. The pinned
+/// RNG inventory is read from `root/results/LINT_rng_inventory.json`
+/// when present.
 pub fn lint_tree(root: &Path) -> io::Result<Report> {
     let mut report = Report::default();
-    let mut sources: Vec<SourceFile> = Vec::new();
-    let mut allow_by_file: BTreeMap<String, Vec<(u32, &'static str)>> = BTreeMap::new();
+    let mut files: Vec<SourceFile> = Vec::new();
     for path in collect_rs_files(root)? {
-        let src = fs::read_to_string(&path)?;
         let rel = rel_str(root, &path);
-        let lexed = lex(&src);
-        let fr = rules::lint_lexed(&rel, &lexed);
-        report.violations.extend(fr.violations);
-        report.suppressed += fr.suppressed;
-        for (rule, n) in &fr.suppressed_by_rule {
-            *report.suppressed_by_rule.entry(rule).or_insert(0) += n;
-        }
-        report.files_scanned += 1;
-        allow_by_file.insert(rel.clone(), fr.allow_lines);
-        let parsed = parser::parse(&lexed);
-        let test_mask = rules::test_token_mask(&lexed.tokens);
-        sources.push(SourceFile {
+        let lexed = lex(&fs::read_to_string(&path)?);
+        files.push(SourceFile {
+            allows: rules::read_allows(&rel, &lexed, &mut report.violations),
+            parsed: parser::parse(&lexed),
+            test_mask: rules::test_token_mask(&lexed.tokens),
             path: rel,
             lexed,
-            parsed,
-            test_mask,
-            d001_suppressed: fr.suppressed_sites,
         });
     }
+    report.files_scanned = files.len();
 
     // A file that is a `#[cfg(test)] mod x;` of its parent is test code.
-    let test_modules: Vec<String> = (sources.iter())
+    let test_modules: Vec<String> = (files.iter())
         .flat_map(|sf| rules::test_module_paths(&sf.path, &sf.lexed.tokens))
         .collect();
-    for sf in &mut sources {
+    for sf in &mut files {
         if test_modules.contains(&sf.path) {
             sf.test_mask.fill(true);
         }
     }
 
     let pinned_rng = fs::read_to_string(root.join("results/LINT_rng_inventory.json")).ok();
-    let sem = semantic::analyze(&sources, pinned_rng.as_deref());
-    for v in sem.violations {
-        let allowed = allow_by_file
-            .get(&v.file)
-            .is_some_and(|lines| lines.binary_search(&(v.line, v.rule)).is_ok());
-        if allowed {
-            report.suppressed += 1;
-            *report.suppressed_by_rule.entry(v.rule).or_insert(0) += 1;
-        } else {
-            report.violations.push(v);
-        }
-    }
-    report.registries = Registries {
-        wire: sem.wire_registry,
-        rng: sem.rng_inventory,
-        metric: sem.metric_registry,
-    };
+    let allowed_clocks = report.suppress(&files, rules::check_wall_clock(&files));
+    let (found, registries) = semantic::analyze(&files, pinned_rng.as_deref(), &allowed_clocks);
+    report.suppress(&files, found);
+    report.registries = registries;
     report.violations.sort();
     Ok(report)
 }

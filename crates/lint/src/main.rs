@@ -1,10 +1,10 @@
 //! CLI for `punch-lint`. See `LINTS.md` for the rule catalog.
 //!
 //! ```text
-//! punch-lint [--root DIR] [--json] [--emit-registries DIR]
+//! punch-lint [--root DIR] [--emit-registries DIR]
 //! ```
 //!
-//! `--emit-registries DIR` writes the semantic pass's three registries
+//! `--emit-registries DIR` writes the three registries
 //! (`LINT_wire_registry.json`, `LINT_rng_inventory.json`,
 //! `LINT_metric_registry.json`) into DIR after the scan, preserving
 //! hand-written review reasons from the pinned RNG inventory. Point it
@@ -19,12 +19,10 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let mut root = PathBuf::from(".");
-    let mut json = false;
     let mut emit: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--json" => json = true,
             "--root" => match args.next() {
                 Some(dir) => root = PathBuf::from(dir),
                 None => {
@@ -41,11 +39,11 @@ fn main() -> ExitCode {
             },
             "-h" | "--help" => {
                 println!(
-                    "punch-lint [--root DIR] [--json] [--emit-registries DIR]\n\n\
+                    "punch-lint [--root DIR] [--emit-registries DIR]\n\n\
                      Determinism, wire-safety and dead-surface static analysis for\n\
                      the p2p-punch workspace. Rules: {} (catalog in LINTS.md).\n\
-                     --emit-registries DIR regenerates the pinned semantic\n\
-                     registries (usually DIR = results).\n\
+                     --emit-registries DIR regenerates the pinned registries\n\
+                     (usually DIR = results).\n\
                      Exit: 0 clean, 1 violations, 2 usage/IO error.",
                     punch_lint::RULES.join(", ")
                 );
@@ -70,11 +68,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     }
-    if json {
-        print!("{}", report.render_json());
-    } else {
-        print!("{}", report.render_text());
-    }
+    print!("{}", report.render_text());
     if report.violations.is_empty() {
         ExitCode::SUCCESS
     } else {

@@ -1,4 +1,4 @@
-//! The rule catalog and the per-file analysis pass.
+//! The rule catalog, the suppression annotations and D001.
 //!
 //! Rules (see `LINTS.md` at the repo root for the full rationale):
 //!
@@ -8,23 +8,17 @@
 //!   determinism is the repo's tier-1 invariant.
 //! * **A001** — a malformed suppression: `punch-lint: allow(...)`
 //!   without a reason, or naming an unknown rule. Never suppressible.
+//! * **S001–S005** — the cross-file rules of the `semantic` module.
 //!
 //! Library panics, `HashMap`/`HashSet` and truncating casts in the wire
 //! codecs are clippy's (`clippy.toml` and the `#![deny]` at each library
 //! root and codec module); LINTS.md says which rule lives where.
 
-use crate::lexer::{ident_at, lex, punct_at, Comment, Lexed, TokKind, Token};
-use std::collections::BTreeMap;
+use crate::lexer::{ident_at, punct_at, Lexed, TokKind, Token};
+use crate::SourceFile;
 
-/// All rule identifiers, in report order. The `S` family is the
-/// cross-file semantic pass (the `semantic` module); everything else
-/// is per-file token matching in this module.
+/// All rule identifiers, in report order.
 pub const RULES: &[&str] = &["A001", "D001", "S001", "S002", "S003", "S004", "S005"];
-
-/// Interns a rule name to its `&'static str` in [`RULES`].
-pub(crate) fn rule_id(name: &str) -> Option<&'static str> {
-    RULES.iter().find(|r| **r == name).copied()
-}
 
 /// One reported violation.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -41,43 +35,33 @@ pub struct Violation {
     pub msg: String,
 }
 
-/// A parsed `punch-lint: allow(RULE) reason` annotation.
-#[derive(Debug, Clone)]
-struct Allow {
-    /// Line the annotation applies to (the comment's own line for
-    /// trailing comments, the next code line for standalone ones).
-    applies_to: u32,
-    rules: Vec<String>,
-    reason_ok: bool,
+pub(crate) fn violation(file: &str, line: u32, col: u32, rule: &'static str, msg: String) -> Violation {
+    Violation {
+        file: file.to_string(),
+        line,
+        col,
+        rule,
+        msg,
+    }
 }
 
-/// Extracts annotations from comments. `token_lines` must be the sorted
-/// list of lines that contain code tokens, used to attach standalone
-/// annotations to the next code line.
-fn parse_allows(comments: &[Comment], token_lines: &[u32], out: &mut Vec<Violation>, file: &str) -> Vec<Allow> {
+/// Reads one file's `// punch-lint: allow(RULE, …) reason` annotations.
+/// Returns every `(line, rule)` a well-formed one covers, sorted, and
+/// pushes an A001 for each malformed one (a malformed one covers
+/// nothing). A trailing annotation covers its own line, a standalone
+/// one the next line that has code.
+pub(crate) fn read_allows(file: &str, lexed: &Lexed, a001: &mut Vec<Violation>) -> Vec<(u32, &'static str)> {
     let mut allows = Vec::new();
-    for c in comments {
-        // Only a comment that *begins* with `punch-lint:` (after doc
-        // leaders) is an annotation; prose mentioning the syntax
-        // mid-sentence is not.
-        let head = c
-            .text
-            .trim_start_matches(['!', '/', '*', ' ', '\t'])
-            .trim_start();
-        let Some(rest) = head.strip_prefix("punch-lint:") else {
+    for c in &lexed.comments {
+        // Only a plain comment that *begins* with `punch-lint:` is an
+        // annotation: prose mentioning the syntax mid-sentence is not,
+        // and neither is a doc comment, whose text starts with the `/`
+        // or `!` of its `///` / `//!` leader.
+        let Some(rest) = c.text.trim_start().strip_prefix("punch-lint:") else {
             continue;
         };
-        let rest = rest.trim_start();
-        let mut bad = |msg: String| {
-            out.push(Violation {
-                file: file.to_string(),
-                line: c.line,
-                col: c.col,
-                rule: "A001",
-                msg,
-            });
-        };
-        let Some(args) = rest.strip_prefix("allow(") else {
+        let mut bad = |msg: String| a001.push(violation(file, c.line, c.col, "A001", msg));
+        let Some(args) = rest.trim_start().strip_prefix("allow(") else {
             bad("malformed punch-lint annotation: expected `allow(RULE) reason`".to_string());
             continue;
         };
@@ -85,49 +69,62 @@ fn parse_allows(comments: &[Comment], token_lines: &[u32], out: &mut Vec<Violati
             bad("malformed punch-lint annotation: missing `)`".to_string());
             continue;
         };
-        let rules: Vec<String> = args[..close]
-            .split(',')
-            .map(|r| r.trim().to_string())
-            .filter(|r| !r.is_empty())
-            .collect();
-        if rules.is_empty() {
+        let names: Vec<&str> = args[..close].split(',').map(str::trim).filter(|r| !r.is_empty()).collect();
+        if names.is_empty() {
             bad("allow() names no rule".to_string());
             continue;
         }
-        let mut ok = true;
-        for r in &rules {
-            if !RULES.contains(&r.as_str()) {
-                bad(format!("allow names unknown rule `{r}`"));
-                ok = false;
+        let mut rules: Vec<&'static str> = Vec::new();
+        for n in &names {
+            match RULES.iter().find(|r| *r == n) {
+                Some(r) => rules.push(r),
+                None => bad(format!("allow names unknown rule `{n}`")),
             }
         }
-        if !ok {
+        if rules.len() < names.len() {
             continue;
         }
-        let reason = args[close + 1..].trim().trim_end_matches("*/").trim();
-        let reason_ok = !reason.is_empty();
-        if !reason_ok {
-            bad(format!(
-                "allow({}) is missing its mandatory reason",
-                rules.join(", ")
-            ));
+        if args[close + 1..].trim().is_empty() {
+            bad(format!("allow({}) is missing its mandatory reason", names.join(", ")));
+            continue;
         }
-        let applies_to = if c.code_before {
+        let line = if c.code_before {
             c.line
         } else {
-            // Standalone: the next line that has code.
-            match token_lines.iter().find(|&&l| l > c.line) {
-                Some(&l) => l,
-                None => c.line,
-            }
+            let next = lexed.tokens.partition_point(|t| t.line <= c.line);
+            lexed.tokens.get(next).map_or(c.line, |t| t.line)
         };
-        allows.push(Allow {
-            applies_to,
-            rules,
-            reason_ok,
-        });
+        allows.extend(rules.into_iter().map(|r| (line, r)));
     }
+    allows.sort_unstable();
+    allows.dedup();
     allows
+}
+
+/// D001 over every file, tests included: wall-clock and ambient-entropy
+/// reads break deterministic replay wherever they run.
+pub(crate) fn check_wall_clock(files: &[SourceFile]) -> Vec<Violation> {
+    let mut out = Vec::new();
+    for sf in files {
+        let tokens = &sf.lexed.tokens;
+        for (i, t) in tokens.iter().enumerate() {
+            let msg = match ident_at(tokens, i) {
+                Some("Instant")
+                    if punct_at(tokens, i + 1, ':')
+                        && punct_at(tokens, i + 2, ':')
+                        && ident_at(tokens, i + 3) == Some("now") =>
+                {
+                    "wall-clock read `Instant::now()` breaks deterministic replay; use sim time (`SimTime`/`Ctx::now`)"
+                }
+                Some("SystemTime") => "`SystemTime` is a wall-clock source; sim code must derive time from the engine",
+                Some("thread_rng") => "`thread_rng()` draws ambient entropy; use the node's seeded `StdRng` (see punch-net `seed`)",
+                Some("OsRng") => "`OsRng` draws OS entropy; use a seeded RNG derived via punch-net `seed`",
+                _ => continue,
+            };
+            out.push(violation(&sf.path, t.line, t.col, "D001", msg.to_string()));
+        }
+    }
+    out
 }
 
 /// Marks tokens inside `#[cfg(test)]` / `#[test]` items (and, for an
@@ -254,105 +251,4 @@ pub(crate) fn test_module_paths(path: &str, tokens: &[Token]) -> Vec<String> {
         }
     }
     out
-}
-
-/// Result of linting one file.
-#[derive(Debug, Default)]
-pub struct FileReport {
-    /// Unsuppressed violations, sorted.
-    pub violations: Vec<Violation>,
-    /// Number of violations silenced by a well-formed allow annotation.
-    pub suppressed: usize,
-    /// Suppressions broken down by rule.
-    pub suppressed_by_rule: BTreeMap<&'static str, usize>,
-    /// The violations that were silenced: D001 sites, whose
-    /// reachability the semantic pass checks (rule S003).
-    pub suppressed_sites: Vec<Violation>,
-    /// Every `(line, rule)` a well-formed allow annotation covers, so
-    /// tree-level passes can honor inline suppressions too.
-    pub allow_lines: Vec<(u32, &'static str)>,
-}
-
-/// Lints one file's source. `path` is relative to the repo root and
-/// names the file in each violation.
-// punch-lint: allow(S005) crates/lint/tests/fixtures.rs drives every per-file rule through it
-pub fn lint_source(path: &str, src: &str) -> FileReport {
-    lint_lexed(path, &lex(src))
-}
-
-/// Lints an already-lexed file (the tree pass lexes once and shares the
-/// tokens with the item parser and the semantic rules).
-pub fn lint_lexed(path: &str, lexed: &Lexed) -> FileReport {
-    let tokens = &lexed.tokens;
-
-    let mut token_lines: Vec<u32> = tokens.iter().map(|t| t.line).collect();
-    token_lines.dedup();
-
-    let mut raw: Vec<Violation> = Vec::new();
-    let mut annots: Vec<Violation> = Vec::new();
-    let allows = parse_allows(&lexed.comments, &token_lines, &mut annots, path);
-
-    // D001: wall clock & ambient entropy. Applies in tests too —
-    // replay determinism is tier-1 everywhere.
-    for (i, t) in tokens.iter().enumerate() {
-        let msg = match ident_at(tokens, i) {
-            Some("Instant")
-                if punct_at(tokens, i + 1, ':')
-                    && punct_at(tokens, i + 2, ':')
-                    && ident_at(tokens, i + 3) == Some("now") =>
-            {
-                "wall-clock read `Instant::now()` breaks deterministic replay; use sim time (`SimTime`/`Ctx::now`)"
-            }
-            Some("SystemTime") => "`SystemTime` is a wall-clock source; sim code must derive time from the engine",
-            Some("thread_rng") => "`thread_rng()` draws ambient entropy; use the node's seeded `StdRng` (see punch-net `seed`)",
-            Some("OsRng") => "`OsRng` draws OS entropy; use a seeded RNG derived via punch-net `seed`",
-            _ => continue,
-        };
-        raw.push(Violation {
-            file: path.to_string(),
-            line: t.line,
-            col: t.col,
-            rule: "D001",
-            msg: msg.to_string(),
-        });
-    }
-
-    // Suppression: a violation is silenced when a well-formed allow for
-    // its rule applies to its line.
-    let mut allow_lines: Vec<(u32, &'static str)> = Vec::new();
-    for a in &allows {
-        if !a.reason_ok {
-            continue; // already reported as A001; never suppresses
-        }
-        for r in &a.rules {
-            if let Some(id) = rule_id(r) {
-                allow_lines.push((a.applies_to, id));
-            }
-        }
-    }
-    allow_lines.sort_unstable();
-    allow_lines.dedup();
-    let mut suppressed = 0usize;
-    let mut suppressed_by_rule: BTreeMap<&'static str, usize> = BTreeMap::new();
-    let mut suppressed_sites: Vec<Violation> = Vec::new();
-    let mut violations: Vec<Violation> = Vec::new();
-    for v in raw {
-        if allow_lines.binary_search(&(v.line, v.rule)).is_ok() {
-            suppressed += 1;
-            *suppressed_by_rule.entry(v.rule).or_insert(0) += 1;
-            suppressed_sites.push(v);
-        } else {
-            violations.push(v);
-        }
-    }
-    violations.extend(annots);
-    violations.sort();
-    suppressed_sites.sort();
-    FileReport {
-        violations,
-        suppressed,
-        suppressed_by_rule,
-        suppressed_sites,
-        allow_lines,
-    }
 }

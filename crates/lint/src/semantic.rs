@@ -1,9 +1,5 @@
-//! The cross-file semantic pass: project-wide registries and the rules
-//! that check them (S001–S005).
-//!
-//! Where `rules` matches token patterns one file at a time, this module
-//! sees the whole tree at once, via the item parser
-//! ([`crate::parser`]):
+//! The cross-file rules (S001–S005) and the registries they pin. Each
+//! sees the whole tree at once, via the item parser ([`crate::parser`]):
 //!
 //! * **S001 — wire-tag registry.** Harvests `TAG_*`/`T_*` consts and
 //!   their encode/decode uses from the natcheck and rendezvous codecs.
@@ -33,59 +29,30 @@
 //! `cmp`s fresh emissions against the pinned files and hard-fails on
 //! unexplained drift.
 
-use crate::json_str;
-use crate::lexer::{ident_at, punct_at, Lexed, TokKind, Token};
-use crate::parser::ParsedFile;
-use crate::rules::Violation;
+use crate::lexer::{ident_at, punct_at, TokKind, Token};
+use crate::rules::{violation, Violation};
+use crate::{Registries, SourceFile};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// One analyzed file, as assembled by [`crate::lint_tree`].
-pub struct SourceFile {
-    /// Path relative to the scanned root, `/`-separated.
-    pub path: String,
-    /// The lexer output.
-    pub lexed: Lexed,
-    /// The item parser output.
-    pub parsed: ParsedFile,
-    /// Per-token `#[cfg(test)]` mask (see `rules::test_token_mask`).
-    pub test_mask: Vec<bool>,
-    /// D001 violations silenced by inline allows in this file.
-    pub d001_suppressed: Vec<Violation>,
-}
-
-/// Output of the semantic pass. Violations are raw — the caller applies
-/// inline suppressions, like every other rule family.
-pub struct SemanticReport {
-    /// All S-rule violations found.
-    pub violations: Vec<Violation>,
-    /// `LINT_wire_registry.json` contents.
-    pub wire_registry: String,
-    /// `LINT_rng_inventory.json` contents (pinned reasons preserved,
-    /// new sites marked `UNREVIEWED`).
-    pub rng_inventory: String,
-    /// `LINT_metric_registry.json` contents.
-    pub metric_registry: String,
-}
-
 /// The two wire codecs subject to S001.
-pub const WIRE_CODECS: &[(&str, &str)] = &[
+const WIRE_CODECS: &[(&str, &str)] = &[
     ("natcheck", "crates/natcheck/src/wire.rs"),
     ("rendezvous", "crates/rendezvous/src/wire.rs"),
 ];
 
 /// Seeded-RNG draw methods inventoried by S002.
-pub const DRAW_METHODS: &[&str] = &[
+const DRAW_METHODS: &[&str] = &[
     "choose", "fill_bytes", "gen", "gen_bool", "gen_range", "gen_ratio", "next_u32", "next_u64",
     "sample", "shuffle",
 ];
 
 /// Event-handler fn names that root the S003 reachability walk (plus
 /// `Sim::step` itself).
-pub const EVENT_ROOTS: &[&str] = &["on_event", "on_fault", "on_packet", "on_start", "on_timer"];
+const EVENT_ROOTS: &[&str] = &["on_event", "on_fault", "on_packet", "on_start", "on_timer"];
 
 /// The metric taxonomy's layer prefixes: every metric name must be
 /// `layer.name` with `layer` from this list (S004).
-pub const METRIC_LAYERS: &[&str] = &[
+const METRIC_LAYERS: &[&str] = &[
     "attack",
     "defense",
     "nat",
@@ -118,14 +85,22 @@ fn str_at(tokens: &[Token], i: usize) -> Option<&str> {
     }
 }
 
-fn violation(file: &str, line: u32, col: u32, rule: &'static str, msg: String) -> Violation {
-    Violation {
-        file: file.to_string(),
-        line,
-        col,
-        rule,
-        msg,
+fn json_str(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
     }
+    out.push('"');
+    out
 }
 
 /// Library-source files that can sit on a sim event path: `src/` trees
@@ -150,21 +125,24 @@ fn crate_of(path: &str) -> Option<&str> {
     None
 }
 
-/// Runs the semantic pass over the whole tree. `pinned_rng_inventory`
-/// is the contents of `results/LINT_rng_inventory.json` when present.
-pub fn analyze(files: &[SourceFile], pinned_rng_inventory: Option<&str>) -> SemanticReport {
-    let mut violations = Vec::new();
-    let wire_registry = check_wire_tags(files, &mut violations);
-    let rng_inventory = check_rng_sites(files, pinned_rng_inventory, &mut violations);
-    check_reachability(files, &mut violations);
-    let metric_registry = check_metric_names(files, &mut violations);
-    check_public_callers(files, &mut violations);
-    SemanticReport {
-        violations,
-        wire_registry,
-        rng_inventory,
-        metric_registry,
-    }
+/// Runs S001–S005 over the whole tree and returns their raw violations
+/// and the registries. `pinned_rng_inventory` is the contents of
+/// `results/LINT_rng_inventory.json` when present; `allowed_clocks` are
+/// the D001 sites an annotation silenced, which S003 checks.
+pub(crate) fn analyze(
+    files: &[SourceFile],
+    pinned_rng_inventory: Option<&str>,
+    allowed_clocks: &[Violation],
+) -> (Vec<Violation>, Registries) {
+    let mut out = Vec::new();
+    let registries = Registries {
+        wire: check_wire_tags(files, &mut out),
+        rng: check_rng_sites(files, pinned_rng_inventory, &mut out),
+        metric: check_metric_names(files, &mut out),
+    };
+    check_reachability(files, allowed_clocks, &mut out);
+    check_public_callers(files, &mut out);
+    (out, registries)
 }
 
 // ---------------------------------------------------------------------
@@ -461,7 +439,7 @@ const NOT_CALLS: &[&str] = &[
     "return", "static", "struct", "trait", "type", "unsafe", "use", "where", "while", "yield",
 ];
 
-fn check_reachability(files: &[SourceFile], out: &mut Vec<Violation>) {
+fn check_reachability(files: &[SourceFile], allowed_clocks: &[Violation], out: &mut Vec<Violation>) {
     // Group library files by crate.
     let mut crates: BTreeMap<&str, Vec<&SourceFile>> = BTreeMap::new();
     for sf in files {
@@ -523,7 +501,7 @@ fn check_reachability(files: &[SourceFile], out: &mut Vec<Violation>) {
         }
         // Any suppressed D001 site inside a reached fn is a violation.
         for (fi, sf) in members.iter().enumerate() {
-            for v in &sf.d001_suppressed {
+            for v in allowed_clocks.iter().filter(|v| v.file == sf.path) {
                 for (ni, f) in sf.parsed.fns.iter().enumerate() {
                     let Some((lo, hi)) = f.body else {
                         continue;

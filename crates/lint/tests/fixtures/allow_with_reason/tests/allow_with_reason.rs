@@ -1,6 +1,7 @@
 //! Fixture: well-formed suppressions — every violation below carries an
 //! annotation with a reason, so the file must lint clean (all suppressed).
-//! Linted by `tests/fixtures.rs` under a library-source path; never compiled.
+//! Linted by `tests/fixtures.rs` under its tree's `tests/`, where only D001
+//! and A001 apply; never compiled.
 
 use std::time::Instant;
 

@@ -2,7 +2,8 @@
 //! not silence the finding — it raises A001 *and* the original violation
 //! stands. An allow naming an unknown rule is also A001, and so is a
 //! leftover annotation for a rule that moved to clippy.
-//! Linted by `tests/fixtures.rs` under a library-source path; never compiled.
+//! Linted by `tests/fixtures.rs` under its tree's `tests/`, where only D001
+//! and A001 apply; never compiled.
 
 pub fn bare_allow() -> std::time::Instant {
     // punch-lint: allow(D001)

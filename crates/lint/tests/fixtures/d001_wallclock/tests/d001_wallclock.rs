@@ -1,5 +1,6 @@
 //! Fixture: D001 wall-clock and ambient-entropy violations.
-//! Linted by `tests/fixtures.rs` under a library-source path; never compiled.
+//! Linted by `tests/fixtures.rs` under its tree's `tests/`, where only D001
+//! and A001 apply; never compiled.
 
 pub fn bad_clock() -> u128 {
     let t = std::time::Instant::now();
