@@ -24,7 +24,7 @@
 //! draws no randomness and performs no wall-clock reads, so outcomes are
 //! byte-identical at any worker count.
 
-use punch_net::{Endpoint, SimTime};
+use punch_net::{flat, Endpoint, SimTime};
 
 /// Where a candidate endpoint came from. Kinds label per-candidate
 /// stamps, the `punch.winner_kind` metric, and race events.
@@ -316,13 +316,16 @@ impl CandidateSet {
         if self.contains(endpoint) {
             return;
         }
-        self.stamps.push(CandidateStamp {
-            endpoint,
-            kind,
-            first_probe: None,
-            first_response: None,
-            won: false,
-        });
+        flat::push(
+            &mut self.stamps,
+            CandidateStamp {
+                endpoint,
+                kind,
+                first_probe: None,
+                first_response: None,
+                won: false,
+            },
+        );
     }
 
     /// Append the candidates the peer announced (its predicted ports for
@@ -444,6 +447,20 @@ mod tests {
         let order = [CandidateSource::PeerPublic, CandidateSource::PeerPrivate];
         let set = CandidateSet::from_sources(&order, public, private);
         assert_eq!(endpoints(&set), vec![public, private]);
+    }
+
+    #[test]
+    fn a_two_candidate_race_holds_two_slots() {
+        // The set lives as long as its session: 40 000 of them in the
+        // benchmark's `crowd_udp`, each racing a private and a public
+        // endpoint.
+        let set = from_plan(
+            &CandidatePlan::basic(),
+            ep("155.99.25.11:62000"),
+            ep("10.0.0.1:4321"),
+        );
+        assert_eq!(set.stamps.len(), 2);
+        assert_eq!(set.stamps.capacity(), 2);
     }
 
     #[test]

@@ -25,7 +25,7 @@ use crate::events::{PeerEvent, Via};
 use crate::relay::{self, RelayKind};
 use crate::session::{self, Asked, Backlog, Phase, Race, Timers};
 use bytes::Bytes;
-use punch_net::flat::{self, FlatMap, FlatSet};
+use punch_net::flat::{self, FlatMap, FlatSet, Inline};
 use punch_net::{Counters, Endpoint, MetricKey, SimTime};
 use punch_rendezvous::{Message, PeerId, MAX_PAYLOAD};
 use punch_transport::{App, Os, SockEvent, SocketId};
@@ -93,6 +93,7 @@ const _: () = assert!(std::mem::size_of::<Session>() <= 176);
 
 /// One of the client's k-of-n home rendezvous servers (the ring
 /// owners of its own id), with per-server registration liveness.
+#[derive(Clone, Copy)]
 struct ServerSlot {
     ep: Endpoint,
     /// True while this server is acknowledging our registrations.
@@ -141,15 +142,18 @@ pub struct UdpPeer {
     local: Option<Endpoint>,
     public: Option<Endpoint>,
     /// The k-of-n home servers this client registers with: the ring
-    /// owners of its own id, or just `cfg.server` without a fleet.
-    homes: Vec<ServerSlot>,
+    /// owners of its own id, or just `cfg.server` without a fleet. One
+    /// without a fleet, held in place.
+    homes: Inline<ServerSlot, 1>,
     /// Port-prediction state: public endpoint observed by the probe port,
     /// and the measured allocation delta.
     probe_public: Option<Endpoint>,
     delta: Option<i32>,
     /// Destinations with a presumed-live NAT mapping (each consumed one
-    /// allocation on a symmetric NAT when first contacted).
-    dests_seen: FlatSet<Endpoint>,
+    /// allocation on a symmetric NAT when first contacted). A punched
+    /// client has seen its server and a peer's one or two candidates,
+    /// held in place.
+    dests_seen: FlatSet<Endpoint, Inline<Endpoint, 3>>,
     /// Allocations consumed by mappings that have since expired: when a
     /// session dies and re-punches, its sprayed destinations are retired
     /// from [`Self::dests_seen`] into this monotonic counter, because
@@ -169,8 +173,8 @@ pub struct UdpPeer {
 
 // One per client, inline in its host: a `ShardedWorld` client is one
 // `HostDevice<UdpPeer>` allocation (40 000 of them in `crowd_udp`).
-const _: () = assert!(std::mem::size_of::<UdpPeer>() <= 464);
-const _: () = assert!(std::mem::size_of::<punch_transport::HostDevice<UdpPeer>>() <= 864);
+const _: () = assert!(std::mem::size_of::<UdpPeer>() <= 480);
+const _: () = assert!(std::mem::size_of::<punch_transport::HostDevice<UdpPeer>>() <= 888);
 
 impl UdpPeer {
     /// Creates the endpoint; it registers with S (every home server,
@@ -185,15 +189,17 @@ impl UdpPeer {
     /// configuration time, instead of wrapping to port 0 (or panicking
     /// in debug) when the probe runs.
     pub fn new(cfg: UdpPeerConfig) -> Self {
-        let homes: Vec<ServerSlot> =
-            session::homes(cfg.server, &cfg.fleet, cfg.id, cfg.replication)
-                .into_iter()
-                .map(|ep| ServerSlot {
+        let mut homes = Inline::new();
+        for ep in session::homes(cfg.server, &cfg.fleet, cfg.id, cfg.replication) {
+            flat::push(
+                &mut homes,
+                ServerSlot {
                     ep,
                     registered: false,
                     last_ack: SimTime::ZERO,
-                })
-                .collect();
+                },
+            );
+        }
         assert!(
             !(cfg.punch.plan.needs_probe() && homes.first().map(|s| s.ep.port) == Some(u16::MAX)),
             "UdpPeerConfig: the plan's prediction strategy needs the server's probe port at \
@@ -208,7 +214,7 @@ impl UdpPeer {
             homes,
             probe_public: None,
             delta: None,
-            dests_seen: FlatSet::new(),
+            dests_seen: FlatSet::default(),
             expired_allocs: 0,
             sessions: FlatMap::new(),
             backlog: Backlog::new(),
@@ -952,7 +958,7 @@ impl App for UdpPeer {
                 let lost_after = ka * 2 + self.cfg.register_retry;
                 let was_registered = self.is_registered();
                 let mut lost = 0u64;
-                for slot in &mut self.homes {
+                for slot in self.homes.iter_mut() {
                     if slot.registered && now.saturating_since(slot.last_ack) > lost_after {
                         slot.registered = false;
                         lost += 1;

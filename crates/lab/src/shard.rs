@@ -395,14 +395,7 @@ impl ShardedWorld {
                     if outcome == SessionOutcome::Direct {
                         sess.latency = app.punch_latency(sess.peer_b);
                     }
-                    // The world reads state accessors, never events: drop
-                    // what both peers queued on the way here instead of
-                    // carrying every session's history to the end.
-                    for node in [sess.a, sess.b] {
-                        with_host_app::<UdpPeer, UdpPeer, _>(&mut shard.sim, node, |app, _| {
-                            drop(app.take_events());
-                        });
-                    }
+                    drop_events(&mut shard.sim, sess);
                     newly += 1;
                 }
             }
@@ -421,6 +414,7 @@ impl ShardedWorld {
                     let shard = &mut *lock(m);
                     let sess = &mut shard.sessions[i / self.shards.len()];
                     debug_assert_eq!(sess.global, i);
+                    drop_events(&mut shard.sim, sess);
                     let (a, peer_b) = (sess.a, sess.peer_b);
                     with_host_app::<UdpPeer, UdpPeer, _>(&mut shard.sim, a, |app, os| {
                         app.connect(os, peer_b)
@@ -568,6 +562,16 @@ impl ShardedWorld {
     }
 }
 
+/// Drops what both peers of `sess` have queued. The world reads state
+/// accessors, never events, so it drops them when it releases a session
+/// (start-up `Registered` events) and again when it resolves one (the
+/// punch's), instead of carrying every client's history to the end.
+fn drop_events(sim: &mut Sim, sess: &Session) {
+    for node in [sess.a, sess.b] {
+        with_host_app::<UdpPeer, UdpPeer, _>(sim, node, |app, _| drop(app.take_events()));
+    }
+}
+
 /// Locks a shard, treating poisoning (a prior worker panic) as fatal.
 fn lock(m: &Mutex<Shard>) -> std::sync::MutexGuard<'_, Shard> {
     #[expect(clippy::expect_used, reason = "poisoned lock only follows a worker panic, which is already fatal")]
@@ -612,6 +616,35 @@ mod tests {
         let mut cfg = ShardConfig::new(7, 4);
         cfg.epoch = Duration::ZERO;
         ShardedWorld::build(&cfg);
+    }
+
+    #[test]
+    fn released_sessions_hold_no_earlier_events() {
+        // A zero deadline stops the run at the epoch that releases the
+        // wave, before any session can resolve.
+        let mut cfg = ShardConfig::new(7, 4);
+        cfg.shards = 2;
+        cfg.deadline = Duration::ZERO;
+        let mut w = ShardedWorld::build(&cfg);
+        w.run();
+        assert_eq!(w.outcome_counts().pending, 4);
+        for m in &w.shards {
+            let shard = &mut *lock(m);
+            for sess in &shard.sessions {
+                assert!(sess.released);
+                for node in [sess.a, sess.b] {
+                    let held =
+                        with_host_app::<UdpPeer, UdpPeer, _>(&mut shard.sim, node, |app, _| {
+                            app.take_events()
+                        });
+                    assert!(
+                        held.is_empty(),
+                        "session {} still holds {held:?}",
+                        sess.global
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@
 use crate::behavior::{Hairpin, MappingPolicy, NatBehavior, PortAllocation, TcpUnsolicited};
 use crate::mangle::rewrite_addr;
 use crate::table::{MapEntry, MapId, NatTables};
-use punch_net::flat::FlatMap;
+use punch_net::flat::{FlatMap, Inline};
 use punch_net::{
     Body, Counters, Ctx, Device, Endpoint, IcmpKind, IcmpMessage, IfaceId, MetricKey, Packet,
     Proto, SimTime, TcpFlags, FAULT_RESTART,
@@ -73,15 +73,16 @@ pub struct NatDevice {
     behavior: NatBehavior,
     public_ip: Ipv4Addr,
     tables: NatTables,
-    /// Learned private hosts; a home NAT has one to three.
-    private_iface: FlatMap<Ipv4Addr, IfaceId>,
+    /// Learned private hosts; a home NAT has one, held in place, and
+    /// rarely up to three.
+    private_iface: FlatMap<Ipv4Addr, IfaceId, Inline<(Ipv4Addr, IfaceId), 1>>,
     next_seq_port: u16,
     stats: NatStats,
 }
 
 // One per NAT, boxed into the sim's device table: 40 000 of them in
 // the benchmark's `crowd_udp`.
-const _: () = assert!(std::mem::size_of::<NatDevice>() <= 240);
+const _: () = assert!(std::mem::size_of::<NatDevice>() <= 256);
 
 impl NatDevice {
     /// Creates a NAT owning the one public address in `public_ips`.
@@ -97,7 +98,7 @@ impl NatDevice {
             behavior,
             public_ip,
             tables: NatTables::new(),
-            private_iface: FlatMap::new(),
+            private_iface: FlatMap::default(),
             next_seq_port,
             stats: NatStats::default(),
         }
@@ -141,7 +142,7 @@ impl NatDevice {
     fn reboot(&mut self) {
         self.stats.reboots += 1;
         self.tables = NatTables::new();
-        self.private_iface = FlatMap::new();
+        self.private_iface = FlatMap::default();
         // Shift the pool per reboot; a reboot that handed out identical
         // ports again would heal sessions transparently and hide the
         // fault from recovery logic.
@@ -642,7 +643,7 @@ mod tests {
         let dev = sim.device_mut::<NatDevice>(nat);
         dev.behavior.filtering = crate::behavior::FilteringPolicy::AddressDependent;
         // The NAT forgot which interface the host is behind, not the mapping.
-        dev.private_iface = FlatMap::new();
+        dev.private_iface = FlatMap::default();
         let before = mappings(&sim, nat);
         inbound_that_would_touch_everything(&mut sim, nat, 64);
         assert_eq!(sim.device::<NatDevice>(nat).stats().inbound_passed, 0);

@@ -13,7 +13,7 @@
 //! mappings were created in, which eviction breaks ties on.
 
 use crate::behavior::{FilteringPolicy, MappingPolicy};
-use punch_net::flat::FlatMap;
+use punch_net::flat::{FlatMap, Inline};
 use punch_net::{Endpoint, Proto, SimTime, TcpFlags};
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
@@ -81,12 +81,18 @@ pub struct MapEntry {
     /// Remote endpoints this private endpoint has exchanged traffic with
     /// (the filter's "holes"), each with its own session expiry (§3.6:
     /// many NATs time out individual sessions, not whole mappings).
-    pub allowed: FlatMap<Endpoint, SimTime>,
+    /// A client's mapping has one to three (the server, a peer's public
+    /// and private endpoints), held in place.
+    pub allowed: FlatMap<Endpoint, SimTime, Inline<(Endpoint, SimTime), 3>>,
     /// Absolute expiry time; refreshed by traffic.
     pub expires_at: SimTime,
     /// TCP signal tracking (TCP mappings only).
     pub tcp: TcpTrack,
 }
+
+// One per mapping, inline in its NAT's table with its filter holes:
+// 40 000 of them in the benchmark's `crowd_udp`.
+const _: () = assert!(std::mem::size_of::<MapEntry>() <= 96);
 
 impl MapEntry {
     /// Returns true if inbound traffic from `src` passes this mapping's
@@ -165,17 +171,17 @@ fn out_key(policy: MappingPolicy, proto: Proto, private: Endpoint, remote: Endpo
 #[derive(Debug, Default)]
 pub struct NatTables {
     next_id: MapId,
-    /// A home NAT holds one to three mappings, so both tables are sorted
-    /// vectors that cost what they hold; a flooded or exhausted NAT's
-    /// thousands are still found by binary search, and a sequential
-    /// allocator's next port appends. Boxed so that growing the table,
-    /// or removing from the middle of a large one, moves pointers and
-    /// not entries. Nothing observable depends on the iteration order.
-    entries: FlatMap<MapKey, Box<MapEntry>>,
+    /// A home NAT holds one to three mappings, so the table is a sorted
+    /// vector that costs what it holds, with each entry inline; a
+    /// flooded or exhausted NAT's thousands are still found by binary
+    /// search, and a sequential allocator's next port appends. Nothing
+    /// observable depends on the iteration order.
+    entries: FlatMap<MapKey, MapEntry>,
     /// Outbound flow → the public endpoint of its mapping (the
     /// protocol is the flow's). Every slot names a stored entry: slots
-    /// are dropped with the entry they point at.
-    out_index: FlatMap<OutKey, Endpoint>,
+    /// are dropped with the entry they point at. A cone NAT's client
+    /// has one flow, held in place.
+    out_index: FlatMap<OutKey, Endpoint, Inline<(OutKey, Endpoint), 1>>,
 }
 
 impl NatTables {
@@ -232,15 +238,15 @@ impl NatTables {
         public: Endpoint,
         now: SimTime,
     ) -> &mut MapEntry {
-        let entry = Box::new(MapEntry {
+        let entry = MapEntry {
             id: self.next_id,
             proto,
             private,
             public,
-            allowed: FlatMap::new(),
+            allowed: FlatMap::default(),
             expires_at: now,
             tcp: TcpTrack::default(),
-        });
+        };
         self.next_id += 1;
         self.out_index
             .insert(out_key(policy, proto, private, remote), public);
@@ -312,7 +318,7 @@ impl NatTables {
 
     /// Iterates over all entries (diagnostics).
     pub fn iter(&self) -> impl Iterator<Item = &MapEntry> {
-        self.entries.values().map(Box::as_ref)
+        self.entries.values()
     }
 
     /// Number of live mappings owned by private source IP `ip` (the
@@ -501,7 +507,7 @@ mod tests {
             proto: Proto::Udp,
             private: ep("10.0.0.1:4321"),
             public: ep("155.99.25.11:62000"),
-            allowed: FlatMap::new(),
+            allowed: FlatMap::default(),
             expires_at: SimTime::MAX,
             tcp: TcpTrack::default(),
         };
@@ -549,7 +555,7 @@ mod tests {
             proto: Proto::Udp,
             private: ep("10.0.0.1:4321"),
             public: ep("155.99.25.11:62000"),
-            allowed: FlatMap::new(),
+            allowed: FlatMap::default(),
             expires_at: SimTime::MAX,
             tcp: TcpTrack::default(),
         };

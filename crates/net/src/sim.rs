@@ -12,6 +12,7 @@
 
 use crate::calendar::CalendarQueue;
 use crate::fault::LinkAction;
+use crate::flat::{self, Inline};
 use crate::link::LinkSpec;
 use crate::metrics::{Counters, MetricKey, MetricsSnapshot};
 use crate::node::{Ctx, Device, IfaceId, NodeId};
@@ -163,54 +164,33 @@ struct OpenBatch {
     next_seq: u64,
 }
 
-/// A node's interfaces in `connect` order, each packed as
-/// `link << 1 | side`. A host or a NAT has one or two and keeps them
-/// inline; a third (in practice, a router's) moves the list to the heap.
-enum Ifaces {
-    Inline(u8, [u32; 2]),
-    Spilled(Vec<u32>),
-}
-
-impl Ifaces {
-    fn as_slice(&self) -> &[u32] {
-        match self {
-            Ifaces::Inline(n, refs) => &refs[..usize::from(*n)],
-            Ifaces::Spilled(refs) => refs,
-        }
-    }
-
-    /// The `(link, side)` behind interface `iface`.
-    fn get(&self, iface: IfaceId) -> Option<(LinkId, usize)> {
-        let packed = *self.as_slice().get(iface)?;
-        Some(((packed >> 1) as LinkId, (packed & 1) as usize))
-    }
-
-    fn push(&mut self, link: LinkId, side: usize) {
-        assert!(link < 1 << 31, "too many links");
-        let packed = (link as u32) << 1 | side as u32;
-        match self {
-            Ifaces::Inline(n @ 0..=1, refs) => {
-                refs[usize::from(*n)] = packed;
-                *n += 1;
-            }
-            Ifaces::Inline(_, [first, second]) => {
-                *self = Ifaces::Spilled(vec![*first, *second, packed]);
-            }
-            Ifaces::Spilled(refs) => refs.push(packed),
-        }
-    }
-}
-
 /// What the engine keeps for every node: its interfaces and where its
 /// RNG stream comes from. The stream itself is made at the node's first
 /// draw (`SimCore::node_rng`), so a node that never draws (in a sharded
 /// world, every NAT and router) costs no generator.
 struct NodeMeta {
-    ifaces: Ifaces,
+    /// The node's interfaces in `connect` order, each packed as
+    /// `link << 1 | side`. A host or a NAT has one or two, in place; a
+    /// third (in practice, a router's) moves the list to the heap.
+    ifaces: Inline<u32, 2>,
     /// The seed of the node's stream, derived at `add_node`.
     seed: u64,
     /// The node's generator in `SimCore::rngs`, once it has drawn.
     rng: Option<u32>,
+}
+
+impl NodeMeta {
+    /// The `(link, side)` behind interface `iface`.
+    fn iface(&self, iface: IfaceId) -> Option<(LinkId, usize)> {
+        let packed = *self.ifaces.get(iface)?;
+        Some(((packed >> 1) as LinkId, (packed & 1) as usize))
+    }
+
+    /// Adds the next interface, on `side` of `link`.
+    fn attach(&mut self, link: LinkId, side: usize) {
+        assert!(link < 1 << 31, "too many links");
+        flat::push(&mut self.ifaces, (link as u32) << 1 | side as u32);
+    }
 }
 
 /// What the engine keeps for every link. Its transmission properties
@@ -341,7 +321,7 @@ impl SimCore {
     }
 
     pub(crate) fn iface_count(&self, node: NodeId) -> usize {
-        self.nodes[node.index()].ifaces.as_slice().len()
+        self.nodes[node.index()].ifaces.len()
     }
 
     /// The node's generator, made at its first draw: nothing drew from
@@ -375,8 +355,7 @@ impl SimCore {
     pub(crate) fn transmit(&mut self, node: NodeId, iface: IfaceId, pkt: Packet) {
         #[expect(clippy::panic, reason = "sim API contract: naming a missing iface is a harness bug, reported loudly")]
         let (link_idx, side) = self.nodes[node.index()]
-            .ifaces
-            .get(iface)
+            .iface(iface)
             .unwrap_or_else(|| panic!("node {node} sent on unconnected iface {iface}"));
         self.stats.packets_sent += 1;
 
@@ -575,7 +554,7 @@ impl Sim {
             mix(self.seed ^ mix(id.0 as u64 + 1))
         };
         self.core.nodes.push(NodeMeta {
-            ifaces: Ifaces::Inline(0, [0; 2]),
+            ifaces: Inline::new(),
             seed,
             rng: None,
         });
@@ -600,8 +579,8 @@ impl Sim {
         } else {
             self.core.iface_count(b)
         };
-        self.core.nodes[a.index()].ifaces.push(link, 0);
-        self.core.nodes[b.index()].ifaces.push(link, 1);
+        self.core.nodes[a.index()].attach(link, 0);
+        self.core.nodes[b.index()].attach(link, 1);
         self.core.queue.ensure_horizon(spec.latency + spec.jitter);
         let spec = self.core.intern(spec);
         self.core.links.push(LinkState {
@@ -621,8 +600,7 @@ impl Sim {
     pub fn link_of(&self, node: NodeId, iface: IfaceId) -> LinkId {
         #[expect(clippy::panic, reason = "sim API contract: naming a missing iface is a harness bug, reported loudly")]
         let (link, _) = self.core.nodes[node.index()]
-            .ifaces
-            .get(iface)
+            .iface(iface)
             .unwrap_or_else(|| panic!("node {node} has no iface {iface}"));
         link
     }

@@ -256,7 +256,7 @@ pub struct HostDevice<A: App = Box<dyn App>> {
 }
 
 // One per host, boxed into the sim's device table.
-const _: () = assert!(std::mem::size_of::<HostDevice>() <= 416);
+const _: () = assert!(std::mem::size_of::<HostDevice>() <= 424);
 
 impl<A: App> HostDevice<A> {
     /// Creates a host with address `ip` running `app`.

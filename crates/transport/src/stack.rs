@@ -15,7 +15,7 @@ use crate::event::SockEvent;
 use crate::socket::{decode_timer, SocketId, TimerKind};
 use crate::tcb::{StackStats, Tcb, TcbOutcome, TcpIo, TcpState};
 use bytes::Bytes;
-use punch_net::flat::{self, FlatMap};
+use punch_net::flat::{self, FlatMap, Inline};
 use punch_net::{Body, Endpoint, IcmpKind, Packet, Proto, TcpFlags, TcpSegment};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -100,8 +100,8 @@ pub struct HostStack {
     conn_index: FlatMap<(Endpoint, Endpoint), SocketId>,
     /// TCP listeners by local port.
     listeners: FlatMap<u16, SocketId>,
-    /// UDP sockets by local port.
-    udp_index: FlatMap<u16, SocketId>,
+    /// UDP sockets by local port: a client's one or two, in place.
+    udp_index: FlatMap<u16, SocketId, Inline<(u16, SocketId), 2>>,
     /// The outboxes. [`crate::HostDevice`] lends them its thread's spare
     /// set for each callback and drains them in place before taking the
     /// set back ([`HostStack::swap_outboxes`]), so between callbacks a
@@ -113,6 +113,10 @@ pub struct HostStack {
     pub(crate) timers: Vec<(Duration, u64)>,
     stats: StackStats,
 }
+
+// One per host, inline in its `HostDevice`: 40 004 of them in the
+// benchmark's `crowd_udp`.
+const _: () = assert!(std::mem::size_of::<HostStack>() <= 400);
 
 impl HostStack {
     /// Creates a stack for a host with address `ip`.
@@ -126,7 +130,7 @@ impl HostStack {
             socks: FlatMap::new(),
             conn_index: FlatMap::new(),
             listeners: FlatMap::new(),
-            udp_index: FlatMap::new(),
+            udp_index: FlatMap::default(),
             out: Vec::new(),
             events: Vec::new(),
             timers: Vec::new(),
