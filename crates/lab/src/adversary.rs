@@ -31,7 +31,7 @@ use punch_net::{
     Ctx, Device, Duration, Endpoint, IfaceId, LinkSpec, NodeId, Packet, SimTime, TcpFlags,
     TcpSegment,
 };
-use punch_rendezvous::{Message, PeerId, RendezvousServer, ServerConfig};
+use punch_rendezvous::{Message, PeerId, RendezvousServer, ServerConfig, SERVER_PORT};
 use punch_transport::{App, Os, SockEvent, SocketId, StackConfig};
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
@@ -344,7 +344,7 @@ fn victim_pair(
 }
 
 fn resilient_udp_peer(id: PeerId) -> PeerSetup {
-    let server = Endpoint::new(addrs::SERVER, 1234);
+    let server = Endpoint::new(addrs::SERVER, SERVER_PORT);
     PeerSetup::new(UdpPeer::new(UdpPeerConfig::resilient(id, server)))
 }
 
@@ -451,7 +451,7 @@ pub fn run_mapping_flood(seed: u64, defended: bool) -> AttackReport {
 
 /// A TCP victim on local port 5001 (A) or 5002 (B).
 fn tcp_peer_setup(id: PeerId, defended: bool) -> PeerSetup {
-    let server = Endpoint::new(addrs::SERVER, 1234);
+    let server = Endpoint::new(addrs::SERVER, SERVER_PORT);
     let mut c = TcpPeerConfig::new(id, server);
     c.local_port = 5000 + id.0 as u16;
     let mut stack = StackConfig::fast();
@@ -647,8 +647,8 @@ pub fn run_reg_squat(seed: u64, defended: bool) -> AttackReport {
 /// ([`ServerConfig::with_fleet_secret`]) the unsigned forgery is
 /// rejected at the door.
 pub fn run_intro_forgery(seed: u64, defended: bool) -> AttackReport {
-    let s1_ep = Endpoint::new(addrs::SERVER, 1234);
-    let s2_ep = Endpoint::new(SERVER2_IP, 1234);
+    let s1_ep = Endpoint::new(addrs::SERVER, SERVER_PORT);
+    let s2_ep = Endpoint::new(SERVER2_IP, SERVER_PORT);
     let fleet = vec![s1_ep, s2_ep];
     let mut cfg1 = ServerConfig::default().with_fleet(fleet.clone(), 0);
     let mut cfg2 = ServerConfig::default().with_fleet(fleet, 1);

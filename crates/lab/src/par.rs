@@ -10,14 +10,20 @@
 //!
 //! Design:
 //!
-//! - [`std::thread::scope`] workers pull task indices from a single
-//!   [`AtomicUsize`] — classic work-stealing-free chunkless queue, so
-//!   an expensive straggler doesn't serialize a whole chunk behind it.
-//! - Each result is written into its task's dedicated slot; the caller
-//!   sees `results[i] == f(i, &tasks[i])` regardless of which worker
-//!   ran it or when.
-//! - A panic in any task propagates to the caller (the scope re-raises
-//!   it on join), matching the sequential failure mode.
+//! - Each task is handed one item of its own: an element of a slice
+//!   (`&tasks`), a `&mut` into one (`tasks.iter_mut()`), or an index
+//!   (`0..n`). Nothing is shared between tasks, so nothing is locked
+//!   around their work.
+//! - [`std::thread::scope`] workers claim the next `(index, item)` from
+//!   one shared iterator — the pool's only lock — so an expensive
+//!   straggler doesn't serialize a whole chunk behind it.
+//! - Each worker hands back the `(index, result)` pairs it produced
+//!   through its thread's `join`, and the caller puts them in index
+//!   order: `results[i] == f(i, item_i)` regardless of which worker ran
+//!   it or when.
+//! - A panic in any task reaches the caller with its own payload (`join`
+//!   returns it and it is re-raised), matching the sequential failure
+//!   mode.
 //!
 //! Worker count comes from the `PUNCH_JOBS` environment variable when
 //! set (minimum 1), otherwise [`std::thread::available_parallelism`].
@@ -26,23 +32,19 @@
 //! regression tests in `punch-natcheck`.
 
 use punch_net::MetricsSnapshot;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::panic::resume_unwind;
+use std::sync::{Mutex, PoisonError};
 
 /// Returns the worker count [`run`] will use: `PUNCH_JOBS` if set to a
 /// positive integer, else the machine's available parallelism.
 pub fn jobs() -> usize {
-    parse_jobs(std::env::var("PUNCH_JOBS").ok().as_deref()).unwrap_or_else(default_jobs)
+    parse_jobs(std::env::var("PUNCH_JOBS").ok().as_deref()).unwrap_or_else(detected_cores)
 }
 
 /// Returns the machine's detected parallelism, ignoring `PUNCH_JOBS`.
 /// Benchmarks record this next to the effective worker count so a
 /// "speedup" measured on a single-core host is recognizable as such.
 pub fn detected_cores() -> usize {
-    default_jobs()
-}
-
-fn default_jobs() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
@@ -53,15 +55,16 @@ fn parse_jobs(var: Option<&str>) -> Option<usize> {
         .filter(|&n| n >= 1)
 }
 
-/// Runs `f(i, &tasks[i])` for every task on the default worker pool
-/// (see [`jobs`]) and returns the results in task order.
-pub fn run<T, R, F>(tasks: &[T], f: F) -> Vec<R>
+/// Runs `f(i, item)` for the `i`-th item of `items` on the default
+/// worker pool (see [`jobs`]) and returns the results in item order.
+pub fn run<I, R, F>(items: I, f: F) -> Vec<R>
 where
-    T: Sync,
+    I: IntoIterator,
+    I::IntoIter: ExactSizeIterator + Send,
     R: Send,
-    F: Fn(usize, &T) -> R + Sync,
+    F: Fn(usize, I::Item) -> R + Sync,
 {
-    run_with_workers(tasks, jobs(), f)
+    run_with_workers(items, jobs(), f)
 }
 
 /// Convenience for index-only fan-outs: runs `f(i)` for `i in 0..n` on
@@ -71,91 +74,85 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    let indices: Vec<usize> = (0..n).collect();
-    run(&indices, |_, &i| f(i))
+    run(0..n, |_, i| f(i))
 }
 
-/// [`run`] with an explicit worker count. Results are in task order for
+/// [`run`] with an explicit worker count. Results are in item order for
 /// any `workers >= 1`; the determinism tests exercise this directly.
-pub fn run_with_workers<T, R, F>(tasks: &[T], workers: usize, f: F) -> Vec<R>
+pub fn run_with_workers<I, R, F>(items: I, workers: usize, f: F) -> Vec<R>
 where
-    T: Sync,
+    I: IntoIterator,
+    I::IntoIter: ExactSizeIterator + Send,
     R: Send,
-    F: Fn(usize, &T) -> R + Sync,
+    F: Fn(usize, I::Item) -> R + Sync,
 {
-    let n = tasks.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let workers = workers.max(1).min(n);
-    if workers == 1 {
-        // Pure sequential path: no threads, no locks, same results.
-        return tasks.iter().enumerate().map(|(i, t)| f(i, t)).collect();
+    let items = items.into_iter();
+    let workers = workers.min(items.len());
+    if workers <= 1 {
+        // Pure sequential path: no threads, no lock, same results.
+        return items.enumerate().map(|(i, item)| f(i, item)).collect();
     }
 
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let result = f(i, &tasks[i]);
-                #[expect(clippy::unwrap_used, reason = "lock is poisoned only if another worker already panicked; propagate it")]
-                let mut slot = slots[i].lock().unwrap();
-                *slot = Some(result);
-            });
-        }
-        // Scope joins every worker here and re-raises the first panic.
+    // The pool's one lock. Only a panic inside `next` poisons it, and
+    // `join` below re-raises that panic, so the poison is ignored.
+    let queue = Mutex::new(items.enumerate());
+    let claim = || queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+    let mut done: Vec<(usize, R)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut mine = Vec::new();
+                    while let Some((i, item)) = claim() {
+                        mine.push((i, f(i, item)));
+                    }
+                    mine
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|payload| resume_unwind(payload)))
+            .collect()
     });
-    slots
-        .into_iter()
-        .map(|slot| {
-            #[expect(clippy::expect_used, reason = "lock is poisoned only if a worker already panicked; propagate it")]
-            let stored = slot.into_inner().expect("worker panicked while storing a result");
-            #[expect(clippy::expect_used, reason = "the claim counter guarantees every slot was filled exactly once")]
-            let result = stored.expect("every claimed task stores exactly one result");
-            result
-        })
-        .collect()
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 /// Runs metrics-producing tasks on the default worker pool and merges
-/// their [`MetricsSnapshot`] shards **in task order**.
+/// their [`MetricsSnapshot`] shards **in item order**.
 ///
 /// Each task returns its result plus the snapshot of its own private
-/// `Sim`; because the merge folds shards by task index — never by
+/// `Sim`; because the merge folds shards by item index — never by
 /// completion order — the combined snapshot (and its JSON export) is
 /// byte-identical for any worker count, same as the results vector.
-pub fn run_merge_metrics<T, R, F>(tasks: &[T], f: F) -> (Vec<R>, MetricsSnapshot)
+pub fn run_merge_metrics<I, R, F>(items: I, f: F) -> (Vec<R>, MetricsSnapshot)
 where
-    T: Sync,
+    I: IntoIterator,
+    I::IntoIter: ExactSizeIterator + Send,
     R: Send,
-    F: Fn(usize, &T) -> (R, MetricsSnapshot) + Sync,
+    F: Fn(usize, I::Item) -> (R, MetricsSnapshot) + Sync,
 {
-    run_merge_metrics_with_workers(tasks, jobs(), f)
+    run_merge_metrics_with_workers(items, jobs(), f)
 }
 
 /// [`run_merge_metrics`] with an explicit worker count.
 // punch-lint: allow(S005) natcheck/tests/par_determinism.rs merges the same tasks at 1, 2 and 8 workers
-pub fn run_merge_metrics_with_workers<T, R, F>(
-    tasks: &[T],
+pub fn run_merge_metrics_with_workers<I, R, F>(
+    items: I,
     workers: usize,
     f: F,
 ) -> (Vec<R>, MetricsSnapshot)
 where
-    T: Sync,
+    I: IntoIterator,
+    I::IntoIter: ExactSizeIterator + Send,
     R: Send,
-    F: Fn(usize, &T) -> (R, MetricsSnapshot) + Sync,
+    F: Fn(usize, I::Item) -> (R, MetricsSnapshot) + Sync,
 {
-    let pairs = run_with_workers(tasks, workers, f);
+    let (results, shards): (Vec<R>, Vec<MetricsSnapshot>) =
+        run_with_workers(items, workers, f).into_iter().unzip();
     let mut merged = MetricsSnapshot::default();
-    let mut results = Vec::with_capacity(pairs.len());
-    for (r, shard) in pairs {
-        merged.merge(&shard);
-        results.push(r);
+    for shard in &shards {
+        merged.merge(shard);
     }
     (results, merged)
 }

@@ -42,10 +42,9 @@ use punch_net::{
     Duration, Endpoint, FaultPlan, LinkSpec, MetricsSnapshot, NodeId, QueueStats, Sim, SimStats,
     SimTime,
 };
-use punch_rendezvous::{RendezvousServer, ServerConfig, ServerStats};
+use punch_rendezvous::{RendezvousServer, ServerConfig, ServerStats, SERVER_PORT};
 use punch_transport::{HostDevice, StackConfig};
 use std::net::Ipv4Addr;
-use std::sync::Mutex;
 
 /// Configuration for a [`ShardedWorld`].
 #[derive(Clone, Debug)]
@@ -202,7 +201,7 @@ struct Shard {
 /// ```
 pub struct ShardedWorld {
     cfg: ShardConfig,
-    shards: Vec<Mutex<Shard>>,
+    shards: Vec<Shard>,
     released: usize,
     resolved: usize,
     next_wave: usize,
@@ -227,7 +226,7 @@ impl ShardedWorld {
         );
         let shard_count = cfg.shards.max(1);
         let per_shard = cfg.sessions.div_ceil(shard_count.max(1)).max(1);
-        let server_ep = Endpoint::new(addrs::SERVER, 1234);
+        let server_ep = Endpoint::new(addrs::SERVER, SERVER_PORT);
         let lan = LinkSpec::new(Duration::from_micros(200));
         let nat_wan = LinkSpec::new(Duration::from_millis(10));
         let server_wan = LinkSpec::new(Duration::from_millis(5));
@@ -240,7 +239,7 @@ impl ShardedWorld {
             .map(|j| Ipv4Addr::new(18, 181, 0, 31 + j as u8))
             .collect();
         let fleet: Vec<Endpoint> = if cfg.servers > 1 {
-            server_ips.iter().map(|&ip| Endpoint::new(ip, 1234)).collect()
+            server_ips.iter().map(|&ip| Endpoint::new(ip, SERVER_PORT)).collect()
         } else {
             Vec::new()
         };
@@ -327,11 +326,11 @@ impl ShardedWorld {
                 FaultPlan::new().restart(SimTime::ZERO + at, node).apply(&mut sim);
             }
             nodes += sim.node_count();
-            shards.push(Mutex::new(Shard {
+            shards.push(Shard {
                 sim,
                 sessions,
                 servers: server_nodes,
-            }));
+            });
         }
 
         ShardedWorld {
@@ -360,19 +359,19 @@ impl ShardedWorld {
         }
         let waves = self.cfg.waves.max(1);
         let workers = self.cfg.workers.unwrap_or_else(par::jobs);
+        let shard_count = self.shards.len();
         let hard_deadline = SimTime::ZERO + self.cfg.connect_at + self.cfg.deadline;
         let mut boundary = SimTime::ZERO + self.cfg.connect_at;
         loop {
-            par::run_with_workers(&self.shards, workers, |_, m| {
-                lock(m).sim.run_until(boundary);
+            par::run_with_workers(&mut self.shards, workers, |_, shard| {
+                shard.sim.run_until(boundary);
             });
             self.now = boundary;
             self.epochs += 1;
 
             // Poll released-but-unresolved sessions, in shard order.
             let mut newly = 0usize;
-            for m in &self.shards {
-                let shard = &mut *lock(m);
+            for shard in &mut self.shards {
                 for sess in &mut shard.sessions {
                     if !sess.released || sess.outcome != SessionOutcome::Pending {
                         continue;
@@ -410,9 +409,8 @@ impl ShardedWorld {
                 let lo = w * self.cfg.sessions / waves;
                 let hi = (w + 1) * self.cfg.sessions / waves;
                 for i in lo..hi {
-                    let m = &self.shards[i % self.shards.len()];
-                    let shard = &mut *lock(m);
-                    let sess = &mut shard.sessions[i / self.shards.len()];
+                    let shard = &mut self.shards[i % shard_count];
+                    let sess = &mut shard.sessions[i / shard_count];
                     debug_assert_eq!(sess.global, i);
                     drop_events(&mut shard.sim, sess);
                     let (a, peer_b) = (sess.a, sess.peer_b);
@@ -457,8 +455,8 @@ impl ShardedWorld {
     /// Outcome totals across the population.
     pub fn outcome_counts(&self) -> OutcomeCounts {
         let mut c = OutcomeCounts::default();
-        for m in &self.shards {
-            for sess in &lock(m).sessions {
+        for shard in &self.shards {
+            for sess in &shard.sessions {
                 match sess.outcome {
                     SessionOutcome::Pending => c.pending += 1,
                     SessionOutcome::Direct => c.direct += 1,
@@ -473,8 +471,8 @@ impl ShardedWorld {
     /// Engine counters summed across shards.
     pub fn merged_stats(&self) -> SimStats {
         let mut total = SimStats::default();
-        for m in &self.shards {
-            total += lock(m).sim.stats();
+        for shard in &self.shards {
+            total += shard.sim.stats();
         }
         total
     }
@@ -483,8 +481,8 @@ impl ShardedWorld {
     /// max, volume counters sum.
     pub fn merged_queue_stats(&self) -> QueueStats {
         let mut total = QueueStats::default();
-        for m in &self.shards {
-            let q = lock(m).sim.queue_stats();
+        for shard in &self.shards {
+            let q = shard.sim.queue_stats();
             total.depth_high_water = total.depth_high_water.max(q.depth_high_water);
             total.pool_slots += q.pool_slots;
             total.pool_recycled += q.pool_recycled;
@@ -497,8 +495,8 @@ impl ShardedWorld {
     /// resolved [`SessionOutcome::Direct`] and recorded a latency).
     pub fn latencies(&self) -> Vec<Duration> {
         let mut v: Vec<(usize, Duration)> = Vec::new();
-        for m in &self.shards {
-            for sess in &lock(m).sessions {
+        for shard in &self.shards {
+            for sess in &shard.sessions {
                 if let Some(l) = sess.latency {
                     v.push((sess.global, l));
                 }
@@ -511,8 +509,7 @@ impl ShardedWorld {
     /// Rendezvous counters summed over every shard's whole fleet.
     pub fn fleet_stats(&self) -> ServerStats {
         let mut total = ServerStats::default();
-        for m in &self.shards {
-            let shard = lock(m);
+        for shard in &self.shards {
             for &node in &shard.servers {
                 let s = shard
                     .sim
@@ -530,8 +527,8 @@ impl ShardedWorld {
     // punch-lint: allow(S005) lab/tests/{shard_identity,wiring_contract,fleet_identity}.rs compare merged metrics across shard layouts
     pub fn merged_metrics(&self) -> MetricsSnapshot {
         let mut total = MetricsSnapshot::default();
-        for m in &self.shards {
-            total.merge(&lock(m).sim.metrics_snapshot());
+        for shard in &self.shards {
+            total.merge(&shard.sim.metrics_snapshot());
         }
         total
     }
@@ -540,8 +537,8 @@ impl ShardedWorld {
     /// for determinism checks across shard layouts and worker counts.
     pub fn report(&self) -> String {
         let mut lines: Vec<(usize, String)> = Vec::with_capacity(self.cfg.sessions);
-        for m in &self.shards {
-            for sess in &lock(m).sessions {
+        for shard in &self.shards {
+            for sess in &shard.sessions {
                 let when = match sess.resolved_at {
                     Some(at) => format!("{at}"),
                     None => "-".to_string(),
@@ -570,13 +567,6 @@ fn drop_events(sim: &mut Sim, sess: &Session) {
     for node in [sess.a, sess.b] {
         with_host_app::<UdpPeer, UdpPeer, _>(sim, node, |app, _| drop(app.take_events()));
     }
-}
-
-/// Locks a shard, treating poisoning (a prior worker panic) as fatal.
-fn lock(m: &Mutex<Shard>) -> std::sync::MutexGuard<'_, Shard> {
-    #[expect(clippy::expect_used, reason = "poisoned lock only follows a worker panic, which is already fatal")]
-    let guard = m.lock().expect("shard worker panicked");
-    guard
 }
 
 #[cfg(test)]
@@ -628,8 +618,7 @@ mod tests {
         let mut w = ShardedWorld::build(&cfg);
         w.run();
         assert_eq!(w.outcome_counts().pending, 4);
-        for m in &w.shards {
-            let shard = &mut *lock(m);
+        for shard in &mut w.shards {
             for sess in &shard.sessions {
                 assert!(sess.released);
                 for node in [sess.a, sess.b] {

@@ -10,7 +10,7 @@
 
 use punch_nat::{NatBehavior, NatDevice};
 use punch_net::{Cidr, Endpoint, FaultPlan, LinkId, LinkSpec, NodeId, Router, Sim, SimTime, FAULT_RESTART};
-use punch_rendezvous::{RendezvousServer, ServerConfig};
+use punch_rendezvous::{RendezvousServer, ServerConfig, SERVER_PORT};
 use punch_transport::{App, HostDevice, Os, StackConfig};
 use std::net::Ipv4Addr;
 
@@ -458,7 +458,7 @@ impl Scenario {
 
     /// The rendezvous server's well-known endpoint.
     pub fn server_endpoint() -> Endpoint {
-        Endpoint::new(addrs::SERVER, 1234)
+        Endpoint::new(addrs::SERVER, SERVER_PORT)
     }
 }
 

@@ -128,7 +128,7 @@ impl SurveyResult {
 /// Runs NAT Check across every vendor population from Table 1's quotas
 /// and measures each sampled device end-to-end.
 ///
-/// `per_device_budget` bounds devices per vendor (use `None` for the
+/// `per_vendor_cap` bounds devices per vendor (use `None` for the
 /// paper's full sample sizes; smaller values give a fast smoke survey).
 pub fn run_survey(seed: u64, per_vendor_cap: Option<u32>) -> SurveyResult {
     run_survey_mutated(seed, per_vendor_cap, |_, _| {})
@@ -188,10 +188,7 @@ pub fn run_survey_mutated_with_workers(
         mutate(&mut behavior, &mut mutation_rng);
         check_nat_instrumented(behavior, device_seed)
     };
-    let reports = match workers {
-        Some(w) => par::run_with_workers(&tasks, w, measure),
-        None => par::run(&tasks, measure),
-    };
+    let reports = par::run_with_workers(&tasks, workers.unwrap_or_else(par::jobs), measure);
 
     // Phase 3 — sequential: tally in task order, so the table is
     // independent of which worker measured which device.

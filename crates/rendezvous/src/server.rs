@@ -13,7 +13,7 @@
 //! peer's ring owners; a TCP request is answered from its own table.
 //!
 //! Endpoints in everything the server sends are obfuscated (§3.1), and
-//! the §5.1 mapping-probe port at `port + 1` is always served.
+//! the §5.1 mapping-probe port at [`SERVER_PORT`]` + 1` is always served.
 
 use crate::peer::PeerId;
 use crate::wire::{
@@ -28,16 +28,20 @@ use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 use std::time::Duration;
 
+/// The server's well-known port (§3.1), for both UDP and TCP service.
+/// `SERVER_PORT + 1` serves the mapping probe: it answers a
+/// [`Message::Ping`] with a [`Message::RegisterAck`] echoing the
+/// observed source, which clients use to measure symmetric NATs'
+/// port-allocation delta for §5.1 port prediction.
+pub const SERVER_PORT: u16 = 1234;
+
+/// The mapping-probe port; an overflowing `SERVER_PORT` fails to compile.
+const PROBE_PORT: u16 = SERVER_PORT + 1;
+
 /// Rendezvous server configuration.
 #[derive(Clone, Debug)]
 #[non_exhaustive]
 pub struct ServerConfig {
-    /// Well-known port for both UDP and TCP service. `port + 1` serves
-    /// the mapping probe: it answers any datagram with a
-    /// [`Message::RegisterAck`] echoing the observed source, which
-    /// clients use to measure symmetric NATs' port-allocation delta for
-    /// §5.1 port prediction.
-    pub port: u16,
     /// Maximum registrations kept per transport. A registration flood
     /// past the cap evicts the least-recently-active registration
     /// (deterministically — by activity sequence number, not map
@@ -79,7 +83,6 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            port: 1234,
             max_clients: 4096,
             fleet: Vec::new(),
             fleet_index: 0,
@@ -352,19 +355,7 @@ pub struct RendezvousServer {
 
 impl RendezvousServer {
     /// Creates the server app.
-    ///
-    /// # Panics
-    ///
-    /// Panics on well-known port 65535: the mapping probe listens on
-    /// `port + 1`, which does not exist. Rejected here, at configuration
-    /// time, instead of wrapping to port 0 (or panicking in debug) at
-    /// bind time.
     pub fn new(cfg: ServerConfig) -> Self {
-        assert!(
-            cfg.port != u16::MAX,
-            "ServerConfig: the mapping probe needs port + 1, but port 65535 is the last u16; \
-             pick a lower port"
-        );
         RendezvousServer {
             sweep_above: cfg.max_clients,
             cfg,
@@ -982,23 +973,14 @@ impl RendezvousServer {
 
 impl App for RendezvousServer {
     fn on_start(&mut self, os: &mut Os<'_, '_>) {
-        #[expect(clippy::expect_used, reason = "configured server port on a fresh host; collision is a setup bug")]
-        let udp_sock = os.udp_bind(self.cfg.port).expect("server UDP port free");
+        #[expect(clippy::expect_used, reason = "well-known server port on a fresh host; collision is a setup bug")]
+        let udp_sock = os.udp_bind(SERVER_PORT).expect("server UDP port free");
         self.udp_sock = Some(udp_sock);
-        // checked_add, not `+ 1`: port 65535 would wrap to 0 in release
-        // builds. Unreachable here — `new` rejects that configuration —
-        // but the arithmetic must not rely on it.
-        #[expect(clippy::expect_used, reason = "validated at construction: port 65535 cannot be built")]
-        let probe = self
-            .cfg
-            .port
-            .checked_add(1)
-            .expect("probe port overflows u16; rejected in RendezvousServer::new");
-        #[expect(clippy::expect_used, reason = "configured probe port on a fresh host; collision is a setup bug")]
-        let probe_sock = os.udp_bind(probe).expect("server probe port free");
+        #[expect(clippy::expect_used, reason = "well-known probe port on a fresh host; collision is a setup bug")]
+        let probe_sock = os.udp_bind(PROBE_PORT).expect("server probe port free");
         self.probe_sock = Some(probe_sock);
-        #[expect(clippy::expect_used, reason = "configured server port on a fresh host; collision is a setup bug")]
-        os.tcp_listen(self.cfg.port, false).expect("server TCP port free");
+        #[expect(clippy::expect_used, reason = "well-known server port on a fresh host; collision is a setup bug")]
+        os.tcp_listen(SERVER_PORT, false).expect("server TCP port free");
     }
 
     fn counters(&self, c: &mut Counters<'_>) {
@@ -1030,11 +1012,14 @@ impl App for RendezvousServer {
 
     fn on_event(&mut self, os: &mut Os<'_, '_>, ev: SockEvent) {
         match ev {
-            SockEvent::UdpReceived { sock, from, .. } if Some(sock) == self.probe_sock => {
-                // The probe port answers anything with the observed source,
-                // from its own (distinct) endpoint.
-                let reply = Message::RegisterAck { public: from };
-                let _ = os.udp_send(sock, from, reply.encode(OBFUSCATE));
+            SockEvent::UdpReceived { sock, from, data } if Some(sock) == self.probe_sock => {
+                // Only a client's Ping gets the observed source, from the
+                // probe's own endpoint: answering anything would let one
+                // datagram spoofed from a probe set probes echoing forever.
+                if matches!(Message::decode(&data), Ok(Message::Ping)) {
+                    let reply = Message::RegisterAck { public: from };
+                    let _ = os.udp_send(sock, from, reply.encode(OBFUSCATE));
+                }
             }
             SockEvent::UdpReceived { from, data, .. } => {
                 if !self.rate_allow(os, from) {
@@ -1114,7 +1099,7 @@ mod tests {
         let cfg = ServerConfig::default()
             .with_max_clients(MAX_CLIENTS)
             .with_rate_limit(RATE);
-        let server_ep = Endpoint::new(Ipv4Addr::new(18, 181, 0, 31), cfg.port);
+        let server_ep = Endpoint::new(Ipv4Addr::new(18, 181, 0, 31), SERVER_PORT);
         let host = HostDevice::new(
             server_ep.ip,
             StackConfig::default(),

@@ -79,7 +79,7 @@ echo "== census: line, knob and pub fn counts; settable values and expected pani
 sh scripts/census.sh | tee "$tmp/census.txt"
 # The ratchet: raise this number only by editing this line, with the
 # reason for the new knob in the same change.
-max_settable=71
+max_settable=70
 settable=$(sed -n '/^== settable values/,/^==/s/^\([0-9]*\) ~total$/\1/p' "$tmp/census.txt")
 if [ "${settable:-0}" -gt "$max_settable" ] || [ -z "$settable" ]; then
     echo "FAIL: ${settable:-no} settable values; the limit is $max_settable" >&2
@@ -88,7 +88,7 @@ fi
 # The panic budget only falls: lower this line when a suppressed panic
 # path (an `#[expect(clippy::{unwrap_used,expect_used,panic}` in library
 # code) goes, never raise it.
-max_p001=35
+max_p001=30
 p001=$(sed -n '/^== expect(clippy::{unwrap_used,expect_used,panic})/,/^==/s/^\([0-9]*\) ~total$/\1/p' "$tmp/census.txt")
 if [ "${p001:-0}" -gt "$max_p001" ] || [ -z "$p001" ]; then
     echo "FAIL: ${p001:-no} expected panic paths; the limit is $max_p001" >&2
