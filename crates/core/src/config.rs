@@ -106,11 +106,15 @@ impl PunchConfig {
 /// Configuration for a UDP hole-punching client.
 ///
 /// Construct via [`UdpPeerConfig::new`] or [`UdpPeerConfig::resilient`]
-/// and set fields by assignment.
+/// and set fields by assignment, before the client is built. It is a
+/// profile: clients that differ only in their ids share one behind an
+/// `Arc` ([`crate::UdpPeer::from_profile`]), each keeping its own id,
+/// and nothing writes a profile once a client holds it.
 #[derive(Clone, Debug)]
 #[non_exhaustive]
 pub struct UdpPeerConfig {
-    /// This client's identity.
+    /// This client's identity, read by [`crate::UdpPeer::new`]; a shared
+    /// profile's is ignored.
     pub id: PeerId,
     /// The well-known rendezvous server.
     pub server: Endpoint,

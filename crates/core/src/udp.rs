@@ -30,6 +30,7 @@ use punch_net::{Counters, Endpoint, MetricKey, SimTime};
 use punch_rendezvous::{Message, PeerId, MAX_PAYLOAD};
 use punch_transport::{App, Os, SockEvent, SocketId};
 use rand::Rng;
+use std::sync::Arc;
 
 #[derive(Debug)]
 struct Session {
@@ -137,13 +138,18 @@ pub struct UdpPeerStats {
 /// [`punch_transport::HostDevice::with_app`]; consume results via
 /// [`UdpPeer::take_events`] and the state accessors.
 pub struct UdpPeer {
-    cfg: UdpPeerConfig,
+    /// This client's identity: the one per-client part of its
+    /// configuration. The profile's own `id` is never read.
+    id: PeerId,
+    /// Everything else, shared with every client built from the same
+    /// profile and never written through.
+    profile: Arc<UdpPeerConfig>,
     sock: Option<SocketId>,
     local: Option<Endpoint>,
     public: Option<Endpoint>,
     /// The k-of-n home servers this client registers with: the ring
-    /// owners of its own id, or just `cfg.server` without a fleet. One
-    /// without a fleet, held in place.
+    /// owners of its own id, or just the profile's `server` without a
+    /// fleet. One without a fleet, held in place.
     homes: Inline<ServerSlot, 1>,
     /// Port-prediction state: public endpoint observed by the probe port,
     /// and the measured allocation delta.
@@ -173,8 +179,8 @@ pub struct UdpPeer {
 
 // One per client, inline in its host: a `ShardedWorld` client is one
 // `HostDevice<UdpPeer>` allocation (40 000 of them in `crowd_udp`).
-const _: () = assert!(std::mem::size_of::<UdpPeer>() <= 480);
-const _: () = assert!(std::mem::size_of::<punch_transport::HostDevice<UdpPeer>>() <= 888);
+const _: () = assert!(std::mem::size_of::<UdpPeer>() <= 280);
+const _: () = assert!(std::mem::size_of::<punch_transport::HostDevice<UdpPeer>>() <= 648);
 
 impl UdpPeer {
     /// Creates the endpoint; it registers with S (every home server,
@@ -189,8 +195,21 @@ impl UdpPeer {
     /// configuration time, instead of wrapping to port 0 (or panicking
     /// in debug) when the probe runs.
     pub fn new(cfg: UdpPeerConfig) -> Self {
+        UdpPeer::from_profile(cfg.id, Arc::new(cfg))
+    }
+
+    /// Creates the endpoint `id` from a profile that many clients share:
+    /// a world of clients that differ only in their ids holds one
+    /// [`UdpPeerConfig`], not one per client. The profile's own `id` is
+    /// ignored.
+    ///
+    /// # Panics
+    ///
+    /// As [`UdpPeer::new`].
+    pub fn from_profile(id: PeerId, profile: Arc<UdpPeerConfig>) -> Self {
+        let cfg = &*profile;
         let mut homes = Inline::new();
-        for ep in session::homes(cfg.server, &cfg.fleet, cfg.id, cfg.replication) {
+        for ep in session::homes(cfg.server, &cfg.fleet, id, cfg.replication) {
             flat::push(
                 &mut homes,
                 ServerSlot {
@@ -207,7 +226,8 @@ impl UdpPeer {
              server port or a prediction strategy that needs no probe"
         );
         UdpPeer {
-            cfg,
+            id,
+            profile,
             sock: None,
             local: None,
             public: None,
@@ -315,7 +335,7 @@ impl UdpPeer {
             return;
         }
         let now = os.now();
-        let timeout = self.cfg.punch.session_timeout;
+        let timeout = self.profile.punch.session_timeout;
         let Some(session) = self.sessions.get_mut(&peer) else {
             if !self.is_registered() {
                 self.backlog.push((peer, Asked::Send(data)));
@@ -361,7 +381,6 @@ impl UdpPeer {
     /// reboot), and resume spraying.
     fn start_repunch(&mut self, os: &mut Os<'_, '_>, peer: PeerId) {
         let now = os.now();
-        let plan = self.cfg.punch.plan.clone();
         // A fresh cycle gets a fresh nonce. Reusing the old one would let
         // the peer mistake this cycle's hellos for duplicates of the old
         // cycle and keep its (now dead) locked-in remote instead of
@@ -391,6 +410,9 @@ impl UdpPeer {
                 self.expired_allocs += 1;
             }
         }
+        // The profile and the session table are disjoint fields, so the
+        // plan is borrowed, not cloned, while the session is written.
+        let plan = &self.profile.punch.plan;
         let Some(session) = self.sessions.get_mut(&peer) else {
             return;
         };
@@ -428,7 +450,7 @@ impl UdpPeer {
     /// relay probes ask again.
     fn request_introduction(&mut self, os: &mut Os<'_, '_>, peer: PeerId, nonce: u64) {
         let request = Message::ConnectRequest {
-            peer_id: self.cfg.id,
+            peer_id: self.id,
             target: peer,
             nonce,
         };
@@ -438,7 +460,7 @@ impl UdpPeer {
     /// Forwards one application payload through S (§2.2).
     fn relay_app(&mut self, os: &mut Os<'_, '_>, peer: PeerId, data: &[u8]) {
         self.stats.relay_msgs += 1;
-        let msg = relay::wrap(RelayKind::App, self.cfg.id, peer, data);
+        let msg = relay::wrap(RelayKind::App, self.id, peer, data);
         self.send_server(os, &msg);
     }
 
@@ -456,7 +478,7 @@ impl UdpPeer {
         if self.timers.is_armed(&TimerPurpose::PunchTick(peer)) {
             return;
         }
-        let cfg = &self.cfg.punch;
+        let cfg = &self.profile.punch;
         let mut interval = cfg.spray_interval;
         if cfg.backoff > 1.0 {
             interval = interval
@@ -480,7 +502,7 @@ impl UdpPeer {
             // A new destination consumes one allocation on a symmetric
             // NAT; prediction accounts for these.
             self.dests_seen.insert(to);
-            let _ = os.udp_send(sock, to, msg.encode(self.cfg.obfuscate));
+            let _ = os.udp_send(sock, to, msg.encode(self.profile.obfuscate));
         }
     }
 
@@ -493,7 +515,7 @@ impl UdpPeer {
             .find(|s| s.registered)
             .or(self.homes.first())
             .map(|s| s.ep)
-            .unwrap_or(self.cfg.server)
+            .unwrap_or(self.profile.server)
     }
 
     /// Index of `ep` in the home-server list.
@@ -524,7 +546,7 @@ impl UdpPeer {
                 os,
                 ep,
                 &Message::Register {
-                    peer_id: self.cfg.id,
+                    peer_id: self.id,
                     private,
                 },
             );
@@ -535,7 +557,7 @@ impl UdpPeer {
     /// `None` when that port would overflow a u16 (`new` rejects the
     /// one configuration — Predict — that needs it).
     fn probe_endpoint(&self) -> Option<Endpoint> {
-        let base = self.homes.first().map(|s| s.ep).unwrap_or(self.cfg.server);
+        let base = self.homes.first().map(|s| s.ep).unwrap_or(self.profile.server);
         base.port.checked_add(1).map(|p| base.with_port(p))
     }
 
@@ -559,7 +581,7 @@ impl UdpPeer {
     /// prediction strategies and the probe-port measurements (§5.1,
     /// generalized).
     fn predicted_own_ports(&self) -> Vec<u16> {
-        self.cfg.punch.plan.predicted_ports(
+        self.profile.punch.plan.predicted_ports(
             self.probe_public.map(|p| p.port),
             self.delta,
             self.public.map(|p| p.port),
@@ -579,7 +601,8 @@ impl UdpPeer {
         // plan the private (host) candidate races first — the direct
         // route inside a shared private network is preferred when it
         // answers (§3.3), as in ICE's candidate prioritization.
-        let candidates = CandidateSet::from_sources(&self.cfg.punch.plan.sources, public, private);
+        let candidates =
+            CandidateSet::from_sources(&self.profile.punch.plan.sources, public, private);
         let now = os.now();
         let session = self.sessions.entry(peer).or_insert_with(|| Session::new(nonce));
         session.race.nonce = nonce;
@@ -600,14 +623,14 @@ impl UdpPeer {
         // §5.1 prediction, generalized: tell the peer which ports our
         // NAT is predicted to allocate next, via the relay (it cannot
         // reach us directly yet, by definition).
-        if self.cfg.punch.plan.has_predictions() {
+        if self.profile.punch.plan.has_predictions() {
             let ports = self.predicted_own_ports();
             if !ports.is_empty() {
                 let public_ip = self.public.map(|p| p.ip).unwrap_or(public.ip);
                 let mut body = public_ip.octets().to_vec();
                 body.push(ports.len() as u8);
                 body.extend(ports.iter().flat_map(|p| p.to_be_bytes()));
-                let msg = relay::wrap(RelayKind::Control, self.cfg.id, peer, &body);
+                let msg = relay::wrap(RelayKind::Control, self.id, peer, &body);
                 self.send_server(os, &msg);
             }
         }
@@ -629,7 +652,7 @@ impl UdpPeer {
                 os,
                 cand,
                 &Message::PeerHello {
-                    from: self.cfg.id,
+                    from: self.id,
                     nonce,
                 },
             );
@@ -658,8 +681,8 @@ impl UdpPeer {
 
     fn establish(&mut self, os: &mut Os<'_, '_>, peer: PeerId, remote: Endpoint) {
         let now = os.now();
-        let keepalive = self.cfg.punch.keepalive_interval;
-        let race_metrics = self.cfg.punch.plan.has_predictions();
+        let keepalive = self.profile.punch.keepalive_interval;
+        let race_metrics = self.profile.punch.plan.has_predictions();
         let Some(session) = self.sessions.get_mut(&peer) else {
             return;
         };
@@ -766,10 +789,10 @@ impl UdpPeer {
                     os.metric_inc("punch.registered");
                     flat::push(&mut self.events, PeerEvent::Registered { public });
                     if !self.timers.is_armed(&TimerPurpose::ServerKeepalive) {
-                        let ka = self.cfg.server_keepalive;
+                        let ka = self.profile.server_keepalive;
                         self.arm(os, ka, TimerPurpose::ServerKeepalive);
                     }
-                    if self.cfg.punch.plan.needs_probe() {
+                    if self.profile.punch.plan.needs_probe() {
                         // Measure the allocation delta via the probe port.
                         if let Some(probe) = self.probe_endpoint() {
                             self.send_to(os, probe, &Message::Ping);
@@ -840,7 +863,7 @@ impl UdpPeer {
                     os,
                     from,
                     &Message::PeerHelloAck {
-                        from: self.cfg.id,
+                        from: self.id,
                         nonce,
                     },
                 );
@@ -873,9 +896,9 @@ impl UdpPeer {
     }
 
     fn fail_punch(&mut self, os: &mut Os<'_, '_>, peer: PeerId, reason: &'static str) {
-        let relay = self.cfg.punch.relay_fallback;
-        let probe_interval = self.cfg.punch.relay_probe_interval;
-        let race_metrics = self.cfg.punch.plan.has_predictions();
+        let relay = self.profile.punch.relay_fallback;
+        let probe_interval = self.profile.punch.relay_probe_interval;
+        let race_metrics = self.profile.punch.plan.has_predictions();
         let Some(session) = self.sessions.get_mut(&peer) else {
             return;
         };
@@ -918,7 +941,7 @@ impl App for UdpPeer {
         self.sock = Some(sock);
         self.local = os.local_endpoint(sock).ok();
         self.register_all(os);
-        self.arm(os, self.cfg.register_retry, TimerPurpose::RegisterRetry);
+        self.arm(os, self.profile.register_retry, TimerPurpose::RegisterRetry);
     }
 
     fn counters(&self, c: &mut Counters<'_>) {
@@ -946,16 +969,16 @@ impl App for UdpPeer {
             TimerPurpose::RegisterRetry => {
                 if !self.is_registered() {
                     self.register_all(os);
-                    self.arm(os, self.cfg.register_retry, TimerPurpose::RegisterRetry);
+                    self.arm(os, self.profile.register_retry, TimerPurpose::RegisterRetry);
                 }
             }
             TimerPurpose::ServerKeepalive => {
                 let now = os.now();
-                let ka = self.cfg.server_keepalive;
+                let ka = self.profile.server_keepalive;
                 // Two missed keepalive acks (plus a retry's grace) mean a
                 // server is gone — most likely restarted with empty
                 // tables. Each home slot is judged on its own acks.
-                let lost_after = ka * 2 + self.cfg.register_retry;
+                let lost_after = ka * 2 + self.profile.register_retry;
                 let was_registered = self.is_registered();
                 let mut lost = 0u64;
                 for slot in self.homes.iter_mut() {
@@ -970,7 +993,7 @@ impl App for UdpPeer {
                     os.metric_inc("punch.server_lost");
                     flat::push(&mut self.events, PeerEvent::ServerLost);
                     self.register_all(os);
-                    self.arm(os, self.cfg.register_retry, TimerPurpose::RegisterRetry);
+                    self.arm(os, self.profile.register_retry, TimerPurpose::RegisterRetry);
                     return;
                 }
                 if lost > 0 {
@@ -986,7 +1009,7 @@ impl App for UdpPeer {
                 self.arm(os, ka, TimerPurpose::ServerKeepalive);
             }
             TimerPurpose::PunchTick(peer) => {
-                let max = self.cfg.punch.max_attempts;
+                let max = self.profile.punch.max_attempts;
                 let Some(session) = self.sessions.get_mut(&peer) else {
                     return;
                 };
@@ -1006,10 +1029,10 @@ impl App for UdpPeer {
                 self.arm_punch_tick(os, peer);
             }
             TimerPurpose::Keepalive(peer) => {
-                let interval = self.cfg.punch.keepalive_interval;
-                let timeout = self.cfg.punch.session_timeout;
-                let miss_limit = self.cfg.punch.keepalive_miss_limit;
-                let auto_repunch = self.cfg.punch.auto_repunch;
+                let interval = self.profile.punch.keepalive_interval;
+                let timeout = self.profile.punch.session_timeout;
+                let miss_limit = self.profile.punch.keepalive_miss_limit;
+                let auto_repunch = self.profile.punch.auto_repunch;
                 let now = os.now();
                 let Some(session) = self.sessions.get_mut(&peer) else {
                     return;
@@ -1049,7 +1072,7 @@ impl App for UdpPeer {
                 // and upgrade to the direct path if it now works (the
                 // blocking condition — a restrictive NAT, an outage —
                 // may have cleared).
-                let Some(interval) = self.cfg.punch.relay_probe_interval else {
+                let Some(interval) = self.profile.punch.relay_probe_interval else {
                     return;
                 };
                 let Some(session) = self.sessions.get_mut(&peer) else {
@@ -1202,6 +1225,24 @@ mod tests {
             "client registers with exactly its k ring owners"
         );
         assert_eq!(peer.primary(), owners[0]);
+    }
+
+    #[test]
+    fn peers_built_from_one_profile_share_it_and_keep_their_own_ids() {
+        let fleet: Vec<Endpoint> = (0..4u8)
+            .map(|j| format!("18.181.0.{}:1234", 31 + j).parse().unwrap())
+            .collect();
+        let profile =
+            Arc::new(UdpPeerConfig::new(PeerId(99), fleet[0]).with_fleet(fleet.clone(), 2));
+        let a = UdpPeer::from_profile(PeerId(1), Arc::clone(&profile));
+        let b = UdpPeer::from_profile(PeerId(2), Arc::clone(&profile));
+        assert_eq!(Arc::strong_count(&profile), 3, "no peer copied the profile");
+        assert!(Arc::ptr_eq(&a.profile, &b.profile));
+        for (peer, id) in [(&a, PeerId(1)), (&b, PeerId(2))] {
+            assert_eq!(peer.id, id);
+            let homes: Vec<Endpoint> = peer.homes.iter().map(|h| h.ep).collect();
+            assert_eq!(homes, punch_rendezvous::ring::owners(&fleet, id, 2));
+        }
     }
 
     #[test]

@@ -45,6 +45,7 @@ use punch_net::{
 use punch_rendezvous::{RendezvousServer, ServerConfig, ServerStats, SERVER_PORT};
 use punch_transport::{HostDevice, StackConfig};
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 /// Configuration for a [`ShardedWorld`].
 #[derive(Clone, Debug)]
@@ -245,6 +246,30 @@ impl ShardedWorld {
         };
         let replication = cfg.replication.clamp(1, cfg.servers.max(1));
 
+        // Each profile is made once per world and shared by every node
+        // built from it (DESIGN.md §3 decision 16): a node keeps only
+        // what differs per node, a client its id (the profiles' own
+        // `PeerId(0)` is never read).
+        let client_stack = Arc::new(StackConfig::fast());
+        let cone = Arc::new(NatBehavior::port_restricted_cone());
+        let symmetric_nat = Arc::new(NatBehavior::symmetric());
+        let mut client = if cfg.resilient_clients {
+            UdpPeerConfig::resilient(PeerId(0), server_ep)
+        } else {
+            UdpPeerConfig::new(PeerId(0), server_ep)
+        };
+        if !fleet.is_empty() {
+            client = client.with_fleet(fleet.clone(), replication);
+        }
+        let predicting = cfg.predict_symmetric.then(|| {
+            let mut p = client.clone();
+            p.punch.plan = CandidatePlan::basic().with_source(CandidateSource::SelfPredicted(
+                PredictionStrategy::SequentialDelta { window: 8 },
+            ));
+            Arc::new(p)
+        });
+        let client = Arc::new(client);
+
         let mut shards = Vec::with_capacity(shard_count);
         let mut nodes = 0usize;
         for s in 0..shard_count {
@@ -273,10 +298,10 @@ impl ShardedWorld {
             for i in (s..cfg.sessions).step_by(shard_count) {
                 let symmetric = cfg.symmetric_every > 0
                     && i % cfg.symmetric_every == cfg.symmetric_every - 1;
-                let behavior = if symmetric {
-                    NatBehavior::symmetric()
-                } else {
-                    NatBehavior::port_restricted_cone()
+                let behavior = if symmetric { &symmetric_nat } else { &cone };
+                let profile = match &predicting {
+                    Some(p) if symmetric => p,
+                    _ => &client,
                 };
                 // Globally unique public addresses: 30.x for A-side NATs,
                 // 31.x for B-side (realm-private client addresses repeat).
@@ -287,23 +312,16 @@ impl ShardedWorld {
 
                 // One side of the session: its NAT, then its client.
                 let mut side = |tag: &str, nat_ip: Ipv4Addr, client_ip: Ipv4Addr, id: PeerId| {
-                    let nat = net.nat(format!("m{i}.n{tag}"), behavior.clone(), nat_ip, None, nat_wan);
-                    let mut ucfg = if cfg.resilient_clients {
-                        UdpPeerConfig::resilient(id, server_ep)
-                    } else {
-                        UdpPeerConfig::new(id, server_ep)
-                    };
-                    if !fleet.is_empty() {
-                        ucfg = ucfg.with_fleet(fleet.clone(), replication);
-                    }
-                    if cfg.predict_symmetric && symmetric {
-                        ucfg.punch.plan =
-                            CandidatePlan::basic().with_source(CandidateSource::SelfPredicted(
-                                PredictionStrategy::SequentialDelta { window: 8 },
-                            ));
-                    }
-                    let app = UdpPeer::new(ucfg);
-                    net.host(format!("m{i}.{tag}"), client_ip, StackConfig::fast(), app, Some(nat), lan)
+                    let nat = net.nat(
+                        format!("m{i}.n{tag}"),
+                        Arc::clone(behavior),
+                        nat_ip,
+                        None,
+                        nat_wan,
+                    );
+                    let app = UdpPeer::from_profile(id, Arc::clone(profile));
+                    let stack = Arc::clone(&client_stack);
+                    net.host(format!("m{i}.{tag}"), client_ip, stack, app, Some(nat), lan)
                 };
                 let a = side("a", nat_a_ip, addrs::CLIENT_A, peer_a);
                 let b = side("b", nat_b_ip, addrs::CLIENT_B, peer_b);
@@ -631,6 +649,49 @@ mod tests {
                         "session {} still holds {held:?}",
                         sess.global
                     );
+                }
+            }
+        }
+    }
+
+    /// With a fleet, each client registers under its own id with its
+    /// own ring owners, and with no other member.
+    #[test]
+    fn fleet_clients_register_under_their_own_ids_with_their_own_homes() {
+        let mut cfg = ShardConfig::new(11, 6);
+        cfg.shards = 2;
+        cfg.servers = 4;
+        cfg.replication = 2;
+        let mut w = ShardedWorld::build(&cfg);
+        w.run();
+        assert_eq!(w.outcome_counts().pending, 0);
+        let fleet: Vec<Endpoint> = (0..4)
+            .map(|j| Endpoint::new(Ipv4Addr::new(18, 181, 0, 31 + j), SERVER_PORT))
+            .collect();
+        for shard in &w.shards {
+            for sess in &shard.sessions {
+                let i = sess.global as u32;
+                let sides = [
+                    (PeerId(sess.peer_b.0 - 1), 0x1E00_0000 + i),
+                    (sess.peer_b, 0x1F00_0000 + i),
+                ];
+                for (id, nat_ip) in sides {
+                    let homes = punch_rendezvous::ring::owners(&fleet, id, 2);
+                    for (j, &node) in shard.servers.iter().enumerate() {
+                        let reg = shard
+                            .sim
+                            .device::<HostDevice<RendezvousServer>>(node)
+                            .app::<RendezvousServer>()
+                            .udp_registration(id);
+                        assert_eq!(
+                            reg.is_some(),
+                            homes.contains(&fleet[j]),
+                            "{id:?} at server{j}, homes {homes:?}"
+                        );
+                        if let Some((public, _)) = reg {
+                            assert_eq!(public.ip, Ipv4Addr::from(nat_ip), "{id:?}");
+                        }
+                    }
                 }
             }
         }

@@ -6,6 +6,7 @@ use punch_net::testutil::SinkDevice;
 use punch_net::{Duration, Endpoint, Packet};
 use punch_rendezvous::{RendezvousServer, ServerConfig};
 use punch_transport::{App, Os, SockEvent};
+use std::sync::Arc;
 
 /// Sends one datagram to the rendezvous port at start-up.
 struct Pinger;
@@ -116,6 +117,28 @@ fn nat_iface_zero_faces_upstream() {
         world.sim.device::<NatDevice>(nat).stats().inbound_blocked,
         1
     );
+}
+
+/// Several NATs built from one shared behaviour: reconfiguring one of
+/// them replaces that NAT's profile and never writes through the shared
+/// one, so the others keep it.
+#[test]
+fn set_nat_behavior_changes_only_the_nat_it_names() {
+    let profile = Arc::new(NatBehavior::symmetric());
+    let mut wb = WorldBuilder::new(9);
+    for ip in [addrs::NAT_A, addrs::NAT_B, addrs::ISP_NAT_A] {
+        wb.nat(Arc::clone(&profile), ip);
+    }
+    let mut world = wb.build();
+    let nats = world.nats.clone();
+    assert_eq!(Arc::strong_count(&profile), 4, "the NATs share one profile");
+    world.set_nat_behavior(nats[1], NatBehavior::well_behaved());
+    assert_eq!(*world.nat(nats[1]).behavior(), NatBehavior::well_behaved());
+    for n in [nats[0], nats[2]] {
+        assert!(std::ptr::eq(world.nat(n).behavior(), &*profile));
+    }
+    assert_eq!(*profile, NatBehavior::symmetric());
+    assert_eq!(Arc::strong_count(&profile), 3);
 }
 
 #[test]

@@ -13,6 +13,7 @@ use punch_net::{Cidr, Endpoint, FaultPlan, LinkId, LinkSpec, NodeId, Router, Sim
 use punch_rendezvous::{RendezvousServer, ServerConfig, SERVER_PORT};
 use punch_transport::{App, HostDevice, Os, StackConfig};
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 /// The paper's example addresses (Figure 5 / Figure 6).
 pub mod addrs {
@@ -69,7 +70,7 @@ impl Backbone {
         &mut self,
         name: impl AsRef<str>,
         ip: Ipv4Addr,
-        stack: StackConfig,
+        stack: impl Into<Arc<StackConfig>>,
         app: A,
         behind: Option<NodeId>,
         link: LinkSpec,
@@ -89,7 +90,7 @@ impl Backbone {
     pub(crate) fn nat(
         &mut self,
         name: impl AsRef<str>,
-        behavior: NatBehavior,
+        behavior: Arc<NatBehavior>,
         public_ip: Ipv4Addr,
         behind: Option<NodeId>,
         link: LinkSpec,
@@ -140,7 +141,7 @@ struct HostSpec {
 }
 
 struct NatSpec {
-    behavior: NatBehavior,
+    behavior: Arc<NatBehavior>,
     public_ip: Ipv4Addr,
     parent: Option<usize>,
 }
@@ -246,6 +247,7 @@ impl World {
     /// Swaps the NAT behavior on `node` (e.g. clearing a restrictive
     /// NAT to let a relayed pair upgrade to a direct path). Existing
     /// mappings survive; only new allocations see the new behavior.
+    /// Other NATs built from the same profile keep it.
     pub fn set_nat_behavior(&mut self, node: NodeId, behavior: NatBehavior) {
         self.sim.device_mut::<NatDevice>(node).set_behavior(behavior);
     }
@@ -311,8 +313,9 @@ impl WorldBuilder {
         self.servers.len() - 1
     }
 
-    /// Adds a top-level NAT; returns its index.
-    pub fn nat(&mut self, behavior: NatBehavior, public_ip: Ipv4Addr) -> usize {
+    /// Adds a top-level NAT; returns its index. `behavior` is a value or
+    /// an `Arc` that several NATs share.
+    pub fn nat(&mut self, behavior: impl Into<Arc<NatBehavior>>, public_ip: Ipv4Addr) -> usize {
         self.push_nat(behavior, public_ip, None)
     }
 
@@ -332,13 +335,18 @@ impl WorldBuilder {
         self.push_nat(behavior, realm_ip, Some(parent))
     }
 
-    fn push_nat(&mut self, behavior: NatBehavior, public_ip: Ipv4Addr, parent: Option<usize>) -> usize {
+    fn push_nat(
+        &mut self,
+        behavior: impl Into<Arc<NatBehavior>>,
+        public_ip: Ipv4Addr,
+        parent: Option<usize>,
+    ) -> usize {
         assert!(
             parent.is_none_or(|p| p < self.nats.len()),
             "parent NAT must be declared first"
         );
         self.nats.push(NatSpec {
-            behavior,
+            behavior: behavior.into(),
             public_ip,
             parent,
         });

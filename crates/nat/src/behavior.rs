@@ -81,6 +81,13 @@ pub enum Hairpin {
 
 /// Full behavioural configuration of a NAT device.
 ///
+/// Set fields by assignment or with the `with_*` helpers, before the
+/// device is built. It is a profile: NATs that behave alike share one
+/// behind an `Arc` ([`crate::NatDevice::new`] takes either), and a
+/// device's profile is never written through.
+/// [`crate::NatDevice::set_behavior`] gives that one device a new
+/// profile and leaves the others on the old one.
+///
 /// # Examples
 ///
 /// ```

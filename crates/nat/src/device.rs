@@ -25,6 +25,7 @@ use punch_net::{
 };
 use rand::Rng;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// The public-facing interface index.
@@ -70,7 +71,9 @@ pub struct NatStats {
 /// assert_eq!(nat.behavior().port_base, 62000);
 /// ```
 pub struct NatDevice {
-    behavior: NatBehavior,
+    /// Shared with every NAT built from the same profile; never written
+    /// through ([`NatDevice::set_behavior`] replaces it).
+    behavior: Arc<NatBehavior>,
     public_ip: Ipv4Addr,
     tables: NatTables,
     /// Learned private hosts; a home NAT has one, held in place, and
@@ -82,17 +85,19 @@ pub struct NatDevice {
 
 // One per NAT, boxed into the sim's device table: 40 000 of them in
 // the benchmark's `crowd_udp`.
-const _: () = assert!(std::mem::size_of::<NatDevice>() <= 256);
+const _: () = assert!(std::mem::size_of::<NatDevice>() <= 200);
 
 impl NatDevice {
     /// Creates a NAT owning the one public address in `public_ips`.
+    /// `behavior` is a value or an `Arc` that many NATs share.
     ///
     /// # Panics
     ///
     /// Panics unless `public_ips` holds exactly one address.
-    pub fn new(behavior: NatBehavior, public_ips: Vec<Ipv4Addr>) -> Self {
+    pub fn new(behavior: impl Into<Arc<NatBehavior>>, public_ips: Vec<Ipv4Addr>) -> Self {
         assert!(public_ips.len() == 1, "a NAT needs exactly one public IP");
         let public_ip = public_ips[0];
+        let behavior = behavior.into();
         let next_seq_port = behavior.port_base;
         NatDevice {
             behavior,
@@ -153,11 +158,13 @@ impl NatDevice {
             .max(1024);
     }
 
-    /// Replaces the behaviour configuration in place, keeping existing
+    /// Replaces this device's behaviour configuration, keeping existing
     /// mappings. Models a reconfigured middlebox (e.g. a firmware update
-    /// fixing a symmetric NAT); new mappings follow the new policy.
+    /// fixing a symmetric NAT); new mappings follow the new policy. Only
+    /// this device changes: other NATs built from the old profile keep
+    /// it.
     pub fn set_behavior(&mut self, behavior: NatBehavior) {
-        self.behavior = behavior;
+        self.behavior = Arc::new(behavior);
     }
 
     /// Allocates a public port per the configured policy. `None` when
@@ -625,7 +632,7 @@ mod tests {
     #[test]
     fn inbound_dropped_for_ttl_leaves_the_mapping_as_it_was() {
         let (mut sim, nat) = nat_with_one_tcp_mapping();
-        sim.device_mut::<NatDevice>(nat).behavior.filtering =
+        Arc::make_mut(&mut sim.device_mut::<NatDevice>(nat).behavior).filtering =
             crate::behavior::FilteringPolicy::AddressDependent;
         let before = mappings(&sim, nat);
         inbound_that_would_touch_everything(&mut sim, nat, 1);
@@ -641,7 +648,8 @@ mod tests {
     fn inbound_dropped_for_unknown_private_host_leaves_the_mapping_as_it_was() {
         let (mut sim, nat) = nat_with_one_tcp_mapping();
         let dev = sim.device_mut::<NatDevice>(nat);
-        dev.behavior.filtering = crate::behavior::FilteringPolicy::AddressDependent;
+        Arc::make_mut(&mut dev.behavior).filtering =
+            crate::behavior::FilteringPolicy::AddressDependent;
         // The NAT forgot which interface the host is behind, not the mapping.
         dev.private_iface = FlatMap::default();
         let before = mappings(&sim, nat);

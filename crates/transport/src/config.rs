@@ -35,7 +35,9 @@ pub(crate) const EPHEMERAL_PORTS: (u16, u16) = (49152, 65535);
 /// short simulations: the profile is the knob for those two); tests
 /// assign the public fields to force specific orderings. The MSS (1400
 /// bytes), SYN retries (5), RTO cap (60 s) and ephemeral port range
-/// (49152–65535) are fixed.
+/// (49152–65535) are fixed. Hosts that run alike share one
+/// configuration behind an `Arc` ([`crate::HostDevice::new`] takes a
+/// value or the `Arc`).
 #[derive(Clone, Debug)]
 #[non_exhaustive]
 pub struct StackConfig {

@@ -21,6 +21,7 @@ use rand::Rng;
 use std::any::Any;
 use std::cell::RefCell;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// The socket-facing system interface handed to application callbacks.
@@ -256,11 +257,12 @@ pub struct HostDevice<A: App = Box<dyn App>> {
 }
 
 // One per host, boxed into the sim's device table.
-const _: () = assert!(std::mem::size_of::<HostDevice>() <= 424);
+const _: () = assert!(std::mem::size_of::<HostDevice>() <= 384);
 
 impl<A: App> HostDevice<A> {
-    /// Creates a host with address `ip` running `app`.
-    pub fn new(ip: Ipv4Addr, cfg: StackConfig, app: A) -> Self {
+    /// Creates a host with address `ip` running `app`. `cfg` is a value
+    /// or an `Arc` that many hosts share.
+    pub fn new(ip: Ipv4Addr, cfg: impl Into<Arc<StackConfig>>, app: A) -> Self {
         // The stack RNG is reseeded from the node's deterministic stream
         // in `on_start`; the placeholder seed only covers direct
         // stack manipulation before the simulation first runs.

@@ -21,6 +21,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Maximum connections queued on a listener awaiting `accept`.
@@ -88,7 +89,8 @@ impl Outboxes {
 #[derive(Debug)]
 pub struct HostStack {
     ip: Ipv4Addr,
-    cfg: StackConfig,
+    /// Shared with every host built from the same profile.
+    cfg: Arc<StackConfig>,
     rng: StdRng,
     /// Secret for RFC 6528-style ISS generation.
     iss_secret: u64,
@@ -116,14 +118,15 @@ pub struct HostStack {
 
 // One per host, inline in its `HostDevice`: 40 004 of them in the
 // benchmark's `crowd_udp`.
-const _: () = assert!(std::mem::size_of::<HostStack>() <= 400);
+const _: () = assert!(std::mem::size_of::<HostStack>() <= 360);
 
 impl HostStack {
-    /// Creates a stack for a host with address `ip`.
-    pub fn new(ip: Ipv4Addr, cfg: StackConfig, seed: u64) -> Self {
+    /// Creates a stack for a host with address `ip`. `cfg` is a value
+    /// or an `Arc` that many stacks share.
+    pub fn new(ip: Ipv4Addr, cfg: impl Into<Arc<StackConfig>>, seed: u64) -> Self {
         HostStack {
             ip,
-            cfg,
+            cfg: cfg.into(),
             rng: StdRng::seed_from_u64(seed),
             iss_secret: seed ^ 0x1505_1505_1505_1505,
             next_sock: 1,

@@ -150,27 +150,29 @@ if grep '^ *trace\.replica_matches' "$tmp/smoke.txt" | grep -v ' 1\.000000 count
     exit 1
 fi
 
-echo "== memory gates: full-size fleet_churn peaks under 20 MiB, server_storm under 48, crowd_udp under 130 =="
-# fleet_churn (16.9 MiB) ran to 143 MiB while drained event-queue buckets
+echo "== memory gates: full-size fleet_churn peaks under 17 MiB, server_storm under 48, crowd_udp under 116 =="
+# fleet_churn (15.6 MiB) ran to 143 MiB while drained event-queue buckets
 # kept their buffers; retention coming back, or a generator made for
 # each of its NATs and routers, is a red build.
-peak_rss_under fleet_churn 20
+peak_rss_under fleet_churn 17
 # server_storm (45.5 MiB) injects 150 000 datagrams at one instant: one
 # queue entry per burst (its packets chained through the arena), so its
 # queue never holds more than 64 entries and never builds a wheel, slab
 # or working set. A queue entry per datagram again adds about 5 MiB, and
 # no test sees it.
 peak_rss_under server_storm 48
-# crowd_udp (118.6 MiB, 80 008 nodes) is where the queue's retention
+# crowd_udp (105.7 MiB, 80 008 nodes) is where the queue's retention
 # would show: its slab keeps the most entries the wheel ever held and its
 # working set the capacity of its largest day. Each of its 40 000 clients
 # is one `HostDevice<UdpPeer>` allocation with its session inline and no
 # idle outbox buffers, each of its NATs holds its mapping, filter holes
 # and learned host in place, and the engine keeps 40 B per node and per
-# link with an RNG only for a node that draws; a per-session side
+# link with an RNG only for a node that draws, and every client, client
+# stack and NAT shares its world's one profile; a per-session side
 # record, a boxed part per host or per mapping, a tiny table on the heap,
-# a race set with spare slots, start-up events held through the punch or
-# an eager generator per node comes back here.
-peak_rss_under crowd_udp 130
+# a race set with spare slots, start-up events held through the punch,
+# an eager generator per node or a profile copied into each node comes
+# back here.
+peak_rss_under crowd_udp 116
 
 echo "OK"
