@@ -15,7 +15,8 @@
 //! plan order, then the ports the peer announced — with per-candidate
 //! first-probe / first-response stamps and the winner flag. Every volley
 //! probes every candidate. Both the UDP and TCP punch paths race the same
-//! structure.
+//! structure. A predicting UDP client's own §5.1 state, from which its
+//! `SelfPredicted` sources derive the ports it announces, is a `Predictor`.
 //!
 //! The default plan ([`CandidatePlan::basic`], private before public)
 //! reproduces the paper's spray byte-for-byte; TCP races its peer's
@@ -24,7 +25,10 @@
 //! draws no randomness and performs no wall-clock reads, so outcomes are
 //! byte-identical at any worker count.
 
-use punch_net::{flat, Endpoint, SimTime};
+use punch_net::flat::{self, FlatSet};
+use punch_net::{Endpoint, SimTime};
+use punch_rendezvous::PROBE_PORT;
+use std::net::Ipv4Addr;
 
 /// Where a candidate endpoint came from. Kinds label per-candidate
 /// stamps, the `punch.winner_kind` metric, and race events.
@@ -57,7 +61,7 @@ pub enum PredictionStrategy {
     /// The paper's §5.1 trick, generalized: the next `window` ports at
     /// the measured allocation stride, *accounting for allocations this
     /// endpoint has consumed since the stride was measured*. Needs the
-    /// probe-port measurement (server port + 1).
+    /// probe-port measurement (S's `PROBE_PORT`).
     SequentialDelta {
         /// How many future allocations to cover.
         window: u16,
@@ -80,36 +84,20 @@ pub enum PredictionStrategy {
 }
 
 impl PredictionStrategy {
-    /// True when this strategy needs the probe-port stride measurement
-    /// (a registration with the server's port + 1, §5.1).
-    pub fn needs_probe(self) -> bool {
-        matches!(
-            self,
-            PredictionStrategy::SequentialDelta { .. } | PredictionStrategy::StrideMultiple { .. }
-        )
-    }
-
     /// Append this strategy's predicted ports to `out`, given the
-    /// peer's probe-port measurements. Ports below 1024 are skipped — NATs
-    /// do not allocate in the privileged range.
-    fn ports(
-        self,
-        probe_port: Option<u16>,
-        delta: Option<i32>,
-        public_port: Option<u16>,
-        consumed: u32,
-        out: &mut Vec<u16>,
-    ) {
+    /// client's §5.1 state and its observed public port. Ports below
+    /// 1024 are skipped — NATs do not allocate in the privileged range.
+    fn ports(self, state: &Predictor, public_port: Option<u16>, out: &mut Vec<u16>) {
         match self {
             PredictionStrategy::SequentialDelta { window } => {
-                let (Some(probe), Some(delta)) = (probe_port, delta) else {
+                let Some((probe, delta)) = state.stride else {
                     return;
                 };
                 if delta == 0 {
                     return;
                 }
                 let base = i32::from(probe);
-                let consumed = consumed as i32;
+                let consumed = state.consumed() as i32;
                 for k in 1..=i32::from(window) {
                     // Modular arithmetic: NAT port pools wrap.
                     let p = (base + delta * (consumed + k)).rem_euclid(65536) as u16;
@@ -119,7 +107,7 @@ impl PredictionStrategy {
                 }
             }
             PredictionStrategy::StrideMultiple { window } => {
-                let (Some(probe), Some(delta)) = (probe_port, delta) else {
+                let Some((probe, delta)) = state.stride else {
                     return;
                 };
                 if delta == 0 {
@@ -207,36 +195,33 @@ impl CandidatePlan {
 
     /// True when any source predicts ports (and so the race can go
     /// beyond the paper's private+public pair).
-    pub fn has_predictions(&self) -> bool {
+    pub(crate) fn has_predictions(&self) -> bool {
         self.sources
             .iter()
             .any(|s| matches!(s, CandidateSource::SelfPredicted(_)))
     }
 
     /// True when any prediction strategy needs the probe-port stride
-    /// measurement (a second registration at server port + 1, §5.1).
-    pub fn needs_probe(&self) -> bool {
-        self.sources.iter().any(|s| match s {
-            CandidateSource::SelfPredicted(p) => p.needs_probe(),
-            _ => false,
+    /// measurement: a `Ping` to S's `PROBE_PORT`, whose answer echoes
+    /// the NAT's mapping toward that second port (§5.1).
+    fn needs_probe(&self) -> bool {
+        use PredictionStrategy::{SequentialDelta, StrideMultiple};
+        self.sources.iter().any(|s| {
+            matches!(
+                s,
+                CandidateSource::SelfPredicted(SequentialDelta { .. } | StrideMultiple { .. })
+            )
         })
     }
 
-    /// The ports this endpoint predicts for itself and announces to the
-    /// peer, concatenated over every `SelfPredicted` source in plan
-    /// order, deduplicated keep-first, capped at 255 (the wire count is
-    /// a single byte).
-    pub fn predicted_ports(
-        &self,
-        probe_port: Option<u16>,
-        delta: Option<i32>,
-        public_port: Option<u16>,
-        consumed: u32,
-    ) -> Vec<u16> {
+    /// The ports this endpoint predicts for itself from its §5.1 state
+    /// and its observed public port, concatenated over every
+    /// `SelfPredicted` source in plan order, deduplicated keep-first.
+    pub(crate) fn predicted_ports(&self, state: &Predictor, public_port: Option<u16>) -> Vec<u16> {
         let mut out = Vec::new();
         for source in &self.sources {
             if let CandidateSource::SelfPredicted(strategy) = *source {
-                strategy.ports(probe_port, delta, public_port, consumed, &mut out);
+                strategy.ports(state, public_port, &mut out);
             }
         }
         // Deduplicate keep-first: overlapping windows (or a window that
@@ -250,8 +235,64 @@ impl CandidatePlan {
                 true
             }
         });
-        out.truncate(255);
         out
+    }
+}
+
+/// A predicting client's §5.1 state: its NAT's allocation stride,
+/// measured against S's probe port, and the allocations spent since.
+#[derive(Debug)]
+pub(crate) struct Predictor {
+    /// S's probe port on the first home server's address, when a
+    /// strategy needs the stride.
+    pub(crate) probe: Option<Endpoint>,
+    /// The port the probe observed and its stride from the port S
+    /// observed, once the probe has answered.
+    pub(crate) stride: Option<(u16, i32)>,
+    /// Destinations other than S with a presumed-live mapping: on a
+    /// symmetric NAT each consumed one allocation when first contacted.
+    dests: FlatSet<Endpoint>,
+    /// Allocations spent on mappings that have since expired: a re-punch
+    /// retires the dead race's destinations from `dests` into this
+    /// count, because re-contacting them consumes *fresh* allocations —
+    /// the allocator's cursor never moves backwards.
+    expired: u32,
+}
+
+impl Predictor {
+    pub(crate) fn new(plan: &CandidatePlan, server_ip: Ipv4Addr) -> Self {
+        Predictor {
+            probe: plan
+                .needs_probe()
+                .then(|| Endpoint::new(server_ip, PROBE_PORT)),
+            stride: None,
+            dests: FlatSet::default(),
+            expired: 0,
+        }
+    }
+
+    /// The probe's answer: it observed our mapping at `probed`, where S
+    /// observes `public`.
+    pub(crate) fn measured(&mut self, probed: Endpoint, public: Option<Endpoint>) {
+        let stride = |main: Endpoint| i32::from(probed.port) - i32::from(main.port);
+        self.stride = public.map(|main| (probed.port, stride(main)));
+    }
+
+    /// Notes a datagram to `to`, which is not a home server.
+    pub(crate) fn sent(&mut self, to: Endpoint) {
+        if Some(to) != self.probe {
+            self.dests.insert(to);
+        }
+    }
+
+    pub(crate) fn retire(&mut self, dest: Endpoint) {
+        if self.dests.remove(&dest) {
+            self.expired += 1;
+        }
+    }
+
+    fn consumed(&self) -> u32 {
+        self.dests.len() as u32 + self.expired
     }
 }
 
@@ -332,8 +373,8 @@ impl CandidateSet {
     /// one IP). Duplicates of already seated endpoints — including a
     /// predicted window overlapping the peer's observed public port —
     /// collapse away.
-    pub(crate) fn merge_announced(&mut self, ip: std::net::Ipv4Addr, ports: &[u16]) {
-        for &port in ports {
+    pub(crate) fn merge_announced(&mut self, ip: Ipv4Addr, ports: impl IntoIterator<Item = u16>) {
+        for port in ports {
             self.insert(Endpoint::new(ip, port), CandidateKind::Predicted);
         }
     }
@@ -379,7 +420,7 @@ impl CandidateSet {
     }
 
     /// Whether any candidate shares `ip` (TCP accept matching).
-    pub(crate) fn any_ip(&self, ip: std::net::Ipv4Addr) -> bool {
+    pub(crate) fn any_ip(&self, ip: Ipv4Addr) -> bool {
         self.stamps.iter().any(|s| s.endpoint.ip == ip)
     }
 
@@ -388,12 +429,12 @@ impl CandidateSet {
         self.stamps.clone()
     }
 
-    /// How many candidates have been probed at least once.
-    pub(crate) fn probed_count(&self) -> usize {
+    /// Every candidate probed at least once, in race order.
+    pub(crate) fn probed(&self) -> impl Iterator<Item = Endpoint> + '_ {
         self.stamps
             .iter()
             .filter(|s| s.first_probe.is_some())
-            .count()
+            .map(|s| s.endpoint)
     }
 
     pub(crate) fn is_empty(&self) -> bool {
@@ -426,6 +467,22 @@ mod tests {
 
     fn from_plan(plan: &CandidatePlan, public: Endpoint, private: Endpoint) -> CandidateSet {
         CandidateSet::from_sources(&plan.sources, public, private)
+    }
+
+    /// §5.1 state with `stride` measured and `consumed` allocations
+    /// spent since.
+    fn state(stride: Option<(u16, i32)>, consumed: u32) -> Predictor {
+        let mut state = Predictor::new(&predicting(4), Ipv4Addr::new(18, 181, 0, 31));
+        state.stride = stride;
+        state.expired = consumed;
+        state
+    }
+
+    /// The paper's pair plus a sequential-delta window.
+    fn predicting(window: u16) -> CandidatePlan {
+        CandidatePlan::basic().with_source(CandidateSource::SelfPredicted(
+            PredictionStrategy::SequentialDelta { window },
+        ))
     }
 
     #[test]
@@ -468,7 +525,7 @@ mod tests {
         let mut set = CandidateSet::default();
         set.insert(ep("9.9.9.9:9000"), CandidateKind::Public);
         // The same endpoint announced later as a prediction collapses.
-        set.merge_announced("9.9.9.9".parse().unwrap(), &[9000, 9001]);
+        set.merge_announced("9.9.9.9".parse().unwrap(), [9000, 9001]);
         let stamps = set.stamps();
         assert_eq!(stamps.len(), 2);
         assert_eq!(stamps[0].kind, CandidateKind::Public);
@@ -481,17 +538,21 @@ mod tests {
             PredictionStrategy::SequentialDelta { window: 3 },
         ));
         assert_eq!(
-            plan.predicted_ports(Some(62001), Some(1), Some(62000), 0),
+            plan.predicted_ports(&state(Some((62001, 1)), 0), Some(62000)),
             vec![62002, 62003, 62004]
         );
         // One allocation consumed since measurement shifts the window.
         assert_eq!(
-            plan.predicted_ports(Some(62001), Some(1), Some(62000), 1),
+            plan.predicted_ports(&state(Some((62001, 1)), 1), Some(62000)),
             vec![62003, 62004, 62005]
         );
         // No measurement or zero stride: nothing to predict.
-        assert!(plan.predicted_ports(None, Some(1), Some(62000), 0).is_empty());
-        assert!(plan.predicted_ports(Some(62001), Some(0), None, 0).is_empty());
+        assert!(plan
+            .predicted_ports(&state(None, 0), Some(62000))
+            .is_empty());
+        assert!(plan
+            .predicted_ports(&state(Some((62001, 0)), 0), None)
+            .is_empty());
     }
 
     #[test]
@@ -499,7 +560,7 @@ mod tests {
         let plan = CandidatePlan::new().with_source(CandidateSource::SelfPredicted(
             PredictionStrategy::StrideMultiple { window: 3 },
         ));
-        let ports = plan.predicted_ports(Some(61000), Some(5), None, 7);
+        let ports = plan.predicted_ports(&state(Some((61000, 5)), 7), None);
         assert_eq!(ports, vec![61005, 61010, 61015]);
     }
 
@@ -509,10 +570,10 @@ mod tests {
             PredictionStrategy::WindowAroundObserved { radius: 2 },
         ));
         assert_eq!(
-            plan.predicted_ports(None, None, Some(61000), 0),
+            plan.predicted_ports(&state(None, 0), Some(61000)),
             vec![61001, 60999, 61002, 60998]
         );
-        assert!(plan.predicted_ports(None, None, None, 0).is_empty());
+        assert!(plan.predicted_ports(&state(None, 0), None).is_empty());
     }
 
     #[test]
@@ -527,7 +588,7 @@ mod tests {
         // Sequential predicts 62002, 62003; the window around 62001
         // predicts 62002, 62000, 62003, 61999 — overlaps collapse.
         assert_eq!(
-            plan.predicted_ports(Some(62001), Some(1), Some(62001), 0),
+            plan.predicted_ports(&state(Some((62001, 1)), 0), Some(62001)),
             vec![62002, 62003, 62000, 61999]
         );
     }
@@ -537,9 +598,51 @@ mod tests {
         let plan = CandidatePlan::new().with_source(CandidateSource::SelfPredicted(
             PredictionStrategy::SequentialDelta { window: 4 },
         ));
-        for p in plan.predicted_ports(Some(65535), Some(1), None, 0) {
+        for p in plan.predicted_ports(&state(Some((65535, 1)), 0), None) {
             assert!(p >= 1024, "predicted privileged port {p}");
         }
+    }
+
+    #[test]
+    fn predicted_ports_respect_delta_and_consumed_allocs() {
+        let plan = predicting(3);
+        let public = ep("155.99.25.11:62000");
+        let mut state = Predictor::new(&predicting(4), Ipv4Addr::new(18, 181, 0, 31));
+        state.measured(ep("155.99.25.11:62001"), Some(public));
+        assert_eq!(
+            plan.predicted_ports(&state, Some(public.port)),
+            vec![62002, 62003, 62004]
+        );
+        // One extra destination consumed one allocation.
+        state.sent(ep("9.9.9.9:9"));
+        assert_eq!(
+            plan.predicted_ports(&state, Some(public.port)),
+            vec![62003, 62004, 62005]
+        );
+    }
+
+    #[test]
+    fn predicted_ports_empty_without_measurement_or_with_zero_delta() {
+        let plan = predicting(4);
+        let mut state = Predictor::new(&predicting(4), Ipv4Addr::new(18, 181, 0, 31));
+        assert!(plan.predicted_ports(&state, None).is_empty());
+        let public = ep("155.99.25.11:62000");
+        state.measured(ep("155.99.25.11:62000"), Some(public));
+        assert!(
+            plan.predicted_ports(&state, Some(public.port)).is_empty(),
+            "cone NAT needs no prediction"
+        );
+    }
+
+    #[test]
+    fn predicted_ports_skip_privileged_range() {
+        let plan = predicting(3);
+        let public = ep("155.99.25.11:65534");
+        let mut state = Predictor::new(&predicting(4), Ipv4Addr::new(18, 181, 0, 31));
+        state.measured(ep("155.99.25.11:65535"), Some(public));
+        // Wrapping past 65535 lands in low ports, which are filtered out.
+        let ports = plan.predicted_ports(&state, Some(public.port));
+        assert!(ports.iter().all(|&p| p >= 1024), "{ports:?}");
     }
 
     #[test]

@@ -2,10 +2,12 @@
 //!
 //! Payloads relayed through S (§2.2) carry a one-byte kind prefix so the
 //! receiving endpoint can separate application data from internal control
-//! messages (currently: §5.1 predicted-candidate announcements).
+//! messages (currently: §5.1 predicted-candidate announcements, whose
+//! body is `ip(4) ‖ n(1) ‖ n × port(2)`).
 
 use bytes::{BufMut, Bytes, BytesMut};
 use punch_rendezvous::{Message, PeerId};
+use std::net::Ipv4Addr;
 
 /// Control payload (internal to the punching endpoints).
 const RELAY_KIND_CONTROL: u8 = 0;
@@ -45,6 +47,28 @@ pub(crate) fn unwrap(data: &Bytes) -> Option<(RelayKind, Bytes)> {
     Some((kind, data.slice(1..)))
 }
 
+/// The request asking S to tell `target` that `from`'s NAT is predicted
+/// to allocate `ports` on `ip` next (§5.1); the one-byte count sends at
+/// most the first 255.
+pub(crate) fn announce(from: PeerId, target: PeerId, ip: Ipv4Addr, ports: &[u16]) -> Message {
+    let ports = &ports[..ports.len().min(255)];
+    let mut body = ip.octets().to_vec();
+    body.push(ports.len() as u8);
+    body.extend(ports.iter().flat_map(|p| p.to_be_bytes()));
+    wrap(RelayKind::Control, from, target, &body)
+}
+
+/// Parses an announcement's body into its IP and ports; `None` when it
+/// is shorter than its count says. Bytes past the last port are ignored.
+pub(crate) fn announced(body: &[u8]) -> Option<(Ipv4Addr, impl Iterator<Item = u16> + '_)> {
+    let (&[a, b, c, d, n], ports) = body.split_first_chunk::<5>()?;
+    let ports = ports.get(..2 * usize::from(n))?.chunks_exact(2);
+    Some((
+        Ipv4Addr::new(a, b, c, d),
+        ports.map(|p| u16::from_be_bytes([p[0], p[1]])),
+    ))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -59,5 +83,22 @@ mod tests {
         }
         assert_eq!(unwrap(&Bytes::new()), None);
         assert_eq!(unwrap(&Bytes::from_static(b"\x07body")), None);
+    }
+
+    #[test]
+    fn an_announcement_parses_back_to_its_ip_and_ports() {
+        let ip = Ipv4Addr::new(138, 76, 29, 7);
+        let Message::RelayData { data, .. } = announce(PeerId(1), PeerId(2), ip, &[31001, 31002])
+        else {
+            panic!("announce builds a RelayData");
+        };
+        let (kind, body) = unwrap(&data).expect("a control payload");
+        assert_eq!(kind, RelayKind::Control);
+        assert_eq!(body.as_ref(), [138, 76, 29, 7, 2, 0x79, 0x19, 0x79, 0x1a]);
+        let (got, ports) = announced(&body).expect("well formed");
+        assert_eq!((got, ports.collect::<Vec<_>>()), (ip, vec![31001, 31002]));
+        // Too short for the header, or for the count it names.
+        assert!(announced(&[1, 2, 3]).is_none());
+        assert!(announced(&[1, 2, 3, 4, 9, 0, 1]).is_none());
     }
 }

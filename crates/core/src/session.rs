@@ -171,7 +171,7 @@ impl<L> Race<L> {
         Settled {
             winner_kind,
             stamps: self.candidates.stamps(),
-            probed: self.candidates.probed_count(),
+            probed: self.candidates.probed().count(),
             queued: std::mem::take(&mut self.queued),
         }
     }

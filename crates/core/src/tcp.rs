@@ -394,16 +394,14 @@ impl TcpPeer {
     /// Aborts `peer`'s connect attempts that have not authenticated;
     /// they can no longer win.
     fn abort_attempts(&mut self, os: &mut Os<'_, '_>, peer: PeerId) {
-        let doomed: Vec<SocketId> = self
-            .conns
-            .iter()
-            .filter(|(_, c)| c.stream.is_none() && c.attempt.is_some_and(|(p, _)| p == peer))
-            .map(|(s, _)| *s)
-            .collect();
-        for s in doomed {
-            self.conns.remove(&s);
-            let _ = os.tcp_abort(s);
-        }
+        // In socket order, as the table keeps them.
+        self.conns.retain(|&s, c| {
+            let doomed = c.stream.is_none() && c.attempt.is_some_and(|(p, _)| p == peer);
+            if doomed {
+                let _ = os.tcp_abort(s);
+            }
+            !doomed
+        });
     }
 
     fn send_hello(&mut self, os: &mut Os<'_, '_>, sock: SocketId, peer: PeerId) {

@@ -16,16 +16,18 @@
 //! `session.rs` and `relay.rs`. What this file owns is the
 //! carrier — the one socket, the spray, k-of-n registration — and what
 //! only datagrams need: keepalives, on-demand and automatic re-punching
-//! with backoff and jitter, the relay-to-direct probe, §5.1 port
-//! prediction; plus its own metric names, events and RNG draws.
+//! with backoff and jitter, the relay-to-direct probe, and when §5.1 port
+//! prediction runs (its state is one `Predictor`, which only a client
+//! whose plan predicts holds); plus its own metric names, events and RNG
+//! draws.
 
-use crate::candidates::{CandidateKind, CandidateSet};
+use crate::candidates::{CandidateKind, CandidateSet, Predictor};
 use crate::config::UdpPeerConfig;
 use crate::events::{PeerEvent, Via};
 use crate::relay::{self, RelayKind};
 use crate::session::{self, Asked, Backlog, Phase, Race, Timers};
 use bytes::Bytes;
-use punch_net::flat::{self, FlatMap, FlatSet, Inline};
+use punch_net::flat::{self, FlatMap, Inline};
 use punch_net::{Counters, Endpoint, MetricKey, SimTime};
 use punch_rendezvous::{Message, PeerId, MAX_PAYLOAD};
 use punch_transport::{App, Os, SockEvent, SocketId};
@@ -151,21 +153,9 @@ pub struct UdpPeer {
     /// owners of its own id, or just the profile's `server` without a
     /// fleet. One without a fleet, held in place.
     homes: Inline<ServerSlot, 1>,
-    /// Port-prediction state: public endpoint observed by the probe port,
-    /// and the measured allocation delta.
-    probe_public: Option<Endpoint>,
-    delta: Option<i32>,
-    /// Destinations with a presumed-live NAT mapping (each consumed one
-    /// allocation on a symmetric NAT when first contacted). A punched
-    /// client has seen its server and a peer's one or two candidates,
-    /// held in place.
-    dests_seen: FlatSet<Endpoint, Inline<Endpoint, 3>>,
-    /// Allocations consumed by mappings that have since expired: when a
-    /// session dies and re-punches, its sprayed destinations are retired
-    /// from [`Self::dests_seen`] into this monotonic counter, because
-    /// re-contacting them consumes *fresh* allocations on a symmetric
-    /// NAT — the allocator's cursor never moves backwards (§5.1).
-    expired_allocs: u32,
+    /// §5.1 port-prediction state: `Some` exactly when the plan
+    /// predicts, so a client racing the paper's pair holds none of it.
+    predictor: Option<Box<Predictor>>,
     /// Per-peer punch state. A client holds one to three sessions, so
     /// the table is a sorted vector that costs what it holds, with each
     /// session inline: the rare second session moves the first, and no
@@ -179,21 +169,12 @@ pub struct UdpPeer {
 
 // One per client, inline in its host: a `ShardedWorld` client is one
 // `HostDevice<UdpPeer>` allocation (40 000 of them in `crowd_udp`).
-const _: () = assert!(std::mem::size_of::<UdpPeer>() <= 280);
-const _: () = assert!(std::mem::size_of::<punch_transport::HostDevice<UdpPeer>>() <= 648);
+const _: () = assert!(std::mem::size_of::<UdpPeer>() <= 232);
+const _: () = assert!(std::mem::size_of::<punch_transport::HostDevice<UdpPeer>>() <= 600);
 
 impl UdpPeer {
     /// Creates the endpoint; it registers with S (every home server,
     /// with a fleet) when the host starts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan contains a stride-based prediction strategy
-    /// (§5.1) but the home server sits on port 65535: prediction
-    /// measures the allocation delta against the server's probe port at
-    /// `port + 1`, which does not exist. Rejected here, at
-    /// configuration time, instead of wrapping to port 0 (or panicking
-    /// in debug) when the probe runs.
     pub fn new(cfg: UdpPeerConfig) -> Self {
         UdpPeer::from_profile(cfg.id, Arc::new(cfg))
     }
@@ -202,10 +183,6 @@ impl UdpPeer {
     /// a world of clients that differ only in their ids holds one
     /// [`UdpPeerConfig`], not one per client. The profile's own `id` is
     /// ignored.
-    ///
-    /// # Panics
-    ///
-    /// As [`UdpPeer::new`].
     pub fn from_profile(id: PeerId, profile: Arc<UdpPeerConfig>) -> Self {
         let cfg = &*profile;
         let mut homes = Inline::new();
@@ -219,12 +196,11 @@ impl UdpPeer {
                 },
             );
         }
-        assert!(
-            !(cfg.punch.plan.needs_probe() && homes.first().map(|s| s.ep.port) == Some(u16::MAX)),
-            "UdpPeerConfig: the plan's prediction strategy needs the server's probe port at \
-             port + 1, but the home server sits on port 65535, the last u16; pick a lower \
-             server port or a prediction strategy that needs no probe"
-        );
+        // The probe port is on the first home server's address.
+        let predictor = cfg.punch.plan.has_predictions().then(|| {
+            let server = homes.first().map_or(cfg.server, |s| s.ep);
+            Box::new(Predictor::new(&cfg.punch.plan, server.ip))
+        });
         UdpPeer {
             id,
             profile,
@@ -232,10 +208,7 @@ impl UdpPeer {
             local: None,
             public: None,
             homes,
-            probe_public: None,
-            delta: None,
-            dests_seen: FlatSet::default(),
-            expired_allocs: 0,
+            predictor,
             sessions: FlatMap::new(),
             backlog: Backlog::new(),
             events: Vec::new(),
@@ -392,22 +365,11 @@ impl UdpPeer {
         // §5.1 consumed-allocation estimate must keep counting the old
         // ones. Without this, re-punch predictions anchor one expiry
         // epoch behind the NAT's real allocator cursor.
-        let sprayed: Vec<Endpoint> = self
-            .sessions
-            .get(&peer)
-            .map(|s| {
-                s.race
-                    .candidates
-                    .stamps()
-                    .into_iter()
-                    .filter(|st| st.first_probe.is_some())
-                    .map(|st| st.endpoint)
-                    .collect()
-            })
-            .unwrap_or_default();
-        for ep in sprayed {
-            if self.dests_seen.remove(&ep) {
-                self.expired_allocs += 1;
+        if let (Some(predictor), Some(session)) =
+            (self.predictor.as_deref_mut(), self.sessions.get(&peer))
+        {
+            for dest in session.race.candidates.probed() {
+                predictor.retire(dest);
             }
         }
         // The profile and the session table are disjoint fields, so the
@@ -501,7 +463,11 @@ impl UdpPeer {
         if let Some(sock) = self.sock {
             // A new destination consumes one allocation on a symmetric
             // NAT; prediction accounts for these.
-            self.dests_seen.insert(to);
+            if let Some(predictor) = self.predictor.as_deref_mut() {
+                if !self.homes.iter().any(|s| s.ep == to) {
+                    predictor.sent(to);
+                }
+            }
             let _ = os.udp_send(sock, to, msg.encode(self.profile.obfuscate));
         }
     }
@@ -540,53 +506,22 @@ impl UdpPeer {
         let Some(private) = self.local else {
             return;
         };
-        let eps: Vec<Endpoint> = self.homes.iter().map(|s| s.ep).collect();
-        for ep in eps {
-            self.send_to(
-                os,
-                ep,
-                &Message::Register {
-                    peer_id: self.id,
-                    private,
-                },
-            );
+        let register = Message::Register {
+            peer_id: self.id,
+            private,
+        };
+        for i in 0..self.homes.len() {
+            let ep = self.homes[i].ep;
+            self.send_to(os, ep, &register);
         }
     }
 
-    /// The §5.1 mapping-probe port next to the first home server, or
-    /// `None` when that port would overflow a u16 (`new` rejects the
-    /// one configuration — Predict — that needs it).
-    fn probe_endpoint(&self) -> Option<Endpoint> {
-        let base = self.homes.first().map(|s| s.ep).unwrap_or(self.profile.server);
-        base.port.checked_add(1).map(|p| base.with_port(p))
-    }
-
-    /// Allocations consumed since the delta measurement.
-    fn allocs_since_measure(&self) -> u32 {
-        // The home-server and probe-port mappings existed at measurement
-        // time; everything else seen since is a fresh allocation.
-        let baseline = self
-            .homes
-            .iter()
-            .filter(|s| self.dests_seen.contains(&s.ep))
-            .count()
-            + usize::from(
-                self.probe_endpoint()
-                    .is_some_and(|p| self.dests_seen.contains(&p)),
-            );
-        (self.dests_seen.len() - baseline) as u32 + self.expired_allocs
-    }
-
-    /// Ports this NAT is predicted to allocate next, from the plan's
-    /// prediction strategies and the probe-port measurements (§5.1,
-    /// generalized).
-    fn predicted_own_ports(&self) -> Vec<u16> {
-        self.profile.punch.plan.predicted_ports(
-            self.probe_public.map(|p| p.port),
-            self.delta,
-            self.public.map(|p| p.port),
-            self.allocs_since_measure(),
-        )
+    /// Sends S's probe port the `Ping` whose answer measures our NAT's
+    /// allocation stride (§5.1), if the plan needs the stride.
+    fn probe_stride(&mut self, os: &mut Os<'_, '_>) {
+        if let Some(probe) = self.predictor.as_ref().and_then(|p| p.probe) {
+            self.send_to(os, probe, &Message::Ping);
+        }
     }
 
     fn start_punch(
@@ -623,14 +558,12 @@ impl UdpPeer {
         // §5.1 prediction, generalized: tell the peer which ports our
         // NAT is predicted to allocate next, via the relay (it cannot
         // reach us directly yet, by definition).
-        if self.profile.punch.plan.has_predictions() {
-            let ports = self.predicted_own_ports();
+        if let Some(predictor) = self.predictor.as_deref() {
+            let own = self.public.map(|p| p.port);
+            let ports = self.profile.punch.plan.predicted_ports(predictor, own);
             if !ports.is_empty() {
                 let public_ip = self.public.map(|p| p.ip).unwrap_or(public.ip);
-                let mut body = public_ip.octets().to_vec();
-                body.push(ports.len() as u8);
-                body.extend(ports.iter().flat_map(|p| p.to_be_bytes()));
-                let msg = relay::wrap(RelayKind::Control, self.id, peer, &body);
+                let msg = relay::announce(self.id, peer, public_ip, &ports);
                 self.send_server(os, &msg);
             }
         }
@@ -662,27 +595,18 @@ impl UdpPeer {
     /// Handles control payloads received over the relay (predicted
     /// candidate announcements).
     fn handle_control(&mut self, peer: PeerId, payload: &[u8]) {
-        if payload.len() < 5 {
-            return;
-        }
-        let ip = std::net::Ipv4Addr::new(payload[0], payload[1], payload[2], payload[3]);
-        let n = payload[4] as usize;
-        if payload.len() < 5 + 2 * n {
-            return;
-        }
-        let Some(session) = self.sessions.get_mut(&peer) else {
+        let Some((ip, ports)) = relay::announced(payload) else {
             return;
         };
-        let ports: Vec<u16> = (0..n)
-            .map(|i| u16::from_be_bytes([payload[5 + 2 * i], payload[6 + 2 * i]]))
-            .collect();
-        session.race.candidates.merge_announced(ip, &ports);
+        if let Some(session) = self.sessions.get_mut(&peer) {
+            session.race.candidates.merge_announced(ip, ports);
+        }
     }
 
     fn establish(&mut self, os: &mut Os<'_, '_>, peer: PeerId, remote: Endpoint) {
         let now = os.now();
         let keepalive = self.profile.punch.keepalive_interval;
-        let race_metrics = self.profile.punch.plan.has_predictions();
+        let race_metrics = self.predictor.is_some();
         let Some(session) = self.sessions.get_mut(&peer) else {
             return;
         };
@@ -792,12 +716,9 @@ impl UdpPeer {
                         let ka = self.profile.server_keepalive;
                         self.arm(os, ka, TimerPurpose::ServerKeepalive);
                     }
-                    if self.profile.punch.plan.needs_probe() {
-                        // Measure the allocation delta via the probe port.
-                        if let Some(probe) = self.probe_endpoint() {
-                            self.send_to(os, probe, &Message::Ping);
-                        }
-                    }
+                    // (Re-)measure the allocation stride: a fresh
+                    // registration may sit on a fresh mapping.
+                    self.probe_stride(os);
                     for (peer, asked) in std::mem::take(&mut self.backlog) {
                         match asked {
                             Asked::Connect => self.connect(os, peer),
@@ -807,11 +728,15 @@ impl UdpPeer {
                     }
                 }
             }
-            Message::RegisterAck { public } if Some(from) == self.probe_endpoint() => {
-                self.probe_public = Some(public);
-                self.delta = self
-                    .public
-                    .map(|main| public.port as i32 - main.port as i32);
+            // The probe port's answer: the mapping it observed.
+            Message::RegisterAck { public: probed } => {
+                if let Some(p) = self
+                    .predictor
+                    .as_deref_mut()
+                    .filter(|p| p.probe == Some(from))
+                {
+                    p.measured(probed, self.public);
+                }
             }
             Message::Introduce {
                 peer,
@@ -898,7 +823,7 @@ impl UdpPeer {
     fn fail_punch(&mut self, os: &mut Os<'_, '_>, peer: PeerId, reason: &'static str) {
         let relay = self.profile.punch.relay_fallback;
         let probe_interval = self.profile.punch.relay_probe_interval;
-        let race_metrics = self.profile.punch.plan.has_predictions();
+        let race_metrics = self.predictor.is_some();
         let Some(session) = self.sessions.get_mut(&peer) else {
             return;
         };
@@ -1004,8 +929,12 @@ impl App for UdpPeer {
                 }
                 // Refresh every home's registration record and the NAT
                 // mappings toward them (§3.6 applies to the rendezvous
-                // sessions as much as to peer sessions).
+                // sessions as much as to peer sessions), and probe again
+                // while the first probe or its answer is lost.
                 self.register_all(os);
+                if self.predictor.as_ref().is_some_and(|p| p.stride.is_none()) {
+                    self.probe_stride(os);
+                }
                 self.arm(os, ka, TimerPurpose::ServerKeepalive);
             }
             TimerPurpose::PunchTick(peer) => {
@@ -1094,55 +1023,6 @@ impl App for UdpPeer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CandidatePlan, CandidateSource, PredictionStrategy, PunchConfig};
-
-    fn predict_plan(window: u16) -> CandidatePlan {
-        CandidatePlan::basic().with_source(CandidateSource::SelfPredicted(
-            PredictionStrategy::SequentialDelta { window },
-        ))
-    }
-
-    fn predicting(window: u16) -> UdpPeerConfig {
-        let mut cfg = UdpPeerConfig::new(PeerId(1), "18.181.0.31:1234".parse().unwrap());
-        cfg.punch = PunchConfig::default().with_plan(predict_plan(window));
-        cfg
-    }
-
-    #[test]
-    fn predicted_ports_respect_delta_and_consumed_allocs() {
-        let mut peer = UdpPeer::new(predicting(3));
-        peer.public = Some("155.99.25.11:62000".parse().unwrap());
-        peer.probe_public = Some("155.99.25.11:62001".parse().unwrap());
-        peer.delta = Some(1);
-        assert_eq!(peer.predicted_own_ports(), vec![62002, 62003, 62004]);
-        // One extra destination consumed one allocation.
-        peer.dests_seen.insert("9.9.9.9:9".parse().unwrap());
-        assert_eq!(peer.predicted_own_ports(), vec![62003, 62004, 62005]);
-    }
-
-    #[test]
-    fn predicted_ports_empty_without_measurement_or_with_zero_delta() {
-        let mut peer = UdpPeer::new(predicting(4));
-        assert!(peer.predicted_own_ports().is_empty());
-        peer.public = Some("155.99.25.11:62000".parse().unwrap());
-        peer.probe_public = Some("155.99.25.11:62000".parse().unwrap());
-        peer.delta = Some(0);
-        assert!(
-            peer.predicted_own_ports().is_empty(),
-            "cone NAT needs no prediction"
-        );
-    }
-
-    #[test]
-    fn predicted_ports_skip_privileged_range() {
-        let mut peer = UdpPeer::new(predicting(3));
-        peer.public = Some("155.99.25.11:65534".parse().unwrap());
-        peer.probe_public = Some("155.99.25.11:65535".parse().unwrap());
-        peer.delta = Some(1);
-        // Wrapping past 65535 lands in low ports, which are filtered out.
-        let ports = peer.predicted_own_ports();
-        assert!(ports.iter().all(|&p| p >= 1024), "{ports:?}");
-    }
 
     #[test]
     fn control_payload_extends_candidates() {
@@ -1181,34 +1061,6 @@ mod tests {
         peer.handle_control(PeerId(2), &[1, 2, 3]); // too short
         peer.handle_control(PeerId(2), &[1, 2, 3, 4, 9, 0, 1]); // count says 9, data for 1
         assert!(peer.sessions.get(&PeerId(2)).unwrap().race.candidates.is_empty());
-    }
-
-    #[test]
-    fn probe_endpoint_is_checked_not_wrapping() {
-        // Regression: `port + 1` on u16 panicked in debug builds at
-        // port 65535 and wrapped to port 0 in release builds, so the
-        // symmetric-NAT delta probe went to the wrong endpoint.
-        let peer = UdpPeer::new(UdpPeerConfig::new(
-            PeerId(1),
-            "18.181.0.31:65534".parse().unwrap(),
-        ));
-        assert_eq!(
-            peer.probe_endpoint(),
-            Some("18.181.0.31:65535".parse().unwrap())
-        );
-        let peer = UdpPeer::new(UdpPeerConfig::new(
-            PeerId(1),
-            "18.181.0.31:65535".parse().unwrap(),
-        ));
-        assert_eq!(peer.probe_endpoint(), None, "no probe port past the u16 range");
-    }
-
-    #[test]
-    #[should_panic(expected = "needs the server's probe port")]
-    fn predict_strategy_rejects_server_port_65535() {
-        let mut cfg = UdpPeerConfig::new(PeerId(1), "18.181.0.31:65535".parse().unwrap());
-        cfg.punch = PunchConfig::default().with_plan(predict_plan(4));
-        let _ = UdpPeer::new(cfg);
     }
 
     #[test]

@@ -170,11 +170,6 @@ fn quota_flags(n: u32, k: u32, rng: &mut StdRng) -> Vec<bool> {
     v
 }
 
-/// Marks `k` of `n` population slots as belonging to a reporting subset.
-fn subset_flags(n: u32, k: u32, rng: &mut StdRng) -> Vec<bool> {
-    quota_flags(n, k, rng)
-}
-
 impl VendorProfile {
     /// Wraps a Table 1 row.
     pub fn new(spec: VendorSpec) -> Self {
@@ -209,8 +204,9 @@ impl VendorProfile {
         );
 
         let udp_ok = quota_flags(n, s.udp.0, rng);
-        let in_hp = subset_flags(n, s.udp_hairpin.1, rng);
-        let in_tcp = subset_flags(n, s.tcp.1, rng);
+        // Which devices belong to each column's reporting subset.
+        let in_hp = quota_flags(n, s.udp_hairpin.1, rng);
+        let in_tcp = quota_flags(n, s.tcp.1, rng);
         // Assign hairpin/tcp outcomes: exact quota inside the reporting
         // subset, rate-sampled outside it (those devices exist but were
         // not measured for that column).

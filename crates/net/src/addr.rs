@@ -41,11 +41,6 @@ impl Endpoint {
     /// The all-zero endpoint, used as a wildcard bind address.
     pub const UNSPECIFIED: Endpoint = Endpoint::new(Ipv4Addr::UNSPECIFIED, 0);
 
-    /// Returns a copy with a different port.
-    pub const fn with_port(self, port: u16) -> Self {
-        Endpoint { ip: self.ip, port }
-    }
-
     /// The address (big-endian, so compared as its octets) above the
     /// port: one integer that orders like `(ip.octets(), port)`.
     fn key(self) -> u64 {
@@ -234,13 +229,6 @@ mod tests {
         assert!("1.2.3.4".parse::<Endpoint>().is_err());
         assert!("1.2.3.4:99999".parse::<Endpoint>().is_err());
         assert!("1.2.3:80".parse::<Endpoint>().is_err());
-    }
-
-    #[test]
-    fn endpoint_with_port() {
-        let ep = Endpoint::from(([10, 0, 0, 1], 4321));
-        assert_eq!(ep.with_port(9).port, 9);
-        assert_eq!(ep.with_port(9).ip, ep.ip);
     }
 
     proptest! {

@@ -23,7 +23,7 @@ pub mod server;
 pub mod wire;
 
 pub use peer::PeerId;
-pub use server::{RendezvousServer, ServerConfig, ServerStats, SERVER_PORT};
+pub use server::{RendezvousServer, ServerConfig, ServerStats, PROBE_PORT, SERVER_PORT};
 pub use wire::{
     decode_signed, encode_frame, encode_signed, FrameBuf, Message, WireError,
     AUTH_TAG_LEN, ERR_TABLE_FULL, ERR_UNKNOWN_PEER, MAX_BUFFER, MAX_FRAME, MAX_PAYLOAD, VERSION,

@@ -13,7 +13,7 @@
 //! peer's ring owners; a TCP request is answered from its own table.
 //!
 //! Endpoints in everything the server sends are obfuscated (§3.1), and
-//! the §5.1 mapping-probe port at [`SERVER_PORT`]` + 1` is always served.
+//! the §5.1 mapping-probe port [`PROBE_PORT`] is always served.
 
 use crate::peer::PeerId;
 use crate::wire::{
@@ -29,14 +29,14 @@ use std::net::Ipv4Addr;
 use std::time::Duration;
 
 /// The server's well-known port (§3.1), for both UDP and TCP service.
-/// `SERVER_PORT + 1` serves the mapping probe: it answers a
-/// [`Message::Ping`] with a [`Message::RegisterAck`] echoing the
-/// observed source, which clients use to measure symmetric NATs'
-/// port-allocation delta for §5.1 port prediction.
 pub const SERVER_PORT: u16 = 1234;
 
-/// The mapping-probe port; an overflowing `SERVER_PORT` fails to compile.
-const PROBE_PORT: u16 = SERVER_PORT + 1;
+/// The §5.1 mapping-probe port, on the server's address beside
+/// [`SERVER_PORT`]: it answers a [`Message::Ping`] with a
+/// [`Message::RegisterAck`] echoing the observed source, which a
+/// predicting client uses to measure its NAT's port-allocation stride.
+/// An overflowing `SERVER_PORT` fails to compile.
+pub const PROBE_PORT: u16 = SERVER_PORT + 1;
 
 /// Rendezvous server configuration.
 #[derive(Clone, Debug)]

@@ -112,6 +112,8 @@ done
 same_at_1_and_2_workers chaos --trials 2
 same_at_1_and_2_workers chaos_search --schedules 20
 same_at_1_and_2_workers chaos_search --schedules 20 --profile adversarial
+# racing is the one chaos profile whose clients predict ports (§5.1).
+same_at_1_and_2_workers chaos_search --schedules 20 --profile racing
 same_at_1_and_2_workers strategies --trials 4
 same_at_1_and_2_workers attacks --trials 2
 same_at_1_and_2_workers million --sessions 400 --shards 4
