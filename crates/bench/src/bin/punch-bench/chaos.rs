@@ -1,6 +1,8 @@
 //! EC: chaos — scripted faults (NAT reboots, rendezvous restarts, link
 //! outages, behaviour flips) against the recovery machinery, reporting
-//! recovery-time distributions per fault class.
+//! recovery-time distributions per fault class. The classes are
+//! `punch_lab::chaos::SCRIPTED`'s fixed schedules, run by
+//! `punch_lab::chaos::run_scripted`.
 //!
 //! Run: `cargo run --release -p punch-bench -- chaos [--trials N]`
 //!
@@ -10,32 +12,10 @@
 //! every trial of every class recovers.
 
 use crate::{Flags, Run};
-use punch_bench::{chaos_trial_metrics, metrics_report, ms, FaultClass};
+use punch_bench::{metrics_report, ms};
+use punch_lab::chaos::{run_scripted, SCRIPTED};
 use punch_lab::par;
 use punch_net::{Duration, MetricsSnapshot};
-
-const CLASSES: [(FaultClass, &str, &str); 4] = [
-    (
-        FaultClass::NatReboot,
-        "nat-reboot",
-        "NAT A reboots: tables flushed, port pool moved",
-    ),
-    (
-        FaultClass::ServerRestart,
-        "server-restart",
-        "S restarts behind an 8 s uplink outage (recovery = re-registration)",
-    ),
-    (
-        FaultClass::LinkOutage,
-        "link-outage",
-        "client A's access link down for 5 s",
-    ),
-    (
-        FaultClass::RelayRecovery,
-        "relay-upgrade",
-        "blocked pair relays, block clears (recovery = direct upgrade)",
-    ),
-];
 
 /// One fault class's trials.
 pub struct ClassResult {
@@ -54,11 +34,11 @@ pub struct Report {
 
 pub fn measure(trials: u64) -> Report {
     let seeds: Vec<u64> = (1..=trials).collect();
-    let classes = CLASSES
+    let classes = SCRIPTED
         .iter()
-        .map(|&(class, name, desc)| {
+        .map(|&(name, desc, faults)| {
             let (results, metrics) =
-                par::run_merge_metrics(&seeds, |_, &seed| chaos_trial_metrics(seed, class));
+                par::run_merge_metrics(&seeds, |_, &seed| run_scripted(seed, faults));
             let mut times: Vec<Duration> = results.into_iter().flatten().collect();
             times.sort();
             ClassResult {

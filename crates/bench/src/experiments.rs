@@ -5,9 +5,9 @@ use holepunch::{
     CandidatePlan, CandidateSource, PeerEvent, PeerId, PredictionStrategy, TcpPeer,
     TcpPeerConfig, TcpPunchMode, UdpPeer, UdpPeerConfig, Via,
 };
-use punch_lab::{addrs, fig4, fig5, fig6, PeerSetup, Scenario, WorldBuilder};
+use punch_lab::{addrs, fig4, fig5, fig5_builder, fig6, PeerSetup, Scenario, WorldBuilder};
 use punch_nat::{NatBehavior, PortAllocation};
-use punch_net::{Duration, Endpoint, FaultPlan, Json, LinkSpec, MetricsSnapshot, NodeId, SimTime};
+use punch_net::{Duration, Endpoint, Json, LinkSpec, MetricsSnapshot, SimTime};
 use punch_rendezvous::{RendezvousServer, ServerConfig};
 use punch_transport::{App, Os, SockEvent, SocketId, StackConfig, TcpFlavor};
 
@@ -54,17 +54,6 @@ pub enum Topology {
     },
 }
 
-/// Finishes a two-client world: attaches S, lets `wire` declare the NATs
-/// and then clients A and B, and wraps the built world.
-fn scenario(mut wb: WorldBuilder, wire: impl FnOnce(&mut WorldBuilder)) -> Scenario {
-    wb.server(
-        addrs::SERVER,
-        RendezvousServer::new(ServerConfig::default()),
-    );
-    wire(&mut wb);
-    Scenario::new(wb.build())
-}
-
 fn build_udp(
     topo: &Topology,
     seed: u64,
@@ -79,7 +68,15 @@ fn build_udp(
     };
     match topo {
         Topology::CommonNat(nat) => fig4(seed, nat.clone(), mk(A), mk(B)),
-        Topology::TwoNats(na, nb) => scenario(WorldBuilder::new(seed).wan(wan), |wb| {
+        Topology::TwoNats(Some(na), Some(nb)) => {
+            let (na, nb) = (na.clone(), nb.clone());
+            let wb = fig5_builder(seed, ServerConfig::default(), na, nb, mk(A), mk(B));
+            Scenario::new(wb.wan(wan).build())
+        }
+        // A peer on the public Internet: not Figure 5.
+        Topology::TwoNats(na, nb) => {
+            let mut wb = WorldBuilder::new(seed).wan(wan);
+            wb.server(addrs::SERVER, RendezvousServer::new(ServerConfig::default()));
             for (id, nat, nat_ip, client_ip, public_ip) in [
                 (A, na, addrs::NAT_A, addrs::CLIENT_A, [99, 1, 1, 1]),
                 (B, nb, addrs::NAT_B, addrs::CLIENT_B, [99, 2, 2, 2]),
@@ -92,7 +89,8 @@ fn build_udp(
                     None => wb.public_client(public_ip.into(), mk(id)),
                 };
             }
-        }),
+            Scenario::new(wb.build())
+        }
         Topology::MultiLevel { isp, consumer } => fig6(
             seed,
             isp.clone(),
@@ -134,13 +132,9 @@ pub fn udp_punch_on(
     if metrics {
         sc.world.sim.enable_metrics();
     }
-    sc.world.sim.run_for(Duration::from_secs(2));
-    let started = sc.world.sim.now();
-    sc.world
-        .with_app::<UdpPeer, _>(sc.a, |p, os| p.connect(os, B));
+    let started = SimTime::from_secs(2);
     let deadline = started + Duration::from_secs(60);
-    sc.world
-        .run_until_app::<UdpPeer>(sc.a, deadline, |p| p.is_established(B) || p.is_relaying(B));
+    udp_connect(&mut sc, deadline, |p| p.is_established(B) || p.is_relaying(B));
     let app = sc.world.app::<UdpPeer>(sc.a);
     let outcome = if app.is_established(B) {
         Outcome::Direct(sc.world.sim.now() - started)
@@ -166,15 +160,10 @@ fn tcp_scenario(
         cfg_mod(&mut c);
         PeerSetup::new(TcpPeer::new(c)).with_stack(StackConfig::fast().with_flavor(flavor))
     };
-    scenario(WorldBuilder::new(seed), |wb| {
-        let na = wb.nat(nat_a, addrs::NAT_A);
-        let nb = wb.nat(nat_b, addrs::NAT_B);
-        wb.client(addrs::CLIENT_A, na, mk(A, flavor_a));
-        match b_link {
-            Some(link) => wb.client_linked(addrs::CLIENT_B, nb, mk(B, flavor_b), link),
-            None => wb.client(addrs::CLIENT_B, nb, mk(B, flavor_b)),
-        };
-    })
+    let a = mk(A, flavor_a);
+    let mut b = mk(B, flavor_b);
+    b.link = b_link;
+    Scenario::new(fig5_builder(seed, ServerConfig::default(), nat_a, nat_b, a, b).build())
 }
 
 /// Runs a TCP punch between two NATs (with an optional slow access link
@@ -271,16 +260,13 @@ fn prediction_trial(
         port_alloc: alloc,
         ..NatBehavior::well_behaved()
     };
-    let mut sc = scenario(WorldBuilder::new(seed), |wb| {
-        let na = wb.nat(symmetric, addrs::NAT_A);
-        let nb = wb.nat(NatBehavior::well_behaved(), addrs::NAT_B);
-        wb.client(addrs::CLIENT_A, na, mk(A));
-        wb.client(addrs::CLIENT_B, nb, mk(B));
-        if let Some(interval) = chatter {
-            let setup = PeerSetup::new(Chatterer::new(interval));
-            wb.client([10, 0, 0, 9].into(), na, setup);
-        }
-    });
+    let well = NatBehavior::well_behaved();
+    let mut wb = fig5_builder(seed, ServerConfig::default(), symmetric, well, mk(A), mk(B));
+    if let Some(interval) = chatter {
+        // Behind NAT A (index 0), sharing its allocator with A.
+        wb.client([10, 0, 0, 9].into(), 0, PeerSetup::new(Chatterer::new(interval)));
+    }
+    let mut sc = Scenario::new(wb.build());
     udp_connect(&mut sc, SimTime::from_secs(40), |p| p.is_established(B))
 }
 
@@ -447,130 +433,6 @@ pub fn tcp_flavor_paths(
         w.app::<TcpPeer>(sc.a).established_path(B)?,
         w.app::<TcpPeer>(sc.b).established_path(A)?,
     ))
-}
-
-/// Fault classes injected by the chaos experiment (EC).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FaultClass {
-    /// NAT A reboots: its tables flush and its port pool moves, so every
-    /// mapping through it dies and the punched session must be redone.
-    NatReboot,
-    /// S restarts with empty tables behind an 8 s uplink outage; recovery
-    /// is both peers re-registering (the direct session survives).
-    ServerRestart,
-    /// Client A's access link goes down for 5 s; recovery is the session
-    /// re-punching after the link returns.
-    LinkOutage,
-    /// A blocked pair (A behind a symmetric NAT) degrades to relaying;
-    /// the block then clears and recovery is the relay-to-direct upgrade.
-    RelayRecovery,
-}
-
-/// The chaos-hardened peer profile the EC trials run with: 1 s
-/// keepalives with a 3-miss liveness limit, automatic re-punch with
-/// jittered exponential backoff, 2 s server keepalives, and periodic
-/// relay-to-direct probing.
-fn chaos_peer(id: PeerId, fault: FaultClass) -> PeerSetup {
-    let mut c = UdpPeerConfig::resilient(id, Scenario::server_endpoint());
-    if matches!(fault, FaultClass::RelayRecovery) {
-        // Reach the relay quickly: constant cadence, small volley budget.
-        c.punch.backoff = 1.0;
-        c.punch.backoff_jitter = 0.0;
-        c.punch.max_attempts = 4;
-    }
-    PeerSetup::new(UdpPeer::new(c))
-}
-
-/// Runs until `pred` holds on `node`'s peer; `None` once `deadline` passes.
-fn wait(
-    sc: &mut Scenario,
-    node: NodeId,
-    deadline: SimTime,
-    pred: impl Fn(&UdpPeer) -> bool,
-) -> Option<()> {
-    sc.world
-        .run_until_app::<UdpPeer>(node, deadline, pred)
-        .then_some(())
-}
-
-/// Waits for B to observe the session die, then for both sides to be
-/// re-established.
-fn recover_established(sc: &mut Scenario, deadline: SimTime) -> Option<()> {
-    let (a, b) = (sc.a, sc.b);
-    wait(sc, b, deadline, |p| !p.is_established(A))?;
-    wait(sc, b, deadline, |p| p.is_established(A))?;
-    wait(sc, a, deadline, |p| p.is_established(B))
-}
-
-/// EC: injects one scripted fault into a settled resilient pair and
-/// measures the time from injection to full recovery (see
-/// [`FaultClass`] for what "recovery" means per class; `None` if the
-/// pair missed the 60 s recovery deadline). Runs with the metrics
-/// registry enabled — which never changes the recovery time — and also
-/// returns the run's [`MetricsSnapshot`] (failure-reason and recovery
-/// counters).
-pub fn chaos_trial_metrics(seed: u64, fault: FaultClass) -> (Option<Duration>, MetricsSnapshot) {
-    let nat_a = if matches!(fault, FaultClass::RelayRecovery) {
-        NatBehavior::symmetric()
-    } else {
-        NatBehavior::well_behaved()
-    };
-    let mut sc = fig5(
-        seed,
-        nat_a,
-        NatBehavior::well_behaved(),
-        chaos_peer(A, fault),
-        chaos_peer(B, fault),
-    );
-    sc.world.sim.enable_metrics();
-    let recovery = run_chaos_fault(&mut sc, fault);
-    (recovery, sc.world.sim.metrics_snapshot())
-}
-
-fn run_chaos_fault(sc: &mut Scenario, fault: FaultClass) -> Option<Duration> {
-    let (a, b) = (sc.a, sc.b);
-    sc.world.sim.run_for(Duration::from_secs(2));
-    sc.world.with_app::<UdpPeer, _>(a, |p, os| p.connect(os, B));
-    let settle = sc.world.sim.now() + Duration::from_secs(30);
-    if matches!(fault, FaultClass::RelayRecovery) {
-        wait(sc, a, settle, |p| p.is_relaying(B))?;
-    } else {
-        wait(sc, a, settle, |p| p.is_established(B))?;
-        wait(sc, b, settle, |p| p.is_established(A))?;
-    }
-
-    let t0 = sc.world.sim.now();
-    let deadline = t0 + Duration::from_secs(60);
-    match fault {
-        FaultClass::NatReboot => {
-            let nat = sc.world.nats[0];
-            sc.world.restart(nat);
-            recover_established(sc, deadline)?;
-        }
-        FaultClass::ServerRestart => {
-            let s = sc.server;
-            let link = sc.world.uplink(s);
-            sc.world.restart(s);
-            let plan = FaultPlan::new().outage(t0, Duration::from_secs(8), link);
-            sc.world.apply_faults(&plan);
-            wait(sc, a, deadline, |p| !p.is_registered())?;
-            wait(sc, a, deadline, |p| p.is_registered())?;
-            wait(sc, b, deadline, |p| p.is_registered())?;
-        }
-        FaultClass::LinkOutage => {
-            let link = sc.world.uplink(a);
-            let plan = FaultPlan::new().outage(t0, Duration::from_secs(5), link);
-            sc.world.apply_faults(&plan);
-            recover_established(sc, deadline)?;
-        }
-        FaultClass::RelayRecovery => {
-            let nat = sc.world.nats[0];
-            sc.world.set_nat_behavior(nat, NatBehavior::well_behaved());
-            wait(sc, a, deadline, |p| p.is_established(B))?;
-            wait(sc, b, deadline, |p| p.is_established(A))?;
-        }
-    }
-    Some(sc.world.sim.now() - t0)
 }
 
 /// Renders named [`MetricsSnapshot`] sections as one JSON document,

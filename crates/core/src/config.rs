@@ -118,8 +118,6 @@ pub struct UdpPeerConfig {
     pub id: PeerId,
     /// The well-known rendezvous server.
     pub server: Endpoint,
-    /// Obfuscate endpoint addresses in message bodies (§3.1).
-    pub obfuscate: bool,
     /// Registration retry interval until S acknowledges.
     pub register_retry: Duration,
     /// How often to re-register with S once registered. This keeps both
@@ -144,7 +142,6 @@ impl UdpPeerConfig {
         UdpPeerConfig {
             id,
             server,
-            obfuscate: true,
             register_retry: Duration::from_secs(2),
             server_keepalive: Duration::from_secs(15),
             punch: PunchConfig::default(),
@@ -250,7 +247,6 @@ mod tests {
             u.punch.plan.sources.contains(&CandidateSource::PeerPrivate),
             "§3.3: try private endpoints too"
         );
-        assert!(u.obfuscate, "§3.1: obfuscate addresses in bodies");
         assert_eq!(
             u.punch.plan,
             CandidatePlan::basic(),

@@ -468,7 +468,8 @@ impl UdpPeer {
                     predictor.sent(to);
                 }
             }
-            let _ = os.udp_send(sock, to, msg.encode(self.profile.obfuscate));
+            // §3.1: endpoint addresses in message bodies are obfuscated.
+            let _ = os.udp_send(sock, to, msg.encode(true));
         }
     }
 
@@ -705,9 +706,18 @@ impl UdpPeer {
                 }
                 // Our public endpoint is the mapping the server fielding
                 // our requests observes (other homes may sit behind
-                // different mappings on a symmetric NAT).
+                // different mappings on a symmetric NAT). When it moves
+                // (a NAT reboot moves the port pool), the stride was
+                // measured against a mapping that is gone: measure again.
                 if from == self.primary() {
-                    self.public = Some(public);
+                    let moved = self.public.replace(public).is_some_and(|old| old != public);
+                    if let Some(p) = self.predictor.as_deref_mut().filter(|_| moved) {
+                        p.stride = None;
+                        // A first registration probes below.
+                        if !first {
+                            self.probe_stride(os);
+                        }
+                    }
                 }
                 if first {
                     os.metric_inc("punch.registered");

@@ -15,7 +15,7 @@ use holepunch::{
 };
 use punch_lab::{addrs, fig4, fig5, PeerSetup, Scenario, World, WorldBuilder};
 use punch_nat::NatBehavior;
-use punch_net::{Duration, Endpoint, LinkAction, LinkSpec, NodeId, SimTime};
+use punch_net::{Duration, Endpoint, FaultPlan, LinkAction, LinkSpec, NodeId, SimTime};
 use punch_rendezvous::{encode_frame, ring, Message, RendezvousServer, MAX_PAYLOAD};
 use punch_transport::{App, ConnectOpts, Os, SockEvent, SocketId};
 use std::net::Ipv4Addr;
@@ -508,7 +508,8 @@ fn fleet_homes_are_the_ring_owners_over_udp() {
         .iter()
         .position(|ep| *ep == owners[0])
         .expect("owner is a member")];
-    w.restart(first);
+    let now = w.sim.now();
+    w.apply_faults(&FaultPlan::new().restart(now, first));
     w.sim.run_for(Duration::from_secs(5));
     seen.extend(holders(&w));
     seen.sort();
@@ -530,7 +531,9 @@ fn sends_into_a_dead_end_session_are_not_kept_over_udp() {
     wb.server(addrs::SERVER, RendezvousServer::new(Default::default()));
     let nb = wb.nat(NatBehavior::well_behaved(), addrs::NAT_B);
     wb.public_client(VICTIM_IP, udp_no_relay(A));
-    wb.client_linked(addrs::CLIENT_B, nb, udp_no_relay(B), LinkSpec::lan().with_loss(1.0));
+    let mut cut_off = udp_no_relay(B);
+    cut_off.link = Some(LinkSpec::lan().with_loss(1.0));
+    wb.client(addrs::CLIENT_B, nb, cut_off);
     let mut w = wb.build();
     let (a, b) = (w.clients[0], w.clients[1]);
     let b_uplink = w.uplink(b);

@@ -75,13 +75,15 @@ fn eps(ip: &str, ports: &[u16]) -> Vec<Endpoint> {
 }
 
 /// The first cycle announces the four ports after the probe's (A has
-/// spent no allocation since the probe). After A's NAT reboots, both
-/// ends re-punch; A's announcement then counts the dead race's two
-/// destinations as spent (they are retired, not forgotten) on top of
-/// the two the regenerated race sprays before the fresh introduction.
-/// The stride is not measured again after the reboot, so these ports
-/// lie in the NAT's old pool and the race ends on the relay: the pin
-/// holds the allocation count, not a working prediction.
+/// spent no allocation since the probe). After A's NAT reboots, A's
+/// re-registration shows a new public endpoint (62512, the moved pool),
+/// so A probes again (62513). Both ends re-punch; A's announcement then
+/// counts the dead race's two destinations as spent (they are retired,
+/// not forgotten) on top of the two the regenerated race sprays before
+/// the fresh introduction, so it starts four ports above the new probe.
+/// The race still ends on the relay: A's mapping toward B (62514) was
+/// opened before the announcement, below its window. The pin holds the
+/// anchor and the allocation count, not a working prediction.
 #[test]
 fn a_sequential_delta_client_announces_pinned_ports_before_and_after_its_nat_reboots() {
     let mut sc = predicting_pair(53);
@@ -96,12 +98,14 @@ fn a_sequential_delta_client_announces_pinned_ports_before_and_after_its_nat_reb
         "first cycle"
     );
 
-    sc.world.restart(sc.world.nats[0]);
+    let now = sc.world.sim.now();
+    sc.world
+        .apply_faults(&FaultPlan::new().restart(now, sc.world.nats[0]));
     sc.world.sim.run_for(Duration::from_secs(80));
     assert_eq!(sc.world.app::<UdpPeer>(a).stats().repunches, 1);
     assert_eq!(
         announced(&mut sc, b, A),
-        vec![eps("155.99.25.11", &[62006, 62007, 62008, 62009])],
+        vec![eps("155.99.25.11", &[62518, 62519, 62520, 62521])],
         "re-punch after the reboot"
     );
 }
@@ -113,6 +117,38 @@ fn destinations(sc: &Scenario, nat: usize) -> Vec<Endpoint> {
         .iter()
         .flat_map(|m| m.allowed.iter().map(|(e, _)| *e))
         .collect()
+}
+
+/// A NAT reboot flushes the mapping the stride was measured against and
+/// moves the port pool. The predicting client sees its re-registration
+/// observed at a new public endpoint, sends S's probe port a `Ping`
+/// again through the rebooted NAT, and anchors its next announcement
+/// in the new pool (the rebooted NAT allocates from 62512).
+#[test]
+fn a_predicting_client_probes_again_after_its_nat_reboots() {
+    let mut sc = predicting_pair(56);
+    let (a, b) = (sc.a, sc.b);
+    sc.world.sim.run_for(Duration::from_secs(2));
+    sc.world.with_app::<UdpPeer, _>(a, |p, os| p.connect(os, B));
+    sc.world.sim.run_for(Duration::from_secs(20));
+    assert!(sc.world.app::<UdpPeer>(a).is_established(B));
+    announced(&mut sc, b, A);
+
+    let now = sc.world.sim.now();
+    sc.world
+        .apply_faults(&FaultPlan::new().restart(now, sc.world.nats[0]));
+    sc.world.sim.run_for(Duration::from_secs(10));
+    let probe = Endpoint::new(Scenario::server_endpoint().ip, PROBE_PORT);
+    let to_a = destinations(&sc, 0);
+    assert!(to_a.contains(&probe), "no probe since the reboot: {to_a:?}");
+    // B settles the re-punched race (on the relay) within 80 s.
+    sc.world.sim.run_for(Duration::from_secs(70));
+    let races = announced(&mut sc, b, A);
+    let ports: Vec<u16> = races.iter().flatten().map(|e| e.port).collect();
+    assert!(
+        !ports.is_empty() && ports.iter().all(|&p| p > 62512),
+        "announced outside the moved pool: {races:?}"
+    );
 }
 
 /// Only a client whose plan measures a stride talks to the probe port:
@@ -168,3 +204,4 @@ fn a_lost_probe_is_sent_again() {
         "no predicted ports after a lost probe: {races:?}"
     );
 }
+

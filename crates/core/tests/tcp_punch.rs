@@ -177,12 +177,9 @@ fn rst_nat_slows_but_does_not_kill_tcp_punch() {
     let na = wb.nat(NatBehavior::well_behaved(), addrs::NAT_A);
     let nb = wb.nat(rst_nat, addrs::NAT_B);
     wb.client(addrs::CLIENT_A, na, tcp_setup(A, TcpFlavor::LinuxWindows));
-    wb.client_linked(
-        addrs::CLIENT_B,
-        nb,
-        tcp_setup(B, TcpFlavor::LinuxWindows),
-        punch_net::LinkSpec::new(Duration::from_millis(150)),
-    );
+    let mut slow = tcp_setup(B, TcpFlavor::LinuxWindows);
+    slow.link = Some(punch_net::LinkSpec::new(Duration::from_millis(150)));
+    wb.client(addrs::CLIENT_B, nb, slow);
     let world = wb.build();
     let mut sc = Scenario {
         server: world.servers[0],

@@ -24,8 +24,9 @@
 //! — with the defense off and on, and feed the `attacks` bench bin and
 //! CI's defense-flip gate.
 
+use crate::chaos::{chaos_peer, ChaosProfile};
 use crate::world::{addrs, fig5_builder, PeerSetup, Scenario, World, WorldBuilder};
-use holepunch::{PeerEvent, TcpPeer, TcpPeerConfig, UdpPeer, UdpPeerConfig};
+use holepunch::{PeerEvent, TcpPeer, TcpPeerConfig, UdpPeer};
 use punch_nat::NatBehavior;
 use punch_net::{
     Ctx, Device, Duration, Endpoint, IfaceId, LinkSpec, NodeId, Packet, SimTime, TcpFlags,
@@ -344,8 +345,7 @@ fn victim_pair(
 }
 
 fn resilient_udp_peer(id: PeerId) -> PeerSetup {
-    let server = Endpoint::new(addrs::SERVER, SERVER_PORT);
-    PeerSetup::new(UdpPeer::new(UdpPeerConfig::resilient(id, server)))
+    chaos_peer(id, ChaosProfile::Resilient)
 }
 
 /// Drains victim A's UDP events, counting kills.

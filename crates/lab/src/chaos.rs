@@ -1,6 +1,12 @@
-//! Chaos search: seeded random fault schedules against hole-punching
-//! scenarios, liveness invariants, replay-determinism checks, and
-//! delta-debugging shrinking of failing schedules.
+//! The fault harness: EC's scripted fault schedules, and chaos search —
+//! seeded random fault schedules against hole-punching scenarios,
+//! liveness invariants, replay-determinism checks, and delta-debugging
+//! shrinking of failing schedules.
+//!
+//! EC ([`SCRIPTED`], [`run_scripted`]) injects one fixed schedule into
+//! a Figure-5 pair that has settled and times its recovery, each class
+//! by its own recovery condition. Chaos search (EC2) samples schedules
+//! from the same vocabulary and applies them while the pair punches.
 //!
 //! The harness samples a random [`ChaosFault`] schedule per seed
 //! (outages, degradation, corruption, truncation, NAT reboots, server
@@ -24,7 +30,8 @@
 //! wedge a resilient pair permanently.
 //!
 //! The module owns the fault vocabulary ([`ChaosFault`], [`ChaosLink`]),
-//! the two samplers, the trial and the shrinker. Everything after
+//! the peer profiles ([`ChaosProfile`]), EC's schedules and runner, the
+//! two samplers, the trial and the shrinker. Everything after
 //! sampling — a fault's end, its JSON, its steps in the
 //! [`FaultPlan`], the bench's per-kind counts — reads a fault through
 //! one private table (`ChaosFault::parts`, one row per kind), and a
@@ -39,9 +46,10 @@ use holepunch::{
     CandidatePlan, CandidateSource, PeerEvent, PredictionStrategy, PunchConfig, UdpPeer,
     UdpPeerConfig,
 };
-use punch_nat::NatBehavior;
+use punch_nat::{NatBehavior, FAULT_WELL_BEHAVED};
 use punch_net::{
-    Duration, FaultPlan, Json, LinkSpec, NodeId, SimStats, SimTime,
+    Duration, FaultPlan, Json, LinkSpec, MetricsSnapshot, NodeId, SimStats, SimTime,
+    FAULT_RESTART,
 };
 use punch_rendezvous::{PeerId, ServerConfig};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -100,11 +108,6 @@ impl ChaosLink {
             ChaosLink::ClientAAccess => ("client_a_access", LinkSpec::lan(), |sc| sc.a),
             ChaosLink::ClientBAccess => ("client_b_access", LinkSpec::lan(), |sc| sc.b),
         }
-    }
-
-    /// Stable identifier used in plan JSON.
-    fn json_name(self) -> &'static str {
-        self.row().0
     }
 }
 
@@ -172,6 +175,13 @@ pub enum ChaosFault {
         /// Offset from the punch start, milliseconds.
         at_ms: u64,
     },
+    /// NAT A is reconfigured to well-behaved ([`FAULT_WELL_BEHAVED`]):
+    /// a symmetric NAT A that blocked the pair stops blocking. EC's
+    /// relay-upgrade class; the samplers never draw it.
+    HealNatA {
+        /// Offset from the punch start, milliseconds.
+        at_ms: u64,
+    },
     /// Adversarial ([`ChaosProfile::Adversarial`] only): a host behind
     /// NAT A bursts `ports` fresh-port mappings against the capped
     /// translation table.
@@ -205,8 +215,8 @@ enum Effect {
     /// The link is faulty for `dur_ms`: down (`None`), or degraded to
     /// `with(its normal spec, the fault's own percentage / 100)`.
     Link(ChaosLink, u64, Option<fn(LinkSpec, f64) -> LinkSpec>),
-    /// The device on the node this is the uplink of restarts.
-    Restart(ChaosLink),
+    /// The device on the node this is the uplink of gets the fault code.
+    Device(ChaosLink, u64),
     /// Nothing in the fault plan: the burst is on an attacker bot's
     /// script, written when the topology is built.
     Scripted,
@@ -221,7 +231,7 @@ impl ChaosFault {
     /// The one decomposition everything downstream of sampling reads a
     /// fault through, so a new kind is one row here.
     fn parts(&self) -> Parts {
-        use Effect::{Link, Restart, Scripted};
+        use Effect::{Device, Link, Scripted};
         let own = |field, v: u64| Some((field, v));
         match *self {
             ChaosFault::Outage { link, at_ms, dur_ms } => {
@@ -240,13 +250,16 @@ impl ChaosFault {
                 ("truncate", at_ms, own("prob_pct", prob_pct.into()), effect)
             }
             ChaosFault::RebootNatA { at_ms } => {
-                ("reboot_nat_a", at_ms, None, Restart(ChaosLink::NatAUplink))
+                ("reboot_nat_a", at_ms, None, Device(ChaosLink::NatAUplink, FAULT_RESTART))
             }
             ChaosFault::RebootNatB { at_ms } => {
-                ("reboot_nat_b", at_ms, None, Restart(ChaosLink::NatBUplink))
+                ("reboot_nat_b", at_ms, None, Device(ChaosLink::NatBUplink, FAULT_RESTART))
             }
             ChaosFault::RestartServer { at_ms } => {
-                ("restart_server", at_ms, None, Restart(ChaosLink::ServerUplink))
+                ("restart_server", at_ms, None, Device(ChaosLink::ServerUplink, FAULT_RESTART))
+            }
+            ChaosFault::HealNatA { at_ms } => {
+                ("heal_nat_a", at_ms, None, Device(ChaosLink::NatAUplink, FAULT_WELL_BEHAVED))
             }
             ChaosFault::MappingFlood { at_ms, ports } => {
                 ("mapping_flood", at_ms, own("ports", ports.into()), Scripted)
@@ -281,10 +294,10 @@ impl ChaosFault {
         let (kind, at_ms, own, effect) = self.parts();
         let link = match effect {
             Effect::Link(link, dur_ms, _) => Some((link, dur_ms)),
-            Effect::Restart(_) | Effect::Scripted => None,
+            Effect::Device(..) | Effect::Scripted => None,
         };
         let mut record = vec![("kind", Json::str(kind))];
-        record.extend(link.map(|(link, _)| ("link", Json::str(link.json_name()))));
+        record.extend(link.map(|(link, _)| ("link", Json::str(link.row().0))));
         record.push(("at_ms", Json::num(at_ms)));
         record.extend(link.map(|(_, dur_ms)| ("dur_ms", Json::num(dur_ms))));
         record.extend(own.map(|(field, v)| (field, Json::num(v))));
@@ -340,12 +353,23 @@ pub enum ChaosProfile {
     /// the hunt is for attack schedules that wedge a resilient pair
     /// *permanently* (transient degradation is the expected outcome).
     Adversarial,
+    /// The resilient profile with a constant volley cadence and a
+    /// 4-volley budget, so a blocked pair reaches the relay quickly.
+    /// EC's relay-upgrade class runs it.
+    QuickRelay,
 }
 
-fn chaos_peer(id: PeerId, profile: ChaosProfile) -> PeerSetup {
+/// The peer every chaos trial, EC class and attack leg runs,
+/// configured per `profile`.
+pub(crate) fn chaos_peer(id: PeerId, profile: ChaosProfile) -> PeerSetup {
     let mut c = UdpPeerConfig::resilient(id, Scenario::server_endpoint());
     match profile {
         ChaosProfile::Resilient | ChaosProfile::Adversarial => {}
+        ChaosProfile::QuickRelay => {
+            c.punch.backoff = 1.0;
+            c.punch.backoff_jitter = 0.0;
+            c.punch.max_attempts = 4;
+        }
         ChaosProfile::Fragile => {
             c.punch = PunchConfig::default();
             // The injected bug: a dead session is never noticed (no
@@ -521,9 +545,9 @@ fn build_fault_plan(sc: &Scenario, t0: SimTime, faults: &[ChaosFault]) -> FaultP
                     }
                 }
             }
-            Effect::Restart(uplink) => {
+            Effect::Device(uplink, code) => {
                 let (_, _, node) = uplink.row();
-                plan.restart(at, node(sc))
+                plan.device_fault(at, node(sc), code)
             }
             Effect::Scripted => plan,
         }
@@ -659,7 +683,7 @@ fn run_trial_inner(seed: u64, faults: &[ChaosFault], profile: ChaosProfile) -> T
 /// Runs one chaos trial: topology seed `seed`, schedule `faults`,
 /// peers configured per `profile`. Panics inside the trial are caught
 /// and reported as violations.
-// punch-lint: allow(S005) lab/tests/chaos_search.rs pins trial outcomes for hand-written schedules of all ten fault kinds
+// punch-lint: allow(S005) lab/tests/chaos_search.rs pins trial outcomes for hand-written schedules of all ten sampled fault kinds
 pub fn run_trial(seed: u64, faults: &[ChaosFault], profile: ChaosProfile) -> TrialOutcome {
     let faults = faults.to_vec();
     match catch_unwind(AssertUnwindSafe(move || {
@@ -794,4 +818,94 @@ pub fn run_schedule(seed: u64, profile: ChaosProfile, max_faults: usize) -> Sche
         sampled: faults.len(),
         violation,
     }
+}
+
+/// EC's scripted fault classes, `(name, what happens, schedule)`, in
+/// report order. Each schedule's offsets count from the instant the
+/// pair has settled; [`run_scripted`] runs one.
+pub const SCRIPTED: [(&str, &str, &[ChaosFault]); 4] = [
+    (
+        "nat-reboot",
+        "NAT A reboots: tables flushed, port pool moved",
+        &[ChaosFault::RebootNatA { at_ms: 0 }],
+    ),
+    (
+        "server-restart",
+        "S restarts behind an 8 s uplink outage (recovery = re-registration)",
+        &[
+            ChaosFault::RestartServer { at_ms: 0 },
+            ChaosFault::Outage { link: ChaosLink::ServerUplink, at_ms: 0, dur_ms: 8_000 },
+        ],
+    ),
+    (
+        "link-outage",
+        "client A's access link down for 5 s",
+        &[ChaosFault::Outage { link: ChaosLink::ClientAAccess, at_ms: 0, dur_ms: 5_000 }],
+    ),
+    (
+        "relay-upgrade",
+        "blocked pair relays, block clears (recovery = direct upgrade)",
+        &[ChaosFault::HealNatA { at_ms: 0 }],
+    ),
+];
+
+/// Conditions a scripted trial waits for in turn: `(whose peer, what
+/// must hold)`.
+type Waits = &'static [(PeerId, fn(&UdpPeer) -> bool)];
+
+/// Both ends hold the direct session.
+const DIRECT: Waits = &[(A, |p| p.is_established(B)), (B, |p| p.is_established(A))];
+
+/// EC: runs one [`SCRIPTED`] schedule against a resilient Figure-5
+/// pair and returns the time from injection to recovery; `None` if the
+/// pair did not settle within 30 s or missed the 60 s recovery
+/// deadline. The pair settles first: direct both ways, or — when the
+/// schedule heals NAT A, which then starts symmetric and the peers run
+/// [`ChaosProfile::QuickRelay`] — A relaying. Recovery follows from the
+/// schedule: after a heal, the session is direct both ways; after a
+/// server restart, A lost its registration and both peers hold one
+/// again; after anything else, B saw the session die and both ends
+/// re-punched it. Runs with the metrics registry enabled — which never
+/// changes the recovery time — and also returns the run's
+/// [`MetricsSnapshot`].
+pub fn run_scripted(seed: u64, faults: &[ChaosFault]) -> (Option<Duration>, MetricsSnapshot) {
+    let has = |kind: fn(&ChaosFault) -> bool| faults.iter().any(kind);
+    let well = NatBehavior::well_behaved;
+    let (nat_a, profile, settled, recovered): (_, _, Waits, Waits) =
+        if has(|f| matches!(f, ChaosFault::HealNatA { .. })) {
+            let relaying: Waits = &[(A, |p| p.is_relaying(B))];
+            (NatBehavior::symmetric(), ChaosProfile::QuickRelay, relaying, DIRECT)
+        } else if has(|f| matches!(f, ChaosFault::RestartServer { .. })) {
+            let reregistered: Waits =
+                &[(A, |p| !p.is_registered()), (A, |p| p.is_registered()), (B, |p| p.is_registered())];
+            (well(), ChaosProfile::Resilient, DIRECT, reregistered)
+        } else {
+            let repunched: Waits =
+                &[(B, |p| !p.is_established(A)), (B, |p| p.is_established(A)), (A, |p| p.is_established(B))];
+            (well(), ChaosProfile::Resilient, DIRECT, repunched)
+        };
+    let mut sc = fig5(seed, nat_a, well(), chaos_peer(A, profile), chaos_peer(B, profile));
+    sc.world.sim.enable_metrics();
+    sc.world.sim.run_for(Duration::from_secs(2));
+    sc.world.with_app::<UdpPeer, _>(sc.a, |p, os| p.connect(os, B));
+    let settle = sc.world.sim.now() + Duration::from_secs(30);
+    let mut recovery = None;
+    if wait(&mut sc, settle, settled) {
+        let t0 = sc.world.sim.now();
+        let plan = build_fault_plan(&sc, t0, faults);
+        sc.world.apply_faults(&plan);
+        if wait(&mut sc, t0 + Duration::from_secs(60), recovered) {
+            recovery = Some(sc.world.sim.now() - t0);
+        }
+    }
+    (recovery, sc.world.sim.metrics_snapshot())
+}
+
+/// Runs until each of `waits` holds in turn; false once `deadline`
+/// passes.
+fn wait(sc: &mut Scenario, deadline: SimTime, waits: Waits) -> bool {
+    waits.iter().all(|&(id, holds)| {
+        let node = if id == A { sc.a } else { sc.b };
+        sc.world.run_until_app::<UdpPeer>(node, deadline, holds)
+    })
 }

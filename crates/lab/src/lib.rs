@@ -21,10 +21,11 @@
 //! worker pool while keeping results in task order, so experiment
 //! output stays byte-identical to a sequential run.
 //!
-//! The [`chaos`] module is a seeded chaos-search harness: it samples
-//! random fault schedules against the Figure-5 topology, checks
-//! liveness and replay-determinism invariants, and shrinks failing
-//! schedules to minimal replayable fault plans.
+//! The [`chaos`] module is the one fault harness: it runs EC's four
+//! scripted fault schedules against a settled Figure-5 pair and times
+//! the recovery, and it samples random fault schedules against the
+//! same topology, checks liveness and replay-determinism invariants,
+//! and shrinks failing schedules to minimal replayable fault plans.
 //!
 //! The [`adversary`] module puts seeded attacker nodes *inside* the
 //! simulation — mapping-exhaustion floods, off-path RST/forgery
@@ -52,4 +53,4 @@ pub use adversary::{
     AttackReport, FloodBot, SpoofBot,
 };
 pub use shard::{OutcomeCounts, SessionOutcome, ShardConfig, ShardedWorld};
-pub use world::{addrs, fig4, fig5, fig6, PeerSetup, Scenario, World, WorldBuilder};
+pub use world::{addrs, fig4, fig5, fig5_builder, fig6, PeerSetup, Scenario, World, WorldBuilder};

@@ -1,9 +1,9 @@
 //! Wiring tests for the topology builders.
 
 use crate::world::{addrs, fig4, fig5, fig6, PeerSetup, WorldBuilder};
-use punch_nat::{NatBehavior, NatDevice};
+use punch_nat::{NatBehavior, NatDevice, FAULT_WELL_BEHAVED};
 use punch_net::testutil::SinkDevice;
-use punch_net::{Duration, Endpoint, Packet};
+use punch_net::{Duration, Endpoint, FaultPlan, Packet, SimTime};
 use punch_rendezvous::{RendezvousServer, ServerConfig};
 use punch_transport::{App, Os, SockEvent};
 use std::sync::Arc;
@@ -120,10 +120,10 @@ fn nat_iface_zero_faces_upstream() {
 }
 
 /// Several NATs built from one shared behaviour: reconfiguring one of
-/// them replaces that NAT's profile and never writes through the shared
-/// one, so the others keep it.
+/// them ([`FAULT_WELL_BEHAVED`]) replaces that NAT's profile and never
+/// writes through the shared one, so the others keep it.
 #[test]
-fn set_nat_behavior_changes_only_the_nat_it_names() {
+fn a_well_behaved_fault_changes_only_the_nat_it_hits() {
     let profile = Arc::new(NatBehavior::symmetric());
     let mut wb = WorldBuilder::new(9);
     for ip in [addrs::NAT_A, addrs::NAT_B, addrs::ISP_NAT_A] {
@@ -132,7 +132,9 @@ fn set_nat_behavior_changes_only_the_nat_it_names() {
     let mut world = wb.build();
     let nats = world.nats.clone();
     assert_eq!(Arc::strong_count(&profile), 4, "the NATs share one profile");
-    world.set_nat_behavior(nats[1], NatBehavior::well_behaved());
+    let fix = FaultPlan::new().device_fault(SimTime::ZERO, nats[1], FAULT_WELL_BEHAVED);
+    world.apply_faults(&fix);
+    world.sim.run_for(Duration::from_millis(1));
     assert_eq!(*world.nat(nats[1]).behavior(), NatBehavior::well_behaved());
     for n in [nats[0], nats[2]] {
         assert!(std::ptr::eq(world.nat(n).behavior(), &*profile));

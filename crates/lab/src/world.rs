@@ -9,7 +9,7 @@
 //! typed access to the applications and the fault hooks.
 
 use punch_nat::{NatBehavior, NatDevice};
-use punch_net::{Cidr, Endpoint, FaultPlan, LinkId, LinkSpec, NodeId, Router, Sim, SimTime, FAULT_RESTART};
+use punch_net::{Cidr, Endpoint, FaultPlan, LinkId, LinkSpec, NodeId, Router, Sim, SimTime};
 use punch_rendezvous::{RendezvousServer, ServerConfig, SERVER_PORT};
 use punch_transport::{App, HostDevice, Os, StackConfig};
 use std::net::Ipv4Addr;
@@ -146,12 +146,17 @@ struct NatSpec {
     parent: Option<usize>,
 }
 
-/// An application plus the stack configuration of its host.
+/// An application plus the stack configuration and access link of its
+/// host.
 pub struct PeerSetup {
     /// The application to run.
     pub app: Box<dyn App>,
     /// Host stack configuration (defaults to [`StackConfig::fast`]).
     pub stack: StackConfig,
+    /// The host's access link, e.g. a slow one to skew punch timing for
+    /// §4.3/§5.2 experiments; `None` (the default) takes the builder's
+    /// LAN or WAN profile.
+    pub link: Option<LinkSpec>,
 }
 
 impl PeerSetup {
@@ -160,6 +165,7 @@ impl PeerSetup {
         PeerSetup {
             app: Box::new(app),
             stack: StackConfig::fast(),
+            link: None,
         }
     }
 
@@ -232,24 +238,6 @@ impl World {
     /// Schedules every step of a fault plan onto the simulation.
     pub fn apply_faults(&mut self, plan: &FaultPlan) {
         plan.apply(&mut self.sim);
-    }
-
-    /// Restarts the device on `node` at the current instant, losing its
-    /// volatile state: a NAT flushes its tables and moves its port pool,
-    /// so every mapping through it dies; a rendezvous server forgets
-    /// every registration and relay. Takes effect when the simulation
-    /// next runs.
-    pub fn restart(&mut self, node: NodeId) {
-        let now = self.sim.now();
-        self.sim.schedule_device_fault(now, node, FAULT_RESTART);
-    }
-
-    /// Swaps the NAT behavior on `node` (e.g. clearing a restrictive
-    /// NAT to let a relayed pair upgrade to a direct path). Existing
-    /// mappings survive; only new allocations see the new behavior.
-    /// Other NATs built from the same profile keep it.
-    pub fn set_nat_behavior(&mut self, node: NodeId, behavior: NatBehavior) {
-        self.sim.device_mut::<NatDevice>(node).set_behavior(behavior);
     }
 }
 
@@ -355,33 +343,15 @@ impl WorldBuilder {
 
     /// Adds a client behind NAT `nat`; returns its index.
     pub fn client(&mut self, ip: Ipv4Addr, nat: usize, setup: PeerSetup) -> usize {
-        self.push_client(ip, Some(nat), setup, None)
-    }
-
-    /// Adds a client behind NAT `nat` with a specific access link
-    /// (e.g. to skew punch timing for §4.3/§5.2 experiments).
-    pub fn client_linked(
-        &mut self,
-        ip: Ipv4Addr,
-        nat: usize,
-        setup: PeerSetup,
-        link: LinkSpec,
-    ) -> usize {
-        self.push_client(ip, Some(nat), setup, Some(link))
+        self.push_client(ip, Some(nat), setup)
     }
 
     /// Adds a client attached directly to the public Internet.
     pub fn public_client(&mut self, ip: Ipv4Addr, setup: PeerSetup) -> usize {
-        self.push_client(ip, None, setup, None)
+        self.push_client(ip, None, setup)
     }
 
-    fn push_client(
-        &mut self,
-        ip: Ipv4Addr,
-        behind: Option<usize>,
-        setup: PeerSetup,
-        link: Option<LinkSpec>,
-    ) -> usize {
+    fn push_client(&mut self, ip: Ipv4Addr, behind: Option<usize>, setup: PeerSetup) -> usize {
         assert!(
             behind.is_none_or(|nat| nat < self.nats.len()),
             "client's NAT must be declared first"
@@ -391,7 +361,7 @@ impl WorldBuilder {
             behind,
             app: setup.app,
             stack: setup.stack,
-            link,
+            link: setup.link,
         });
         self.clients.len() - 1
     }
@@ -484,9 +454,12 @@ pub fn fig4(seed: u64, nat: NatBehavior, a: PeerSetup, b: PeerSetup) -> Scenario
 }
 
 /// Figure 5 declared but not yet built: S running `server`, NAT A
-/// (index 0), NAT B (index 1) and clients A and B behind them. Attack
-/// scenarios add their bots as further clients, then build.
-pub(crate) fn fig5_builder(
+/// (index 0), NAT B (index 1) and clients A and B behind them. Callers
+/// add to it before building — a WAN profile, or further clients such
+/// as attack bots or a chatterer behind NAT A; [`WorldBuilder::build`]
+/// materialises servers, then NATs, then clients, so whatever is added
+/// leaves the figure's node and link ids as they are.
+pub fn fig5_builder(
     seed: u64,
     server: ServerConfig,
     nat_a: NatBehavior,

@@ -3,8 +3,8 @@
 //! injected liveness bug is caught and shrunk to a minimal plan.
 
 use punch_lab::chaos::{
-    generate_adversarial_faults, generate_faults, run_schedule, run_trial, shrink,
-    ChaosFault, ChaosLink, ChaosPlan, ChaosProfile,
+    generate_adversarial_faults, generate_faults, run_schedule, run_trial, shrink, ChaosFault,
+    ChaosLink, ChaosPlan, ChaosProfile, SCRIPTED,
 };
 
 #[test]
@@ -218,7 +218,8 @@ fn sampled_plans_serialize_to_pinned_bytes() {
     );
 }
 
-/// Hand-written schedules that together contain all ten kinds, run
+/// Hand-written schedules that together contain all ten sampled kinds
+/// (EC's `HealNatA` is covered below), run
 /// end to end: pins what each kind does to the fault plan and to the
 /// attacker bots' scripts (same-instant bursts included, so the bots'
 /// sort keys count).
@@ -278,4 +279,14 @@ fn every_fault_kind_keeps_its_trial_outcome() {
         }
         assert_eq!(fnv(h, out.metrics_json.as_bytes()), pinned, "{name}");
     }
+}
+
+/// The relay-upgrade flip EC runs is a plan-JSON kind of its own, so a
+/// schedule holding it replays from its JSON like any other. (That each
+/// of EC's schedules recovers is `punch-bench chaos`'s gate.)
+#[test]
+fn the_relay_upgrade_flip_is_a_plan_json_kind() {
+    let (_, _, faults) = SCRIPTED[3];
+    let plan = ChaosPlan { seed: 3, faults: faults.to_vec() };
+    assert!(plan.to_json().contains(r#"{"kind": "heal_nat_a", "at_ms": 0}"#), "{}", plan.to_json());
 }

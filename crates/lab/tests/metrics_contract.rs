@@ -24,7 +24,7 @@ use bytes::Bytes;
 use holepunch::{PeerId, TcpPeer, TcpPeerConfig, UdpPeer, UdpPeerConfig};
 use punch_lab::adversary::FloodBot;
 use punch_lab::{addrs, fig5, PeerSetup, Scenario, ShardConfig, ShardedWorld, WorldBuilder};
-use punch_nat::{NatBehavior, TcpUnsolicited};
+use punch_nat::{NatBehavior, TcpUnsolicited, FAULT_WELL_BEHAVED};
 use punch_net::{
     Duration, Endpoint, FaultPlan, LinkAction, LinkSpec, MetricsSnapshot, Packet, SimTime,
     TcpFlags, TcpSegment, FAULT_RESTART,
@@ -276,7 +276,9 @@ fn tcp_rejections() -> MetricsSnapshot {
     );
     let nc = wb.nat(NatBehavior::well_behaved(), Ipv4Addr::new(120, 1, 1, 1));
     wb.client(addrs::CLIENT_A, na, tcp_peer(A));
-    wb.client_linked(addrs::CLIENT_B, nb, tcp_peer(B), LinkSpec::new(Duration::from_millis(80)));
+    let mut slow = tcp_peer(B);
+    slow.link = Some(LinkSpec::new(Duration::from_millis(80)));
+    wb.client(addrs::CLIENT_B, nb, slow);
     wb.client(Ipv4Addr::new(10, 2, 2, 2), nc, tcp_peer(C));
     let world = wb.build();
     let (a, c) = (world.clients[0], world.clients[2]);
@@ -498,7 +500,8 @@ fn relay_probe() -> MetricsSnapshot {
     let relaying = |p: &UdpPeer| p.is_relaying(B);
     assert!(sc.world.run_until_app::<UdpPeer>(sc.a, SimTime::from_secs(120), relaying));
     let relayed_at = sc.world.sim.now();
-    sc.world.set_nat_behavior(sc.world.nats[0], nat());
+    let fix = FaultPlan::new().device_fault(relayed_at, sc.world.nats[0], FAULT_WELL_BEHAVED);
+    sc.world.apply_faults(&fix);
     let established = |p: &UdpPeer| p.is_established(B);
     assert!(sc.world.run_until_app::<UdpPeer>(sc.a, relayed_at + Duration::from_secs(6), established));
     assert!(sc.world.sim.now() > relayed_at + Duration::from_secs(5), "not before the first probe");

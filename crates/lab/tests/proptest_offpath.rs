@@ -1,16 +1,20 @@
 //! Off-path packets against a punch in progress (the packets ReDAN aims
 //! at NATs): a Figure-5 world registers, A starts punching to B, and
 //! arbitrary UDP, TCP and ICMP packets arrive on the public iface of
-//! both NATs and of the rendezvous server, from arbitrary sources.
+//! both NATs and of the rendezvous server, from arbitrary sources. A
+//! second property injects the same packets inside the network: at the
+//! backbone router, on any of its links, and on both NATs' private
+//! sides, from hosts spoofed inside each realm.
 //! Spoofed sources are drawn from the endpoints that matter (the
 //! server, its probe port, the NATs' live mappings) as well as from
 //! anywhere, and UDP payloads are raw bytes or well-formed rendezvous
 //! and peer messages with forged fields.
 //!
-//! Whatever arrives: nothing panics, a public-side packet never creates
-//! a NAT mapping, by 60 s after the connect A's session with B has
-//! settled (direct, relayed or failed) instead of punching forever, and
-//! the world has gone back to keepalive traffic.
+//! Whatever arrives: nothing panics, by 60 s after the connect A's
+//! session with B has settled (direct, relayed or failed) instead of
+//! punching forever, and the world has gone back to keepalive traffic.
+//! A public-side packet also never creates a NAT mapping (a private-side
+//! one may: that is what a NAT is for).
 
 use bytes::Bytes;
 use holepunch::{UdpPeer, UdpPeerConfig};
@@ -153,9 +157,8 @@ fn udp_payload(word: u64, mapped: &[Endpoint], payload: Vec<u8>) -> Bytes {
     msg.encode(word & 1 == 0)
 }
 
-fn packet(shot: Shot, dst: Endpoint, mapped: &[Endpoint]) -> Packet {
-    let [src_word, field_word, extra] = shot.words;
-    let src = endpoint(src_word, mapped);
+fn packet(shot: Shot, src: Endpoint, dst: Endpoint, mapped: &[Endpoint]) -> Packet {
+    let [_, field_word, extra] = shot.words;
     match shot.proto {
         0 => Packet::udp(src, dst, udp_payload(field_word, mapped, shot.payload)),
         1 => {
@@ -208,6 +211,29 @@ fn aim(world: &World, target: usize, word: u64) -> (NodeId, Endpoint) {
     (nat, dst)
 }
 
+/// Where a shot from inside lands, `(node, iface, src, dst)`: the
+/// backbone router on one of its three links, from anywhere, or NAT A's
+/// or NAT B's private side, from its own client's address or another
+/// host in its realm. Either way it is addressed like a public shot.
+fn aim_inside(world: &World, target: usize, [src_word, _, word]: [u64; 3]) -> (NodeId, usize, Endpoint, Endpoint) {
+    let mapped = mapped(world);
+    let dst = endpoint(word, &mapped);
+    if target == 0 {
+        let iface = (word >> 40) as usize % 3;
+        return (world.internet, iface, endpoint(src_word, &mapped), dst);
+    }
+    let (nat, client) = [(world.nats[0], addrs::CLIENT_A), (world.nats[1], addrs::CLIENT_B)][target - 1];
+    let port = (src_word >> 8) as u16;
+    let host = if src_word & 1 == 0 {
+        client
+    } else {
+        let [a, b, c, _] = client.octets();
+        Ipv4Addr::new(a, b, c, (src_word >> 24) as u8)
+    };
+    // Iface 1: the NAT's first private link, its client's.
+    (nat, 1, Endpoint::new(host, port), dst)
+}
+
 /// Every mapping on each NAT belongs to that NAT's own client.
 fn assert_mappings_are_inside(world: &World) {
     for (&nat, client) in world.nats.iter().zip([addrs::CLIENT_A, addrs::CLIENT_B]) {
@@ -249,7 +275,8 @@ proptest! {
             sc.world.sim.run_for(Duration::from_millis(shot.gap_ms));
             let mapped = mapped(&sc.world);
             let (node, dst) = aim(&sc.world, shot.target, shot.words[2]);
-            let pkt = packet(shot, dst, &mapped);
+            let src = endpoint(shot.words[0], &mapped);
+            let pkt = packet(shot, src, dst, &mapped);
             // Iface 0: a NAT's public side, the server's one link.
             sc.world.sim.inject(node, 0, pkt);
             assert_mappings_are_inside(&sc.world);
@@ -259,6 +286,37 @@ proptest! {
         let quiet_from = sc.world.sim.stats().packets_sent;
         sc.world.sim.run_until(SimTime::ZERO + CONNECT_AT + Duration::from_secs(60));
         assert_mappings_are_inside(&sc.world);
+        prop_assert!(settled(sc.world.app(sc.a)), "A's session with B is still punching");
+        let late = sc.world.sim.stats().packets_sent - quiet_from;
+        prop_assert!(late <= SETTLED_TRAFFIC, "{late} packets sent in the last 30 s");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn packets_injected_inside_never_panic_or_wedge_a_punch(
+        (seed, nats) in (any::<u64>(), any::<[u8; 2]>()),
+        lead_ms in 0..200u64,
+        shots in vec(shot(), 1..48),
+    ) {
+        let mut sc = fig5(seed, behavior(nats[0]), behavior(nats[1]), udp_peer(A), udp_peer(B));
+        sc.world.sim.run_for(CONNECT_AT);
+        sc.world.with_app::<UdpPeer, _>(sc.a, |p, os| p.connect(os, B));
+        sc.world.sim.run_for(Duration::from_millis(lead_ms));
+
+        for shot in shots {
+            sc.world.sim.run_for(Duration::from_millis(shot.gap_ms));
+            let mapped = mapped(&sc.world);
+            let (node, iface, src, dst) = aim_inside(&sc.world, shot.target, shot.words);
+            let pkt = packet(shot, src, dst, &mapped);
+            sc.world.sim.inject(node, iface, pkt);
+        }
+
+        sc.world.sim.run_until(SimTime::ZERO + CONNECT_AT + Duration::from_secs(30));
+        let quiet_from = sc.world.sim.stats().packets_sent;
+        sc.world.sim.run_until(SimTime::ZERO + CONNECT_AT + Duration::from_secs(60));
         prop_assert!(settled(sc.world.app(sc.a)), "A's session with B is still punching");
         let late = sc.world.sim.stats().packets_sent - quiet_from;
         prop_assert!(late <= SETTLED_TRAFFIC, "{late} packets sent in the last 30 s");

@@ -120,12 +120,9 @@ fn builder_world_keeps_its_fingerprint() {
     );
     wb.server(s2_ip, RendezvousServer::new(ServerConfig::default().with_fleet(fleet, 1)));
     let isp = wb.nat(NatBehavior::well_behaved(), addrs::NAT_A);
-    let a = wb.client_linked(
-        addrs::CLIENT_A,
-        isp,
-        peer(A),
-        LinkSpec { jitter: Duration::from_millis(1), ..LinkSpec::access() },
-    );
+    let mut jittery = peer(A);
+    jittery.link = Some(LinkSpec { jitter: Duration::from_millis(1), ..LinkSpec::access() });
+    let a = wb.client(addrs::CLIENT_A, isp, jittery);
     let home = wb.nat_behind(NatBehavior::full_cone(), addrs::ISP_NAT_B, isp);
     let b = wb.client(addrs::CLIENT_B, home, peer(B));
     let far = wb.nat(NatBehavior::port_restricted_cone(), addrs::NAT_B);

@@ -85,8 +85,8 @@ pub enum Hairpin {
 /// device is built. It is a profile: NATs that behave alike share one
 /// behind an `Arc` ([`crate::NatDevice::new`] takes either), and a
 /// device's profile is never written through.
-/// [`crate::NatDevice::set_behavior`] gives that one device a new
-/// profile and leaves the others on the old one.
+/// [`crate::FAULT_WELL_BEHAVED`] gives that one device a new profile
+/// and leaves the others on the old one.
 ///
 /// # Examples
 ///

@@ -28,6 +28,13 @@ use std::net::Ipv4Addr;
 use std::sync::Arc;
 use std::time::Duration;
 
+/// Device-fault code a NAT answers by becoming
+/// [`NatBehavior::well_behaved`]: a reconfigured middlebox (a firmware
+/// update fixing a symmetric NAT, say). Existing mappings survive; new
+/// ones follow the new policy. Only this device changes: other NATs
+/// built from the old profile keep it.
+pub const FAULT_WELL_BEHAVED: u64 = 2;
+
 /// The public-facing interface index.
 pub const PUBLIC_IFACE: IfaceId = 0;
 
@@ -72,7 +79,7 @@ pub struct NatStats {
 /// ```
 pub struct NatDevice {
     /// Shared with every NAT built from the same profile; never written
-    /// through ([`NatDevice::set_behavior`] replaces it).
+    /// through ([`FAULT_WELL_BEHAVED`] replaces it).
     behavior: Arc<NatBehavior>,
     public_ip: Ipv4Addr,
     tables: NatTables,
@@ -156,15 +163,6 @@ impl NatDevice {
             .port_base
             .wrapping_add((self.stats.reboots as u16).wrapping_mul(512))
             .max(1024);
-    }
-
-    /// Replaces this device's behaviour configuration, keeping existing
-    /// mappings. Models a reconfigured middlebox (e.g. a firmware update
-    /// fixing a symmetric NAT); new mappings follow the new policy. Only
-    /// this device changes: other NATs built from the old profile keep
-    /// it.
-    pub fn set_behavior(&mut self, behavior: NatBehavior) {
-        self.behavior = Arc::new(behavior);
     }
 
     /// Allocates a public port per the configured policy. `None` when
@@ -552,6 +550,8 @@ impl Device for NatDevice {
             // Mapping-lifecycle accounting: everything live is lost.
             ctx.metric_inc_by("nat.mapping.flushed", self.tables.total_len() as u64);
             self.reboot();
+        } else if fault == FAULT_WELL_BEHAVED {
+            self.behavior = Arc::new(NatBehavior::well_behaved());
         }
     }
 

@@ -33,7 +33,7 @@ pub mod vendors;
 pub use behavior::{
     FilteringPolicy, Hairpin, MappingPolicy, NatBehavior, PortAllocation, TcpUnsolicited,
 };
-pub use device::{NatDevice, NatStats, PUBLIC_IFACE};
+pub use device::{NatDevice, NatStats, FAULT_WELL_BEHAVED, PUBLIC_IFACE};
 pub use mangle::rewrite_addr;
 pub use table::{MapEntry, MapId, MapKey, NatTables, TcpTrack};
 pub use vendors::{SampledNat, VendorProfile, VendorSpec, VENDORS};

@@ -126,8 +126,8 @@ impl FaultPlan {
         self.device_fault(at, node, FAULT_RESTART)
     }
 
-    /// Delivers an arbitrary fault code to the device on `node` at `at`.
-    fn device_fault(mut self, at: SimTime, node: NodeId, fault: u64) -> Self {
+    /// Delivers fault code `fault` to the device on `node` at `at`.
+    pub fn device_fault(mut self, at: SimTime, node: NodeId, fault: u64) -> Self {
         self.steps.push((at, Step::Device(node, fault)));
         self
     }

@@ -39,13 +39,10 @@ fn main() {
         PeerSetup::new(TcpPeer::new(TcpPeerConfig::new(a_id, server)))
             .with_stack(StackConfig::fast().with_flavor(TcpFlavor::LinuxWindows)),
     );
-    wb.client_linked(
-        addrs::CLIENT_B,
-        nb,
-        PeerSetup::new(TcpPeer::new(TcpPeerConfig::new(b_id, server)))
-            .with_stack(StackConfig::fast().with_flavor(TcpFlavor::Bsd)),
-        LinkSpec::new(Duration::from_millis(120)),
-    );
+    let mut b = PeerSetup::new(TcpPeer::new(TcpPeerConfig::new(b_id, server)))
+        .with_stack(StackConfig::fast().with_flavor(TcpFlavor::Bsd));
+    b.link = Some(LinkSpec::new(Duration::from_millis(120)));
+    wb.client(addrs::CLIENT_B, nb, b);
     let world = wb.build();
     let mut sc = Scenario {
         server: world.servers[0],

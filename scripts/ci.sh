@@ -79,7 +79,7 @@ echo "== census: line, knob and pub fn counts; settable values and expected pani
 sh scripts/census.sh | tee "$tmp/census.txt"
 # The ratchet: raise this number only by editing this line, with the
 # reason for the new knob in the same change.
-max_settable=70
+max_settable=69
 settable=$(sed -n '/^== settable values/,/^==/s/^\([0-9]*\) ~total$/\1/p' "$tmp/census.txt")
 if [ "${settable:-0}" -gt "$max_settable" ] || [ -z "$settable" ]; then
     echo "FAIL: ${settable:-no} settable values; the limit is $max_settable" >&2

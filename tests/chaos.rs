@@ -4,6 +4,8 @@
 //! upgrades. Every scenario is deterministic under its seed.
 
 use bytes::Bytes;
+use p2p_punch::nat::FAULT_WELL_BEHAVED;
+use p2p_punch::net::NodeId;
 use p2p_punch::prelude::*;
 
 const A: PeerId = PeerId(1);
@@ -56,6 +58,13 @@ fn established_pair_opts(seed: u64, metrics: bool) -> Scenario {
     sc
 }
 
+/// Restarts the devices on `nodes` at the current instant.
+fn restart(sc: &mut Scenario, nodes: &[NodeId]) {
+    let now = sc.world.sim.now();
+    let plan = nodes.iter().fold(FaultPlan::new(), |plan, &n| plan.restart(now, n));
+    sc.world.apply_faults(&plan);
+}
+
 /// Sends `payload` a→b and asserts it arrives directly.
 fn assert_direct_data(sc: &mut Scenario, payload: &'static [u8]) {
     sc.world
@@ -83,7 +92,7 @@ fn udp_session_survives_nat_reboot() {
     sc.world.with_app::<UdpPeer, _>(sc.b, |p, _| p.take_events());
 
     let nat_a = sc.world.nats[0];
-    sc.world.restart(nat_a);
+    restart(&mut sc, &[nat_a]);
 
     // The session dies (miss-based liveness) and then recovers.
     let deadline = sc.world.sim.now() + Duration::from_secs(30);
@@ -132,7 +141,7 @@ fn udp_session_survives_nat_reboot() {
 fn fault_runs_record_failure_reason_counters() {
     let mut sc = established_pair_opts(7, true);
     let nat_a = sc.world.nats[0];
-    sc.world.restart(nat_a);
+    restart(&mut sc, &[nat_a]);
 
     let deadline = sc.world.sim.now() + Duration::from_secs(30);
     assert!(
@@ -196,8 +205,9 @@ fn peers_reregister_and_reconnect_after_server_restart() {
     // S restarts (tables flushed) and stays unreachable for 8 s.
     let link = sc.world.uplink(s);
     let now = sc.world.sim.now();
-    sc.world.restart(s);
-    let plan = FaultPlan::new().outage(now, Duration::from_secs(8), link);
+    let plan = FaultPlan::new()
+        .restart(now, s)
+        .outage(now, Duration::from_secs(8), link);
     sc.world.apply_faults(&plan);
 
     sc.world.sim.run_for(Duration::from_secs(7));
@@ -241,8 +251,7 @@ fn peers_reregister_and_reconnect_after_server_restart() {
     // The restarted S must serve introductions from its fresh tables:
     // kill the session outright by rebooting both NATs and recover.
     let (nat_a, nat_b) = (sc.world.nats[0], sc.world.nats[1]);
-    sc.world.restart(nat_a);
-    sc.world.restart(nat_b);
+    restart(&mut sc, &[nat_a, nat_b]);
     let deadline = sc.world.sim.now() + Duration::from_secs(30);
     assert!(
         sc.world
@@ -302,7 +311,9 @@ fn relayed_pair_upgrades_to_direct_once_fault_clears() {
 
     // The blocking condition clears: A's NAT becomes well-behaved.
     let nat_a = sc.world.nats[0];
-    sc.world.set_nat_behavior(nat_a, NatBehavior::well_behaved());
+    let now = sc.world.sim.now();
+    sc.world
+        .apply_faults(&FaultPlan::new().device_fault(now, nat_a, FAULT_WELL_BEHAVED));
 
     // The periodic relay probe discovers the now-punchable path.
     let deadline = sc.world.sim.now() + Duration::from_secs(30);
@@ -365,7 +376,7 @@ fn chaos_recovery_is_deterministic() {
     let fingerprint = |seed: u64| {
         let mut sc = established_pair(seed);
         let nat_a = sc.world.nats[0];
-        sc.world.restart(nat_a);
+        restart(&mut sc, &[nat_a]);
         let deadline = sc.world.sim.now() + Duration::from_secs(30);
         sc.world
             .run_until_app::<UdpPeer>(sc.b, deadline, |p| !p.is_established(A));

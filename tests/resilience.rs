@@ -113,7 +113,8 @@ fn tcp_peers_survive_rendezvous_restart() {
     assert!(registered(&mut world), "registered before restart");
 
     // Server "restarts".
-    world.restart(s);
+    let now = world.sim.now();
+    world.apply_faults(&FaultPlan::new().restart(now, s));
     world.sim.run_for(Duration::from_secs(5));
     assert!(registered(&mut world), "client re-registered after the restart");
 
