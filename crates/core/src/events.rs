@@ -110,6 +110,10 @@ pub enum PeerEvent {
     },
 }
 
+// A peer's event queue holds these until the application drains it; a
+// `Data` event is mostly its payload's `Bytes`.
+const _: () = assert!(std::mem::size_of::<PeerEvent>() <= 64);
+
 /// [`PeerEvent`] under a second name, kept only because the benchmark's
 /// stream workload names it; it goes with ROADMAP item 1, as
 /// `NatDevice::new`'s `Vec` does.

@@ -85,6 +85,29 @@ mod tests {
         assert_eq!(unwrap(&Bytes::from_static(b"\x07body")), None);
     }
 
+    /// A relay control payload fits the stand-in's inline capacity
+    /// (`bytes::INLINE_CAP`) up to the widest window the tree predicts
+    /// with (8 ports, 22 B), so building one allocates nothing. The
+    /// `RelayData` around it adds 20 B, so an announcement of more than
+    /// seven ports is a datagram over the capacity.
+    #[test]
+    fn a_relay_control_payload_fits_the_inline_capacity() {
+        let ip = Ipv4Addr::new(138, 76, 29, 7);
+        for n in 0..=8u16 {
+            let ports: Vec<u16> = (0..n).map(|k| 31000 + k).collect();
+            let msg = announce(PeerId(1), PeerId(2), ip, &ports);
+            let Message::RelayData { data, .. } = &msg else {
+                panic!("announce builds a RelayData");
+            };
+            assert!(
+                data.len() <= bytes::INLINE_CAP,
+                "{n} ports: {} B",
+                data.len()
+            );
+            assert_eq!(msg.encode(false).len(), 20 + data.len());
+        }
+    }
+
     #[test]
     fn an_announcement_parses_back_to_its_ip_and_ports() {
         let ip = Ipv4Addr::new(138, 76, 29, 7);

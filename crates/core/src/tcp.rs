@@ -277,6 +277,9 @@ impl TcpPeer {
         let _ = os.tcp_send(sock, encode_frame(msg, true));
     }
 
+    /// Frames `data` without copying it: the stream's segments are
+    /// slices of the caller's buffer, bar the one that carries the
+    /// frame's head.
     fn send_data(&self, os: &mut Os<'_, '_>, sock: SocketId, data: Bytes) {
         self.send_frame(os, sock, &Message::PeerData { data });
     }

@@ -164,7 +164,7 @@ impl App for Raw {
             }
             Act::Send(len) => {
                 for &(sock, _) in &self.dialed {
-                    let _ = os.tcp_send(sock, vec![7u8; len]);
+                    let _ = os.tcp_send(sock, [vec![7u8; len]]);
                 }
             }
         }
@@ -174,7 +174,7 @@ impl App for Raw {
         match ev {
             SockEvent::TcpConnected { sock } => {
                 if let Some(&(_, len)) = self.dialed.iter().find(|(s, _)| *s == sock) {
-                    let _ = os.tcp_send(sock, vec![7u8; len]);
+                    let _ = os.tcp_send(sock, [vec![7u8; len]]);
                 }
             }
             SockEvent::TcpIncoming { listener } => {

@@ -330,7 +330,7 @@ impl App for NatCheckClient {
                 if Some(sock) == self.conn1 || Some(sock) == self.conn2 {
                     let _ = os.tcp_send(
                         sock,
-                        CheckMsg::TcpProbe { token: self.token }.encode_frame(),
+                        [CheckMsg::TcpProbe { token: self.token }.encode_frame()],
                     );
                 } else if Some(sock) == self.s3_conn {
                     self.s3_ok = Some(true);

@@ -150,7 +150,7 @@ impl CheckServer {
                             observed: p.observed,
                             server: 2,
                         };
-                        let _ = os.tcp_send(p.sock, echo.encode_frame());
+                        let _ = os.tcp_send(p.sock, [echo.encode_frame()]);
                     }
                 }
             }
@@ -182,7 +182,7 @@ impl CheckServer {
                         observed,
                         server: self.server_no(),
                     };
-                    let _ = os.tcp_send(sock, echo.encode_frame());
+                    let _ = os.tcp_send(sock, [echo.encode_frame()]);
                 }
             }
         }

@@ -9,7 +9,7 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use punch_net::Endpoint;
-use punch_rendezvous::wire::{get_u64, get_u8, FrameBuf, WireError};
+use punch_rendezvous::wire::{frame_head, get_u64, get_u8, FrameBuf, WireError};
 use std::net::Ipv4Addr;
 
 /// Which server an echo came from.
@@ -119,6 +119,12 @@ impl CheckMsg {
     /// Encodes the message.
     pub fn encode(&self) -> Bytes {
         let mut buf = BytesMut::with_capacity(24);
+        self.encode_into(&mut buf);
+        buf.freeze()
+    }
+
+    /// Appends the message's encoding to `buf`.
+    fn encode_into(&self, buf: &mut BytesMut) {
         match self {
             CheckMsg::UdpProbe { token } => {
                 buf.put_u8(T_UDP_PROBE);
@@ -131,12 +137,12 @@ impl CheckMsg {
             } => {
                 buf.put_u8(T_UDP_ECHO);
                 buf.put_u64(*token);
-                put_ep(&mut buf, *observed);
+                put_ep(buf, *observed);
                 buf.put_u8(*server);
             }
             CheckMsg::ForwardUdp { client, token } => {
                 buf.put_u8(T_FORWARD_UDP);
-                put_ep(&mut buf, *client);
+                put_ep(buf, *client);
                 buf.put_u64(*token);
             }
             CheckMsg::TcpProbe { token } => {
@@ -150,12 +156,12 @@ impl CheckMsg {
             } => {
                 buf.put_u8(T_TCP_ECHO);
                 buf.put_u64(*token);
-                put_ep(&mut buf, *observed);
+                put_ep(buf, *observed);
                 buf.put_u8(*server);
             }
             CheckMsg::TcpInboundReq { client, token } => {
                 buf.put_u8(T_TCP_INBOUND_REQ);
-                put_ep(&mut buf, *client);
+                put_ep(buf, *client);
                 buf.put_u64(*token);
             }
             CheckMsg::TcpGoAhead { token, status } => {
@@ -172,7 +178,6 @@ impl CheckMsg {
                 buf.put_u64(*token);
             }
         }
-        buf.freeze()
     }
 
     /// Decodes one message; `None` for anything malformed, including a
@@ -229,14 +234,9 @@ impl CheckMsg {
         Ok(msg)
     }
 
-    /// Encodes as a 16-bit-length-prefixed TCP frame.
+    /// Encodes as a 16-bit-length-prefixed TCP frame: one part, inline.
     pub fn encode_frame(&self) -> Bytes {
-        let body = self.encode();
-        let mut buf = BytesMut::with_capacity(body.len() + 2);
-        #[expect(clippy::expect_used, reason = "encoder-controlled bodies are <= 24 bytes; checked so oversize can never truncate on the wire")]
-        buf.put_u16(u16::try_from(body.len()).expect("CheckMsg body exceeds u16 frame length"));
-        buf.put_slice(&body);
-        buf.freeze()
+        frame_head(0, |buf| self.encode_into(buf))
     }
 }
 
@@ -321,6 +321,18 @@ mod tests {
             },
             CheckMsg::HairpinProbe { token: 9 },
         ]
+    }
+
+    /// Every message, framed or not, fits the stand-in's inline capacity
+    /// (`bytes::INLINE_CAP`), so encoding one allocates nothing. Every
+    /// field is fixed-width, so any value is a variant at its longest.
+    #[test]
+    fn every_message_encodes_within_the_inline_capacity() {
+        for m in all() {
+            let (body, frame) = (m.encode(), m.encode_frame());
+            assert_eq!(frame.len(), 2 + body.len(), "{m:?}");
+            assert!(frame.len() <= bytes::INLINE_CAP, "{m:?}: {} B framed", frame.len());
+        }
     }
 
     #[test]

@@ -240,7 +240,10 @@ pub struct Packet {
 
 // Every queued delivery, arena slot and host outbox entry is one of
 // these; a fatter `Packet` is paid for in every world's resident set.
-const _: () = assert!(std::mem::size_of::<Packet>() <= 104);
+// Most of it is the body's `Bytes`, whose inline form holds the longest
+// control message and nothing more (`bytes::INLINE_CAP`).
+const _: () = assert!(std::mem::size_of::<Packet>() <= 80);
+const _: () = assert!(std::mem::size_of::<Bytes>() <= 48);
 
 /// Default initial TTL for packets originated by hosts.
 pub const DEFAULT_TTL: u8 = 64;

@@ -295,10 +295,12 @@ fn get_endpoint(buf: &mut &[u8]) -> Result<Endpoint, WireError> {
     Ok(Endpoint::new(Ipv4Addr::from(o), port))
 }
 
-fn put_bytes(buf: &mut BytesMut, data: &Bytes) {
-    #[expect(clippy::expect_used, reason = "peers cap what they send at MAX_PAYLOAD and a forwarded payload was decoded from a u16 length; checked so oversize can never truncate")]
-    buf.put_u16(u16::try_from(data.len()).expect("payload too large for wire format"));
-    buf.put_slice(data);
+/// A length as the `u16` the wire carries: a payload's length field, or a
+/// frame's prefix. The one place either is checked.
+fn wire_len(n: usize) -> u16 {
+    #[expect(clippy::expect_used, reason = "peers cap what they send at MAX_PAYLOAD, a forwarded payload was decoded from a u16 length, and control bodies are tens of bytes; checked so oversize can never truncate")]
+    let len = u16::try_from(n).expect("length too large for wire format");
+    len
 }
 
 fn get_bytes(buf: &mut &[u8]) -> Result<Bytes, WireError> {
@@ -336,12 +338,27 @@ impl Message {
     /// the body are one's-complemented to survive payload-mangling NATs.
     pub fn encode(&self, obfuscate: bool) -> Bytes {
         let mut buf = BytesMut::with_capacity(32);
-        self.encode_into(&mut buf, obfuscate);
+        self.encode_head(&mut buf, obfuscate);
+        if let Some(data) = self.payload() {
+            buf.put_slice(data);
+        }
         buf.freeze()
     }
 
-    /// Appends the message's encoding to `buf` (see [`Message::encode`]).
-    fn encode_into(&self, buf: &mut BytesMut, obfuscate: bool) {
+    /// The opaque payload a data-carrying message ends with.
+    fn payload(&self) -> Option<&Bytes> {
+        match self {
+            Message::RelayData { data, .. }
+            | Message::RelayedData { data, .. }
+            | Message::PeerData { data }
+            | Message::SrvRelay { data, .. } => Some(data),
+            _ => None,
+        }
+    }
+
+    /// Appends the message's encoding to `buf`, all but the bytes of its
+    /// [`Message::payload`] (see [`Message::encode`]).
+    fn encode_head(&self, buf: &mut BytesMut, obfuscate: bool) {
         buf.put_u8(VERSION);
         match self {
             Message::Register { peer_id, private } => {
@@ -381,12 +398,12 @@ impl Message {
                 buf.put_u8(TAG_RELAY_DATA);
                 buf.put_u64(from.0);
                 buf.put_u64(target.0);
-                put_bytes(buf, data);
+                buf.put_u16(wire_len(data.len()));
             }
             Message::RelayedData { from, data } => {
                 buf.put_u8(TAG_RELAYED_DATA);
                 buf.put_u64(from.0);
-                put_bytes(buf, data);
+                buf.put_u16(wire_len(data.len()));
             }
             Message::ReversalRequest {
                 peer_id,
@@ -424,7 +441,7 @@ impl Message {
             }
             Message::PeerData { data } => {
                 buf.put_u8(TAG_PEER_DATA);
-                put_bytes(buf, data);
+                buf.put_u16(wire_len(data.len()));
             }
             Message::KeepAlive => buf.put_u8(TAG_KEEP_ALIVE),
             Message::ErrorReply { code } => {
@@ -477,7 +494,7 @@ impl Message {
                 buf.put_u8(TAG_SRV_RELAY);
                 buf.put_u64(from.0);
                 buf.put_u64(target.0);
-                put_bytes(buf, data);
+                buf.put_u16(wire_len(data.len()));
             }
         }
     }
@@ -625,14 +642,28 @@ pub fn decode_signed(data: &[u8], secret: u64) -> Result<Message, WireError> {
     Message::decode(body)
 }
 
-/// Encodes a message as a length-prefixed TCP frame, the body written
-/// straight behind its prefix (a payload is copied once).
-pub fn encode_frame(msg: &Message, obfuscate: bool) -> Bytes {
+/// Encodes a message as a length-prefixed TCP frame, in the two parts
+/// `tcp_send` queues as one write: the head (the `u16` length, then all
+/// of [`Message::encode`] but a carried payload's bytes), inline for
+/// every message a client or server sends on a stream, and the payload
+/// itself, shared with `msg` rather than copied (empty for a control
+/// message). On the stream the two read as the prefix followed by
+/// [`Message::encode`]'s bytes.
+pub fn encode_frame(msg: &Message, obfuscate: bool) -> [Bytes; 2] {
+    let payload = msg.payload().cloned().unwrap_or_default();
+    let head = frame_head(payload.len(), |buf| msg.encode_head(buf, obfuscate));
+    [head, payload]
+}
+
+/// A frame's head: the `u16` length prefix, then what `write` appends,
+/// for a frame whose body goes on for `tail` more bytes sent as a part of
+/// their own. Every frame on a TCP stream, rendezvous or NAT Check, gets
+/// its length here.
+pub fn frame_head(tail: usize, write: impl FnOnce(&mut BytesMut)) -> Bytes {
     let mut buf = BytesMut::with_capacity(32);
     buf.put_u16(0);
-    msg.encode_into(&mut buf, obfuscate);
-    #[expect(clippy::expect_used, reason = "encoder-controlled bodies stay under the u16 frame cap; checked so oversize can never truncate")]
-    let len = u16::try_from(buf.len() - 2).expect("frame too large");
+    write(&mut buf);
+    let len = wire_len(buf.len() - 2 + tail);
     buf[..2].copy_from_slice(&len.to_be_bytes());
     buf.freeze()
 }
@@ -827,6 +858,83 @@ mod tests {
         ]
     }
 
+    /// Every message at its longest encodes within the stand-in's inline
+    /// capacity (`bytes::INLINE_CAP`), so encoding one allocates nothing:
+    /// a control message whole, a data-carrying one up to its payload,
+    /// which a TCP frame sends as a part of its own, shared with the
+    /// message. The longest, the fleet's 40 B introductions, fill the
+    /// capacity exactly; a field added to any message fails here.
+    /// `encode_signed` tags such a body, so the longest signed datagram,
+    /// 48 B, is over the capacity and is allocated (only a fleet that
+    /// shares a secret signs).
+    #[test]
+    fn every_message_encodes_within_the_inline_capacity() {
+        let big = Bytes::from(vec![0x42u8; MAX_PAYLOAD + 1]);
+        let mut longest = 0;
+        for msg in all_messages() {
+            let msg = match msg {
+                Message::RelayData { from, target, .. } => Message::RelayData {
+                    from,
+                    target,
+                    data: big.clone(),
+                },
+                Message::RelayedData { from, .. } => Message::RelayedData {
+                    from,
+                    data: big.clone(),
+                },
+                Message::PeerData { .. } => Message::PeerData {
+                    data: big.slice(1..),
+                },
+                Message::SrvRelay { from, target, .. } => Message::SrvRelay {
+                    from,
+                    target,
+                    data: big.clone(),
+                },
+                m => m,
+            };
+            let server_to_server = matches!(
+                msg,
+                Message::SrvIntroduce { .. }
+                    | Message::SrvIntroduceReply { .. }
+                    | Message::SrvIntroduceErr { .. }
+                    | Message::SrvRelay { .. }
+            );
+            for obf in [false, true] {
+                let carried = msg.payload().map_or(0, Bytes::len);
+                let head = msg.encode(obf).len() - carried;
+                assert!(
+                    head <= bytes::INLINE_CAP,
+                    "{msg:?}: {head} B before its payload"
+                );
+                longest = longest.max(head);
+                let signed = encode_signed(&msg, obf, 7).len() - carried;
+                assert_eq!(signed, head + AUTH_TAG_LEN, "{msg:?}: signed");
+
+                // Only server-to-server messages, which travel as
+                // datagrams, have a frame head over the capacity.
+                let [frame_head, payload] = encode_frame(&msg, obf);
+                assert_eq!(frame_head.len(), 2 + head);
+                assert!(
+                    server_to_server || frame_head.len() <= bytes::INLINE_CAP,
+                    "{msg:?}: frame head"
+                );
+                assert_eq!(payload.len(), carried);
+                if let Some(data) = msg.payload() {
+                    assert_eq!(
+                        payload.as_ptr(),
+                        data.as_ptr(),
+                        "{msg:?}: a frame shares its payload"
+                    );
+                }
+            }
+        }
+        assert_eq!(
+            longest,
+            bytes::INLINE_CAP,
+            "the longest control message fills the capacity"
+        );
+    }
+
     #[test]
     fn roundtrip_plain_and_obfuscated() {
         for msg in all_messages() {
@@ -958,7 +1066,7 @@ mod tests {
         }
         assert_eq!(fb.next_message(), Some(Err(WireError::Oversize(MAX_BUFFER))));
         // Poisoned: further input is ignored, the error persists.
-        fb.push(&encode_frame(&Message::Ping, false));
+        fb.push(&encode_frame(&Message::Ping, false).concat());
         assert_eq!(fb.next_message(), Some(Err(WireError::Oversize(MAX_BUFFER))));
     }
 
@@ -969,7 +1077,7 @@ mod tests {
         let big = Message::PeerData {
             data: Bytes::from(vec![0x42u8; MAX_FRAME - 4]),
         };
-        let frame = encode_frame(&big, false);
+        let frame = encode_frame(&big, false).concat();
         let mut fb = FrameBuf::new();
         for _ in 0..4 {
             fb.push(&frame);
@@ -995,7 +1103,7 @@ mod tests {
         let mut longest = 0;
         for msg in carriers {
             let mut fb = FrameBuf::new();
-            fb.push(&encode_frame(&msg, true));
+            fb.push(&encode_frame(&msg, true).concat());
             longest = longest.max(msg.encode(true).len());
             assert_eq!(fb.next_message(), Some(Ok(msg)));
         }
@@ -1007,7 +1115,7 @@ mod tests {
         let msgs = all_messages();
         let mut stream = BytesMut::new();
         for m in &msgs {
-            stream.extend_from_slice(&encode_frame(m, false));
+            stream.extend_from_slice(&encode_frame(m, false).concat());
         }
         // Feed in 3-byte chunks.
         let mut fb = FrameBuf::new();
@@ -1037,7 +1145,7 @@ mod tests {
         assert!(fb.next_message().is_none());
         fb.push(&[0]);
         assert!(fb.next_message().is_none());
-        let frame = encode_frame(&Message::Ping, false);
+        let frame = encode_frame(&Message::Ping, false).concat();
         fb.push(&frame[1..]); // complete the length byte + body
         assert_eq!(fb.next_message(), Some(Ok(Message::Ping)));
     }

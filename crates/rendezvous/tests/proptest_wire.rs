@@ -114,8 +114,8 @@ fn arb_message() -> impl Strategy<Value = Message> {
 /// `MAX_FRAME`, which stalls the stream for good.
 fn arb_stream_piece() -> impl Strategy<Value = Vec<u8>> {
     prop_oneof![
-        (arb_message(), any::<bool>()).prop_map(|(m, obf)| encode_frame(&m, obf).to_vec()),
-        (arb_message(), any::<bool>()).prop_map(|(m, obf)| encode_frame(&m, obf).to_vec()),
+        (arb_message(), any::<bool>()).prop_map(|(m, obf)| encode_frame(&m, obf).concat()),
+        (arb_message(), any::<bool>()).prop_map(|(m, obf)| encode_frame(&m, obf).concat()),
         proptest::collection::vec(any::<u8>(), 0..40).prop_map(|body| {
             let mut frame = (body.len() as u16).to_be_bytes().to_vec();
             frame.extend_from_slice(&body);
@@ -155,7 +155,7 @@ fn a_frame_is_the_length_then_the_message_even_at_max_payload() {
     for msg in carriers_at_max_payload() {
         for obf in [false, true] {
             let body = msg.encode(obf);
-            let frame = encode_frame(&msg, obf);
+            let frame = encode_frame(&msg, obf).concat();
             assert_eq!(frame[..2], (body.len() as u16).to_be_bytes());
             assert_eq!(frame[2..], body[..]);
         }
@@ -180,7 +180,7 @@ proptest! {
     #[test]
     fn a_frame_is_the_length_then_the_message(msg in arb_message(), obf in any::<bool>()) {
         let body = msg.encode(obf);
-        let frame = encode_frame(&msg, obf);
+        let frame = encode_frame(&msg, obf).concat();
         prop_assert_eq!(&frame[..2], &(body.len() as u16).to_be_bytes()[..]);
         prop_assert_eq!(&frame[2..], &body[..]);
     }
@@ -224,7 +224,7 @@ proptest! {
     ) {
         let mut stream = Vec::new();
         for m in &msgs {
-            stream.extend_from_slice(&encode_frame(m, obf));
+            stream.extend_from_slice(&encode_frame(m, obf).concat());
         }
         let mut fb = FrameBuf::new();
         let mut out = Vec::new();
@@ -309,7 +309,7 @@ proptest! {
         fb.push(&vec![0u8; cap + extra]);
         prop_assert_eq!(fb.next_message(), Some(Err(WireError::Oversize(cap))));
         fb.push(&later);
-        fb.push(&encode_frame(&Message::Ping, obf));
+        fb.push(&encode_frame(&Message::Ping, obf).concat());
         prop_assert_eq!(fb.next_frame(), Some(Err(WireError::Oversize(cap))));
     }
 

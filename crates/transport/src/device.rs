@@ -93,9 +93,14 @@ impl Os<'_, '_> {
         self.stack.tcp_accept(listener)
     }
 
-    /// Queues stream data. See [`HostStack::tcp_send`].
-    pub fn tcp_send(&mut self, sock: SocketId, data: impl Into<Bytes>) -> SockResult<()> {
-        self.stack.tcp_send(sock, data)
+    /// Queues stream data, every part as one write. See
+    /// [`HostStack::tcp_send`].
+    pub fn tcp_send(
+        &mut self,
+        sock: SocketId,
+        parts: impl IntoIterator<Item = impl Into<Bytes>>,
+    ) -> SockResult<()> {
+        self.stack.tcp_send(sock, parts)
     }
 
     /// Gracefully closes any socket. See [`HostStack::close`].

@@ -73,7 +73,7 @@ pub enum SockEvent {
 
 // A host's event outbox holds these four at a time (`Vec`'s first
 // growth), one outbox per host.
-const _: () = assert!(std::mem::size_of::<SockEvent>() <= 88);
+const _: () = assert!(std::mem::size_of::<SockEvent>() <= 64);
 
 impl SockEvent {
     /// Returns the socket the event concerns.

@@ -423,11 +423,16 @@ impl HostStack {
         }
     }
 
-    /// Queues stream data on an established connection. A `Bytes` is
-    /// queued without a copy (see [`Tcb::send`]).
-    pub fn tcp_send(&mut self, sock: SocketId, data: impl Into<Bytes>) -> SockResult<()> {
+    /// Queues stream data on an established connection: every part of
+    /// `parts`, in order, as one write (`[data]` for a single buffer). A
+    /// `Bytes` part is queued without a copy (see [`Tcb::send`]).
+    pub fn tcp_send(
+        &mut self,
+        sock: SocketId,
+        parts: impl IntoIterator<Item = impl Into<Bytes>>,
+    ) -> SockResult<()> {
         if let Some((tcb, mut io)) = self.tcb_io(sock) {
-            return tcb.send(data, &mut io);
+            return tcb.send(parts, &mut io);
         }
         Err(if self.socks.contains_key(&sock) {
             SocketError::InvalidState
@@ -877,11 +882,11 @@ mod tests {
         assert_eq!(peer.ip, Ipv4Addr::from([10, 0, 0, 1]));
 
         // Data both ways.
-        c.tcp_send(conn, b"ping").unwrap();
+        c.tcp_send(conn, [b"ping"]).unwrap();
         pump(&mut c, &mut srv);
         let evs = srv.take_events();
         assert!(evs.iter().any(|e| matches!(e, SockEvent::TcpReceived { sock, data } if *sock == child && data.as_ref() == b"ping")));
-        srv.tcp_send(child, b"pong").unwrap();
+        srv.tcp_send(child, [b"pong"]).unwrap();
         pump(&mut c, &mut srv);
         let evs = c.take_events();
         assert!(evs.iter().any(|e| matches!(e, SockEvent::TcpReceived { sock, data } if *sock == conn && data.as_ref() == b"pong")));

@@ -10,9 +10,10 @@
 //! throughput experiments carry real data.
 //!
 //! Stream bytes are not copied on the way out: the send queue holds the
-//! caller's buffers as they were passed to [`Tcb::send`], and each
-//! segment's payload is a slice of the front buffer. Only a segment that
-//! straddles two buffers is copied, once, into a buffer of its own.
+//! caller's buffers as they were passed to [`Tcb::send`] (a framed
+//! message as its parts: an inline head, then the payload it shares), and
+//! each segment's payload is a slice of the front buffer. Only a segment
+//! that straddles two buffers is copied, once, into a buffer of its own.
 //! Retransmission resends the `Bytes` the segment first went out with.
 
 #![deny(clippy::cast_possible_truncation, clippy::cast_sign_loss, clippy::cast_lossless)]
@@ -286,9 +287,17 @@ impl Tcb {
         self.snd_nxt.wrapping_sub(self.snd_una)
     }
 
-    /// Queues application data for transmission. A `Bytes` is queued as
-    /// it is, without a copy; segments are sliced out of it.
-    pub fn send(&mut self, data: impl Into<Bytes>, io: &mut TcpIo<'_>) -> Result<(), SocketError> {
+    /// Queues application data for transmission: every part of `parts`,
+    /// in order, before any of it goes out, so segmentation sees one
+    /// write however many parts it came in. A single buffer is the
+    /// one-part case (`[data]`). A `Bytes` part is queued as it is,
+    /// without a copy; segments are sliced out of it, and only a segment
+    /// that straddles two parts is copied.
+    pub fn send(
+        &mut self,
+        parts: impl IntoIterator<Item = impl Into<Bytes>>,
+        io: &mut TcpIo<'_>,
+    ) -> Result<(), SocketError> {
         match self.state {
             TcpState::SynSent
             | TcpState::SynReceived
@@ -299,10 +308,12 @@ impl Tcb {
         if self.fin_queued {
             return Err(SocketError::InvalidState);
         }
-        let data = data.into();
-        if !data.is_empty() {
-            self.queued += data.len();
-            self.send_q.push_back(data);
+        for part in parts {
+            let part = part.into();
+            if !part.is_empty() {
+                self.queued += part.len();
+                self.send_q.push_back(part);
+            }
         }
         self.drain_watch = true;
         self.try_send(io);
@@ -968,7 +979,7 @@ mod tests {
     #[test]
     fn data_transfer_and_ack() {
         let (mut h, mut tcb) = established_pair();
-        tcb.send(b"hello", &mut h.io()).unwrap();
+        tcb.send([b"hello"], &mut h.io()).unwrap();
         let seg = h.last_seg().clone();
         assert_eq!(seg.seq, 1001);
         assert_eq!(seg.payload.as_ref(), b"hello");
@@ -985,7 +996,7 @@ mod tests {
     fn mss_segmentation() {
         let (mut h, mut tcb) = established_pair();
         let data = vec![7u8; 3000];
-        tcb.send(data, &mut h.io()).unwrap();
+        tcb.send([data], &mut h.io()).unwrap();
         let lens: Vec<usize> = h
             .out
             .iter()
@@ -999,7 +1010,7 @@ mod tests {
         let (mut h, mut tcb) = established_pair();
         h.cfg.send_window = 2800;
         let data = vec![7u8; 10_000];
-        tcb.send(data, &mut h.io()).unwrap();
+        tcb.send([data], &mut h.io()).unwrap();
         assert_eq!(h.out.len(), 2, "only two MSS fit the window");
         // Ack the first segment; one more flows.
         let n_before = h.out.len();
@@ -1035,13 +1046,18 @@ mod tests {
             .collect()
     }
 
-    /// Queues `write` as a `Bytes` the TCB slices segments from
-    /// (`shared`), or as a `&[u8]` it copies first.
-    fn send_as(shared: bool, tcb: &mut Tcb, write: Vec<u8>, h: &mut Harness) {
-        let sent = if shared {
-            tcb.send(Bytes::from(write), &mut h.io())
-        } else {
-            tcb.send(&write[..], &mut h.io())
+    /// Queues `write` as one `Bytes` the TCB slices segments from (`mode`
+    /// 0), as a `&[u8]` it copies first (1), or as two parts the way a
+    /// frame goes: a head of at most six bytes, then the rest (2).
+    fn send_as(mode: usize, tcb: &mut Tcb, write: Vec<u8>, h: &mut Harness) {
+        let sent = match mode {
+            0 => tcb.send([Bytes::from(write)], &mut h.io()),
+            1 => tcb.send([&write[..]], &mut h.io()),
+            _ => {
+                let mut tail = Bytes::from(write);
+                let head = tail.split_to(tail.len().min(6));
+                tcb.send([head, tail], &mut h.io())
+            }
         };
         sent.unwrap();
     }
@@ -1080,7 +1096,7 @@ mod tests {
             let write = write_of(size, &mut byte);
             stream.extend_from_slice(&write);
             write_ends.push(stream.len());
-            send_as(i % 2 == 0, &mut tcb, write, &mut h);
+            send_as(i % 3, &mut tcb, write, &mut h);
             check(&mut h, &mut sent, acked, &stream, &write_ends);
 
             // A step of 0 sends no ACK: a repeated one is a duplicate.
@@ -1152,7 +1168,7 @@ mod tests {
             let write = write_of(size, &mut byte);
             stream.extend_from_slice(&write);
             write_ends.push(stream.len());
-            send_as(i % 2 == 0, &mut tcb, write, &mut h);
+            send_as(i % 3, &mut tcb, write, &mut h);
             originals.extend(data_segments(&mut h));
         }
         let mut straddled = false;
@@ -1474,13 +1490,16 @@ mod tests {
     fn send_after_close_rejected() {
         let (mut h, mut tcb) = established_pair();
         tcb.close(&mut h.io());
-        assert_eq!(tcb.send(b"x", &mut h.io()), Err(SocketError::InvalidState));
+        assert_eq!(
+            tcb.send([b"x"], &mut h.io()),
+            Err(SocketError::InvalidState)
+        );
     }
 
     #[test]
     fn data_queued_before_establishment_flows_after() {
         let (mut h, mut tcb) = active();
-        tcb.send(b"early", &mut h.io()).unwrap();
+        tcb.send([b"early"], &mut h.io()).unwrap();
         assert_eq!(h.out.len(), 1, "only the SYN so far");
         let synack = TcpSegment::control(TcpFlags::SYN | TcpFlags::ACK, 5000, 1001);
         tcb.on_segment(&synack, &mut h.io());
@@ -1491,7 +1510,7 @@ mod tests {
     #[test]
     fn go_back_n_retransmits_earliest_unacked() {
         let (mut h, mut tcb) = established_pair();
-        tcb.send(vec![1u8; 2800], &mut h.io()).unwrap();
+        tcb.send([vec![1u8; 2800]], &mut h.io()).unwrap();
         assert_eq!(h.out.len(), 2);
         h.out.clear();
         tcb.on_rto(&mut h.io());
@@ -1503,7 +1522,7 @@ mod tests {
     #[test]
     fn fast_retransmit_fires_on_third_dup_ack() {
         let (mut h, mut tcb) = established_pair();
-        tcb.send(vec![1u8; 2800], &mut h.io()).unwrap();
+        tcb.send([vec![1u8; 2800]], &mut h.io()).unwrap();
         h.out.clear();
         let dup = TcpSegment::control(TcpFlags::ACK, 5001, 1001);
         tcb.on_segment(&dup, &mut h.io());
@@ -1521,7 +1540,7 @@ mod tests {
         // three *further* dup acks must trigger another fast retransmit
         // rather than counting past 3 forever and stalling until RTO.
         let (mut h, mut tcb) = established_pair();
-        tcb.send(vec![1u8; 2800], &mut h.io()).unwrap();
+        tcb.send([vec![1u8; 2800]], &mut h.io()).unwrap();
         h.out.clear();
         let dup = TcpSegment::control(TcpFlags::ACK, 5001, 1001);
         for _ in 0..3 {

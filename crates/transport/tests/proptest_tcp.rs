@@ -60,9 +60,9 @@ impl App for Writer {
             SockEvent::TcpConnected { sock } => {
                 for (i, chunk) in self.chunks.iter().enumerate() {
                     let sent = if (i % 2 == 0) == self.shared_first {
-                        os.tcp_send(sock, Bytes::from(chunk.clone()))
+                        os.tcp_send(sock, [Bytes::from(chunk.clone())])
                     } else {
-                        os.tcp_send(sock, chunk.as_slice())
+                        os.tcp_send(sock, [chunk.as_slice()])
                     };
                     sent.expect("send");
                 }
