@@ -23,12 +23,24 @@ pub(crate) enum RelayKind {
 
 /// The request asking S to forward `body` from `from` to `target`.
 pub(crate) fn wrap(kind: RelayKind, from: PeerId, target: PeerId, body: &[u8]) -> Message {
-    let mut buf = BytesMut::with_capacity(body.len() + 1);
+    relay(kind, from, target, body.len(), |buf| buf.put_slice(body))
+}
+
+/// The request asking S to forward the `len`-byte body `write` appends,
+/// which it writes straight into the payload after the kind byte.
+fn relay(
+    kind: RelayKind,
+    from: PeerId,
+    target: PeerId,
+    len: usize,
+    write: impl FnOnce(&mut BytesMut),
+) -> Message {
+    let mut buf = BytesMut::with_capacity(len + 1);
     buf.put_u8(match kind {
         RelayKind::Control => RELAY_KIND_CONTROL,
         RelayKind::App => RELAY_KIND_APP,
     });
-    buf.put_slice(body);
+    write(&mut buf);
     Message::RelayData {
         from,
         target,
@@ -52,10 +64,13 @@ pub(crate) fn unwrap(data: &Bytes) -> Option<(RelayKind, Bytes)> {
 /// most the first 255.
 pub(crate) fn announce(from: PeerId, target: PeerId, ip: Ipv4Addr, ports: &[u16]) -> Message {
     let ports = &ports[..ports.len().min(255)];
-    let mut body = ip.octets().to_vec();
-    body.push(ports.len() as u8);
-    body.extend(ports.iter().flat_map(|p| p.to_be_bytes()));
-    wrap(RelayKind::Control, from, target, &body)
+    relay(RelayKind::Control, from, target, 5 + 2 * ports.len(), |buf| {
+        buf.put_slice(&ip.octets());
+        buf.put_u8(ports.len() as u8);
+        for &p in ports {
+            buf.put_u16(p);
+        }
+    })
 }
 
 /// Parses an announcement's body into its IP and ports; `None` when it

@@ -170,7 +170,7 @@ pub struct UdpPeer {
 // One per client, inline in its host: a `ShardedWorld` client is one
 // `HostDevice<UdpPeer>` allocation (40 000 of them in `crowd_udp`).
 const _: () = assert!(std::mem::size_of::<UdpPeer>() <= 232);
-const _: () = assert!(std::mem::size_of::<punch_transport::HostDevice<UdpPeer>>() <= 600);
+const _: () = assert!(std::mem::size_of::<punch_transport::HostDevice<UdpPeer>>() <= 392);
 
 impl UdpPeer {
     /// Creates the endpoint; it registers with S (every home server,

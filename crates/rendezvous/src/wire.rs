@@ -620,10 +620,16 @@ fn auth_tag(body: &[u8], secret: u64) -> u64 {
 /// Encodes a message and appends an [`AUTH_TAG_LEN`]-byte keyed tag, for
 /// server-to-server traffic inside a fleet that shares `secret`.
 pub fn encode_signed(msg: &Message, obfuscate: bool, secret: u64) -> Bytes {
-    let body = msg.encode(obfuscate);
-    let mut buf = BytesMut::with_capacity(body.len() + AUTH_TAG_LEN);
-    buf.put_slice(&body);
-    buf.put_u64(auth_tag(&body, secret));
+    // The head fits inline, so it is encoded in place; the payload goes
+    // straight into the signed buffer, sized for the body and its tag.
+    let mut head = BytesMut::new();
+    msg.encode_head(&mut head, obfuscate);
+    let payload = msg.payload().map_or(&[][..], |p| p);
+    let mut buf = BytesMut::with_capacity(head.len() + payload.len() + AUTH_TAG_LEN);
+    buf.put_slice(&head);
+    buf.put_slice(payload);
+    let tag = auth_tag(&buf, secret);
+    buf.put_u64(tag);
     buf.freeze()
 }
 

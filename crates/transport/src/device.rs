@@ -226,22 +226,17 @@ fn downcast_mut<A: App, T: App>(app: &mut A) -> Option<&mut T> {
 }
 
 thread_local! {
-    /// The outboxes this thread lends to the host running a callback.
-    /// A host's own are empty whenever no callback runs (`drive` drains
-    /// them before returning), so one set per thread serves every host
-    /// the thread runs and a host holds no buffer between callbacks.
-    static SPARE: RefCell<Outboxes> = const {
-        RefCell::new(Outboxes {
-            out: Vec::new(),
-            events: Vec::new(),
-            timers: Vec::new(),
-        })
-    };
+    /// The outbox set this thread lends to the host running a callback.
+    /// A host's set is empty whenever no callback runs (`drive` drains it
+    /// before returning), so one set per thread serves every host the
+    /// thread runs and a host holds `None` between callbacks. The set is
+    /// made by the first callback on the thread that pushes.
+    static SPARE: RefCell<Option<Box<Outboxes>>> = const { RefCell::new(None) };
 }
 
-/// Swaps this thread's spare outboxes with `stack`'s: every callback
-/// begins by borrowing the set and ends, once `drive` has drained it, by
-/// handing it back ([`HostDevice::finish`]).
+/// Swaps this thread's spare outbox set with `stack`'s, one pointer:
+/// every callback begins by borrowing the set and ends, once `drive` has
+/// drained it, by handing it back ([`HostDevice::finish`]).
 fn swap_spare(stack: &mut HostStack) {
     SPARE.with_borrow_mut(|spare| stack.swap_outboxes(spare));
 }
@@ -262,7 +257,7 @@ pub struct HostDevice<A: App = Box<dyn App>> {
 }
 
 // One per host, boxed into the sim's device table.
-const _: () = assert!(std::mem::size_of::<HostDevice>() <= 384);
+const _: () = assert!(std::mem::size_of::<HostDevice>() <= 176);
 
 impl<A: App> HostDevice<A> {
     /// Creates a host with address `ip` running `app`. `cfg` is a value
@@ -331,25 +326,30 @@ impl<A: App> HostDevice<A> {
     /// set has grown.
     fn drive(stack: &mut HostStack, app: &mut A, ctx: &mut Ctx<'_>) {
         loop {
-            for pkt in stack.out.drain(..) {
+            // No set: nothing was queued.
+            let Some(outboxes) = stack.outboxes.as_mut() else {
+                return;
+            };
+            for pkt in outboxes.out.drain(..) {
                 ctx.send(0, pkt);
             }
-            for (after, token) in stack.timers.drain(..) {
+            for (after, token) in outboxes.timers.drain(..) {
                 ctx.set_timer(after, token);
             }
-            if stack.events.is_empty() {
+            if outboxes.events.is_empty() {
                 return;
             }
-            // Callbacks push to `stack.events` while this batch is being
+            // Callbacks push to the events while this batch is being
             // delivered, so the batch moves out; its emptied buffer goes
             // back underneath whatever they queued.
-            let mut batch = std::mem::take(&mut stack.events);
+            let mut batch = std::mem::take(&mut outboxes.events);
             for ev in batch.drain(..) {
                 let mut os = Os { stack, ctx };
                 app.on_event(&mut os, ev);
             }
-            batch.append(&mut stack.events);
-            stack.events = batch;
+            let events = &mut stack.outboxes().events;
+            batch.append(events);
+            *events = batch;
         }
     }
 }
@@ -461,13 +461,12 @@ mod tests {
         }
     }
 
+    /// A host's outbox capacities: none when it holds no set.
     fn capacities<A: App>(sim: &Sim, node: NodeId) -> [usize; 3] {
         let stack = &sim.device::<HostDevice<A>>(node).stack;
-        [
-            stack.out.capacity(),
-            stack.events.capacity(),
-            stack.timers.capacity(),
-        ]
+        stack.outboxes.as_ref().map_or([0; 3], |o| {
+            [o.out.capacity(), o.events.capacity(), o.timers.capacity()]
+        })
     }
 
     #[test]

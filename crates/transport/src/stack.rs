@@ -63,8 +63,21 @@ fn half_open_child(s: &Socket, listener: SocketId) -> bool {
     matches!(s, Socket::Tcp(t) if t.from_listener == Some(listener) && t.state == TcpState::SynReceived)
 }
 
-/// A set of the stack's three outboxes, as a thread keeps one spare
-/// between callbacks for [`crate::HostDevice`] to lend.
+/// The TCP connections and listeners a host holds, by what a segment
+/// is demultiplexed on: made with the host's first TCP socket, so a
+/// host that only ever binds UDP holds none.
+#[derive(Debug, Default)]
+struct TcpTables {
+    /// Connections by (local, remote).
+    conns: FlatMap<(Endpoint, Endpoint), SocketId>,
+    /// Listeners by local port.
+    listeners: FlatMap<u16, SocketId>,
+}
+
+/// The stack's three outboxes, as one set: the one a callback writes to,
+/// or the spare a thread keeps between callbacks for
+/// [`crate::HostDevice`] to lend.
+#[derive(Debug, Default)]
 pub(crate) struct Outboxes {
     pub(crate) out: Vec<Packet>,
     pub(crate) events: Vec<SockEvent>,
@@ -91,34 +104,37 @@ pub struct HostStack {
     ip: Ipv4Addr,
     /// Shared with every host built from the same profile.
     cfg: Arc<StackConfig>,
-    rng: StdRng,
-    /// Secret for RFC 6528-style ISS generation.
-    iss_secret: u64,
+    /// The port generator, as its seed and the number of words drawn
+    /// from it: [`HostStack::alloc_ephemeral`] rebuilds it for each
+    /// ephemeral port, so a host holds 16 B for a generator it draws
+    /// from once or twice. The seed also keys the ISS ([`ISS_KEY`]).
+    seed: u64,
+    drawn: u64,
     next_sock: u32,
     /// A client holds one to three sockets; only a busy server's table
     /// grows, and its ids arrive in ascending order (appends).
     socks: FlatMap<SocketId, Socket>,
-    /// TCP connections by (local, remote).
-    conn_index: FlatMap<(Endpoint, Endpoint), SocketId>,
-    /// TCP listeners by local port.
-    listeners: FlatMap<u16, SocketId>,
+    /// `None` until the host's first TCP socket; a lookup reads `None`
+    /// as empty tables.
+    tcp: Option<Box<TcpTables>>,
     /// UDP sockets by local port: a client's one or two, in place.
     udp_index: FlatMap<u16, SocketId, Inline<(u16, SocketId), 2>>,
-    /// The outboxes. [`crate::HostDevice`] lends them its thread's spare
-    /// set for each callback and drains them in place before taking the
-    /// set back ([`HostStack::swap_outboxes`]), so between callbacks a
-    /// host's are empty and hold no buffer. `out` and `events` rarely
-    /// hold more than an entry or two at once and first grow a slot at a
-    /// time ([`flat::push`]).
-    pub(crate) out: Vec<Packet>,
-    pub(crate) events: Vec<SockEvent>,
-    pub(crate) timers: Vec<(Duration, u64)>,
+    /// The outboxes. [`crate::HostDevice`] lends a host its thread's
+    /// spare set for each callback and drains it in place before taking
+    /// it back ([`HostStack::swap_outboxes`]), so between callbacks a
+    /// host holds `None`. A bare stack makes its own set at its first
+    /// push. `out` and `events` rarely hold more than an entry or two at
+    /// once and first grow a slot at a time ([`flat::push`]).
+    pub(crate) outboxes: Option<Box<Outboxes>>,
     stats: StackStats,
 }
 
 // One per host, inline in its `HostDevice`: 40 004 of them in the
 // benchmark's `crowd_udp`.
-const _: () = assert!(std::mem::size_of::<HostStack>() <= 360);
+const _: () = assert!(std::mem::size_of::<HostStack>() <= 152);
+
+/// Folded into the seed to key RFC 6528-style ISS generation.
+const ISS_KEY: u64 = 0x1505_1505_1505_1505;
 
 impl HostStack {
     /// Creates a stack for a host with address `ip`. `cfg` is a value
@@ -127,16 +143,13 @@ impl HostStack {
         HostStack {
             ip,
             cfg: cfg.into(),
-            rng: StdRng::seed_from_u64(seed),
-            iss_secret: seed ^ 0x1505_1505_1505_1505,
+            seed,
+            drawn: 0,
             next_sock: 1,
             socks: FlatMap::new(),
-            conn_index: FlatMap::new(),
-            listeners: FlatMap::new(),
+            tcp: None,
             udp_index: FlatMap::default(),
-            out: Vec::new(),
-            events: Vec::new(),
-            timers: Vec::new(),
+            outboxes: None,
             stats: StackStats::default(),
         }
     }
@@ -146,11 +159,12 @@ impl HostStack {
         self.ip
     }
 
-    /// Replaces the stack RNG's seed (used at node start-up to tie the
-    /// stack's port/ISS draws to the simulation seed).
+    /// Replaces the stack's seed and restarts its port draws from it
+    /// (used at node start-up to tie the stack's port/ISS draws to the
+    /// simulation seed).
     pub fn reseed(&mut self, seed: u64) {
-        self.rng = StdRng::seed_from_u64(seed);
-        self.iss_secret = seed ^ 0x1505_1505_1505_1505;
+        self.seed = seed;
+        self.drawn = 0;
     }
 
     /// Initial send sequence for a connection, RFC 6528 style: a keyed
@@ -159,7 +173,7 @@ impl HostStack {
     /// same sequence number, which is what lets two crossed
     /// listener-steals converge into one wire connection (§4.4).
     fn iss_for(&self, local: Endpoint, remote: Endpoint) -> u32 {
-        let mut z = self.iss_secret
+        let mut z = (self.seed ^ ISS_KEY)
             ^ (u64::from(u32::from(local.ip)) << 32 | u64::from(u32::from(remote.ip)))
             ^ (u64::from(local.port) << 16 | u64::from(remote.port)).wrapping_mul(0x9e37_79b9);
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -177,34 +191,49 @@ impl HostStack {
     /// Drains packets queued for transmission.
     // punch-lint: allow(S005) harness seam: transport/tests/proptest_tcp.rs drives a bare stack
     pub fn take_packets(&mut self) -> Vec<Packet> {
-        std::mem::take(&mut self.out)
+        self.outboxes.as_mut().map(|o| std::mem::take(&mut o.out)).unwrap_or_default()
     }
 
     /// Drains pending application events.
     pub fn take_events(&mut self) -> Vec<SockEvent> {
-        std::mem::take(&mut self.events)
+        self.outboxes.as_mut().map(|o| std::mem::take(&mut o.events)).unwrap_or_default()
     }
 
     /// Drains pending timer requests (`(delay, token)`).
     // punch-lint: allow(S005) harness seam: transport/tests/proptest_tcp.rs drives a bare stack
     pub fn take_timers(&mut self) -> Vec<(Duration, u64)> {
-        std::mem::take(&mut self.timers)
+        self.outboxes.as_mut().map(|o| std::mem::take(&mut o.timers)).unwrap_or_default()
     }
 
-    /// Exchanges the stack's outboxes with `spare`. Both sets must be
-    /// empty: a set changes hands only between callbacks, once `drive`
-    /// has drained what the last one queued.
-    pub(crate) fn swap_outboxes(&mut self, spare: &mut Outboxes) {
+    /// Exchanges the stack's outbox set with `spare`, either of them
+    /// `None`. Both must be empty: a set changes hands only between
+    /// callbacks, once `drive` has drained what the last one queued.
+    pub(crate) fn swap_outboxes(&mut self, spare: &mut Option<Box<Outboxes>>) {
         debug_assert!(
-            spare.is_empty()
-                && self.out.is_empty()
-                && self.events.is_empty()
-                && self.timers.is_empty(),
+            [&*spare, &self.outboxes].iter().all(|o| o.as_ref().is_none_or(|o| o.is_empty())),
             "outboxes change hands only while empty"
         );
-        std::mem::swap(&mut self.out, &mut spare.out);
-        std::mem::swap(&mut self.events, &mut spare.events);
-        std::mem::swap(&mut self.timers, &mut spare.timers);
+        std::mem::swap(&mut self.outboxes, spare);
+    }
+
+    /// The outbox set to push to, made here if the stack holds none.
+    pub(crate) fn outboxes(&mut self) -> &mut Outboxes {
+        self.outboxes.get_or_insert_with(Box::default)
+    }
+
+    /// The connection `key` names, if any.
+    fn conn(&self, key: &(Endpoint, Endpoint)) -> Option<SocketId> {
+        self.tcp.as_ref()?.conns.get(key).copied()
+    }
+
+    /// The listener on `port`, if any.
+    fn listener(&self, port: u16) -> Option<SocketId> {
+        self.tcp.as_ref()?.listeners.get(&port).copied()
+    }
+
+    /// The TCP tables to insert into, made with the first TCP socket.
+    fn tcp_tables(&mut self) -> &mut TcpTables {
+        self.tcp.get_or_insert_with(Box::default)
     }
 
     /// Returns the transport counters (retransmits, RTO fires, RSTs).
@@ -221,11 +250,12 @@ impl HostStack {
     /// The outboxes as a TCB writes to them, and the socket table beside
     /// them: the one place that splits the stack's borrow this way.
     fn io(&mut self) -> (TcpIo<'_>, &mut FlatMap<SocketId, Socket>) {
+        let outboxes = self.outboxes.get_or_insert_with(Box::default);
         let io = TcpIo {
             cfg: &self.cfg,
-            out: &mut self.out,
-            events: &mut self.events,
-            timers: &mut self.timers,
+            out: &mut outboxes.out,
+            events: &mut outboxes.events,
+            timers: &mut outboxes.timers,
             stats: &mut self.stats,
         };
         (io, &mut self.socks)
@@ -248,10 +278,10 @@ impl HostStack {
     /// piggybacked data), so `TcpIncoming` must reach the application
     /// before that data's `TcpReceived`.
     fn drive(&mut self, sock: SocketId, f: impl FnOnce(&mut Tcb, &mut TcpIo<'_>) -> TcbOutcome) {
-        let at = self.events.len();
         let Some((tcb, mut io)) = self.tcb_io(sock) else {
             return;
         };
+        let at = io.events.len();
         let outcome = f(tcb, &mut io);
         let from_listener = tcb.from_listener;
         self.apply_outcome(sock, from_listener, outcome, at);
@@ -273,21 +303,30 @@ impl HostStack {
         })
     }
 
+    /// Draws ports until one is free for `proto`. The generator is
+    /// rebuilt from the seed and moved to where the last search left it
+    /// (one ChaCha block, not a replay), then its position is stored
+    /// back: a search draws one word per port tried.
     fn alloc_ephemeral(&mut self, proto: Proto) -> SockResult<u16> {
         let (lo, hi) = EPHEMERAL_PORTS;
         let span = u32::from(hi - lo) + 1;
+        let mut rng = StdRng::seed_from_u64(self.seed);
+        rng.set_word_pos(self.drawn);
+        let mut found = Err(SocketError::PortsExhausted);
         for _ in 0..span.min(4096) {
             #[expect(clippy::cast_possible_truncation, reason = "the draw is < span <= 0x1_0000, so it fits u16 by construction")]
-            let port = lo + (self.rng.gen::<u32>() % span) as u16;
+            let port = lo + (rng.gen::<u32>() % span) as u16;
             let busy = match proto {
                 Proto::Udp => self.udp_port_in_use(port),
                 _ => self.tcp_port_users(port).next().is_some(),
             };
             if !busy {
-                return Ok(port);
+                found = Ok(port);
+                break;
             }
         }
-        Err(SocketError::PortsExhausted)
+        self.drawn = rng.get_word_pos();
+        found
     }
 
     // ------------------------------------------------------------------
@@ -323,7 +362,7 @@ impl HostStack {
             Some(_) => return Err(SocketError::InvalidState),
             None => return Err(SocketError::BadSocket),
         };
-        flat::push(&mut self.out, Packet::udp(local, to, data));
+        flat::push(&mut self.outboxes().out, Packet::udp(local, to, data));
         Ok(())
     }
 
@@ -363,7 +402,7 @@ impl HostStack {
                 queue: VecDeque::new(),
             }),
         );
-        self.listeners.insert(port, id);
+        self.tcp_tables().listeners.insert(port, id);
         Ok(id)
     }
 
@@ -377,7 +416,7 @@ impl HostStack {
             _ => self.alloc_ephemeral(Proto::Tcp)?,
         };
         let local = Endpoint::new(self.ip, port);
-        if self.conn_index.contains_key(&(local, remote)) {
+        if self.conn(&(local, remote)).is_some() {
             return Err(SocketError::AddrInUse);
         }
         if opts.local_port.is_some() {
@@ -401,7 +440,7 @@ impl HostStack {
         let iss = self.iss_for(local, remote);
         let mut tcb = Tcb::open_active(id, local, remote, iss, opts.reuse, &self.cfg);
         tcb.send_syn(&mut self.io().0);
-        self.conn_index.insert((local, remote), id);
+        self.tcp_tables().conns.insert((local, remote), id);
         self.socks.insert(id, Socket::Tcp(Box::new(tcb)));
         Ok(id)
     }
@@ -475,7 +514,7 @@ impl HostStack {
                 self.udp_index.remove(&u.local.port);
             }
             Some(Socket::Listener(l)) => {
-                self.listeners.remove(&l.local.port);
+                self.tcp_tables().listeners.remove(&l.local.port);
                 // Abort its un-accepted connections, queued and half-open.
                 let half_open = self
                     .socks
@@ -505,8 +544,9 @@ impl HostStack {
         if let Some(Socket::Tcp(tcb)) = self.socks.remove(&sock) {
             // Only remove the index entry if it still points at us (it may
             // have been overwritten by a LinuxWindows-flavor steal).
-            if self.conn_index.get(&(tcb.local, tcb.remote)) == Some(&sock) {
-                self.conn_index.remove(&(tcb.local, tcb.remote));
+            let key = (tcb.local, tcb.remote);
+            if self.conn(&key) == Some(sock) {
+                self.tcp_tables().conns.remove(&key);
             }
             // Drop from any listener queue.
             if let Some(listener) = tcb.from_listener {
@@ -532,8 +572,8 @@ impl HostStack {
                 Some(listener) => match self.socks.get_mut(&listener) {
                     Some(Socket::Listener(l)) => {
                         l.queue.push_back(sock);
-                        let at = at.min(self.events.len());
-                        self.events.insert(at, SockEvent::TcpIncoming { listener });
+                        let events = &mut self.outboxes().events;
+                        events.insert(at.min(events.len()), SockEvent::TcpIncoming { listener });
                     }
                     // Listener vanished while we were completing: abort.
                     _ => {
@@ -541,14 +581,15 @@ impl HostStack {
                         return;
                     }
                 },
-                None => self
-                    .events
-                    .insert(at.min(self.events.len()), SockEvent::TcpConnected { sock }),
+                None => {
+                    let events = &mut self.outboxes().events;
+                    events.insert(at.min(events.len()), SockEvent::TcpConnected { sock });
+                }
             }
         }
         if outcome.delete {
             if let (Some(err), None) = (outcome.failed, from_listener) {
-                flat::push(&mut self.events, SockEvent::TcpConnectFailed { sock, err });
+                flat::push(&mut self.outboxes().events, SockEvent::TcpConnectFailed { sock, err });
             }
             self.remove_conn(sock);
         }
@@ -580,7 +621,7 @@ impl HostStack {
                         from: pkt.src,
                         data,
                     };
-                    flat::push(&mut self.events, received);
+                    flat::push(&mut self.outboxes().events, received);
                 }
                 // No ICMP port-unreachable for UDP: hole-punching probes to
                 // stale endpoints should die silently, as on most consumer
@@ -590,8 +631,7 @@ impl HostStack {
             Body::Icmp(msg) => {
                 if msg.kind == IcmpKind::DestinationUnreachable && msg.original_proto == Proto::Tcp
                 {
-                    if let Some(&sock) = self.conn_index.get(&(msg.original_src, msg.original_dst))
-                    {
+                    if let Some(sock) = self.conn(&(msg.original_src, msg.original_dst)) {
                         self.drive(sock, |tcb, _| tcb.on_icmp_unreachable());
                     }
                 }
@@ -601,7 +641,7 @@ impl HostStack {
 
     fn handle_tcp(&mut self, src: Endpoint, dst: Endpoint, seg: TcpSegment) {
         let key = (dst, src);
-        if let Some(&sock) = self.conn_index.get(&key) {
+        if let Some(sock) = self.conn(&key) {
             // §4.3 demux ambiguity: a pure SYN matching an in-progress
             // connect while a listener shares the port.
             let is_pure_syn = seg.flags.contains(TcpFlags::SYN)
@@ -609,7 +649,7 @@ impl HostStack {
             let steal = self.cfg.tcp_flavor == TcpFlavor::LinuxWindows
                 && is_pure_syn
                 && matches!(self.socks.get(&sock), Some(Socket::Tcp(t)) if t.state == TcpState::SynSent);
-            if let Some(listener) = steal.then(|| self.listeners.get(&dst.port).copied()).flatten() {
+            if let Some(listener) = steal.then(|| self.listener(dst.port)).flatten() {
                 self.steal_to_listener(sock, listener, src, dst, &seg);
                 return;
             }
@@ -619,7 +659,7 @@ impl HostStack {
         // No connection: maybe a listener.
         if seg.flags.contains(TcpFlags::SYN) && !seg.flags.intersects(TcpFlags::ACK | TcpFlags::RST)
         {
-            if let Some(&listener) = self.listeners.get(&dst.port) {
+            if let Some(listener) = self.listener(dst.port) {
                 self.passive_open(listener, src, dst, &seg);
                 return;
             }
@@ -637,7 +677,7 @@ impl HostStack {
                 )
             };
             self.stats.rsts_sent += 1;
-            flat::push(&mut self.out, Packet::tcp(dst, src, rst));
+            flat::push(&mut self.outboxes().out, Packet::tcp(dst, src, rst));
         }
     }
 
@@ -661,7 +701,7 @@ impl HostStack {
         let id = self.alloc_id();
         let iss = self.iss_for(dst, src);
         let tcb = Tcb::open_passive(id, dst, src, listener, iss, seg, &mut self.io().0);
-        self.conn_index.insert((dst, src), id);
+        self.tcp_tables().conns.insert((dst, src), id);
         self.socks.insert(id, Socket::Tcp(Box::new(tcb)));
     }
 
@@ -685,7 +725,7 @@ impl HostStack {
             sock: old,
             err: SocketError::AddrInUse,
         };
-        flat::push(&mut self.events, failed);
+        flat::push(&mut self.outboxes().events, failed);
         self.passive_open(listener, src, dst, seg);
     }
 

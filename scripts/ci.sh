@@ -152,11 +152,11 @@ if grep '^ *trace\.replica_matches' "$tmp/smoke.txt" | grep -v ' 1\.000000 count
     exit 1
 fi
 
-echo "== memory gates: full-size fleet_churn peaks under 17 MiB, server_storm under 40, stream_tcp under 3.3, crowd_udp under 116 =="
-# fleet_churn (14.6 MiB) ran to 143 MiB while drained event-queue buckets
+echo "== memory gates: full-size fleet_churn peaks under 16 MiB, server_storm under 40, stream_tcp under 3.3, crowd_udp under 100 =="
+# fleet_churn (13.9 MiB) ran to 143 MiB while drained event-queue buckets
 # kept their buffers; retention coming back, or a generator made for
 # each of its NATs and routers, is a red build.
-peak_rss_under fleet_churn 17
+peak_rss_under fleet_churn 16
 # server_storm (37.5 MiB) injects 150 000 datagrams at one instant: one
 # queue entry per burst (its packets chained through the arena), so its
 # queue never holds more than 64 entries and never builds a wheel, slab
@@ -168,7 +168,7 @@ peak_rss_under server_storm 40
 # is queued as its frame's second part and segments are sliced from it.
 # A frame copied on send brings back about 0.9 MiB, and no test sees it.
 peak_rss_under stream_tcp 3.3
-# crowd_udp (100.6 MiB, 80 008 nodes) is where the queue's retention
+# crowd_udp (92.6 MiB, 80 008 nodes) is where the queue's retention
 # would show: its slab keeps the most entries the wheel ever held and its
 # working set the capacity of its largest day. Each of its 40 000 clients
 # is one `HostDevice<UdpPeer>` allocation with its session inline and no
@@ -178,8 +178,9 @@ peak_rss_under stream_tcp 3.3
 # stack and NAT shares its world's one profile; a per-session side
 # record, a boxed part per host or per mapping, a tiny table on the heap,
 # a race set with spare slots, start-up events held through the punch,
-# an eager generator per node or a profile copied into each node comes
-# back here.
-peak_rss_under crowd_udp 116
+# an eager generator per node, a profile copied into each node, or a
+# generator, a TCP table or an outbox set held by every host comes back
+# here.
+peak_rss_under crowd_udp 100
 
 echo "OK"
