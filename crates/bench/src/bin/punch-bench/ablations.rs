@@ -82,10 +82,8 @@ pub fn run(_: &Flags) -> Result<Run, String> {
     // fan out on the pool.
     let checked = 30usize;
     let hidden = punch_lab::par::run_n(checked, |seed| {
-        let behavior = NatBehavior {
-            contention_breaks_consistency: seed % 3 == 0, // 10 of 30
-            ..NatBehavior::well_behaved()
-        };
+        let mut behavior = NatBehavior::well_behaved();
+        behavior.contention_breaks_consistency = seed % 3 == 0; // 10 of 30
         check_nat_pair(behavior, 7000 + seed as u64).hidden_contention_failure()
     })
     .into_iter()

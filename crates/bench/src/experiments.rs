@@ -255,11 +255,9 @@ fn prediction_trial(
         c.punch.relay_fallback = false;
         PeerSetup::new(UdpPeer::new(c))
     };
-    let symmetric = NatBehavior {
-        mapping: punch_nat::MappingPolicy::AddressAndPortDependent,
-        port_alloc: alloc,
-        ..NatBehavior::well_behaved()
-    };
+    let mut symmetric = NatBehavior::well_behaved();
+    symmetric.mapping = punch_nat::MappingPolicy::AddressAndPortDependent;
+    symmetric.port_alloc = alloc;
     let well = NatBehavior::well_behaved();
     let mut wb = fig5_builder(seed, ServerConfig::default(), symmetric, well, mk(A), mk(B));
     if let Some(interval) = chatter {

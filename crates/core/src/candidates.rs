@@ -129,7 +129,8 @@ impl PredictionStrategy {
                 for k in 1..=i32::from(radius) {
                     for cand in [c + k, c - k] {
                         let p = cand.rem_euclid(65536) as u16;
-                        if p >= 1024 && p != center {
+                        // 1 ≤ k ≤ u16::MAX, so c ± k is never c mod 65 536.
+                        if p >= 1024 {
                             out.push(p);
                         }
                     }

@@ -213,10 +213,8 @@ fn icmp_nat_also_survives_via_retry() {
 
 #[test]
 fn symmetric_nat_tcp_punch_fails_cleanly() {
-    let symmetric = NatBehavior {
-        tcp_mapping: Some(MappingPolicy::AddressAndPortDependent),
-        ..NatBehavior::well_behaved()
-    };
+    let mut symmetric = NatBehavior::well_behaved();
+    symmetric.tcp_mapping = Some(MappingPolicy::AddressAndPortDependent);
     let mut sc = fig5(
         34,
         symmetric,
@@ -472,10 +470,8 @@ fn tcp_relay_fallback_carries_data_when_punch_fails() {
     // Symmetric TCP translation on A's side: the punch fails, the §2.2
     // relay fallback engages, and application frames still flow both
     // ways through S.
-    let symmetric = NatBehavior {
-        tcp_mapping: Some(MappingPolicy::AddressAndPortDependent),
-        ..NatBehavior::well_behaved()
-    };
+    let mut symmetric = NatBehavior::well_behaved();
+    symmetric.tcp_mapping = Some(MappingPolicy::AddressAndPortDependent);
     let mut sc = fig5(
         60,
         symmetric,

@@ -245,11 +245,9 @@ fn symmetric_nat_breaks_punching_and_relay_rescues() {
 
 #[test]
 fn port_prediction_recovers_symmetric_nat_with_sequential_allocation() {
-    let symmetric = NatBehavior {
-        mapping: MappingPolicy::AddressAndPortDependent,
-        port_alloc: PortAllocation::Sequential,
-        ..NatBehavior::well_behaved()
-    };
+    let mut symmetric = NatBehavior::well_behaved();
+    symmetric.mapping = MappingPolicy::AddressAndPortDependent;
+    symmetric.port_alloc = PortAllocation::Sequential;
     let cfg = |id| {
         let mut c = UdpPeerConfig::new(id, Scenario::server_endpoint());
         c.punch = c.punch.clone().with_plan(predict_plan(5));
@@ -272,11 +270,9 @@ fn port_prediction_recovers_symmetric_nat_with_sequential_allocation() {
 
 #[test]
 fn port_prediction_usually_fails_against_random_allocation() {
-    let symmetric = NatBehavior {
-        mapping: MappingPolicy::AddressAndPortDependent,
-        port_alloc: PortAllocation::Random,
-        ..NatBehavior::well_behaved()
-    };
+    let mut symmetric = NatBehavior::well_behaved();
+    symmetric.mapping = MappingPolicy::AddressAndPortDependent;
+    symmetric.port_alloc = PortAllocation::Random;
     let cfg = |id| {
         let mut c = UdpPeerConfig::new(id, Scenario::server_endpoint());
         c.punch = c.punch.clone().with_plan(predict_plan(5));

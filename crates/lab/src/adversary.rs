@@ -14,18 +14,29 @@
 //!   control plane: registration squatting storms and introduction
 //!   floods against the server's capped tables.
 //!
-//! Each attack pairs with a defense behind a config knob defaulting to
-//! paper-faithful **off** (`punch_nat` quotas and fair eviction,
-//! `punch_transport` RFC 5961-style RST validation, `punch_rendezvous`
-//! protect-active eviction / token-bucket rate limiting / fleet
-//! authentication). The [`run_mapping_flood`], [`run_rst_inject`],
-//! [`run_reg_squat`] and [`run_intro_forgery`] scenario runners measure
-//! the victim's view — punch success, session deaths, recovery latency
-//! — with the defense off and on, and feed the `attacks` bench bin and
-//! CI's defense-flip gate.
+//! Each attack pairs with its layer's defense, paper-faithful **off**
+//! by default and turned on by one `defended()` profile per layer:
+//! [`NatBehavior::defended`] (per-source quota and fair eviction),
+//! [`StackConfig::defended`] (RFC 5961-style RST validation) and
+//! [`ServerConfig::defended`] (protect-active eviction and token-bucket
+//! rate limiting); the fleet's defense is its shared secret
+//! ([`ServerConfig::with_fleet_secret`]). The [`run_mapping_flood`],
+//! [`run_rst_inject`], [`run_reg_squat`] and [`run_intro_forgery`]
+//! scenario runners measure the victim's view — punch success, session
+//! deaths, recovery latency — with the defense off and on, and feed
+//! the `attacks` bench bin and CI's defense-flip gate.
+//!
+//! The two UDP legs run on the chaos harness's attacker world, their
+//! bursts written as [`ChaosFault`] schedules, and their defended arms
+//! turn on the NAT and server profiles together; each keeps its own
+//! measurement loop, since the legs time and judge recovery
+//! differently. The TCP
+//! leg and the two-server forgery leg build their own worlds: the
+//! harness is UDP-only and single-server.
 
-use crate::chaos::{chaos_peer, ChaosProfile};
+use crate::chaos::{adversarial_scenario, chaos_peer, Caps, ChaosFault, ChaosProfile};
 use crate::world::{addrs, fig5_builder, PeerSetup, Scenario, World, WorldBuilder};
+use bytes::Bytes;
 use holepunch::{PeerEvent, TcpPeer, TcpPeerConfig, UdpPeer};
 use punch_nat::NatBehavior;
 use punch_net::{
@@ -332,109 +343,71 @@ pub struct AttackReport {
     pub defense_events: u64,
 }
 
-/// The victims' world, metrics on and not yet built: Figure 5 with
-/// peers A and B from `peer`, NAT B well-behaved. Legs add their bots.
-fn victim_pair(
-    seed: u64,
-    server: ServerConfig,
-    nat_a: NatBehavior,
-    peer: impl Fn(PeerId) -> PeerSetup,
-) -> WorldBuilder {
-    let nat_b = NatBehavior::well_behaved();
-    fig5_builder(seed, server, nat_a, nat_b, peer(A), peer(B)).metrics()
-}
+/// The caps EC3's two UDP legs run the attacker world with: a
+/// 48-mapping NAT A, so every 64-port burst can roll its whole table,
+/// and a 24-client server.
+const LEG_CAPS: Caps = (48, 24);
 
-fn resilient_udp_peer(id: PeerId) -> PeerSetup {
-    chaos_peer(id, ChaosProfile::Resilient)
-}
-
-/// Drains victim A's UDP events, counting kills.
-fn drain_udp_deaths(world: &mut World, node: NodeId) -> u64 {
-    world.with_app::<UdpPeer, _>(node, |p, _| {
-        p.take_events()
-            .iter()
-            .filter(|e| {
-                matches!(
-                    e,
-                    PeerEvent::SessionDied { .. } | PeerEvent::PunchFailed { .. }
-                )
-            })
-            .count() as u64
-    })
-}
-
-/// Checks whether B heard fresh application data from A.
-fn b_heard(world: &mut World, node: NodeId) -> bool {
-    world.with_app::<UdpPeer, _>(node, |p, _| {
+/// One beat of a UDP leg's traffic: A sends `data` to B, the world runs
+/// 250 ms. Returns the established sessions A saw die meanwhile, and
+/// whether B heard data from A.
+fn beat(sc: &mut Scenario, data: &'static [u8]) -> (u64, bool) {
+    sc.world.with_app::<UdpPeer, _>(sc.a, |p, os| p.send(os, B, Bytes::from_static(data)));
+    sc.world.sim.run_for(Duration::from_millis(250));
+    let deaths = sc.world.with_app::<UdpPeer, _>(sc.a, |p, _| {
+        let died = |e: &&PeerEvent| {
+            matches!(e, PeerEvent::SessionDied { .. } | PeerEvent::PunchFailed { .. })
+        };
+        p.take_events().iter().filter(died).count() as u64
+    });
+    let heard = sc.world.with_app::<UdpPeer, _>(sc.b, |p, _| {
         p.take_events()
             .iter()
             .any(|e| matches!(e, PeerEvent::Data { peer, .. } if *peer == A))
-    })
+    });
+    (deaths, heard)
 }
 
 /// ATK1 — mapping exhaustion. A flooding host behind the victim's NAT
 /// bursts fresh-port traffic against a capped translation table; with
 /// oldest-first eviction the victim's punched mapping is collateral.
-/// Defense (`defended`): per-source quota + flood-resistant eviction
-/// ([`NatBehavior::with_per_source_quota`],
-/// [`NatBehavior::with_fair_eviction`]).
+/// Defense (`defended`): [`NatBehavior::defended`]'s per-source quota
+/// and flood-resistant eviction. The defended arm runs the shared
+/// attacker world defended, so [`ServerConfig::defended`] is on too.
 pub fn run_mapping_flood(seed: u64, defended: bool) -> AttackReport {
     const ATTACK_START: Duration = Duration::from_secs(6);
     const ATTACK_END: Duration = Duration::from_millis(11_000);
-
-    let mut nat_a = NatBehavior::well_behaved().with_max_mappings(48);
-    if defended {
-        nat_a = nat_a.with_per_source_quota(8).with_fair_eviction();
-    }
-    // 12 bursts, 400 ms apart, 64 fresh ports each: every burst can
-    // roll the whole 48-slot table under oldest-first eviction.
-    let schedule: Vec<(Duration, u16)> = (0..12)
-        .map(|k| (ATTACK_START + Duration::from_millis(400 * k), 64))
+    // From ATTACK_START, 4 s after t0: 12 bursts, 400 ms apart, 64
+    // fresh ports each.
+    let faults: Vec<ChaosFault> = (0..12)
+        .map(|k| ChaosFault::MappingFlood { at_ms: 4_000 + 400 * k, ports: 64 })
         .collect();
 
-    let mut wb = victim_pair(seed, ServerConfig::default(), nat_a, resilient_udp_peer);
-    let sink = Scenario::server_endpoint();
-    wb.client(FLOOD_IP, 0, PeerSetup::new(FloodBot::new(sink, schedule)));
-    let Scenario { mut world, a, b, .. } = Scenario::new(wb.build());
-    let nat_a_node = world.nats[0];
-
-    world.sim.run_for(Duration::from_secs(2));
-    world.with_app::<UdpPeer, _>(a, |p, os| p.connect(os, B));
-    let established = world.run_until_app::<UdpPeer>(a, SimTime::ZERO + ATTACK_START, |p| {
-        p.is_established(B)
-    });
+    let mut sc = adversarial_scenario(seed, &faults, LEG_CAPS, defended);
+    sc.world.sim.run_for(Duration::from_secs(2));
+    sc.world.with_app::<UdpPeer, _>(sc.a, |p, os| p.connect(os, B));
+    let start = SimTime::ZERO + ATTACK_START;
+    let established = sc.world.run_until_app::<UdpPeer>(sc.a, start, |p| p.is_established(B));
 
     // Chatter through the attack window so on-demand repair (§3.6) has
     // traffic to ride on; count kills as they land.
     let mut deaths = 0;
-    while world.sim.now().saturating_since(SimTime::ZERO) < ATTACK_END {
-        world.with_app::<UdpPeer, _>(a, |p, os| {
-            p.send(os, B, bytes::Bytes::from_static(b"chatter"));
-        });
-        world.sim.run_for(Duration::from_millis(250));
-        deaths += drain_udp_deaths(&mut world, a);
-        b_heard(&mut world, b);
+    while sc.world.sim.now().saturating_since(SimTime::ZERO) < ATTACK_END {
+        deaths += beat(&mut sc, b"chatter").0;
     }
 
     // Recovery probe: from the attack's end, how long until B hears
     // fresh data again?
-    let attack_end = world.sim.now();
-    b_heard(&mut world, b);
+    let attack_end = sc.world.sim.now();
     let deadline = attack_end + Duration::from_secs(30);
     let mut recovered = false;
-    while world.sim.now() < deadline {
-        world.with_app::<UdpPeer, _>(a, |p, os| {
-            p.send(os, B, bytes::Bytes::from_static(b"recovery-probe"));
-        });
-        world.sim.run_for(Duration::from_millis(250));
-        deaths += drain_udp_deaths(&mut world, a);
-        if b_heard(&mut world, b) {
-            recovered = true;
-            break;
-        }
+    while !recovered && sc.world.sim.now() < deadline {
+        let (died, heard) = beat(&mut sc, b"recovery-probe");
+        deaths += died;
+        recovered = heard;
     }
     let recovery_ms = if recovered && deaths > 0 {
-        world.sim.now().saturating_since(attack_end).as_millis() as u64
+        sc.world.sim.now().saturating_since(attack_end).as_millis() as u64
     } else {
         0
     };
@@ -445,7 +418,7 @@ pub fn run_mapping_flood(seed: u64, defended: bool) -> AttackReport {
         disrupted: deaths > 0,
         recovered,
         recovery_ms,
-        defense_events: world.nat(nat_a_node).stats().quota_refused,
+        defense_events: sc.world.nat(sc.world.nats[0]).stats().quota_refused,
     }
 }
 
@@ -456,7 +429,7 @@ fn tcp_peer_setup(id: PeerId, defended: bool) -> PeerSetup {
     c.local_port = 5000 + id.0 as u16;
     let mut stack = StackConfig::fast();
     if defended {
-        stack = stack.with_rst_validation();
+        stack = stack.defended();
     }
     PeerSetup::new(TcpPeer::new(c)).with_stack(stack)
 }
@@ -466,11 +439,11 @@ fn tcp_peer_setup(id: PeerId, defended: bool) -> PeerSetup {
 /// endpoint (the 4-tuple is what a rendezvous eavesdropper learns;
 /// the sequence numbers are blind guesses). The classic stack accepts
 /// any in-connection RST and the session dies; the RFC 5961-style gate
-/// ([`StackConfig::with_rst_validation`]) drops or challenges every
-/// blind guess.
+/// ([`StackConfig::defended`]) drops or challenges every blind guess.
 pub fn run_rst_inject(seed: u64, defended: bool) -> AttackReport {
-    let peer = |id| tcp_peer_setup(id, defended);
-    let wb = victim_pair(seed, ServerConfig::default(), NatBehavior::well_behaved(), peer);
+    let well = NatBehavior::well_behaved;
+    let (a, b) = (tcp_peer_setup(A, defended), tcp_peer_setup(B, defended));
+    let wb = fig5_builder(seed, ServerConfig::default(), well(), well(), a, b).metrics();
     let Scenario { mut world, a, b, .. } = Scenario::new(wb.build());
     let spoofer = add_spoofer(&mut world);
 
@@ -531,7 +504,7 @@ pub fn run_rst_inject(seed: u64, defended: bool) -> AttackReport {
     } else {
         // Session survived the volley; confirm it still carries data.
         world.with_app::<TcpPeer, _>(a, |p, os| {
-            p.send(os, B, bytes::Bytes::from_static(b"post-volley"));
+            p.send(os, B, Bytes::from_static(b"post-volley"));
         });
         world.sim.run_for(Duration::from_secs(1));
         recovered = world.with_app::<TcpPeer, _>(b, |p, _| {
@@ -559,74 +532,42 @@ pub fn run_rst_inject(seed: u64, defended: bool) -> AttackReport {
 /// flood for good measure) while the victim pair tries to punch; with
 /// oldest-first eviction the victims' registrations are churned out
 /// faster than their keepalives restore them, and the introduction
-/// stalls until the storm drains. Defenses: protect-active eviction
-/// ([`ServerConfig::with_protect_active`]) and per-source rate
-/// limiting ([`ServerConfig::with_rate_limit`]).
+/// stalls until the storm drains. Defense: [`ServerConfig::defended`]'s
+/// protect-active eviction and per-source rate limiting. The defended
+/// arm runs the shared attacker world defended, so
+/// [`NatBehavior::defended`] is on too.
 pub fn run_reg_squat(seed: u64, defended: bool) -> AttackReport {
+    // The victim connects 1 s after t0 (2 s after boot), 800 ms into
+    // the storm.
     const CONNECT_AT: Duration = Duration::from_secs(3);
-
-    let mut cfg = ServerConfig::default().with_max_clients(24);
-    if defended {
-        cfg = cfg
-            .with_protect_active(Duration::from_secs(5))
-            .with_rate_limit(25);
-    }
-    // 24 bursts, 250 ms apart (2.2 s → 8.0 s), 40 fresh squat ids each:
-    // the 24-slot table never stays legitimate for a full round trip.
-    let mut schedule: Vec<(Duration, AbuseAction)> = Vec::new();
-    for k in 0..24u64 {
-        let at = Duration::from_millis(2_200 + 250 * k);
-        schedule.push((
-            at,
-            AbuseAction::Squat {
-                base_id: 50_000 + k * 64,
-                count: 40,
-            },
-        ));
+    // From 200 ms after t0: 24 bursts, 250 ms apart, 40 fresh squat ids
+    // each, and an introduction flood with every fourth — the 24-slot
+    // table never stays legitimate for a full round trip.
+    let mut faults = Vec::new();
+    for k in 0..24 {
+        let at_ms = 200 + 250 * k;
+        faults.push(ChaosFault::SquatStorm { at_ms, count: 40 });
         if k % 4 == 0 {
-            schedule.push((
-                at,
-                AbuseAction::IntroFlood {
-                    base_id: 90_000,
-                    count: 12,
-                },
-            ));
+            faults.push(ChaosFault::IntroFlood { at_ms, count: 12 });
         }
     }
 
-    let mut wb = victim_pair(seed, cfg, NatBehavior::well_behaved(), resilient_udp_peer);
-    let bot = AbuseBot::new(Scenario::server_endpoint(), schedule);
-    wb.public_client(ABUSE_IP, PeerSetup::new(bot));
-    let Scenario { mut world, server: s, a, b } = Scenario::new(wb.build());
-
-    world.sim.run_until(SimTime::ZERO + CONNECT_AT);
-    world.with_app::<UdpPeer, _>(a, |p, os| p.connect(os, B));
+    let mut sc = adversarial_scenario(seed, &faults, LEG_CAPS, defended);
+    let connect_at = SimTime::ZERO + CONNECT_AT;
+    sc.world.sim.run_until(connect_at);
+    sc.world.with_app::<UdpPeer, _>(sc.a, |p, os| p.connect(os, B));
     let deadline = SimTime::ZERO + Duration::from_secs(60);
-    let established = world.run_until_app::<UdpPeer>(a, deadline, |p| p.is_established(B));
-    let delay_ms = world
-        .sim
-        .now()
-        .saturating_since(SimTime::ZERO + CONNECT_AT)
-        .as_millis() as u64;
+    let established = sc.world.run_until_app::<UdpPeer>(sc.a, deadline, |p| p.is_established(B));
+    let delay_ms = sc.world.sim.now().saturating_since(connect_at).as_millis() as u64;
 
     // Data must actually flow; an introduction alone is not recovery.
+    let deadline = sc.world.sim.now() + Duration::from_secs(10);
     let mut recovered = false;
-    if established {
-        b_heard(&mut world, b);
-        let deadline = world.sim.now() + Duration::from_secs(10);
-        while world.sim.now() < deadline {
-            world.with_app::<UdpPeer, _>(a, |p, os| {
-                p.send(os, B, bytes::Bytes::from_static(b"post-storm"));
-            });
-            world.sim.run_for(Duration::from_millis(250));
-            if b_heard(&mut world, b) {
-                recovered = true;
-                break;
-            }
-        }
+    while established && !recovered && sc.world.sim.now() < deadline {
+        recovered = beat(&mut sc, b"post-storm").1;
     }
 
-    let stats = world.app::<RendezvousServer>(s).stats();
+    let stats = sc.world.app::<RendezvousServer>(sc.server).stats();
     let disrupted = delay_ms > 2_000;
     AttackReport {
         established,
@@ -661,7 +602,7 @@ pub fn run_intro_forgery(seed: u64, defended: bool) -> AttackReport {
     let s1 = wb.server(addrs::SERVER, RendezvousServer::new(cfg1));
     wb.server(SERVER2_IP, RendezvousServer::new(cfg2));
     let na = wb.nat(NatBehavior::well_behaved(), addrs::NAT_A);
-    let v = wb.client(addrs::CLIENT_A, na, resilient_udp_peer(A));
+    let v = wb.client(addrs::CLIENT_A, na, chaos_peer(A, ChaosProfile::Resilient));
     let bot = wb.public_client(ABUSE_IP, PeerSetup::new(AbuseBot::new(s1_ep, Vec::new())));
     let mut world = wb.build();
     let (s1, v, bot) = (world.servers[s1], world.clients[v], world.clients[bot]);

@@ -27,7 +27,10 @@
 //! schedules: scripted attacker nodes (mapping floods, registration
 //! squatting, introduction floods — see [`crate::adversary`]) mix with
 //! classic faults on a capped-table topology, hunting schedules that
-//! wedge a resilient pair permanently.
+//! wedge a resilient pair permanently. That attacker world is the one
+//! EC3's mapping-flood and squatting legs run on too, with their own
+//! caps, fixed attack schedules and, in their defended arms, every
+//! layer's defense on: EC3 is the harness's third user.
 //!
 //! The module owns the fault vocabulary ([`ChaosFault`], [`ChaosLink`]),
 //! the peer profiles ([`ChaosProfile`]), EC's schedules and runner, the
@@ -554,16 +557,28 @@ fn build_fault_plan(sc: &Scenario, t0: SimTime, faults: &[ChaosFault]) -> FaultP
     })
 }
 
-/// The Figure-5 world with attacker nodes and capped victim tables:
-/// NAT A holds at most 64 mappings, the rendezvous server 32 clients
-/// (both with the defenses OFF), a [`FloodBot`] shares client A's
-/// realm, and an [`AbuseBot`] sits on the public Internet. Attack
-/// bursts in `faults` become the bots' scripts; the bots exist (idle)
-/// even for all-classic schedules so shrinking an attack away never
-/// changes the topology itself.
-fn adversarial_scenario(seed: u64, faults: &[ChaosFault], profile: ChaosProfile) -> Scenario {
-    // The schedule goes live at t0 = 2 s after boot (the registration
-    // warm-up run below is exact), so bot scripts are offset by it.
+/// Table caps of the attacker world: `(NAT A mappings, server clients)`.
+pub(crate) type Caps = (usize, usize);
+
+/// The caps chaos search runs the attacker world with.
+const SAMPLED_CAPS: Caps = (64, 32);
+
+/// The one attacker world, metrics on and not yet run: Figure 5 with a
+/// [`FloodBot`] in client A's realm, an [`AbuseBot`] on the public
+/// Internet, NAT A capped at `caps.0` mappings and the rendezvous
+/// server at `caps.1` clients, both with their EC3 defenses on when
+/// `defended` ([`NatBehavior::defended`], [`ServerConfig::defended`]).
+/// Attack bursts in `faults` become the bots' scripts, offset by t0 =
+/// 2 s after boot, where every caller's schedule starts (the
+/// registration warm-up run is exact). The bots exist, idle, even for
+/// all-classic schedules, so shrinking an attack away never changes
+/// the topology itself.
+pub(crate) fn adversarial_scenario(
+    seed: u64,
+    faults: &[ChaosFault],
+    caps: Caps,
+    defended: bool,
+) -> Scenario {
     let at = |at_ms: u64| Duration::from_secs(2) + Duration::from_millis(at_ms);
     let mut flood: Vec<(Duration, u16)> = Vec::new();
     let mut abuse: Vec<(Duration, AbuseAction)> = Vec::new();
@@ -582,30 +597,29 @@ fn adversarial_scenario(seed: u64, faults: &[ChaosFault], profile: ChaosProfile)
         }
     }
 
+    let (mut nat_a, mut server) = (NatBehavior::well_behaved(), ServerConfig::default());
+    if defended {
+        (nat_a, server) = (nat_a.defended(), server.defended());
+    }
     let server_ep = Scenario::server_endpoint();
+    let peer = |id| chaos_peer(id, ChaosProfile::Adversarial);
     let mut wb = fig5_builder(
         seed,
-        ServerConfig::default().with_max_clients(32),
-        NatBehavior::well_behaved().with_max_mappings(64),
+        server.with_max_clients(caps.1),
+        nat_a.with_max_mappings(caps.0),
         NatBehavior::well_behaved(),
-        chaos_peer(A, profile),
-        chaos_peer(B, profile),
-    );
-    wb.client(
-        FLOOD_IP,
-        0,
-        PeerSetup::new(FloodBot::new(server_ep, flood)),
-    );
-    wb.public_client(
-        ABUSE_IP,
-        PeerSetup::new(AbuseBot::new(server_ep, abuse)),
-    );
+        peer(A),
+        peer(B),
+    )
+    .metrics();
+    wb.client(FLOOD_IP, 0, PeerSetup::new(FloodBot::new(server_ep, flood)));
+    wb.public_client(ABUSE_IP, PeerSetup::new(AbuseBot::new(server_ep, abuse)));
     Scenario::new(wb.build())
 }
 
 fn run_trial_inner(seed: u64, faults: &[ChaosFault], profile: ChaosProfile) -> TrialOutcome {
     let mut sc = if profile == ChaosProfile::Adversarial {
-        adversarial_scenario(seed, faults, profile)
+        adversarial_scenario(seed, faults, SAMPLED_CAPS, false)
     } else {
         fig5(
             seed,

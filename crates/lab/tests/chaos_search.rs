@@ -281,6 +281,27 @@ fn every_fault_kind_keeps_its_trial_outcome() {
     }
 }
 
+/// The attacker world with no attack in its schedule is Figure 5 with
+/// two idle bots: a classic schedule runs there exactly as on the plain
+/// pair — same verdict, clock, metrics and engine counters — but for
+/// the bots' two start events. So shrinking an attack away never
+/// changes what the rest of a schedule does.
+#[test]
+fn an_idle_attacker_world_is_invisible() {
+    for seed in 0..8u64 {
+        let faults = generate_faults(seed, 5);
+        let plain = run_trial(seed, &faults, ChaosProfile::Resilient);
+        let attacked = run_trial(seed, &faults, ChaosProfile::Adversarial);
+        assert_eq!(attacked.violation, plain.violation, "seed {seed}");
+        assert_eq!(attacked.end, plain.end, "seed {seed}");
+        assert_eq!(attacked.metrics_json, plain.metrics_json, "seed {seed}");
+        let mut stats = attacked.stats;
+        assert_eq!(stats.events, plain.stats.events + 2, "seed {seed}");
+        stats.events = plain.stats.events;
+        assert_eq!(stats, plain.stats, "seed {seed}");
+    }
+}
+
 /// The relay-upgrade flip EC runs is a plan-JSON kind of its own, so a
 /// schedule holding it replays from its JSON like any other. (That each
 /// of EC's schedules recovers is `punch-bench chaos`'s gate.)

@@ -228,13 +228,13 @@ fn link_faults() -> MetricsSnapshot {
     snap
 }
 
-/// Two peers behind one NAT (Figure 4's realm) with a per-source quota,
-/// a flooding neighbour that runs into it, and a reboot once the pair
-/// has punched.
+/// Two peers behind one defended NAT (Figure 4's realm), a flooding
+/// neighbour that runs into its per-source quota of 8, and a reboot
+/// once the pair has punched.
 fn one_realm() -> MetricsSnapshot {
     let mut wb = WorldBuilder::new(52).metrics();
     wb.server(addrs::SERVER, RendezvousServer::new(ServerConfig::default()));
-    let n = wb.nat(NatBehavior::well_behaved().with_per_source_quota(4), addrs::NAT_A);
+    let n = wb.nat(NatBehavior::well_behaved().defended(), addrs::NAT_A);
     wb.client(addrs::CLIENT_A, n, udp_peer(A));
     wb.client(Ipv4Addr::new(10, 0, 0, 2), n, udp_peer(B));
     let flood = vec![(Duration::from_secs(3), 12)];
@@ -296,9 +296,9 @@ fn tcp_rejections() -> MetricsSnapshot {
     snap
 }
 
-/// Raw clients against two servers: a burst past S0's rate limit, a
-/// registration S0's protected table refuses, an unparsable datagram, a
-/// bad fleet tag at S1, and then S0 restarts.
+/// Raw clients against two servers: a burst past defended S0's 25/s
+/// rate limit, a registration S0's protected table refuses, an
+/// unparsable datagram, a bad fleet tag at S1, and then S0 restarts.
 fn server_defenses() -> MetricsSnapshot {
     let s0 = Scenario::server_endpoint();
     let s1 = Endpoint::new(Ipv4Addr::new(18, 181, 0, 32), 1234);
@@ -309,13 +309,10 @@ fn server_defenses() -> MetricsSnapshot {
     let mut forged = register(9).encode(true).to_vec();
     forged.extend_from_slice(&[0xA5; 8]);
     let mut wb = WorldBuilder::new(54).metrics();
-    let cfg0 = ServerConfig::default()
-        .with_max_clients(1)
-        .with_protect_active(Duration::from_secs(10))
-        .with_rate_limit(2);
+    let cfg0 = ServerConfig::default().with_max_clients(1).defended();
     wb.server(s0.ip, RendezvousServer::new(cfg0));
     wb.server(s1.ip, RendezvousServer::new(ServerConfig::default().with_fleet_secret(0xFEED)));
-    let burst = (0..8).map(|i| (100 + 5 * i, Act::Datagram(s0, register(1).encode(true)))).collect();
+    let burst = (0..40).map(|i| (100 + 5 * i, Act::Datagram(s0, register(1).encode(true)))).collect();
     wb.public_client(Ipv4Addr::new(99, 1, 1, 1), raw(burst));
     wb.public_client(
         Ipv4Addr::new(99, 1, 1, 2),
@@ -373,7 +370,7 @@ fn transport() -> MetricsSnapshot {
         .metrics()
         .wan(LinkSpec::wan().with_loss(0.1).with_corrupt(0.05));
     wb.public_client(x.ip, raw(vec![(0, Act::Listen(80))]));
-    let validating = StackConfig::default().with_rst_validation();
+    let validating = StackConfig::default().defended();
     wb.public_client(x2.ip, raw(vec![(0, Act::Listen(80))]).with_stack(validating));
     wb.public_client(
         y,
@@ -541,11 +538,15 @@ fn metrics_snapshots_keep_their_fingerprints() {
 }
 
 // Captured at commit 15466ec, where each of these counts was written to
-// the registry inline, beside its `*Stats` field.
+// the registry inline, beside its `*Stats` field — except ONE_REALM and
+// SERVER_DEFENSES, captured again when those worlds moved to the
+// defended profiles (a quota of 8, not 4; a 25/s bucket, not 2/s, met
+// by a 40-datagram burst, not 8; a 5 s protect window, not 10 s), which
+// changes what they do.
 const LINK_FAULTS: u64 = 0x18b1_b0c8_0d39_13a6;
-const ONE_REALM: u64 = 0xa068_b4b3_572a_312d;
+const ONE_REALM: u64 = 0x391c_05a8_f0d0_6083;
 const TCP_REJECTIONS: u64 = 0xd803_ce06_102d_827a;
-const SERVER_DEFENSES: u64 = 0x843a_3ad4_4948_da86;
+const SERVER_DEFENSES: u64 = 0x7a47_e91c_8ec9_95fb;
 const FLEET: u64 = 0x3c57_c3fc_1f6b_f395;
 const TRANSPORT: u64 = 0x32d9_0e84_955b_bc0d;
 // Captured at commit b57f62f, where each default these worlds run was

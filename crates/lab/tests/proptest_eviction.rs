@@ -134,9 +134,7 @@ fn run_storm(
     // within its keepalive interval" for the storm's whole lifetime.
     let refreshes = (horizon.as_millis() / refresh.as_millis().max(1) + 5) as u32;
     let mut cfg = ServerConfig::default().with_max_clients(cap);
-    if let Some(window) = protect {
-        cfg = cfg.with_protect_active(window);
-    }
+    cfg.protect_active = protect;
     let mut wb = WorldBuilder::new(seed);
     let s = wb.server(SERVER_IP, RendezvousServer::new(cfg));
     wb.public_client(

@@ -144,20 +144,13 @@ pub struct NatBehavior {
     /// can.
     pub contention_breaks_consistency: bool,
     /// Hard cap on live mappings. When full, a new allocation evicts an
-    /// existing mapping (see [`NatBehavior::fair_eviction`]) — the
-    /// consumer-router table limit that ReDAN-style exhaustion floods
-    /// target. `None` (the default) models an unbounded table.
+    /// existing mapping (the oldest; see [`NatBehavior::defended`]) —
+    /// the consumer-router table limit that ReDAN-style exhaustion
+    /// floods target. `None` (the default) models an unbounded table.
     pub max_mappings: Option<usize>,
-    /// Defense knob: maximum live mappings any single private source IP
-    /// may hold. Allocations beyond the quota are refused, so one
-    /// flooding host cannot monopolise a capped table. `None` (default)
-    /// disables the quota.
-    pub per_source_quota: Option<usize>,
-    /// Defense knob: when the capped table is full, evict the oldest
-    /// mapping *of the heaviest source* instead of the globally oldest
-    /// mapping. Off (default), a flooder's fresh mappings push out every
-    /// other host's older ones; on, the flood cannibalises itself.
-    pub fair_eviction: bool,
+    /// The mapping-flood defenses ([`NatBehavior::defended`]); off in
+    /// every preset.
+    pub(crate) defended: bool,
 }
 
 impl NatBehavior {
@@ -180,8 +173,7 @@ impl NatBehavior {
             mangle_payloads: false,
             contention_breaks_consistency: false,
             max_mappings: None,
-            per_source_quota: None,
-            fair_eviction: false,
+            defended: false,
         }
     }
 
@@ -253,16 +245,14 @@ impl NatBehavior {
         self
     }
 
-    /// Enables the per-source allocation quota defense.
-    pub fn with_per_source_quota(mut self, n: usize) -> Self {
-        self.per_source_quota = Some(n);
-        self
-    }
-
-    /// Enables the flood-resistant (heaviest-source-first) eviction
-    /// policy for capped tables.
-    pub fn with_fair_eviction(mut self) -> Self {
-        self.fair_eviction = true;
+    /// Same behaviour with the mapping-flood defenses on (EC3): one
+    /// private source may hold at most 8 live mappings, further
+    /// allocations from it are refused, and a full capped table evicts
+    /// the oldest mapping *of its heaviest source* instead of the
+    /// globally oldest one, so a flooding host cannibalises itself
+    /// rather than its neighbours.
+    pub fn defended(mut self) -> Self {
+        self.defended = true;
         self
     }
 

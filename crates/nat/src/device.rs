@@ -243,26 +243,25 @@ impl NatDevice {
             return Some(entry.public);
         }
         // A fresh mapping is needed. Purge every expired one first, then
-        // enforce capacity: the per-source quota refuses over-quota
-        // sources outright, and a full capped table evicts per the
-        // configured policy before the allocator runs.
+        // enforce capacity: a defended NAT refuses an over-quota source
+        // outright, and a full capped table evicts (fairly, if defended)
+        // before the allocator runs.
+        const PER_SOURCE_QUOTA: usize = 8;
         self.tables.sweep(now);
-        if let Some(quota) = self.behavior.per_source_quota {
-            if self.tables.live_count_for_source(private.ip, now) >= quota {
-                self.stats.quota_refused += 1;
-                ctx.note_drop("nat-quota-refused");
-                return None;
-            }
+        let defended = self.behavior.defended;
+        if defended && self.tables.live_count_for_source(private.ip, now) >= PER_SOURCE_QUOTA {
+            self.stats.quota_refused += 1;
+            ctx.note_drop("nat-quota-refused");
+            return None;
         }
         if let Some(cap) = self.behavior.max_mappings {
-            let fair = self.behavior.fair_eviction;
             while self.tables.len(now) >= cap {
-                let Some(victim) = self.tables.eviction_victim(now, fair) else {
+                let Some(victim) = self.tables.eviction_victim(now, defended) else {
                     break;
                 };
                 self.tables.remove(victim);
                 self.stats.mappings_evicted += 1;
-                ctx.metric_inc_labeled("nat.mapping.evicted", if fair { "fair" } else { "oldest" });
+                ctx.metric_inc_labeled("nat.mapping.evicted", if defended { "fair" } else { "oldest" });
             }
         }
         let Some(public) = self.alloc_public(ctx, proto, private) else {

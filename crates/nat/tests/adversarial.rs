@@ -1,8 +1,8 @@
 //! Adversarial NAT-table workloads: one private host floods a capped
 //! mapping table (the ReDAN mapping-exhaustion attack) and we check who
 //! pays — the victim (oldest-first eviction, the pinned "attack succeeds
-//! when defenses are off" baseline) or the flooder (per-source quota /
-//! fair eviction, the defenses).
+//! when defenses are off" baseline) or the flooder (the defended NAT's
+//! per-source quota of 8 and fair eviction).
 
 use punch_nat::{NatBehavior, NatDevice};
 use punch_net::{Duration, Endpoint, LinkSpec, Packet, Sim, SimTime};
@@ -116,15 +116,17 @@ fn oldest_first_eviction_lets_one_source_starve_the_victim() {
 }
 
 /// Defense 1: the per-source quota refuses the flood before it fills the
-/// table, so the victim's mapping (and its inbound path) survive.
+/// table, so the victim's mapping (and its inbound path) survive. The
+/// 9-slot table holds exactly the victim and the quota of 8, so without
+/// the quota the flood's 9th port would force an eviction.
 #[test]
 fn per_source_quota_protects_the_victim() {
     let (mut sim, nat) = capped_topology(
         NatBehavior::well_behaved()
-            .with_max_mappings(8)
-            .with_per_source_quota(4),
+            .with_max_mappings(9)
+            .defended(),
     );
-    run_flood(&mut sim, nat, 8);
+    run_flood(&mut sim, nat, 12);
     let now = sim.now();
     assert!(victim_mapping_live(&sim, nat, now), "victim keeps its slot");
     let stats = sim.device::<NatDevice>(nat).stats();
@@ -149,13 +151,14 @@ fn per_source_quota_protects_the_victim() {
 }
 
 /// Defense 2: fair eviction makes a full table evict the heaviest
-/// source's own oldest mapping, so the flood cannibalises itself.
+/// source's own oldest mapping, so the flood cannibalises itself. The
+/// 8-slot table fills before the flooder reaches its quota of 8.
 #[test]
 fn fair_eviction_makes_the_flood_cannibalise_itself() {
     let (mut sim, nat) = capped_topology(
         NatBehavior::well_behaved()
             .with_max_mappings(8)
-            .with_fair_eviction(),
+            .defended(),
     );
     run_flood(&mut sim, nat, 12);
     let now = sim.now();

@@ -4,7 +4,7 @@
 
 use bytes::Bytes;
 use punch_nat::{Hairpin, NatBehavior, NatDevice, PortAllocation, TcpUnsolicited};
-use punch_net::{Duration, Endpoint, LinkSpec, Router, Sim, SimTime};
+use punch_net::{Duration, Endpoint, LinkSpec, Packet, Router, Sim, SimTime};
 use punch_transport::{
     App, ConnectOpts, HostDevice, Os, SockEvent, SocketError, SocketId, StackConfig,
 };
@@ -190,6 +190,22 @@ fn preserving_allocation_keeps_private_port() {
         .parse()
         .unwrap();
     assert_eq!(seen.port, 4321);
+}
+
+/// A port-preserving NAT keeps a private port of 1024, the lowest it
+/// hands out, and maps a privileged one (below 1024) up to that floor.
+#[test]
+fn preserving_allocation_floors_at_port_1024() {
+    for private_port in [1024, 80] {
+        let behavior = NatBehavior::well_behaved().with_port_alloc(PortAllocation::Preserving);
+        let (mut sim, _client, nat) = reflector_topology(behavior, 1);
+        let from = Endpoint::new([10, 0, 0, 1].into(), private_port);
+        sim.inject(nat, 1, Packet::udp(from, ep("18.181.0.31:9000"), b"p".as_ref()));
+        sim.run_for(Duration::from_millis(100));
+        let tables = sim.device::<NatDevice>(nat).tables();
+        let public = tables.iter().find(|e| e.private == from).map(|e| e.public.port);
+        assert_eq!(public, Some(1024), "private port {private_port}");
+    }
 }
 
 /// Third-party topology: client behind NAT talks to s1; s3 (never

@@ -15,10 +15,8 @@ fn well_behaved_nat_is_consistent_under_contention() {
 
 #[test]
 fn contention_breaking_nat_fools_single_client_check_but_not_the_pair() {
-    let behavior = NatBehavior {
-        contention_breaks_consistency: true,
-        ..NatBehavior::well_behaved()
-    };
+    let mut behavior = NatBehavior::well_behaved();
+    behavior.contention_breaks_consistency = true;
     // Single-client NAT Check (what Table 1 ran): looks perfectly fine.
     let single = check_nat(behavior.clone(), 2);
     assert_eq!(

@@ -69,10 +69,8 @@ fn symmetric_nat_fails_consistency_checks() {
     // A new mapping per server IP or per server endpoint: both are
     // inconsistent, and a sequential allocator shows the §5.1 stride +1
     // at every seed.
-    let address_dependent = NatBehavior {
-        mapping: MappingPolicy::AddressDependent,
-        ..NatBehavior::well_behaved()
-    };
+    let mut address_dependent = NatBehavior::well_behaved();
+    address_dependent.mapping = MappingPolicy::AddressDependent;
     let sequential = NatBehavior::symmetric().with_port_alloc(PortAllocation::Sequential);
     for behavior in [sequential, address_dependent] {
         for seed in SEEDS {
@@ -165,10 +163,8 @@ fn hairpin_filtering_nat_reproduces_the_section_6_3_pessimism() {
     // untrusted. NAT Check's one-sided hairpin test reports "no
     // hairpin", although a full two-way punch (both sides sending) would
     // open the filters and work.
-    let behavior = NatBehavior {
-        hairpin_filters: true,
-        ..NatBehavior::well_behaved()
-    };
+    let mut behavior = NatBehavior::well_behaved();
+    behavior.hairpin_filters = true;
     assert_eq!(
         behavior.hairpin_udp,
         Hairpin::Full,
@@ -211,10 +207,8 @@ fn mangling_nat_corrupts_nat_check_observations() {
 fn address_dependent_filtering_still_reports_filtered() {
     // Restricted cone: server 3's IP was never contacted, so its reply
     // is blocked, same as port-restricted.
-    let behavior = NatBehavior {
-        filtering: FilteringPolicy::AddressDependent,
-        ..NatBehavior::well_behaved()
-    };
+    let mut behavior = NatBehavior::well_behaved();
+    behavior.filtering = FilteringPolicy::AddressDependent;
     let report = check_nat(behavior, 9);
     assert_eq!(report.udp_unsolicited_filtered, Some(true));
     assert_eq!(report.udp_hole_punching(), Some(true));

@@ -59,18 +59,17 @@ pub struct ServerConfig {
     /// Only consulted when forwarding: the owner chain for a missing
     /// target is the target's first `replication` ring owners.
     pub replication: usize,
-    /// Per-source-IP token-bucket rate limit on the main UDP socket, in
-    /// datagrams per second (bucket capacity = one second's tokens).
-    /// `None` (the default, and the paper's implicit model) serves every
-    /// datagram; an introduction or registration flood from one source
-    /// then costs the same as legitimate traffic.
-    pub rate_limit: Option<u32>,
+    /// The per-source rate limit ([`ServerConfig::defended`]).
+    rate_limit: bool,
     /// Protect-active eviction: a registration refreshed within this
     /// window is never the eviction victim; when every entry in a full
     /// table is protected, the *newcomer* is refused
     /// ([`crate::wire::ERR_TABLE_FULL`]) instead. `None` (the default)
     /// keeps pure oldest-first eviction, under which a squatting storm
     /// bigger than the table evicts even actively-refreshing clients.
+    /// [`ServerConfig::defended`] sets 5 s. The window stays a field
+    /// because the model test in `tests/server.rs` sweeps 50 ms: its
+    /// runs are too short for any entry to age out of 5 s.
     pub protect_active: Option<Duration>,
     /// Shared fleet secret: when set, server-to-server messages carry an
     /// [`AUTH_TAG_LEN`]-byte keyed tag and `Srv*` messages that arrive
@@ -87,7 +86,7 @@ impl Default for ServerConfig {
             fleet: Vec::new(),
             fleet_index: 0,
             replication: 2,
-            rate_limit: None,
+            rate_limit: false,
             protect_active: None,
             fleet_secret: None,
         }
@@ -134,23 +133,15 @@ impl ServerConfig {
         self
     }
 
-    /// Same configuration with a per-source UDP rate limit, in
-    /// datagrams per second.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `per_sec` is zero (that would refuse all traffic; turn
-    /// the limiter off with `None` instead).
-    pub fn with_rate_limit(mut self, per_sec: u32) -> Self {
-        assert!(per_sec > 0, "rate_limit must be positive");
-        self.rate_limit = Some(per_sec);
-        self
-    }
-
-    /// Same configuration with protect-active eviction: registrations
-    /// refreshed within `window` are never evicted.
-    pub fn with_protect_active(mut self, window: Duration) -> Self {
-        self.protect_active = Some(window);
+    /// Same configuration with the control-plane defenses on (EC3):
+    /// protect-active eviction with a 5 s window, and a per-source-IP
+    /// token bucket on the main UDP socket that admits 25 datagrams per
+    /// second (capacity one second's tokens). Off, the server serves every datagram (the paper's
+    /// implicit model), so an introduction or registration flood from
+    /// one source costs the same as legitimate traffic.
+    pub fn defended(mut self) -> Self {
+        self.rate_limit = true;
+        self.protect_active = Some(Duration::from_secs(5));
         self
     }
 
@@ -190,7 +181,7 @@ pub struct ServerStats {
     /// Forwarded introductions that exhausted the target's owner chain.
     pub forward_errors: u64,
     /// Datagrams refused by the per-source token bucket
-    /// ([`ServerConfig::rate_limit`]).
+    /// ([`ServerConfig::defended`]).
     pub rate_limited: u64,
     /// Registrations refused because every slot was protected-active
     /// ([`ServerConfig::protect_active`]).
@@ -283,6 +274,10 @@ struct Bucket {
 /// Micro-tokens per datagram.
 const MICRO: u64 = 1_000_000;
 
+/// Datagrams per second one source IP may send a defended server
+/// ([`ServerConfig::defended`]); a bucket holds one second's tokens.
+const RATE_LIMIT: u64 = 25;
+
 /// An introduction forwarded to the target's owning shard, awaiting
 /// its [`Message::SrvIntroduceReply`] / [`Message::SrvIntroduceErr`].
 struct PendingIntro {
@@ -341,7 +336,7 @@ pub struct RendezvousServer {
     /// Cross-shard introductions in flight, keyed by
     /// `(requester, target, nonce)`.
     pending: BTreeMap<(u64, u64, u64), PendingIntro>,
-    /// Per-source-IP token buckets ([`ServerConfig::rate_limit`]).
+    /// Per-source-IP token buckets ([`ServerConfig::defended`]).
     buckets: BTreeMap<Ipv4Addr, Bucket>,
     /// `buckets.len()` past which an admitted datagram sweeps the map:
     /// `max_clients`, or twice what the last sweep left if that is more.
@@ -420,21 +415,21 @@ impl RendezvousServer {
     /// Admits or refuses one datagram from `from` through the
     /// per-source token bucket. Always admits when the limiter is off.
     fn rate_allow(&mut self, os: &mut Os<'_, '_>, from: Endpoint) -> bool {
-        let Some(rate) = self.cfg.rate_limit else {
+        if !self.cfg.rate_limit {
             return true;
-        };
+        }
         let now = os.now();
-        let cap = u64::from(rate) * MICRO;
+        let cap = RATE_LIMIT * MICRO;
         let b = self.buckets.entry(from.ip).or_insert(Bucket {
             tokens: cap,
             last: now,
         });
         let elapsed =
             u64::try_from(now.saturating_since(b.last).as_nanos()).unwrap_or(u64::MAX);
-        // rate tokens/s = rate × MICRO micro-tokens per 1e9 ns.
+        // RATE_LIMIT tokens/s = RATE_LIMIT × MICRO micro-tokens per 1e9 ns.
         b.tokens = b
             .tokens
-            .saturating_add(elapsed.saturating_mul(u64::from(rate)) / 1000)
+            .saturating_add(elapsed.saturating_mul(RATE_LIMIT) / 1000)
             .min(cap);
         b.last = now;
         if b.tokens >= MICRO {
@@ -445,11 +440,10 @@ impl RendezvousServer {
             // them loses nothing. Sweeping only on doubling keeps a
             // spoofed-source flood at O(1) amortised per datagram.
             if self.buckets.len() > self.sweep_above {
-                let rate = u64::from(rate);
                 self.buckets.retain(|_, b| {
                     let refill = u64::try_from(now.saturating_since(b.last).as_nanos())
                         .unwrap_or(u64::MAX)
-                        .saturating_mul(rate)
+                        .saturating_mul(RATE_LIMIT)
                         / 1000;
                     b.tokens.saturating_add(refill) < cap
                 });
@@ -1086,19 +1080,18 @@ mod tests {
     use punch_net::{LinkSpec, NodeId, Packet, Sim};
     use punch_transport::{HostDevice, StackConfig};
 
-    /// A spoofed-source flood: `4 × max_clients` sources, one every 15 ms
-    /// over the first second, each registering once except every eighth,
-    /// which sends two datagrams past its bucket. The bucket map stays
-    /// within twice the client cap, and sweeping it never changes a
-    /// verdict.
+    /// A spoofed-source flood against a defended server: `4 ×
+    /// max_clients` sources, one every 15 ms over the first second, each
+    /// registering once except every eighth, which sends two datagrams
+    /// past its bucket. The bucket map stays within twice the client
+    /// cap, and sweeping it never changes a verdict.
     #[test]
     fn a_spoofed_source_flood_keeps_the_bucket_map_bounded() {
         const MAX_CLIENTS: usize = 16;
-        const RATE: u32 = 20;
         let mut sim = Sim::new(3);
         let cfg = ServerConfig::default()
             .with_max_clients(MAX_CLIENTS)
-            .with_rate_limit(RATE);
+            .defended();
         let server_ep = Endpoint::new(Ipv4Addr::new(18, 181, 0, 31), SERVER_PORT);
         let host = HostDevice::new(
             server_ep.ip,
@@ -1116,7 +1109,7 @@ mod tests {
                 peer_id: PeerId(u64::from(k) + 1),
                 private: src,
             };
-            let sends = if k % 8 == 0 { RATE + 2 } else { 1 };
+            let sends = if k % 8 == 0 { RATE_LIMIT + 2 } else { 1 };
             for _ in 0..sends {
                 sim.inject(server, 0, Packet::udp(src, server_ep, msg.encode(true)));
             }
@@ -1126,9 +1119,44 @@ mod tests {
         sim.run_for(Duration::from_secs(1));
         assert!(most <= 2 * MAX_CLIENTS + 1, "{most} buckets");
         // Every verdict as if no bucket were ever forgotten: 8 sources × 2
-        // refused, and an ack for each of the other 56 + 8 × 20 datagrams.
+        // refused, and a reply (an ack, or a refusal once the protected
+        // table is full) to each of the other 56 + 8 × 25 datagrams.
         let replies = sim.device::<SinkDevice>(sink).packets.len();
-        assert_eq!((app(&sim, server).stats().rate_limited, replies), (16, 216));
+        assert_eq!((app(&sim, server).stats().rate_limited, replies), (16, 256));
+    }
+
+    /// A flood of introductions a fleet member must forward, each with a
+    /// fresh nonce and none ever answered: the pending-forward table
+    /// holds at most `max_clients` entries after every datagram, and
+    /// each one past that evicts the oldest.
+    #[test]
+    fn a_forwarded_introduction_flood_keeps_the_pending_table_capped() {
+        const MAX_CLIENTS: usize = 4;
+        const REQUESTS: u64 = 12;
+        let me = Endpoint::new(Ipv4Addr::new(18, 181, 0, 31), SERVER_PORT);
+        let other = Endpoint::new(Ipv4Addr::new(18, 181, 0, 32), SERVER_PORT);
+        let cfg = ServerConfig::default()
+            .with_max_clients(MAX_CLIENTS)
+            .with_fleet(vec![me, other], 0);
+        let mut sim = Sim::new(5);
+        let host = HostDevice::new(me.ip, StackConfig::default(), RendezvousServer::new(cfg));
+        let server = sim.add_node("server", Box::new(host));
+        let sink = sim.add_node("sink", Box::new(SinkDevice::default()));
+        sim.connect(server, sink, LinkSpec::new(Duration::from_millis(1)));
+        sim.run_for(Duration::from_millis(1));
+        let client = Endpoint::new(Ipv4Addr::new(99, 1, 1, 1), 4000);
+        let register = Message::Register { peer_id: PeerId(1), private: client };
+        sim.inject(server, 0, Packet::udp(client, me, register.encode(true)));
+        for nonce in 0..REQUESTS {
+            // Peer 2 is registered nowhere, so every request is forwarded.
+            let ask = Message::ConnectRequest { peer_id: PeerId(1), target: PeerId(2), nonce };
+            sim.inject(server, 0, Packet::udp(client, me, ask.encode(true)));
+            sim.run_for(Duration::from_micros(1));
+            let pending = app(&sim, server).pending.len();
+            assert!(pending <= MAX_CLIENTS, "request {nonce}: {pending} pending");
+        }
+        let s = app(&sim, server).stats();
+        assert_eq!((s.forwards, s.forward_errors), (REQUESTS, REQUESTS - MAX_CLIENTS as u64));
     }
 
     fn app(sim: &Sim, node: NodeId) -> &RendezvousServer {

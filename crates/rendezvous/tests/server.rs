@@ -463,9 +463,8 @@ fn a_ping_is_answered_and_refreshes_nothing() {
 #[test]
 fn full_table_of_active_clients_refuses_the_newcomer() {
     for t in BOTH {
-        let cfg = ServerConfig::default()
-            .with_max_clients(2)
-            .with_protect_active(Duration::from_secs(1));
+        let mut cfg = ServerConfig::default().with_max_clients(2);
+        cfg.protect_active = Some(Duration::from_secs(1));
         let lab = Lab::run(
             vec![cfg],
             vec![
@@ -761,9 +760,7 @@ fn run_against_model(seed: u64, max: usize, window: Option<Duration>, steps: u64
         .map(|i| Endpoint::new(Ipv4Addr::new(99, 1, 1, 1 + i / 2), 4000 + u16::from(i % 2)))
         .collect();
     let mut cfg = ServerConfig::default().with_max_clients(max);
-    if let Some(w) = window {
-        cfg = cfg.with_protect_active(w);
-    }
+    cfg.protect_active = window;
     let s = server_ep(0);
     let mut sim = Sim::new(seed);
     let host = HostDevice::new(s.ip, StackConfig::default(), RendezvousServer::new(cfg));

@@ -32,7 +32,8 @@ pub(crate) const EPHEMERAL_PORTS: (u16, u16) = (49152, 65535);
 ///
 /// Defaults model a contemporary general-purpose OS
 /// ([`StackConfig::fast`] shrinks the initial RTO and TIME-WAIT for
-/// short simulations: the profile is the knob for those two); tests
+/// short simulations, and [`StackConfig::defended`] validates RSTs:
+/// each profile is the knob for its values); tests
 /// assign the public fields to force specific orderings. The MSS (1400
 /// bytes), SYN retries (5), RTO cap (60 s) and ephemeral port range
 /// (49152–65535) are fixed. Hosts that run alike share one
@@ -51,12 +52,8 @@ pub struct StackConfig {
     pub send_window: usize,
     /// How long a closed connection lingers in TIME-WAIT (2×MSL).
     pub(crate) time_wait: Duration,
-    /// RFC 5961-style RST validation: only a RST whose sequence number
-    /// exactly matches `rcv_nxt` tears the connection down; an in-window
-    /// RST elicits a challenge ACK and is otherwise ignored. Off by
-    /// default (classic RFC 793 behaviour, which accepts any RST and is
-    /// what an off-path injector exploits).
-    pub rst_validation: bool,
+    /// RFC 5961-style RST validation ([`StackConfig::defended`]).
+    pub(crate) rst_validation: bool,
 }
 
 impl Default for StackConfig {
@@ -89,8 +86,13 @@ impl StackConfig {
         self
     }
 
-    /// Same configuration with RFC 5961 RST sequence validation enabled.
-    pub fn with_rst_validation(mut self) -> Self {
+    /// Same configuration with the off-path RST defense on (EC3):
+    /// RFC 5961-style validation, under which only a RST whose sequence
+    /// number exactly matches `rcv_nxt` tears a connection down and an
+    /// in-window one elicits a challenge ACK and is otherwise ignored.
+    /// Off, the stack accepts any RST (classic RFC 793), which
+    /// is what an off-path injector exploits.
+    pub fn defended(mut self) -> Self {
         self.rst_validation = true;
         self
     }
